@@ -33,12 +33,14 @@ from .combinatorics import (
 from .exactnum import LaurentPoly, RationalFunc
 from .fqoracle import (
     ClassFnUT,
+    MatrixFq,
     UnipClassFn,
     chi_bar,
     chi_super,
     hessenberg_count,
     induce_to_GL,
     jordan,
+    mat_minus_identity,
     psi_pseudo,
 )
 from .symfunc import (
@@ -102,8 +104,10 @@ class CheckReport:
     witness: dict | None = None
 
     def __post_init__(self):
-        assert self.status in ("pass", "fail")
-        assert self.witness is not None or self.status == "pass"
+        if self.status not in ("pass", "fail"):
+            raise AssertionError(f"unknown status {self.status!r}")
+        if self.witness is None and self.status == "fail":
+            raise AssertionError("a failing report needs a witness")
 
     @property
     def ok(self) -> bool:
@@ -132,28 +136,26 @@ def _scan(name: str, n: int, q: int | None, items: Iterable,
 # the checkers
 # ---------------------------------------------------------------------------
 
-def check_cqs(n: int, q: int, allow_big: bool = False) -> CheckReport:
+def check_cqs(n: int, q: int) -> CheckReport:
     """Induced permutation characters realize (q-1)^n X_gamma(x; q)."""
     scale = RationalFunc.const((q - 1) ** n)
 
     def test(gamma):
-        lhs = p_brace1(induce_to_GL(chi_bar(gamma, q), allow_big))
+        lhs = p_brace1(induce_to_GL(chi_bar(gamma, q)))
         rhs = csf(gamma).eval_t(q).scale(scale)
         return lhs == rhs, lhs, rhs
 
     return _scan("check_cqs", n, q, indifference_graphs(n), test)
 
 
-def check_hess(n: int, q: int, allow_big: bool = False) -> CheckReport:
+def check_hess(n: int, q: int) -> CheckReport:
     """Induced character values count Hessenberg points: (q-1)^n q^{|E|} |B|."""
     items = [(g, lam) for g in indifference_graphs(n) for lam in gen_partitions(n)]
 
     def test(item):
         gamma, lam = item
-        ind = induce_to_GL(chi_bar(gamma, q), allow_big)
-        j = jordan(lam, q)
-        nilp = _minus_identity(j)
-        cnt = hessenberg_count(gamma, nilp)
+        ind = induce_to_GL(chi_bar(gamma, q))
+        cnt = hessenberg_count(gamma, MatrixFq(q, mat_minus_identity(jordan(lam, q).rows, q)))
         lhs = ind(lam)
         rhs = Fraction((q - 1) ** n * q ** len(gamma.edges) * cnt)
         return lhs == rhs, lhs, rhs
@@ -168,7 +170,7 @@ def check_poincare(n: int, q: int) -> CheckReport:
 
     def test(item):
         gamma, lam = item
-        cnt = hessenberg_count(gamma, _minus_identity(jordan(lam, q)))
+        cnt = hessenberg_count(gamma, MatrixFq(q, mat_minus_identity(jordan(lam, q).rows, q)))
         dval = dcache[gamma].get(lam, LaurentPoly()).evaluate(q)
         rhs = dval / q ** len(gamma.edges)
         return cnt == rhs, cnt, rhs
@@ -176,11 +178,11 @@ def check_poincare(n: int, q: int) -> CheckReport:
     return _scan("check_poincare", n, q, items, test)
 
 
-def check_llt(n: int, q: int, allow_big: bool = False) -> CheckReport:
+def check_llt(n: int, q: int) -> CheckReport:
     """Pseudosupercharacters induce to (q-1)^{|Diag|} omega G_sigma(x; q)."""
 
     def test(sigma):
-        lhs = p_one(induce_to_GL(psi_pseudo(sigma, q), allow_big))
+        lhs = p_one(induce_to_GL(psi_pseudo(sigma, q)))
         G = llt_vertical(sigma).eval_t(q)
         scale = RationalFunc.const((q - 1) ** len(diag(sigma)))
         rhs = expand_in_basis(omega_sympoly(G).scale(scale), "S")
@@ -312,10 +314,10 @@ def check_prop56(n: int) -> CheckReport:
     return CheckReport("check_prop56", n, None, "pass")
 
 
-def check_gg(n: int, q: int, allow_big: bool = False) -> CheckReport:
+def check_gg(n: int, q: int) -> CheckReport:
     """The normalized staircase induction maps to e_n under omega o p_one."""
     sigma = SchroderPath("E" + "D" * (n - 1) + "S")
-    ind = induce_to_GL(psi_pseudo(sigma, q), allow_big)
+    ind = induce_to_GL(psi_pseudo(sigma, q))
     denom = (q - 1) ** (n - 1)
     for lam, v in ind.values.items():
         if (v / denom).denominator != 1:
@@ -345,7 +347,7 @@ def check_st_en(n: int) -> CheckReport:
                        {"index": str(lam), "lhs": str(lhs), "rhs": str(rhs)})
 
 
-def check_cor66(n: int, q: int, allow_big: bool = False) -> CheckReport:
+def check_cor66(n: int, q: int) -> CheckReport:
     """Induced pseudosupercharacters decompose over orientation types at t = q.
 
     Verified on symmetric-function images; passes precisely when check_llt
@@ -353,20 +355,12 @@ def check_cor66(n: int, q: int, allow_big: bool = False) -> CheckReport:
     """
 
     def test(sigma):
-        lhs = symfunc_to_sympoly(omega(p_one(induce_to_GL(psi_pseudo(sigma, q), allow_big))))
+        lhs = symfunc_to_sympoly(omega(p_one(induce_to_GL(psi_pseudo(sigma, q)))))
         scale = RationalFunc.const((q - 1) ** len(diag(sigma)))
         rhs = symfunc_to_sympoly(eval_t(as_expansion(sigma), q)).scale(scale)
         return lhs == rhs, lhs, rhs
 
     return _scan("check_cor66", n, q, gen_tall_schroder(n), test)
-
-
-def _minus_identity(m):
-    from .fqoracle import MatrixFq
-    n = m.n
-    rows = tuple(tuple((x - (1 if i == j else 0)) % m.q for j, x in enumerate(row))
-                 for i, row in enumerate(m.rows))
-    return MatrixFq(m.q, rows)
 
 
 ALL_CHECKS: dict[str, Callable[..., CheckReport]] = {
@@ -389,7 +383,7 @@ ALL_CHECKS: dict[str, Callable[..., CheckReport]] = {
 SYMBOLIC_CHECKS = ("check_as", "check_cm", "check_palindromic", "check_prop56", "check_st_en")
 
 
-def run_check(name: str, n: int, q: int | None, allow_big: bool = False) -> CheckReport:
+def run_check(name: str, n: int, q: int | None) -> CheckReport:
     """Dispatch a single named check at the given size."""
     if name not in ALL_CHECKS:
         raise ValueError(f"unknown check {name!r}; choose from {sorted(ALL_CHECKS)}")
@@ -398,6 +392,4 @@ def run_check(name: str, n: int, q: int | None, allow_big: bool = False) -> Chec
         return fn(n)
     if q is None:
         raise ValueError(f"{name} needs a field size q")
-    if name in ("check_cqs", "check_hess", "check_llt", "check_gg", "check_cor66"):
-        return fn(n, q, allow_big)
     return fn(n, q)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from itertools import product
 
 from .combinatorics import (
+    MAX_ORIENT_EDGES,
     IndiffGraph,
     Orientation,
     Partition,
@@ -24,7 +25,6 @@ from .symfunc import SymFunc, SymPoly, check_symmetric, expand_in_basis
 
 MAX_COLORING_N = 8
 MAX_EXPANSION_N = 6
-MAX_ORIENT_EDGES = 16
 
 Coloring = tuple[int, ...]
 
@@ -37,7 +37,8 @@ def asc(gamma: IndiffGraph, kappa: Coloring) -> int:
 def _collect(n: int, table: dict[tuple[int, ...], dict[int, int]]) -> SymPoly:
     """Turn {exponent vector: {t-power: count}} into an orbit-form SymPoly."""
     full = {e: RationalFunc(LaurentPoly.from_terms(powers)) for e, powers in table.items()}
-    assert check_symmetric(full, n), "coloring table is not symmetric"
+    if not check_symmetric(full, n):
+        raise AssertionError("coloring table is not symmetric")
     coeffs = {}
     for e, c in full.items():
         mu = tuple(x for x in e if x)
@@ -120,15 +121,6 @@ def as_expansion(sigma: SchroderPath) -> SymFunc:
         w = RationalFunc(tm1 ** asc_count)
         coeffs[ty] = coeffs.get(ty, RationalFunc.const(0)) + w
     return SymFunc(n, "E", coeffs)
-
-
-def palindromicity_check(gamma: IndiffGraph) -> bool:
-    """Is t^{|E|} X(x; 1/t) = X(x; t) as an exact coefficient identity?"""
-    require(gamma.n <= MAX_EXPANSION_N,
-            f"palindromicity_check: n = {gamma.n} exceeds guard {MAX_EXPANSION_N}")
-    X = csf(gamma)
-    shift = RationalFunc(LaurentPoly.t(len(gamma.edges)))
-    return X.map_coeffs(lambda c: c.subs_inv() * shift) == X
 
 
 def d_coeffs(gamma: IndiffGraph) -> dict[Partition, LaurentPoly]:

@@ -3,22 +3,20 @@
 Two verb families:
 
   chromaq compute {csf|llt|as-expand|d-coeffs|e-expand|induce|hess-count|superclass-sizes} ...
-  chromaq verify {all|<check name>} [--n N] [--q Q] [--deep] [--allow-big] [--json]
+  chromaq verify {all|<check name>} [--n N] [--q Q] [--deep] [--json]
 
 All output is JSON on stdout.  Exit status: 0 = success / all pass,
 1 = at least one check failed, 2 = usage or size-guard error.
 
-Set CHROMAQ_THREADS > 1 to run independent checks on a thread pool; reports
-are merged deterministically regardless of schedule.
+Checks run one after another in this process; reports are sorted by
+(check, n, q).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .bridge import ALL_CHECKS, DEPENDENCIES, SYMBOLIC_CHECKS, CheckReport, run_check
 from .chromallt import as_expansion, csf, d_coeffs, e_expansion_X, llt_vertical
@@ -30,6 +28,7 @@ from .fqoracle import (
     hessenberg_count,
     induce_to_GL,
     jordan,
+    mat_minus_identity,
     superclass_sizes,
 )
 from .guards import SizeGuardError
@@ -85,7 +84,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         if args.q is None:
             raise ValueError("induce needs --q")
         gamma = _parse_graph(args.index)
-        ind = induce_to_GL(chi_bar(gamma, args.q), allow_big=args.allow_big)
+        ind = induce_to_GL(chi_bar(gamma, args.q))
         items = [{"partition": list(lam), "value": str(v)} for lam, v in sorted(ind.values.items())]
         _emit({"n": ind.n, "q": ind.q, "values": items})
     elif verb == "hess-count":
@@ -96,10 +95,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             a = MatrixFq.from_digits(args.matrix, gamma.n, args.q)
         elif args.jordan_type:
             lam = tuple(int(x) for x in args.jordan_type.split(","))
-            j = jordan(lam, args.q)
-            a = MatrixFq(args.q, tuple(tuple((x - (1 if i == k else 0)) % args.q
-                                             for k, x in enumerate(row))
-                                       for i, row in enumerate(j.rows)))
+            a = MatrixFq(args.q, mat_minus_identity(jordan(lam, args.q).rows, args.q))
         else:
             raise ValueError("hess-count needs --matrix DIGITS or --jordan-type PART,PART,..")
         _emit({"count": hessenberg_count(gamma, a)})
@@ -142,18 +138,8 @@ def _default_suite(deep: bool) -> list[tuple[str, int, int | None]]:
     return jobs
 
 
-def _run_jobs(jobs, allow_big: bool) -> list[CheckReport]:
-    threads = int(os.environ.get("CHROMAQ_THREADS", "1"))
-
-    def run(job):
-        name, n, q = job
-        return run_check(name, n, q, allow_big)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(run, jobs))
-    else:
-        reports = [run(j) for j in jobs]
+def _run_jobs(jobs) -> list[CheckReport]:
+    reports = [run_check(name, n, q) for name, n, q in jobs]
     reports.sort(key=lambda r: (r.check, r.n, r.q if r.q is not None else -1))
     return reports
 
@@ -174,7 +160,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         q = None if args.target in SYMBOLIC_CHECKS else (args.q if args.q is not None else 2)
         jobs = [(args.target, n, q)]
 
-    reports = _run_jobs(jobs, args.allow_big)
+    reports = _run_jobs(jobs)
     if args.json:
         _emit([r.to_json() for r in reports])
     else:
@@ -211,8 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--matrix", default=None, help="row-major digit string")
     comp.add_argument("--jordan-type", default=None,
                       help="partition PART,PART,.. for A = J_lambda - 1")
-    comp.add_argument("--allow-big", action="store_true",
-                      help="permit GL sweeps up to 3e7 elements")
     comp.set_defaults(fn=_cmd_compute)
 
     ver = sub.add_parser("verify", help="run theorem checks")
@@ -220,7 +204,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--n", type=int, default=None)
     ver.add_argument("--q", type=int, default=None)
     ver.add_argument("--deep", action="store_true", help="extend ranges (n=4 GL, n=5 symbolic)")
-    ver.add_argument("--allow-big", action="store_true")
     ver.add_argument("--json", action="store_true", help="machine-readable report")
     ver.set_defaults(fn=_cmd_verify)
     return ap

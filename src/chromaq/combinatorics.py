@@ -262,7 +262,8 @@ def union_graphs(g1: IndiffGraph, g2: IndiffGraph) -> IndiffGraph:
     if g1.n != g2.n:
         raise ValueError("union_graphs needs graphs on the same vertex set")
     u = g1.edges | g2.edges
-    assert is_indifference(u, g1.n), "union of indifference graphs failed interval closure"
+    if not is_indifference(u, g1.n):
+        raise AssertionError("union of indifference graphs failed interval closure")
     return IndiffGraph(g1.n, u)
 
 
@@ -337,7 +338,8 @@ def mobius_subgraph(gamma: IndiffGraph) -> dict[IndiffGraph, int]:
             s = sum(zeta[i][k] * inv[k][j] for k in range(i + 1, j + 1))
             inv[i][j] = -s
     top = m - 1
-    assert elems[top] == gamma
+    if elems[top] != gamma:
+        raise AssertionError(f"mobius_subgraph: {gamma} is not the top of its interval")
     return {elems[i]: inv[i][top] for i in range(m)}
 
 
@@ -345,7 +347,7 @@ def mobius_subgraph(gamma: IndiffGraph) -> dict[IndiffGraph, int]:
 # orientations
 # ---------------------------------------------------------------------------
 
-MAX_ORIENT_EDGES = 20
+MAX_ORIENT_EDGES = 16
 
 
 @dataclass(frozen=True)

@@ -348,11 +348,6 @@ def parse_laurent(s: str) -> LaurentPoly:
     return LaurentPoly.from_terms(terms)
 
 
-def laurent_eval(f: LaurentPoly, q: Rat) -> Fraction:
-    """Specialize t = q exactly."""
-    return f.evaluate(q)
-
-
 _L_ZERO = LaurentPoly()
 _L_ONE = LaurentPoly.const(1)
 
@@ -389,7 +384,8 @@ class RationalFunc:
             if len(g) > 1:
                 qn, rn = _pdivmod(list(n), list(g))
                 qd, rd = _pdivmod(list(d), list(g))
-                assert not rn and not rd
+                if rn or rd:
+                    raise AssertionError("gcd does not divide numerator and denominator")
                 n, d = tuple(qn), tuple(qd)
         lead = d[-1]
         if lead != 1:

@@ -3,12 +3,16 @@ functions, pseudosupercharacters, induction to GL_n, flags, and Hessenberg
 point counts.
 
 q is restricted to primes <= 7; enumeration sizes are deliberately desk-scale.
-Matrices are tuples of row tuples with entries reduced mod q.  The hot loops
-(GL_n sweeps) stick to raw row tuples and local bindings.
+Matrices are tuples of row tuples with entries reduced mod q.
+
+Induction to GL_n needs only a sweep of UT_n: each element contributes the
+centralizer order of its Jordan type (Frobenius formula).  The GL_n sweeps
+left here are independent oracles for tests and checks.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -102,7 +106,8 @@ class MatrixFq:
         return len(self.rows)
 
     def __mul__(self, other: "MatrixFq") -> "MatrixFq":
-        assert self.q == other.q
+        if self.q != other.q:
+            raise AssertionError(f"cannot multiply matrices over F_{self.q} and F_{other.q}")
         return MatrixFq(self.q, mat_mul(self.rows, other.rows, self.q))
 
     def inv(self) -> "MatrixFq":
@@ -136,6 +141,12 @@ def jordan(lam: Partition, q: int) -> MatrixFq:
                 rows[off + i][off + i + 1] = 1
         off += k
     return MatrixFq(q, tuple(tuple(r) for r in rows))
+
+
+def mat_minus_identity(rows: Rows, q: int) -> Rows:
+    """rows - identity over F_q; for J_lam this is its nilpotent part."""
+    return tuple(tuple((x - (1 if i == j else 0)) % q for j, x in enumerate(r))
+                 for i, r in enumerate(rows))
 
 
 def _jordan_pairs(lam: Partition) -> tuple[tuple[int, int], ...]:
@@ -239,22 +250,19 @@ def superclass_rep(gamma: IndiffGraph, q: int) -> MatrixFq:
             if (i, j) not in gamma.edges:
                 rows[i - 1][j - 1] = 1
     m = MatrixFq(q, tuple(tuple(r) for r in rows))
-    assert superclass_label(m).edges == gamma.edges
+    if superclass_label(m).edges != gamma.edges:
+        raise AssertionError(f"superclass_rep: representative of {gamma} has another label")
     return m
 
 
 @lru_cache(maxsize=None)
 def superclass_sizes(n: int, q: int) -> dict[IndiffGraph, int]:
-    """|UT_gamma^o| for every gamma in IG_n, by exhaustive enumeration."""
-    _check_q(q)
-    require(n <= MAX_CLASSFN_N, f"superclass_sizes: n = {n} exceeds guard {MAX_CLASSFN_N}")
-    counts: dict[frozenset, int] = {}
-    for u in ut_elements(n, q):
-        lab = _label_edges(u, n)
-        counts[lab] = counts.get(lab, 0) + 1
+    """|UT_gamma^o| for every gamma in IG_n, from the UT_n sweep of induction_table."""
     out = {g: 0 for g in indifference_graphs(n)}
-    for lab, c in counts.items():
-        out[IndiffGraph(n, lab)] = c
+    for lam, labs in induction_table(n, q).items():
+        c_order = _centralizer_order(lam, q)
+        for g, c in labs.items():
+            out[g] += c // c_order
     return out
 
 
@@ -288,7 +296,8 @@ class ClassFnUT:
         return self.values[superclass_label(u)]
 
     def __add__(self, other: "ClassFnUT") -> "ClassFnUT":
-        assert (self.n, self.q) == (other.n, other.q)
+        if (self.n, self.q) != (other.n, other.q):
+            raise AssertionError("cannot add superclass functions of different groups")
         return ClassFnUT(self.n, self.q,
                          {g: v + other.values[g] for g, v in self.values.items()})
 
@@ -326,7 +335,8 @@ class UnipClassFn:
         return self.values[tuple(lam)]
 
     def __add__(self, other: "UnipClassFn") -> "UnipClassFn":
-        assert (self.n, self.q) == (other.n, other.q)
+        if (self.n, self.q) != (other.n, other.q):
+            raise AssertionError("cannot add class functions of different groups")
         return UnipClassFn(self.n, self.q,
                            {lam: v + other.values[lam] for lam, v in self.values.items()})
 
@@ -413,13 +423,45 @@ def inner_product_UT(phi: ClassFnUT, psi: ClassFnUT) -> Fraction:
 # induction to GL_n
 # ---------------------------------------------------------------------------
 
-def _induction_allowed(n: int, q: int, allow_big: bool) -> None:
-    _check_q(q)
-    ok = (q == 2 and n <= 4) or (q == 3 and n <= 3) or (q in (5, 7) and n <= 2)
-    if not ok:
-        require(allow_big and gl_order(n, q) <= MAX_GL_ORDER,
-                f"induction over GL_{n}(F_{q}) (order {gl_order(n, q)}) needs allow_big=True "
-                f"and order <= {MAX_GL_ORDER}")
+def _rank(rows: Rows, q: int) -> int:
+    """Rank over F_q by row reduction."""
+    inv_t = _inv_table(q)
+    m = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(m)):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        pr = m[rank]
+        f = inv_t[pr[col]]
+        for r in range(rank + 1, len(m)):
+            c = m[r][col] * f % q
+            if c:
+                m[r] = [(x - c * y) % q for x, y in zip(m[r], pr)]
+        rank += 1
+    return rank
+
+
+def _jordan_type(u: Rows, q: int) -> Partition:
+    """Jordan type of a unipotent u: rank (u-1)^{k-1} - rank (u-1)^k parts have size >= k."""
+    nil = mat_minus_identity(u, q)
+    ranks = [len(u)]
+    power = nil
+    while ranks[-1]:
+        ranks.append(_rank(power, q))
+        power = mat_mul(power, nil, q)
+    conj = [a - b for a, b in zip(ranks, ranks[1:])]
+    return tuple(sum(1 for c in conj if c >= i) for i in range(1, conj[0] + 1)) if conj else ()
+
+
+def _centralizer_order(lam: Partition, q: int) -> int:
+    """|C_GL(J_lam)| = q^{|lam| + 2n(lam)} prod_i phi_{m_i(lam)}(1/q)."""
+    out = q ** (sum(lam) + 2 * sum(i * k for i, k in enumerate(lam)))
+    for m in Counter(lam).values():
+        for k in range(1, m + 1):
+            out = out * (q ** k - 1) // q ** k
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -427,45 +469,25 @@ def induction_table(n: int, q: int) -> dict[Partition, dict[IndiffGraph, int]]:
     """For each Jordan type lam, how many x in GL_n put x^{-1} J_lam x into UT_n,
     split by the superclass label of the conjugate.
 
-    This is the direct sum over all of GL_n with per-element conjugation; the
-    table just factors it so that many class functions can reuse one sweep.
+    Each u in UT_n of type lam is such a conjugate for exactly |C_GL(J_lam)|
+    elements x, so one sweep of UT_n fills the table.
     """
-    parts = gen_partitions(n)
-    raw: dict[Partition, dict[frozenset, int]] = {lam: {} for lam in parts}
-    nontrivial = [(lam, _jordan_pairs(lam)) for lam in parts if lam != tuple([1] * n)]
-    rng = range(n)
-    for x in gl_matrices(n, q):
-        xi = mat_inv(x, q)
-        xi_cols = tuple(zip(*xi)) if n else ()
-        for lam, pairs in nontrivial:
-            m = [[0] * n for _ in rng]
-            for a, b in pairs:
-                ca = xi_cols[a]
-                rb = x[b]
-                for i in rng:
-                    cai = ca[i]
-                    if cai:
-                        mi = m[i]
-                        for j in rng:
-                            mi[j] = (mi[j] + cai * rb[j]) % q
-            if any(m[i][j] for i in rng for j in range(i + 1)):
-                continue
-            lab = _label_edges(m, n)  # m agrees with 1 + m off the diagonal
-            d = raw[lam]
-            d[lab] = d.get(lab, 0) + 1
-    complete = frozenset((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
-    raw[tuple([1] * n)] = {complete: gl_order(n, q)}
-    return {lam: {IndiffGraph(n, lab): c for lab, c in labs.items()}
+    _guard_classfn(n, q)
+    raw: dict[Partition, dict[frozenset, int]] = {lam: {} for lam in gen_partitions(n)}
+    for u in ut_elements(n, q):
+        d = raw[_jordan_type(u, q)]
+        lab = _label_edges(u, n)
+        d[lab] = d.get(lab, 0) + 1
+    return {lam: {IndiffGraph(n, lab): c * _centralizer_order(lam, q) for lab, c in labs.items()}
             for lam, labs in raw.items()}
 
 
-def induce_to_GL(phi: ClassFnUT, allow_big: bool = False) -> UnipClassFn:
+def induce_to_GL(phi: ClassFnUT) -> UnipClassFn:
     """Induction from UT_n to GL_n, recorded on unipotent classes only:
     value at J_lam is (1/|UT_n|) sum over x in GL_n with x^{-1} J_lam x in UT_n
     of phi at the superclass of the conjugate.
     """
     n, q = phi.n, phi.q
-    _induction_allowed(n, q, allow_big)
     tbl = induction_table(n, q)
     order = ut_order(n, q)
     vals = {}
@@ -475,15 +497,16 @@ def induce_to_GL(phi: ClassFnUT, allow_big: bool = False) -> UnipClassFn:
     return UnipClassFn(n, q, vals)
 
 
-def induce_trivial_from_subgroup(gamma: IndiffGraph, q: int,
-                                 allow_big: bool = False) -> UnipClassFn:
+def induce_trivial_from_subgroup(gamma: IndiffGraph, q: int) -> UnipClassFn:
     """One-step induction of the trivial character of UT_gamma straight to GL_n.
 
-    Independent oracle for transitivity of induction: counts cosets by direct
-    membership tests, with no superclass machinery involved.
+    Independent oracle for transitivity of induction: sweeps GL_n and counts
+    cosets by direct membership tests, with no superclass machinery involved.
     """
     n = gamma.n
-    _induction_allowed(n, q, allow_big)
+    _check_q(q)
+    require(gl_order(n, q) <= MAX_GL_ORDER,
+            f"induce_trivial_from_subgroup: |GL_{n}(F_{q})| exceeds guard {MAX_GL_ORDER}")
     edges0 = [(i - 1, j - 1) for i, j in gamma.sorted_edges()]
     sub_order = ut_order(n, q) // q ** len(gamma.edges)
     vals = {}
@@ -509,7 +532,8 @@ def induce_trivial_from_subgroup(gamma: IndiffGraph, q: int,
             if any(m[i][j] for i, j in edges0):
                 continue
             count += 1
-        assert count % sub_order == 0
+        if count % sub_order:
+            raise AssertionError(f"{count} conjugates are not a union of UT_gamma cosets")
         vals[lam] = Fraction(count, sub_order)
     return UnipClassFn(n, q, vals)
 
@@ -532,7 +556,8 @@ def permutation_character_oracle(gamma: IndiffGraph, q: int) -> ClassFnUT:
             v = mat_mul(mat_mul(xi, u, q), x, q)
             if all(v[i][j] == 0 for i, j in edges0):
                 count += 1
-        assert count % sub_order == 0
+        if count % sub_order:
+            raise AssertionError(f"{count} fixed cosets is not a multiple of {sub_order}")
         vals[g] = Fraction(count, sub_order)
     return ClassFnUT(n, q, vals)
 

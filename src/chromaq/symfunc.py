@@ -116,7 +116,8 @@ class SymPoly:
         return (self.nvars, self.degree, self.coeffs) == (other.nvars, other.degree, other.coeffs)
 
     def __add__(self, other: "SymPoly") -> "SymPoly":
-        assert self.nvars == other.nvars and self.degree == other.degree
+        if (self.nvars, self.degree) != (other.nvars, other.degree):
+            raise AssertionError("cannot add SymPolys of different shape")
         out = dict(self.coeffs)
         for mu, c in other.coeffs.items():
             out[mu] = out.get(mu, RF_ZERO) + c
@@ -131,7 +132,8 @@ class SymPoly:
 
     def __mul__(self, other: "SymPoly") -> "SymPoly":
         """Orbit-aware product; exact as long as degrees stay within nvars."""
-        assert self.nvars == other.nvars
+        if self.nvars != other.nvars:
+            raise AssertionError("cannot multiply SymPolys in different variable counts")
         nv = self.nvars
         deg = self.degree + other.degree
         fb: dict[tuple[int, ...], Coeff] = {}
@@ -230,7 +232,8 @@ class SymFunc:
         return self.map_coeffs(lambda v: v * c)
 
     def __add__(self, other: "SymFunc") -> "SymFunc":
-        assert (self.degree, self.basis) == (other.degree, other.basis)
+        if (self.degree, self.basis) != (other.degree, other.basis):
+            raise AssertionError("cannot add SymFuncs of different degree or basis")
         out = dict(self.coeffs)
         for mu, c in other.coeffs.items():
             out[mu] = out.get(mu, RF_ZERO) + c

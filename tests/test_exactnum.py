@@ -9,7 +9,6 @@ from chromaq.exactnum import (
     NonDivisibleError,
     PoleError,
     RationalFunc,
-    laurent_eval,
     parse_laurent,
     parse_ratfunc,
     ratfunc_to_laurent,
@@ -22,25 +21,25 @@ def L(terms):
     return LaurentPoly.from_terms(terms)
 
 
-# -- laurent_eval ------------------------------------------------------------
+# -- LaurentPoly.evaluate ----------------------------------------------------
 
 def test_eval_quadratic():
     f = T * T + 4 * T + 1
-    assert laurent_eval(f, 2) == 13
+    assert f.evaluate(2) == 13
 
 
 def test_eval_constant():
-    assert laurent_eval(LaurentPoly.const(1), 7) == 1
+    assert LaurentPoly.const(1).evaluate(7) == 1
 
 
 def test_eval_pole_at_zero():
     with pytest.raises(PoleError):
-        laurent_eval(LaurentPoly.t(-1), 0)
+        LaurentPoly.t(-1).evaluate(0)
 
 
 def test_eval_negative_exponents():
     f = L({-2: 3, 1: 1})  # 3t^-2 + t
-    assert laurent_eval(f, Fraction(1, 2)) == 12 + Fraction(1, 2)
+    assert f.evaluate(Fraction(1, 2)) == 12 + Fraction(1, 2)
 
 
 # -- ratfunc_to_laurent ------------------------------------------------------
@@ -173,8 +172,8 @@ def test_ratfunc_ring_axioms(a, b, c):
 @settings(max_examples=60, deadline=None)
 @given(laurents(), laurents(), st.sampled_from([2, 3, Fraction(1, 2), -1, 5]))
 def test_eval_is_ring_hom(a, b, q):
-    assert laurent_eval(a * b, q) == laurent_eval(a, q) * laurent_eval(b, q)
-    assert laurent_eval(a + b, q) == laurent_eval(a, q) + laurent_eval(b, q)
+    assert (a * b).evaluate(q) == a.evaluate(q) * b.evaluate(q)
+    assert (a + b).evaluate(q) == a.evaluate(q) + b.evaluate(q)
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,6 +12,7 @@ from chromaq.combinatorics import (
     indifference_graphs,
 )
 from chromaq.fqoracle import (
+    PRIMES,
     ClassFnUT,
     MatrixFq,
     canonical_flag,
@@ -32,6 +33,7 @@ from chromaq.fqoracle import (
     jordan,
     mat_identity,
     mat_inv,
+    mat_minus_identity,
     mat_mul,
     permutation_character_oracle,
     psi_mesa_check,
@@ -41,6 +43,8 @@ from chromaq.fqoracle import (
     superclass_sizes,
     ut_elements,
     ut_order,
+    _centralizer_order,
+    _jordan_type,
 )
 from chromaq.guards import SizeGuardError
 
@@ -88,10 +92,16 @@ def test_jordan_regular_block():
 
 
 def test_jordan_nilpotency():
-    j = jordan((2,), 2)
-    n = [[(a - b) % 2 for a, b in zip(r1, r2)] for r1, r2 in zip(j.rows, mat_identity(2))]
-    n = tuple(tuple(r) for r in n)
+    n = mat_minus_identity(jordan((2,), 2).rows, 2)
+    assert n == ((0, 1), (0, 0))
     assert mat_mul(n, n, 2) == ((0, 0), (0, 0))
+
+
+def test_jordan_type_reads_back_jordan_matrices():
+    for n in range(5):
+        for lam in gen_partitions(n):
+            for q in PRIMES:
+                assert _jordan_type(jordan(lam, q).rows, q) == lam
 
 
 # -- superclasses -------------------------------------------------------------------
@@ -283,9 +293,12 @@ def test_induce_linearity():
 
 
 def test_induce_transitivity_against_one_step_oracle():
-    q = 2
-    for gamma in indifference_graphs(3):
-        assert induce_to_GL(chi_bar(gamma, q)) == induce_trivial_from_subgroup(gamma, q)
+    # the chi_bar span every superclass function, so agreeing on each of them
+    # pins the whole UT_n-sweep table against the GL_n sweep
+    points = [(1, q) for q in PRIMES] + [(2, q) for q in PRIMES] + [(3, 2)]
+    for n, q in points:
+        for gamma in indifference_graphs(n):
+            assert induce_to_GL(chi_bar(gamma, q)) == induce_trivial_from_subgroup(gamma, q)
 
 
 def test_induced_characters_have_integer_values():
@@ -302,16 +315,9 @@ def test_induced_characters_have_integer_values():
 
 
 def test_induce_guard():
+    # induction obeys the class-function bound n <= 4 for every q
     with pytest.raises(SizeGuardError):
-        induce_to_GL(ClassFnUT(4, 3, {}))
-
-
-def test_induce_allow_big_still_bounded():
-    # allow_big lifts the default guard but never past the hard order bound
-    with pytest.raises(SizeGuardError):
-        induce_to_GL(ClassFnUT(4, 5, {}), allow_big=True)
-    with pytest.raises(SizeGuardError):
-        induce_to_GL(ClassFnUT(3, 5, {}))  # default guard for q = 5 is n <= 2
+        induce_to_GL(ClassFnUT(5, 2, {}))
 
 
 def test_regular_class_size():
@@ -320,6 +326,13 @@ def test_regular_class_size():
         c = centralizer_order(jordan((n,), q))
         assert gl_order(n, q) // c == gl_order(n, q) // (q ** (n - 1) * (q - 1))
         assert c == q ** (n - 1) * (q - 1)
+
+
+def test_centralizer_order_closed_form():
+    for n in (1, 2, 3):
+        for q in (2, 3):
+            for lam in gen_partitions(n):
+                assert _centralizer_order(lam, q) == centralizer_order(jordan(lam, q))
 
 
 def test_induction_table_total_counts():
@@ -367,10 +380,7 @@ def test_hessenberg_zero_matrix_counts_all_flags():
 def test_hessenberg_regular_nilpotent_edgeless():
     # the full flag fixed by a regular nilpotent is unique
     for n, q in [(2, 2), (3, 2), (3, 3)]:
-        a = jordan((n,), q)
-        nilp = MatrixFq(q, tuple(tuple((x - (1 if i == j else 0)) % q
-                                       for j, x in enumerate(row))
-                                 for i, row in enumerate(a.rows)))
+        nilp = MatrixFq(q, mat_minus_identity(jordan((n,), q).rows, q))
         assert hessenberg_count(IG(n), nilp) == 1
 
 
