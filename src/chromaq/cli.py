@@ -32,7 +32,7 @@ from .fqoracle import (
     superclass_sizes,
 )
 from .guards import SizeGuardError
-from .symfunc import SymPoly, expand_in_basis
+from .symfunc import SymFunc, SymPoly
 
 
 def _parse_graph(text: str) -> IndiffGraph:
@@ -51,7 +51,7 @@ def _parse_tall_path(text: str) -> SchroderPath:
 
 
 def _sympoly_json(f: SymPoly) -> dict:
-    return expand_in_basis(f, "M").to_json()
+    return SymFunc(f.degree, "M", f.coeffs).to_json()
 
 
 def _emit(obj) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator
 
@@ -65,19 +66,6 @@ def zlam(lam: Partition) -> int:
         for i in range(1, m + 1):
             z *= i
     return z
-
-
-def dominates(lam: Partition, mu: Partition) -> bool:
-    """True if lam >= mu in dominance order (both partitions of the same n)."""
-    if sum(lam) != sum(mu):
-        raise ValueError("dominance compares partitions of equal size")
-    a = b = 0
-    for i in range(max(len(lam), len(mu))):
-        a += lam[i] if i < len(lam) else 0
-        b += mu[i] if i < len(mu) else 0
-        if a < b:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +139,8 @@ class SchroderPath:
         return self.steps
 
 
-def gen_dyck(n: int) -> list[DyckPath]:
+@lru_cache(maxsize=None)
+def gen_dyck(n: int) -> tuple[DyckPath, ...]:
     """All Dyck paths of size n (Catalan many), lexicographic in the step string."""
     require(0 <= n <= MAX_PATH_N, f"gen_dyck: n = {n} exceeds guard {MAX_PATH_N}")
     out: list[DyckPath] = []
@@ -165,10 +154,11 @@ def gen_dyck(n: int) -> list[DyckPath]:
         if y - 1 >= -x:
             rec(prefix + "S", x, y - 1)
     rec("", 0, 0)
-    return sorted(out, key=lambda p: p.steps)
+    return tuple(sorted(out, key=lambda p: p.steps))
 
 
-def gen_tall_schroder(n: int) -> list[SchroderPath]:
+@lru_cache(maxsize=None)
+def gen_tall_schroder(n: int) -> tuple[SchroderPath, ...]:
     """All tall Schroeder paths of size n (small Schroeder many)."""
     require(0 <= n <= MAX_PATH_N, f"gen_tall_schroder: n = {n} exceeds guard {MAX_PATH_N}")
     out: list[SchroderPath] = []
@@ -185,7 +175,7 @@ def gen_tall_schroder(n: int) -> list[SchroderPath]:
             rec(prefix + "S", x, y - 1)
 
     rec("", 0, 0)
-    return sorted(out, key=lambda p: p.steps)
+    return tuple(sorted(out, key=lambda p: p.steps))
 
 
 def area(sigma: SchroderPath | DyckPath) -> frozenset[Edge]:
@@ -257,16 +247,6 @@ class IndiffGraph:
         return IndiffGraph(obj["n"], frozenset(tuple(e) for e in obj["edges"]))
 
 
-def union_graphs(g1: IndiffGraph, g2: IndiffGraph) -> IndiffGraph:
-    """Edge-set union; indifference graphs are closed under union."""
-    if g1.n != g2.n:
-        raise ValueError("union_graphs needs graphs on the same vertex set")
-    u = g1.edges | g2.edges
-    if not is_indifference(u, g1.n):
-        raise AssertionError("union of indifference graphs failed interval closure")
-    return IndiffGraph(g1.n, u)
-
-
 def graph_of(pi: DyckPath) -> IndiffGraph:
     """The indifference graph on [n] with edge set the area of the path."""
     return IndiffGraph(pi.size, area(pi))
@@ -289,9 +269,10 @@ def area_inverse(edges: Iterable[Edge], n: int) -> DyckPath:
     return DyckPath("".join(steps))
 
 
-def indifference_graphs(n: int) -> list[IndiffGraph]:
+@lru_cache(maxsize=None)
+def indifference_graphs(n: int) -> tuple[IndiffGraph, ...]:
     """All indifference graphs on [n], generated through the Dyck path bijection."""
-    return [graph_of(pi) for pi in gen_dyck(n)]
+    return tuple(graph_of(pi) for pi in gen_dyck(n))
 
 
 def mesa(pi: DyckPath) -> SchroderPath:

@@ -401,10 +401,6 @@ class RationalFunc:
     def const(c: Rat) -> "RationalFunc":
         return RationalFunc(LaurentPoly.const(c))
 
-    @staticmethod
-    def from_laurent(f: LaurentPoly) -> "RationalFunc":
-        return RationalFunc(f)
-
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
@@ -417,8 +413,8 @@ class RationalFunc:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        # cross-multiplication; with canonical reduction this matches structural equality
-        return self.num * other.den == other.num * self.den
+        # __init__ always reduces to canonical form, so equality is structural
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))

@@ -20,16 +20,13 @@ from itertools import permutations, product
 from typing import Iterator
 
 from .combinatorics import (
-    DyckPath,
     IndiffGraph,
     Partition,
     SchroderPath,
     area,
     diag,
     gen_partitions,
-    graph_of,
     indifference_graphs,
-    mesa,
     mobius_subgraph,
 )
 from .guards import require
@@ -117,20 +114,21 @@ class MatrixFq:
         return all(self.rows[i][j] == (1 if i == j else 0)
                    for i in range(self.n) for j in range(i + 1))
 
-    def to_digits(self) -> str:
-        return "".join(str(x) for r in self.rows for x in r)
-
     @staticmethod
     def from_digits(s: str, n: int, q: int) -> "MatrixFq":
         if len(s) != n * n:
             raise ValueError(f"need {n * n} digits, got {len(s)}")
         vals = [int(c) for c in s]
+        if any(v >= q for v in vals):
+            raise ValueError(f"digits of {s!r} must be below q = {q}")
         return MatrixFq(q, tuple(tuple(vals[i * n:(i + 1) * n]) for i in range(n)))
 
 
 def jordan(lam: Partition, q: int) -> MatrixFq:
     """Unipotent Jordan matrix with one block per part (1s on the superdiagonal)."""
     _check_q(q)
+    if any(k <= 0 for k in lam):
+        raise ValueError(f"Jordan type {lam} has a part <= 0")
     n = sum(lam)
     rows = [[0] * n for _ in range(n)]
     off = 0
@@ -404,12 +402,6 @@ def psi_pseudo(sigma: SchroderPath, q: int) -> ClassFnUT:
     return out
 
 
-def psi_mesa_check(pi: DyckPath, q: int) -> bool:
-    """Does the mesa pseudosupercharacter equal the supercharacter of Graph(pi)?"""
-    _guard_classfn(pi.size, q)
-    return psi_pseudo(mesa(pi), q) == chi_super(graph_of(pi), q)
-
-
 def inner_product_UT(phi: ClassFnUT, psi: ClassFnUT) -> Fraction:
     """Standard inner product, computed from enumerated superclass sizes."""
     if (phi.n, phi.q) != (psi.n, psi.q):
@@ -507,31 +499,19 @@ def induce_trivial_from_subgroup(gamma: IndiffGraph, q: int) -> UnipClassFn:
     _check_q(q)
     require(gl_order(n, q) <= MAX_GL_ORDER,
             f"induce_trivial_from_subgroup: |GL_{n}(F_{q})| exceeds guard {MAX_GL_ORDER}")
-    edges0 = [(i - 1, j - 1) for i, j in gamma.sorted_edges()]
+    # x^{-1} (J_lam - 1) x must vanish on and below the diagonal and at the edges
+    zeros = [(i, j) for i in range(n) for j in range(i + 1)]
+    zeros += [(i - 1, j - 1) for i, j in gamma.sorted_edges()]
     sub_order = ut_order(n, q) // q ** len(gamma.edges)
+    pairs = {lam: _jordan_pairs(lam) for lam in gen_partitions(n)}
+    counts = dict.fromkeys(pairs, 0)
+    for x in gl_matrices(n, q):
+        xi = mat_inv(x, q)
+        for lam, lam_pairs in pairs.items():
+            if not any(sum(xi[i][a] * x[b][j] for a, b in lam_pairs) % q for i, j in zeros):
+                counts[lam] += 1
     vals = {}
-    for lam in gen_partitions(n):
-        pairs = _jordan_pairs(lam)
-        rng = range(n)
-        count = 0
-        for x in gl_matrices(n, q):
-            xi = mat_inv(x, q)
-            xi_cols = tuple(zip(*xi)) if n else ()
-            m = [[0] * n for _ in rng]
-            for a, b in pairs:
-                ca = xi_cols[a]
-                rb = x[b]
-                for i in rng:
-                    cai = ca[i]
-                    if cai:
-                        mi = m[i]
-                        for j in rng:
-                            mi[j] = (mi[j] + cai * rb[j]) % q
-            if any(m[i][j] for i in rng for j in range(i + 1)):
-                continue
-            if any(m[i][j] for i, j in edges0):
-                continue
-            count += 1
+    for lam, count in counts.items():
         if count % sub_order:
             raise AssertionError(f"{count} conjugates are not a union of UT_gamma cosets")
         vals[lam] = Fraction(count, sub_order)

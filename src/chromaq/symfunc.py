@@ -333,9 +333,7 @@ def _schur_coords(lam: Partition) -> dict[Partition, Coeff]:
 def _hall_littlewood_coords(d: int) -> dict[Partition, dict[Partition, Coeff]]:
     """Monomial coordinates of all P_lam(x;t), lam a partition of d."""
     parts = gen_partitions(d)
-    # coordinates of each m_lam in the power-sum basis
-    p_cols = {lam: dict(_m_coords("P", lam)) for lam in parts}
-    m_in_p = _invert_basis(p_cols, parts)
+    m_in_p = _from_monomials("P", d)
     t = LaurentPoly.t()
     one = LaurentPoly.const(1)
     weight = {
@@ -382,36 +380,34 @@ def _lprod(factors) -> LaurentPoly:
     return acc
 
 
-def _invert_basis(cols: dict[Partition, dict[Partition, Coeff]],
-                  keys: list[Partition]) -> dict[Partition, dict[Partition, Coeff]]:
-    """Given basis columns in m-coordinates, return m_mu expanded over that basis."""
+@lru_cache(maxsize=None)
+def _from_monomials(basis: str, d: int) -> dict[Partition, dict[Partition, Coeff]]:
+    """Each m_mu, mu a partition of d, expanded in the named basis.
+
+    The only Gauss-Jordan elimination of the module, run once per (basis, d):
+    the basis elements in m-coordinates are the columns of A, and the columns
+    of A^{-1} are the m_mu in that basis.
+    """
+    keys = gen_partitions(d)
     n = len(keys)
     idx = {k: i for i, k in enumerate(keys)}
-    A = [[RF_ZERO] * n for _ in range(n)]
+    aug = [[RF_ZERO] * n + [RF_ONE if i == k else RF_ZERO for k in range(n)] for i in range(n)]
     for j, lam in enumerate(keys):
-        for mu, c in cols[lam].items():
-            A[idx[mu]][j] = c
-    aug = [[A[i][j] for j in range(n)] + [RF_ONE if i == k else RF_ZERO for k in range(n)]
-           for i in range(n)]
-    _row_reduce(aug, n)
-    return {keys[k]: {keys[j]: aug[j][n + k] for j in range(n) if not aug[j][n + k].is_zero}
-            for k in range(n)}
-
-
-def _row_reduce(aug: list[list[Coeff]], n: int) -> None:
-    """In-place Gauss-Jordan over the rational-function field (exact)."""
-    rows = len(aug)
+        for mu, c in _m_coords(basis, lam):
+            aug[idx[mu]][j] = c
     for col in range(n):
-        piv = next((r for r in range(col, rows) if not aug[r][col].is_zero), None)
+        piv = next((r for r in range(col, n) if not aug[r][col].is_zero), None)
         if piv is None:
             raise ArithmeticError("singular basis system: not a genuine basis")
         aug[col], aug[piv] = aug[piv], aug[col]
         inv = RF_ONE / aug[col][col]
         aug[col] = [x * inv for x in aug[col]]
-        for r in range(rows):
+        for r in range(n):
             if r != col and not aug[r][col].is_zero:
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return {keys[k]: {keys[j]: aug[j][n + k] for j in range(n) if not aug[j][n + k].is_zero}
+            for k in range(n)}
 
 
 # ---------------------------------------------------------------------------
@@ -434,18 +430,12 @@ def expand_in_basis(f: SymPoly, basis: str) -> SymFunc:
     """Coefficients c with sum_lam c_lam * basis_element(basis, lam) = f."""
     if f.nvars < f.degree:
         raise ValueError("need nvars >= degree for a faithful expansion")
-    keys = [lam for lam in gen_partitions(f.degree)]
-    cols = {lam: dict(_m_coords(basis, lam)) for lam in keys}
-    n = len(keys)
-    idx = {k: i for i, k in enumerate(keys)}
-    aug = [[RF_ZERO] * (n + 1) for _ in range(n)]
-    for j, lam in enumerate(keys):
-        for mu, c in cols[lam].items():
-            aug[idx[mu]][j] = c
+    table = _from_monomials(basis, f.degree)
+    out: dict[Partition, Coeff] = {}
     for mu, c in f.coeffs.items():
-        aug[idx[mu]][n] = c
-    _row_reduce(aug, n)
-    return SymFunc(f.degree, basis, {keys[j]: aug[j][n] for j in range(n)})
+        for lam, v in table[mu].items():
+            out[lam] = out.get(lam, RF_ZERO) + c * v
+    return SymFunc(f.degree, basis, out)
 
 
 def symfunc_to_sympoly(F: SymFunc, nvars: int | None = None) -> SymPoly:
@@ -481,13 +471,6 @@ def plethysm_frac(F: SymFunc) -> SymFunc:
         den = _lprod(t ** k - 1 for k in lam)
         out[lam] = c / RationalFunc(den)
     return SymFunc(F.degree, "P", out)
-
-
-def ps1(f: SymPoly) -> Coeff:
-    """First principal specialization: x = (1, 0, 0, ...)."""
-    if f.degree == 0:
-        return f.coeff(())
-    return f.coeff((f.degree,))
 
 
 def eval_t(F: SymFunc, q) -> SymFunc:

@@ -16,7 +16,13 @@ from chromaq.bridge import (
     p_one,
     run_check,
 )
-from chromaq.combinatorics import IndiffGraph, gen_partitions, indifference_graphs
+from chromaq.chromallt import csf, llt_vertical
+from chromaq.combinatorics import (
+    IndiffGraph,
+    gen_partitions,
+    gen_tall_schroder,
+    indifference_graphs,
+)
 from chromaq.exactnum import RationalFunc
 from chromaq.fqoracle import UnipClassFn, chi_bar, induce_to_GL, psi_pseudo
 from chromaq.guards import SizeGuardError
@@ -83,7 +89,6 @@ def test_p_one_linear():
 
 def test_p_one_schur_coefficients_are_nonneg_integers():
     # observed: induced pseudosupercharacters have genuine unipotent constituents
-    from chromaq.combinatorics import gen_tall_schroder
     for q in (2, 3):
         for sigma in gen_tall_schroder(3):
             F = p_one(induce_to_GL(psi_pseudo(sigma, q)))
@@ -203,6 +208,14 @@ def test_cli_compute_llt(capsys):
     ]
 
 
+def test_cli_sympoly_json_is_the_m_expansion():
+    from chromaq.cli import _sympoly_json
+    for n in range(5):
+        for f in [csf(g) for g in indifference_graphs(n)] + \
+                 [llt_vertical(s) for s in gen_tall_schroder(n)]:
+            assert _sympoly_json(f) == expand_in_basis(f, "M").to_json()
+
+
 def test_cli_verify_all_point(capsys):
     from chromaq.cli import main
     assert main(["verify", "all", "--n", "2", "--q", "2", "--json"]) == 0
@@ -229,6 +242,17 @@ def test_cli_hess_count_matrix_digits(capsys):
     assert main(["compute", "hess-count", graph, "--q", "2", "--matrix", "0" * 9]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out == {"count": 21}
+    # a digit >= q is rejected, not reduced mod q
+    assert main(["compute", "hess-count", "EESS", "--q", "2", "--matrix", "0200"]) == 2
+    assert "below q = 2" in capsys.readouterr().err
+    assert main(["compute", "hess-count", "EESS", "--q", "3", "--matrix", "0200"]) == 0
+
+
+def test_cli_hess_count_rejects_nonpositive_jordan_part(capsys):
+    from chromaq.cli import main
+    assert main(["compute", "hess-count", "ES", "--q", "2", "--jordan-type", "2,-1"]) == 2
+    assert main(["compute", "hess-count", "ES", "--q", "2", "--jordan-type", "2,0"]) == 2
+    assert "part <= 0" in capsys.readouterr().err
 
 
 def test_cli_d_coeffs_and_as_expand(capsys):

@@ -8,7 +8,6 @@ from chromaq.combinatorics import (
     area,
     area_inverse,
     diag,
-    dominates,
     gen_dyck,
     gen_partitions,
     gen_tall_schroder,
@@ -22,7 +21,6 @@ from chromaq.combinatorics import (
     orientations,
     transpose,
     type_of,
-    union_graphs,
     zlam,
 )
 from chromaq.guards import SizeGuardError
@@ -90,12 +88,6 @@ def test_zlam():
     assert zlam((1, 1, 1)) == 6
     assert zlam((3,)) == 3
     assert zlam((2, 2, 1)) == 8
-
-
-def test_dominance():
-    assert dominates((3,), (2, 1)) and dominates((2, 1), (1, 1, 1))
-    assert not dominates((2, 2), (3, 1))
-    assert dominates((3, 1), (2, 2))
 
 
 # -- path generation -----------------------------------------------------------
@@ -214,20 +206,6 @@ def test_mesa_area_diag_union():
 def test_is_indifference_examples():
     assert is_indifference({(1, 2), (2, 3), (1, 3), (3, 4)}, 4)
     assert not is_indifference({(1, 2), (2, 3), (1, 3), (1, 4)}, 4)
-
-
-def test_union_identity():
-    for g in indifference_graphs(4):
-        empty = IndiffGraph(4, frozenset())
-        assert union_graphs(empty, g) == g
-
-
-def test_union_closed():
-    graphs = indifference_graphs(4)
-    for g1 in graphs:
-        for g2 in graphs:
-            u = union_graphs(g1, g2)
-            assert is_indifference(u.edges, 4)
 
 
 def test_indifference_graph_count():

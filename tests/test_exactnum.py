@@ -181,3 +181,5 @@ def test_eval_is_ring_hom(a, b, q):
 def test_ratfunc_eq_by_cross_multiplication(r):
     s = RationalFunc(r.num * (T ** 2 + 1), r.den * (T ** 2 + 1))
     assert r == s
+    assert (r.num, r.den) == (s.num, s.den)
+    assert hash(r) == hash(s)

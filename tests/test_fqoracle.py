@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from chromaq.bridge import check_mesa
 from chromaq.combinatorics import (
-    DyckPath,
     IndiffGraph,
     SchroderPath,
     gen_dyck,
@@ -36,7 +36,6 @@ from chromaq.fqoracle import (
     mat_minus_identity,
     mat_mul,
     permutation_character_oracle,
-    psi_mesa_check,
     psi_pseudo,
     superclass_label,
     superclass_rep,
@@ -58,7 +57,7 @@ def IG(n, *edges):
 def test_matrix_roundtrip_digits():
     m = MatrixFq.from_digits("110010001", 3, 2)
     assert m.rows == ((1, 1, 0), (0, 1, 0), (0, 0, 1))
-    assert m.to_digits() == "110010001"
+    assert MatrixFq.from_digits("".join(str(x) for r in m.rows for x in r), 3, 2) == m
 
 
 def test_mat_inv():
@@ -249,14 +248,13 @@ def test_psi_of_dyck_path_is_chi_bar():
 
 def test_psi_mesa_all_d3():
     for q in (2, 3):
-        for pi in gen_dyck(3):
-            assert psi_mesa_check(pi, q)
+        assert check_mesa(3, q).ok
 
 
 def test_psi_mesa_extremes():
+    # every Dyck path of size n, the edgeless and complete graphs among them
     for n in (2, 3, 4):
-        assert psi_mesa_check(DyckPath("ES" * n), 2)
-        assert psi_mesa_check(DyckPath("E" * n + "S" * n), 2)
+        assert check_mesa(n, 2).ok
 
 
 # -- induction -------------------------------------------------------------------------
@@ -299,6 +297,10 @@ def test_induce_transitivity_against_one_step_oracle():
     for n, q in points:
         for gamma in indifference_graphs(n):
             assert induce_to_GL(chi_bar(gamma, q)) == induce_trivial_from_subgroup(gamma, q)
+    # one sweep of |GL_3(F_3)| = 11232 elements per gamma
+    edgeless, complete = IG(3), IG(3, (1, 2), (1, 3), (2, 3))
+    for gamma in (edgeless, complete):
+        assert induce_to_GL(chi_bar(gamma, 3)) == induce_trivial_from_subgroup(gamma, 3)
 
 
 def test_induced_characters_have_integer_values():

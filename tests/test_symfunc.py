@@ -16,8 +16,8 @@ from chromaq.symfunc import (
     expand_in_basis,
     omega,
     plethysm_frac,
-    ps1,
     symfunc_to_sympoly,
+    _from_monomials,
 )
 
 T = LaurentPoly.t()
@@ -182,6 +182,17 @@ def test_p2_in_monomials():
     assert got.coeffs == {(2,): RF(1)}
 
 
+def test_expand_builds_each_change_of_basis_once():
+    f = basis_element("H", (2, 1), 3).scale(RationalFunc(T + 1))
+    expand_in_basis(f, "S")
+    before = _from_monomials.cache_info()
+    for _ in range(3):
+        assert expand_in_basis(f, "S") == expand_in_basis(f, "S")
+    after = _from_monomials.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + 6
+
+
 def test_symfunc_to_sympoly_roundtrip():
     F = SymFunc(3, "S", {(2, 1): RF(2), (1, 1, 1): RF(-1)})
     back = expand_in_basis(symfunc_to_sympoly(F), "S")
@@ -258,15 +269,6 @@ def test_plethysm_scaled_en_is_laurent():
 def test_plethysm_requires_p_basis():
     with pytest.raises(ValueError):
         plethysm_frac(SymFunc(1, "M", {(1,): RF(1)}))
-
-
-# -- ps1 -------------------------------------------------------------------------
-
-def test_ps1_values():
-    for n in range(1, 6):
-        assert ps1(basis_element("M", (n,), n)) == RF(1)
-    assert ps1(basis_element("M", (1, 1), 2)) == RF(0)
-    assert ps1(basis_element("E", (1,), 1)) == RF(1)
 
 
 # -- eval_t ---------------------------------------------------------------------
