@@ -243,8 +243,21 @@ class IndiffGraph:
         return {"n": self.n, "edges": [list(e) for e in self.sorted_edges()]}
 
     @staticmethod
-    def from_json(obj: dict) -> "IndiffGraph":
-        return IndiffGraph(obj["n"], frozenset(tuple(e) for e in obj["edges"]))
+    def from_json(obj) -> "IndiffGraph":
+        """Parse {"n": n, "edges": [[i, j], ...]}; ValueError on any other shape."""
+        if not isinstance(obj, dict) or not {"n", "edges"} <= obj.keys():
+            raise ValueError('graph JSON must be an object with keys "n" and "edges"')
+        n, edges = obj["n"], obj["edges"]
+        if not _is_int(n) or n < 1:
+            raise ValueError(f'graph JSON: "n" must be an integer >= 1, got {n!r}')
+        if not isinstance(edges, list) or not all(
+                isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges):
+            raise ValueError(f'graph JSON: "edges" must be a list of integer pairs, got {edges!r}')
+        return IndiffGraph(n, frozenset(tuple(e) for e in edges))
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def graph_of(pi: DyckPath) -> IndiffGraph:

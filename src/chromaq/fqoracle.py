@@ -518,24 +518,34 @@ def induce_trivial_from_subgroup(gamma: IndiffGraph, q: int) -> UnipClassFn:
     return UnipClassFn(n, q, vals)
 
 
+@lru_cache(maxsize=None)
+def _conjugate_zero_masks(n: int, q: int) -> dict[IndiffGraph, Counter]:
+    """For each superclass representative u, how many x in UT_n give x^{-1} u x
+    each zero pattern above the diagonal (bit i*n + j set iff entry (i, j) is 0)."""
+    reps = {g: superclass_rep(g, q).rows for g in indifference_graphs(n)}
+    out = {g: Counter() for g in reps}
+    for x in ut_elements(n, q):
+        xi = mat_inv(x, q)
+        for g, u in reps.items():
+            v = mat_mul(mat_mul(xi, u, q), x, q)
+            mask = sum(1 << (i * n + j) for i in range(n) for j in range(i + 1, n) if not v[i][j])
+            out[g][mask] += 1
+    return out
+
+
 def permutation_character_oracle(gamma: IndiffGraph, q: int) -> ClassFnUT:
     """Character of UT_n acting on UT_n/UT_gamma by direct coset counting.
 
-    Independent of the chi_bar formula; used to verify it.
+    Independent of the chi_bar formula; used to verify it.  x UT_gamma is fixed
+    by u iff x^{-1} u x vanishes at every edge of gamma.
     """
     n = gamma.n
     _guard_classfn(n, q)
-    edges0 = [(i - 1, j - 1) for i, j in gamma.sorted_edges()]
+    edge_mask = sum(1 << ((i - 1) * n + j - 1) for i, j in gamma.edges)
     sub_order = ut_order(n, q) // q ** len(gamma.edges)
     vals = {}
-    for g in indifference_graphs(n):
-        u = superclass_rep(g, q).rows
-        count = 0
-        for x in ut_elements(n, q):
-            xi = mat_inv(x, q)
-            v = mat_mul(mat_mul(xi, u, q), x, q)
-            if all(v[i][j] == 0 for i, j in edges0):
-                count += 1
+    for g, masks in _conjugate_zero_masks(n, q).items():
+        count = sum(c for mask, c in masks.items() if mask & edge_mask == edge_mask)
         if count % sub_order:
             raise AssertionError(f"{count} fixed cosets is not a multiple of {sub_order}")
         vals[g] = Fraction(count, sub_order)

@@ -9,19 +9,19 @@ supported bases are
   S   Schur                        HLP Hall-Littlewood P(x; t)
   PT  modified Hall-Littlewood t^{-n(lambda)} P(x; 1/t)
 
-Hall-Littlewood P is produced by Gram-Schmidt against the t-deformed power-sum
-inner product <p_lam, p_mu> = delta * z_lam * prod_i (1 - t^{lam_i})^{-1},
-orthogonalizing monomials in a linear extension of dominance order, which
-pins down the classical unitriangular family.
+Hall-Littlewood P is read off semistandard tableaux, P_lam = sum_T psi_T(t) x^T
+(Macdonald, Symmetric Functions and Hall Polynomials, III (5.11') and (5.8')),
+so its monomial coordinates are built in Z[t] with no division.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Mapping
 
-from .combinatorics import Partition, gen_partitions, nstat, transpose, zlam
+from .combinatorics import Partition, gen_partitions, nstat, transpose
 from .exactnum import (
     LaurentPoly,
     RF_ONE,
@@ -329,47 +329,68 @@ def _schur_coords(lam: Partition) -> dict[Partition, Coeff]:
     return {mu: c for mu, c in out.items() if not c.is_zero}
 
 
+def _horizontal_strips(nu: Partition, k: int) -> Iterator[Partition]:
+    """Every lam with lam/nu a horizontal strip of k boxes (lam_{i+1} <= nu_i <= lam_i)."""
+    nu_ext = nu + (0,)
+
+    def rec(i: int, left: int, cap: int) -> Iterator[tuple[int, ...]]:
+        if i == len(nu_ext):
+            if left == 0:
+                yield ()
+            return
+        for a in range(min(left, cap - nu_ext[i]), -1, -1):
+            for rest in rec(i + 1, left - a, nu_ext[i]):
+                yield (nu_ext[i] + a,) + rest
+
+    for lam in rec(0, k, nu_ext[0] + k):
+        yield tuple(x for x in lam if x)
+
+
+def _psi_strip(lam: Partition, nu: Partition) -> tuple[int, ...]:
+    """Exponents m with psi_{lam/nu}(t) = prod (1 - t^m), Macdonald III (5.8').
+
+    One factor (1 - t^{m_j(nu)}) for each column j holding no box of the strip
+    while column j + 1 holds one.
+    """
+    cols = {j for i, a in enumerate(lam) for j in range((nu[i] if i < len(nu) else 0) + 1, a + 1)}
+    mult = Counter(nu)
+    return tuple(mult[j] for j in range(1, max(cols, default=0)) if j not in cols and j + 1 in cols)
+
+
+def _times_one_minus_t(poly: dict[int, int], m: int) -> dict[int, int]:
+    out = dict(poly)
+    for e, c in poly.items():
+        out[e + m] = out.get(e + m, 0) - c
+    return out
+
+
 @lru_cache(maxsize=None)
 def _hall_littlewood_coords(d: int) -> dict[Partition, dict[Partition, Coeff]]:
-    """Monomial coordinates of all P_lam(x;t), lam a partition of d."""
-    parts = gen_partitions(d)
-    m_in_p = _from_monomials("P", d)
-    t = LaurentPoly.t()
-    one = LaurentPoly.const(1)
-    weight = {
-        nu: RationalFunc(LaurentPoly.const(zlam(nu)), _lprod(one - t ** k for k in nu))
-        for nu in parts
-    }
+    """Monomial coordinates of all P_lam(x;t), lam a partition of d.
 
-    def inner(u: dict[Partition, Coeff], v: dict[Partition, Coeff]) -> Coeff:
-        acc = RF_ZERO
-        for nu, uc in u.items():
-            vc = v.get(nu)
-            if vc is not None:
-                acc = acc + uc * vc * weight[nu]
-        return acc
-
-    # Gram-Schmidt from the bottom of dominance order upward
-    done: list[tuple[dict[Partition, Coeff], Coeff]] = []
-    hl_p: dict[Partition, dict[Partition, Coeff]] = {}
-    for lam in reversed(parts):
-        v = dict(m_in_p[lam])
-        for w, nw in done:
-            c = inner(v, w) / nw
-            if not c.is_zero:
-                for nu, wc in w.items():
-                    v[nu] = v.get(nu, RF_ZERO) - c * wc
-        v = {nu: c for nu, c in v.items() if not c.is_zero}
-        done.append((v, inner(v, v)))
-        hl_p[lam] = v
-
-    out: dict[Partition, dict[Partition, Coeff]] = {}
-    for lam in parts:
-        coords: dict[Partition, Coeff] = {}
-        for nu, c in hl_p[lam].items():
-            for mu, v in _m_coords("P", nu):
-                coords[mu] = coords.get(mu, RF_ZERO) + c * v
-        out[lam] = {mu: c for mu, c in coords.items() if not c.is_zero}
+    Macdonald III (5.11'): P_lam = sum_T psi_T(t) x^T over semistandard tableaux
+    T of shape lam.  The coefficient of m_mu sums over tableaux of content mu,
+    grown one horizontal strip (mu_1 ones, then mu_2 twos, ...) at a time, each
+    step weighted by psi_{lam/nu}; the polynomials stay in Z[t] as {exponent: int}.
+    """
+    out: dict[Partition, dict[Partition, Coeff]] = {lam: {} for lam in gen_partitions(d)}
+    for mu in gen_partitions(d):
+        states: dict[Partition, dict[int, int]] = {(): {0: 1}}
+        for k in mu:
+            grown: dict[Partition, dict[int, int]] = {}
+            for nu, poly in states.items():
+                for lam in _horizontal_strips(nu, k):
+                    step = poly
+                    for m in _psi_strip(lam, nu):
+                        step = _times_one_minus_t(step, m)
+                    acc = grown.setdefault(lam, {})
+                    for e, c in step.items():
+                        acc[e] = acc.get(e, 0) + c
+            states = grown
+        for lam, poly in states.items():
+            terms = {e: c for e, c in poly.items() if c}
+            if terms:
+                out[lam][mu] = RationalFunc(LaurentPoly.from_terms(terms))
     return out
 
 

@@ -235,6 +235,19 @@ def test_cli_bad_path(capsys):
     assert main(["compute", "csf", "SSEE"]) == 2
 
 
+@pytest.mark.parametrize("graph, message", [
+    ('{"n": 2}', 'keys "n" and "edges"'),
+    ('{"n": "2", "edges": []}', '"n" must be an integer >= 1'),
+    ('{"n": 3, "edges": 5}', '"edges" must be a list of integer pairs'),
+    ('{"n": -1, "edges": []}', '"n" must be an integer >= 1'),
+    ('{"n": 2, "edges": [[1]]}', '"edges" must be a list of integer pairs'),
+])
+def test_cli_rejects_malformed_graph_json(capsys, graph, message):
+    from chromaq.cli import main
+    assert main(["compute", "csf", graph]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_hess_count_matrix_digits(capsys):
     from chromaq.cli import main
     # zero matrix on the edgeless graph counts every flag: [3]_2! = 21

@@ -43,6 +43,7 @@ from chromaq.fqoracle import (
     ut_elements,
     ut_order,
     _centralizer_order,
+    _conjugate_zero_masks,
     _jordan_type,
 )
 from chromaq.guards import SizeGuardError
@@ -182,6 +183,19 @@ def test_permtoind_against_coset_oracle():
     for q in (2, 3):
         for gamma in indifference_graphs(3):
             assert chi_bar(gamma, q) == permutation_character_oracle(gamma, q)
+
+
+def test_coset_oracle_sweeps_ut_once_per_n_q():
+    gammas = indifference_graphs(3)
+    permutation_character_oracle(gammas[0], 3)
+    before = _conjugate_zero_masks.cache_info()
+    for gamma in gammas[1:]:
+        permutation_character_oracle(gamma, 3)
+    after = _conjugate_zero_masks.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + len(gammas) - 1
+    # each representative is conjugated by every x in UT_3(F_3) exactly once
+    assert all(sum(masks.values()) == ut_order(3, 3) for masks in _conjugate_zero_masks(3, 3).values())
 
 
 def test_chi_super_mobius_roundtrip():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from chromaq.combinatorics import gen_partitions, transpose
+from chromaq.combinatorics import gen_partitions, transpose, zlam
 from chromaq.exactnum import LaurentPoly, PoleError, RationalFunc, ratfunc_to_laurent
 from chromaq.guards import SizeGuardError
 from chromaq.symfunc import (
@@ -18,6 +18,7 @@ from chromaq.symfunc import (
     plethysm_frac,
     symfunc_to_sympoly,
     _from_monomials,
+    _hall_littlewood_coords,
 )
 
 T = LaurentPoly.t()
@@ -85,7 +86,7 @@ def test_e_k_is_monomial_of_ones():
 
 
 def test_hlp_column_is_elementary():
-    for n in range(1, 7):
+    for n in range(1, 8):
         lam = tuple([1] * n)
         assert basis_element("HLP", lam, n) == basis_element("E", (n,), n)
 
@@ -121,7 +122,7 @@ def test_nvars_guard():
 # -- Hall-Littlewood anchors -----------------------------------------------------
 
 def test_hl_specializes_to_schur_at_zero():
-    for n in range(6):
+    for n in range(8):
         for lam in gen_partitions(n):
             hl = basis_element("HLP", lam, max(n, 1)).eval_t(0)
             s = basis_element("S", lam, max(n, 1))
@@ -129,11 +130,61 @@ def test_hl_specializes_to_schur_at_zero():
 
 
 def test_hl_specializes_to_monomial_at_one():
-    for n in range(6):
+    for n in range(8):
         for lam in gen_partitions(n):
             hl = basis_element("HLP", lam, max(n, 1)).eval_t(1)
             m = basis_element("M", lam, max(n, 1))
             assert hl == m, lam
+
+
+def gram_schmidt_hl(d):
+    """Independent oracle: Hall-Littlewood P by Gram-Schmidt over Q(t).
+
+    Orthogonalizes the m_lam from the bottom of dominance order upward against
+    the t-deformed power-sum inner product
+    <p_lam, p_mu> = delta * z_lam * prod_i (1 - t^{lam_i})^{-1}.
+    """
+    parts = gen_partitions(d)
+    weight = {}
+    for nu in parts:
+        den = LaurentPoly.const(1)
+        for k in nu:
+            den = den * (1 - T ** k)
+        weight[nu] = RationalFunc(LaurentPoly.const(zlam(nu)), den)
+
+    def inner(u, v):
+        acc = RF(0)
+        for nu, uc in u.items():
+            if nu in v:
+                acc = acc + uc * v[nu] * weight[nu]
+        return acc
+
+    done = []
+    out = {}
+    for lam in reversed(parts):
+        v = dict(expand_in_basis(basis_element("M", lam, d), "P").coeffs)
+        for w, nw in done:
+            c = inner(v, w) / nw
+            for nu, wc in w.items():
+                v[nu] = v.get(nu, RF(0)) - c * wc
+        v = {nu: c for nu, c in v.items() if not c.is_zero}
+        done.append((v, inner(v, v)))
+        out[lam] = symfunc_to_sympoly(SymFunc(d, "P", v)).coeffs
+    return out
+
+
+def test_hl_tableau_build_matches_gram_schmidt():
+    for d in range(7):
+        assert _hall_littlewood_coords(d) == gram_schmidt_hl(d), d
+
+
+def test_hl_coefficients_are_integer_polynomials():
+    for d in range(8):
+        for lam, coords in _hall_littlewood_coords(d).items():
+            for mu, c in coords.items():
+                assert c.den == LaurentPoly.const(1), (lam, mu)
+                assert c.num.low >= 0, (lam, mu)
+                assert all(x.denominator == 1 for x in c.num.coeffs), (lam, mu)
 
 
 def test_hl_two_row():
