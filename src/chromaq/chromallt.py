@@ -3,25 +3,35 @@ their expansions, all built directly from coloring enumerations.
 
 Colorings use the color set [n]: a degree-n monomial in n variables never
 needs more than n distinct colors, so this finite truncation is faithful.
+Both X_gamma (Shareshian-Wachs, Adv. Math. 2016) and the vertical-strip LLT
+polynomial (Haglund-Haiman-Loehr, JAMS 2005) are symmetric, so the
+coefficient of m_mu equals the coefficient of the single monomial x^mu.  Only
+colorings whose content is a partition mu are therefore enumerated: the
+distinct words with mu_1 copies of color 1, mu_2 of color 2, and so on.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
+from typing import Iterable
 
 from .combinatorics import (
     MAX_ORIENT_EDGES,
+    Edge,
     IndiffGraph,
     Orientation,
     Partition,
     SchroderPath,
     area,
     diag,
+    gen_partitions,
+    multiset_perms,
     type_of,
 )
-from .exactnum import LaurentPoly, RationalFunc, ratfunc_to_laurent
+from .exactnum import LaurentPoly, ratfunc_to_laurent
 from .guards import require
-from .symfunc import SymFunc, SymPoly, check_symmetric, expand_in_basis
+from .symfunc import SymFunc, SymPoly, expand_in_basis
 
 MAX_COLORING_N = 8
 MAX_EXPANSION_N = 6
@@ -34,39 +44,30 @@ def asc(gamma: IndiffGraph, kappa: Coloring) -> int:
     return sum(1 for i, j in gamma.edges if kappa[i - 1] < kappa[j - 1])
 
 
-def _collect(n: int, table: dict[tuple[int, ...], dict[int, int]]) -> SymPoly:
-    """Turn {exponent vector: {t-power: count}} into an orbit-form SymPoly."""
-    full = {e: RationalFunc(LaurentPoly.from_terms(powers)) for e, powers in table.items()}
-    if not check_symmetric(full, n):
-        raise AssertionError("coloring table is not symmetric")
+def _color_sum(n: int, asc_edges: Iterable[Edge], differ: Iterable[Edge] = (),
+               rise: Iterable[Edge] = ()) -> SymPoly:
+    """Sum of t^{# ascending asc_edges} x^kappa over colorings kappa of [n].
+
+    kappa must differ on the ends of every `differ` edge and strictly increase
+    along every `rise` edge. Only words of partition content are enumerated.
+    """
+    asc_edges, differ, rise = ([(i - 1, j - 1) for i, j in es] for es in (asc_edges, differ, rise))
     coeffs = {}
-    for e, c in full.items():
-        mu = tuple(x for x in e if x)
-        if tuple(sorted(e, reverse=True)) == e:
-            coeffs[mu] = c
+    for mu in gen_partitions(n):
+        counts: Counter[int] = Counter()
+        for kappa in multiset_perms(tuple(c for c, m in enumerate(mu) for _ in range(m))):
+            if any(kappa[i] == kappa[j] for i, j in differ) or \
+                    any(kappa[i] >= kappa[j] for i, j in rise):
+                continue
+            counts[sum(1 for i, j in asc_edges if kappa[i] < kappa[j])] += 1
+        coeffs[mu] = LaurentPoly.from_terms(counts)
     return SymPoly(n, n, coeffs)
-
-
-def _exponent(kappa: Coloring, n: int) -> tuple[int, ...]:
-    e = [0] * n
-    for c in kappa:
-        e[c - 1] += 1
-    return tuple(e)
 
 
 def csf(gamma: IndiffGraph) -> SymPoly:
     """Chromatic quasisymmetric function: sum over proper colorings of t^asc x^kappa."""
-    n = gamma.n
-    require(n <= MAX_COLORING_N, f"csf: n = {n} exceeds guard {MAX_COLORING_N}")
-    edges = [(i - 1, j - 1) for i, j in gamma.sorted_edges()]
-    table: dict[tuple[int, ...], dict[int, int]] = {}
-    for kappa in product(range(1, n + 1), repeat=n):
-        if any(kappa[i] == kappa[j] for i, j in edges):
-            continue
-        a = sum(1 for i, j in edges if kappa[i] < kappa[j])
-        row = table.setdefault(_exponent(kappa, n), {})
-        row[a] = row.get(a, 0) + 1
-    return _collect(n, table)
+    require(gamma.n <= MAX_COLORING_N, f"csf: n = {gamma.n} exceeds guard {MAX_COLORING_N}")
+    return _color_sum(gamma.n, gamma.edges, differ=gamma.edges)
 
 
 def llt_vertical(sigma: SchroderPath) -> SymPoly:
@@ -79,16 +80,7 @@ def llt_vertical(sigma: SchroderPath) -> SymPoly:
         raise ValueError("llt_vertical needs a tall path")
     n = sigma.size
     require(n <= MAX_COLORING_N, f"llt_vertical: n = {n} exceeds guard {MAX_COLORING_N}")
-    area_edges = [(i - 1, j - 1) for i, j in sorted(area(sigma))]
-    diag_edges = [(i - 1, j - 1) for i, j in sorted(diag(sigma))]
-    table: dict[tuple[int, ...], dict[int, int]] = {}
-    for kappa in product(range(1, n + 1), repeat=n):
-        if any(kappa[i] >= kappa[j] for i, j in diag_edges):
-            continue
-        a = sum(1 for i, j in area_edges if kappa[i] < kappa[j])
-        row = table.setdefault(_exponent(kappa, n), {})
-        row[a] = row.get(a, 0) + 1
-    return _collect(n, table)
+    return _color_sum(n, area(sigma), rise=diag(sigma))
 
 
 def as_expansion(sigma: SchroderPath) -> SymFunc:
@@ -105,21 +97,17 @@ def as_expansion(sigma: SchroderPath) -> SymFunc:
     require(len(a_edges) + len(d_edges) <= MAX_ORIENT_EDGES,
             f"as_expansion: |E| exceeds guard {MAX_ORIENT_EDGES}")
     gamma = IndiffGraph(n, frozenset(a_edges) | frozenset(d_edges))
-    tm1 = LaurentPoly.t() - 1
-    coeffs: dict[Partition, RationalFunc] = {}
+    counts: Counter[tuple[Partition, int]] = Counter()
     for choice in product((0, 1), repeat=len(a_edges)):
-        arcs = set((i, j) for i, j in d_edges)
-        asc_count = 0
-        for (i, j), c in zip(a_edges, choice):
-            if c == 0:
-                arcs.add((i, j))
-                asc_count += 1
-            else:
-                arcs.add((j, i))
-        theta = Orientation(gamma, frozenset(arcs))
-        ty = type_of(theta)
-        w = RationalFunc(tm1 ** asc_count)
-        coeffs[ty] = coeffs.get(ty, RationalFunc.const(0)) + w
+        arcs = set(d_edges)
+        arcs.update((j, i) if c else (i, j) for (i, j), c in zip(a_edges, choice))
+        counts[type_of(Orientation(gamma, frozenset(arcs))), choice.count(0)] += 1
+    powers = [LaurentPoly.const(1)]  # (t-1)^k for k <= |Area|
+    for _ in a_edges:
+        powers.append(powers[-1] * (LaurentPoly.t() - 1))
+    coeffs: dict[Partition, LaurentPoly] = {}
+    for (ty, k), m in counts.items():
+        coeffs[ty] = coeffs.get(ty, LaurentPoly()) + m * powers[k]
     return SymFunc(n, "E", coeffs)
 
 

@@ -3,7 +3,8 @@
 Two verb families:
 
   chromaq compute {csf|llt|as-expand|d-coeffs|e-expand|induce|hess-count|superclass-sizes} ...
-  chromaq verify {all|<check name>} [--n N] [--q Q] [--deep] [--json]
+  chromaq verify all [--deep] [--json]
+  chromaq verify {all|<check name>} [--n N] [--q Q] [--json]
 
 All output is JSON on stdout.  Exit status: 0 = success / all pass,
 1 = at least one check failed, 2 = usage or size-guard error.
@@ -145,12 +146,14 @@ def _run_jobs(jobs) -> list[CheckReport]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.deep and (args.target != "all" or args.n is not None):
+        raise ValueError("--deep extends the default suite; use it with 'all' and without --n")
     if args.target == "all":
         if args.n is not None:
-            qs = [args.q if args.q is not None else 2]
-            jobs = []
-            for name in ALL_CHECKS:
-                jobs.append((name, args.n, None if name in SYMBOLIC_CHECKS else qs[0]))
+            q = args.q if args.q is not None else 2
+            jobs = [(name, args.n, None if name in SYMBOLIC_CHECKS else q) for name in ALL_CHECKS]
+        elif args.q is not None:
+            raise ValueError("--q picks the field for 'all --n N'; the default suite fixes q")
         else:
             jobs = _default_suite(args.deep)
     else:

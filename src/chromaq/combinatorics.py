@@ -45,6 +45,20 @@ def gen_partitions(n: int) -> list[Partition]:
     return out
 
 
+def multiset_perms(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Distinct orderings of a tuple with repeated entries, each yielded once."""
+    if not items:
+        yield ()
+        return
+    seen = set()
+    for i, x in enumerate(items):
+        if x in seen:
+            continue
+        seen.add(x)
+        for rest in multiset_perms(items[:i] + items[i + 1:]):
+            yield (x,) + rest
+
+
 def transpose(lam: Partition) -> Partition:
     """Conjugate partition."""
     if not lam:

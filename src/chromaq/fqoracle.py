@@ -107,9 +107,6 @@ class MatrixFq:
             raise AssertionError(f"cannot multiply matrices over F_{self.q} and F_{other.q}")
         return MatrixFq(self.q, mat_mul(self.rows, other.rows, self.q))
 
-    def inv(self) -> "MatrixFq":
-        return MatrixFq(self.q, mat_inv(self.rows, self.q))
-
     def is_upper_unipotent(self) -> bool:
         return all(self.rows[i][j] == (1 if i == j else 0)
                    for i in range(self.n) for j in range(i + 1))

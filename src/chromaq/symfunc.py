@@ -21,13 +21,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Mapping
 
-from .combinatorics import Partition, gen_partitions, nstat, transpose
+from .combinatorics import Partition, gen_partitions, multiset_perms, nstat, transpose
 from .exactnum import (
     LaurentPoly,
     RF_ONE,
     RF_ZERO,
     RationalFunc,
-    parse_ratfunc,
 )
 from .guards import require
 
@@ -49,24 +48,11 @@ def _rf(x) -> RationalFunc:
 # monomial orbits
 # ---------------------------------------------------------------------------
 
-def _multiset_perms(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    if not items:
-        yield ()
-        return
-    seen = set()
-    for i, x in enumerate(items):
-        if x in seen:
-            continue
-        seen.add(x)
-        for rest in _multiset_perms(items[:i] + items[i + 1:]):
-            yield (x,) + rest
-
-
 @lru_cache(maxsize=None)
 def _orbit_monomials(mu: Partition, nvars: int) -> tuple[tuple[int, ...], ...]:
     """All distinct exponent vectors in the S_n-orbit of mu, padded to nvars."""
     padded = mu + (0,) * (nvars - len(mu))
-    return tuple(_multiset_perms(padded))
+    return tuple(multiset_perms(padded))
 
 
 def check_symmetric(full: Mapping[tuple[int, ...], Coeff], nvars: int) -> bool:
@@ -174,14 +160,6 @@ class SymPoly:
         """Specialize t = q in every coefficient (PoleError on a pole)."""
         return self.map_coeffs(lambda c: RationalFunc.const(c.evaluate(q)))
 
-    def full_table(self) -> dict[tuple[int, ...], Coeff]:
-        """Expand to the complete exponent-vector table."""
-        out: dict[tuple[int, ...], Coeff] = {}
-        for mu, c in self.coeffs.items():
-            for e in _orbit_monomials(mu, self.nvars):
-                out[e] = c
-        return out
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -243,11 +221,6 @@ class SymFunc:
         items = [{"partition": list(mu), "value": str(self.coeffs[mu])}
                  for mu in gen_partitions(self.degree) if mu in self.coeffs]
         return {"degree": self.degree, "basis": self.basis, "coeffs": items}
-
-    @staticmethod
-    def from_json(obj: dict) -> "SymFunc":
-        coeffs = {tuple(item["partition"]): parse_ratfunc(item["value"]) for item in obj["coeffs"]}
-        return SymFunc(obj["degree"], obj["basis"], coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,17 @@ def test_cli_verify_all_point(capsys):
     assert all(r["status"] == "pass" for r in out)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "all", "--q", "5"], "--q picks the field"),
+    (["verify", "all", "--n", "2", "--deep"], "--deep extends the default suite"),
+    (["verify", "check_cqs", "--deep"], "--deep extends the default suite"),
+])
+def test_cli_verify_rejects_ignored_flags(capsys, argv, message):
+    from chromaq.cli import main
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_verify_guard_exit_code(capsys):
     from chromaq.cli import main
     assert main(["verify", "check_cqs", "--n", "5", "--q", "2"]) == 2

@@ -1,4 +1,7 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, product
+from math import prod
 
 import pytest
 
@@ -26,7 +29,7 @@ from chromaq.combinatorics import (
 )
 from chromaq.exactnum import LaurentPoly, RationalFunc
 from chromaq.guards import SizeGuardError
-from chromaq.symfunc import expand_in_basis, symfunc_to_sympoly
+from chromaq.symfunc import SymPoly, check_symmetric, expand_in_basis, symfunc_to_sympoly
 
 T = LaurentPoly.t()
 RF = RationalFunc
@@ -88,6 +91,15 @@ def test_csf_guard():
         csf(IndiffGraph(9, frozenset()))
 
 
+def test_csf_complete_graph_is_t_factorial_en_at_the_guard_edge():
+    # X_{K_n} = [n]_t! e_n (Shareshian-Wachs), and e_n = m_{1^n}
+    for n in (6, 7, 8):
+        g = IndiffGraph(n, frozenset(combinations(range(1, n + 1), 2)))
+        t_factorial = prod(LaurentPoly.from_terms(dict.fromkeys(range(i), 1))
+                           for i in range(1, n + 1))
+        assert csf(g).coeffs == {(1,) * n: RF(t_factorial)}
+
+
 def test_csf_eval_at_two():
     X = csf(path3()).eval_t(2)
     assert X.coeff((2, 1)) == RF(2)
@@ -116,7 +128,7 @@ def _orbit(mu, n):
 
 
 def test_llt_staircase_of_diags_is_en():
-    for n in range(1, 6):
+    for n in range(1, 9):
         sigma = SchroderPath("E" + "D" * (n - 1) + "S")
         G = llt_vertical(sigma)
         assert G.coeffs == {tuple([1] * n): RF(1)}
@@ -212,15 +224,43 @@ def test_e_expansion_edgeless_constant():
         assert num.is_zero or (num.low == 0 and len(num.coeffs) == 1)
 
 
-# -- symmetry across the board -----------------------------------------------------
+# -- the n^n oracle ---------------------------------------------------------------
 
-def test_symmetry_tables_up_to_4():
-    # csf/llt construction asserts check_symmetric internally; exercise it
-    for n in range(5):
+def brute_force_table(n, asc_graph, differ=(), rise=()):
+    """Full {exponent vector: coefficient} table over all n^n colorings of [n].
+
+    Colorings must differ on `differ` and strictly increase on `rise`; each is
+    scored with `asc` on `asc_graph`.
+    """
+    colors = range(1, n + 1)
+    table = {}
+    for kappa in product(colors, repeat=n):
+        if any(kappa[i - 1] == kappa[j - 1] for i, j in differ) or \
+                any(kappa[i - 1] >= kappa[j - 1] for i, j in rise):
+            continue
+        row = table.setdefault(tuple(map(kappa.count, colors)), Counter())
+        row[asc(asc_graph, kappa)] += 1
+    return {e: RF(LaurentPoly.from_terms(row)) for e, row in table.items()}
+
+
+def orbit_representatives(n, table):
+    return SymPoly(n, n, {tuple(x for x in e if x): c for e, c in table.items()
+                          if list(e) == sorted(e, reverse=True)})
+
+
+def test_partition_content_kernel_matches_brute_force_tables():
+    # csf/llt_vertical read only colorings of partition content, which is
+    # exact because both are symmetric; the full tables must be symmetric and
+    # agree with them on every orbit representative
+    for n in range(6):
         for g in indifference_graphs(n):
-            csf(g)
+            table = brute_force_table(n, g, differ=g.edges)
+            assert check_symmetric(table, n), g
+            assert orbit_representatives(n, table) == csf(g), g
         for sigma in gen_tall_schroder(n):
-            llt_vertical(sigma)
+            table = brute_force_table(n, IndiffGraph(n, area(sigma)), rise=diag(sigma))
+            assert check_symmetric(table, n), sigma
+            assert orbit_representatives(n, table) == llt_vertical(sigma), sigma
 
 
 def test_every_dyck_llt_matches_mesa_union():
