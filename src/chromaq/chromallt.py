@@ -13,6 +13,7 @@ distinct words with mu_1 copies of color 1, mu_2 of color 2, and so on.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from itertools import product
 from typing import Iterable
 
@@ -44,6 +45,12 @@ def asc(gamma: IndiffGraph, kappa: Coloring) -> int:
     return sum(1 for i, j in gamma.edges if kappa[i - 1] < kappa[j - 1])
 
 
+@lru_cache(maxsize=None)
+def _words(mu: Partition) -> tuple[tuple[int, ...], ...]:
+    """The distinct words with mu_c copies of color c, for each part c of mu."""
+    return tuple(multiset_perms(tuple(c for c, m in enumerate(mu) for _ in range(m))))
+
+
 def _color_sum(n: int, asc_edges: Iterable[Edge], differ: Iterable[Edge] = (),
                rise: Iterable[Edge] = ()) -> SymPoly:
     """Sum of t^{# ascending asc_edges} x^kappa over colorings kappa of [n].
@@ -55,7 +62,7 @@ def _color_sum(n: int, asc_edges: Iterable[Edge], differ: Iterable[Edge] = (),
     coeffs = {}
     for mu in gen_partitions(n):
         counts: Counter[int] = Counter()
-        for kappa in multiset_perms(tuple(c for c, m in enumerate(mu) for _ in range(m))):
+        for kappa in _words(mu):
             if any(kappa[i] == kappa[j] for i, j in differ) or \
                     any(kappa[i] >= kappa[j] for i, j in rise):
                 continue

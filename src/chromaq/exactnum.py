@@ -1,9 +1,11 @@
 """Exact arithmetic in one indeterminate t.
 
-Laurent polynomials and reduced rational functions over Q, built on
-``fractions.Fraction``.  Everything is immutable and canonical, so equality
-and hashing are structural.  These types carry every coefficient in the
-package; there is deliberately no floating-point anywhere.
+Laurent polynomials and reduced rational functions over Q.  Nearly every
+coefficient the package builds lies in Z[t], so a coefficient is stored as an
+``int`` whenever it is integral and as a ``fractions.Fraction`` only for a true
+quotient; every division goes through ``Fraction``.  A ``float`` coefficient
+raises ``TypeError``: there is deliberately no floating-point anywhere.
+Everything is immutable and canonical, so equality and hashing are structural.
 """
 
 from __future__ import annotations
@@ -24,24 +26,34 @@ class NonDivisibleError(ArithmeticError):
     """An exact Laurent division was requested but a nonzero remainder exists."""
 
 
-def _frac(x: Rat) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _frac(x: Rat) -> Rat:
+    """x as a canonical coefficient: an int when integral, else a Fraction."""
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    raise TypeError(f"coefficient {x!r} is neither an int nor a Fraction")
+
+
+def _div(x: Rat, y: Rat) -> Rat:
+    """The exact quotient x / y as a canonical coefficient."""
+    return _frac(Fraction(x, y))
 
 
 # ---------------------------------------------------------------------------
 # dense polynomial helpers (coefficient tuples, index = exponent, low = 0)
 # ---------------------------------------------------------------------------
 
-def _ptrim(c: list[Fraction]) -> list[Fraction]:
+def _ptrim(c: list[Rat]) -> list[Rat]:
     while c and c[-1] == 0:
         c.pop()
     return c
 
 
-def _pmul(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> list[Fraction]:
+def _pmul(a: tuple[Rat, ...], b: tuple[Rat, ...]) -> list[Rat]:
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
@@ -50,11 +62,11 @@ def _pmul(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> list[Fraction]:
     return out
 
 
-def _pdivmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+def _pdivmod(a: list[Rat], b: list[Rat]) -> tuple[list[Rat], list[Rat]]:
     """Long division over Q; returns (quotient, remainder)."""
     a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv = 1 / b[-1]
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    inv = _div(1, b[-1])
     while len(a) >= len(b):
         c = a[-1] * inv
         d = len(a) - len(b)
@@ -73,14 +85,14 @@ def _content(a: list[int]) -> int:
     return g or 1
 
 
-def _poly_gcd(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def _poly_gcd(a: tuple[Rat, ...], b: tuple[Rat, ...]) -> tuple[Rat, ...]:
     """Monic gcd in Q[t] via the primitive pseudo-remainder sequence over Z."""
     if not a:
         return _monic(b)
     if not b:
         return _monic(a)
 
-    def to_primitive(c: tuple[Fraction, ...]) -> list[int]:
+    def to_primitive(c: tuple[Rat, ...]) -> list[int]:
         den = 1
         for x in c:
             den = den * x.denominator // _intgcd(den, x.denominator)
@@ -111,16 +123,16 @@ def _poly_gcd(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fractio
         if R and R[-1] < 0:
             R = [-x for x in R]
         A, B = B, R
-    return _monic(tuple(Fraction(x) for x in A))
+    return _monic(tuple(A))
 
 
-def _monic(a: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def _monic(a: tuple[Rat, ...]) -> tuple[Rat, ...]:
     if not a:
         return a
     lead = a[-1]
     if lead == 1:
         return a
-    return tuple(x / lead for x in a)
+    return tuple(_div(x, lead) for x in a)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +149,7 @@ class LaurentPoly:
     __slots__ = ("low", "coeffs")
 
     def __init__(self, coeffs: Iterable[Rat] = (), low: int = 0):
-        cs = [_frac(c) for c in coeffs]
+        cs = [c if type(c) is int else _frac(c) for c in coeffs]
         # trim trailing zeros, then leading zeros (adjusting low)
         while cs and cs[-1] == 0:
             cs.pop()
@@ -164,9 +176,9 @@ class LaurentPoly:
             return LaurentPoly()
         lo = min(terms)
         hi = max(terms)
-        cs = [Fraction(0)] * (hi - lo + 1)
+        cs = [0] * (hi - lo + 1)
         for k, v in terms.items():
-            cs[k - lo] = _frac(v)
+            cs[k - lo] = v
         return LaurentPoly(cs, low=lo)
 
     # -- structure --------------------------------------------------------
@@ -181,13 +193,13 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no degree")
         return self.low + len(self.coeffs) - 1
 
-    def __getitem__(self, k: int) -> Fraction:
+    def __getitem__(self, k: int) -> Rat:
         i = k - self.low
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return Fraction(0)
+        return 0
 
-    def terms(self) -> Iterable[tuple[int, Fraction]]:
+    def terms(self) -> Iterable[tuple[int, Rat]]:
         for i, c in enumerate(self.coeffs):
             if c:
                 yield self.low + i, c
@@ -215,7 +227,7 @@ class LaurentPoly:
             return self
         lo = min(self.low, other.low)
         hi = max(self.low + len(self.coeffs), other.low + len(other.coeffs))
-        cs = [Fraction(0)] * (hi - lo)
+        cs = [0] * (hi - lo)
         for i, c in enumerate(self.coeffs):
             cs[self.low - lo + i] += c
         for i, c in enumerate(other.coeffs):
@@ -272,8 +284,10 @@ class LaurentPoly:
         return LaurentPoly(tuple(reversed(self.coeffs)), low=-(self.low + len(self.coeffs) - 1))
 
     def evaluate(self, q: Rat) -> Fraction:
-        """Exact value at t = q; pole when q = 0 meets a negative exponent."""
-        q = _frac(q)
+        """Exact value at t = q; pole when q = 0 meets a negative exponent.
+
+        q is taken as a Fraction, so q ** low stays exact for low < 0."""
+        q = Fraction(_frac(q))
         if self.is_zero:
             return Fraction(0)
         if q == 0 and self.low < 0:
@@ -368,11 +382,15 @@ class RationalFunc:
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly = _L_ONE):
         if not isinstance(num, LaurentPoly):
-            num = LaurentPoly.const(_frac(num))
+            num = LaurentPoly.const(num)
         if not isinstance(den, LaurentPoly):
-            den = LaurentPoly.const(_frac(den))
+            den = LaurentPoly.const(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
+        if den.low == 0 and den.coeffs == (1,):  # already canonical
+            object.__setattr__(self, "num", num)
+            object.__setattr__(self, "den", _L_ONE)
+            return
         if num.is_zero:
             object.__setattr__(self, "num", _L_ZERO)
             object.__setattr__(self, "den", _L_ONE)
@@ -389,8 +407,8 @@ class RationalFunc:
                 n, d = tuple(qn), tuple(qd)
         lead = d[-1]
         if lead != 1:
-            n = tuple(x / lead for x in n)
-            d = tuple(x / lead for x in d)
+            n = tuple(_div(x, lead) for x in n)
+            d = tuple(_div(x, lead) for x in d)
         object.__setattr__(self, "num", LaurentPoly(n, low=shift))
         object.__setattr__(self, "den", LaurentPoly(d))
 
@@ -488,17 +506,6 @@ def _coerce(x) -> "RationalFunc":
     if isinstance(x, (int, Fraction)):
         return RationalFunc.const(x)
     return NotImplemented
-
-
-_RF_RE = re.compile(r"^\((?P<num>.*)\)/\((?P<den>.*)\)$")
-
-
-def parse_ratfunc(s: str) -> RationalFunc:
-    """Parse either a bare Laurent string or the "(num)/(den)" form."""
-    m = _RF_RE.match(s.strip())
-    if m:
-        return RationalFunc(parse_laurent(m.group("num")), parse_laurent(m.group("den")))
-    return RationalFunc(parse_laurent(s))
 
 
 def ratfunc_to_laurent(r: RationalFunc) -> LaurentPoly:

@@ -614,6 +614,20 @@ def is_nilpotent(a: MatrixFq) -> bool:
     return all(x == 0 for row in p for x in row)
 
 
+@lru_cache(maxsize=None)
+def _hessenberg_masks(a: MatrixFq) -> Counter:
+    """For the flags gB with g^{-1} a g strictly upper triangular, how many give
+    each nonzero pattern above the diagonal (bit i*n + j set iff entry (i, j) is nonzero)."""
+    n, q = a.n, a.q
+    masks = Counter()
+    for g in flag_reps(n, q):
+        m = mat_mul(mat_mul(mat_inv(g, q), a.rows, q), g, q)
+        if any(m[i][j] for i in range(n) for j in range(i + 1)):
+            continue
+        masks[sum(1 << (i * n + j) for i in range(n) for j in range(i + 1, n) if m[i][j])] += 1
+    return masks
+
+
 def hessenberg_count(gamma: IndiffGraph, a: MatrixFq) -> int:
     """Number of flags gB with g^{-1} a g strictly upper and zero at the edges of gamma."""
     n, q = gamma.n, a.q
@@ -623,14 +637,5 @@ def hessenberg_count(gamma: IndiffGraph, a: MatrixFq) -> int:
         raise ValueError("matrix size does not match the graph")
     if not is_nilpotent(a):
         raise ValueError("hessenberg_count expects a nilpotent matrix")
-    edges0 = [(i - 1, j - 1) for i, j in gamma.sorted_edges()]
-    count = 0
-    for g in flag_reps(n, q):
-        gi = mat_inv(g, q)
-        m = mat_mul(mat_mul(gi, a.rows, q), g, q)
-        if any(m[i][j] for i in range(n) for j in range(i + 1)):
-            continue
-        if any(m[i][j] for i, j in edges0):
-            continue
-        count += 1
-    return count
+    edge_mask = sum(1 << ((i - 1) * n + j - 1) for i, j in gamma.edges)
+    return sum(c for mask, c in _hessenberg_masks(a).items() if not mask & edge_mask)

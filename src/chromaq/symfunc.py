@@ -435,10 +435,13 @@ def expand_in_basis(f: SymPoly, basis: str) -> SymFunc:
 def symfunc_to_sympoly(F: SymFunc, nvars: int | None = None) -> SymPoly:
     """Assemble the symmetric polynomial sum_lam c_lam * basis_element."""
     nv = F.degree if nvars is None else nvars
-    acc = sympoly_zero(nv, F.degree)
+    require(F.degree <= nv <= MAX_DEGREE,
+            f"symfunc_to_sympoly: need degree {F.degree} <= nvars <= {MAX_DEGREE}, got nvars = {nv}")
+    out: dict[Partition, Coeff] = {}
     for lam, c in F.coeffs.items():
-        acc = acc + basis_element(F.basis, lam, nv).scale(c)
-    return acc
+        for mu, v in _m_coords(F.basis, lam):
+            out[mu] = out.get(mu, RF_ZERO) + c * v
+    return SymPoly(nv, F.degree, out)
 
 
 def omega(F: SymFunc) -> SymFunc:

@@ -14,6 +14,7 @@ from chromaq.chromallt import (
     e_expansion_X,
     is_nonneg_int_poly,
     llt_vertical,
+    _words,
 )
 from chromaq.combinatorics import (
     DyckPath,
@@ -22,10 +23,12 @@ from chromaq.combinatorics import (
     area,
     diag,
     gen_dyck,
+    gen_partitions,
     gen_tall_schroder,
     graph_of,
     indifference_graphs,
     mesa,
+    multiset_perms,
 )
 from chromaq.exactnum import LaurentPoly, RationalFunc
 from chromaq.guards import SizeGuardError
@@ -261,6 +264,14 @@ def test_partition_content_kernel_matches_brute_force_tables():
             table = brute_force_table(n, IndiffGraph(n, area(sigma)), rise=diag(sigma))
             assert check_symmetric(table, n), sigma
             assert orbit_representatives(n, table) == llt_vertical(sigma), sigma
+
+
+def test_cached_words_are_the_partition_content_words():
+    for n in range(7):
+        for mu in gen_partitions(n):
+            word = tuple(c for c, m in enumerate(mu) for _ in range(m))
+            assert set(_words(mu)) == set(multiset_perms(word)), mu
+            assert len(set(_words(mu))) == len(_words(mu)), mu
 
 
 def test_every_dyck_llt_matches_mesa_union():

@@ -9,8 +9,9 @@ from chromaq.exactnum import (
     NonDivisibleError,
     PoleError,
     RationalFunc,
+    _pdivmod,
+    _poly_gcd,
     parse_laurent,
-    parse_ratfunc,
     ratfunc_to_laurent,
 )
 
@@ -104,6 +105,53 @@ def test_subs_inv():
     assert r.subs_inv() == RationalFunc(1 - T, 1 + T)
 
 
+# -- integer coefficients: int when integral, Fraction only for quotients -----
+
+def test_integral_fraction_is_stored_as_int():
+    f = LaurentPoly([Fraction(4, 2)])
+    assert type(f.coeffs[0]) is int
+    assert f == LaurentPoly([2]) and hash(f) == hash(LaurentPoly([2]))
+    assert all(type(c) is int for c in (T * T + 4 * T + 1).coeffs)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LaurentPoly([1, 0.5]),
+    lambda: LaurentPoly.from_terms({2: 2.0}),
+    lambda: RationalFunc.const(1.5),
+    lambda: T.evaluate(0.5),
+])
+def test_float_coefficient_raises(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_evaluate_int_q_negative_exponent_is_exact():
+    v = L({-2: 3, 1: 1}).evaluate(2)
+    assert type(v) is Fraction and v == 2 + Fraction(3, 4)
+    assert LaurentPoly.t(-60).evaluate(2) == Fraction(1, 2 ** 60)
+
+
+def test_ratfunc_integer_leading_coefficient_stays_exact():
+    r = RationalFunc(LaurentPoly.const(1), 2 * T + 4)
+    assert r.den == T + 2 and r.num == LaurentPoly.const(Fraction(1, 2))
+    s = RationalFunc(2 * T + 2, 2 * T + 6)
+    assert (s.num, s.den) == (T + 1, T + 3)
+    assert all(type(c) is int for c in s.num.coeffs + s.den.coeffs)
+
+
+def test_pdivmod_int_divisor_stays_exact():
+    quo, rem = _pdivmod([1, 0, 1], [1, 2])  # t^2 + 1 = (t/2 - 1/4)(2t + 1) + 5/4
+    assert quo == [Fraction(-1, 4), Fraction(1, 2)] and rem == [Fraction(5, 4)]
+    quo, rem = _pdivmod([-1, 0, 1], [-1, 1])  # a monic divisor keeps ints
+    assert quo == [1, 1] and rem == [] and all(type(c) is int for c in quo)
+
+
+def test_monic_gcd_with_fraction_coefficients():
+    assert _poly_gcd((1, 2), (2, 4)) == (Fraction(1, 2), 1)
+    r = RationalFunc(2 * T + 1, (2 * T + 1) * (T + 1))
+    assert (r.num, r.den) == (LaurentPoly.const(1), T + 1)
+
+
 # -- printing and parsing ----------------------------------------------------
 
 @pytest.mark.parametrize("f,s", [
@@ -127,12 +175,6 @@ def test_str_format(f, s):
 ])
 def test_parse_print_roundtrip(f):
     assert parse_laurent(str(f)) == f
-
-
-def test_parse_ratfunc_roundtrip():
-    r = RationalFunc(T ** 2 - 1, T ** 2 + T + 1)
-    assert parse_ratfunc(str(r)) == r
-    assert parse_ratfunc("t+1") == RationalFunc(T + 1)
 
 
 # -- ring axioms on random inputs ---------------------------------------------

@@ -44,6 +44,7 @@ from chromaq.fqoracle import (
     ut_order,
     _centralizer_order,
     _conjugate_zero_masks,
+    _hessenberg_masks,
     _jordan_type,
 )
 from chromaq.guards import SizeGuardError
@@ -384,6 +385,46 @@ def test_flag_reps_are_canonical_and_coset_invariant():
                 b[i][j] = rnd.randrange(q)
         mb = m * MatrixFq(q, tuple(tuple(r) for r in b))
         assert canonical_flag(mb).rows == rows
+
+
+def brute_hessenberg_count(gamma, a):
+    """Hessenberg point count by testing every flag gB on its own."""
+    n, q = gamma.n, a.q
+    edges0 = [(i - 1, j - 1) for i, j in gamma.sorted_edges()]
+    count = 0
+    for g in flag_reps(n, q):
+        m = mat_mul(mat_mul(mat_inv(g, q), a.rows, q), g, q)
+        if any(m[i][j] for i in range(n) for j in range(i + 1)):
+            continue
+        if any(m[i][j] for i, j in edges0):
+            continue
+        count += 1
+    return count
+
+
+def _nilpotent(lam, q):
+    return MatrixFq(q, mat_minus_identity(jordan(lam, q).rows, q))
+
+
+def test_hessenberg_sweep_matches_per_flag_oracle():
+    for n in range(1, 4):
+        for q in (2, 3):
+            for lam in gen_partitions(n):
+                a = _nilpotent(lam, q)
+                for g in indifference_graphs(n):
+                    assert hessenberg_count(g, a) == brute_hessenberg_count(g, a), (g, lam, q)
+    a = _nilpotent((4,), 2)
+    for g in indifference_graphs(4):
+        assert hessenberg_count(g, a) == brute_hessenberg_count(g, a), g
+
+
+def test_hessenberg_sweeps_once_per_matrix():
+    a = _nilpotent((2, 1), 3)
+    hessenberg_count(IG(3), a)
+    misses = _hessenberg_masks.cache_info().misses
+    for g in indifference_graphs(3):
+        hessenberg_count(g, a)
+    assert _hessenberg_masks.cache_info().misses == misses
 
 
 def test_hessenberg_zero_matrix_counts_all_flags():
