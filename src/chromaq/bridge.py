@@ -43,17 +43,7 @@ from .fqoracle import (
     mat_minus_identity,
     psi_pseudo,
 )
-from .symfunc import (
-    SymFunc,
-    SymPoly,
-    basis_element,
-    eval_t,
-    expand_in_basis,
-    omega,
-    plethysm_frac,
-    symfunc_to_sympoly,
-    sympoly_zero,
-)
+from .symfunc import SymFunc, basis_element, eval_t, expand_in_basis, omega, plethysm_frac
 
 T = LaurentPoly.t()
 
@@ -63,17 +53,16 @@ T = LaurentPoly.t()
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _pt_at_q(lam: Partition, n: int, q: int) -> SymPoly:
-    return basis_element("PT", lam, n).eval_t(Fraction(q))
+def _pt_at_q(lam: Partition, q: int) -> SymFunc:
+    return eval_t(basis_element("PT", lam), Fraction(q))
 
 
-def p_brace1(phi: UnipClassFn) -> SymPoly:
-    """sum over lam of phi(J_lam) * PT_lam(x; q), with t specialized at q."""
-    n = phi.n
-    acc = sympoly_zero(n, n)
+def p_brace1(phi: UnipClassFn) -> SymFunc:
+    """sum over lam of phi(J_lam) * PT_lam(x; q), with t specialized at q, in basis M."""
+    acc = SymFunc(phi.n, "M", {})
     for lam, v in phi.values.items():
         if v:
-            acc = acc + _pt_at_q(lam, n, phi.q).scale(RationalFunc.const(v))
+            acc = acc + _pt_at_q(lam, phi.q).scale(RationalFunc.const(v))
     return acc
 
 
@@ -82,13 +71,7 @@ def p_one(phi: UnipClassFn) -> SymFunc:
     F = expand_in_basis(p_brace1(phi), "P")
     F = plethysm_frac(F)
     F = eval_t(F, Fraction(phi.q))
-    F = omega(F)
-    return expand_in_basis(symfunc_to_sympoly(F, phi.n), "S")
-
-
-def omega_sympoly(f: SymPoly) -> SymPoly:
-    """omega on monomial coordinates, routed through the power-sum basis."""
-    return symfunc_to_sympoly(omega(expand_in_basis(f, "P")), f.nvars)
+    return expand_in_basis(omega(F), "S")
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +125,7 @@ def check_cqs(n: int, q: int) -> CheckReport:
 
     def test(gamma):
         lhs = p_brace1(induce_to_GL(chi_bar(gamma, q)))
-        rhs = csf(gamma).eval_t(q).scale(scale)
+        rhs = eval_t(csf(gamma), q).scale(scale)
         return lhs == rhs, lhs, rhs
 
     return _scan("check_cqs", n, q, indifference_graphs(n), test)
@@ -183,9 +166,9 @@ def check_llt(n: int, q: int) -> CheckReport:
 
     def test(sigma):
         lhs = p_one(induce_to_GL(psi_pseudo(sigma, q)))
-        G = llt_vertical(sigma).eval_t(q)
+        G = eval_t(llt_vertical(sigma), q)
         scale = RationalFunc.const((q - 1) ** len(diag(sigma)))
-        rhs = expand_in_basis(omega_sympoly(G).scale(scale), "S")
+        rhs = expand_in_basis(omega(G).scale(scale), "S")
         return lhs == rhs, lhs.to_json(), rhs.to_json()
 
     return _scan("check_llt", n, q, gen_tall_schroder(n), test)
@@ -237,7 +220,7 @@ def check_as(n: int) -> CheckReport:
     """Orientation e-expansion equals the coloring LLT polynomial, symbolically."""
 
     def test(sigma):
-        lhs = symfunc_to_sympoly(as_expansion(sigma))
+        lhs = expand_in_basis(as_expansion(sigma), "M")
         rhs = llt_vertical(sigma)
         return lhs == rhs, lhs, rhs
 
@@ -251,7 +234,7 @@ def check_cm(n: int) -> CheckReport:
     def test(pi):
         F = expand_in_basis(csf(graph_of(pi)), "P")
         F = plethysm_frac(F).scale(scale)
-        lhs = symfunc_to_sympoly(F)
+        lhs = expand_in_basis(F, "M")
         rhs = llt_vertical(pi.as_schroder())
         return lhs == rhs, lhs, rhs
 
@@ -278,9 +261,9 @@ def check_prop56(n: int) -> CheckReport:
     """
     from itertools import product as iproduct
 
-    gcache: dict[str, SymPoly] = {}
+    gcache: dict[str, SymFunc] = {}
 
-    def G(path: SchroderPath) -> SymPoly:
+    def G(path: SchroderPath) -> SymFunc:
         if path.steps not in gcache:
             gcache[path.steps] = llt_vertical(path)
         return gcache[path.steps]
@@ -289,7 +272,7 @@ def check_prop56(n: int) -> CheckReport:
         g = G(pi.as_schroder())
         shift = RationalFunc(LaurentPoly.t(len(area(pi))))
         lhs = g.map_coeffs(lambda c: c.subs_inv() * shift)
-        rhs = omega_sympoly(g)
+        rhs = omega(g)
         return lhs == rhs, lhs, rhs
 
     for pi in gen_dyck(n):
@@ -302,7 +285,7 @@ def check_prop56(n: int) -> CheckReport:
         d = sorted(diag(sigma))
         a = area(sigma)
         lhs = G(sigma).scale(RationalFunc((T - 1) ** len(d)))
-        rhs = sympoly_zero(n, n)
+        rhs = SymFunc(n, "M", {})
         for mask in iproduct((0, 1), repeat=len(d)):
             s = frozenset(e for e, m in zip(d, mask) if m)
             sign = (-1) ** (len(d) - len(s))
@@ -316,6 +299,8 @@ def check_prop56(n: int) -> CheckReport:
 
 def check_gg(n: int, q: int) -> CheckReport:
     """The normalized staircase induction maps to e_n under omega o p_one."""
+    if n < 1:
+        raise ValueError(f"check_gg needs n >= 1, got n = {n}")
     sigma = SchroderPath("E" + "D" * (n - 1) + "S")
     ind = induce_to_GL(psi_pseudo(sigma, q))
     denom = (q - 1) ** (n - 1)
@@ -339,8 +324,8 @@ def check_st_en(n: int) -> CheckReport:
     """t^{binom(n,2)} PT_{(1^n)}(x; t) = e_n, symbolically."""
     lam = tuple([1] * n)
     shift = RationalFunc(LaurentPoly.t(n * (n - 1) // 2))
-    lhs = basis_element("PT", lam, max(n, 1)).scale(shift)
-    rhs = basis_element("E", (n,) if n else (), max(n, 1))
+    lhs = basis_element("PT", lam).scale(shift)
+    rhs = basis_element("E", (n,) if n else ())
     if lhs == rhs:
         return CheckReport("check_st_en", n, None, "pass")
     return CheckReport("check_st_en", n, None, "fail",
@@ -355,9 +340,9 @@ def check_cor66(n: int, q: int) -> CheckReport:
     """
 
     def test(sigma):
-        lhs = symfunc_to_sympoly(omega(p_one(induce_to_GL(psi_pseudo(sigma, q)))))
+        lhs = expand_in_basis(omega(p_one(induce_to_GL(psi_pseudo(sigma, q)))), "M")
         scale = RationalFunc.const((q - 1) ** len(diag(sigma)))
-        rhs = symfunc_to_sympoly(eval_t(as_expansion(sigma), q)).scale(scale)
+        rhs = expand_in_basis(eval_t(as_expansion(sigma), q), "M").scale(scale)
         return lhs == rhs, lhs, rhs
 
     return _scan("check_cor66", n, q, gen_tall_schroder(n), test)

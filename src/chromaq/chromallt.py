@@ -32,7 +32,7 @@ from .combinatorics import (
 )
 from .exactnum import LaurentPoly, ratfunc_to_laurent
 from .guards import require
-from .symfunc import SymFunc, SymPoly, expand_in_basis
+from .symfunc import SymFunc, expand_in_basis
 
 MAX_COLORING_N = 8
 MAX_EXPANSION_N = 6
@@ -52,8 +52,8 @@ def _words(mu: Partition) -> tuple[tuple[int, ...], ...]:
 
 
 def _color_sum(n: int, asc_edges: Iterable[Edge], differ: Iterable[Edge] = (),
-               rise: Iterable[Edge] = ()) -> SymPoly:
-    """Sum of t^{# ascending asc_edges} x^kappa over colorings kappa of [n].
+               rise: Iterable[Edge] = ()) -> SymFunc:
+    """Sum of t^{# ascending asc_edges} x^kappa over colorings kappa of [n], in basis M.
 
     kappa must differ on the ends of every `differ` edge and strictly increase
     along every `rise` edge. Only words of partition content are enumerated.
@@ -68,16 +68,16 @@ def _color_sum(n: int, asc_edges: Iterable[Edge], differ: Iterable[Edge] = (),
                 continue
             counts[sum(1 for i, j in asc_edges if kappa[i] < kappa[j])] += 1
         coeffs[mu] = LaurentPoly.from_terms(counts)
-    return SymPoly(n, n, coeffs)
+    return SymFunc(n, "M", coeffs)
 
 
-def csf(gamma: IndiffGraph) -> SymPoly:
+def csf(gamma: IndiffGraph) -> SymFunc:
     """Chromatic quasisymmetric function: sum over proper colorings of t^asc x^kappa."""
     require(gamma.n <= MAX_COLORING_N, f"csf: n = {gamma.n} exceeds guard {MAX_COLORING_N}")
     return _color_sum(gamma.n, gamma.edges, differ=gamma.edges)
 
 
-def llt_vertical(sigma: SchroderPath) -> SymPoly:
+def llt_vertical(sigma: SchroderPath) -> SymFunc:
     """Vertical-strip LLT polynomial of a tall Schroeder path.
 
     Colorings must strictly increase along Diag edges; the ascent statistic is

@@ -33,7 +33,6 @@ from .fqoracle import (
     superclass_sizes,
 )
 from .guards import SizeGuardError
-from .symfunc import SymFunc, SymPoly
 
 
 def _parse_graph(text: str) -> IndiffGraph:
@@ -51,10 +50,6 @@ def _parse_tall_path(text: str) -> SchroderPath:
     return p
 
 
-def _sympoly_json(f: SymPoly) -> dict:
-    return SymFunc(f.degree, "M", f.coeffs).to_json()
-
-
 def _emit(obj) -> None:
     json.dump(obj, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -67,9 +62,9 @@ def _emit(obj) -> None:
 def _cmd_compute(args: argparse.Namespace) -> int:
     verb = args.verb
     if verb == "csf":
-        _emit(_sympoly_json(csf(_parse_graph(args.index))))
+        _emit(csf(_parse_graph(args.index)).to_json())
     elif verb == "llt":
-        _emit(_sympoly_json(llt_vertical(_parse_tall_path(args.index))))
+        _emit(llt_vertical(_parse_tall_path(args.index)).to_json())
     elif verb == "as-expand":
         _emit(as_expansion(_parse_tall_path(args.index)).to_json())
     elif verb == "d-coeffs":
@@ -146,6 +141,8 @@ def _run_jobs(jobs) -> list[CheckReport]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.n is not None and args.n < 0:
+        raise ValueError(f"--n must be >= 0, got {args.n}")
     if args.deep and (args.target != "all" or args.n is not None):
         raise ValueError("--deep extends the default suite; use it with 'all' and without --n")
     if args.target == "all":

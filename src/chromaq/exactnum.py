@@ -10,7 +10,6 @@ Everything is immutable and canonical, so equality and hashing are structural.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd as _intgcd
 from typing import Iterable, Mapping, Union
@@ -299,7 +298,7 @@ class LaurentPoly:
             acc *= q ** self.low
         return acc
 
-    # -- printing / parsing -------------------------------------------------
+    # -- printing -----------------------------------------------------------
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -321,45 +320,6 @@ class LaurentPoly:
         return out
 
     __repr__ = __str__
-
-
-_TERM_RE = re.compile(
-    r"\s*(?P<sign>[+-]?)\s*"
-    r"(?:"
-    r"(?P<coef>\d+(?:/\d+)?)\s*(?:\*\s*(?P<var1>t(?:\^(?P<exp1>-?\d+))?))?"
-    r"|(?P<var2>t(?:\^(?P<exp2>-?\d+))?)"
-    r")\s*"
-)
-
-
-def parse_laurent(s: str) -> LaurentPoly:
-    """Parse the canonical string format back into a LaurentPoly."""
-    s = s.strip()
-    if s in ("0", "-0", "+0"):
-        return LaurentPoly()
-    terms: dict[int, Fraction] = {}
-    pos = 0
-    first = True
-    while pos < len(s):
-        m = _TERM_RE.match(s, pos)
-        if not m or m.end() == pos:
-            raise ValueError(f"cannot parse Laurent polynomial {s!r} at position {pos}")
-        sign = m.group("sign")
-        if not first and sign == "":
-            raise ValueError(f"missing +/- between terms in {s!r}")
-        coef = m.group("coef")
-        var = m.group("var1") or m.group("var2")
-        exp = m.group("exp1") or m.group("exp2")
-        c = Fraction(coef) if coef else Fraction(1)
-        if sign == "-":
-            c = -c
-        k = 0
-        if var:
-            k = int(exp) if exp else 1
-        terms[k] = terms.get(k, Fraction(0)) + c
-        pos = m.end()
-        first = False
-    return LaurentPoly.from_terms(terms)
 
 
 _L_ZERO = LaurentPoly()

@@ -1,8 +1,9 @@
-"""Symmetric functions of degree n in n variables with rational-function coefficients.
+"""Symmetric functions of degree n with rational-function coefficients.
 
-A homogeneous symmetric function of degree n is faithfully represented by its
-restriction to n variables, stored in orbit-sum (monomial) coordinates.  The
-supported bases are
+One type, `SymFunc`, holds the coefficients of a homogeneous symmetric
+function in one named basis.  In basis M they are the orbit-sum coordinates
+of its restriction to n variables, which is faithful in degree n, and every
+change of basis goes through them.  The supported bases are
 
   M   monomial                     E   elementary
   H   complete homogeneous         P   power sum
@@ -19,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .combinatorics import Partition, gen_partitions, multiset_perms, nstat, transpose
 from .exactnum import (
@@ -75,113 +76,17 @@ def check_symmetric(full: Mapping[tuple[int, ...], Coeff], nvars: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# SymPoly: orbit-sum coordinates
-# ---------------------------------------------------------------------------
-
-class SymPoly:
-    """Homogeneous symmetric polynomial in monomial-orbit coordinates."""
-
-    __slots__ = ("nvars", "degree", "coeffs")
-
-    def __init__(self, nvars: int, degree: int, coeffs: Mapping[Partition, Coeff]):
-        cleaned: dict[Partition, Coeff] = {}
-        for mu, c in coeffs.items():
-            c = _rf(c)
-            if c.is_zero:
-                continue
-            if sum(mu) != degree or len(mu) > nvars or any(a < b for a, b in zip(mu, mu[1:])):
-                raise ValueError(f"{mu} is not a partition of {degree} with at most {nvars} parts")
-            cleaned[tuple(mu)] = c
-        self.nvars = nvars
-        self.degree = degree
-        self.coeffs = cleaned
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymPoly):
-            return NotImplemented
-        return (self.nvars, self.degree, self.coeffs) == (other.nvars, other.degree, other.coeffs)
-
-    def __add__(self, other: "SymPoly") -> "SymPoly":
-        if (self.nvars, self.degree) != (other.nvars, other.degree):
-            raise AssertionError("cannot add SymPolys of different shape")
-        out = dict(self.coeffs)
-        for mu, c in other.coeffs.items():
-            out[mu] = out.get(mu, RF_ZERO) + c
-        return SymPoly(self.nvars, self.degree, out)
-
-    def __sub__(self, other: "SymPoly") -> "SymPoly":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "SymPoly":
-        c = _rf(c)
-        return SymPoly(self.nvars, self.degree, {mu: v * c for mu, v in self.coeffs.items()})
-
-    def __mul__(self, other: "SymPoly") -> "SymPoly":
-        """Orbit-aware product; exact as long as degrees stay within nvars."""
-        if self.nvars != other.nvars:
-            raise AssertionError("cannot multiply SymPolys in different variable counts")
-        nv = self.nvars
-        deg = self.degree + other.degree
-        fb: dict[tuple[int, ...], Coeff] = {}
-        for mu, c in other.coeffs.items():
-            for e in _orbit_monomials(mu, nv):
-                fb[e] = c
-        fa: list[tuple[tuple[int, ...], Coeff]] = []
-        for mu, c in self.coeffs.items():
-            for e in _orbit_monomials(mu, nv):
-                fa.append((e, c))
-        out: dict[Partition, Coeff] = {}
-        for nu in gen_partitions(deg):
-            if len(nu) > nv:
-                continue
-            target = nu + (0,) * (nv - len(nu))
-            acc = RF_ZERO
-            for e, c in fa:
-                e2 = tuple(t - x for t, x in zip(target, e))
-                if all(x >= 0 for x in e2):
-                    c2 = fb.get(e2)
-                    if c2 is not None:
-                        acc = acc + c * c2
-            if not acc.is_zero:
-                out[nu] = acc
-        return SymPoly(nv, deg, out)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, mu: Partition) -> Coeff:
-        return self.coeffs.get(tuple(mu), RF_ZERO)
-
-    def map_coeffs(self, fn: Callable[[Coeff], Coeff]) -> "SymPoly":
-        return SymPoly(self.nvars, self.degree, {mu: fn(c) for mu, c in self.coeffs.items()})
-
-    def eval_t(self, q) -> "SymPoly":
-        """Specialize t = q in every coefficient (PoleError on a pole)."""
-        return self.map_coeffs(lambda c: RationalFunc.const(c.evaluate(q)))
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        bits = []
-        for mu in gen_partitions(self.degree):
-            if mu in self.coeffs:
-                bits.append(f"({self.coeffs[mu]})*m{list(mu)}")
-        return " + ".join(bits)
-
-    __repr__ = __str__
-
-
-def sympoly_zero(nvars: int, degree: int) -> SymPoly:
-    return SymPoly(nvars, degree, {})
-
-
-# ---------------------------------------------------------------------------
 # SymFunc: coefficients in a named basis
 # ---------------------------------------------------------------------------
 
 @dataclass
 class SymFunc:
+    """A homogeneous symmetric function sum_lam c_lam * b_lam in one named basis.
+
+    Basis M (monomial) holds the orbit-sum coordinates of the symmetric
+    polynomial in `degree` variables; `expand_in_basis` converts between bases.
+    """
+
     degree: int
     basis: str
     coeffs: dict[Partition, Coeff]
@@ -189,10 +94,20 @@ class SymFunc:
     def __post_init__(self):
         if self.basis not in BASES:
             raise ValueError(f"unknown basis {self.basis!r}")
-        self.coeffs = {tuple(mu): _rf(c) for mu, c in self.coeffs.items() if not _rf(c).is_zero}
-        for mu in self.coeffs:
-            if sum(mu) != self.degree:
-                raise ValueError(f"partition {mu} has wrong size for degree {self.degree}")
+        cleaned: dict[Partition, Coeff] = {}
+        for mu, c in self.coeffs.items():
+            c = _rf(c)
+            if c.is_zero:
+                continue
+            mu = tuple(mu)
+            if sum(mu) != self.degree or any(a < b for a, b in zip(mu, mu[1:])) or mu and mu[-1] < 1:
+                raise ValueError(f"{mu} is not a partition of {self.degree}")
+            cleaned[mu] = c
+        self.coeffs = cleaned
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
 
     def coeff(self, mu: Partition) -> Coeff:
         return self.coeffs.get(tuple(mu), RF_ZERO)
@@ -217,6 +132,13 @@ class SymFunc:
             out[mu] = out.get(mu, RF_ZERO) + c
         return SymFunc(self.degree, self.basis, out)
 
+    def __str__(self) -> str:
+        if self.is_zero:
+            return "0"
+        b = self.basis.lower()
+        return " + ".join(f"({self.coeffs[mu]})*{b}{list(mu)}"
+                          for mu in gen_partitions(self.degree) if mu in self.coeffs)
+
     def to_json(self) -> dict:
         items = [{"partition": list(mu), "value": str(self.coeffs[mu])}
                  for mu in gen_partitions(self.degree) if mu in self.coeffs]
@@ -231,19 +153,40 @@ def _mono(mu: Partition, coeff=1) -> dict[Partition, Coeff]:
     return {mu: _rf(coeff)}
 
 
+def _orbit_product(a: dict[Partition, Coeff], b: dict[Partition, Coeff],
+                   degree: int, n: int) -> dict[Partition, Coeff]:
+    """Product of two monomial-coordinate dicts of total degree `degree` <= n.
+
+    Read in n variables: the coefficient of m_nu sums a_e * b_{nu - e} over the
+    exponent vectors e in the orbits of the keys of a.
+    """
+    fb = {e: c for mu, c in b.items() for e in _orbit_monomials(mu, n)}
+    fa = [(e, c) for mu, c in a.items() for e in _orbit_monomials(mu, n)]
+    out: dict[Partition, Coeff] = {}
+    for nu in gen_partitions(degree):
+        target = nu + (0,) * (n - len(nu))
+        acc = RF_ZERO
+        for e, c in fa:
+            c2 = fb.get(tuple(x - y for x, y in zip(target, e)))
+            if c2 is not None:
+                acc = acc + c * c2
+        if not acc.is_zero:
+            out[nu] = acc
+    return out
+
+
 def _product_coords(parts: Partition, unit: Callable[[int], dict[Partition, Coeff]]) -> dict[Partition, Coeff]:
-    deg = sum(parts)
-    if deg == 0:
-        return {(): RF_ONE}
-    acc = SymPoly(deg, 0, {(): RF_ONE})
+    n = sum(parts)
+    acc, deg = {(): RF_ONE}, 0
     for k in parts:
-        acc = acc * SymPoly(deg, k, unit(k))
-    return acc.coeffs
+        deg += k
+        acc = _orbit_product(acc, unit(k), deg, n)
+    return acc
 
 
 @lru_cache(maxsize=None)
 def _m_coords(basis: str, lam: Partition) -> tuple[tuple[Partition, Coeff], ...]:
-    """Monomial coordinates of the basis element indexed by lam (nvars = degree)."""
+    """Monomial coordinates of the basis element indexed by lam."""
     d = sum(lam)
     if basis == "M":
         coords = _mono(lam)
@@ -408,44 +351,44 @@ def _from_monomials(basis: str, d: int) -> dict[Partition, dict[Partition, Coeff
 # public operations
 # ---------------------------------------------------------------------------
 
-def basis_element(basis: str, lam: Partition, nvars: int) -> SymPoly:
-    """The named basis element as a symmetric polynomial in nvars variables."""
+def basis_element(basis: str, lam: Partition) -> SymFunc:
+    """The named basis element in monomial coordinates."""
     lam = tuple(lam)
     d = sum(lam)
-    require(d <= nvars <= MAX_DEGREE,
-            f"basis_element: need |lam| = {d} <= nvars <= {MAX_DEGREE}, got nvars = {nvars}")
-    if basis not in BASES:
-        raise ValueError(f"unknown basis {basis!r}")
-    coords = {mu: c for mu, c in _m_coords(basis, lam) if len(mu) <= nvars}
-    return SymPoly(nvars, d, coords)
+    require(d <= MAX_DEGREE, f"basis_element: degree {d} exceeds guard {MAX_DEGREE}")
+    return SymFunc(d, "M", dict(_m_coords(basis, lam)))
 
 
-def expand_in_basis(f: SymPoly, basis: str) -> SymFunc:
-    """Coefficients c with sum_lam c_lam * basis_element(basis, lam) = f."""
-    if f.nvars < f.degree:
-        raise ValueError("need nvars >= degree for a faithful expansion")
-    table = _from_monomials(basis, f.degree)
+def _change(coeffs: dict[Partition, Coeff],
+            row: Callable[[Partition], Iterable[tuple[Partition, Coeff]]]) -> dict[Partition, Coeff]:
+    """sum_lam c_lam * row(lam): one sparse change of coordinates."""
     out: dict[Partition, Coeff] = {}
-    for mu, c in f.coeffs.items():
-        for lam, v in table[mu].items():
-            out[lam] = out.get(lam, RF_ZERO) + c * v
-    return SymFunc(f.degree, basis, out)
-
-
-def symfunc_to_sympoly(F: SymFunc, nvars: int | None = None) -> SymPoly:
-    """Assemble the symmetric polynomial sum_lam c_lam * basis_element."""
-    nv = F.degree if nvars is None else nvars
-    require(F.degree <= nv <= MAX_DEGREE,
-            f"symfunc_to_sympoly: need degree {F.degree} <= nvars <= {MAX_DEGREE}, got nvars = {nv}")
-    out: dict[Partition, Coeff] = {}
-    for lam, c in F.coeffs.items():
-        for mu, v in _m_coords(F.basis, lam):
+    for lam, c in coeffs.items():
+        for mu, v in row(lam):
             out[mu] = out.get(mu, RF_ZERO) + c * v
-    return SymPoly(nv, F.degree, out)
+    return out
+
+
+def expand_in_basis(F: SymFunc, basis: str) -> SymFunc:
+    """F rewritten in the named basis, through its monomial coordinates."""
+    require(F.degree <= MAX_DEGREE,
+            f"expand_in_basis: degree {F.degree} exceeds guard {MAX_DEGREE}")
+    if F.basis == basis:
+        return F
+    coeffs = F.coeffs
+    if F.basis != "M":
+        coeffs = _change(coeffs, lambda lam: _m_coords(F.basis, lam))
+    if basis != "M":
+        table = _from_monomials(basis, F.degree)
+        coeffs = _change(coeffs, lambda mu: table[mu].items())
+    return SymFunc(F.degree, basis, coeffs)
 
 
 def omega(F: SymFunc) -> SymFunc:
-    """The involution omega: sign rule on p, transpose on s, e <-> h swap."""
+    """The involution omega: sign rule on p, transpose on s, e <-> h swap.
+
+    Any other basis goes through p and back.
+    """
     if F.basis == "P":
         return SymFunc(F.degree, "P",
                        {lam: c * ((-1) ** (sum(lam) - len(lam))) for lam, c in F.coeffs.items()})
@@ -455,7 +398,7 @@ def omega(F: SymFunc) -> SymFunc:
         return SymFunc(F.degree, "H", dict(F.coeffs))
     if F.basis == "H":
         return SymFunc(F.degree, "E", dict(F.coeffs))
-    raise ValueError(f"omega unsupported on basis {F.basis!r}; convert first")
+    return expand_in_basis(omega(expand_in_basis(F, "P")), F.basis)
 
 
 def plethysm_frac(F: SymFunc) -> SymFunc:

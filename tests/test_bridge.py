@@ -11,7 +11,6 @@ from chromaq.bridge import (
     check_gg,
     check_llt,
     check_st_en,
-    omega_sympoly,
     p_brace1,
     p_one,
     run_check,
@@ -26,7 +25,7 @@ from chromaq.combinatorics import (
 from chromaq.exactnum import RationalFunc
 from chromaq.fqoracle import UnipClassFn, chi_bar, induce_to_GL, psi_pseudo
 from chromaq.guards import SizeGuardError
-from chromaq.symfunc import basis_element, eval_t, expand_in_basis, omega, plethysm_frac, symfunc_to_sympoly
+from chromaq.symfunc import basis_element, eval_t, expand_in_basis, omega, plethysm_frac
 
 RF = RationalFunc.const
 
@@ -38,7 +37,7 @@ def test_p_brace1_column_indicator():
     for n, q in [(2, 2), (3, 2), (3, 3)]:
         phi = UnipClassFn(n, q, {tuple([1] * n): Fraction(1)})
         f = p_brace1(phi)
-        want = basis_element("E", (n,), n).scale(RF(Fraction(1, q ** (n * (n - 1) // 2))))
+        want = basis_element("E", (n,)).scale(RF(Fraction(1, q ** (n * (n - 1) // 2))))
         assert f == want
 
 
@@ -70,7 +69,7 @@ def test_p_one_two_code_paths_agree():
         F = omega(F)
         F = plethysm_frac(F)
         F = eval_t(F, Fraction(q))
-        b = expand_in_basis(symfunc_to_sympoly(F, phi.n), "S")
+        b = expand_in_basis(F, "S")
         assert a == b
 
 
@@ -155,6 +154,20 @@ def test_tripwire_survives_optimized_mode():
     assert "AssertionError: a failing report needs a witness" in proc.stderr
 
 
+def test_no_assert_statements_in_the_package():
+    # tripwires must raise: python -O strips every assert statement
+    import ast
+    import pathlib
+
+    import chromaq
+    found = []
+    for path in sorted(pathlib.Path(chromaq.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_scan_reports_first_failure():
     from chromaq.bridge import _scan
     rep = _scan("check_x", 3, 2, [1, 2, 3], lambda k: (k != 2, f"L{k}", f"R{k}"))
@@ -174,16 +187,6 @@ def test_run_check_unknown():
 def test_run_check_guard_propagates():
     with pytest.raises(SizeGuardError):
         run_check("check_cqs", 5, 2)
-
-
-# -- omega on sympoly ------------------------------------------------------------
-
-def test_omega_sympoly_en_hn():
-    for n in range(1, 5):
-        e = basis_element("E", (n,), n)
-        h = basis_element("H", (n,), n)
-        assert omega_sympoly(e) == h
-        assert omega_sympoly(h) == e
 
 
 # -- CLI -------------------------------------------------------------------------
@@ -208,12 +211,15 @@ def test_cli_compute_llt(capsys):
     ]
 
 
-def test_cli_sympoly_json_is_the_m_expansion():
-    from chromaq.cli import _sympoly_json
-    for n in range(5):
-        for f in [csf(g) for g in indifference_graphs(n)] + \
-                 [llt_vertical(s) for s in gen_tall_schroder(n)]:
-            assert _sympoly_json(f) == expand_in_basis(f, "M").to_json()
+def test_cli_compute_json_is_to_json(capsys):
+    from chromaq.cli import main
+    for n in range(1, 5):
+        for verb, fn, items in [("csf", csf, indifference_graphs(n)),
+                                ("llt", llt_vertical, gen_tall_schroder(n))]:
+            for x in items:
+                index = json.dumps(x.to_json()) if verb == "csf" else x.steps
+                assert main(["compute", verb, index]) == 0
+                assert json.loads(capsys.readouterr().out) == fn(x).to_json(), (verb, index)
 
 
 def test_cli_verify_all_point(capsys):
@@ -233,6 +239,19 @@ def test_cli_verify_rejects_ignored_flags(capsys, argv, message):
     from chromaq.cli import main
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "all", "--n", "0"], "check_gg needs n >= 1"),
+    (["verify", "check_gg", "--n", "0", "--q", "3"], "check_gg needs n >= 1"),
+    (["verify", "all", "--n", "-1"], "--n must be >= 0"),
+    (["verify", "check_cqs", "--n", "-1", "--q", "2"], "--n must be >= 0"),
+])
+def test_cli_verify_rejects_degenerate_n(capsys, argv, message):
+    from chromaq.cli import main
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_cli_verify_guard_exit_code(capsys):

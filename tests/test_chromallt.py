@@ -32,7 +32,7 @@ from chromaq.combinatorics import (
 )
 from chromaq.exactnum import LaurentPoly, RationalFunc
 from chromaq.guards import SizeGuardError
-from chromaq.symfunc import SymPoly, check_symmetric, expand_in_basis, symfunc_to_sympoly
+from chromaq.symfunc import SymFunc, check_symmetric, eval_t, expand_in_basis
 
 T = LaurentPoly.t()
 RF = RationalFunc
@@ -67,6 +67,12 @@ def test_csf_path3_worked_example():
     assert X.coeff((2, 1)) == RF(T)
     assert X.coeff((1, 1, 1)) == RF(T * T + 4 * T + 1)
     assert X.coeff((3,)) == RF(0)
+
+
+def test_csf_prints_as_the_failure_witness_format():
+    X = csf(graph_of(DyckPath("EESESS")))
+    assert X.basis == "M"
+    assert str(X) == "(t)*m[2, 1] + (t^2+4*t+1)*m[1, 1, 1]"
 
 
 def test_csf_single_vertex():
@@ -104,7 +110,7 @@ def test_csf_complete_graph_is_t_factorial_en_at_the_guard_edge():
 
 
 def test_csf_eval_at_two():
-    X = csf(path3()).eval_t(2)
+    X = eval_t(csf(path3()), 2)
     assert X.coeff((2, 1)) == RF(2)
     assert X.coeff((1, 1, 1)) == RF(13)
 
@@ -156,7 +162,7 @@ def test_as_expansion_single_diag():
 
 def test_as_expansion_matches_llt_ts3():
     for sigma in gen_tall_schroder(3):
-        lhs = symfunc_to_sympoly(as_expansion(sigma))
+        lhs = expand_in_basis(as_expansion(sigma), "M")
         assert lhs == llt_vertical(sigma), sigma
 
 
@@ -180,12 +186,11 @@ def test_palindromicity_ig4():
 # -- d-coefficients -------------------------------------------------------------
 
 def test_d_coeffs_reconstruct():
-    from chromaq.symfunc import SymFunc
     for n in (3, 4):
         for g in indifference_graphs(n):
             d = d_coeffs(g)
             F = SymFunc(n, "PT", {lam: RF(c) for lam, c in d.items()})
-            assert symfunc_to_sympoly(F) == csf(g)
+            assert expand_in_basis(F, "M") == csf(g)
 
 
 def test_d_coeffs_scaled_positive_ig4():
@@ -247,8 +252,8 @@ def brute_force_table(n, asc_graph, differ=(), rise=()):
 
 
 def orbit_representatives(n, table):
-    return SymPoly(n, n, {tuple(x for x in e if x): c for e, c in table.items()
-                          if list(e) == sorted(e, reverse=True)})
+    return SymFunc(n, "M", {tuple(x for x in e if x): c for e, c in table.items()
+                            if list(e) == sorted(e, reverse=True)})
 
 
 def test_partition_content_kernel_matches_brute_force_tables():

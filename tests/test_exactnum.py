@@ -11,7 +11,6 @@ from chromaq.exactnum import (
     RationalFunc,
     _pdivmod,
     _poly_gcd,
-    parse_laurent,
     ratfunc_to_laurent,
 )
 
@@ -152,7 +151,7 @@ def test_monic_gcd_with_fraction_coefficients():
     assert (r.num, r.den) == (LaurentPoly.const(1), T + 1)
 
 
-# -- printing and parsing ----------------------------------------------------
+# -- printing ---------------------------------------------------------------
 
 @pytest.mark.parametrize("f,s", [
     (T * T + 4 * T + 1, "t^2+4*t+1"),
@@ -164,17 +163,6 @@ def test_monic_gcd_with_fraction_coefficients():
 ])
 def test_str_format(f, s):
     assert str(f) == s
-
-
-@pytest.mark.parametrize("f", [
-    T * T + 4 * T + 1,
-    LaurentPoly(),
-    LaurentPoly.t(-5),
-    -T + 1,
-    L({3: Fraction(1, 2), 0: -2, -2: Fraction(-5, 3)}),
-])
-def test_parse_print_roundtrip(f):
-    assert parse_laurent(str(f)) == f
 
 
 # -- ring axioms on random inputs ---------------------------------------------

@@ -9,35 +9,18 @@ from chromaq.guards import SizeGuardError
 from chromaq.symfunc import (
     BASES,
     SymFunc,
-    SymPoly,
     basis_element,
     check_symmetric,
     eval_t,
     expand_in_basis,
     omega,
     plethysm_frac,
-    symfunc_to_sympoly,
     _from_monomials,
     _hall_littlewood_coords,
 )
 
 T = LaurentPoly.t()
 RF = RationalFunc.const
-
-
-def brute_monomial_coords(poly_fn, degree, nvars):
-    """Independent oracle: evaluate a function of x-variables monomial by monomial.
-
-    poly_fn(exponents) returns the coefficient of x^exponents; we read off the
-    coefficients at sorted exponent vectors.
-    """
-    out = {}
-    for mu in gen_partitions(degree):
-        if len(mu) <= nvars:
-            c = poly_fn(mu + (0,) * (nvars - len(mu)))
-            if c:
-                out[mu] = RF(c)
-    return out
 
 
 def schur_by_ssyt(lam, nvars):
@@ -81,18 +64,18 @@ def schur_by_ssyt(lam, nvars):
 
 def test_e_k_is_monomial_of_ones():
     for k in range(1, 5):
-        el = basis_element("E", (k,), k)
+        el = basis_element("E", (k,))
         assert el.coeffs == {tuple([1] * k): RationalFunc.const(1)}
 
 
 def test_hlp_column_is_elementary():
     for n in range(1, 8):
         lam = tuple([1] * n)
-        assert basis_element("HLP", lam, n) == basis_element("E", (n,), n)
+        assert basis_element("HLP", lam) == basis_element("E", (n,))
 
 
 def test_schur_21_monomials():
-    el = basis_element("S", (2, 1), 3)
+    el = basis_element("S", (2, 1))
     assert el.coeffs == {(2, 1): RF(1), (1, 1, 1): RF(2)}
 
 
@@ -101,22 +84,19 @@ def test_schur_matches_ssyt_oracle():
         for lam in gen_partitions(n):
             want = schur_by_ssyt(lam, n)
             want = {mu: RF(c) for mu, c in want.items() if c}
-            got = basis_element("S", lam, max(n, 1) if n else 1).coeffs
-            if n == 0:
-                got = basis_element("S", lam, 1).coeffs
-            assert got == want, lam
+            assert basis_element("S", lam).coeffs == want, lam
 
 
 def test_unknown_basis():
     with pytest.raises(ValueError):
-        basis_element("Q", (1,), 1)
+        basis_element("Q", (1,))
 
 
 def test_nvars_guard():
     with pytest.raises(SizeGuardError):
-        basis_element("M", (9,), 9)
+        basis_element("M", (9,))
     with pytest.raises(SizeGuardError):
-        basis_element("M", (3,), 2)
+        expand_in_basis(SymFunc(9, "M", {(9,): RF(1)}), "S")
 
 
 # -- Hall-Littlewood anchors -----------------------------------------------------
@@ -124,16 +104,16 @@ def test_nvars_guard():
 def test_hl_specializes_to_schur_at_zero():
     for n in range(8):
         for lam in gen_partitions(n):
-            hl = basis_element("HLP", lam, max(n, 1)).eval_t(0)
-            s = basis_element("S", lam, max(n, 1))
+            hl = eval_t(basis_element("HLP", lam), 0)
+            s = basis_element("S", lam)
             assert hl == s, lam
 
 
 def test_hl_specializes_to_monomial_at_one():
     for n in range(8):
         for lam in gen_partitions(n):
-            hl = basis_element("HLP", lam, max(n, 1)).eval_t(1)
-            m = basis_element("M", lam, max(n, 1))
+            hl = eval_t(basis_element("HLP", lam), 1)
+            m = basis_element("M", lam)
             assert hl == m, lam
 
 
@@ -162,14 +142,14 @@ def gram_schmidt_hl(d):
     done = []
     out = {}
     for lam in reversed(parts):
-        v = dict(expand_in_basis(basis_element("M", lam, d), "P").coeffs)
+        v = dict(expand_in_basis(basis_element("M", lam), "P").coeffs)
         for w, nw in done:
             c = inner(v, w) / nw
             for nu, wc in w.items():
                 v[nu] = v.get(nu, RF(0)) - c * wc
         v = {nu: c for nu, c in v.items() if not c.is_zero}
         done.append((v, inner(v, v)))
-        out[lam] = symfunc_to_sympoly(SymFunc(d, "P", v)).coeffs
+        out[lam] = expand_in_basis(SymFunc(d, "P", v), "M").coeffs
     return out
 
 
@@ -189,7 +169,7 @@ def test_hl_coefficients_are_integer_polynomials():
 
 def test_hl_two_row():
     # classical: P_(2) = m_2 + (1-t) m_11
-    el = basis_element("HLP", (2,), 2)
+    el = basis_element("HLP", (2,))
     assert el.coeff((2,)) == RationalFunc(LaurentPoly.const(1))
     assert el.coeff((1, 1)) == RationalFunc(1 - T)
 
@@ -199,8 +179,8 @@ def test_pt_relation():
     from chromaq.combinatorics import nstat
     for n in range(6):
         for lam in gen_partitions(n):
-            pt = basis_element("PT", lam, max(n, 1))
-            hl = basis_element("HLP", lam, max(n, 1))
+            pt = basis_element("PT", lam)
+            hl = basis_element("HLP", lam)
             shift = RationalFunc(LaurentPoly.t(-nstat(lam)))
             twisted = hl.map_coeffs(lambda c: c.subs_inv() * shift)
             assert pt == twisted, lam
@@ -208,7 +188,7 @@ def test_pt_relation():
 
 def test_pt_coeffs_are_laurent():
     for lam in gen_partitions(5):
-        for c in basis_element("PT", lam, 5).coeffs.values():
+        for c in basis_element("PT", lam).coeffs.values():
             assert c.is_laurent
 
 
@@ -218,23 +198,23 @@ def test_roundtrip_all_bases():
     for n in range(6):
         for basis in BASES:
             for lam in gen_partitions(n):
-                el = basis_element(basis, lam, max(n, 1))
+                el = basis_element(basis, lam)
                 expanded = expand_in_basis(el, basis)
                 assert expanded.coeffs == {lam: RF(1)}, (basis, lam)
 
 
 def test_schur_in_e_basis():
-    got = expand_in_basis(basis_element("S", (2, 1), 3), "E")
+    got = expand_in_basis(basis_element("S", (2, 1)), "E")
     assert got.coeffs == {(2, 1): RF(1), (3,): RF(-1)}
 
 
 def test_p2_in_monomials():
-    got = expand_in_basis(basis_element("P", (2,), 2), "M")
+    got = expand_in_basis(basis_element("P", (2,)), "M")
     assert got.coeffs == {(2,): RF(1)}
 
 
 def test_expand_builds_each_change_of_basis_once():
-    f = basis_element("H", (2, 1), 3).scale(RationalFunc(T + 1))
+    f = basis_element("H", (2, 1)).scale(RationalFunc(T + 1))
     expand_in_basis(f, "S")
     before = _from_monomials.cache_info()
     for _ in range(3):
@@ -244,10 +224,41 @@ def test_expand_builds_each_change_of_basis_once():
     assert after.hits == before.hits + 6
 
 
-def test_symfunc_to_sympoly_roundtrip():
+def test_expand_in_basis_roundtrip_through_m():
+    # every basis b: m_lam -> b -> M is the identity, for every lam with d <= 5
+    for d in range(6):
+        for lam in gen_partitions(d):
+            F = basis_element("M", lam)
+            for b in BASES:
+                assert expand_in_basis(expand_in_basis(F, b), "M") == F, (b, lam)
     F = SymFunc(3, "S", {(2, 1): RF(2), (1, 1, 1): RF(-1)})
-    back = expand_in_basis(symfunc_to_sympoly(F), "S")
-    assert back == F
+    assert expand_in_basis(expand_in_basis(F, "M"), "S") == F
+
+
+def test_expand_in_basis_same_basis_is_identity():
+    F = SymFunc(3, "HLP", {(2, 1): RationalFunc(T + 1)})
+    assert expand_in_basis(F, "HLP") is F
+
+
+# -- the SymFunc type -------------------------------------------------------------
+
+@pytest.mark.parametrize("degree, key", [
+    (3, (1, 2)),
+    (3, (2,)),
+    (2, (2, 0)),
+    (2, (3, -1)),
+])
+def test_symfunc_rejects_non_partition_key(degree, key):
+    with pytest.raises(ValueError, match="is not a partition of"):
+        SymFunc(degree, "M", {key: RF(1)})
+
+
+def test_symfunc_drops_zero_coefficients():
+    F = SymFunc(2, "M", {(2,): RF(3), (1, 1): RF(0)})
+    assert F.coeffs == {(2,): RF(3)}
+    assert str(F.scale(RationalFunc(T))) == "(3*t)*m[2]"
+    zero = F.scale(0)
+    assert zero.is_zero and str(zero) == "0"
 
 
 # -- check_symmetric ------------------------------------------------------------
@@ -277,9 +288,9 @@ def test_omega_e_to_h():
     # cross-check omega(e_lam) = h_lam through the p-basis sign rule
     for n in range(1, 6):
         for lam in gen_partitions(n):
-            e_in_p = expand_in_basis(basis_element("E", lam, n), "P")
-            h = symfunc_to_sympoly(omega(e_in_p))
-            assert h == basis_element("H", lam, n), lam
+            e_in_p = expand_in_basis(basis_element("E", lam), "P")
+            h = expand_in_basis(omega(e_in_p), "M")
+            assert h == basis_element("H", lam), lam
 
 
 def test_omega_involution_on_schur():
@@ -290,9 +301,15 @@ def test_omega_involution_on_schur():
             assert omega(F).coeffs == {transpose(lam): RF(1)}
 
 
-def test_omega_unsupported_basis():
-    with pytest.raises(ValueError):
-        omega(SymFunc(2, "M", {(2,): RF(1)}))
+def test_omega_monomial_basis_involution_en_to_hn():
+    # omega on an M-basis SymFunc goes through p and back to M
+    for n in range(1, 6):
+        e, h = basis_element("E", (n,)), basis_element("H", (n,))
+        assert omega(e) == h and omega(h) == e
+        for lam in gen_partitions(n):
+            F = basis_element("M", lam).scale(RationalFunc(T + 2))
+            assert omega(F).basis == "M"
+            assert omega(omega(F)) == F, lam
 
 
 # -- plethysm ------------------------------------------------------------------------
@@ -310,9 +327,9 @@ def test_plethysm_scaled_en_is_laurent():
         tfact = LaurentPoly.const(1)
         for i in range(1, n + 1):
             tfact = tfact * LaurentPoly([1] * i)  # 1 + t + ... + t^{i-1}
-        F = expand_in_basis(basis_element("E", (n,), n).scale(RationalFunc(tfact)), "P")
+        F = expand_in_basis(basis_element("E", (n,)).scale(RationalFunc(tfact)), "P")
         out = plethysm_frac(F).scale(RationalFunc((T - 1) ** n))
-        poly = symfunc_to_sympoly(out)
+        poly = expand_in_basis(out, "M")
         for c in poly.coeffs.values():
             ratfunc_to_laurent(c)  # raises if not Laurent
 
