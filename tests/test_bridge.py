@@ -189,6 +189,17 @@ def test_run_check_guard_propagates():
         run_check("check_cqs", 5, 2)
 
 
+# -- omega on M coordinates -----------------------------------------------------
+
+def test_omega_sympoly_en_hn():
+    # omega takes the monomial coordinates of e_n and h_n to each other
+    for n in range(1, 5):
+        e = basis_element("E", (n,))
+        h = basis_element("H", (n,))
+        assert omega(e) == h
+        assert omega(h) == e
+
+
 # -- CLI -------------------------------------------------------------------------
 
 def test_cli_compute_csf(capsys):

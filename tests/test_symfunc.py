@@ -312,6 +312,17 @@ def test_omega_monomial_basis_involution_en_to_hn():
             assert omega(omega(F)) == F, lam
 
 
+def test_omega_unsupported_basis():
+    # every basis in BASES goes through p and back; a basis outside BASES
+    # is still rejected, whether at construction or on the way through p
+    with pytest.raises(ValueError):
+        omega(SymFunc(2, "X", {(2,): RF(1)}))
+    F = SymFunc(2, "M", {(2,): RF(1)})
+    F.basis = "X"
+    with pytest.raises(ValueError):
+        omega(F)
+
+
 # -- plethysm ------------------------------------------------------------------------
 
 def test_plethysm_p1():
