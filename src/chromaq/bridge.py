@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import Callable, Iterable
 
 from .chromallt import as_expansion, csf, d_coeffs, llt_vertical
@@ -30,7 +31,7 @@ from .combinatorics import (
     indifference_graphs,
     mesa,
 )
-from .exactnum import LaurentPoly, RationalFunc
+from .exactnum import LaurentPoly, Rat, RationalFunc, _frac, ratfunc_to_const
 from .fqoracle import (
     ClassFnUT,
     MatrixFq,
@@ -43,7 +44,16 @@ from .fqoracle import (
     mat_minus_identity,
     psi_pseudo,
 )
-from .symfunc import SymFunc, basis_element, eval_t, expand_in_basis, omega, plethysm_frac
+from .symfunc import (
+    SymFunc,
+    _from_monomials,
+    _m_coords,
+    basis_element,
+    eval_t,
+    expand_in_basis,
+    omega,
+    plethysm_frac,
+)
 
 T = LaurentPoly.t()
 
@@ -52,26 +62,63 @@ T = LaurentPoly.t()
 # realization maps
 # ---------------------------------------------------------------------------
 
+def _consts(row: Iterable[tuple[Partition, RationalFunc]]) -> dict[Partition, Rat]:
+    """A table row of constants, as plain numbers (ArithmeticError if one involves t)."""
+    return {mu: ratfunc_to_const(c) for mu, c in row}
+
+
 @lru_cache(maxsize=None)
-def _pt_at_q(lam: Partition, q: int) -> SymFunc:
-    return eval_t(basis_element("PT", lam), Fraction(q))
+def _pt_at_q(d: int, q: int) -> dict[Partition, dict[Partition, Rat]]:
+    """Each PT_lam(x; q), lam a partition of d, in monomial coordinates."""
+    return {lam: {mu: _frac(c.evaluate(q)) for mu, c in _m_coords("PT", lam)}
+            for lam in gen_partitions(d)}
+
+
+@lru_cache(maxsize=None)
+def _m_to_p(d: int) -> dict[Partition, dict[Partition, Rat]]:
+    """Each m_mu, mu a partition of d, in the power-sum basis."""
+    return {mu: _consts(row.items()) for mu, row in _from_monomials("P", d).items()}
+
+
+@lru_cache(maxsize=None)
+def _omega_p_to_s(d: int) -> dict[Partition, dict[Partition, Rat]]:
+    """Each omega(p_lam) = (-1)^{d - l(lam)} p_lam, lam a partition of d, in the Schur basis."""
+    out = {}
+    for lam in gen_partitions(d):
+        sign = (-1) ** (d - len(lam))
+        row = _consts(expand_in_basis(SymFunc(d, "P", {lam: 1}), "S").coeffs.items())
+        out[lam] = {nu: sign * c for nu, c in row.items()}
+    return out
+
+
+def _apply(coeffs: dict[Partition, Rat], table: dict[Partition, dict[Partition, Rat]]) -> dict[Partition, Rat]:
+    """sum_lam c_lam * table[lam], over Q."""
+    out: dict[Partition, Rat] = {}
+    for lam, c in coeffs.items():
+        for mu, v in table[lam].items():
+            out[mu] = out.get(mu, 0) + c * v
+    return out
+
+
+def _brace1_coords(phi: UnipClassFn) -> dict[Partition, Rat]:
+    return _apply({lam: v for lam, v in phi.items() if v}, _pt_at_q(phi.n, phi.q))
 
 
 def p_brace1(phi: UnipClassFn) -> SymFunc:
     """sum over lam of phi(J_lam) * PT_lam(x; q), with t specialized at q, in basis M."""
-    acc = SymFunc(phi.n, "M", {})
-    for lam, v in phi.values.items():
-        if v:
-            acc = acc + _pt_at_q(lam, phi.q).scale(RationalFunc.const(v))
-    return acc
+    return SymFunc(phi.n, "M", _brace1_coords(phi))
 
 
 def p_one(phi: UnipClassFn) -> SymFunc:
-    """Unipotent-constituent image: omega (p_brace1(phi))[x/(t-1)]|_{t=q}, in Schur basis."""
-    F = expand_in_basis(p_brace1(phi), "P")
-    F = plethysm_frac(F)
-    F = eval_t(F, Fraction(phi.q))
-    return expand_in_basis(omega(F), "S")
+    """Unipotent-constituent image: omega (p_brace1(phi))[x/(t-1)]|_{t=q}, in Schur basis.
+
+    Runs over Q: p_brace1 in P, each p_lam divided by prod (q^{lam_i} - 1),
+    then omega and the change to S as one table.
+    """
+    q = phi.q
+    F = _apply(_brace1_coords(phi), _m_to_p(phi.n))
+    F = {lam: Fraction(c, prod(q ** k - 1 for k in lam)) for lam, c in F.items()}
+    return SymFunc(phi.n, "S", _apply(F, _omega_p_to_s(phi.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +187,7 @@ def check_hess(n: int, q: int) -> CheckReport:
         ind = induce_to_GL(chi_bar(gamma, q))
         cnt = hessenberg_count(gamma, MatrixFq(q, mat_minus_identity(jordan(lam, q).rows, q)))
         lhs = ind(lam)
-        rhs = Fraction((q - 1) ** n * q ** len(gamma.edges) * cnt)
+        rhs = (q - 1) ** n * q ** len(gamma.edges) * cnt
         return lhs == rhs, lhs, rhs
 
     return _scan("check_hess", n, q, items, test)
@@ -180,8 +227,8 @@ def check_mesa(n: int, q: int) -> CheckReport:
     def test(pi):
         lhs = psi_pseudo(mesa(pi), q)
         rhs = chi_super(graph_of(pi), q)
-        return lhs == rhs, {str(g): str(v) for g, v in lhs.values.items() if v}, \
-            {str(g): str(v) for g, v in rhs.values.items() if v}
+        return lhs == rhs, {str(g): str(v) for g, v in lhs.items() if v}, \
+            {str(g): str(v) for g, v in rhs.items() if v}
 
     return _scan("check_mesa", n, q, gen_dyck(n), test)
 
@@ -193,12 +240,12 @@ def check_psi_decomp(n: int, q: int) -> CheckReport:
     def test(sigma):
         lhs = psi_pseudo(sigma, q)
         a, d = area(sigma), diag(sigma)
-        rhs = ClassFnUT(n, q, {})
+        rhs = ClassFnUT.from_dict(n, q, {})
         for gamma in graphs:
             if d <= gamma.edges <= (a | d):
                 rhs = rhs + chi_super(gamma, q)
-        return lhs == rhs, {str(g): str(v) for g, v in lhs.values.items() if v}, \
-            {str(g): str(v) for g, v in rhs.values.items() if v}
+        return lhs == rhs, {str(g): str(v) for g, v in lhs.items() if v}, \
+            {str(g): str(v) for g, v in rhs.items() if v}
 
     return _scan("check_psi_decomp", n, q, gen_tall_schroder(n), test)
 
@@ -210,8 +257,8 @@ def check_permtoind(n: int, q: int) -> CheckReport:
     def test(gamma):
         lhs = chi_bar(gamma, q)
         rhs = permutation_character_oracle(gamma, q)
-        return lhs == rhs, {str(g): str(v) for g, v in lhs.values.items()}, \
-            {str(g): str(v) for g, v in rhs.values.items()}
+        return lhs == rhs, {str(g): str(v) for g, v in lhs.items()}, \
+            {str(g): str(v) for g, v in rhs.items()}
 
     return _scan("check_permtoind", n, q, indifference_graphs(n), test)
 
@@ -304,12 +351,12 @@ def check_gg(n: int, q: int) -> CheckReport:
     sigma = SchroderPath("E" + "D" * (n - 1) + "S")
     ind = induce_to_GL(psi_pseudo(sigma, q))
     denom = (q - 1) ** (n - 1)
-    for lam, v in ind.values.items():
-        if (v / denom).denominator != 1:
+    for lam, v in ind.items():
+        if v % denom:
             return CheckReport("check_gg", n, q, "fail",
                                {"index": str(lam), "lhs": str(v),
                                 "rhs": f"multiple of {denom}"})
-    gamma_n = ind.scale(Fraction(1, denom))
+    gamma_n = UnipClassFn(n, q, tuple(v // denom for v in ind.values))
     lhs = omega(p_one(gamma_n))
     e_n = {tuple([1] * n): RationalFunc.const(1)}
     ok = lhs.coeffs == e_n

@@ -59,8 +59,18 @@ def _emit(obj) -> None:
 # compute verbs
 # ---------------------------------------------------------------------------
 
+def _parse_jordan_type(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"--jordan-type takes comma-separated positive integers, "
+                         f"got {text!r}") from None
+
+
 def _cmd_compute(args: argparse.Namespace) -> int:
     verb = args.verb
+    if args.n is not None and args.n < 0:
+        raise ValueError(f"--n must be >= 0, got {args.n}")
     if verb == "csf":
         _emit(csf(_parse_graph(args.index)).to_json())
     elif verb == "llt":
@@ -81,7 +91,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             raise ValueError("induce needs --q")
         gamma = _parse_graph(args.index)
         ind = induce_to_GL(chi_bar(gamma, args.q))
-        items = [{"partition": list(lam), "value": str(v)} for lam, v in sorted(ind.values.items())]
+        items = [{"partition": list(lam), "value": str(v)} for lam, v in sorted(ind.items())]
         _emit({"n": ind.n, "q": ind.q, "values": items})
     elif verb == "hess-count":
         if args.q is None:
@@ -90,7 +100,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         if args.matrix:
             a = MatrixFq.from_digits(args.matrix, gamma.n, args.q)
         elif args.jordan_type:
-            lam = tuple(int(x) for x in args.jordan_type.split(","))
+            lam = _parse_jordan_type(args.jordan_type)
             a = MatrixFq(args.q, mat_minus_identity(jordan(lam, args.q).rows, args.q))
         else:
             raise ValueError("hess-count needs --matrix DIGITS or --jordan-type PART,PART,..")

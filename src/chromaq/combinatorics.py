@@ -25,13 +25,20 @@ MAX_PARTITION_N = 12
 MAX_PATH_N = 8
 
 
+def _check_size(name: str, n: int, bound: int) -> None:
+    """A negative n is a usage error; one past the bound trips the size guard."""
+    if n < 0:
+        raise ValueError(f"{name}: n = {n} must be >= 0")
+    require(n <= bound, f"{name}: n = {n} exceeds guard {bound}")
+
+
 # ---------------------------------------------------------------------------
 # partitions
 # ---------------------------------------------------------------------------
 
 def gen_partitions(n: int) -> list[Partition]:
     """All partitions of n in reverse lexicographic order: (n) first, (1^n) last."""
-    require(0 <= n <= MAX_PARTITION_N, f"gen_partitions: n = {n} exceeds guard {MAX_PARTITION_N}")
+    _check_size("gen_partitions", n, MAX_PARTITION_N)
     out: list[Partition] = []
 
     def rec(rest: int, maxpart: int, prefix: tuple[int, ...]) -> None:
@@ -156,7 +163,7 @@ class SchroderPath:
 @lru_cache(maxsize=None)
 def gen_dyck(n: int) -> tuple[DyckPath, ...]:
     """All Dyck paths of size n (Catalan many), lexicographic in the step string."""
-    require(0 <= n <= MAX_PATH_N, f"gen_dyck: n = {n} exceeds guard {MAX_PATH_N}")
+    _check_size("gen_dyck", n, MAX_PATH_N)
     out: list[DyckPath] = []
 
     def rec(prefix: str, x: int, y: int) -> None:
@@ -174,7 +181,7 @@ def gen_dyck(n: int) -> tuple[DyckPath, ...]:
 @lru_cache(maxsize=None)
 def gen_tall_schroder(n: int) -> tuple[SchroderPath, ...]:
     """All tall Schroeder paths of size n (small Schroeder many)."""
-    require(0 <= n <= MAX_PATH_N, f"gen_tall_schroder: n = {n} exceeds guard {MAX_PATH_N}")
+    _check_size("gen_tall_schroder", n, MAX_PATH_N)
     out: list[SchroderPath] = []
 
     def rec(prefix: str, x: int, y: int) -> None:

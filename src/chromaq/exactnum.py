@@ -482,6 +482,18 @@ def ratfunc_to_laurent(r: RationalFunc) -> LaurentPoly:
     )
 
 
+def ratfunc_to_const(r: RationalFunc) -> Rat:
+    """The value of r, which must not involve t; raises ArithmeticError otherwise.
+
+    The tripwire for tables specialised from symbolic ones that theory says
+    are free of t.
+    """
+    num = r.num
+    if r.is_laurent and (num.is_zero or (num.low == 0 and len(num.coeffs) == 1)):
+        return num[0]
+    raise ArithmeticError(f"{r} is not a constant")
+
+
 RF_ZERO = RationalFunc.const(0)
 RF_ONE = RationalFunc.const(1)
 T = LaurentPoly.t()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Iterator
+from typing import Iterable, Iterator, Mapping
 
 from .combinatorics import (
     IndiffGraph,
@@ -29,6 +29,7 @@ from .combinatorics import (
     indifference_graphs,
     mobius_subgraph,
 )
+from .exactnum import Rat, _div
 from .guards import require
 
 PRIMES = (2, 3, 5, 7)
@@ -265,84 +266,79 @@ def superclass_sizes(n: int, q: int) -> dict[IndiffGraph, int]:
 # class functions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ClassFnUT:
-    """Superclass function of UT_n(F_q): one rational value per indifference graph."""
+@lru_cache(maxsize=None)
+def _graph_index(n: int) -> dict[IndiffGraph, int]:
+    """Position of each indifference graph on [n] in the order of indifference_graphs(n)."""
+    return {g: i for i, g in enumerate(indifference_graphs(n))}
+
+
+@lru_cache(maxsize=None)
+def _partition_index(n: int) -> dict[Partition, int]:
+    """Position of each partition of n in the order of gen_partitions(n)."""
+    return {lam: i for i, lam in enumerate(gen_partitions(n))}
+
+
+@dataclass(frozen=True)
+class _ClassFn:
+    """A class function as a tuple of plain numbers, one per key of the
+    subclass's `_index(n)`, in that order; calling it looks a key up."""
 
     n: int
     q: int
-    values: dict[IndiffGraph, Fraction]
+    values: tuple[Rat, ...]
 
     def __post_init__(self):
-        full = {g: Fraction(0) for g in indifference_graphs(self.n)}
-        for g, v in self.values.items():
-            if g not in full:
-                raise ValueError(f"{g} is not an indifference graph on [{self.n}]")
-            full[g] = Fraction(v)
-        self.values = full
+        if type(self.values) is not tuple or len(self.values) != len(self._index(self.n)):
+            raise ValueError(f"{type(self).__name__} values must be a tuple with one entry "
+                             f"per index at n = {self.n}; build from a mapping with from_dict")
 
-    def __call__(self, g: IndiffGraph) -> Fraction:
-        return self.values[g]
+    @classmethod
+    def from_dict(cls, n: int, q: int, vals: Mapping) -> "_ClassFn":
+        """The function with the given values, zero on every key not named."""
+        index = cls._index(n)
+        out = [0] * len(index)
+        for key, v in vals.items():
+            if key not in index:
+                raise ValueError(f"{key} is not an index of {cls.__name__} at n = {n}")
+            out[index[key]] = v
+        return cls(n, q, tuple(out))
 
-    def at(self, u: MatrixFq) -> Fraction:
+    def __call__(self, key) -> Rat:
+        return self.values[self._index(self.n)[key]]
+
+    def items(self) -> Iterator[tuple]:
+        return zip(self._index(self.n), self.values)
+
+    def __add__(self, other: "_ClassFn") -> "_ClassFn":
+        if type(other) is not type(self) or (self.n, self.q) != (other.n, other.q):
+            raise AssertionError("cannot add class functions of different groups")
+        return type(self)(self.n, self.q, tuple(a + b for a, b in zip(self.values, other.values)))
+
+    def __sub__(self, other: "_ClassFn") -> "_ClassFn":
+        return self + other.scale(-1)
+
+    def scale(self, c: Rat) -> "_ClassFn":
+        return type(self)(self.n, self.q, tuple(v * c for v in self.values))
+
+
+class ClassFnUT(_ClassFn):
+    """Superclass function of UT_n(F_q): one value per indifference graph, in
+    the order of indifference_graphs(n).  The characters here hold ints."""
+
+    _index = staticmethod(_graph_index)
+
+    def at(self, u: MatrixFq) -> Rat:
         """Value at a group element, through its superclass label."""
         if u.q != self.q or u.n != self.n:
             raise ValueError("element lives in a different group")
-        return self.values[superclass_label(u)]
-
-    def __add__(self, other: "ClassFnUT") -> "ClassFnUT":
-        if (self.n, self.q) != (other.n, other.q):
-            raise AssertionError("cannot add superclass functions of different groups")
-        return ClassFnUT(self.n, self.q,
-                         {g: v + other.values[g] for g, v in self.values.items()})
-
-    def __sub__(self, other: "ClassFnUT") -> "ClassFnUT":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "ClassFnUT":
-        c = Fraction(c)
-        return ClassFnUT(self.n, self.q, {g: v * c for g, v in self.values.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ClassFnUT):
-            return NotImplemented
-        return (self.n, self.q) == (other.n, other.q) and self.values == other.values
+        return self(superclass_label(u))
 
 
-@dataclass
-class UnipClassFn:
-    """Unipotently supported class function of GL_n(F_q): one value per Jordan type."""
+class UnipClassFn(_ClassFn):
+    """Unipotently supported class function of GL_n(F_q): one value per Jordan
+    type, in the order of gen_partitions(n)."""
 
-    n: int
-    q: int
-    values: dict[Partition, Fraction]
-
-    def __post_init__(self):
-        full = {lam: Fraction(0) for lam in gen_partitions(self.n)}
-        for lam, v in self.values.items():
-            lam = tuple(lam)
-            if lam not in full:
-                raise ValueError(f"{lam} is not a partition of {self.n}")
-            full[lam] = Fraction(v)
-        self.values = full
-
-    def __call__(self, lam: Partition) -> Fraction:
-        return self.values[tuple(lam)]
-
-    def __add__(self, other: "UnipClassFn") -> "UnipClassFn":
-        if (self.n, self.q) != (other.n, other.q):
-            raise AssertionError("cannot add class functions of different groups")
-        return UnipClassFn(self.n, self.q,
-                           {lam: v + other.values[lam] for lam, v in self.values.items()})
-
-    def scale(self, c) -> "UnipClassFn":
-        c = Fraction(c)
-        return UnipClassFn(self.n, self.q, {lam: v * c for lam, v in self.values.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UnipClassFn):
-            return NotImplemented
-        return (self.n, self.q) == (other.n, other.q) and self.values == other.values
+    _index = staticmethod(_partition_index)
 
 
 def _guard_classfn(n: int, q: int) -> None:
@@ -350,33 +346,41 @@ def _guard_classfn(n: int, q: int) -> None:
     require(n <= MAX_CLASSFN_N, f"class functions are guarded at n <= {MAX_CLASSFN_N}, got {n}")
 
 
+def _upset_sum(n: int, q: int, terms: Iterable[tuple[IndiffGraph, int]]) -> ClassFnUT:
+    """sum of c * (indicator of the graphs containing gamma) over (gamma, c) in terms."""
+    graphs = _graph_index(n)
+    acc = [0] * len(graphs)
+    for gamma, c in terms:
+        e = gamma.edges
+        for i, g in enumerate(graphs):
+            if e <= g.edges:
+                acc[i] += c
+    return ClassFnUT(n, q, tuple(acc))
+
+
 def delta_fn(gamma: IndiffGraph, q: int) -> ClassFnUT:
     """Indicator of the single superclass gamma."""
     _guard_classfn(gamma.n, q)
-    return ClassFnUT(gamma.n, q, {gamma: Fraction(1)})
+    return ClassFnUT.from_dict(gamma.n, q, {gamma: 1})
 
 
 def delta_bar(gamma: IndiffGraph, q: int) -> ClassFnUT:
     """Indicator of UT_gamma: 1 on superclasses sigma with E(sigma) >= E(gamma)."""
     _guard_classfn(gamma.n, q)
-    vals = {g: Fraction(1) for g in indifference_graphs(gamma.n) if gamma.edges <= g.edges}
-    return ClassFnUT(gamma.n, q, vals)
+    return _upset_sum(gamma.n, q, [(gamma, 1)])
 
 
 def chi_bar(gamma: IndiffGraph, q: int) -> ClassFnUT:
     """Permutation character of UT_n on UT_n/UT_gamma: q^{|E|} times delta_bar."""
-    return delta_bar(gamma, q).scale(q ** len(gamma.edges))
+    _guard_classfn(gamma.n, q)
+    return _upset_sum(gamma.n, q, [(gamma, q ** len(gamma.edges))])
 
 
 def chi_super(gamma: IndiffGraph, q: int) -> ClassFnUT:
     """Supercharacter attached to gamma, via Moebius inversion of chi_bar."""
     _guard_classfn(gamma.n, q)
-    mob = mobius_subgraph(gamma)
-    out = ClassFnUT(gamma.n, q, {})
-    for sigma, mu in mob.items():
-        if mu:
-            out = out + chi_bar(sigma, q).scale(mu)
-    return out
+    return _upset_sum(gamma.n, q, [(sigma, mu * q ** len(sigma.edges))
+                                   for sigma, mu in mobius_subgraph(gamma).items() if mu])
 
 
 def psi_pseudo(sigma: SchroderPath, q: int) -> ClassFnUT:
@@ -387,16 +391,15 @@ def psi_pseudo(sigma: SchroderPath, q: int) -> ClassFnUT:
     _guard_classfn(n, q)
     a = area(sigma)
     d = sorted(diag(sigma))
-    out = ClassFnUT(n, q, {})
+    terms = []
     for mask in product((0, 1), repeat=len(d)):
         s = frozenset(e for e, m in zip(d, mask) if m)
         try:
             g = IndiffGraph(n, a | s)
         except ValueError as exc:  # cannot happen for genuine tall paths
             raise AssertionError(f"Area u S failed interval closure for {sigma}") from exc
-        sign = (-1) ** (len(d) - len(s))
-        out = out + chi_bar(g, q).scale(sign)
-    return out
+        terms.append((g, (-1) ** (len(d) - len(s)) * q ** len(g.edges)))
+    return _upset_sum(n, q, terms)
 
 
 def inner_product_UT(phi: ClassFnUT, psi: ClassFnUT) -> Fraction:
@@ -404,7 +407,7 @@ def inner_product_UT(phi: ClassFnUT, psi: ClassFnUT) -> Fraction:
     if (phi.n, phi.q) != (psi.n, psi.q):
         raise ValueError("inner_product_UT needs matching (n, q)")
     sizes = superclass_sizes(phi.n, phi.q)
-    total = sum(sizes[g] * phi.values[g] * psi.values[g] for g in sizes)
+    total = sum(sizes[g] * v * w for (g, v), w in zip(phi.items(), psi.values))
     return Fraction(total, ut_order(phi.n, phi.q))
 
 
@@ -477,13 +480,12 @@ def induce_to_GL(phi: ClassFnUT) -> UnipClassFn:
     of phi at the superclass of the conjugate.
     """
     n, q = phi.n, phi.q
-    tbl = induction_table(n, q)
+    index, vals = _graph_index(n), phi.values
+    # induction_table is keyed in gen_partitions(n) order, the order of UnipClassFn
     order = ut_order(n, q)
-    vals = {}
-    for lam, labs in tbl.items():
-        total = sum(cnt * phi.values[g] for g, cnt in labs.items())
-        vals[lam] = Fraction(total, order)
-    return UnipClassFn(n, q, vals)
+    return UnipClassFn(n, q, tuple(
+        _div(sum(cnt * vals[index[g]] for g, cnt in labs.items()), order)
+        for labs in induction_table(n, q).values()))
 
 
 def induce_trivial_from_subgroup(gamma: IndiffGraph, q: int) -> UnipClassFn:
@@ -507,12 +509,10 @@ def induce_trivial_from_subgroup(gamma: IndiffGraph, q: int) -> UnipClassFn:
         for lam, lam_pairs in pairs.items():
             if not any(sum(xi[i][a] * x[b][j] for a, b in lam_pairs) % q for i, j in zeros):
                 counts[lam] += 1
-    vals = {}
-    for lam, count in counts.items():
+    for count in counts.values():
         if count % sub_order:
             raise AssertionError(f"{count} conjugates are not a union of UT_gamma cosets")
-        vals[lam] = Fraction(count, sub_order)
-    return UnipClassFn(n, q, vals)
+    return UnipClassFn.from_dict(n, q, {lam: c // sub_order for lam, c in counts.items()})
 
 
 @lru_cache(maxsize=None)
@@ -545,8 +545,8 @@ def permutation_character_oracle(gamma: IndiffGraph, q: int) -> ClassFnUT:
         count = sum(c for mask, c in masks.items() if mask & edge_mask == edge_mask)
         if count % sub_order:
             raise AssertionError(f"{count} fixed cosets is not a multiple of {sub_order}")
-        vals[g] = Fraction(count, sub_order)
-    return ClassFnUT(n, q, vals)
+        vals[g] = count // sub_order
+    return ClassFnUT.from_dict(n, q, vals)
 
 
 def centralizer_order(g: MatrixFq) -> int:

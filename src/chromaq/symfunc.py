@@ -28,6 +28,7 @@ from .exactnum import (
     RF_ONE,
     RF_ZERO,
     RationalFunc,
+    ratfunc_to_const,
 )
 from .guards import require
 
@@ -384,8 +385,27 @@ def expand_in_basis(F: SymFunc, basis: str) -> SymFunc:
     return SymFunc(F.degree, basis, coeffs)
 
 
+@lru_cache(maxsize=None)
+def _omega_m(d: int) -> dict[Partition, tuple[tuple[Partition, int], ...]]:
+    """omega(m_mu) in monomial coordinates, for every partition mu of d.
+
+    Built once per degree through P.  omega is a ring automorphism of
+    Lambda_Z, so every entry is an integer (Macdonald I.2); a non-integer
+    raises ArithmeticError.
+    """
+    out = {}
+    for mu in gen_partitions(d):
+        F = omega(expand_in_basis(SymFunc(d, "M", {mu: RF_ONE}), "P"))
+        row = tuple((nu, ratfunc_to_const(c)) for nu, c in expand_in_basis(F, "M").coeffs.items())
+        if any(type(v) is not int for _, v in row):
+            raise ArithmeticError(f"omega(m_{list(mu)}) has a non-integer m-coordinate")
+        out[mu] = row
+    return out
+
+
 def omega(F: SymFunc) -> SymFunc:
-    """The involution omega: sign rule on p, transpose on s, e <-> h swap.
+    """The involution omega: sign rule on p, transpose on s, e <-> h swap,
+    one cached integer table on m.
 
     Any other basis goes through p and back.
     """
@@ -398,6 +418,9 @@ def omega(F: SymFunc) -> SymFunc:
         return SymFunc(F.degree, "H", dict(F.coeffs))
     if F.basis == "H":
         return SymFunc(F.degree, "E", dict(F.coeffs))
+    if F.basis == "M":
+        table = _omega_m(F.degree)
+        return SymFunc(F.degree, "M", _change(F.coeffs, table.__getitem__))
     return expand_in_basis(omega(expand_in_basis(F, "P")), F.basis)
 
 

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -25,9 +26,45 @@ from chromaq.combinatorics import (
 from chromaq.exactnum import RationalFunc
 from chromaq.fqoracle import UnipClassFn, chi_bar, induce_to_GL, psi_pseudo
 from chromaq.guards import SizeGuardError
-from chromaq.symfunc import basis_element, eval_t, expand_in_basis, omega, plethysm_frac
+from chromaq.symfunc import SymFunc, basis_element, eval_t, expand_in_basis, omega, plethysm_frac
 
 RF = RationalFunc.const
+
+
+# -- the symbolic realization maps, kept as the oracle for the path over Q --------
+
+@lru_cache(maxsize=None)
+def symbolic_pt_at_q(lam, q):
+    return eval_t(basis_element("PT", lam), Fraction(q))
+
+
+def symbolic_p_brace1(phi):
+    acc = SymFunc(phi.n, "M", {})
+    for lam, v in phi.items():
+        if v:
+            acc = acc + symbolic_pt_at_q(lam, phi.q).scale(RF(v))
+    return acc
+
+
+def symbolic_p_one(phi):
+    F = expand_in_basis(symbolic_p_brace1(phi), "P")
+    F = plethysm_frac(F)
+    F = eval_t(F, Fraction(phi.q))
+    return expand_in_basis(omega(F), "S")
+
+
+DEFAULT_GRID = [(n, q) for q in (2, 3) for n in (1, 2, 3)]
+
+
+def test_p_one_and_p_brace1_match_the_symbolic_oracle():
+    # both maps are linear, so the indicator of each Jordan type pins them;
+    # the induced chi_bar add values that are not 0 or 1
+    for n, q in DEFAULT_GRID + [(4, 2)]:
+        phis = [UnipClassFn.from_dict(n, q, {lam: 1}) for lam in gen_partitions(n)]
+        phis += [induce_to_GL(chi_bar(g, q)) for g in indifference_graphs(n)]
+        for phi in phis:
+            assert p_brace1(phi) == symbolic_p_brace1(phi), (n, q, phi)
+            assert p_one(phi) == symbolic_p_one(phi), (n, q, phi)
 
 
 # -- p_brace1 -----------------------------------------------------------------
@@ -35,14 +72,14 @@ RF = RationalFunc.const
 def test_p_brace1_column_indicator():
     # indicator of the identity class maps to q^{-binom(n,2)} e_n
     for n, q in [(2, 2), (3, 2), (3, 3)]:
-        phi = UnipClassFn(n, q, {tuple([1] * n): Fraction(1)})
+        phi = UnipClassFn.from_dict(n, q, {tuple([1] * n): Fraction(1)})
         f = p_brace1(phi)
         want = basis_element("E", (n,)).scale(RF(Fraction(1, q ** (n * (n - 1) // 2))))
         assert f == want
 
 
 def test_p_brace1_zero():
-    phi = UnipClassFn(3, 2, {})
+    phi = UnipClassFn.from_dict(3, 2, {})
     assert p_brace1(phi).is_zero
 
 
@@ -307,6 +344,20 @@ def test_cli_hess_count_rejects_nonpositive_jordan_part(capsys):
     assert main(["compute", "hess-count", "ES", "--q", "2", "--jordan-type", "2,-1"]) == 2
     assert main(["compute", "hess-count", "ES", "--q", "2", "--jordan-type", "2,0"]) == 2
     assert "part <= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compute", "superclass-sizes", "--n", "-1", "--q", "2"], "--n must be >= 0, got -1"),
+    (["compute", "hess-count", "ES", "--q", "2", "--jordan-type", "2,x"],
+     "--jordan-type takes comma-separated positive integers, got '2,x'"),
+    (["compute", "hess-count", "ES", "--q", "2", "--jordan-type", "2,,1"],
+     "--jordan-type takes comma-separated positive integers"),
+])
+def test_cli_compute_rejects_bad_sizes(capsys, argv, message):
+    from chromaq.cli import main
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_cli_d_coeffs_and_as_expand(capsys):

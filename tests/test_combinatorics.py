@@ -117,6 +117,13 @@ def test_path_guard():
         gen_dyck(9)
 
 
+@pytest.mark.parametrize("gen", [gen_partitions, gen_dyck, gen_tall_schroder])
+def test_negative_size_is_not_reported_as_too_large(gen):
+    with pytest.raises(ValueError, match="n = -1 must be >= 0") as e:
+        gen(-1)
+    assert not isinstance(e.value, SizeGuardError)
+
+
 def test_invalid_paths_rejected():
     with pytest.raises(ValueError):
         DyckPath("SE")

@@ -11,6 +11,7 @@ from chromaq.exactnum import (
     RationalFunc,
     _pdivmod,
     _poly_gcd,
+    ratfunc_to_const,
     ratfunc_to_laurent,
 )
 
@@ -59,6 +60,23 @@ def test_non_divisible_names_remainder():
     with pytest.raises(NonDivisibleError) as e:
         ratfunc_to_laurent(r)
     assert "remainder" in str(e.value)
+
+
+# -- ratfunc_to_const --------------------------------------------------------
+
+def test_ratfunc_to_const_returns_canonical_numbers():
+    assert type(ratfunc_to_const(RationalFunc.const(Fraction(6, 3)))) is int
+    assert ratfunc_to_const(RationalFunc.const(Fraction(-3, 4))) == Fraction(-3, 4)
+    assert ratfunc_to_const(RationalFunc.const(0)) == 0
+    # a quotient that cancels to a constant is a constant
+    assert ratfunc_to_const(RationalFunc(2 * T - 2, T - 1)) == 2
+
+
+@pytest.mark.parametrize("r", [RationalFunc(T), RationalFunc(LaurentPoly.t(-1)),
+                               RationalFunc(T + 1), RationalFunc(LaurentPoly.const(1), T + 1)])
+def test_ratfunc_to_const_raises_on_t(r):
+    with pytest.raises(ArithmeticError, match="not a constant"):
+        ratfunc_to_const(r)
 
 
 # -- canonical forms ---------------------------------------------------------

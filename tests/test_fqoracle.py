@@ -8,12 +8,14 @@ from chromaq.combinatorics import (
     SchroderPath,
     gen_dyck,
     gen_partitions,
+    gen_tall_schroder,
     graph_of,
     indifference_graphs,
 )
 from chromaq.fqoracle import (
     PRIMES,
     ClassFnUT,
+    UnipClassFn,
     MatrixFq,
     canonical_flag,
     centralizer_order,
@@ -156,7 +158,7 @@ def test_superclass_rep_labels():
 
 def test_delta_bar_edgeless_is_constant_one():
     f = delta_bar(IG(3), 2)
-    assert all(v == 1 for v in f.values.values())
+    assert all(v == 1 for v in f.values)
 
 
 def test_classfn_evaluation_at_element():
@@ -202,7 +204,7 @@ def test_coset_oracle_sweeps_ut_once_per_n_q():
 def test_chi_super_mobius_roundtrip():
     q = 2
     for gamma in indifference_graphs(4):
-        total = ClassFnUT(4, q, {})
+        total = ClassFnUT.from_dict(4, q, {})
         for sigma in indifference_graphs(4):
             if sigma.edges <= gamma.edges:
                 total = total + chi_super(sigma, q)
@@ -291,8 +293,8 @@ def test_induce_trivial_small_case():
 
 
 def test_induce_zero():
-    z = ClassFnUT(2, 2, {})
-    assert induce_to_GL(z).values == {(2,): 0, (1, 1): 0}
+    z = ClassFnUT.from_dict(2, 2, {})
+    assert dict(induce_to_GL(z).items()) == {(2,): 0, (1, 1): 0}
 
 
 def test_induce_linearity():
@@ -321,20 +323,47 @@ def test_induce_transitivity_against_one_step_oracle():
 def test_induced_characters_have_integer_values():
     # chi_bar and psi_pseudo are genuine characters, so induction gives
     # algebraic integers; over Q that means plain integers
-    from chromaq.combinatorics import gen_tall_schroder
     for q in (2, 3):
         for gamma in indifference_graphs(3):
-            for v in induce_to_GL(chi_bar(gamma, q)).values.values():
+            for v in induce_to_GL(chi_bar(gamma, q)).values:
                 assert v.denominator == 1
         for sigma in gen_tall_schroder(3):
-            for v in induce_to_GL(psi_pseudo(sigma, q)).values.values():
+            for v in induce_to_GL(psi_pseudo(sigma, q)).values:
                 assert v.denominator == 1
+
+
+def test_class_function_values_are_plain_numbers():
+    # chi_bar, chi and psi are integer-valued, so they hold ints (never a
+    # Fraction or a float); only induction divides, by |UT_n|
+    for q in (2, 3):
+        for n in (1, 2, 3):
+            fns = [chi_bar(g, q) for g in indifference_graphs(n)]
+            fns += [chi_super(g, q) for g in indifference_graphs(n)]
+            fns += [psi_pseudo(s, q) for s in gen_tall_schroder(n)]
+            for f in fns:
+                assert all(type(v) is int for v in f.values), f
+                assert all(type(v) in (int, Fraction) for v in induce_to_GL(f).values), f
+    third = induce_to_GL(chi_bar(IG(2), 2).scale(Fraction(1, 3)))
+    assert third.values == (Fraction(1, 3), 1) and type(third.values[1]) is int
+
+
+def test_class_functions_take_a_tuple_or_from_dict():
+    gamma = IG(2, (1, 2))
+    f = ClassFnUT.from_dict(2, 2, {gamma: 5})
+    assert f(gamma) == 5 and f(IG(2)) == 0
+    assert dict(f.items()) == {IG(2): 0, gamma: 5}
+    with pytest.raises(ValueError, match="from_dict"):
+        ClassFnUT(2, 2, {gamma: 5})
+    with pytest.raises(ValueError, match="from_dict"):
+        UnipClassFn(2, 2, (1, 2, 3))
+    with pytest.raises(ValueError):
+        UnipClassFn.from_dict(2, 2, {(3,): 1})
 
 
 def test_induce_guard():
     # induction obeys the class-function bound n <= 4 for every q
     with pytest.raises(SizeGuardError):
-        induce_to_GL(ClassFnUT(5, 2, {}))
+        induce_to_GL(ClassFnUT.from_dict(5, 2, {}))
 
 
 def test_regular_class_size():

@@ -17,6 +17,7 @@ from chromaq.symfunc import (
     plethysm_frac,
     _from_monomials,
     _hall_littlewood_coords,
+    _omega_m,
 )
 
 T = LaurentPoly.t()
@@ -310,6 +311,27 @@ def test_omega_monomial_basis_involution_en_to_hn():
             F = basis_element("M", lam).scale(RationalFunc(T + 2))
             assert omega(F).basis == "M"
             assert omega(omega(F)) == F, lam
+
+
+def _omega_m_through_p(d, mu):
+    """The old path for omega on M: m_mu -> P, the sign (-1)^{d - l(lam)}, back to M."""
+    F = expand_in_basis(basis_element("M", mu), "P")
+    F = SymFunc(d, "P", {lam: c * (-1) ** (d - len(lam)) for lam, c in F.coeffs.items()})
+    return {nu: c for nu, c in expand_in_basis(F, "M").coeffs.items()}
+
+
+def test_omega_m_table_is_an_integer_involution_equal_to_the_p_path():
+    for d in range(7):
+        table = _omega_m(d)
+        assert list(table) == gen_partitions(d)
+        for mu, row in table.items():
+            assert all(type(v) is int for _, v in row), (d, mu)
+            assert {nu: RF(v) for nu, v in row} == _omega_m_through_p(d, mu), (d, mu)
+            twice = {}
+            for nu, v in row:
+                for kappa, w in table[nu]:
+                    twice[kappa] = twice.get(kappa, 0) + v * w
+            assert {k: v for k, v in twice.items() if v} == {mu: 1}, (d, mu)
 
 
 def test_omega_unsupported_basis():
