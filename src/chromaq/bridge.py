@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import factorial, prod
 from typing import Callable, Iterable
 
 from .chromallt import as_expansion, csf, d_coeffs, llt_vertical
@@ -31,7 +31,7 @@ from .combinatorics import (
     indifference_graphs,
     mesa,
 )
-from .exactnum import LaurentPoly, Rat, RationalFunc, _frac, ratfunc_to_const
+from .exactnum import LaurentPoly, Rat, _frac, ratfunc_to_const
 from .fqoracle import (
     ClassFnUT,
     MatrixFq,
@@ -52,7 +52,7 @@ from .symfunc import (
     eval_t,
     expand_in_basis,
     omega,
-    plethysm_frac,
+    plethysm_mul,
 )
 
 T = LaurentPoly.t()
@@ -62,7 +62,7 @@ T = LaurentPoly.t()
 # realization maps
 # ---------------------------------------------------------------------------
 
-def _consts(row: Iterable[tuple[Partition, RationalFunc]]) -> dict[Partition, Rat]:
+def _consts(row: Iterable[tuple[Partition, LaurentPoly]]) -> dict[Partition, Rat]:
     """A table row of constants, as plain numbers (ArithmeticError if one involves t)."""
     return {mu: ratfunc_to_const(c) for mu, c in row}
 
@@ -78,6 +78,21 @@ def _pt_at_q(d: int, q: int) -> dict[Partition, dict[Partition, Rat]]:
 def _m_to_p(d: int) -> dict[Partition, dict[Partition, Rat]]:
     """Each m_mu, mu a partition of d, in the power-sum basis."""
     return {mu: _consts(row.items()) for mu, row in _from_monomials("P", d).items()}
+
+
+@lru_cache(maxsize=None)
+def _m_to_p_integral(d: int) -> dict[Partition, dict[Partition, int]]:
+    """d! times each m_mu, mu a partition of d, in the power-sum basis.
+
+    Each entry of m -> p is an integer over z_lam, and d!/z_lam is a class
+    size, so every entry here is an integer; anything else raises.
+    """
+    out = {}
+    for mu, row in _m_to_p(d).items():
+        out[mu] = {lam: _frac(factorial(d) * c) for lam, c in row.items()}
+        if any(type(v) is not int for v in out[mu].values()):
+            raise ArithmeticError(f"{factorial(d)} * m_{list(mu)} has a non-integer p-coordinate")
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -168,11 +183,10 @@ def _scan(name: str, n: int, q: int | None, items: Iterable,
 
 def check_cqs(n: int, q: int) -> CheckReport:
     """Induced permutation characters realize (q-1)^n X_gamma(x; q)."""
-    scale = RationalFunc.const((q - 1) ** n)
 
     def test(gamma):
         lhs = p_brace1(induce_to_GL(chi_bar(gamma, q)))
-        rhs = eval_t(csf(gamma), q).scale(scale)
+        rhs = eval_t(csf(gamma), q).scale((q - 1) ** n)
         return lhs == rhs, lhs, rhs
 
     return _scan("check_cqs", n, q, indifference_graphs(n), test)
@@ -214,8 +228,7 @@ def check_llt(n: int, q: int) -> CheckReport:
     def test(sigma):
         lhs = p_one(induce_to_GL(psi_pseudo(sigma, q)))
         G = eval_t(llt_vertical(sigma), q)
-        scale = RationalFunc.const((q - 1) ** len(diag(sigma)))
-        rhs = expand_in_basis(omega(G).scale(scale), "S")
+        rhs = expand_in_basis(omega(G).scale((q - 1) ** len(diag(sigma))), "S")
         return lhs == rhs, lhs.to_json(), rhs.to_json()
 
     return _scan("check_llt", n, q, gen_tall_schroder(n), test)
@@ -275,14 +288,24 @@ def check_as(n: int) -> CheckReport:
 
 
 def check_cm(n: int) -> CheckReport:
-    """(t-1)^n X_{Graph(pi)}[x/(t-1)] = G_pi, symbolically in t."""
-    scale = RationalFunc((T - 1) ** n)
+    """(t-1)^n X_{Graph(pi)} = G_pi[(t-1)x], symbolically in t.
+
+    This is Carlsson-Mellit's (t-1)^n X_{Graph(pi)}[x/(t-1)] = G_pi with the
+    plethysm moved to the other side: p_k -> p_k / (t^k - 1) and
+    p_k -> (t^k - 1) p_k are mutually inverse ring maps that leave the
+    coefficients alone, so applying the second to both sides gives this
+    form.  The left side is X scaled in basis M; the right side takes n! G
+    to P through an integer table, multiplies each p_lam by
+    prod (t^{lam_i} - 1), returns to M and divides by n!.  The two sides
+    share no change of basis, and every product stays in Z[t].
+    """
+    scale = (T - 1) ** n
+    to_p = _m_to_p_integral(n)
 
     def test(pi):
-        F = expand_in_basis(csf(graph_of(pi)), "P")
-        F = plethysm_frac(F).scale(scale)
-        lhs = expand_in_basis(F, "M")
-        rhs = llt_vertical(pi.as_schroder())
+        lhs = csf(graph_of(pi)).scale(scale)
+        G = SymFunc(n, "P", _apply(llt_vertical(pi.as_schroder()).coeffs, to_p))
+        rhs = expand_in_basis(plethysm_mul(G), "M").scale(Fraction(1, factorial(n)))
         return lhs == rhs, lhs, rhs
 
     return _scan("check_cm", n, None, gen_dyck(n), test)
@@ -293,8 +316,7 @@ def check_palindromic(n: int) -> CheckReport:
 
     def test(gamma):
         X = csf(gamma)
-        shift = RationalFunc(LaurentPoly.t(len(gamma.edges)))
-        lhs = X.map_coeffs(lambda c: c.subs_inv() * shift)
+        lhs = X.map_coeffs(lambda c: c.subs_inv().shift(len(gamma.edges)))
         return lhs == X, lhs, X
 
     return _scan("check_palindromic", n, None, indifference_graphs(n), test)
@@ -308,17 +330,9 @@ def check_prop56(n: int) -> CheckReport:
     """
     from itertools import product as iproduct
 
-    gcache: dict[str, SymFunc] = {}
-
-    def G(path: SchroderPath) -> SymFunc:
-        if path.steps not in gcache:
-            gcache[path.steps] = llt_vertical(path)
-        return gcache[path.steps]
-
     def test_i(pi):
-        g = G(pi.as_schroder())
-        shift = RationalFunc(LaurentPoly.t(len(area(pi))))
-        lhs = g.map_coeffs(lambda c: c.subs_inv() * shift)
+        g = llt_vertical(pi.as_schroder())
+        lhs = g.map_coeffs(lambda c: c.subs_inv().shift(len(area(pi))))
         rhs = omega(g)
         return lhs == rhs, lhs, rhs
 
@@ -331,12 +345,12 @@ def check_prop56(n: int) -> CheckReport:
     for sigma in gen_tall_schroder(n):
         d = sorted(diag(sigma))
         a = area(sigma)
-        lhs = G(sigma).scale(RationalFunc((T - 1) ** len(d)))
+        lhs = llt_vertical(sigma).scale((T - 1) ** len(d))
         rhs = SymFunc(n, "M", {})
         for mask in iproduct((0, 1), repeat=len(d)):
             s = frozenset(e for e, m in zip(d, mask) if m)
             sign = (-1) ** (len(d) - len(s))
-            rhs = rhs + G(area_inverse(a | s, n).as_schroder()).scale(RationalFunc.const(sign))
+            rhs = rhs + llt_vertical(area_inverse(a | s, n).as_schroder()).scale(sign)
         if lhs != rhs:
             return CheckReport("check_prop56", n, None, "fail",
                                {"part": "ii", "index": str(sigma), "lhs": str(lhs), "rhs": str(rhs)})
@@ -358,7 +372,7 @@ def check_gg(n: int, q: int) -> CheckReport:
                                 "rhs": f"multiple of {denom}"})
     gamma_n = UnipClassFn(n, q, tuple(v // denom for v in ind.values))
     lhs = omega(p_one(gamma_n))
-    e_n = {tuple([1] * n): RationalFunc.const(1)}
+    e_n = {tuple([1] * n): LaurentPoly.const(1)}
     ok = lhs.coeffs == e_n
     if ok:
         return CheckReport("check_gg", n, q, "pass")
@@ -370,8 +384,7 @@ def check_gg(n: int, q: int) -> CheckReport:
 def check_st_en(n: int) -> CheckReport:
     """t^{binom(n,2)} PT_{(1^n)}(x; t) = e_n, symbolically."""
     lam = tuple([1] * n)
-    shift = RationalFunc(LaurentPoly.t(n * (n - 1) // 2))
-    lhs = basis_element("PT", lam).scale(shift)
+    lhs = basis_element("PT", lam).scale(LaurentPoly.t(n * (n - 1) // 2))
     rhs = basis_element("E", (n,) if n else ())
     if lhs == rhs:
         return CheckReport("check_st_en", n, None, "pass")
@@ -388,8 +401,7 @@ def check_cor66(n: int, q: int) -> CheckReport:
 
     def test(sigma):
         lhs = expand_in_basis(omega(p_one(induce_to_GL(psi_pseudo(sigma, q)))), "M")
-        scale = RationalFunc.const((q - 1) ** len(diag(sigma)))
-        rhs = expand_in_basis(eval_t(as_expansion(sigma), q), "M").scale(scale)
+        rhs = expand_in_basis(eval_t(as_expansion(sigma), q), "M").scale((q - 1) ** len(diag(sigma)))
         return lhs == rhs, lhs, rhs
 
     return _scan("check_cor66", n, q, gen_tall_schroder(n), test)

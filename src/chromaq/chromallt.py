@@ -8,6 +8,10 @@ polynomial (Haglund-Haiman-Loehr, JAMS 2005) are symmetric, so the
 coefficient of m_mu equals the coefficient of the single monomial x^mu.  Only
 colorings whose content is a partition mu are therefore enumerated: the
 distinct words with mu_1 copies of color 1, mu_2 of color 2, and so on.
+
+`csf`, `llt_vertical` and `as_expansion` are built once per process for each
+graph or path (both are frozen dataclasses, so they key an `lru_cache`); the
+cached SymFunc is immutable, so every caller may share it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .combinatorics import (
     multiset_perms,
     type_of,
 )
-from .exactnum import LaurentPoly, ratfunc_to_laurent
+from .exactnum import LaurentPoly
 from .guards import require
 from .symfunc import SymFunc, expand_in_basis
 
@@ -71,12 +75,14 @@ def _color_sum(n: int, asc_edges: Iterable[Edge], differ: Iterable[Edge] = (),
     return SymFunc(n, "M", coeffs)
 
 
+@lru_cache(maxsize=None)
 def csf(gamma: IndiffGraph) -> SymFunc:
     """Chromatic quasisymmetric function: sum over proper colorings of t^asc x^kappa."""
     require(gamma.n <= MAX_COLORING_N, f"csf: n = {gamma.n} exceeds guard {MAX_COLORING_N}")
     return _color_sum(gamma.n, gamma.edges, differ=gamma.edges)
 
 
+@lru_cache(maxsize=None)
 def llt_vertical(sigma: SchroderPath) -> SymFunc:
     """Vertical-strip LLT polynomial of a tall Schroeder path.
 
@@ -90,6 +96,7 @@ def llt_vertical(sigma: SchroderPath) -> SymFunc:
     return _color_sum(n, area(sigma), rise=diag(sigma))
 
 
+@lru_cache(maxsize=None)
 def as_expansion(sigma: SchroderPath) -> SymFunc:
     """Orientation-sum e-expansion of the vertical-strip LLT polynomial.
 
@@ -119,16 +126,10 @@ def as_expansion(sigma: SchroderPath) -> SymFunc:
 
 
 def d_coeffs(gamma: IndiffGraph) -> dict[Partition, LaurentPoly]:
-    """Expansion of X_gamma in the symbolic modified Hall-Littlewood basis.
-
-    Coefficients are coerced to Laurent polynomials; failure to clear is a bug
-    tripwire, not an expected runtime condition.
-    """
+    """Expansion of X_gamma in the symbolic modified Hall-Littlewood basis."""
     require(gamma.n <= MAX_EXPANSION_N,
             f"d_coeffs: n = {gamma.n} exceeds guard {MAX_EXPANSION_N}")
-    F = expand_in_basis(csf(gamma), "PT")
-    out = {lam: ratfunc_to_laurent(F.coeff(lam)) for lam in F.coeffs}
-    return out
+    return dict(expand_in_basis(csf(gamma), "PT").coeffs)
 
 
 def is_nonneg_int_poly(f: LaurentPoly) -> bool:
@@ -149,6 +150,6 @@ def e_expansion_X(gamma: IndiffGraph) -> tuple[SymFunc, list[Partition]]:
     F = expand_in_basis(csf(gamma), "E")
     violations = []
     for lam, c in sorted(F.coeffs.items()):
-        if not (c.is_laurent and is_nonneg_int_poly(c.num)):
+        if not is_nonneg_int_poly(c):
             violations.append(lam)
     return F, violations

@@ -166,6 +166,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         if args.target not in ALL_CHECKS:
             raise ValueError(f"unknown check {args.target!r}; choose from {sorted(ALL_CHECKS)}")
+        if args.target in SYMBOLIC_CHECKS and args.q is not None:
+            raise ValueError(f"{args.target} is symbolic in t and takes no --q")
         n = args.n if args.n is not None else 3
         q = None if args.target in SYMBOLIC_CHECKS else (args.q if args.q is not None else 2)
         jobs = [(args.target, n, q)]

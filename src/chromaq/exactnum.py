@@ -1,11 +1,14 @@
 """Exact arithmetic in one indeterminate t.
 
-Laurent polynomials and reduced rational functions over Q.  Nearly every
-coefficient the package builds lies in Z[t], so a coefficient is stored as an
-``int`` whenever it is integral and as a ``fractions.Fraction`` only for a true
-quotient; every division goes through ``Fraction``.  A ``float`` coefficient
-raises ``TypeError``: there is deliberately no floating-point anywhere.
-Everything is immutable and canonical, so equality and hashing are structural.
+Laurent polynomials over Q, the one coefficient type of the package, and
+reduced rational functions over Q, which no other module constructs: the
+tests keep them as the oracle for the old paths that divided by polynomials.
+Nearly every coefficient the package builds lies in Z[t], so a coefficient is
+stored as an ``int`` whenever it is integral and as a ``fractions.Fraction``
+only for a true quotient; every division goes through ``Fraction``.  A
+``float`` coefficient raises ``TypeError``: there is deliberately no
+floating-point anywhere.  Everything is immutable and canonical, so equality
+and hashing are structural.
 """
 
 from __future__ import annotations
@@ -19,10 +22,6 @@ Rat = Union[int, Fraction]
 
 class PoleError(ZeroDivisionError):
     """Evaluation hit a pole (t = 0 with negative exponents, or a root of a denominator)."""
-
-
-class NonDivisibleError(ArithmeticError):
-    """An exact Laurent division was requested but a nonzero remainder exists."""
 
 
 def _frac(x: Rat) -> Rat:
@@ -468,32 +467,15 @@ def _coerce(x) -> "RationalFunc":
     return NotImplemented
 
 
-def ratfunc_to_laurent(r: RationalFunc) -> LaurentPoly:
-    """Assert that r is actually a Laurent polynomial and return it.
-
-    Used as a correctness tripwire: callers invoke it exactly where theory
-    promises the denominator clears.
-    """
-    if r.is_laurent:
-        return r.num
-    _, rem = _pdivmod(list(r.num.coeffs), list(r.den.coeffs))
-    raise NonDivisibleError(
-        f"{r.den} does not divide {r.num}: remainder {LaurentPoly(rem, low=r.num.low)}"
-    )
-
-
-def ratfunc_to_const(r: RationalFunc) -> Rat:
-    """The value of r, which must not involve t; raises ArithmeticError otherwise.
+def ratfunc_to_const(f: LaurentPoly) -> Rat:
+    """The value of f, which must not involve t; raises ArithmeticError otherwise.
 
     The tripwire for tables specialised from symbolic ones that theory says
     are free of t.
     """
-    num = r.num
-    if r.is_laurent and (num.is_zero or (num.low == 0 and len(num.coeffs) == 1)):
-        return num[0]
-    raise ArithmeticError(f"{r} is not a constant")
+    if f.is_zero or (f.low == 0 and len(f.coeffs) == 1):
+        return f[0]
+    raise ArithmeticError(f"{f} is not a constant")
 
 
-RF_ZERO = RationalFunc.const(0)
-RF_ONE = RationalFunc.const(1)
 T = LaurentPoly.t()

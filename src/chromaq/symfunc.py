@@ -1,4 +1,4 @@
-"""Symmetric functions of degree n with rational-function coefficients.
+"""Symmetric functions of degree n with Laurent-polynomial coefficients.
 
 One type, `SymFunc`, holds the coefficients of a homogeneous symmetric
 function in one named basis.  In basis M they are the orbit-sum coordinates
@@ -12,38 +12,39 @@ change of basis goes through them.  The supported bases are
 
 Hall-Littlewood P is read off semistandard tableaux, P_lam = sum_T psi_T(t) x^T
 (Macdonald, Symmetric Functions and Hall Polynomials, III (5.11') and (5.8')),
-so its monomial coordinates are built in Z[t] with no division.
+so its monomial coordinates are built in Z[t] with no division.  Every
+change-of-basis table is unitriangular up to a power of t (M, S, HLP, PT) or
+constant (E, H, P), so the Laurent ring Q[t, 1/t] holds every coefficient and
+no basis change divides by a polynomial.  A SymFunc is immutable: the caches
+in chromallt hand one object to every caller.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from math import prod
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .combinatorics import Partition, gen_partitions, multiset_perms, nstat, transpose
-from .exactnum import (
-    LaurentPoly,
-    RF_ONE,
-    RF_ZERO,
-    RationalFunc,
-    ratfunc_to_const,
-)
+from .exactnum import LaurentPoly, ratfunc_to_const
 from .guards import require
 
 MAX_DEGREE = 8
 BASES = ("M", "E", "H", "P", "S", "HLP", "PT")
 
-Coeff = RationalFunc
+Coeff = LaurentPoly
+ZERO = LaurentPoly()
+ONE = LaurentPoly.const(1)
+_T = LaurentPoly.t()
 
 
-def _rf(x) -> RationalFunc:
-    if isinstance(x, RationalFunc):
-        return x
-    if isinstance(x, LaurentPoly):
-        return RationalFunc(x)
-    return RationalFunc.const(x)
+def _coeff(x) -> LaurentPoly:
+    """x as a coefficient: a LaurentPoly, or an int or Fraction made constant."""
+    return x if isinstance(x, LaurentPoly) else LaurentPoly.const(x)
 
 
 # ---------------------------------------------------------------------------
@@ -59,19 +60,19 @@ def _orbit_monomials(mu: Partition, nvars: int) -> tuple[tuple[int, ...], ...]:
 
 def check_symmetric(full: Mapping[tuple[int, ...], Coeff], nvars: int) -> bool:
     """True iff a full exponent-vector table is constant on S_n-orbits."""
-    cleaned = {e: c for e, c in full.items() if not _rf(c).is_zero}
+    cleaned = {e: c for e, c in full.items() if not _coeff(c).is_zero}
     reps: dict[tuple[int, ...], Coeff] = {}
     for e, c in cleaned.items():
         r = tuple(sorted(e, reverse=True))
         if r in reps:
-            if _rf(reps[r]) != _rf(c):
+            if _coeff(reps[r]) != _coeff(c):
                 return False
         else:
             reps[r] = c
     for r, c in reps.items():
         mu = tuple(x for x in r if x)
         for e in _orbit_monomials(mu, nvars):
-            if _rf(cleaned.get(e, RF_ZERO)) != _rf(c):
+            if _coeff(cleaned.get(e, ZERO)) != _coeff(c):
                 return False
     return True
 
@@ -80,38 +81,39 @@ def check_symmetric(full: Mapping[tuple[int, ...], Coeff], nvars: int) -> bool:
 # SymFunc: coefficients in a named basis
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SymFunc:
     """A homogeneous symmetric function sum_lam c_lam * b_lam in one named basis.
 
     Basis M (monomial) holds the orbit-sum coordinates of the symmetric
     polynomial in `degree` variables; `expand_in_basis` converts between bases.
+    Immutable: assignment raises and `coeffs` is a read-only mapping.
     """
 
     degree: int
     basis: str
-    coeffs: dict[Partition, Coeff]
+    coeffs: Mapping[Partition, Coeff]
 
     def __post_init__(self):
         if self.basis not in BASES:
             raise ValueError(f"unknown basis {self.basis!r}")
         cleaned: dict[Partition, Coeff] = {}
         for mu, c in self.coeffs.items():
-            c = _rf(c)
+            c = _coeff(c)
             if c.is_zero:
                 continue
             mu = tuple(mu)
             if sum(mu) != self.degree or any(a < b for a, b in zip(mu, mu[1:])) or mu and mu[-1] < 1:
                 raise ValueError(f"{mu} is not a partition of {self.degree}")
             cleaned[mu] = c
-        self.coeffs = cleaned
+        object.__setattr__(self, "coeffs", MappingProxyType(cleaned))
 
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def coeff(self, mu: Partition) -> Coeff:
-        return self.coeffs.get(tuple(mu), RF_ZERO)
+        return self.coeffs.get(tuple(mu), ZERO)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymFunc):
@@ -122,7 +124,7 @@ class SymFunc:
         return SymFunc(self.degree, self.basis, {mu: fn(c) for mu, c in self.coeffs.items()})
 
     def scale(self, c) -> "SymFunc":
-        c = _rf(c)
+        c = _coeff(c)
         return self.map_coeffs(lambda v: v * c)
 
     def __add__(self, other: "SymFunc") -> "SymFunc":
@@ -130,7 +132,7 @@ class SymFunc:
             raise AssertionError("cannot add SymFuncs of different degree or basis")
         out = dict(self.coeffs)
         for mu, c in other.coeffs.items():
-            out[mu] = out.get(mu, RF_ZERO) + c
+            out[mu] = out.get(mu, ZERO) + c
         return SymFunc(self.degree, self.basis, out)
 
     def __str__(self) -> str:
@@ -150,8 +152,8 @@ class SymFunc:
 # basis elements in monomial coordinates
 # ---------------------------------------------------------------------------
 
-def _mono(mu: Partition, coeff=1) -> dict[Partition, Coeff]:
-    return {mu: _rf(coeff)}
+def _mono(mu: Partition) -> dict[Partition, Coeff]:
+    return {mu: ONE}
 
 
 def _orbit_product(a: dict[Partition, Coeff], b: dict[Partition, Coeff],
@@ -166,7 +168,7 @@ def _orbit_product(a: dict[Partition, Coeff], b: dict[Partition, Coeff],
     out: dict[Partition, Coeff] = {}
     for nu in gen_partitions(degree):
         target = nu + (0,) * (n - len(nu))
-        acc = RF_ZERO
+        acc = ZERO
         for e, c in fa:
             c2 = fb.get(tuple(x - y for x, y in zip(target, e)))
             if c2 is not None:
@@ -178,7 +180,7 @@ def _orbit_product(a: dict[Partition, Coeff], b: dict[Partition, Coeff],
 
 def _product_coords(parts: Partition, unit: Callable[[int], dict[Partition, Coeff]]) -> dict[Partition, Coeff]:
     n = sum(parts)
-    acc, deg = {(): RF_ONE}, 0
+    acc, deg = {(): ONE}, 0
     for k in parts:
         deg += k
         acc = _orbit_product(acc, unit(k), deg, n)
@@ -196,14 +198,14 @@ def _m_coords(basis: str, lam: Partition) -> tuple[tuple[Partition, Coeff], ...]
     elif basis == "E":
         coords = _product_coords(lam, lambda k: _mono(tuple([1] * k)))
     elif basis == "H":
-        coords = _product_coords(lam, lambda k: {mu: RF_ONE for mu in gen_partitions(k)})
+        coords = _product_coords(lam, lambda k: {mu: ONE for mu in gen_partitions(k)})
     elif basis == "S":
         coords = _schur_coords(lam)
     elif basis == "HLP":
         coords = _hall_littlewood_coords(d)[lam]
     elif basis == "PT":
-        shift = RationalFunc(LaurentPoly.t(-nstat(lam)))
-        coords = {mu: c.subs_inv() * shift for mu, c in _hall_littlewood_coords(d)[lam].items()}
+        shift = -nstat(lam)
+        coords = {mu: c.subs_inv().shift(shift) for mu, c in _hall_littlewood_coords(d)[lam].items()}
     else:
         raise ValueError(f"unknown basis {basis!r}")
     return tuple(sorted(coords.items()))
@@ -212,7 +214,7 @@ def _m_coords(basis: str, lam: Partition) -> tuple[tuple[Partition, Coeff], ...]
 def _schur_coords(lam: Partition) -> dict[Partition, Coeff]:
     """Dual Jacobi-Trudi: s_lam = det(e_{lam'_i - i + j}), expanded over the e basis."""
     if not lam:
-        return {(): RF_ONE}
+        return {(): ONE}
     lamt = transpose(lam)
     m = lam[0]
 
@@ -242,7 +244,7 @@ def _schur_coords(lam: Partition) -> dict[Partition, Coeff]:
         if c == 0:
             continue
         for mu, v in _m_coords("E", e_idx):
-            out[mu] = out.get(mu, RF_ZERO) + v * c
+            out[mu] = out.get(mu, ZERO) + v * c
     return {mu: c for mu, c in out.items() if not c.is_zero}
 
 
@@ -307,45 +309,53 @@ def _hall_littlewood_coords(d: int) -> dict[Partition, dict[Partition, Coeff]]:
         for lam, poly in states.items():
             terms = {e: c for e, c in poly.items() if c}
             if terms:
-                out[lam][mu] = RationalFunc(LaurentPoly.from_terms(terms))
+                out[lam][mu] = LaurentPoly.from_terms(terms)
     return out
 
 
-def _lprod(factors) -> LaurentPoly:
-    acc = LaurentPoly.const(1)
-    for f in factors:
-        acc = acc * f
-    return acc
+def _invert(a: list[list[Coeff]]) -> list[list[Coeff]]:
+    """The inverse of a square matrix over the Laurent ring Q[t, 1/t], by Gauss-Jordan.
+
+    Each pivot, the first nonzero entry on or below the diagonal, must be a
+    unit c * t^k of the ring; any other pivot raises ArithmeticError.
+    """
+    n = len(a)
+    aug = [list(row) + [ONE if i == k else ZERO for k in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if not aug[r][col].is_zero), None)
+        if piv is None:
+            raise ArithmeticError("singular basis system: not a genuine basis")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        p = aug[col][col]
+        if len(p.coeffs) != 1:
+            raise ArithmeticError(f"pivot {p} is not a unit of Q[t, 1/t]")
+        inv = LaurentPoly([1 / Fraction(p.coeffs[0])], low=-p.low)
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            f = aug[r][col]
+            if r != col and not f.is_zero:
+                aug[r] = [x if y.is_zero else x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
 
 
 @lru_cache(maxsize=None)
 def _from_monomials(basis: str, d: int) -> dict[Partition, dict[Partition, Coeff]]:
     """Each m_mu, mu a partition of d, expanded in the named basis.
 
-    The only Gauss-Jordan elimination of the module, run once per (basis, d):
-    the basis elements in m-coordinates are the columns of A, and the columns
-    of A^{-1} are the m_mu in that basis.
+    The only matrix inversion of the module, run once per (basis, d): the
+    basis elements in m-coordinates are the columns of A, and the columns of
+    A^{-1} are the m_mu in that basis.  In `gen_partitions` order every pivot
+    is a unit of Q[t, 1/t], so A^{-1} stays in the Laurent ring.
     """
     keys = gen_partitions(d)
-    n = len(keys)
     idx = {k: i for i, k in enumerate(keys)}
-    aug = [[RF_ZERO] * n + [RF_ONE if i == k else RF_ZERO for k in range(n)] for i in range(n)]
+    a = [[ZERO] * len(keys) for _ in keys]
     for j, lam in enumerate(keys):
         for mu, c in _m_coords(basis, lam):
-            aug[idx[mu]][j] = c
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not aug[r][col].is_zero), None)
-        if piv is None:
-            raise ArithmeticError("singular basis system: not a genuine basis")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = RF_ONE / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return {keys[k]: {keys[j]: aug[j][n + k] for j in range(n) if not aug[j][n + k].is_zero}
-            for k in range(n)}
+            a[idx[mu]][j] = c
+    inv = _invert(a)
+    return {mu: {keys[j]: row[k] for j, row in enumerate(inv) if not row[k].is_zero}
+            for k, mu in enumerate(keys)}
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +376,7 @@ def _change(coeffs: dict[Partition, Coeff],
     out: dict[Partition, Coeff] = {}
     for lam, c in coeffs.items():
         for mu, v in row(lam):
-            out[mu] = out.get(mu, RF_ZERO) + c * v
+            out[mu] = out.get(mu, ZERO) + c * v
     return out
 
 
@@ -395,7 +405,7 @@ def _omega_m(d: int) -> dict[Partition, tuple[tuple[Partition, int], ...]]:
     """
     out = {}
     for mu in gen_partitions(d):
-        F = omega(expand_in_basis(SymFunc(d, "M", {mu: RF_ONE}), "P"))
+        F = omega(expand_in_basis(SymFunc(d, "M", {mu: ONE}), "P"))
         row = tuple((nu, ratfunc_to_const(c)) for nu, c in expand_in_basis(F, "M").coeffs.items())
         if any(type(v) is not int for _, v in row):
             raise ArithmeticError(f"omega(m_{list(mu)}) has a non-integer m-coordinate")
@@ -424,18 +434,18 @@ def omega(F: SymFunc) -> SymFunc:
     return expand_in_basis(omega(expand_in_basis(F, "P")), F.basis)
 
 
-def plethysm_frac(F: SymFunc) -> SymFunc:
-    """Substitute p_k -> p_k / (t^k - 1), i.e. the x/(t-1) plethysm on power sums."""
+def plethysm_mul(F: SymFunc) -> SymFunc:
+    """Substitute p_k -> (t^k - 1) p_k, the plethysm F[(t-1)x] on power sums.
+
+    It inverts F -> F[x/(t-1)] (p_k -> p_k / (t^k - 1)); both are ring maps
+    that leave the coefficients alone, and this one divides by nothing.
+    """
     if F.basis != "P":
-        raise ValueError("plethysm_frac expects the power-sum basis")
-    t = LaurentPoly.t()
-    out = {}
-    for lam, c in F.coeffs.items():
-        den = _lprod(t ** k - 1 for k in lam)
-        out[lam] = c / RationalFunc(den)
-    return SymFunc(F.degree, "P", out)
+        raise ValueError("plethysm_mul expects the power-sum basis")
+    return SymFunc(F.degree, "P", {lam: c * prod((_T ** k - 1 for k in lam), start=ONE)
+                                   for lam, c in F.coeffs.items()})
 
 
 def eval_t(F: SymFunc, q) -> SymFunc:
     """Specialize t = q in every coefficient (PoleError on poles)."""
-    return F.map_coeffs(lambda c: RationalFunc.const(c.evaluate(q)))
+    return F.map_coeffs(lambda c: c.evaluate(q))

@@ -8,6 +8,7 @@ from chromaq.bridge import (
     ALL_CHECKS,
     DEPENDENCIES,
     CheckReport,
+    check_cm,
     check_cqs,
     check_gg,
     check_llt,
@@ -19,16 +20,25 @@ from chromaq.bridge import (
 from chromaq.chromallt import csf, llt_vertical
 from chromaq.combinatorics import (
     IndiffGraph,
+    gen_dyck,
     gen_partitions,
     gen_tall_schroder,
+    graph_of,
     indifference_graphs,
 )
-from chromaq.exactnum import RationalFunc
+from chromaq.exactnum import LaurentPoly
 from chromaq.fqoracle import UnipClassFn, chi_bar, induce_to_GL, psi_pseudo
 from chromaq.guards import SizeGuardError
-from chromaq.symfunc import SymFunc, basis_element, eval_t, expand_in_basis, omega, plethysm_frac
+from chromaq.symfunc import SymFunc, basis_element, eval_t, expand_in_basis, omega, plethysm_mul
+from ratfunc_oracle import cm_lhs, plethysm_frac
 
-RF = RationalFunc.const
+RF = LaurentPoly.const
+T = LaurentPoly.t()
+
+
+def eval_plethysm_frac(F, q):
+    """F[x/(t-1)] at t = q, through the rational-function oracle, in basis P."""
+    return SymFunc(F.degree, "P", {lam: c.evaluate(q) for lam, c in plethysm_frac(F).items()})
 
 
 # -- the symbolic realization maps, kept as the oracle for the path over Q --------
@@ -48,8 +58,7 @@ def symbolic_p_brace1(phi):
 
 def symbolic_p_one(phi):
     F = expand_in_basis(symbolic_p_brace1(phi), "P")
-    F = plethysm_frac(F)
-    F = eval_t(F, Fraction(phi.q))
+    F = eval_plethysm_frac(F, Fraction(phi.q))
     return expand_in_basis(omega(F), "S")
 
 
@@ -104,8 +113,7 @@ def test_p_one_two_code_paths_agree():
         a = p_one(phi)
         F = expand_in_basis(p_brace1(phi), "P")
         F = omega(F)
-        F = plethysm_frac(F)
-        F = eval_t(F, Fraction(q))
+        F = eval_plethysm_frac(F, Fraction(q))
         b = expand_in_basis(F, "S")
         assert a == b
 
@@ -129,7 +137,7 @@ def test_p_one_schur_coefficients_are_nonneg_integers():
         for sigma in gen_tall_schroder(3):
             F = p_one(induce_to_GL(psi_pseudo(sigma, q)))
             for lam, c in F.coeffs.items():
-                assert c.is_laurent and c.num.low == 0 and len(c.num.coeffs) <= 1
+                assert c.low == 0 and len(c.coeffs) <= 1
                 val = c.evaluate(0)
                 assert val.denominator == 1 and val >= 0
 
@@ -205,6 +213,51 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_only_exactnum_mentions_rationalfunc():
+    # RationalFunc is a test oracle: the package computes over LaurentPoly
+    import ast
+    import pathlib
+
+    import chromaq
+    found = []
+    for path in sorted(pathlib.Path(chromaq.__file__).parent.glob("*.py")):
+        if path.name == "exactnum.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name == "RationalFunc":
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert found == []
+
+
+def test_cached_csf_and_llt_results_cannot_be_changed():
+    # csf and llt_vertical hand the same object to every caller
+    g = IndiffGraph(3, frozenset({(1, 2), (2, 3)}))
+    sigma = gen_tall_schroder(3)[1]
+    assert csf(g) is csf(IndiffGraph(3, frozenset({(2, 3), (1, 2)})))
+    assert llt_vertical(sigma) is llt_vertical(gen_tall_schroder(3)[1])
+    for F in (csf(g), llt_vertical(sigma)):
+        before = F.to_json()
+        mu = next(iter(F.coeffs))
+        with pytest.raises(TypeError):
+            F.coeffs[mu] = RF(7)
+        with pytest.raises(TypeError):
+            del F.coeffs[mu]
+        for attr in ("degree", "basis", "coeffs"):
+            with pytest.raises(AttributeError):
+                setattr(F, attr, getattr(F, attr))
+        for method in ("clear", "pop", "update", "setdefault"):
+            assert not hasattr(F.coeffs, method), method
+        with pytest.raises(AttributeError):
+            F.coeffs[mu].coeffs = ()
+        copy = dict(F.coeffs)
+        copy.clear()
+        F.scale(2), F + F, F.map_coeffs(lambda c: c * T), omega(F)
+        assert F.to_json() == before
+
+
 def test_scan_reports_first_failure():
     from chromaq.bridge import _scan
     rep = _scan("check_x", 3, 2, [1, 2, 3], lambda k: (k != 2, f"L{k}", f"R{k}"))
@@ -224,6 +277,37 @@ def test_run_check_unknown():
 def test_run_check_guard_propagates():
     with pytest.raises(SizeGuardError):
         run_check("check_cqs", 5, 2)
+
+
+# -- check_cm against its original form -------------------------------------------
+
+def test_check_cm_agrees_with_the_old_form_through_plethysm_frac():
+    # old: (t-1)^n X[x/(t-1)] = G over Q(t); new: (t-1)^n X = G[(t-1)x] over Q[t, 1/t]
+    for n in range(1, 5):
+        assert check_cm(n).ok, n
+        for pi in gen_dyck(n):
+            old = cm_lhs(pi)
+            assert old == llt_vertical(pi.as_schroder()).coeffs, pi
+            back = plethysm_mul(expand_in_basis(SymFunc(n, "M", old), "P"))
+            assert expand_in_basis(back, "M") == csf(graph_of(pi)).scale((T - 1) ** n), pi
+
+
+def test_check_cm_fails_on_a_perturbed_llt(monkeypatch):
+    import chromaq.bridge as bridge
+    target = gen_dyck(3)[2]
+
+    def perturbed(path):
+        G = llt_vertical(path)
+        if path == target.as_schroder():
+            G = G + SymFunc(3, "M", {(2, 1): T})
+        return G
+
+    monkeypatch.setattr(bridge, "llt_vertical", perturbed)
+    rep = check_cm(3)
+    assert not rep.ok and rep.witness["index"] == str(target)
+    assert rep.witness["lhs"] != rep.witness["rhs"]
+    monkeypatch.undo()
+    assert check_cm(3).ok
 
 
 # -- omega on M coordinates -----------------------------------------------------
@@ -282,6 +366,7 @@ def test_cli_verify_all_point(capsys):
     (["verify", "all", "--q", "5"], "--q picks the field"),
     (["verify", "all", "--n", "2", "--deep"], "--deep extends the default suite"),
     (["verify", "check_cqs", "--deep"], "--deep extends the default suite"),
+    (["verify", "check_as", "--n", "2", "--q", "3"], "check_as is symbolic in t and takes no --q"),
 ])
 def test_cli_verify_rejects_ignored_flags(capsys, argv, message):
     from chromaq.cli import main

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from chromaq.combinatorics import gen_partitions, transpose, zlam
-from chromaq.exactnum import LaurentPoly, PoleError, RationalFunc, ratfunc_to_laurent
+from chromaq.exactnum import LaurentPoly, PoleError, RationalFunc
 from chromaq.guards import SizeGuardError
 from chromaq.symfunc import (
     BASES,
@@ -14,14 +14,16 @@ from chromaq.symfunc import (
     eval_t,
     expand_in_basis,
     omega,
-    plethysm_frac,
+    plethysm_mul,
     _from_monomials,
     _hall_littlewood_coords,
+    _invert,
     _omega_m,
 )
+from ratfunc_oracle import gauss_jordan_from_monomials, plethysm_frac, ratfunc_to_laurent
 
 T = LaurentPoly.t()
-RF = RationalFunc.const
+RF = LaurentPoly.const
 
 
 def schur_by_ssyt(lam, nvars):
@@ -66,7 +68,7 @@ def schur_by_ssyt(lam, nvars):
 def test_e_k_is_monomial_of_ones():
     for k in range(1, 5):
         el = basis_element("E", (k,))
-        assert el.coeffs == {tuple([1] * k): RationalFunc.const(1)}
+        assert el.coeffs == {tuple([1] * k): RF(1)}
 
 
 def test_hlp_column_is_elementary():
@@ -134,7 +136,7 @@ def gram_schmidt_hl(d):
         weight[nu] = RationalFunc(LaurentPoly.const(zlam(nu)), den)
 
     def inner(u, v):
-        acc = RF(0)
+        acc = RationalFunc.const(0)
         for nu, uc in u.items():
             if nu in v:
                 acc = acc + uc * v[nu] * weight[nu]
@@ -143,14 +145,16 @@ def gram_schmidt_hl(d):
     done = []
     out = {}
     for lam in reversed(parts):
-        v = dict(expand_in_basis(basis_element("M", lam), "P").coeffs)
+        v = {nu: RationalFunc(c) for nu, c in expand_in_basis(basis_element("M", lam), "P").coeffs.items()}
         for w, nw in done:
             c = inner(v, w) / nw
             for nu, wc in w.items():
-                v[nu] = v.get(nu, RF(0)) - c * wc
+                v[nu] = v.get(nu, RationalFunc.const(0)) - c * wc
         v = {nu: c for nu, c in v.items() if not c.is_zero}
         done.append((v, inner(v, v)))
-        out[lam] = expand_in_basis(SymFunc(d, "P", v), "M").coeffs
+        # P_lam has p-coordinates in Q[t], so the oracle's quotients must clear
+        p_coords = {nu: ratfunc_to_laurent(c) for nu, c in v.items()}
+        out[lam] = expand_in_basis(SymFunc(d, "P", p_coords), "M").coeffs
     return out
 
 
@@ -163,16 +167,15 @@ def test_hl_coefficients_are_integer_polynomials():
     for d in range(8):
         for lam, coords in _hall_littlewood_coords(d).items():
             for mu, c in coords.items():
-                assert c.den == LaurentPoly.const(1), (lam, mu)
-                assert c.num.low >= 0, (lam, mu)
-                assert all(x.denominator == 1 for x in c.num.coeffs), (lam, mu)
+                assert c.low >= 0, (lam, mu)
+                assert all(type(x) is int for x in c.coeffs), (lam, mu)
 
 
 def test_hl_two_row():
     # classical: P_(2) = m_2 + (1-t) m_11
     el = basis_element("HLP", (2,))
-    assert el.coeff((2,)) == RationalFunc(LaurentPoly.const(1))
-    assert el.coeff((1, 1)) == RationalFunc(1 - T)
+    assert el.coeff((2,)) == LaurentPoly.const(1)
+    assert el.coeff((1, 1)) == 1 - T
 
 
 def test_pt_relation():
@@ -182,15 +185,16 @@ def test_pt_relation():
         for lam in gen_partitions(n):
             pt = basis_element("PT", lam)
             hl = basis_element("HLP", lam)
-            shift = RationalFunc(LaurentPoly.t(-nstat(lam)))
+            shift = LaurentPoly.t(-nstat(lam))
             twisted = hl.map_coeffs(lambda c: c.subs_inv() * shift)
             assert pt == twisted, lam
 
 
 def test_pt_coeffs_are_laurent():
+    # t^{-n(lam)} P_lam(x; 1/t) has coefficients in Z[t, 1/t]
     for lam in gen_partitions(5):
         for c in basis_element("PT", lam).coeffs.values():
-            assert c.is_laurent
+            assert isinstance(c, LaurentPoly) and all(type(x) is int for x in c.coeffs)
 
 
 # -- expansion round trips ---------------------------------------------------------
@@ -215,7 +219,7 @@ def test_p2_in_monomials():
 
 
 def test_expand_builds_each_change_of_basis_once():
-    f = basis_element("H", (2, 1)).scale(RationalFunc(T + 1))
+    f = basis_element("H", (2, 1)).scale(T + 1)
     expand_in_basis(f, "S")
     before = _from_monomials.cache_info()
     for _ in range(3):
@@ -236,8 +240,42 @@ def test_expand_in_basis_roundtrip_through_m():
     assert expand_in_basis(expand_in_basis(F, "M"), "S") == F
 
 
+def test_laurent_tables_equal_the_gauss_jordan_oracle():
+    # the inversion over Q[t, 1/t] gives the same table as Gauss-Jordan over Q(t)
+    for d in range(7):
+        for b in BASES:
+            want = gauss_jordan_from_monomials(b, d)
+            got = _from_monomials(b, d)
+            assert list(got) == list(want), (b, d)
+            for mu, row in got.items():
+                assert {nu: RationalFunc(c) for nu, c in row.items()} == want[mu], (b, d, mu)
+
+
+def test_invert_over_the_laurent_ring():
+    assert _invert([[2 * T]]) == [[LaurentPoly([Fraction(1, 2)], low=-1)]]
+    a = [[RF(1), T], [RF(0), LaurentPoly.t(-2)]]
+    inv = _invert(a)
+    prod = [[sum((a[i][k] * inv[k][j] for k in range(2)), LaurentPoly()) for j in range(2)]
+            for i in range(2)]
+    assert prod == [[RF(1), RF(0)], [RF(0), RF(1)]]
+
+
+@pytest.mark.parametrize("a", [
+    [[1 + T]],
+    [[RF(1), RF(1)], [RF(1), T]],  # the second pivot is t - 1
+])
+def test_invert_raises_on_a_non_unit_pivot(a):
+    with pytest.raises(ArithmeticError, match="not a unit"):
+        _invert(a)
+
+
+def test_invert_raises_on_a_singular_matrix():
+    with pytest.raises(ArithmeticError, match="singular"):
+        _invert([[RF(1), T], [RF(1), T]])
+
+
 def test_expand_in_basis_same_basis_is_identity():
-    F = SymFunc(3, "HLP", {(2, 1): RationalFunc(T + 1)})
+    F = SymFunc(3, "HLP", {(2, 1): T + 1})
     assert expand_in_basis(F, "HLP") is F
 
 
@@ -257,7 +295,7 @@ def test_symfunc_rejects_non_partition_key(degree, key):
 def test_symfunc_drops_zero_coefficients():
     F = SymFunc(2, "M", {(2,): RF(3), (1, 1): RF(0)})
     assert F.coeffs == {(2,): RF(3)}
-    assert str(F.scale(RationalFunc(T))) == "(3*t)*m[2]"
+    assert str(F.scale(T)) == "(3*t)*m[2]"
     zero = F.scale(0)
     assert zero.is_zero and str(zero) == "0"
 
@@ -308,7 +346,7 @@ def test_omega_monomial_basis_involution_en_to_hn():
         e, h = basis_element("E", (n,)), basis_element("H", (n,))
         assert omega(e) == h and omega(h) == e
         for lam in gen_partitions(n):
-            F = basis_element("M", lam).scale(RationalFunc(T + 2))
+            F = basis_element("M", lam).scale(T + 2)
             assert omega(F).basis == "M"
             assert omega(omega(F)) == F, lam
 
@@ -340,7 +378,7 @@ def test_omega_unsupported_basis():
     with pytest.raises(ValueError):
         omega(SymFunc(2, "X", {(2,): RF(1)}))
     F = SymFunc(2, "M", {(2,): RF(1)})
-    F.basis = "X"
+    object.__setattr__(F, "basis", "X")  # SymFunc is frozen; force the bad basis in
     with pytest.raises(ValueError):
         omega(F)
 
@@ -349,27 +387,30 @@ def test_omega_unsupported_basis():
 
 def test_plethysm_p1():
     F = SymFunc(1, "P", {(1,): RF(1)})
-    out = plethysm_frac(F)
-    assert out.coeffs == {(1,): RationalFunc(LaurentPoly.const(1), T - 1)}
+    assert plethysm_frac(F) == {(1,): RationalFunc(LaurentPoly.const(1), T - 1)}
+    assert plethysm_mul(F).coeffs == {(1,): T - 1}
 
 
 def test_plethysm_scaled_en_is_laurent():
     # (t-1)^n [n]_t! e_n[x/(t-1)] has Laurent coefficients (it is a unicellular
-    # LLT polynomial of the complete graph); e_n alone does not clear.
+    # LLT polynomial of the complete graph); e_n alone does not clear.  The
+    # (t^k - 1) plethysm takes it back to (t-1)^n [n]_t! e_n.
     for n in range(1, 6):
         tfact = LaurentPoly.const(1)
         for i in range(1, n + 1):
             tfact = tfact * LaurentPoly([1] * i)  # 1 + t + ... + t^{i-1}
-        F = expand_in_basis(basis_element("E", (n,)).scale(RationalFunc(tfact)), "P")
-        out = plethysm_frac(F).scale(RationalFunc((T - 1) ** n))
-        poly = expand_in_basis(out, "M")
-        for c in poly.coeffs.values():
-            ratfunc_to_laurent(c)  # raises if not Laurent
+        F = expand_in_basis(basis_element("E", (n,)).scale(tfact), "P")
+        scale = RationalFunc((T - 1) ** n)
+        out = {lam: ratfunc_to_laurent(c * scale) for lam, c in plethysm_frac(F).items()}
+        G = SymFunc(n, "P", out)
+        assert plethysm_mul(G) == F.scale((T - 1) ** n), n
 
 
 def test_plethysm_requires_p_basis():
     with pytest.raises(ValueError):
         plethysm_frac(SymFunc(1, "M", {(1,): RF(1)}))
+    with pytest.raises(ValueError):
+        plethysm_mul(SymFunc(1, "M", {(1,): RF(1)}))
 
 
 # -- eval_t ---------------------------------------------------------------------
@@ -380,11 +421,12 @@ def test_eval_t_constant_unchanged():
 
 
 def test_eval_t_pole():
-    F = SymFunc(1, "M", {(1,): RationalFunc(LaurentPoly.const(1), T - 2)})
+    F = SymFunc(1, "M", {(1,): LaurentPoly.t(-1) + 1})
+    assert eval_t(F, 2).coeffs == {(1,): RF(Fraction(3, 2))}
     with pytest.raises(PoleError):
-        eval_t(F, 2)
+        eval_t(F, 0)
 
 
 def test_eval_t_specializes():
-    F = SymFunc(1, "M", {(1,): RationalFunc(T ** 2 + 4 * T + 1)})
+    F = SymFunc(1, "M", {(1,): T ** 2 + 4 * T + 1})
     assert eval_t(F, 2).coeffs == {(1,): RF(13)}
