@@ -22,7 +22,6 @@ from itertools import product
 from typing import Iterable
 
 from .combinatorics import (
-    MAX_ORIENT_EDGES,
     Edge,
     IndiffGraph,
     Orientation,
@@ -35,11 +34,10 @@ from .combinatorics import (
     type_of,
 )
 from .exactnum import LaurentPoly
-from .guards import require
+from .guards import require, require_sweep
 from .symfunc import SymFunc, expand_in_basis
 
 MAX_COLORING_N = 8
-MAX_EXPANSION_N = 6
 
 Coloring = tuple[int, ...]
 
@@ -108,8 +106,8 @@ def as_expansion(sigma: SchroderPath) -> SymFunc:
     n = sigma.size
     a_edges = sorted(area(sigma))
     d_edges = sorted(diag(sigma))
-    require(len(a_edges) + len(d_edges) <= MAX_ORIENT_EDGES,
-            f"as_expansion: |E| exceeds guard {MAX_ORIENT_EDGES}")
+    require_sweep(f"the orientations of the {len(a_edges)} area edges of {sigma}",
+                  2 ** len(a_edges))
     gamma = IndiffGraph(n, frozenset(a_edges) | frozenset(d_edges))
     counts: Counter[tuple[Partition, int]] = Counter()
     for choice in product((0, 1), repeat=len(a_edges)):
@@ -127,8 +125,6 @@ def as_expansion(sigma: SchroderPath) -> SymFunc:
 
 def d_coeffs(gamma: IndiffGraph) -> dict[Partition, LaurentPoly]:
     """Expansion of X_gamma in the symbolic modified Hall-Littlewood basis."""
-    require(gamma.n <= MAX_EXPANSION_N,
-            f"d_coeffs: n = {gamma.n} exceeds guard {MAX_EXPANSION_N}")
     return dict(expand_in_basis(csf(gamma), "PT").coeffs)
 
 
@@ -145,8 +141,6 @@ def e_expansion_X(gamma: IndiffGraph) -> tuple[SymFunc, list[Partition]]:
     The positivity half is an experiment harness (the statement is an open
     conjecture), so violations are reported, never raised.
     """
-    require(gamma.n <= MAX_EXPANSION_N,
-            f"e_expansion_X: n = {gamma.n} exceeds guard {MAX_EXPANSION_N}")
     F = expand_in_basis(csf(gamma), "E")
     violations = []
     for lam, c in sorted(F.coeffs.items()):

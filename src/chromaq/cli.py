@@ -67,8 +67,22 @@ def _parse_jordan_type(text: str) -> tuple[int, ...]:
                          f"got {text!r}") from None
 
 
+# The inputs each compute verb reads; giving it any other one is a usage error.
+_COMPUTE_INPUTS = {
+    **dict.fromkeys(("csf", "llt", "as-expand", "d-coeffs", "e-expand"), ("index",)),
+    "induce": ("index", "q"),
+    "hess-count": ("index", "q", "matrix", "jordan_type"),
+    "superclass-sizes": ("n", "q"),
+}
+
+
 def _cmd_compute(args: argparse.Namespace) -> int:
     verb = args.verb
+    unread = [name for name in ("index", "q", "n", "matrix", "jordan_type")
+              if getattr(args, name) not in (None, "") and name not in _COMPUTE_INPUTS[verb]]
+    if unread:
+        names = ["an index" if u == "index" else "--" + u.replace("_", "-") for u in unread]
+        raise ValueError(f"compute {verb} does not read {', '.join(names)}")
     if args.n is not None and args.n < 0:
         raise ValueError(f"--n must be >= 0, got {args.n}")
     if verb == "csf":
@@ -97,13 +111,13 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         if args.q is None:
             raise ValueError("hess-count needs --q")
         gamma = _parse_graph(args.index)
+        if bool(args.matrix) == bool(args.jordan_type):
+            raise ValueError("hess-count needs one of --matrix DIGITS or --jordan-type PART,PART,..")
         if args.matrix:
             a = MatrixFq.from_digits(args.matrix, gamma.n, args.q)
-        elif args.jordan_type:
+        else:
             lam = _parse_jordan_type(args.jordan_type)
             a = MatrixFq(args.q, mat_minus_identity(jordan(lam, args.q).rows, args.q))
-        else:
-            raise ValueError("hess-count needs --matrix DIGITS or --jordan-type PART,PART,..")
         _emit({"count": hessenberg_count(gamma, a)})
     elif verb == "superclass-sizes":
         if args.n is None or args.q is None:
@@ -112,8 +126,6 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         items = [{"graph": g.to_json(), "size": c}
                  for g, c in sorted(sizes.items(), key=lambda kv: (len(kv[0].edges), kv[0].sorted_edges()))]
         _emit({"n": args.n, "q": args.q, "sizes": items})
-    else:
-        raise ValueError(f"unknown compute verb {verb!r}")
     return 0
 
 
@@ -200,8 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     comp = sub.add_parser("compute", help="compute one object and print JSON")
-    comp.add_argument("verb", choices=["csf", "llt", "as-expand", "d-coeffs", "e-expand",
-                                       "induce", "hess-count", "superclass-sizes"])
+    comp.add_argument("verb", choices=list(_COMPUTE_INPUTS))
     comp.add_argument("index", nargs="?", default="",
                       help="path step string (EESESS) or JSON graph")
     comp.add_argument("--q", type=int, default=None, help="field size (prime <= 7)")

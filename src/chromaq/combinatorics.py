@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator
 
-from .guards import require
+from .guards import require, require_sweep
 
 Edge = tuple[int, int]
 Partition = tuple[int, ...]
@@ -362,9 +362,6 @@ def mobius_subgraph(gamma: IndiffGraph) -> dict[IndiffGraph, int]:
 # orientations
 # ---------------------------------------------------------------------------
 
-MAX_ORIENT_EDGES = 16
-
-
 @dataclass(frozen=True)
 class Orientation:
     base: IndiffGraph
@@ -378,8 +375,7 @@ class Orientation:
 
 def orientations(gamma: IndiffGraph) -> list[Orientation]:
     """All 2^|E| orientations of gamma."""
-    require(len(gamma.edges) <= MAX_ORIENT_EDGES,
-            f"orientations: |E| = {len(gamma.edges)} exceeds guard {MAX_ORIENT_EDGES}")
+    require_sweep(f"the orientations of {len(gamma.edges)} edges", 2 ** len(gamma.edges))
     es = gamma.sorted_edges()
     out = []
     for choice in itertools.product((0, 1), repeat=len(es)):

@@ -185,12 +185,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def degree(self) -> int:
-        """Top exponent (raises on the zero polynomial)."""
-        if self.is_zero:
-            raise ValueError("zero polynomial has no degree")
-        return self.low + len(self.coeffs) - 1
-
     def __getitem__(self, k: int) -> Rat:
         i = k - self.low
         if 0 <= i < len(self.coeffs):
@@ -259,7 +253,8 @@ class LaurentPoly:
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
-            raise ValueError("use RationalFunc for negative powers of general polynomials")
+            raise ValueError(f"negative power {n}: a LaurentPoly has no inverse in general; "
+                             "for t^k use LaurentPoly.t(k)")
         out = LaurentPoly.const(1)
         base = self
         while n:

@@ -2,7 +2,7 @@
 functions, pseudosupercharacters, induction to GL_n, flags, and Hessenberg
 point counts.
 
-q is restricted to primes <= 7; enumeration sizes are deliberately desk-scale.
+q is restricted to primes <= 7; each sweep refuses past guards.MAX_SWEEP elements.
 Matrices are tuples of row tuples with entries reduced mod q.
 
 Induction to GL_n needs only a sweep of UT_n: each element contributes the
@@ -30,11 +30,9 @@ from .combinatorics import (
     mobius_subgraph,
 )
 from .exactnum import Rat, _div
-from .guards import require
+from .guards import require, require_sweep
 
 PRIMES = (2, 3, 5, 7)
-MAX_CLASSFN_N = 4
-MAX_GL_ORDER = 30_000_000
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -181,6 +179,7 @@ def flag_count(n: int, q: int) -> int:
 
 def ut_elements(n: int, q: int) -> Iterator[Rows]:
     """All elements of UT_n(F_q) as row tuples."""
+    require_sweep(f"UT_{n}(F_{q})", ut_order(n, q))
     pos = [(i, j) for i in range(n) for j in range(i + 1, n)]
     base = [list(r) for r in mat_identity(n)]
     for vals in product(range(q), repeat=len(pos)):
@@ -191,6 +190,7 @@ def ut_elements(n: int, q: int) -> Iterator[Rows]:
 
 def gl_matrices(n: int, q: int) -> Iterator[Rows]:
     """Stream all of GL_n(F_q), built row by row from independent vectors."""
+    require_sweep(f"GL_{n}(F_{q})", gl_order(n, q))
     vectors = list(product(range(q), repeat=n))
     zero = tuple([0] * n)
 
@@ -341,11 +341,6 @@ class UnipClassFn(_ClassFn):
     _index = staticmethod(_partition_index)
 
 
-def _guard_classfn(n: int, q: int) -> None:
-    _check_q(q)
-    require(n <= MAX_CLASSFN_N, f"class functions are guarded at n <= {MAX_CLASSFN_N}, got {n}")
-
-
 def _upset_sum(n: int, q: int, terms: Iterable[tuple[IndiffGraph, int]]) -> ClassFnUT:
     """sum of c * (indicator of the graphs containing gamma) over (gamma, c) in terms."""
     graphs = _graph_index(n)
@@ -360,25 +355,25 @@ def _upset_sum(n: int, q: int, terms: Iterable[tuple[IndiffGraph, int]]) -> Clas
 
 def delta_fn(gamma: IndiffGraph, q: int) -> ClassFnUT:
     """Indicator of the single superclass gamma."""
-    _guard_classfn(gamma.n, q)
+    _check_q(q)
     return ClassFnUT.from_dict(gamma.n, q, {gamma: 1})
 
 
 def delta_bar(gamma: IndiffGraph, q: int) -> ClassFnUT:
     """Indicator of UT_gamma: 1 on superclasses sigma with E(sigma) >= E(gamma)."""
-    _guard_classfn(gamma.n, q)
+    _check_q(q)
     return _upset_sum(gamma.n, q, [(gamma, 1)])
 
 
 def chi_bar(gamma: IndiffGraph, q: int) -> ClassFnUT:
     """Permutation character of UT_n on UT_n/UT_gamma: q^{|E|} times delta_bar."""
-    _guard_classfn(gamma.n, q)
+    _check_q(q)
     return _upset_sum(gamma.n, q, [(gamma, q ** len(gamma.edges))])
 
 
 def chi_super(gamma: IndiffGraph, q: int) -> ClassFnUT:
     """Supercharacter attached to gamma, via Moebius inversion of chi_bar."""
-    _guard_classfn(gamma.n, q)
+    _check_q(q)
     return _upset_sum(gamma.n, q, [(sigma, mu * q ** len(sigma.edges))
                                    for sigma, mu in mobius_subgraph(gamma).items() if mu])
 
@@ -388,7 +383,7 @@ def psi_pseudo(sigma: SchroderPath, q: int) -> ClassFnUT:
     if not sigma.is_tall:
         raise ValueError("psi_pseudo needs a tall path")
     n = sigma.size
-    _guard_classfn(n, q)
+    _check_q(q)
     a = area(sigma)
     d = sorted(diag(sigma))
     terms = []
@@ -464,7 +459,7 @@ def induction_table(n: int, q: int) -> dict[Partition, dict[IndiffGraph, int]]:
     Each u in UT_n of type lam is such a conjugate for exactly |C_GL(J_lam)|
     elements x, so one sweep of UT_n fills the table.
     """
-    _guard_classfn(n, q)
+    _check_q(q)
     raw: dict[Partition, dict[frozenset, int]] = {lam: {} for lam in gen_partitions(n)}
     for u in ut_elements(n, q):
         d = raw[_jordan_type(u, q)]
@@ -496,8 +491,6 @@ def induce_trivial_from_subgroup(gamma: IndiffGraph, q: int) -> UnipClassFn:
     """
     n = gamma.n
     _check_q(q)
-    require(gl_order(n, q) <= MAX_GL_ORDER,
-            f"induce_trivial_from_subgroup: |GL_{n}(F_{q})| exceeds guard {MAX_GL_ORDER}")
     # x^{-1} (J_lam - 1) x must vanish on and below the diagonal and at the edges
     zeros = [(i, j) for i in range(n) for j in range(i + 1)]
     zeros += [(i - 1, j - 1) for i, j in gamma.sorted_edges()]
@@ -515,18 +508,28 @@ def induce_trivial_from_subgroup(gamma: IndiffGraph, q: int) -> UnipClassFn:
     return UnipClassFn.from_dict(n, q, {lam: c // sub_order for lam, c in counts.items()})
 
 
+def _zero_mask(m: Rows) -> int:
+    """Zero pattern of m above the diagonal: bit i*n + j set iff entry (i, j), i < j, is 0."""
+    n = len(m)
+    return sum(1 << (i * n + j) for i in range(n) for j in range(i + 1, n) if not m[i][j])
+
+
+def _edge_mask(gamma: IndiffGraph) -> int:
+    """The bits of _zero_mask at the edges of gamma."""
+    n = gamma.n
+    return sum(1 << ((i - 1) * n + j - 1) for i, j in gamma.edges)
+
+
 @lru_cache(maxsize=None)
 def _conjugate_zero_masks(n: int, q: int) -> dict[IndiffGraph, Counter]:
     """For each superclass representative u, how many x in UT_n give x^{-1} u x
-    each zero pattern above the diagonal (bit i*n + j set iff entry (i, j) is 0)."""
+    each zero pattern above the diagonal."""
     reps = {g: superclass_rep(g, q).rows for g in indifference_graphs(n)}
     out = {g: Counter() for g in reps}
     for x in ut_elements(n, q):
         xi = mat_inv(x, q)
         for g, u in reps.items():
-            v = mat_mul(mat_mul(xi, u, q), x, q)
-            mask = sum(1 << (i * n + j) for i in range(n) for j in range(i + 1, n) if not v[i][j])
-            out[g][mask] += 1
+            out[g][_zero_mask(mat_mul(mat_mul(xi, u, q), x, q))] += 1
     return out
 
 
@@ -537,12 +540,12 @@ def permutation_character_oracle(gamma: IndiffGraph, q: int) -> ClassFnUT:
     by u iff x^{-1} u x vanishes at every edge of gamma.
     """
     n = gamma.n
-    _guard_classfn(n, q)
-    edge_mask = sum(1 << ((i - 1) * n + j - 1) for i, j in gamma.edges)
+    _check_q(q)
+    e = _edge_mask(gamma)
     sub_order = ut_order(n, q) // q ** len(gamma.edges)
     vals = {}
     for g, masks in _conjugate_zero_masks(n, q).items():
-        count = sum(c for mask, c in masks.items() if mask & edge_mask == edge_mask)
+        count = sum(c for mask, c in masks.items() if mask & e == e)
         if count % sub_order:
             raise AssertionError(f"{count} fixed cosets is not a multiple of {sub_order}")
         vals[g] = count // sub_order
@@ -550,23 +553,14 @@ def permutation_character_oracle(gamma: IndiffGraph, q: int) -> ClassFnUT:
 
 
 def centralizer_order(g: MatrixFq) -> int:
-    """|C_{GL_n}(g)| by exhaustive enumeration (n <= 3)."""
-    require(g.n <= 3, "centralizer_order is guarded at n <= 3")
+    """|C_{GL_n}(g)| by exhaustive enumeration of GL_n."""
     q = g.q
-    count = 0
-    for x in gl_matrices(g.n, q):
-        if mat_mul(x, g.rows, q) == mat_mul(g.rows, x, q):
-            count += 1
-    return count
+    return sum(1 for x in gl_matrices(g.n, q) if mat_mul(x, g.rows, q) == mat_mul(g.rows, x, q))
 
 
 # ---------------------------------------------------------------------------
 # flags and Hessenberg point counts
 # ---------------------------------------------------------------------------
-
-MAX_FLAG_N = 4
-MAX_FLAG_Q = 3
-
 
 def flag_reps(n: int, q: int) -> Iterator[Rows]:
     """Canonical coset representatives of GL_n/B_n, one per complete flag.
@@ -575,6 +569,7 @@ def flag_reps(n: int, q: int) -> Iterator[Rows]:
     entries at earlier pivot rows are cleared.  Remaining entries are free.
     """
     _check_q(q)
+    require_sweep(f"the flags of F_{q}^{n}", flag_count(n, q))
     for w in permutations(range(n)):
         free = [(i, j) for j in range(n) for i in range(w[j]) if i not in w[:j]]
         base = [[0] * n for _ in range(n)]
@@ -617,25 +612,22 @@ def is_nilpotent(a: MatrixFq) -> bool:
 @lru_cache(maxsize=None)
 def _hessenberg_masks(a: MatrixFq) -> Counter:
     """For the flags gB with g^{-1} a g strictly upper triangular, how many give
-    each nonzero pattern above the diagonal (bit i*n + j set iff entry (i, j) is nonzero)."""
+    each zero pattern above the diagonal."""
     n, q = a.n, a.q
     masks = Counter()
     for g in flag_reps(n, q):
         m = mat_mul(mat_mul(mat_inv(g, q), a.rows, q), g, q)
         if any(m[i][j] for i in range(n) for j in range(i + 1)):
             continue
-        masks[sum(1 << (i * n + j) for i in range(n) for j in range(i + 1, n) if m[i][j])] += 1
+        masks[_zero_mask(m)] += 1
     return masks
 
 
 def hessenberg_count(gamma: IndiffGraph, a: MatrixFq) -> int:
     """Number of flags gB with g^{-1} a g strictly upper and zero at the edges of gamma."""
-    n, q = gamma.n, a.q
-    require(n <= MAX_FLAG_N and q <= MAX_FLAG_Q,
-            f"hessenberg_count is guarded at n <= {MAX_FLAG_N}, q <= {MAX_FLAG_Q}")
-    if a.n != n:
+    if a.n != gamma.n:
         raise ValueError("matrix size does not match the graph")
     if not is_nilpotent(a):
         raise ValueError("hessenberg_count expects a nilpotent matrix")
-    edge_mask = sum(1 << ((i - 1) * n + j - 1) for i, j in gamma.edges)
-    return sum(c for mask, c in _hessenberg_masks(a).items() if not mask & edge_mask)
+    e = _edge_mask(gamma)
+    return sum(c for mask, c in _hessenberg_masks(a).items() if mask & e == e)

@@ -213,6 +213,73 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_the_size_knobs_are_exactly_these():
+    # one bound for every brute-force sweep; a new MAX_* has to be added here on purpose
+    import ast
+    import pathlib
+
+    import chromaq
+    found = set()
+    for path in sorted(pathlib.Path(chromaq.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target] if isinstance(node, ast.AnnAssign) else [])
+            found.update(t.id for t in targets
+                         if isinstance(t, ast.Name) and t.id.startswith("MAX_"))
+    assert found == {"MAX_SWEEP", "MAX_DEGREE", "MAX_COLORING_N", "MAX_PARTITION_N",
+                     "MAX_PATH_N", "MAX_MOBIUS_EDGES"}
+
+
+def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
+    import chromaq.chromallt
+    import chromaq.combinatorics
+    import chromaq.fqoracle
+    from chromaq.chromallt import as_expansion
+    from chromaq.combinatorics import SchroderPath, area, area_inverse, orientations
+    from chromaq.fqoracle import flag_reps, gl_matrices, ut_elements, ut_order
+    from chromaq.guards import MAX_SWEEP
+
+    # the bound is |UT_4(F_7)|, so that sweep still runs
+    assert ut_order(4, 7) == MAX_SWEEP
+    assert next(ut_elements(4, 7)) == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert 2 ** 16 <= MAX_SWEEP < 2 ** 17
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep started before its guard")
+
+    # each enumerator builds its elements through these names
+    monkeypatch.setattr(chromaq.fqoracle, "product", no_work)
+    monkeypatch.setattr(chromaq.fqoracle, "permutations", no_work)
+    monkeypatch.setattr(chromaq.chromallt, "product", no_work)
+    monkeypatch.setattr(chromaq.combinatorics, "Orientation", no_work)
+    # 17 edges on [7]: every {i, j} with j - i <= 3, and {1, 5}, {2, 6}
+    g17 = IndiffGraph(7, frozenset([(i, j) for i in range(1, 8) for j in range(i + 1, min(i + 4, 8))]
+                                   + [(1, 5), (2, 6)]))
+    assert len(g17.edges) == 17
+    staircase = SchroderPath("E" * 7 + "S" * 7)
+    assert len(area(staircase)) == 21
+    refused = [
+        (lambda: next(ut_elements(5, 5)), "9,765,625"),
+        (lambda: next(gl_matrices(3, 5)), "1,488,000"),
+        (lambda: next(flag_reps(5, 3)), "251,680"),
+        (lambda: orientations(g17), "131,072"),
+        (lambda: as_expansion(area_inverse(g17.edges, 7).as_schroder()), "131,072"),
+        (lambda: as_expansion(staircase), "2,097,152"),
+    ]
+    for call, count in refused:
+        with pytest.raises(SizeGuardError, match=f"visits {count} elements"):
+            call()
+
+
+def test_gl_checks_reach_n_5_at_q_2():
+    # the UT_5(F_2) sweep is 1,024 elements
+    from chromaq.fqoracle import superclass_sizes, ut_order
+    for name in ("check_cqs", "check_llt", "check_gg", "check_mesa", "check_psi_decomp",
+                 "check_cor66"):
+        assert run_check(name, 5, 2).ok, name
+    assert sum(superclass_sizes(5, 2).values()) == ut_order(5, 2) == 1024
+
+
 def test_only_exactnum_mentions_rationalfunc():
     # RationalFunc is a test oracle: the package computes over LaurentPoly
     import ast
@@ -275,8 +342,9 @@ def test_run_check_unknown():
 
 
 def test_run_check_guard_propagates():
+    # |UT_5(F_5)| = 9,765,625 elements, past MAX_SWEEP
     with pytest.raises(SizeGuardError):
-        run_check("check_cqs", 5, 2)
+        run_check("check_cqs", 5, 5)
 
 
 # -- check_cm against its original form -------------------------------------------
@@ -389,8 +457,33 @@ def test_cli_verify_rejects_degenerate_n(capsys, argv, message):
 
 def test_cli_verify_guard_exit_code(capsys):
     from chromaq.cli import main
-    assert main(["verify", "check_cqs", "--n", "5", "--q", "2"]) == 2
-    assert "error" in capsys.readouterr().err
+    # the refusal names |UT_5(F_5)| and the bound, in verify and in compute
+    for argv in (["verify", "check_cqs", "--n", "5", "--q", "5"],
+                 ["compute", "superclass-sizes", "--n", "5", "--q", "5"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "9,765,625 elements" in err and "117,649" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compute", "csf", "EESS", "--q", "3", "--n", "7", "--matrix", "1"],
+     "compute csf does not read --q, --n, --matrix"),
+    (["compute", "llt", "EESS", "--jordan-type", "2"], "compute llt does not read --jordan-type"),
+    (["compute", "induce", "EESS", "--q", "2", "--jordan-type", "2"],
+     "compute induce does not read --jordan-type"),
+    (["compute", "induce", "EESS", "--q", "2", "--n", "2"], "compute induce does not read --n"),
+    (["compute", "superclass-sizes", "EESS", "--n", "2", "--q", "2"],
+     "compute superclass-sizes does not read an index"),
+    (["compute", "hess-count", "EESS", "--q", "2", "--n", "2", "--matrix", "0100"],
+     "compute hess-count does not read --n"),
+    (["compute", "hess-count", "EESS", "--q", "2", "--matrix", "0100", "--jordan-type", "1,1"],
+     "hess-count needs one of --matrix DIGITS or --jordan-type"),
+])
+def test_cli_compute_rejects_ignored_flags(capsys, argv, message):
+    from chromaq.cli import main
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_cli_bad_path(capsys):

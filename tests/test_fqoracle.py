@@ -361,9 +361,9 @@ def test_class_functions_take_a_tuple_or_from_dict():
 
 
 def test_induce_guard():
-    # induction obeys the class-function bound n <= 4 for every q
+    # induction sweeps UT_n(F_q); |UT_5(F_5)| = 9,765,625 is past MAX_SWEEP
     with pytest.raises(SizeGuardError):
-        induce_to_GL(ClassFnUT.from_dict(5, 2, {}))
+        induce_to_GL(ClassFnUT.from_dict(5, 5, {}))
 
 
 def test_regular_class_size():
@@ -476,5 +476,6 @@ def test_hessenberg_rejects_non_nilpotent():
 
 
 def test_hessenberg_guard():
+    # [5]_3! = 251,680 flags, past MAX_SWEEP
     with pytest.raises(SizeGuardError):
-        hessenberg_count(IG(5), MatrixFq(2, tuple(tuple(0 for _ in range(5)) for _ in range(5))))
+        hessenberg_count(IG(5), MatrixFq(3, tuple(tuple(0 for _ in range(5)) for _ in range(5))))
