@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product as iproduct
 from math import factorial, prod
 from typing import Callable, Iterable
 
@@ -34,14 +35,13 @@ from .combinatorics import (
 from .exactnum import LaurentPoly, Rat, _frac, ratfunc_to_const
 from .fqoracle import (
     ClassFnUT,
-    MatrixFq,
     UnipClassFn,
     chi_bar,
     chi_super,
     hessenberg_count,
     induce_to_GL,
-    jordan,
-    mat_minus_identity,
+    jordan_nilpotent,
+    permutation_character_oracle,
     psi_pseudo,
 )
 from .symfunc import (
@@ -199,7 +199,7 @@ def check_hess(n: int, q: int) -> CheckReport:
     def test(item):
         gamma, lam = item
         ind = induce_to_GL(chi_bar(gamma, q))
-        cnt = hessenberg_count(gamma, MatrixFq(q, mat_minus_identity(jordan(lam, q).rows, q)))
+        cnt = hessenberg_count(gamma, jordan_nilpotent(lam, q))
         lhs = ind(lam)
         rhs = (q - 1) ** n * q ** len(gamma.edges) * cnt
         return lhs == rhs, lhs, rhs
@@ -214,7 +214,7 @@ def check_poincare(n: int, q: int) -> CheckReport:
 
     def test(item):
         gamma, lam = item
-        cnt = hessenberg_count(gamma, MatrixFq(q, mat_minus_identity(jordan(lam, q).rows, q)))
+        cnt = hessenberg_count(gamma, jordan_nilpotent(lam, q))
         dval = dcache[gamma].get(lam, LaurentPoly()).evaluate(q)
         rhs = dval / q ** len(gamma.edges)
         return cnt == rhs, cnt, rhs
@@ -265,7 +265,6 @@ def check_psi_decomp(n: int, q: int) -> CheckReport:
 
 def check_permtoind(n: int, q: int) -> CheckReport:
     """chi_bar agrees with the directly-counted permutation character."""
-    from .fqoracle import permutation_character_oracle
 
     def test(gamma):
         lhs = chi_bar(gamma, q)
@@ -328,7 +327,6 @@ def check_prop56(n: int) -> CheckReport:
     (i)  t^{|Area(pi)|} G_pi(x; 1/t) = omega G_pi(x; t) for Dyck pi;
     (ii) (t-1)^{|Diag|} G_sigma = signed sum of unicellular G over Diag subsets.
     """
-    from itertools import product as iproduct
 
     def test_i(pi):
         g = llt_vertical(pi.as_schroder())

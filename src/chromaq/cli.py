@@ -28,8 +28,7 @@ from .fqoracle import (
     chi_bar,
     hessenberg_count,
     induce_to_GL,
-    jordan,
-    mat_minus_identity,
+    jordan_nilpotent,
     superclass_sizes,
 )
 from .guards import SizeGuardError
@@ -117,7 +116,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             a = MatrixFq.from_digits(args.matrix, gamma.n, args.q)
         else:
             lam = _parse_jordan_type(args.jordan_type)
-            a = MatrixFq(args.q, mat_minus_identity(jordan(lam, args.q).rows, args.q))
+            a = jordan_nilpotent(lam, args.q)
         _emit({"count": hessenberg_count(gamma, a)})
     elif verb == "superclass-sizes":
         if args.n is None or args.q is None:

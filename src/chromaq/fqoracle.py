@@ -6,8 +6,10 @@ q is restricted to primes <= 7; each sweep refuses past guards.MAX_SWEEP element
 Matrices are tuples of row tuples with entries reduced mod q.
 
 Induction to GL_n needs only a sweep of UT_n: each element contributes the
-centralizer order of its Jordan type (Frobenius formula).  The GL_n sweeps
-left here are independent oracles for tests and checks.
+centralizer order of its Jordan type (Frobenius formula).  The independent
+oracles (cosets of UT_gamma, induction over GL_n, Hessenberg counts) all count
+the x of a sweep with x^{-1} a x in the pattern algebra of gamma, for a = u - 1
+or J_lam - 1; one cached kernel sweeps each (n, q) once for all gamma and lam.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
-from typing import Iterable, Iterator, Mapping
+from itertools import chain, permutations, product
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .combinatorics import (
     IndiffGraph,
@@ -143,14 +145,9 @@ def mat_minus_identity(rows: Rows, q: int) -> Rows:
                  for i, r in enumerate(rows))
 
 
-def _jordan_pairs(lam: Partition) -> tuple[tuple[int, int], ...]:
-    """0-indexed positions of the 1s of J_lam - identity."""
-    out = []
-    off = 0
-    for k in lam:
-        out.extend((off + i, off + i + 1) for i in range(k - 1))
-        off += k
-    return tuple(out)
+def jordan_nilpotent(lam: Partition, q: int) -> MatrixFq:
+    """J_lam - 1: the nilpotent part of the Jordan matrix of type lam."""
+    return MatrixFq(q, mat_minus_identity(jordan(lam, q).rows, q))
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +429,12 @@ def _rank(rows: Rows, q: int) -> int:
 
 def _jordan_type(u: Rows, q: int) -> Partition:
     """Jordan type of a unipotent u: rank (u-1)^{k-1} - rank (u-1)^k parts have size >= k."""
-    nil = mat_minus_identity(u, q)
+    nil = power = mat_minus_identity(u, q)
     ranks = [len(u)]
-    power = nil
     while ranks[-1]:
         ranks.append(_rank(power, q))
-        power = mat_mul(power, nil, q)
+        if ranks[-1]:
+            power = mat_mul(power, nil, q)
     conj = [a - b for a, b in zip(ranks, ranks[1:])]
     return tuple(sum(1 for c in conj if c >= i) for i in range(1, conj[0] + 1)) if conj else ()
 
@@ -483,73 +480,85 @@ def induce_to_GL(phi: ClassFnUT) -> UnipClassFn:
         for labs in induction_table(n, q).values()))
 
 
+# ---------------------------------------------------------------------------
+# the conjugation sweep behind the coset, GL_n and Hessenberg oracles
+# ---------------------------------------------------------------------------
+
+def _zero_mask(m: Rows) -> int:
+    """Zero pattern of m: bit i*n + j set iff entry (i, j) is 0."""
+    return sum(1 << k for k, x in enumerate(chain.from_iterable(m)) if not x)
+
+
+@lru_cache(maxsize=None)
+def _conjugate_masks(sweep: Callable[[int, int], Iterator[Rows]], n: int, q: int,
+                     targets: tuple[Rows, ...]) -> tuple[Counter, ...]:
+    """For each target a, how many x of sweep(n, q) give x^{-1} a x each zero
+    pattern.  Each x is inverted once, whatever the number of targets."""
+    out = tuple(Counter() for _ in targets)
+    for x in sweep(n, q):
+        xi = mat_inv(x, q)
+        for a, masks in zip(targets, out):
+            masks[_zero_mask(mat_mul(mat_mul(xi, a, q), x, q))] += 1
+    return out
+
+
+def _pattern_counts(tallies: Iterable[Counter], gamma: IndiffGraph) -> list[int]:
+    """For each tally, how many conjugates lie in the pattern algebra of gamma:
+    zero on and below the diagonal and at every edge of gamma."""
+    n = gamma.n
+    e = sum(1 << (i * n + j) for i in range(n) for j in range(i + 1))
+    e |= sum(1 << ((i - 1) * n + j - 1) for i, j in gamma.edges)
+    return [sum(c for mask, c in masks.items() if mask & e == e) for masks in tallies]
+
+
+def _cosets(tallies: Iterable[Counter], gamma: IndiffGraph, q: int) -> tuple[int, ...]:
+    """The pattern counts divided by |UT_gamma|: the x counted form UT_gamma cosets."""
+    sub_order = ut_order(gamma.n, q) // q ** len(gamma.edges)
+    out = []
+    for count in _pattern_counts(tallies, gamma):
+        if count % sub_order:
+            raise AssertionError(f"{count} elements are not a union of UT_gamma cosets "
+                                 f"(|UT_gamma| = {sub_order})")
+        out.append(count // sub_order)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _jordan_nilpotents(n: int, q: int) -> tuple[Rows, ...]:
+    """The J_lam - 1 for lam |- n, in the order of gen_partitions(n)."""
+    return tuple(jordan_nilpotent(lam, q).rows for lam in gen_partitions(n))
+
+
+@lru_cache(maxsize=None)
+def _superclass_nilpotents(n: int, q: int) -> tuple[Rows, ...]:
+    """The u - 1 for the superclass representatives u, in the order of indifference_graphs(n)."""
+    return tuple(mat_minus_identity(superclass_rep(g, q).rows, q) for g in indifference_graphs(n))
+
+
 def induce_trivial_from_subgroup(gamma: IndiffGraph, q: int) -> UnipClassFn:
     """One-step induction of the trivial character of UT_gamma straight to GL_n.
 
     Independent oracle for transitivity of induction: sweeps GL_n and counts
-    cosets by direct membership tests, with no superclass machinery involved.
+    the x with x^{-1} J_lam x in UT_gamma by direct membership tests, with no
+    superclass machinery involved.
     """
     n = gamma.n
     _check_q(q)
-    # x^{-1} (J_lam - 1) x must vanish on and below the diagonal and at the edges
-    zeros = [(i, j) for i in range(n) for j in range(i + 1)]
-    zeros += [(i - 1, j - 1) for i, j in gamma.sorted_edges()]
-    sub_order = ut_order(n, q) // q ** len(gamma.edges)
-    pairs = {lam: _jordan_pairs(lam) for lam in gen_partitions(n)}
-    counts = dict.fromkeys(pairs, 0)
-    for x in gl_matrices(n, q):
-        xi = mat_inv(x, q)
-        for lam, lam_pairs in pairs.items():
-            if not any(sum(xi[i][a] * x[b][j] for a, b in lam_pairs) % q for i, j in zeros):
-                counts[lam] += 1
-    for count in counts.values():
-        if count % sub_order:
-            raise AssertionError(f"{count} conjugates are not a union of UT_gamma cosets")
-    return UnipClassFn.from_dict(n, q, {lam: c // sub_order for lam, c in counts.items()})
-
-
-def _zero_mask(m: Rows) -> int:
-    """Zero pattern of m above the diagonal: bit i*n + j set iff entry (i, j), i < j, is 0."""
-    n = len(m)
-    return sum(1 << (i * n + j) for i in range(n) for j in range(i + 1, n) if not m[i][j])
-
-
-def _edge_mask(gamma: IndiffGraph) -> int:
-    """The bits of _zero_mask at the edges of gamma."""
-    n = gamma.n
-    return sum(1 << ((i - 1) * n + j - 1) for i, j in gamma.edges)
-
-
-@lru_cache(maxsize=None)
-def _conjugate_zero_masks(n: int, q: int) -> dict[IndiffGraph, Counter]:
-    """For each superclass representative u, how many x in UT_n give x^{-1} u x
-    each zero pattern above the diagonal."""
-    reps = {g: superclass_rep(g, q).rows for g in indifference_graphs(n)}
-    out = {g: Counter() for g in reps}
-    for x in ut_elements(n, q):
-        xi = mat_inv(x, q)
-        for g, u in reps.items():
-            out[g][_zero_mask(mat_mul(mat_mul(xi, u, q), x, q))] += 1
-    return out
+    tallies = _conjugate_masks(gl_matrices, n, q, _jordan_nilpotents(n, q))
+    return UnipClassFn(n, q, _cosets(tallies, gamma, q))
 
 
 def permutation_character_oracle(gamma: IndiffGraph, q: int) -> ClassFnUT:
     """Character of UT_n acting on UT_n/UT_gamma by direct coset counting.
 
     Independent of the chi_bar formula; used to verify it.  x UT_gamma is fixed
-    by u iff x^{-1} u x vanishes at every edge of gamma.
+    by u iff x^{-1} u x lies in UT_gamma, that is iff x^{-1} (u - 1) x lies in
+    the pattern algebra of gamma.
     """
     n = gamma.n
     _check_q(q)
-    e = _edge_mask(gamma)
-    sub_order = ut_order(n, q) // q ** len(gamma.edges)
-    vals = {}
-    for g, masks in _conjugate_zero_masks(n, q).items():
-        count = sum(c for mask, c in masks.items() if mask & e == e)
-        if count % sub_order:
-            raise AssertionError(f"{count} fixed cosets is not a multiple of {sub_order}")
-        vals[g] = count // sub_order
-    return ClassFnUT.from_dict(n, q, vals)
+    tallies = _conjugate_masks(ut_elements, n, q, _superclass_nilpotents(n, q))
+    return ClassFnUT(n, q, _cosets(tallies, gamma, q))
 
 
 def centralizer_order(g: MatrixFq) -> int:
@@ -609,25 +618,17 @@ def is_nilpotent(a: MatrixFq) -> bool:
     return all(x == 0 for row in p for x in row)
 
 
-@lru_cache(maxsize=None)
-def _hessenberg_masks(a: MatrixFq) -> Counter:
-    """For the flags gB with g^{-1} a g strictly upper triangular, how many give
-    each zero pattern above the diagonal."""
-    n, q = a.n, a.q
-    masks = Counter()
-    for g in flag_reps(n, q):
-        m = mat_mul(mat_mul(mat_inv(g, q), a.rows, q), g, q)
-        if any(m[i][j] for i in range(n) for j in range(i + 1)):
-            continue
-        masks[_zero_mask(m)] += 1
-    return masks
-
-
 def hessenberg_count(gamma: IndiffGraph, a: MatrixFq) -> int:
-    """Number of flags gB with g^{-1} a g strictly upper and zero at the edges of gamma."""
+    """Number of flags gB with g^{-1} a g strictly upper and zero at the edges of gamma.
+
+    The J_lam - 1 of one (n, q) share a sweep of the flags; any other nilpotent
+    gets a sweep of its own."""
     if a.n != gamma.n:
         raise ValueError("matrix size does not match the graph")
     if not is_nilpotent(a):
         raise ValueError("hessenberg_count expects a nilpotent matrix")
-    e = _edge_mask(gamma)
-    return sum(c for mask, c in _hessenberg_masks(a).items() if mask & e == e)
+    targets = _jordan_nilpotents(a.n, a.q)
+    if a.rows not in targets:
+        targets = (a.rows,)
+    tallies = _conjugate_masks(flag_reps, a.n, a.q, targets)
+    return _pattern_counts([tallies[targets.index(a.rows)]], gamma)[0]

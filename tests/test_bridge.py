@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -269,6 +270,25 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
     for call, count in refused:
         with pytest.raises(SizeGuardError, match=f"visits {count} elements"):
             call()
+
+
+def test_the_default_suite_makes_twelve_sweeps(monkeypatch):
+    # one flag sweep and one UT_n coset sweep per (n, q) of the default grid,
+    # n in {1, 2, 3} and q in {2, 3}: all gamma and lam of a point share them
+    import chromaq.fqoracle as fq
+    from chromaq.cli import _default_suite
+    kernel = fq._conjugate_masks
+    keys = set()
+
+    def recording(sweep, n, q, targets):
+        keys.add((sweep.__name__, n, q, targets))
+        return kernel(sweep, n, q, targets)
+
+    monkeypatch.setattr(fq, "_conjugate_masks", recording)
+    kernel.cache_clear()
+    assert all(run_check(name, n, q).status == "pass" for name, n, q in _default_suite(False))
+    assert kernel.cache_info().misses == len(keys) == 12
+    assert Counter(k[0] for k in keys) == {"flag_reps": 6, "ut_elements": 6}
 
 
 def test_gl_checks_reach_n_5_at_q_2():

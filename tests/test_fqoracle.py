@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from chromaq.fqoracle import (
     induction_table,
     inner_product_UT,
     jordan,
+    jordan_nilpotent,
     mat_identity,
     mat_inv,
     mat_minus_identity,
@@ -45,9 +47,9 @@ from chromaq.fqoracle import (
     ut_elements,
     ut_order,
     _centralizer_order,
-    _conjugate_zero_masks,
-    _hessenberg_masks,
+    _conjugate_masks,
     _jordan_type,
+    _superclass_nilpotents,
 )
 from chromaq.guards import SizeGuardError
 
@@ -96,7 +98,7 @@ def test_jordan_regular_block():
 
 def test_jordan_nilpotency():
     n = mat_minus_identity(jordan((2,), 2).rows, 2)
-    assert n == ((0, 1), (0, 0))
+    assert n == ((0, 1), (0, 0)) == jordan_nilpotent((2,), 2).rows
     assert mat_mul(n, n, 2) == ((0, 0), (0, 0))
 
 
@@ -191,14 +193,26 @@ def test_permtoind_against_coset_oracle():
 def test_coset_oracle_sweeps_ut_once_per_n_q():
     gammas = indifference_graphs(3)
     permutation_character_oracle(gammas[0], 3)
-    before = _conjugate_zero_masks.cache_info()
+    before = _conjugate_masks.cache_info()
     for gamma in gammas[1:]:
         permutation_character_oracle(gamma, 3)
-    after = _conjugate_zero_masks.cache_info()
+    after = _conjugate_masks.cache_info()
     assert after.misses == before.misses
     assert after.hits == before.hits + len(gammas) - 1
-    # each representative is conjugated by every x in UT_3(F_3) exactly once
-    assert all(sum(masks.values()) == ut_order(3, 3) for masks in _conjugate_zero_masks(3, 3).values())
+    # each u - 1 is conjugated by every x in UT_3(F_3) exactly once
+    tallies = _conjugate_masks(ut_elements, 3, 3, _superclass_nilpotents(3, 3))
+    assert _conjugate_masks.cache_info().misses == before.misses
+    assert all(sum(masks.values()) == ut_order(3, 3) for masks in tallies)
+
+
+def test_coset_oracles_refuse_a_count_that_is_no_union_of_cosets(monkeypatch):
+    # one tallied conjugate in every pattern: 1 is no multiple of |UT_gamma|
+    import chromaq.fqoracle as fq
+    monkeypatch.setattr(fq, "_conjugate_masks",
+                        lambda sweep, n, q, targets: tuple(Counter({-1: 1}) for _ in targets))
+    for oracle in (permutation_character_oracle, induce_trivial_from_subgroup):
+        with pytest.raises(AssertionError, match="not a union of UT_gamma cosets"):
+            oracle(IG(3), 3)
 
 
 def test_chi_super_mobius_roundtrip():
@@ -309,15 +323,12 @@ def test_induce_linearity():
 
 def test_induce_transitivity_against_one_step_oracle():
     # the chi_bar span every superclass function, so agreeing on each of them
-    # pins the whole UT_n-sweep table against the GL_n sweep
-    points = [(1, q) for q in PRIMES] + [(2, q) for q in PRIMES] + [(3, 2)]
+    # pins the whole UT_n-sweep table against the GL_n sweep; all gamma of one
+    # (n, q) share a single sweep, |GL_3(F_3)| = 11232 elements at (3,3)
+    points = [(1, q) for q in PRIMES] + [(2, q) for q in PRIMES] + [(3, 2), (3, 3)]
     for n, q in points:
         for gamma in indifference_graphs(n):
             assert induce_to_GL(chi_bar(gamma, q)) == induce_trivial_from_subgroup(gamma, q)
-    # one sweep of |GL_3(F_3)| = 11232 elements per gamma
-    edgeless, complete = IG(3), IG(3, (1, 2), (1, 3), (2, 3))
-    for gamma in (edgeless, complete):
-        assert induce_to_GL(chi_bar(gamma, 3)) == induce_trivial_from_subgroup(gamma, 3)
 
 
 def test_induced_characters_have_integer_values():
@@ -431,29 +442,35 @@ def brute_hessenberg_count(gamma, a):
     return count
 
 
-def _nilpotent(lam, q):
-    return MatrixFq(q, mat_minus_identity(jordan(lam, q).rows, q))
-
-
 def test_hessenberg_sweep_matches_per_flag_oracle():
     for n in range(1, 4):
         for q in (2, 3):
             for lam in gen_partitions(n):
-                a = _nilpotent(lam, q)
+                a = jordan_nilpotent(lam, q)
                 for g in indifference_graphs(n):
                     assert hessenberg_count(g, a) == brute_hessenberg_count(g, a), (g, lam, q)
-    a = _nilpotent((4,), 2)
+    a = jordan_nilpotent((4,), 2)
     for g in indifference_graphs(4):
         assert hessenberg_count(g, a) == brute_hessenberg_count(g, a), g
 
 
 def test_hessenberg_sweeps_once_per_matrix():
-    a = _nilpotent((2, 1), 3)
+    a = jordan_nilpotent((2, 1), 3)
     hessenberg_count(IG(3), a)
-    misses = _hessenberg_masks.cache_info().misses
+    misses = _conjugate_masks.cache_info().misses
     for g in indifference_graphs(3):
         hessenberg_count(g, a)
-    assert _hessenberg_masks.cache_info().misses == misses
+    assert _conjugate_masks.cache_info().misses == misses
+    # every J_lam - 1 of size 3 rides on the same sweep of the flags
+    for lam in ((3,), (1, 1, 1)):
+        for g in indifference_graphs(3):
+            hessenberg_count(g, jordan_nilpotent(lam, 3))
+    assert _conjugate_masks.cache_info().misses == misses
+    # a nilpotent that is no Jordan matrix gets a sweep of its own
+    at = MatrixFq(3, tuple(zip(*a.rows)))
+    for g in indifference_graphs(3):
+        assert hessenberg_count(g, at) == brute_hessenberg_count(g, at), g
+    assert _conjugate_masks.cache_info().misses == misses + 1
 
 
 def test_hessenberg_zero_matrix_counts_all_flags():
@@ -466,7 +483,7 @@ def test_hessenberg_zero_matrix_counts_all_flags():
 def test_hessenberg_regular_nilpotent_edgeless():
     # the full flag fixed by a regular nilpotent is unique
     for n, q in [(2, 2), (3, 2), (3, 3)]:
-        nilp = MatrixFq(q, mat_minus_identity(jordan((n,), q).rows, q))
+        nilp = jordan_nilpotent((n,), q)
         assert hessenberg_count(IG(n), nilp) == 1
 
 
