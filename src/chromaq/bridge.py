@@ -11,7 +11,6 @@ index in range and reports the first witness on failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
@@ -20,6 +19,7 @@ from typing import Callable, Iterable
 
 from .chromallt import as_expansion, csf, d_coeffs, llt_vertical
 from .combinatorics import (
+    Frozen,
     Partition,
     SchroderPath,
     area,
@@ -140,19 +140,21 @@ def p_one(phi: UnipClassFn) -> SymFunc:
 # reports
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CheckReport:
+class CheckReport(Frozen):
+    __slots__ = _fields = ("check", "n", "q", "status", "witness")
     check: str
     n: int
     q: int | None
     status: str
-    witness: dict | None = None
+    witness: dict | None
 
-    def __post_init__(self):
-        if self.status not in ("pass", "fail"):
-            raise AssertionError(f"unknown status {self.status!r}")
-        if self.witness is None and self.status == "fail":
+    def __init__(self, check: str, n: int, q: int | None, status: str,
+                 witness: dict | None = None):
+        if status not in ("pass", "fail"):
+            raise AssertionError(f"unknown status {status!r}")
+        if witness is None and status == "fail":
             raise AssertionError("a failing report needs a witness")
+        self._set(check, n, q, status, witness)
 
     @property
     def ok(self) -> bool:

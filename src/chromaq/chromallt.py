@@ -10,8 +10,8 @@ colorings whose content is a partition mu are therefore enumerated: the
 distinct words with mu_1 copies of color 1, mu_2 of color 2, and so on.
 
 `csf`, `llt_vertical` and `as_expansion` are built once per process for each
-graph or path (both are frozen dataclasses, so they key an `lru_cache`); the
-cached SymFunc is immutable, so every caller may share it.
+graph or path (both are immutable and hash by value, so they key an
+`lru_cache`); the cached SymFunc is immutable, so every caller may share it.
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ Conventions:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator
@@ -23,6 +22,44 @@ Partition = tuple[int, ...]
 
 MAX_PARTITION_N = 12
 MAX_PATH_N = 8
+
+
+class Frozen:
+    """Immutable value object over the fields named in `_fields`.
+
+    Two objects are equal when they have the same exact type and equal fields;
+    the hash is that of the field tuple and the repr is Name(field=value, ...).
+    A subclass names its fields in `__slots__` and `_fields` (which its own
+    subclasses inherit) and sets them once, at the end of `__init__`, with `_set`.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for f, v in zip(self._fields, values):
+            object.__setattr__(self, f, v)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of immutable {type(self).__name__}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def _check_size(name: str, n: int, bound: int) -> None:
@@ -109,19 +146,20 @@ def _walk(steps: str) -> Iterator[tuple[str, int, int]]:
             raise ValueError(f"bad step {s!r}")
 
 
-@dataclass(frozen=True)
-class DyckPath:
+class DyckPath(Frozen):
+    __slots__ = _fields = ("steps",)
     steps: str
 
-    def __post_init__(self):
-        for s, x, y in _walk(self.steps):
+    def __init__(self, steps: str):
+        for s, x, y in _walk(steps):
             if s not in "ES":
                 raise ValueError(f"Dyck path steps must be E/S, got {s!r}")
             if s == "S" and y - 1 < -x:
-                raise ValueError(f"path {self.steps!r} goes below the diagonal")
-        n = self.steps.count("E")
-        if self.steps.count("S") != n:
-            raise ValueError(f"path {self.steps!r} is unbalanced")
+                raise ValueError(f"path {steps!r} goes below the diagonal")
+        n = steps.count("E")
+        if steps.count("S") != n:
+            raise ValueError(f"path {steps!r} is unbalanced")
+        self._set(steps)
 
     @property
     def size(self) -> int:
@@ -134,19 +172,20 @@ class DyckPath:
         return self.steps
 
 
-@dataclass(frozen=True)
-class SchroderPath:
+class SchroderPath(Frozen):
+    __slots__ = _fields = ("steps",)
     steps: str
 
-    def __post_init__(self):
-        for s, x, y in _walk(self.steps):
+    def __init__(self, steps: str):
+        for s, x, y in _walk(steps):
             if s == "S" and y - 1 < -x:
-                raise ValueError(f"path {self.steps!r} goes below the diagonal")
+                raise ValueError(f"path {steps!r} goes below the diagonal")
             if s == "D" and y - 1 < -(x + 1):
-                raise ValueError(f"path {self.steps!r} goes below the diagonal")
-        n = self.steps.count("E") + self.steps.count("D")
-        if self.steps.count("S") + self.steps.count("D") != n:
-            raise ValueError(f"path {self.steps!r} is unbalanced")
+                raise ValueError(f"path {steps!r} goes below the diagonal")
+        n = steps.count("E") + steps.count("D")
+        if steps.count("S") + steps.count("D") != n:
+            raise ValueError(f"path {steps!r} is unbalanced")
+        self._set(steps)
 
     @property
     def size(self) -> int:
@@ -239,17 +278,18 @@ def is_indifference(edges: Iterable[Edge], n: int) -> bool:
     return all((j, k) in es for i, l in es for j in range(i, l + 1) for k in range(j + 1, l + 1))
 
 
-@dataclass(frozen=True)
-class IndiffGraph:
+class IndiffGraph(Frozen):
     """Graph on [n] whose edge set is closed under intervals."""
 
+    __slots__ = _fields = ("n", "edges")
     n: int
     edges: frozenset[Edge]
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset(tuple(sorted(e)) for e in self.edges))
-        if not is_indifference(self.edges, self.n):
-            raise ValueError(f"edge set {sorted(self.edges)} on [{self.n}] is not interval-closed")
+    def __init__(self, n: int, edges: Iterable[Edge]):
+        edges = frozenset(tuple(sorted(e)) for e in edges)
+        if not is_indifference(edges, n):
+            raise ValueError(f"edge set {sorted(edges)} on [{n}] is not interval-closed")
+        self._set(n, edges)
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
@@ -362,15 +402,16 @@ def mobius_subgraph(gamma: IndiffGraph) -> dict[IndiffGraph, int]:
 # orientations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Orientation:
+class Orientation(Frozen):
+    __slots__ = _fields = ("base", "arcs")
     base: IndiffGraph
     arcs: frozenset[Edge]
 
-    def __post_init__(self):
-        undirected = frozenset(tuple(sorted(a)) for a in self.arcs)
-        if undirected != self.base.edges or len(self.arcs) != len(self.base.edges):
+    def __init__(self, base: IndiffGraph, arcs: frozenset[Edge]):
+        undirected = frozenset(tuple(sorted(a)) for a in arcs)
+        if undirected != base.edges or len(arcs) != len(base.edges):
             raise ValueError("arcs do not orient the base edge set exactly")
+        self._set(base, arcs)
 
 
 def orientations(gamma: IndiffGraph) -> list[Orientation]:

@@ -15,13 +15,13 @@ or J_lam - 1; one cached kernel sweeps each (n, q) once for all gamma and lam.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, permutations, product
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .combinatorics import (
+    Frozen,
     IndiffGraph,
     Partition,
     SchroderPath,
@@ -84,20 +84,20 @@ def mat_inv(rows: Rows, q: int) -> Rows:
     return tuple(tuple(r[n:]) for r in A)
 
 
-@dataclass(frozen=True)
-class MatrixFq:
+class MatrixFq(Frozen):
     """Immutable matrix over F_q (q prime <= 7)."""
 
+    __slots__ = _fields = ("q", "rows")
     q: int
     rows: Rows
 
-    def __post_init__(self):
-        _check_q(self.q)
-        n = len(self.rows)
-        object.__setattr__(self, "rows",
-                           tuple(tuple(x % self.q for x in r) for r in self.rows))
-        if any(len(r) != n for r in self.rows):
+    def __init__(self, q: int, rows: Rows):
+        _check_q(q)
+        n = len(rows)
+        rows = tuple(tuple(x % q for x in r) for r in rows)
+        if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
+        self._set(q, rows)
 
     @property
     def n(self) -> int:
@@ -275,19 +275,20 @@ def _partition_index(n: int) -> dict[Partition, int]:
     return {lam: i for i, lam in enumerate(gen_partitions(n))}
 
 
-@dataclass(frozen=True)
-class _ClassFn:
+class _ClassFn(Frozen):
     """A class function as a tuple of plain numbers, one per key of the
     subclass's `_index(n)`, in that order; calling it looks a key up."""
 
+    __slots__ = _fields = ("n", "q", "values")
     n: int
     q: int
     values: tuple[Rat, ...]
 
-    def __post_init__(self):
-        if type(self.values) is not tuple or len(self.values) != len(self._index(self.n)):
+    def __init__(self, n: int, q: int, values: tuple[Rat, ...]):
+        if type(values) is not tuple or len(values) != len(self._index(n)):
             raise ValueError(f"{type(self).__name__} values must be a tuple with one entry "
-                             f"per index at n = {self.n}; build from a mapping with from_dict")
+                             f"per index at n = {n}; build from a mapping with from_dict")
+        self._set(n, q, values)
 
     @classmethod
     def from_dict(cls, n: int, q: int, vals: Mapping) -> "_ClassFn":
@@ -322,6 +323,7 @@ class ClassFnUT(_ClassFn):
     """Superclass function of UT_n(F_q): one value per indifference graph, in
     the order of indifference_graphs(n).  The characters here hold ints."""
 
+    __slots__ = ()
     _index = staticmethod(_graph_index)
 
     def at(self, u: MatrixFq) -> Rat:
@@ -335,6 +337,7 @@ class UnipClassFn(_ClassFn):
     """Unipotently supported class function of GL_n(F_q): one value per Jordan
     type, in the order of gen_partitions(n)."""
 
+    __slots__ = ()
     _index = staticmethod(_partition_index)
 
 
@@ -428,14 +431,21 @@ def _rank(rows: Rows, q: int) -> int:
 
 
 def _jordan_type(u: Rows, q: int) -> Partition:
-    """Jordan type of a unipotent u: rank (u-1)^{k-1} - rank (u-1)^k parts have size >= k."""
+    """Jordan type of a unipotent u: rank (u-1)^{k-1} - rank (u-1)^k parts have size >= k.
+
+    (u-1)^n = 0 for unipotent u, so at most n + 1 ranks are read; ValueError if
+    they do not reach 0 or their differences are no partition of n.
+    """
+    n = len(u)
     nil = power = mat_minus_identity(u, q)
-    ranks = [len(u)]
-    while ranks[-1]:
+    ranks = [n]
+    while ranks[-1] and len(ranks) <= n:
         ranks.append(_rank(power, q))
         if ranks[-1]:
             power = mat_mul(power, nil, q)
     conj = [a - b for a, b in zip(ranks, ranks[1:])]
+    if ranks[-1] or any(a < b for a, b in zip(conj, conj[1:])) or conj and conj[-1] < 1:
+        raise ValueError(f"{u} is not unipotent over F_{q}: ranks of (u-1)^k are {ranks}")
     return tuple(sum(1 for c in conj if c >= i) for i in range(1, conj[0] + 1)) if conj else ()
 
 

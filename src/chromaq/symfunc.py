@@ -22,14 +22,13 @@ in chromallt hand one object to every caller.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .combinatorics import Partition, gen_partitions, multiset_perms, nstat, transpose
+from .combinatorics import Frozen, Partition, gen_partitions, multiset_perms, nstat, transpose
 from .exactnum import LaurentPoly, ratfunc_to_const
 from .guards import require
 
@@ -81,32 +80,33 @@ def check_symmetric(full: Mapping[tuple[int, ...], Coeff], nvars: int) -> bool:
 # SymFunc: coefficients in a named basis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SymFunc:
+class SymFunc(Frozen):
     """A homogeneous symmetric function sum_lam c_lam * b_lam in one named basis.
 
     Basis M (monomial) holds the orbit-sum coordinates of the symmetric
     polynomial in `degree` variables; `expand_in_basis` converts between bases.
     Immutable: assignment raises and `coeffs` is a read-only mapping.
+    Unhashable, since a read-only mapping is.
     """
 
+    __slots__ = _fields = ("degree", "basis", "coeffs")
     degree: int
     basis: str
     coeffs: Mapping[Partition, Coeff]
 
-    def __post_init__(self):
-        if self.basis not in BASES:
-            raise ValueError(f"unknown basis {self.basis!r}")
+    def __init__(self, degree: int, basis: str, coeffs: Mapping[Partition, Coeff]):
+        if basis not in BASES:
+            raise ValueError(f"unknown basis {basis!r}")
         cleaned: dict[Partition, Coeff] = {}
-        for mu, c in self.coeffs.items():
+        for mu, c in coeffs.items():
             c = _coeff(c)
             if c.is_zero:
                 continue
             mu = tuple(mu)
-            if sum(mu) != self.degree or any(a < b for a, b in zip(mu, mu[1:])) or mu and mu[-1] < 1:
-                raise ValueError(f"{mu} is not a partition of {self.degree}")
+            if sum(mu) != degree or any(a < b for a, b in zip(mu, mu[1:])) or mu and mu[-1] < 1:
+                raise ValueError(f"{mu} is not a partition of {degree}")
             cleaned[mu] = c
-        object.__setattr__(self, "coeffs", MappingProxyType(cleaned))
+        self._set(degree, basis, MappingProxyType(cleaned))
 
     @property
     def is_zero(self) -> bool:
@@ -114,11 +114,6 @@ class SymFunc:
 
     def coeff(self, mu: Partition) -> Coeff:
         return self.coeffs.get(tuple(mu), ZERO)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymFunc):
-            return NotImplemented
-        return (self.degree, self.basis, self.coeffs) == (other.degree, other.basis, other.coeffs)
 
     def map_coeffs(self, fn: Callable[[Coeff], Coeff]) -> "SymFunc":
         return SymFunc(self.degree, self.basis, {mu: fn(c) for mu, c in self.coeffs.items()})

@@ -231,6 +231,39 @@ def test_the_size_knobs_are_exactly_these():
                      "MAX_PATH_N", "MAX_MOBIUS_EDGES"}
 
 
+def test_the_package_never_imports_dataclasses():
+    # `import dataclasses` pulls in inspect, ast, dis and tokenize: ~10 ms of every cold start
+    import ast
+    import pathlib
+
+    import chromaq
+    found = []
+    for path in sorted(pathlib.Path(chromaq.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import) else
+                     [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno}" for m in names
+                      if m.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
+def test_cold_import_of_the_cli_loads_neither_dataclasses_nor_inspect():
+    import os
+    import subprocess
+    import sys
+
+    import chromaq
+    src = os.path.dirname(os.path.dirname(chromaq.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys\n"
+            "import chromaq.cli\n"
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
     import chromaq.chromallt
     import chromaq.combinatorics

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -107,6 +108,14 @@ def test_jordan_type_reads_back_jordan_matrices():
         for lam in gen_partitions(n):
             for q in PRIMES:
                 assert _jordan_type(jordan(lam, q).rows, q) == lam
+
+
+def test_jordan_type_rejects_non_unipotent_after_n_plus_one_ranks():
+    # u - 1 = 1 and u - 1 = diag(1, 0): the ranks of (u-1)^k stall at 2 and at 1
+    for u in (((2, 0), (0, 2)), ((2, 0), (0, 1))):
+        with pytest.raises(ValueError, match=re.escape(str(u))):
+            _jordan_type(u, 3)
+    assert _jordan_type(((1, 1, 0), (0, 1, 1), (0, 0, 1)), 3) == (3,)
 
 
 # -- superclasses -------------------------------------------------------------------

@@ -1,0 +1,89 @@
+"""Value semantics of the immutable classes built on `combinatorics.Frozen`:
+equality of the exact type over the fields, the hash of the field tuple, the
+dataclass-style repr, and no assignment after construction."""
+
+import pytest
+
+from chromaq.bridge import CheckReport
+from chromaq.chromallt import csf
+from chromaq.combinatorics import DyckPath, IndiffGraph, Orientation, SchroderPath
+from chromaq.exactnum import LaurentPoly
+from chromaq.fqoracle import ClassFnUT, MatrixFq, UnipClassFn
+from chromaq.symfunc import SymFunc
+
+P2 = IndiffGraph(2, frozenset({(1, 2)}))
+
+# (class, constructor arguments, field values as stored, repr)
+CASES = [
+    (DyckPath, ("EESS",), ("EESS",), "DyckPath(steps='EESS')"),
+    (SchroderPath, ("EDS",), ("EDS",), "SchroderPath(steps='EDS')"),
+    (IndiffGraph, (2, [(2, 1)]), (2, frozenset({(1, 2)})),
+     "IndiffGraph(n=2, edges=frozenset({(1, 2)}))"),
+    (Orientation, (P2, frozenset({(2, 1)})), (P2, frozenset({(2, 1)})),
+     "Orientation(base=IndiffGraph(n=2, edges=frozenset({(1, 2)})), arcs=frozenset({(2, 1)}))"),
+    (SymFunc, (2, "S", {(2,): 1, (1, 1): LaurentPoly([0, 1])}), None,
+     "SymFunc(degree=2, basis='S', coeffs=mappingproxy({(2,): 1, (1, 1): t}))"),
+    (MatrixFq, (3, ((1, 4), (0, 1))), (3, ((1, 1), (0, 1))),
+     "MatrixFq(q=3, rows=((1, 1), (0, 1)))"),
+    (ClassFnUT, (2, 3, (1, 0)), (2, 3, (1, 0)), "ClassFnUT(n=2, q=3, values=(1, 0))"),
+    (UnipClassFn, (2, 3, (0, 2)), (2, 3, (0, 2)), "UnipClassFn(n=2, q=3, values=(0, 2))"),
+    (CheckReport, ("check_cqs", 2, 3, "pass"), ("check_cqs", 2, 3, "pass", None),
+     "CheckReport(check='check_cqs', n=2, q=3, status='pass', witness=None)"),
+]
+IDS = [c[0].__name__ for c in CASES]
+
+
+@pytest.mark.parametrize("cls, args, fields, text", CASES, ids=IDS)
+def test_equal_fields_give_equal_objects_and_hashes(cls, args, fields, text):
+    a, b = cls(*args), cls(*args)
+    assert a is not b and a == b and not a != b
+    if fields is None:  # SymFunc holds a read-only mapping and stays unhashable
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) == hash(fields)
+
+
+@pytest.mark.parametrize("cls, args, fields, text", CASES, ids=IDS)
+def test_another_exact_type_is_never_equal(cls, args, fields, text):
+    sub = type("Sub", (cls,), {"__slots__": ()})
+    a = cls(*args)
+    assert a != sub(*args) and sub(*args) != a
+    assert a != args
+
+
+def test_classes_with_equal_fields_stay_apart():
+    assert DyckPath("ES") != SchroderPath("ES")
+    assert ClassFnUT(2, 3, (1, 0)) != UnipClassFn(2, 3, (1, 0))
+
+
+@pytest.mark.parametrize("cls, args, fields, text", CASES, ids=IDS)
+def test_assignment_raises(cls, args, fields, text):
+    a = cls(*args)
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert not hasattr(a, "__dict__")
+
+
+@pytest.mark.parametrize("cls, args, fields, text", CASES, ids=IDS)
+def test_repr_is_the_dataclass_form(cls, args, fields, text):
+    assert repr(cls(*args)) == text
+
+
+def test_check_report_witness_defaults_to_none():
+    assert CheckReport("check_cqs", 1, 2, "pass").witness is None
+
+
+def test_equal_graphs_share_one_csf_cache_entry():
+    g, h = IndiffGraph(4, frozenset({(1, 2), (3, 4)})), IndiffGraph(4, [(4, 3), (2, 1)])
+    assert g is not h
+    csf(g)
+    before = csf.cache_info()
+    assert csf(h) is csf(g)
+    after = csf.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 2)
