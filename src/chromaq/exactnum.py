@@ -8,7 +8,7 @@ stored as an ``int`` whenever it is integral and as a ``fractions.Fraction``
 only for a true quotient; every division goes through ``Fraction``.  A
 ``float`` coefficient raises ``TypeError``: there is deliberately no
 floating-point anywhere.  Everything is immutable and canonical, so equality
-and hashing are structural.
+and hashing are structural, and a constant hashes as the number it equals.
 """
 
 from __future__ import annotations
@@ -204,6 +204,9 @@ class LaurentPoly:
         return self.low == other.low and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
+        # a constant equals its number (zero included), so it hashes as one
+        if self.low == 0 and len(self.coeffs) <= 1:
+            return hash(self[0])
         return hash((self.low, self.coeffs))
 
     # -- ring operations ---------------------------------------------------
@@ -389,7 +392,8 @@ class RationalFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        # with den 1 it equals num, and so a constant equals its number
+        return hash(self.num) if self.den == _L_ONE else hash((self.num, self.den))
 
     def __add__(self, other) -> "RationalFunc":
         other = _coerce(other)

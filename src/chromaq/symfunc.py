@@ -12,7 +12,11 @@ change of basis goes through them.  The supported bases are
 
 Hall-Littlewood P is read off semistandard tableaux, P_lam = sum_T psi_T(t) x^T
 (Macdonald, Symmetric Functions and Hall Polynomials, III (5.11') and (5.8')),
-so its monomial coordinates are built in Z[t] with no division.  Every
+so its monomial coordinates are built in Z[t] with no division.  Its constant
+terms are the Kostka numbers, s_lam = sum_mu K_lam,mu m_mu, and the rows of h
+and e are sums of Schur rows weighted by them (Macdonald I.6); the coefficient
+of m_nu in p_lam counts the ways to drop the parts of lam into the parts of
+nu.  No basis element is built by multiplying exponent vectors.  Every
 change-of-basis table is unitriangular up to a power of t (M, S, HLP, PT) or
 constant (E, H, P), so the Laurent ring Q[t, 1/t] holds every coefficient and
 no basis change divides by a polynomial.  A SymFunc is immutable: the caches
@@ -28,7 +32,7 @@ from math import prod
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .combinatorics import Frozen, Partition, gen_partitions, multiset_perms, nstat, transpose
+from .combinatorics import Frozen, Partition, gen_partitions, nstat, transpose
 from .exactnum import LaurentPoly, ratfunc_to_const
 from .guards import require
 
@@ -47,38 +51,13 @@ def _coeff(x) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# monomial orbits
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _orbit_monomials(mu: Partition, nvars: int) -> tuple[tuple[int, ...], ...]:
-    """All distinct exponent vectors in the S_n-orbit of mu, padded to nvars."""
-    padded = mu + (0,) * (nvars - len(mu))
-    return tuple(multiset_perms(padded))
-
-
-def check_symmetric(full: Mapping[tuple[int, ...], Coeff], nvars: int) -> bool:
-    """True iff a full exponent-vector table is constant on S_n-orbits."""
-    cleaned = {e: c for e, c in full.items() if not _coeff(c).is_zero}
-    reps: dict[tuple[int, ...], Coeff] = {}
-    for e, c in cleaned.items():
-        r = tuple(sorted(e, reverse=True))
-        if r in reps:
-            if _coeff(reps[r]) != _coeff(c):
-                return False
-        else:
-            reps[r] = c
-    for r, c in reps.items():
-        mu = tuple(x for x in r if x)
-        for e in _orbit_monomials(mu, nvars):
-            if _coeff(cleaned.get(e, ZERO)) != _coeff(c):
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # SymFunc: coefficients in a named basis
 # ---------------------------------------------------------------------------
+
+def _require_partition(mu: tuple[int, ...], degree: int) -> None:
+    if sum(mu) != degree or any(a < b for a, b in zip(mu, mu[1:])) or mu and mu[-1] < 1:
+        raise ValueError(f"{mu} is not a partition of {degree}")
+
 
 class SymFunc(Frozen):
     """A homogeneous symmetric function sum_lam c_lam * b_lam in one named basis.
@@ -103,8 +82,7 @@ class SymFunc(Frozen):
             if c.is_zero:
                 continue
             mu = tuple(mu)
-            if sum(mu) != degree or any(a < b for a, b in zip(mu, mu[1:])) or mu and mu[-1] < 1:
-                raise ValueError(f"{mu} is not a partition of {degree}")
+            _require_partition(mu, degree)
             cleaned[mu] = c
         self._set(degree, basis, MappingProxyType(cleaned))
 
@@ -147,55 +125,46 @@ class SymFunc(Frozen):
 # basis elements in monomial coordinates
 # ---------------------------------------------------------------------------
 
-def _mono(mu: Partition) -> dict[Partition, Coeff]:
-    return {mu: ONE}
+def _placements(parts: Partition, room: tuple[int, ...]) -> int:
+    """Ways to drop each part into a slot of `room` so that every slot is filled exactly.
 
-
-def _orbit_product(a: dict[Partition, Coeff], b: dict[Partition, Coeff],
-                   degree: int, n: int) -> dict[Partition, Coeff]:
-    """Product of two monomial-coordinate dicts of total degree `degree` <= n.
-
-    Read in n variables: the coefficient of m_nu sums a_e * b_{nu - e} over the
-    exponent vectors e in the orbits of the keys of a.
+    The coefficient of m_nu in p_lam is _placements(lam, nu) (Macdonald I.6).
+    Slots with equal room left give equal counts, so each value is tried once.
     """
-    fb = {e: c for mu, c in b.items() for e in _orbit_monomials(mu, n)}
-    fa = [(e, c) for mu, c in a.items() for e in _orbit_monomials(mu, n)]
-    out: dict[Partition, Coeff] = {}
-    for nu in gen_partitions(degree):
-        target = nu + (0,) * (n - len(nu))
-        acc = ZERO
-        for e, c in fa:
-            c2 = fb.get(tuple(x - y for x, y in zip(target, e)))
-            if c2 is not None:
-                acc = acc + c * c2
-        if not acc.is_zero:
-            out[nu] = acc
-    return out
-
-
-def _product_coords(parts: Partition, unit: Callable[[int], dict[Partition, Coeff]]) -> dict[Partition, Coeff]:
-    n = sum(parts)
-    acc, deg = {(): ONE}, 0
-    for k in parts:
-        deg += k
-        acc = _orbit_product(acc, unit(k), deg, n)
-    return acc
+    if not parts:
+        return 1
+    k, rest = parts[0], parts[1:]
+    total = 0
+    for r, mult in Counter(room).items():
+        if r >= k:
+            j = room.index(r)
+            total += mult * _placements(rest, room[:j] + room[j + 1:] + ((r - k,) if r > k else ()))
+    return total
 
 
 @lru_cache(maxsize=None)
 def _m_coords(basis: str, lam: Partition) -> tuple[tuple[Partition, Coeff], ...]:
-    """Monomial coordinates of the basis element indexed by lam."""
+    """Monomial coordinates of the basis element indexed by lam.
+
+    s, h and e are read off one Kostka table (Macdonald I.6): s_lam is its row,
+    h_lam = sum_nu K_nu,lam s_nu and e_lam = sum_nu K_nu,lam s_nu'.
+    """
     d = sum(lam)
     if basis == "M":
-        coords = _mono(lam)
+        coords = {lam: 1}
     elif basis == "P":
-        coords = _product_coords(lam, lambda k: _mono((k,)))
-    elif basis == "E":
-        coords = _product_coords(lam, lambda k: _mono(tuple([1] * k)))
-    elif basis == "H":
-        coords = _product_coords(lam, lambda k: {mu: ONE for mu in gen_partitions(k)})
-    elif basis == "S":
-        coords = _schur_coords(lam)
+        coords = {nu: _placements(lam, nu) for nu in gen_partitions(d)}
+    elif basis in ("S", "H", "E"):
+        kostka = _kostka(d)
+        if basis == "S":
+            rows = [(1, lam)]
+        else:
+            rows = [(row[lam], transpose(nu) if basis == "E" else nu)
+                    for nu, row in kostka.items() if lam in row]
+        coords = Counter()
+        for k, nu in rows:
+            for mu, v in kostka[nu].items():
+                coords[mu] += k * v
     elif basis == "HLP":
         coords = _hall_littlewood_coords(d)[lam]
     elif basis == "PT":
@@ -203,44 +172,7 @@ def _m_coords(basis: str, lam: Partition) -> tuple[tuple[Partition, Coeff], ...]
         coords = {mu: c.subs_inv().shift(shift) for mu, c in _hall_littlewood_coords(d)[lam].items()}
     else:
         raise ValueError(f"unknown basis {basis!r}")
-    return tuple(sorted(coords.items()))
-
-
-def _schur_coords(lam: Partition) -> dict[Partition, Coeff]:
-    """Dual Jacobi-Trudi: s_lam = det(e_{lam'_i - i + j}), expanded over the e basis."""
-    if not lam:
-        return {(): ONE}
-    lamt = transpose(lam)
-    m = lam[0]
-
-    e_combo: dict[Partition, int] = {}
-
-    def leibniz(i: int, used: int, sign: int, idx: list[int]) -> None:
-        if i == m:
-            key = tuple(sorted((x for x in idx if x), reverse=True))
-            e_combo[key] = e_combo.get(key, 0) + sign
-            return
-        li = lamt[i] if i < len(lamt) else 0
-        for j in range(m):
-            if used >> j & 1:
-                continue
-            k = li - (i + 1) + (j + 1)
-            if k < 0:
-                continue
-            # new inversions: previously used columns larger than j
-            s = -sign if bin(used >> (j + 1)).count("1") % 2 else sign
-            idx.append(k)
-            leibniz(i + 1, used | (1 << j), s, idx)
-            idx.pop()
-
-    leibniz(0, 0, 1, [])
-    out: dict[Partition, Coeff] = {}
-    for e_idx, c in e_combo.items():
-        if c == 0:
-            continue
-        for mu, v in _m_coords("E", e_idx):
-            out[mu] = out.get(mu, ZERO) + v * c
-    return {mu: c for mu, c in out.items() if not c.is_zero}
+    return tuple(sorted((mu, _coeff(c)) for mu, c in coords.items() if c))
 
 
 def _horizontal_strips(nu: Partition, k: int) -> Iterator[Partition]:
@@ -308,6 +240,17 @@ def _hall_littlewood_coords(d: int) -> dict[Partition, dict[Partition, Coeff]]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _kostka(d: int) -> dict[Partition, dict[Partition, int]]:
+    """The Kostka numbers K_lam,mu of degree d, s_lam = sum_mu K_lam,mu m_mu.
+
+    The constant terms of the tableau build, since P_lam(x; 0) = s_lam
+    (Macdonald III.2); each row keeps its nonzero entries.
+    """
+    return {lam: {mu: c[0] for mu, c in row.items() if c[0]}
+            for lam, row in _hall_littlewood_coords(d).items()}
+
+
 def _invert(a: list[list[Coeff]]) -> list[list[Coeff]]:
     """The inverse of a square matrix over the Laurent ring Q[t, 1/t], by Gauss-Jordan.
 
@@ -361,6 +304,7 @@ def basis_element(basis: str, lam: Partition) -> SymFunc:
     """The named basis element in monomial coordinates."""
     lam = tuple(lam)
     d = sum(lam)
+    _require_partition(lam, d)
     require(d <= MAX_DEGREE, f"basis_element: degree {d} exceeds guard {MAX_DEGREE}")
     return SymFunc(d, "M", dict(_m_coords(basis, lam)))
 

@@ -1,0 +1,82 @@
+"""Exponent-vector oracles for the monomial coordinates of e, h and p.
+
+The package reads s, h and e off one Kostka table and p off part placements.
+These helpers redo the old computation instead: each product of one-part
+basis elements is multiplied out over the exponent vectors of its monomial
+orbits, read in n variables.  `check_symmetric` tests a full exponent-vector
+table for constancy on orbits.  The tests compare both with the package.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from typing import Mapping
+
+from chromaq.combinatorics import Partition, gen_partitions, multiset_perms
+from chromaq.exactnum import LaurentPoly
+from chromaq.symfunc import ONE, ZERO, _coeff
+
+
+@lru_cache(maxsize=None)
+def orbit_monomials(mu: Partition, nvars: int) -> tuple[tuple[int, ...], ...]:
+    """All distinct exponent vectors in the S_n-orbit of mu, padded to nvars."""
+    padded = mu + (0,) * (nvars - len(mu))
+    return tuple(multiset_perms(padded))
+
+
+def check_symmetric(full: Mapping[tuple[int, ...], LaurentPoly], nvars: int) -> bool:
+    """True iff a full exponent-vector table is constant on S_n-orbits."""
+    cleaned = {e: c for e, c in full.items() if not _coeff(c).is_zero}
+    reps: dict[tuple[int, ...], LaurentPoly] = {}
+    for e, c in cleaned.items():
+        r = tuple(sorted(e, reverse=True))
+        if r in reps:
+            if _coeff(reps[r]) != _coeff(c):
+                return False
+        else:
+            reps[r] = c
+    for r, c in reps.items():
+        mu = tuple(x for x in r if x)
+        for e in orbit_monomials(mu, nvars):
+            if _coeff(cleaned.get(e, ZERO)) != _coeff(c):
+                return False
+    return True
+
+
+def orbit_product(a: dict[Partition, LaurentPoly], b: dict[Partition, LaurentPoly],
+                  degree: int, n: int) -> dict[Partition, LaurentPoly]:
+    """Product of two monomial-coordinate dicts of total degree `degree` <= n.
+
+    Read in n variables: the coefficient of m_nu sums a_e * b_{nu - e} over the
+    exponent vectors e in the orbits of the keys of a.
+    """
+    fb = {e: c for mu, c in b.items() for e in orbit_monomials(mu, n)}
+    fa = [(e, c) for mu, c in a.items() for e in orbit_monomials(mu, n)]
+    out: dict[Partition, LaurentPoly] = {}
+    for nu in gen_partitions(degree):
+        target = nu + (0,) * (n - len(nu))
+        acc = ZERO
+        for e, c in fa:
+            c2 = fb.get(tuple(x - y for x, y in zip(target, e)))
+            if c2 is not None:
+                acc = acc + c * c2
+        if not acc.is_zero:
+            out[nu] = acc
+    return out
+
+
+_ONE_PART = {
+    "E": lambda k: {(1,) * k: ONE},
+    "H": lambda k: {mu: ONE for mu in gen_partitions(k)},
+    "P": lambda k: {(k,): ONE},
+}
+
+
+def product_coords(basis: str, parts: Partition) -> dict[Partition, LaurentPoly]:
+    """e, h or p of `parts` in monomial coordinates, one orbit product per part."""
+    n = sum(parts)
+    acc, deg = {(): ONE}, 0
+    for k in parts:
+        deg += k
+        acc = orbit_product(acc, _ONE_PART[basis](k), deg, n)
+    return acc

@@ -32,7 +32,8 @@ from chromaq.combinatorics import (
 )
 from chromaq.exactnum import LaurentPoly
 from chromaq.guards import SizeGuardError
-from chromaq.symfunc import SymFunc, check_symmetric, eval_t, expand_in_basis
+from chromaq.symfunc import SymFunc, eval_t, expand_in_basis
+from orbit_oracle import check_symmetric, orbit_monomials
 
 T = LaurentPoly.t()
 RF = LaurentPoly.const
@@ -127,13 +128,8 @@ def test_llt_eedss_worked_example():
 def test_llt_dyck_case_unrestricted():
     # with empty Diag every coloring contributes; total count is n^n
     G = llt_vertical(DyckPath("EESS").as_schroder())
-    total = sum(c.evaluate(1) * len(_orbit(mu, 2)) for mu, c in G.coeffs.items())
+    total = sum(c.evaluate(1) * len(orbit_monomials(mu, 2)) for mu, c in G.coeffs.items())
     assert total == 4
-
-
-def _orbit(mu, n):
-    from chromaq.symfunc import _orbit_monomials
-    return _orbit_monomials(tuple(mu), n)
 
 
 def test_llt_staircase_of_diags_is_en():

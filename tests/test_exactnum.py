@@ -92,6 +92,14 @@ def test_ratfunc_reduction_is_canonical():
     assert hash(a) == hash(b)
 
 
+@pytest.mark.parametrize("c", [0, 3, -2, Fraction(1, 2)])
+def test_a_constant_hashes_as_the_number_it_equals(c):
+    for x in (LaurentPoly.const(c), RationalFunc.const(c)):
+        assert x == c and hash(x) == hash(c)
+        assert c in {x} and x in {c}
+    assert hash(RationalFunc(T + 2)) == hash(T + 2)
+
+
 def test_ratfunc_pulls_out_powers_of_t():
     r = RationalFunc(T ** 2, T ** 5 + T ** 3)
     # t^2/(t^5+t^3) = t^-1/(t^2+1)

@@ -8,18 +8,20 @@ from chromaq.exactnum import LaurentPoly, PoleError, RationalFunc
 from chromaq.guards import SizeGuardError
 from chromaq.symfunc import (
     BASES,
+    MAX_DEGREE,
     SymFunc,
     basis_element,
-    check_symmetric,
     eval_t,
     expand_in_basis,
     omega,
     plethysm_mul,
     _from_monomials,
     _hall_littlewood_coords,
+    _m_coords,
     _invert,
     _omega_m,
 )
+from orbit_oracle import check_symmetric, product_coords
 from ratfunc_oracle import gauss_jordan_from_monomials, plethysm_frac, ratfunc_to_laurent
 
 T = LaurentPoly.t()
@@ -82,12 +84,28 @@ def test_schur_21_monomials():
     assert el.coeffs == {(2, 1): RF(1), (1, 1, 1): RF(2)}
 
 
+def _ssyt_coords(lam):
+    return {mu: RF(c) for mu, c in schur_by_ssyt(lam, sum(lam)).items() if c}
+
+
 def test_schur_matches_ssyt_oracle():
-    for n in range(6):
+    for n in range(7):
         for lam in gen_partitions(n):
-            want = schur_by_ssyt(lam, n)
-            want = {mu: RF(c) for mu, c in want.items() if c}
-            assert basis_element("S", lam).coeffs == want, lam
+            assert basis_element("S", lam).coeffs == _ssyt_coords(lam), lam
+
+
+@pytest.mark.parametrize("basis", ["E", "H", "P"])
+@pytest.mark.parametrize("d", range(7))
+def test_products_match_the_orbit_product_oracle(basis, d):
+    for lam in gen_partitions(d):
+        assert dict(_m_coords(basis, lam)) == product_coords(basis, lam), lam
+
+
+@pytest.mark.parametrize("basis", BASES)
+@pytest.mark.parametrize("lam", [(1, 2), (0,), (2, 0, 1)])
+def test_basis_element_takes_only_partitions(basis, lam):
+    with pytest.raises(ValueError, match=f"is not a partition of {sum(lam)}"):
+        basis_element(basis, lam)
 
 
 def test_unknown_basis():
@@ -108,8 +126,7 @@ def test_hl_specializes_to_schur_at_zero():
     for n in range(8):
         for lam in gen_partitions(n):
             hl = eval_t(basis_element("HLP", lam), 0)
-            s = basis_element("S", lam)
-            assert hl == s, lam
+            assert hl.coeffs == _ssyt_coords(lam), lam
 
 
 def test_hl_specializes_to_monomial_at_one():
@@ -370,6 +387,15 @@ def test_omega_m_table_is_an_integer_involution_equal_to_the_p_path():
                 for kappa, w in table[nu]:
                     twice[kappa] = twice.get(kappa, 0) + v * w
             assert {k: v for k, v in twice.items() if v} == {mu: 1}, (d, mu)
+
+
+def test_omega_swaps_e_and_h_and_transposes_s_at_the_degree_guard():
+    d = MAX_DEGREE
+    for b in BASES:
+        assert list(_from_monomials(b, d)) == gen_partitions(d), b
+    for lam in gen_partitions(d):
+        assert omega(basis_element("E", lam)) == basis_element("H", lam), lam
+        assert omega(basis_element("S", lam)) == basis_element("S", transpose(lam)), lam
 
 
 def test_omega_unsupported_basis():
