@@ -6,8 +6,8 @@ needs more than n distinct colors, so this finite truncation is faithful.
 Both X_gamma (Shareshian-Wachs, Adv. Math. 2016) and the vertical-strip LLT
 polynomial (Haglund-Haiman-Loehr, JAMS 2005) are symmetric, so the
 coefficient of m_mu equals the coefficient of the single monomial x^mu.  Only
-colorings whose content is a partition mu are therefore enumerated: the
-distinct words with mu_1 copies of color 1, mu_2 of color 2, and so on.
+colorings whose content is a partition mu are therefore counted: those with
+mu_1 copies of color 1, mu_2 of color 2, and so on.
 
 `csf`, `llt_vertical` and `as_expansion` are built once per process for each
 graph or path (both are immutable and hash by value, so they key an
@@ -18,20 +18,16 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import product
 from typing import Iterable
 
 from .combinatorics import (
     Edge,
     IndiffGraph,
-    Orientation,
     Partition,
     SchroderPath,
     area,
     diag,
     gen_partitions,
-    multiset_perms,
-    type_of,
 )
 from .exactnum import LaurentPoly
 from .guards import require, require_sweep
@@ -39,36 +35,53 @@ from .symfunc import SymFunc, expand_in_basis
 
 MAX_COLORING_N = 8
 
-Coloring = tuple[int, ...]
-
-
-def asc(gamma: IndiffGraph, kappa: Coloring) -> int:
-    """Number of edges {i,j}, i < j, with kappa(i) < kappa(j)."""
-    return sum(1 for i, j in gamma.edges if kappa[i - 1] < kappa[j - 1])
-
-
-@lru_cache(maxsize=None)
-def _words(mu: Partition) -> tuple[tuple[int, ...], ...]:
-    """The distinct words with mu_c copies of color c, for each part c of mu."""
-    return tuple(multiset_perms(tuple(c for c, m in enumerate(mu) for _ in range(m))))
-
-
 def _color_sum(n: int, asc_edges: Iterable[Edge], differ: Iterable[Edge] = (),
                rise: Iterable[Edge] = ()) -> SymFunc:
     """Sum of t^{# ascending asc_edges} x^kappa over colorings kappa of [n], in basis M.
 
     kappa must differ on the ends of every `differ` edge and strictly increase
-    along every `rise` edge. Only words of partition content are enumerated.
+    along every `rise` edge; every edge is (i, j) with i < j. For each
+    partition mu the vertices are colored 1..n in turn, each with a color c
+    that still has room for one of its mu_c copies, so only colorings of
+    content mu are reached. A prefix is dropped at the first edge back to an
+    earlier vertex that it breaks, and the ascents are added as the edges close.
     """
-    asc_edges, differ, rise = ([(i - 1, j - 1) for i, j in es] for es in (asc_edges, differ, rise))
+    if n == 0:
+        return SymFunc(0, "M", {(): 1})
+    back = [([], [], []) for _ in range(n)]  # per vertex j: the i < j of each kind of edge
+    for kind, es in enumerate((asc_edges, differ, rise)):
+        for i, j in es:
+            back[j - 1][kind].append(i - 1)
+    # csf's differ edges are its asc edges: then one list of colors serves both
+    back = [(ups, ups if apart == ups else apart, below) for ups, apart, below in back]
+    kappa = [0] * n
     coeffs = {}
     for mu in gen_partitions(n):
+        room = list(mu)
         counts: Counter[int] = Counter()
-        for kappa in _words(mu):
-            if any(kappa[i] == kappa[j] for i, j in differ) or \
-                    any(kappa[i] >= kappa[j] for i, j in rise):
-                continue
-            counts[sum(1 for i, j in asc_edges if kappa[i] < kappa[j])] += 1
+
+        def place(v: int, ascents: int) -> None:
+            ups, apart, below = back[v]
+            up_colors = [kappa[i] for i in ups]
+            taken = up_colors if apart is ups else [kappa[i] for i in apart]
+            lowest = max([kappa[i] for i in below]) + 1 if below else 0
+            last = v == n - 1  # then one copy of one color is left
+            for c in (room.index(1),) if last else range(lowest, len(room)):
+                if c < lowest or not room[c] or c in taken:
+                    continue
+                a = ascents
+                for x in up_colors:
+                    if x < c:
+                        a += 1
+                if last:
+                    counts[a] += 1
+                    continue
+                room[c] -= 1
+                kappa[v] = c
+                place(v + 1, a)
+                room[c] += 1
+
+        place(0, 0)
         coeffs[mu] = LaurentPoly.from_terms(counts)
     return SymFunc(n, "M", coeffs)
 
@@ -94,12 +107,30 @@ def llt_vertical(sigma: SchroderPath) -> SymFunc:
     return _color_sum(n, area(sigma), rise=diag(sigma))
 
 
+def _h_vector(up: list[list[tuple[int, int]]], mask: int) -> list[int]:
+    """The highest vertex reachable from each i in [n] along increasing arcs.
+
+    up[i - 1] lists (bit, j - 1) for each edge {i, j}, i < j: the arc i -> j is
+    present when `mask & bit`, so h(i) = max(i, h(j) over those arcs), from n down.
+    """
+    h = list(range(1, len(up) + 1))
+    for i in range(len(up) - 1, -1, -1):
+        top = h[i]
+        for bit, j in up[i]:
+            if mask & bit and h[j] > top:
+                top = h[j]
+        h[i] = top
+    return h
+
+
 @lru_cache(maxsize=None)
 def as_expansion(sigma: SchroderPath) -> SymFunc:
     """Orientation-sum e-expansion of the vertical-strip LLT polynomial.
 
     Sums (t-1)^{# ascending area edges} e_{type(theta)} over orientations of
-    ([n], Area u Diag) whose Diag edges all point ascending.
+    ([n], Area u Diag) whose Diag edges all point ascending. An orientation is
+    a bit mask over the sorted area edges, a set bit for an edge that points up;
+    its type is the sorted fibre sizes of `_h_vector`.
     """
     if not sigma.is_tall:
         raise ValueError("as_expansion needs a tall path")
@@ -108,18 +139,17 @@ def as_expansion(sigma: SchroderPath) -> SymFunc:
     d_edges = sorted(diag(sigma))
     require_sweep(f"the orientations of the {len(a_edges)} area edges of {sigma}",
                   2 ** len(a_edges))
-    gamma = IndiffGraph(n, frozenset(a_edges) | frozenset(d_edges))
+    up: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for k, (i, j) in enumerate(a_edges + d_edges):
+        up[i - 1].append((1 << k, j - 1))
+    diag_up = (1 << (len(a_edges) + len(d_edges))) - (1 << len(a_edges))
     counts: Counter[tuple[Partition, int]] = Counter()
-    for choice in product((0, 1), repeat=len(a_edges)):
-        arcs = set(d_edges)
-        arcs.update((j, i) if c else (i, j) for (i, j), c in zip(a_edges, choice))
-        counts[type_of(Orientation(gamma, frozenset(arcs))), choice.count(0)] += 1
-    powers = [LaurentPoly.const(1)]  # (t-1)^k for k <= |Area|
-    for _ in a_edges:
-        powers.append(powers[-1] * (LaurentPoly.t() - 1))
+    for mask in range(2 ** len(a_edges)):
+        fibres = Counter(_h_vector(up, mask | diag_up)).values()
+        counts[tuple(sorted(fibres, reverse=True)), mask.bit_count()] += 1
     coeffs: dict[Partition, LaurentPoly] = {}
     for (ty, k), m in counts.items():
-        coeffs[ty] = coeffs.get(ty, LaurentPoly()) + m * powers[k]
+        coeffs[ty] = coeffs.get(ty, LaurentPoly()) + m * (LaurentPoly.t() - 1) ** k
     return SymFunc(n, "E", coeffs)
 
 

@@ -1,23 +1,27 @@
 """Command-line interface.
 
-Two verb families:
-
-  chromaq compute {csf|llt|as-expand|d-coeffs|e-expand|induce|hess-count|superclass-sizes} ...
+usage:
+  chromaq compute {csf|llt|as-expand|d-coeffs|e-expand} INDEX
+  chromaq compute induce INDEX --q Q
+  chromaq compute hess-count INDEX --q Q (--matrix DIGITS | --jordan-type PART,PART,..)
+  chromaq compute superclass-sizes --n N --q Q
   chromaq verify all [--deep] [--json]
   chromaq verify {all|<check name>} [--n N] [--q Q] [--json]
 
-All output is JSON on stdout.  Exit status: 0 = success / all pass,
+INDEX is a Dyck path step string (EESESS) or a JSON graph ('{"n": 2, "edges":
+[[1, 2]]}'); llt and as-expand take a tall Schroeder path (EEDSS). Options go
+anywhere, as --opt VALUE or --opt=VALUE, spelt in full. compute prints JSON;
+verify runs its checks in turn and prints a line per check, sorted by
+(check, n, q), or JSON with --json. Exit status: 0 = success / all pass,
 1 = at least one check failed, 2 = usage or size-guard error.
-
-Checks run one after another in this process; reports are sorted by
-(check, n, q).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from itertools import zip_longest
+from types import SimpleNamespace
 
 from .bridge import ALL_CHECKS, DEPENDENCIES, SYMBOLIC_CHECKS, CheckReport, run_check
 from .chromallt import as_expansion, csf, d_coeffs, e_expansion_X, llt_vertical
@@ -75,13 +79,20 @@ _COMPUTE_INPUTS = {
 }
 
 
-def _cmd_compute(args: argparse.Namespace) -> int:
+def _cmd_compute(args: SimpleNamespace) -> int:
     verb = args.verb
+    if verb not in _COMPUTE_INPUTS:
+        got = "no verb" if verb is None else f"unknown verb {verb!r}"
+        raise ValueError(f"compute: {got}; choose from {', '.join(_COMPUTE_INPUTS)}")
     unread = [name for name in ("index", "q", "n", "matrix", "jordan_type")
-              if getattr(args, name) not in (None, "") and name not in _COMPUTE_INPUTS[verb]]
+              if getattr(args, name) is not None and name not in _COMPUTE_INPUTS[verb]]
     if unread:
         names = ["an index" if u == "index" else "--" + u.replace("_", "-") for u in unread]
         raise ValueError(f"compute {verb} does not read {', '.join(names)}")
+    if args.index is None and "index" in _COMPUTE_INPUTS[verb]:
+        kind = "a tall path step string" if verb in ("llt", "as-expand") else \
+            "a path step string or a JSON graph"
+        raise ValueError(f"compute {verb} needs an index ({kind})")
     if args.n is not None and args.n < 0:
         raise ValueError(f"--n must be >= 0, got {args.n}")
     if verb == "csf":
@@ -161,7 +172,9 @@ def _run_jobs(jobs) -> list[CheckReport]:
     return reports
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
+    if args.target is None:
+        raise ValueError("verify needs 'all' or a check name")
     if args.n is not None and args.n < 0:
         raise ValueError(f"--n must be >= 0, got {args.n}")
     if args.deep and (args.target != "all" or args.n is not None):
@@ -204,38 +217,62 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="chromaq",
-                                 description="exact chromatic/LLT symmetric functions "
-                                             "with brute-force F_q verification")
-    sub = ap.add_subparsers(dest="command", required=True)
+# Each verb family: its handler, its positionals in order, and its options
+# with their types (bool for a flag, which takes no value).
+_FAMILIES = {
+    "compute": (_cmd_compute, ("verb", "index"),
+                {"q": int, "n": int, "matrix": str, "jordan_type": str}),
+    "verify": (_cmd_verify, ("target",), {"n": int, "q": int, "deep": bool, "json": bool}),
+}
 
-    comp = sub.add_parser("compute", help="compute one object and print JSON")
-    comp.add_argument("verb", choices=list(_COMPUTE_INPUTS))
-    comp.add_argument("index", nargs="?", default="",
-                      help="path step string (EESESS) or JSON graph")
-    comp.add_argument("--q", type=int, default=None, help="field size (prime <= 7)")
-    comp.add_argument("--n", type=int, default=None, help="matrix size")
-    comp.add_argument("--matrix", default=None, help="row-major digit string")
-    comp.add_argument("--jordan-type", default=None,
-                      help="partition PART,PART,.. for A = J_lambda - 1")
-    comp.set_defaults(fn=_cmd_compute)
 
-    ver = sub.add_parser("verify", help="run theorem checks")
-    ver.add_argument("target", help="'all' or a check name (e.g. check_cqs)")
-    ver.add_argument("--n", type=int, default=None)
-    ver.add_argument("--q", type=int, default=None)
-    ver.add_argument("--deep", action="store_true", help="extend ranges (n=4 GL, n=5 symbolic)")
-    ver.add_argument("--json", action="store_true", help="machine-readable report")
-    ver.set_defaults(fn=_cmd_verify)
-    return ap
+def _parse(argv: list[str]):
+    """The handler of argv's verb family and its arguments; ValueError on a usage error."""
+    if not argv or argv[0] not in _FAMILIES:
+        got = f"unknown command {argv[0]!r}" if argv else "no command"
+        raise ValueError(f"{got}; choose {' or '.join(_FAMILIES)} (see --help)")
+    family, *rest = argv
+    handler, positionals, options = _FAMILIES[family]
+    args = {name: False if typ is bool else None for name, typ in options.items()}
+    given, tokens = [], iter(rest)
+    for token in tokens:
+        if not token.startswith("--"):
+            given.append(token)
+            continue
+        opt, eq, value = token.partition("=")
+        name = opt[2:].replace("-", "_")
+        typ = None if "_" in opt else options.get(name)
+        if typ is None:
+            raise ValueError(f"{family} has no option {opt}")
+        if typ is bool:
+            if eq:
+                raise ValueError(f"{opt} takes no value")
+            value = True
+        elif not eq:
+            value = next(tokens, "--")
+            if value.startswith("--"):
+                raise ValueError(f"{opt} needs a value")
+        if typ is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValueError(f"{opt} takes an integer, got {value!r}") from None
+        args[name] = value
+    if len(given) > len(positionals):
+        raise ValueError(f"unexpected argument {given[len(positionals)]!r}; {family} takes only "
+                         f"{' and '.join(p.upper() for p in positionals)}")
+    args.update(zip_longest(positionals, given))
+    return handler, SimpleNamespace(**args)
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print((__doc__ or "").partition("\n\n")[2], end="")  # python -OO strips it
+        return 0
     try:
-        return args.fn(args)
+        handler, args = _parse(argv)
+        return handler(args)
     except (SizeGuardError, PoleError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Partitions, lattice paths, indifference graphs, and orientation statistics.
+"""Partitions, lattice paths, indifference graphs, and the subgraph Moebius function.
 
 Conventions:
   * partitions are tuples of positive ints in weakly decreasing order;
@@ -10,12 +10,11 @@ Conventions:
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator
 
-from .guards import require, require_sweep
+from .guards import require
 
 Edge = tuple[int, int]
 Partition = tuple[int, ...]
@@ -87,20 +86,6 @@ def gen_partitions(n: int) -> list[Partition]:
 
     rec(n, n if n else 1, ())
     return out
-
-
-def multiset_perms(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Distinct orderings of a tuple with repeated entries, each yielded once."""
-    if not items:
-        yield ()
-        return
-    seen = set()
-    for i, x in enumerate(items):
-        if x in seen:
-            continue
-        seen.add(x)
-        for rest in multiset_perms(items[:i] + items[i + 1:]):
-            yield (x,) + rest
 
 
 def transpose(lam: Partition) -> Partition:
@@ -396,57 +381,3 @@ def mobius_subgraph(gamma: IndiffGraph) -> dict[IndiffGraph, int]:
     if elems[top] != gamma:
         raise AssertionError(f"mobius_subgraph: {gamma} is not the top of its interval")
     return {elems[i]: inv[i][top] for i in range(m)}
-
-
-# ---------------------------------------------------------------------------
-# orientations
-# ---------------------------------------------------------------------------
-
-class Orientation(Frozen):
-    __slots__ = _fields = ("base", "arcs")
-    base: IndiffGraph
-    arcs: frozenset[Edge]
-
-    def __init__(self, base: IndiffGraph, arcs: frozenset[Edge]):
-        undirected = frozenset(tuple(sorted(a)) for a in arcs)
-        if undirected != base.edges or len(arcs) != len(base.edges):
-            raise ValueError("arcs do not orient the base edge set exactly")
-        self._set(base, arcs)
-
-
-def orientations(gamma: IndiffGraph) -> list[Orientation]:
-    """All 2^|E| orientations of gamma."""
-    require_sweep(f"the orientations of {len(gamma.edges)} edges", 2 ** len(gamma.edges))
-    es = gamma.sorted_edges()
-    out = []
-    for choice in itertools.product((0, 1), repeat=len(es)):
-        arcs = frozenset((i, j) if c == 0 else (j, i) for (i, j), c in zip(es, choice))
-        out.append(Orientation(gamma, arcs))
-    return out
-
-
-def hrv(theta: Orientation, i: int) -> int:
-    """Highest vertex reachable from i along a strictly increasing directed path."""
-    seen = {i}
-    stack = [i]
-    succ: dict[int, list[int]] = {}
-    for a, b in theta.arcs:
-        if b > a:
-            succ.setdefault(a, []).append(b)
-    while stack:
-        v = stack.pop()
-        for w in succ.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return max(seen)
-
-
-def type_of(theta: Orientation) -> Partition:
-    """Partition of n recording the fiber sizes of the hrv map."""
-    n = theta.base.n
-    fibers: dict[int, int] = {}
-    for i in range(1, n + 1):
-        v = hrv(theta, i)
-        fibers[v] = fibers.get(v, 0) + 1
-    return tuple(sorted(fibers.values(), reverse=True))

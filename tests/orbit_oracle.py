@@ -10,11 +10,25 @@ table for constancy on orbits.  The tests compare both with the package.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Mapping
+from typing import Iterator, Mapping
 
-from chromaq.combinatorics import Partition, gen_partitions, multiset_perms
+from chromaq.combinatorics import Partition, gen_partitions
 from chromaq.exactnum import LaurentPoly
 from chromaq.symfunc import ONE, ZERO, _coeff
+
+
+def multiset_perms(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Distinct orderings of a tuple with repeated entries, each yielded once."""
+    if not items:
+        yield ()
+        return
+    seen = set()
+    for i, x in enumerate(items):
+        if x in seen:
+            continue
+        seen.add(x)
+        for rest in multiset_perms(items[:i] + items[i + 1:]):
+            yield (x,) + rest
 
 
 @lru_cache(maxsize=None)

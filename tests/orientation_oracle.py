@@ -1,0 +1,95 @@
+"""The orientation walk that `chromallt.as_expansion` replaced.
+
+`orientations` builds every orientation of a graph as an `Orientation`
+object, `hrv` finds each highest reachable vertex by a graph search, and
+`type_of` reads the fibre sizes off it. `as_expansion_walk` is the old
+`as_expansion` on top of them. The package reads the same h-vector off a bit
+mask in one pass from n down to 1; the tests compare the two exactly.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections import Counter
+
+from chromaq.combinatorics import (
+    Edge,
+    Frozen,
+    IndiffGraph,
+    Partition,
+    SchroderPath,
+    area,
+    diag,
+)
+from chromaq.exactnum import LaurentPoly
+from chromaq.guards import require_sweep
+from chromaq.symfunc import SymFunc
+
+
+class Orientation(Frozen):
+    __slots__ = _fields = ("base", "arcs")
+    base: IndiffGraph
+    arcs: frozenset[Edge]
+
+    def __init__(self, base: IndiffGraph, arcs: frozenset[Edge]):
+        undirected = frozenset(tuple(sorted(a)) for a in arcs)
+        if undirected != base.edges or len(arcs) != len(base.edges):
+            raise ValueError("arcs do not orient the base edge set exactly")
+        self._set(base, arcs)
+
+
+def orientations(gamma: IndiffGraph) -> list[Orientation]:
+    """All 2^|E| orientations of gamma."""
+    require_sweep(f"the orientations of {len(gamma.edges)} edges", 2 ** len(gamma.edges))
+    es = gamma.sorted_edges()
+    out = []
+    for choice in itertools.product((0, 1), repeat=len(es)):
+        arcs = frozenset((i, j) if c == 0 else (j, i) for (i, j), c in zip(es, choice))
+        out.append(Orientation(gamma, arcs))
+    return out
+
+
+def hrv(theta: Orientation, i: int) -> int:
+    """Highest vertex reachable from i along a strictly increasing directed path."""
+    seen = {i}
+    stack = [i]
+    succ: dict[int, list[int]] = {}
+    for a, b in theta.arcs:
+        if b > a:
+            succ.setdefault(a, []).append(b)
+    while stack:
+        v = stack.pop()
+        for w in succ.get(v, ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return max(seen)
+
+
+def type_of(theta: Orientation) -> Partition:
+    """Partition of n recording the fiber sizes of the hrv map."""
+    n = theta.base.n
+    fibers: dict[int, int] = {}
+    for i in range(1, n + 1):
+        v = hrv(theta, i)
+        fibers[v] = fibers.get(v, 0) + 1
+    return tuple(sorted(fibers.values(), reverse=True))
+
+
+def as_expansion_walk(sigma: SchroderPath) -> SymFunc:
+    """Sum of (t-1)^{# ascending area edges} e_{type(theta)}, one `Orientation` at a time."""
+    n = sigma.size
+    a_edges = sorted(area(sigma))
+    d_edges = sorted(diag(sigma))
+    require_sweep(f"the orientations of the {len(a_edges)} area edges of {sigma}",
+                  2 ** len(a_edges))
+    gamma = IndiffGraph(n, frozenset(a_edges) | frozenset(d_edges))
+    counts: Counter[tuple[Partition, int]] = Counter()
+    for choice in itertools.product((0, 1), repeat=len(a_edges)):
+        arcs = set(d_edges)
+        arcs.update((j, i) if c else (i, j) for (i, j), c in zip(a_edges, choice))
+        counts[type_of(Orientation(gamma, frozenset(arcs))), choice.count(0)] += 1
+    coeffs: dict[Partition, LaurentPoly] = {}
+    for (ty, k), m in counts.items():
+        coeffs[ty] = coeffs.get(ty, LaurentPoly()) + m * (LaurentPoly.t() - 1) ** k
+    return SymFunc(n, "E", coeffs)

@@ -26,11 +26,10 @@ from chromaq.bridge import (
     check_st_en,
     p_one,
 )
-from chromaq.chromallt import asc, csf, e_expansion_X, llt_vertical
+from chromaq.chromallt import csf, e_expansion_X, llt_vertical
 from chromaq.combinatorics import (
     DyckPath,
     IndiffGraph,
-    Orientation,
     SchroderPath,
     area,
     area_inverse,
@@ -38,10 +37,8 @@ from chromaq.combinatorics import (
     gen_dyck,
     gen_tall_schroder,
     graph_of,
-    hrv,
     indifference_graphs,
     mesa,
-    type_of,
 )
 from chromaq.exactnum import LaurentPoly
 from chromaq.fqoracle import (
@@ -54,6 +51,8 @@ from chromaq.fqoracle import (
     superclass_sizes,
     ut_order,
 )
+from coloring_oracle import asc
+from orientation_oracle import Orientation, hrv, type_of
 
 T = LaurentPoly.t()
 

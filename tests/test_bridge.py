@@ -248,6 +248,7 @@ def test_the_package_never_imports_dataclasses():
 
 
 def test_cold_import_of_the_cli_loads_neither_dataclasses_nor_inspect():
+    # nor argparse with gettext: about 3 ms to import and 3 ms to build a parser
     import os
     import subprocess
     import sys
@@ -257,7 +258,8 @@ def test_cold_import_of_the_cli_loads_neither_dataclasses_nor_inspect():
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys\n"
             "import chromaq.cli\n"
-            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n")
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'argparse', 'gettext')\n"
+            "             if m in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -266,12 +268,13 @@ def test_cold_import_of_the_cli_loads_neither_dataclasses_nor_inspect():
 
 def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
     import chromaq.chromallt
-    import chromaq.combinatorics
     import chromaq.fqoracle
+    import orientation_oracle
     from chromaq.chromallt import as_expansion
-    from chromaq.combinatorics import SchroderPath, area, area_inverse, orientations
+    from chromaq.combinatorics import SchroderPath, area, area_inverse
     from chromaq.fqoracle import flag_reps, gl_matrices, ut_elements, ut_order
     from chromaq.guards import MAX_SWEEP
+    from orientation_oracle import orientations
 
     # the bound is |UT_4(F_7)|, so that sweep still runs
     assert ut_order(4, 7) == MAX_SWEEP
@@ -284,8 +287,8 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
     # each enumerator builds its elements through these names
     monkeypatch.setattr(chromaq.fqoracle, "product", no_work)
     monkeypatch.setattr(chromaq.fqoracle, "permutations", no_work)
-    monkeypatch.setattr(chromaq.chromallt, "product", no_work)
-    monkeypatch.setattr(chromaq.combinatorics, "Orientation", no_work)
+    monkeypatch.setattr(chromaq.chromallt, "_h_vector", no_work)
+    monkeypatch.setattr(orientation_oracle, "Orientation", no_work)
     # 17 edges on [7]: every {i, j} with j - i <= 3, and {1, 5}, {2, 6}
     g17 = IndiffGraph(7, frozenset([(i, j) for i in range(1, 8) for j in range(i + 1, min(i + 4, 8))]
                                    + [(1, 5), (2, 6)]))
@@ -589,6 +592,69 @@ def test_cli_compute_rejects_bad_sizes(capsys, argv, message):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_cli_help_prints_the_usage(capsys):
+    from chromaq.cli import main
+    for argv in (["--help"], ["compute", "-h"], ["verify", "all", "--json", "--help"]):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage:") and "chromaq compute superclass-sizes --n N --q Q" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "no command; choose compute or verify"),
+    (["frobnicate"], "unknown command 'frobnicate'"),
+    (["compute", "frobnicate", "EESS"], "compute: unknown verb 'frobnicate'"),
+    (["compute"], "compute: no verb"),
+    (["verify"], "verify needs 'all' or a check name"),
+    (["compute", "csf", "EESS", "--deep"], "compute has no option --deep"),
+    (["compute", "induce", "EESS", "--q"], "--q needs a value"),
+    (["compute", "induce", "EESS", "--q", "--n", "2"], "--q needs a value"),
+    (["verify", "all", "--n", "x"], "--n takes an integer, got 'x'"),
+    (["verify", "all", "--json=yes"], "--json takes no value"),
+    (["compute", "csf", "EESS", "EESESS"], "unexpected argument 'EESESS'"),
+    (["verify", "check_cqs", "all"], "unexpected argument 'all'"),
+    (["compute", "hess-count", "ES", "--q", "2", "--jor", "1,1"], "compute has no option --jor"),
+    (["compute", "hess-count", "ES", "--q", "2", "--jordan_type", "1,1"],
+     "compute has no option --jordan_type"),
+])
+def test_cli_usage_errors_exit_two_with_one_error_line(capsys, argv, message):
+    from chromaq.cli import main
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
+def test_cli_options_go_anywhere_and_take_an_equals_sign(capsys):
+    from chromaq.cli import main
+    outs = []
+    for argv in (["compute", "induce", "EESESS", "--q", "2"],
+                 ["compute", "induce", "EESESS", "--q=2"],
+                 ["compute", "--q", "2", "induce", "EESESS"],
+                 ["compute", "--q=2", "induce", "EESESS"]):
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert len(set(outs)) == 1 and json.loads(outs[0])["q"] == 2
+    assert main(["verify", "--json", "--n=2", "all", "--q", "2"]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 14
+
+
+@pytest.mark.parametrize("verb, options", [
+    ("csf", []), ("llt", []), ("as-expand", []), ("d-coeffs", []), ("e-expand", []),
+    ("induce", ["--q", "2"]), ("hess-count", ["--q", "2", "--jordan-type", "1"]),
+])
+def test_cli_omitted_index_is_refused(capsys, verb, options):
+    from chromaq.cli import main
+    assert main(["compute", verb, *options]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: compute {verb} needs an index (")
+    # an explicit empty index is the path of size 0, as `verify --n 0` is
+    if verb != "hess-count":  # no --jordan-type or --matrix has size 0
+        assert main(["compute", verb, "", *options]) == 0
+        capsys.readouterr()
 
 
 def test_cli_d_coeffs_and_as_expand(capsys):

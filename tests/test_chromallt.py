@@ -7,14 +7,13 @@ import pytest
 
 from chromaq.bridge import check_palindromic
 from chromaq.chromallt import (
+    _h_vector,
     as_expansion,
-    asc,
     csf,
     d_coeffs,
     e_expansion_X,
     is_nonneg_int_poly,
     llt_vertical,
-    _words,
 )
 from chromaq.combinatorics import (
     DyckPath,
@@ -28,12 +27,13 @@ from chromaq.combinatorics import (
     graph_of,
     indifference_graphs,
     mesa,
-    multiset_perms,
 )
 from chromaq.exactnum import LaurentPoly
 from chromaq.guards import SizeGuardError
 from chromaq.symfunc import SymFunc, eval_t, expand_in_basis
-from orbit_oracle import check_symmetric, orbit_monomials
+from coloring_oracle import asc, color_sum, words
+from orbit_oracle import check_symmetric, multiset_perms, orbit_monomials
+from orientation_oracle import Orientation, as_expansion_walk, hrv, type_of
 
 T = LaurentPoly.t()
 RF = LaurentPoly.const
@@ -270,8 +270,46 @@ def test_cached_words_are_the_partition_content_words():
     for n in range(7):
         for mu in gen_partitions(n):
             word = tuple(c for c, m in enumerate(mu) for _ in range(m))
-            assert set(_words(mu)) == set(multiset_perms(word)), mu
-            assert len(set(_words(mu))) == len(_words(mu)), mu
+            assert set(words(mu)) == set(multiset_perms(word)), mu
+            assert len(set(words(mu))) == len(words(mu)), mu
+
+
+def test_coloring_in_place_matches_the_words_kernel():
+    # the package colors vertex by vertex; the oracle lists every word of content mu
+    for n in range(7):
+        for g in indifference_graphs(n):
+            assert csf(g) == color_sum(n, g.edges, differ=g.edges), g
+    for n in range(6):
+        for sigma in gen_tall_schroder(n):
+            assert llt_vertical(sigma) == color_sum(n, area(sigma), rise=diag(sigma)), sigma
+
+
+def orientation_of(sigma, mask):
+    # bit k of mask set: the k-th sorted area edge points up; Diag edges always do
+    arcs = set(diag(sigma))
+    arcs.update((i, j) if mask >> k & 1 else (j, i) for k, (i, j) in enumerate(sorted(area(sigma))))
+    return Orientation(IndiffGraph(sigma.size, area(sigma) | diag(sigma)), frozenset(arcs))
+
+
+def test_one_pass_hrv_matches_the_graph_search():
+    for n in range(6):
+        for sigma in gen_tall_schroder(n):
+            a_edges, d_edges = sorted(area(sigma)), sorted(diag(sigma))
+            up = [[] for _ in range(n)]
+            for k, (i, j) in enumerate(a_edges + d_edges):
+                up[i - 1].append((1 << k, j - 1))
+            diag_up = (1 << (len(a_edges) + len(d_edges))) - (1 << len(a_edges))
+            for mask in range(2 ** len(a_edges)):
+                theta = orientation_of(sigma, mask)
+                h = _h_vector(up, mask | diag_up)
+                assert h == [hrv(theta, i) for i in range(1, n + 1)], (sigma, mask)
+                assert tuple(sorted(Counter(h).values(), reverse=True)) == type_of(theta)
+
+
+def test_as_expansion_matches_the_orientation_walk():
+    for n in range(6):
+        for sigma in gen_tall_schroder(n):
+            assert as_expansion(sigma) == as_expansion_walk(sigma), sigma
 
 
 def test_every_dyck_llt_matches_mesa_union():

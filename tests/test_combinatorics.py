@@ -3,7 +3,6 @@ import pytest
 from chromaq.combinatorics import (
     DyckPath,
     IndiffGraph,
-    Orientation,
     SchroderPath,
     area,
     area_inverse,
@@ -12,18 +11,16 @@ from chromaq.combinatorics import (
     gen_partitions,
     gen_tall_schroder,
     graph_of,
-    hrv,
     indifference_graphs,
     is_indifference,
     mesa,
     mobius_subgraph,
     nstat,
-    orientations,
     transpose,
-    type_of,
     zlam,
 )
 from chromaq.guards import SizeGuardError
+from orientation_oracle import Orientation, hrv, orientations, type_of
 
 
 def catalan_oracle(n):

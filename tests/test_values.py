@@ -6,10 +6,11 @@ import pytest
 
 from chromaq.bridge import CheckReport
 from chromaq.chromallt import csf
-from chromaq.combinatorics import DyckPath, IndiffGraph, Orientation, SchroderPath
+from chromaq.combinatorics import DyckPath, IndiffGraph, SchroderPath
 from chromaq.exactnum import LaurentPoly
 from chromaq.fqoracle import ClassFnUT, MatrixFq, UnipClassFn
 from chromaq.symfunc import SymFunc
+from orientation_oracle import Orientation
 
 P2 = IndiffGraph(2, frozenset({(1, 2)}))
 
