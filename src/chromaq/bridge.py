@@ -32,7 +32,7 @@ from .combinatorics import (
     indifference_graphs,
     mesa,
 )
-from .exactnum import LaurentPoly, Rat, _frac, ratfunc_to_const
+from .exactnum import ONE, ZERO, LaurentPoly, Rat, T, _frac, ratfunc_to_const
 from .fqoracle import (
     ClassFnUT,
     UnipClassFn,
@@ -54,8 +54,6 @@ from .symfunc import (
     omega,
     plethysm_mul,
 )
-
-T = LaurentPoly.t()
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +215,7 @@ def check_poincare(n: int, q: int) -> CheckReport:
     def test(item):
         gamma, lam = item
         cnt = hessenberg_count(gamma, jordan_nilpotent(lam, q))
-        dval = dcache[gamma].get(lam, LaurentPoly()).evaluate(q)
+        dval = dcache[gamma].get(lam, ZERO).evaluate(q)
         rhs = dval / q ** len(gamma.edges)
         return cnt == rhs, cnt, rhs
 
@@ -372,7 +370,7 @@ def check_gg(n: int, q: int) -> CheckReport:
                                 "rhs": f"multiple of {denom}"})
     gamma_n = UnipClassFn(n, q, tuple(v // denom for v in ind.values))
     lhs = omega(p_one(gamma_n))
-    e_n = {tuple([1] * n): LaurentPoly.const(1)}
+    e_n = {tuple([1] * n): ONE}
     ok = lhs.coeffs == e_n
     if ok:
         return CheckReport("check_gg", n, q, "pass")

@@ -29,7 +29,7 @@ from .combinatorics import (
     diag,
     gen_partitions,
 )
-from .exactnum import LaurentPoly
+from .exactnum import ONE, ZERO, LaurentPoly, T
 from .guards import require, require_sweep
 from .symfunc import SymFunc, expand_in_basis
 
@@ -147,9 +147,12 @@ def as_expansion(sigma: SchroderPath) -> SymFunc:
     for mask in range(2 ** len(a_edges)):
         fibres = Counter(_h_vector(up, mask | diag_up)).values()
         counts[tuple(sorted(fibres, reverse=True)), mask.bit_count()] += 1
+    powers = [ONE]  # (t - 1)^k for k = 0..|Area|, each built once
+    for _ in a_edges:
+        powers.append(powers[-1] * (T - 1))
     coeffs: dict[Partition, LaurentPoly] = {}
     for (ty, k), m in counts.items():
-        coeffs[ty] = coeffs.get(ty, LaurentPoly()) + m * (LaurentPoly.t() - 1) ** k
+        coeffs[ty] = coeffs.get(ty, ZERO) + powers[k] * m
     return SymFunc(n, "E", coeffs)
 
 

@@ -88,6 +88,12 @@ def gen_partitions(n: int) -> list[Partition]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _partition_index(n: int) -> dict[Partition, int]:
+    """Position of each partition of n in the order of gen_partitions(n)."""
+    return {lam: i for i, lam in enumerate(gen_partitions(n))}
+
+
 def transpose(lam: Partition) -> Partition:
     """Conjugate partition."""
     if not lam:
@@ -98,17 +104,6 @@ def transpose(lam: Partition) -> Partition:
 def nstat(lam: Partition) -> int:
     """n(lambda) = sum of binom(lambda'_i, 2); equals sum (i-1)*lambda_i."""
     return sum(comb(c, 2) for c in transpose(lam))
-
-
-def zlam(lam: Partition) -> int:
-    """Order of the centralizer of a permutation of cycle type lambda."""
-    z = 1
-    for k in set(lam):
-        m = lam.count(k)
-        z *= k ** m
-        for i in range(1, m + 1):
-            z *= i
-    return z
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,17 @@ only for a true quotient; every division goes through ``Fraction``.  A
 ``float`` coefficient raises ``TypeError``: there is deliberately no
 floating-point anywhere.  Everything is immutable and canonical, so equality
 and hashing are structural, and a constant hashes as the number it equals.
+
+The canonical form of a LaurentPoly: nonzero first and last coefficients,
+each an int when integral; zero is () with low = 0.  The public constructor
+normalises any input to it.  The ring operations rely on it to build their
+results canonical in the first place, through the trusted `_canonical`: a
+product of two canonical polynomials over Q, a nonzero multiple of one, its
+negative, shift and t -> 1/t all keep nonzero ends, so nothing is trimmed;
+a sum or difference trims only ends that cancel.  Only entries that are not
+ints are normalised, so an integral Fraction still becomes an int.  Equality
+and hashing are structural because of it, and `evaluate` at an int q runs in
+int on every polynomial in Z[t], since its coefficients are stored as ints.
 """
 
 from __future__ import annotations
@@ -26,6 +37,8 @@ class PoleError(ZeroDivisionError):
 
 def _frac(x: Rat) -> Rat:
     """x as a canonical coefficient: an int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
@@ -141,7 +154,9 @@ class LaurentPoly:
     """Laurent polynomial in t over Q, stored as (lowest exponent, coefficients).
 
     Canonical form: the stored coefficient tuple has nonzero first and last
-    entries; the zero polynomial is the empty tuple with low = 0.
+    entries, each an int when integral; the zero polynomial is the empty
+    tuple with low = 0.  The constructor brings any input to this form; the
+    ring operations build their results in it (see `_canonical`).
     """
 
     __slots__ = ("low", "coeffs")
@@ -162,16 +177,17 @@ class LaurentPoly:
 
     @staticmethod
     def const(c: Rat) -> "LaurentPoly":
-        return LaurentPoly([c])
+        c = _frac(c)
+        return _canonical((c,), 0) if c else ZERO
 
     @staticmethod
     def t(k: int = 1) -> "LaurentPoly":
-        return LaurentPoly([1], low=k)
+        return _canonical((1,), k)
 
     @staticmethod
     def from_terms(terms: Mapping[int, Rat]) -> "LaurentPoly":
         if not terms:
-            return LaurentPoly()
+            return ZERO
         lo = min(terms)
         hi = max(terms)
         cs = [0] * (hi - lo + 1)
@@ -197,11 +213,12 @@ class LaurentPoly:
                 yield self.low + i, c
 
     def __eq__(self, other) -> bool:
+        if type(other) is LaurentPoly:
+            return self.low == other.low and self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.low == other.low and self.coeffs == other.coeffs
+            c = _frac(other)
+            return self.coeffs == ((c,) if c else ()) and self.low == 0
+        return NotImplemented
 
     def __hash__(self) -> int:
         # a constant equals its number (zero included), so it hashes as one
@@ -211,46 +228,75 @@ class LaurentPoly:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
+    def _plus(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        """self + sign * other, sign = 1 or -1; only coinciding ends can cancel."""
+        if not other.coeffs:
             return self
+        if not self.coeffs:
+            return other if sign == 1 else -other
         lo = min(self.low, other.low)
         hi = max(self.low + len(self.coeffs), other.low + len(other.coeffs))
         cs = [0] * (hi - lo)
-        for i, c in enumerate(self.coeffs):
-            cs[self.low - lo + i] += c
-        for i, c in enumerate(other.coeffs):
-            cs[other.low - lo + i] += c
-        return LaurentPoly(cs, low=lo)
+        i = self.low - lo
+        cs[i:i + len(self.coeffs)] = self.coeffs
+        i = other.low - lo
+        if sign == 1:
+            for c in other.coeffs:
+                cs[i] += c
+                i += 1
+        else:
+            for c in other.coeffs:
+                cs[i] -= c
+                i += 1
+        k, j = 0, len(cs)
+        while k < j and not cs[k]:
+            k += 1
+        while j > k and not cs[j - 1]:
+            j -= 1
+        return _canonical(cs[k:j], lo + k) if k < j else ZERO
+
+    def __add__(self, other) -> "LaurentPoly":
+        if type(other) is not LaurentPoly:
+            other = _as_poly(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly([-c for c in self.coeffs], low=self.low)
+        return _canonical([-c for c in self.coeffs], self.low)
 
     def __sub__(self, other) -> "LaurentPoly":
-        return self + (-other if isinstance(other, LaurentPoly) else LaurentPoly.const(-_frac(other)))
+        if type(other) is not LaurentPoly:
+            other = _as_poly(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "LaurentPoly":
         return (-self) + other
 
+    def _scaled(self, c: Rat, k: int) -> "LaurentPoly":
+        """c * t^k * self for a nonzero canonical number c and a nonzero self."""
+        if c == 1:
+            return _canonical(self.coeffs, self.low + k) if k else self
+        return _canonical([a * c for a in self.coeffs], self.low + k)
+
     def __mul__(self, other) -> "LaurentPoly":
+        if type(other) is LaurentPoly:
+            a, b = self.coeffs, other.coeffs
+            if not a or not b:
+                return ZERO
+            if len(b) == 1:  # a constant or a monomial: the scalar path
+                return self._scaled(b[0], other.low)
+            if len(a) == 1:
+                return other._scaled(a[0], self.low)
+            return _canonical(_pmul(a, b), self.low + other.low)
         if isinstance(other, (int, Fraction)):
             c = _frac(other)
-            if c == 0:
-                return LaurentPoly()
-            return LaurentPoly([a * c for a in self.coeffs], low=self.low)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return LaurentPoly()
-        return LaurentPoly(_pmul(self.coeffs, other.coeffs), low=self.low + other.low)
+            return self._scaled(c, 0) if c and self.coeffs else ZERO
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -258,31 +304,39 @@ class LaurentPoly:
         if n < 0:
             raise ValueError(f"negative power {n}: a LaurentPoly has no inverse in general; "
                              "for t^k use LaurentPoly.t(k)")
-        out = LaurentPoly.const(1)
+        out = ONE
         base = self
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
         if self.is_zero:
             return self
-        return LaurentPoly(self.coeffs, low=self.low + k)
+        return _canonical(self.coeffs, self.low + k)
 
     def subs_inv(self) -> "LaurentPoly":
         """Substitute t -> 1/t."""
         if self.is_zero:
             return self
-        return LaurentPoly(tuple(reversed(self.coeffs)), low=-(self.low + len(self.coeffs) - 1))
+        return _canonical(self.coeffs[::-1], -(self.low + len(self.coeffs) - 1))
 
     def evaluate(self, q: Rat) -> Fraction:
-        """Exact value at t = q; pole when q = 0 meets a negative exponent.
+        """Exact value at t = q, always a Fraction; pole when q = 0 meets a
+        negative exponent.
 
-        q is taken as a Fraction, so q ** low stays exact for low < 0."""
+        An int q on a polynomial in Z[t] is evaluated in int; otherwise q is
+        taken as a Fraction, so q ** low stays exact for low < 0."""
+        if type(q) is int and self.low >= 0 and _all_int(self.coeffs):
+            acc = 0
+            for c in reversed(self.coeffs):
+                acc = acc * q + c
+            return Fraction(acc * q ** self.low)
         q = Fraction(_frac(q))
         if self.is_zero:
             return Fraction(0)
@@ -319,8 +373,36 @@ class LaurentPoly:
     __repr__ = __str__
 
 
-_L_ZERO = LaurentPoly()
-_L_ONE = LaurentPoly.const(1)
+def _all_int(cs) -> bool:
+    """True iff every entry of cs (ints and Fractions) is an int: a sum of
+    ints is an int, and one Fraction makes the sum a Fraction."""
+    return type(sum(cs)) is int
+
+
+def _canonical(cs, low: int) -> LaurentPoly:
+    """The LaurentPoly t^low * sum_i cs[i] t^i, for cs whose ends are nonzero.
+
+    The trusted constructor of the ring operations: cs must be empty with
+    low = 0, or have nonzero first and last entries, each an int or a
+    Fraction.  Nothing is trimmed; only entries that are not ints are
+    normalised, so an integral Fraction still becomes an int.
+    """
+    if not _all_int(cs):
+        cs = [c if type(c) is int else _frac(c) for c in cs]
+    f = object.__new__(LaurentPoly)
+    object.__setattr__(f, "coeffs", tuple(cs))
+    object.__setattr__(f, "low", low)
+    return f
+
+
+def _as_poly(x) -> LaurentPoly:
+    """A number x as a constant LaurentPoly; anything else is NotImplemented."""
+    return LaurentPoly.const(x) if isinstance(x, (int, Fraction)) else NotImplemented
+
+
+ZERO = LaurentPoly()
+ONE = LaurentPoly.const(1)
+T = LaurentPoly.t()
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +419,7 @@ class RationalFunc:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly = _L_ONE):
+    def __init__(self, num: LaurentPoly, den: LaurentPoly = ONE):
         if not isinstance(num, LaurentPoly):
             num = LaurentPoly.const(num)
         if not isinstance(den, LaurentPoly):
@@ -346,11 +428,11 @@ class RationalFunc:
             raise ZeroDivisionError("zero denominator")
         if den.low == 0 and den.coeffs == (1,):  # already canonical
             object.__setattr__(self, "num", num)
-            object.__setattr__(self, "den", _L_ONE)
+            object.__setattr__(self, "den", ONE)
             return
         if num.is_zero:
-            object.__setattr__(self, "num", _L_ZERO)
-            object.__setattr__(self, "den", _L_ONE)
+            object.__setattr__(self, "num", ZERO)
+            object.__setattr__(self, "den", ONE)
             return
         shift = num.low - den.low
         n, d = num.coeffs, den.coeffs
@@ -382,7 +464,7 @@ class RationalFunc:
 
     @property
     def is_laurent(self) -> bool:
-        return self.den == _L_ONE
+        return self.den == ONE
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
@@ -393,13 +475,13 @@ class RationalFunc:
 
     def __hash__(self) -> int:
         # with den 1 it equals num, and so a constant equals its number
-        return hash(self.num) if self.den == _L_ONE else hash((self.num, self.den))
+        return hash(self.num) if self.den == ONE else hash((self.num, self.den))
 
     def __add__(self, other) -> "RationalFunc":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == _L_ONE and other.den == _L_ONE:
+        if self.den == ONE and other.den == ONE:
             return RationalFunc(self.num + other.num)
         return RationalFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
@@ -421,7 +503,7 @@ class RationalFunc:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == _L_ONE and other.den == _L_ONE:
+        if self.den == ONE and other.den == ONE:
             return RationalFunc(self.num * other.num)
         return RationalFunc(self.num * other.num, self.den * other.den)
 
@@ -475,6 +557,3 @@ def ratfunc_to_const(f: LaurentPoly) -> Rat:
     if f.is_zero or (f.low == 0 and len(f.coeffs) == 1):
         return f[0]
     raise ArithmeticError(f"{f} is not a constant")
-
-
-T = LaurentPoly.t()

@@ -25,6 +25,7 @@ from .combinatorics import (
     IndiffGraph,
     Partition,
     SchroderPath,
+    _partition_index,
     area,
     diag,
     gen_partitions,
@@ -267,12 +268,6 @@ def superclass_sizes(n: int, q: int) -> dict[IndiffGraph, int]:
 def _graph_index(n: int) -> dict[IndiffGraph, int]:
     """Position of each indifference graph on [n] in the order of indifference_graphs(n)."""
     return {g: i for i, g in enumerate(indifference_graphs(n))}
-
-
-@lru_cache(maxsize=None)
-def _partition_index(n: int) -> dict[Partition, int]:
-    """Position of each partition of n in the order of gen_partitions(n)."""
-    return {lam: i for i, lam in enumerate(gen_partitions(n))}
 
 
 class _ClassFn(Frozen):

@@ -32,17 +32,23 @@ from math import prod
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .combinatorics import Frozen, Partition, gen_partitions, nstat, transpose
-from .exactnum import LaurentPoly, ratfunc_to_const
+from .combinatorics import (
+    MAX_PARTITION_N,
+    Frozen,
+    Partition,
+    _partition_index,
+    gen_partitions,
+    nstat,
+    transpose,
+)
+from .exactnum import ONE, ZERO, LaurentPoly, ratfunc_to_const
+from .exactnum import T as _T
 from .guards import require
 
 MAX_DEGREE = 8
 BASES = ("M", "E", "H", "P", "S", "HLP", "PT")
 
 Coeff = LaurentPoly
-ZERO = LaurentPoly()
-ONE = LaurentPoly.const(1)
-_T = LaurentPoly.t()
 
 
 def _coeff(x) -> LaurentPoly:
@@ -77,21 +83,24 @@ class SymFunc(Frozen):
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
         cleaned: dict[Partition, Coeff] = {}
+        # a key in the table of partitions of degree is one; any other key, and
+        # every key of a degree outside the table, goes through the plain check
+        known = (_partition_index(degree) if type(degree) is int and 0 <= degree <= MAX_PARTITION_N
+                 else {})
         for mu, c in coeffs.items():
-            c = _coeff(c)
-            if c.is_zero:
+            if type(c) is not LaurentPoly:
+                c = _coeff(c)
+            if not c.coeffs:
                 continue
             mu = tuple(mu)
-            _require_partition(mu, degree)
+            if mu not in known:
+                _require_partition(mu, degree)
             cleaned[mu] = c
         self._set(degree, basis, MappingProxyType(cleaned))
 
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def coeff(self, mu: Partition) -> Coeff:
-        return self.coeffs.get(tuple(mu), ZERO)
 
     def map_coeffs(self, fn: Callable[[Coeff], Coeff]) -> "SymFunc":
         return SymFunc(self.degree, self.basis, {mu: fn(c) for mu, c in self.coeffs.items()})

@@ -5,6 +5,7 @@ These helpers redo the old computation instead: each product of one-part
 basis elements is multiplied out over the exponent vectors of its monomial
 orbits, read in n variables.  `check_symmetric` tests a full exponent-vector
 table for constancy on orbits.  The tests compare both with the package.
+Two readers that only the tests need sit here too: `coeff` and `zlam`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,23 @@ from typing import Iterator, Mapping
 
 from chromaq.combinatorics import Partition, gen_partitions
 from chromaq.exactnum import LaurentPoly
-from chromaq.symfunc import ONE, ZERO, _coeff
+from chromaq.symfunc import ONE, ZERO, SymFunc, _coeff
+
+
+def coeff(F: SymFunc, mu: Partition) -> LaurentPoly:
+    """The coefficient of the basis element mu in F (zero when absent)."""
+    return F.coeffs.get(tuple(mu), ZERO)
+
+
+def zlam(lam: Partition) -> int:
+    """Order of the centralizer of a permutation of cycle type lambda."""
+    z = 1
+    for k in set(lam):
+        m = lam.count(k)
+        z *= k ** m
+        for i in range(1, m + 1):
+            z *= i
+    return z
 
 
 def multiset_perms(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

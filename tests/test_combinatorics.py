@@ -17,9 +17,9 @@ from chromaq.combinatorics import (
     mobius_subgraph,
     nstat,
     transpose,
-    zlam,
 )
 from chromaq.guards import SizeGuardError
+from orbit_oracle import zlam
 from orientation_oracle import Orientation, hrv, orientations, type_of
 
 

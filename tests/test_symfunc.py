@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from chromaq.combinatorics import gen_partitions, transpose, zlam
+from chromaq.combinatorics import MAX_PARTITION_N, gen_partitions, transpose
 from chromaq.exactnum import LaurentPoly, PoleError, RationalFunc
 from chromaq.guards import SizeGuardError
 from chromaq.symfunc import (
@@ -20,8 +20,9 @@ from chromaq.symfunc import (
     _m_coords,
     _invert,
     _omega_m,
+    _require_partition,
 )
-from orbit_oracle import check_symmetric, product_coords
+from orbit_oracle import check_symmetric, coeff, product_coords, zlam
 from ratfunc_oracle import gauss_jordan_from_monomials, plethysm_frac, ratfunc_to_laurent
 
 T = LaurentPoly.t()
@@ -191,8 +192,8 @@ def test_hl_coefficients_are_integer_polynomials():
 def test_hl_two_row():
     # classical: P_(2) = m_2 + (1-t) m_11
     el = basis_element("HLP", (2,))
-    assert el.coeff((2,)) == LaurentPoly.const(1)
-    assert el.coeff((1, 1)) == 1 - T
+    assert coeff(el, (2,)) == LaurentPoly.const(1)
+    assert coeff(el, (1, 1)) == 1 - T
 
 
 def test_pt_relation():
@@ -307,6 +308,48 @@ def test_expand_in_basis_same_basis_is_identity():
 def test_symfunc_rejects_non_partition_key(degree, key):
     with pytest.raises(ValueError, match="is not a partition of"):
         SymFunc(degree, "M", {key: RF(1)})
+
+
+def _outcome(make):
+    try:
+        make()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _keys_near(degree):
+    """Partitions of degree and of its neighbours, plus keys that are no partition."""
+    keys = [(), (0,), (degree,), (degree, 0), (1,) * max(degree, 0), (-1,), (degree + 1, -1),
+            (1, 2), (Fraction(3, 2), Fraction(3, 2)), (2.0, 1.0), (True, True)]
+    for d in (degree - 1, degree, degree + 1):
+        if 0 <= d <= 7:
+            keys += gen_partitions(d)
+            keys += [lam[::-1] for lam in gen_partitions(d)]
+    return keys
+
+
+@pytest.mark.parametrize("degree", [-2, -1, 0, 1, 2, 3, 5, 7, MAX_PARTITION_N, MAX_PARTITION_N + 1, 40])
+def test_symfunc_partition_lookup_agrees_with_the_plain_check(degree):
+    # the lookup must accept and reject exactly what _require_partition does,
+    # with the same exception and message, and never trip a size guard
+    for key in _keys_near(degree):
+        got = _outcome(lambda: SymFunc(degree, "M", {key: RF(1)}))
+        assert got == _outcome(lambda: _require_partition(tuple(key), degree)), (degree, key)
+        assert got is None or got[0] is ValueError, (degree, key, got)
+
+
+def test_symfunc_partition_check_at_the_edges():
+    assert SymFunc(0, "M", {(): 1}).coeffs == {(): RF(1)}
+    for degree, key in [(0, (1,)), (0, (0,)), (-1, ()), (-1, (-1,)),
+                        (MAX_PARTITION_N + 1, (MAX_PARTITION_N,)), (100, (99,))]:
+        with pytest.raises(ValueError) as e:
+            SymFunc(degree, "M", {key: RF(1)})
+        assert type(e.value) is ValueError
+        assert str(e.value) == f"{key} is not a partition of {degree}"
+    big = MAX_PARTITION_N + 1
+    assert SymFunc(big, "M", {(big,): 1}).coeffs == {(big,): RF(1)}
+    assert SymFunc(100, "M", {(60, 40): 1}).degree == 100
 
 
 def test_symfunc_drops_zero_coefficients():
