@@ -44,6 +44,7 @@ from .fqoracle import (
     permutation_character_oracle,
     psi_pseudo,
 )
+from .guards import require_sweep
 from .symfunc import (
     SymFunc,
     _from_monomials,
@@ -194,13 +195,14 @@ def check_cqs(n: int, q: int) -> CheckReport:
 
 def check_hess(n: int, q: int) -> CheckReport:
     """Induced character values count Hessenberg points: (q-1)^n q^{|E|} |B|."""
-    items = [(g, lam) for g in indifference_graphs(n) for lam in gen_partitions(n)]
+    graphs = indifference_graphs(n)
+    items = [(g, lam) for g in graphs for lam in gen_partitions(n)]
+    induced = {g: induce_to_GL(chi_bar(g, q)) for g in graphs}
 
     def test(item):
         gamma, lam = item
-        ind = induce_to_GL(chi_bar(gamma, q))
         cnt = hessenberg_count(gamma, jordan_nilpotent(lam, q))
-        lhs = ind(lam)
+        lhs = induced[gamma](lam)
         rhs = (q - 1) ** n * q ** len(gamma.edges) * cnt
         return lhs == rhs, lhs, rhs
 
@@ -277,13 +279,16 @@ def check_permtoind(n: int, q: int) -> CheckReport:
 
 def check_as(n: int) -> CheckReport:
     """Orientation e-expansion equals the coloring LLT polynomial, symbolically."""
+    paths = gen_tall_schroder(n)
+    require_sweep(f"the orientations of the tall paths of size {n}",
+                  2 ** max((len(area(sigma)) for sigma in paths), default=0))
 
     def test(sigma):
         lhs = expand_in_basis(as_expansion(sigma), "M")
         rhs = llt_vertical(sigma)
         return lhs == rhs, lhs, rhs
 
-    return _scan("check_as", n, None, gen_tall_schroder(n), test)
+    return _scan("check_as", n, None, paths, test)
 
 
 def check_cm(n: int) -> CheckReport:

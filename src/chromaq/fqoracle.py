@@ -3,7 +3,12 @@ functions, pseudosupercharacters, induction to GL_n, flags, and Hessenberg
 point counts.
 
 q is restricted to primes <= 7; each sweep refuses past guards.MAX_SWEEP elements.
-Matrices are tuples of row tuples with entries reduced mod q.
+Matrices are tuples of row tuples with entries reduced mod q at the API only.
+The sweeps compute on one packed kernel, `_Packed`: an n x n matrix is one
+int with entry (i, j) in byte i*n + j, a product is n big-int multiplies of a
+column by a row, and bytes.translate reduces the result mod q or reads off its
+zero pattern.  No byte carries while n(q-1)^2 < 256; past that the kernel
+raises, and no sweep that MAX_SWEEP admits comes near it.
 
 Induction to GL_n needs only a sweep of UT_n: each element contributes the
 centralizer order of its Jordan type (Frobenius formula).  The independent
@@ -49,40 +54,134 @@ def _check_q(q: int) -> None:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _inv_table(q: int) -> tuple[int, ...]:
-    return tuple(pow(a, q - 2, q) if a else 0 for a in range(q))
+def _field(q: int) -> tuple[tuple[int, ...], bytes, bytes]:
+    """Inverses mod q, and the byte tables v -> v % q and v -> (v % q == 0)."""
+    return (tuple(pow(a, q - 2, q) if a else 0 for a in range(q)),
+            bytes(v % q for v in range(256)), bytes(v % q == 0 for v in range(256)))
 
 
 def mat_identity(n: int) -> Rows:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_mul(a: Rows, b: Rows, q: int) -> Rows:
-    n = len(a)
-    bt = tuple(zip(*b)) if n else ()
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % q for col in bt) for row in a)
+def _pack(rows: Rows) -> int:
+    """A matrix with entries in 0..255 as one int, entry (i, j) in byte i*n + j."""
+    return int.from_bytes(bytes(chain.from_iterable(rows)), "little")
 
 
-def mat_inv(rows: Rows, q: int) -> Rows:
-    n = len(rows)
-    inv_t = _inv_table(q)
-    A = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        A[col], A[piv] = A[piv], A[col]
-        f = inv_t[A[col][col]]
-        if f != 1:
-            A[col] = [(x * f) % q for x in A[col]]
-        ac = A[col]
-        for r in range(n):
-            if r != col and A[r][col]:
-                c = A[r][col]
-                ar = A[r]
-                for k in range(col, 2 * n):
-                    ar[k] = (ar[k] - c * ac[k]) % q
-    return tuple(tuple(r[n:]) for r in A)
+def _zero_mask(m: int, size: int, q: int) -> int:
+    """Zero pattern of a packed matrix with `size` entries over F_q: bit 8(i*n + j)
+    set iff entry (i, j) is 0 mod q."""
+    return int.from_bytes(m.to_bytes(size, "little").translate(_field(q)[2]), "little")
+
+
+class _Packed:
+    """n x n matrices over F_q packed into ints, entry (i, j) in byte i*n + j.
+
+    Row k of a matrix m is m >> 8kn & row (bytes 0..n-1); column k is
+    m >> 8k & col (bytes i*n).  So a.b is the sum over k of column k of a times
+    row k of b: no two of these products share a byte, and each byte of the
+    sum is an integer entry of a.b, at most n(q-1)^2.  While that is below 256
+    no byte carries into the next, and one bytes.translate reduces every entry
+    mod q, or marks the zero ones.  A row operation r + c.p over F_q reaches
+    only q(q-1) in a byte and is reduced the same way.
+    """
+
+    __slots__ = ("n", "q", "inv", "mod", "row", "col", "one", "lower")
+
+    def __init__(self, n: int, q: int):
+        if n * (q - 1) ** 2 > 255:
+            raise OverflowError(f"packed products of {n} x {n} matrices over F_{q} would carry "
+                                f"between bytes: n(q-1)^2 = {n * (q - 1) ** 2} > 255")
+        self.n, self.q = n, q
+        self.inv, self.mod, _ = _field(q)
+        self.row = (1 << 8 * n) - 1
+        self.col = sum(255 << 8 * i * n for i in range(n))
+        self.one = sum(1 << 8 * i * (n + 1) for i in range(n))
+        self.lower = sum(255 << 8 * (i * n + j) for i in range(n) for j in range(i + 1))
+
+    def reduce(self, m: int, size: int) -> int:
+        """m with each of its `size` bytes reduced mod q."""
+        return int.from_bytes(m.to_bytes(size, "little").translate(self.mod), "little")
+
+    def unpack(self, m: int) -> Rows:
+        n = self.n
+        b = m.to_bytes(n * n, "little")
+        return tuple(tuple(b[i * n:(i + 1) * n]) for i in range(n))
+
+    def mul(self, a: int, b: int) -> int:
+        n, row, col = self.n, self.row, self.col
+        return self.reduce(sum((a >> 8 * k & col) * (b >> 8 * k * n & row) for k in range(n)),
+                           n * n)
+
+    def rank(self, m: int) -> int:
+        """Rank of m by elimination: each row, in turn, clears the column of
+        its lowest nonzero byte from the rows still left."""
+        n, q, inv, mod = self.n, self.q, self.inv, self.mod
+        rows = [r for r in (m >> 8 * k * n & self.row for k in range(n)) if r]
+        rank = 0
+        while rows:
+            p = rows.pop()
+            if not p:
+                continue
+            sh = (p & -p).bit_length() - 1 & ~7
+            f = q - inv[p >> sh & 255]
+            rows = [int.from_bytes((r + (v * f % q) * p).to_bytes(n, "little").translate(mod),
+                                   "little") if (v := r >> sh & 255) else r for r in rows]
+            rank += 1
+        return rank
+
+    def jordan_type(self, u: int) -> Partition:
+        """Jordan type of a unipotent u: rank (u-1)^{k-1} - rank (u-1)^k parts have size >= k.
+
+        (u-1)^n = 0 for unipotent u, so at most n + 1 ranks are read; ValueError
+        if they do not reach 0 or their differences are no partition of n.  When
+        u - 1 is strictly upper triangular it is nilpotent, and once a rank is 1
+        or one below the last, the ranks after it fall by 1 to 0 unread.
+        """
+        n, q = self.n, self.q
+        nil = power = self.reduce(u + (q - 1) * self.one, n * n)
+        upper = not nil & self.lower
+        ranks = [n]
+        while ranks[-1] and len(ranks) <= n:
+            ranks.append(self.rank(power))
+            if upper and (ranks[-1] == 1 or ranks[-2] - ranks[-1] == 1):
+                ranks += range(ranks[-1] - 1, -1, -1)
+            elif ranks[-1]:
+                power = self.mul(power, nil)
+        conj = [a - b for a, b in zip(ranks, ranks[1:])]
+        if ranks[-1] or any(a < b for a, b in zip(conj, conj[1:])) or conj and conj[-1] < 1:
+            raise ValueError(f"{self.unpack(u)} is not unipotent over F_{q}: "
+                             f"ranks of (u-1)^k are {ranks}")
+        return tuple(sum(1 for c in conj if c >= i) for i in range(1, conj[0] + 1)) if conj else ()
+
+    def inverse_columns(self, x: int) -> list[int]:
+        """Column k of x^{-1} at bytes i*n, for each k: Gauss-Jordan on the
+        columns of x (the rows of x^T, entry i in byte i*n) beside an identity
+        whose entry i sits in byte i*n + 1.
+
+        Row j of x^T pivots on its last nonzero entry.  In a unipotent upper
+        triangular x or a flag representative that is a 1 which the earlier
+        rows leave in place, so those rows need no scaling."""
+        n, q, inv, col, mod = self.n, self.q, self.inv, self.col, self.mod
+        size = n * n + 1
+        rows = [x >> 8 * k & col | 1 << 8 * (k * n + 1) for k in range(n)]
+        pivots = []
+        for i in range(n):
+            p, rows[i] = rows[i], 0
+            if not p & col:
+                raise ValueError("matrix is singular")
+            sh = (p & col).bit_length() - 1 & ~7
+            if (v := p >> sh & 255) != 1:
+                p = self.reduce(p * inv[v], size)
+            rows = [int.from_bytes((r + (q - v) * p).to_bytes(size, "little").translate(mod),
+                                   "little") if (v := r >> sh & 255) else r for r in rows]
+            rows[i] = p
+            pivots.append(sh // (8 * n))
+        out = [0] * n
+        for k, r in zip(pivots, rows):
+            out[k] = r >> 8 & col
+        return out
 
 
 class MatrixFq(Frozen):
@@ -103,11 +202,6 @@ class MatrixFq(Frozen):
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    def __mul__(self, other: "MatrixFq") -> "MatrixFq":
-        if self.q != other.q:
-            raise AssertionError(f"cannot multiply matrices over F_{self.q} and F_{other.q}")
-        return MatrixFq(self.q, mat_mul(self.rows, other.rows, self.q))
 
     def is_upper_unipotent(self) -> bool:
         return all(self.rows[i][j] == (1 if i == j else 0)
@@ -215,13 +309,14 @@ def gl_matrices(n: int, q: int) -> Iterator[Rows]:
 # superclasses
 # ---------------------------------------------------------------------------
 
-def _label_edges(u: Rows, n: int) -> frozenset[tuple[int, int]]:
-    """Finest indifference label: {i,l} iff u[j,k] = 0 on the whole interval block."""
+def _label_edges(zeros: int, n: int) -> frozenset[tuple[int, int]]:
+    """Finest indifference label of u from its zero mask (bit 8(i*n + j) set iff
+    u[i, j] = 0): {i,l} iff u[j,k] = 0 on the whole interval block."""
     allz: dict[tuple[int, int], bool] = {}
     for span in range(1, n):
         for i in range(1, n - span + 1):
             l = i + span
-            ok = u[i - 1][l - 1] == 0
+            ok = zeros >> 8 * ((i - 1) * n + l - 1) & 1
             if span > 1:
                 ok = ok and allz[(i + 1, l)] and allz[(i, l - 1)]
             allz[(i, l)] = ok
@@ -232,7 +327,7 @@ def superclass_label(u: MatrixFq) -> IndiffGraph:
     """The superclass of a unipotent upper-triangular element."""
     if not u.is_upper_unipotent():
         raise ValueError("superclass_label needs an upper unipotent matrix")
-    return IndiffGraph(u.n, _label_edges(u.rows, u.n))
+    return IndiffGraph(u.n, _label_edges(_zero_mask(_pack(u.rows), u.n * u.n, u.q), u.n))
 
 
 def superclass_rep(gamma: IndiffGraph, q: int) -> MatrixFq:
@@ -405,45 +500,6 @@ def inner_product_UT(phi: ClassFnUT, psi: ClassFnUT) -> Fraction:
 # induction to GL_n
 # ---------------------------------------------------------------------------
 
-def _rank(rows: Rows, q: int) -> int:
-    """Rank over F_q by row reduction."""
-    inv_t = _inv_table(q)
-    m = [list(r) for r in rows]
-    rank = 0
-    for col in range(len(m)):
-        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pr = m[rank]
-        f = inv_t[pr[col]]
-        for r in range(rank + 1, len(m)):
-            c = m[r][col] * f % q
-            if c:
-                m[r] = [(x - c * y) % q for x, y in zip(m[r], pr)]
-        rank += 1
-    return rank
-
-
-def _jordan_type(u: Rows, q: int) -> Partition:
-    """Jordan type of a unipotent u: rank (u-1)^{k-1} - rank (u-1)^k parts have size >= k.
-
-    (u-1)^n = 0 for unipotent u, so at most n + 1 ranks are read; ValueError if
-    they do not reach 0 or their differences are no partition of n.
-    """
-    n = len(u)
-    nil = power = mat_minus_identity(u, q)
-    ranks = [n]
-    while ranks[-1] and len(ranks) <= n:
-        ranks.append(_rank(power, q))
-        if ranks[-1]:
-            power = mat_mul(power, nil, q)
-    conj = [a - b for a, b in zip(ranks, ranks[1:])]
-    if ranks[-1] or any(a < b for a, b in zip(conj, conj[1:])) or conj and conj[-1] < 1:
-        raise ValueError(f"{u} is not unipotent over F_{q}: ranks of (u-1)^k are {ranks}")
-    return tuple(sum(1 for c in conj if c >= i) for i in range(1, conj[0] + 1)) if conj else ()
-
-
 def _centralizer_order(lam: Partition, q: int) -> int:
     """|C_GL(J_lam)| = q^{|lam| + 2n(lam)} prod_i phi_{m_i(lam)}(1/q)."""
     out = q ** (sum(lam) + 2 * sum(i * k for i, k in enumerate(lam)))
@@ -462,13 +518,21 @@ def induction_table(n: int, q: int) -> dict[Partition, dict[IndiffGraph, int]]:
     elements x, so one sweep of UT_n fills the table.
     """
     _check_q(q)
-    raw: dict[Partition, dict[frozenset, int]] = {lam: {} for lam in gen_partitions(n)}
-    for u in ut_elements(n, q):
-        d = raw[_jordan_type(u, q)]
-        lab = _label_edges(u, n)
-        d[lab] = d.get(lab, 0) + 1
-    return {lam: {IndiffGraph(n, lab): c * _centralizer_order(lam, q) for lab, c in labs.items()}
-            for lam, labs in raw.items()}
+    raw: dict[Partition, Counter] = {lam: Counter() for lam in gen_partitions(n)}
+    us = ut_elements(n, q)
+    u = next(us, None)  # the sweep's size guard runs before the kernel's carry bound
+    k = _Packed(n, q)
+    while u is not None:
+        m = _pack(u)
+        raw[k.jordan_type(m)][_zero_mask(m, n * n, q)] += 1
+        u = next(us, None)
+    out = {}
+    for lam, masks in raw.items():
+        labs: Counter = Counter()
+        for zeros, c in masks.items():
+            labs[_label_edges(zeros, n)] += c
+        out[lam] = {IndiffGraph(n, lab): c * _centralizer_order(lam, q) for lab, c in labs.items()}
+    return out
 
 
 def induce_to_GL(phi: ClassFnUT) -> UnipClassFn:
@@ -489,21 +553,47 @@ def induce_to_GL(phi: ClassFnUT) -> UnipClassFn:
 # the conjugation sweep behind the coset, GL_n and Hessenberg oracles
 # ---------------------------------------------------------------------------
 
-def _zero_mask(m: Rows) -> int:
-    """Zero pattern of m: bit i*n + j set iff entry (i, j) is 0."""
-    return sum(1 << k for k, x in enumerate(chain.from_iterable(m)) if not x)
+def _conjugation_terms(a: Rows, q: int) -> tuple[tuple[int, int], ...] | None:
+    """x^{-1} a x as a sum of a[r][c] copies of (column r of x^{-1}) (row c of
+    x): the (r, c) of each copy, or None if that sum could carry between bytes."""
+    terms = tuple((r, c) for r, row in enumerate(a) for c, v in enumerate(row) for _ in range(v))
+    return terms if len(terms) * (q - 1) ** 2 <= 255 else None
 
 
 @lru_cache(maxsize=None)
 def _conjugate_masks(sweep: Callable[[int, int], Iterator[Rows]], n: int, q: int,
                      targets: tuple[Rows, ...]) -> tuple[Counter, ...]:
     """For each target a, how many x of sweep(n, q) give x^{-1} a x each zero
-    pattern.  Each x is inverted once, whatever the number of targets."""
+    pattern (bit 8(i*n + j) set iff entry (i, j) is 0).
+
+    Each x is inverted once.  The conjugate of a is the sum of its terms, so
+    every product of a column of x^{-1} by a row of x is made once per x and
+    shared by all the targets; a J_lam - 1 has at most n - 1 terms.  A target
+    whose sum of terms could carry takes two reduced products instead.
+    """
     out = tuple(Counter() for _ in targets)
-    for x in sweep(n, q):
-        xi = mat_inv(x, q)
-        for a, masks in zip(targets, out):
-            masks[_zero_mask(mat_mul(mat_mul(xi, a, q), x, q))] += 1
+    xs = sweep(n, q)
+    x = next(xs, None)  # the sweep's size guard runs before the kernel's carry bound
+    k = _Packed(n, q)
+    size, zero, from_bytes = n * n, _field(q)[2], int.from_bytes
+    plans = [(_conjugation_terms(a, q), _pack(a), masks) for a, masks in zip(targets, out)]
+    pairs = sorted({t for terms, _, _ in plans if terms is not None for t in terms})
+    slot = {t: i for i, t in enumerate(pairs)}
+    plans = [(None if terms is None else [slot[t] for t in terms], a, masks)
+             for terms, a, masks in plans]
+    while x is not None:
+        xm = _pack(x)
+        cols = k.inverse_columns(xm)
+        rows = [xm >> 8 * j * n & k.row for j in range(n)]
+        prods = [cols[r] * rows[c] for r, c in pairs]
+        for terms, a, masks in plans:
+            if terms is None:
+                conj = k.mul(sum(c << 8 * r for r, c in enumerate(cols)), k.mul(a, xm))
+            else:
+                conj = sum([prods[i] for i in terms])
+            # _zero_mask, inlined: this line runs once per conjugate
+            masks[from_bytes(conj.to_bytes(size, "little").translate(zero), "little")] += 1
+        x = next(xs, None)
     return out
 
 
@@ -511,8 +601,8 @@ def _pattern_counts(tallies: Iterable[Counter], gamma: IndiffGraph) -> list[int]
     """For each tally, how many conjugates lie in the pattern algebra of gamma:
     zero on and below the diagonal and at every edge of gamma."""
     n = gamma.n
-    e = sum(1 << (i * n + j) for i in range(n) for j in range(i + 1))
-    e |= sum(1 << ((i - 1) * n + j - 1) for i, j in gamma.edges)
+    e = sum(1 << 8 * (i * n + j) for i in range(n) for j in range(i + 1))
+    e |= sum(1 << 8 * ((i - 1) * n + j - 1) for i, j in gamma.edges)
     return [sum(c for mask, c in masks.items() if mask & e == e) for masks in tallies]
 
 
@@ -566,12 +656,6 @@ def permutation_character_oracle(gamma: IndiffGraph, q: int) -> ClassFnUT:
     return ClassFnUT(n, q, _cosets(tallies, gamma, q))
 
 
-def centralizer_order(g: MatrixFq) -> int:
-    """|C_{GL_n}(g)| by exhaustive enumeration of GL_n."""
-    q = g.q
-    return sum(1 for x in gl_matrices(g.n, q) if mat_mul(x, g.rows, q) == mat_mul(g.rows, x, q))
-
-
 # ---------------------------------------------------------------------------
 # flags and Hessenberg point counts
 # ---------------------------------------------------------------------------
@@ -599,7 +683,7 @@ def canonical_flag(g: MatrixFq) -> MatrixFq:
     """The canonical representative of the coset g B_n."""
     q = g.q
     n = g.n
-    inv_t = _inv_table(q)
+    inv_t = _field(q)[0]
     cols = [list(col) for col in zip(*g.rows)] if n else []
     pivots = []
     for j in range(n):
@@ -617,10 +701,12 @@ def canonical_flag(g: MatrixFq) -> MatrixFq:
 
 
 def is_nilpotent(a: MatrixFq) -> bool:
-    p = a.rows
-    for _ in range(a.n):
-        p = mat_mul(p, a.rows, a.q)
-    return all(x == 0 for row in p for x in row)
+    """a^n = 0, by packed products."""
+    k = _Packed(a.n, a.q)
+    m = p = _pack(a.rows)
+    for _ in range(a.n - 1):
+        p = k.mul(p, m)
+    return p == 0
 
 
 def hessenberg_count(gamma: IndiffGraph, a: MatrixFq) -> int:
@@ -628,12 +714,14 @@ def hessenberg_count(gamma: IndiffGraph, a: MatrixFq) -> int:
 
     The J_lam - 1 of one (n, q) share a sweep of the flags; any other nilpotent
     gets a sweep of its own."""
-    if a.n != gamma.n:
+    n, q = a.n, a.q
+    if n != gamma.n:
         raise ValueError("matrix size does not match the graph")
-    if not is_nilpotent(a):
-        raise ValueError("hessenberg_count expects a nilpotent matrix")
-    targets = _jordan_nilpotents(a.n, a.q)
+    targets = _jordan_nilpotents(n, q)
+    require_sweep(f"the flags of F_{q}^{n}", flag_count(n, q))  # before is_nilpotent's products
     if a.rows not in targets:
+        if not is_nilpotent(a):
+            raise ValueError("hessenberg_count expects a nilpotent matrix")
         targets = (a.rows,)
     tallies = _conjugate_masks(flag_reps, a.n, a.q, targets)
     return _pattern_counts([tallies[targets.index(a.rows)]], gamma)[0]

@@ -9,6 +9,7 @@ from chromaq.bridge import (
     ALL_CHECKS,
     DEPENDENCIES,
     CheckReport,
+    check_as,
     check_cm,
     check_cqs,
     check_gg,
@@ -27,8 +28,15 @@ from chromaq.combinatorics import (
     graph_of,
     indifference_graphs,
 )
-from chromaq.exactnum import LaurentPoly
-from chromaq.fqoracle import UnipClassFn, chi_bar, induce_to_GL, psi_pseudo
+from chromaq.exactnum import ZERO, LaurentPoly
+from chromaq.fqoracle import (
+    ClassFnUT,
+    UnipClassFn,
+    chi_bar,
+    induce_to_GL,
+    jordan_nilpotent,
+    psi_pseudo,
+)
 from chromaq.guards import SizeGuardError
 from chromaq.symfunc import SymFunc, basis_element, eval_t, expand_in_basis, omega, plethysm_mul
 from orbit_oracle import coeff
@@ -332,7 +340,7 @@ def test_gl_checks_reach_n_5_at_q_2():
     # the UT_5(F_2) sweep is 1,024 elements
     from chromaq.fqoracle import superclass_sizes, ut_order
     for name in ("check_cqs", "check_llt", "check_gg", "check_mesa", "check_psi_decomp",
-                 "check_cor66"):
+                 "check_cor66", "check_hess", "check_poincare", "check_permtoind"):
         assert run_check(name, 5, 2).ok, name
     assert sum(superclass_sizes(5, 2).values()) == ut_order(5, 2) == 1024
 
@@ -433,6 +441,58 @@ def test_check_cm_fails_on_a_perturbed_llt(monkeypatch):
     assert rep.witness["lhs"] != rep.witness["rhs"]
     monkeypatch.undo()
     assert check_cm(3).ok
+
+
+# each side of the sweep-fed checks, perturbed at one item in the middle of the
+# scan at (3, 2): the graph G = indifference_graphs(3)[2] and the type L = (2, 1)
+_G = indifference_graphs(3)[2]
+_L = gen_partitions(3)[1]
+_BUMP_G = ClassFnUT.from_dict(3, 2, {_G: 1})
+
+
+@pytest.mark.parametrize("check, kernel, hit, change, index", [
+    ("check_hess", "induce_to_GL", lambda phi: phi == chi_bar(_G, 2),
+     lambda f: f + UnipClassFn.from_dict(3, 2, {_L: 1}), (_G, _L)),
+    ("check_hess", "hessenberg_count", lambda g, a: (g, a) == (_G, jordan_nilpotent(_L, 2)),
+     lambda c: c + 1, (_G, _L)),
+    ("check_poincare", "hessenberg_count", lambda g, a: (g, a) == (_G, jordan_nilpotent(_L, 2)),
+     lambda c: c + 1, (_G, _L)),
+    ("check_poincare", "d_coeffs", lambda g: g == _G,
+     lambda d: {**d, _L: d.get(_L, ZERO) + 1}, (_G, _L)),
+    ("check_permtoind", "chi_bar", lambda g, q: g == _G, lambda f: f + _BUMP_G, _G),
+    ("check_permtoind", "permutation_character_oracle", lambda g, q: g == _G,
+     lambda f: f + _BUMP_G, _G),
+])
+def test_sweep_fed_checks_fail_on_a_perturbed_side(monkeypatch, check, kernel, hit, change, index):
+    import chromaq.bridge as bridge
+    original = getattr(bridge, kernel)
+
+    def perturbed(*args):
+        out = original(*args)
+        return change(out) if hit(*args) else out
+
+    monkeypatch.setattr(bridge, kernel, perturbed)
+    rep = run_check(check, 3, 2)
+    assert rep.status == "fail" and rep.witness["index"] == str(index)
+    assert rep.witness["lhs"] != rep.witness["rhs"]
+    monkeypatch.undo()
+    assert run_check(check, 3, 2).status == "pass"
+
+
+def test_check_as_is_refused_before_any_orientation(monkeypatch):
+    # the staircase of size 7 has 21 area edges: 2^21 orientations, past MAX_SWEEP
+    import chromaq.bridge as bridge
+
+    def kernel(sigma):
+        raise RuntimeError("a kernel ran")
+
+    monkeypatch.setattr(bridge, "llt_vertical", kernel)
+    monkeypatch.setattr(bridge, "as_expansion", kernel)
+    with pytest.raises(SizeGuardError, match="visits 2,097,152 elements"):
+        check_as(7)
+    # at n = 6 the largest area has 15 edges, so the guard lets the scan start
+    with pytest.raises(RuntimeError, match="a kernel ran"):
+        check_as(6)
 
 
 # -- omega on M coordinates -----------------------------------------------------
@@ -572,6 +632,25 @@ def test_cli_hess_count_matrix_digits(capsys):
     assert main(["compute", "hess-count", "EESS", "--q", "2", "--matrix", "0200"]) == 2
     assert "below q = 2" in capsys.readouterr().err
     assert main(["compute", "hess-count", "EESS", "--q", "3", "--matrix", "0200"]) == 0
+
+
+@pytest.mark.parametrize("n, q, digits", [
+    (8, 7, "0" * 64),
+    (12, 7, "0" * 144),
+    (16, 5, "0" * 256),
+    (8, 7, ("1" + "0" * 8) * 7 + "1"),  # the identity, which is not nilpotent
+])
+def test_cli_hess_count_past_the_packed_bound_is_refused_by_the_guards(capsys, n, q, digits):
+    # n(q-1)^2 > 255: the packed kernel could not multiply these, and is never asked to
+    from chromaq.cli import main
+    from chromaq.fqoracle import flag_count
+    assert main(["compute", "hess-count", "E" * n + "S" * n, "--q", str(q), "--matrix", digits]) == 2
+    err = capsys.readouterr().err
+    if n > 12:
+        assert err == f"error: gen_partitions: n = {n} exceeds guard 12\n"
+    else:
+        assert err == (f"error: sweeping the flags of F_{q}^{n} visits {flag_count(n, q):,} "
+                       f"elements, past the bound MAX_SWEEP = 117,649\n")
 
 
 def test_cli_hess_count_rejects_nonpositive_jordan_part(capsys):

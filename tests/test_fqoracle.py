@@ -3,6 +3,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromaq.bridge import check_mesa
 from chromaq.combinatorics import (
@@ -20,7 +22,6 @@ from chromaq.fqoracle import (
     UnipClassFn,
     MatrixFq,
     canonical_flag,
-    centralizer_order,
     chi_bar,
     chi_super,
     delta_bar,
@@ -34,12 +35,11 @@ from chromaq.fqoracle import (
     induce_trivial_from_subgroup,
     induction_table,
     inner_product_UT,
+    is_nilpotent,
     jordan,
     jordan_nilpotent,
     mat_identity,
-    mat_inv,
     mat_minus_identity,
-    mat_mul,
     permutation_character_oracle,
     psi_pseudo,
     superclass_label,
@@ -49,10 +49,15 @@ from chromaq.fqoracle import (
     ut_order,
     _centralizer_order,
     _conjugate_masks,
-    _jordan_type,
+    _conjugation_terms,
+    _jordan_nilpotents,
+    _pack,
+    _Packed,
     _superclass_nilpotents,
 )
-from chromaq.guards import SizeGuardError
+from chromaq.guards import MAX_SWEEP, SizeGuardError
+import matrix_oracle
+from matrix_oracle import centralizer_order, mat_inv, mat_mul
 
 
 def IG(n, *edges):
@@ -73,6 +78,107 @@ def test_mat_inv():
         for x in itertools.islice(gl_matrices(3, q), 0, 200, 7):
             xi = mat_inv(x, q)
             assert mat_mul(x, xi, q) == mat_identity(3)
+            cols = _Packed(3, q).inverse_columns(_pack(x))
+            assert sum(c << 8 * k for k, c in enumerate(cols)) == _pack(xi)
+
+
+# -- the packed kernel against the tuple oracle --------------------------------------
+
+@st.composite
+def matrices(draw, n=None, q=None):
+    """An n x n matrix over F_q, n <= 7; small entries and the extremes 0 and q - 1 are likely."""
+    q = draw(st.sampled_from(PRIMES)) if q is None else q
+    n = draw(st.integers(min_value=0, max_value=7)) if n is None else n
+    entry = st.one_of(st.integers(0, q - 1), st.sampled_from((0, q - 1)))
+    return q, tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_packed_kernel_matches_the_tuple_oracle(data):
+    q, a = data.draw(matrices())
+    n = len(a)
+    _, b = data.draw(matrices(n, q))
+    k = _Packed(n, q)
+    assert k.unpack(_pack(a)) == a
+    assert k.mul(_pack(a), _pack(b)) == _pack(mat_mul(a, b, q))
+    assert k.rank(_pack(a)) == matrix_oracle.rank(a, q)
+    if matrix_oracle.rank(a, q) == n:
+        cols = k.inverse_columns(_pack(a))
+        assert sum(c << 8 * j for j, c in enumerate(cols)) == _pack(mat_inv(a, q))
+        # a unipotent conjugate that is not upper triangular reads every rank
+        lam = data.draw(st.sampled_from(gen_partitions(n)))
+        v = mat_mul(mat_mul(mat_inv(a, q), jordan(lam, q).rows, q), a, q)
+        assert k.jordan_type(_pack(v)) == lam
+    else:
+        with pytest.raises(ValueError, match="singular"):
+            k.inverse_columns(_pack(a))
+    power = mat_identity(n)
+    for _ in range(n):
+        power = mat_mul(power, a, q)
+    assert is_nilpotent(MatrixFq(q, a)) == (k.rank(_pack(power)) == 0)
+    # the unipotent upper triangular matrix with a's entries above the diagonal
+    u = tuple(tuple(1 if i == j else a[i][j] if j > i else 0 for j in range(n)) for i in range(n))
+    assert k.jordan_type(_pack(u)) == matrix_oracle.jordan_type(u, q)
+    assert is_nilpotent(MatrixFq(q, mat_minus_identity(u, q)))
+
+
+def test_no_carry_bound_is_exact_and_no_admitted_sweep_reaches_it():
+    for q in PRIMES:
+        # at the bound, (a row of q - 1s) times (a column of q - 1s) is n(q-1)^2 <= 255
+        n = 255 // (q - 1) ** 2
+        row = _pack(tuple(tuple(q - 1 if i == 0 else 0 for _ in range(n)) for i in range(n)))
+        col = _pack(tuple(tuple(q - 1 if j == 0 else 0 for j in range(n)) for _ in range(n)))
+        assert _Packed(n, q).mul(row, col) == n * (q - 1) ** 2 % q
+        # one past it the kernel refuses; it is a raised error, not an assert
+        with pytest.raises(OverflowError, match="would carry"):
+            _Packed(n + 1, q)
+        # every sweep the guard admits stays below the bound, and the conjugates
+        # of its targets (each J_lam - 1 and superclass u - 1) are sums that cannot carry
+        for size in (ut_order, gl_order, flag_count):
+            m = 0
+            while size(m + 1, q) <= MAX_SWEEP:
+                m += 1
+            assert m < n, (size.__name__, q)
+            _Packed(m, q)
+            for a in _superclass_nilpotents(m, q) + _jordan_nilpotents(m, q):
+                assert _conjugation_terms(a, q) is not None, (size.__name__, q, a)
+
+
+def widened(tallies):
+    """Zero patterns with bit i*n + j moved to bit 8(i*n + j), the packed layout."""
+    return tuple(Counter({sum(1 << 8 * b for b in range(mask.bit_length()) if mask >> b & 1): c
+                          for mask, c in masks.items()}) for masks in tallies)
+
+
+def test_conjugate_masks_match_the_tuple_oracle():
+    points = [(sweep, n, q) for sweep in (flag_reps, ut_elements)
+              for n, q in [(n, q) for n in range(4) for q in PRIMES] + [(4, 2), (4, 3)]]
+    points += [(gl_matrices, n, q) for n, q in [(2, q) for q in PRIMES] + [(3, 2), (3, 3)]]
+    for sweep, n, q in points:
+        targets = (_superclass_nilpotents if sweep is ut_elements else _jordan_nilpotents)(n, q)
+        want = matrix_oracle.conjugate_masks(sweep, n, q, targets)
+        assert _conjugate_masks(sweep, n, q, targets) == widened(want), (sweep.__name__, n, q)
+
+
+def test_conjugate_masks_of_targets_that_could_carry():
+    # over F_7 the first target is 18 terms of up to (q-1)^2 = 36 each, which could
+    # carry, so it takes two reduced products per x; the other two are sums of terms
+    for q, a in [(7, ((0, 6, 6), (0, 0, 6), (0, 0, 0))), (5, ((0, 4, 4), (0, 0, 0), (0, 0, 0))),
+                 (7, ((0, 6, 0), (0, 0, 0), (0, 0, 0)))]:
+        targets = (a, jordan_nilpotent((2, 1), q).rows)
+        assert (_conjugation_terms(a, q) is None) == (q == 7 and a[1][2] == 6)
+        for sweep in (flag_reps, ut_elements):
+            want = matrix_oracle.conjugate_masks(sweep, 3, q, targets)
+            assert _conjugate_masks(sweep, 3, q, targets) == widened(want), (sweep.__name__, q, a)
+        for g in indifference_graphs(3):
+            m = MatrixFq(q, a)
+            assert hessenberg_count(g, m) == brute_hessenberg_count(g, m), (g, q, a)
+
+
+def test_induction_table_matches_the_tuple_oracle():
+    for n, q in [(3, q) for q in PRIMES] + [(4, 2), (4, 3), (5, 2)]:
+        assert induction_table(n, q) == matrix_oracle.induction_table(n, q), (n, q)
 
 
 def test_gl_order_matches_enumeration():
@@ -107,15 +213,15 @@ def test_jordan_type_reads_back_jordan_matrices():
     for n in range(5):
         for lam in gen_partitions(n):
             for q in PRIMES:
-                assert _jordan_type(jordan(lam, q).rows, q) == lam
+                assert _Packed(n, q).jordan_type(_pack(jordan(lam, q).rows)) == lam
 
 
 def test_jordan_type_rejects_non_unipotent_after_n_plus_one_ranks():
     # u - 1 = 1 and u - 1 = diag(1, 0): the ranks of (u-1)^k stall at 2 and at 1
     for u in (((2, 0), (0, 2)), ((2, 0), (0, 1))):
         with pytest.raises(ValueError, match=re.escape(str(u))):
-            _jordan_type(u, 3)
-    assert _jordan_type(((1, 1, 0), (0, 1, 1), (0, 0, 1)), 3) == (3,)
+            _Packed(2, 3).jordan_type(_pack(u))
+    assert _Packed(3, 3).jordan_type(_pack(((1, 1, 0), (0, 1, 1), (0, 0, 1)))) == (3,)
 
 
 # -- superclasses -------------------------------------------------------------------
@@ -432,7 +538,7 @@ def test_flag_reps_are_canonical_and_coset_invariant():
             b[i][i] = rnd.randrange(1, q)
             for j in range(i + 1, n):
                 b[i][j] = rnd.randrange(q)
-        mb = m * MatrixFq(q, tuple(tuple(r) for r in b))
+        mb = MatrixFq(q, mat_mul(rows, tuple(tuple(r) for r in b), q))
         assert canonical_flag(mb).rows == rows
 
 
