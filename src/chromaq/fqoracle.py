@@ -1,6 +1,5 @@
-"""Brute-force engine over F_q: UT_n and GL_n enumeration, superclass
-functions, pseudosupercharacters, induction to GL_n, flags, and Hessenberg
-point counts.
+"""Brute-force engine over F_q: UT_n enumeration, superclass functions,
+pseudosupercharacters, induction to GL_n, flags, and Hessenberg point counts.
 
 q is restricted to primes <= 7; each sweep refuses past guards.MAX_SWEEP elements.
 Matrices are tuples of row tuples with entries reduced mod q at the API only.
@@ -12,9 +11,10 @@ raises, and no sweep that MAX_SWEEP admits comes near it.
 
 Induction to GL_n needs only a sweep of UT_n: each element contributes the
 centralizer order of its Jordan type (Frobenius formula).  The independent
-oracles (cosets of UT_gamma, induction over GL_n, Hessenberg counts) all count
-the x of a sweep with x^{-1} a x in the pattern algebra of gamma, for a = u - 1
-or J_lam - 1; one cached kernel sweeps each (n, q) once for all gamma and lam.
+oracles (cosets of UT_gamma, Hessenberg counts, and in the tests induction
+over GL_n) all count the x of a sweep with x^{-1} a x in the pattern algebra
+of gamma, for a = u - 1 or J_lam - 1; one cached kernel sweeps each (n, q)
+once for all gamma and lam.
 """
 
 from __future__ import annotations
@@ -280,31 +280,6 @@ def ut_elements(n: int, q: int) -> Iterator[Rows]:
         yield tuple(tuple(r) for r in base)
 
 
-def gl_matrices(n: int, q: int) -> Iterator[Rows]:
-    """Stream all of GL_n(F_q), built row by row from independent vectors."""
-    require_sweep(f"GL_{n}(F_{q})", gl_order(n, q))
-    vectors = list(product(range(q), repeat=n))
-    zero = tuple([0] * n)
-
-    def rec(rows: list, span: set) -> Iterator[Rows]:
-        if len(rows) == n:
-            yield tuple(rows)
-            return
-        for v in vectors:
-            if v in span:
-                continue
-            new_span = set(span)
-            for c in range(1, q):
-                cv = tuple(c * x % q for x in v)
-                for s in span:
-                    new_span.add(tuple((a + b) % q for a, b in zip(s, cv)))
-            rows.append(v)
-            yield from rec(rows, new_span)
-            rows.pop()
-
-    yield from rec([], {zero})
-
-
 # ---------------------------------------------------------------------------
 # superclasses
 # ---------------------------------------------------------------------------
@@ -443,12 +418,6 @@ def _upset_sum(n: int, q: int, terms: Iterable[tuple[IndiffGraph, int]]) -> Clas
     return ClassFnUT(n, q, tuple(acc))
 
 
-def delta_fn(gamma: IndiffGraph, q: int) -> ClassFnUT:
-    """Indicator of the single superclass gamma."""
-    _check_q(q)
-    return ClassFnUT.from_dict(gamma.n, q, {gamma: 1})
-
-
 def delta_bar(gamma: IndiffGraph, q: int) -> ClassFnUT:
     """Indicator of UT_gamma: 1 on superclasses sigma with E(sigma) >= E(gamma)."""
     _check_q(q)
@@ -462,10 +431,15 @@ def chi_bar(gamma: IndiffGraph, q: int) -> ClassFnUT:
 
 
 def chi_super(gamma: IndiffGraph, q: int) -> ClassFnUT:
-    """Supercharacter attached to gamma, via Moebius inversion of chi_bar."""
+    """Supercharacter attached to gamma, the Moebius inversion of chi_bar:
+    sum of mu(sigma, gamma) chi_bar(sigma) over sigma <= gamma.
+
+    mu(sigma, gamma) = (-1)^{|S|} when sigma is gamma less a set S of its
+    corners, and 0 otherwise (mobius_subgraph), so the sum has
+    2^{#corners} <= 2^{n-1} terms."""
     _check_q(q)
     return _upset_sum(gamma.n, q, [(sigma, mu * q ** len(sigma.edges))
-                                   for sigma, mu in mobius_subgraph(gamma).items() if mu])
+                                   for sigma, mu in mobius_subgraph(gamma).items()])
 
 
 def psi_pseudo(sigma: SchroderPath, q: int) -> ClassFnUT:
@@ -630,19 +604,6 @@ def _superclass_nilpotents(n: int, q: int) -> tuple[Rows, ...]:
     return tuple(mat_minus_identity(superclass_rep(g, q).rows, q) for g in indifference_graphs(n))
 
 
-def induce_trivial_from_subgroup(gamma: IndiffGraph, q: int) -> UnipClassFn:
-    """One-step induction of the trivial character of UT_gamma straight to GL_n.
-
-    Independent oracle for transitivity of induction: sweeps GL_n and counts
-    the x with x^{-1} J_lam x in UT_gamma by direct membership tests, with no
-    superclass machinery involved.
-    """
-    n = gamma.n
-    _check_q(q)
-    tallies = _conjugate_masks(gl_matrices, n, q, _jordan_nilpotents(n, q))
-    return UnipClassFn(n, q, _cosets(tallies, gamma, q))
-
-
 def permutation_character_oracle(gamma: IndiffGraph, q: int) -> ClassFnUT:
     """Character of UT_n acting on UT_n/UT_gamma by direct coset counting.
 
@@ -679,27 +640,6 @@ def flag_reps(n: int, q: int) -> Iterator[Rows]:
             yield tuple(tuple(r) for r in base)
 
 
-def canonical_flag(g: MatrixFq) -> MatrixFq:
-    """The canonical representative of the coset g B_n."""
-    q = g.q
-    n = g.n
-    inv_t = _field(q)[0]
-    cols = [list(col) for col in zip(*g.rows)] if n else []
-    pivots = []
-    for j in range(n):
-        col = cols[j]
-        r = max(i for i in range(n) if col[i])
-        f = inv_t[col[r]]
-        if f != 1:
-            cols[j] = col = [x * f % q for x in col]
-        for j2 in range(j + 1, n):
-            c = cols[j2][r]
-            if c:
-                cols[j2] = [(x - c * y) % q for x, y in zip(cols[j2], col)]
-        pivots.append(r)
-    return MatrixFq(q, tuple(zip(*[tuple(c) for c in cols])))
-
-
 def is_nilpotent(a: MatrixFq) -> bool:
     """a^n = 0, by packed products."""
     k = _Packed(a.n, a.q)
@@ -717,8 +657,8 @@ def hessenberg_count(gamma: IndiffGraph, a: MatrixFq) -> int:
     n, q = a.n, a.q
     if n != gamma.n:
         raise ValueError("matrix size does not match the graph")
+    require_sweep(f"the flags of F_{q}^{n}", flag_count(n, q))  # before any matrix is built
     targets = _jordan_nilpotents(n, q)
-    require_sweep(f"the flags of F_{q}^{n}", flag_count(n, q))  # before is_nilpotent's products
     if a.rows not in targets:
         if not is_nilpotent(a):
             raise ValueError("hessenberg_count expects a nilpotent matrix")

@@ -1,4 +1,4 @@
-"""The tuple matrix kernel that `fqoracle._Packed` replaced.
+"""The tuple matrix kernel that `fqoracle._Packed` replaced, and the GL_n oracles.
 
 The package packs an n x n matrix over F_q into one int, a byte per entry,
 and multiplies, inverts and row-reduces those ints. These helpers redo the
@@ -7,22 +7,34 @@ inverses, ranks and the Jordan-type ladder. On top of them sit the old
 conjugation sweep (zero patterns as bit i*n + j), the old induction table
 and the centralizer order by enumeration of GL_n. The tests compare the
 package with them exactly.
+
+The package never sweeps GL_n. The enumeration of GL_n lives here, with the
+one-step induction of the trivial character of UT_gamma over it and the
+canonical representative of a flag, so that induction and the flag sweep
+have independent checks.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
+from itertools import chain, product
+from typing import Iterator
 
 from chromaq.combinatorics import IndiffGraph, Partition, gen_partitions
 from chromaq.fqoracle import (
     MatrixFq,
     Rows,
+    UnipClassFn,
     _centralizer_order,
-    gl_matrices,
+    _check_q,
+    _conjugate_masks,
+    _cosets,
+    _jordan_nilpotents,
+    gl_order,
     mat_minus_identity,
     ut_elements,
 )
+from chromaq.guards import require_sweep
 
 
 def _inv_table(q: int) -> tuple[int, ...]:
@@ -90,6 +102,63 @@ def jordan_type(u: Rows, q: int) -> Partition:
     if ranks[-1] or any(a < b for a, b in zip(conj, conj[1:])) or conj and conj[-1] < 1:
         raise ValueError(f"{u} is not unipotent over F_{q}: ranks of (u-1)^k are {ranks}")
     return tuple(sum(1 for c in conj if c >= i) for i in range(1, conj[0] + 1)) if conj else ()
+
+
+def gl_matrices(n: int, q: int) -> Iterator[Rows]:
+    """Stream all of GL_n(F_q), built row by row from independent vectors."""
+    require_sweep(f"GL_{n}(F_{q})", gl_order(n, q))
+    vectors = list(product(range(q), repeat=n))
+    zero = tuple([0] * n)
+
+    def rec(rows: list, span: set) -> Iterator[Rows]:
+        if len(rows) == n:
+            yield tuple(rows)
+            return
+        for v in vectors:
+            if v in span:
+                continue
+            new_span = set(span)
+            for c in range(1, q):
+                cv = tuple(c * x % q for x in v)
+                for s in span:
+                    new_span.add(tuple((a + b) % q for a, b in zip(s, cv)))
+            rows.append(v)
+            yield from rec(rows, new_span)
+            rows.pop()
+
+    yield from rec([], {zero})
+
+
+def induce_trivial_from_subgroup(gamma: IndiffGraph, q: int) -> UnipClassFn:
+    """One-step induction of the trivial character of UT_gamma straight to GL_n.
+
+    Independent oracle for transitivity of induction: sweeps GL_n and counts
+    the x with x^{-1} J_lam x in UT_gamma by direct membership tests, with no
+    superclass machinery involved.
+    """
+    n = gamma.n
+    _check_q(q)
+    tallies = _conjugate_masks(gl_matrices, n, q, _jordan_nilpotents(n, q))
+    return UnipClassFn(n, q, _cosets(tallies, gamma, q))
+
+
+def canonical_flag(g: MatrixFq) -> MatrixFq:
+    """The canonical representative of the coset g B_n."""
+    q = g.q
+    n = g.n
+    inv_t = _inv_table(q)
+    cols = [list(col) for col in zip(*g.rows)] if n else []
+    for j in range(n):
+        col = cols[j]
+        r = max(i for i in range(n) if col[i])
+        f = inv_t[col[r]]
+        if f != 1:
+            cols[j] = col = [x * f % q for x in col]
+        for j2 in range(j + 1, n):
+            c = cols[j2][r]
+            if c:
+                cols[j2] = [(x - c * y) % q for x, y in zip(cols[j2], col)]
+    return MatrixFq(q, tuple(zip(*[tuple(c) for c in cols])))
 
 
 def centralizer_order(g: MatrixFq) -> int:

@@ -22,11 +22,13 @@ from chromaq.bridge import (
 from chromaq.chromallt import csf, llt_vertical
 from chromaq.combinatorics import (
     IndiffGraph,
+    SchroderPath,
     gen_dyck,
     gen_partitions,
     gen_tall_schroder,
     graph_of,
     indifference_graphs,
+    mesa,
 )
 from chromaq.exactnum import ZERO, LaurentPoly
 from chromaq.fqoracle import (
@@ -237,7 +239,7 @@ def test_the_size_knobs_are_exactly_these():
             found.update(t.id for t in targets
                          if isinstance(t, ast.Name) and t.id.startswith("MAX_"))
     assert found == {"MAX_SWEEP", "MAX_DEGREE", "MAX_COLORING_N", "MAX_PARTITION_N",
-                     "MAX_PATH_N", "MAX_MOBIUS_EDGES"}
+                     "MAX_PATH_N"}
 
 
 def test_the_package_never_imports_dataclasses():
@@ -278,11 +280,13 @@ def test_cold_import_of_the_cli_loads_neither_dataclasses_nor_inspect():
 def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
     import chromaq.chromallt
     import chromaq.fqoracle
+    import matrix_oracle
     import orientation_oracle
     from chromaq.chromallt import as_expansion
-    from chromaq.combinatorics import SchroderPath, area, area_inverse
-    from chromaq.fqoracle import flag_reps, gl_matrices, ut_elements, ut_order
+    from chromaq.combinatorics import area, area_inverse
+    from chromaq.fqoracle import flag_reps, ut_elements, ut_order
     from chromaq.guards import MAX_SWEEP
+    from matrix_oracle import gl_matrices
     from orientation_oracle import orientations
 
     # the bound is |UT_4(F_7)|, so that sweep still runs
@@ -296,6 +300,7 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
     # each enumerator builds its elements through these names
     monkeypatch.setattr(chromaq.fqoracle, "product", no_work)
     monkeypatch.setattr(chromaq.fqoracle, "permutations", no_work)
+    monkeypatch.setattr(matrix_oracle, "product", no_work)
     monkeypatch.setattr(chromaq.chromallt, "_h_vector", no_work)
     monkeypatch.setattr(orientation_oracle, "Orientation", no_work)
     # 17 edges on [7]: every {i, j} with j - i <= 3, and {1, 5}, {2, 6}
@@ -443,11 +448,18 @@ def test_check_cm_fails_on_a_perturbed_llt(monkeypatch):
     assert check_cm(3).ok
 
 
-# each side of the sweep-fed checks, perturbed at one item in the middle of the
-# scan at (3, 2): the graph G = indifference_graphs(3)[2] and the type L = (2, 1)
+# each side of the sweep-fed and supercharacter checks, perturbed at one item in
+# the middle of the scan at (3, 2): the graph G = indifference_graphs(3)[2], the
+# type L = (2, 1), the Dyck path P = gen_dyck(3)[2] with graph_of(P) = G, and the
+# tall path S = gen_tall_schroder(3)[5] of 11
 _G = indifference_graphs(3)[2]
 _L = gen_partitions(3)[1]
+_P = gen_dyck(3)[2]
+_S = gen_tall_schroder(3)[5]
 _BUMP_G = ClassFnUT.from_dict(3, 2, {_G: 1})
+# chi^{2-3} enters the right side of check_psi_decomp first at EEESSS (item 4),
+# the first tall path with Diag <= {2-3} <= Area u Diag
+_G23 = IndiffGraph(3, [(2, 3)])
 
 
 @pytest.mark.parametrize("check, kernel, hit, change, index", [
@@ -462,6 +474,11 @@ _BUMP_G = ClassFnUT.from_dict(3, 2, {_G: 1})
     ("check_permtoind", "chi_bar", lambda g, q: g == _G, lambda f: f + _BUMP_G, _G),
     ("check_permtoind", "permutation_character_oracle", lambda g, q: g == _G,
      lambda f: f + _BUMP_G, _G),
+    ("check_mesa", "psi_pseudo", lambda s, q: s == mesa(_P), lambda f: f + _BUMP_G, _P),
+    ("check_mesa", "chi_super", lambda g, q: g == _G, lambda f: f + _BUMP_G, _P),
+    ("check_psi_decomp", "psi_pseudo", lambda s, q: s == _S, lambda f: f + _BUMP_G, _S),
+    ("check_psi_decomp", "chi_super", lambda g, q: g == _G23, lambda f: f + _BUMP_G,
+     SchroderPath("EEESSS")),
 ])
 def test_sweep_fed_checks_fail_on_a_perturbed_side(monkeypatch, check, kernel, hit, change, index):
     import chromaq.bridge as bridge
@@ -545,6 +562,13 @@ def test_cli_verify_all_point(capsys):
     out = json.loads(capsys.readouterr().out)
     assert len(out) == 14
     assert all(r["status"] == "pass" for r in out)
+
+
+def test_cli_verify_check_mesa_past_twelve_edges(capsys):
+    # graph_of(EEEEEESSSSSS) is K_6 with 15 edges, and its supercharacter is built
+    from chromaq.cli import main
+    assert main(["verify", "check_mesa", "--n", "6", "--q", "2"]) == 0
+    assert "pass" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -645,12 +669,22 @@ def test_cli_hess_count_past_the_packed_bound_is_refused_by_the_guards(capsys, n
     from chromaq.cli import main
     from chromaq.fqoracle import flag_count
     assert main(["compute", "hess-count", "E" * n + "S" * n, "--q", str(q), "--matrix", digits]) == 2
-    err = capsys.readouterr().err
-    if n > 12:
-        assert err == f"error: gen_partitions: n = {n} exceeds guard 12\n"
-    else:
-        assert err == (f"error: sweeping the flags of F_{q}^{n} visits {flag_count(n, q):,} "
-                       f"elements, past the bound MAX_SWEEP = 117,649\n")
+    assert capsys.readouterr().err == (f"error: sweeping the flags of F_{q}^{n} visits "
+                                       f"{flag_count(n, q):,} elements, past the bound "
+                                       f"MAX_SWEEP = 117,649\n")
+
+
+def test_hessenberg_count_is_refused_before_any_jordan_matrix(monkeypatch):
+    import chromaq.fqoracle as fq
+    from chromaq.fqoracle import MatrixFq, hessenberg_count
+
+    def no_work(n, q):
+        raise AssertionError("the J_lam - 1 were built before the flag guard")
+
+    monkeypatch.setattr(fq, "_jordan_nilpotents", no_work)
+    zero = MatrixFq(7, tuple((0,) * 12 for _ in range(12)))
+    with pytest.raises(SizeGuardError, match="the flags of F_7\\^12"):
+        hessenberg_count(IndiffGraph(12, []), zero)
 
 
 def test_cli_hess_count_rejects_nonpositive_jordan_part(capsys):

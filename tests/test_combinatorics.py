@@ -19,6 +19,7 @@ from chromaq.combinatorics import (
     transpose,
 )
 from chromaq.guards import SizeGuardError
+from mobius_oracle import mobius_dense
 from orbit_oracle import zlam
 from orientation_oracle import Orientation, hrv, orientations, type_of
 
@@ -237,6 +238,34 @@ def test_mobius_defining_identity_ig4():
         for sigma in subs:
             total = sum(mu for tau, mu in mob.items() if sigma.edges <= tau.edges)
             assert total == (1 if sigma == gamma else 0)
+
+
+def test_mobius_defining_identity_to_n6():
+    # past the 12 edges that the dense inversion was once bounded by: K_6 has 15
+    for n in range(7):
+        graphs = indifference_graphs(n)
+        for gamma in graphs:
+            mob = mobius_subgraph(gamma)
+            assert all(sigma <= gamma for sigma in mob)
+            for sigma in graphs:
+                if sigma <= gamma:
+                    total = sum(mu for tau, mu in mob.items() if sigma <= tau)
+                    assert total == (1 if sigma == gamma else 0), (gamma, sigma)
+
+
+def test_mobius_matches_the_dense_inversion():
+    # every gamma with n <= 6; the closed form lists exactly the nonzero values
+    for n in range(7):
+        for gamma in indifference_graphs(n):
+            dense = mobius_dense(gamma)
+            assert mobius_subgraph(gamma) == {s: mu for s, mu in dense.items() if mu}, gamma
+
+
+def test_mobius_of_a_complete_graph_has_one_corner():
+    # K_n has the single corner {1, n}, whatever its number of edges
+    for n in range(2, 9):
+        k = IndiffGraph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+        assert mobius_subgraph(k) == {k: 1, IndiffGraph(n, k.edges - {(1, n)}): -1}
 
 
 # -- orientations ------------------------------------------------------------------

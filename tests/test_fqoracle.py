@@ -21,18 +21,14 @@ from chromaq.fqoracle import (
     ClassFnUT,
     UnipClassFn,
     MatrixFq,
-    canonical_flag,
     chi_bar,
     chi_super,
     delta_bar,
-    delta_fn,
     flag_count,
     flag_reps,
-    gl_matrices,
     gl_order,
     hessenberg_count,
     induce_to_GL,
-    induce_trivial_from_subgroup,
     induction_table,
     inner_product_UT,
     is_nilpotent,
@@ -57,7 +53,14 @@ from chromaq.fqoracle import (
 )
 from chromaq.guards import MAX_SWEEP, SizeGuardError
 import matrix_oracle
-from matrix_oracle import centralizer_order, mat_inv, mat_mul
+from matrix_oracle import (
+    canonical_flag,
+    centralizer_order,
+    gl_matrices,
+    induce_trivial_from_subgroup,
+    mat_inv,
+    mat_mul,
+)
 
 
 def IG(n, *edges):
@@ -323,8 +326,12 @@ def test_coset_oracle_sweeps_ut_once_per_n_q():
 def test_coset_oracles_refuse_a_count_that_is_no_union_of_cosets(monkeypatch):
     # one tallied conjugate in every pattern: 1 is no multiple of |UT_gamma|
     import chromaq.fqoracle as fq
-    monkeypatch.setattr(fq, "_conjugate_masks",
-                        lambda sweep, n, q, targets: tuple(Counter({-1: 1}) for _ in targets))
+
+    def one_everywhere(sweep, n, q, targets):
+        return tuple(Counter({-1: 1}) for _ in targets)
+
+    monkeypatch.setattr(fq, "_conjugate_masks", one_everywhere)
+    monkeypatch.setattr(matrix_oracle, "_conjugate_masks", one_everywhere)
     for oracle in (permutation_character_oracle, induce_trivial_from_subgroup):
         with pytest.raises(AssertionError, match="not a union of UT_gamma cosets"):
             oracle(IG(3), 3)
@@ -332,9 +339,11 @@ def test_coset_oracles_refuse_a_count_that_is_no_union_of_cosets(monkeypatch):
 
 def test_chi_super_mobius_roundtrip():
     q = 2
-    for gamma in indifference_graphs(4):
-        total = ClassFnUT.from_dict(4, q, {})
-        for sigma in indifference_graphs(4):
+    k6 = IG(6, *[(i, j) for i in range(1, 7) for j in range(i + 1, 7)])  # 15 edges
+    for gamma in indifference_graphs(4) + (k6,):
+        n = gamma.n
+        total = ClassFnUT.from_dict(n, q, {})
+        for sigma in indifference_graphs(n):
             if sigma.edges <= gamma.edges:
                 total = total + chi_super(sigma, q)
         assert total == chi_bar(gamma, q)
@@ -357,14 +366,16 @@ def test_inner_product_examples():
     q = 2
     n = 3
     e = IG(n)
-    assert inner_product_UT(delta_fn(e, q), delta_fn(IG(n, (1, 2)), q)) == 0
-    lhs = inner_product_UT(delta_bar(e, q), delta_fn(e, q)) * ut_order(n, q)
+    delta_e = ClassFnUT.from_dict(n, q, {e: 1})
+    assert inner_product_UT(delta_e, ClassFnUT.from_dict(n, q, {IG(n, (1, 2)): 1})) == 0
+    lhs = inner_product_UT(delta_bar(e, q), delta_e) * ut_order(n, q)
     assert lhs == superclass_sizes(n, q)[e]
 
 
 def test_inner_product_mismatched():
     with pytest.raises(ValueError):
-        inner_product_UT(delta_fn(IG(2), 2), delta_fn(IG(2), 3))
+        inner_product_UT(ClassFnUT.from_dict(2, 2, {IG(2): 1}),
+                         ClassFnUT.from_dict(2, 3, {IG(2): 1}))
 
 
 # -- pseudosupercharacters ------------------------------------------------------------
