@@ -170,6 +170,7 @@ DEPENDENCIES = {"check_cor66": ("check_llt", "check_as")}
 
 def _scan(name: str, n: int, q: int | None, items: Iterable,
           test: Callable[[object], tuple[bool, object, object]]) -> CheckReport:
+    """The first failing item as the witness; only its two sides are rendered with str."""
     for item in items:
         ok, lhs, rhs = test(item)
         if not ok:
@@ -231,7 +232,7 @@ def check_llt(n: int, q: int) -> CheckReport:
         lhs = p_one(induce_to_GL(psi_pseudo(sigma, q)))
         G = eval_t(llt_vertical(sigma), q)
         rhs = expand_in_basis(omega(G).scale((q - 1) ** len(diag(sigma))), "S")
-        return lhs == rhs, lhs.to_json(), rhs.to_json()
+        return lhs == rhs, lhs, rhs
 
     return _scan("check_llt", n, q, gen_tall_schroder(n), test)
 
@@ -242,25 +243,23 @@ def check_mesa(n: int, q: int) -> CheckReport:
     def test(pi):
         lhs = psi_pseudo(mesa(pi), q)
         rhs = chi_super(graph_of(pi), q)
-        return lhs == rhs, {str(g): str(v) for g, v in lhs.items() if v}, \
-            {str(g): str(v) for g, v in rhs.items() if v}
+        return lhs == rhs, lhs, rhs
 
     return _scan("check_mesa", n, q, gen_dyck(n), test)
 
 
 def check_psi_decomp(n: int, q: int) -> CheckReport:
     """psi^sigma equals the sum of chi^gamma over Diag <= E(gamma) <= Area u Diag."""
-    graphs = indifference_graphs(n)
+    supers = {gamma: chi_super(gamma, q) for gamma in indifference_graphs(n)}
 
     def test(sigma):
         lhs = psi_pseudo(sigma, q)
         a, d = area(sigma), diag(sigma)
         rhs = ClassFnUT.from_dict(n, q, {})
-        for gamma in graphs:
+        for gamma, chi in supers.items():
             if d <= gamma.edges <= (a | d):
-                rhs = rhs + chi_super(gamma, q)
-        return lhs == rhs, {str(g): str(v) for g, v in lhs.items() if v}, \
-            {str(g): str(v) for g, v in rhs.items() if v}
+                rhs = rhs + chi
+        return lhs == rhs, lhs, rhs
 
     return _scan("check_psi_decomp", n, q, gen_tall_schroder(n), test)
 
@@ -271,8 +270,7 @@ def check_permtoind(n: int, q: int) -> CheckReport:
     def test(gamma):
         lhs = chi_bar(gamma, q)
         rhs = permutation_character_oracle(gamma, q)
-        return lhs == rhs, {str(g): str(v) for g, v in lhs.items()}, \
-            {str(g): str(v) for g, v in rhs.items()}
+        return lhs == rhs, lhs, rhs
 
     return _scan("check_permtoind", n, q, indifference_graphs(n), test)
 
@@ -339,13 +337,7 @@ def check_prop56(n: int) -> CheckReport:
         rhs = omega(g)
         return lhs == rhs, lhs, rhs
 
-    for pi in gen_dyck(n):
-        ok, lhs, rhs = test_i(pi)
-        if not ok:
-            return CheckReport("check_prop56", n, None, "fail",
-                               {"part": "i", "index": str(pi), "lhs": str(lhs), "rhs": str(rhs)})
-
-    for sigma in gen_tall_schroder(n):
+    def test_ii(sigma):
         d = sorted(diag(sigma))
         a = area(sigma)
         lhs = llt_vertical(sigma).scale((T - 1) ** len(d))
@@ -354,11 +346,13 @@ def check_prop56(n: int) -> CheckReport:
             s = frozenset(e for e, m in zip(d, mask) if m)
             sign = (-1) ** (len(d) - len(s))
             rhs = rhs + llt_vertical(area_inverse(a | s, n).as_schroder()).scale(sign)
-        if lhs != rhs:
-            return CheckReport("check_prop56", n, None, "fail",
-                               {"part": "ii", "index": str(sigma), "lhs": str(lhs), "rhs": str(rhs)})
+        return lhs == rhs, lhs, rhs
 
-    return CheckReport("check_prop56", n, None, "pass")
+    for part, items, test in (("i", gen_dyck(n), test_i), ("ii", gen_tall_schroder(n), test_ii)):
+        rep = _scan("check_prop56", n, None, items, test)
+        if not rep.ok:
+            return CheckReport("check_prop56", n, None, "fail", {"part": part, **rep.witness})
+    return rep
 
 
 def check_gg(n: int, q: int) -> CheckReport:
@@ -368,31 +362,27 @@ def check_gg(n: int, q: int) -> CheckReport:
     sigma = SchroderPath("E" + "D" * (n - 1) + "S")
     ind = induce_to_GL(psi_pseudo(sigma, q))
     denom = (q - 1) ** (n - 1)
-    for lam, v in ind.items():
-        if v % denom:
-            return CheckReport("check_gg", n, q, "fail",
-                               {"index": str(lam), "lhs": str(v),
-                                "rhs": f"multiple of {denom}"})
-    gamma_n = UnipClassFn(n, q, tuple(v // denom for v in ind.values))
-    lhs = omega(p_one(gamma_n))
-    e_n = {tuple([1] * n): ONE}
-    ok = lhs.coeffs == e_n
-    if ok:
-        return CheckReport("check_gg", n, q, "pass")
-    return CheckReport("check_gg", n, q, "fail",
-                       {"index": "omega p_one(Gamma_n)", "lhs": str(lhs.to_json()),
-                        "rhs": "e_n"})
+    rep = _scan("check_gg", n, q, gen_partitions(n),
+                lambda lam: (ind(lam) % denom == 0, ind(lam), f"multiple of {denom}"))
+    if not rep.ok:
+        return rep
+
+    def test(label):
+        lhs = omega(p_one(UnipClassFn(n, q, tuple(v // denom for v in ind.values))))
+        return lhs.coeffs == {tuple([1] * n): ONE}, lhs, "e_n"
+
+    return _scan("check_gg", n, q, ["omega p_one(Gamma_n)"], test)
 
 
 def check_st_en(n: int) -> CheckReport:
     """t^{binom(n,2)} PT_{(1^n)}(x; t) = e_n, symbolically."""
-    lam = tuple([1] * n)
-    lhs = basis_element("PT", lam).scale(LaurentPoly.t(n * (n - 1) // 2))
-    rhs = basis_element("E", (n,) if n else ())
-    if lhs == rhs:
-        return CheckReport("check_st_en", n, None, "pass")
-    return CheckReport("check_st_en", n, None, "fail",
-                       {"index": str(lam), "lhs": str(lhs), "rhs": str(rhs)})
+
+    def test(lam):
+        lhs = basis_element("PT", lam).scale(LaurentPoly.t(n * (n - 1) // 2))
+        rhs = basis_element("E", (n,) if n else ())
+        return lhs == rhs, lhs, rhs
+
+    return _scan("check_st_en", n, None, [tuple([1] * n)], test)
 
 
 def check_cor66(n: int, q: int) -> CheckReport:

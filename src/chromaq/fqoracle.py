@@ -372,6 +372,10 @@ class _ClassFn(Frozen):
     def items(self) -> Iterator[tuple]:
         return zip(self._index(self.n), self.values)
 
+    def __str__(self) -> str:
+        """The nonzero values, as a dict from each key's text to the value's."""
+        return str({str(key): str(v) for key, v in self.items() if v})
+
     def __add__(self, other: "_ClassFn") -> "_ClassFn":
         if type(other) is not type(self) or (self.n, self.q) != (other.n, other.q):
             raise AssertionError("cannot add class functions of different groups")

@@ -35,6 +35,7 @@ from chromaq.fqoracle import (
     ClassFnUT,
     UnipClassFn,
     chi_bar,
+    chi_super,
     induce_to_GL,
     jordan_nilpotent,
     psi_pseudo,
@@ -402,6 +403,34 @@ def test_scan_reports_first_failure():
     assert rep.witness == {"index": "2", "lhs": "L2", "rhs": "R2"}
 
 
+def test_scan_renders_only_the_failing_sides():
+    from chromaq.bridge import _scan
+    rendered = []
+
+    class Side:
+        def __init__(self, k, name):
+            self.k, self.name = k, name
+
+        def __str__(self):
+            if self.k != 3:
+                raise AssertionError(f"item {self.k} passed and must not be rendered")
+            rendered.append(self.name)
+            return f"{self.name}{self.k}"
+
+    rep = _scan("check_x", 3, 2, [1, 2, 3, 4], lambda k: (k < 3, Side(k, "L"), Side(k, "R")))
+    assert rep.witness == {"index": "3", "lhs": "L3", "rhs": "R3"}
+    assert rendered == ["L", "R"]
+    assert _scan("check_x", 3, 2, [1, 2], lambda k: (True, Side(k, "L"), Side(k, "R"))).ok
+
+
+def test_class_function_text_lists_the_nonzero_values():
+    # the witness text of check_mesa and check_psi_decomp
+    empty, edge = IndiffGraph(2, []), IndiffGraph(2, [(1, 2)])
+    assert str(ClassFnUT.from_dict(2, 2, {empty: 0, edge: -3})) == "{'IG(n=2, edges=[(1, 2)])': '-3'}"
+    assert str(ClassFnUT.from_dict(2, 2, {})) == "{}"
+    assert str(UnipClassFn.from_dict(2, 3, {(1, 1): 2})) == "{'(1, 1)': '2'}"
+
+
 def test_dependencies_declared():
     assert DEPENDENCIES["check_cor66"] == ("check_llt", "check_as")
 
@@ -448,6 +477,25 @@ def test_check_cm_fails_on_a_perturbed_llt(monkeypatch):
     assert check_cm(3).ok
 
 
+def _fails_at_the_perturbed_item(monkeypatch, check, kernel, hit, change, index, q=2, part=None):
+    """check(3, q) fails first at index once kernel's output is changed where hit
+    holds (under part, for check_prop56), and passes again after undo."""
+    import chromaq.bridge as bridge
+    original = getattr(bridge, kernel)
+
+    def perturbed(*args):
+        out = original(*args)
+        return change(out) if hit(*args) else out
+
+    monkeypatch.setattr(bridge, kernel, perturbed)
+    rep = run_check(check, 3, q)
+    assert rep.status == "fail" and rep.witness["index"] == str(index)
+    assert rep.witness["lhs"] != rep.witness["rhs"]
+    assert rep.witness.get("part") == part
+    monkeypatch.undo()
+    assert run_check(check, 3, q).status == "pass"
+
+
 # each side of the sweep-fed and supercharacter checks, perturbed at one item in
 # the middle of the scan at (3, 2): the graph G = indifference_graphs(3)[2], the
 # type L = (2, 1), the Dyck path P = gen_dyck(3)[2] with graph_of(P) = G, and the
@@ -481,19 +529,58 @@ _G23 = IndiffGraph(3, [(2, 3)])
      SchroderPath("EEESSS")),
 ])
 def test_sweep_fed_checks_fail_on_a_perturbed_side(monkeypatch, check, kernel, hit, change, index):
+    _fails_at_the_perturbed_item(monkeypatch, check, kernel, hit, change, index)
+
+
+def _bump(f):
+    """f plus t times its basis element at (2, 1)."""
+    return f + SymFunc(f.degree, f.basis, {(2, 1): T})
+
+
+# the other nine checks, each side perturbed at one item of its scan: at (3, 2),
+# except the divisibility of check_gg, which (q - 1)^{n-1} = 1 cannot break at
+# q = 2; _S = EESDS has Diag {2-3}, so part i of check_prop56 never reads it.
+# The p_one side of check_cor66 is perturbed through psi_pseudo: p_one itself
+# sees only the induced function, which EDESS and EESDS share
+@pytest.mark.parametrize("check, kernel, hit, change, index, q, part", [
+    ("check_cqs", "chi_bar", lambda g, q: g == _G, lambda f: f + _BUMP_G, _G, 2, None),
+    ("check_cqs", "csf", lambda g: g == _G, _bump, _G, 2, None),
+    ("check_llt", "psi_pseudo", lambda s, q: s == _S, lambda f: f + _BUMP_G, _S, 2, None),
+    ("check_llt", "llt_vertical", lambda path: path == _S, _bump, _S, 2, None),
+    ("check_as", "as_expansion", lambda s: s == _S, _bump, _S, 2, None),
+    ("check_as", "llt_vertical", lambda path: path == _S, _bump, _S, 2, None),
+    ("check_cm", "csf", lambda g: g == _G, _bump, _P, 2, None),
+    ("check_palindromic", "csf", lambda g: g == _G, _bump, _G, 2, None),
+    ("check_prop56", "llt_vertical", lambda path: path == _P.as_schroder(), _bump, _P, 2, "i"),
+    ("check_prop56", "omega", lambda g: g == llt_vertical(_P.as_schroder()), _bump, _P, 2, "i"),
+    ("check_prop56", "llt_vertical", lambda path: path == _S, _bump, _S, 2, "ii"),
+    ("check_gg", "induce_to_GL", lambda phi: True,
+     lambda f: f + UnipClassFn.from_dict(3, 3, {_L: 1}), _L, 3, None),
+    ("check_gg", "induce_to_GL", lambda phi: True,
+     lambda f: f + UnipClassFn.from_dict(3, 2, {_L: 1}), "omega p_one(Gamma_n)", 2, None),
+    ("check_st_en", "basis_element", lambda basis, lam: basis == "PT", _bump, (1, 1, 1), 2, None),
+    ("check_st_en", "basis_element", lambda basis, lam: basis == "E", _bump, (1, 1, 1), 2, None),
+    ("check_cor66", "as_expansion", lambda s: s == _S, _bump, _S, 2, None),
+    ("check_cor66", "psi_pseudo", lambda s, q: s == _S, lambda f: f + _BUMP_G, _S, 2, None),
+])
+def test_every_check_fails_on_a_perturbed_side(monkeypatch, check, kernel, hit, change, index,
+                                               q, part):
+    _fails_at_the_perturbed_item(monkeypatch, check, kernel, hit, change, index, q, part)
+
+
+def test_check_psi_decomp_builds_each_supercharacter_once(monkeypatch):
     import chromaq.bridge as bridge
-    original = getattr(bridge, kernel)
+    calls = Counter()
 
-    def perturbed(*args):
-        out = original(*args)
-        return change(out) if hit(*args) else out
+    def counted(gamma, q):
+        calls[gamma] += 1
+        return chi_super(gamma, q)
 
-    monkeypatch.setattr(bridge, kernel, perturbed)
-    rep = run_check(check, 3, 2)
-    assert rep.status == "fail" and rep.witness["index"] == str(index)
-    assert rep.witness["lhs"] != rep.witness["rhs"]
-    monkeypatch.undo()
-    assert run_check(check, 3, 2).status == "pass"
+    monkeypatch.setattr(bridge, "chi_super", counted)
+    for n, graphs in ((3, 5), (4, 14), (5, 42)):
+        calls.clear()
+        assert bridge.check_psi_decomp(n, 2).ok
+        assert sum(calls.values()) == len(calls) == graphs, n
 
 
 def test_check_as_is_refused_before_any_orientation(monkeypatch):
@@ -789,3 +876,19 @@ def test_cli_exit_one_on_failure(capsys, monkeypatch):
     assert cli.main(["verify", "check_cqs", "--n", "2", "--q", "2"]) == 1
     out = capsys.readouterr().out
     assert "FAIL check_cqs" in out and "witness" in out
+
+
+def test_cli_exit_one_on_a_perturbed_csf(capsys, monkeypatch):
+    import chromaq.bridge as bridge
+    from chromaq.cli import main
+    target = IndiffGraph(2, [(1, 2)])
+    bump = SymFunc(2, "M", {(1, 1): T})
+    monkeypatch.setattr(bridge, "csf", lambda g: csf(g) + bump if g == target else csf(g))
+    witness = run_check("check_cqs", 2, 2).witness
+    assert witness["index"] == str(target)
+    assert main(["verify", "check_cqs", "--n", "2", "--q", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL check_cqs (n=2, q=2)" in out and f"witness: {json.dumps(witness)}" in out
+    assert main(["verify", "check_cqs", "--n", "2", "--q", "2", "--json"]) == 1
+    [report] = json.loads(capsys.readouterr().out)
+    assert report["status"] == "fail" and report["witness"] == witness
