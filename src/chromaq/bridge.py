@@ -43,6 +43,7 @@ from .fqoracle import (
     jordan_nilpotent,
     permutation_character_oracle,
     psi_pseudo,
+    require_flags,
 )
 from .guards import require_sweep
 from .symfunc import (
@@ -196,6 +197,7 @@ def check_cqs(n: int, q: int) -> CheckReport:
 
 def check_hess(n: int, q: int) -> CheckReport:
     """Induced character values count Hessenberg points: (q-1)^n q^{|E|} |B|."""
+    require_flags(n, q)
     graphs = indifference_graphs(n)
     items = [(g, lam) for g in graphs for lam in gen_partitions(n)]
     induced = {g: induce_to_GL(chi_bar(g, q)) for g in graphs}
@@ -212,6 +214,7 @@ def check_hess(n: int, q: int) -> CheckReport:
 
 def check_poincare(n: int, q: int) -> CheckReport:
     """Hessenberg point counts equal q^{-|E|} d_lam^gamma(q)."""
+    require_flags(n, q)
     items = [(g, lam) for g in indifference_graphs(n) for lam in gen_partitions(n)]
     dcache = {g: d_coeffs(g) for g in indifference_graphs(n)}
 
@@ -250,15 +253,14 @@ def check_mesa(n: int, q: int) -> CheckReport:
 
 def check_psi_decomp(n: int, q: int) -> CheckReport:
     """psi^sigma equals the sum of chi^gamma over Diag <= E(gamma) <= Area u Diag."""
-    supers = {gamma: chi_super(gamma, q) for gamma in indifference_graphs(n)}
+    supers = [(gamma.edges, chi_super(gamma, q).values) for gamma in indifference_graphs(n)]
 
     def test(sigma):
         lhs = psi_pseudo(sigma, q)
         a, d = area(sigma), diag(sigma)
-        rhs = ClassFnUT.from_dict(n, q, {})
-        for gamma, chi in supers.items():
-            if d <= gamma.edges <= (a | d):
-                rhs = rhs + chi
+        # the interval always holds Area u Diag, so the sum has a term
+        rhs = ClassFnUT(n, q, tuple(map(sum, zip(*[vals for edges, vals in supers
+                                                   if d <= edges <= (a | d)]))))
         return lhs == rhs, lhs, rhs
 
     return _scan("check_psi_decomp", n, q, gen_tall_schroder(n), test)

@@ -33,6 +33,7 @@ from .fqoracle import (
     hessenberg_count,
     induce_to_GL,
     jordan_nilpotent,
+    require_flags,
     superclass_sizes,
 )
 from .guards import SizeGuardError
@@ -123,6 +124,7 @@ def _cmd_compute(args: SimpleNamespace) -> int:
         gamma = _parse_graph(args.index)
         if bool(args.matrix) == bool(args.jordan_type):
             raise ValueError("hess-count needs one of --matrix DIGITS or --jordan-type PART,PART,..")
+        require_flags(gamma.n, args.q)  # before any n x n matrix is built
         if args.matrix:
             a = MatrixFq.from_digits(args.matrix, gamma.n, args.q)
         else:

@@ -14,7 +14,8 @@ centralizer order of its Jordan type (Frobenius formula).  The independent
 oracles (cosets of UT_gamma, Hessenberg counts, and in the tests induction
 over GL_n) all count the x of a sweep with x^{-1} a x in the pattern algebra
 of gamma, for a = u - 1 or J_lam - 1; one cached kernel sweeps each (n, q)
-once for all gamma and lam.
+once for all gamma and lam.  A Hessenberg count is constant on the GL_n class
+of its nilpotent, so every nilpotent matrix reads the tally of its J_lam - 1.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, permutations, product
+from itertools import accumulate, chain, permutations, product
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .combinatorics import (
@@ -203,10 +204,6 @@ class MatrixFq(Frozen):
     def n(self) -> int:
         return len(self.rows)
 
-    def is_upper_unipotent(self) -> bool:
-        return all(self.rows[i][j] == (1 if i == j else 0)
-                   for i in range(self.n) for j in range(i + 1))
-
     @staticmethod
     def from_digits(s: str, n: int, q: int) -> "MatrixFq":
         if len(s) != n * n:
@@ -217,32 +214,15 @@ class MatrixFq(Frozen):
         return MatrixFq(q, tuple(tuple(vals[i * n:(i + 1) * n]) for i in range(n)))
 
 
-def jordan(lam: Partition, q: int) -> MatrixFq:
-    """Unipotent Jordan matrix with one block per part (1s on the superdiagonal)."""
+def jordan_nilpotent(lam: Partition, q: int) -> MatrixFq:
+    """J_lam - 1, the nilpotent part of the Jordan matrix of type lam: 1s on the
+    superdiagonal inside each block."""
     _check_q(q)
     if any(k <= 0 for k in lam):
         raise ValueError(f"Jordan type {lam} has a part <= 0")
-    n = sum(lam)
-    rows = [[0] * n for _ in range(n)]
-    off = 0
-    for k in lam:
-        for i in range(k):
-            rows[off + i][off + i] = 1
-            if i + 1 < k:
-                rows[off + i][off + i + 1] = 1
-        off += k
-    return MatrixFq(q, tuple(tuple(r) for r in rows))
-
-
-def mat_minus_identity(rows: Rows, q: int) -> Rows:
-    """rows - identity over F_q; for J_lam this is its nilpotent part."""
-    return tuple(tuple((x - (1 if i == j else 0)) % q for j, x in enumerate(r))
-                 for i, r in enumerate(rows))
-
-
-def jordan_nilpotent(lam: Partition, q: int) -> MatrixFq:
-    """J_lam - 1: the nilpotent part of the Jordan matrix of type lam."""
-    return MatrixFq(q, mat_minus_identity(jordan(lam, q).rows, q))
+    n, ends = sum(lam), set(accumulate(lam))
+    return MatrixFq(q, tuple(tuple(int(j == i + 1 and j not in ends) for j in range(n))
+                             for i in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +280,7 @@ def _label_edges(zeros: int, n: int) -> frozenset[tuple[int, int]]:
 
 def superclass_label(u: MatrixFq) -> IndiffGraph:
     """The superclass of a unipotent upper-triangular element."""
-    if not u.is_upper_unipotent():
+    if any(u.rows[i][j] != (i == j) for i in range(u.n) for j in range(i + 1)):
         raise ValueError("superclass_label needs an upper unipotent matrix")
     return IndiffGraph(u.n, _label_edges(_zero_mask(_pack(u.rows), u.n * u.n, u.q), u.n))
 
@@ -308,12 +288,8 @@ def superclass_label(u: MatrixFq) -> IndiffGraph:
 def superclass_rep(gamma: IndiffGraph, q: int) -> MatrixFq:
     """A canonical element whose superclass is gamma: 1s at all non-edges above the diagonal."""
     n = gamma.n
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if (i, j) not in gamma.edges:
-                rows[i - 1][j - 1] = 1
-    m = MatrixFq(q, tuple(tuple(r) for r in rows))
+    m = MatrixFq(q, tuple(tuple(int(i == j or i < j and (i + 1, j + 1) not in gamma.edges)
+                                for j in range(n)) for i in range(n)))
     if superclass_label(m).edges != gamma.edges:
         raise AssertionError(f"superclass_rep: representative of {gamma} has another label")
     return m
@@ -531,11 +507,15 @@ def induce_to_GL(phi: ClassFnUT) -> UnipClassFn:
 # the conjugation sweep behind the coset, GL_n and Hessenberg oracles
 # ---------------------------------------------------------------------------
 
-def _conjugation_terms(a: Rows, q: int) -> tuple[tuple[int, int], ...] | None:
+def _conjugation_terms(a: Rows, q: int) -> tuple[tuple[int, int], ...]:
     """x^{-1} a x as a sum of a[r][c] copies of (column r of x^{-1}) (row c of
-    x): the (r, c) of each copy, or None if that sum could carry between bytes."""
+    x): the (r, c) of each copy.  OverflowError if that sum could carry between
+    bytes; no target of a sweep that MAX_SWEEP admits comes near it."""
     terms = tuple((r, c) for r, row in enumerate(a) for c, v in enumerate(row) for _ in range(v))
-    return terms if len(terms) * (q - 1) ** 2 <= 255 else None
+    if len(terms) * (q - 1) ** 2 > 255:
+        raise OverflowError(f"x^-1 a x over F_{q} as a sum of {len(terms)} products "
+                            f"would carry between bytes: {a}")
+    return terms
 
 
 @lru_cache(maxsize=None)
@@ -546,29 +526,23 @@ def _conjugate_masks(sweep: Callable[[int, int], Iterator[Rows]], n: int, q: int
 
     Each x is inverted once.  The conjugate of a is the sum of its terms, so
     every product of a column of x^{-1} by a row of x is made once per x and
-    shared by all the targets; a J_lam - 1 has at most n - 1 terms.  A target
-    whose sum of terms could carry takes two reduced products instead.
+    shared by all the targets; a J_lam - 1 has at most n - 1 terms.
     """
     out = tuple(Counter() for _ in targets)
     xs = sweep(n, q)
     x = next(xs, None)  # the sweep's size guard runs before the kernel's carry bound
     k = _Packed(n, q)
     size, zero, from_bytes = n * n, _field(q)[2], int.from_bytes
-    plans = [(_conjugation_terms(a, q), _pack(a), masks) for a, masks in zip(targets, out)]
-    pairs = sorted({t for terms, _, _ in plans if terms is not None for t in terms})
-    slot = {t: i for i, t in enumerate(pairs)}
-    plans = [(None if terms is None else [slot[t] for t in terms], a, masks)
-             for terms, a, masks in plans]
+    terms = [_conjugation_terms(a, q) for a in targets]
+    slot = {t: i for i, t in enumerate(sorted(set(chain.from_iterable(terms))))}
+    plans = [([slot[t] for t in ts], masks) for ts, masks in zip(terms, out)]
     while x is not None:
         xm = _pack(x)
         cols = k.inverse_columns(xm)
         rows = [xm >> 8 * j * n & k.row for j in range(n)]
-        prods = [cols[r] * rows[c] for r, c in pairs]
-        for terms, a, masks in plans:
-            if terms is None:
-                conj = k.mul(sum(c << 8 * r for r, c in enumerate(cols)), k.mul(a, xm))
-            else:
-                conj = sum([prods[i] for i in terms])
+        prods = [cols[r] * rows[c] for r, c in slot]
+        for slots, masks in plans:
+            conj = sum([prods[i] for i in slots])
             # _zero_mask, inlined: this line runs once per conjugate
             masks[from_bytes(conj.to_bytes(size, "little").translate(zero), "little")] += 1
         x = next(xs, None)
@@ -605,7 +579,9 @@ def _jordan_nilpotents(n: int, q: int) -> tuple[Rows, ...]:
 @lru_cache(maxsize=None)
 def _superclass_nilpotents(n: int, q: int) -> tuple[Rows, ...]:
     """The u - 1 for the superclass representatives u, in the order of indifference_graphs(n)."""
-    return tuple(mat_minus_identity(superclass_rep(g, q).rows, q) for g in indifference_graphs(n))
+    return tuple(tuple(tuple(x - (i == j) for j, x in enumerate(r))
+                       for i, r in enumerate(superclass_rep(g, q).rows))
+                 for g in indifference_graphs(n))
 
 
 def permutation_character_oracle(gamma: IndiffGraph, q: int) -> ClassFnUT:
@@ -625,14 +601,19 @@ def permutation_character_oracle(gamma: IndiffGraph, q: int) -> ClassFnUT:
 # flags and Hessenberg point counts
 # ---------------------------------------------------------------------------
 
+def require_flags(n: int, q: int) -> None:
+    """Refuse, before any work, a sweep of the [n]_q! flags of F_q^n past MAX_SWEEP."""
+    _check_q(q)
+    require_sweep(f"the flags of F_{q}^{n}", flag_count(n, q))
+
+
 def flag_reps(n: int, q: int) -> Iterator[Rows]:
     """Canonical coset representatives of GL_n/B_n, one per complete flag.
 
     Column j has its lowest nonzero entry normalized to 1 in pivot row w(j);
     entries at earlier pivot rows are cleared.  Remaining entries are free.
     """
-    _check_q(q)
-    require_sweep(f"the flags of F_{q}^{n}", flag_count(n, q))
+    require_flags(n, q)
     for w in permutations(range(n)):
         free = [(i, j) for j in range(n) for i in range(w[j]) if i not in w[:j]]
         base = [[0] * n for _ in range(n)]
@@ -644,28 +625,20 @@ def flag_reps(n: int, q: int) -> Iterator[Rows]:
             yield tuple(tuple(r) for r in base)
 
 
-def is_nilpotent(a: MatrixFq) -> bool:
-    """a^n = 0, by packed products."""
-    k = _Packed(a.n, a.q)
-    m = p = _pack(a.rows)
-    for _ in range(a.n - 1):
-        p = k.mul(p, m)
-    return p == 0
-
-
 def hessenberg_count(gamma: IndiffGraph, a: MatrixFq) -> int:
     """Number of flags gB with g^{-1} a g strictly upper and zero at the edges of gamma.
 
-    The J_lam - 1 of one (n, q) share a sweep of the flags; any other nilpotent
-    gets a sweep of its own."""
+    g -> h g maps the flags of a onto those of h^{-1} a h (the pattern algebra is
+    B-stable), so a reads the one flag sweep of (n, q) at J_lam - 1, lam the Jordan
+    type of 1 + a."""
     n, q = a.n, a.q
     if n != gamma.n:
         raise ValueError("matrix size does not match the graph")
-    require_sweep(f"the flags of F_{q}^{n}", flag_count(n, q))  # before any matrix is built
-    targets = _jordan_nilpotents(n, q)
-    if a.rows not in targets:
-        if not is_nilpotent(a):
-            raise ValueError("hessenberg_count expects a nilpotent matrix")
-        targets = (a.rows,)
-    tallies = _conjugate_masks(flag_reps, a.n, a.q, targets)
-    return _pattern_counts([tallies[targets.index(a.rows)]], gamma)[0]
+    require_flags(n, q)  # before any matrix is built
+    k = _Packed(n, q)
+    try:
+        lam = k.jordan_type(k.reduce(_pack(a.rows) + k.one, n * n))
+    except ValueError:
+        raise ValueError(f"hessenberg_count expects a nilpotent matrix, got {a.rows}") from None
+    tallies = _conjugate_masks(flag_reps, n, q, _jordan_nilpotents(n, q))
+    return _pattern_counts([tallies[_partition_index(n)[lam]]], gamma)[0]

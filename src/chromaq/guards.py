@@ -15,6 +15,12 @@ def require(cond: bool, msg: str) -> None:
 
 
 def require_sweep(what: str, count: int) -> None:
-    """Refuse, before any work, a sweep that would visit more than MAX_SWEEP elements."""
-    require(count <= MAX_SWEEP,
-            f"sweeping {what} visits {count:,} elements, past the bound MAX_SWEEP = {MAX_SWEEP:,}")
+    """Refuse, before any work, a sweep that would visit more than MAX_SWEEP elements.
+
+    A count past 1,024 bits is named by its power of 2: Python refuses to turn
+    an int of more than 4,300 digits into text."""
+    if count > MAX_SWEEP:
+        bits = count.bit_length()
+        shown = f"{count:,}" if bits <= 1024 else f"at least 2^{bits - 1:,}"
+        raise SizeGuardError(f"sweeping {what} visits {shown} elements, "
+                             f"past the bound MAX_SWEEP = {MAX_SWEEP:,}")

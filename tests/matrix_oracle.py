@@ -3,10 +3,11 @@
 The package packs an n x n matrix over F_q into one int, a byte per entry,
 and multiplies, inverts and row-reduces those ints. These helpers redo the
 same work on tuples of row tuples, entry by entry: products, Gauss-Jordan
-inverses, ranks and the Jordan-type ladder. On top of them sit the old
-conjugation sweep (zero patterns as bit i*n + j), the old induction table
-and the centralizer order by enumeration of GL_n. The tests compare the
-package with them exactly.
+inverses, ranks and the Jordan-type ladder. The unipotent Jordan matrix
+J_lam and the subtraction u - 1 build the J_lam - 1 that the package writes
+down directly. On top of them sit the old conjugation sweep (zero patterns
+as bit i*n + j), the old induction table and the centralizer order by
+enumeration of GL_n. The tests compare the package with them exactly.
 
 The package never sweeps GL_n. The enumeration of GL_n lives here, with the
 one-step induction of the trivial character of UT_gamma over it and the
@@ -31,7 +32,6 @@ from chromaq.fqoracle import (
     _cosets,
     _jordan_nilpotents,
     gl_order,
-    mat_minus_identity,
     ut_elements,
 )
 from chromaq.guards import require_sweep
@@ -67,6 +67,26 @@ def mat_inv(rows: Rows, q: int) -> Rows:
                 for k in range(col, 2 * n):
                     ar[k] = (ar[k] - c * ac[k]) % q
     return tuple(tuple(r[n:]) for r in A)
+
+
+def jordan(lam: Partition, q: int) -> MatrixFq:
+    """Unipotent Jordan matrix with one block per part (1s on the superdiagonal)."""
+    n = sum(lam)
+    rows = [[0] * n for _ in range(n)]
+    off = 0
+    for k in lam:
+        for i in range(k):
+            rows[off + i][off + i] = 1
+            if i + 1 < k:
+                rows[off + i][off + i + 1] = 1
+        off += k
+    return MatrixFq(q, tuple(tuple(r) for r in rows))
+
+
+def mat_minus_identity(rows: Rows, q: int) -> Rows:
+    """rows - identity over F_q; for J_lam this is its nilpotent part."""
+    return tuple(tuple((x - (1 if i == j else 0)) % q for j, x in enumerate(r))
+                 for i, r in enumerate(rows))
 
 
 def rank(rows: Rows, q: int) -> int:

@@ -732,6 +732,62 @@ def test_cli_rejects_malformed_graph_json(capsys, graph, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("check", ["check_hess", "check_poincare"])
+@pytest.mark.parametrize("n, q, count", [(5, 3, "251,680"), (4, 7, "182,400")])
+def test_hessenberg_checks_are_refused_before_any_work(monkeypatch, check, n, q, count):
+    # the flags are bounded before the induced characters or the d coefficients are built
+    import chromaq.bridge as bridge
+
+    def kernel(*args):
+        raise RuntimeError("a kernel ran")
+
+    monkeypatch.setattr(bridge, "induce_to_GL", kernel)
+    monkeypatch.setattr(bridge, "d_coeffs", kernel)
+    with pytest.raises(SizeGuardError, match=f"sweeping the flags of F_{q}\\^{n} visits {count} "
+                                             f"elements, past the bound MAX_SWEEP = 117,649"):
+        getattr(bridge, check)(n, q)
+    # one point below the bound, the scan starts
+    with pytest.raises(RuntimeError, match="a kernel ran"):
+        getattr(bridge, check)(n - 1, q)
+
+
+def test_a_huge_sweep_count_is_named_by_a_power_of_two():
+    from chromaq.guards import require_sweep
+    require_sweep("x", 117_649)
+    with pytest.raises(SizeGuardError, match=f"visits {2 ** 1024 - 1:,} elements"):
+        require_sweep("x", 2 ** 1024 - 1)
+    for count in (2 ** 1024, 2 ** 1025 - 1):
+        with pytest.raises(SizeGuardError, match="visits at least 2\\^1,024 elements, past the "
+                                                 "bound MAX_SWEEP = 117,649"):
+            require_sweep("x", count)
+
+
+def test_cli_hess_count_of_a_huge_sweep_names_it_before_any_matrix(capsys, monkeypatch):
+    # [300]_2! has 13,591 digits, past what Python turns into text; the refusal
+    # names the sweep by a power of 2, and no 300 x 300 matrix is built first
+    import chromaq.cli as cli
+
+    def no_matrix(*args):
+        raise AssertionError("an n x n matrix was built before the flag guard")
+
+    monkeypatch.setattr(cli, "jordan_nilpotent", no_matrix)
+    monkeypatch.setattr(cli.MatrixFq, "from_digits", no_matrix)
+    graph = '{"n": 300, "edges": []}'
+    for given in (["--jordan-type", "300"], ["--matrix", "0" * 90_000]):
+        assert cli.main(["compute", "hess-count", graph, "--q", "2", *given]) == 2
+        assert capsys.readouterr().err == ("error: sweeping the flags of F_2^300 visits at least "
+                                           "2^45,148 elements, past the bound MAX_SWEEP = 117,649\n")
+
+
+def test_cli_hess_count_reads_a_matrix_by_its_jordan_type(capsys):
+    # h^-1 (J_21 - 1) h over F_3 for h = (120, 011, 102): no Jordan matrix, same count
+    from chromaq.cli import main
+    assert main(["compute", "hess-count", "ESEESS", "--q", "3", "--matrix", "022011022"]) == 0
+    by_matrix = json.loads(capsys.readouterr().out)
+    assert main(["compute", "hess-count", "ESEESS", "--q", "3", "--jordan-type", "2,1"]) == 0
+    assert json.loads(capsys.readouterr().out) == by_matrix == {"count": 4}
+
+
 def test_cli_hess_count_matrix_digits(capsys):
     from chromaq.cli import main
     # zero matrix on the edgeless graph counts every flag: [3]_2! = 21

@@ -31,11 +31,8 @@ from chromaq.fqoracle import (
     induce_to_GL,
     induction_table,
     inner_product_UT,
-    is_nilpotent,
-    jordan,
     jordan_nilpotent,
     mat_identity,
-    mat_minus_identity,
     permutation_character_oracle,
     psi_pseudo,
     superclass_label,
@@ -58,7 +55,9 @@ from matrix_oracle import (
     centralizer_order,
     gl_matrices,
     induce_trivial_from_subgroup,
+    jordan,
     mat_inv,
+    mat_minus_identity,
     mat_mul,
 )
 
@@ -116,14 +115,19 @@ def test_packed_kernel_matches_the_tuple_oracle(data):
     else:
         with pytest.raises(ValueError, match="singular"):
             k.inverse_columns(_pack(a))
+    # 1 + a is unipotent iff a is nilpotent, the test hessenberg_count makes
     power = mat_identity(n)
     for _ in range(n):
         power = mat_mul(power, a, q)
-    assert is_nilpotent(MatrixFq(q, a)) == (k.rank(_pack(power)) == 0)
+    one_plus_a = k.reduce(_pack(a) + k.one, n * n)
+    if k.rank(_pack(power)) == 0:
+        assert k.jordan_type(one_plus_a) == matrix_oracle.jordan_type(k.unpack(one_plus_a), q)
+    else:
+        with pytest.raises(ValueError, match="not unipotent"):
+            k.jordan_type(one_plus_a)
     # the unipotent upper triangular matrix with a's entries above the diagonal
     u = tuple(tuple(1 if i == j else a[i][j] if j > i else 0 for j in range(n)) for i in range(n))
     assert k.jordan_type(_pack(u)) == matrix_oracle.jordan_type(u, q)
-    assert is_nilpotent(MatrixFq(q, mat_minus_identity(u, q)))
 
 
 def test_no_carry_bound_is_exact_and_no_admitted_sweep_reaches_it():
@@ -145,7 +149,7 @@ def test_no_carry_bound_is_exact_and_no_admitted_sweep_reaches_it():
             assert m < n, (size.__name__, q)
             _Packed(m, q)
             for a in _superclass_nilpotents(m, q) + _jordan_nilpotents(m, q):
-                assert _conjugation_terms(a, q) is not None, (size.__name__, q, a)
+                assert len(_conjugation_terms(a, q)) * (q - 1) ** 2 <= 255, (size.__name__, q, a)
 
 
 def widened(tallies):
@@ -166,17 +170,22 @@ def test_conjugate_masks_match_the_tuple_oracle():
 
 def test_conjugate_masks_of_targets_that_could_carry():
     # over F_7 the first target is 18 terms of up to (q-1)^2 = 36 each, which could
-    # carry, so it takes two reduced products per x; the other two are sums of terms
-    for q, a in [(7, ((0, 6, 6), (0, 0, 6), (0, 0, 0))), (5, ((0, 4, 4), (0, 0, 0), (0, 0, 0))),
-                 (7, ((0, 6, 0), (0, 0, 0), (0, 0, 0)))]:
+    # carry: the kernel refuses it with a raised error, not an assert.  The other
+    # two are sums of terms with entries past 1.  All three reach hessenberg_count
+    # only through their Jordan types.
+    carry = ((0, 6, 6), (0, 0, 6), (0, 0, 0))
+    with pytest.raises(OverflowError, match="would carry"):
+        _conjugation_terms(carry, 7)
+    sums = [(5, ((0, 4, 4), (0, 0, 0), (0, 0, 0))), (7, ((0, 6, 0), (0, 0, 0), (0, 0, 0)))]
+    for q, a in sums:
         targets = (a, jordan_nilpotent((2, 1), q).rows)
-        assert (_conjugation_terms(a, q) is None) == (q == 7 and a[1][2] == 6)
         for sweep in (flag_reps, ut_elements):
             want = matrix_oracle.conjugate_masks(sweep, 3, q, targets)
             assert _conjugate_masks(sweep, 3, q, targets) == widened(want), (sweep.__name__, q, a)
-        for g in indifference_graphs(3):
-            m = MatrixFq(q, a)
-            assert hessenberg_count(g, m) == brute_hessenberg_count(g, m), (g, q, a)
+    for q, a in [(7, carry), *sums]:
+        m = MatrixFq(q, a)
+        graphs = indifference_graphs(3)
+        assert [hessenberg_count(g, m) for g in graphs] == brute_hessenberg_counts(m, graphs), (q, a)
 
 
 def test_induction_table_matches_the_tuple_oracle():
@@ -199,17 +208,25 @@ def test_ut_enumeration():
 
 def test_jordan_identity():
     assert jordan((1, 1, 1), 2).rows == mat_identity(3)
+    assert jordan_nilpotent((1, 1, 1), 2).rows == ((0,) * 3,) * 3
 
 
 def test_jordan_regular_block():
     j = jordan((3,), 5)
     assert j.rows == ((1, 1, 0), (0, 1, 1), (0, 0, 1))
+    assert jordan_nilpotent((3,), 5).rows == ((0, 1, 0), (0, 0, 1), (0, 0, 0))
 
 
 def test_jordan_nilpotency():
     n = mat_minus_identity(jordan((2,), 2).rows, 2)
     assert n == ((0, 1), (0, 0)) == jordan_nilpotent((2,), 2).rows
     assert mat_mul(n, n, 2) == ((0, 0), (0, 0))
+    # J_lam - 1, written down directly, is the Jordan matrix less the identity
+    for m in range(7):
+        for lam in gen_partitions(m):
+            for q in PRIMES:
+                assert jordan_nilpotent(lam, q).rows == mat_minus_identity(jordan(lam, q).rows, q)
+    assert jordan_nilpotent((2, 1, 3), 3).rows == mat_minus_identity(jordan((2, 1, 3), 3).rows, 3)
 
 
 def test_jordan_type_reads_back_jordan_matrices():
@@ -553,19 +570,21 @@ def test_flag_reps_are_canonical_and_coset_invariant():
         assert canonical_flag(mb).rows == rows
 
 
-def brute_hessenberg_count(gamma, a):
-    """Hessenberg point count by testing every flag gB on its own."""
-    n, q = gamma.n, a.q
-    edges0 = [(i - 1, j - 1) for i, j in gamma.sorted_edges()]
-    count = 0
+def brute_hessenberg_counts(a, graphs):
+    """Hessenberg point counts of a for each graph, by testing every flag gB on its own."""
+    n, q = a.n, a.q
+    counts = [0] * len(graphs)
     for g in flag_reps(n, q):
         m = mat_mul(mat_mul(mat_inv(g, q), a.rows, q), g, q)
         if any(m[i][j] for i in range(n) for j in range(i + 1)):
             continue
-        if any(m[i][j] for i, j in edges0):
-            continue
-        count += 1
-    return count
+        for k, gamma in enumerate(graphs):
+            counts[k] += not any(m[i - 1][j - 1] for i, j in gamma.edges)
+    return counts
+
+
+def brute_hessenberg_count(gamma, a):
+    return brute_hessenberg_counts(a, [gamma])[0]
 
 
 def test_hessenberg_sweep_matches_per_flag_oracle():
@@ -592,11 +611,37 @@ def test_hessenberg_sweeps_once_per_matrix():
         for g in indifference_graphs(3):
             hessenberg_count(g, jordan_nilpotent(lam, 3))
     assert _conjugate_masks.cache_info().misses == misses
-    # a nilpotent that is no Jordan matrix gets a sweep of its own
+    # a nilpotent that is no Jordan matrix reads the same sweep, at its Jordan type
     at = MatrixFq(3, tuple(zip(*a.rows)))
     for g in indifference_graphs(3):
-        assert hessenberg_count(g, at) == brute_hessenberg_count(g, at), g
-    assert _conjugate_masks.cache_info().misses == misses + 1
+        assert hessenberg_count(g, at) == brute_hessenberg_count(g, at) == hessenberg_count(g, a), g
+    assert _conjugate_masks.cache_info().misses == misses
+
+
+def random_gl(rnd, n, q):
+    while True:
+        h = tuple(tuple(rnd.randrange(q) for _ in range(n)) for _ in range(n))
+        if matrix_oracle.rank(h, q) == n:
+            return h
+
+
+def test_hessenberg_count_is_constant_on_a_conjugacy_class():
+    # h^{-1} (J_lam - 1) h for random h: every count equals the brute count,
+    # and all the matrices of one (n, q) share one sweep of the flags
+    import random
+    rnd = random.Random(19)
+    points = [(n, q) for n in range(1, 4) for q in PRIMES] + [(4, 2), (4, 3)]
+    for n, q in points:
+        graphs = indifference_graphs(n)
+        misses = _conjugate_masks.cache_info().misses
+        for lam in gen_partitions(n):
+            for _ in range(2 if n < 4 else 1):
+                h = random_gl(rnd, n, q)
+                a = MatrixFq(q, mat_mul(mat_mul(mat_inv(h, q), jordan_nilpotent(lam, q).rows, q),
+                                        h, q))
+                got = [hessenberg_count(g, a) for g in graphs]
+                assert got == brute_hessenberg_counts(a, graphs), (n, q, lam, a.rows)
+        assert _conjugate_masks.cache_info().misses <= misses + 1, (n, q)
 
 
 def test_hessenberg_zero_matrix_counts_all_flags():
@@ -614,8 +659,10 @@ def test_hessenberg_regular_nilpotent_edgeless():
 
 
 def test_hessenberg_rejects_non_nilpotent():
-    with pytest.raises(ValueError):
-        hessenberg_count(IG(2), MatrixFq(2, ((1, 0), (0, 1))))
+    for q, rows in [(2, ((1, 0), (0, 1))), (3, ((0, 1), (1, 0))),
+                    (5, ((0, 1, 0), (0, 0, 1), (1, 0, 0)))]:
+        with pytest.raises(ValueError, match="expects a nilpotent matrix"):
+            hessenberg_count(IG(len(rows)), MatrixFq(q, rows))
 
 
 def test_hessenberg_guard():
