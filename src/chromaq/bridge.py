@@ -22,11 +22,11 @@ from .combinatorics import (
     Frozen,
     Partition,
     SchroderPath,
+    _partitions,
     area,
     area_inverse,
     diag,
     gen_dyck,
-    gen_partitions,
     gen_tall_schroder,
     graph_of,
     indifference_graphs,
@@ -71,7 +71,7 @@ def _consts(row: Iterable[tuple[Partition, LaurentPoly]]) -> dict[Partition, Rat
 def _pt_at_q(d: int, q: int) -> dict[Partition, dict[Partition, Rat]]:
     """Each PT_lam(x; q), lam a partition of d, in monomial coordinates."""
     return {lam: {mu: _frac(c.evaluate(q)) for mu, c in _m_coords("PT", lam)}
-            for lam in gen_partitions(d)}
+            for lam in _partitions(d)}
 
 
 @lru_cache(maxsize=None)
@@ -99,7 +99,7 @@ def _m_to_p_integral(d: int) -> dict[Partition, dict[Partition, int]]:
 def _omega_p_to_s(d: int) -> dict[Partition, dict[Partition, Rat]]:
     """Each omega(p_lam) = (-1)^{d - l(lam)} p_lam, lam a partition of d, in the Schur basis."""
     out = {}
-    for lam in gen_partitions(d):
+    for lam in _partitions(d):
         sign = (-1) ** (d - len(lam))
         row = _consts(expand_in_basis(SymFunc(d, "P", {lam: 1}), "S").coeffs.items())
         out[lam] = {nu: sign * c for nu, c in row.items()}
@@ -124,16 +124,26 @@ def p_brace1(phi: UnipClassFn) -> SymFunc:
     return SymFunc(phi.n, "M", _brace1_coords(phi))
 
 
-def p_one(phi: UnipClassFn) -> SymFunc:
-    """Unipotent-constituent image: omega (p_brace1(phi))[x/(t-1)]|_{t=q}, in Schur basis.
+@lru_cache(maxsize=None)
+def _p_one_table(n: int, q: int) -> dict[Partition, dict[Partition, Rat]]:
+    """p_one of the indicator of each Jordan type lam |- n, in the Schur basis.
 
-    Runs over Q: p_brace1 in P, each p_lam divided by prod (q^{lam_i} - 1),
-    then omega and the change to S as one table.
+    Built over Q, once per (n, q): PT_lam(x; q) in P, each p_mu divided by
+    prod (q^{mu_i} - 1), then omega and the change to S as one table.
     """
-    q = phi.q
-    F = _apply(_brace1_coords(phi), _m_to_p(phi.n))
-    F = {lam: Fraction(c, prod(q ** k - 1 for k in lam)) for lam, c in F.items()}
-    return SymFunc(phi.n, "S", _apply(F, _omega_p_to_s(phi.n)))
+    out = {}
+    for lam, row in _pt_at_q(n, q).items():
+        F = _apply(row, _m_to_p(n))
+        F = {mu: Fraction(c, prod(q ** k - 1 for k in mu)) for mu, c in F.items()}
+        out[lam] = {nu: _frac(c) for nu, c in _apply(F, _omega_p_to_s(n)).items() if c}
+    return out
+
+
+def p_one(phi: UnipClassFn) -> SymFunc:
+    """Unipotent-constituent image: omega (p_brace1(phi))[x/(t-1)]|_{t=q}, in Schur basis,
+    read off the table of Jordan-type indicators of (n, q)."""
+    return SymFunc(phi.n, "S", _apply({lam: v for lam, v in phi.items() if v},
+                                      _p_one_table(phi.n, phi.q)))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +209,7 @@ def check_hess(n: int, q: int) -> CheckReport:
     """Induced character values count Hessenberg points: (q-1)^n q^{|E|} |B|."""
     require_flags(n, q)
     graphs = indifference_graphs(n)
-    items = [(g, lam) for g in graphs for lam in gen_partitions(n)]
+    items = [(g, lam) for g in graphs for lam in _partitions(n)]
     induced = {g: induce_to_GL(chi_bar(g, q)) for g in graphs}
 
     def test(item):
@@ -215,7 +225,7 @@ def check_hess(n: int, q: int) -> CheckReport:
 def check_poincare(n: int, q: int) -> CheckReport:
     """Hessenberg point counts equal q^{-|E|} d_lam^gamma(q)."""
     require_flags(n, q)
-    items = [(g, lam) for g in indifference_graphs(n) for lam in gen_partitions(n)]
+    items = [(g, lam) for g in indifference_graphs(n) for lam in _partitions(n)]
     dcache = {g: d_coeffs(g) for g in indifference_graphs(n)}
 
     def test(item):
@@ -364,7 +374,7 @@ def check_gg(n: int, q: int) -> CheckReport:
     sigma = SchroderPath("E" + "D" * (n - 1) + "S")
     ind = induce_to_GL(psi_pseudo(sigma, q))
     denom = (q - 1) ** (n - 1)
-    rep = _scan("check_gg", n, q, gen_partitions(n),
+    rep = _scan("check_gg", n, q, _partitions(n),
                 lambda lam: (ind(lam) % denom == 0, ind(lam), f"multiple of {denom}"))
     if not rep.ok:
         return rep

@@ -25,9 +25,9 @@ from .combinatorics import (
     IndiffGraph,
     Partition,
     SchroderPath,
+    _partitions,
     area,
     diag,
-    gen_partitions,
 )
 from .exactnum import ONE, ZERO, LaurentPoly, T
 from .guards import require, require_sweep
@@ -56,7 +56,7 @@ def _color_sum(n: int, asc_edges: Iterable[Edge], differ: Iterable[Edge] = (),
     back = [(ups, ups if apart == ups else apart, below) for ups, apart, below in back]
     kappa = [0] * n
     coeffs = {}
-    for mu in gen_partitions(n):
+    for mu in _partitions(n):
         room = list(mu)
         counts: Counter[int] = Counter()
 

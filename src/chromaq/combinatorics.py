@@ -30,14 +30,17 @@ class Frozen:
     Two objects are equal when they have the same exact type and equal fields;
     the hash is that of the field tuple and the repr is Name(field=value, ...).
     A subclass names its fields in `__slots__` and `_fields` (which its own
-    subclasses inherit) and sets them once, at the end of `__init__`, with `_set`.
+    subclasses inherit) and sets them once, at the end of `__init__`, with `_set`;
+    `_set` also takes values derived from the fields, for slots outside `_fields`.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def _set(self, *values) -> None:
+    def _set(self, *values, **derived) -> None:
         for f, v in zip(self._fields, values):
+            object.__setattr__(self, f, v)
+        for f, v in derived.items():
             object.__setattr__(self, f, v)
 
     def _values(self) -> tuple:
@@ -62,6 +65,23 @@ class Frozen:
         return f"{type(self).__qualname__}({fields})"
 
 
+class Hashed(Frozen):
+    """A Frozen whose hash of the field tuple is taken once, when `_set` runs."""
+
+    __slots__ = ("_hash",)
+
+    def _set(self, *values, **derived) -> None:
+        super()._set(*values, _hash=hash(values), **derived)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._hash == other._hash and self._values() == other._values()
+
+    def __hash__(self):
+        return self._hash
+
+
 def _check_size(name: str, n: int, bound: int) -> None:
     """A negative n is a usage error; one past the bound trips the size guard."""
     if n < 0:
@@ -75,6 +95,12 @@ def _check_size(name: str, n: int, bound: int) -> None:
 
 def gen_partitions(n: int) -> list[Partition]:
     """All partitions of n in reverse lexicographic order: (n) first, (1^n) last."""
+    return list(_partitions(n))
+
+
+@lru_cache(maxsize=None)
+def _partitions(n: int) -> tuple[Partition, ...]:
+    """The partitions of n in the order of gen_partitions, built once per n."""
     _check_size("gen_partitions", n, MAX_PARTITION_N)
     out: list[Partition] = []
 
@@ -86,13 +112,13 @@ def gen_partitions(n: int) -> list[Partition]:
             rec(rest - k, k, prefix + (k,))
 
     rec(n, n if n else 1, ())
-    return out
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _partition_index(n: int) -> dict[Partition, int]:
     """Position of each partition of n in the order of gen_partitions(n)."""
-    return {lam: i for i, lam in enumerate(gen_partitions(n))}
+    return {lam: i for i, lam in enumerate(_partitions(n))}
 
 
 def transpose(lam: Partition) -> Partition:
@@ -127,57 +153,63 @@ def _walk(steps: str) -> Iterator[tuple[str, int, int]]:
             raise ValueError(f"bad step {s!r}")
 
 
-class DyckPath(Frozen):
-    __slots__ = _fields = ("steps",)
+def _trace(steps: str, dyck: bool) -> dict:
+    """Validate a path in one walk and return what the walk reads off it: its
+    size, whether it is tall (no D step starts on the diagonal), its area and
+    its diag."""
+    tall, cells, rises = True, set(), []
+    for s, x, y in _walk(steps):
+        if dyck and s not in "ES":
+            raise ValueError(f"Dyck path steps must be E/S, got {s!r}")
+        j = x + 1
+        if s in "SD" and y - 1 < -x - (s == "D"):
+            raise ValueError(f"path {steps!r} goes below the diagonal")
+        if s == "E":
+            cells.update((i, j) for i in range(1 - y, j))  # rows strictly below the path
+        elif s == "D":
+            tall = tall and y != -x
+            rises.append((1 - y, j))
+            cells.update((i, j) for i in range(2 - y, j))  # row 1-y is crossed by the D step
+    n = steps.count("E") + steps.count("D")
+    if steps.count("S") + steps.count("D") != n:
+        raise ValueError(f"path {steps!r} is unbalanced")
+    return {"size": n, "is_tall": tall, "_area": frozenset(cells), "_diag": frozenset(rises)}
+
+
+class _Path(Hashed):
+    """A step string; its size, tallness, area and diag are read off once, by the
+    walk that validates it, and are not fields."""
+
+    __slots__ = ("steps", "size", "is_tall", "_area", "_diag")
+    _fields = ("steps",)
     steps: str
+    size: int
+    is_tall: bool
+
+    def __str__(self) -> str:
+        return self.steps
+
+
+class DyckPath(_Path):
+    __slots__ = ("_schroder", "_graph")
 
     def __init__(self, steps: str):
-        for s, x, y in _walk(steps):
-            if s not in "ES":
-                raise ValueError(f"Dyck path steps must be E/S, got {s!r}")
-            if s == "S" and y - 1 < -x:
-                raise ValueError(f"path {steps!r} goes below the diagonal")
-        n = steps.count("E")
-        if steps.count("S") != n:
-            raise ValueError(f"path {steps!r} is unbalanced")
-        self._set(steps)
-
-    @property
-    def size(self) -> int:
-        return self.steps.count("E")
+        self._set(steps, **_trace(steps, dyck=True), _schroder=None, _graph=None)
 
     def as_schroder(self) -> "SchroderPath":
-        return SchroderPath(self.steps)
+        """The same steps as a Schroeder path, built once and without a second walk."""
+        if self._schroder is None:
+            sigma = object.__new__(SchroderPath)
+            sigma._set(self.steps, size=self.size, is_tall=True, _area=self._area, _diag=self._diag)
+            object.__setattr__(self, "_schroder", sigma)
+        return self._schroder
 
-    def __str__(self) -> str:
-        return self.steps
 
-
-class SchroderPath(Frozen):
-    __slots__ = _fields = ("steps",)
-    steps: str
+class SchroderPath(_Path):
+    __slots__ = ()
 
     def __init__(self, steps: str):
-        for s, x, y in _walk(steps):
-            if s == "S" and y - 1 < -x:
-                raise ValueError(f"path {steps!r} goes below the diagonal")
-            if s == "D" and y - 1 < -(x + 1):
-                raise ValueError(f"path {steps!r} goes below the diagonal")
-        n = steps.count("E") + steps.count("D")
-        if steps.count("S") + steps.count("D") != n:
-            raise ValueError(f"path {steps!r} is unbalanced")
-        self._set(steps)
-
-    @property
-    def size(self) -> int:
-        return self.steps.count("E") + self.steps.count("D")
-
-    @property
-    def is_tall(self) -> bool:
-        return all(not (s == "D" and y == -x) for s, x, y in _walk(self.steps))
-
-    def __str__(self) -> str:
-        return self.steps
+        self._set(steps, **_trace(steps, dyck=False))
 
 
 @lru_cache(maxsize=None)
@@ -221,29 +253,16 @@ def gen_tall_schroder(n: int) -> tuple[SchroderPath, ...]:
 
 def area(sigma: SchroderPath | DyckPath) -> frozenset[Edge]:
     """Edge labels of unit squares lying completely below the path."""
-    if isinstance(sigma, DyckPath):
-        sigma = sigma.as_schroder()
     if not sigma.is_tall:
         raise ValueError("area/diag are defined here for tall paths only")
-    edges = set()
-    for s, x, y in _walk(sigma.steps):
-        j = x + 1
-        if s == "E":
-            top = 1 - y           # highest row strictly below the path in column j
-        elif s == "D":
-            top = 2 - y           # row 1-y is crossed by the D step itself
-        else:
-            continue
-        for i in range(top, j):
-            edges.add((i, j))
-    return frozenset(edges)
+    return sigma._area
 
 
-def diag(sigma: SchroderPath) -> frozenset[Edge]:
+def diag(sigma: SchroderPath | DyckPath) -> frozenset[Edge]:
     """Edge labels of unit squares crossed by diagonal steps."""
     if not sigma.is_tall:
         raise ValueError("area/diag are defined here for tall paths only")
-    return frozenset((1 - y, x + 1) for s, x, y in _walk(sigma.steps) if s == "D")
+    return sigma._diag
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +271,17 @@ def diag(sigma: SchroderPath) -> frozenset[Edge]:
 
 def is_indifference(edges: Iterable[Edge], n: int) -> bool:
     """Interval closure: {i,l} present forces all {j,k} with i <= j < k <= l."""
-    es = {tuple(sorted(e)) for e in edges}
-    for i, l in es:
-        if not (1 <= i < l <= n):
-            return False
-    return all((j, k) in es for i, l in es for j in range(i, l + 1) for k in range(j + 1, l + 1))
+    return _closed({tuple(sorted(e)) for e in edges}, n)
 
 
-class IndiffGraph(Frozen):
+def _closed(es: frozenset[Edge] | set[Edge], n: int) -> bool:
+    """Interval closure of sorted edges, checked locally: each {i,l} with
+    l - i >= 2 needs {i+1,l} and {i,l-1}, and by induction every {j,k} inside."""
+    return all(1 <= i < l <= n and (l - i < 2 or (i + 1, l) in es and (i, l - 1) in es)
+               for i, l in es)
+
+
+class IndiffGraph(Hashed):
     """Graph on [n] whose edge set is closed under intervals."""
 
     __slots__ = _fields = ("n", "edges")
@@ -268,7 +290,7 @@ class IndiffGraph(Frozen):
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         edges = frozenset(tuple(sorted(e)) for e in edges)
-        if not is_indifference(edges, n):
+        if not _closed(edges, n):
             raise ValueError(f"edge set {sorted(edges)} on [{n}] is not interval-closed")
         self._set(n, edges)
 
@@ -303,14 +325,21 @@ def _is_int(x) -> bool:
 
 
 def graph_of(pi: DyckPath) -> IndiffGraph:
-    """The indifference graph on [n] with edge set the area of the path."""
-    return IndiffGraph(pi.size, area(pi))
+    """The indifference graph on [n] with edge set the area of the path, built once per path."""
+    if pi._graph is None:
+        object.__setattr__(pi, "_graph", IndiffGraph(pi.size, pi._area))
+    return pi._graph
 
 
 def area_inverse(edges: Iterable[Edge], n: int) -> DyckPath:
     """The unique Dyck path of size n whose area is the given indifference edge set."""
-    es = {tuple(sorted(e)) for e in edges}
-    if not is_indifference(es, n):
+    return _area_inverse(frozenset(tuple(sorted(e)) for e in edges), n)
+
+
+@lru_cache(maxsize=None)
+def _area_inverse(es: frozenset[Edge], n: int) -> DyckPath:
+    """area_inverse of sorted edges, built once per (edge set, n)."""
+    if not _closed(es, n):
         raise ValueError(f"{sorted(es)} is not an indifference edge set on [{n}]")
     steps = []
     prev_y = 0

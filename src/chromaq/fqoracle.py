@@ -32,9 +32,9 @@ from .combinatorics import (
     Partition,
     SchroderPath,
     _partition_index,
+    _partitions,
     area,
     diag,
-    gen_partitions,
     indifference_graphs,
     mobius_subgraph,
 )
@@ -371,12 +371,6 @@ class ClassFnUT(_ClassFn):
     __slots__ = ()
     _index = staticmethod(_graph_index)
 
-    def at(self, u: MatrixFq) -> Rat:
-        """Value at a group element, through its superclass label."""
-        if u.q != self.q or u.n != self.n:
-            raise ValueError("element lives in a different group")
-        return self(superclass_label(u))
-
 
 class UnipClassFn(_ClassFn):
     """Unipotently supported class function of GL_n(F_q): one value per Jordan
@@ -472,7 +466,7 @@ def induction_table(n: int, q: int) -> dict[Partition, dict[IndiffGraph, int]]:
     elements x, so one sweep of UT_n fills the table.
     """
     _check_q(q)
-    raw: dict[Partition, Counter] = {lam: Counter() for lam in gen_partitions(n)}
+    raw: dict[Partition, Counter] = {lam: Counter() for lam in _partitions(n)}
     us = ut_elements(n, q)
     u = next(us, None)  # the sweep's size guard runs before the kernel's carry bound
     k = _Packed(n, q)
@@ -480,12 +474,13 @@ def induction_table(n: int, q: int) -> dict[Partition, dict[IndiffGraph, int]]:
         m = _pack(u)
         raw[k.jordan_type(m)][_zero_mask(m, n * n, q)] += 1
         u = next(us, None)
+    graphs = {g.edges: g for g in indifference_graphs(n)}  # every label is interval-closed
     out = {}
     for lam, masks in raw.items():
         labs: Counter = Counter()
         for zeros, c in masks.items():
             labs[_label_edges(zeros, n)] += c
-        out[lam] = {IndiffGraph(n, lab): c * _centralizer_order(lam, q) for lab, c in labs.items()}
+        out[lam] = {graphs[lab]: c * _centralizer_order(lam, q) for lab, c in labs.items()}
     return out
 
 
@@ -573,7 +568,7 @@ def _cosets(tallies: Iterable[Counter], gamma: IndiffGraph, q: int) -> tuple[int
 @lru_cache(maxsize=None)
 def _jordan_nilpotents(n: int, q: int) -> tuple[Rows, ...]:
     """The J_lam - 1 for lam |- n, in the order of gen_partitions(n)."""
-    return tuple(jordan_nilpotent(lam, q).rows for lam in gen_partitions(n))
+    return tuple(jordan_nilpotent(lam, q).rows for lam in _partitions(n))
 
 
 @lru_cache(maxsize=None)

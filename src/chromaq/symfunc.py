@@ -37,7 +37,7 @@ from .combinatorics import (
     Frozen,
     Partition,
     _partition_index,
-    gen_partitions,
+    _partitions,
     nstat,
     transpose,
 )
@@ -122,11 +122,11 @@ class SymFunc(Frozen):
             return "0"
         b = self.basis.lower()
         return " + ".join(f"({self.coeffs[mu]})*{b}{list(mu)}"
-                          for mu in gen_partitions(self.degree) if mu in self.coeffs)
+                          for mu in _partitions(self.degree) if mu in self.coeffs)
 
     def to_json(self) -> dict:
         items = [{"partition": list(mu), "value": str(self.coeffs[mu])}
-                 for mu in gen_partitions(self.degree) if mu in self.coeffs]
+                 for mu in _partitions(self.degree) if mu in self.coeffs]
         return {"degree": self.degree, "basis": self.basis, "coeffs": items}
 
 
@@ -162,7 +162,7 @@ def _m_coords(basis: str, lam: Partition) -> tuple[tuple[Partition, Coeff], ...]
     if basis == "M":
         coords = {lam: 1}
     elif basis == "P":
-        coords = {nu: _placements(lam, nu) for nu in gen_partitions(d)}
+        coords = {nu: _placements(lam, nu) for nu in _partitions(d)}
     elif basis in ("S", "H", "E"):
         kostka = _kostka(d)
         if basis == "S":
@@ -228,8 +228,8 @@ def _hall_littlewood_coords(d: int) -> dict[Partition, dict[Partition, Coeff]]:
     grown one horizontal strip (mu_1 ones, then mu_2 twos, ...) at a time, each
     step weighted by psi_{lam/nu}; the polynomials stay in Z[t] as {exponent: int}.
     """
-    out: dict[Partition, dict[Partition, Coeff]] = {lam: {} for lam in gen_partitions(d)}
-    for mu in gen_partitions(d):
+    out: dict[Partition, dict[Partition, Coeff]] = {lam: {} for lam in _partitions(d)}
+    for mu in _partitions(d):
         states: dict[Partition, dict[int, int]] = {(): {0: 1}}
         for k in mu:
             grown: dict[Partition, dict[int, int]] = {}
@@ -294,7 +294,7 @@ def _from_monomials(basis: str, d: int) -> dict[Partition, dict[Partition, Coeff
     A^{-1} are the m_mu in that basis.  In `gen_partitions` order every pivot
     is a unit of Q[t, 1/t], so A^{-1} stays in the Laurent ring.
     """
-    keys = gen_partitions(d)
+    keys = _partitions(d)
     idx = {k: i for i, k in enumerate(keys)}
     a = [[ZERO] * len(keys) for _ in keys]
     for j, lam in enumerate(keys):
@@ -352,7 +352,7 @@ def _omega_m(d: int) -> dict[Partition, tuple[tuple[Partition, int], ...]]:
     raises ArithmeticError.
     """
     out = {}
-    for mu in gen_partitions(d):
+    for mu in _partitions(d):
         F = omega(expand_in_basis(SymFunc(d, "M", {mu: ONE}), "P"))
         row = tuple((nu, ratfunc_to_const(c)) for nu, c in expand_in_basis(F, "M").coeffs.items())
         if any(type(v) is not int for _, v in row):

@@ -2,6 +2,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 import pytest
 
@@ -9,6 +10,11 @@ from chromaq.bridge import (
     ALL_CHECKS,
     DEPENDENCIES,
     CheckReport,
+    _apply,
+    _brace1_coords,
+    _m_to_p,
+    _omega_p_to_s,
+    _p_one_table,
     check_as,
     check_cm,
     check_cqs,
@@ -32,6 +38,7 @@ from chromaq.combinatorics import (
 )
 from chromaq.exactnum import ZERO, LaurentPoly
 from chromaq.fqoracle import (
+    PRIMES,
     ClassFnUT,
     UnipClassFn,
     chi_bar,
@@ -75,6 +82,15 @@ def symbolic_p_one(phi):
     return expand_in_basis(omega(F), "S")
 
 
+def three_step_p_one(phi):
+    """p_one of one class function over Q, step by step: p_brace1 in P, each p_lam
+    divided by prod (q^{lam_i} - 1), then omega and the change to S."""
+    q = phi.q
+    F = _apply(_brace1_coords(phi), _m_to_p(phi.n))
+    F = {lam: Fraction(c, prod(q ** k - 1 for k in lam)) for lam, c in F.items()}
+    return SymFunc(phi.n, "S", _apply(F, _omega_p_to_s(phi.n)))
+
+
 DEFAULT_GRID = [(n, q) for q in (2, 3) for n in (1, 2, 3)]
 
 
@@ -87,6 +103,17 @@ def test_p_one_and_p_brace1_match_the_symbolic_oracle():
         for phi in phis:
             assert p_brace1(phi) == symbolic_p_brace1(phi), (n, q, phi)
             assert p_one(phi) == symbolic_p_one(phi), (n, q, phi)
+
+
+def test_p_one_table_matches_the_three_steps_row_by_row():
+    for q in PRIMES:
+        for n in range(6):
+            table = _p_one_table(n, q)
+            assert list(table) == gen_partitions(n)
+            for lam, row in table.items():
+                want = three_step_p_one(UnipClassFn.from_dict(n, q, {lam: 1}))
+                assert SymFunc(n, "S", row) == want, (n, q, lam)
+                assert all(v and (type(v) is int or v.denominator > 1) for v in row.values())
 
 
 # -- p_brace1 -----------------------------------------------------------------

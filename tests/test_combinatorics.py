@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import pytest
 
+import chromaq.combinatorics as combinatorics
 from chromaq.combinatorics import (
     DyckPath,
     IndiffGraph,
@@ -40,6 +43,15 @@ def little_schroder_oracle(n):
         assert num % (m + 1) == 0
         a.append(num // (m + 1))
     return a[n]
+
+
+def all_pairs_is_indifference(edges, n):
+    """Interval closure checked on every pair: {i,l} forces all {j,k} with i <= j < k <= l."""
+    es = {tuple(sorted(e)) for e in edges}
+    for i, l in es:
+        if not (1 <= i < l <= n):
+            return False
+    return all((j, k) in es for i, l in es for j in range(i, l + 1) for k in range(j + 1, l + 1))
 
 
 # -- partitions ----------------------------------------------------------------
@@ -136,6 +148,48 @@ def test_tall_flag():
     assert not SchroderPath("DD").is_tall  # D steps along the diagonal
 
 
+def test_each_path_is_walked_once(monkeypatch):
+    walks = []
+    walk = combinatorics._walk
+
+    def counted(steps):
+        walks.append(steps)
+        return walk(steps)
+
+    monkeypatch.setattr(combinatorics, "_walk", counted)
+    pi, sigma = DyckPath("EESESS"), SchroderPath("EEEDSSS")
+    assert walks == ["EESESS", "EEEDSSS"]
+    s, g = pi.as_schroder(), graph_of(pi)
+    assert s is pi.as_schroder() and g is graph_of(pi)
+    for p in (pi, s, sigma):
+        assert p.is_tall
+        assert area(p) == area(p) and diag(p) == diag(p)
+    assert area(sigma) == {(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)} and diag(sigma) == {(1, 4)}
+    assert walks == ["EESESS", "EEEDSSS"]
+    assert s == SchroderPath("EESESS") and g == IndiffGraph(3, {(1, 2), (2, 3)})
+    assert area(s) == area(SchroderPath("EESESS")) and diag(s) == frozenset()
+
+
+def test_area_and_diag_refuse_a_path_that_is_not_tall():
+    for f in (area, diag):
+        with pytest.raises(ValueError, match="tall paths only"):
+            f(SchroderPath("DD"))
+
+
+def test_partitions_are_a_fresh_list_each_call():
+    first = gen_partitions(4)
+    first.append((9,))
+    first[0] = (0,)
+    assert gen_partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+
+
+def test_area_inverse_returns_the_path_it_built():
+    edges = [(2, 1), (3, 2)]
+    pi = area_inverse(edges, 3)
+    assert pi is area_inverse(iter([(1, 2), (2, 3)]), 3) is area_inverse({(3, 2), (1, 2)}, 3)
+    assert pi == DyckPath("EESESS")
+
+
 # -- area / diag ---------------------------------------------------------------
 
 def test_area_diag_worked_examples():
@@ -211,6 +265,20 @@ def test_mesa_area_diag_union():
 def test_is_indifference_examples():
     assert is_indifference({(1, 2), (2, 3), (1, 3), (3, 4)}, 4)
     assert not is_indifference({(1, 2), (2, 3), (1, 3), (1, 4)}, 4)
+
+
+def test_local_closure_matches_the_all_pairs_oracle():
+    for n in range(6):
+        pairs = list(combinations(range(1, n + 1), 2))
+        subsets = [s for k in range(len(pairs) + 1) for s in combinations(pairs, k)]
+        assert len(subsets) == 2 ** len(pairs)  # 1,024 at n = 5
+        for es in subsets:
+            assert is_indifference(es, n) == all_pairs_is_indifference(es, n), (n, es)
+            flipped = [(j, i) for i, j in es]
+            assert is_indifference(flipped, n) == all_pairs_is_indifference(flipped, n), (n, es)
+    for es, n in [({(0, 1)}, 3), ({(1, 4)}, 3), ({(2, 2)}, 3), ({(3, 1), (2, 1), (3, 2)}, 3),
+                  ({(3, 1), (2, 1)}, 3), ({(1, 3), (1, 2), (2, 3), (3, 5)}, 4), (set(), 0)]:
+        assert is_indifference(es, n) == all_pairs_is_indifference(es, n), (n, es)
 
 
 def test_indifference_graph_count():

@@ -304,10 +304,7 @@ def test_classfn_evaluation_at_element():
     gamma = IG(3, (1, 2))
     f = delta_bar(gamma, q)
     for u in ut_elements(3, q):
-        m = MatrixFq(q, u)
-        assert f.at(m) == (1 if u[0][1] == 0 else 0)
-    with pytest.raises(ValueError):
-        f.at(MatrixFq(3, mat_identity(3)))
+        assert f(superclass_label(MatrixFq(q, u))) == (1 if u[0][1] == 0 else 0)
 
 
 def test_chi_bar_degree():
