@@ -40,7 +40,6 @@ from .fqoracle import (
     chi_super,
     hessenberg_count,
     induce_to_GL,
-    jordan_nilpotent,
     permutation_character_oracle,
     psi_pseudo,
     require_flags,
@@ -214,7 +213,7 @@ def check_hess(n: int, q: int) -> CheckReport:
 
     def test(item):
         gamma, lam = item
-        cnt = hessenberg_count(gamma, jordan_nilpotent(lam, q))
+        cnt = hessenberg_count(gamma, lam, q)
         lhs = induced[gamma](lam)
         rhs = (q - 1) ** n * q ** len(gamma.edges) * cnt
         return lhs == rhs, lhs, rhs
@@ -230,7 +229,7 @@ def check_poincare(n: int, q: int) -> CheckReport:
 
     def test(item):
         gamma, lam = item
-        cnt = hessenberg_count(gamma, jordan_nilpotent(lam, q))
+        cnt = hessenberg_count(gamma, lam, q)
         dval = dcache[gamma].get(lam, ZERO).evaluate(q)
         rhs = dval / q ** len(gamma.edges)
         return cnt == rhs, cnt, rhs

@@ -1,5 +1,5 @@
 """Chromatic quasisymmetric functions, vertical-strip LLT polynomials, and
-their expansions, all built directly from coloring enumerations.
+their expansions, all built directly from coloring counts.
 
 Colorings use the color set [n]: a degree-n monomial in n variables never
 needs more than n distinct colors, so this finite truncation is faithful.
@@ -8,6 +8,14 @@ polynomial (Haglund-Haiman-Loehr, JAMS 2005) are symmetric, so the
 coefficient of m_mu equals the coefficient of the single monomial x^mu.  Only
 colorings whose content is a partition mu are therefore counted: those with
 mu_1 copies of color 1, mu_2 of color 2, and so on.
+
+Such a coloring is an ordered sequence of color classes, the vertices of
+color 1, then of color 2, and so on (Stanley, Adv. Math. 1995).  So the
+kernel counts by classes rather than by vertices: it takes the class of
+each color in turn from the vertices not yet colored, and memoises on that
+set and the parts of mu still to place.  That is about 3^n work where a
+walk over the colorings is about n!, and every mu with the same tail of
+parts shares the memo.
 
 `csf`, `llt_vertical` and `as_expansion` are built once per process for each
 graph or path (both are immutable and hash by value, so they key an
@@ -18,6 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from math import factorial, prod
 from typing import Iterable
 
 from .combinatorics import (
@@ -35,54 +44,104 @@ from .symfunc import SymFunc, expand_in_basis
 
 MAX_COLORING_N = 8
 
+
+def _slot_bits(n: int) -> int:
+    """Bits per power of t in a packed count: one more than n! needs, and no
+    count of colorings of [n] exceeds n!."""
+    return factorial(n).bit_length() + 1
+
+
 def _color_sum(n: int, asc_edges: Iterable[Edge], differ: Iterable[Edge] = (),
                rise: Iterable[Edge] = ()) -> SymFunc:
     """Sum of t^{# ascending asc_edges} x^kappa over colorings kappa of [n], in basis M.
 
     kappa must differ on the ends of every `differ` edge and strictly increase
-    along every `rise` edge; every edge is (i, j) with i < j. For each
-    partition mu the vertices are colored 1..n in turn, each with a color c
-    that still has room for one of its mu_c copies, so only colorings of
-    content mu are reached. A prefix is dropped at the first edge back to an
-    earlier vertex that it breaks, and the ascents are added as the edges close.
+    along every `rise` edge; every edge is (i, j) with i < j.  Vertices are
+    bits.  A class B may take the next color when it holds no `differ` or
+    `rise` edge and, for each rise edge (i, j) with j in B, i is colored
+    already.  Taking B from the uncolored set R adds the asc edges (i, j) with
+    i in B and j in R - B: those are the edges that ascend from B, and each
+    ascent is counted once, when its lower color is placed.  So
+
+        f(R, parts) = sum over such B in R, |B| = parts[0], of t^a f(R - B, parts[1:]),
+
+    memoised on (R, parts), and the coefficient of m_mu is f([n], mu).
+
+    A count in Z_{>=0}[t] is one int with W = _slot_bits(n) bits per power of
+    t: t^a times it is a shift by a W, and a sum of counts is an int sum.
+    Slots never carry: a coefficient of f(R, parts) counts colorings of R
+    with content parts, at most the multinomial |R|! / prod parts_i!, which
+    is at most that of any mu the state is reached from, and at most n! <
+    2^W.  The tripwire raises if a mu's multinomial does not fit in a slot,
+    or if its unpacked coefficients sum past it (a carry would only lower
+    that sum, so the two halves catch different faults).
     """
     if n == 0:
         return SymFunc(0, "M", {(): 1})
-    back = [([], [], []) for _ in range(n)]  # per vertex j: the i < j of each kind of edge
-    for kind, es in enumerate((asc_edges, differ, rise)):
-        for i, j in es:
-            back[j - 1][kind].append(i - 1)
-    # csf's differ edges are its asc edges: then one list of colors serves both
-    back = [(ups, ups if apart == ups else apart, below) for ups, apart, below in back]
-    kappa = [0] * n
+    up, apart, need = [0] * n, [0] * n, [0] * n
+    for i, j in asc_edges:
+        up[i - 1] |= 1 << j - 1
+    for i, j in differ:
+        apart[i - 1] |= 1 << j - 1
+    for i, j in rise:
+        need[j - 1] |= 1 << i - 1
+    # admissible[B] = (the vertices colored before B, the up masks of B's vertices),
+    # grown from B less its lowest vertex v, which no edge joins to a lower one
+    admissible = {0: (0, ())}
+    by_size: list[list[tuple[int, int, tuple[int, ...]]]] = [[] for _ in range(n + 1)]
+    for b in range(1, 1 << n):
+        low = b & -b
+        v = low.bit_length() - 1
+        smaller = admissible.get(b ^ low)
+        if smaller is None or apart[v] & b:
+            continue
+        before = smaller[0] | need[v]
+        if before & b:
+            continue
+        ups = smaller[1] + (up[v],) if up[v] else smaller[1]
+        admissible[b] = (before, ups)
+        by_size[b.bit_count()].append((b, before, ups))
+    w = _slot_bits(n)
+    memo: dict[tuple[int, Partition], int] = {}
+
+    def f(r: int, parts: Partition) -> int:
+        rest = parts[1:]
+        last = len(rest) == 1  # then R - B must itself be an admissible class
+        total = 0
+        for b, before, ups in by_size[parts[0]]:
+            if b & r != b or before & r:
+                continue
+            left = r ^ b
+            if last:
+                if left not in admissible:
+                    continue
+                count = 1
+            else:
+                count = memo.get((left, rest))
+                if count is None:
+                    count = f(left, rest)
+                if not count:
+                    continue
+            a = 0
+            for u in ups:
+                a += (u & left).bit_count()
+            total += count << a * w
+        memo[r, parts] = total
+        return total
+
+    everything, slot = (1 << n) - 1, (1 << w) - 1
     coeffs = {}
     for mu in _partitions(n):
-        room = list(mu)
-        counts: Counter[int] = Counter()
-
-        def place(v: int, ascents: int) -> None:
-            ups, apart, below = back[v]
-            up_colors = [kappa[i] for i in ups]
-            taken = up_colors if apart is ups else [kappa[i] for i in apart]
-            lowest = max([kappa[i] for i in below]) + 1 if below else 0
-            last = v == n - 1  # then one copy of one color is left
-            for c in (room.index(1),) if last else range(lowest, len(room)):
-                if c < lowest or not room[c] or c in taken:
-                    continue
-                a = ascents
-                for x in up_colors:
-                    if x < c:
-                        a += 1
-                if last:
-                    counts[a] += 1
-                    continue
-                room[c] -= 1
-                kappa[v] = c
-                place(v + 1, a)
-                room[c] += 1
-
-        place(0, 0)
-        coeffs[mu] = LaurentPoly.from_terms(counts)
+        packed = f(everything, mu) if len(mu) > 1 else int(everything in admissible)
+        counts = []  # the coefficient of t^e is slot e
+        while packed:
+            counts.append(packed & slot)
+            packed >>= w
+        words = factorial(n) // prod(map(factorial, mu))
+        if words >> w or sum(counts) > words:
+            raise ArithmeticError(f"the colorings of content {mu} do not fit {w}-bit slots: "
+                                  f"{sum(counts)} counted, {words} words")
+        coeffs[mu] = LaurentPoly(counts)
     return SymFunc(n, "M", coeffs)
 
 

@@ -32,7 +32,7 @@ from .fqoracle import (
     chi_bar,
     hessenberg_count,
     induce_to_GL,
-    jordan_nilpotent,
+    nilpotent_type,
     require_flags,
     superclass_sizes,
 )
@@ -64,11 +64,15 @@ def _emit(obj) -> None:
 # ---------------------------------------------------------------------------
 
 def _parse_jordan_type(text: str) -> tuple[int, ...]:
+    """The parts, in any order, as a partition."""
     try:
-        return tuple(int(x) for x in text.split(","))
+        parts = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise ValueError(f"--jordan-type takes comma-separated positive integers, "
                          f"got {text!r}") from None
+    if any(k <= 0 for k in parts):
+        raise ValueError(f"Jordan type {parts} has a part <= 0")
+    return tuple(sorted(parts, reverse=True))
 
 
 # The inputs each compute verb reads; giving it any other one is a usage error.
@@ -126,11 +130,10 @@ def _cmd_compute(args: SimpleNamespace) -> int:
             raise ValueError("hess-count needs one of --matrix DIGITS or --jordan-type PART,PART,..")
         require_flags(gamma.n, args.q)  # before any n x n matrix is built
         if args.matrix:
-            a = MatrixFq.from_digits(args.matrix, gamma.n, args.q)
+            lam = nilpotent_type(MatrixFq.from_digits(args.matrix, gamma.n, args.q))
         else:
             lam = _parse_jordan_type(args.jordan_type)
-            a = jordan_nilpotent(lam, args.q)
-        _emit({"count": hessenberg_count(gamma, a)})
+        _emit({"count": hessenberg_count(gamma, lam, args.q)})
     elif verb == "superclass-sizes":
         if args.n is None or args.q is None:
             raise ValueError("superclass-sizes needs --n and --q")

@@ -416,8 +416,11 @@ def chi_super(gamma: IndiffGraph, q: int) -> ClassFnUT:
                                    for sigma, mu in mobius_subgraph(gamma).items()])
 
 
+@lru_cache(maxsize=None)
 def psi_pseudo(sigma: SchroderPath, q: int) -> ClassFnUT:
-    """Pseudosupercharacter: signed inclusion-exclusion of chi_bar over Diag subsets."""
+    """Pseudosupercharacter: signed inclusion-exclusion of chi_bar over Diag subsets.
+
+    Built once per (sigma, q): four checks read the same paths at the same q."""
     if not sigma.is_tall:
         raise ValueError("psi_pseudo needs a tall path")
     n = sigma.size
@@ -620,20 +623,26 @@ def flag_reps(n: int, q: int) -> Iterator[Rows]:
             yield tuple(tuple(r) for r in base)
 
 
-def hessenberg_count(gamma: IndiffGraph, a: MatrixFq) -> int:
-    """Number of flags gB with g^{-1} a g strictly upper and zero at the edges of gamma.
-
-    g -> h g maps the flags of a onto those of h^{-1} a h (the pattern algebra is
-    B-stable), so a reads the one flag sweep of (n, q) at J_lam - 1, lam the Jordan
-    type of 1 + a."""
+def nilpotent_type(a: MatrixFq) -> Partition:
+    """The Jordan type of 1 + a; ValueError unless a is nilpotent."""
     n, q = a.n, a.q
-    if n != gamma.n:
-        raise ValueError("matrix size does not match the graph")
-    require_flags(n, q)  # before any matrix is built
     k = _Packed(n, q)
     try:
-        lam = k.jordan_type(k.reduce(_pack(a.rows) + k.one, n * n))
+        return k.jordan_type(k.reduce(_pack(a.rows) + k.one, n * n))
     except ValueError:
         raise ValueError(f"hessenberg_count expects a nilpotent matrix, got {a.rows}") from None
+
+
+def hessenberg_count(gamma: IndiffGraph, lam: Partition, q: int) -> int:
+    """Number of flags gB with g^{-1} a g strictly upper and zero at the edges of
+    gamma, for a nilpotent a over F_q with 1 + a of Jordan type lam.
+
+    g -> h g maps the flags of a onto those of h^{-1} a h (the pattern algebra is
+    B-stable), so every such a reads the one flag sweep of (n, q) at J_lam - 1."""
+    n = gamma.n
+    require_flags(n, q)  # before any matrix is built
+    index = _partition_index(n).get(lam)
+    if index is None:
+        raise ValueError(f"Jordan type {lam} is not a partition of n = {n}")
     tallies = _conjugate_masks(flag_reps, n, q, _jordan_nilpotents(n, q))
-    return _pattern_counts([tallies[_partition_index(n)[lam]]], gamma)[0]
+    return _pattern_counts([tallies[index]], gamma)[0]

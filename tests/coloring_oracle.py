@@ -1,10 +1,12 @@
-"""The words kernel: the coloring sum that `chromallt._color_sum` replaced.
+"""The two coloring sums that `chromallt._color_sum` replaced, as its oracles.
 
-For each partition mu it lists every distinct word with mu_c copies of color
-c, then drops the words that break a `differ` or `rise` edge and counts the
-ascents of the rest. The package colors vertex by vertex instead and never
-builds a word that an earlier vertex already rules out; the tests compare the
-two exactly. `asc` scores one coloring, for the brute-force tables.
+For each partition mu, the words kernel (`color_sum`) lists every distinct
+word with mu_c copies of color c, then drops the words that break a
+`differ` or `rise` edge and counts the ascents of the rest.  The vertex
+kernel (`color_by_vertex`) colors the vertices 1..n in turn and never builds
+a word that an earlier vertex already rules out.  The package counts by
+color classes instead; the tests compare all three exactly.  `asc` scores
+one coloring, for the brute-force tables.
 """
 
 from __future__ import annotations
@@ -46,5 +48,55 @@ def color_sum(n: int, asc_edges: Iterable[Edge], differ: Iterable[Edge] = (),
                     any(kappa[i] >= kappa[j] for i, j in rise):
                 continue
             counts[sum(1 for i, j in asc_edges if kappa[i] < kappa[j])] += 1
+        coeffs[mu] = LaurentPoly.from_terms(counts)
+    return SymFunc(n, "M", coeffs)
+
+
+def color_by_vertex(n: int, asc_edges: Iterable[Edge], differ: Iterable[Edge] = (),
+                    rise: Iterable[Edge] = ()) -> SymFunc:
+    """The same sum, walking every coloring of content mu one vertex at a time.
+
+    For each partition mu the vertices are colored 1..n in turn, each with a
+    color c that still has room for one of its mu_c copies, so only colorings
+    of content mu are reached. A prefix is dropped at the first edge back to
+    an earlier vertex that it breaks, and the ascents are added as the edges
+    close.
+    """
+    if n == 0:
+        return SymFunc(0, "M", {(): 1})
+    back = [([], [], []) for _ in range(n)]  # per vertex j: the i < j of each kind of edge
+    for kind, es in enumerate((asc_edges, differ, rise)):
+        for i, j in es:
+            back[j - 1][kind].append(i - 1)
+    # csf's differ edges are its asc edges: then one list of colors serves both
+    back = [(ups, ups if apart == ups else apart, below) for ups, apart, below in back]
+    kappa = [0] * n
+    coeffs = {}
+    for mu in gen_partitions(n):
+        room = list(mu)
+        counts: Counter[int] = Counter()
+
+        def place(v: int, ascents: int) -> None:
+            ups, apart, below = back[v]
+            up_colors = [kappa[i] for i in ups]
+            taken = up_colors if apart is ups else [kappa[i] for i in apart]
+            lowest = max([kappa[i] for i in below]) + 1 if below else 0
+            last = v == n - 1  # then one copy of one color is left
+            for c in (room.index(1),) if last else range(lowest, len(room)):
+                if c < lowest or not room[c] or c in taken:
+                    continue
+                a = ascents
+                for x in up_colors:
+                    if x < c:
+                        a += 1
+                if last:
+                    counts[a] += 1
+                    continue
+                room[c] -= 1
+                kappa[v] = c
+                place(v + 1, a)
+                room[c] += 1
+
+        place(0, 0)
         coeffs[mu] = LaurentPoly.from_terms(counts)
     return SymFunc(n, "M", coeffs)

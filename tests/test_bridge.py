@@ -44,7 +44,6 @@ from chromaq.fqoracle import (
     chi_bar,
     chi_super,
     induce_to_GL,
-    jordan_nilpotent,
     psi_pseudo,
 )
 from chromaq.guards import SizeGuardError
@@ -305,6 +304,23 @@ def test_cold_import_of_the_cli_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("check, n", [("check_palindromic", 7), ("check_cm", 6)])
+def test_symbolic_checks_reach_past_the_default_grid(check, n):
+    # each about half a second in a fresh process on a 2-core host; a kernel
+    # that walks every coloring takes about 12 s and 1.7 s, and --durations shows it
+    import os
+    import subprocess
+    import sys
+
+    import chromaq
+    src = os.path.dirname(os.path.dirname(chromaq.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "chromaq.cli", "verify", check, "--n", str(n)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith(f"PASS {check} (n={n}")
+
+
 def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
     import chromaq.chromallt
     import chromaq.fqoracle
@@ -367,6 +383,15 @@ def test_the_default_suite_makes_twelve_sweeps(monkeypatch):
     assert all(run_check(name, n, q).status == "pass" for name, n, q in _default_suite(False))
     assert kernel.cache_info().misses == len(keys) == 12
     assert Counter(k[0] for k in keys) == {"flag_reps": 6, "ut_elements": 6}
+
+
+def test_the_default_suite_builds_each_pseudosupercharacter_once():
+    # check_llt, check_psi_decomp, check_cor66 and check_gg read 30 distinct (sigma, q)
+    import chromaq.fqoracle as fq
+    from chromaq.cli import _default_suite
+    fq.psi_pseudo.cache_clear()
+    assert all(run_check(name, n, q).status == "pass" for name, n, q in _default_suite(False))
+    assert fq.psi_pseudo.cache_info().misses == 30
 
 
 def test_gl_checks_reach_n_5_at_q_2():
@@ -540,9 +565,9 @@ _G23 = IndiffGraph(3, [(2, 3)])
 @pytest.mark.parametrize("check, kernel, hit, change, index", [
     ("check_hess", "induce_to_GL", lambda phi: phi == chi_bar(_G, 2),
      lambda f: f + UnipClassFn.from_dict(3, 2, {_L: 1}), (_G, _L)),
-    ("check_hess", "hessenberg_count", lambda g, a: (g, a) == (_G, jordan_nilpotent(_L, 2)),
+    ("check_hess", "hessenberg_count", lambda g, lam, q: (g, lam) == (_G, _L),
      lambda c: c + 1, (_G, _L)),
-    ("check_poincare", "hessenberg_count", lambda g, a: (g, a) == (_G, jordan_nilpotent(_L, 2)),
+    ("check_poincare", "hessenberg_count", lambda g, lam, q: (g, lam) == (_G, _L),
      lambda c: c + 1, (_G, _L)),
     ("check_poincare", "d_coeffs", lambda g: g == _G,
      lambda d: {**d, _L: d.get(_L, ZERO) + 1}, (_G, _L)),
@@ -793,11 +818,12 @@ def test_cli_hess_count_of_a_huge_sweep_names_it_before_any_matrix(capsys, monke
     # [300]_2! has 13,591 digits, past what Python turns into text; the refusal
     # names the sweep by a power of 2, and no 300 x 300 matrix is built first
     import chromaq.cli as cli
+    import chromaq.fqoracle as fq
 
     def no_matrix(*args):
         raise AssertionError("an n x n matrix was built before the flag guard")
 
-    monkeypatch.setattr(cli, "jordan_nilpotent", no_matrix)
+    monkeypatch.setattr(fq, "_jordan_nilpotents", no_matrix)
     monkeypatch.setattr(cli.MatrixFq, "from_digits", no_matrix)
     graph = '{"n": 300, "edges": []}'
     for given in (["--jordan-type", "300"], ["--matrix", "0" * 90_000]):
@@ -813,6 +839,9 @@ def test_cli_hess_count_reads_a_matrix_by_its_jordan_type(capsys):
     by_matrix = json.loads(capsys.readouterr().out)
     assert main(["compute", "hess-count", "ESEESS", "--q", "3", "--jordan-type", "2,1"]) == 0
     assert json.loads(capsys.readouterr().out) == by_matrix == {"count": 4}
+    # the parts may come in any order
+    assert main(["compute", "hess-count", "ESEESS", "--q", "3", "--jordan-type", "1,2"]) == 0
+    assert json.loads(capsys.readouterr().out) == by_matrix
 
 
 def test_cli_hess_count_matrix_digits(capsys):
@@ -846,15 +875,14 @@ def test_cli_hess_count_past_the_packed_bound_is_refused_by_the_guards(capsys, n
 
 def test_hessenberg_count_is_refused_before_any_jordan_matrix(monkeypatch):
     import chromaq.fqoracle as fq
-    from chromaq.fqoracle import MatrixFq, hessenberg_count
+    from chromaq.fqoracle import hessenberg_count
 
     def no_work(n, q):
         raise AssertionError("the J_lam - 1 were built before the flag guard")
 
     monkeypatch.setattr(fq, "_jordan_nilpotents", no_work)
-    zero = MatrixFq(7, tuple((0,) * 12 for _ in range(12)))
     with pytest.raises(SizeGuardError, match="the flags of F_7\\^12"):
-        hessenberg_count(IndiffGraph(12, []), zero)
+        hessenberg_count(IndiffGraph(12, []), (1,) * 12, 7)
 
 
 def test_cli_hess_count_rejects_nonpositive_jordan_part(capsys):

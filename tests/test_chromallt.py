@@ -1,12 +1,14 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
-from math import prod
+from math import factorial, prod
 
 import pytest
 
 from chromaq.bridge import check_palindromic
 from chromaq.chromallt import (
+    MAX_COLORING_N,
+    _color_sum,
     _h_vector,
     as_expansion,
     csf,
@@ -31,7 +33,7 @@ from chromaq.combinatorics import (
 from chromaq.exactnum import LaurentPoly
 from chromaq.guards import SizeGuardError
 from chromaq.symfunc import SymFunc, eval_t, expand_in_basis
-from coloring_oracle import asc, color_sum, words
+from coloring_oracle import asc, color_by_vertex, color_sum, words
 from orbit_oracle import check_symmetric, coeff, multiset_perms, orbit_monomials
 from orientation_oracle import Orientation, as_expansion_walk, hrv, type_of
 
@@ -103,11 +105,11 @@ def test_csf_guard():
 
 def test_csf_complete_graph_is_t_factorial_en_at_the_guard_edge():
     # X_{K_n} = [n]_t! e_n (Shareshian-Wachs), and e_n = m_{1^n}
-    for n in (6, 7, 8):
+    for n in range(MAX_COLORING_N + 1):
         g = IndiffGraph(n, frozenset(combinations(range(1, n + 1), 2)))
-        t_factorial = prod(LaurentPoly.from_terms(dict.fromkeys(range(i), 1))
-                           for i in range(1, n + 1))
-        assert csf(g).coeffs == {(1,) * n: t_factorial}
+        t_factorial = prod((LaurentPoly.from_terms(dict.fromkeys(range(i), 1))
+                            for i in range(1, n + 1)), start=RF(1))
+        assert csf(g).coeffs == {(1,) * n: t_factorial}, n
 
 
 def test_csf_eval_at_two():
@@ -282,6 +284,39 @@ def test_coloring_in_place_matches_the_words_kernel():
     for n in range(6):
         for sigma in gen_tall_schroder(n):
             assert llt_vertical(sigma) == color_sum(n, area(sigma), rise=diag(sigma)), sigma
+
+
+def test_color_classes_match_the_vertex_kernel():
+    # the package counts by color classes; the oracle walks every coloring vertex by vertex
+    for n in range(7):
+        for g in indifference_graphs(n):
+            assert csf(g) == color_by_vertex(n, g.edges, differ=g.edges), g
+    for n in range(6):
+        for sigma in gen_tall_schroder(n):
+            assert llt_vertical(sigma) == color_by_vertex(n, area(sigma), rise=diag(sigma)), sigma
+    for pi in gen_dyck(6):  # the unicellular paths, which no Diag edge prunes
+        assert llt_vertical(pi.as_schroder()) == color_by_vertex(6, area(pi)), pi
+
+
+def test_edgeless_closed_form_at_the_guard_edge():
+    # no enumerating oracle fits the test budget at n = 8: the edgeless graph
+    # counts every word of content mu, and (ES)^n has no area and no diag, so
+    # its LLT polynomial is the edgeless X (K_n is checked above)
+    for n in range(MAX_COLORING_N + 1):
+        edgeless = csf(IndiffGraph(n, frozenset()))
+        assert edgeless.coeffs == {mu: RF(factorial(n) // prod(map(factorial, mu)))
+                                   for mu in gen_partitions(n)}, n
+        assert llt_vertical(SchroderPath("ES" * n)) == edgeless, n
+
+
+def test_a_slot_overflow_trips_the_tripwire(monkeypatch):
+    # 4 bits per power of t hold counts up to 15; the edgeless graph on [4]
+    # has 24 colorings of content 1111, so the kernel raises instead of carrying
+    import chromaq.chromallt as chromallt
+    assert _color_sum(4, []) == csf(IndiffGraph(4, frozenset()))
+    monkeypatch.setattr(chromallt, "_slot_bits", lambda n: 4)
+    with pytest.raises(ArithmeticError, match="content \\(1, 1, 1, 1\\) do not fit 4-bit slots"):
+        _color_sum(4, [])
 
 
 def orientation_of(sigma, mask):

@@ -33,6 +33,7 @@ from chromaq.fqoracle import (
     inner_product_UT,
     jordan_nilpotent,
     mat_identity,
+    nilpotent_type,
     permutation_character_oracle,
     psi_pseudo,
     superclass_label,
@@ -115,7 +116,7 @@ def test_packed_kernel_matches_the_tuple_oracle(data):
     else:
         with pytest.raises(ValueError, match="singular"):
             k.inverse_columns(_pack(a))
-    # 1 + a is unipotent iff a is nilpotent, the test hessenberg_count makes
+    # 1 + a is unipotent iff a is nilpotent, the test nilpotent_type makes
     power = mat_identity(n)
     for _ in range(n):
         power = mat_mul(power, a, q)
@@ -185,7 +186,8 @@ def test_conjugate_masks_of_targets_that_could_carry():
     for q, a in [(7, carry), *sums]:
         m = MatrixFq(q, a)
         graphs = indifference_graphs(3)
-        assert [hessenberg_count(g, m) for g in graphs] == brute_hessenberg_counts(m, graphs), (q, a)
+        got = [hessenberg_count(g, nilpotent_type(m), q) for g in graphs]
+        assert got == brute_hessenberg_counts(m, graphs), (q, a)
 
 
 def test_induction_table_matches_the_tuple_oracle():
@@ -590,28 +592,30 @@ def test_hessenberg_sweep_matches_per_flag_oracle():
             for lam in gen_partitions(n):
                 a = jordan_nilpotent(lam, q)
                 for g in indifference_graphs(n):
-                    assert hessenberg_count(g, a) == brute_hessenberg_count(g, a), (g, lam, q)
+                    assert hessenberg_count(g, lam, q) == brute_hessenberg_count(g, a), (g, lam, q)
     a = jordan_nilpotent((4,), 2)
     for g in indifference_graphs(4):
-        assert hessenberg_count(g, a) == brute_hessenberg_count(g, a), g
+        assert hessenberg_count(g, (4,), 2) == brute_hessenberg_count(g, a), g
 
 
 def test_hessenberg_sweeps_once_per_matrix():
     a = jordan_nilpotent((2, 1), 3)
-    hessenberg_count(IG(3), a)
+    hessenberg_count(IG(3), (2, 1), 3)
     misses = _conjugate_masks.cache_info().misses
     for g in indifference_graphs(3):
-        hessenberg_count(g, a)
+        hessenberg_count(g, (2, 1), 3)
     assert _conjugate_masks.cache_info().misses == misses
     # every J_lam - 1 of size 3 rides on the same sweep of the flags
     for lam in ((3,), (1, 1, 1)):
         for g in indifference_graphs(3):
-            hessenberg_count(g, jordan_nilpotent(lam, 3))
+            hessenberg_count(g, lam, 3)
     assert _conjugate_masks.cache_info().misses == misses
     # a nilpotent that is no Jordan matrix reads the same sweep, at its Jordan type
     at = MatrixFq(3, tuple(zip(*a.rows)))
+    assert nilpotent_type(at) == (2, 1)
     for g in indifference_graphs(3):
-        assert hessenberg_count(g, at) == brute_hessenberg_count(g, at) == hessenberg_count(g, a), g
+        assert hessenberg_count(g, nilpotent_type(at), 3) == brute_hessenberg_count(g, at) \
+            == brute_hessenberg_count(g, a), g
     assert _conjugate_masks.cache_info().misses == misses
 
 
@@ -636,33 +640,39 @@ def test_hessenberg_count_is_constant_on_a_conjugacy_class():
                 h = random_gl(rnd, n, q)
                 a = MatrixFq(q, mat_mul(mat_mul(mat_inv(h, q), jordan_nilpotent(lam, q).rows, q),
                                         h, q))
-                got = [hessenberg_count(g, a) for g in graphs]
+                got = [hessenberg_count(g, nilpotent_type(a), q) for g in graphs]
                 assert got == brute_hessenberg_counts(a, graphs), (n, q, lam, a.rows)
         assert _conjugate_masks.cache_info().misses <= misses + 1, (n, q)
 
 
 def test_hessenberg_zero_matrix_counts_all_flags():
     z = MatrixFq(2, ((0, 0), (0, 0)))
-    assert hessenberg_count(IG(2), z) == 3
+    assert hessenberg_count(IG(2), nilpotent_type(z), 2) == 3
     z3 = MatrixFq(3, tuple(tuple(0 for _ in range(3)) for _ in range(3)))
-    assert hessenberg_count(IG(3), z3) == flag_count(3, 3)
+    assert hessenberg_count(IG(3), nilpotent_type(z3), 3) == flag_count(3, 3)
 
 
 def test_hessenberg_regular_nilpotent_edgeless():
     # the full flag fixed by a regular nilpotent is unique
     for n, q in [(2, 2), (3, 2), (3, 3)]:
-        nilp = jordan_nilpotent((n,), q)
-        assert hessenberg_count(IG(n), nilp) == 1
+        assert nilpotent_type(jordan_nilpotent((n,), q)) == (n,)
+        assert hessenberg_count(IG(n), (n,), q) == 1
 
 
 def test_hessenberg_rejects_non_nilpotent():
     for q, rows in [(2, ((1, 0), (0, 1))), (3, ((0, 1), (1, 0))),
                     (5, ((0, 1, 0), (0, 0, 1), (1, 0, 0)))]:
         with pytest.raises(ValueError, match="expects a nilpotent matrix"):
-            hessenberg_count(IG(len(rows)), MatrixFq(q, rows))
+            nilpotent_type(MatrixFq(q, rows))
+
+
+def test_hessenberg_count_takes_a_partition_of_n():
+    for lam in ((2,), (1, 2), (4,), (2, 1, 0)):
+        with pytest.raises(ValueError, match="Jordan type .* is not a partition of n = 3"):
+            hessenberg_count(IG(3), lam, 2)
 
 
 def test_hessenberg_guard():
     # [5]_3! = 251,680 flags, past MAX_SWEEP
     with pytest.raises(SizeGuardError):
-        hessenberg_count(IG(5), MatrixFq(3, tuple(tuple(0 for _ in range(5)) for _ in range(5))))
+        hessenberg_count(IG(5), (1, 1, 1, 1, 1), 3)
