@@ -28,7 +28,6 @@ from .chromallt import as_expansion, csf, d_coeffs, e_expansion_X, llt_vertical
 from .combinatorics import DyckPath, IndiffGraph, SchroderPath, graph_of
 from .exactnum import PoleError
 from .fqoracle import (
-    MatrixFq,
     chi_bar,
     hessenberg_count,
     induce_to_GL,
@@ -130,7 +129,7 @@ def _cmd_compute(args: SimpleNamespace) -> int:
             raise ValueError("hess-count needs one of --matrix DIGITS or --jordan-type PART,PART,..")
         require_flags(gamma.n, args.q)  # before any n x n matrix is built
         if args.matrix:
-            lam = nilpotent_type(MatrixFq.from_digits(args.matrix, gamma.n, args.q))
+            lam = nilpotent_type(args.matrix, gamma.n, args.q)
         else:
             lam = _parse_jordan_type(args.jordan_type)
         _emit({"count": hessenberg_count(gamma, lam, args.q)})

@@ -269,11 +269,6 @@ def diag(sigma: SchroderPath | DyckPath) -> frozenset[Edge]:
 # indifference graphs
 # ---------------------------------------------------------------------------
 
-def is_indifference(edges: Iterable[Edge], n: int) -> bool:
-    """Interval closure: {i,l} present forces all {j,k} with i <= j < k <= l."""
-    return _closed({tuple(sorted(e)) for e in edges}, n)
-
-
 def _closed(es: frozenset[Edge] | set[Edge], n: int) -> bool:
     """Interval closure of sorted edges, checked locally: each {i,l} with
     l - i >= 2 needs {i+1,l} and {i,l-1}, and by induction every {j,k} inside."""

@@ -1,13 +1,13 @@
 """Brute-force engine over F_q: UT_n enumeration, superclass functions,
 pseudosupercharacters, induction to GL_n, flags, and Hessenberg point counts.
 
-q is restricted to primes <= 7; each sweep refuses past guards.MAX_SWEEP elements.
-Matrices are tuples of row tuples with entries reduced mod q at the API only.
-The sweeps compute on one packed kernel, `_Packed`: an n x n matrix is one
-int with entry (i, j) in byte i*n + j, a product is n big-int multiplies of a
-column by a row, and bytes.translate reduces the result mod q or reads off its
-zero pattern.  No byte carries while n(q-1)^2 < 256; past that the kernel
-raises, and no sweep that MAX_SWEEP admits comes near it.
+q is restricted to primes <= 7; each sweep refuses past guards.MAX_SWEEP elements,
+when it is called.  An n x n matrix over F_q is one int with entry (i, j) in
+byte i*n + j: the sweeps yield them, and one packed kernel, `_Packed`, computes
+on them.  A product is n big-int multiplies of a column by a row, and
+bytes.translate reduces the result mod q or reads off its zero pattern.  No
+byte carries while n(q-1)^2 < 256; past that the kernel raises, and no sweep
+that MAX_SWEEP admits comes near it.
 
 Induction to GL_n needs only a sweep of UT_n: each element contributes the
 centralizer order of its Jordan type (Frobenius formula).  The independent
@@ -43,8 +43,6 @@ from .guards import require, require_sweep
 
 PRIMES = (2, 3, 5, 7)
 
-Rows = tuple[tuple[int, ...], ...]
-
 
 def _check_q(q: int) -> None:
     require(q in PRIMES, f"q = {q} must be a prime in {PRIMES}")
@@ -59,15 +57,6 @@ def _field(q: int) -> tuple[tuple[int, ...], bytes, bytes]:
     """Inverses mod q, and the byte tables v -> v % q and v -> (v % q == 0)."""
     return (tuple(pow(a, q - 2, q) if a else 0 for a in range(q)),
             bytes(v % q for v in range(256)), bytes(v % q == 0 for v in range(256)))
-
-
-def mat_identity(n: int) -> Rows:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _pack(rows: Rows) -> int:
-    """A matrix with entries in 0..255 as one int, entry (i, j) in byte i*n + j."""
-    return int.from_bytes(bytes(chain.from_iterable(rows)), "little")
 
 
 def _zero_mask(m: int, size: int, q: int) -> int:
@@ -105,7 +94,8 @@ class _Packed:
         """m with each of its `size` bytes reduced mod q."""
         return int.from_bytes(m.to_bytes(size, "little").translate(self.mod), "little")
 
-    def unpack(self, m: int) -> Rows:
+    def unpack(self, m: int) -> tuple[tuple[int, ...], ...]:
+        """The rows of m, for error messages."""
         n = self.n
         b = m.to_bytes(n * n, "little")
         return tuple(tuple(b[i * n:(i + 1) * n]) for i in range(n))
@@ -185,44 +175,13 @@ class _Packed:
         return out
 
 
-class MatrixFq(Frozen):
-    """Immutable matrix over F_q (q prime <= 7)."""
-
-    __slots__ = _fields = ("q", "rows")
-    q: int
-    rows: Rows
-
-    def __init__(self, q: int, rows: Rows):
-        _check_q(q)
-        n = len(rows)
-        rows = tuple(tuple(x % q for x in r) for r in rows)
-        if any(len(r) != n for r in rows):
-            raise ValueError("matrix must be square")
-        self._set(q, rows)
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    @staticmethod
-    def from_digits(s: str, n: int, q: int) -> "MatrixFq":
-        if len(s) != n * n:
-            raise ValueError(f"need {n * n} digits, got {len(s)}")
-        vals = [int(c) for c in s]
-        if any(v >= q for v in vals):
-            raise ValueError(f"digits of {s!r} must be below q = {q}")
-        return MatrixFq(q, tuple(tuple(vals[i * n:(i + 1) * n]) for i in range(n)))
-
-
-def jordan_nilpotent(lam: Partition, q: int) -> MatrixFq:
-    """J_lam - 1, the nilpotent part of the Jordan matrix of type lam: 1s on the
-    superdiagonal inside each block."""
-    _check_q(q)
+def jordan_nilpotent(lam: Partition) -> int:
+    """J_lam - 1, packed: the nilpotent part of the Jordan matrix of type lam,
+    1s on the superdiagonal inside each block."""
     if any(k <= 0 for k in lam):
         raise ValueError(f"Jordan type {lam} has a part <= 0")
     n, ends = sum(lam), set(accumulate(lam))
-    return MatrixFq(q, tuple(tuple(int(j == i + 1 and j not in ends) for j in range(n))
-                             for i in range(n)))
+    return sum(1 << 8 * (i * n + i + 1) for i in range(n - 1) if i + 1 not in ends)
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +208,20 @@ def flag_count(n: int, q: int) -> int:
     return out
 
 
-def ut_elements(n: int, q: int) -> Iterator[Rows]:
-    """All elements of UT_n(F_q) as row tuples."""
+def require_ut(n: int, q: int) -> None:
+    """Refuse, before any work, a sweep of the q^{n(n-1)/2} elements of UT_n(F_q) past MAX_SWEEP."""
+    _check_q(q)
     require_sweep(f"UT_{n}(F_{q})", ut_order(n, q))
-    pos = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    base = [list(r) for r in mat_identity(n)]
-    for vals in product(range(q), repeat=len(pos)):
-        for (i, j), v in zip(pos, vals):
-            base[i][j] = v
-        yield tuple(tuple(r) for r in base)
+
+
+def ut_elements(n: int, q: int) -> Iterator[int]:
+    """All elements of UT_n(F_q), packed: the identity plus each choice of the
+    entries above the diagonal, row by row, in the order of itertools.product.
+    Refused past MAX_SWEEP on the call, before the generator is made."""
+    require_ut(n, q)
+    one = sum(1 << 8 * i * (n + 1) for i in range(n))
+    places = [[v << 8 * (i * n + j) for v in range(q)] for i in range(n) for j in range(i + 1, n)]
+    return (one + sum(vals) for vals in product(*places))
 
 
 # ---------------------------------------------------------------------------
@@ -278,28 +242,12 @@ def _label_edges(zeros: int, n: int) -> frozenset[tuple[int, int]]:
     return frozenset(e for e, ok in allz.items() if ok)
 
 
-def superclass_label(u: MatrixFq) -> IndiffGraph:
-    """The superclass of a unipotent upper-triangular element."""
-    if any(u.rows[i][j] != (i == j) for i in range(u.n) for j in range(i + 1)):
-        raise ValueError("superclass_label needs an upper unipotent matrix")
-    return IndiffGraph(u.n, _label_edges(_zero_mask(_pack(u.rows), u.n * u.n, u.q), u.n))
-
-
-def superclass_rep(gamma: IndiffGraph, q: int) -> MatrixFq:
-    """A canonical element whose superclass is gamma: 1s at all non-edges above the diagonal."""
-    n = gamma.n
-    m = MatrixFq(q, tuple(tuple(int(i == j or i < j and (i + 1, j + 1) not in gamma.edges)
-                                for j in range(n)) for i in range(n)))
-    if superclass_label(m).edges != gamma.edges:
-        raise AssertionError(f"superclass_rep: representative of {gamma} has another label")
-    return m
-
-
 @lru_cache(maxsize=None)
 def superclass_sizes(n: int, q: int) -> dict[IndiffGraph, int]:
     """|UT_gamma^o| for every gamma in IG_n, from the UT_n sweep of induction_table."""
+    table = induction_table(n, q)  # the sweep's guard comes before the graphs on [n]
     out = {g: 0 for g in indifference_graphs(n)}
-    for lam, labs in induction_table(n, q).items():
+    for lam, labs in table.items():
         c_order = _centralizer_order(lam, q)
         for g, c in labs.items():
             out[g] += c // c_order
@@ -468,15 +416,11 @@ def induction_table(n: int, q: int) -> dict[Partition, dict[IndiffGraph, int]]:
     Each u in UT_n of type lam is such a conjugate for exactly |C_GL(J_lam)|
     elements x, so one sweep of UT_n fills the table.
     """
-    _check_q(q)
-    raw: dict[Partition, Counter] = {lam: Counter() for lam in _partitions(n)}
-    us = ut_elements(n, q)
-    u = next(us, None)  # the sweep's size guard runs before the kernel's carry bound
+    us = ut_elements(n, q)  # its guard runs first, before the kernel's carry bound
     k = _Packed(n, q)
-    while u is not None:
-        m = _pack(u)
-        raw[k.jordan_type(m)][_zero_mask(m, n * n, q)] += 1
-        u = next(us, None)
+    raw: dict[Partition, Counter] = {lam: Counter() for lam in _partitions(n)}
+    for u in us:
+        raw[k.jordan_type(u)][_zero_mask(u, n * n, q)] += 1
     graphs = {g.edges: g for g in indifference_graphs(n)}  # every label is interval-closed
     out = {}
     for lam, masks in raw.items():
@@ -505,20 +449,22 @@ def induce_to_GL(phi: ClassFnUT) -> UnipClassFn:
 # the conjugation sweep behind the coset, GL_n and Hessenberg oracles
 # ---------------------------------------------------------------------------
 
-def _conjugation_terms(a: Rows, q: int) -> tuple[tuple[int, int], ...]:
+def _conjugation_terms(k: _Packed, a: int) -> tuple[tuple[int, int], ...]:
     """x^{-1} a x as a sum of a[r][c] copies of (column r of x^{-1}) (row c of
     x): the (r, c) of each copy.  OverflowError if that sum could carry between
     bytes; no target of a sweep that MAX_SWEEP admits comes near it."""
-    terms = tuple((r, c) for r, row in enumerate(a) for c, v in enumerate(row) for _ in range(v))
+    n, q = k.n, k.q
+    terms = tuple(divmod(i, n) for i, v in enumerate(a.to_bytes(n * n, "little"))
+                  for _ in range(v))
     if len(terms) * (q - 1) ** 2 > 255:
         raise OverflowError(f"x^-1 a x over F_{q} as a sum of {len(terms)} products "
-                            f"would carry between bytes: {a}")
+                            f"would carry between bytes: {k.unpack(a)}")
     return terms
 
 
 @lru_cache(maxsize=None)
-def _conjugate_masks(sweep: Callable[[int, int], Iterator[Rows]], n: int, q: int,
-                     targets: tuple[Rows, ...]) -> tuple[Counter, ...]:
+def _conjugate_masks(sweep: Callable[[int, int], Iterator[int]], n: int, q: int,
+                     targets: tuple[int, ...]) -> tuple[Counter, ...]:
     """For each target a, how many x of sweep(n, q) give x^{-1} a x each zero
     pattern (bit 8(i*n + j) set iff entry (i, j) is 0).
 
@@ -527,23 +473,20 @@ def _conjugate_masks(sweep: Callable[[int, int], Iterator[Rows]], n: int, q: int
     shared by all the targets; a J_lam - 1 has at most n - 1 terms.
     """
     out = tuple(Counter() for _ in targets)
-    xs = sweep(n, q)
-    x = next(xs, None)  # the sweep's size guard runs before the kernel's carry bound
+    xs = sweep(n, q)  # its guard runs first, before the kernel's carry bound
     k = _Packed(n, q)
     size, zero, from_bytes = n * n, _field(q)[2], int.from_bytes
-    terms = [_conjugation_terms(a, q) for a in targets]
+    terms = [_conjugation_terms(k, a) for a in targets]
     slot = {t: i for i, t in enumerate(sorted(set(chain.from_iterable(terms))))}
     plans = [([slot[t] for t in ts], masks) for ts, masks in zip(terms, out)]
-    while x is not None:
-        xm = _pack(x)
-        cols = k.inverse_columns(xm)
-        rows = [xm >> 8 * j * n & k.row for j in range(n)]
+    for x in xs:
+        cols = k.inverse_columns(x)
+        rows = [x >> 8 * j * n & k.row for j in range(n)]
         prods = [cols[r] * rows[c] for r, c in slot]
         for slots, masks in plans:
             conj = sum([prods[i] for i in slots])
             # _zero_mask, inlined: this line runs once per conjugate
             masks[from_bytes(conj.to_bytes(size, "little").translate(zero), "little")] += 1
-        x = next(xs, None)
     return out
 
 
@@ -569,17 +512,24 @@ def _cosets(tallies: Iterable[Counter], gamma: IndiffGraph, q: int) -> tuple[int
 
 
 @lru_cache(maxsize=None)
-def _jordan_nilpotents(n: int, q: int) -> tuple[Rows, ...]:
+def _jordan_nilpotents(n: int) -> tuple[int, ...]:
     """The J_lam - 1 for lam |- n, in the order of gen_partitions(n)."""
-    return tuple(jordan_nilpotent(lam, q).rows for lam in _partitions(n))
+    return tuple(jordan_nilpotent(lam) for lam in _partitions(n))
 
 
 @lru_cache(maxsize=None)
-def _superclass_nilpotents(n: int, q: int) -> tuple[Rows, ...]:
-    """The u - 1 for the superclass representatives u, in the order of indifference_graphs(n)."""
-    return tuple(tuple(tuple(x - (i == j) for j, x in enumerate(r))
-                       for i, r in enumerate(superclass_rep(g, q).rows))
-                 for g in indifference_graphs(n))
+def _superclass_nilpotents(n: int, q: int) -> tuple[int, ...]:
+    """u - 1 for a canonical u of each superclass, in the order of
+    indifference_graphs(n): a 1 at every non-edge above the diagonal.  The
+    label is read back from the zero pattern; another label raises."""
+    out = []
+    for g in indifference_graphs(n):
+        a = sum(1 << 8 * (i * n + j) for i in range(n) for j in range(i + 1, n)
+                if (i + 1, j + 1) not in g.edges)
+        if _label_edges(_zero_mask(a, n * n, q), n) != g.edges:
+            raise AssertionError(f"the superclass representative of {g} has another label")
+        out.append(a)
+    return tuple(out)
 
 
 def permutation_character_oracle(gamma: IndiffGraph, q: int) -> ClassFnUT:
@@ -590,7 +540,7 @@ def permutation_character_oracle(gamma: IndiffGraph, q: int) -> ClassFnUT:
     the pattern algebra of gamma.
     """
     n = gamma.n
-    _check_q(q)
+    require_ut(n, q)  # before any representative is built
     tallies = _conjugate_masks(ut_elements, n, q, _superclass_nilpotents(n, q))
     return ClassFnUT(n, q, _cosets(tallies, gamma, q))
 
@@ -605,32 +555,39 @@ def require_flags(n: int, q: int) -> None:
     require_sweep(f"the flags of F_{q}^{n}", flag_count(n, q))
 
 
-def flag_reps(n: int, q: int) -> Iterator[Rows]:
-    """Canonical coset representatives of GL_n/B_n, one per complete flag.
+def flag_reps(n: int, q: int) -> Iterator[int]:
+    """Canonical coset representatives of GL_n/B_n, one per complete flag, packed.
 
     Column j has its lowest nonzero entry normalized to 1 in pivot row w(j);
-    entries at earlier pivot rows are cleared.  Remaining entries are free.
+    entries at earlier pivot rows are cleared.  Remaining entries are free:
+    for each w in turn, the pivots plus each choice of them, in the order of
+    itertools.product.  Refused past MAX_SWEEP on the call.
     """
     require_flags(n, q)
-    for w in permutations(range(n)):
-        free = [(i, j) for j in range(n) for i in range(w[j]) if i not in w[:j]]
-        base = [[0] * n for _ in range(n)]
-        for j in range(n):
-            base[w[j]][j] = 1
-        for vals in product(range(q), repeat=len(free)):
-            for (i, j), v in zip(free, vals):
-                base[i][j] = v
-            yield tuple(tuple(r) for r in base)
+    cells = ((sum(1 << 8 * (w[j] * n + j) for j in range(n)),
+              [[v << 8 * (i * n + j) for v in range(q)]
+               for j in range(n) for i in range(w[j]) if i not in w[:j]])
+             for w in permutations(range(n)))
+    return (pivots + sum(vals) for pivots, places in cells for vals in product(*places))
 
 
-def nilpotent_type(a: MatrixFq) -> Partition:
-    """The Jordan type of 1 + a; ValueError unless a is nilpotent."""
-    n, q = a.n, a.q
+def nilpotent_type(digits: str, n: int, q: int) -> Partition:
+    """The Jordan type of 1 + a, for the n x n matrix a over F_q whose entries,
+    row by row, are the ASCII digits of `digits` (the CLI's --matrix).
+    ValueError on any other string, on a digit >= q, or unless a is nilpotent."""
+    _check_q(q)
+    vals = ["0123456789".find(c) for c in digits]  # -1 for any other character
+    if len(vals) != n * n or -1 in vals:
+        raise ValueError(f"--matrix needs {n * n} digits 0..{q - 1}, got {digits!r}")
+    if max(vals, default=0) >= q:
+        raise ValueError(f"digits of {digits!r} must be below q = {q}")
     k = _Packed(n, q)
+    a = int.from_bytes(bytes(vals), "little")
     try:
-        return k.jordan_type(k.reduce(_pack(a.rows) + k.one, n * n))
+        return k.jordan_type(k.reduce(a + k.one, n * n))
     except ValueError:
-        raise ValueError(f"hessenberg_count expects a nilpotent matrix, got {a.rows}") from None
+        raise ValueError(f"hessenberg_count expects a nilpotent matrix, "
+                         f"got {k.unpack(a)}") from None
 
 
 def hessenberg_count(gamma: IndiffGraph, lam: Partition, q: int) -> int:
@@ -644,5 +601,5 @@ def hessenberg_count(gamma: IndiffGraph, lam: Partition, q: int) -> int:
     index = _partition_index(n).get(lam)
     if index is None:
         raise ValueError(f"Jordan type {lam} is not a partition of n = {n}")
-    tallies = _conjugate_masks(flag_reps, n, q, _jordan_nilpotents(n, q))
+    tallies = _conjugate_masks(flag_reps, n, q, _jordan_nilpotents(n))
     return _pattern_counts([tallies[index]], gamma)[0]

@@ -9,32 +9,80 @@ down directly. On top of them sit the old conjugation sweep (zero patterns
 as bit i*n + j), the old induction table and the centralizer order by
 enumeration of GL_n. The tests compare the package with them exactly.
 
-The package never sweeps GL_n. The enumeration of GL_n lives here, with the
-one-step induction of the trivial character of UT_gamma over it and the
-canonical representative of a flag, so that induction and the flag sweep
-have independent checks.
+The enumerations of UT_n and of the flag representatives as row tuples live
+here too, independent of the package's packed sweeps, and `pack`/`unpack`
+move between the two layouts. The package never sweeps GL_n. The enumeration
+of GL_n lives here, with the one-step induction of the trivial character of
+UT_gamma over it and the canonical representative of a flag, so that
+induction and the flag sweep have independent checks.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, product
+from itertools import chain, permutations, product
 from typing import Iterator
 
 from chromaq.combinatorics import IndiffGraph, Partition, gen_partitions
 from chromaq.fqoracle import (
-    MatrixFq,
-    Rows,
     UnipClassFn,
     _centralizer_order,
     _check_q,
     _conjugate_masks,
     _cosets,
     _jordan_nilpotents,
+    flag_count,
     gl_order,
-    ut_elements,
+    ut_order,
 )
 from chromaq.guards import require_sweep
+
+Rows = tuple[tuple[int, ...], ...]
+
+
+def pack(rows: Rows) -> int:
+    """A matrix with entries in 0..255 as one int, entry (i, j) in byte i*n + j."""
+    return int.from_bytes(bytes(chain.from_iterable(rows)), "little")
+
+
+def unpack(m: int, n: int) -> Rows:
+    """The rows of the packed n x n matrix m."""
+    b = m.to_bytes(n * n, "little")
+    return tuple(tuple(b[i * n:(i + 1) * n]) for i in range(n))
+
+
+def mat_identity(n: int) -> Rows:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def ut_rows(n: int, q: int) -> Iterator[Rows]:
+    """All elements of UT_n(F_q) as row tuples."""
+    require_sweep(f"UT_{n}(F_{q})", ut_order(n, q))
+    pos = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    base = [list(r) for r in mat_identity(n)]
+    for vals in product(range(q), repeat=len(pos)):
+        for (i, j), v in zip(pos, vals):
+            base[i][j] = v
+        yield tuple(tuple(r) for r in base)
+
+
+def flag_rows(n: int, q: int) -> Iterator[Rows]:
+    """Canonical coset representatives of GL_n/B_n as row tuples, one per complete flag.
+
+    Column j has its lowest nonzero entry normalized to 1 in pivot row w(j);
+    entries at earlier pivot rows are cleared.  Remaining entries are free.
+    """
+    _check_q(q)
+    require_sweep(f"the flags of F_{q}^{n}", flag_count(n, q))
+    for w in permutations(range(n)):
+        free = [(i, j) for j in range(n) for i in range(w[j]) if i not in w[:j]]
+        base = [[0] * n for _ in range(n)]
+        for j in range(n):
+            base[w[j]][j] = 1
+        for vals in product(range(q), repeat=len(free)):
+            for (i, j), v in zip(free, vals):
+                base[i][j] = v
+            yield tuple(tuple(r) for r in base)
 
 
 def _inv_table(q: int) -> tuple[int, ...]:
@@ -69,7 +117,7 @@ def mat_inv(rows: Rows, q: int) -> Rows:
     return tuple(tuple(r[n:]) for r in A)
 
 
-def jordan(lam: Partition, q: int) -> MatrixFq:
+def jordan(lam: Partition) -> Rows:
     """Unipotent Jordan matrix with one block per part (1s on the superdiagonal)."""
     n = sum(lam)
     rows = [[0] * n for _ in range(n)]
@@ -80,7 +128,7 @@ def jordan(lam: Partition, q: int) -> MatrixFq:
             if i + 1 < k:
                 rows[off + i][off + i + 1] = 1
         off += k
-    return MatrixFq(q, tuple(tuple(r) for r in rows))
+    return tuple(tuple(r) for r in rows)
 
 
 def mat_minus_identity(rows: Rows, q: int) -> Rows:
@@ -125,7 +173,8 @@ def jordan_type(u: Rows, q: int) -> Partition:
 
 
 def gl_matrices(n: int, q: int) -> Iterator[Rows]:
-    """Stream all of GL_n(F_q), built row by row from independent vectors."""
+    """Stream all of GL_n(F_q), built row by row from independent vectors.
+    Refused past MAX_SWEEP on the call, as the package's sweeps are."""
     require_sweep(f"GL_{n}(F_{q})", gl_order(n, q))
     vectors = list(product(range(q), repeat=n))
     zero = tuple([0] * n)
@@ -146,7 +195,12 @@ def gl_matrices(n: int, q: int) -> Iterator[Rows]:
             yield from rec(rows, new_span)
             rows.pop()
 
-    yield from rec([], {zero})
+    return rec([], {zero})
+
+
+def gl_elements(n: int, q: int) -> Iterator[int]:
+    """GL_n(F_q), packed, for the package's conjugation kernel."""
+    return map(pack, gl_matrices(n, q))
 
 
 def induce_trivial_from_subgroup(gamma: IndiffGraph, q: int) -> UnipClassFn:
@@ -158,16 +212,15 @@ def induce_trivial_from_subgroup(gamma: IndiffGraph, q: int) -> UnipClassFn:
     """
     n = gamma.n
     _check_q(q)
-    tallies = _conjugate_masks(gl_matrices, n, q, _jordan_nilpotents(n, q))
+    tallies = _conjugate_masks(gl_elements, n, q, _jordan_nilpotents(n))
     return UnipClassFn(n, q, _cosets(tallies, gamma, q))
 
 
-def canonical_flag(g: MatrixFq) -> MatrixFq:
+def canonical_flag(g: Rows, q: int) -> Rows:
     """The canonical representative of the coset g B_n."""
-    q = g.q
-    n = g.n
+    n = len(g)
     inv_t = _inv_table(q)
-    cols = [list(col) for col in zip(*g.rows)] if n else []
+    cols = [list(col) for col in zip(*g)] if n else []
     for j in range(n):
         col = cols[j]
         r = max(i for i in range(n) if col[i])
@@ -178,13 +231,12 @@ def canonical_flag(g: MatrixFq) -> MatrixFq:
             c = cols[j2][r]
             if c:
                 cols[j2] = [(x - c * y) % q for x, y in zip(cols[j2], col)]
-    return MatrixFq(q, tuple(zip(*[tuple(c) for c in cols])))
+    return tuple(zip(*[tuple(c) for c in cols]))
 
 
-def centralizer_order(g: MatrixFq) -> int:
+def centralizer_order(g: Rows, q: int) -> int:
     """|C_{GL_n}(g)| by exhaustive enumeration of GL_n."""
-    q = g.q
-    return sum(1 for x in gl_matrices(g.n, q) if mat_mul(x, g.rows, q) == mat_mul(g.rows, x, q))
+    return sum(1 for x in gl_matrices(len(g), q) if mat_mul(x, g, q) == mat_mul(g, x, q))
 
 
 def zero_mask(m: Rows) -> int:
@@ -212,7 +264,7 @@ def label_edges(u: Rows, n: int) -> frozenset[tuple[int, int]]:
 def induction_table(n: int, q: int) -> dict[Partition, dict[IndiffGraph, int]]:
     """The induction table from one sweep of UT_n, through the tuple kernels."""
     raw: dict[Partition, Counter] = {lam: Counter() for lam in gen_partitions(n)}
-    for u in ut_elements(n, q):
+    for u in ut_rows(n, q):
         raw[jordan_type(u, q)][label_edges(u, n)] += 1
     return {lam: {IndiffGraph(n, lab): c * _centralizer_order(lam, q) for lab, c in labs.items()}
             for lam, labs in raw.items()}

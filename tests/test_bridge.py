@@ -328,15 +328,28 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
     import orientation_oracle
     from chromaq.chromallt import as_expansion
     from chromaq.combinatorics import area, area_inverse
-    from chromaq.fqoracle import flag_reps, ut_elements, ut_order
+    from chromaq.fqoracle import (
+        _Packed,
+        chi_bar,
+        flag_reps,
+        induce_to_GL,
+        permutation_character_oracle,
+        superclass_sizes,
+        ut_elements,
+        ut_order,
+    )
     from chromaq.guards import MAX_SWEEP
-    from matrix_oracle import gl_matrices
+    from matrix_oracle import flag_rows, gl_matrices, pack, ut_rows
     from orientation_oracle import orientations
 
     # the bound is |UT_4(F_7)|, so that sweep still runs
     assert ut_order(4, 7) == MAX_SWEEP
-    assert next(ut_elements(4, 7)) == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert next(ut_elements(4, 7)) == pack(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
     assert 2 ** 16 <= MAX_SWEEP < 2 ** 17
+    # past the packed kernel's carry bound, n(q-1)^2 > 255, the sweeps' guards refuse first
+    for n, q in ((8, 7), (16, 5)):
+        with pytest.raises(OverflowError, match="would carry"):
+            _Packed(n, q)
 
     def no_work(*args, **kwargs):
         raise AssertionError("the sweep started before its guard")
@@ -353,10 +366,18 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
     assert len(g17.edges) == 17
     staircase = SchroderPath("E" * 7 + "S" * 7)
     assert len(area(staircase)) == 21
+    # the package's sweeps and gl_matrices refuse on the call, before any generator is made
     refused = [
-        (lambda: next(ut_elements(5, 5)), "9,765,625"),
-        (lambda: next(gl_matrices(3, 5)), "1,488,000"),
-        (lambda: next(flag_reps(5, 3)), "251,680"),
+        (lambda: ut_elements(5, 5), "9,765,625"),
+        (lambda: gl_matrices(3, 5), "1,488,000"),
+        (lambda: flag_reps(5, 3), "251,680"),
+        (lambda: next(ut_rows(5, 5)), "9,765,625"),
+        (lambda: next(flag_rows(5, 3)), "251,680"),
+        (lambda: induce_to_GL(chi_bar(IndiffGraph(8, []), 7)), f"{ut_order(8, 7):,}"),
+        (lambda: superclass_sizes(8, 7), f"{ut_order(8, 7):,}"),
+        (lambda: superclass_sizes(16, 5), f"{ut_order(16, 5):,}"),
+        (lambda: permutation_character_oracle(IndiffGraph(8, []), 7), f"{ut_order(8, 7):,}"),
+        (lambda: permutation_character_oracle(IndiffGraph(16, []), 5), f"{ut_order(16, 5):,}"),
         (lambda: orientations(g17), "131,072"),
         (lambda: as_expansion(area_inverse(g17.edges, 7).as_schroder()), "131,072"),
         (lambda: as_expansion(staircase), "2,097,152"),
@@ -364,6 +385,9 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
     for call, count in refused:
         with pytest.raises(SizeGuardError, match=f"visits {count} elements"):
             call()
+    # chi_bar on [16] needs the Cat(16) graphs first, and their enumeration refuses
+    with pytest.raises(SizeGuardError, match="gen_dyck: n = 16 exceeds guard"):
+        induce_to_GL(chi_bar(IndiffGraph(16, []), 5))
 
 
 def test_the_default_suite_makes_twelve_sweeps(monkeypatch):
@@ -824,7 +848,7 @@ def test_cli_hess_count_of_a_huge_sweep_names_it_before_any_matrix(capsys, monke
         raise AssertionError("an n x n matrix was built before the flag guard")
 
     monkeypatch.setattr(fq, "_jordan_nilpotents", no_matrix)
-    monkeypatch.setattr(cli.MatrixFq, "from_digits", no_matrix)
+    monkeypatch.setattr(cli, "nilpotent_type", no_matrix)
     graph = '{"n": 300, "edges": []}'
     for given in (["--jordan-type", "300"], ["--matrix", "0" * 90_000]):
         assert cli.main(["compute", "hess-count", graph, "--q", "2", *given]) == 2
@@ -877,7 +901,7 @@ def test_hessenberg_count_is_refused_before_any_jordan_matrix(monkeypatch):
     import chromaq.fqoracle as fq
     from chromaq.fqoracle import hessenberg_count
 
-    def no_work(n, q):
+    def no_work(n):
         raise AssertionError("the J_lam - 1 were built before the flag guard")
 
     monkeypatch.setattr(fq, "_jordan_nilpotents", no_work)
@@ -898,6 +922,13 @@ def test_cli_hess_count_rejects_nonpositive_jordan_part(capsys):
      "--jordan-type takes comma-separated positive integers, got '2,x'"),
     (["compute", "hess-count", "ES", "--q", "2", "--jordan-type", "2,,1"],
      "--jordan-type takes comma-separated positive integers"),
+    # only the ASCII digits 0..q-1: int() would read Arabic-Indic digits
+    (["compute", "hess-count", "EESS", "--q", "2", "--matrix", "\u0660\u0661\u0660\u0660"],
+     "--matrix needs 4 digits 0..1, got '\u0660\u0661\u0660\u0660'"),
+    (["compute", "hess-count", "EESS", "--q", "2", "--matrix", "01a0"],
+     "--matrix needs 4 digits 0..1, got '01a0'"),
+    (["compute", "hess-count", "EESS", "--q", "2", "--matrix=-100"],
+     "--matrix needs 4 digits 0..1, got '-100'"),
 ])
 def test_cli_compute_rejects_bad_sizes(capsys, argv, message):
     from chromaq.cli import main

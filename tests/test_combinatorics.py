@@ -7,6 +7,7 @@ from chromaq.combinatorics import (
     DyckPath,
     IndiffGraph,
     SchroderPath,
+    _closed,
     area,
     area_inverse,
     diag,
@@ -15,7 +16,6 @@ from chromaq.combinatorics import (
     gen_tall_schroder,
     graph_of,
     indifference_graphs,
-    is_indifference,
     mesa,
     mobius_subgraph,
     nstat,
@@ -261,6 +261,19 @@ def test_mesa_area_diag_union():
 
 
 # -- indifference predicates ------------------------------------------------------
+
+def is_indifference(edges, n):
+    """Interval closure as the package decides it: IndiffGraph construction,
+    and _closed on the sorted edges, which must agree."""
+    closed = _closed({tuple(sorted(e)) for e in edges}, n)
+    try:
+        IndiffGraph(n, edges)
+    except ValueError:
+        assert not closed, (n, edges)
+    else:
+        assert closed, (n, edges)
+    return closed
+
 
 def test_is_indifference_examples():
     assert is_indifference({(1, 2), (2, 3), (1, 3), (3, 4)}, 4)

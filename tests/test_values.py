@@ -8,7 +8,7 @@ from chromaq.bridge import CheckReport
 from chromaq.chromallt import csf
 from chromaq.combinatorics import DyckPath, IndiffGraph, SchroderPath
 from chromaq.exactnum import LaurentPoly
-from chromaq.fqoracle import ClassFnUT, MatrixFq, UnipClassFn
+from chromaq.fqoracle import ClassFnUT, UnipClassFn
 from chromaq.symfunc import SymFunc
 from orientation_oracle import Orientation
 
@@ -24,8 +24,6 @@ CASES = [
      "Orientation(base=IndiffGraph(n=2, edges=frozenset({(1, 2)})), arcs=frozenset({(2, 1)}))"),
     (SymFunc, (2, "S", {(2,): 1, (1, 1): LaurentPoly([0, 1])}), None,
      "SymFunc(degree=2, basis='S', coeffs=mappingproxy({(2,): 1, (1, 1): t}))"),
-    (MatrixFq, (3, ((1, 4), (0, 1))), (3, ((1, 1), (0, 1))),
-     "MatrixFq(q=3, rows=((1, 1), (0, 1)))"),
     (ClassFnUT, (2, 3, (1, 0)), (2, 3, (1, 0)), "ClassFnUT(n=2, q=3, values=(1, 0))"),
     (UnipClassFn, (2, 3, (0, 2)), (2, 3, (0, 2)), "UnipClassFn(n=2, q=3, values=(0, 2))"),
     (CheckReport, ("check_cqs", 2, 3, "pass"), ("check_cqs", 2, 3, "pass", None),
