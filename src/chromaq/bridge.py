@@ -3,7 +3,8 @@
 p_brace1 sends a unipotently supported class function to the modified
 Hall-Littlewood combination sum phi(J_lam) * PT_lam(x; q); p_one composes
 with the plethystic twist f -> omega f[x/(t-1)]|_{t=q} and lands in the
-Schur basis, recording irreducible unipotent constituents.
+Schur basis, recording irreducible unipotent constituents.  p_one is cached
+by the value of its class function, so equal functions share one image.
 
 Every check_* verifies one identity exactly (tolerance zero) over every
 index in range and reports the first witness on failure.
@@ -32,7 +33,7 @@ from .combinatorics import (
     indifference_graphs,
     mesa,
 )
-from .exactnum import ONE, ZERO, LaurentPoly, Rat, T, _frac, ratfunc_to_const
+from .exactnum import ONE, ZERO, LaurentPoly, Rat, _frac, ratfunc_to_const, t_minus_one_power
 from .fqoracle import (
     ClassFnUT,
     UnipClassFn,
@@ -138,9 +139,10 @@ def _p_one_table(n: int, q: int) -> dict[Partition, dict[Partition, Rat]]:
     return out
 
 
+@lru_cache(maxsize=None)
 def p_one(phi: UnipClassFn) -> SymFunc:
     """Unipotent-constituent image: omega (p_brace1(phi))[x/(t-1)]|_{t=q}, in Schur basis,
-    read off the table of Jordan-type indicators of (n, q)."""
+    read off the table of Jordan-type indicators of (n, q), once per value of phi."""
     return SymFunc(phi.n, "S", _apply({lam: v for lam, v in phi.items() if v},
                                       _p_one_table(phi.n, phi.q)))
 
@@ -307,18 +309,18 @@ def check_cm(n: int) -> CheckReport:
     plethysm moved to the other side: p_k -> p_k / (t^k - 1) and
     p_k -> (t^k - 1) p_k are mutually inverse ring maps that leave the
     coefficients alone, so applying the second to both sides gives this
-    form.  The left side is X scaled in basis M; the right side takes n! G
-    to P through an integer table, multiplies each p_lam by
-    prod (t^{lam_i} - 1), returns to M and divides by n!.  The two sides
-    share no change of basis, and every product stays in Z[t].
+    form, here scaled by n!.  The left side is n! (t-1)^n X in basis M; the
+    right side takes n! G to P through an integer table, multiplies each
+    p_lam by prod (t^{lam_i} - 1) and returns to M.  Nothing is divided:
+    the two sides share no change of basis, and every product stays in Z[t].
     """
-    scale = (T - 1) ** n
+    scale = t_minus_one_power(n) * factorial(n)
     to_p = _m_to_p_integral(n)
 
     def test(pi):
         lhs = csf(graph_of(pi)).scale(scale)
         G = SymFunc(n, "P", _apply(llt_vertical(pi.as_schroder()).coeffs, to_p))
-        rhs = expand_in_basis(plethysm_mul(G), "M").scale(Fraction(1, factorial(n)))
+        rhs = expand_in_basis(plethysm_mul(G), "M")
         return lhs == rhs, lhs, rhs
 
     return _scan("check_cm", n, None, gen_dyck(n), test)
@@ -335,6 +337,17 @@ def check_palindromic(n: int) -> CheckReport:
     return _scan("check_palindromic", n, None, indifference_graphs(n), test)
 
 
+def _unicellular_sum(sigma: SchroderPath) -> SymFunc:
+    """sum over S <= Diag(sigma) of (-1)^{|Diag - S|} G_{Area u S}, added into one dict."""
+    n, a, d = sigma.size, area(sigma), sorted(diag(sigma))
+    out: dict[Partition, LaurentPoly] = {}
+    for mask in iproduct((0, 1), repeat=len(d)):
+        s = frozenset(e for e, m in zip(d, mask) if m)
+        for mu, c in llt_vertical(area_inverse(a | s, n).as_schroder()).coeffs.items():
+            out[mu] = out.get(mu, ZERO) + (-c if (len(d) - len(s)) % 2 else c)
+    return SymFunc(n, "M", out)
+
+
 def check_prop56(n: int) -> CheckReport:
     """Both LLT transformation identities, symbolically in t.
 
@@ -349,14 +362,8 @@ def check_prop56(n: int) -> CheckReport:
         return lhs == rhs, lhs, rhs
 
     def test_ii(sigma):
-        d = sorted(diag(sigma))
-        a = area(sigma)
-        lhs = llt_vertical(sigma).scale((T - 1) ** len(d))
-        rhs = SymFunc(n, "M", {})
-        for mask in iproduct((0, 1), repeat=len(d)):
-            s = frozenset(e for e, m in zip(d, mask) if m)
-            sign = (-1) ** (len(d) - len(s))
-            rhs = rhs + llt_vertical(area_inverse(a | s, n).as_schroder()).scale(sign)
+        lhs = llt_vertical(sigma).scale(t_minus_one_power(len(diag(sigma))))
+        rhs = _unicellular_sum(sigma)
         return lhs == rhs, lhs, rhs
 
     for part, items, test in (("i", gen_dyck(n), test_i), ("ii", gen_tall_schroder(n), test_ii)):

@@ -20,6 +20,8 @@ parts shares the memo.
 `csf`, `llt_vertical` and `as_expansion` are built once per process for each
 graph or path (both are immutable and hash by value, so they key an
 `lru_cache`); the cached SymFunc is immutable, so every caller may share it.
+`as_expansion` adds the binomial rows of (t-1)^k into one integer list per
+e-coefficient and wraps each list once.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .combinatorics import (
     area,
     diag,
 )
-from .exactnum import ONE, ZERO, LaurentPoly, T
+from .exactnum import LaurentPoly, t_minus_one_power
 from .guards import require, require_sweep
 from .symfunc import SymFunc, expand_in_basis
 
@@ -206,13 +208,13 @@ def as_expansion(sigma: SchroderPath) -> SymFunc:
     for mask in range(2 ** len(a_edges)):
         fibres = Counter(_h_vector(up, mask | diag_up)).values()
         counts[tuple(sorted(fibres, reverse=True)), mask.bit_count()] += 1
-    powers = [ONE]  # (t - 1)^k for k = 0..|Area|, each built once
-    for _ in a_edges:
-        powers.append(powers[-1] * (T - 1))
-    coeffs: dict[Partition, LaurentPoly] = {}
+    # m (t - 1)^k added into one integer list per type, read off the binomial row
+    coeffs: dict[Partition, list[int]] = {}
     for (ty, k), m in counts.items():
-        coeffs[ty] = coeffs.get(ty, ZERO) + powers[k] * m
-    return SymFunc(n, "E", coeffs)
+        acc = coeffs.setdefault(ty, [0] * (len(a_edges) + 1))
+        for i, c in enumerate(t_minus_one_power(k).coeffs):
+            acc[i] += m * c
+    return SymFunc(n, "E", {ty: LaurentPoly(acc) for ty, acc in coeffs.items()})
 
 
 def d_coeffs(gamma: IndiffGraph) -> dict[Partition, LaurentPoly]:

@@ -25,6 +25,7 @@ int on every polynomial in Z[t], since its coefficients are stored as ints.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as _intgcd
 from typing import Iterable, Mapping, Union
 
@@ -403,6 +404,12 @@ def _as_poly(x) -> LaurentPoly:
 ZERO = LaurentPoly()
 ONE = LaurentPoly.const(1)
 T = LaurentPoly.t()
+
+
+@lru_cache(maxsize=None)
+def t_minus_one_power(k: int) -> LaurentPoly:
+    """(t - 1)^k, built once per k: `coeffs` is the signed binomial row (-1)^{k-i} C(k, i)."""
+    return (T - 1) ** k
 
 
 # ---------------------------------------------------------------------------

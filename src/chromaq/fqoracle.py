@@ -10,7 +10,8 @@ byte carries while n(q-1)^2 < 256; past that the kernel raises, and no sweep
 that MAX_SWEEP admits comes near it.
 
 Induction to GL_n needs only a sweep of UT_n: each element contributes the
-centralizer order of its Jordan type (Frobenius formula).  The independent
+centralizer order of its Jordan type (Frobenius formula), and `induce_to_GL`
+is cached by the value of its class function.  The independent
 oracles (cosets of UT_gamma, Hessenberg counts, and in the tests induction
 over GL_n) all count the x of a sweep with x^{-1} a x in the pattern algebra
 of gamma, for a = u - 1 or J_lam - 1; one cached kernel sweeps each (n, q)
@@ -21,7 +22,6 @@ of its nilpotent, so every nilpotent matrix reads the tally of its J_lam - 1.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, permutations, product
 from typing import Callable, Iterable, Iterator, Mapping
@@ -340,14 +340,8 @@ def _upset_sum(n: int, q: int, terms: Iterable[tuple[IndiffGraph, int]]) -> Clas
     return ClassFnUT(n, q, tuple(acc))
 
 
-def delta_bar(gamma: IndiffGraph, q: int) -> ClassFnUT:
-    """Indicator of UT_gamma: 1 on superclasses sigma with E(sigma) >= E(gamma)."""
-    _check_q(q)
-    return _upset_sum(gamma.n, q, [(gamma, 1)])
-
-
 def chi_bar(gamma: IndiffGraph, q: int) -> ClassFnUT:
-    """Permutation character of UT_n on UT_n/UT_gamma: q^{|E|} times delta_bar."""
+    """Permutation character of UT_n on UT_n/UT_gamma: q^{|E|} times the indicator of UT_gamma."""
     _check_q(q)
     return _upset_sum(gamma.n, q, [(gamma, q ** len(gamma.edges))])
 
@@ -386,15 +380,6 @@ def psi_pseudo(sigma: SchroderPath, q: int) -> ClassFnUT:
     return _upset_sum(n, q, terms)
 
 
-def inner_product_UT(phi: ClassFnUT, psi: ClassFnUT) -> Fraction:
-    """Standard inner product, computed from enumerated superclass sizes."""
-    if (phi.n, phi.q) != (psi.n, psi.q):
-        raise ValueError("inner_product_UT needs matching (n, q)")
-    sizes = superclass_sizes(phi.n, phi.q)
-    total = sum(sizes[g] * v * w for (g, v), w in zip(phi.items(), psi.values))
-    return Fraction(total, ut_order(phi.n, phi.q))
-
-
 # ---------------------------------------------------------------------------
 # induction to GL_n
 # ---------------------------------------------------------------------------
@@ -431,10 +416,11 @@ def induction_table(n: int, q: int) -> dict[Partition, dict[IndiffGraph, int]]:
     return out
 
 
+@lru_cache(maxsize=None)
 def induce_to_GL(phi: ClassFnUT) -> UnipClassFn:
     """Induction from UT_n to GL_n, recorded on unipotent classes only:
     value at J_lam is (1/|UT_n|) sum over x in GL_n with x^{-1} J_lam x in UT_n
-    of phi at the superclass of the conjugate.
+    of phi at the superclass of the conjugate; built once per value of phi.
     """
     n, q = phi.n, phi.q
     index, vals = _graph_index(n), phi.values

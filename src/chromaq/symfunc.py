@@ -12,7 +12,9 @@ change of basis goes through them.  The supported bases are
 
 Hall-Littlewood P is read off semistandard tableaux, P_lam = sum_T psi_T(t) x^T
 (Macdonald, Symmetric Functions and Hall Polynomials, III (5.11') and (5.8')),
-so its monomial coordinates are built in Z[t] with no division.  Its constant
+so its monomial coordinates are built in Z[t] with no division; each
+horizontal strip lam/nu of k boxes, with its psi_{lam/nu}, is built once per
+(nu, k) and shared by every content and degree.  Its constant
 terms are the Kostka numbers, s_lam = sum_mu K_lam,mu m_mu, and the rows of h
 and e are sums of Schur rows weighted by them (Macdonald I.6); the coefficient
 of m_nu in p_lam counts the ways to drop the parts of lam into the parts of
@@ -184,9 +186,14 @@ def _m_coords(basis: str, lam: Partition) -> tuple[tuple[Partition, Coeff], ...]
     return tuple(sorted((mu, _coeff(c)) for mu, c in coords.items() if c))
 
 
-def _horizontal_strips(nu: Partition, k: int) -> Iterator[Partition]:
-    """Every lam with lam/nu a horizontal strip of k boxes (lam_{i+1} <= nu_i <= lam_i)."""
-    nu_ext = nu + (0,)
+@lru_cache(maxsize=None)
+def _strips(nu: Partition, k: int) -> tuple[tuple[Partition, tuple[tuple[int, int], ...]], ...]:
+    """Each lam with lam/nu a horizontal strip of k boxes (lam_{i+1} <= nu_i <= lam_i),
+    with the terms (e, c) of psi_{lam/nu}(t), built once per (nu, k) for every content
+    and degree.  Macdonald III (5.8'): psi_{lam/nu} has one factor (1 - t^{m_j(nu)})
+    for each column j holding no box of the strip while column j + 1 holds one.
+    """
+    nu_ext, mult, out = nu + (0,), Counter(nu), []
 
     def rec(i: int, left: int, cap: int) -> Iterator[tuple[int, ...]]:
         if i == len(nu_ext):
@@ -198,25 +205,14 @@ def _horizontal_strips(nu: Partition, k: int) -> Iterator[Partition]:
                 yield (nu_ext[i] + a,) + rest
 
     for lam in rec(0, k, nu_ext[0] + k):
-        yield tuple(x for x in lam if x)
-
-
-def _psi_strip(lam: Partition, nu: Partition) -> tuple[int, ...]:
-    """Exponents m with psi_{lam/nu}(t) = prod (1 - t^m), Macdonald III (5.8').
-
-    One factor (1 - t^{m_j(nu)}) for each column j holding no box of the strip
-    while column j + 1 holds one.
-    """
-    cols = {j for i, a in enumerate(lam) for j in range((nu[i] if i < len(nu) else 0) + 1, a + 1)}
-    mult = Counter(nu)
-    return tuple(mult[j] for j in range(1, max(cols, default=0)) if j not in cols and j + 1 in cols)
-
-
-def _times_one_minus_t(poly: dict[int, int], m: int) -> dict[int, int]:
-    out = dict(poly)
-    for e, c in poly.items():
-        out[e + m] = out.get(e + m, 0) - c
-    return out
+        cols = {j for b, a in zip(nu_ext, lam) for j in range(b + 1, a + 1)}
+        psi = {0: 1}
+        for j in range(1, max(cols, default=0)):
+            if j not in cols and j + 1 in cols:
+                for e, c in list(psi.items()):
+                    psi[e + mult[j]] = psi.get(e + mult[j], 0) - c
+        out.append((tuple(x for x in lam if x), tuple((e, c) for e, c in psi.items() if c)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -226,7 +222,7 @@ def _hall_littlewood_coords(d: int) -> dict[Partition, dict[Partition, Coeff]]:
     Macdonald III (5.11'): P_lam = sum_T psi_T(t) x^T over semistandard tableaux
     T of shape lam.  The coefficient of m_mu sums over tableaux of content mu,
     grown one horizontal strip (mu_1 ones, then mu_2 twos, ...) at a time, each
-    step weighted by psi_{lam/nu}; the polynomials stay in Z[t] as {exponent: int}.
+    step weighted by psi_{lam/nu} (`_strips`); the polynomials stay in Z[t].
     """
     out: dict[Partition, dict[Partition, Coeff]] = {lam: {} for lam in _partitions(d)}
     for mu in _partitions(d):
@@ -234,18 +230,15 @@ def _hall_littlewood_coords(d: int) -> dict[Partition, dict[Partition, Coeff]]:
         for k in mu:
             grown: dict[Partition, dict[int, int]] = {}
             for nu, poly in states.items():
-                for lam in _horizontal_strips(nu, k):
-                    step = poly
-                    for m in _psi_strip(lam, nu):
-                        step = _times_one_minus_t(step, m)
+                for lam, psi in _strips(nu, k):
                     acc = grown.setdefault(lam, {})
-                    for e, c in step.items():
-                        acc[e] = acc.get(e, 0) + c
+                    for f, b in psi:
+                        for e, c in poly.items():
+                            acc[e + f] = acc.get(e + f, 0) + b * c
             states = grown
         for lam, poly in states.items():
-            terms = {e: c for e, c in poly.items() if c}
-            if terms:
-                out[lam][mu] = LaurentPoly.from_terms(terms)
+            if any(poly.values()):
+                out[lam][mu] = LaurentPoly.from_terms(poly)
     return out
 
 
@@ -390,8 +383,13 @@ def plethysm_mul(F: SymFunc) -> SymFunc:
     """
     if F.basis != "P":
         raise ValueError("plethysm_mul expects the power-sum basis")
-    return SymFunc(F.degree, "P", {lam: c * prod((_T ** k - 1 for k in lam), start=ONE)
-                                   for lam, c in F.coeffs.items()})
+    return SymFunc(F.degree, "P", {lam: c * _plethysm_factor(lam) for lam, c in F.coeffs.items()})
+
+
+@lru_cache(maxsize=None)
+def _plethysm_factor(lam: Partition) -> LaurentPoly:
+    """prod (t^{lam_i} - 1), the factor of p_lam in plethysm_mul, built once per lam."""
+    return prod((_T ** k - 1 for k in lam), start=ONE)
 
 
 def eval_t(F: SymFunc, q) -> SymFunc:

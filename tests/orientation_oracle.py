@@ -5,6 +5,9 @@ object, `hrv` finds each highest reachable vertex by a graph search, and
 `type_of` reads the fibre sizes off it. `as_expansion_walk` is the old
 `as_expansion` on top of them. The package reads the same h-vector off a bit
 mask in one pass from n down to 1; the tests compare the two exactly.
+`as_expansion_powers` is the bit-mask `as_expansion` before it added the
+binomial rows of (t-1)^k into integer lists: it sums m (t-1)^k as Laurent
+polynomials, one power of t - 1 built per k.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
+from chromaq.chromallt import _h_vector
 from chromaq.combinatorics import (
     Edge,
     Frozen,
@@ -92,4 +96,26 @@ def as_expansion_walk(sigma: SchroderPath) -> SymFunc:
     coeffs: dict[Partition, LaurentPoly] = {}
     for (ty, k), m in counts.items():
         coeffs[ty] = coeffs.get(ty, LaurentPoly()) + m * (LaurentPoly.t() - 1) ** k
+    return SymFunc(n, "E", coeffs)
+
+
+def as_expansion_powers(sigma: SchroderPath) -> SymFunc:
+    """The orientation counts of `as_expansion`, summed as m * (t-1)^k in Q[t]."""
+    n = sigma.size
+    a_edges = sorted(area(sigma))
+    d_edges = sorted(diag(sigma))
+    up: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for k, (i, j) in enumerate(a_edges + d_edges):
+        up[i - 1].append((1 << k, j - 1))
+    diag_up = (1 << (len(a_edges) + len(d_edges))) - (1 << len(a_edges))
+    counts: Counter[tuple[Partition, int]] = Counter()
+    for mask in range(2 ** len(a_edges)):
+        fibres = Counter(_h_vector(up, mask | diag_up)).values()
+        counts[tuple(sorted(fibres, reverse=True)), mask.bit_count()] += 1
+    powers = [LaurentPoly.const(1)]
+    for _ in a_edges:
+        powers.append(powers[-1] * (LaurentPoly.t() - 1))
+    coeffs: dict[Partition, LaurentPoly] = {}
+    for (ty, k), m in counts.items():
+        coeffs[ty] = coeffs.get(ty, LaurentPoly()) + powers[k] * m
     return SymFunc(n, "E", coeffs)

@@ -46,11 +46,11 @@ from chromaq.fqoracle import (
     chi_super,
     chi_bar as _chi_bar,
     induce_to_GL,
-    inner_product_UT,
     psi_pseudo,
     superclass_sizes,
     ut_order,
 )
+from classfn_oracle import inner_product_UT
 from coloring_oracle import asc
 from orientation_oracle import Orientation, hrv, type_of
 

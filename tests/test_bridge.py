@@ -2,6 +2,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import prod
 
 import pytest
@@ -15,6 +16,7 @@ from chromaq.bridge import (
     _m_to_p,
     _omega_p_to_s,
     _p_one_table,
+    _unicellular_sum,
     check_as,
     check_cm,
     check_cqs,
@@ -29,6 +31,9 @@ from chromaq.chromallt import csf, llt_vertical
 from chromaq.combinatorics import (
     IndiffGraph,
     SchroderPath,
+    area,
+    area_inverse,
+    diag,
     gen_dyck,
     gen_partitions,
     gen_tall_schroder,
@@ -327,7 +332,6 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
     import matrix_oracle
     import orientation_oracle
     from chromaq.chromallt import as_expansion
-    from chromaq.combinatorics import area, area_inverse
     from chromaq.fqoracle import (
         _Packed,
         chi_bar,
@@ -416,6 +420,26 @@ def test_the_default_suite_builds_each_pseudosupercharacter_once():
     fq.psi_pseudo.cache_clear()
     assert all(run_check(name, n, q).status == "pass" for name, n, q in _default_suite(False))
     assert fq.psi_pseudo.cache_info().misses == 30
+
+
+def test_the_default_suite_induces_and_maps_each_class_function_once(monkeypatch):
+    # induce_to_GL and p_one are keyed by the class function's value: check_llt,
+    # check_cor66 and check_gg share their images, and so do check_cqs and
+    # check_hess. Without the caches the suite makes 98 and 66 calls
+    import chromaq.bridge as bridge
+    import chromaq.fqoracle as fq
+    from chromaq.cli import _default_suite
+    fq.induce_to_GL.cache_clear()
+    bridge.p_one.cache_clear()
+    assert all(run_check(name, n, q).status == "pass" for name, n, q in _default_suite(False))
+    assert fq.induce_to_GL.cache_info().misses == 30
+    assert bridge.p_one.cache_info().misses == 26
+    # with both caches full, a perturbed class function is a new key, so the
+    # perturbed side still fails at its item
+    sides = [s for s in _PERTURBED_SIDES if s[0] in ("check_llt", "check_cor66", "check_cqs")]
+    assert len(sides) == 6
+    for side in sides:
+        _fails_at_the_perturbed_item(monkeypatch, *side)
 
 
 def test_gl_checks_reach_n_5_at_q_2():
@@ -535,6 +559,35 @@ def test_check_cm_agrees_with_the_old_form_through_plethysm_frac():
             assert expand_in_basis(back, "M") == csf(graph_of(pi)).scale((T - 1) ** n), pi
 
 
+def _unicellular_sum_by_addition(sigma):
+    """check_prop56(ii)'s old right side: one SymFunc added per subset of Diag."""
+    n, a, d = sigma.size, area(sigma), sorted(diag(sigma))
+    rhs = SymFunc(n, "M", {})
+    for mask in product((0, 1), repeat=len(d)):
+        s = frozenset(e for e, m in zip(d, mask) if m)
+        sign = (-1) ** (len(d) - len(s))
+        rhs = rhs + llt_vertical(area_inverse(a | s, n).as_schroder()).scale(sign)
+    return rhs
+
+
+def test_unicellular_sum_matches_the_symfunc_by_symfunc_sum():
+    for n in range(6):
+        for sigma in gen_tall_schroder(n):
+            assert _unicellular_sum(sigma) == _unicellular_sum_by_addition(sigma), sigma
+
+
+def test_check_cm_divides_by_nothing(monkeypatch):
+    # both sides are scaled by n!, so check_cm builds no Fraction
+    import chromaq.bridge as bridge
+
+    def no_fraction(*args):
+        raise AssertionError("check_cm divided")
+
+    monkeypatch.setattr(bridge, "Fraction", no_fraction)
+    for n in range(6):
+        assert check_cm(n).ok, n
+
+
 def test_check_cm_fails_on_a_perturbed_llt(monkeypatch):
     import chromaq.bridge as bridge
     target = gen_dyck(3)[2]
@@ -618,7 +671,7 @@ def _bump(f):
 # q = 2; _S = EESDS has Diag {2-3}, so part i of check_prop56 never reads it.
 # The p_one side of check_cor66 is perturbed through psi_pseudo: p_one itself
 # sees only the induced function, which EDESS and EESDS share
-@pytest.mark.parametrize("check, kernel, hit, change, index, q, part", [
+_PERTURBED_SIDES = [
     ("check_cqs", "chi_bar", lambda g, q: g == _G, lambda f: f + _BUMP_G, _G, 2, None),
     ("check_cqs", "csf", lambda g: g == _G, _bump, _G, 2, None),
     ("check_llt", "psi_pseudo", lambda s, q: s == _S, lambda f: f + _BUMP_G, _S, 2, None),
@@ -638,7 +691,10 @@ def _bump(f):
     ("check_st_en", "basis_element", lambda basis, lam: basis == "E", _bump, (1, 1, 1), 2, None),
     ("check_cor66", "as_expansion", lambda s: s == _S, _bump, _S, 2, None),
     ("check_cor66", "psi_pseudo", lambda s, q: s == _S, lambda f: f + _BUMP_G, _S, 2, None),
-])
+]
+
+
+@pytest.mark.parametrize("check, kernel, hit, change, index, q, part", _PERTURBED_SIDES)
 def test_every_check_fails_on_a_perturbed_side(monkeypatch, check, kernel, hit, change, index,
                                                q, part):
     _fails_at_the_perturbed_item(monkeypatch, check, kernel, hit, change, index, q, part)

@@ -35,7 +35,7 @@ from chromaq.guards import SizeGuardError
 from chromaq.symfunc import SymFunc, eval_t, expand_in_basis
 from coloring_oracle import asc, color_by_vertex, color_sum, words
 from orbit_oracle import check_symmetric, coeff, multiset_perms, orbit_monomials
-from orientation_oracle import Orientation, as_expansion_walk, hrv, type_of
+from orientation_oracle import Orientation, as_expansion_powers, as_expansion_walk, hrv, type_of
 
 T = LaurentPoly.t()
 RF = LaurentPoly.const
@@ -345,6 +345,13 @@ def test_as_expansion_matches_the_orientation_walk():
     for n in range(6):
         for sigma in gen_tall_schroder(n):
             assert as_expansion(sigma) == as_expansion_walk(sigma), sigma
+
+
+def test_as_expansion_matches_the_sum_of_powers_of_t_minus_one():
+    # the binomial rows added into integer lists, against m (t-1)^k added as polynomials
+    for n in range(6):
+        for sigma in gen_tall_schroder(n):
+            assert as_expansion(sigma) == as_expansion_powers(sigma), sigma
 
 
 def test_every_dyck_llt_matches_mesa_union():

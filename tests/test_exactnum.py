@@ -14,6 +14,7 @@ from chromaq.exactnum import (
     _pdivmod,
     _poly_gcd,
     ratfunc_to_const,
+    t_minus_one_power,
 )
 from ratfunc_oracle import NonDivisibleError, ratfunc_to_laurent
 
@@ -162,6 +163,16 @@ def test_negative_power_raises_without_naming_the_test_oracle():
     with pytest.raises(ValueError, match="negative power -1") as e:
         (T - 1) ** -1
     assert "RationalFunc" not in str(e.value)
+
+
+def test_powers_of_t_minus_one_are_the_signed_binomial_rows():
+    power = LaurentPoly.const(1)
+    for k in range(13):
+        assert t_minus_one_power(k) == power and t_minus_one_power(k) is t_minus_one_power(k)
+        assert all(type(c) is int for c in t_minus_one_power(k).coeffs)
+        power = power * (T - 1)
+    with pytest.raises(ValueError, match="negative power -1"):
+        t_minus_one_power(-1)
 
 
 def test_ratfunc_integer_leading_coefficient_stays_exact():
@@ -363,7 +374,14 @@ def test_mul_and_rmul_are_one_function():
 
 def test_one_object_per_constant():
     assert symfunc.ZERO is exactnum.ZERO and symfunc.ONE is exactnum.ONE
-    assert symfunc._T is exactnum.T and bridge.T is exactnum.T
+    assert symfunc._T is exactnum.T and bridge.ZERO is exactnum.ZERO
+    # every LaurentPoly a module of the package holds is one of exactnum's three
+    import chromaq.chromallt as chromallt
+    import chromaq.fqoracle as fqoracle
+    for mod in (bridge, chromallt, fqoracle, symfunc):
+        for name, obj in vars(mod).items():
+            if type(obj) is LaurentPoly:
+                assert any(obj is c for c in (exactnum.ZERO, exactnum.ONE, exactnum.T)), name
     assert exactnum.ZERO == LaurentPoly() and exactnum.ONE == 1 and exactnum.T == LaurentPoly([1], 1)
 
 

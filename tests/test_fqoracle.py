@@ -23,14 +23,12 @@ from chromaq.fqoracle import (
     UnipClassFn,
     chi_bar,
     chi_super,
-    delta_bar,
     flag_count,
     flag_reps,
     gl_order,
     hessenberg_count,
     induce_to_GL,
     induction_table,
-    inner_product_UT,
     jordan_nilpotent,
     nilpotent_type,
     permutation_character_oracle,
@@ -48,6 +46,7 @@ from chromaq.fqoracle import (
     _zero_mask,
 )
 from chromaq.guards import MAX_SWEEP, SizeGuardError
+from classfn_oracle import delta_bar, inner_product_UT
 import matrix_oracle
 from matrix_oracle import (
     canonical_flag,

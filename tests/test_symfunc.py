@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from chromaq.symfunc import (
     _invert,
     _omega_m,
     _require_partition,
+    _strips,
 )
 from orbit_oracle import check_symmetric, coeff, product_coords, zlam
 from ratfunc_oracle import gauss_jordan_from_monomials, plethysm_frac, ratfunc_to_laurent
@@ -179,6 +181,71 @@ def gram_schmidt_hl(d):
 def test_hl_tableau_build_matches_gram_schmidt():
     for d in range(7):
         assert _hall_littlewood_coords(d) == gram_schmidt_hl(d), d
+
+
+def horizontal_strips(nu, k):
+    """Every lam with lam/nu a horizontal strip of k boxes (lam_{i+1} <= nu_i <= lam_i)."""
+    nu_ext = nu + (0,)
+
+    def rec(i, left, cap):
+        if i == len(nu_ext):
+            if left == 0:
+                yield ()
+            return
+        for a in range(min(left, cap - nu_ext[i]), -1, -1):
+            for rest in rec(i + 1, left - a, nu_ext[i]):
+                yield (nu_ext[i] + a,) + rest
+
+    for lam in rec(0, k, nu_ext[0] + k):
+        yield tuple(x for x in lam if x)
+
+
+def psi_exponents(lam, nu):
+    """The exponents m of psi_{lam/nu}(t) = prod (1 - t^m), Macdonald III (5.8'), one
+    m_j(nu) for each column j holding no box of the strip while column j + 1 holds one."""
+    cols = {j for i, a in enumerate(lam) for j in range((nu[i] if i < len(nu) else 0) + 1, a + 1)}
+    mult = Counter(nu)
+    return tuple(mult[j] for j in range(1, max(cols, default=0)) if j not in cols and j + 1 in cols)
+
+
+def hl_strip_by_strip(d):
+    """The tableau build with no cache of strips: every step of every content
+    enumerates its strips and multiplies by each factor (1 - t^m) of psi."""
+    out = {lam: {} for lam in gen_partitions(d)}
+    for mu in gen_partitions(d):
+        states = {(): {0: 1}}
+        for k in mu:
+            grown = {}
+            for nu, poly in states.items():
+                for lam in horizontal_strips(nu, k):
+                    step = poly
+                    for m in psi_exponents(lam, nu):
+                        times = dict(step)
+                        for e, c in step.items():
+                            times[e + m] = times.get(e + m, 0) - c
+                        step = times
+                    acc = grown.setdefault(lam, {})
+                    for e, c in step.items():
+                        acc[e] = acc.get(e, 0) + c
+            states = grown
+        for lam, poly in states.items():
+            terms = {e: c for e, c in poly.items() if c}
+            if terms:
+                out[lam][mu] = LaurentPoly.from_terms(terms)
+    return out
+
+
+def test_hl_cached_strips_match_the_strip_by_strip_build():
+    _hall_littlewood_coords.cache_clear()
+    _strips.cache_clear()
+    for d in range(8):
+        assert _hall_littlewood_coords(d) == hl_strip_by_strip(d), d
+    # the cache holds the same strips, in the same order, as the enumeration
+    for (nu, k) in [((), 3), ((2, 1), 2), ((3, 1, 1), 3), ((2, 2), 4)]:
+        assert [lam for lam, _ in _strips(nu, k)] == list(horizontal_strips(nu, k)), (nu, k)
+    # each (nu, k) is built once, for every content and degree that grows nu by k
+    info = _strips.cache_info()
+    assert info.hits > info.misses
 
 
 def test_hl_coefficients_are_integer_polynomials():
