@@ -18,7 +18,7 @@ from itertools import product as iproduct
 from math import factorial, prod
 from typing import Callable, Iterable
 
-from .chromallt import as_expansion, csf, d_coeffs, llt_vertical
+from .chromallt import as_expansion, csf, d_coeffs, llt_vertical, require_orientations
 from .combinatorics import (
     Frozen,
     Partition,
@@ -45,7 +45,6 @@ from .fqoracle import (
     psi_pseudo,
     require_flags,
 )
-from .guards import require_sweep
 from .symfunc import (
     SymFunc,
     _from_monomials,
@@ -291,8 +290,8 @@ def check_permtoind(n: int, q: int) -> CheckReport:
 def check_as(n: int) -> CheckReport:
     """Orientation e-expansion equals the coloring LLT polynomial, symbolically."""
     paths = gen_tall_schroder(n)
-    require_sweep(f"the orientations of the tall paths of size {n}",
-                  2 ** max((len(area(sigma)) for sigma in paths), default=0))
+    require_orientations(f"the tall paths of size {n}",
+                         max((len(area(sigma)) for sigma in paths), default=0))
 
     def test(sigma):
         lhs = expand_in_basis(as_expansion(sigma), "M")

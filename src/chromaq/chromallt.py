@@ -184,6 +184,11 @@ def _h_vector(up: list[list[tuple[int, int]]], mask: int) -> list[int]:
     return h
 
 
+def require_orientations(what: str, edges: int) -> None:
+    """Refuse, before any work, a sweep of the 2^edges orientations of `what` past MAX_SWEEP."""
+    require_sweep(f"the orientations of {what}", 2 ** edges)
+
+
 @lru_cache(maxsize=None)
 def as_expansion(sigma: SchroderPath) -> SymFunc:
     """Orientation-sum e-expansion of the vertical-strip LLT polynomial.
@@ -198,8 +203,7 @@ def as_expansion(sigma: SchroderPath) -> SymFunc:
     n = sigma.size
     a_edges = sorted(area(sigma))
     d_edges = sorted(diag(sigma))
-    require_sweep(f"the orientations of the {len(a_edges)} area edges of {sigma}",
-                  2 ** len(a_edges))
+    require_orientations(f"the {len(a_edges)} area edges of {sigma}", len(a_edges))
     up: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for k, (i, j) in enumerate(a_edges + d_edges):
         up[i - 1].append((1 << k, j - 1))

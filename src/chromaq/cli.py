@@ -18,6 +18,8 @@ verify runs its checks in turn and prints a line per check, sorted by
 
 from __future__ import annotations
 
+import atexit
+import gc
 import json
 import sys
 from itertools import zip_longest
@@ -36,6 +38,13 @@ from .fqoracle import (
     superclass_sizes,
 )
 from .guards import SizeGuardError
+
+# A process that imports the CLI exits soon after. atexit hooks run before
+# module teardown, so the shutdown collections then find every object frozen
+# and leave its memory to the OS; stdout and stderr are still flushed after
+# the hooks. Registered here, not in `main`, so an in-process caller of
+# `main` keeps its collector as it was.
+atexit.register(gc.freeze)
 
 
 def _parse_graph(text: str) -> IndiffGraph:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -226,19 +229,20 @@ def test_fail_requires_witness():
         CheckReport("check_x", 1, None, "fail")
 
 
-def test_tripwire_survives_optimized_mode():
-    import os
-    import subprocess
-    import sys
-
+def _fresh_python(*args: str, timeout: int = 60) -> subprocess.CompletedProcess:
+    """Run `python *args` in a new interpreter that imports the package under
+    test, with stdout and stderr captured through pipes."""
     import chromaq
     src = os.path.dirname(os.path.dirname(chromaq.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_tripwire_survives_optimized_mode():
     code = ("assert False, 'python -O strips this'\n"
             "from chromaq.bridge import CheckReport\n"
             "CheckReport('check_x', 1, None, 'fail')\n")
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = _fresh_python("-O", "-c", code)
     assert proc.returncode == 1
     assert "AssertionError: a failing report needs a witness" in proc.stderr
 
@@ -274,54 +278,98 @@ def test_the_size_knobs_are_exactly_these():
                      "MAX_PATH_N"}
 
 
-def test_the_package_never_imports_dataclasses():
-    # `import dataclasses` pulls in inspect, ast, dis and tokenize: ~10 ms of every cold start
+def _package_imports():
+    """(file name, line, top-level module) of every import statement in the package."""
     import ast
     import pathlib
 
     import chromaq
-    found = []
     for path in sorted(pathlib.Path(chromaq.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             names = ([a.name for a in node.names] if isinstance(node, ast.Import) else
                      [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
-            found += [f"{path.name}:{node.lineno}" for m in names
-                      if m.split(".")[0] == "dataclasses"]
-    assert found == []
+            for m in names:
+                yield path.name, node.lineno, m.split(".")[0]
+
+
+def test_the_package_never_imports_dataclasses():
+    # `import dataclasses` pulls in inspect, ast, dis and tokenize: ~10 ms of every cold start
+    assert [f"{f}:{line}" for f, line, m in _package_imports() if m == "dataclasses"] == []
 
 
 def test_cold_import_of_the_cli_loads_neither_dataclasses_nor_inspect():
     # nor argparse with gettext: about 3 ms to import and 3 ms to build a parser
-    import os
-    import subprocess
-    import sys
-
-    import chromaq
-    src = os.path.dirname(os.path.dirname(chromaq.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys\n"
             "import chromaq.cli\n"
             "print(sorted(m for m in ('dataclasses', 'inspect', 'argparse', 'gettext')\n"
             "             if m in sys.modules))\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = _fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_only_the_cli_imports_gc_or_atexit():
+    # the exit hook is a process-wide side effect: the library modules make none
+    found = sorted(f"{f}:{m}" for f, _, m in _package_imports() if m in ("gc", "atexit"))
+    assert found == ["cli.py:atexit", "cli.py:gc"]
+
+
+def test_a_fresh_cli_process_freezes_the_collector_at_exit():
+    # atexit runs its hooks last in, first out: this probe, registered before
+    # the import, runs after the hook of chromaq.cli
+    code = ("import atexit, gc\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            "from chromaq.cli import main\n"
+            "main(['verify', 'check_st_en', '--n', '3'])\n")
+    proc = _fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["PASS check_st_en (n=3)", "1/1 checks passed",
+                                        "frozen True"]
+
+
+def test_main_in_process_leaves_the_collector_as_it_was(capsys):
+    import gc
+
+    import chromaq.cli as cli
+    before = gc.get_freeze_count()
+    assert cli.main(["verify", "check_st_en", "--n", "3"]) == 0
+    assert gc.get_freeze_count() == before
+    assert capsys.readouterr().out.endswith("1/1 checks passed\n")
+
+
+def test_piped_output_of_a_fresh_process_is_whole():
+    # stdout is a block-buffered pipe here, flushed after the exit hook
+    proc = _fresh_python("-m", "chromaq.cli", "verify", "all", "--json")
+    assert proc.returncode == 0, proc.stderr
+    reports = json.loads(proc.stdout)
+    assert len(reports) == 76 and all(r["status"] == "pass" for r in reports)
+    from chromaq.chromallt import as_expansion
+    proc = _fresh_python("-m", "chromaq.cli", "compute", "as-expand", "EEDSS")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == as_expansion(SchroderPath("EEDSS")).to_json()
+
+
+def test_a_fresh_process_exits_one_on_a_failing_check_and_two_on_a_refusal():
+    code = ("import sys\n"
+            "import chromaq.cli as cli\n"
+            "from chromaq.bridge import CheckReport\n"
+            "cli.run_check = lambda name, n, q: CheckReport(\n"
+            "    name, n, q, 'fail', {'index': 'x', 'lhs': '0', 'rhs': '1'})\n"
+            "sys.exit(cli.main(['verify', 'check_cqs', '--n', '2', '--q', '2']))\n")
+    proc = _fresh_python("-c", code)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.startswith("FAIL check_cqs (n=2, q=2)\n")
+    proc = _fresh_python("-m", "chromaq.cli", "verify", "check_as", "--n", "8")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: sweeping the orientations of the tall paths of size 8 "
+                           "visits 268,435,456 elements, past the bound MAX_SWEEP = 117,649\n")
 
 
 @pytest.mark.parametrize("check, n", [("check_palindromic", 7), ("check_cm", 6)])
 def test_symbolic_checks_reach_past_the_default_grid(check, n):
     # each about half a second in a fresh process on a 2-core host; a kernel
     # that walks every coloring takes about 12 s and 1.7 s, and --durations shows it
-    import os
-    import subprocess
-    import sys
-
-    import chromaq
-    src = os.path.dirname(os.path.dirname(chromaq.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "chromaq.cli", "verify", check, "--n", str(n)],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = _fresh_python("-m", "chromaq.cli", "verify", check, "--n", str(n), timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith(f"PASS {check} (n={n}")
 
