@@ -314,6 +314,7 @@ def check_cm(n: int) -> CheckReport:
     the two sides share no change of basis, and every product stays in Z[t].
     """
     scale = t_minus_one_power(n) * factorial(n)
+    paths = gen_dyck(n)  # refused past MAX_PATH_N before the degree-n table is built
     to_p = _m_to_p_integral(n)
 
     def test(pi):
@@ -322,7 +323,7 @@ def check_cm(n: int) -> CheckReport:
         rhs = expand_in_basis(plethysm_mul(G), "M")
         return lhs == rhs, lhs, rhs
 
-    return _scan("check_cm", n, None, gen_dyck(n), test)
+    return _scan("check_cm", n, None, paths, test)
 
 
 def check_palindromic(n: int) -> CheckReport:

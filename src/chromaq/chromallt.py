@@ -15,7 +15,8 @@ kernel counts by classes rather than by vertices: it takes the class of
 each color in turn from the vertices not yet colored, and memoises on that
 set and the parts of mu still to place.  That is about 3^n work where a
 walk over the colorings is about n!, and every mu with the same tail of
-parts shares the memo.
+parts shares the memo.  The 3^n count is known from n, so it is the
+kernel's guard: `_color_sum` refuses past MAX_SWEEP (n >= 11) on the call.
 
 `csf`, `llt_vertical` and `as_expansion` are built once per process for each
 graph or path (both are immutable and hash by value, so they key an
@@ -41,10 +42,8 @@ from .combinatorics import (
     diag,
 )
 from .exactnum import LaurentPoly, t_minus_one_power
-from .guards import require, require_sweep
+from .guards import require_sweep
 from .symfunc import SymFunc, expand_in_basis
-
-MAX_COLORING_N = 8
 
 
 def _slot_bits(n: int) -> int:
@@ -78,6 +77,7 @@ def _color_sum(n: int, asc_edges: Iterable[Edge], differ: Iterable[Edge] = (),
     or if its unpacked coefficients sum past it (a carry would only lower
     that sum, so the two halves catch different faults).
     """
+    require_sweep(f"the color classes of [{n}]", 3 ** n)
     if n == 0:
         return SymFunc(0, "M", {(): 1})
     up, apart, need = [0] * n, [0] * n, [0] * n
@@ -150,7 +150,6 @@ def _color_sum(n: int, asc_edges: Iterable[Edge], differ: Iterable[Edge] = (),
 @lru_cache(maxsize=None)
 def csf(gamma: IndiffGraph) -> SymFunc:
     """Chromatic quasisymmetric function: sum over proper colorings of t^asc x^kappa."""
-    require(gamma.n <= MAX_COLORING_N, f"csf: n = {gamma.n} exceeds guard {MAX_COLORING_N}")
     return _color_sum(gamma.n, gamma.edges, differ=gamma.edges)
 
 
@@ -163,9 +162,7 @@ def llt_vertical(sigma: SchroderPath) -> SymFunc:
     """
     if not sigma.is_tall:
         raise ValueError("llt_vertical needs a tall path")
-    n = sigma.size
-    require(n <= MAX_COLORING_N, f"llt_vertical: n = {n} exceeds guard {MAX_COLORING_N}")
-    return _color_sum(n, area(sigma), rise=diag(sigma))
+    return _color_sum(sigma.size, area(sigma), rise=diag(sigma))
 
 
 def _h_vector(up: list[list[tuple[int, int]]], mask: int) -> list[int]:

@@ -21,8 +21,9 @@ of m_nu in p_lam counts the ways to drop the parts of lam into the parts of
 nu.  No basis element is built by multiplying exponent vectors.  Every
 change-of-basis table is unitriangular up to a power of t (M, S, HLP, PT) or
 constant (E, H, P), so the Laurent ring Q[t, 1/t] holds every coefficient and
-no basis change divides by a polynomial.  A SymFunc is immutable: the caches
-in chromallt hand one object to every caller.
+no basis change divides by a polynomial.  The one inversion, p(d)^3 steps,
+is refused on that count past MAX_SWEEP (from degree 11) before any work.  A
+SymFunc is immutable: the caches in chromallt hand one object to every caller.
 """
 
 from __future__ import annotations
@@ -45,9 +46,8 @@ from .combinatorics import (
 )
 from .exactnum import ONE, ZERO, LaurentPoly, ratfunc_to_const
 from .exactnum import T as _T
-from .guards import require
+from .guards import require_sweep
 
-MAX_DEGREE = 8
 BASES = ("M", "E", "H", "P", "S", "HLP", "PT")
 
 Coeff = LaurentPoly
@@ -288,6 +288,7 @@ def _from_monomials(basis: str, d: int) -> dict[Partition, dict[Partition, Coeff
     is a unit of Q[t, 1/t], so A^{-1} stays in the Laurent ring.
     """
     keys = _partitions(d)
+    require_sweep(f"the {len(keys)}^3 steps inverting the degree-{d} {basis} table", len(keys) ** 3)
     idx = {k: i for i, k in enumerate(keys)}
     a = [[ZERO] * len(keys) for _ in keys]
     for j, lam in enumerate(keys):
@@ -306,8 +307,8 @@ def basis_element(basis: str, lam: Partition) -> SymFunc:
     """The named basis element in monomial coordinates."""
     lam = tuple(lam)
     d = sum(lam)
-    _require_partition(lam, d)
-    require(d <= MAX_DEGREE, f"basis_element: degree {d} exceeds guard {MAX_DEGREE}")
+    if lam not in _partition_index(d):  # refused past MAX_PARTITION_N
+        raise ValueError(f"{lam} is not a partition of {d}")
     return SymFunc(d, "M", dict(_m_coords(basis, lam)))
 
 
@@ -323,8 +324,6 @@ def _change(coeffs: dict[Partition, Coeff],
 
 def expand_in_basis(F: SymFunc, basis: str) -> SymFunc:
     """F rewritten in the named basis, through its monomial coordinates."""
-    require(F.degree <= MAX_DEGREE,
-            f"expand_in_basis: degree {F.degree} exceeds guard {MAX_DEGREE}")
     if F.basis == basis:
         return F
     coeffs = F.coeffs

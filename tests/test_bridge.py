@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -274,8 +275,7 @@ def test_the_size_knobs_are_exactly_these():
                        [node.target] if isinstance(node, ast.AnnAssign) else [])
             found.update(t.id for t in targets
                          if isinstance(t, ast.Name) and t.id.startswith("MAX_"))
-    assert found == {"MAX_SWEEP", "MAX_DEGREE", "MAX_COLORING_N", "MAX_PARTITION_N",
-                     "MAX_PATH_N"}
+    assert found == {"MAX_SWEEP", "MAX_PARTITION_N", "MAX_PATH_N"}
 
 
 def _package_imports():
@@ -363,6 +363,14 @@ def test_a_fresh_process_exits_one_on_a_failing_check_and_two_on_a_refusal():
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == ("error: sweeping the orientations of the tall paths of size 8 "
                            "visits 268,435,456 elements, past the bound MAX_SWEEP = 117,649\n")
+    # 3^11 = 177,147 color classes, refused on the call: the kernel would take about 0.3 s
+    start = time.perf_counter()
+    proc = _fresh_python("-m", "chromaq.cli", "compute", "csf", '{"n": 11, "edges": []}')
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: sweeping the color classes of [11] visits 177,147 elements, "
+                           "past the bound MAX_SWEEP = 117,649\n")
+    assert elapsed < 0.5, elapsed
 
 
 @pytest.mark.parametrize("check, n", [("check_palindromic", 7), ("check_cm", 6)])
@@ -377,6 +385,7 @@ def test_symbolic_checks_reach_past_the_default_grid(check, n):
 def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
     import chromaq.chromallt
     import chromaq.fqoracle
+    import chromaq.symfunc
     import matrix_oracle
     import orientation_oracle
     from chromaq.chromallt import as_expansion
@@ -411,6 +420,9 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
     monkeypatch.setattr(chromaq.fqoracle, "permutations", no_work)
     monkeypatch.setattr(matrix_oracle, "product", no_work)
     monkeypatch.setattr(chromaq.chromallt, "_h_vector", no_work)
+    monkeypatch.setattr(chromaq.chromallt, "_slot_bits", no_work)
+    monkeypatch.setattr(chromaq.symfunc, "_m_coords", no_work)
+    monkeypatch.setattr(chromaq.symfunc, "_invert", no_work)
     monkeypatch.setattr(orientation_oracle, "Orientation", no_work)
     # 17 edges on [7]: every {i, j} with j - i <= 3, and {1, 5}, {2, 6}
     g17 = IndiffGraph(7, frozenset([(i, j) for i in range(1, 8) for j in range(i + 1, min(i + 4, 8))]
@@ -433,10 +445,18 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
         (lambda: orientations(g17), "131,072"),
         (lambda: as_expansion(area_inverse(g17.edges, 7).as_schroder()), "131,072"),
         (lambda: as_expansion(staircase), "2,097,152"),
+        # 3^11 color classes, and p(11)^3 Gauss-Jordan steps for any change of basis
+        (lambda: csf(IndiffGraph(11, [])), "177,147"),
+        (lambda: llt_vertical(SchroderPath("ES" * 11)), "177,147"),
+        (lambda: expand_in_basis(SymFunc(11, "M", {(11,): 1}), "S"), "175,616"),
+        (lambda: omega(SymFunc(11, "M", {(11,): 1})), "175,616"),
     ]
+    tables = chromaq.symfunc._from_monomials.cache_info().currsize
     for call, count in refused:
-        with pytest.raises(SizeGuardError, match=f"visits {count} elements"):
+        with pytest.raises(SizeGuardError,
+                           match=f"visits {count} elements, past the bound MAX_SWEEP = 117,649"):
             call()
+    assert chromaq.symfunc._from_monomials.cache_info().currsize == tables  # no table was kept
     # chi_bar on [16] needs the Cat(16) graphs first, and their enumeration refuses
     with pytest.raises(SizeGuardError, match="gen_dyck: n = 16 exceeds guard"):
         induce_to_GL(chi_bar(IndiffGraph(16, []), 5))
@@ -777,6 +797,16 @@ def test_check_as_is_refused_before_any_orientation(monkeypatch):
     # at n = 6 the largest area has 15 edges, so the guard lets the scan start
     with pytest.raises(RuntimeError, match="a kernel ran"):
         check_as(6)
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_check_cm_is_refused_before_any_table(n):
+    # the Dyck paths are enumerated, and refused past MAX_PATH_N, before the degree-n m -> p table
+    from chromaq.symfunc import _from_monomials
+    tables = _from_monomials.cache_info().misses
+    with pytest.raises(SizeGuardError, match=f"gen_dyck: n = {n} exceeds guard 8"):
+        check_cm(n)
+    assert _from_monomials.cache_info().misses == tables
 
 
 # -- omega on M coordinates -----------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 
 from chromaq.bridge import check_palindromic
 from chromaq.chromallt import (
-    MAX_COLORING_N,
     _color_sum,
     _h_vector,
     as_expansion,
@@ -99,13 +98,15 @@ def test_llt_empty_path_is_one():
 
 
 def test_csf_guard():
-    with pytest.raises(SizeGuardError):
-        csf(IndiffGraph(9, frozenset()))
+    # the kernel's 3^n color classes: 3^10 = 59,049 run, 3^11 = 177,147 are past MAX_SWEEP
+    with pytest.raises(SizeGuardError, match="the color classes of \\[11\\] visits 177,147 elements"):
+        csf(IndiffGraph(11, frozenset()))
+    assert csf(IndiffGraph(10, frozenset())).degree == 10
 
 
 def test_csf_complete_graph_is_t_factorial_en_at_the_guard_edge():
-    # X_{K_n} = [n]_t! e_n (Shareshian-Wachs), and e_n = m_{1^n}
-    for n in range(MAX_COLORING_N + 1):
+    # X_{K_n} = [n]_t! e_n (Shareshian-Wachs), and e_n = m_{1^n}, to the last n the guard admits
+    for n in range(11):
         g = IndiffGraph(n, frozenset(combinations(range(1, n + 1), 2)))
         t_factorial = prod((LaurentPoly.from_terms(dict.fromkeys(range(i), 1))
                             for i in range(1, n + 1)), start=RF(1))
@@ -299,10 +300,10 @@ def test_color_classes_match_the_vertex_kernel():
 
 
 def test_edgeless_closed_form_at_the_guard_edge():
-    # no enumerating oracle fits the test budget at n = 8: the edgeless graph
-    # counts every word of content mu, and (ES)^n has no area and no diag, so
-    # its LLT polynomial is the edgeless X (K_n is checked above)
-    for n in range(MAX_COLORING_N + 1):
+    # no enumerating oracle fits the test budget at n = 8, and the guard admits
+    # n = 10: the edgeless graph counts every word of content mu, and (ES)^n has
+    # no area and no diag, so its LLT polynomial is the edgeless X (K_n is checked above)
+    for n in range(11):
         edgeless = csf(IndiffGraph(n, frozenset()))
         assert edgeless.coeffs == {mu: RF(factorial(n) // prod(map(factorial, mu)))
                                    for mu in gen_partitions(n)}, n

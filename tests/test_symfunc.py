@@ -9,7 +9,6 @@ from chromaq.exactnum import LaurentPoly, PoleError, RationalFunc
 from chromaq.guards import SizeGuardError
 from chromaq.symfunc import (
     BASES,
-    MAX_DEGREE,
     SymFunc,
     basis_element,
     eval_t,
@@ -117,10 +116,12 @@ def test_unknown_basis():
 
 
 def test_nvars_guard():
-    with pytest.raises(SizeGuardError):
-        basis_element("M", (9,))
-    with pytest.raises(SizeGuardError):
-        expand_in_basis(SymFunc(9, "M", {(9,): RF(1)}), "S")
+    # a change of basis inverts a p(d) x p(d) table: p(11)^3 = 175,616 steps, past MAX_SWEEP
+    with pytest.raises(SizeGuardError, match="visits 175,616 elements, past the bound MAX_SWEEP"):
+        expand_in_basis(SymFunc(11, "M", {(11,): RF(1)}), "S")
+    # a basis element is indexed by the partitions of its degree, kept to MAX_PARTITION_N = 12
+    with pytest.raises(SizeGuardError, match="gen_partitions: n = 13 exceeds guard 12"):
+        basis_element("M", (13,))
 
 
 # -- Hall-Littlewood anchors -----------------------------------------------------
@@ -500,7 +501,7 @@ def test_omega_m_table_is_an_integer_involution_equal_to_the_p_path():
 
 
 def test_omega_swaps_e_and_h_and_transposes_s_at_the_degree_guard():
-    d = MAX_DEGREE
+    d = 10  # the last degree the guard admits: p(10)^3 = 74,088 Gauss-Jordan steps
     for b in BASES:
         assert list(_from_monomials(b, d)) == gen_partitions(d), b
     for lam in gen_partitions(d):
