@@ -43,7 +43,7 @@ from .fqoracle import (
     induce_to_GL,
     permutation_character_oracle,
     psi_pseudo,
-    require_flags,
+    require_fibres,
 )
 from .symfunc import (
     SymFunc,
@@ -207,7 +207,7 @@ def check_cqs(n: int, q: int) -> CheckReport:
 
 def check_hess(n: int, q: int) -> CheckReport:
     """Induced character values count Hessenberg points: (q-1)^n q^{|E|} |B|."""
-    require_flags(n, q)
+    require_fibres(n, q)
     graphs = indifference_graphs(n)
     items = [(g, lam) for g in graphs for lam in _partitions(n)]
     induced = {g: induce_to_GL(chi_bar(g, q)) for g in graphs}
@@ -224,7 +224,7 @@ def check_hess(n: int, q: int) -> CheckReport:
 
 def check_poincare(n: int, q: int) -> CheckReport:
     """Hessenberg point counts equal q^{-|E|} d_lam^gamma(q)."""
-    require_flags(n, q)
+    require_fibres(n, q)
     items = [(g, lam) for g in indifference_graphs(n) for lam in _partitions(n)]
     dcache = {g: d_coeffs(g) for g in indifference_graphs(n)}
 

@@ -34,7 +34,7 @@ from .fqoracle import (
     hessenberg_count,
     induce_to_GL,
     nilpotent_type,
-    require_flags,
+    require_fibres,
     superclass_sizes,
 )
 from .guards import SizeGuardError
@@ -136,7 +136,7 @@ def _cmd_compute(args: SimpleNamespace) -> int:
         gamma = _parse_graph(args.index)
         if bool(args.matrix) == bool(args.jordan_type):
             raise ValueError("hess-count needs one of --matrix DIGITS or --jordan-type PART,PART,..")
-        require_flags(gamma.n, args.q)  # before any n x n matrix is built
+        require_fibres(gamma.n, args.q)  # before any n x n matrix is built
         if args.matrix:
             lam = nilpotent_type(args.matrix, gamma.n, args.q)
         else:

@@ -1,30 +1,34 @@
-"""Brute-force engine over F_q: UT_n enumeration, superclass functions,
-pseudosupercharacters, induction to GL_n, flags, and Hessenberg point counts.
+"""Engine over F_q: UT_n enumeration, superclass functions, pseudosupercharacters,
+induction to GL_n, and counts of UT_gamma cosets and of Hessenberg points.
 
-q is restricted to primes <= 7; each sweep refuses past guards.MAX_SWEEP elements,
-when it is called.  An n x n matrix over F_q is one int with entry (i, j) in
-byte i*n + j: the sweeps yield them, and one packed kernel, `_Packed`, computes
-on them.  A product is n big-int multiplies of a column by a row, and
+q is restricted to primes <= 7.  An n x n matrix over F_q is one int with
+entry (i, j) in byte i*n + j, and one packed kernel, `_Packed`, computes on
+them.  A product is n big-int multiplies of a column by a row, and
 bytes.translate reduces the result mod q or reads off its zero pattern.  No
-byte carries while n(q-1)^2 < 256; past that the kernel raises, and no sweep
-that MAX_SWEEP admits comes near it.
+byte carries while n(q-1)^2 < 256; past that the kernel raises, and nothing
+that the guards admit comes near it.
 
-Induction to GL_n needs only a sweep of UT_n: each element contributes the
-centralizer order of its Jordan type (Frobenius formula), and `induce_to_GL`
-is cached by the value of its class function.  The independent
-oracles (cosets of UT_gamma, Hessenberg counts, and in the tests induction
-over GL_n) all count the x of a sweep with x^{-1} a x in the pattern algebra
-of gamma, for a = u - 1 or J_lam - 1; one cached kernel sweeps each (n, q)
-once for all gamma and lam.  A Hessenberg count is constant on the GL_n class
-of its nilpotent, so every nilpotent matrix reads the tally of its J_lam - 1.
+Induction to GL_n is the one brute-force sweep: each element of UT_n
+contributes the centralizer order of its Jordan type (Frobenius formula), the
+sweep refuses past guards.MAX_SWEEP elements when it is called, and
+`induce_to_GL` is cached by the value of its class function.  The other two
+counts are linear algebra on packed rows.  The cosets of UT_gamma fixed by a
+superclass are a product over columns of q to the corank of a linear system,
+whose ranks are read once per (n, q).  A Hessenberg count sums the tally of
+one depth-first walk of the Springer fibre of J_lam - 1 per (lam, q), refused
+past MAX_SWEEP flags; the count is constant on the GL_n class of its
+nilpotent, so every nilpotent matrix reads the walk of its Jordan type.  The
+sweeps that these counts replaced, conjugating by every element of UT_n or
+every flag, are the oracles of the tests.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import accumulate, chain, permutations, product
-from typing import Callable, Iterable, Iterator, Mapping
+from itertools import accumulate, product
+from operator import le
+from typing import Iterable, Iterator, Mapping
 
 from .combinatorics import (
     Frozen,
@@ -146,34 +150,6 @@ class _Packed:
                              f"ranks of (u-1)^k are {ranks}")
         return tuple(sum(1 for c in conj if c >= i) for i in range(1, conj[0] + 1)) if conj else ()
 
-    def inverse_columns(self, x: int) -> list[int]:
-        """Column k of x^{-1} at bytes i*n, for each k: Gauss-Jordan on the
-        columns of x (the rows of x^T, entry i in byte i*n) beside an identity
-        whose entry i sits in byte i*n + 1.
-
-        Row j of x^T pivots on its last nonzero entry.  In a unipotent upper
-        triangular x or a flag representative that is a 1 which the earlier
-        rows leave in place, so those rows need no scaling."""
-        n, q, inv, col, mod = self.n, self.q, self.inv, self.col, self.mod
-        size = n * n + 1
-        rows = [x >> 8 * k & col | 1 << 8 * (k * n + 1) for k in range(n)]
-        pivots = []
-        for i in range(n):
-            p, rows[i] = rows[i], 0
-            if not p & col:
-                raise ValueError("matrix is singular")
-            sh = (p & col).bit_length() - 1 & ~7
-            if (v := p >> sh & 255) != 1:
-                p = self.reduce(p * inv[v], size)
-            rows = [int.from_bytes((r + (q - v) * p).to_bytes(size, "little").translate(mod),
-                                   "little") if (v := r >> sh & 255) else r for r in rows]
-            rows[i] = p
-            pivots.append(sh // (8 * n))
-        out = [0] * n
-        for k, r in zip(pivots, rows):
-            out[k] = r >> 8 & col
-        return out
-
 
 def jordan_nilpotent(lam: Partition) -> int:
     """J_lam - 1, packed: the nilpotent part of the Jordan matrix of type lam,
@@ -192,14 +168,6 @@ def ut_order(n: int, q: int) -> int:
     return q ** (n * (n - 1) // 2)
 
 
-def gl_order(n: int, q: int) -> int:
-    qn = q ** n
-    out = 1
-    for i in range(n):
-        out *= qn - q ** i
-    return out
-
-
 def flag_count(n: int, q: int) -> int:
     """Number of complete flags: the q-factorial [n]_q!."""
     out = 1
@@ -208,17 +176,12 @@ def flag_count(n: int, q: int) -> int:
     return out
 
 
-def require_ut(n: int, q: int) -> None:
-    """Refuse, before any work, a sweep of the q^{n(n-1)/2} elements of UT_n(F_q) past MAX_SWEEP."""
-    _check_q(q)
-    require_sweep(f"UT_{n}(F_{q})", ut_order(n, q))
-
-
 def ut_elements(n: int, q: int) -> Iterator[int]:
     """All elements of UT_n(F_q), packed: the identity plus each choice of the
     entries above the diagonal, row by row, in the order of itertools.product.
     Refused past MAX_SWEEP on the call, before the generator is made."""
-    require_ut(n, q)
+    _check_q(q)
+    require_sweep(f"UT_{n}(F_{q})", ut_order(n, q))
     one = sum(1 << 8 * i * (n + 1) for i in range(n))
     places = [[v << 8 * (i * n + j) for v in range(q)] for i in range(n) for j in range(i + 1, n)]
     return (one + sum(vals) for vals in product(*places))
@@ -432,75 +395,18 @@ def induce_to_GL(phi: ClassFnUT) -> UnipClassFn:
 
 
 # ---------------------------------------------------------------------------
-# the conjugation sweep behind the coset, GL_n and Hessenberg oracles
+# counts by linear algebra: UT_gamma cosets and Hessenberg points
 # ---------------------------------------------------------------------------
 
-def _conjugation_terms(k: _Packed, a: int) -> tuple[tuple[int, int], ...]:
-    """x^{-1} a x as a sum of a[r][c] copies of (column r of x^{-1}) (row c of
-    x): the (r, c) of each copy.  OverflowError if that sum could carry between
-    bytes; no target of a sweep that MAX_SWEEP admits comes near it."""
-    n, q = k.n, k.q
-    terms = tuple(divmod(i, n) for i, v in enumerate(a.to_bytes(n * n, "little"))
-                  for _ in range(v))
-    if len(terms) * (q - 1) ** 2 > 255:
-        raise OverflowError(f"x^-1 a x over F_{q} as a sum of {len(terms)} products "
-                            f"would carry between bytes: {k.unpack(a)}")
-    return terms
-
-
-@lru_cache(maxsize=None)
-def _conjugate_masks(sweep: Callable[[int, int], Iterator[int]], n: int, q: int,
-                     targets: tuple[int, ...]) -> tuple[Counter, ...]:
-    """For each target a, how many x of sweep(n, q) give x^{-1} a x each zero
-    pattern (bit 8(i*n + j) set iff entry (i, j) is 0).
-
-    Each x is inverted once.  The conjugate of a is the sum of its terms, so
-    every product of a column of x^{-1} by a row of x is made once per x and
-    shared by all the targets; a J_lam - 1 has at most n - 1 terms.
-    """
-    out = tuple(Counter() for _ in targets)
-    xs = sweep(n, q)  # its guard runs first, before the kernel's carry bound
-    k = _Packed(n, q)
-    size, zero, from_bytes = n * n, _field(q)[2], int.from_bytes
-    terms = [_conjugation_terms(k, a) for a in targets]
-    slot = {t: i for i, t in enumerate(sorted(set(chain.from_iterable(terms))))}
-    plans = [([slot[t] for t in ts], masks) for ts, masks in zip(terms, out)]
-    for x in xs:
-        cols = k.inverse_columns(x)
-        rows = [x >> 8 * j * n & k.row for j in range(n)]
-        prods = [cols[r] * rows[c] for r, c in slot]
-        for slots, masks in plans:
-            conj = sum([prods[i] for i in slots])
-            # _zero_mask, inlined: this line runs once per conjugate
-            masks[from_bytes(conj.to_bytes(size, "little").translate(zero), "little")] += 1
-    return out
-
-
-def _pattern_counts(tallies: Iterable[Counter], gamma: IndiffGraph) -> list[int]:
-    """For each tally, how many conjugates lie in the pattern algebra of gamma:
-    zero on and below the diagonal and at every edge of gamma."""
-    n = gamma.n
-    e = sum(1 << 8 * (i * n + j) for i in range(n) for j in range(i + 1))
-    e |= sum(1 << 8 * ((i - 1) * n + j - 1) for i, j in gamma.edges)
-    return [sum(c for mask, c in masks.items() if mask & e == e) for masks in tallies]
-
-
-def _cosets(tallies: Iterable[Counter], gamma: IndiffGraph, q: int) -> tuple[int, ...]:
-    """The pattern counts divided by |UT_gamma|: the x counted form UT_gamma cosets."""
-    sub_order = ut_order(gamma.n, q) // q ** len(gamma.edges)
-    out = []
-    for count in _pattern_counts(tallies, gamma):
-        if count % sub_order:
-            raise AssertionError(f"{count} elements are not a union of UT_gamma cosets "
-                                 f"(|UT_gamma| = {sub_order})")
-        out.append(count // sub_order)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _jordan_nilpotents(n: int) -> tuple[int, ...]:
-    """The J_lam - 1 for lam |- n, in the order of gen_partitions(n)."""
-    return tuple(jordan_nilpotent(lam) for lam in _partitions(n))
+def _hessenberg_function(gamma: IndiffGraph) -> tuple[int, ...]:
+    """m_j for each column j of [n]: (the least i with {i, j} in E) - 1, or j - 1
+    when column j has no edge.  A matrix of the pattern algebra of gamma, zero
+    on and below the diagonal and at every edge, may be nonzero in column j
+    only in rows 1..m_j.  m is nondecreasing: edges are closed under sub-intervals."""
+    m = list(range(gamma.n))
+    for i, j in gamma.edges:
+        m[j - 1] = min(m[j - 1], i - 1)
+    return tuple(m)
 
 
 @lru_cache(maxsize=None)
@@ -518,43 +424,129 @@ def _superclass_nilpotents(n: int, q: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _column_ranks(n: int, q: int) -> tuple[tuple[int | None, ...], ...]:
+    """For each superclass representative a = u - 1, in the order of
+    indifference_graphs(n), and each column j and m < j in turn: the rank of
+    rows m+1..j-1 of the first j-1 columns of a, or None when column j's rows
+    m+1..j-1 are not in the span of those columns.  Column 1 and row n of a are
+    zero, so the ranks are read in the (n-1)-square block that drops them: the
+    kernel admits that block at (8,7), where n(q-1)^2 > 255."""
+    reps = _superclass_nilpotents(n, q)  # refused past MAX_PATH_N, before any kernel
+    w = max(n - 1, 0)
+    k = _Packed(w, q)
+
+    def block(rows: range, cols: int) -> int:
+        return sum(255 << 8 * (i * w + c) for i in rows for c in range(cols))
+
+    # block column c is column c + 2 of a, so a's columns 1..j-1 are block columns < j - 2
+    masks = [(block(range(m, j - 1), j - 2), block(range(m, j - 1), j - 1))
+             for j in range(1, n + 1) for m in range(j)]
+    out = []
+    for a in reps:
+        raw = a.to_bytes(n * n, "little")
+        b = int.from_bytes(b"".join(raw[i * n + 1:(i + 1) * n] for i in range(w)), "little")
+        ranks = [(k.rank(b & lhs), k.rank(b & aug)) for lhs, aug in masks]
+        out.append(tuple(r if r == s else None for r, s in ranks))
+    return tuple(out)
+
+
 def permutation_character_oracle(gamma: IndiffGraph, q: int) -> ClassFnUT:
-    """Character of UT_n acting on UT_n/UT_gamma by direct coset counting.
+    """Character of UT_n acting on UT_n/UT_gamma, counted column by column.
 
     Independent of the chi_bar formula; used to verify it.  x UT_gamma is fixed
-    by u iff x^{-1} u x lies in UT_gamma, that is iff x^{-1} (u - 1) x lies in
-    the pattern algebra of gamma.
+    by u iff x^{-1} a x lies in the pattern algebra of gamma, a = u - 1, that is
+    iff a x_j lies in <e_1..e_{m_j}> for each column x_j of x.  Column j of x is
+    e_j plus any w in <e_1..e_{j-1}>, and a strictly upper a makes that a linear
+    system in w on rows m_j+1..j-1: q^{j-1-r_j} solutions, r_j its rank, or
+    none.  So u fixes q^{|E| - sum r_j} cosets, or none; the ranks are read
+    once per (n, q) by _column_ranks.
     """
-    n = gamma.n
-    require_ut(n, q)  # before any representative is built
-    tallies = _conjugate_masks(ut_elements, n, q, _superclass_nilpotents(n, q))
-    return ClassFnUT(n, q, _cosets(tallies, gamma, q))
-
-
-# ---------------------------------------------------------------------------
-# flags and Hessenberg point counts
-# ---------------------------------------------------------------------------
-
-def require_flags(n: int, q: int) -> None:
-    """Refuse, before any work, a sweep of the [n]_q! flags of F_q^n past MAX_SWEEP."""
     _check_q(q)
-    require_sweep(f"the flags of F_{q}^{n}", flag_count(n, q))
+    cells = [j * (j + 1) // 2 + m for j, m in enumerate(_hessenberg_function(gamma))]
+    edges = len(gamma.edges)
+    values = []
+    for ranks in _column_ranks(gamma.n, q):
+        rs = [ranks[c] for c in cells]
+        values.append(0 if None in rs else q ** (edges - sum(rs)))
+    return ClassFnUT(gamma.n, q, tuple(values))
 
 
-def flag_reps(n: int, q: int) -> Iterator[int]:
-    """Canonical coset representatives of GL_n/B_n, one per complete flag, packed.
+@lru_cache(maxsize=None)
+def _fibre_size(lam: Partition, q: int) -> int:
+    """|B_lam(F_q)|, the flags V with a V_j in V_{j-1} for every j, a = J_lam - 1,
+    by Spaltenstein's recursion: V_1 is a line of ker a, and the lines of ker a
+    that shorten the last part k of lam number q^{#parts > k} [m_k(lam)]_q."""
+    if not lam:
+        return 1
+    out = 0
+    for i, k in enumerate(lam):
+        if i + 1 < len(lam) and lam[i + 1] == k:
+            continue
+        first = lam.index(k)
+        shorter = lam[:i] + ((k - 1,) if k > 1 else ()) + lam[i + 1:]
+        out += q ** first * (q ** (i + 1 - first) - 1) // (q - 1) * _fibre_size(shorter, q)
+    return out
 
-    Column j has its lowest nonzero entry normalized to 1 in pivot row w(j);
-    entries at earlier pivot rows are cleared.  Remaining entries are free:
-    for each w in turn, the pivots plus each choice of them, in the order of
-    itertools.product.  Refused past MAX_SWEEP on the call.
+
+def require_fibres(n: int, q: int) -> None:
+    """Refuse, before any work, the walks of the Springer fibres of F_q^n past
+    MAX_SWEEP: sum over lam != 1^n of |B_lam(F_q)| flags, from _fibre_size."""
+    _check_q(q)
+    ones = (1,) * n
+    require_sweep(f"the Springer fibres of F_{q}^{n}",
+                  sum(_fibre_size(lam, q) for lam in _partitions(n) if lam != ones))
+
+
+@lru_cache(maxsize=None)
+def _springer_fibre(lam: Partition, q: int) -> Counter:
+    """The flags V of F_q^n with V_j a in V_{j-1} for every j, a = J_lam - 1 acting
+    on row vectors, tallied by mu: mu_j = min{m : V_j a in V_m}.  Rows under a
+    are columns under a^T, which is conjugate to a, so the tally is that of the
+    column flags of a.
+
+    Depth first: the children of V_d are the lines of F^n/V_d that a kills
+    there.  Each basis vector g_t is 1 at its pivot, its last nonzero byte, and
+    0 at the pivots before it, so F^n/V_d is spanned by the free coordinates f.
+    For each f the walk carries e_f a reduced modulo V_d, in bytes 0..n-1, and
+    the multiple of each g_t that the reduction took off, in bytes n..2n-1.
+    Both are linear in e_f: a v in the kernel has v a = sum c_t g_t, and
+    mu_{d+1} = max(mu_d, the bytes of c).  No sum here passes q(q-1) in a byte.
     """
-    require_flags(n, q)
-    cells = ((sum(1 << 8 * (w[j] * n + j) for j in range(n)),
-              [[v << 8 * (i * n + j) for v in range(q)]
-               for j in range(n) for i in range(w[j]) if i not in w[:j]])
-             for w in permutations(range(n)))
-    return (pivots + sum(vals) for pivots, places in cells for vals in product(*places))
+    n = sum(lam)
+    a, k = jordan_nilpotent(lam), _Packed(n, q)
+    size, tally = 3 * n, Counter()
+
+    def walk(d: int, images: dict[int, int], mu: tuple[int, ...]) -> None:
+        # the kernel: eliminate on bytes 0..n-1, with e_f in byte 2n + f
+        rows = [x | 1 << 8 * (2 * n + f) for f, x in images.items()]
+        span = [0]
+        while rows:
+            p = rows.pop()
+            if not p & k.row:
+                b = p >> 8 * n  # c in bytes 0..n-1, v in bytes n..2n-1
+                span = [k.reduce(s + c * b, size) for c in range(q) for s in span]
+                continue
+            sh = (p & -p).bit_length() - 1 & ~7
+            scale = q - k.inv[p >> sh & 255]
+            rows = [k.reduce(r + (v * scale % q) * p, size) if (v := r >> sh & 255) else r
+                    for r in rows]
+        for b in span[1:]:
+            sh = b.bit_length() - 1 & ~7
+            if b >> sh != 1:  # one vector per line: its last nonzero entry is 1
+                continue
+            m = max(mu[-1] if mu else 0, (b & k.row).bit_length() + 7 >> 3)
+            v, p = b >> 8 * n, (sh >> 3) - n
+            rest = {f: k.reduce(x + (q - c) * v + (c << 8 * (n + d)), size)
+                    if (c := x >> 8 * p & 255) else x for f, x in images.items() if f != p}
+            if d + 2 < n:
+                walk(d + 1, rest, mu + (m,))
+            else:  # V_{n-1} leaves one free coordinate, whose e_f closes the flag
+                (x,) = rest.values()
+                tally[mu + (m, max(m, (x >> 8 * n).bit_length() + 7 >> 3))] += 1
+
+    walk(0, {f: a >> 8 * f * n & k.row for f in range(n)}, ())
+    return tally
 
 
 def nilpotent_type(digits: str, n: int, q: int) -> Partition:
@@ -580,12 +572,15 @@ def hessenberg_count(gamma: IndiffGraph, lam: Partition, q: int) -> int:
     """Number of flags gB with g^{-1} a g strictly upper and zero at the edges of
     gamma, for a nilpotent a over F_q with 1 + a of Jordan type lam.
 
-    g -> h g maps the flags of a onto those of h^{-1} a h (the pattern algebra is
-    B-stable), so every such a reads the one flag sweep of (n, q) at J_lam - 1."""
+    That is a V_j in V_{m_j} for every j, m = _hessenberg_function(gamma): the
+    flags of the Springer fibre with mu <= m.  g -> h g maps the flags of a onto
+    those of h^{-1} a h, so every such a reads the walk of J_lam - 1; for
+    lam = 1^n, a = 0 and every flag counts."""
     n = gamma.n
-    require_flags(n, q)  # before any matrix is built
-    index = _partition_index(n).get(lam)
-    if index is None:
+    require_fibres(n, q)  # before any matrix is built
+    if lam not in _partition_index(n):
         raise ValueError(f"Jordan type {lam} is not a partition of n = {n}")
-    tallies = _conjugate_masks(flag_reps, n, q, _jordan_nilpotents(n))
-    return _pattern_counts([tallies[index]], gamma)[0]
+    if lam == (1,) * n:
+        return flag_count(n, q)
+    m = _hessenberg_function(gamma)
+    return sum(c for mu, c in _springer_fibre(lam, q).items() if all(map(le, mu, m)))

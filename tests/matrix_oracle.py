@@ -1,38 +1,49 @@
-"""The tuple matrix kernel that `fqoracle._Packed` replaced, and the GL_n oracles.
+"""The tuple matrix kernel that `fqoracle._Packed` replaced, the brute-force
+conjugation sweeps that the package's counts by linear algebra replaced, and
+the GL_n oracles.
 
 The package packs an n x n matrix over F_q into one int, a byte per entry,
-and multiplies, inverts and row-reduces those ints. These helpers redo the
-same work on tuples of row tuples, entry by entry: products, Gauss-Jordan
-inverses, ranks and the Jordan-type ladder. The unipotent Jordan matrix
-J_lam and the subtraction u - 1 build the J_lam - 1 that the package writes
-down directly. On top of them sit the old conjugation sweep (zero patterns
-as bit i*n + j), the old induction table and the centralizer order by
-enumeration of GL_n. The tests compare the package with them exactly.
+and multiplies and row-reduces those ints. These helpers redo the same work
+on tuples of row tuples, entry by entry: products, Gauss-Jordan inverses,
+ranks and the Jordan-type ladder. The unipotent Jordan matrix J_lam and the
+subtraction u - 1 build the J_lam - 1 that the package writes down directly.
+On top of them sit the old conjugation sweep (zero patterns as bit i*n + j),
+the old induction table and the centralizer order by enumeration of GL_n.
+The tests compare the package with them exactly.
 
-The enumerations of UT_n and of the flag representatives as row tuples live
-here too, independent of the package's packed sweeps, and `pack`/`unpack`
-move between the two layouts. The package never sweeps GL_n. The enumeration
-of GL_n lives here, with the one-step induction of the trivial character of
-UT_gamma over it and the canonical representative of a flag, so that
-induction and the flag sweep have independent checks.
+The packed conjugation sweep lives here too: `_conjugate_masks` inverts each
+x of a sweep once (`inverse_columns`) and tallies the zero patterns of
+x^-1 a x for every target a. Over `ut_elements` and the superclass
+representatives it counts the cosets of UT_gamma fixed by each superclass
+(`coset_permutation_character`), the oracle of the package's count by column
+ranks; over the flag representatives `flag_reps` and each J_lam - 1 it counts
+Hessenberg points (`hessenberg_sweep`), the oracle of the package's walk of
+the Springer fibre; over GL_n it induces the trivial character of UT_gamma
+in one step (`induce_trivial_from_subgroup`). The enumerations of UT_n and of
+the flags as row tuples are independent of the packed sweeps, and
+`pack`/`unpack` move between the two layouts. The package never sweeps GL_n
+or the flags.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from itertools import chain, permutations, product
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from chromaq.combinatorics import IndiffGraph, Partition, gen_partitions
 from chromaq.fqoracle import (
+    ClassFnUT,
     UnipClassFn,
     _centralizer_order,
     _check_q,
-    _conjugate_masks,
-    _cosets,
-    _jordan_nilpotents,
+    _field,
+    _Packed,
+    _superclass_nilpotents,
     flag_count,
-    gl_order,
+    jordan_nilpotent,
+    ut_elements,
     ut_order,
 )
 from chromaq.guards import require_sweep
@@ -66,14 +77,31 @@ def ut_rows(n: int, q: int) -> Iterator[Rows]:
         yield tuple(tuple(r) for r in base)
 
 
+def require_flags(n: int, q: int) -> None:
+    """Refuse, before any work, a sweep of the [n]_q! flags of F_q^n past MAX_SWEEP."""
+    _check_q(q)
+    require_sweep(f"the flags of F_{q}^{n}", flag_count(n, q))
+
+
+def flag_reps(n: int, q: int) -> Iterator[int]:
+    """Canonical coset representatives of GL_n/B_n, one per complete flag, packed,
+    in the order of flag_rows.  Refused past MAX_SWEEP on the call."""
+    require_flags(n, q)
+    cells = ((sum(1 << 8 * (w[j] * n + j) for j in range(n)),
+              [[v << 8 * (i * n + j) for v in range(q)]
+               for j in range(n) for i in range(w[j]) if i not in w[:j]])
+             for w in permutations(range(n)))
+    return (pivots + sum(vals) for pivots, places in cells for vals in product(*places))
+
+
 def flag_rows(n: int, q: int) -> Iterator[Rows]:
     """Canonical coset representatives of GL_n/B_n as row tuples, one per complete flag.
 
     Column j has its lowest nonzero entry normalized to 1 in pivot row w(j);
-    entries at earlier pivot rows are cleared.  Remaining entries are free.
+    entries at earlier pivot rows are cleared.  Remaining entries are free:
+    for each w in turn, each choice of them, in the order of itertools.product.
     """
-    _check_q(q)
-    require_sweep(f"the flags of F_{q}^{n}", flag_count(n, q))
+    require_flags(n, q)
     for w in permutations(range(n)):
         free = [(i, j) for j in range(n) for i in range(w[j]) if i not in w[:j]]
         base = [[0] * n for _ in range(n)]
@@ -172,6 +200,14 @@ def jordan_type(u: Rows, q: int) -> Partition:
     return tuple(sum(1 for c in conj if c >= i) for i in range(1, conj[0] + 1)) if conj else ()
 
 
+def gl_order(n: int, q: int) -> int:
+    qn = q ** n
+    out = 1
+    for i in range(n):
+        out *= qn - q ** i
+    return out
+
+
 def gl_matrices(n: int, q: int) -> Iterator[Rows]:
     """Stream all of GL_n(F_q), built row by row from independent vectors.
     Refused past MAX_SWEEP on the call, as the package's sweeps are."""
@@ -199,8 +235,128 @@ def gl_matrices(n: int, q: int) -> Iterator[Rows]:
 
 
 def gl_elements(n: int, q: int) -> Iterator[int]:
-    """GL_n(F_q), packed, for the package's conjugation kernel."""
+    """GL_n(F_q), packed, for the packed conjugation sweep."""
     return map(pack, gl_matrices(n, q))
+
+
+# ---------------------------------------------------------------------------
+# the packed conjugation sweep
+# ---------------------------------------------------------------------------
+
+def inverse_columns(k: _Packed, x: int) -> list[int]:
+    """Column j of x^{-1} at bytes i*n, for each j: Gauss-Jordan on the
+    columns of x (the rows of x^T, entry i in byte i*n) beside an identity
+    whose entry i sits in byte i*n + 1.
+
+    Row j of x^T pivots on its last nonzero entry.  In a unipotent upper
+    triangular x or a flag representative that is a 1 which the earlier
+    rows leave in place, so those rows need no scaling."""
+    n, q, inv, col, mod = k.n, k.q, k.inv, k.col, k.mod
+    size = n * n + 1
+    rows = [x >> 8 * j & col | 1 << 8 * (j * n + 1) for j in range(n)]
+    pivots = []
+    for i in range(n):
+        p, rows[i] = rows[i], 0
+        if not p & col:
+            raise ValueError("matrix is singular")
+        sh = (p & col).bit_length() - 1 & ~7
+        if (v := p >> sh & 255) != 1:
+            p = k.reduce(p * inv[v], size)
+        rows = [int.from_bytes((r + (q - v) * p).to_bytes(size, "little").translate(mod),
+                               "little") if (v := r >> sh & 255) else r for r in rows]
+        rows[i] = p
+        pivots.append(sh // (8 * n))
+    out = [0] * n
+    for j, r in zip(pivots, rows):
+        out[j] = r >> 8 & col
+    return out
+
+
+def _conjugation_terms(k: _Packed, a: int) -> tuple[tuple[int, int], ...]:
+    """x^{-1} a x as a sum of a[r][c] copies of (column r of x^{-1}) (row c of
+    x): the (r, c) of each copy.  OverflowError if that sum could carry between
+    bytes; no target of a sweep that MAX_SWEEP admits comes near it."""
+    n, q = k.n, k.q
+    terms = tuple(divmod(i, n) for i, v in enumerate(a.to_bytes(n * n, "little"))
+                  for _ in range(v))
+    if len(terms) * (q - 1) ** 2 > 255:
+        raise OverflowError(f"x^-1 a x over F_{q} as a sum of {len(terms)} products "
+                            f"would carry between bytes: {k.unpack(a)}")
+    return terms
+
+
+@lru_cache(maxsize=None)
+def _conjugate_masks(sweep: Callable[[int, int], Iterator[int]], n: int, q: int,
+                     targets: tuple[int, ...]) -> tuple[Counter, ...]:
+    """For each target a, how many x of sweep(n, q) give x^{-1} a x each zero
+    pattern (bit 8(i*n + j) set iff entry (i, j) is 0).
+
+    Each x is inverted once.  The conjugate of a is the sum of its terms, so
+    every product of a column of x^{-1} by a row of x is made once per x and
+    shared by all the targets; a J_lam - 1 has at most n - 1 terms.
+    """
+    out = tuple(Counter() for _ in targets)
+    xs = sweep(n, q)  # its guard runs first, before the kernel's carry bound
+    k = _Packed(n, q)
+    size, zero, from_bytes = n * n, _field(q)[2], int.from_bytes
+    terms = [_conjugation_terms(k, a) for a in targets]
+    slot = {t: i for i, t in enumerate(sorted(set(chain.from_iterable(terms))))}
+    plans = [([slot[t] for t in ts], masks) for ts, masks in zip(terms, out)]
+    for x in xs:
+        cols = inverse_columns(k, x)
+        rows = [x >> 8 * j * n & k.row for j in range(n)]
+        prods = [cols[r] * rows[c] for r, c in slot]
+        for slots, masks in plans:
+            conj = sum([prods[i] for i in slots])
+            masks[from_bytes(conj.to_bytes(size, "little").translate(zero), "little")] += 1
+    return out
+
+
+def _pattern_counts(tallies: Iterable[Counter], gamma: IndiffGraph) -> list[int]:
+    """For each tally, how many conjugates lie in the pattern algebra of gamma:
+    zero on and below the diagonal and at every edge of gamma."""
+    n = gamma.n
+    e = sum(1 << 8 * (i * n + j) for i in range(n) for j in range(i + 1))
+    e |= sum(1 << 8 * ((i - 1) * n + j - 1) for i, j in gamma.edges)
+    return [sum(c for mask, c in masks.items() if mask & e == e) for masks in tallies]
+
+
+def _cosets(tallies: Iterable[Counter], gamma: IndiffGraph, q: int) -> tuple[int, ...]:
+    """The pattern counts divided by |UT_gamma|: the x counted form UT_gamma cosets."""
+    sub_order = ut_order(gamma.n, q) // q ** len(gamma.edges)
+    out = []
+    for count in _pattern_counts(tallies, gamma):
+        if count % sub_order:
+            raise AssertionError(f"{count} elements are not a union of UT_gamma cosets "
+                                 f"(|UT_gamma| = {sub_order})")
+        out.append(count // sub_order)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _jordan_nilpotents(n: int) -> tuple[int, ...]:
+    """The J_lam - 1 for lam |- n, in the order of gen_partitions(n)."""
+    return tuple(jordan_nilpotent(lam) for lam in gen_partitions(n))
+
+
+def coset_permutation_character(gamma: IndiffGraph, q: int) -> ClassFnUT:
+    """The character of UT_n on UT_n/UT_gamma by direct coset counting: x UT_gamma
+    is fixed by u iff x^{-1} (u - 1) x lies in the pattern algebra of gamma.
+    Refused past MAX_SWEEP before any representative is built."""
+    n = gamma.n
+    _check_q(q)
+    require_sweep(f"UT_{n}(F_{q})", ut_order(n, q))
+    tallies = _conjugate_masks(ut_elements, n, q, _superclass_nilpotents(n, q))
+    return ClassFnUT(n, q, _cosets(tallies, gamma, q))
+
+
+def hessenberg_sweep(gamma: IndiffGraph, lam: Partition, q: int) -> int:
+    """The Hessenberg count of J_lam - 1 by a sweep of every flag: how many
+    flags gB put g^{-1} (J_lam - 1) g in the pattern algebra of gamma."""
+    n = gamma.n
+    require_flags(n, q)
+    tallies = _conjugate_masks(flag_reps, n, q, _jordan_nilpotents(n))
+    return _pattern_counts([tallies[gen_partitions(n).index(lam)]], gamma)[0]
 
 
 def induce_trivial_from_subgroup(gamma: IndiffGraph, q: int) -> UnipClassFn:

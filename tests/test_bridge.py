@@ -278,6 +278,25 @@ def test_the_size_knobs_are_exactly_these():
     assert found == {"MAX_SWEEP", "MAX_PARTITION_N", "MAX_PATH_N"}
 
 
+def test_every_top_level_name_of_the_package_is_named_in_the_package():
+    # a helper that only the tests call belongs in tests/, beside its oracle:
+    # each top-level function and class is named in the package off its own def line
+    import ast
+    import pathlib
+    import re
+
+    import chromaq
+    words, defs = Counter(), []
+    for path in sorted(pathlib.Path(chromaq.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        words.update(re.findall(r"\w+", text))
+        lines = text.splitlines()
+        defs += [(path.name, node.name, re.findall(r"\w+", lines[node.lineno - 1]).count(node.name))
+                 for node in ast.parse(text, filename=str(path)).body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert [f"{file}:{name}" for file, name, own in defs if words[name] == own] == []
+
+
 def _package_imports():
     """(file name, line, top-level module) of every import statement in the package."""
     import ast
@@ -363,14 +382,17 @@ def test_a_fresh_process_exits_one_on_a_failing_check_and_two_on_a_refusal():
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == ("error: sweeping the orientations of the tall paths of size 8 "
                            "visits 268,435,456 elements, past the bound MAX_SWEEP = 117,649\n")
-    # 3^11 = 177,147 color classes, refused on the call: the kernel would take about 0.3 s
-    start = time.perf_counter()
-    proc = _fresh_python("-m", "chromaq.cli", "compute", "csf", '{"n": 11, "edges": []}')
-    elapsed = time.perf_counter() - start
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr == ("error: sweeping the color classes of [11] visits 177,147 elements, "
-                           "past the bound MAX_SWEEP = 117,649\n")
-    assert elapsed < 0.5, elapsed
+    # refused on the call: 3^11 = 177,147 color classes, which the kernel would take
+    # about 0.3 s over, and the Springer fibres of F_3^6, before any walk
+    for argv, what in [(["csf", '{"n": 11, "edges": []}'], "the color classes of [11] visits 177,147"),
+                       (["hess-count", "EEEEEESSSSSS", "--q", "3", "--jordan-type", "2,1,1,1,1"],
+                        "the Springer fibres of F_3^6 visits 1,226,512")]:
+        start = time.perf_counter()
+        proc = _fresh_python("-m", "chromaq.cli", "compute", *argv)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"error: sweeping {what} elements, past the bound MAX_SWEEP = 117,649\n"
+        assert elapsed < 0.5, (argv, elapsed)
 
 
 @pytest.mark.parametrize("check, n", [("check_palindromic", 7), ("check_cm", 6)])
@@ -392,15 +414,22 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
     from chromaq.fqoracle import (
         _Packed,
         chi_bar,
-        flag_reps,
+        hessenberg_count,
         induce_to_GL,
-        permutation_character_oracle,
         superclass_sizes,
         ut_elements,
         ut_order,
     )
     from chromaq.guards import MAX_SWEEP
-    from matrix_oracle import flag_rows, gl_matrices, pack, ut_rows
+    from matrix_oracle import (
+        coset_permutation_character,
+        flag_reps,
+        flag_rows,
+        gl_matrices,
+        hessenberg_sweep,
+        pack,
+        ut_rows,
+    )
     from orientation_oracle import orientations
 
     # the bound is |UT_4(F_7)|, so that sweep still runs
@@ -417,8 +446,9 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
 
     # each enumerator builds its elements through these names
     monkeypatch.setattr(chromaq.fqoracle, "product", no_work)
-    monkeypatch.setattr(chromaq.fqoracle, "permutations", no_work)
+    monkeypatch.setattr(chromaq.fqoracle, "jordan_nilpotent", no_work)
     monkeypatch.setattr(matrix_oracle, "product", no_work)
+    monkeypatch.setattr(matrix_oracle, "permutations", no_work)
     monkeypatch.setattr(chromaq.chromallt, "_h_vector", no_work)
     monkeypatch.setattr(chromaq.chromallt, "_slot_bits", no_work)
     monkeypatch.setattr(chromaq.symfunc, "_m_coords", no_work)
@@ -430,7 +460,8 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
     assert len(g17.edges) == 17
     staircase = SchroderPath("E" * 7 + "S" * 7)
     assert len(area(staircase)) == 21
-    # the package's sweeps and gl_matrices refuse on the call, before any generator is made
+    # the sweeps and walks of the package and of the oracles refuse on the call,
+    # before any generator is made
     refused = [
         (lambda: ut_elements(5, 5), "9,765,625"),
         (lambda: gl_matrices(3, 5), "1,488,000"),
@@ -440,8 +471,12 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
         (lambda: induce_to_GL(chi_bar(IndiffGraph(8, []), 7)), f"{ut_order(8, 7):,}"),
         (lambda: superclass_sizes(8, 7), f"{ut_order(8, 7):,}"),
         (lambda: superclass_sizes(16, 5), f"{ut_order(16, 5):,}"),
-        (lambda: permutation_character_oracle(IndiffGraph(8, []), 7), f"{ut_order(8, 7):,}"),
-        (lambda: permutation_character_oracle(IndiffGraph(16, []), 5), f"{ut_order(16, 5):,}"),
+        (lambda: coset_permutation_character(IndiffGraph(8, []), 7), f"{ut_order(8, 7):,}"),
+        (lambda: coset_permutation_character(IndiffGraph(16, []), 5), f"{ut_order(16, 5):,}"),
+        (lambda: hessenberg_sweep(IndiffGraph(5, []), (2, 1, 1, 1), 3), "251,680"),
+        # the Springer fibres of F_3^6 and F_2^7, walked for every lam but 1^6 and 1^7
+        (lambda: hessenberg_count(IndiffGraph(6, []), (2, 1, 1, 1, 1), 3), "1,226,512"),
+        (lambda: hessenberg_count(IndiffGraph(7, []), (7,), 2), "3,605,290"),
         (lambda: orientations(g17), "131,072"),
         (lambda: as_expansion(area_inverse(g17.edges, 7).as_schroder()), "131,072"),
         (lambda: as_expansion(staircase), "2,097,152"),
@@ -463,22 +498,24 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
 
 
 def test_the_default_suite_makes_twelve_sweeps(monkeypatch):
-    # one flag sweep and one UT_n coset sweep per (n, q) of the default grid,
-    # n in {1, 2, 3} and q in {2, 3}: all gamma and lam of a point share them
+    # one UT_n sweep for induction and one Springer-fibre walk per Jordan type
+    # lam != 1^n per (n, q) of the default grid, n in {1, 2, 3} and q in {2, 3}:
+    # all gamma of a point share them, and check_permtoind sweeps nothing
     import chromaq.fqoracle as fq
     from chromaq.cli import _default_suite
-    kernel = fq._conjugate_masks
-    keys = set()
+    sweep, swept = fq.ut_elements, []
 
-    def recording(sweep, n, q, targets):
-        keys.add((sweep.__name__, n, q, targets))
-        return kernel(sweep, n, q, targets)
+    def recording(n, q):
+        swept.append((n, q))
+        return sweep(n, q)
 
-    monkeypatch.setattr(fq, "_conjugate_masks", recording)
-    kernel.cache_clear()
+    monkeypatch.setattr(fq, "ut_elements", recording)
+    for cached in (fq.induce_to_GL, fq.induction_table, fq._springer_fibre):
+        cached.cache_clear()
     assert all(run_check(name, n, q).status == "pass" for name, n, q in _default_suite(False))
-    assert kernel.cache_info().misses == len(keys) == 12
-    assert Counter(k[0] for k in keys) == {"flag_reps": 6, "ut_elements": 6}
+    assert sorted(swept) == sorted(DEFAULT_GRID)
+    assert fq._springer_fibre.cache_info().misses == 6
+    assert fq._springer_fibre.cache_info().currsize == 6
 
 
 def test_the_default_suite_builds_each_pseudosupercharacter_once():
@@ -943,9 +980,9 @@ def test_cli_rejects_malformed_graph_json(capsys, graph, message):
 
 
 @pytest.mark.parametrize("check", ["check_hess", "check_poincare"])
-@pytest.mark.parametrize("n, q, count", [(5, 3, "251,680"), (4, 7, "182,400")])
+@pytest.mark.parametrize("n, q, count", [(6, 3, "1,226,512"), (7, 2, "3,605,290")])
 def test_hessenberg_checks_are_refused_before_any_work(monkeypatch, check, n, q, count):
-    # the flags are bounded before the induced characters or the d coefficients are built
+    # the Springer fibres are bounded before the induced characters or the d coefficients are built
     import chromaq.bridge as bridge
 
     def kernel(*args):
@@ -953,8 +990,8 @@ def test_hessenberg_checks_are_refused_before_any_work(monkeypatch, check, n, q,
 
     monkeypatch.setattr(bridge, "induce_to_GL", kernel)
     monkeypatch.setattr(bridge, "d_coeffs", kernel)
-    with pytest.raises(SizeGuardError, match=f"sweeping the flags of F_{q}\\^{n} visits {count} "
-                                             f"elements, past the bound MAX_SWEEP = 117,649"):
+    with pytest.raises(SizeGuardError, match=f"sweeping the Springer fibres of F_{q}\\^{n} visits "
+                                             f"{count} elements, past the bound MAX_SWEEP = 117,649"):
         getattr(bridge, check)(n, q)
     # one point below the bound, the scan starts
     with pytest.raises(RuntimeError, match="a kernel ran"):
@@ -973,21 +1010,20 @@ def test_a_huge_sweep_count_is_named_by_a_power_of_two():
 
 
 def test_cli_hess_count_of_a_huge_sweep_names_it_before_any_matrix(capsys, monkeypatch):
-    # [300]_2! has 13,591 digits, past what Python turns into text; the refusal
-    # names the sweep by a power of 2, and no 300 x 300 matrix is built first
+    # n = 300 is refused by MAX_PARTITION_N while the guard lists the Jordan
+    # types it would walk, and no 300 x 300 matrix is built first
     import chromaq.cli as cli
     import chromaq.fqoracle as fq
 
     def no_matrix(*args):
-        raise AssertionError("an n x n matrix was built before the flag guard")
+        raise AssertionError("an n x n matrix was built before the fibre guard")
 
-    monkeypatch.setattr(fq, "_jordan_nilpotents", no_matrix)
+    monkeypatch.setattr(fq, "jordan_nilpotent", no_matrix)
     monkeypatch.setattr(cli, "nilpotent_type", no_matrix)
     graph = '{"n": 300, "edges": []}'
     for given in (["--jordan-type", "300"], ["--matrix", "0" * 90_000]):
         assert cli.main(["compute", "hess-count", graph, "--q", "2", *given]) == 2
-        assert capsys.readouterr().err == ("error: sweeping the flags of F_2^300 visits at least "
-                                           "2^45,148 elements, past the bound MAX_SWEEP = 117,649\n")
+        assert capsys.readouterr().err == "error: gen_partitions: n = 300 exceeds guard 12\n"
 
 
 def test_cli_hess_count_reads_a_matrix_by_its_jordan_type(capsys):
@@ -1024,22 +1060,24 @@ def test_cli_hess_count_matrix_digits(capsys):
 def test_cli_hess_count_past_the_packed_bound_is_refused_by_the_guards(capsys, n, q, digits):
     # n(q-1)^2 > 255: the packed kernel could not multiply these, and is never asked to
     from chromaq.cli import main
-    from chromaq.fqoracle import flag_count
     assert main(["compute", "hess-count", "E" * n + "S" * n, "--q", str(q), "--matrix", digits]) == 2
-    assert capsys.readouterr().err == (f"error: sweeping the flags of F_{q}^{n} visits "
-                                       f"{flag_count(n, q):,} elements, past the bound "
-                                       f"MAX_SWEEP = 117,649\n")
+    err = capsys.readouterr().err
+    if n <= 12:
+        assert err.startswith(f"error: sweeping the Springer fibres of F_{q}^{n} visits ")
+        assert err.endswith(" elements, past the bound MAX_SWEEP = 117,649\n")
+    else:
+        assert err == f"error: gen_partitions: n = {n} exceeds guard 12\n"
 
 
 def test_hessenberg_count_is_refused_before_any_jordan_matrix(monkeypatch):
     import chromaq.fqoracle as fq
     from chromaq.fqoracle import hessenberg_count
 
-    def no_work(n):
-        raise AssertionError("the J_lam - 1 were built before the flag guard")
+    def no_work(lam):
+        raise AssertionError("a J_lam - 1 was built before the fibre guard")
 
-    monkeypatch.setattr(fq, "_jordan_nilpotents", no_work)
-    with pytest.raises(SizeGuardError, match="the flags of F_7\\^12"):
+    monkeypatch.setattr(fq, "jordan_nilpotent", no_work)
+    with pytest.raises(SizeGuardError, match="the Springer fibres of F_7\\^12"):
         hessenberg_count(IndiffGraph(12, []), (1,) * 12, 7)
 
 

@@ -24,8 +24,6 @@ from chromaq.fqoracle import (
     chi_bar,
     chi_super,
     flag_count,
-    flag_reps,
-    gl_order,
     hessenberg_count,
     induce_to_GL,
     induction_table,
@@ -37,24 +35,33 @@ from chromaq.fqoracle import (
     ut_elements,
     ut_order,
     _centralizer_order,
-    _conjugate_masks,
-    _conjugation_terms,
-    _jordan_nilpotents,
+    _column_ranks,
+    _fibre_size,
     _label_edges,
     _Packed,
+    _springer_fibre,
     _superclass_nilpotents,
     _zero_mask,
+    require_fibres,
 )
 from chromaq.guards import MAX_SWEEP, SizeGuardError
 from classfn_oracle import delta_bar, inner_product_UT
 import matrix_oracle
 from matrix_oracle import (
+    _conjugate_masks,
+    _conjugation_terms,
+    _jordan_nilpotents,
     canonical_flag,
     centralizer_order,
+    coset_permutation_character,
+    flag_reps,
     flag_rows,
     gl_elements,
     gl_matrices,
+    gl_order,
+    hessenberg_sweep,
     induce_trivial_from_subgroup,
+    inverse_columns,
     jordan,
     label_edges,
     mat_identity,
@@ -97,7 +104,7 @@ def test_mat_inv():
         for x in itertools.islice(gl_matrices(3, q), 0, 200, 7):
             xi = mat_inv(x, q)
             assert mat_mul(x, xi, q) == mat_identity(3)
-            cols = _Packed(3, q).inverse_columns(pack(x))
+            cols = inverse_columns(_Packed(3, q), pack(x))
             assert sum(c << 8 * k for k, c in enumerate(cols)) == pack(xi)
 
 
@@ -123,7 +130,7 @@ def test_packed_kernel_matches_the_tuple_oracle(data):
     assert k.mul(pack(a), pack(b)) == pack(mat_mul(a, b, q))
     assert k.rank(pack(a)) == matrix_oracle.rank(a, q)
     if matrix_oracle.rank(a, q) == n:
-        cols = k.inverse_columns(pack(a))
+        cols = inverse_columns(k, pack(a))
         assert sum(c << 8 * j for j, c in enumerate(cols)) == pack(mat_inv(a, q))
         # a unipotent conjugate that is not upper triangular reads every rank
         lam = data.draw(st.sampled_from(gen_partitions(n)))
@@ -131,7 +138,7 @@ def test_packed_kernel_matches_the_tuple_oracle(data):
         assert k.jordan_type(pack(v)) == lam
     else:
         with pytest.raises(ValueError, match="singular"):
-            k.inverse_columns(pack(a))
+            inverse_columns(k, pack(a))
     # 1 + a is unipotent iff a is nilpotent, the test nilpotent_type makes
     power = mat_identity(n)
     for _ in range(n):
@@ -355,17 +362,41 @@ def test_chi_bar_degree():
 
 
 def test_permtoind_against_coset_oracle():
-    for q in (2, 3):
-        for gamma in indifference_graphs(3):
-            assert chi_bar(gamma, q) == permutation_character_oracle(gamma, q)
+    # every gamma wherever the UT_n sweep is cheap; the 15,625 elements of
+    # UT_4(F_5) would add about 0.6 s
+    points = [(n, q) for n in range(4) for q in PRIMES] + [(4, 2), (4, 3), (5, 2)]
+    for n, q in points:
+        for gamma in indifference_graphs(n):
+            assert chi_bar(gamma, q) == permutation_character_oracle(gamma, q) \
+                == coset_permutation_character(gamma, q), (gamma, q)
+
+
+def test_column_count_reads_its_ranks_once_per_n_q_and_sweeps_nothing(monkeypatch):
+    import chromaq.fqoracle as fq
+
+    def no_sweep(*args):
+        raise AssertionError("the column count swept UT_n")
+
+    monkeypatch.setattr(fq, "ut_elements", no_sweep)
+    gammas = indifference_graphs(5)
+    permutation_character_oracle(gammas[0], 3)
+    before = _column_ranks.cache_info()
+    for gamma in gammas:
+        # |UT_5(F_3)| = 59,049: the sweep would conjugate each of 42 representatives by each
+        assert permutation_character_oracle(gamma, 3) == chi_bar(gamma, 3), gamma
+    after = _column_ranks.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + len(gammas)
+    # one tuple per superclass, with one entry per column j and m < j
+    assert [len(ranks) for ranks in _column_ranks(5, 3)] == [15] * len(gammas)
 
 
 def test_coset_oracle_sweeps_ut_once_per_n_q():
     gammas = indifference_graphs(3)
-    permutation_character_oracle(gammas[0], 3)
+    coset_permutation_character(gammas[0], 3)
     before = _conjugate_masks.cache_info()
     for gamma in gammas[1:]:
-        permutation_character_oracle(gamma, 3)
+        coset_permutation_character(gamma, 3)
     after = _conjugate_masks.cache_info()
     assert after.misses == before.misses
     assert after.hits == before.hits + len(gammas) - 1
@@ -377,14 +408,11 @@ def test_coset_oracle_sweeps_ut_once_per_n_q():
 
 def test_coset_oracles_refuse_a_count_that_is_no_union_of_cosets(monkeypatch):
     # one tallied conjugate in every pattern: 1 is no multiple of |UT_gamma|
-    import chromaq.fqoracle as fq
-
     def one_everywhere(sweep, n, q, targets):
         return tuple(Counter({-1: 1}) for _ in targets)
 
-    monkeypatch.setattr(fq, "_conjugate_masks", one_everywhere)
     monkeypatch.setattr(matrix_oracle, "_conjugate_masks", one_everywhere)
-    for oracle in (permutation_character_oracle, induce_trivial_from_subgroup):
+    for oracle in (coset_permutation_character, induce_trivial_from_subgroup):
         with pytest.raises(AssertionError, match="not a union of UT_gamma cosets"):
             oracle(IG(3), 3)
 
@@ -623,6 +651,13 @@ def brute_hessenberg_count(gamma, a, q):
 
 
 def test_hessenberg_sweep_matches_per_flag_oracle():
+    # the walk against the packed flag sweep for every (gamma, lam) wherever the
+    # [n]_q! flags are cheap, and against the per-flag tuple oracle on a few
+    points = [(0, 2), (1, 2), (2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (3, 7), (4, 5), (5, 2)]
+    for n, q in points:
+        for g in indifference_graphs(n):
+            for lam in gen_partitions(n):
+                assert hessenberg_count(g, lam, q) == hessenberg_sweep(g, lam, q), (g, lam, q)
     for n in range(1, 4):
         for q in (2, 3):
             for lam in gen_partitions(n):
@@ -635,24 +670,32 @@ def test_hessenberg_sweep_matches_per_flag_oracle():
 
 
 def test_hessenberg_sweeps_once_per_matrix():
-    a = mat_minus_identity(jordan((2, 1)), 3)
-    hessenberg_count(IG(3), (2, 1), 3)
-    misses = _conjugate_masks.cache_info().misses
+    # one walk per (lam, q) serves every gamma; lam = 1^n, a = 0, needs none
+    _springer_fibre.cache_clear()
     for g in indifference_graphs(3):
-        hessenberg_count(g, (2, 1), 3)
-    assert _conjugate_masks.cache_info().misses == misses
-    # every J_lam - 1 of size 3 rides on the same sweep of the flags
-    for lam in ((3,), (1, 1, 1)):
-        for g in indifference_graphs(3):
+        for lam in gen_partitions(3):
             hessenberg_count(g, lam, 3)
-    assert _conjugate_masks.cache_info().misses == misses
-    # a nilpotent that is no Jordan matrix reads the same sweep, at its Jordan type
+    assert _springer_fibre.cache_info().misses == 2
+    # a nilpotent that is no Jordan matrix reads the same walk, at its Jordan type
+    a = mat_minus_identity(jordan((2, 1)), 3)
     at = tuple(zip(*a))
     assert nilpotent_type(digits(at), 3, 3) == (2, 1)
     for g in indifference_graphs(3):
         assert hessenberg_count(g, nilpotent_type(digits(at), 3, 3), 3) \
             == brute_hessenberg_count(g, at, 3) == brute_hessenberg_count(g, a, 3), g
-    assert _conjugate_masks.cache_info().misses == misses
+    assert _springer_fibre.cache_info().misses == 2
+
+
+def test_fibre_sizes_count_the_leaves_of_the_walk():
+    # Spaltenstein's recursion, the guard's count, against the walk that it bounds
+    for n, q, total in [(3, 7, 16), (4, 7, 1_439), (5, 3, 8_508), (6, 2, 50_908)]:
+        ones = (1,) * n
+        leaves = {lam: sum(_springer_fibre(lam, q).values()) for lam in gen_partitions(n) if lam != ones}
+        assert leaves == {lam: _fibre_size(lam, q) for lam in leaves}
+        assert sum(leaves.values()) == total
+        # at a = 0 the recursion counts every flag
+        assert _fibre_size(ones, q) == flag_count(n, q)
+        require_fibres(n, q)
 
 
 def random_gl(rnd, n, q):
@@ -664,20 +707,20 @@ def random_gl(rnd, n, q):
 
 def test_hessenberg_count_is_constant_on_a_conjugacy_class():
     # h^{-1} (J_lam - 1) h for random h: every count equals the brute count,
-    # and all the matrices of one (n, q) share one sweep of the flags
+    # and all the matrices of one (n, q) share one walk per Jordan type
     import random
     rnd = random.Random(19)
     points = [(n, q) for n in range(1, 4) for q in PRIMES] + [(4, 2), (4, 3)]
     for n, q in points:
         graphs = indifference_graphs(n)
-        misses = _conjugate_masks.cache_info().misses
+        misses = _springer_fibre.cache_info().misses
         for lam in gen_partitions(n):
             for _ in range(2 if n < 4 else 1):
                 h = random_gl(rnd, n, q)
                 a = mat_mul(mat_mul(mat_inv(h, q), mat_minus_identity(jordan(lam), q), q), h, q)
                 got = [hessenberg_count(g, nilpotent_type(digits(a), n, q), q) for g in graphs]
                 assert got == brute_hessenberg_counts(a, q, graphs), (n, q, lam, a)
-        assert _conjugate_masks.cache_info().misses <= misses + 1, (n, q)
+        assert _springer_fibre.cache_info().misses <= misses + len(gen_partitions(n)) - 1, (n, q)
 
 
 def test_hessenberg_zero_matrix_counts_all_flags():
@@ -706,6 +749,8 @@ def test_hessenberg_count_takes_a_partition_of_n():
 
 
 def test_hessenberg_guard():
-    # [5]_3! = 251,680 flags, past MAX_SWEEP
-    with pytest.raises(SizeGuardError):
-        hessenberg_count(IG(5), (1, 1, 1, 1, 1), 3)
+    # the walks of F_3^6 visit 1,226,512 flags, past MAX_SWEEP; those of F_3^5
+    # 8,508, though [5]_3! = 251,680 flags count at a = 0
+    with pytest.raises(SizeGuardError, match="the Springer fibres of F_3\\^6 visits 1,226,512"):
+        hessenberg_count(IG(6), (1,) * 6, 3)
+    assert hessenberg_count(IG(5), (1,) * 5, 3) == flag_count(5, 3) == 251_680
