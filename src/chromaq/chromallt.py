@@ -42,7 +42,7 @@ from .combinatorics import (
     diag,
 )
 from .exactnum import LaurentPoly, t_minus_one_power
-from .guards import require_sweep
+from .guards import require_power
 from .symfunc import SymFunc, expand_in_basis
 
 
@@ -77,7 +77,7 @@ def _color_sum(n: int, asc_edges: Iterable[Edge], differ: Iterable[Edge] = (),
     or if its unpacked coefficients sum past it (a carry would only lower
     that sum, so the two halves catch different faults).
     """
-    require_sweep(f"the color classes of [{n}]", 3 ** n)
+    require_power(f"the color classes of [{n}]", 3, n)
     if n == 0:
         return SymFunc(0, "M", {(): 1})
     up, apart, need = [0] * n, [0] * n, [0] * n
@@ -183,7 +183,7 @@ def _h_vector(up: list[list[tuple[int, int]]], mask: int) -> list[int]:
 
 def require_orientations(what: str, edges: int) -> None:
     """Refuse, before any work, a sweep of the 2^edges orientations of `what` past MAX_SWEEP."""
-    require_sweep(f"the orientations of {what}", 2 ** edges)
+    require_power(f"the orientations of {what}", 2, edges)
 
 
 @lru_cache(maxsize=None)

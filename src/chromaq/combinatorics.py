@@ -11,16 +11,15 @@ Conventions:
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, count
 from math import comb
 from typing import Iterable, Iterator
 
-from .guards import require
+from .guards import require, require_sweep
 
 Edge = tuple[int, int]
 Partition = tuple[int, ...]
 
-MAX_PARTITION_N = 12
 MAX_PATH_N = 8
 
 
@@ -82,11 +81,12 @@ class Hashed(Frozen):
         return self._hash
 
 
-def _check_size(name: str, n: int, bound: int) -> None:
+def _check_size(name: str, n: int, bound: int | None = None) -> None:
     """A negative n is a usage error; one past the bound trips the size guard."""
     if n < 0:
         raise ValueError(f"{name}: n = {n} must be >= 0")
-    require(n <= bound, f"{name}: n = {n} exceeds guard {bound}")
+    if bound is not None:
+        require(n <= bound, f"{name}: n = {n} exceeds guard {bound}")
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +98,31 @@ def gen_partitions(n: int) -> list[Partition]:
     return list(_partitions(n))
 
 
+def _partition_counts() -> Iterator[int]:
+    """p(0), p(1), ... by Euler's pentagonal-number recurrence (Andrews, The
+    Theory of Partitions, 1976): p(k) = sum over j >= 1 of (-1)^(j+1) times
+    p(k - j(3j-1)/2) + p(k - j(3j+1)/2), with p of a negative number 0."""
+    p: list[int] = []
+    for k in count():
+        total, j = int(k == 0), 1
+        while (g := j * (3 * j - 1) // 2) <= k:
+            pair = p[k - g] + (p[k - g - j] if g + j <= k else 0)
+            total += pair if j % 2 else -pair
+            j += 1
+        p.append(total)
+        yield total
+
+
 @lru_cache(maxsize=None)
 def _partitions(n: int) -> tuple[Partition, ...]:
-    """The partitions of n in the order of gen_partitions, built once per n."""
-    _check_size("gen_partitions", n, MAX_PARTITION_N)
+    """The partitions of n in the order of gen_partitions, built once per n.
+
+    Refused on p(n) past MAX_SWEEP before any is built.  p grows with n, so
+    p(k) is read upward and the first past the bound, with k < n, names p(n)
+    as at least it: a huge n costs about 47 terms."""
+    _check_size("gen_partitions", n)
+    for k, p in zip(range(n + 1), _partition_counts()):
+        require_sweep(f"the partitions of {n}", p, at_least=k < n)
     out: list[Partition] = []
 
     def rec(rest: int, maxpart: int, prefix: tuple[int, ...]) -> None:

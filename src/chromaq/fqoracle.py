@@ -43,7 +43,7 @@ from .combinatorics import (
     mobius_subgraph,
 )
 from .exactnum import Rat, _div
-from .guards import require, require_sweep
+from .guards import require, require_power, require_sweep
 
 PRIMES = (2, 3, 5, 7)
 
@@ -181,7 +181,7 @@ def ut_elements(n: int, q: int) -> Iterator[int]:
     entries above the diagonal, row by row, in the order of itertools.product.
     Refused past MAX_SWEEP on the call, before the generator is made."""
     _check_q(q)
-    require_sweep(f"UT_{n}(F_{q})", ut_order(n, q))
+    require_power(f"UT_{n}(F_{q})", q, n * (n - 1) // 2)
     one = sum(1 << 8 * i * (n + 1) for i in range(n))
     places = [[v << 8 * (i * n + j) for v in range(q)] for i in range(n) for j in range(i + 1, n)]
     return (one + sum(vals) for vals in product(*places))
@@ -330,6 +330,7 @@ def psi_pseudo(sigma: SchroderPath, q: int) -> ClassFnUT:
         raise ValueError("psi_pseudo needs a tall path")
     n = sigma.size
     _check_q(q)
+    _graph_index(n)  # refused past MAX_PATH_N, before the 2^|Diag| terms are built
     a = area(sigma)
     d = sorted(diag(sigma))
     terms = []
@@ -491,11 +492,17 @@ def _fibre_size(lam: Partition, q: int) -> int:
 
 def require_fibres(n: int, q: int) -> None:
     """Refuse, before any work, the walks of the Springer fibres of F_q^n past
-    MAX_SWEEP: sum over lam != 1^n of |B_lam(F_q)| flags, from _fibre_size."""
+    MAX_SWEEP: sum over lam != 1^n of |B_lam(F_q)| flags, from _fibre_size.
+
+    |B_(2,1^m)| grows with m and is one term of the sum at n = m + 2, so for
+    m < n - 2 it bounds the sum from below: read upward first, it refuses a
+    large n after a few terms, before any partition of n is listed."""
     _check_q(q)
+    what = f"the Springer fibres of F_{q}^{n}"
+    for m in range(n - 2):
+        require_sweep(what, _fibre_size((2,) + (1,) * m, q), at_least=True)
     ones = (1,) * n
-    require_sweep(f"the Springer fibres of F_{q}^{n}",
-                  sum(_fibre_size(lam, q) for lam in _partitions(n) if lam != ones))
+    require_sweep(what, sum(_fibre_size(lam, q) for lam in _partitions(n) if lam != ones))
 
 
 @lru_cache(maxsize=None)

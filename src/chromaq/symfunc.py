@@ -29,6 +29,7 @@ SymFunc is immutable: the caches in chromallt hand one object to every caller.
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
@@ -36,7 +37,6 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .combinatorics import (
-    MAX_PARTITION_N,
     Frozen,
     Partition,
     _partition_index,
@@ -46,7 +46,7 @@ from .combinatorics import (
 )
 from .exactnum import ONE, ZERO, LaurentPoly, ratfunc_to_const
 from .exactnum import T as _T
-from .guards import require_sweep
+from .guards import SizeGuardError, require_sweep
 
 BASES = ("M", "E", "H", "P", "S", "HLP", "PT")
 
@@ -86,9 +86,11 @@ class SymFunc(Frozen):
             raise ValueError(f"unknown basis {basis!r}")
         cleaned: dict[Partition, Coeff] = {}
         # a key in the table of partitions of degree is one; any other key, and
-        # every key of a degree outside the table, goes through the plain check
-        known = (_partition_index(degree) if type(degree) is int and 0 <= degree <= MAX_PARTITION_N
-                 else {})
+        # every key of a degree whose table is refused, goes through the plain check
+        known = {}
+        if type(degree) is int and degree >= 0:
+            with suppress(SizeGuardError):
+                known = _partition_index(degree)
         for mu, c in coeffs.items():
             if type(c) is not LaurentPoly:
                 c = _coeff(c)
@@ -136,20 +138,23 @@ class SymFunc(Frozen):
 # basis elements in monomial coordinates
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _placements(parts: Partition, room: tuple[int, ...]) -> int:
     """Ways to drop each part into a slot of `room` so that every slot is filled exactly.
 
     The coefficient of m_nu in p_lam is _placements(lam, nu) (Macdonald I.6).
-    Slots with equal room left give equal counts, so each value is tried once.
+    The count depends on the slots' room as a multiset, so `room` is kept in
+    decreasing order, each value is tried once and equal multisets share one
+    entry of the memo.
     """
     if not parts:
         return 1
     k, rest = parts[0], parts[1:]
     total = 0
-    for r, mult in Counter(room).items():
-        if r >= k:
-            j = room.index(r)
-            total += mult * _placements(rest, room[:j] + room[j + 1:] + ((r - k,) if r > k else ()))
+    for j, r in enumerate(room):
+        if r >= k and (j == 0 or room[j - 1] != r):
+            left = room[:j] + room[j + 1:] + ((r - k,) if r > k else ())
+            total += room.count(r) * _placements(rest, tuple(sorted(left, reverse=True)))
     return total
 
 
@@ -158,13 +163,18 @@ def _m_coords(basis: str, lam: Partition) -> tuple[tuple[Partition, Coeff], ...]
     """Monomial coordinates of the basis element indexed by lam.
 
     s, h and e are read off one Kostka table (Macdonald I.6): s_lam is its row,
-    h_lam = sum_nu K_nu,lam s_nu and e_lam = sum_nu K_nu,lam s_nu'.
+    h_lam = sum_nu K_nu,lam s_nu and e_lam = sum_nu K_nu,lam s_nu'.  Any basis
+    but M fills a p(d) x p(d) table, refused on its cells past MAX_SWEEP
+    (from degree 18) before any of it is built.
     """
     d = sum(lam)
+    if basis != "M":
+        keys = _partitions(d)
+        require_sweep(f"the {len(keys)}^2 cells of the degree-{d} {basis} table", len(keys) ** 2)
     if basis == "M":
         coords = {lam: 1}
     elif basis == "P":
-        coords = {nu: _placements(lam, nu) for nu in _partitions(d)}
+        coords = {nu: _placements(lam, nu) for nu in keys}
     elif basis in ("S", "H", "E"):
         kostka = _kostka(d)
         if basis == "S":
@@ -307,7 +317,7 @@ def basis_element(basis: str, lam: Partition) -> SymFunc:
     """The named basis element in monomial coordinates."""
     lam = tuple(lam)
     d = sum(lam)
-    if lam not in _partition_index(d):  # refused past MAX_PARTITION_N
+    if lam not in _partition_index(d):  # refused on p(d) past MAX_SWEEP
         raise ValueError(f"{lam} is not a partition of {d}")
     return SymFunc(d, "M", dict(_m_coords(basis, lam)))
 

@@ -4,12 +4,15 @@ The package reads s, h and e off one Kostka table and p off part placements.
 These helpers redo the old computation instead: each product of one-part
 basis elements is multiplied out over the exponent vectors of its monomial
 orbits, read in n variables.  `check_symmetric` tests a full exponent-vector
-table for constancy on orbits.  The tests compare both with the package.
-Two readers that only the tests need sit here too: `coeff` and `zlam`.
+table for constancy on orbits.  `placements` is the package's part count
+before it was memoised on the multiset of room left.  The tests compare them
+with the package.  Two readers that only the tests need sit here too:
+`coeff` and `zlam`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from typing import Iterator, Mapping
 
@@ -111,3 +114,18 @@ def product_coords(basis: str, parts: Partition) -> dict[Partition, LaurentPoly]
         deg += k
         acc = orbit_product(acc, _ONE_PART[basis](k), deg, n)
     return acc
+
+
+def placements(parts: Partition, room: tuple[int, ...]) -> int:
+    """Ways to drop each part into a slot of `room` so that every slot is filled
+    exactly, with no memo: slots with equal room left give equal counts, so
+    each value is tried once."""
+    if not parts:
+        return 1
+    k, rest = parts[0], parts[1:]
+    total = 0
+    for r, mult in Counter(room).items():
+        if r >= k:
+            j = room.index(r)
+            total += mult * placements(rest, room[:j] + room[j + 1:] + ((r - k,) if r > k else ()))
+    return total

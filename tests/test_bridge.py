@@ -207,6 +207,18 @@ def test_check_gg_n2_q3():
     assert check_gg(2, 3).ok
 
 
+def test_check_gg_is_refused_before_the_pseudosupercharacter_terms(monkeypatch):
+    # the staircase of size n has n - 1 D steps, 2^{n-1} terms, each an IndiffGraph
+    import chromaq.fqoracle as fq
+
+    def no_term(*args):
+        raise AssertionError("a term was built before the graphs on [n] were bounded")
+
+    monkeypatch.setattr(fq, "IndiffGraph", no_term)
+    with pytest.raises(SizeGuardError, match="gen_dyck: n = 21 exceeds guard 8"):
+        check_gg(21, 2)
+
+
 def test_induction_checks_at_n4_q3_and_n3_q5():
     # one UT_n sweep: |UT_4(F_3)| = 729 and |UT_3(F_5)| = 125 elements
     assert check_cqs(4, 3).ok
@@ -216,6 +228,20 @@ def test_induction_checks_at_n4_q3_and_n3_q5():
 
 def test_check_st_en_n5():
     assert check_st_en(5).ok
+
+
+def test_check_st_en_runs_to_the_table_guard(monkeypatch):
+    # the degree-14 Hall-Littlewood table has p(14)^2 = 18,225 cells; p(18)^2 =
+    # 148,225 are past MAX_SWEEP and refused before the tableau build starts
+    import chromaq.symfunc as symfunc
+    assert check_st_en(14).ok
+
+    def no_build(d):
+        raise AssertionError("the Hall-Littlewood table was built before its guard")
+
+    monkeypatch.setattr(symfunc, "_hall_littlewood_coords", no_build)
+    with pytest.raises(SizeGuardError, match="the 385\\^2 cells of the degree-18 PT table visits 148,225"):
+        check_st_en(18)
 
 
 def test_check_report_shape():
@@ -275,7 +301,7 @@ def test_the_size_knobs_are_exactly_these():
                        [node.target] if isinstance(node, ast.AnnAssign) else [])
             found.update(t.id for t in targets
                          if isinstance(t, ast.Name) and t.id.startswith("MAX_"))
-    assert found == {"MAX_SWEEP", "MAX_PARTITION_N", "MAX_PATH_N"}
+    assert found == {"MAX_SWEEP", "MAX_PATH_N"}
 
 
 def test_every_top_level_name_of_the_package_is_named_in_the_package():
@@ -383,16 +409,35 @@ def test_a_fresh_process_exits_one_on_a_failing_check_and_two_on_a_refusal():
     assert proc.stderr == ("error: sweeping the orientations of the tall paths of size 8 "
                            "visits 268,435,456 elements, past the bound MAX_SWEEP = 117,649\n")
     # refused on the call: 3^11 = 177,147 color classes, which the kernel would take
-    # about 0.3 s over, and the Springer fibres of F_3^6, before any walk
-    for argv, what in [(["csf", '{"n": 11, "edges": []}'], "the color classes of [11] visits 177,147"),
-                       (["hess-count", "EEEEEESSSSSS", "--q", "3", "--jordan-type", "2,1,1,1,1"],
-                        "the Springer fibres of F_3^6 visits 1,226,512")]:
+    # about 0.3 s over, and the Springer fibres of F_3^6, before any walk; a power
+    # count is refused on its exponent, a partition count and a fibre sum after a
+    # few terms of a sequence that bounds them from below
+    for argv, what in [
+        (["compute", "csf", '{"n": 11, "edges": []}'], "the color classes of [11] visits 177,147"),
+        (["compute", "hess-count", "EEEEEESSSSSS", "--q", "3", "--jordan-type", "2,1,1,1,1"],
+         "the Springer fibres of F_3^6 visits 1,226,512"),
+        (["compute", "csf", '{"n": 10000000, "edges": []}'],
+         "the color classes of [10000000] visits at least 2^10,000,000"),
+        (["compute", "superclass-sizes", "--n", "10000", "--q", "7"],
+         "UT_10000(F_7) visits at least 2^99,990,000"),
+        (["verify", "check_st_en", "--n", "18"],
+         "the 385^2 cells of the degree-18 PT table visits 148,225"),
+        (["verify", "check_st_en", "--n", "1000000"], "the partitions of 1000000 visits at least 124,754"),
+        (["verify", "check_hess", "--n", "46", "--q", "2"],
+         "the Springer fibres of F_2^46 visits at least 3,134,565"),
+    ]:
         start = time.perf_counter()
-        proc = _fresh_python("-m", "chromaq.cli", "compute", *argv)
+        proc = _fresh_python("-m", "chromaq.cli", *argv)
         elapsed = time.perf_counter() - start
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == f"error: sweeping {what} elements, past the bound MAX_SWEEP = 117,649\n"
         assert elapsed < 0.5, (argv, elapsed)
+    # the 2^20 terms of the staircase's pseudosupercharacter wait for the graphs on [21]
+    start = time.perf_counter()
+    proc = _fresh_python("-m", "chromaq.cli", "verify", "check_gg", "--n", "21", "--q", "2")
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stderr) == (2, "error: gen_dyck: n = 21 exceeds guard 8\n")
+    assert elapsed < 0.5, elapsed
 
 
 @pytest.mark.parametrize("check, n", [("check_palindromic", 7), ("check_cm", 6)])
@@ -1009,21 +1054,50 @@ def test_a_huge_sweep_count_is_named_by_a_power_of_two():
             require_sweep("x", count)
 
 
+def test_a_power_count_is_refused_on_its_exponent():
+    # below 2^1,024 the message is require_sweep's on the power; past it the
+    # power is not built, and 2^(exp * floor(log2 base)) names a lower bound
+    from chromaq.guards import require_power, require_sweep
+    for base in (2, 3, 5, 7):
+        for exp in range(1, 1100):
+            low = base.bit_length() - 1
+            if exp * low > 1024:
+                with pytest.raises(SizeGuardError) as power:
+                    require_power("x", base, exp)
+                assert f"visits at least 2^{exp * low:,} elements" in str(power.value)
+                assert (base ** exp).bit_length() - 1 >= exp * low
+                continue
+            try:
+                require_sweep("x", base ** exp)
+            except SizeGuardError as exc:
+                with pytest.raises(SizeGuardError) as power:
+                    require_power("x", base, exp)
+                assert str(power.value) == str(exc)
+            else:
+                require_power("x", base, exp)
+    with pytest.raises(SizeGuardError, match="visits at least 2\\^10,000,000,000,000 elements"):
+        require_power("x", 2, 10 ** 13)
+
+
 def test_cli_hess_count_of_a_huge_sweep_names_it_before_any_matrix(capsys, monkeypatch):
-    # n = 300 is refused by MAX_PARTITION_N while the guard lists the Jordan
-    # types it would walk, and no 300 x 300 matrix is built first
+    # the fibre of type (2, 1^5) over F_2 alone is past the bound, so the guard
+    # names it as a lower bound before it lists a Jordan type of n or builds an
+    # n x n matrix
     import chromaq.cli as cli
     import chromaq.fqoracle as fq
 
-    def no_matrix(*args):
-        raise AssertionError("an n x n matrix was built before the fibre guard")
+    def no_work(*args):
+        raise AssertionError("the fibre guard listed a partition or built an n x n matrix")
 
-    monkeypatch.setattr(fq, "jordan_nilpotent", no_matrix)
-    monkeypatch.setattr(cli, "nilpotent_type", no_matrix)
-    graph = '{"n": 300, "edges": []}'
-    for given in (["--jordan-type", "300"], ["--matrix", "0" * 90_000]):
-        assert cli.main(["compute", "hess-count", graph, "--q", "2", *given]) == 2
-        assert capsys.readouterr().err == "error: gen_partitions: n = 300 exceeds guard 12\n"
+    monkeypatch.setattr(fq, "jordan_nilpotent", no_work)
+    monkeypatch.setattr(fq, "_partitions", no_work)
+    monkeypatch.setattr(cli, "nilpotent_type", no_work)
+    for n in (13, 300):
+        graph = f'{{"n": {n}, "edges": []}}'
+        for given in (["--jordan-type", str(n)], ["--matrix", "0" * n * n]):
+            assert cli.main(["compute", "hess-count", graph, "--q", "2", *given]) == 2
+            assert capsys.readouterr().err == (f"error: sweeping the Springer fibres of F_2^{n} visits at "
+                                               "least 3,134,565 elements, past the bound MAX_SWEEP = 117,649\n")
 
 
 def test_cli_hess_count_reads_a_matrix_by_its_jordan_type(capsys):
@@ -1062,11 +1136,8 @@ def test_cli_hess_count_past_the_packed_bound_is_refused_by_the_guards(capsys, n
     from chromaq.cli import main
     assert main(["compute", "hess-count", "E" * n + "S" * n, "--q", str(q), "--matrix", digits]) == 2
     err = capsys.readouterr().err
-    if n <= 12:
-        assert err.startswith(f"error: sweeping the Springer fibres of F_{q}^{n} visits ")
-        assert err.endswith(" elements, past the bound MAX_SWEEP = 117,649\n")
-    else:
-        assert err == f"error: gen_partitions: n = {n} exceeds guard 12\n"
+    assert err.startswith(f"error: sweeping the Springer fibres of F_{q}^{n} visits at least ")
+    assert err.endswith(" elements, past the bound MAX_SWEEP = 117,649\n")
 
 
 def test_hessenberg_count_is_refused_before_any_jordan_matrix(monkeypatch):

@@ -69,8 +69,17 @@ def test_partition_count_five():
 
 
 def test_partitions_guard():
-    with pytest.raises(SizeGuardError):
-        gen_partitions(13)
+    # p(46) = 105,558 partitions are built; p(47) = 124,754 is past MAX_SWEEP, and a
+    # larger n is refused on the first p(k) past it, named as a lower bound
+    counts = list(zip(range(48), combinatorics._partition_counts()))
+    assert [p for _, p in counts[:9]] == [1, 1, 2, 3, 5, 7, 11, 15, 22]
+    assert all(len(gen_partitions(n)) == p for n, p in counts[:21])
+    assert counts[46][1] == 105_558 and counts[47][1] == 124_754
+    with pytest.raises(SizeGuardError, match="sweeping the partitions of 47 visits 124,754 elements"):
+        gen_partitions(47)
+    for n in (48, 10 ** 9):
+        with pytest.raises(SizeGuardError, match=f"sweeping the partitions of {n} visits at least 124,754"):
+            gen_partitions(n)
 
 
 @pytest.mark.parametrize("lam,expected", [((3, 1), (2, 1, 1)), ((1, 1, 1), (3,)), ((), ())])

@@ -698,6 +698,20 @@ def test_fibre_sizes_count_the_leaves_of_the_walk():
         require_fibres(n, q)
 
 
+def test_hook_fibre_sizes_follow_the_recursion():
+    # |B_(2,1^m)| = f(m) = [m+1]_q! + q [m]_q f(m-1), f(0) = 1, grows with m: the
+    # lower bounds that require_fibres reads before it lists any partition of n
+    for q in PRIMES:
+        f = [1]
+        for m in range(1, 12):
+            f.append(flag_count(m + 1, q) + q * (q ** m - 1) // (q - 1) * f[-1])
+        assert f == [_fibre_size((2,) + (1,) * m, q) for m in range(12)], q
+        assert f == sorted(f)
+    # f(5) = 3,134,565 over F_2 is past the bound for every n >= 8
+    with pytest.raises(SizeGuardError, match="the Springer fibres of F_2\\^8 visits at least 3,134,565"):
+        require_fibres(8, 2)
+
+
 def random_gl(rnd, n, q):
     while True:
         h = tuple(tuple(rnd.randrange(q) for _ in range(n)) for _ in range(n))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from chromaq.combinatorics import MAX_PARTITION_N, gen_partitions, transpose
+from chromaq.combinatorics import gen_partitions, transpose
 from chromaq.exactnum import LaurentPoly, PoleError, RationalFunc
 from chromaq.guards import SizeGuardError
 from chromaq.symfunc import (
@@ -20,10 +20,11 @@ from chromaq.symfunc import (
     _m_coords,
     _invert,
     _omega_m,
+    _placements,
     _require_partition,
     _strips,
 )
-from orbit_oracle import check_symmetric, coeff, product_coords, zlam
+from orbit_oracle import check_symmetric, coeff, placements, product_coords, zlam
 from ratfunc_oracle import gauss_jordan_from_monomials, plethysm_frac, ratfunc_to_laurent
 
 T = LaurentPoly.t()
@@ -103,6 +104,15 @@ def test_products_match_the_orbit_product_oracle(basis, d):
         assert dict(_m_coords(basis, lam)) == product_coords(basis, lam), lam
 
 
+def test_memoised_placements_match_the_plain_count():
+    for d in range(11):
+        for lam in gen_partitions(d):
+            for nu in gen_partitions(d):
+                assert _placements(lam, nu) == placements(lam, nu), (lam, nu)
+    # the memo is what keeps p_(1^14) cheap: unmemoised it took about 21 s
+    assert dict(_m_coords("P", (1,) * 14))[(1,) * 14] == 87_178_291_200  # 14!
+
+
 @pytest.mark.parametrize("basis", BASES)
 @pytest.mark.parametrize("lam", [(1, 2), (0,), (2, 0, 1)])
 def test_basis_element_takes_only_partitions(basis, lam):
@@ -119,9 +129,18 @@ def test_nvars_guard():
     # a change of basis inverts a p(d) x p(d) table: p(11)^3 = 175,616 steps, past MAX_SWEEP
     with pytest.raises(SizeGuardError, match="visits 175,616 elements, past the bound MAX_SWEEP"):
         expand_in_basis(SymFunc(11, "M", {(11,): RF(1)}), "S")
-    # a basis element is indexed by the partitions of its degree, kept to MAX_PARTITION_N = 12
-    with pytest.raises(SizeGuardError, match="gen_partitions: n = 13 exceeds guard 12"):
-        basis_element("M", (13,))
+    # any basis but M fills a p(d) x p(d) table: p(17)^2 = 88,209 cells run,
+    # p(18)^2 = 148,225 are refused before any basis element of degree 18 is built
+    assert basis_element("M", (18,)).coeffs == {(18,): RF(1)}
+    before = _hall_littlewood_coords.cache_info().currsize
+    for basis in ("E", "H", "P", "S", "HLP", "PT"):
+        with pytest.raises(SizeGuardError, match=f"sweeping the 385\\^2 cells of the degree-18 {basis} "
+                                                 "table visits 148,225 elements, past the bound"):
+            basis_element(basis, (1,) * 18)
+    assert _hall_littlewood_coords.cache_info().currsize == before
+    # a basis element is indexed by the partitions of its degree, refused past p(46)
+    with pytest.raises(SizeGuardError, match="sweeping the partitions of 47 visits 124,754 elements"):
+        basis_element("M", (47,))
 
 
 # -- Hall-Littlewood anchors -----------------------------------------------------
@@ -397,7 +416,7 @@ def _keys_near(degree):
     return keys
 
 
-@pytest.mark.parametrize("degree", [-2, -1, 0, 1, 2, 3, 5, 7, MAX_PARTITION_N, MAX_PARTITION_N + 1, 40])
+@pytest.mark.parametrize("degree", [-2, -1, 0, 1, 2, 3, 5, 7, 12, 13, 40, 100])
 def test_symfunc_partition_lookup_agrees_with_the_plain_check(degree):
     # the lookup must accept and reject exactly what _require_partition does,
     # with the same exception and message, and never trip a size guard
@@ -410,13 +429,12 @@ def test_symfunc_partition_lookup_agrees_with_the_plain_check(degree):
 def test_symfunc_partition_check_at_the_edges():
     assert SymFunc(0, "M", {(): 1}).coeffs == {(): RF(1)}
     for degree, key in [(0, (1,)), (0, (0,)), (-1, ()), (-1, (-1,)),
-                        (MAX_PARTITION_N + 1, (MAX_PARTITION_N,)), (100, (99,))]:
+                        (13, (12,)), (100, (99,))]:
         with pytest.raises(ValueError) as e:
             SymFunc(degree, "M", {key: RF(1)})
         assert type(e.value) is ValueError
         assert str(e.value) == f"{key} is not a partition of {degree}"
-    big = MAX_PARTITION_N + 1
-    assert SymFunc(big, "M", {(big,): 1}).coeffs == {(big,): RF(1)}
+    assert SymFunc(13, "M", {(13,): 1}).coeffs == {(13,): RF(1)}
     assert SymFunc(100, "M", {(60, 40): 1}).degree == 100
 
 
