@@ -113,16 +113,21 @@ def _partition_counts() -> Iterator[int]:
         yield total
 
 
-@lru_cache(maxsize=None)
-def _partitions(n: int) -> tuple[Partition, ...]:
-    """The partitions of n in the order of gen_partitions, built once per n.
-
-    Refused on p(n) past MAX_SWEEP before any is built.  p grows with n, so
-    p(k) is read upward and the first past the bound, with k < n, names p(n)
-    as at least it: a huge n costs about 47 terms."""
+def _partition_count(n: int) -> int:
+    """p(n), refused past MAX_SWEEP without listing a partition.  p grows with
+    n, so p(k) is read upward and the first past the bound, with k < n, names
+    p(n) as at least it: a huge n costs about 47 terms."""
     _check_size("gen_partitions", n)
     for k, p in zip(range(n + 1), _partition_counts()):
         require_sweep(f"the partitions of {n}", p, at_least=k < n)
+    return p
+
+
+@lru_cache(maxsize=None)
+def _partitions(n: int) -> tuple[Partition, ...]:
+    """The partitions of n in the order of gen_partitions, built once per n,
+    and refused on _partition_count(n) before any is built."""
+    _partition_count(n)
     out: list[Partition] = []
 
     def rec(rest: int, maxpart: int, prefix: tuple[int, ...]) -> None:

@@ -329,26 +329,15 @@ class LaurentPoly:
 
     def evaluate(self, q: Rat) -> Fraction:
         """Exact value at t = q, always a Fraction; pole when q = 0 meets a
-        negative exponent.
-
-        An int q on a polynomial in Z[t] is evaluated in int; otherwise q is
-        taken as a Fraction, so q ** low stays exact for low < 0."""
-        if type(q) is int and self.low >= 0 and _all_int(self.coeffs):
-            acc = 0
-            for c in reversed(self.coeffs):
-                acc = acc * q + c
-            return Fraction(acc * q ** self.low)
-        q = Fraction(_frac(q))
-        if self.is_zero:
-            return Fraction(0)
+        negative exponent.  One Horner loop in the type of q and the
+        coefficients; q ** low is taken as a Fraction for low < 0."""
+        q = _frac(q)
         if q == 0 and self.low < 0:
             raise PoleError("evaluation at t = 0 of a Laurent polynomial with negative exponents")
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * q + c
-        if self.low:
-            acc *= q ** self.low
-        return acc
+        return Fraction(acc * (Fraction(q) ** self.low if self.low < 0 else q ** self.low))
 
     # -- printing -----------------------------------------------------------
 

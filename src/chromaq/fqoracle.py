@@ -12,11 +12,12 @@ Induction to GL_n is the one brute-force sweep: each element of UT_n
 contributes the centralizer order of its Jordan type (Frobenius formula), the
 sweep refuses past guards.MAX_SWEEP elements when it is called, and
 `induce_to_GL` is cached by the value of its class function.  The other two
-counts are linear algebra on packed rows.  The cosets of UT_gamma fixed by a
-superclass are a product over columns of q to the corank of a linear system,
-whose ranks are read once per (n, q).  A Hessenberg count sums the tally of
-one depth-first walk of the Springer fibre of J_lam - 1 per (lam, q), refused
-past MAX_SWEEP flags; the count is constant on the GL_n class of its
+counts are linear algebra, read off the steps of `_Packed.eliminate`, the one
+row reduction, which also gives the ranks of Jordan types.  The cosets of
+UT_gamma fixed by a superclass are a product over columns of q to the corank
+of a linear system, reduced once per (n, q).  A Hessenberg count sums the
+tally of one depth-first walk of the Springer fibre of J_lam - 1 per (lam, q),
+refused past MAX_SWEEP flags; the count is constant on the GL_n class of its
 nilpotent, so every nilpotent matrix reads the walk of its Jordan type.  The
 sweeps that these counts replaced, conjugating by every element of UT_n or
 every flag, are the oracles of the tests.
@@ -109,22 +110,27 @@ class _Packed:
         return self.reduce(sum((a >> 8 * k & col) * (b >> 8 * k * n & row) for k in range(n)),
                            n * n)
 
-    def rank(self, m: int) -> int:
-        """Rank of m by elimination: each row, in turn, clears the column of
-        its lowest nonzero byte from the rows still left."""
-        n, q, inv, mod = self.n, self.q, self.inv, self.mod
-        rows = [r for r in (m >> 8 * k * n & self.row for k in range(n)) if r]
-        rank = 0
+    def eliminate(self, rows: Iterable[int], size: int) -> list[tuple[int | None, int]]:
+        """The one row reduction, on bytes 0..n-1 and the last row first.  Each row
+        gives a step: the shift of its pivot, its lowest nonzero byte (None when
+        bytes 0..n-1 are 0), and the row reduced by the pivots before it, mod q on
+        `size` bytes, so bytes n and up carry a tag.  k steps reduce the last k rows."""
+        q, inv, mod, row = self.q, self.inv, self.mod, self.row
+        rows, steps = list(rows), []
         while rows:
             p = rows.pop()
-            if not p:
-                continue
-            sh = (p & -p).bit_length() - 1 & ~7
-            f = q - inv[p >> sh & 255]
-            rows = [int.from_bytes((r + (v * f % q) * p).to_bytes(n, "little").translate(mod),
-                                   "little") if (v := r >> sh & 255) else r for r in rows]
-            rank += 1
-        return rank
+            sh = (p & -p).bit_length() - 1 & ~7 if p & row else None
+            if sh is not None:
+                f = q - inv[p >> sh & 255]
+                rows = [int.from_bytes((r + (v * f % q) * p).to_bytes(size, "little").translate(mod),
+                                       "little") if (v := r >> sh & 255) else r for r in rows]
+            steps.append((sh, p))
+        return steps
+
+    def rank(self, m: int) -> int:
+        """Rank of m: the pivots of its elimination."""
+        rows = [r for k in range(self.n) if (r := m >> 8 * k * self.n & self.row)]
+        return len(rows) - [sh for sh, _ in self.eliminate(rows, self.n)].count(None)
 
     def jordan_type(self, u: int) -> Partition:
         """Jordan type of a unipotent u: rank (u-1)^{k-1} - rank (u-1)^k parts have size >= k.
@@ -430,25 +436,26 @@ def _column_ranks(n: int, q: int) -> tuple[tuple[int | None, ...], ...]:
     """For each superclass representative a = u - 1, in the order of
     indifference_graphs(n), and each column j and m < j in turn: the rank of
     rows m+1..j-1 of the first j-1 columns of a, or None when column j's rows
-    m+1..j-1 are not in the span of those columns.  Column 1 and row n of a are
-    zero, so the ranks are read in the (n-1)-square block that drops them: the
-    kernel admits that block at (8,7), where n(q-1)^2 > 255."""
+    m+1..j-1 are not in their span.  Column 1 and row n of a are zero, so each j
+    reduces rows 1..j-1 of the (n-1)-square block that drops them (admitted at
+    (8,7)) once: j-1-m steps reduce rows m+1..j-1; a pivot on column j: no solution."""
     reps = _superclass_nilpotents(n, q)  # refused past MAX_PATH_N, before any kernel
     w = max(n - 1, 0)
     k = _Packed(w, q)
-
-    def block(rows: range, cols: int) -> int:
-        return sum(255 << 8 * (i * w + c) for i in rows for c in range(cols))
-
-    # block column c is column c + 2 of a, so a's columns 1..j-1 are block columns < j - 2
-    masks = [(block(range(m, j - 1), j - 2), block(range(m, j - 1), j - 1))
-             for j in range(1, n + 1) for m in range(j)]
     out = []
     for a in reps:
         raw = a.to_bytes(n * n, "little")
-        b = int.from_bytes(b"".join(raw[i * n + 1:(i + 1) * n] for i in range(w)), "little")
-        ranks = [(k.rank(b & lhs), k.rank(b & aug)) for lhs, aug in masks]
-        out.append(tuple(r if r == s else None for r, s in ranks))
+        rows = [int.from_bytes(raw[i * n + 1:(i + 1) * n], "little") for i in range(w)]
+        ranks = []
+        for j in range(1, n + 1):
+            # block column c is column c + 2 of a: column j is c = j - 2, the right-hand side
+            rank, run = 0, [0]
+            for sh, _ in k.eliminate([r & (1 << 8 * (j - 1)) - 1 for r in rows[:j - 1]], w):
+                if rank is not None and sh is not None:
+                    rank = None if sh == 8 * (j - 2) else rank + 1
+                run.append(rank)
+            ranks += reversed(run)
+        out.append(tuple(ranks))
     return tuple(out)
 
 
@@ -517,7 +524,8 @@ def _springer_fibre(lam: Partition, q: int) -> Counter:
     0 at the pivots before it, so F^n/V_d is spanned by the free coordinates f.
     For each f the walk carries e_f a reduced modulo V_d, in bytes 0..n-1, and
     the multiple of each g_t that the reduction took off, in bytes n..2n-1.
-    Both are linear in e_f: a v in the kernel has v a = sum c_t g_t, and
+    Both are linear in e_f, so the None steps of `_Packed.eliminate` on these
+    rows, tagged with e_f, span the kernel: a v in it has v a = sum c_t g_t, and
     mu_{d+1} = max(mu_d, the bytes of c).  No sum here passes q(q-1) in a byte.
     """
     n = sum(lam)
@@ -525,19 +533,11 @@ def _springer_fibre(lam: Partition, q: int) -> Counter:
     size, tally = 3 * n, Counter()
 
     def walk(d: int, images: dict[int, int], mu: tuple[int, ...]) -> None:
-        # the kernel: eliminate on bytes 0..n-1, with e_f in byte 2n + f
-        rows = [x | 1 << 8 * (2 * n + f) for f, x in images.items()]
-        span = [0]
-        while rows:
-            p = rows.pop()
-            if not p & k.row:
+        span = [0]  # the kernel, with e_f in byte 2n + f
+        for sh, p in k.eliminate([x | 1 << 8 * (2 * n + f) for f, x in images.items()], size):
+            if sh is None:
                 b = p >> 8 * n  # c in bytes 0..n-1, v in bytes n..2n-1
                 span = [k.reduce(s + c * b, size) for c in range(q) for s in span]
-                continue
-            sh = (p & -p).bit_length() - 1 & ~7
-            scale = q - k.inv[p >> sh & 255]
-            rows = [k.reduce(r + (v * scale % q) * p, size) if (v := r >> sh & 255) else r
-                    for r in rows]
         for b in span[1:]:
             sh = b.bit_length() - 1 & ~7
             if b >> sh != 1:  # one vector per line: its last nonzero entry is 1

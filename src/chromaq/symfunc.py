@@ -39,6 +39,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .combinatorics import (
     Frozen,
     Partition,
+    _partition_count,
     _partition_index,
     _partitions,
     nstat,
@@ -169,12 +170,12 @@ def _m_coords(basis: str, lam: Partition) -> tuple[tuple[Partition, Coeff], ...]
     """
     d = sum(lam)
     if basis != "M":
-        keys = _partitions(d)
-        require_sweep(f"the {len(keys)}^2 cells of the degree-{d} {basis} table", len(keys) ** 2)
+        p = _partition_count(d)
+        require_sweep(f"the {p}^2 cells of the degree-{d} {basis} table", p ** 2)
     if basis == "M":
         coords = {lam: 1}
     elif basis == "P":
-        coords = {nu: _placements(lam, nu) for nu in keys}
+        coords = {nu: _placements(lam, nu) for nu in _partitions(d)}
     elif basis in ("S", "H", "E"):
         kostka = _kostka(d)
         if basis == "S":
@@ -297,8 +298,9 @@ def _from_monomials(basis: str, d: int) -> dict[Partition, dict[Partition, Coeff
     A^{-1} are the m_mu in that basis.  In `gen_partitions` order every pivot
     is a unit of Q[t, 1/t], so A^{-1} stays in the Laurent ring.
     """
+    p = _partition_count(d)
+    require_sweep(f"the {p}^3 steps inverting the degree-{d} {basis} table", p ** 3)
     keys = _partitions(d)
-    require_sweep(f"the {len(keys)}^3 steps inverting the degree-{d} {basis} table", len(keys) ** 3)
     idx = {k: i for i, k in enumerate(keys)}
     a = [[ZERO] * len(keys) for _ in keys]
     for j, lam in enumerate(keys):
@@ -317,8 +319,8 @@ def basis_element(basis: str, lam: Partition) -> SymFunc:
     """The named basis element in monomial coordinates."""
     lam = tuple(lam)
     d = sum(lam)
-    if lam not in _partition_index(d):  # refused on p(d) past MAX_SWEEP
-        raise ValueError(f"{lam} is not a partition of {d}")
+    _partition_count(d)  # refused on p(d) past MAX_SWEEP, before any partition is listed
+    _require_partition(lam, d)
     return SymFunc(d, "M", dict(_m_coords(basis, lam)))
 
 

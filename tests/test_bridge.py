@@ -244,6 +244,24 @@ def test_check_st_en_runs_to_the_table_guard(monkeypatch):
         check_st_en(18)
 
 
+def test_check_st_en_refuses_on_partition_counts_before_listing_any(monkeypatch):
+    # p(46) = 105,558 partitions are admitted, but their table is not: the
+    # refusal reads p(d) off the pentagonal recurrence and lists no partition
+    import chromaq.combinatorics as combinatorics
+    import chromaq.symfunc as symfunc
+
+    def no_listing(n):
+        raise AssertionError(f"the partitions of {n} were listed before the guard")
+
+    for module in (combinatorics, symfunc):
+        monkeypatch.setattr(module, "_partitions", no_listing)
+    with pytest.raises(SizeGuardError, match="the 105558\\^2 cells of the degree-46 PT table visits "
+                                             "11,142,491,364 elements"):
+        check_st_en(46)
+    with pytest.raises(SizeGuardError, match="sweeping the partitions of 47 visits 124,754 elements"):
+        basis_element("M", (47,))
+
+
 def test_check_report_shape():
     rep = check_cqs(2, 2)
     d = rep.to_json()
@@ -422,6 +440,10 @@ def test_a_fresh_process_exits_one_on_a_failing_check_and_two_on_a_refusal():
          "UT_10000(F_7) visits at least 2^99,990,000"),
         (["verify", "check_st_en", "--n", "18"],
          "the 385^2 cells of the degree-18 PT table visits 148,225"),
+        (["verify", "check_st_en", "--n", "40"],
+         "the 37338^2 cells of the degree-40 PT table visits 1,394,126,244"),
+        (["verify", "check_st_en", "--n", "46"],
+         "the 105558^2 cells of the degree-46 PT table visits 11,142,491,364"),
         (["verify", "check_st_en", "--n", "1000000"], "the partitions of 1000000 visits at least 124,754"),
         (["verify", "check_hess", "--n", "46", "--q", "2"],
          "the Springer fibres of F_2^46 visits at least 3,134,565"),

@@ -388,7 +388,7 @@ def test_one_object_per_constant():
 # -- evaluate returns a Fraction on every path ----------------------------------
 
 @pytest.mark.parametrize("f, q, want", [
-    (T * T + 4 * T + 1, 2, 13),                        # Z[t], int q: the int path
+    (T * T + 4 * T + 1, 2, 13),                        # Z[t], int q: int arithmetic
     (LaurentPoly([3, 0, 1], low=2), -3, 3 * 9 + 81),   # Z[t] with low > 0
     (LaurentPoly.const(5), 0, 5),
     (LaurentPoly(), 7, 0),

@@ -177,6 +177,66 @@ def test_no_carry_bound_is_exact_and_no_admitted_sweep_reaches_it():
                 assert len(terms) * (q - 1) ** 2 <= 255, (size.__name__, q, a)
 
 
+def eliminate_against_the_oracle(a, q):
+    """Reduce the rows of a, row i tagged with e_i in byte n + i, and check the
+    steps against the tuple rank: the pivots count the rank, the first k steps
+    are the rank of the last k rows, and each None step's tag v has v.a = 0."""
+    n = len(a)
+    k = _Packed(n, q)
+    steps = k.eliminate([pack((r,)) | 1 << 8 * (n + i) for i, r in enumerate(a)], 2 * n)
+    pivots = [sh is not None for sh, _ in steps]
+    assert sum(pivots) == k.rank(pack(a)), a
+    for length in range(n + 1):  # the whole of a at length n
+        assert sum(pivots[:length]) == matrix_oracle.rank(a[n - length:], q), (a, length)
+    for sh, p in steps:
+        if sh is None:
+            v = tuple((p >> 8 * n).to_bytes(n, "little"))
+            assert any(v) and mat_mul((v,), a, q) == ((0,) * n,), (a, v)
+
+
+def test_eliminate_matches_the_tuple_rank():
+    import random
+    from itertools import product
+    for q in (2, 3):
+        for n in range(4):
+            for entries in product(range(q), repeat=n * n):
+                eliminate_against_the_oracle(tuple(zip(*[iter(entries)] * n)) if n else (), q)
+    # over F_5 and F_7 a random matrix is almost always invertible, so half the
+    # samples are x.d with d zero past a random row, of rank at most that row
+    rnd = random.Random(28)
+    for n, q in ((5, 5), (7, 7)):
+        for trial in range(200):
+            a = tuple(tuple(rnd.randrange(q) for _ in range(n)) for _ in range(n))
+            if trial % 2:
+                r = rnd.randrange(n)
+                d = tuple(row if i < r else (0,) * n for i, row in enumerate(a))
+                a = mat_mul(tuple(tuple(rnd.randrange(q) for _ in range(n)) for _ in range(n)), d, q)
+            eliminate_against_the_oracle(a, q)
+
+
+def test_column_ranks_reduce_each_column_once(monkeypatch):
+    want = _column_ranks(5, 3)
+    eliminate, calls = _Packed.eliminate, []
+
+    def counted(self, rows, size):
+        calls.append(size)
+        return eliminate(self, rows, size)
+
+    monkeypatch.setattr(_Packed, "eliminate", counted)
+    assert _column_ranks.__wrapped__(5, 3) == want
+    # one reduction per superclass and column, Cat(5) * 5: every (j, m) is read
+    # off a prefix of its column's steps, where two ranks each took 1,260 calls
+    assert len(calls) == len(indifference_graphs(5)) * 5 == 210
+
+
+def test_column_ranks_do_not_depend_on_q():
+    # each augmented block of a superclass representative has consecutive ones
+    # in every column: an interval matrix, totally unimodular, so its rank and
+    # solvability are those over Q at every q
+    for n in range(7):
+        assert len({_column_ranks(n, q) for q in PRIMES}) == 1, n
+
+
 def widened(tallies):
     """Zero patterns with bit i*n + j moved to bit 8(i*n + j), the packed layout."""
     return tuple(Counter({sum(1 << 8 * b for b in range(mask.bit_length()) if mask >> b & 1): c
