@@ -79,7 +79,6 @@ def _m_to_p(d: int) -> dict[Partition, dict[Partition, Rat]]:
     return {mu: _consts(row.items()) for mu, row in _from_monomials("P", d).items()}
 
 
-@lru_cache(maxsize=None)
 def _m_to_p_integral(d: int) -> dict[Partition, dict[Partition, int]]:
     """d! times each m_mu, mu a partition of d, in the power-sum basis.
 

@@ -8,19 +8,23 @@ bytes.translate reduces the result mod q or reads off its zero pattern.  No
 byte carries while n(q-1)^2 < 256; past that the kernel raises, and nothing
 that the guards admit comes near it.
 
+Superclasses are indifference graphs, each one a Hessenberg function h
+({i, l} is an edge iff h_l < i < l): the label of an element of UT_n and the
+cosets that a superclass fixes are both read off h.
+
 Induction to GL_n is the one brute-force sweep: each element of UT_n
 contributes the centralizer order of its Jordan type (Frobenius formula), the
 sweep refuses past guards.MAX_SWEEP elements when it is called, and
 `induce_to_GL` is cached by the value of its class function.  The other two
-counts are linear algebra, read off the steps of `_Packed.eliminate`, the one
-row reduction, which also gives the ranks of Jordan types.  The cosets of
-UT_gamma fixed by a superclass are a product over columns of q to the corank
-of a linear system, reduced once per (n, q).  A Hessenberg count sums the
-tally of one depth-first walk of the Springer fibre of J_lam - 1 per (lam, q),
-refused past MAX_SWEEP flags; the count is constant on the GL_n class of its
-nilpotent, so every nilpotent matrix reads the walk of its Jordan type.  The
-sweeps that these counts replaced, conjugating by every element of UT_n or
-every flag, are the oracles of the tests.
+counts are linear algebra.  The cosets of UT_gamma fixed by a superclass are a
+product over columns of q to the corank of a system whose columns are prefixes
+of the rows, so its ranks are counts of distinct h_c, once per n for every q.
+A Hessenberg count sums the tally of one depth-first walk of the Springer
+fibre of J_lam - 1 per (lam, q), refused past MAX_SWEEP flags, through
+`_Packed.eliminate`, the one row reduction; the count is constant on the GL_n
+class of its nilpotent, so every nilpotent matrix reads the walk of its Jordan
+type.  The sweeps and eliminations that these counts replaced are the oracles
+of the tests.
 """
 
 from __future__ import annotations
@@ -111,10 +115,11 @@ class _Packed:
                            n * n)
 
     def eliminate(self, rows: Iterable[int], size: int) -> list[tuple[int | None, int]]:
-        """The one row reduction, on bytes 0..n-1 and the last row first.  Each row
-        gives a step: the shift of its pivot, its lowest nonzero byte (None when
-        bytes 0..n-1 are 0), and the row reduced by the pivots before it, mod q on
-        `size` bytes, so bytes n and up carry a tag.  k steps reduce the last k rows."""
+        """The one row reduction, on bytes 0..n-1 and the last row first, read by
+        `rank` and the Springer walk.  Each row gives a step: the shift of its
+        pivot, its lowest nonzero byte (None when bytes 0..n-1 are 0), and the row
+        reduced by the pivots before it, mod q on `size` bytes, so bytes n and up
+        carry a tag (the walk's e_f).  k steps reduce the last k rows."""
         q, inv, mod, row = self.q, self.inv, self.mod, self.row
         rows, steps = list(rows), []
         while rows:
@@ -197,21 +202,32 @@ def ut_elements(n: int, q: int) -> Iterator[int]:
 # superclasses
 # ---------------------------------------------------------------------------
 
-def _label_edges(zeros: int, n: int) -> frozenset[tuple[int, int]]:
-    """Finest indifference label of u from its zero mask (bit 8(i*n + j) set iff
-    u[i, j] = 0): {i,l} iff u[j,k] = 0 on the whole interval block."""
-    allz: dict[tuple[int, int], bool] = {}
-    for span in range(1, n):
-        for i in range(1, n - span + 1):
-            l = i + span
-            ok = zeros >> 8 * ((i - 1) * n + l - 1) & 1
-            if span > 1:
-                ok = ok and allz[(i + 1, l)] and allz[(i, l - 1)]
-            allz[(i, l)] = ok
-    return frozenset(e for e, ok in allz.items() if ok)
+def _hessenberg_function(gamma: IndiffGraph) -> tuple[int, ...]:
+    """h_j for each column j of [n]: (the least i with {i, j} in E) - 1, or j - 1
+    when column j has no edge.  A matrix of the pattern algebra of gamma, zero
+    on and below the diagonal and at every edge, may be nonzero in column j
+    only in rows 1..h_j.  h is nondecreasing: edges are closed under sub-intervals."""
+    h = list(range(gamma.n))
+    for i, j in gamma.edges:
+        h[j - 1] = min(h[j - 1], i - 1)
+    return tuple(h)
 
 
-@lru_cache(maxsize=None)
+def _label(zeros: int, n: int) -> tuple[int, ...]:
+    """The Hessenberg function h of the finest label of u, from its zero mask (bit
+    8(i*n + j) set iff u[i, j] = 0).  {i, l} is in the label iff u[j, k] = 0 for
+    i <= j < k <= l, that is iff i > h_l: h_1 = 0, and h_l is the larger of
+    h_{l-1} and the last row i < l with u[i, l] != 0."""
+    h, out = 0, []
+    for l in range(n):
+        for i in range(l - 1, h - 1, -1):  # rows h+1..l-1 of column l, 1-based
+            if not zeros >> 8 * (i * n + l) & 1:
+                h = i + 1
+                break
+        out.append(h)
+    return tuple(out)
+
+
 def superclass_sizes(n: int, q: int) -> dict[IndiffGraph, int]:
     """|UT_gamma^o| for every gamma in IG_n, from the UT_n sweep of induction_table."""
     table = induction_table(n, q)  # the sweep's guard comes before the graphs on [n]
@@ -376,13 +392,13 @@ def induction_table(n: int, q: int) -> dict[Partition, dict[IndiffGraph, int]]:
     raw: dict[Partition, Counter] = {lam: Counter() for lam in _partitions(n)}
     for u in us:
         raw[k.jordan_type(u)][_zero_mask(u, n * n, q)] += 1
-    graphs = {g.edges: g for g in indifference_graphs(n)}  # every label is interval-closed
+    graphs = {_hessenberg_function(g): g for g in indifference_graphs(n)}
     out = {}
     for lam, masks in raw.items():
         labs: Counter = Counter()
         for zeros, c in masks.items():
-            labs[_label_edges(zeros, n)] += c
-        out[lam] = {graphs[lab]: c * _centralizer_order(lam, q) for lab, c in labs.items()}
+            labs[_label(zeros, n)] += c
+        out[lam] = {graphs[h]: c * _centralizer_order(lam, q) for h, c in labs.items()}
     return out
 
 
@@ -405,57 +421,22 @@ def induce_to_GL(phi: ClassFnUT) -> UnipClassFn:
 # counts by linear algebra: UT_gamma cosets and Hessenberg points
 # ---------------------------------------------------------------------------
 
-def _hessenberg_function(gamma: IndiffGraph) -> tuple[int, ...]:
-    """m_j for each column j of [n]: (the least i with {i, j} in E) - 1, or j - 1
-    when column j has no edge.  A matrix of the pattern algebra of gamma, zero
-    on and below the diagonal and at every edge, may be nonzero in column j
-    only in rows 1..m_j.  m is nondecreasing: edges are closed under sub-intervals."""
-    m = list(range(gamma.n))
-    for i, j in gamma.edges:
-        m[j - 1] = min(m[j - 1], i - 1)
-    return tuple(m)
-
-
 @lru_cache(maxsize=None)
-def _superclass_nilpotents(n: int, q: int) -> tuple[int, ...]:
-    """u - 1 for a canonical u of each superclass, in the order of
-    indifference_graphs(n): a 1 at every non-edge above the diagonal.  The
-    label is read back from the zero pattern; another label raises."""
-    out = []
-    for g in indifference_graphs(n):
-        a = sum(1 << 8 * (i * n + j) for i in range(n) for j in range(i + 1, n)
-                if (i + 1, j + 1) not in g.edges)
-        if _label_edges(_zero_mask(a, n * n, q), n) != g.edges:
-            raise AssertionError(f"the superclass representative of {g} has another label")
-        out.append(a)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _column_ranks(n: int, q: int) -> tuple[tuple[int | None, ...], ...]:
-    """For each superclass representative a = u - 1, in the order of
+def _column_ranks(n: int) -> tuple[tuple[int | None, ...], ...]:
+    """For the superclass representative a = u - 1 of each delta, in the order of
     indifference_graphs(n), and each column j and m < j in turn: the rank of
     rows m+1..j-1 of the first j-1 columns of a, or None when column j's rows
-    m+1..j-1 are not in their span.  Column 1 and row n of a are zero, so each j
-    reduces rows 1..j-1 of the (n-1)-square block that drops them (admitted at
-    (8,7)) once: j-1-m steps reduce rows m+1..j-1; a pivot on column j: no solution."""
-    reps = _superclass_nilpotents(n, q)  # refused past MAX_PATH_N, before any kernel
-    w = max(n - 1, 0)
-    k = _Packed(w, q)
+    m+1..j-1 are not in their span.  a is 1 at every non-edge above the
+    diagonal, so column c of a is 1 on rows 1..h_c and 0 below, h the Hessenberg
+    function of delta.  On rows m+1..j-1 the columns c < j with h_c > m are
+    distinct prefixes for distinct h_c, and the others are 0: the rank is the
+    number of distinct such h_c, and column j, a prefix if h_j > m, is in their
+    span iff h_j <= m or h_j = h_{j-1}.  So neither depends on the field."""
     out = []
-    for a in reps:
-        raw = a.to_bytes(n * n, "little")
-        rows = [int.from_bytes(raw[i * n + 1:(i + 1) * n], "little") for i in range(w)]
-        ranks = []
-        for j in range(1, n + 1):
-            # block column c is column c + 2 of a: column j is c = j - 2, the right-hand side
-            rank, run = 0, [0]
-            for sh, _ in k.eliminate([r & (1 << 8 * (j - 1)) - 1 for r in rows[:j - 1]], w):
-                if rank is not None and sh is not None:
-                    rank = None if sh == 8 * (j - 2) else rank + 1
-                run.append(rank)
-            ranks += reversed(run)
-        out.append(tuple(ranks))
+    for g in indifference_graphs(n):  # refused past MAX_PATH_N
+        h = _hessenberg_function(g)
+        out.append(tuple(len({c for c in h[:j] if c > m}) if h[j] <= m or h[j] == h[j - 1]
+                         else None for j in range(n) for m in range(j + 1)))
     return tuple(out)
 
 
@@ -468,13 +449,13 @@ def permutation_character_oracle(gamma: IndiffGraph, q: int) -> ClassFnUT:
     e_j plus any w in <e_1..e_{j-1}>, and a strictly upper a makes that a linear
     system in w on rows m_j+1..j-1: q^{j-1-r_j} solutions, r_j its rank, or
     none.  So u fixes q^{|E| - sum r_j} cosets, or none; the ranks are read
-    once per (n, q) by _column_ranks.
+    once per n by _column_ranks.
     """
     _check_q(q)
     cells = [j * (j + 1) // 2 + m for j, m in enumerate(_hessenberg_function(gamma))]
     edges = len(gamma.edges)
     values = []
-    for ranks in _column_ranks(gamma.n, q):
+    for ranks in _column_ranks(gamma.n):
         rs = [ranks[c] for c in cells]
         values.append(0 if None in rs else q ** (edges - sum(rs)))
     return ClassFnUT(gamma.n, q, tuple(values))

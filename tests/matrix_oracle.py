@@ -23,6 +23,11 @@ in one step (`induce_trivial_from_subgroup`). The enumerations of UT_n and of
 the flags as row tuples are independent of the packed sweeps, and
 `pack`/`unpack` move between the two layouts. The package never sweeps GL_n
 or the flags.
+
+The superclass representatives, which the coset sweep conjugates, live here
+too, and so does the packed elimination of their column systems
+(`column_ranks_by_elimination`), the oracle of the ranks that the package
+reads off Hessenberg functions.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from functools import lru_cache
 from itertools import chain, permutations, product
 from typing import Callable, Iterable, Iterator
 
-from chromaq.combinatorics import IndiffGraph, Partition, gen_partitions
+from chromaq.combinatorics import IndiffGraph, Partition, gen_partitions, indifference_graphs
 from chromaq.fqoracle import (
     ClassFnUT,
     UnipClassFn,
@@ -40,7 +45,6 @@ from chromaq.fqoracle import (
     _check_q,
     _field,
     _Packed,
-    _superclass_nilpotents,
     flag_count,
     jordan_nilpotent,
     ut_elements,
@@ -339,6 +343,48 @@ def _jordan_nilpotents(n: int) -> tuple[int, ...]:
     return tuple(jordan_nilpotent(lam) for lam in gen_partitions(n))
 
 
+@lru_cache(maxsize=None)
+def _superclass_nilpotents(n: int) -> tuple[int, ...]:
+    """u - 1 for a canonical u of each superclass, in the order of
+    indifference_graphs(n): a 1 at every non-edge above the diagonal.  The
+    label of u is read back by label_edges; another label raises."""
+    one, out = pack(mat_identity(n)), []
+    for g in indifference_graphs(n):
+        a = sum(1 << 8 * (i * n + j) for i in range(n) for j in range(i + 1, n)
+                if (i + 1, j + 1) not in g.edges)
+        if label_edges(unpack(one + a, n), n) != g.edges:
+            raise AssertionError(f"the superclass representative of {g} has another label")
+        out.append(a)
+    return tuple(out)
+
+
+def column_ranks_by_elimination(n: int, q: int) -> tuple[tuple[int | None, ...], ...]:
+    """The package's column ranks by row reduction over F_q: for each superclass
+    representative a and each column j and m < j in turn, the rank of rows
+    m+1..j-1 of the first j-1 columns of a, or None when column j's rows
+    m+1..j-1 are not in their span.  Column 1 and row n of a are zero, so each j
+    reduces rows 1..j-1 of the (n-1)-square block that drops them (admitted at
+    (8,7)) once: j-1-m steps reduce rows m+1..j-1; a pivot on column j: no solution."""
+    reps = _superclass_nilpotents(n)
+    w = max(n - 1, 0)
+    k = _Packed(w, q)
+    out = []
+    for a in reps:
+        raw = a.to_bytes(n * n, "little")
+        rows = [int.from_bytes(raw[i * n + 1:(i + 1) * n], "little") for i in range(w)]
+        ranks = []
+        for j in range(1, n + 1):
+            # block column c is column c + 2 of a: column j is c = j - 2, the right-hand side
+            rank, run = 0, [0]
+            for sh, _ in k.eliminate([r & (1 << 8 * (j - 1)) - 1 for r in rows[:j - 1]], w):
+                if rank is not None and sh is not None:
+                    rank = None if sh == 8 * (j - 2) else rank + 1
+                run.append(rank)
+            ranks += reversed(run)
+        out.append(tuple(ranks))
+    return tuple(out)
+
+
 def coset_permutation_character(gamma: IndiffGraph, q: int) -> ClassFnUT:
     """The character of UT_n on UT_n/UT_gamma by direct coset counting: x UT_gamma
     is fixed by u iff x^{-1} (u - 1) x lies in the pattern algebra of gamma.
@@ -346,7 +392,7 @@ def coset_permutation_character(gamma: IndiffGraph, q: int) -> ClassFnUT:
     n = gamma.n
     _check_q(q)
     require_sweep(f"UT_{n}(F_{q})", ut_order(n, q))
-    tallies = _conjugate_masks(ut_elements, n, q, _superclass_nilpotents(n, q))
+    tallies = _conjugate_masks(ut_elements, n, q, _superclass_nilpotents(n))
     return ClassFnUT(n, q, _cosets(tallies, gamma, q))
 
 

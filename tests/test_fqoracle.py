@@ -37,10 +37,10 @@ from chromaq.fqoracle import (
     _centralizer_order,
     _column_ranks,
     _fibre_size,
-    _label_edges,
+    _hessenberg_function,
+    _label,
     _Packed,
     _springer_fibre,
-    _superclass_nilpotents,
     _zero_mask,
     require_fibres,
 )
@@ -51,8 +51,10 @@ from matrix_oracle import (
     _conjugate_masks,
     _conjugation_terms,
     _jordan_nilpotents,
+    _superclass_nilpotents,
     canonical_flag,
     centralizer_order,
+    column_ranks_by_elimination,
     coset_permutation_character,
     flag_reps,
     flag_rows,
@@ -76,6 +78,11 @@ from matrix_oracle import (
 
 def IG(n, *edges):
     return IndiffGraph(n, frozenset(edges))
+
+
+def label_graph(zeros, n):
+    """The graph on [n] whose Hessenberg function `_label` reads off a zero mask."""
+    return {_hessenberg_function(g): g for g in indifference_graphs(n)}[_label(zeros, n)]
 
 
 def digits(rows):
@@ -172,7 +179,7 @@ def test_no_carry_bound_is_exact_and_no_admitted_sweep_reaches_it():
                 m += 1
             assert m < n, (size.__name__, q)
             _Packed(m, q)
-            for a in _superclass_nilpotents(m, q) + _jordan_nilpotents(m):
+            for a in _superclass_nilpotents(m) + _jordan_nilpotents(m):
                 terms = _conjugation_terms(_Packed(m, q), a)
                 assert len(terms) * (q - 1) ** 2 <= 255, (size.__name__, q, a)
 
@@ -214,27 +221,28 @@ def test_eliminate_matches_the_tuple_rank():
             eliminate_against_the_oracle(a, q)
 
 
-def test_column_ranks_reduce_each_column_once(monkeypatch):
-    want = _column_ranks(5, 3)
-    eliminate, calls = _Packed.eliminate, []
+def test_column_count_calls_no_packed_kernel(monkeypatch):
+    # the ranks are read off Hessenberg functions: check_permtoind runs with the
+    # packed kernel gone, from a table built afresh
+    import chromaq.fqoracle as fq
+    from chromaq.bridge import check_permtoind
 
-    def counted(self, rows, size):
-        calls.append(size)
-        return eliminate(self, rows, size)
+    def no_kernel(*args):
+        raise AssertionError("the column count built a packed kernel")
 
-    monkeypatch.setattr(_Packed, "eliminate", counted)
-    assert _column_ranks.__wrapped__(5, 3) == want
-    # one reduction per superclass and column, Cat(5) * 5: every (j, m) is read
-    # off a prefix of its column's steps, where two ranks each took 1,260 calls
-    assert len(calls) == len(indifference_graphs(5)) * 5 == 210
+    monkeypatch.setattr(fq, "_Packed", no_kernel)
+    _column_ranks.cache_clear()
+    assert check_permtoind(5, 3).ok
+    assert _column_ranks.cache_info().misses == 1
 
 
 def test_column_ranks_do_not_depend_on_q():
-    # each augmented block of a superclass representative has consecutive ones
-    # in every column: an interval matrix, totally unimodular, so its rank and
-    # solvability are those over Q at every q
-    for n in range(7):
-        assert len({_column_ranks(n, q) for q in PRIMES}) == 1, n
+    # the elimination of each column system over F_q, the oracle, against the
+    # ranks read off the heights of the columns: the systems are interval
+    # matrices, so their ranks and solvability do not depend on q
+    for n in range(8):
+        for q in PRIMES:
+            assert column_ranks_by_elimination(n, q) == _column_ranks(n), (n, q)
 
 
 def widened(tallies):
@@ -250,7 +258,7 @@ def test_conjugate_masks_match_the_tuple_oracle():
     points += [(gl_elements, gl_matrices, n, q)
                for n, q in [(2, q) for q in PRIMES] + [(3, 2), (3, 3)]]
     for packed, rows, n, q in points:
-        targets = _superclass_nilpotents(n, q) if packed is ut_elements else _jordan_nilpotents(n)
+        targets = _superclass_nilpotents(n) if packed is ut_elements else _jordan_nilpotents(n)
         want = matrix_oracle.conjugate_masks(rows, n, q, tuple(unpack(a, n) for a in targets))
         assert _conjugate_masks(packed, n, q, targets) == widened(want), (packed.__name__, n, q)
 
@@ -346,22 +354,34 @@ def test_jordan_type_rejects_non_unipotent_after_n_plus_one_ranks():
 def test_label_identity_is_complete():
     u = mat_identity(4)
     complete = frozenset((i, j) for i in range(1, 4) for j in range(i + 1, 5))
-    assert _label_edges(_zero_mask(pack(u), 16, 2), 4) == label_edges(u, 4) == complete
+    assert _label(_zero_mask(pack(u), 16, 2), 4) == (0, 0, 0, 0)
+    assert label_graph(_zero_mask(pack(u), 16, 2), 4).edges == label_edges(u, 4) == complete
 
 
 def test_label_full_superdiagonal_is_edgeless():
     rows = ((1, 1, 1), (0, 1, 1), (0, 0, 1))
-    assert _label_edges(_zero_mask(pack(rows), 9, 2), 3) == label_edges(rows, 3) == frozenset()
+    assert _label(_zero_mask(pack(rows), 9, 2), 3) == (0, 1, 2)
+    assert label_graph(_zero_mask(pack(rows), 9, 2), 3).edges == label_edges(rows, 3) == frozenset()
+
+
+def test_label_matches_the_tuple_oracle_on_every_zero_mask():
+    # every zero pattern above the diagonal for n <= 5: 1,024 masks at n = 5
+    for n in range(6):
+        places = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for ones in range(1 << len(places)):
+            u = [list(r) for r in mat_identity(n)]
+            for k, (i, j) in enumerate(places):
+                u[i][j] = ones >> k & 1
+            u = tuple(map(tuple, u))
+            assert label_graph(_zero_mask(pack(u), n * n, 2), n).edges == label_edges(u, n), u
 
 
 def test_label_rejects_non_unipotent(monkeypatch):
-    # the package labels only unipotent elements it writes itself; the label of
-    # each superclass representative is read back, and a wrong one raises
-    # (not an assert, which python -O would drop)
-    import chromaq.fqoracle as fq
-    monkeypatch.setattr(fq, "_label_edges", lambda zeros, n: frozenset())
+    # the label of each superclass representative is read back, and a wrong one
+    # raises (not an assert, which python -O would drop)
+    monkeypatch.setattr(matrix_oracle, "label_edges", lambda u, n: frozenset())
     with pytest.raises(AssertionError, match="has another label"):
-        fq._superclass_nilpotents.__wrapped__(3, 3)
+        _superclass_nilpotents.__wrapped__(3)
 
 
 def test_regular_superclass_size_formula():
@@ -388,11 +408,13 @@ def test_subgroup_order_from_sizes():
 
 
 def test_superclass_rep_labels():
-    # each u - 1 written down is the nilpotent part of a u whose oracle label is its graph
+    # each u - 1 written down is the nilpotent part of a u whose oracle label is
+    # its graph, and whose label in the package is the graph's Hessenberg function
     for n in (1, 2, 3, 4):
-        for g, a in zip(indifference_graphs(n), _superclass_nilpotents(n, 3), strict=True):
-            u = unpack(pack(mat_identity(n)) + a, n)
-            assert IndiffGraph(n, label_edges(u, n)) == g
+        for g, a in zip(indifference_graphs(n), _superclass_nilpotents(n), strict=True):
+            u = pack(mat_identity(n)) + a
+            assert IndiffGraph(n, label_edges(unpack(u, n), n)) == g
+            assert _label(_zero_mask(u, n * n, 3), n) == _hessenberg_function(g)
 
 
 # -- class function basics -----------------------------------------------------------
@@ -408,7 +430,7 @@ def test_classfn_evaluation_at_element():
     gamma = IG(3, (1, 2))
     f = delta_bar(gamma, q)
     for u in ut_elements(3, q):
-        label = IndiffGraph(3, _label_edges(_zero_mask(u, 9, q), 3))
+        label = label_graph(_zero_mask(u, 9, q), 3)
         assert f(label) == (1 if u >> 8 & 255 == 0 else 0)
 
 
@@ -439,16 +461,16 @@ def test_column_count_reads_its_ranks_once_per_n_q_and_sweeps_nothing(monkeypatc
 
     monkeypatch.setattr(fq, "ut_elements", no_sweep)
     gammas = indifference_graphs(5)
-    permutation_character_oracle(gammas[0], 3)
-    before = _column_ranks.cache_info()
-    for gamma in gammas:
-        # |UT_5(F_3)| = 59,049: the sweep would conjugate each of 42 representatives by each
-        assert permutation_character_oracle(gamma, 3) == chi_bar(gamma, 3), gamma
-    after = _column_ranks.cache_info()
-    assert after.misses == before.misses
-    assert after.hits == before.hits + len(gammas)
+    _column_ranks.cache_clear()
+    for q in PRIMES:
+        for gamma in gammas:
+            # |UT_5(F_3)| = 59,049: the sweep would conjugate each of 42 representatives by each
+            assert permutation_character_oracle(gamma, q) == chi_bar(gamma, q), (gamma, q)
+    # one table at n = 5 serves all four q
+    info = _column_ranks.cache_info()
+    assert (info.misses, info.hits) == (1, len(PRIMES) * len(gammas) - 1)
     # one tuple per superclass, with one entry per column j and m < j
-    assert [len(ranks) for ranks in _column_ranks(5, 3)] == [15] * len(gammas)
+    assert [len(ranks) for ranks in _column_ranks(5)] == [15] * len(gammas)
 
 
 def test_coset_oracle_sweeps_ut_once_per_n_q():
@@ -461,7 +483,7 @@ def test_coset_oracle_sweeps_ut_once_per_n_q():
     assert after.misses == before.misses
     assert after.hits == before.hits + len(gammas) - 1
     # each u - 1 is conjugated by every x in UT_3(F_3) exactly once
-    tallies = _conjugate_masks(ut_elements, 3, 3, _superclass_nilpotents(3, 3))
+    tallies = _conjugate_masks(ut_elements, 3, 3, _superclass_nilpotents(3))
     assert _conjugate_masks.cache_info().misses == before.misses
     assert all(sum(masks.values()) == ut_order(3, 3) for masks in tallies)
 
