@@ -12,7 +12,6 @@ index in range and reports the first witness on failure.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 from math import factorial, prod
@@ -33,7 +32,7 @@ from .combinatorics import (
     indifference_graphs,
     mesa,
 )
-from .exactnum import ONE, ZERO, LaurentPoly, Rat, _frac, ratfunc_to_const, t_minus_one_power
+from .exactnum import ONE, ZERO, LaurentPoly, Rat, _div, _frac, ratfunc_to_const, t_minus_one_power
 from .fqoracle import (
     ClassFnUT,
     UnipClassFn,
@@ -132,7 +131,7 @@ def _p_one_table(n: int, q: int) -> dict[Partition, dict[Partition, Rat]]:
     out = {}
     for lam, row in _pt_at_q(n, q).items():
         F = _apply(row, _m_to_p(n))
-        F = {mu: Fraction(c, prod(q ** k - 1 for k in mu)) for mu, c in F.items()}
+        F = {mu: _div(c, prod(q ** k - 1 for k in mu)) for mu, c in F.items()}
         out[lam] = {nu: _frac(c) for nu, c in _apply(F, _omega_p_to_s(n)).items() if c}
     return out
 

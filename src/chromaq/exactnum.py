@@ -5,9 +5,12 @@ reduced rational functions over Q, which no other module constructs: the
 tests keep them as the oracle for the old paths that divided by polynomials.
 Nearly every coefficient the package builds lies in Z[t], so a coefficient is
 stored as an ``int`` whenever it is integral and as a ``fractions.Fraction``
-only for a true quotient; every division goes through ``Fraction``.  A
-``float`` coefficient raises ``TypeError``: there is deliberately no
-floating-point anywhere.  Everything is immutable and canonical, so equality
+only for a true quotient.  Every division goes through `_div`, which keeps an
+exact int quotient an int and loads `fractions` at the first true quotient;
+`evaluate`, which always returns a Fraction, loads it too.  A Fraction is
+recognised through ``sys.modules``, since none exists before its module is
+loaded.  A ``float`` coefficient raises ``TypeError``: there is deliberately
+no floating-point anywhere.  Everything is immutable and canonical, so equality
 and hashing are structural, and a constant hashes as the number it equals.
 
 The canonical form of a LaurentPoly: nonzero first and last coefficients,
@@ -24,23 +27,37 @@ int on every polynomial in Z[t], since its coefficients are stored as ints.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from functools import lru_cache
 from math import gcd as _intgcd
-from typing import Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
-Rat = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Rat = Union[int, "Fraction"]
 
 
 class PoleError(ZeroDivisionError):
     """Evaluation hit a pole (t = 0 with negative exponents, or a root of a denominator)."""
 
 
+def _is_fraction(x) -> bool:
+    """True iff x is a Fraction; no Fraction exists before `fractions` is loaded."""
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(x, fractions.Fraction)
+
+
+def _is_number(x) -> bool:
+    """True iff x is an int or a Fraction, the numbers a coefficient can be."""
+    return isinstance(x, int) or _is_fraction(x)
+
+
 def _frac(x: Rat) -> Rat:
     """x as a canonical coefficient: an int when integral, else a Fraction."""
     if type(x) is int:
         return x
-    if isinstance(x, Fraction):
+    if _is_fraction(x):
         return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
         return int(x)
@@ -48,7 +65,14 @@ def _frac(x: Rat) -> Rat:
 
 
 def _div(x: Rat, y: Rat) -> Rat:
-    """The exact quotient x / y as a canonical coefficient."""
+    """The exact quotient x / y as a canonical coefficient.
+
+    An int quotient of ints is taken as one; any other quotient is a Fraction,
+    and the first one a process builds loads `fractions`.
+    """
+    if type(x) is int and type(y) is int and y and not x % y:
+        return x // y
+    from fractions import Fraction
     return _frac(Fraction(x, y))
 
 
@@ -216,7 +240,7 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         if type(other) is LaurentPoly:
             return self.low == other.low and self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
+        if _is_number(other):
             c = _frac(other)
             return self.coeffs == ((c,) if c else ()) and self.low == 0
         return NotImplemented
@@ -294,7 +318,7 @@ class LaurentPoly:
             if len(a) == 1:
                 return other._scaled(a[0], self.low)
             return _canonical(_pmul(a, b), self.low + other.low)
-        if isinstance(other, (int, Fraction)):
+        if _is_number(other):
             c = _frac(other)
             return self._scaled(c, 0) if c and self.coeffs else ZERO
         return NotImplemented
@@ -330,7 +354,9 @@ class LaurentPoly:
     def evaluate(self, q: Rat) -> Fraction:
         """Exact value at t = q, always a Fraction; pole when q = 0 meets a
         negative exponent.  One Horner loop in the type of q and the
-        coefficients; q ** low is taken as a Fraction for low < 0."""
+        coefficients; q ** low is taken as a Fraction for low < 0.  The first
+        evaluation of a process loads `fractions`."""
+        from fractions import Fraction
         q = _frac(q)
         if q == 0 and self.low < 0:
             raise PoleError("evaluation at t = 0 of a Laurent polynomial with negative exponents")
@@ -387,7 +413,7 @@ def _canonical(cs, low: int) -> LaurentPoly:
 
 def _as_poly(x) -> LaurentPoly:
     """A number x as a constant LaurentPoly; anything else is NotImplemented."""
-    return LaurentPoly.const(x) if isinstance(x, (int, Fraction)) else NotImplemented
+    return LaurentPoly.const(x) if _is_number(x) else NotImplemented
 
 
 ZERO = LaurentPoly()
@@ -539,7 +565,7 @@ def _coerce(x) -> "RationalFunc":
         return x
     if isinstance(x, LaurentPoly):
         return RationalFunc(x)
-    if isinstance(x, (int, Fraction)):
+    if _is_number(x):
         return RationalFunc.const(x)
     return NotImplemented
 

@@ -29,8 +29,6 @@ SymFunc is immutable: the caches in chromallt hand one object to every caller.
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import suppress
-from fractions import Fraction
 from functools import lru_cache
 from math import prod
 from types import MappingProxyType
@@ -40,14 +38,13 @@ from .combinatorics import (
     Frozen,
     Partition,
     _partition_count,
-    _partition_index,
     _partitions,
     nstat,
     transpose,
 )
-from .exactnum import ONE, ZERO, LaurentPoly, ratfunc_to_const
+from .exactnum import ONE, ZERO, LaurentPoly, _div, ratfunc_to_const
 from .exactnum import T as _T
-from .guards import SizeGuardError, require_sweep
+from .guards import require_sweep
 
 BASES = ("M", "E", "H", "P", "S", "HLP", "PT")
 
@@ -63,7 +60,9 @@ def _coeff(x) -> LaurentPoly:
 # SymFunc: coefficients in a named basis
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _require_partition(mu: tuple[int, ...], degree: int) -> None:
+    """ValueError unless mu is a partition of degree; checked once per key."""
     if sum(mu) != degree or any(a < b for a, b in zip(mu, mu[1:])) or mu and mu[-1] < 1:
         raise ValueError(f"{mu} is not a partition of {degree}")
 
@@ -86,20 +85,13 @@ class SymFunc(Frozen):
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
         cleaned: dict[Partition, Coeff] = {}
-        # a key in the table of partitions of degree is one; any other key, and
-        # every key of a degree whose table is refused, goes through the plain check
-        known = {}
-        if type(degree) is int and degree >= 0:
-            with suppress(SizeGuardError):
-                known = _partition_index(degree)
         for mu, c in coeffs.items():
             if type(c) is not LaurentPoly:
                 c = _coeff(c)
             if not c.coeffs:
                 continue
             mu = tuple(mu)
-            if mu not in known:
-                _require_partition(mu, degree)
+            _require_partition(mu, degree)
             cleaned[mu] = c
         self._set(degree, basis, MappingProxyType(cleaned))
 
@@ -280,7 +272,7 @@ def _invert(a: list[list[Coeff]]) -> list[list[Coeff]]:
         p = aug[col][col]
         if len(p.coeffs) != 1:
             raise ArithmeticError(f"pivot {p} is not a unit of Q[t, 1/t]")
-        inv = LaurentPoly([1 / Fraction(p.coeffs[0])], low=-p.low)
+        inv = LaurentPoly([_div(1, p.coeffs[0])], low=-p.low)
         aug[col] = [x * inv for x in aug[col]]
         for r in range(n):
             f = aug[r][col]

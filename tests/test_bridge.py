@@ -361,14 +361,43 @@ def test_the_package_never_imports_dataclasses():
 
 
 def test_cold_import_of_the_cli_loads_neither_dataclasses_nor_inspect():
-    # nor argparse with gettext: about 3 ms to import and 3 ms to build a parser
+    # nor argparse with gettext: about 3 ms to import and 3 ms to build a parser;
+    # nor fractions, which brings decimal and numbers: about 3.5 ms
     code = ("import sys\n"
             "import chromaq.cli\n"
-            "print(sorted(m for m in ('dataclasses', 'inspect', 'argparse', 'gettext')\n"
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'argparse', 'gettext',\n"
+            "                         'fractions', 'decimal', 'numbers')\n"
             "             if m in sys.modules))\n")
     proc = _fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_the_symbolic_compute_verbs_never_load_fractions():
+    # Their values lie in Z[t], so `_div` keeps every quotient an int. The
+    # modules listed first are the ones perfbench/tracer.py reads from
+    # sys.modules right after `import chromaq.cli`: deferring any of them
+    # would make `perfbench/run.py --trace 1` fail with a KeyError.
+    code = ("import contextlib, io, sys\n"
+            "from chromaq.cli import main\n"
+            "mods = ('cli', 'bridge', 'fqoracle', 'chromallt', 'symfunc', 'combinatorics',\n"
+            "        'exactnum')\n"
+            "print([m for m in mods if f'chromaq.{m}' not in sys.modules])\n"
+            "print(hasattr(sys.modules['chromaq.exactnum'], 'RationalFunc'))\n"
+            "for argv in (['csf', 'EESESESESESS'], ['llt', 'EEDSESESESS'],\n"
+            "             ['as-expand', 'EEDSESESESS'], ['d-coeffs', 'EESESESESESS'],\n"
+            "             ['e-expand', 'EESESESESESS']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(['compute', *argv]) == 0, argv\n"
+            "from chromaq.exactnum import LaurentPoly\n"
+            "try:\n"
+            "    LaurentPoly([1.5])\n"
+            "except TypeError:\n"
+            "    print('float refused')\n"
+            "print(sorted(m for m in ('fractions', 'decimal', 'numbers') if m in sys.modules))\n")
+    proc = _fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True", "float refused", "[]"]
 
 
 def test_only_the_cli_imports_gc_or_atexit():
@@ -749,13 +778,13 @@ def test_unicellular_sum_matches_the_symfunc_by_symfunc_sum():
 
 
 def test_check_cm_divides_by_nothing(monkeypatch):
-    # both sides are scaled by n!, so check_cm builds no Fraction
+    # both sides are scaled by n!, so check_cm never reaches bridge's one division
     import chromaq.bridge as bridge
 
-    def no_fraction(*args):
+    def no_division(*args):
         raise AssertionError("check_cm divided")
 
-    monkeypatch.setattr(bridge, "Fraction", no_fraction)
+    monkeypatch.setattr(bridge, "_div", no_division)
     for n in range(6):
         assert check_cm(n).ok, n
 

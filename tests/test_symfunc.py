@@ -1,10 +1,11 @@
 import itertools
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from chromaq.combinatorics import gen_partitions, transpose
+from chromaq.combinatorics import _partitions, gen_partitions, transpose
 from chromaq.exactnum import LaurentPoly, PoleError, RationalFunc
 from chromaq.guards import SizeGuardError
 from chromaq.symfunc import (
@@ -436,6 +437,19 @@ def test_symfunc_partition_check_at_the_edges():
         assert str(e.value) == f"{key} is not a partition of {degree}"
     assert SymFunc(13, "M", {(13,): 1}).coeffs == {(13,): RF(1)}
     assert SymFunc(100, "M", {(60, 40): 1}).degree == 100
+
+
+def test_symfunc_checks_its_keys_without_listing_their_degree():
+    # each key is checked on its own: the table of the 105,558 partitions of 46
+    # took 0.49 s to list when a key was looked up in it
+    before = _partitions.cache_info()
+    start = time.perf_counter()
+    assert SymFunc(46, "M", {(46,): 1}).coeffs == {(46,): RF(1)}
+    assert time.perf_counter() - start < 0.05
+    with pytest.raises(ValueError) as e:
+        SymFunc(46, "M", {(45,): 1})
+    assert str(e.value) == "(45,) is not a partition of 46"
+    assert _partitions.cache_info() == before
 
 
 def test_symfunc_drops_zero_coefficients():
