@@ -22,6 +22,7 @@ from .combinatorics import (
     Frozen,
     Partition,
     SchroderPath,
+    _hessenberg_function,
     _partitions,
     area,
     area_inverse,
@@ -36,6 +37,7 @@ from .exactnum import ONE, ZERO, LaurentPoly, Rat, _div, _frac, ratfunc_to_const
 from .fqoracle import (
     ClassFnUT,
     UnipClassFn,
+    _between,
     chi_bar,
     chi_super,
     hessenberg_count,
@@ -261,14 +263,14 @@ def check_mesa(n: int, q: int) -> CheckReport:
 
 def check_psi_decomp(n: int, q: int) -> CheckReport:
     """psi^sigma equals the sum of chi^gamma over Diag <= E(gamma) <= Area u Diag."""
-    supers = [(gamma.edges, chi_super(gamma, q).values) for gamma in indifference_graphs(n)]
+    supers = {_hessenberg_function(n, g.edges): chi_super(g, q).values for g in indifference_graphs(n)}
 
     def test(sigma):
         lhs = psi_pseudo(sigma, q)
+        # the interval is h(Area u Diag) <= h <= h(Diag), and always holds Area u Diag
         a, d = area(sigma), diag(sigma)
-        # the interval always holds Area u Diag, so the sum has a term
-        rhs = ClassFnUT(n, q, tuple(map(sum, zip(*[vals for edges, vals in supers
-                                                   if d <= edges <= (a | d)]))))
+        interval = _between(_hessenberg_function(n, a | d), _hessenberg_function(n, d))
+        rhs = ClassFnUT(n, q, tuple(map(sum, zip(*[supers[h] for h in interval]))))
         return lhs == rhs, lhs, rhs
 
     return _scan("check_psi_decomp", n, q, gen_tall_schroder(n), test)

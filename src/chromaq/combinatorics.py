@@ -1,4 +1,4 @@
-"""Partitions, lattice paths, indifference graphs, and the subgraph Moebius function.
+"""Partitions, lattice paths and indifference graphs.
 
 Conventions:
   * partitions are tuples of positive ints in weakly decreasing order;
@@ -11,7 +11,7 @@ Conventions:
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, count
+from itertools import count
 from math import comb
 from typing import Iterable, Iterator
 
@@ -318,9 +318,6 @@ class IndiffGraph(Hashed):
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
-    def __le__(self, other: "IndiffGraph") -> bool:
-        return self.n == other.n and self.edges <= other.edges
-
     def __str__(self) -> str:
         return f"IG(n={self.n}, edges={self.sorted_edges()})"
 
@@ -352,6 +349,17 @@ def graph_of(pi: DyckPath) -> IndiffGraph:
     return pi._graph
 
 
+def _hessenberg_function(n: int, edges: Iterable[Edge]) -> tuple[int, ...]:
+    """h_j for each column j of [n]: (the least i with {i, j} in E) - 1, or j - 1
+    when column j has no edge.  A matrix of the pattern algebra of gamma, zero
+    on and below the diagonal and at every edge, may be nonzero in column j
+    only in rows 1..h_j.  h is nondecreasing: edges are closed under sub-intervals."""
+    h = list(range(n))
+    for i, j in edges:
+        h[j - 1] = min(h[j - 1], i - 1)
+    return tuple(h)
+
+
 def area_inverse(edges: Iterable[Edge], n: int) -> DyckPath:
     """The unique Dyck path of size n whose area is the given indifference edge set."""
     return _area_inverse(frozenset(tuple(sorted(e)) for e in edges), n)
@@ -359,19 +367,12 @@ def area_inverse(edges: Iterable[Edge], n: int) -> DyckPath:
 
 @lru_cache(maxsize=None)
 def _area_inverse(es: frozenset[Edge], n: int) -> DyckPath:
-    """area_inverse of sorted edges, built once per (edge set, n)."""
+    """area_inverse of sorted edges, built once per (edge set, n): the E step of
+    column j starts at height -h_j, so S^(h_j - h_{j-1}) comes before it."""
     if not _closed(es, n):
         raise ValueError(f"{sorted(es)} is not an indifference edge set on [{n}]")
-    steps = []
-    prev_y = 0
-    for j in range(1, n + 1):
-        tops = [i for i, jj in es if jj == j]
-        y = 1 - min(tops) if tops else 1 - j
-        steps.append("S" * (prev_y - y))
-        steps.append("E")
-        prev_y = y
-    steps.append("S" * (prev_y + n))
-    return DyckPath("".join(steps))
+    h = _hessenberg_function(n, es)
+    return DyckPath("E".join("S" * (b - a) for a, b in zip((0,) + h, h + (n,))))
 
 
 @lru_cache(maxsize=None)
@@ -397,21 +398,3 @@ def mesa(pi: DyckPath) -> SchroderPath:
         i += 1
     return SchroderPath("".join(out))
 
-
-# ---------------------------------------------------------------------------
-# subgraph poset and its Moebius function
-# ---------------------------------------------------------------------------
-
-def mobius_subgraph(gamma: IndiffGraph) -> dict[IndiffGraph, int]:
-    """Moebius function mu(sigma, gamma) at the indifference graphs sigma <= gamma
-    where it is nonzero.
-
-    The indifference graphs on [n] are the order ideals of the intervals (i, j)
-    under containment, a distributive lattice.  So mu(sigma, gamma) = (-1)^{|S|}
-    when sigma is gamma less a set S of its corners, the edges (i, j) with
-    neither (i-1, j) nor (i, j+1) an edge, and 0 otherwise (Stanley, EC1 3.9).
-    """
-    e = gamma.edges
-    corners = [(i, j) for i, j in e if (i - 1, j) not in e and (i, j + 1) not in e]
-    return {IndiffGraph(gamma.n, e.difference(s)): (-1) ** k
-            for k in range(len(corners) + 1) for s in combinations(corners, k)}

@@ -8,9 +8,9 @@ bytes.translate reduces the result mod q or reads off its zero pattern.  No
 byte carries while n(q-1)^2 < 256; past that the kernel raises, and nothing
 that the guards admit comes near it.
 
-Superclasses are indifference graphs, each one a Hessenberg function h
-({i, l} is an edge iff h_l < i < l): the label of an element of UT_n and the
-cosets that a superclass fixes are both read off h.
+Superclasses are indifference graphs, each one a Hessenberg function h ({i, l}
+an edge iff h_l < i < l): element labels, fixed cosets and class functions are
+all read off h, the last as signed sums of upsets in one table per n, `_lattice`.
 
 Induction to GL_n is the one brute-force sweep: each element of UT_n
 contributes the centralizer order of its Jordan type (Frobenius formula), the
@@ -40,12 +40,12 @@ from .combinatorics import (
     IndiffGraph,
     Partition,
     SchroderPath,
+    _hessenberg_function,
     _partition_index,
     _partitions,
     area,
     diag,
     indifference_graphs,
-    mobius_subgraph,
 )
 from .exactnum import Rat, _div
 from .guards import require, require_power, require_sweep
@@ -202,15 +202,22 @@ def ut_elements(n: int, q: int) -> Iterator[int]:
 # superclasses
 # ---------------------------------------------------------------------------
 
-def _hessenberg_function(gamma: IndiffGraph) -> tuple[int, ...]:
-    """h_j for each column j of [n]: (the least i with {i, j} in E) - 1, or j - 1
-    when column j has no edge.  A matrix of the pattern algebra of gamma, zero
-    on and below the diagonal and at every edge, may be nonzero in column j
-    only in rows 1..h_j.  h is nondecreasing: edges are closed under sub-intervals."""
-    h = list(range(gamma.n))
-    for i, j in gamma.edges:
-        h[j - 1] = min(h[j - 1], i - 1)
-    return tuple(h)
+def _between(lo: tuple[int, ...], hi: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every nondecreasing x with lo <= x <= hi, column by column: an h if hi_j <= j."""
+    xs = [()]
+    for a, b in zip(lo, hi):
+        xs = [x + (v,) for x in xs for v in range(max(x[-1:] + (a,)), b + 1)]
+    return xs
+
+
+@lru_cache(maxsize=None)
+def _lattice(n: int) -> tuple[tuple[tuple[int, ...], ...], dict, tuple[tuple[int, ...], ...]]:
+    """The h of each graph on [n] in the order of indifference_graphs(n), the
+    position of each h, and the upset of each position: the positions of the
+    graphs that contain it, every nondecreasing x <= h (Stanley, EC1 3.9)."""
+    hs = tuple(_hessenberg_function(n, g.edges) for g in indifference_graphs(n))  # refused past MAX_PATH_N
+    pos = {h: i for i, h in enumerate(hs)}
+    return hs, pos, tuple(tuple(pos[x] for x in _between((0,) * n, h)) for h in hs)
 
 
 def _label(zeros: int, n: int) -> tuple[int, ...]:
@@ -313,22 +320,35 @@ class UnipClassFn(_ClassFn):
     _index = staticmethod(_partition_index)
 
 
-def _upset_sum(n: int, q: int, terms: Iterable[tuple[IndiffGraph, int]]) -> ClassFnUT:
-    """sum of c * (indicator of the graphs containing gamma) over (gamma, c) in terms."""
-    graphs = _graph_index(n)
-    acc = [0] * len(graphs)
-    for gamma, c in terms:
-        e = gamma.edges
-        for i, g in enumerate(graphs):
-            if e <= g.edges:
-                acc[i] += c
+def _upset_sum(n: int, q: int, terms: Iterable[tuple[tuple[int, ...], int]]) -> ClassFnUT:
+    """sum of c * (indicator of the graphs containing the graph of h) over (h, c) in terms."""
+    _, pos, upsets = _lattice(n)
+    acc = [0] * len(pos)
+    for h, c in terms:
+        for i in upsets[pos[h]]:
+            acc[i] += c
     return ClassFnUT(n, q, tuple(acc))
+
+
+def _lowered(h: tuple[int, ...], cols: Iterable[int], q: int) -> list[tuple[tuple[int, ...], int]]:
+    """(h + 1_T, (-1)^{|T|} q^{|E| - |T|}) for each set T of the columns cols: the
+    graph of h less the top edge of each column of T, and its signed chi_bar degree."""
+    out = [(h, q ** sum(j - x for j, x in enumerate(h)))]
+    for j in cols:
+        out += [(x[:j] + (x[j] + 1,) + x[j + 1:], -c // q) for x, c in out]
+    return out
+
+
+def _corners(h: tuple[int, ...]) -> list[int]:
+    """The columns j, from 0, whose top edge is a corner: column j has an edge
+    (h_j < j), and column j + 1 none in its row (h_{j+1} > h_j), or j is last."""
+    return [j for j, (x, y) in enumerate(zip(h, h[1:] + (len(h),))) if x < j and x < y]
 
 
 def chi_bar(gamma: IndiffGraph, q: int) -> ClassFnUT:
     """Permutation character of UT_n on UT_n/UT_gamma: q^{|E|} times the indicator of UT_gamma."""
     _check_q(q)
-    return _upset_sum(gamma.n, q, [(gamma, q ** len(gamma.edges))])
+    return _upset_sum(gamma.n, q, _lowered(_hessenberg_function(gamma.n, gamma.edges), (), q))
 
 
 def chi_super(gamma: IndiffGraph, q: int) -> ClassFnUT:
@@ -336,33 +356,29 @@ def chi_super(gamma: IndiffGraph, q: int) -> ClassFnUT:
     sum of mu(sigma, gamma) chi_bar(sigma) over sigma <= gamma.
 
     mu(sigma, gamma) = (-1)^{|S|} when sigma is gamma less a set S of its
-    corners, and 0 otherwise (mobius_subgraph), so the sum has
-    2^{#corners} <= 2^{n-1} terms."""
+    corners, and 0 otherwise (Stanley, EC1 3.9), so the sum has
+    2^{#corners} <= 2^{n-1} terms, h(gamma) moved up by 1 in the columns of S."""
     _check_q(q)
-    return _upset_sum(gamma.n, q, [(sigma, mu * q ** len(sigma.edges))
-                                   for sigma, mu in mobius_subgraph(gamma).items()])
+    h = _hessenberg_function(gamma.n, gamma.edges)
+    return _upset_sum(gamma.n, q, _lowered(h, _corners(h), q))
 
 
 @lru_cache(maxsize=None)
 def psi_pseudo(sigma: SchroderPath, q: int) -> ClassFnUT:
     """Pseudosupercharacter: signed inclusion-exclusion of chi_bar over Diag subsets.
 
+    A tall path has at most one Diag cell per column, just above the column's
+    area, so Area u S is h(Area u Diag) moved up by 1 in the columns of Diag - S.
     Built once per (sigma, q): four checks read the same paths at the same q."""
     if not sigma.is_tall:
         raise ValueError("psi_pseudo needs a tall path")
     n = sigma.size
     _check_q(q)
-    _graph_index(n)  # refused past MAX_PATH_N, before the 2^|Diag| terms are built
-    a = area(sigma)
-    d = sorted(diag(sigma))
-    terms = []
-    for mask in product((0, 1), repeat=len(d)):
-        s = frozenset(e for e, m in zip(d, mask) if m)
-        try:
-            g = IndiffGraph(n, a | s)
-        except ValueError as exc:  # cannot happen for genuine tall paths
-            raise AssertionError(f"Area u S failed interval closure for {sigma}") from exc
-        terms.append((g, (-1) ** (len(d) - len(s)) * q ** len(g.edges)))
+    pos = _lattice(n)[1]  # refused past MAX_PATH_N, before the 2^|Diag| terms are built
+    a, d = area(sigma), diag(sigma)
+    terms = _lowered(_hessenberg_function(n, a | d), sorted(j - 1 for _, j in d), q)
+    if not all(h in pos for h, _ in terms):  # cannot happen for genuine tall paths
+        raise AssertionError(f"Area u S failed interval closure for {sigma}")
     return _upset_sum(n, q, terms)
 
 
@@ -392,13 +408,13 @@ def induction_table(n: int, q: int) -> dict[Partition, dict[IndiffGraph, int]]:
     raw: dict[Partition, Counter] = {lam: Counter() for lam in _partitions(n)}
     for u in us:
         raw[k.jordan_type(u)][_zero_mask(u, n * n, q)] += 1
-    graphs = {_hessenberg_function(g): g for g in indifference_graphs(n)}
+    graphs, pos = indifference_graphs(n), _lattice(n)[1]
     out = {}
     for lam, masks in raw.items():
         labs: Counter = Counter()
         for zeros, c in masks.items():
             labs[_label(zeros, n)] += c
-        out[lam] = {graphs[h]: c * _centralizer_order(lam, q) for h, c in labs.items()}
+        out[lam] = {graphs[pos[h]]: c * _centralizer_order(lam, q) for h, c in labs.items()}
     return out
 
 
@@ -432,12 +448,9 @@ def _column_ranks(n: int) -> tuple[tuple[int | None, ...], ...]:
     distinct prefixes for distinct h_c, and the others are 0: the rank is the
     number of distinct such h_c, and column j, a prefix if h_j > m, is in their
     span iff h_j <= m or h_j = h_{j-1}.  So neither depends on the field."""
-    out = []
-    for g in indifference_graphs(n):  # refused past MAX_PATH_N
-        h = _hessenberg_function(g)
-        out.append(tuple(len({c for c in h[:j] if c > m}) if h[j] <= m or h[j] == h[j - 1]
-                         else None for j in range(n) for m in range(j + 1)))
-    return tuple(out)
+    return tuple(tuple(len({c for c in h[:j] if c > m}) if h[j] <= m or h[j] == h[j - 1]
+                       else None for j in range(n) for m in range(j + 1))
+                 for h in _lattice(n)[0])  # refused past MAX_PATH_N
 
 
 def permutation_character_oracle(gamma: IndiffGraph, q: int) -> ClassFnUT:
@@ -452,7 +465,7 @@ def permutation_character_oracle(gamma: IndiffGraph, q: int) -> ClassFnUT:
     once per n by _column_ranks.
     """
     _check_q(q)
-    cells = [j * (j + 1) // 2 + m for j, m in enumerate(_hessenberg_function(gamma))]
+    cells = [j * (j + 1) // 2 + m for j, m in enumerate(_hessenberg_function(gamma.n, gamma.edges))]
     edges = len(gamma.edges)
     values = []
     for ranks in _column_ranks(gamma.n):
@@ -560,7 +573,7 @@ def hessenberg_count(gamma: IndiffGraph, lam: Partition, q: int) -> int:
     """Number of flags gB with g^{-1} a g strictly upper and zero at the edges of
     gamma, for a nilpotent a over F_q with 1 + a of Jordan type lam.
 
-    That is a V_j in V_{m_j} for every j, m = _hessenberg_function(gamma): the
+    That is a V_j in V_{m_j} for every j, m the Hessenberg function of gamma: the
     flags of the Springer fibre with mu <= m.  g -> h g maps the flags of a onto
     those of h^{-1} a h, so every such a reads the walk of J_lam - 1; for
     lam = 1^n, a = 0 and every flag counts."""
@@ -570,5 +583,5 @@ def hessenberg_count(gamma: IndiffGraph, lam: Partition, q: int) -> int:
         raise ValueError(f"Jordan type {lam} is not a partition of n = {n}")
     if lam == (1,) * n:
         return flag_count(n, q)
-    m = _hessenberg_function(gamma)
+    m = _hessenberg_function(n, gamma.edges)
     return sum(c for mu, c in _springer_fibre(lam, q).items() if all(map(le, mu, m)))

@@ -1,6 +1,6 @@
 import re
 from collections import Counter
-from itertools import chain
+from itertools import chain, combinations
 from fractions import Fraction
 
 import pytest
@@ -11,6 +11,8 @@ from chromaq.bridge import check_mesa
 from chromaq.combinatorics import (
     IndiffGraph,
     SchroderPath,
+    area,
+    diag,
     gen_dyck,
     gen_partitions,
     gen_tall_schroder,
@@ -39,14 +41,17 @@ from chromaq.fqoracle import (
     _fibre_size,
     _hessenberg_function,
     _label,
+    _lattice,
     _Packed,
     _springer_fibre,
+    _upset_sum,
     _zero_mask,
     require_fibres,
 )
 from chromaq.guards import MAX_SWEEP, SizeGuardError
-from classfn_oracle import delta_bar, inner_product_UT
+from classfn_oracle import delta_bar, inner_product_UT, upset_sum_by_scan
 import matrix_oracle
+from mobius_oracle import mobius_subgraph
 from matrix_oracle import (
     _conjugate_masks,
     _conjugation_terms,
@@ -82,7 +87,7 @@ def IG(n, *edges):
 
 def label_graph(zeros, n):
     """The graph on [n] whose Hessenberg function `_label` reads off a zero mask."""
-    return {_hessenberg_function(g): g for g in indifference_graphs(n)}[_label(zeros, n)]
+    return indifference_graphs(n)[_lattice(n)[1][_label(zeros, n)]]
 
 
 def digits(rows):
@@ -414,7 +419,7 @@ def test_superclass_rep_labels():
         for g, a in zip(indifference_graphs(n), _superclass_nilpotents(n), strict=True):
             u = pack(mat_identity(n)) + a
             assert IndiffGraph(n, label_edges(unpack(u, n), n)) == g
-            assert _label(_zero_mask(u, n * n, 3), n) == _hessenberg_function(g)
+            assert _label(_zero_mask(u, n * n, 3), n) == _hessenberg_function(n, g.edges)
 
 
 # -- class function basics -----------------------------------------------------------
@@ -510,6 +515,98 @@ def test_chi_super_mobius_roundtrip():
                 total = total + chi_super(sigma, q)
         assert total == chi_bar(gamma, q)
 
+
+
+def psi_graph_terms(sigma, q):
+    """The terms of psi^sigma as graphs: Area u S for each S in Diag, built from
+    frozensets, with (-1)^{|Diag - S|} q^{|Area u S|}."""
+    a, d = area(sigma), sorted(diag(sigma))
+    return [(g, (-1) ** (len(d) - k) * q ** len(g.edges)) for k in range(len(d) + 1)
+            for g in (IndiffGraph(sigma.size, a | set(s)) for s in combinations(d, k))]
+
+
+def graph_term_lists(n, q):
+    """(package value, its terms as graphs) for every chi_bar, chi_super and psi_pseudo at n."""
+    for g in indifference_graphs(n):
+        yield chi_bar(g, q), [(g, q ** len(g.edges))]
+        yield chi_super(g, q), [(s, mu * q ** len(s.edges)) for s, mu in mobius_subgraph(g).items()]
+    for sigma in gen_tall_schroder(n):
+        yield psi_pseudo(sigma, q), psi_graph_terms(sigma, q)
+
+
+def h_terms(terms):
+    return sorted((_hessenberg_function(g.n, g.edges), c) for g, c in terms)
+
+
+def captured_terms(monkeypatch):
+    """Make _upset_sum record the terms it is given, sorted, instead of summing them."""
+    import chromaq.fqoracle as fq
+
+    seen = []
+    monkeypatch.setattr(fq, "_upset_sum", lambda n, q, terms: seen.append(sorted(terms)))
+    return seen
+
+
+def test_lattice_upsets_match_the_scan():
+    # each upset lists by position exactly the graphs that the frozenset scan finds
+    for n in range(8):
+        hs, pos, upsets = _lattice(n)
+        graphs = indifference_graphs(n)
+        assert hs == tuple(_hessenberg_function(n, g.edges) for g in graphs)
+        assert pos == {h: i for i, h in enumerate(hs)}
+        for g, up in zip(graphs, upsets, strict=True):
+            scan = upset_sum_by_scan(n, 2, [(g, 1)]).values
+            assert sorted(up) == [i for i, v in enumerate(scan) if v], g
+
+
+def test_upset_sum_matches_the_scan_on_every_term_list():
+    # the oracle's graph terms, summed by the lists and by the scan, give the package's value
+    for n in range(7):
+        for q in (2, 7):
+            for value, terms in graph_term_lists(n, q):
+                assert _upset_sum(n, q, h_terms(terms)) == upset_sum_by_scan(n, q, terms) == value
+
+
+def test_chi_super_terms_are_the_mobius_terms(monkeypatch):
+    seen = captured_terms(monkeypatch)
+    for n in range(7):
+        for gamma in indifference_graphs(n):
+            chi_super(gamma, 3)
+            mob = [(s, mu * 3 ** len(s.edges)) for s, mu in mobius_subgraph(gamma).items()]
+            assert seen.pop() == h_terms(mob), gamma
+
+
+def test_psi_pseudo_terms_are_the_frozenset_terms(monkeypatch):
+    seen = captured_terms(monkeypatch)
+    for n in range(7):
+        for sigma in gen_tall_schroder(n):
+            psi_pseudo.__wrapped__(sigma, 3)  # past the cache
+            assert seen.pop() == h_terms(psi_graph_terms(sigma, 3)), sigma
+
+
+def test_psi_pseudo_refuses_a_term_outside_the_lattice():
+    # a Diag cell {1, 3} over Area {{2, 3}}, without {1, 2}: h(Area u Diag) = (0, 1, 0)
+    # is no Hessenberg function, and the error names the path
+    sigma = object.__new__(SchroderPath)
+    sigma._set("EDESS", size=3, is_tall=True, _area=frozenset({(2, 3)}), _diag=frozenset({(1, 3)}))
+    with pytest.raises(AssertionError, match="interval closure for EDESS"):
+        psi_pseudo.__wrapped__(sigma, 2)
+
+
+def test_a_wrong_corner_rule_is_caught(monkeypatch):
+    # negative controls for the index arithmetic of chi_super
+    import chromaq.fqoracle as fq
+
+    assert check_mesa(4, 2).ok
+    # every column with an edge taken for a corner: a column j that is no corner
+    # has h_{j+1} = h_j, so lifting it alone leaves the lattice (K_4 first)
+    monkeypatch.setattr(fq, "_corners", lambda h: [j for j, x in enumerate(h) if x < j])
+    with pytest.raises(KeyError):
+        check_mesa(4, 2)
+    # the last column never taken: every term is a graph, but too few of them
+    monkeypatch.setattr(fq, "_corners", lambda h: [j for j, (x, y) in enumerate(zip(h, h[1:]))
+                                                   if x < j and x < y])
+    assert not check_mesa(4, 2).ok
 
 def test_supercharacter_orthogonality():
     for q in (2, 3):
