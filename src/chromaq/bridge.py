@@ -6,6 +6,13 @@ with the plethystic twist f -> omega f[x/(t-1)]|_{t=q} and lands in the
 Schur basis, recording irreducible unipotent constituents.  p_one is cached
 by the value of its class function, so equal functions share one image.
 
+Both maps read tables over Z, built once per (n, q), and divide each
+coordinate once, exactly, through `exactnum._div`: p_brace1 by q^N, where
+q^N PT_lam(x; q) clears every power of 1/q, and p_one by n! q^N times the lcm
+of the prod (q^{mu_i} - 1).  On a genuine character the images have integer
+coordinates, so a check that passes builds no Fraction; one that fails still
+reports its exact witness.
+
 Every check_* verifies one identity exactly (tolerance zero) over every
 index in range and reports the first witness on failure.
 """
@@ -14,7 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product as iproduct
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import Callable, Iterable
 
 from .chromallt import as_expansion, csf, d_coeffs, llt_vertical, require_orientations
@@ -33,7 +40,7 @@ from .combinatorics import (
     indifference_graphs,
     mesa,
 )
-from .exactnum import ONE, ZERO, LaurentPoly, Rat, _div, _frac, ratfunc_to_const, t_minus_one_power
+from .exactnum import ONE, ZERO, LaurentPoly, Rat, _div, ratfunc_to_const, t_minus_one_power
 from .fqoracle import (
     ClassFnUT,
     UnipClassFn,
@@ -48,8 +55,8 @@ from .fqoracle import (
 )
 from .symfunc import (
     SymFunc,
-    _from_monomials,
     _m_coords,
+    _m_to_p_integral,
     basis_element,
     eval_t,
     expand_in_basis,
@@ -62,51 +69,31 @@ from .symfunc import (
 # realization maps
 # ---------------------------------------------------------------------------
 
-def _consts(row: Iterable[tuple[Partition, LaurentPoly]]) -> dict[Partition, Rat]:
-    """A table row of constants, as plain numbers (ArithmeticError if one involves t)."""
-    return {mu: ratfunc_to_const(c) for mu, c in row}
-
-
 @lru_cache(maxsize=None)
-def _pt_at_q(d: int, q: int) -> dict[Partition, dict[Partition, Rat]]:
-    """Each PT_lam(x; q), lam a partition of d, in monomial coordinates."""
-    return {lam: {mu: _frac(c.evaluate(q)) for mu, c in _m_coords("PT", lam)}
-            for lam in _partitions(d)}
+def _pt_at_q(d: int, q: int) -> tuple[int, dict[Partition, dict[Partition, int]]]:
+    """N and each q^N PT_lam(x; q), lam a partition of d, in monomial coordinates over Z.
 
-
-@lru_cache(maxsize=None)
-def _m_to_p(d: int) -> dict[Partition, dict[Partition, Rat]]:
-    """Each m_mu, mu a partition of d, in the power-sum basis."""
-    return {mu: _consts(row.items()) for mu, row in _from_monomials("P", d).items()}
-
-
-def _m_to_p_integral(d: int) -> dict[Partition, dict[Partition, int]]:
-    """d! times each m_mu, mu a partition of d, in the power-sum basis.
-
-    Each entry of m -> p is an integer over z_lam, and d!/z_lam is a class
-    size, so every entry here is an integer; anything else raises.
+    N is the largest -low of the degree-d PT coordinates (0 when none is
+    negative), so q^N clears every power of 1/q.
     """
-    out = {}
-    for mu, row in _m_to_p(d).items():
-        out[mu] = {lam: _frac(factorial(d) * c) for lam, c in row.items()}
-        if any(type(v) is not int for v in out[mu].values()):
-            raise ArithmeticError(f"{factorial(d)} * m_{list(mu)} has a non-integer p-coordinate")
-    return out
+    rows = {lam: _m_coords("PT", lam) for lam in _partitions(d)}
+    N = max([0] + [-c.low for row in rows.values() for _, c in row])
+    return N, {lam: {mu: c.shift(N).evaluate(q) for mu, c in row} for lam, row in rows.items()}
 
 
 @lru_cache(maxsize=None)
-def _omega_p_to_s(d: int) -> dict[Partition, dict[Partition, Rat]]:
+def _omega_p_to_s(d: int) -> dict[Partition, dict[Partition, int]]:
     """Each omega(p_lam) = (-1)^{d - l(lam)} p_lam, lam a partition of d, in the Schur basis."""
     out = {}
     for lam in _partitions(d):
         sign = (-1) ** (d - len(lam))
-        row = _consts(expand_in_basis(SymFunc(d, "P", {lam: 1}), "S").coeffs.items())
-        out[lam] = {nu: sign * c for nu, c in row.items()}
+        row = expand_in_basis(SymFunc(d, "P", {lam: 1}), "S").coeffs
+        out[lam] = {nu: sign * ratfunc_to_const(c) for nu, c in row.items()}
     return out
 
 
 def _apply(coeffs: dict[Partition, Rat], table: dict[Partition, dict[Partition, Rat]]) -> dict[Partition, Rat]:
-    """sum_lam c_lam * table[lam], over Q."""
+    """sum_lam c_lam * table[lam]."""
     out: dict[Partition, Rat] = {}
     for lam, c in coeffs.items():
         for mu, v in table[lam].items():
@@ -115,7 +102,10 @@ def _apply(coeffs: dict[Partition, Rat], table: dict[Partition, dict[Partition, 
 
 
 def _brace1_coords(phi: UnipClassFn) -> dict[Partition, Rat]:
-    return _apply({lam: v for lam, v in phi.items() if v}, _pt_at_q(phi.n, phi.q))
+    N, table = _pt_at_q(phi.n, phi.q)
+    scale = phi.q ** N
+    coords = _apply({lam: v for lam, v in phi.items() if v}, table)
+    return {mu: _div(c, scale) for mu, c in coords.items()}
 
 
 def p_brace1(phi: UnipClassFn) -> SymFunc:
@@ -124,26 +114,33 @@ def p_brace1(phi: UnipClassFn) -> SymFunc:
 
 
 @lru_cache(maxsize=None)
-def _p_one_table(n: int, q: int) -> dict[Partition, dict[Partition, Rat]]:
-    """p_one of the indicator of each Jordan type lam |- n, in the Schur basis.
+def _p_one_table(n: int, q: int) -> tuple[int, dict[Partition, dict[Partition, int]]]:
+    """D and D times p_one of the indicator of each Jordan type lam |- n, in the
+    Schur basis, over Z.
 
-    Built over Q, once per (n, q): PT_lam(x; q) in P, each p_mu divided by
-    prod (q^{mu_i} - 1), then omega and the change to S as one table.
+    Built once per (n, q): q^N PT_lam(x; q) in M (`_pt_at_q`), to P through
+    n! (m -> p), each p_mu multiplied by L / prod (q^{mu_i} - 1) with L the lcm
+    of those products, then omega and the change to S.  So D = n! q^N L.
     """
+    N, pt = _pt_at_q(n, q)
+    dens = {mu: prod(q ** k - 1 for k in mu) for mu in _partitions(n)}
+    L = lcm(*dens.values())
+    to_p, to_s = _m_to_p_integral(n), _omega_p_to_s(n)
     out = {}
-    for lam, row in _pt_at_q(n, q).items():
-        F = _apply(row, _m_to_p(n))
-        F = {mu: _div(c, prod(q ** k - 1 for k in mu)) for mu, c in F.items()}
-        out[lam] = {nu: _frac(c) for nu, c in _apply(F, _omega_p_to_s(n)).items() if c}
-    return out
+    for lam, row in pt.items():
+        F = {mu: c * (L // dens[mu]) for mu, c in _apply(row, to_p).items()}
+        out[lam] = {nu: c for nu, c in _apply(F, to_s).items() if c}
+    return factorial(n) * q ** N * L, out
 
 
 @lru_cache(maxsize=None)
 def p_one(phi: UnipClassFn) -> SymFunc:
     """Unipotent-constituent image: omega (p_brace1(phi))[x/(t-1)]|_{t=q}, in Schur basis,
-    read off the table of Jordan-type indicators of (n, q), once per value of phi."""
-    return SymFunc(phi.n, "S", _apply({lam: v for lam, v in phi.items() if v},
-                                      _p_one_table(phi.n, phi.q)))
+    read off the table of Jordan-type indicators of (n, q) with one exact division
+    per coordinate, once per value of phi."""
+    D, table = _p_one_table(phi.n, phi.q)
+    coords = _apply({lam: v for lam, v in phi.items() if v}, table)
+    return SymFunc(phi.n, "S", {nu: _div(c, D) for nu, c in coords.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +229,7 @@ def check_poincare(n: int, q: int) -> CheckReport:
         gamma, lam = item
         cnt = hessenberg_count(gamma, lam, q)
         dval = dcache[gamma].get(lam, ZERO).evaluate(q)
-        rhs = dval / q ** len(gamma.edges)
+        rhs = _div(dval, q ** len(gamma.edges))
         return cnt == rhs, cnt, rhs
 
     return _scan("check_poincare", n, q, items, test)

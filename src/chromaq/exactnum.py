@@ -6,12 +6,14 @@ tests keep them as the oracle for the old paths that divided by polynomials.
 Nearly every coefficient the package builds lies in Z[t], so a coefficient is
 stored as an ``int`` whenever it is integral and as a ``fractions.Fraction``
 only for a true quotient.  Every division goes through `_div`, which keeps an
-exact int quotient an int and loads `fractions` at the first true quotient;
-`evaluate`, which always returns a Fraction, loads it too.  A Fraction is
-recognised through ``sys.modules``, since none exists before its module is
-loaded.  A ``float`` coefficient raises ``TypeError``: there is deliberately
-no floating-point anywhere.  Everything is immutable and canonical, so equality
-and hashing are structural, and a constant hashes as the number it equals.
+exact int quotient an int and loads `fractions` at the first true quotient.
+`evaluate` returns a value in the same canonical form, an int when it is
+integral, so a `chromaq verify` run that passes loads no `fractions` at all.
+A Fraction is recognised through ``sys.modules``, since none exists before
+its module is loaded.  A ``float`` coefficient raises ``TypeError``: there is
+deliberately no floating-point anywhere.  Everything is immutable and
+canonical, so equality and hashing are structural, and a constant hashes as
+the number it equals.
 
 The canonical form of a LaurentPoly: nonzero first and last coefficients,
 each an int when integral; zero is () with low = 0.  The public constructor
@@ -351,19 +353,21 @@ class LaurentPoly:
             return self
         return _canonical(self.coeffs[::-1], -(self.low + len(self.coeffs) - 1))
 
-    def evaluate(self, q: Rat) -> Fraction:
-        """Exact value at t = q, always a Fraction; pole when q = 0 meets a
-        negative exponent.  One Horner loop in the type of q and the
-        coefficients; q ** low is taken as a Fraction for low < 0.  The first
-        evaluation of a process loads `fractions`."""
-        from fractions import Fraction
+    def evaluate(self, q: Rat) -> Rat:
+        """Exact value at t = q as a canonical coefficient: an int when it is
+        integral, else a Fraction; pole when q = 0 meets a negative exponent.
+        One Horner loop in the type of q and the coefficients, then q ** low,
+        or one `_div` by q ** -low for low < 0.  So a polynomial in Z[t, 1/t]
+        at an int q builds a Fraction only when its value is not an integer."""
         q = _frac(q)
         if q == 0 and self.low < 0:
             raise PoleError("evaluation at t = 0 of a Laurent polynomial with negative exponents")
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * q + c
-        return Fraction(acc * (Fraction(q) ** self.low if self.low < 0 else q ** self.low))
+        if self.low < 0:
+            return _div(acc, q ** -self.low)
+        return _frac(acc * q ** self.low)
 
     # -- printing -----------------------------------------------------------
 
@@ -546,11 +550,11 @@ class RationalFunc:
         """Substitute t -> 1/t."""
         return RationalFunc(self.num.subs_inv(), self.den.subs_inv())
 
-    def evaluate(self, q: Rat) -> Fraction:
+    def evaluate(self, q: Rat) -> Rat:
         d = self.den.evaluate(q)
         if d == 0:
             raise PoleError(f"pole of {self} at t = {q}")
-        return self.num.evaluate(q) / d
+        return _div(self.num.evaluate(q), d)
 
     def __str__(self) -> str:
         if self.is_laurent:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, product
-from operator import le
+from operator import itemgetter, le
 from typing import Iterable, Iterator, Mapping
 
 from .combinatorics import (
@@ -467,11 +467,10 @@ def permutation_character_oracle(gamma: IndiffGraph, q: int) -> ClassFnUT:
     _check_q(q)
     cells = [j * (j + 1) // 2 + m for j, m in enumerate(_hessenberg_function(gamma.n, gamma.edges))]
     edges = len(gamma.edges)
-    values = []
-    for ranks in _column_ranks(gamma.n):
-        rs = [ranks[c] for c in cells]
-        values.append(0 if None in rs else q ** (edges - sum(rs)))
-    return ClassFnUT(gamma.n, q, tuple(values))
+    # itemgetter returns a tuple from two keys on; n = 0 and n = 1 have fewer
+    read = itemgetter(*cells) if len(cells) > 1 else lambda ranks: [ranks[c] for c in cells]
+    return ClassFnUT(gamma.n, q, tuple(0 if None in rs else q ** (edges - sum(rs))
+                                       for rs in map(read, _column_ranks(gamma.n))))
 
 
 @lru_cache(maxsize=None)

@@ -21,16 +21,19 @@ of m_nu in p_lam counts the ways to drop the parts of lam into the parts of
 nu.  No basis element is built by multiplying exponent vectors.  Every
 change-of-basis table is unitriangular up to a power of t (M, S, HLP, PT) or
 constant (E, H, P), so the Laurent ring Q[t, 1/t] holds every coefficient and
-no basis change divides by a polynomial.  The one inversion, p(d)^3 steps,
-is refused on that count past MAX_SWEEP (from degree 11) before any work.  A
-SymFunc is immutable: the caches in chromallt hand one object to every caller.
+no basis change divides by a polynomial.  The table of p in m is lower
+triangular, so d! times m -> p is built over Z by forward substitution; P,
+the table of omega on m and `bridge` read it with one exact division each.
+The other bases share one inversion.  Both take p(d)^3 steps and are refused
+on that count past MAX_SWEEP (from degree 11) before any work.  A SymFunc is
+immutable: the caches in chromallt hand one object to every caller.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from math import prod
+from math import factorial, prod
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -42,7 +45,7 @@ from .combinatorics import (
     nstat,
     transpose,
 )
-from .exactnum import ONE, ZERO, LaurentPoly, _div, ratfunc_to_const
+from .exactnum import ONE, ZERO, LaurentPoly, _div
 from .exactnum import T as _T
 from .guards import require_sweep
 
@@ -282,14 +285,57 @@ def _invert(a: list[list[Coeff]]) -> list[list[Coeff]]:
 
 
 @lru_cache(maxsize=None)
+def _m_to_p_integral(d: int) -> dict[Partition, dict[Partition, int]]:
+    """d! times each m_mu, mu a partition of d, in the power-sum basis, over Z.
+
+    p_lam = sum_mu R(lam, mu) m_mu with R(lam, mu) = _placements(lam, mu) is
+    lower triangular in `gen_partitions` order, with R(lam, lam) = prod m_i(lam)!
+    on the diagonal, so forward substitution gives d! m_mu = (d! p_mu - sum over
+    nu before mu of R(mu, nu) d! m_nu) / R(mu, mu).  Each entry of m -> p is an
+    integer over z_lam, and d!/z_lam is a class size, so every quotient is
+    exact; one that is not raises ArithmeticError.  Its p(d)^3 steps are
+    refused past MAX_SWEEP, as the inversion's are.
+    """
+    p = _partition_count(d)
+    require_sweep(f"the {p}^3 steps substituting the degree-{d} m -> p table", p ** 3)
+    keys = _partitions(d)
+    scale = factorial(d)
+    out: dict[Partition, dict[Partition, int]] = {}
+    for i, mu in enumerate(keys):
+        acc = {mu: scale}
+        for nu in keys[:i]:
+            r = _placements(mu, nu)
+            if r:
+                for lam, y in out[nu].items():
+                    acc[lam] = acc.get(lam, 0) - r * y
+        pivot = _placements(mu, mu)
+        row = {}
+        for lam in keys[:i + 1]:
+            v = acc.get(lam, 0)
+            if v:
+                if v % pivot:
+                    raise ArithmeticError(f"{scale} * m_{list(mu)} has the non-integer "
+                                          f"p_{list(lam)}-coordinate {v}/{pivot}")
+                row[lam] = v // pivot
+        out[mu] = row
+    return out
+
+
+@lru_cache(maxsize=None)
 def _from_monomials(basis: str, d: int) -> dict[Partition, dict[Partition, Coeff]]:
     """Each m_mu, mu a partition of d, expanded in the named basis.
 
-    The only matrix inversion of the module, run once per (basis, d): the
-    basis elements in m-coordinates are the columns of A, and the columns of
-    A^{-1} are the m_mu in that basis.  In `gen_partitions` order every pivot
-    is a unit of Q[t, 1/t], so A^{-1} stays in the Laurent ring.
+    P is read off `_m_to_p_integral`, one exact division by d! per entry.
+    Every other basis runs the only matrix inversion of the module, once per
+    (basis, d): the basis elements in m-coordinates are the columns of A, and
+    the columns of A^{-1} are the m_mu in that basis.  In `gen_partitions`
+    order every pivot is a unit of Q[t, 1/t], so A^{-1} stays in the Laurent
+    ring.
     """
+    if basis == "P":
+        scale = factorial(d)
+        return {mu: {lam: LaurentPoly.const(_div(y, scale)) for lam, y in row.items()}
+                for mu, row in _m_to_p_integral(d).items()}
     p = _partition_count(d)
     require_sweep(f"the {p}^3 steps inverting the degree-{d} {basis} table", p ** 3)
     keys = _partitions(d)
@@ -343,17 +389,26 @@ def expand_in_basis(F: SymFunc, basis: str) -> SymFunc:
 def _omega_m(d: int) -> dict[Partition, tuple[tuple[Partition, int], ...]]:
     """omega(m_mu) in monomial coordinates, for every partition mu of d.
 
-    Built once per degree through P.  omega is a ring automorphism of
-    Lambda_Z, so every entry is an integer (Macdonald I.2); a non-integer
-    raises ArithmeticError.
+    Built once per degree over Z: omega(m_mu) = (1/d!) sum_lam X[mu][lam]
+    (-1)^{d - l(lam)} p_lam with X = `_m_to_p_integral(d)`, and each p_lam
+    taken back to m by _placements.  omega is a ring automorphism of
+    Lambda_Z, so the one division by d! is exact (Macdonald I.2); a
+    non-integer raises ArithmeticError.
     """
+    keys = _partitions(d)
+    to_p, scale = _m_to_p_integral(d), factorial(d)
+    p_in_m = {lam: [(nu, r) for nu in keys if (r := _placements(lam, nu))] for lam in keys}
     out = {}
-    for mu in _partitions(d):
-        F = omega(expand_in_basis(SymFunc(d, "M", {mu: ONE}), "P"))
-        row = tuple((nu, ratfunc_to_const(c)) for nu, c in expand_in_basis(F, "M").coeffs.items())
-        if any(type(v) is not int for _, v in row):
+    for mu in keys:
+        acc: dict[Partition, int] = {}
+        for lam, y in to_p[mu].items():
+            if (d - len(lam)) % 2:
+                y = -y
+            for nu, r in p_in_m[lam]:
+                acc[nu] = acc.get(nu, 0) + r * y
+        if any(v % scale for v in acc.values()):
             raise ArithmeticError(f"omega(m_{list(mu)}) has a non-integer m-coordinate")
-        out[mu] = row
+        out[mu] = tuple((nu, acc[nu] // scale) for nu in keys if acc.get(nu))
     return out
 
 

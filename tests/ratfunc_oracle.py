@@ -4,15 +4,17 @@ The package keeps every coefficient in the Laurent ring Q[t, 1/t]. These
 helpers redo the old computations over `RationalFunc`: the Gauss-Jordan
 change of basis over Q(t), the plethysm p_k -> p_k / (t^k - 1), and
 Carlsson-Mellit in its original form (t-1)^n X[x/(t-1)] = G. The tests compare
-them with the Laurent paths that replaced them.
+them with the Laurent paths that replaced them. `gauss_jordan_m_to_p` keeps the
+m -> p table over Q that the package built by inversion before it took d! times
+that table over Z by forward substitution.
 """
 
 from __future__ import annotations
 
 from chromaq.combinatorics import DyckPath, Partition, gen_partitions, graph_of
 from chromaq.chromallt import csf
-from chromaq.exactnum import LaurentPoly, RationalFunc, _pdivmod
-from chromaq.symfunc import SymFunc, _m_coords
+from chromaq.exactnum import ZERO, LaurentPoly, Rat, RationalFunc, _pdivmod, ratfunc_to_const
+from chromaq.symfunc import SymFunc, _invert, _m_coords
 
 T = LaurentPoly.t()
 RF_ZERO = RationalFunc.const(0)
@@ -53,6 +55,20 @@ def gauss_jordan_from_monomials(basis: str, d: int) -> dict[Partition, dict[Part
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     return {keys[k]: {keys[j]: aug[j][n + k] for j in range(n) if not aug[j][n + k].is_zero}
             for k in range(n)}
+
+
+def gauss_jordan_m_to_p(d: int) -> dict[Partition, dict[Partition, Rat]]:
+    """Each m_mu, mu a partition of d, in the power-sum basis over Q: the columns
+    of the inverse, by Gauss-Jordan over Q[t, 1/t], of the matrix of p in m."""
+    keys = gen_partitions(d)
+    idx = {k: i for i, k in enumerate(keys)}
+    a = [[ZERO] * len(keys) for _ in keys]
+    for j, lam in enumerate(keys):
+        for mu, c in _m_coords("P", lam):
+            a[idx[mu]][j] = c
+    inv = _invert(a)
+    return {mu: {keys[j]: ratfunc_to_const(row[k]) for j, row in enumerate(inv) if not row[k].is_zero}
+            for k, mu in enumerate(keys)}
 
 
 def plethysm_frac(F: SymFunc) -> dict[Partition, RationalFunc]:

@@ -7,7 +7,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import prod
+from math import factorial, lcm, prod
 
 import pytest
 
@@ -17,7 +17,6 @@ from chromaq.bridge import (
     CheckReport,
     _apply,
     _brace1_coords,
-    _m_to_p,
     _omega_p_to_s,
     _p_one_table,
     _unicellular_sum,
@@ -58,7 +57,7 @@ from chromaq.fqoracle import (
 from chromaq.guards import SizeGuardError
 from chromaq.symfunc import SymFunc, basis_element, eval_t, expand_in_basis, omega, plethysm_mul
 from orbit_oracle import coeff
-from ratfunc_oracle import cm_lhs, plethysm_frac
+from ratfunc_oracle import cm_lhs, gauss_jordan_m_to_p, plethysm_frac
 
 RF = LaurentPoly.const
 T = LaurentPoly.t()
@@ -91,10 +90,11 @@ def symbolic_p_one(phi):
 
 
 def three_step_p_one(phi):
-    """p_one of one class function over Q, step by step: p_brace1 in P, each p_lam
-    divided by prod (q^{lam_i} - 1), then omega and the change to S."""
+    """p_one of one class function over Q, step by step: p_brace1 in P through the
+    Gauss-Jordan m -> p table, each p_lam divided by prod (q^{lam_i} - 1), then
+    omega and the change to S."""
     q = phi.q
-    F = _apply(_brace1_coords(phi), _m_to_p(phi.n))
+    F = _apply(_brace1_coords(phi), gauss_jordan_m_to_p(phi.n))
     F = {lam: Fraction(c, prod(q ** k - 1 for k in lam)) for lam, c in F.items()}
     return SymFunc(phi.n, "S", _apply(F, _omega_p_to_s(phi.n)))
 
@@ -114,14 +114,42 @@ def test_p_one_and_p_brace1_match_the_symbolic_oracle():
 
 
 def test_p_one_table_matches_the_three_steps_row_by_row():
+    # D = n! q^N lcm prod (q^{mu_i} - 1), N the largest power of 1/q in the PT table
     for q in PRIMES:
         for n in range(6):
-            table = _p_one_table(n, q)
+            D, table = _p_one_table(n, q)
+            N = max([0] + [-c.low for lam in gen_partitions(n)
+                           for c in basis_element("PT", lam).coeffs.values()])
+            dens = [prod(q ** k - 1 for k in mu) for mu in gen_partitions(n)]
+            assert D == factorial(n) * q ** N * lcm(*dens), (n, q)
             assert list(table) == gen_partitions(n)
             for lam, row in table.items():
-                want = three_step_p_one(UnipClassFn.from_dict(n, q, {lam: 1}))
-                assert SymFunc(n, "S", row) == want, (n, q, lam)
-                assert all(v and (type(v) is int or v.denominator > 1) for v in row.values())
+                assert all(type(v) is int and v for v in row.values()), (n, q, lam)
+                phi = UnipClassFn.from_dict(n, q, {lam: 1})
+                want = three_step_p_one(phi)
+                assert SymFunc(n, "S", {nu: Fraction(v, D) for nu, v in row.items()}) == want, (n, q, lam)
+                if n <= 3 and q <= 3:
+                    assert want == symbolic_p_one(phi), (n, q, lam)
+
+
+def test_a_wrong_p_one_numerator_fails_check_llt_with_a_non_integral_witness(monkeypatch):
+    # every tall path's induced character is nonzero at the identity, whose row
+    # gets 1 more in one numerator: that coordinate moves by phi(1^3) / D
+    import chromaq.bridge as bridge
+    D, table = _p_one_table(3, 2)
+    ones = (1, 1, 1)
+    wrong = {lam: dict(row) for lam, row in table.items()}
+    wrong[ones][ones] += 1
+    monkeypatch.setattr(bridge, "_p_one_table",
+                        lambda n, q: (D, wrong) if (n, q) == (3, 2) else _p_one_table(n, q))
+    p_one.cache_clear()
+    try:
+        rep = check_llt(3, 2)
+    finally:
+        p_one.cache_clear()
+    # the first path's character is 21 at the identity: s_(1^3) gains 21/1008
+    assert D == 1008 and not rep.ok
+    assert rep.witness == {"index": "EDDS", "lhs": "(1)*s[3] + (1/48)*s[1, 1, 1]", "rhs": "(1)*s[3]"}
 
 
 # -- p_brace1 -----------------------------------------------------------------
@@ -400,6 +428,20 @@ def test_the_symbolic_compute_verbs_never_load_fractions():
     assert proc.stdout.splitlines() == ["[]", "True", "float refused", "[]"]
 
 
+def test_a_passing_verify_run_never_loads_fractions():
+    # p_brace1 and p_one read integer tables and divide once, exactly, and
+    # evaluate returns an int when the value is one
+    code = ("import contextlib, io, sys\n"
+            "from chromaq.cli import main\n"
+            "for argv in (['verify', 'all', '--json'], ['verify', 'all', '--n', '4', '--q', '3', '--json']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "    print(sorted(m for m in ('fractions', 'decimal', 'numbers') if m in sys.modules))\n")
+    proc = _fresh_python("-c", code, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]
+
+
 def test_only_the_cli_imports_gc_or_atexit():
     # the exit hook is a process-wide side effect: the library modules make none
     found = sorted(f"{f}:{m}" for f, _, m in _package_imports() if m in ("gc", "atexit"))
@@ -576,10 +618,11 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
         (lambda: orientations(g17), "131,072"),
         (lambda: as_expansion(area_inverse(g17.edges, 7).as_schroder()), "131,072"),
         (lambda: as_expansion(staircase), "2,097,152"),
-        # 3^11 color classes, and p(11)^3 Gauss-Jordan steps for any change of basis
+        # 3^11 color classes, and p(11)^3 Gauss-Jordan or substitution steps for any change of basis
         (lambda: csf(IndiffGraph(11, [])), "177,147"),
         (lambda: llt_vertical(SchroderPath("ES" * 11)), "177,147"),
         (lambda: expand_in_basis(SymFunc(11, "M", {(11,): 1}), "S"), "175,616"),
+        (lambda: expand_in_basis(SymFunc(11, "M", {(11,): 1}), "P"), "175,616"),
         (lambda: omega(SymFunc(11, "M", {(11,): 1})), "175,616"),
     ]
     tables = chromaq.symfunc._from_monomials.cache_info().currsize
@@ -935,11 +978,11 @@ def test_check_as_is_refused_before_any_orientation(monkeypatch):
 @pytest.mark.parametrize("n", [9, 12])
 def test_check_cm_is_refused_before_any_table(n):
     # the Dyck paths are enumerated, and refused past MAX_PATH_N, before the degree-n m -> p table
-    from chromaq.symfunc import _from_monomials
-    tables = _from_monomials.cache_info().misses
+    from chromaq.symfunc import _from_monomials, _m_to_p_integral
+    tables = _from_monomials.cache_info().misses, _m_to_p_integral.cache_info().misses
     with pytest.raises(SizeGuardError, match=f"gen_dyck: n = {n} exceeds guard 8"):
         check_cm(n)
-    assert _from_monomials.cache_info().misses == tables
+    assert (_from_monomials.cache_info().misses, _m_to_p_integral.cache_info().misses) == tables
 
 
 # -- omega on M coordinates -----------------------------------------------------

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import chromaq.bridge as bridge
@@ -385,7 +385,7 @@ def test_one_object_per_constant():
     assert exactnum.ZERO == LaurentPoly() and exactnum.ONE == 1 and exactnum.T == LaurentPoly([1], 1)
 
 
-# -- evaluate returns a Fraction on every path ----------------------------------
+# -- evaluate returns a canonical coefficient ------------------------------------
 
 @pytest.mark.parametrize("f, q, want", [
     (T * T + 4 * T + 1, 2, 13),                        # Z[t], int q: int arithmetic
@@ -396,20 +396,48 @@ def test_one_object_per_constant():
     (T * T + 1, Fraction(1, 2), Fraction(5, 4)),       # Fraction q
     (L({-2: 3, 1: 1}), 2, 2 + Fraction(3, 4)),         # negative exponents
     (LaurentPoly([Fraction(1, 2), 1]), 3, 3 + Fraction(1, 2)),  # Fraction coefficients
+    (4 * T * T, Fraction(1, 2), 1),                    # Fraction q, integral value
+    (L({-2: 4, 0: 1}), 2, 2),                          # negative exponents, integral value
+    (LaurentPoly([Fraction(1, 2), Fraction(1, 2)]), 3, 2),      # Fraction coefficients, integral value
 ])
 def test_evaluate_always_returns_a_fraction(f, q, want):
+    # an exact fraction in canonical form: an int exactly when the value is
+    # integral, else a Fraction, whatever the types of q and the coefficients
     v = f.evaluate(q)
-    assert type(v) is Fraction and v == want
-    # the callers divide the value with /, which must stay exact
-    assert type(v / 3) is Fraction
-    assert type(RationalFunc(f, T + 1).evaluate(q)) is Fraction
+    assert v == want and v == f.evaluate(Fraction(q))
+    assert type(v) is (int if Fraction(want).denominator == 1 else Fraction)
+    assert type(f.evaluate(Fraction(q))) is type(v)
+    # the quotient of RationalFunc.evaluate goes through _div and stays exact
+    r = RationalFunc(f, T + 1).evaluate(q)
+    assert r == Fraction(want) / (q + 1)
+    assert type(r) is (int if Fraction(r).denominator == 1 else Fraction)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.integers(min_value=-20, max_value=20), max_size=6),
-       st.integers(min_value=0, max_value=3), st.integers(min_value=-5, max_value=5))
+       st.integers(min_value=-3, max_value=3), st.integers(min_value=-5, max_value=5))
 def test_int_evaluation_matches_the_fraction_path(cs, low, q):
     f = LaurentPoly(cs, low=low)
+    assume(q or f.low >= 0)
     v = f.evaluate(q)
-    assert type(v) is Fraction and v == f.evaluate(Fraction(q))
-    assert v == sum(Fraction(c) * Fraction(q) ** (low + i) for i, c in enumerate(cs))
+    want = sum(Fraction(c) * Fraction(q) ** k for k, c in f.terms())
+    assert v == f.evaluate(Fraction(q)) == want
+    assert type(v) is (int if want.denominator == 1 else Fraction)
+
+
+def test_src_divides_with_a_slash_only_in_rtruediv():
+    # every other quotient goes through _div, exact and an int when integral
+    import ast
+    import pathlib
+
+    def divisions(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Div):
+                yield ".".join(scope)
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from divisions(child, scope + (child.name,) if named else scope)
+
+    found = [f"{path.name}:{where}"
+             for path in sorted(pathlib.Path(exactnum.__file__).parent.glob("*.py"))
+             for where in divisions(ast.parse(path.read_text(), filename=str(path)), ())]
+    assert found == ["exactnum.py:RationalFunc.__rtruediv__"]

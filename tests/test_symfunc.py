@@ -2,9 +2,11 @@ import itertools
 import time
 from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from chromaq import symfunc
 from chromaq.combinatorics import _partitions, gen_partitions, transpose
 from chromaq.exactnum import LaurentPoly, PoleError, RationalFunc
 from chromaq.guards import SizeGuardError
@@ -19,6 +21,7 @@ from chromaq.symfunc import (
     _from_monomials,
     _hall_littlewood_coords,
     _m_coords,
+    _m_to_p_integral,
     _invert,
     _omega_m,
     _placements,
@@ -26,7 +29,12 @@ from chromaq.symfunc import (
     _strips,
 )
 from orbit_oracle import check_symmetric, coeff, placements, product_coords, zlam
-from ratfunc_oracle import gauss_jordan_from_monomials, plethysm_frac, ratfunc_to_laurent
+from ratfunc_oracle import (
+    gauss_jordan_from_monomials,
+    gauss_jordan_m_to_p,
+    plethysm_frac,
+    ratfunc_to_laurent,
+)
 
 T = LaurentPoly.t()
 RF = LaurentPoly.const
@@ -380,6 +388,44 @@ def test_invert_raises_on_a_singular_matrix():
         _invert([[RF(1), T], [RF(1), T]])
 
 
+def test_m_to_p_integral_is_d_factorial_times_the_gauss_jordan_table():
+    # forward substitution over Z against the inversion over Q[t, 1/t]
+    for d in range(9):
+        want = gauss_jordan_m_to_p(d)
+        got = _m_to_p_integral(d)
+        assert list(got) == gen_partitions(d)
+        for mu, row in got.items():
+            assert all(type(v) is int for v in row.values()), (d, mu)
+            assert row == {lam: factorial(d) * v for lam, v in want[mu].items()}, (d, mu)
+        # P reads the same table, one exact division per entry, in the inversion's order
+        table = _from_monomials("P", d)
+        for mu, row in want.items():
+            assert list(table[mu].items()) == [(lam, RF(v)) for lam, v in row.items()], (d, mu)
+
+
+def test_m_to_p_integral_raises_on_a_wrong_pivot(monkeypatch):
+    # R(1^4, 1^4) = 4! made 25 scales the last row by 24/25: its first entry,
+    # 4! times the p_4-coordinate -1/4 of m_(1^4) = e_4, becomes -144/25
+    ones = (1, 1, 1, 1)
+
+    def mutant(parts, room):
+        return _placements(parts, room) + (parts == room == ones)
+
+    monkeypatch.setattr(symfunc, "_placements", mutant)
+    with pytest.raises(ArithmeticError, match=r"24 \* m_\[1, 1, 1, 1\] has the non-integer "
+                                              r"p_\[4\]-coordinate -144/25"):
+        _m_to_p_integral.__wrapped__(4)
+
+
+def test_omega_m_raises_when_its_division_by_d_factorial_is_not_exact(monkeypatch):
+    # one entry of 3! (m -> p) off by one leaves a remainder mod 3! in omega(m_(2,1))
+    table = {mu: dict(row) for mu, row in _m_to_p_integral(3).items()}
+    table[(2, 1)][(3,)] += 1
+    monkeypatch.setattr(symfunc, "_m_to_p_integral", lambda d: table)
+    with pytest.raises(ArithmeticError, match=r"omega\(m_\[2, 1\]\) has a non-integer m-coordinate"):
+        _omega_m.__wrapped__(3)
+
+
 def test_expand_in_basis_same_basis_is_identity():
     F = SymFunc(3, "HLP", {(2, 1): T + 1})
     assert expand_in_basis(F, "HLP") is F
@@ -512,14 +558,15 @@ def test_omega_monomial_basis_involution_en_to_hn():
 
 
 def _omega_m_through_p(d, mu):
-    """The old path for omega on M: m_mu -> P, the sign (-1)^{d - l(lam)}, back to M."""
-    F = expand_in_basis(basis_element("M", mu), "P")
-    F = SymFunc(d, "P", {lam: c * (-1) ** (d - len(lam)) for lam, c in F.coeffs.items()})
+    """The old path for omega on M: m_mu -> P by the Gauss-Jordan table, the sign
+    (-1)^{d - l(lam)}, back to M."""
+    F = SymFunc(d, "P", {lam: c * (-1) ** (d - len(lam))
+                         for lam, c in gauss_jordan_m_to_p(d)[mu].items()})
     return {nu: c for nu, c in expand_in_basis(F, "M").coeffs.items()}
 
 
 def test_omega_m_table_is_an_integer_involution_equal_to_the_p_path():
-    for d in range(7):
+    for d in range(9):
         table = _omega_m(d)
         assert list(table) == gen_partitions(d)
         for mu, row in table.items():
