@@ -55,6 +55,7 @@ from .fqoracle import (
 )
 from .symfunc import (
     SymFunc,
+    _change,
     _m_coords,
     _m_to_p_integral,
     basis_element,
@@ -92,19 +93,10 @@ def _omega_p_to_s(d: int) -> dict[Partition, dict[Partition, int]]:
     return out
 
 
-def _apply(coeffs: dict[Partition, Rat], table: dict[Partition, dict[Partition, Rat]]) -> dict[Partition, Rat]:
-    """sum_lam c_lam * table[lam]."""
-    out: dict[Partition, Rat] = {}
-    for lam, c in coeffs.items():
-        for mu, v in table[lam].items():
-            out[mu] = out.get(mu, 0) + c * v
-    return out
-
-
 def _brace1_coords(phi: UnipClassFn) -> dict[Partition, Rat]:
     N, table = _pt_at_q(phi.n, phi.q)
     scale = phi.q ** N
-    coords = _apply({lam: v for lam, v in phi.items() if v}, table)
+    coords = _change({lam: v for lam, v in phi.items() if v}, lambda lam: table[lam].items())
     return {mu: _div(c, scale) for mu, c in coords.items()}
 
 
@@ -128,8 +120,8 @@ def _p_one_table(n: int, q: int) -> tuple[int, dict[Partition, dict[Partition, i
     to_p, to_s = _m_to_p_integral(n), _omega_p_to_s(n)
     out = {}
     for lam, row in pt.items():
-        F = {mu: c * (L // dens[mu]) for mu, c in _apply(row, to_p).items()}
-        out[lam] = {nu: c for nu, c in _apply(F, to_s).items() if c}
+        F = {mu: c * (L // dens[mu]) for mu, c in _change(row, lambda mu: to_p[mu].items()).items()}
+        out[lam] = {nu: c for nu, c in _change(F, lambda mu: to_s[mu].items()).items() if c}
     return factorial(n) * q ** N * L, out
 
 
@@ -139,7 +131,7 @@ def p_one(phi: UnipClassFn) -> SymFunc:
     read off the table of Jordan-type indicators of (n, q) with one exact division
     per coordinate, once per value of phi."""
     D, table = _p_one_table(phi.n, phi.q)
-    coords = _apply({lam: v for lam, v in phi.items() if v}, table)
+    coords = _change({lam: v for lam, v in phi.items() if v}, lambda lam: table[lam].items())
     return SymFunc(phi.n, "S", {nu: _div(c, D) for nu, c in coords.items()})
 
 
@@ -316,8 +308,8 @@ def check_cm(n: int) -> CheckReport:
 
     def test(pi):
         lhs = csf(graph_of(pi)).scale(scale)
-        G = SymFunc(n, "P", _apply(llt_vertical(pi.as_schroder()).coeffs, to_p))
-        rhs = expand_in_basis(plethysm_mul(G), "M")
+        G = _change(llt_vertical(pi.as_schroder()).coeffs, lambda mu: to_p[mu].items())
+        rhs = expand_in_basis(plethysm_mul(SymFunc(n, "P", G)), "M")
         return lhs == rhs, lhs, rhs
 
     return _scan("check_cm", n, None, paths, test)

@@ -21,12 +21,12 @@ of m_nu in p_lam counts the ways to drop the parts of lam into the parts of
 nu.  No basis element is built by multiplying exponent vectors.  Every
 change-of-basis table is unitriangular up to a power of t (M, S, HLP, PT) or
 constant (E, H, P), so the Laurent ring Q[t, 1/t] holds every coefficient and
-no basis change divides by a polynomial.  The table of p in m is lower
-triangular, so d! times m -> p is built over Z by forward substitution; P,
-the table of omega on m and `bridge` read it with one exact division each.
-The other bases share one inversion.  Both take p(d)^3 steps and are refused
-on that count past MAX_SWEEP (from degree 11) before any work.  A SymFunc is
-immutable: the caches in chromallt hand one object to every caller.
+no basis change divides by a polynomial.  Every table but H is triangular in
+`gen_partitions` order and one solve over Z[t, 1/t] builds it, refused on its
+p(d)^3 steps past MAX_SWEEP (from degree 11) before any work; for P it builds
+d! times m -> p, which P, omega on m and `bridge` read with one exact division
+each.  H is omega of E.  A SymFunc is immutable: the caches in chromallt hand
+one object to every caller.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from collections import Counter
 from functools import lru_cache
 from math import factorial, prod
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .combinatorics import (
     Frozen,
@@ -52,6 +52,7 @@ from .guards import require_sweep
 BASES = ("M", "E", "H", "P", "S", "HLP", "PT")
 
 Coeff = LaurentPoly
+V = TypeVar("V")
 
 
 def _coeff(x) -> LaurentPoly:
@@ -259,94 +260,86 @@ def _kostka(d: int) -> dict[Partition, dict[Partition, int]]:
             for lam, row in _hall_littlewood_coords(d).items()}
 
 
-def _invert(a: list[list[Coeff]]) -> list[list[Coeff]]:
-    """The inverse of a square matrix over the Laurent ring Q[t, 1/t], by Gauss-Jordan.
+def _change(coeffs: Mapping[Partition, V],
+            row: Callable[[Partition], Iterable[tuple[Partition, V]]]) -> dict[Partition, V]:
+    """sum_lam c_lam * row(lam): one sparse change of coordinates.  Each entry
+    starts from its first product, so a table over Z keeps int coordinates."""
+    out: dict[Partition, V] = {}
+    for lam, c in coeffs.items():
+        for mu, v in row(lam):
+            x = c * v
+            out[mu] = out[mu] + x if mu in out else x
+    return out
 
-    Each pivot, the first nonzero entry on or below the diagonal, must be a
-    unit c * t^k of the ring; any other pivot raises ArithmeticError.
+
+@lru_cache(maxsize=None)
+def _solve(basis: str, d: int) -> dict[Partition, dict[Partition, Coeff]]:
+    """s times each m_mu, mu a partition of d, in the named basis over Z[t, 1/t],
+    with s = d! for P and 1 otherwise.
+
+    b_lam leads with m_rho, rho = lam' for E and lam otherwise, and its other
+    m_mu come after rho in `gen_partitions` order, before it for P (Macdonald
+    I.6, III.2).  So rho runs from the end, from the start for P, and
+    s m_rho = (s b_lam - sum a_mu s m_mu) / (c t^k) reads only solved rows.  c
+    is 1 but for P, c = prod m_i(lam)!, where d!/z_lam is a class size.  A pivot
+    not c t^k, an m_mu not yet solved or an inexact quotient raises
+    ArithmeticError.  The p(d)^3 steps are refused before any basis element.
     """
-    n = len(a)
-    aug = [list(row) + [ONE if i == k else ZERO for k in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not aug[r][col].is_zero), None)
-        if piv is None:
-            raise ArithmeticError("singular basis system: not a genuine basis")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        if len(p.coeffs) != 1:
-            raise ArithmeticError(f"pivot {p} is not a unit of Q[t, 1/t]")
-        inv = LaurentPoly([_div(1, p.coeffs[0])], low=-p.low)
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            f = aug[r][col]
-            if r != col and not f.is_zero:
-                aug[r] = [x if y.is_zero else x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    p = _partition_count(d)
+    require_sweep(f"the {p}^3 steps solving the degree-{d} {basis} table", p ** 3)
+    keys = _partitions(d)
+    scale = factorial(d) if basis == "P" else 1
+    solved: dict[Partition, dict[Partition, Coeff]] = {}
+    for rho in (keys if basis == "P" else reversed(keys)):
+        lam = transpose(rho) if basis == "E" else rho
+        name = f"{basis.lower()}_{list(lam)}"
+        coords = dict(_m_coords(basis, lam))
+        pivot = coords.pop(rho, ZERO)
+        if len(pivot.coeffs) != 1:
+            raise ArithmeticError(f"{name} has the pivot {pivot} at m_{list(rho)}, not c * t^k")
+        late = next((mu for mu in coords if mu not in solved), None)
+        if late is not None:
+            raise ArithmeticError(f"{name} has an m_{list(late)}-coordinate, but m_{list(late)} "
+                                  f"is not solved before m_{list(rho)}")
+        acc = _change({mu: -a for mu, a in coords.items()}, lambda mu: solved[mu].items())
+        acc[lam] = acc.get(lam, ZERO) + scale
+        c, row = pivot.coeffs[0], {}
+        for nu in keys:
+            v = acc.get(nu, ZERO)
+            if v.coeffs:
+                if any(x % c for x in v.coeffs):
+                    raise ArithmeticError(f"{scale} * m_{list(rho)} has the non-integer "
+                                          f"{basis.lower()}_{list(nu)}-coordinate {v}/{pivot}")
+                row[nu] = LaurentPoly([x // c for x in v.coeffs], v.low - pivot.low)
+        solved[rho] = row
+    return {mu: solved[mu] for mu in keys}
 
 
 @lru_cache(maxsize=None)
 def _m_to_p_integral(d: int) -> dict[Partition, dict[Partition, int]]:
-    """d! times each m_mu, mu a partition of d, in the power-sum basis, over Z.
-
-    p_lam = sum_mu R(lam, mu) m_mu with R(lam, mu) = _placements(lam, mu) is
-    lower triangular in `gen_partitions` order, with R(lam, lam) = prod m_i(lam)!
-    on the diagonal, so forward substitution gives d! m_mu = (d! p_mu - sum over
-    nu before mu of R(mu, nu) d! m_nu) / R(mu, mu).  Each entry of m -> p is an
-    integer over z_lam, and d!/z_lam is a class size, so every quotient is
-    exact; one that is not raises ArithmeticError.  Its p(d)^3 steps are
-    refused past MAX_SWEEP, as the inversion's are.
-    """
-    p = _partition_count(d)
-    require_sweep(f"the {p}^3 steps substituting the degree-{d} m -> p table", p ** 3)
-    keys = _partitions(d)
-    scale = factorial(d)
-    out: dict[Partition, dict[Partition, int]] = {}
-    for i, mu in enumerate(keys):
-        acc = {mu: scale}
-        for nu in keys[:i]:
-            r = _placements(mu, nu)
-            if r:
-                for lam, y in out[nu].items():
-                    acc[lam] = acc.get(lam, 0) - r * y
-        pivot = _placements(mu, mu)
-        row = {}
-        for lam in keys[:i + 1]:
-            v = acc.get(lam, 0)
-            if v:
-                if v % pivot:
-                    raise ArithmeticError(f"{scale} * m_{list(mu)} has the non-integer "
-                                          f"p_{list(lam)}-coordinate {v}/{pivot}")
-                row[lam] = v // pivot
-        out[mu] = row
-    return out
+    """d! times each m_mu, mu a partition of d, in the power-sum basis, over Z:
+    the int view of `_solve("P", d)`."""
+    return {mu: {lam: c[0] for lam, c in row.items()} for mu, row in _solve("P", d).items()}
 
 
 @lru_cache(maxsize=None)
 def _from_monomials(basis: str, d: int) -> dict[Partition, dict[Partition, Coeff]]:
     """Each m_mu, mu a partition of d, expanded in the named basis.
 
-    P is read off `_m_to_p_integral`, one exact division by d! per entry.
-    Every other basis runs the only matrix inversion of the module, once per
-    (basis, d): the basis elements in m-coordinates are the columns of A, and
-    the columns of A^{-1} are the m_mu in that basis.  In `gen_partitions`
-    order every pivot is a unit of Q[t, 1/t], so A^{-1} stays in the Laurent
-    ring.
+    P is read off `_m_to_p_integral`, one exact division by d! per entry.  H
+    is the one table that is not triangular: h_lam = omega(e_lam), so m_mu has
+    the E-coordinates of omega(m_mu), sum_nu `_omega_m`[mu][nu] * E[nu]; at
+    every degree the guard admits, its rows come out in `gen_partitions` order
+    with no zero entry.  Every other basis is `_solve`.
     """
     if basis == "P":
         scale = factorial(d)
         return {mu: {lam: LaurentPoly.const(_div(y, scale)) for lam, y in row.items()}
                 for mu, row in _m_to_p_integral(d).items()}
-    p = _partition_count(d)
-    require_sweep(f"the {p}^3 steps inverting the degree-{d} {basis} table", p ** 3)
-    keys = _partitions(d)
-    idx = {k: i for i, k in enumerate(keys)}
-    a = [[ZERO] * len(keys) for _ in keys]
-    for j, lam in enumerate(keys):
-        for mu, c in _m_coords(basis, lam):
-            a[idx[mu]][j] = c
-    inv = _invert(a)
-    return {mu: {keys[j]: row[k] for j, row in enumerate(inv) if not row[k].is_zero}
-            for k, mu in enumerate(keys)}
+    if basis == "H":
+        e = _solve("E", d)
+        return {mu: _change(dict(om), lambda nu: e[nu].items()) for mu, om in _omega_m(d).items()}
+    return _solve(basis, d)
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +353,6 @@ def basis_element(basis: str, lam: Partition) -> SymFunc:
     _partition_count(d)  # refused on p(d) past MAX_SWEEP, before any partition is listed
     _require_partition(lam, d)
     return SymFunc(d, "M", dict(_m_coords(basis, lam)))
-
-
-def _change(coeffs: dict[Partition, Coeff],
-            row: Callable[[Partition], Iterable[tuple[Partition, Coeff]]]) -> dict[Partition, Coeff]:
-    """sum_lam c_lam * row(lam): one sparse change of coordinates."""
-    out: dict[Partition, Coeff] = {}
-    for lam, c in coeffs.items():
-        for mu, v in row(lam):
-            out[mu] = out.get(mu, ZERO) + c * v
-    return out
 
 
 def expand_in_basis(F: SymFunc, basis: str) -> SymFunc:
@@ -395,8 +378,8 @@ def _omega_m(d: int) -> dict[Partition, tuple[tuple[Partition, int], ...]]:
     Lambda_Z, so the one division by d! is exact (Macdonald I.2); a
     non-integer raises ArithmeticError.
     """
+    to_p, scale = _m_to_p_integral(d), factorial(d)  # refused past MAX_SWEEP first
     keys = _partitions(d)
-    to_p, scale = _m_to_p_integral(d), factorial(d)
     p_in_m = {lam: [(nu, r) for nu in keys if (r := _placements(lam, nu))] for lam in keys}
     out = {}
     for mu in keys:
@@ -416,7 +399,7 @@ def omega(F: SymFunc) -> SymFunc:
     """The involution omega: sign rule on p, transpose on s, e <-> h swap,
     one cached integer table on m.
 
-    Any other basis goes through p and back.
+    Any other basis goes through m and back, so no Fraction is built.
     """
     if F.basis == "P":
         return SymFunc(F.degree, "P",
@@ -430,7 +413,7 @@ def omega(F: SymFunc) -> SymFunc:
     if F.basis == "M":
         table = _omega_m(F.degree)
         return SymFunc(F.degree, "M", _change(F.coeffs, table.__getitem__))
-    return expand_in_basis(omega(expand_in_basis(F, "P")), F.basis)
+    return expand_in_basis(omega(expand_in_basis(F, "M")), F.basis)
 
 
 def plethysm_mul(F: SymFunc) -> SymFunc:

@@ -4,17 +4,27 @@ The package keeps every coefficient in the Laurent ring Q[t, 1/t]. These
 helpers redo the old computations over `RationalFunc`: the Gauss-Jordan
 change of basis over Q(t), the plethysm p_k -> p_k / (t^k - 1), and
 Carlsson-Mellit in its original form (t-1)^n X[x/(t-1)] = G. The tests compare
-them with the Laurent paths that replaced them. `gauss_jordan_m_to_p` keeps the
-m -> p table over Q that the package built by inversion before it took d! times
-that table over Z by forward substitution.
+them with the Laurent paths that replaced them. `_invert` is the Gauss-Jordan
+inversion over Q[t, 1/t] that built every change-of-basis table before one
+triangular solve replaced it; `inverted_from_monomials` is that build, and
+`gauss_jordan_m_to_p` reads the m -> p table over Q off it.
 """
 
 from __future__ import annotations
 
 from chromaq.combinatorics import DyckPath, Partition, gen_partitions, graph_of
 from chromaq.chromallt import csf
-from chromaq.exactnum import ZERO, LaurentPoly, Rat, RationalFunc, _pdivmod, ratfunc_to_const
-from chromaq.symfunc import SymFunc, _invert, _m_coords
+from chromaq.exactnum import (
+    ONE,
+    ZERO,
+    LaurentPoly,
+    Rat,
+    RationalFunc,
+    _div,
+    _pdivmod,
+    ratfunc_to_const,
+)
+from chromaq.symfunc import Coeff, SymFunc, _m_coords
 
 T = LaurentPoly.t()
 RF_ZERO = RationalFunc.const(0)
@@ -57,18 +67,50 @@ def gauss_jordan_from_monomials(basis: str, d: int) -> dict[Partition, dict[Part
             for k in range(n)}
 
 
-def gauss_jordan_m_to_p(d: int) -> dict[Partition, dict[Partition, Rat]]:
-    """Each m_mu, mu a partition of d, in the power-sum basis over Q: the columns
-    of the inverse, by Gauss-Jordan over Q[t, 1/t], of the matrix of p in m."""
+def _invert(a: list[list[Coeff]]) -> list[list[Coeff]]:
+    """The inverse of a square matrix over the Laurent ring Q[t, 1/t], by Gauss-Jordan.
+
+    Each pivot, the first nonzero entry on or below the diagonal, must be a
+    unit c * t^k of the ring; any other pivot raises ArithmeticError.
+    """
+    n = len(a)
+    aug = [list(row) + [ONE if i == k else ZERO for k in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if not aug[r][col].is_zero), None)
+        if piv is None:
+            raise ArithmeticError("singular basis system: not a genuine basis")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        p = aug[col][col]
+        if len(p.coeffs) != 1:
+            raise ArithmeticError(f"pivot {p} is not a unit of Q[t, 1/t]")
+        inv = LaurentPoly([_div(1, p.coeffs[0])], low=-p.low)
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            f = aug[r][col]
+            if r != col and not f.is_zero:
+                aug[r] = [x if y.is_zero else x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def inverted_from_monomials(basis: str, d: int) -> dict[Partition, dict[Partition, LaurentPoly]]:
+    """Each m_mu, mu a partition of d, in the named basis: the columns of the
+    inverse, by `_invert`, of the matrix whose columns are the basis elements
+    in m-coordinates."""
     keys = gen_partitions(d)
     idx = {k: i for i, k in enumerate(keys)}
     a = [[ZERO] * len(keys) for _ in keys]
     for j, lam in enumerate(keys):
-        for mu, c in _m_coords("P", lam):
+        for mu, c in _m_coords(basis, lam):
             a[idx[mu]][j] = c
     inv = _invert(a)
-    return {mu: {keys[j]: ratfunc_to_const(row[k]) for j, row in enumerate(inv) if not row[k].is_zero}
+    return {mu: {keys[j]: row[k] for j, row in enumerate(inv) if not row[k].is_zero}
             for k, mu in enumerate(keys)}
+
+
+def gauss_jordan_m_to_p(d: int) -> dict[Partition, dict[Partition, Rat]]:
+    """Each m_mu, mu a partition of d, in the power-sum basis over Q, by `_invert`."""
+    return {mu: {lam: ratfunc_to_const(c) for lam, c in row.items()}
+            for mu, row in inverted_from_monomials("P", d).items()}
 
 
 def plethysm_frac(F: SymFunc) -> dict[Partition, RationalFunc]:

@@ -15,7 +15,6 @@ from chromaq.bridge import (
     ALL_CHECKS,
     DEPENDENCIES,
     CheckReport,
-    _apply,
     _brace1_coords,
     _omega_p_to_s,
     _p_one_table,
@@ -55,7 +54,15 @@ from chromaq.fqoracle import (
     psi_pseudo,
 )
 from chromaq.guards import SizeGuardError
-from chromaq.symfunc import SymFunc, basis_element, eval_t, expand_in_basis, omega, plethysm_mul
+from chromaq.symfunc import (
+    SymFunc,
+    _change,
+    basis_element,
+    eval_t,
+    expand_in_basis,
+    omega,
+    plethysm_mul,
+)
 from orbit_oracle import coeff
 from ratfunc_oracle import cm_lhs, gauss_jordan_m_to_p, plethysm_frac
 
@@ -93,10 +100,10 @@ def three_step_p_one(phi):
     """p_one of one class function over Q, step by step: p_brace1 in P through the
     Gauss-Jordan m -> p table, each p_lam divided by prod (q^{lam_i} - 1), then
     omega and the change to S."""
-    q = phi.q
-    F = _apply(_brace1_coords(phi), gauss_jordan_m_to_p(phi.n))
+    q, to_p, to_s = phi.q, gauss_jordan_m_to_p(phi.n), _omega_p_to_s(phi.n)
+    F = _change(_brace1_coords(phi), lambda mu: to_p[mu].items())
     F = {lam: Fraction(c, prod(q ** k - 1 for k in lam)) for lam, c in F.items()}
-    return SymFunc(phi.n, "S", _apply(F, _omega_p_to_s(phi.n)))
+    return SymFunc(phi.n, "S", _change(F, lambda lam: to_s[lam].items()))
 
 
 DEFAULT_GRID = [(n, q) for q in (2, 3) for n in (1, 2, 3)]
@@ -590,7 +597,7 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
     monkeypatch.setattr(chromaq.chromallt, "_h_vector", no_work)
     monkeypatch.setattr(chromaq.chromallt, "_slot_bits", no_work)
     monkeypatch.setattr(chromaq.symfunc, "_m_coords", no_work)
-    monkeypatch.setattr(chromaq.symfunc, "_invert", no_work)
+    monkeypatch.setattr(chromaq.symfunc, "_partitions", no_work)
     monkeypatch.setattr(orientation_oracle, "Orientation", no_work)
     # 17 edges on [7]: every {i, j} with j - i <= 3, and {1, 5}, {2, 6}
     g17 = IndiffGraph(7, frozenset([(i, j) for i in range(1, 8) for j in range(i + 1, min(i + 4, 8))]
@@ -618,19 +625,21 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
         (lambda: orientations(g17), "131,072"),
         (lambda: as_expansion(area_inverse(g17.edges, 7).as_schroder()), "131,072"),
         (lambda: as_expansion(staircase), "2,097,152"),
-        # 3^11 color classes, and p(11)^3 Gauss-Jordan or substitution steps for any change of basis
+        # 3^11 color classes, and p(11)^3 solve steps for any change of basis
         (lambda: csf(IndiffGraph(11, [])), "177,147"),
         (lambda: llt_vertical(SchroderPath("ES" * 11)), "177,147"),
         (lambda: expand_in_basis(SymFunc(11, "M", {(11,): 1}), "S"), "175,616"),
         (lambda: expand_in_basis(SymFunc(11, "M", {(11,): 1}), "P"), "175,616"),
         (lambda: omega(SymFunc(11, "M", {(11,): 1})), "175,616"),
     ]
-    tables = chromaq.symfunc._from_monomials.cache_info().currsize
+    tables = [f.cache_info().currsize for f in (chromaq.symfunc._from_monomials, chromaq.symfunc._solve)]
     for call, count in refused:
         with pytest.raises(SizeGuardError,
                            match=f"visits {count} elements, past the bound MAX_SWEEP = 117,649"):
             call()
-    assert chromaq.symfunc._from_monomials.cache_info().currsize == tables  # no table was kept
+    # no table was kept
+    assert [f.cache_info().currsize
+            for f in (chromaq.symfunc._from_monomials, chromaq.symfunc._solve)] == tables
     # chi_bar on [16] needs the Cat(16) graphs first, and their enumeration refuses
     with pytest.raises(SizeGuardError, match="gen_dyck: n = 16 exceeds guard"):
         induce_to_GL(chi_bar(IndiffGraph(16, []), 5))

@@ -22,16 +22,18 @@ from chromaq.symfunc import (
     _hall_littlewood_coords,
     _m_coords,
     _m_to_p_integral,
-    _invert,
     _omega_m,
     _placements,
     _require_partition,
+    _solve,
     _strips,
 )
 from orbit_oracle import check_symmetric, coeff, placements, product_coords, zlam
 from ratfunc_oracle import (
+    _invert,
     gauss_jordan_from_monomials,
     gauss_jordan_m_to_p,
+    inverted_from_monomials,
     plethysm_frac,
     ratfunc_to_laurent,
 )
@@ -135,7 +137,7 @@ def test_unknown_basis():
 
 
 def test_nvars_guard():
-    # a change of basis inverts a p(d) x p(d) table: p(11)^3 = 175,616 steps, past MAX_SWEEP
+    # a change of basis solves a p(d) x p(d) table: p(11)^3 = 175,616 steps, past MAX_SWEEP
     with pytest.raises(SizeGuardError, match="visits 175,616 elements, past the bound MAX_SWEEP"):
         expand_in_basis(SymFunc(11, "M", {(11,): RF(1)}), "S")
     # any basis but M fills a p(d) x p(d) table: p(17)^2 = 88,209 cells run,
@@ -355,7 +357,7 @@ def test_expand_in_basis_roundtrip_through_m():
 
 
 def test_laurent_tables_equal_the_gauss_jordan_oracle():
-    # the inversion over Q[t, 1/t] gives the same table as Gauss-Jordan over Q(t)
+    # the solve over Z[t, 1/t] gives the same table as Gauss-Jordan over Q(t)
     for d in range(7):
         for b in BASES:
             want = gauss_jordan_from_monomials(b, d)
@@ -363,6 +365,53 @@ def test_laurent_tables_equal_the_gauss_jordan_oracle():
             assert list(got) == list(want), (b, d)
             for mu, row in got.items():
                 assert {nu: RationalFunc(c) for nu, c in row.items()} == want[mu], (b, d, mu)
+
+
+def test_solve_equals_the_inverted_table_for_every_basis():
+    # the triangular solve against Gauss-Jordan over Q[t, 1/t], key order included
+    for d in range(9):
+        for b in BASES:
+            want = inverted_from_monomials(b, d)
+            got = _from_monomials(b, d)
+            assert list(got) == list(want), (b, d)
+            for mu, row in got.items():
+                assert list(row.items()) == list(want[mu].items()), (b, d, mu)
+
+
+def _patched_coords(monkeypatch, basis, lam, patch):
+    """Make `_m_coords(basis, lam)` return patch(its m-coordinates as a dict)."""
+    real = symfunc._m_coords
+
+    def mutant(b, kappa):
+        coords = real(b, kappa)
+        return tuple(sorted(patch(dict(coords)).items())) if (b, kappa) == (basis, lam) else coords
+
+    monkeypatch.setattr(symfunc, "_m_coords", mutant)
+
+
+def test_solve_refuses_a_pivot_that_is_not_a_unit(monkeypatch):
+    _patched_coords(monkeypatch, "S", (2, 1), lambda c: {**c, (2, 1): 1 + T})
+    with pytest.raises(ArithmeticError, match=r"s_\[2, 1\] has the pivot t\+1 at m_\[2, 1\], "
+                                              r"not c \* t\^k"):
+        _solve.__wrapped__("S", 3)
+
+
+def test_solve_refuses_an_entry_on_a_row_not_yet_solved(monkeypatch):
+    # m_(3) comes before m_(2,1) in `gen_partitions` order, so it is solved after it
+    _patched_coords(monkeypatch, "S", (2, 1), lambda c: {**c, (3,): T})
+    with pytest.raises(ArithmeticError, match=r"s_\[2, 1\] has an m_\[3\]-coordinate, but m_\[3\] "
+                                              r"is not solved before m_\[2, 1\]"):
+        _solve.__wrapped__("S", 3)
+
+
+def test_solve_refuses_an_e_table_read_with_lam_leading(monkeypatch):
+    # e_lam leads with m_lam'; read with lam leading, the first row solved,
+    # e_(1^3) = m_3 + 3 m_21 + 6 m_111, has m_(2,1) and m_(3), neither solved
+    for lam in gen_partitions(3):
+        _m_coords("E", lam)  # cached with the real transpose
+    monkeypatch.setattr(symfunc, "transpose", lambda lam: lam)
+    with pytest.raises(ArithmeticError, match=r"e_\[1, 1, 1\] has an m_\[2, 1\]-coordinate"):
+        _solve.__wrapped__("E", 3)
 
 
 def test_invert_over_the_laurent_ring():
@@ -389,7 +438,7 @@ def test_invert_raises_on_a_singular_matrix():
 
 
 def test_m_to_p_integral_is_d_factorial_times_the_gauss_jordan_table():
-    # forward substitution over Z against the inversion over Q[t, 1/t]
+    # the solve over Z against the inversion over Q[t, 1/t]
     for d in range(9):
         want = gauss_jordan_m_to_p(d)
         got = _m_to_p_integral(d)
@@ -407,14 +456,10 @@ def test_m_to_p_integral_raises_on_a_wrong_pivot(monkeypatch):
     # R(1^4, 1^4) = 4! made 25 scales the last row by 24/25: its first entry,
     # 4! times the p_4-coordinate -1/4 of m_(1^4) = e_4, becomes -144/25
     ones = (1, 1, 1, 1)
-
-    def mutant(parts, room):
-        return _placements(parts, room) + (parts == room == ones)
-
-    monkeypatch.setattr(symfunc, "_placements", mutant)
+    _patched_coords(monkeypatch, "P", ones, lambda c: {**c, ones: RF(25)})
     with pytest.raises(ArithmeticError, match=r"24 \* m_\[1, 1, 1, 1\] has the non-integer "
                                               r"p_\[4\]-coordinate -144/25"):
-        _m_to_p_integral.__wrapped__(4)
+        _solve.__wrapped__("P", 4)
 
 
 def test_omega_m_raises_when_its_division_by_d_factorial_is_not_exact(monkeypatch):
@@ -579,10 +624,30 @@ def test_omega_m_table_is_an_integer_involution_equal_to_the_p_path():
             assert {k: v for k, v in twice.items() if v} == {mu: 1}, (d, mu)
 
 
+def test_omega_on_hall_littlewood_goes_through_m_and_equals_the_p_route(monkeypatch):
+    # the route through m reads omega's integer table; the old one through P
+    # reads entries 1/z_lam, and both give the same values
+    for d in range(7):
+        for b in ("HLP", "PT"):
+            for lam in gen_partitions(d):
+                F = SymFunc(d, b, {lam: T + 2})
+                assert omega(F) == expand_in_basis(omega(expand_in_basis(F, "P")), b), (b, lam)
+    asked = []
+    real = symfunc._from_monomials
+    monkeypatch.setattr(symfunc, "_from_monomials", lambda b, d: asked.append(b) or real(b, d))
+    omega(SymFunc(4, "HLP", {(2, 1, 1): T}))
+    assert asked == ["HLP"]
+
+
 def test_omega_swaps_e_and_h_and_transposes_s_at_the_degree_guard():
-    d = 10  # the last degree the guard admits: p(10)^3 = 74,088 Gauss-Jordan steps
+    d = 10  # the last degree the guard admits: p(10)^3 = 74,088 solve steps
+    keys = gen_partitions(d)
     for b in BASES:
-        assert list(_from_monomials(b, d)) == gen_partitions(d), b
+        table = _from_monomials(b, d)
+        assert list(table) == keys, b
+        for mu, row in table.items():
+            assert list(row) == [k for k in keys if k in row], (b, mu)
+            assert all(c.coeffs for c in row.values()), (b, mu)
     for lam in gen_partitions(d):
         assert omega(basis_element("E", lam)) == basis_element("H", lam), lam
         assert omega(basis_element("S", lam)) == basis_element("S", transpose(lam)), lam
