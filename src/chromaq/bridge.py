@@ -29,6 +29,7 @@ from .combinatorics import (
     Frozen,
     Partition,
     SchroderPath,
+    _between,
     _hessenberg_function,
     _partitions,
     area,
@@ -44,7 +45,6 @@ from .exactnum import ONE, ZERO, LaurentPoly, Rat, _div, ratfunc_to_const, t_min
 from .fqoracle import (
     ClassFnUT,
     UnipClassFn,
-    _between,
     chi_bar,
     chi_super,
     hessenberg_count,

@@ -238,22 +238,27 @@ class SchroderPath(_Path):
         self._set(steps, **_trace(steps, dyck=False))
 
 
+def _between(lo: tuple[int, ...], hi: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every nondecreasing x with lo <= x <= hi, column by column, in lexicographic
+    order: a Hessenberg function if hi_j <= j."""
+    xs = [()]
+    for a, b in zip(lo, hi):
+        xs = [x + (v,) for x in xs for v in range(max(x[-1:] + (a,)), b + 1)]
+    return xs
+
+
+def _dyck_path(h: tuple[int, ...]) -> DyckPath:
+    """The Dyck path of the Hessenberg function h: the E step of column j starts
+    at height -h_j, so S^(h_j - h_{j-1}) comes before it."""
+    return DyckPath("E".join("S" * (b - a) for a, b in zip((0,) + h, h + (len(h),))))
+
+
 @lru_cache(maxsize=None)
 def gen_dyck(n: int) -> tuple[DyckPath, ...]:
-    """All Dyck paths of size n (Catalan many), lexicographic in the step string."""
+    """All Dyck paths of size n (Catalan many), one per Hessenberg function h:
+    h in lexicographic order gives the step strings in lexicographic order."""
     _check_size("gen_dyck", n, MAX_PATH_N)
-    out: list[DyckPath] = []
-
-    def rec(prefix: str, x: int, y: int) -> None:
-        if x == n and y == -n:
-            out.append(DyckPath(prefix))
-            return
-        if x < n:
-            rec(prefix + "E", x + 1, y)
-        if y - 1 >= -x:
-            rec(prefix + "S", x, y - 1)
-    rec("", 0, 0)
-    return tuple(sorted(out, key=lambda p: p.steps))
+    return tuple(map(_dyck_path, _between((0,) * n, tuple(range(n)))))
 
 
 @lru_cache(maxsize=None)
@@ -311,8 +316,12 @@ class IndiffGraph(Hashed):
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         edges = frozenset(tuple(sorted(e)) for e in edges)
-        if not _closed(edges, n):
-            raise ValueError(f"edge set {sorted(edges)} on [{n}] is not interval-closed")
+        if not _closed(edges, n):  # a loop or an end outside [n] is named before closure
+            bad = min((e for e in edges if not 1 <= e[0] < e[1] <= n), default=None)
+            if bad is None:
+                raise ValueError(f"edge set {sorted(edges)} on [{n}] is not interval-closed")
+            raise ValueError(f"edge {bad} is a loop" if bad[0] == bad[1] else
+                             f"edge {bad} has an end outside [{n}]")
         self._set(n, edges)
 
     def sorted_edges(self) -> list[Edge]:
@@ -367,12 +376,10 @@ def area_inverse(edges: Iterable[Edge], n: int) -> DyckPath:
 
 @lru_cache(maxsize=None)
 def _area_inverse(es: frozenset[Edge], n: int) -> DyckPath:
-    """area_inverse of sorted edges, built once per (edge set, n): the E step of
-    column j starts at height -h_j, so S^(h_j - h_{j-1}) comes before it."""
+    """area_inverse of sorted edges, built once per (edge set, n), from h."""
     if not _closed(es, n):
         raise ValueError(f"{sorted(es)} is not an indifference edge set on [{n}]")
-    h = _hessenberg_function(n, es)
-    return DyckPath("E".join("S" * (b - a) for a, b in zip((0,) + h, h + (n,))))
+    return _dyck_path(_hessenberg_function(n, es))
 
 
 @lru_cache(maxsize=None)

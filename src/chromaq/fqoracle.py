@@ -12,11 +12,12 @@ Superclasses are indifference graphs, each one a Hessenberg function h ({i, l}
 an edge iff h_l < i < l): element labels, fixed cosets and class functions are
 all read off h, the last as signed sums of upsets in one table per n, `_lattice`.
 
-Induction to GL_n is the one brute-force sweep: each element of UT_n
-contributes the centralizer order of its Jordan type (Frobenius formula), the
-sweep refuses past guards.MAX_SWEEP elements when it is called, and
-`induce_to_GL` is cached by the value of its class function.  The other two
-counts are linear algebra.  The cosets of UT_gamma fixed by a superclass are a
+Induction to GL_n reads the one brute-force sweep, `induction_table`: how many
+elements of UT_n have each Jordan type, one count per position of `_lattice`.
+|C_GL(J_lam)| (Frobenius formula) enters once per type, in `induce_to_GL`,
+which is cached by the value of its class function; the sweep refuses past
+guards.MAX_SWEEP elements when it is called.  The other two counts are
+linear algebra.  The cosets of UT_gamma fixed by a superclass are a
 product over columns of q to the corank of a system whose columns are prefixes
 of the rows, so its ranks are counts of distinct h_c, once per n for every q.
 A Hessenberg count sums the tally of one depth-first walk of the Springer
@@ -32,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, product
-from operator import itemgetter, le
+from operator import itemgetter, le, mul
 from typing import Iterable, Iterator, Mapping
 
 from .combinatorics import (
@@ -40,6 +41,7 @@ from .combinatorics import (
     IndiffGraph,
     Partition,
     SchroderPath,
+    _between,
     _hessenberg_function,
     _partition_index,
     _partitions,
@@ -202,14 +204,6 @@ def ut_elements(n: int, q: int) -> Iterator[int]:
 # superclasses
 # ---------------------------------------------------------------------------
 
-def _between(lo: tuple[int, ...], hi: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Every nondecreasing x with lo <= x <= hi, column by column: an h if hi_j <= j."""
-    xs = [()]
-    for a, b in zip(lo, hi):
-        xs = [x + (v,) for x in xs for v in range(max(x[-1:] + (a,)), b + 1)]
-    return xs
-
-
 @lru_cache(maxsize=None)
 def _lattice(n: int) -> tuple[tuple[tuple[int, ...], ...], dict, tuple[tuple[int, ...], ...]]:
     """The h of each graph on [n] in the order of indifference_graphs(n), the
@@ -236,14 +230,9 @@ def _label(zeros: int, n: int) -> tuple[int, ...]:
 
 
 def superclass_sizes(n: int, q: int) -> dict[IndiffGraph, int]:
-    """|UT_gamma^o| for every gamma in IG_n, from the UT_n sweep of induction_table."""
-    table = induction_table(n, q)  # the sweep's guard comes before the graphs on [n]
-    out = {g: 0 for g in indifference_graphs(n)}
-    for lam, labs in table.items():
-        c_order = _centralizer_order(lam, q)
-        for g, c in labs.items():
-            out[g] += c // c_order
-    return out
+    """|UT_gamma^o| for every gamma in IG_n: the rows of induction_table summed."""
+    rows = induction_table(n, q).values()  # the sweep's guard comes before the graphs on [n]
+    return dict(zip(indifference_graphs(n), map(sum, zip(*rows))))
 
 
 # ---------------------------------------------------------------------------
@@ -396,26 +385,18 @@ def _centralizer_order(lam: Partition, q: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def induction_table(n: int, q: int) -> dict[Partition, dict[IndiffGraph, int]]:
-    """For each Jordan type lam, how many x in GL_n put x^{-1} J_lam x into UT_n,
-    split by the superclass label of the conjugate.
-
-    Each u in UT_n of type lam is such a conjugate for exactly |C_GL(J_lam)|
-    elements x, so one sweep of UT_n fills the table.
-    """
+def induction_table(n: int, q: int) -> dict[Partition, tuple[int, ...]]:
+    """For each Jordan type lam, in the order of gen_partitions(n), how many u in
+    UT_n have type lam, split by superclass label: one count per position of
+    _lattice(n), from one sweep of UT_n."""
     us = ut_elements(n, q)  # its guard runs first, before the kernel's carry bound
     k = _Packed(n, q)
-    raw: dict[Partition, Counter] = {lam: Counter() for lam in _partitions(n)}
-    for u in us:
-        raw[k.jordan_type(u)][_zero_mask(u, n * n, q)] += 1
-    graphs, pos = indifference_graphs(n), _lattice(n)[1]
-    out = {}
-    for lam, masks in raw.items():
-        labs: Counter = Counter()
-        for zeros, c in masks.items():
-            labs[_label(zeros, n)] += c
-        out[lam] = {graphs[pos[h]]: c * _centralizer_order(lam, q) for h, c in labs.items()}
-    return out
+    raw = Counter((k.jordan_type(u), _zero_mask(u, n * n, q)) for u in us)
+    pos = _lattice(n)[1]
+    rows = {lam: [0] * len(pos) for lam in _partitions(n)}
+    for (lam, zeros), c in raw.items():
+        rows[lam][pos[_label(zeros, n)]] += c
+    return {lam: tuple(row) for lam, row in rows.items()}
 
 
 @lru_cache(maxsize=None)
@@ -423,14 +404,15 @@ def induce_to_GL(phi: ClassFnUT) -> UnipClassFn:
     """Induction from UT_n to GL_n, recorded on unipotent classes only:
     value at J_lam is (1/|UT_n|) sum over x in GL_n with x^{-1} J_lam x in UT_n
     of phi at the superclass of the conjugate; built once per value of phi.
+    Each u in UT_n of type lam is the conjugate for |C_GL(J_lam)| such x, so the
+    sum is |C_GL(J_lam)| times the row of lam in induction_table dotted with phi.
     """
-    n, q = phi.n, phi.q
-    index, vals = _graph_index(n), phi.values
+    n, q, vals = phi.n, phi.q, phi.values
     # induction_table is keyed in gen_partitions(n) order, the order of UnipClassFn
     order = ut_order(n, q)
     return UnipClassFn(n, q, tuple(
-        _div(sum(cnt * vals[index[g]] for g, cnt in labs.items()), order)
-        for labs in induction_table(n, q).values()))
+        _div(_centralizer_order(lam, q) * sum(map(mul, row, vals)), order)
+        for lam, row in induction_table(n, q).items()))
 
 
 # ---------------------------------------------------------------------------

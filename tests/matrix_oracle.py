@@ -41,7 +41,6 @@ from chromaq.combinatorics import IndiffGraph, Partition, gen_partitions, indiff
 from chromaq.fqoracle import (
     ClassFnUT,
     UnipClassFn,
-    _centralizer_order,
     _check_q,
     _field,
     _Packed,
@@ -463,10 +462,11 @@ def label_edges(u: Rows, n: int) -> frozenset[tuple[int, int]]:
                             for j in range(i, l + 1) for k in range(j + 1, l + 1)))
 
 
-def induction_table(n: int, q: int) -> dict[Partition, dict[IndiffGraph, int]]:
-    """The induction table from one sweep of UT_n, through the tuple kernels."""
+def induction_table(n: int, q: int) -> dict[Partition, tuple[int, ...]]:
+    """The induction table from one sweep of UT_n, through the tuple kernels: for
+    each Jordan type, how many u have it, per graph of indifference_graphs(n)."""
     raw: dict[Partition, Counter] = {lam: Counter() for lam in gen_partitions(n)}
     for u in ut_rows(n, q):
-        raw[jordan_type(u, q)][label_edges(u, n)] += 1
-    return {lam: {IndiffGraph(n, lab): c * _centralizer_order(lam, q) for lab, c in labs.items()}
-            for lam, labs in raw.items()}
+        raw[jordan_type(u, q)][IndiffGraph(n, label_edges(u, n))] += 1
+    graphs = indifference_graphs(n)
+    return {lam: tuple(labs[g] for g in graphs) for lam, labs in raw.items()}

@@ -1307,6 +1307,10 @@ def test_cli_help_prints_the_usage(capsys):
     (["compute", "hess-count", "ES", "--q", "2", "--jor", "1,1"], "compute has no option --jor"),
     (["compute", "hess-count", "ES", "--q", "2", "--jordan_type", "1,1"],
      "compute has no option --jordan_type"),
+    (["compute", "csf", '{"n": 2, "edges": [[1,1]]}'], "edge (1, 1) is a loop"),
+    (["compute", "csf", '{"n": 2, "edges": [[1,3]]}'], "edge (1, 3) has an end outside [2]"),
+    (["compute", "csf", '{"n": 2, "edges": [[0,1]]}'], "edge (0, 1) has an end outside [2]"),
+    (["compute", "csf", '{"n": 3, "edges": [[1,3]]}'], "edge set [(1, 3)] on [3] is not interval-closed"),
 ])
 def test_cli_usage_errors_exit_two_with_one_error_line(capsys, argv, message):
     from chromaq.cli import main

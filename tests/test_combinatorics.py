@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import pytest
@@ -32,6 +33,24 @@ def catalan_oracle(n):
     for m in range(n):
         c.append(sum(c[i] * c[m - i] for i in range(m + 1)))
     return c[n]
+
+
+def recursive_dyck_oracle(n):
+    """The step strings of the Dyck paths of size n, by the recursion on the
+    next step and a sort: the generator that the walk of Hessenberg functions replaced."""
+    out = []
+
+    def rec(prefix, x, y):
+        if x == n and y == -n:
+            out.append(prefix)
+            return
+        if x < n:
+            rec(prefix + "E", x + 1, y)
+        if y - 1 >= -x:
+            rec(prefix + "S", x, y - 1)
+
+    rec("", 0, 0)
+    return sorted(out)
 
 
 def little_schroder_oracle(n):
@@ -113,6 +132,11 @@ def test_zlam():
 def test_dyck_counts():
     for n in range(8):
         assert len(gen_dyck(n)) == catalan_oracle(n)
+
+
+def test_dyck_paths_equal_the_recursion_in_order():
+    for n in range(9):
+        assert [p.steps for p in gen_dyck(n)] == recursive_dyck_oracle(n), n
 
 
 def test_dyck_of_zero():
@@ -281,6 +305,16 @@ def is_indifference(edges, n):
     else:
         assert closed, (n, edges)
     return closed
+
+
+def test_graph_names_a_loop_or_an_end_outside_n_before_closure():
+    for n, edges, message in [(2, {(1, 1)}, "edge (1, 1) is a loop"),
+                              (2, {(3, 1)}, "edge (1, 3) has an end outside [2]"),
+                              (2, {(0, 1)}, "edge (0, 1) has an end outside [2]"),
+                              (3, {(1, 2), (2, 2), (0, 4)}, "edge (0, 4) has an end outside [3]"),
+                              (3, {(1, 3)}, "edge set [(1, 3)] on [3] is not interval-closed")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            IndiffGraph(n, edges)
 
 
 def test_is_indifference_examples():

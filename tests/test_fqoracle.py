@@ -1,6 +1,7 @@
 import re
 from collections import Counter
 from itertools import chain, combinations
+from operator import mul
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from chromaq.bridge import check_mesa
 from chromaq.combinatorics import (
     IndiffGraph,
     SchroderPath,
+    _between,
     area,
     diag,
     gen_dyck,
@@ -559,6 +561,12 @@ def test_lattice_upsets_match_the_scan():
             assert sorted(up) == [i for i, v in enumerate(scan) if v], g
 
 
+def test_lattice_lists_the_walk_of_hessenberg_functions():
+    # the graphs on [n], in the order of gen_dyck, are the h of the walk in its order
+    for n in range(1, 9):
+        assert _lattice(n)[0] == tuple(_between((0,) * n, tuple(range(n)))), n
+
+
 def test_upset_sum_matches_the_scan_on_every_term_list():
     # the oracle's graph terms, summed by the lists and by the scan, give the package's value
     for n in range(7):
@@ -778,10 +786,35 @@ def test_centralizer_order_closed_form():
 
 
 def test_induction_table_total_counts():
-    # sanity: the identity class sees all of GL_n, labeled complete
-    tbl = induction_table(2, 3)
-    complete = IG(2, (1, 2))
-    assert tbl[(1, 1)] == {complete: gl_order(2, 3)}
+    # the identity is the one element of type 1^n, labeled complete
+    complete = indifference_graphs(2).index(IG(2, (1, 2)))
+    assert induction_table(2, 3)[(1, 1)] == tuple(int(i == complete) for i in range(2))
+    # each row sums to the number of elements of UT_n of its type, counted by the
+    # tuple kernel, and all rows to |UT_n|
+    for n, q in [(n, q) for n in range(1, 4) for q in PRIMES] + [(4, 2), (4, 3)]:
+        types = Counter(matrix_oracle.jordan_type(u, q) for u in ut_rows(n, q))
+        table = induction_table(n, q)
+        assert {lam: sum(row) for lam, row in table.items()} == {
+            lam: types[lam] for lam in gen_partitions(n)}, (n, q)
+        assert sum(map(sum, table.values())) == ut_order(n, q), (n, q)
+
+
+def test_induce_and_superclass_sizes_match_the_tuple_oracle():
+    # |C_GL(J_lam)| times the oracle's row of lam dotted with phi, over |UT_n|; and
+    # the size of each superclass, its column of the oracle's table summed
+    for n, q in [(n, q) for n in range(1, 4) for q in PRIMES] + [(4, 2), (4, 3)]:
+        table = matrix_oracle.induction_table(n, q)
+
+        def induced(phi):
+            return UnipClassFn(n, q, tuple(
+                Fraction(_centralizer_order(lam, q) * sum(map(mul, row, phi.values)),
+                         ut_order(n, q)) for lam, row in table.items()))
+
+        for phi in ([chi_bar(g, q) for g in indifference_graphs(n)]
+                    + [psi_pseudo(sigma, q) for sigma in gen_tall_schroder(n)]):
+            assert induce_to_GL(phi) == induced(phi), (n, q, phi)
+        assert superclass_sizes(n, q) == dict(zip(indifference_graphs(n),
+                                                  map(sum, zip(*table.values())))), (n, q)
 
 
 # -- flags and Hessenberg counts --------------------------------------------------------
