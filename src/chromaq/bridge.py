@@ -20,7 +20,6 @@ index in range and reports the first witness on failure.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product as iproduct
 from math import factorial, lcm, prod
 from typing import Callable, Iterable
 
@@ -30,10 +29,8 @@ from .combinatorics import (
     Partition,
     SchroderPath,
     _between,
-    _hessenberg_function,
     _partitions,
     area,
-    area_inverse,
     diag,
     gen_dyck,
     gen_tall_schroder,
@@ -45,6 +42,8 @@ from .exactnum import ONE, ZERO, LaurentPoly, Rat, _div, ratfunc_to_const, t_min
 from .fqoracle import (
     ClassFnUT,
     UnipClassFn,
+    _lattice,
+    _lowered,
     chi_bar,
     chi_super,
     hessenberg_count,
@@ -240,7 +239,10 @@ def check_llt(n: int, q: int) -> CheckReport:
 
 
 def check_mesa(n: int, q: int) -> CheckReport:
-    """psi of the mesa path equals the supercharacter of the graph."""
+    """psi of the mesa path equals the supercharacter of the graph.
+
+    The two sides share no corner rule: `mesa` finds the tall peaks on its own
+    walk of the steps, never through `_corners`, which `chi_super` lifts."""
 
     def test(pi):
         lhs = psi_pseudo(mesa(pi), q)
@@ -252,13 +254,12 @@ def check_mesa(n: int, q: int) -> CheckReport:
 
 def check_psi_decomp(n: int, q: int) -> CheckReport:
     """psi^sigma equals the sum of chi^gamma over Diag <= E(gamma) <= Area u Diag."""
-    supers = {_hessenberg_function(n, g.edges): chi_super(g, q).values for g in indifference_graphs(n)}
+    supers = {g.h: chi_super(g, q).values for g in indifference_graphs(n)}
 
     def test(sigma):
         lhs = psi_pseudo(sigma, q)
-        # the interval is h(Area u Diag) <= h <= h(Diag), and always holds Area u Diag
-        a, d = area(sigma), diag(sigma)
-        interval = _between(_hessenberg_function(n, a | d), _hessenberg_function(n, d))
+        # h(Area u Diag) <= x <= h(Diag), which is h_j in each Diag column j and j elsewhere
+        interval = _between(sigma.h, tuple(x if j in sigma.D else j for j, x in enumerate(sigma.h)))
         rhs = ClassFnUT(n, q, tuple(map(sum, zip(*[supers[h] for h in interval]))))
         return lhs == rhs, lhs, rhs
 
@@ -327,14 +328,16 @@ def check_palindromic(n: int) -> CheckReport:
 
 
 def _unicellular_sum(sigma: SchroderPath) -> SymFunc:
-    """sum over S <= Diag(sigma) of (-1)^{|Diag - S|} G_{Area u S}, added into one dict."""
-    n, a, d = sigma.size, area(sigma), sorted(diag(sigma))
+    """sum over S <= Diag(sigma) of (-1)^{|Diag - S|} G_{Area u S}, added into one dict.
+
+    Area u S is h moved up by 1 in the columns of D - S (`_lowered` at q = 1 gives
+    the sign), and its Dyck path is read, already built, at its `_lattice` position."""
+    dyck, pos = gen_dyck(sigma.size), _lattice(sigma.size)[1]
     out: dict[Partition, LaurentPoly] = {}
-    for mask in iproduct((0, 1), repeat=len(d)):
-        s = frozenset(e for e, m in zip(d, mask) if m)
-        for mu, c in llt_vertical(area_inverse(a | s, n).as_schroder()).coeffs.items():
-            out[mu] = out.get(mu, ZERO) + (-c if (len(d) - len(s)) % 2 else c)
-    return SymFunc(n, "M", out)
+    for h, sign in _lowered(sigma.h, sigma.D, 1):
+        for mu, c in llt_vertical(dyck[pos[h]].as_schroder()).coeffs.items():
+            out[mu] = out.get(mu, ZERO) + (c if sign > 0 else -c)
+    return SymFunc(sigma.size, "M", out)
 
 
 def check_prop56(n: int) -> CheckReport:

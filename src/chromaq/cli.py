@@ -37,7 +37,6 @@ from .fqoracle import (
     require_fibres,
     superclass_sizes,
 )
-from .guards import SizeGuardError
 
 # A process that imports the CLI exits soon after. atexit hooks run before
 # module teardown, so the shutdown collections then find every object frozen
@@ -286,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         handler, args = _parse(argv)
         return handler(args)
-    except (SizeGuardError, PoleError, ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, PoleError) as exc:  # SizeGuardError and JSONDecodeError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

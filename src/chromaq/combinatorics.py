@@ -3,7 +3,8 @@
 Conventions:
   * partitions are tuples of positive ints in weakly decreasing order;
   * paths are step strings over E/S (Dyck) or E/S/D (Schroeder), going from
-    (0,0) to (n,-n) weakly above the antidiagonal y = -x;
+    (0,0) to (n,-n) weakly above the antidiagonal y = -x; a tall path is also
+    (h, D), h the Hessenberg function of Area u Diag and D its Diag columns;
   * the unit square in column j, row i (1 <= i < j <= n) is the square with
     corners (j-1, 1-i) and (j, -i), and doubles as the edge label {i, j}.
 """
@@ -11,7 +12,7 @@ Conventions:
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import count
+from itertools import combinations, count
 from math import comb
 from typing import Iterable, Iterator
 
@@ -181,36 +182,35 @@ def _walk(steps: str) -> Iterator[tuple[str, int, int]]:
 
 def _trace(steps: str, dyck: bool) -> dict:
     """Validate a path in one walk and return what the walk reads off it: its
-    size, whether it is tall (no D step starts on the diagonal), its area and
-    its diag."""
-    tall, cells, rises = True, set(), []
+    size, whether it is tall (no D step starts on the diagonal), and (h, D): the
+    step of column j starts at height -h_j, and D lists the columns, from 0, of D steps."""
+    h, cols = [], []
     for s, x, y in _walk(steps):
         if dyck and s not in "ES":
             raise ValueError(f"Dyck path steps must be E/S, got {s!r}")
-        j = x + 1
         if s in "SD" and y - 1 < -x - (s == "D"):
             raise ValueError(f"path {steps!r} goes below the diagonal")
-        if s == "E":
-            cells.update((i, j) for i in range(1 - y, j))  # rows strictly below the path
-        elif s == "D":
-            tall = tall and y != -x
-            rises.append((1 - y, j))
-            cells.update((i, j) for i in range(2 - y, j))  # row 1-y is crossed by the D step
-    n = steps.count("E") + steps.count("D")
-    if steps.count("S") + steps.count("D") != n:
+        if s != "S":
+            h.append(-y)
+            if s == "D":
+                cols.append(x)
+    n = len(h)
+    if steps.count("S") + len(cols) != n:
         raise ValueError(f"path {steps!r} is unbalanced")
-    return {"size": n, "is_tall": tall, "_area": frozenset(cells), "_diag": frozenset(rises)}
+    return {"size": n, "is_tall": all(h[j] < j for j in cols), "h": tuple(h), "D": tuple(cols)}
 
 
 class _Path(Hashed):
-    """A step string; its size, tallness, area and diag are read off once, by the
+    """A step string; its size, tallness and (h, D) are read off once, by the
     walk that validates it, and are not fields."""
 
-    __slots__ = ("steps", "size", "is_tall", "_area", "_diag")
+    __slots__ = ("steps", "size", "is_tall", "h", "D")
     _fields = ("steps",)
     steps: str
     size: int
     is_tall: bool
+    h: tuple[int, ...]
+    D: tuple[int, ...]
 
     def __str__(self) -> str:
         return self.steps
@@ -226,7 +226,7 @@ class DyckPath(_Path):
         """The same steps as a Schroeder path, built once and without a second walk."""
         if self._schroder is None:
             sigma = object.__new__(SchroderPath)
-            sigma._set(self.steps, size=self.size, is_tall=True, _area=self._area, _diag=self._diag)
+            sigma._set(self.steps, size=self.size, is_tall=True, h=self.h, D=self.D)
             object.__setattr__(self, "_schroder", sigma)
         return self._schroder
 
@@ -247,10 +247,21 @@ def _between(lo: tuple[int, ...], hi: tuple[int, ...]) -> list[tuple[int, ...]]:
     return xs
 
 
-def _dyck_path(h: tuple[int, ...]) -> DyckPath:
-    """The Dyck path of the Hessenberg function h: the E step of column j starts
-    at height -h_j, so S^(h_j - h_{j-1}) comes before it."""
-    return DyckPath("E".join("S" * (b - a) for a, b in zip((0,) + h, h + (len(h),))))
+def _corners(h: tuple[int, ...]) -> list[int]:
+    """The columns j, from 0, whose top edge is a corner: column j has an edge
+    (h_j < j), and column j + 1 none in its row (h_{j+1} > h_j), or j is last."""
+    return [j for j, (x, y) in enumerate(zip(h, h[1:] + (len(h),))) if x < j and x < y]
+
+
+def _tall_path(h: tuple[int, ...], D: tuple[int, ...] = ()) -> str:
+    """The step string of the tall path (h, D), a Dyck path when D is empty: the
+    step of column j starts at height -h_j, so S^(h_j - h_{j-1} - [j-1 in D])
+    comes before it, D for j in D and E otherwise."""
+    out, low = [], 0
+    for j, x in enumerate(h):
+        out.append("S" * (x - low) + ("D" if j in D else "E"))
+        low = x + (j in D)
+    return "".join(out) + "S" * (len(h) - low)
 
 
 @lru_cache(maxsize=None)
@@ -258,42 +269,33 @@ def gen_dyck(n: int) -> tuple[DyckPath, ...]:
     """All Dyck paths of size n (Catalan many), one per Hessenberg function h:
     h in lexicographic order gives the step strings in lexicographic order."""
     _check_size("gen_dyck", n, MAX_PATH_N)
-    return tuple(map(_dyck_path, _between((0,) * n, tuple(range(n)))))
+    return tuple(DyckPath(_tall_path(h)) for h in _between((0,) * n, tuple(range(n))))
 
 
 @lru_cache(maxsize=None)
 def gen_tall_schroder(n: int) -> tuple[SchroderPath, ...]:
-    """All tall Schroeder paths of size n (small Schroeder many)."""
+    """All tall Schroeder paths of size n (small Schroeder many), one per
+    Hessenberg function h and set D of its corners, in lexicographic order."""
     _check_size("gen_tall_schroder", n, MAX_PATH_N)
-    out: list[SchroderPath] = []
-
-    def rec(prefix: str, x: int, y: int) -> None:
-        if x == n and y == -n:
-            out.append(SchroderPath(prefix))
-            return
-        if x < n and y > -x:  # tall: no D step may start on the diagonal
-            rec(prefix + "D", x + 1, y - 1)
-        if x < n:
-            rec(prefix + "E", x + 1, y)
-        if y - 1 >= -x:
-            rec(prefix + "S", x, y - 1)
-
-    rec("", 0, 0)
-    return tuple(sorted(out, key=lambda p: p.steps))
+    steps = [_tall_path(h, D) for h in _between((0,) * n, tuple(range(n)))
+             for k in range(n + 1) for D in combinations(_corners(h), k)]
+    return tuple(map(SchroderPath, sorted(steps)))
 
 
 def area(sigma: SchroderPath | DyckPath) -> frozenset[Edge]:
-    """Edge labels of unit squares lying completely below the path."""
+    """Edge labels of unit squares lying completely below the path: {i, j} with
+    h_j < i < j, less {h_j + 1, j} in each Diag column j."""
     if not sigma.is_tall:
         raise ValueError("area/diag are defined here for tall paths only")
-    return sigma._area
+    return frozenset((i, j + 1) for j, x in enumerate(sigma.h)
+                     for i in range(x + 1 + (j in sigma.D), j + 1))
 
 
 def diag(sigma: SchroderPath | DyckPath) -> frozenset[Edge]:
-    """Edge labels of unit squares crossed by diagonal steps."""
+    """Edge labels of unit squares crossed by diagonal steps: {h_j + 1, j} in each Diag column j."""
     if not sigma.is_tall:
         raise ValueError("area/diag are defined here for tall paths only")
-    return sigma._diag
+    return frozenset((sigma.h[j] + 1, j + 1) for j in sigma.D)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +312,8 @@ def _closed(es: frozenset[Edge] | set[Edge], n: int) -> bool:
 class IndiffGraph(Hashed):
     """Graph on [n] whose edge set is closed under intervals."""
 
-    __slots__ = _fields = ("n", "edges")
+    __slots__ = ("n", "edges", "_h")
+    _fields = ("n", "edges")
     n: int
     edges: frozenset[Edge]
 
@@ -322,7 +325,15 @@ class IndiffGraph(Hashed):
                 raise ValueError(f"edge set {sorted(edges)} on [{n}] is not interval-closed")
             raise ValueError(f"edge {bad} is a loop" if bad[0] == bad[1] else
                              f"edge {bad} has an end outside [{n}]")
-        self._set(n, edges)
+        self._set(n, edges, _h=None)
+
+    @property
+    def h(self) -> tuple[int, ...]:
+        """The Hessenberg function of the edges, recorded by `graph_of` or on first
+        use: as an O(n) tuple in __init__ it would hold a huge n back from its guard."""
+        if self._h is None:
+            object.__setattr__(self, "_h", _hessenberg_function(self.n, self.edges))
+        return self._h
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
@@ -352,9 +363,12 @@ def _is_int(x) -> bool:
 
 
 def graph_of(pi: DyckPath) -> IndiffGraph:
-    """The indifference graph on [n] with edge set the area of the path, built once per path."""
+    """The indifference graph on [n] with edge set the area of the path, built once
+    per path; its h is the path's."""
     if pi._graph is None:
-        object.__setattr__(pi, "_graph", IndiffGraph(pi.size, pi._area))
+        g = IndiffGraph(pi.size, area(pi))
+        object.__setattr__(g, "_h", pi.h)
+        object.__setattr__(pi, "_graph", g)
     return pi._graph
 
 
@@ -376,10 +390,8 @@ def area_inverse(edges: Iterable[Edge], n: int) -> DyckPath:
 
 @lru_cache(maxsize=None)
 def _area_inverse(es: frozenset[Edge], n: int) -> DyckPath:
-    """area_inverse of sorted edges, built once per (edge set, n), from h."""
-    if not _closed(es, n):
-        raise ValueError(f"{sorted(es)} is not an indifference edge set on [{n}]")
-    return _dyck_path(_hessenberg_function(n, es))
+    """area_inverse of sorted edges, built once per (edge set, n), from the graph's h."""
+    return DyckPath(_tall_path(IndiffGraph(n, es).h))
 
 
 @lru_cache(maxsize=None)
@@ -390,18 +402,11 @@ def indifference_graphs(n: int) -> tuple[IndiffGraph, ...]:
 
 def mesa(pi: DyckPath) -> SchroderPath:
     """Contract each tall peak ES (its E starting strictly above the diagonal) to a D step."""
-    steps = pi.steps
-    out = []
-    i = 0
-    coords = list(_walk(steps))
-    while i < len(steps):
-        if i + 1 < len(steps) and steps[i] == "E" and steps[i + 1] == "S":
-            _, x, y = coords[i]
-            if y > -x:  # tall peak
-                out.append("D")
-                i += 2
-                continue
-        out.append(steps[i])
-        i += 1
+    out: list[str] = []
+    for s, x, y in _walk(pi.steps):
+        if s == "S" and out[-1:] == ["E"] and y > 1 - x:  # the E started at (x - 1, y)
+            out[-1] = "D"
+        else:
+            out.append(s)
     return SchroderPath("".join(out))
 

@@ -11,6 +11,8 @@ that the guards admit comes near it.
 Superclasses are indifference graphs, each one a Hessenberg function h ({i, l}
 an edge iff h_l < i < l): element labels, fixed cosets and class functions are
 all read off h, the last as signed sums of upsets in one table per n, `_lattice`.
+A graph carries its h, and a tall path its (h, D), h that of Area u Diag and D
+its Diag columns; the class functions read them there and build no edge set.
 
 Induction to GL_n reads the one brute-force sweep, `induction_table`: how many
 elements of UT_n have each Jordan type, one count per position of `_lattice`.
@@ -42,11 +44,9 @@ from .combinatorics import (
     Partition,
     SchroderPath,
     _between,
-    _hessenberg_function,
+    _corners,
     _partition_index,
     _partitions,
-    area,
-    diag,
     indifference_graphs,
 )
 from .exactnum import Rat, _div
@@ -209,7 +209,7 @@ def _lattice(n: int) -> tuple[tuple[tuple[int, ...], ...], dict, tuple[tuple[int
     """The h of each graph on [n] in the order of indifference_graphs(n), the
     position of each h, and the upset of each position: the positions of the
     graphs that contain it, every nondecreasing x <= h (Stanley, EC1 3.9)."""
-    hs = tuple(_hessenberg_function(n, g.edges) for g in indifference_graphs(n))  # refused past MAX_PATH_N
+    hs = tuple(g.h for g in indifference_graphs(n))  # refused past MAX_PATH_N
     pos = {h: i for i, h in enumerate(hs)}
     return hs, pos, tuple(tuple(pos[x] for x in _between((0,) * n, h)) for h in hs)
 
@@ -328,16 +328,10 @@ def _lowered(h: tuple[int, ...], cols: Iterable[int], q: int) -> list[tuple[tupl
     return out
 
 
-def _corners(h: tuple[int, ...]) -> list[int]:
-    """The columns j, from 0, whose top edge is a corner: column j has an edge
-    (h_j < j), and column j + 1 none in its row (h_{j+1} > h_j), or j is last."""
-    return [j for j, (x, y) in enumerate(zip(h, h[1:] + (len(h),))) if x < j and x < y]
-
-
 def chi_bar(gamma: IndiffGraph, q: int) -> ClassFnUT:
     """Permutation character of UT_n on UT_n/UT_gamma: q^{|E|} times the indicator of UT_gamma."""
     _check_q(q)
-    return _upset_sum(gamma.n, q, _lowered(_hessenberg_function(gamma.n, gamma.edges), (), q))
+    return _upset_sum(gamma.n, q, _lowered(gamma.h, (), q))
 
 
 def chi_super(gamma: IndiffGraph, q: int) -> ClassFnUT:
@@ -348,24 +342,22 @@ def chi_super(gamma: IndiffGraph, q: int) -> ClassFnUT:
     corners, and 0 otherwise (Stanley, EC1 3.9), so the sum has
     2^{#corners} <= 2^{n-1} terms, h(gamma) moved up by 1 in the columns of S."""
     _check_q(q)
-    h = _hessenberg_function(gamma.n, gamma.edges)
-    return _upset_sum(gamma.n, q, _lowered(h, _corners(h), q))
+    return _upset_sum(gamma.n, q, _lowered(gamma.h, _corners(gamma.h), q))
 
 
 @lru_cache(maxsize=None)
 def psi_pseudo(sigma: SchroderPath, q: int) -> ClassFnUT:
     """Pseudosupercharacter: signed inclusion-exclusion of chi_bar over Diag subsets.
 
-    A tall path has at most one Diag cell per column, just above the column's
-    area, so Area u S is h(Area u Diag) moved up by 1 in the columns of Diag - S.
-    Built once per (sigma, q): four checks read the same paths at the same q."""
+    A tall path (h, D) has at most one Diag cell per column, its top cell in
+    Area u Diag, so Area u S is h moved up by 1 in the columns of D - S.  Built
+    once per (sigma, q): four checks read the same paths at the same q."""
     if not sigma.is_tall:
         raise ValueError("psi_pseudo needs a tall path")
     n = sigma.size
     _check_q(q)
     pos = _lattice(n)[1]  # refused past MAX_PATH_N, before the 2^|Diag| terms are built
-    a, d = area(sigma), diag(sigma)
-    terms = _lowered(_hessenberg_function(n, a | d), sorted(j - 1 for _, j in d), q)
+    terms = _lowered(sigma.h, sigma.D, q)
     if not all(h in pos for h, _ in terms):  # cannot happen for genuine tall paths
         raise AssertionError(f"Area u S failed interval closure for {sigma}")
     return _upset_sum(n, q, terms)
@@ -447,7 +439,7 @@ def permutation_character_oracle(gamma: IndiffGraph, q: int) -> ClassFnUT:
     once per n by _column_ranks.
     """
     _check_q(q)
-    cells = [j * (j + 1) // 2 + m for j, m in enumerate(_hessenberg_function(gamma.n, gamma.edges))]
+    cells = [j * (j + 1) // 2 + m for j, m in enumerate(gamma.h)]
     edges = len(gamma.edges)
     # itemgetter returns a tuple from two keys on; n = 0 and n = 1 have fewer
     read = itemgetter(*cells) if len(cells) > 1 else lambda ranks: [ranks[c] for c in cells]
@@ -554,7 +546,7 @@ def hessenberg_count(gamma: IndiffGraph, lam: Partition, q: int) -> int:
     """Number of flags gB with g^{-1} a g strictly upper and zero at the edges of
     gamma, for a nilpotent a over F_q with 1 + a of Jordan type lam.
 
-    That is a V_j in V_{m_j} for every j, m the Hessenberg function of gamma: the
+    That is a V_j in V_{m_j} for every j, m = gamma.h the Hessenberg function: the
     flags of the Springer fibre with mu <= m.  g -> h g maps the flags of a onto
     those of h^{-1} a h, so every such a reads the walk of J_lam - 1; for
     lam = 1^n, a = 0 and every flag counts."""
@@ -564,5 +556,4 @@ def hessenberg_count(gamma: IndiffGraph, lam: Partition, q: int) -> int:
         raise ValueError(f"Jordan type {lam} is not a partition of n = {n}")
     if lam == (1,) * n:
         return flag_count(n, q)
-    m = _hessenberg_function(n, gamma.edges)
-    return sum(c for mu, c in _springer_fibre(lam, q).items() if all(map(le, mu, m)))
+    return sum(c for mu, c in _springer_fibre(lam, q).items() if all(map(le, mu, gamma.h)))

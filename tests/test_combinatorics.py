@@ -9,6 +9,8 @@ from chromaq.combinatorics import (
     IndiffGraph,
     SchroderPath,
     _closed,
+    _hessenberg_function,
+    _tall_path,
     area,
     area_inverse,
     diag,
@@ -51,6 +53,49 @@ def recursive_dyck_oracle(n):
 
     rec("", 0, 0)
     return sorted(out)
+
+
+def recursive_schroder_oracle(n, tall=True):
+    """The step strings of the Schroeder paths of size n, tall ones only by
+    default, by the recursion on the next step and a sort: the generator that
+    the walk of (h, D) replaced."""
+    out = []
+
+    def rec(prefix, x, y):
+        if x == n and y == -n:
+            out.append(prefix)
+            return
+        if x < n and (y > -x or not tall):  # tall: no D step may start on the diagonal
+            rec(prefix + "D", x + 1, y - 1)
+        if x < n:
+            rec(prefix + "E", x + 1, y)
+        if y - 1 >= -x:
+            rec(prefix + "S", x, y - 1)
+
+    rec("", 0, 0)
+    return sorted(out)
+
+
+def cell_walk_oracle(steps):
+    """Tallness, (h, D), Area and Diag of a Schroeder path, read cell by cell: the
+    walk that the package replaced by reading (h, D) off the steps.  h is the least
+    row of each column of Area u Diag, less 1, and D the columns, from 0, of Diag."""
+    tall, cells, rises = True, set(), set()
+    x = y = 0
+    for s in steps:
+        j = x + 1
+        if s == "E":
+            cells.update((i, j) for i in range(1 - y, j))  # rows strictly below the path
+            x += 1
+        elif s == "D":
+            tall = tall and y != -x
+            rises.add((1 - y, j))
+            cells.update((i, j) for i in range(2 - y, j))  # row 1-y is crossed by the D step
+            x, y = x + 1, y - 1
+        else:
+            y -= 1
+    h = tuple(min([i - 1 for i, k in cells | rises if k == j], default=j - 1) for j in range(1, x + 1))
+    return tall, h, tuple(sorted(j - 1 for _, j in rises)), frozenset(cells), frozenset(rises)
 
 
 def little_schroder_oracle(n):
@@ -143,6 +188,24 @@ def test_dyck_of_zero():
     assert [p.steps for p in gen_dyck(0)] == [""]
 
 
+def test_tall_paths_equal_the_recursion_in_order():
+    for n in range(9):
+        paths = gen_tall_schroder(n)
+        assert all(type(p) is SchroderPath for p in paths)
+        assert [p.steps for p in paths] == recursive_schroder_oracle(n), n
+
+
+def test_tall_paths_read_h_and_d_as_the_cell_walk_does():
+    # every Dyck and tall path of size <= 8: (h, D) read off the walk, and area and
+    # diag derived from it, are the cell walk's, and (h, D) writes the steps back
+    for n in range(9):
+        for p in gen_dyck(n) + gen_tall_schroder(n):
+            tall, h, d, a, dg = cell_walk_oracle(p.steps)
+            assert tall and p.is_tall
+            assert (p.h, p.D, area(p), diag(p)) == (h, d, a, dg), p
+            assert _tall_path(p.h, p.D) == p.steps
+
+
 def test_tall_schroder_counts():
     for n in range(6):
         assert len(gen_tall_schroder(n)) == little_schroder_oracle(n)
@@ -203,9 +266,17 @@ def test_each_path_is_walked_once(monkeypatch):
 
 
 def test_area_and_diag_refuse_a_path_that_is_not_tall():
-    for f in (area, diag):
-        with pytest.raises(ValueError, match="tall paths only"):
-            f(SchroderPath("DD"))
+    # every Schroeder path of size <= 6 is tall as the cell walk finds it, and
+    # area and diag raise the same error on the others
+    for n in range(7):
+        for steps in recursive_schroder_oracle(n, tall=False):
+            p = SchroderPath(steps)
+            assert p.is_tall == cell_walk_oracle(steps)[0], steps
+            if p.is_tall:
+                continue
+            for f in (area, diag):
+                with pytest.raises(ValueError, match="^area/diag are defined here for tall paths only$"):
+                    f(p)
 
 
 def test_partitions_are_a_fresh_list_each_call():
@@ -243,6 +314,15 @@ def test_dyck_paths_have_empty_diag():
 
 
 # -- graph bijection -----------------------------------------------------------
+
+def test_graphs_record_the_hessenberg_function_of_their_edges():
+    # a graph of indifference_graphs records its path's h; one built from the
+    # same edges reads h off them on first use
+    for n in range(9):
+        for pi, g in zip(gen_dyck(n), indifference_graphs(n), strict=True):
+            assert g.h is pi.h
+            assert g.h == _hessenberg_function(n, g.edges) == IndiffGraph(n, g.edges).h, g
+
 
 def test_graph_of_example():
     g = graph_of(DyckPath("EESESS"))

@@ -13,6 +13,7 @@ from chromaq.combinatorics import (
     IndiffGraph,
     SchroderPath,
     _between,
+    _hessenberg_function,
     area,
     diag,
     gen_dyck,
@@ -41,7 +42,6 @@ from chromaq.fqoracle import (
     _centralizer_order,
     _column_ranks,
     _fibre_size,
-    _hessenberg_function,
     _label,
     _lattice,
     _Packed,
@@ -596,7 +596,7 @@ def test_psi_pseudo_refuses_a_term_outside_the_lattice():
     # a Diag cell {1, 3} over Area {{2, 3}}, without {1, 2}: h(Area u Diag) = (0, 1, 0)
     # is no Hessenberg function, and the error names the path
     sigma = object.__new__(SchroderPath)
-    sigma._set("EDESS", size=3, is_tall=True, _area=frozenset({(2, 3)}), _diag=frozenset({(1, 3)}))
+    sigma._set("EDESS", size=3, is_tall=True, h=(0, 1, 0), D=(2,))
     with pytest.raises(AssertionError, match="interval closure for EDESS"):
         psi_pseudo.__wrapped__(sigma, 2)
 
@@ -615,6 +615,20 @@ def test_a_wrong_corner_rule_is_caught(monkeypatch):
     monkeypatch.setattr(fq, "_corners", lambda h: [j for j, (x, y) in enumerate(zip(h, h[1:]))
                                                    if x < j and x < y])
     assert not check_mesa(4, 2).ok
+
+
+def test_check_mesa_fails_when_the_last_corner_is_dropped_everywhere(monkeypatch):
+    # mesa finds the tall peaks on its own walk of the steps: with the last corner
+    # of each h dropped in every module that reads _corners, chi_super loses terms
+    # that the mesa side keeps.  Were mesa to read _corners, both would lose them
+    import chromaq.combinatorics as comb
+    import chromaq.fqoracle as fq
+
+    corners = comb._corners
+    for module in (comb, fq):
+        monkeypatch.setattr(module, "_corners", lambda h: corners(h)[:-1])
+    assert not check_mesa(4, 2).ok
+
 
 def test_supercharacter_orthogonality():
     for q in (2, 3):
