@@ -14,7 +14,13 @@ coordinates, so a check that passes builds no Fraction; one that fails still
 reports its exact witness.
 
 Every check_* verifies one identity exactly (tolerance zero) over every
-index in range and reports the first witness on failure.
+index in range and reports the first witness on failure.  A check declares
+its items and its two sides to `_scan`, which compares lhs(item) == rhs(item);
+each side reaches every table it reads from inside itself, through a cached
+function or a memo that only that side holds, so each side can be run alone.
+Before the scan a check lists its items and runs its guards, nothing else.
+tests/test_sides.py declares what the two sides of each check still share,
+and fails on anything else they share.
 """
 
 from __future__ import annotations
@@ -168,12 +174,12 @@ DEPENDENCIES = {"check_cor66": ("check_llt", "check_as")}
 
 
 def _scan(name: str, n: int, q: int | None, items: Iterable,
-          test: Callable[[object], tuple[bool, object, object]]) -> CheckReport:
-    """The first failing item as the witness; only its two sides are rendered with str."""
+          lhs: Callable[[object], object], rhs: Callable[[object], object]) -> CheckReport:
+    """The first item whose sides differ is the witness; str renders only its two sides."""
     for item in items:
-        ok, lhs, rhs = test(item)
-        if not ok:
-            witness = {"index": str(item), "lhs": str(lhs), "rhs": str(rhs)}
+        left, right = lhs(item), rhs(item)
+        if not left == right:
+            witness = {"index": str(item), "lhs": str(left), "rhs": str(right)}
             return CheckReport(name, n, q, "fail", witness)
     return CheckReport(name, n, q, "pass")
 
@@ -184,58 +190,39 @@ def _scan(name: str, n: int, q: int | None, items: Iterable,
 
 def check_cqs(n: int, q: int) -> CheckReport:
     """Induced permutation characters realize (q-1)^n X_gamma(x; q)."""
-
-    def test(gamma):
-        lhs = p_brace1(induce_to_GL(chi_bar(gamma, q)))
-        rhs = eval_t(csf(gamma), q).scale((q - 1) ** n)
-        return lhs == rhs, lhs, rhs
-
-    return _scan("check_cqs", n, q, indifference_graphs(n), test)
+    return _scan("check_cqs", n, q, indifference_graphs(n),
+                 lambda gamma: p_brace1(induce_to_GL(chi_bar(gamma, q))),
+                 lambda gamma: eval_t(csf(gamma), q).scale((q - 1) ** n))
 
 
 def check_hess(n: int, q: int) -> CheckReport:
     """Induced character values count Hessenberg points: (q-1)^n q^{|E|} |B|."""
     require_fibres(n, q)
-    graphs = indifference_graphs(n)
-    items = [(g, lam) for g in graphs for lam in _partitions(n)]
-    induced = {g: induce_to_GL(chi_bar(g, q)) for g in graphs}
-
-    def test(item):
-        gamma, lam = item
-        cnt = hessenberg_count(gamma, lam, q)
-        lhs = induced[gamma](lam)
-        rhs = (q - 1) ** n * q ** len(gamma.edges) * cnt
-        return lhs == rhs, lhs, rhs
-
-    return _scan("check_hess", n, q, items, test)
+    items = [(g, lam) for g in indifference_graphs(n) for lam in _partitions(n)]
+    return _scan("check_hess", n, q, items,
+                 lambda item: induce_to_GL(chi_bar(item[0], q))(item[1]),
+                 lambda item: (q - 1) ** n * q ** len(item[0].edges) * hessenberg_count(*item, q))
 
 
 def check_poincare(n: int, q: int) -> CheckReport:
     """Hessenberg point counts equal q^{-|E|} d_lam^gamma(q)."""
     require_fibres(n, q)
     items = [(g, lam) for g in indifference_graphs(n) for lam in _partitions(n)]
-    dcache = {g: d_coeffs(g) for g in indifference_graphs(n)}
+    d = lru_cache(maxsize=None)(d_coeffs)  # one expansion per graph, held by the right side
 
-    def test(item):
+    def rhs(item):
         gamma, lam = item
-        cnt = hessenberg_count(gamma, lam, q)
-        dval = dcache[gamma].get(lam, ZERO).evaluate(q)
-        rhs = _div(dval, q ** len(gamma.edges))
-        return cnt == rhs, cnt, rhs
+        return _div(d(gamma).get(lam, ZERO).evaluate(q), q ** len(gamma.edges))
 
-    return _scan("check_poincare", n, q, items, test)
+    return _scan("check_poincare", n, q, items, lambda item: hessenberg_count(*item, q), rhs)
 
 
 def check_llt(n: int, q: int) -> CheckReport:
     """Pseudosupercharacters induce to (q-1)^{|Diag|} omega G_sigma(x; q)."""
-
-    def test(sigma):
-        lhs = p_one(induce_to_GL(psi_pseudo(sigma, q)))
-        G = eval_t(llt_vertical(sigma), q)
-        rhs = expand_in_basis(omega(G).scale((q - 1) ** len(diag(sigma))), "S")
-        return lhs == rhs, lhs, rhs
-
-    return _scan("check_llt", n, q, gen_tall_schroder(n), test)
+    return _scan("check_llt", n, q, gen_tall_schroder(n),
+                 lambda sigma: p_one(induce_to_GL(psi_pseudo(sigma, q))),
+                 lambda sigma: expand_in_basis(omega(eval_t(llt_vertical(sigma), q))
+                                               .scale((q - 1) ** len(diag(sigma))), "S"))
 
 
 def check_mesa(n: int, q: int) -> CheckReport:
@@ -243,38 +230,32 @@ def check_mesa(n: int, q: int) -> CheckReport:
 
     The two sides share no corner rule: `mesa` finds the tall peaks on its own
     walk of the steps, never through `_corners`, which `chi_super` lifts."""
-
-    def test(pi):
-        lhs = psi_pseudo(mesa(pi), q)
-        rhs = chi_super(graph_of(pi), q)
-        return lhs == rhs, lhs, rhs
-
-    return _scan("check_mesa", n, q, gen_dyck(n), test)
+    return _scan("check_mesa", n, q, gen_dyck(n),
+                 lambda pi: psi_pseudo(mesa(pi), q), lambda pi: chi_super(graph_of(pi), q))
 
 
 def check_psi_decomp(n: int, q: int) -> CheckReport:
     """psi^sigma equals the sum of chi^gamma over Diag <= E(gamma) <= Area u Diag."""
-    supers = {g.h: chi_super(g, q).values for g in indifference_graphs(n)}
 
-    def test(sigma):
-        lhs = psi_pseudo(sigma, q)
+    @lru_cache(maxsize=None)
+    def supers() -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Each chi^gamma by its h, built once, on the right side's first call."""
+        return {g.h: chi_super(g, q).values for g in indifference_graphs(n)}
+
+    def rhs(sigma):
         # h(Area u Diag) <= x <= h(Diag), which is h_j in each Diag column j and j elsewhere
         interval = _between(sigma.h, tuple(x if j in sigma.D else j for j, x in enumerate(sigma.h)))
-        rhs = ClassFnUT(n, q, tuple(map(sum, zip(*[supers[h] for h in interval]))))
-        return lhs == rhs, lhs, rhs
+        return ClassFnUT(n, q, tuple(map(sum, zip(*map(supers().__getitem__, interval)))))
 
-    return _scan("check_psi_decomp", n, q, gen_tall_schroder(n), test)
+    return _scan("check_psi_decomp", n, q, gen_tall_schroder(n),
+                 lambda sigma: psi_pseudo(sigma, q), rhs)
 
 
 def check_permtoind(n: int, q: int) -> CheckReport:
     """chi_bar agrees with the directly-counted permutation character."""
-
-    def test(gamma):
-        lhs = chi_bar(gamma, q)
-        rhs = permutation_character_oracle(gamma, q)
-        return lhs == rhs, lhs, rhs
-
-    return _scan("check_permtoind", n, q, indifference_graphs(n), test)
+    return _scan("check_permtoind", n, q, indifference_graphs(n),
+                 lambda gamma: chi_bar(gamma, q),
+                 lambda gamma: permutation_character_oracle(gamma, q))
 
 
 def check_as(n: int) -> CheckReport:
@@ -282,13 +263,8 @@ def check_as(n: int) -> CheckReport:
     paths = gen_tall_schroder(n)
     require_orientations(f"the tall paths of size {n}",
                          max((len(area(sigma)) for sigma in paths), default=0))
-
-    def test(sigma):
-        lhs = expand_in_basis(as_expansion(sigma), "M")
-        rhs = llt_vertical(sigma)
-        return lhs == rhs, lhs, rhs
-
-    return _scan("check_as", n, None, paths, test)
+    return _scan("check_as", n, None, paths,
+                 lambda sigma: expand_in_basis(as_expansion(sigma), "M"), llt_vertical)
 
 
 def check_cm(n: int) -> CheckReport:
@@ -303,28 +279,23 @@ def check_cm(n: int) -> CheckReport:
     p_lam by prod (t^{lam_i} - 1) and returns to M.  Nothing is divided:
     the two sides share no change of basis, and every product stays in Z[t].
     """
-    scale = t_minus_one_power(n) * factorial(n)
     paths = gen_dyck(n)  # refused past MAX_PATH_N before the degree-n table is built
-    to_p = _m_to_p_integral(n)
 
-    def test(pi):
-        lhs = csf(graph_of(pi)).scale(scale)
+    def rhs(pi):
+        to_p = _m_to_p_integral(n)
         G = _change(llt_vertical(pi.as_schroder()).coeffs, lambda mu: to_p[mu].items())
-        rhs = expand_in_basis(plethysm_mul(SymFunc(n, "P", G)), "M")
-        return lhs == rhs, lhs, rhs
+        return expand_in_basis(plethysm_mul(SymFunc(n, "P", G)), "M")
 
-    return _scan("check_cm", n, None, paths, test)
+    return _scan("check_cm", n, None, paths,
+                 lambda pi: csf(graph_of(pi)).scale(t_minus_one_power(n) * factorial(n)), rhs)
 
 
 def check_palindromic(n: int) -> CheckReport:
     """t^{|E|} X(x; 1/t) = X(x; t) for every indifference graph."""
-
-    def test(gamma):
-        X = csf(gamma)
-        lhs = X.map_coeffs(lambda c: c.subs_inv().shift(len(gamma.edges)))
-        return lhs == X, lhs, X
-
-    return _scan("check_palindromic", n, None, indifference_graphs(n), test)
+    return _scan("check_palindromic", n, None, indifference_graphs(n),
+                 lambda gamma: csf(gamma).map_coeffs(
+                     lambda c: c.subs_inv().shift(len(gamma.edges))),
+                 csf)
 
 
 def _unicellular_sum(sigma: SchroderPath) -> SymFunc:
@@ -346,53 +317,52 @@ def check_prop56(n: int) -> CheckReport:
     (i)  t^{|Area(pi)|} G_pi(x; 1/t) = omega G_pi(x; t) for Dyck pi;
     (ii) (t-1)^{|Diag|} G_sigma = signed sum of unicellular G over Diag subsets.
     """
-
-    def test_i(pi):
-        g = llt_vertical(pi.as_schroder())
-        lhs = g.map_coeffs(lambda c: c.subs_inv().shift(len(area(pi))))
-        rhs = omega(g)
-        return lhs == rhs, lhs, rhs
-
-    def test_ii(sigma):
-        lhs = llt_vertical(sigma).scale(t_minus_one_power(len(diag(sigma))))
-        rhs = _unicellular_sum(sigma)
-        return lhs == rhs, lhs, rhs
-
-    for part, items, test in (("i", gen_dyck(n), test_i), ("ii", gen_tall_schroder(n), test_ii)):
-        rep = _scan("check_prop56", n, None, items, test)
+    parts = (
+        ("i", gen_dyck(n),
+         lambda pi: llt_vertical(pi.as_schroder()).map_coeffs(
+             lambda c: c.subs_inv().shift(len(area(pi)))),
+         lambda pi: omega(llt_vertical(pi.as_schroder()))),
+        ("ii", gen_tall_schroder(n),
+         lambda sigma: llt_vertical(sigma).scale(t_minus_one_power(len(diag(sigma)))),
+         _unicellular_sum),
+    )
+    for part, items, lhs, rhs in parts:
+        rep = _scan("check_prop56", n, None, items, lhs, rhs)
         if not rep.ok:
             return CheckReport("check_prop56", n, None, "fail", {"part": part, **rep.witness})
     return rep
 
 
 def check_gg(n: int, q: int) -> CheckReport:
-    """The normalized staircase induction maps to e_n under omega o p_one."""
+    """The normalized staircase induction maps to e_n = s_{1^n} under omega o p_one."""
     if n < 1:
         raise ValueError(f"check_gg needs n >= 1, got n = {n}")
-    sigma = SchroderPath("E" + "D" * (n - 1) + "S")
-    ind = induce_to_GL(psi_pseudo(sigma, q))
     denom = (q - 1) ** (n - 1)
-    rep = _scan("check_gg", n, q, _partitions(n),
-                lambda lam: (ind(lam) % denom == 0, ind(lam), f"multiple of {denom}"))
+    multiple = f"multiple of {denom}"
+
+    def staircase() -> UnipClassFn:
+        return induce_to_GL(psi_pseudo(SchroderPath("E" + "D" * (n - 1) + "S"), q))
+
+    def divided(lam):  # the value itself is the witness when it is no multiple
+        v = staircase()(lam)
+        return v if v % denom else multiple
+
+    rep = _scan("check_gg", n, q, _partitions(n), divided, lambda lam: multiple)
     if not rep.ok:
         return rep
 
-    def test(label):
-        lhs = omega(p_one(UnipClassFn(n, q, tuple(v // denom for v in ind.values))))
-        return lhs.coeffs == {tuple([1] * n): ONE}, lhs, "e_n"
+    def normalized(label):
+        return omega(p_one(UnipClassFn(n, q, tuple(v // denom for v in staircase().values))))
 
-    return _scan("check_gg", n, q, ["omega p_one(Gamma_n)"], test)
+    return _scan("check_gg", n, q, ["omega p_one(Gamma_n)"], normalized,
+                 lambda label: SymFunc(n, "S", {(1,) * n: ONE}))
 
 
 def check_st_en(n: int) -> CheckReport:
     """t^{binom(n,2)} PT_{(1^n)}(x; t) = e_n, symbolically."""
-
-    def test(lam):
-        lhs = basis_element("PT", lam).scale(LaurentPoly.t(n * (n - 1) // 2))
-        rhs = basis_element("E", (n,) if n else ())
-        return lhs == rhs, lhs, rhs
-
-    return _scan("check_st_en", n, None, [tuple([1] * n)], test)
+    return _scan("check_st_en", n, None, [tuple([1] * n)],
+                 lambda lam: basis_element("PT", lam).scale(LaurentPoly.t(n * (n - 1) // 2)),
+                 lambda lam: basis_element("E", (n,) if n else ()))
 
 
 def check_cor66(n: int, q: int) -> CheckReport:
@@ -401,13 +371,11 @@ def check_cor66(n: int, q: int) -> CheckReport:
     Verified on symmetric-function images; passes precisely when check_llt
     and check_as both do (see DEPENDENCIES).
     """
-
-    def test(sigma):
-        lhs = expand_in_basis(omega(p_one(induce_to_GL(psi_pseudo(sigma, q)))), "M")
-        rhs = expand_in_basis(eval_t(as_expansion(sigma), q), "M").scale((q - 1) ** len(diag(sigma)))
-        return lhs == rhs, lhs, rhs
-
-    return _scan("check_cor66", n, q, gen_tall_schroder(n), test)
+    return _scan("check_cor66", n, q, gen_tall_schroder(n),
+                 lambda sigma: expand_in_basis(
+                     omega(p_one(induce_to_GL(psi_pseudo(sigma, q)))), "M"),
+                 lambda sigma: expand_in_basis(
+                     eval_t(as_expansion(sigma), q), "M").scale((q - 1) ** len(diag(sigma))))
 
 
 ALL_CHECKS: dict[str, Callable[..., CheckReport]] = {

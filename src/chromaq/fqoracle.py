@@ -331,6 +331,7 @@ def _lowered(h: tuple[int, ...], cols: Iterable[int], q: int) -> list[tuple[tupl
 def chi_bar(gamma: IndiffGraph, q: int) -> ClassFnUT:
     """Permutation character of UT_n on UT_n/UT_gamma: q^{|E|} times the indicator of UT_gamma."""
     _check_q(q)
+    _lattice(gamma.n)  # refused past MAX_PATH_N, before gamma.h is read
     return _upset_sum(gamma.n, q, _lowered(gamma.h, (), q))
 
 
@@ -342,6 +343,7 @@ def chi_super(gamma: IndiffGraph, q: int) -> ClassFnUT:
     corners, and 0 otherwise (Stanley, EC1 3.9), so the sum has
     2^{#corners} <= 2^{n-1} terms, h(gamma) moved up by 1 in the columns of S."""
     _check_q(q)
+    _lattice(gamma.n)  # refused past MAX_PATH_N, before gamma.h is read
     return _upset_sum(gamma.n, q, _lowered(gamma.h, _corners(gamma.h), q))
 
 

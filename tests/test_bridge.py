@@ -532,12 +532,17 @@ def test_a_fresh_process_exits_one_on_a_failing_check_and_two_on_a_refusal():
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == f"error: sweeping {what} elements, past the bound MAX_SWEEP = 117,649\n"
         assert elapsed < 0.5, (argv, elapsed)
-    # the 2^20 terms of the staircase's pseudosupercharacter wait for the graphs on [21]
-    start = time.perf_counter()
-    proc = _fresh_python("-m", "chromaq.cli", "verify", "check_gg", "--n", "21", "--q", "2")
-    elapsed = time.perf_counter() - start
-    assert (proc.returncode, proc.stderr) == (2, "error: gen_dyck: n = 21 exceeds guard 8\n")
-    assert elapsed < 0.5, elapsed
+    # the 2^20 terms of the staircase's pseudosupercharacter wait for the graphs on [21],
+    # and a graph on [10^7] waits for them before chi_bar reads its h
+    for argv, n in [(["verify", "check_gg", "--n", "21", "--q", "2"], 21),
+                    (["compute", "induce", '{"n": 10000000, "edges": []}', "--q", "2"], 10000000),
+                    (["compute", "induce", '{"n": 10000000, "edges": [[1, 2]]}', "--q", "2"],
+                     10000000)]:
+        start = time.perf_counter()
+        proc = _fresh_python("-m", "chromaq.cli", *argv)
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stderr) == (2, f"error: gen_dyck: n = {n} exceeds guard 8\n")
+        assert elapsed < 0.5, (argv, elapsed)
 
 
 @pytest.mark.parametrize("check, n", [("check_palindromic", 7), ("check_cm", 6)])
@@ -751,7 +756,9 @@ def test_cached_csf_and_llt_results_cannot_be_changed():
 
 def test_scan_reports_first_failure():
     from chromaq.bridge import _scan
-    rep = _scan("check_x", 3, 2, [1, 2, 3], lambda k: (k != 2, f"L{k}", f"R{k}"))
+    # the sides differ at 2 and at 3; 2 is the witness
+    rep = _scan("check_x", 3, 2, [1, 2, 3], lambda k: k if k < 2 else f"L{k}",
+                lambda k: k if k < 2 else f"R{k}")
     assert not rep.ok
     assert rep.witness == {"index": "2", "lhs": "L2", "rhs": "R2"}
 
@@ -761,8 +768,13 @@ def test_scan_renders_only_the_failing_sides():
     rendered = []
 
     class Side:
+        """Equal to the other side below item 3; renders only at item 3."""
+
         def __init__(self, k, name):
             self.k, self.name = k, name
+
+        def __eq__(self, other):
+            return self.k == other.k and self.k < 3
 
         def __str__(self):
             if self.k != 3:
@@ -770,10 +782,10 @@ def test_scan_renders_only_the_failing_sides():
             rendered.append(self.name)
             return f"{self.name}{self.k}"
 
-    rep = _scan("check_x", 3, 2, [1, 2, 3, 4], lambda k: (k < 3, Side(k, "L"), Side(k, "R")))
+    rep = _scan("check_x", 3, 2, [1, 2, 3, 4], lambda k: Side(k, "L"), lambda k: Side(k, "R"))
     assert rep.witness == {"index": "3", "lhs": "L3", "rhs": "R3"}
     assert rendered == ["L", "R"]
-    assert _scan("check_x", 3, 2, [1, 2], lambda k: (True, Side(k, "L"), Side(k, "R"))).ok
+    assert _scan("check_x", 3, 2, [1, 2], lambda k: Side(k, "L"), lambda k: Side(k, "R")).ok
 
 
 def test_class_function_text_lists_the_nonzero_values():
