@@ -48,15 +48,18 @@ from .exactnum import ONE, ZERO, LaurentPoly, Rat, _div, ratfunc_to_const, t_min
 from .fqoracle import (
     ClassFnUT,
     UnipClassFn,
+    _centralizer_order,
     _lattice,
     _lowered,
     chi_bar,
     chi_super,
     hessenberg_count,
     induce_to_GL,
+    induction_table,
     permutation_character_oracle,
     psi_pseudo,
     require_fibres,
+    ut_order,
 )
 from .symfunc import (
     SymFunc,
@@ -196,11 +199,17 @@ def check_cqs(n: int, q: int) -> CheckReport:
 
 
 def check_hess(n: int, q: int) -> CheckReport:
-    """Induced character values count Hessenberg points: (q-1)^n q^{|E|} |B|."""
+    """Induced character values count Hessenberg points: (q-1)^n q^{|E|} |B|.  The left side
+    induces by the UT_n sweep, so it tests the Springer walk that induce_to_GL reads."""
     require_fibres(n, q)
     items = [(g, lam) for g in indifference_graphs(n) for lam in _partitions(n)]
-    return _scan("check_hess", n, q, items,
-                 lambda item: induce_to_GL(chi_bar(item[0], q))(item[1]),
+
+    def lhs(item):  # each u of type lam is J_lam's conjugate by |C_GL(J_lam)| elements
+        gamma, lam = item
+        dot = sum(c * v for c, v in zip(induction_table(n, q)[lam], chi_bar(gamma, q).values))
+        return _div(_centralizer_order(lam, q) * dot, ut_order(n, q))
+
+    return _scan("check_hess", n, q, items, lhs,
                  lambda item: (q - 1) ** n * q ** len(item[0].edges) * hessenberg_count(*item, q))
 
 
@@ -362,7 +371,7 @@ def check_st_en(n: int) -> CheckReport:
     """t^{binom(n,2)} PT_{(1^n)}(x; t) = e_n, symbolically."""
     return _scan("check_st_en", n, None, [tuple([1] * n)],
                  lambda lam: basis_element("PT", lam).scale(LaurentPoly.t(n * (n - 1) // 2)),
-                 lambda lam: basis_element("E", (n,) if n else ()))
+                 lambda lam: SymFunc(n, "M", {lam: ONE}))  # e_n = m_{1^n}
 
 
 def check_cor66(n: int, q: int) -> CheckReport:

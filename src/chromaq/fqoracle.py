@@ -14,20 +14,17 @@ all read off h, the last as signed sums of upsets in one table per n, `_lattice`
 A graph carries its h, and a tall path its (h, D), h that of Area u Diag and D
 its Diag columns; the class functions read them there and build no edge set.
 
-Induction to GL_n reads the one brute-force sweep, `induction_table`: how many
-elements of UT_n have each Jordan type, one count per position of `_lattice`.
-|C_GL(J_lam)| (Frobenius formula) enters once per type, in `induce_to_GL`,
-which is cached by the value of its class function; the sweep refuses past
-guards.MAX_SWEEP elements when it is called.  The other two counts are
-linear algebra.  The cosets of UT_gamma fixed by a superclass are a
-product over columns of q to the corank of a system whose columns are prefixes
-of the rows, so its ranks are counts of distinct h_c, once per n for every q.
-A Hessenberg count sums the tally of one depth-first walk of the Springer
-fibre of J_lam - 1 per (lam, q), refused past MAX_SWEEP flags, through
-`_Packed.eliminate`, the one row reduction; the count is constant on the GL_n
-class of its nilpotent, so every nilpotent matrix reads the walk of its Jordan
-type.  The sweeps and eliminations that these counts replaced are the oracles
-of the tests.
+One kernel counts on GL_n: a depth-first walk of the Springer fibre of J_lam - 1
+per (lam, q), through `_Packed.eliminate`, the one row reduction, tallies the
+flags by Hessenberg function, refused past guards.MAX_SWEEP flags.  A Hessenberg
+count sums the tally below h, for the Jordan type of its nilpotent.  Induction to
+GL_n, cached by the value of its class function, is (q-1)^n times the tally
+dotted with it.  The one brute-force sweep, `induction_table`, the elements of
+UT_n by Jordan type and label, is check_hess's left side.  The cosets of UT_gamma
+fixed by a superclass are a product over columns of q to the corank of a system
+whose columns are prefixes of the rows, so its ranks are counts of distinct h_c,
+once per n for every q.  The sweeps and eliminations that these counts replaced
+are the oracles of the tests.
 """
 
 from __future__ import annotations
@@ -35,7 +32,8 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, product
-from operator import itemgetter, le, mul
+from math import prod
+from operator import itemgetter, le
 from typing import Iterable, Iterator, Mapping
 
 from .combinatorics import (
@@ -49,7 +47,7 @@ from .combinatorics import (
     _partitions,
     indifference_graphs,
 )
-from .exactnum import Rat, _div
+from .exactnum import Rat, _frac
 from .guards import require, require_power, require_sweep
 
 PRIMES = (2, 3, 5, 7)
@@ -230,9 +228,11 @@ def _label(zeros: int, n: int) -> tuple[int, ...]:
 
 
 def superclass_sizes(n: int, q: int) -> dict[IndiffGraph, int]:
-    """|UT_gamma^o| for every gamma in IG_n: the rows of induction_table summed."""
-    rows = induction_table(n, q).values()  # the sweep's guard comes before the graphs on [n]
-    return dict(zip(indifference_graphs(n), map(sum, zip(*rows))))
+    """|UT_gamma^o| for every gamma in IG_n, the u labeled h(gamma): by `_label`'s recurrence,
+    column j is 0 below row h_j, free above it, and nonzero at h_j if h_j > h_{j-1}."""
+    _check_q(q)
+    return {g: prod((q - 1) * q ** (x - 1) if x > y else q ** x for x, y in zip(g.h, (0,) + g.h))
+            for g in indifference_graphs(n)}  # refused past MAX_PATH_N
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +382,7 @@ def _centralizer_order(lam: Partition, q: int) -> int:
 def induction_table(n: int, q: int) -> dict[Partition, tuple[int, ...]]:
     """For each Jordan type lam, in the order of gen_partitions(n), how many u in
     UT_n have type lam, split by superclass label: one count per position of
-    _lattice(n), from one sweep of UT_n."""
+    _lattice(n), from one sweep of UT_n.  check_hess's brute-force side."""
     us = ut_elements(n, q)  # its guard runs first, before the kernel's carry bound
     k = _Packed(n, q)
     raw = Counter((k.jordan_type(u), _zero_mask(u, n * n, q)) for u in us)
@@ -398,15 +398,17 @@ def induce_to_GL(phi: ClassFnUT) -> UnipClassFn:
     """Induction from UT_n to GL_n, recorded on unipotent classes only:
     value at J_lam is (1/|UT_n|) sum over x in GL_n with x^{-1} J_lam x in UT_n
     of phi at the superclass of the conjugate; built once per value of phi.
-    Each u in UT_n of type lam is the conjugate for |C_GL(J_lam)| such x, so the
-    sum is |C_GL(J_lam)| times the row of lam in induction_table dotted with phi.
+    The pairs (a, F), a in the class of J_lam - 1 and F a flag with mu(a, F) = h,
+    number [n]_q! times the u of type lam labeled h, and |O_lam| times the
+    Springer tally at h; as |GL_n| = (q-1)^n [n]_q! |UT_n|, the value is (q-1)^n
+    times the tally of lam dotted with phi.
     """
     n, q, vals = phi.n, phi.q, phi.values
-    # induction_table is keyed in gen_partitions(n) order, the order of UnipClassFn
-    order = ut_order(n, q)
+    require_fibres(n, q)
+    pos = _lattice(n)[1]
     return UnipClassFn(n, q, tuple(
-        _div(_centralizer_order(lam, q) * sum(map(mul, row, vals)), order)
-        for lam, row in induction_table(n, q).items()))
+        _frac((q - 1) ** n * sum(c * vals[pos[mu]] for mu, c in _springer_fibre(lam, q).items()))
+        for lam in _partitions(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +500,8 @@ def _springer_fibre(lam: Partition, q: int) -> Counter:
     mu_{d+1} = max(mu_d, the bytes of c).  No sum here passes q(q-1) in a byte.
     """
     n = sum(lam)
+    if lam == (1,) * n:  # a = 0: every flag, with mu = 0
+        return Counter({(0,) * n: flag_count(n, q)})
     a, k = jordan_nilpotent(lam), _Packed(n, q)
     size, tally = 3 * n, Counter()
 
@@ -550,12 +554,9 @@ def hessenberg_count(gamma: IndiffGraph, lam: Partition, q: int) -> int:
 
     That is a V_j in V_{m_j} for every j, m = gamma.h the Hessenberg function: the
     flags of the Springer fibre with mu <= m.  g -> h g maps the flags of a onto
-    those of h^{-1} a h, so every such a reads the walk of J_lam - 1; for
-    lam = 1^n, a = 0 and every flag counts."""
+    those of h^{-1} a h, so every such a reads the walk of J_lam - 1."""
     n = gamma.n
     require_fibres(n, q)  # before any matrix is built
     if lam not in _partition_index(n):
         raise ValueError(f"Jordan type {lam} is not a partition of n = {n}")
-    if lam == (1,) * n:
-        return flag_count(n, q)
     return sum(c for mu, c in _springer_fibre(lam, q).items() if all(map(le, mu, gamma.h)))

@@ -4,7 +4,7 @@
 for containment, edge set by edge set: the scan that the package's upset lists
 replaced.  `delta_bar` is the indicator of a pattern subgroup UT_gamma, by that
 scan, and `inner_product_UT` the standard inner product of UT_n(F_q) class
-functions, weighted by the superclass sizes that the package's UT_n sweep counts.
+functions, weighted by the package's superclass sizes, a product over the columns of h.
 """
 
 from __future__ import annotations

@@ -255,7 +255,7 @@ def test_check_gg_is_refused_before_the_pseudosupercharacter_terms(monkeypatch):
 
 
 def test_induction_checks_at_n4_q3_and_n3_q5():
-    # one UT_n sweep: |UT_4(F_3)| = 729 and |UT_3(F_5)| = 125 elements
+    # one Springer walk per Jordan type: 175 flags for F_3^4 and 12 for F_5^3
     assert check_cqs(4, 3).ok
     assert check_cqs(3, 5).ok
     assert check_gg(4, 3).ok
@@ -505,7 +505,8 @@ def test_a_fresh_process_exits_one_on_a_failing_check_and_two_on_a_refusal():
     assert proc.stderr == ("error: sweeping the orientations of the tall paths of size 8 "
                            "visits 268,435,456 elements, past the bound MAX_SWEEP = 117,649\n")
     # refused on the call: 3^11 = 177,147 color classes, which the kernel would take
-    # about 0.3 s over, and the Springer fibres of F_3^6, before any walk; a power
+    # about 0.3 s over, and the Springer fibres of F_3^6, before any walk, for a
+    # Hessenberg count and for induction; a power
     # count is refused on its exponent, a partition count and a fibre sum after a
     # few terms of a sequence that bounds them from below
     for argv, what in [
@@ -514,8 +515,7 @@ def test_a_fresh_process_exits_one_on_a_failing_check_and_two_on_a_refusal():
          "the Springer fibres of F_3^6 visits 1,226,512"),
         (["compute", "csf", '{"n": 10000000, "edges": []}'],
          "the color classes of [10000000] visits at least 2^10,000,000"),
-        (["compute", "superclass-sizes", "--n", "10000", "--q", "7"],
-         "UT_10000(F_7) visits at least 2^99,990,000"),
+        (["verify", "check_cqs", "--n", "6", "--q", "3"], "the Springer fibres of F_3^6 visits 1,226,512"),
         (["verify", "check_st_en", "--n", "18"],
          "the 385^2 cells of the degree-18 PT table visits 148,225"),
         (["verify", "check_st_en", "--n", "40"],
@@ -533,8 +533,10 @@ def test_a_fresh_process_exits_one_on_a_failing_check_and_two_on_a_refusal():
         assert proc.stderr == f"error: sweeping {what} elements, past the bound MAX_SWEEP = 117,649\n"
         assert elapsed < 0.5, (argv, elapsed)
     # the 2^20 terms of the staircase's pseudosupercharacter wait for the graphs on [21],
-    # and a graph on [10^7] waits for them before chi_bar reads its h
+    # a graph on [10^7] waits for them before chi_bar reads its h, and superclass
+    # sizes are read off them
     for argv, n in [(["verify", "check_gg", "--n", "21", "--q", "2"], 21),
+                    (["compute", "superclass-sizes", "--n", "10000", "--q", "7"], 10000),
                     (["compute", "induce", '{"n": 10000000, "edges": []}', "--q", "2"], 10000000),
                     (["compute", "induce", '{"n": 10000000, "edges": [[1, 2]]}', "--q", "2"],
                      10000000)]:
@@ -618,9 +620,7 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
         (lambda: flag_reps(5, 3), "251,680"),
         (lambda: next(ut_rows(5, 5)), "9,765,625"),
         (lambda: next(flag_rows(5, 3)), "251,680"),
-        (lambda: induce_to_GL(chi_bar(IndiffGraph(8, []), 7)), f"{ut_order(8, 7):,}"),
-        (lambda: superclass_sizes(8, 7), f"{ut_order(8, 7):,}"),
-        (lambda: superclass_sizes(16, 5), f"{ut_order(16, 5):,}"),
+        (lambda: induce_to_GL(chi_bar(IndiffGraph(6, []), 3)), "1,226,512"),
         (lambda: coset_permutation_character(IndiffGraph(8, []), 7), f"{ut_order(8, 7):,}"),
         (lambda: coset_permutation_character(IndiffGraph(16, []), 5), f"{ut_order(16, 5):,}"),
         (lambda: hessenberg_sweep(IndiffGraph(5, []), (2, 1, 1, 1), 3), "251,680"),
@@ -645,15 +645,19 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
     # no table was kept
     assert [f.cache_info().currsize
             for f in (chromaq.symfunc._from_monomials, chromaq.symfunc._solve)] == tables
-    # chi_bar on [16] needs the Cat(16) graphs first, and their enumeration refuses
-    with pytest.raises(SizeGuardError, match="gen_dyck: n = 16 exceeds guard"):
-        induce_to_GL(chi_bar(IndiffGraph(16, []), 5))
+    # chi_bar on [16] needs the Cat(16) graphs first, and their enumeration refuses;
+    # superclass sizes are read off the graphs on [n]
+    for call, n in ((lambda: induce_to_GL(chi_bar(IndiffGraph(16, []), 5)), 16),
+                    (lambda: superclass_sizes(9, 7), 9), (lambda: superclass_sizes(16, 5), 16)):
+        with pytest.raises(SizeGuardError, match=f"gen_dyck: n = {n} exceeds guard"):
+            call()
 
 
 def test_the_default_suite_makes_twelve_sweeps(monkeypatch):
-    # one UT_n sweep for induction and one Springer-fibre walk per Jordan type
+    # one UT_n sweep for check_hess and one Springer-fibre walk per Jordan type
     # lam != 1^n per (n, q) of the default grid, n in {1, 2, 3} and q in {2, 3}:
-    # all gamma of a point share them, and check_permtoind sweeps nothing
+    # all gamma of a point share them, and check_permtoind sweeps nothing.  The
+    # tally of 1^n, read off [n]_q! with no walk, is cached beside the walks
     import chromaq.fqoracle as fq
     from chromaq.cli import _default_suite
     sweep, swept = fq.ut_elements, []
@@ -667,8 +671,27 @@ def test_the_default_suite_makes_twelve_sweeps(monkeypatch):
         cached.cache_clear()
     assert all(run_check(name, n, q).status == "pass" for name, n, q in _default_suite(False))
     assert sorted(swept) == sorted(DEFAULT_GRID)
-    assert fq._springer_fibre.cache_info().misses == 6
-    assert fq._springer_fibre.cache_info().currsize == 6
+    assert fq._springer_fibre.cache_info().misses == 12
+    assert fq._springer_fibre.cache_info().currsize == 12
+
+
+def test_only_check_hess_sweeps_ut_n(monkeypatch):
+    # induction, Hessenberg counts and superclass sizes read no UT_n sweep: the
+    # default suite passes without one, but for check_hess's left side
+    import chromaq.fqoracle as fq
+    from chromaq.cli import _default_suite
+
+    def no_sweep(n, q):
+        raise AssertionError(f"UT_{n}(F_{q}) was swept")
+
+    monkeypatch.setattr(fq, "ut_elements", no_sweep)
+    for cached in (fq.induce_to_GL, fq.induction_table):
+        cached.cache_clear()
+    jobs = [job for job in _default_suite(False) if job[0] != "check_hess"]
+    assert len(jobs) == 70 and all(run_check(*job).ok for job in jobs)
+    assert sum(fq.superclass_sizes(4, 3).values()) == 729
+    with pytest.raises(AssertionError, match="UT_1\\(F_2\\) was swept"):
+        run_check("check_hess", 1, 2)
 
 
 def test_the_default_suite_builds_each_pseudosupercharacter_once():
@@ -806,9 +829,9 @@ def test_run_check_unknown():
 
 
 def test_run_check_guard_propagates():
-    # |UT_5(F_5)| = 9,765,625 elements, past MAX_SWEEP
-    with pytest.raises(SizeGuardError):
-        run_check("check_cqs", 5, 5)
+    # induction walks the Springer fibres of F_3^6: 1,226,512 flags, past MAX_SWEEP
+    with pytest.raises(SizeGuardError, match="the Springer fibres of F_3\\^6 visits 1,226,512"):
+        run_check("check_cqs", 6, 3)
 
 
 # -- check_cm against its original form -------------------------------------------
@@ -905,8 +928,9 @@ _G23 = IndiffGraph(3, [(2, 3)])
 
 
 @pytest.mark.parametrize("check, kernel, hit, change, index", [
-    ("check_hess", "induce_to_GL", lambda phi: phi == chi_bar(_G, 2),
-     lambda f: f + UnipClassFn.from_dict(3, 2, {_L: 1}), (_G, _L)),
+    # the sweep's count of type L labeled G, which chi_bar(gamma) reads first at gamma = G
+    ("check_hess", "induction_table", lambda n, q: True,
+     lambda t: {**t, _L: (ClassFnUT(3, 2, t[_L]) + _BUMP_G).values}, (_G, _L)),
     ("check_hess", "hessenberg_count", lambda g, lam, q: (g, lam) == (_G, _L),
      lambda c: c + 1, (_G, _L)),
     ("check_poincare", "hessenberg_count", lambda g, lam, q: (g, lam) == (_G, _L),
@@ -935,7 +959,8 @@ def _bump(f):
 # except the divisibility of check_gg, which (q - 1)^{n-1} = 1 cannot break at
 # q = 2; _S = EESDS has Diag {2-3}, so part i of check_prop56 never reads it.
 # The p_one side of check_cor66 is perturbed through psi_pseudo: p_one itself
-# sees only the induced function, which EDESS and EESDS share
+# sees only the induced function, which EDESS and EESDS share.  The right sides
+# of check_gg's e_n step and of check_st_en (e_n = m_{1^n}) are constants
 _PERTURBED_SIDES = [
     ("check_cqs", "chi_bar", lambda g, q: g == _G, lambda f: f + _BUMP_G, _G, 2, None),
     ("check_cqs", "csf", lambda g: g == _G, _bump, _G, 2, None),
@@ -953,7 +978,6 @@ _PERTURBED_SIDES = [
     ("check_gg", "induce_to_GL", lambda phi: True,
      lambda f: f + UnipClassFn.from_dict(3, 2, {_L: 1}), "omega p_one(Gamma_n)", 2, None),
     ("check_st_en", "basis_element", lambda basis, lam: basis == "PT", _bump, (1, 1, 1), 2, None),
-    ("check_st_en", "basis_element", lambda basis, lam: basis == "E", _bump, (1, 1, 1), 2, None),
     ("check_cor66", "as_expansion", lambda s: s == _S, _bump, _S, 2, None),
     ("check_cor66", "psi_pseudo", lambda s, q: s == _S, lambda f: f + _BUMP_G, _S, 2, None),
 ]
@@ -1092,12 +1116,15 @@ def test_cli_verify_rejects_degenerate_n(capsys, argv, message):
 
 def test_cli_verify_guard_exit_code(capsys):
     from chromaq.cli import main
-    # the refusal names |UT_5(F_5)| and the bound, in verify and in compute
-    for argv in (["verify", "check_cqs", "--n", "5", "--q", "5"],
-                 ["compute", "superclass-sizes", "--n", "5", "--q", "5"]):
+    # the refusal names the count and the bound, in verify and in compute: the
+    # Springer fibres of F_3^6 for induction, the graphs on [9] for superclass sizes
+    for argv, what in ((["verify", "check_cqs", "--n", "6", "--q", "3"],
+                        "1,226,512 elements, past the bound MAX_SWEEP = 117,649"),
+                       (["compute", "superclass-sizes", "--n", "9", "--q", "5"],
+                        "gen_dyck: n = 9 exceeds guard 8")):
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "9,765,625 elements" in err and "117,649" in err
+        assert err.startswith("error: ") and what in err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -1142,13 +1169,13 @@ def test_cli_rejects_malformed_graph_json(capsys, graph, message):
 @pytest.mark.parametrize("check", ["check_hess", "check_poincare"])
 @pytest.mark.parametrize("n, q, count", [(6, 3, "1,226,512"), (7, 2, "3,605,290")])
 def test_hessenberg_checks_are_refused_before_any_work(monkeypatch, check, n, q, count):
-    # the Springer fibres are bounded before the induced characters or the d coefficients are built
+    # the Springer fibres are bounded before the UT_n sweep or the d coefficients are built
     import chromaq.bridge as bridge
 
     def kernel(*args):
         raise RuntimeError("a kernel ran")
 
-    monkeypatch.setattr(bridge, "induce_to_GL", kernel)
+    monkeypatch.setattr(bridge, "induction_table", kernel)
     monkeypatch.setattr(bridge, "d_coeffs", kernel)
     with pytest.raises(SizeGuardError, match=f"sweeping the Springer fibres of F_{q}\\^{n} visits "
                                              f"{count} elements, past the bound MAX_SWEEP = 117,649"):

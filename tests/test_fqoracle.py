@@ -22,6 +22,7 @@ from chromaq.combinatorics import (
     graph_of,
     indifference_graphs,
 )
+from chromaq.exactnum import _div
 from chromaq.fqoracle import (
     PRIMES,
     ClassFnUT,
@@ -752,7 +753,8 @@ def test_induced_characters_have_integer_values():
 
 def test_class_function_values_are_plain_numbers():
     # chi_bar, chi and psi are integer-valued, so they hold ints (never a
-    # Fraction or a float); only induction divides, by |UT_n|
+    # Fraction or a float), and so do their inductions; a Fraction value stays one
+    # only where it is no integer
     for q in (2, 3):
         for n in (1, 2, 3):
             fns = [chi_bar(g, q) for g in indifference_graphs(n)]
@@ -779,9 +781,9 @@ def test_class_functions_take_a_tuple_or_from_dict():
 
 
 def test_induce_guard():
-    # induction sweeps UT_n(F_q); |UT_5(F_5)| = 9,765,625 is past MAX_SWEEP
-    with pytest.raises(SizeGuardError):
-        induce_to_GL(ClassFnUT.from_dict(5, 5, {}))
+    # induction reads the Springer walks, of 1,226,512 flags over F_3^6: past MAX_SWEEP
+    with pytest.raises(SizeGuardError, match="the Springer fibres of F_3\\^6 visits 1,226,512"):
+        induce_to_GL(ClassFnUT.from_dict(6, 3, {}))
 
 
 def test_regular_class_size():
@@ -829,6 +831,61 @@ def test_induce_and_superclass_sizes_match_the_tuple_oracle():
             assert induce_to_GL(phi) == induced(phi), (n, q, phi)
         assert superclass_sizes(n, q) == dict(zip(indifference_graphs(n),
                                                   map(sum, zip(*table.values())))), (n, q)
+
+
+_KERNEL_POINTS = [(n, q) for n in range(1, 4) for q in PRIMES] + [(4, 2), (4, 3), (5, 2), (6, 2)]
+
+
+def induced_by_the_sweep(phi):
+    """check_hess's left side: |C_GL(J_lam)| times the sweep's row of lam dotted with phi, over |UT_n|."""
+    n, q = phi.n, phi.q
+    return UnipClassFn(n, q, tuple(
+        _div(_centralizer_order(lam, q) * sum(map(mul, row, phi.values)), ut_order(n, q))
+        for lam, row in induction_table(n, q).items()))
+
+
+def test_induction_from_the_walk_equals_the_sweep():
+    # the pairs (a, F) counted with F fixed (the UT_n sweep) and with a fixed (the
+    # Springer walk); the chi_bar span every superclass function, so agreeing on
+    # each pins the tally of every lam.  About 2 s, most of it the 2^15 elements
+    # of UT_6(F_2)
+    for n, q in _KERNEL_POINTS:
+        phis = [chi_bar(g, q) for g in indifference_graphs(n)]
+        phis += [psi_pseudo(sigma, q) for sigma in gen_tall_schroder(n)] if n < 6 else []
+        for phi in phis:
+            got = induce_to_GL(phi)
+            assert got == induced_by_the_sweep(phi), (n, q, phi)
+            assert all(type(v) is int for v in got.values), (n, q, phi)
+
+
+def test_superclass_sizes_equal_the_tuple_sweep_of_labels():
+    for n, q in _KERNEL_POINTS:
+        labels = Counter(label_edges(u, n) for u in ut_rows(n, q))
+        assert superclass_sizes(n, q) == {g: labels[g.edges] for g in indifference_graphs(n)}, (n, q)
+
+
+def test_a_miscounted_tally_fails_every_check_that_reads_the_walk(monkeypatch):
+    # one more flag in the last bin of the walk of (2, 1, 1) over F_3^4: the
+    # inductions of check_cqs and check_llt and the counts of check_hess and
+    # check_poincare read it
+    import chromaq.fqoracle as fq
+    from chromaq.bridge import run_check
+    original, hook, last = fq._springer_fibre, (2, 1, 1), _lattice(4)[0][-1]
+
+    def miscounted(lam, q):
+        tally = Counter(original(lam, q))
+        tally[last] += lam == hook
+        return tally
+
+    monkeypatch.setattr(fq, "_springer_fibre", miscounted)
+    induce_to_GL.cache_clear()
+    try:
+        for name in ("check_cqs", "check_hess", "check_llt", "check_poincare"):
+            assert run_check(name, 4, 3).status == "fail", name
+    finally:
+        induce_to_GL.cache_clear()  # drop the values built from the miscounted tally
+    monkeypatch.undo()
+    assert all(run_check(name, 4, 3).ok for name in ("check_cqs", "check_hess", "check_llt"))
 
 
 # -- flags and Hessenberg counts --------------------------------------------------------
@@ -896,12 +953,13 @@ def test_hessenberg_sweep_matches_per_flag_oracle():
 
 
 def test_hessenberg_sweeps_once_per_matrix():
-    # one walk per (lam, q) serves every gamma; lam = 1^n, a = 0, needs none
+    # one walk per (lam, q) serves every gamma; lam = 1^n, a = 0, is tallied with no walk
     _springer_fibre.cache_clear()
     for g in indifference_graphs(3):
         for lam in gen_partitions(3):
             hessenberg_count(g, lam, 3)
-    assert _springer_fibre.cache_info().misses == 2
+    assert _springer_fibre.cache_info().misses == 3
+    assert _springer_fibre((1, 1, 1), 3) == {(0, 0, 0): flag_count(3, 3)}
     # a nilpotent that is no Jordan matrix reads the same walk, at its Jordan type
     a = mat_minus_identity(jordan((2, 1)), 3)
     at = tuple(zip(*a))
@@ -909,7 +967,7 @@ def test_hessenberg_sweeps_once_per_matrix():
     for g in indifference_graphs(3):
         assert hessenberg_count(g, nilpotent_type(digits(at), 3, 3), 3) \
             == brute_hessenberg_count(g, at, 3) == brute_hessenberg_count(g, a, 3), g
-    assert _springer_fibre.cache_info().misses == 2
+    assert _springer_fibre.cache_info().misses == 3
 
 
 def test_fibre_sizes_count_the_leaves_of_the_walk():
@@ -960,7 +1018,7 @@ def test_hessenberg_count_is_constant_on_a_conjugacy_class():
                 a = mat_mul(mat_mul(mat_inv(h, q), mat_minus_identity(jordan(lam), q), q), h, q)
                 got = [hessenberg_count(g, nilpotent_type(digits(a), n, q), q) for g in graphs]
                 assert got == brute_hessenberg_counts(a, q, graphs), (n, q, lam, a)
-        assert _springer_fibre.cache_info().misses <= misses + len(gen_partitions(n)) - 1, (n, q)
+        assert _springer_fibre.cache_info().misses <= misses + len(gen_partitions(n)), (n, q)
 
 
 def test_hessenberg_zero_matrix_counts_all_flags():

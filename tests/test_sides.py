@@ -130,15 +130,7 @@ SHARED = {
                         "test_tall_paths_read_h_and_d_as_the_cell_walk_does checks both"),
     },
     "check_gg": {},
-    "check_st_en": {
-        **dict.fromkeys(["symfunc._hall_littlewood_coords", "symfunc._m_coords",
-                         "symfunc._strips", "symfunc.basis_element"],
-                        "e_n's coordinates are Kostka numbers, the t = 0 term of the tableau "
-                        "build that gives PT; test_hl_tableau_build_matches_gram_schmidt "
-                        "and test_schur_matches_ssyt_oracle check the build"),
-        "combinatorics.transpose": "e_lam is read off the Kostka table at lam's transpose, "
-                                   "and the build transposes to read PT's n statistic",
-    },
+    "check_st_en": {},
     "check_cor66": {
         "combinatorics.area": _AREA_BY_LISTING + "; the right side orients it",
         "combinatorics.transpose": "omega on S transposes on the left, and e_lam reads the "
