@@ -90,17 +90,6 @@ def _pt_at_q(d: int, q: int) -> tuple[int, dict[Partition, dict[Partition, int]]
     return N, {lam: {mu: c.shift(N).evaluate(q) for mu, c in row} for lam, row in rows.items()}
 
 
-@lru_cache(maxsize=None)
-def _omega_p_to_s(d: int) -> dict[Partition, dict[Partition, int]]:
-    """Each omega(p_lam) = (-1)^{d - l(lam)} p_lam, lam a partition of d, in the Schur basis."""
-    out = {}
-    for lam in _partitions(d):
-        sign = (-1) ** (d - len(lam))
-        row = expand_in_basis(SymFunc(d, "P", {lam: 1}), "S").coeffs
-        out[lam] = {nu: sign * ratfunc_to_const(c) for nu, c in row.items()}
-    return out
-
-
 def _brace1_coords(phi: UnipClassFn) -> dict[Partition, Rat]:
     N, table = _pt_at_q(phi.n, phi.q)
     scale = phi.q ** N
@@ -125,11 +114,12 @@ def _p_one_table(n: int, q: int) -> tuple[int, dict[Partition, dict[Partition, i
     N, pt = _pt_at_q(n, q)
     dens = {mu: prod(q ** k - 1 for k in mu) for mu in _partitions(n)}
     L = lcm(*dens.values())
-    to_p, to_s = _m_to_p_integral(n), _omega_p_to_s(n)
+    to_p = _m_to_p_integral(n)
     out = {}
     for lam, row in pt.items():
         F = {mu: c * (L // dens[mu]) for mu, c in _change(row, lambda mu: to_p[mu].items()).items()}
-        out[lam] = {nu: c for nu, c in _change(F, lambda mu: to_s[mu].items()).items() if c}
+        S = expand_in_basis(omega(SymFunc(n, "P", F)), "S")
+        out[lam] = {nu: ratfunc_to_const(c) for nu, c in S.coeffs.items()}
     return factorial(n) * q ** N * L, out
 
 
@@ -230,8 +220,8 @@ def check_llt(n: int, q: int) -> CheckReport:
     """Pseudosupercharacters induce to (q-1)^{|Diag|} omega G_sigma(x; q)."""
     return _scan("check_llt", n, q, gen_tall_schroder(n),
                  lambda sigma: p_one(induce_to_GL(psi_pseudo(sigma, q))),
-                 lambda sigma: expand_in_basis(omega(eval_t(llt_vertical(sigma), q))
-                                               .scale((q - 1) ** len(diag(sigma))), "S"))
+                 lambda sigma: omega(expand_in_basis(eval_t(llt_vertical(sigma), q)
+                                                     .scale((q - 1) ** len(diag(sigma))), "S")))
 
 
 def check_mesa(n: int, q: int) -> CheckReport:

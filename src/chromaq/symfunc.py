@@ -24,9 +24,9 @@ constant (E, H, P), so the Laurent ring Q[t, 1/t] holds every coefficient and
 no basis change divides by a polynomial.  Every table but H is triangular in
 `gen_partitions` order and one solve over Z[t, 1/t] builds it, refused on its
 p(d)^3 steps past MAX_SWEEP (from degree 11) before any work; for P it builds
-d! times m -> p, which P, omega on m and `bridge` read with one exact division
-each.  H is omega of E.  A SymFunc is immutable: the caches in chromallt hand
-one object to every caller.
+d! times m -> p, which P and `bridge` read with one exact division each.  H
+is omega of E, and omega on m is read off S.  A SymFunc is immutable: the
+caches in chromallt hand one object to every caller.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .combinatorics import (
     nstat,
     transpose,
 )
-from .exactnum import ONE, ZERO, LaurentPoly, _div
+from .exactnum import ONE, ZERO, LaurentPoly, _div, ratfunc_to_const
 from .exactnum import T as _T
 from .guards import require_sweep
 
@@ -372,26 +372,16 @@ def expand_in_basis(F: SymFunc, basis: str) -> SymFunc:
 def _omega_m(d: int) -> dict[Partition, tuple[tuple[Partition, int], ...]]:
     """omega(m_mu) in monomial coordinates, for every partition mu of d.
 
-    Built once per degree over Z: omega(m_mu) = (1/d!) sum_lam X[mu][lam]
-    (-1)^{d - l(lam)} p_lam with X = `_m_to_p_integral(d)`, and each p_lam
-    taken back to m by _placements.  omega is a ring automorphism of
-    Lambda_Z, so the one division by d! is exact (Macdonald I.2); a
-    non-integer raises ArithmeticError.
+    Built once per degree over Z with no division (Macdonald I (3.8)): m_mu in
+    S by `_solve("S", d)`, each s_lam to s_lam', and back to m by the Kostka
+    rows of `_kostka(d)`.  An S entry that involves t raises ArithmeticError.
     """
-    to_p, scale = _m_to_p_integral(d), factorial(d)  # refused past MAX_SWEEP first
-    keys = _partitions(d)
-    p_in_m = {lam: [(nu, r) for nu in keys if (r := _placements(lam, nu))] for lam in keys}
+    to_s, kostka = _solve("S", d), _kostka(d)  # refused past MAX_SWEEP first
     out = {}
-    for mu in keys:
-        acc: dict[Partition, int] = {}
-        for lam, y in to_p[mu].items():
-            if (d - len(lam)) % 2:
-                y = -y
-            for nu, r in p_in_m[lam]:
-                acc[nu] = acc.get(nu, 0) + r * y
-        if any(v % scale for v in acc.values()):
-            raise ArithmeticError(f"omega(m_{list(mu)}) has a non-integer m-coordinate")
-        out[mu] = tuple((nu, acc[nu] // scale) for nu in keys if acc.get(nu))
+    for mu, row in to_s.items():
+        flipped = {transpose(lam): ratfunc_to_const(c) for lam, c in row.items()}
+        acc = _change(flipped, lambda lam: kostka[lam].items())
+        out[mu] = tuple((nu, acc[nu]) for nu in to_s if acc.get(nu))
     return out
 
 

@@ -8,7 +8,7 @@ on tuples of row tuples, entry by entry: products, Gauss-Jordan inverses,
 ranks and the Jordan-type ladder. The unipotent Jordan matrix J_lam and the
 subtraction u - 1 build the J_lam - 1 that the package writes down directly.
 On top of them sit the old conjugation sweep (zero patterns as bit i*n + j),
-the old induction table and the centralizer order by enumeration of GL_n.
+the old induction table and the centralizer orders by one enumeration of GL_n.
 The tests compare the package with them exactly.
 
 The packed conjugation sweep lives here too: `_conjugate_masks` inverts each
@@ -435,9 +435,16 @@ def canonical_flag(g: Rows, q: int) -> Rows:
     return tuple(zip(*[tuple(c) for c in cols]))
 
 
-def centralizer_order(g: Rows, q: int) -> int:
-    """|C_{GL_n}(g)| by exhaustive enumeration of GL_n."""
-    return sum(1 for x in gl_matrices(len(g), q) if mat_mul(x, g, q) == mat_mul(g, x, q))
+@lru_cache(maxsize=None)
+def centralizer_orders(n: int, q: int) -> dict[Partition, int]:
+    """|C_{GL_n}(J_lam)| for every lam |- n, by one exhaustive enumeration of GL_n."""
+    targets = {lam: jordan(lam) for lam in gen_partitions(n)}
+    out = dict.fromkeys(targets, 0)
+    for x in gl_matrices(n, q):
+        for lam, g in targets.items():
+            if mat_mul(x, g, q) == mat_mul(g, x, q):
+                out[lam] += 1
+    return out
 
 
 def zero_mask(m: Rows) -> int:

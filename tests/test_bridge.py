@@ -16,7 +16,6 @@ from chromaq.bridge import (
     DEPENDENCIES,
     CheckReport,
     _brace1_coords,
-    _omega_p_to_s,
     _p_one_table,
     _unicellular_sum,
     check_as,
@@ -99,11 +98,11 @@ def symbolic_p_one(phi):
 def three_step_p_one(phi):
     """p_one of one class function over Q, step by step: p_brace1 in P through the
     Gauss-Jordan m -> p table, each p_lam divided by prod (q^{lam_i} - 1), then
-    omega and the change to S."""
-    q, to_p, to_s = phi.q, gauss_jordan_m_to_p(phi.n), _omega_p_to_s(phi.n)
+    omega's sign rule on P and the change to S."""
+    q, to_p = phi.q, gauss_jordan_m_to_p(phi.n)
     F = _change(_brace1_coords(phi), lambda mu: to_p[mu].items())
     F = {lam: Fraction(c, prod(q ** k - 1 for k in lam)) for lam, c in F.items()}
-    return SymFunc(phi.n, "S", _change(F, lambda lam: to_s[lam].items()))
+    return expand_in_basis(omega(SymFunc(phi.n, "P", F)), "S")
 
 
 DEFAULT_GRID = [(n, q) for q in (2, 3) for n in (1, 2, 3)]
@@ -692,6 +691,32 @@ def test_only_check_hess_sweeps_ut_n(monkeypatch):
     assert sum(fq.superclass_sizes(4, 3).values()) == 729
     with pytest.raises(AssertionError, match="UT_1\\(F_2\\) was swept"):
         run_check("check_hess", 1, 2)
+
+
+def test_omega_on_m_and_check_llts_right_side_read_no_power_sum_table(monkeypatch):
+    # omega on m is read off the Schur table, and check_llt's right side applies
+    # it on S, so only the left side's p_one reads m -> p
+    import chromaq.bridge as bridge
+    import chromaq.symfunc as sf
+
+    def no_p(*args):
+        raise AssertionError(f"the power-sum table was read at {args}")
+
+    for name in ("_m_to_p_integral", "_placements"):
+        monkeypatch.setattr(sf, name, no_p)
+    for obj in vars(sf).values():
+        if callable(getattr(obj, "cache_clear", None)):
+            obj.cache_clear()
+    for d in range(7):
+        for mu in gen_partitions(d):
+            assert omega(basis_element("M", mu)).basis == "M", mu
+    scans = []
+    monkeypatch.setattr(bridge, "_scan", lambda *args: scans.append(args[3:]))
+    check_llt(3, 2)
+    (items, lhs, rhs), = scans
+    right = [rhs(sigma) for sigma in items]
+    monkeypatch.undo()
+    assert len(items) == 11 and right == [lhs(sigma) for sigma in items]
 
 
 def test_the_default_suite_builds_each_pseudosupercharacter_once():

@@ -91,10 +91,16 @@ SHARED = {
     "check_poincare": {},
     "check_llt": {
         "combinatorics.area": _AREA_BY_LISTING + "; the right side colours it",
+        "combinatorics.transpose": "n(lam) of PT_lam sums over lam's transpose on the left, "
+                                   "and omega on S transposes on the right",
+        "symfunc.omega": "the identity carries omega on both sides: its sign rule on P in the "
+                         "left side's p_one table, its transpose on S on the right; "
+                         "test_omega_on_hall_littlewood_goes_through_m_and_equals_the_p_route "
+                         "checks the sign rule against omega on m, read off the transpose",
         **dict.fromkeys(["symfunc._change", "symfunc._from_monomials", "symfunc._solve",
                          "symfunc._hall_littlewood_coords", "symfunc._kostka",
-                         "symfunc._m_coords", "symfunc._m_to_p_integral", "symfunc._placements",
-                         "symfunc._strips", "symfunc.expand_in_basis"], _TABLES),
+                         "symfunc._m_coords", "symfunc._strips", "symfunc.expand_in_basis"],
+                        _TABLES),
     },
     "check_mesa": {
         "combinatorics.area": _AREA_BY_LISTING,

@@ -462,12 +462,12 @@ def test_m_to_p_integral_raises_on_a_wrong_pivot(monkeypatch):
         _solve.__wrapped__("P", 4)
 
 
-def test_omega_m_raises_when_its_division_by_d_factorial_is_not_exact(monkeypatch):
-    # one entry of 3! (m -> p) off by one leaves a remainder mod 3! in omega(m_(2,1))
-    table = {mu: dict(row) for mu, row in _m_to_p_integral(3).items()}
-    table[(2, 1)][(3,)] += 1
-    monkeypatch.setattr(symfunc, "_m_to_p_integral", lambda d: table)
-    with pytest.raises(ArithmeticError, match=r"omega\(m_\[2, 1\]\) has a non-integer m-coordinate"):
+def test_omega_m_raises_on_an_s_entry_that_involves_t(monkeypatch):
+    # m_(2,1) = s_(2,1) - 2 s_(1^3); its s_(1^3)-coordinate made t - 2 is no integer
+    table = {mu: dict(row) for mu, row in _solve("S", 3).items()}
+    table[(2, 1)][(1, 1, 1)] += T
+    monkeypatch.setattr(symfunc, "_solve", lambda basis, d: table)
+    with pytest.raises(ArithmeticError, match=r"t-2 is not a constant"):
         _omega_m.__wrapped__(3)
 
 
@@ -592,7 +592,7 @@ def test_omega_involution_on_schur():
 
 
 def test_omega_monomial_basis_involution_en_to_hn():
-    # omega on an M-basis SymFunc goes through p and back to M
+    # omega on an M-basis SymFunc reads its integer table, built through S, and stays in M
     for n in range(1, 6):
         e, h = basis_element("E", (n,)), basis_element("H", (n,))
         assert omega(e) == h and omega(h) == e
@@ -654,8 +654,8 @@ def test_omega_swaps_e_and_h_and_transposes_s_at_the_degree_guard():
 
 
 def test_omega_unsupported_basis():
-    # every basis in BASES goes through p and back; a basis outside BASES
-    # is still rejected, whether at construction or on the way through p
+    # every basis in BASES has its own rule or goes through m and back; a basis
+    # outside BASES is still rejected, whether at construction or on the way through m
     with pytest.raises(ValueError):
         omega(SymFunc(2, "X", {(2,): RF(1)}))
     F = SymFunc(2, "M", {(2,): RF(1)})
