@@ -282,7 +282,7 @@ def check_cm(n: int) -> CheckReport:
 
     def rhs(pi):
         to_p = _m_to_p_integral(n)
-        G = _change(llt_vertical(pi.as_schroder()).coeffs, lambda mu: to_p[mu].items())
+        G = _change(llt_vertical(pi).coeffs, lambda mu: to_p[mu].items())
         return expand_in_basis(plethysm_mul(SymFunc(n, "P", G)), "M")
 
     return _scan("check_cm", n, None, paths,
@@ -305,7 +305,7 @@ def _unicellular_sum(sigma: SchroderPath) -> SymFunc:
     dyck, pos = gen_dyck(sigma.size), _lattice(sigma.size)[1]
     out: dict[Partition, LaurentPoly] = {}
     for h, sign in _lowered(sigma.h, sigma.D, 1):
-        for mu, c in llt_vertical(dyck[pos[h]].as_schroder()).coeffs.items():
+        for mu, c in llt_vertical(dyck[pos[h]]).coeffs.items():
             out[mu] = out.get(mu, ZERO) + (c if sign > 0 else -c)
     return SymFunc(sigma.size, "M", out)
 
@@ -318,9 +318,9 @@ def check_prop56(n: int) -> CheckReport:
     """
     parts = (
         ("i", gen_dyck(n),
-         lambda pi: llt_vertical(pi.as_schroder()).map_coeffs(
+         lambda pi: llt_vertical(pi).map_coeffs(
              lambda c: c.subs_inv().shift(len(area(pi)))),
-         lambda pi: omega(llt_vertical(pi.as_schroder()))),
+         lambda pi: omega(llt_vertical(pi))),
         ("ii", gen_tall_schroder(n),
          lambda sigma: llt_vertical(sigma).scale(t_minus_one_power(len(diag(sigma)))),
          _unicellular_sum),

@@ -160,8 +160,6 @@ def llt_vertical(sigma: SchroderPath) -> SymFunc:
     Colorings must strictly increase along Diag edges; the ascent statistic is
     taken on the graph ([n], Area(sigma)).
     """
-    if not sigma.is_tall:
-        raise ValueError("llt_vertical needs a tall path")
     return _color_sum(sigma.size, area(sigma), rise=diag(sigma))
 
 
@@ -195,8 +193,6 @@ def as_expansion(sigma: SchroderPath) -> SymFunc:
     a bit mask over the sorted area edges, a set bit for an edge that points up;
     its type is the sorted fibre sizes of `_h_vector`.
     """
-    if not sigma.is_tall:
-        raise ValueError("as_expansion needs a tall path")
     n = sigma.size
     a_edges = sorted(area(sigma))
     d_edges = sorted(diag(sigma))

@@ -54,13 +54,6 @@ def _parse_graph(text: str) -> IndiffGraph:
     return graph_of(DyckPath(text))
 
 
-def _parse_tall_path(text: str) -> SchroderPath:
-    p = SchroderPath(text.strip())
-    if not p.is_tall:
-        raise ValueError(f"{text!r} is not a tall path")
-    return p
-
-
 def _emit(obj) -> None:
     json.dump(obj, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -110,9 +103,9 @@ def _cmd_compute(args: SimpleNamespace) -> int:
     if verb == "csf":
         _emit(csf(_parse_graph(args.index)).to_json())
     elif verb == "llt":
-        _emit(llt_vertical(_parse_tall_path(args.index)).to_json())
+        _emit(llt_vertical(SchroderPath(args.index.strip())).to_json())
     elif verb == "as-expand":
-        _emit(as_expansion(_parse_tall_path(args.index)).to_json())
+        _emit(as_expansion(SchroderPath(args.index.strip())).to_json())
     elif verb == "d-coeffs":
         d = d_coeffs(_parse_graph(args.index))
         items = [{"partition": list(lam), "value": str(v)} for lam, v in sorted(d.items())]
@@ -133,10 +126,10 @@ def _cmd_compute(args: SimpleNamespace) -> int:
         if args.q is None:
             raise ValueError("hess-count needs --q")
         gamma = _parse_graph(args.index)
-        if bool(args.matrix) == bool(args.jordan_type):
+        if (args.matrix is None) == (args.jordan_type is None):
             raise ValueError("hess-count needs one of --matrix DIGITS or --jordan-type PART,PART,..")
         require_fibres(gamma.n, args.q)  # before any n x n matrix is built
-        if args.matrix:
+        if args.matrix is not None:
             lam = nilpotent_type(args.matrix, gamma.n, args.q)
         else:
             lam = _parse_jordan_type(args.jordan_type)

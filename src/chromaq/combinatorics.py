@@ -2,9 +2,11 @@
 
 Conventions:
   * partitions are tuples of positive ints in weakly decreasing order;
-  * paths are step strings over E/S (Dyck) or E/S/D (Schroeder), going from
-    (0,0) to (n,-n) weakly above the antidiagonal y = -x; a tall path is also
+  * a path is a tall Schroeder path, one type, `SchroderPath`: a step string over
+    E/S/D from (0,0) to (n,-n) weakly above the antidiagonal y = -x, with no D
+    step starting on it, refused as it is read if it is not tall; it is also
     (h, D), h the Hessenberg function of Area u Diag and D its Diag columns;
+  * a Dyck path is a path with no D step, and `DyckPath` reads one;
   * the unit square in column j, row i (1 <= i < j <= n) is the square with
     corners (j-1, 1-i) and (j, -i), and doubles as the edge label {i, j}.
 """
@@ -180,10 +182,11 @@ def _walk(steps: str) -> Iterator[tuple[str, int, int]]:
             raise ValueError(f"bad step {s!r}")
 
 
-def _trace(steps: str, dyck: bool) -> dict:
-    """Validate a path in one walk and return what the walk reads off it: its
-    size, whether it is tall (no D step starts on the diagonal), and (h, D): the
-    step of column j starts at height -h_j, and D lists the columns, from 0, of D steps."""
+def _trace(steps: str, dyck: bool = False) -> dict:
+    """Validate a tall path in one walk and return what the walk reads off it: its
+    size and (h, D): the step of column j starts at height -h_j, and D lists the
+    columns, from 0, of D steps.  A path with a D step that starts on the diagonal
+    is not tall and is refused; `dyck` refuses every step but E and S."""
     h, cols = [], []
     for s, x, y in _walk(steps):
         if dyck and s not in "ES":
@@ -197,45 +200,35 @@ def _trace(steps: str, dyck: bool) -> dict:
     n = len(h)
     if steps.count("S") + len(cols) != n:
         raise ValueError(f"path {steps!r} is unbalanced")
-    return {"size": n, "is_tall": all(h[j] < j for j in cols), "h": tuple(h), "D": tuple(cols)}
+    if not all(h[j] < j for j in cols):
+        raise ValueError(f"{steps!r} is not a tall path")
+    return {"size": n, "h": tuple(h), "D": tuple(cols)}
 
 
-class _Path(Hashed):
-    """A step string; its size, tallness and (h, D) are read off once, by the
-    walk that validates it, and are not fields."""
+class SchroderPath(Hashed):
+    """A tall Schroeder path, as its step string; its size and (h, D) are read off
+    once, by the walk that validates it, and are not fields.  A Dyck path is one
+    with no D step, and only it has a graph, built once."""
 
-    __slots__ = ("steps", "size", "is_tall", "h", "D")
+    __slots__ = ("steps", "size", "h", "D", "_graph")
     _fields = ("steps",)
     steps: str
     size: int
-    is_tall: bool
     h: tuple[int, ...]
     D: tuple[int, ...]
+
+    def __init__(self, steps: str):
+        self._set(steps, **_trace(steps), _graph=None)
 
     def __str__(self) -> str:
         return self.steps
 
 
-class DyckPath(_Path):
-    __slots__ = ("_schroder", "_graph")
-
-    def __init__(self, steps: str):
-        self._set(steps, **_trace(steps, dyck=True), _schroder=None, _graph=None)
-
-    def as_schroder(self) -> "SchroderPath":
-        """The same steps as a Schroeder path, built once and without a second walk."""
-        if self._schroder is None:
-            sigma = object.__new__(SchroderPath)
-            sigma._set(self.steps, size=self.size, is_tall=True, h=self.h, D=self.D)
-            object.__setattr__(self, "_schroder", sigma)
-        return self._schroder
-
-
-class SchroderPath(_Path):
-    __slots__ = ()
-
-    def __init__(self, steps: str):
-        self._set(steps, **_trace(steps, dyck=False))
+def DyckPath(steps: str) -> SchroderPath:
+    """The tall path of these steps, walked with the rule that refuses a D step."""
+    pi = object.__new__(SchroderPath)
+    pi._set(steps, **_trace(steps, dyck=True), _graph=None)
+    return pi
 
 
 def _between(lo: tuple[int, ...], hi: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -265,7 +258,7 @@ def _tall_path(h: tuple[int, ...], D: tuple[int, ...] = ()) -> str:
 
 
 @lru_cache(maxsize=None)
-def gen_dyck(n: int) -> tuple[DyckPath, ...]:
+def gen_dyck(n: int) -> tuple[SchroderPath, ...]:
     """All Dyck paths of size n (Catalan many), one per Hessenberg function h:
     h in lexicographic order gives the step strings in lexicographic order."""
     _check_size("gen_dyck", n, MAX_PATH_N)
@@ -282,19 +275,15 @@ def gen_tall_schroder(n: int) -> tuple[SchroderPath, ...]:
     return tuple(map(SchroderPath, sorted(steps)))
 
 
-def area(sigma: SchroderPath | DyckPath) -> frozenset[Edge]:
+def area(sigma: SchroderPath) -> frozenset[Edge]:
     """Edge labels of unit squares lying completely below the path: {i, j} with
     h_j < i < j, less {h_j + 1, j} in each Diag column j."""
-    if not sigma.is_tall:
-        raise ValueError("area/diag are defined here for tall paths only")
     return frozenset((i, j + 1) for j, x in enumerate(sigma.h)
                      for i in range(x + 1 + (j in sigma.D), j + 1))
 
 
-def diag(sigma: SchroderPath | DyckPath) -> frozenset[Edge]:
+def diag(sigma: SchroderPath) -> frozenset[Edge]:
     """Edge labels of unit squares crossed by diagonal steps: {h_j + 1, j} in each Diag column j."""
-    if not sigma.is_tall:
-        raise ValueError("area/diag are defined here for tall paths only")
     return frozenset((sigma.h[j] + 1, j + 1) for j in sigma.D)
 
 
@@ -362,10 +351,12 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def graph_of(pi: DyckPath) -> IndiffGraph:
-    """The indifference graph on [n] with edge set the area of the path, built once
-    per path; its h is the path's."""
+def graph_of(pi: SchroderPath) -> IndiffGraph:
+    """The indifference graph on [n] with edge set the area of a Dyck path, built
+    once per path; its h is the path's.  A path with a D step has none."""
     if pi._graph is None:
+        if pi.D:
+            raise ValueError(f"{pi.steps!r} has a D step; only a Dyck path has a graph")
         g = IndiffGraph(pi.size, area(pi))
         object.__setattr__(g, "_h", pi.h)
         object.__setattr__(pi, "_graph", g)
@@ -383,13 +374,13 @@ def _hessenberg_function(n: int, edges: Iterable[Edge]) -> tuple[int, ...]:
     return tuple(h)
 
 
-def area_inverse(edges: Iterable[Edge], n: int) -> DyckPath:
+def area_inverse(edges: Iterable[Edge], n: int) -> SchroderPath:
     """The unique Dyck path of size n whose area is the given indifference edge set."""
     return _area_inverse(frozenset(tuple(sorted(e)) for e in edges), n)
 
 
 @lru_cache(maxsize=None)
-def _area_inverse(es: frozenset[Edge], n: int) -> DyckPath:
+def _area_inverse(es: frozenset[Edge], n: int) -> SchroderPath:
     """area_inverse of sorted edges, built once per (edge set, n), from the graph's h."""
     return DyckPath(_tall_path(IndiffGraph(n, es).h))
 
@@ -400,7 +391,7 @@ def indifference_graphs(n: int) -> tuple[IndiffGraph, ...]:
     return tuple(graph_of(pi) for pi in gen_dyck(n))
 
 
-def mesa(pi: DyckPath) -> SchroderPath:
+def mesa(pi: SchroderPath) -> SchroderPath:
     """Contract each tall peak ES (its E starting strictly above the diagonal) to a D step."""
     out: list[str] = []
     for s, x, y in _walk(pi.steps):

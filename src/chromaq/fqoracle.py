@@ -354,8 +354,6 @@ def psi_pseudo(sigma: SchroderPath, q: int) -> ClassFnUT:
     A tall path (h, D) has at most one Diag cell per column, its top cell in
     Area u Diag, so Area u S is h moved up by 1 in the columns of D - S.  Built
     once per (sigma, q): four checks read the same paths at the same q."""
-    if not sigma.is_tall:
-        raise ValueError("psi_pseudo needs a tall path")
     n = sigma.size
     _check_q(q)
     pos = _lattice(n)[1]  # refused past MAX_PATH_N, before the 2^|Diag| terms are built

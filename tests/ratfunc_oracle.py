@@ -12,7 +12,7 @@ triangular solve replaced it; `inverted_from_monomials` is that build, and
 
 from __future__ import annotations
 
-from chromaq.combinatorics import DyckPath, Partition, gen_partitions, graph_of
+from chromaq.combinatorics import Partition, SchroderPath, gen_partitions, graph_of
 from chromaq.chromallt import csf
 from chromaq.exactnum import (
     ONE,
@@ -134,7 +134,7 @@ def _change(coeffs, table) -> dict[Partition, RationalFunc]:
     return {mu: c for mu, c in out.items() if not c.is_zero}
 
 
-def cm_lhs(pi: DyckPath) -> dict[Partition, LaurentPoly]:
+def cm_lhs(pi: SchroderPath) -> dict[Partition, LaurentPoly]:
     """(t-1)^n X_{Graph(pi)}[x/(t-1)] in basis M, the left side of Carlsson-Mellit.
 
     X goes to P through the Q(t) Gauss-Jordan table, the plethysm divides,

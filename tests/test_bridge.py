@@ -627,7 +627,7 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
         (lambda: hessenberg_count(IndiffGraph(6, []), (2, 1, 1, 1, 1), 3), "1,226,512"),
         (lambda: hessenberg_count(IndiffGraph(7, []), (7,), 2), "3,605,290"),
         (lambda: orientations(g17), "131,072"),
-        (lambda: as_expansion(area_inverse(g17.edges, 7).as_schroder()), "131,072"),
+        (lambda: as_expansion(area_inverse(g17.edges, 7)), "131,072"),
         (lambda: as_expansion(staircase), "2,097,152"),
         # 3^11 color classes, and p(11)^3 solve steps for any change of basis
         (lambda: csf(IndiffGraph(11, [])), "177,147"),
@@ -853,6 +853,11 @@ def test_run_check_unknown():
         run_check("check_nonsense", 2, 2)
 
 
+def test_run_check_refuses_a_numeric_check_without_q():
+    with pytest.raises(ValueError, match="^check_cqs needs a field size q$"):
+        run_check("check_cqs", 2, None)
+
+
 def test_run_check_guard_propagates():
     # induction walks the Springer fibres of F_3^6: 1,226,512 flags, past MAX_SWEEP
     with pytest.raises(SizeGuardError, match="the Springer fibres of F_3\\^6 visits 1,226,512"):
@@ -867,7 +872,7 @@ def test_check_cm_agrees_with_the_old_form_through_plethysm_frac():
         assert check_cm(n).ok, n
         for pi in gen_dyck(n):
             old = cm_lhs(pi)
-            assert old == llt_vertical(pi.as_schroder()).coeffs, pi
+            assert old == llt_vertical(pi).coeffs, pi
             back = plethysm_mul(expand_in_basis(SymFunc(n, "M", old), "P"))
             assert expand_in_basis(back, "M") == csf(graph_of(pi)).scale((T - 1) ** n), pi
 
@@ -879,7 +884,7 @@ def _unicellular_sum_by_addition(sigma):
     for mask in product((0, 1), repeat=len(d)):
         s = frozenset(e for e, m in zip(d, mask) if m)
         sign = (-1) ** (len(d) - len(s))
-        rhs = rhs + llt_vertical(area_inverse(a | s, n).as_schroder()).scale(sign)
+        rhs = rhs + llt_vertical(area_inverse(a | s, n)).scale(sign)
     return rhs
 
 
@@ -907,7 +912,7 @@ def test_check_cm_fails_on_a_perturbed_llt(monkeypatch):
 
     def perturbed(path):
         G = llt_vertical(path)
-        if path == target.as_schroder():
+        if path == target:
             G = G + SymFunc(3, "M", {(2, 1): T})
         return G
 
@@ -995,8 +1000,8 @@ _PERTURBED_SIDES = [
     ("check_as", "llt_vertical", lambda path: path == _S, _bump, _S, 2, None),
     ("check_cm", "csf", lambda g: g == _G, _bump, _P, 2, None),
     ("check_palindromic", "csf", lambda g: g == _G, _bump, _G, 2, None),
-    ("check_prop56", "llt_vertical", lambda path: path == _P.as_schroder(), _bump, _P, 2, "i"),
-    ("check_prop56", "omega", lambda g: g == llt_vertical(_P.as_schroder()), _bump, _P, 2, "i"),
+    ("check_prop56", "llt_vertical", lambda path: path == _P, _bump, _P, 2, "i"),
+    ("check_prop56", "omega", lambda g: g == llt_vertical(_P), _bump, _P, 2, "i"),
     ("check_prop56", "llt_vertical", lambda path: path == _S, _bump, _S, 2, "ii"),
     ("check_gg", "induce_to_GL", lambda phi: True,
      lambda f: f + UnipClassFn.from_dict(3, 3, {_L: 1}), _L, 3, None),
@@ -1164,6 +1169,9 @@ def test_cli_verify_guard_exit_code(capsys):
     (["compute", "hess-count", "EESS", "--q", "2", "--n", "2", "--matrix", "0100"],
      "compute hess-count does not read --n"),
     (["compute", "hess-count", "EESS", "--q", "2", "--matrix", "0100", "--jordan-type", "1,1"],
+     "hess-count needs one of --matrix DIGITS or --jordan-type"),
+    # an empty --jordan-type is given, not absent
+    (["compute", "hess-count", "EESS", "--q", "2", "--matrix", "0000", "--jordan-type", ""],
      "hess-count needs one of --matrix DIGITS or --jordan-type"),
 ])
 def test_cli_compute_rejects_ignored_flags(capsys, argv, message):
@@ -1375,6 +1383,12 @@ def test_cli_help_prints_the_usage(capsys):
     (["compute", "csf", '{"n": 2, "edges": [[1,3]]}'], "edge (1, 3) has an end outside [2]"),
     (["compute", "csf", '{"n": 2, "edges": [[0,1]]}'], "edge (0, 1) has an end outside [2]"),
     (["compute", "csf", '{"n": 3, "edges": [[1,3]]}'], "edge set [(1, 3)] on [3] is not interval-closed"),
+    (["compute", "induce", "EESS"], "error: induce needs --q"),
+    (["compute", "hess-count", "EESS", "--jordan-type", "2"], "error: hess-count needs --q"),
+    (["compute", "superclass-sizes", "--n", "3"], "error: superclass-sizes needs --n and --q"),
+    (["verify", "nope"], "error: unknown check 'nope'; choose from ['check_as', "),
+    (["compute", "llt", "DD"], "error: 'DD' is not a tall path\n"),
+    (["compute", "as-expand", "DD"], "error: 'DD' is not a tall path\n"),
 ])
 def test_cli_usage_errors_exit_two_with_one_error_line(capsys, argv, message):
     from chromaq.cli import main
@@ -1402,16 +1416,20 @@ def test_cli_options_go_anywhere_and_take_an_equals_sign(capsys):
 @pytest.mark.parametrize("verb, options", [
     ("csf", []), ("llt", []), ("as-expand", []), ("d-coeffs", []), ("e-expand", []),
     ("induce", ["--q", "2"]), ("hess-count", ["--q", "2", "--jordan-type", "1"]),
+    ("hess-count", ["--q", "2", "--matrix", ""]),
 ])
 def test_cli_omitted_index_is_refused(capsys, verb, options):
     from chromaq.cli import main
     assert main(["compute", verb, *options]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: compute {verb} needs an index (")
-    # an explicit empty index is the path of size 0, as `verify --n 0` is
-    if verb != "hess-count":  # no --jordan-type or --matrix has size 0
+    # an explicit empty index is the path of size 0, as `verify --n 0` is, and
+    # `--matrix ''` its 0 x 0 matrix, which counts the one flag of F_q^0
+    if "--jordan-type" not in options:  # no --jordan-type has size 0
         assert main(["compute", verb, "", *options]) == 0
-        capsys.readouterr()
+        out = capsys.readouterr().out
+        if verb == "hess-count":
+            assert json.loads(out) == {"count": 1}
 
 
 def test_cli_d_coeffs_and_as_expand(capsys):

@@ -130,7 +130,7 @@ def test_llt_eedss_worked_example():
 
 def test_llt_dyck_case_unrestricted():
     # with empty Diag every coloring contributes; total count is n^n
-    G = llt_vertical(DyckPath("EESS").as_schroder())
+    G = llt_vertical(DyckPath("EESS"))
     total = sum(c.evaluate(1) * len(orbit_monomials(mu, 2)) for mu, c in G.coeffs.items())
     assert total == 4
 
@@ -296,7 +296,7 @@ def test_color_classes_match_the_vertex_kernel():
         for sigma in gen_tall_schroder(n):
             assert llt_vertical(sigma) == color_by_vertex(n, area(sigma), rise=diag(sigma)), sigma
     for pi in gen_dyck(6):  # the unicellular paths, which no Diag edge prunes
-        assert llt_vertical(pi.as_schroder()) == color_by_vertex(6, area(pi)), pi
+        assert llt_vertical(pi) == color_by_vertex(6, area(pi)), pi
 
 
 def test_edgeless_closed_form_at_the_guard_edge():

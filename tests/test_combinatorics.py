@@ -201,7 +201,7 @@ def test_tall_paths_read_h_and_d_as_the_cell_walk_does():
     for n in range(9):
         for p in gen_dyck(n) + gen_tall_schroder(n):
             tall, h, d, a, dg = cell_walk_oracle(p.steps)
-            assert tall and p.is_tall
+            assert tall
             assert (p.h, p.D, area(p), diag(p)) == (h, d, a, dg), p
             assert _tall_path(p.h, p.D) == p.steps
 
@@ -236,11 +236,25 @@ def test_invalid_paths_rejected():
         DyckPath("EESS ")
     with pytest.raises(ValueError):
         SchroderPath("DSS")
+    with pytest.raises(ValueError, match="^Dyck path steps must be E/S, got 'D'$"):
+        DyckPath("EDS")
 
 
 def test_tall_flag():
-    assert SchroderPath("EEDSS").is_tall
-    assert not SchroderPath("DD").is_tall  # D steps along the diagonal
+    # tallness is no flag: a path is tall, or it is refused as it is read
+    assert SchroderPath("EEDSS").D == (2,)
+    with pytest.raises(ValueError, match="^'DD' is not a tall path$"):
+        SchroderPath("DD")  # D steps along the diagonal
+
+
+def test_a_dyck_path_is_the_tall_path_with_no_d_step():
+    # one path type: DyckPath reads E/S steps into it, and only a path with no
+    # D step has a graph
+    pi = DyckPath("EESS")
+    assert type(pi) is SchroderPath and pi == SchroderPath("EESS") and pi.D == ()
+    assert graph_of(pi) == IndiffGraph(2, {(1, 2)})
+    with pytest.raises(ValueError, match="^'EDS' has a D step; only a Dyck path has a graph$"):
+        graph_of(SchroderPath("EDS"))
 
 
 def test_each_path_is_walked_once(monkeypatch):
@@ -254,29 +268,26 @@ def test_each_path_is_walked_once(monkeypatch):
     monkeypatch.setattr(combinatorics, "_walk", counted)
     pi, sigma = DyckPath("EESESS"), SchroderPath("EEEDSSS")
     assert walks == ["EESESS", "EEEDSSS"]
-    s, g = pi.as_schroder(), graph_of(pi)
-    assert s is pi.as_schroder() and g is graph_of(pi)
-    for p in (pi, s, sigma):
-        assert p.is_tall
+    g = graph_of(pi)
+    assert g is graph_of(pi)
+    for p in (pi, sigma):
         assert area(p) == area(p) and diag(p) == diag(p)
     assert area(sigma) == {(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)} and diag(sigma) == {(1, 4)}
     assert walks == ["EESESS", "EEEDSSS"]
-    assert s == SchroderPath("EESESS") and g == IndiffGraph(3, {(1, 2), (2, 3)})
-    assert area(s) == area(SchroderPath("EESESS")) and diag(s) == frozenset()
+    assert pi == SchroderPath("EESESS") and g == IndiffGraph(3, {(1, 2), (2, 3)})
+    assert area(pi) == {(1, 2), (2, 3)} and diag(pi) == frozenset()
 
 
-def test_area_and_diag_refuse_a_path_that_is_not_tall():
-    # every Schroeder path of size <= 6 is tall as the cell walk finds it, and
-    # area and diag raise the same error on the others
+def test_a_path_is_read_exactly_when_it_is_tall():
+    # every Schroeder step string of size <= 6 is read into a path exactly when the
+    # cell walk finds it tall, and is refused with one error otherwise
     for n in range(7):
         for steps in recursive_schroder_oracle(n, tall=False):
-            p = SchroderPath(steps)
-            assert p.is_tall == cell_walk_oracle(steps)[0], steps
-            if p.is_tall:
+            if cell_walk_oracle(steps)[0]:
+                assert SchroderPath(steps).steps == steps
                 continue
-            for f in (area, diag):
-                with pytest.raises(ValueError, match="^area/diag are defined here for tall paths only$"):
-                    f(p)
+            with pytest.raises(ValueError, match=f"^{re.escape(repr(steps))} is not a tall path$"):
+                SchroderPath(steps)
 
 
 def test_partitions_are_a_fresh_list_each_call():
@@ -310,7 +321,7 @@ def test_area_diag_worked_examples():
 def test_dyck_paths_have_empty_diag():
     for n in range(6):
         for p in gen_dyck(n):
-            assert diag(p.as_schroder()) == frozenset()
+            assert p.D == () and diag(p) == frozenset()
 
 
 # -- graph bijection -----------------------------------------------------------
@@ -366,8 +377,7 @@ def test_mesa_single_tall_peak():
 def test_mesa_area_diag_union():
     for n in range(7):
         for p in gen_dyck(n):
-            m = mesa(p)
-            assert m.is_tall
+            m = mesa(p)  # refused were it not tall
             assert area(m) | diag(m) == area(p)
             assert not (area(m) & diag(m))
 

@@ -597,7 +597,7 @@ def test_psi_pseudo_refuses_a_term_outside_the_lattice():
     # a Diag cell {1, 3} over Area {{2, 3}}, without {1, 2}: h(Area u Diag) = (0, 1, 0)
     # is no Hessenberg function, and the error names the path
     sigma = object.__new__(SchroderPath)
-    sigma._set("EDESS", size=3, is_tall=True, h=(0, 1, 0), D=(2,))
+    sigma._set("EDESS", size=3, h=(0, 1, 0), D=(2,))
     with pytest.raises(AssertionError, match="interval closure for EDESS"):
         psi_pseudo.__wrapped__(sigma, 2)
 
@@ -682,7 +682,7 @@ def test_psi_worked_example_supercharacter_sum():
 def test_psi_of_dyck_path_is_chi_bar():
     for q in (2, 3):
         for pi in gen_dyck(3):
-            assert psi_pseudo(pi.as_schroder(), q) == chi_bar(graph_of(pi), q)
+            assert psi_pseudo(pi, q) == chi_bar(graph_of(pi), q)
 
 
 def test_psi_mesa_all_d3():

@@ -57,7 +57,7 @@ COMMON = {
     "combinatorics.gen_dyck": "the Dyck paths, listed once per h: the items and the lattice",
     "combinatorics.indifference_graphs": "the graphs on [n]: the items and the lattice",
     "combinatorics.graph_of": "the graph of each listed Dyck path",
-    "combinatorics.DyckPath.__init__": "the listed paths",
+    "combinatorics.DyckPath": "the listed paths",
     "combinatorics.IndiffGraph.": "the listed graphs and their h",
     "combinatorics._between": "the walk of Hessenberg functions that lists the paths",
     "combinatorics._tall_path": "the step string of each listed h",
@@ -126,9 +126,8 @@ SHARED = {
         **dict.fromkeys(["chromallt._color_sum", "chromallt._slot_bits"], _COLORINGS),
     },
     "check_prop56": {
-        **dict.fromkeys(["chromallt.llt_vertical", "combinatorics.DyckPath.as_schroder"],
-                        "part i is a symmetry of G_pi: both sides are G_pi, one read with "
-                        "t -> 1/t and one under omega"),
+        "chromallt.llt_vertical": "part i is a symmetry of G_pi: both sides are G_pi, one read "
+                                  "with t -> 1/t and one under omega",
         **dict.fromkeys(["chromallt._color_sum", "chromallt._slot_bits"],
                         _COLORINGS + "; part ii sums unicellular G"),
         **dict.fromkeys(["combinatorics.area", "combinatorics.diag"],

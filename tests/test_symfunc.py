@@ -583,6 +583,16 @@ def test_omega_e_to_h():
             assert h == basis_element("H", lam), lam
 
 
+def test_omega_on_h_gives_e_and_is_an_involution():
+    # the H rule, checked against omega on m: omega(h_lam) = e_lam for |lam| <= 5
+    for n in range(6):
+        for lam in gen_partitions(n):
+            h = SymFunc(n, "H", {lam: RF(1)})
+            w = omega(h)
+            assert w == SymFunc(n, "E", {lam: RF(1)}) and omega(w) == h, lam
+            assert expand_in_basis(w, "M") == omega(basis_element("H", lam)), lam
+
+
 def test_omega_involution_on_schur():
     for n in range(6):
         for lam in gen_partitions(n):

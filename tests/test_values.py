@@ -5,7 +5,7 @@ dataclass-style repr, and no assignment after construction."""
 import pytest
 
 from chromaq.bridge import CheckReport
-from chromaq.chromallt import csf
+from chromaq.chromallt import csf, llt_vertical
 from chromaq.combinatorics import DyckPath, IndiffGraph, SchroderPath
 from chromaq.exactnum import LaurentPoly
 from chromaq.fqoracle import ClassFnUT, UnipClassFn
@@ -16,7 +16,7 @@ P2 = IndiffGraph(2, frozenset({(1, 2)}))
 
 # (class, constructor arguments, field values as stored, repr)
 CASES = [
-    (DyckPath, ("EESS",), ("EESS",), "DyckPath(steps='EESS')"),
+    (SchroderPath, ("EESS",), ("EESS",), "SchroderPath(steps='EESS')"),
     (SchroderPath, ("EDS",), ("EDS",), "SchroderPath(steps='EDS')"),
     (IndiffGraph, (2, [(2, 1)]), (2, frozenset({(1, 2)})),
      "IndiffGraph(n=2, edges=frozenset({(1, 2)}))"),
@@ -29,7 +29,8 @@ CASES = [
     (CheckReport, ("check_cqs", 2, 3, "pass"), ("check_cqs", 2, 3, "pass", None),
      "CheckReport(check='check_cqs', n=2, q=3, status='pass', witness=None)"),
 ]
-IDS = [c[0].__name__ for c in CASES]
+# the first case is a Dyck path: the tall path with no D step
+IDS = ["DyckPath"] + [c[0].__name__ for c in CASES[1:]]
 
 
 @pytest.mark.parametrize("cls, args, fields, text", CASES, ids=IDS)
@@ -52,7 +53,7 @@ def test_another_exact_type_is_never_equal(cls, args, fields, text):
 
 
 def test_classes_with_equal_fields_stay_apart():
-    assert DyckPath("ES") != SchroderPath("ES")
+    assert DyckPath("ES") == SchroderPath("ES")  # one path type
     assert ClassFnUT(2, 3, (1, 0)) != UnipClassFn(2, 3, (1, 0))
 
 
@@ -86,3 +87,11 @@ def test_equal_graphs_share_one_csf_cache_entry():
     assert csf(h) is csf(g)
     after = csf.cache_info()
     assert (after.misses, after.hits) == (before.misses, before.hits + 2)
+
+
+def test_a_dyck_path_and_its_tall_path_share_one_llt_cache_entry():
+    pi, sigma = DyckPath("EESS"), SchroderPath("EESS")
+    assert pi is not sigma and pi == sigma and hash(pi) == hash(sigma)
+    G = llt_vertical(pi)
+    entries = llt_vertical.cache_info().currsize
+    assert llt_vertical(sigma) is G and llt_vertical.cache_info().currsize == entries
