@@ -44,7 +44,7 @@ from .combinatorics import (
     indifference_graphs,
     mesa,
 )
-from .exactnum import ONE, ZERO, LaurentPoly, Rat, _div, ratfunc_to_const, t_minus_one_power
+from .exactnum import ONE, ZERO, LaurentPoly, _div, ratfunc_to_const, t_minus_one_power
 from .fqoracle import (
     ClassFnUT,
     UnipClassFn,
@@ -90,16 +90,12 @@ def _pt_at_q(d: int, q: int) -> tuple[int, dict[Partition, dict[Partition, int]]
     return N, {lam: {mu: c.shift(N).evaluate(q) for mu, c in row} for lam, row in rows.items()}
 
 
-def _brace1_coords(phi: UnipClassFn) -> dict[Partition, Rat]:
+def p_brace1(phi: UnipClassFn) -> SymFunc:
+    """sum over lam of phi(J_lam) * PT_lam(x; q), with t specialized at q, in basis M."""
     N, table = _pt_at_q(phi.n, phi.q)
     scale = phi.q ** N
     coords = _change({lam: v for lam, v in phi.items() if v}, lambda lam: table[lam].items())
-    return {mu: _div(c, scale) for mu, c in coords.items()}
-
-
-def p_brace1(phi: UnipClassFn) -> SymFunc:
-    """sum over lam of phi(J_lam) * PT_lam(x; q), with t specialized at q, in basis M."""
-    return SymFunc(phi.n, "M", _brace1_coords(phi))
+    return SymFunc(phi.n, "M", {mu: _div(c, scale) for mu, c in coords.items()})
 
 
 @lru_cache(maxsize=None)

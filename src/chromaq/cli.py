@@ -64,9 +64,9 @@ def _emit(obj) -> None:
 # ---------------------------------------------------------------------------
 
 def _parse_jordan_type(text: str) -> tuple[int, ...]:
-    """The parts, in any order, as a partition."""
+    """The parts, in any order, as a partition; '' is the empty one."""
     try:
-        parts = tuple(int(x) for x in text.split(","))
+        parts = tuple(int(x) for x in text.split(",")) if text else ()
     except ValueError:
         raise ValueError(f"--jordan-type takes comma-separated positive integers, "
                          f"got {text!r}") from None

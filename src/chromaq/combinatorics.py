@@ -374,17 +374,6 @@ def _hessenberg_function(n: int, edges: Iterable[Edge]) -> tuple[int, ...]:
     return tuple(h)
 
 
-def area_inverse(edges: Iterable[Edge], n: int) -> SchroderPath:
-    """The unique Dyck path of size n whose area is the given indifference edge set."""
-    return _area_inverse(frozenset(tuple(sorted(e)) for e in edges), n)
-
-
-@lru_cache(maxsize=None)
-def _area_inverse(es: frozenset[Edge], n: int) -> SchroderPath:
-    """area_inverse of sorted edges, built once per (edge set, n), from the graph's h."""
-    return DyckPath(_tall_path(IndiffGraph(n, es).h))
-
-
 @lru_cache(maxsize=None)
 def indifference_graphs(n: int) -> tuple[IndiffGraph, ...]:
     """All indifference graphs on [n], generated through the Dyck path bijection."""

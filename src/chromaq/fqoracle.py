@@ -34,7 +34,7 @@ from functools import lru_cache
 from itertools import accumulate, product
 from math import prod
 from operator import itemgetter, le
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .combinatorics import (
     Frozen,
@@ -179,14 +179,6 @@ def ut_order(n: int, q: int) -> int:
     return q ** (n * (n - 1) // 2)
 
 
-def flag_count(n: int, q: int) -> int:
-    """Number of complete flags: the q-factorial [n]_q!."""
-    out = 1
-    for i in range(1, n + 1):
-        out *= (q ** i - 1) // (q - 1)
-    return out
-
-
 def ut_elements(n: int, q: int) -> Iterator[int]:
     """All elements of UT_n(F_q), packed: the identity plus each choice of the
     entries above the diagonal, row by row, in the order of itertools.product.
@@ -247,7 +239,9 @@ def _graph_index(n: int) -> dict[IndiffGraph, int]:
 
 class _ClassFn(Frozen):
     """A class function as a tuple of plain numbers, one per key of the
-    subclass's `_index(n)`, in that order; calling it looks a key up."""
+    subclass's `_index(n)`, in that order; calling it looks a key up.  It is a
+    value, built from its tuple: the checks compare class functions and never
+    add them."""
 
     __slots__ = _fields = ("n", "q", "values")
     n: int
@@ -257,19 +251,8 @@ class _ClassFn(Frozen):
     def __init__(self, n: int, q: int, values: tuple[Rat, ...]):
         if type(values) is not tuple or len(values) != len(self._index(n)):
             raise ValueError(f"{type(self).__name__} values must be a tuple with one entry "
-                             f"per index at n = {n}; build from a mapping with from_dict")
+                             f"per index at n = {n}")
         self._set(n, q, values)
-
-    @classmethod
-    def from_dict(cls, n: int, q: int, vals: Mapping) -> "_ClassFn":
-        """The function with the given values, zero on every key not named."""
-        index = cls._index(n)
-        out = [0] * len(index)
-        for key, v in vals.items():
-            if key not in index:
-                raise ValueError(f"{key} is not an index of {cls.__name__} at n = {n}")
-            out[index[key]] = v
-        return cls(n, q, tuple(out))
 
     def __call__(self, key) -> Rat:
         return self.values[self._index(self.n)[key]]
@@ -280,17 +263,6 @@ class _ClassFn(Frozen):
     def __str__(self) -> str:
         """The nonzero values, as a dict from each key's text to the value's."""
         return str({str(key): str(v) for key, v in self.items() if v})
-
-    def __add__(self, other: "_ClassFn") -> "_ClassFn":
-        if type(other) is not type(self) or (self.n, self.q) != (other.n, other.q):
-            raise AssertionError("cannot add class functions of different groups")
-        return type(self)(self.n, self.q, tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __sub__(self, other: "_ClassFn") -> "_ClassFn":
-        return self + other.scale(-1)
-
-    def scale(self, c: Rat) -> "_ClassFn":
-        return type(self)(self.n, self.q, tuple(v * c for v in self.values))
 
 
 class ClassFnUT(_ClassFn):
@@ -499,7 +471,7 @@ def _springer_fibre(lam: Partition, q: int) -> Counter:
     """
     n = sum(lam)
     if lam == (1,) * n:  # a = 0: every flag, with mu = 0
-        return Counter({(0,) * n: flag_count(n, q)})
+        return Counter({(0,) * n: _fibre_size(lam, q)})
     a, k = jordan_nilpotent(lam), _Packed(n, q)
     size, tally = 3 * n, Counter()
 

@@ -110,14 +110,6 @@ class SymFunc(Frozen):
         c = _coeff(c)
         return self.map_coeffs(lambda v: v * c)
 
-    def __add__(self, other: "SymFunc") -> "SymFunc":
-        if (self.degree, self.basis) != (other.degree, other.basis):
-            raise AssertionError("cannot add SymFuncs of different degree or basis")
-        out = dict(self.coeffs)
-        for mu, c in other.coeffs.items():
-            out[mu] = out.get(mu, ZERO) + c
-        return SymFunc(self.degree, self.basis, out)
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"

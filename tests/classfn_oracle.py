@@ -5,16 +5,43 @@ for containment, edge set by edge set: the scan that the package's upset lists
 replaced.  `delta_bar` is the indicator of a pattern subgroup UT_gamma, by that
 scan, and `inner_product_UT` the standard inner product of UT_n(F_q) class
 functions, weighted by the package's superclass sizes, a product over the columns of h.
+
+The package builds a class function from its tuple of values and never adds
+two.  `class_fn` reads a mapping into that tuple, and `fn_sum` and `fn_scale`
+are the sums and multiples, value by value, that the tests of linearity and
+the perturbed sides need.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from chromaq.combinatorics import IndiffGraph, indifference_graphs
 from chromaq.fqoracle import ClassFnUT, _check_q, superclass_sizes, ut_order
+
+
+def class_fn(cls: type, n: int, q: int, vals: Mapping):
+    """The class function of type cls (ClassFnUT or UnipClassFn) with the given
+    values, zero on every key not named."""
+    index = cls._index(n)
+    out = [0] * len(index)
+    for key, v in vals.items():
+        out[index[key]] = v
+    return cls(n, q, tuple(out))
+
+
+def fn_sum(*fs):
+    """The sum of class functions of one type and one (n, q), value by value."""
+    f = fs[0]
+    if any(type(g) is not type(f) or (g.n, g.q) != (f.n, f.q) for g in fs):
+        raise ValueError("cannot add class functions of different groups")
+    return type(f)(f.n, f.q, tuple(map(sum, zip(*(g.values for g in fs)))))
+
+
+def fn_scale(f, c):
+    """c times the class function f, value by value."""
+    return type(f)(f.n, f.q, tuple(v * c for v in f.values))
 
 
 def upset_sum_by_scan(n: int, q: int, terms: Iterable[tuple[IndiffGraph, int]]) -> ClassFnUT:

@@ -22,7 +22,8 @@ the Springer fibre; over GL_n it induces the trivial character of UT_gamma
 in one step (`induce_trivial_from_subgroup`). The enumerations of UT_n and of
 the flags as row tuples are independent of the packed sweeps, and
 `pack`/`unpack` move between the two layouts. The package never sweeps GL_n
-or the flags.
+or the flags, and never counts them by the product [n]_q! (`flag_count`),
+which bounds the flag sweeps here and checks its count of the fibre of 0.
 
 The superclass representatives, which the coset sweep conjugates, live here
 too, and so does the packed elimination of their column systems
@@ -44,7 +45,6 @@ from chromaq.fqoracle import (
     _check_q,
     _field,
     _Packed,
-    flag_count,
     jordan_nilpotent,
     ut_elements,
     ut_order,
@@ -78,6 +78,15 @@ def ut_rows(n: int, q: int) -> Iterator[Rows]:
         for (i, j), v in zip(pos, vals):
             base[i][j] = v
         yield tuple(tuple(r) for r in base)
+
+
+def flag_count(n: int, q: int) -> int:
+    """Number of complete flags of F_q^n: the q-factorial [n]_q!, a product, the
+    oracle of the package's |B_(1^n)| by Spaltenstein's recursion."""
+    out = 1
+    for i in range(1, n + 1):
+        out *= (q ** i - 1) // (q - 1)
+    return out
 
 
 def require_flags(n: int, q: int) -> None:

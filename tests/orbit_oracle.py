@@ -6,8 +6,9 @@ basis elements is multiplied out over the exponent vectors of its monomial
 orbits, read in n variables.  `check_symmetric` tests a full exponent-vector
 table for constancy on orbits.  `placements` is the package's part count
 before it was memoised on the multiset of room left.  The tests compare them
-with the package.  Two readers that only the tests need sit here too:
-`coeff` and `zlam`.
+with the package.  Three helpers that only the tests need sit here too:
+`coeff`, `zlam` and `sym_sum`, the sum that the package's SymFunc does not
+define.
 """
 
 from __future__ import annotations
@@ -24,6 +25,18 @@ from chromaq.symfunc import ONE, ZERO, SymFunc, _coeff
 def coeff(F: SymFunc, mu: Partition) -> LaurentPoly:
     """The coefficient of the basis element mu in F (zero when absent)."""
     return F.coeffs.get(tuple(mu), ZERO)
+
+
+def sym_sum(*Fs: SymFunc) -> SymFunc:
+    """The sum of SymFuncs of one degree and one basis, coefficient by coefficient."""
+    d, b = Fs[0].degree, Fs[0].basis
+    if any((F.degree, F.basis) != (d, b) for F in Fs):
+        raise ValueError("cannot add SymFuncs of different degree or basis")
+    out: dict[Partition, LaurentPoly] = {}
+    for F in Fs:
+        for mu, c in F.coeffs.items():
+            out[mu] = out.get(mu, ZERO) + c
+    return SymFunc(d, b, out)
 
 
 def zlam(lam: Partition) -> int:

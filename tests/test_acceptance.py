@@ -32,7 +32,6 @@ from chromaq.combinatorics import (
     IndiffGraph,
     SchroderPath,
     area,
-    area_inverse,
     diag,
     gen_dyck,
     gen_tall_schroder,
@@ -50,9 +49,10 @@ from chromaq.fqoracle import (
     superclass_sizes,
     ut_order,
 )
-from classfn_oracle import inner_product_UT
+from classfn_oracle import fn_scale, fn_sum, inner_product_UT
 from coloring_oracle import asc
 from orientation_oracle import Orientation, hrv, type_of
+from test_combinatorics import area_inverse
 
 T = LaurentPoly.t()
 
@@ -91,8 +91,8 @@ def test_criterion_1_worked_examples():
     path3 = IndiffGraph(3, frozenset({(1, 2), (2, 3)}))
     edge23 = IndiffGraph(3, frozenset({(2, 3)}))
     edge12 = IndiffGraph(3, frozenset({(1, 2)}))
-    assert psi == chi_bar(path3, q) - chi_bar(edge23, q)
-    assert psi == chi_super(edge12, q) + chi_super(path3, q)
+    assert psi == fn_sum(chi_bar(path3, q), fn_scale(chi_bar(edge23, q), -1))
+    assert psi == fn_sum(chi_super(edge12, q), chi_super(path3, q))
 
     elapsed = time.time() - t0
     assert elapsed < 1.0, f"worked examples took {elapsed:.2f}s"

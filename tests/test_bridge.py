@@ -15,7 +15,6 @@ from chromaq.bridge import (
     ALL_CHECKS,
     DEPENDENCIES,
     CheckReport,
-    _brace1_coords,
     _p_one_table,
     _unicellular_sum,
     check_as,
@@ -33,7 +32,6 @@ from chromaq.combinatorics import (
     IndiffGraph,
     SchroderPath,
     area,
-    area_inverse,
     diag,
     gen_dyck,
     gen_partitions,
@@ -42,7 +40,7 @@ from chromaq.combinatorics import (
     indifference_graphs,
     mesa,
 )
-from chromaq.exactnum import ZERO, LaurentPoly
+from chromaq.exactnum import ZERO, LaurentPoly, ratfunc_to_const
 from chromaq.fqoracle import (
     PRIMES,
     ClassFnUT,
@@ -62,8 +60,10 @@ from chromaq.symfunc import (
     omega,
     plethysm_mul,
 )
-from orbit_oracle import coeff
+from classfn_oracle import class_fn, fn_scale, fn_sum
+from orbit_oracle import coeff, sym_sum
 from ratfunc_oracle import cm_lhs, gauss_jordan_m_to_p, plethysm_frac
+from test_combinatorics import area_inverse
 
 RF = LaurentPoly.const
 T = LaurentPoly.t()
@@ -82,11 +82,8 @@ def symbolic_pt_at_q(lam, q):
 
 
 def symbolic_p_brace1(phi):
-    acc = SymFunc(phi.n, "M", {})
-    for lam, v in phi.items():
-        if v:
-            acc = acc + symbolic_pt_at_q(lam, phi.q).scale(RF(v))
-    return acc
+    return sym_sum(SymFunc(phi.n, "M", {}),
+                   *(symbolic_pt_at_q(lam, phi.q).scale(RF(v)) for lam, v in phi.items() if v))
 
 
 def symbolic_p_one(phi):
@@ -100,7 +97,8 @@ def three_step_p_one(phi):
     Gauss-Jordan m -> p table, each p_lam divided by prod (q^{lam_i} - 1), then
     omega's sign rule on P and the change to S."""
     q, to_p = phi.q, gauss_jordan_m_to_p(phi.n)
-    F = _change(_brace1_coords(phi), lambda mu: to_p[mu].items())
+    coords = {mu: ratfunc_to_const(c) for mu, c in p_brace1(phi).coeffs.items()}
+    F = _change(coords, lambda mu: to_p[mu].items())
     F = {lam: Fraction(c, prod(q ** k - 1 for k in lam)) for lam, c in F.items()}
     return expand_in_basis(omega(SymFunc(phi.n, "P", F)), "S")
 
@@ -112,7 +110,7 @@ def test_p_one_and_p_brace1_match_the_symbolic_oracle():
     # both maps are linear, so the indicator of each Jordan type pins them;
     # the induced chi_bar add values that are not 0 or 1
     for n, q in DEFAULT_GRID + [(4, 2)]:
-        phis = [UnipClassFn.from_dict(n, q, {lam: 1}) for lam in gen_partitions(n)]
+        phis = [class_fn(UnipClassFn, n, q, {lam: 1}) for lam in gen_partitions(n)]
         phis += [induce_to_GL(chi_bar(g, q)) for g in indifference_graphs(n)]
         for phi in phis:
             assert p_brace1(phi) == symbolic_p_brace1(phi), (n, q, phi)
@@ -131,7 +129,7 @@ def test_p_one_table_matches_the_three_steps_row_by_row():
             assert list(table) == gen_partitions(n)
             for lam, row in table.items():
                 assert all(type(v) is int and v for v in row.values()), (n, q, lam)
-                phi = UnipClassFn.from_dict(n, q, {lam: 1})
+                phi = class_fn(UnipClassFn, n, q, {lam: 1})
                 want = three_step_p_one(phi)
                 assert SymFunc(n, "S", {nu: Fraction(v, D) for nu, v in row.items()}) == want, (n, q, lam)
                 if n <= 3 and q <= 3:
@@ -163,14 +161,14 @@ def test_a_wrong_p_one_numerator_fails_check_llt_with_a_non_integral_witness(mon
 def test_p_brace1_column_indicator():
     # indicator of the identity class maps to q^{-binom(n,2)} e_n
     for n, q in [(2, 2), (3, 2), (3, 3)]:
-        phi = UnipClassFn.from_dict(n, q, {tuple([1] * n): Fraction(1)})
+        phi = class_fn(UnipClassFn, n, q, {tuple([1] * n): Fraction(1)})
         f = p_brace1(phi)
         want = basis_element("E", (n,)).scale(RF(Fraction(1, q ** (n * (n - 1) // 2))))
         assert f == want
 
 
 def test_p_brace1_zero():
-    phi = UnipClassFn.from_dict(3, 2, {})
+    phi = class_fn(UnipClassFn, 3, 2, {})
     assert p_brace1(phi).is_zero
 
 
@@ -178,9 +176,9 @@ def test_p_brace1_linear():
     q = 2
     a = induce_to_GL(chi_bar(IndiffGraph(3, frozenset({(1, 2)})), q))
     b = induce_to_GL(chi_bar(IndiffGraph(3, frozenset()), q))
-    combo = a.scale(Fraction(3, 5)) + b.scale(-2)
+    combo = fn_sum(fn_scale(a, Fraction(3, 5)), fn_scale(b, -2))
     lhs = p_brace1(combo)
-    rhs = p_brace1(a).scale(RF(Fraction(3, 5))) + p_brace1(b).scale(RF(-2))
+    rhs = sym_sum(p_brace1(a).scale(RF(Fraction(3, 5))), p_brace1(b).scale(RF(-2)))
     assert lhs == rhs
 
 
@@ -204,7 +202,7 @@ def test_p_one_linear():
     q = 3
     a = induce_to_GL(chi_bar(IndiffGraph(2, frozenset({(1, 2)})), q))
     b = induce_to_GL(chi_bar(IndiffGraph(2, frozenset()), q))
-    combo = a.scale(2) + b.scale(Fraction(1, 7))
+    combo = fn_sum(fn_scale(a, 2), fn_scale(b, Fraction(1, 7)))
     lhs = p_one(combo)
     want = {}
     fa, fb = p_one(a), p_one(b)
@@ -798,7 +796,7 @@ def test_cached_csf_and_llt_results_cannot_be_changed():
             F.coeffs[mu].coeffs = ()
         copy = dict(F.coeffs)
         copy.clear()
-        F.scale(2), F + F, F.map_coeffs(lambda c: c * T), omega(F)
+        F.scale(2), F.map_coeffs(lambda c: c * T), omega(F)
         assert F.to_json() == before
 
 
@@ -839,9 +837,9 @@ def test_scan_renders_only_the_failing_sides():
 def test_class_function_text_lists_the_nonzero_values():
     # the witness text of check_mesa and check_psi_decomp
     empty, edge = IndiffGraph(2, []), IndiffGraph(2, [(1, 2)])
-    assert str(ClassFnUT.from_dict(2, 2, {empty: 0, edge: -3})) == "{'IG(n=2, edges=[(1, 2)])': '-3'}"
-    assert str(ClassFnUT.from_dict(2, 2, {})) == "{}"
-    assert str(UnipClassFn.from_dict(2, 3, {(1, 1): 2})) == "{'(1, 1)': '2'}"
+    assert str(class_fn(ClassFnUT, 2, 2, {empty: 0, edge: -3})) == "{'IG(n=2, edges=[(1, 2)])': '-3'}"
+    assert str(class_fn(ClassFnUT, 2, 2, {})) == "{}"
+    assert str(class_fn(UnipClassFn, 2, 3, {(1, 1): 2})) == "{'(1, 1)': '2'}"
 
 
 def test_dependencies_declared():
@@ -880,12 +878,12 @@ def test_check_cm_agrees_with_the_old_form_through_plethysm_frac():
 def _unicellular_sum_by_addition(sigma):
     """check_prop56(ii)'s old right side: one SymFunc added per subset of Diag."""
     n, a, d = sigma.size, area(sigma), sorted(diag(sigma))
-    rhs = SymFunc(n, "M", {})
+    terms = []
     for mask in product((0, 1), repeat=len(d)):
         s = frozenset(e for e, m in zip(d, mask) if m)
         sign = (-1) ** (len(d) - len(s))
-        rhs = rhs + llt_vertical(area_inverse(a | s, n)).scale(sign)
-    return rhs
+        terms.append(llt_vertical(area_inverse(a | s, n)).scale(sign))
+    return sym_sum(*terms)
 
 
 def test_unicellular_sum_matches_the_symfunc_by_symfunc_sum():
@@ -913,7 +911,7 @@ def test_check_cm_fails_on_a_perturbed_llt(monkeypatch):
     def perturbed(path):
         G = llt_vertical(path)
         if path == target:
-            G = G + SymFunc(3, "M", {(2, 1): T})
+            G = sym_sum(G, SymFunc(3, "M", {(2, 1): T}))
         return G
 
     monkeypatch.setattr(bridge, "llt_vertical", perturbed)
@@ -951,7 +949,7 @@ _G = indifference_graphs(3)[2]
 _L = gen_partitions(3)[1]
 _P = gen_dyck(3)[2]
 _S = gen_tall_schroder(3)[5]
-_BUMP_G = ClassFnUT.from_dict(3, 2, {_G: 1})
+_BUMP_G = class_fn(ClassFnUT, 3, 2, {_G: 1})
 # chi^{2-3} enters the right side of check_psi_decomp first at EEESSS (item 4),
 # the first tall path with Diag <= {2-3} <= Area u Diag
 _G23 = IndiffGraph(3, [(2, 3)])
@@ -960,20 +958,20 @@ _G23 = IndiffGraph(3, [(2, 3)])
 @pytest.mark.parametrize("check, kernel, hit, change, index", [
     # the sweep's count of type L labeled G, which chi_bar(gamma) reads first at gamma = G
     ("check_hess", "induction_table", lambda n, q: True,
-     lambda t: {**t, _L: (ClassFnUT(3, 2, t[_L]) + _BUMP_G).values}, (_G, _L)),
+     lambda t: {**t, _L: fn_sum(ClassFnUT(3, 2, t[_L]), _BUMP_G).values}, (_G, _L)),
     ("check_hess", "hessenberg_count", lambda g, lam, q: (g, lam) == (_G, _L),
      lambda c: c + 1, (_G, _L)),
     ("check_poincare", "hessenberg_count", lambda g, lam, q: (g, lam) == (_G, _L),
      lambda c: c + 1, (_G, _L)),
     ("check_poincare", "d_coeffs", lambda g: g == _G,
      lambda d: {**d, _L: d.get(_L, ZERO) + 1}, (_G, _L)),
-    ("check_permtoind", "chi_bar", lambda g, q: g == _G, lambda f: f + _BUMP_G, _G),
+    ("check_permtoind", "chi_bar", lambda g, q: g == _G, lambda f: fn_sum(f, _BUMP_G), _G),
     ("check_permtoind", "permutation_character_oracle", lambda g, q: g == _G,
-     lambda f: f + _BUMP_G, _G),
-    ("check_mesa", "psi_pseudo", lambda s, q: s == mesa(_P), lambda f: f + _BUMP_G, _P),
-    ("check_mesa", "chi_super", lambda g, q: g == _G, lambda f: f + _BUMP_G, _P),
-    ("check_psi_decomp", "psi_pseudo", lambda s, q: s == _S, lambda f: f + _BUMP_G, _S),
-    ("check_psi_decomp", "chi_super", lambda g, q: g == _G23, lambda f: f + _BUMP_G,
+     lambda f: fn_sum(f, _BUMP_G), _G),
+    ("check_mesa", "psi_pseudo", lambda s, q: s == mesa(_P), lambda f: fn_sum(f, _BUMP_G), _P),
+    ("check_mesa", "chi_super", lambda g, q: g == _G, lambda f: fn_sum(f, _BUMP_G), _P),
+    ("check_psi_decomp", "psi_pseudo", lambda s, q: s == _S, lambda f: fn_sum(f, _BUMP_G), _S),
+    ("check_psi_decomp", "chi_super", lambda g, q: g == _G23, lambda f: fn_sum(f, _BUMP_G),
      SchroderPath("EEESSS")),
 ])
 def test_sweep_fed_checks_fail_on_a_perturbed_side(monkeypatch, check, kernel, hit, change, index):
@@ -982,7 +980,7 @@ def test_sweep_fed_checks_fail_on_a_perturbed_side(monkeypatch, check, kernel, h
 
 def _bump(f):
     """f plus t times its basis element at (2, 1)."""
-    return f + SymFunc(f.degree, f.basis, {(2, 1): T})
+    return sym_sum(f, SymFunc(f.degree, f.basis, {(2, 1): T}))
 
 
 # the other nine checks, each side perturbed at one item of its scan: at (3, 2),
@@ -992,9 +990,9 @@ def _bump(f):
 # sees only the induced function, which EDESS and EESDS share.  The right sides
 # of check_gg's e_n step and of check_st_en (e_n = m_{1^n}) are constants
 _PERTURBED_SIDES = [
-    ("check_cqs", "chi_bar", lambda g, q: g == _G, lambda f: f + _BUMP_G, _G, 2, None),
+    ("check_cqs", "chi_bar", lambda g, q: g == _G, lambda f: fn_sum(f, _BUMP_G), _G, 2, None),
     ("check_cqs", "csf", lambda g: g == _G, _bump, _G, 2, None),
-    ("check_llt", "psi_pseudo", lambda s, q: s == _S, lambda f: f + _BUMP_G, _S, 2, None),
+    ("check_llt", "psi_pseudo", lambda s, q: s == _S, lambda f: fn_sum(f, _BUMP_G), _S, 2, None),
     ("check_llt", "llt_vertical", lambda path: path == _S, _bump, _S, 2, None),
     ("check_as", "as_expansion", lambda s: s == _S, _bump, _S, 2, None),
     ("check_as", "llt_vertical", lambda path: path == _S, _bump, _S, 2, None),
@@ -1004,12 +1002,12 @@ _PERTURBED_SIDES = [
     ("check_prop56", "omega", lambda g: g == llt_vertical(_P), _bump, _P, 2, "i"),
     ("check_prop56", "llt_vertical", lambda path: path == _S, _bump, _S, 2, "ii"),
     ("check_gg", "induce_to_GL", lambda phi: True,
-     lambda f: f + UnipClassFn.from_dict(3, 3, {_L: 1}), _L, 3, None),
+     lambda f: fn_sum(f, class_fn(UnipClassFn, 3, 3, {_L: 1})), _L, 3, None),
     ("check_gg", "induce_to_GL", lambda phi: True,
-     lambda f: f + UnipClassFn.from_dict(3, 2, {_L: 1}), "omega p_one(Gamma_n)", 2, None),
+     lambda f: fn_sum(f, class_fn(UnipClassFn, 3, 2, {_L: 1})), "omega p_one(Gamma_n)", 2, None),
     ("check_st_en", "basis_element", lambda basis, lam: basis == "PT", _bump, (1, 1, 1), 2, None),
     ("check_cor66", "as_expansion", lambda s: s == _S, _bump, _S, 2, None),
-    ("check_cor66", "psi_pseudo", lambda s, q: s == _S, lambda f: f + _BUMP_G, _S, 2, None),
+    ("check_cor66", "psi_pseudo", lambda s, q: s == _S, lambda f: fn_sum(f, _BUMP_G), _S, 2, None),
 ]
 
 
@@ -1347,6 +1345,9 @@ def test_cli_hess_count_rejects_nonpositive_jordan_part(capsys):
      "--matrix needs 4 digits 0..1, got '01a0'"),
     (["compute", "hess-count", "EESS", "--q", "2", "--matrix=-100"],
      "--matrix needs 4 digits 0..1, got '-100'"),
+    # '' is the empty partition, of n = 0 only
+    (["compute", "hess-count", "EESS", "--q", "2", "--jordan-type", ""],
+     "Jordan type () is not a partition of n = 2"),
 ])
 def test_cli_compute_rejects_bad_sizes(capsys, argv, message):
     from chromaq.cli import main
@@ -1416,7 +1417,7 @@ def test_cli_options_go_anywhere_and_take_an_equals_sign(capsys):
 @pytest.mark.parametrize("verb, options", [
     ("csf", []), ("llt", []), ("as-expand", []), ("d-coeffs", []), ("e-expand", []),
     ("induce", ["--q", "2"]), ("hess-count", ["--q", "2", "--jordan-type", "1"]),
-    ("hess-count", ["--q", "2", "--matrix", ""]),
+    ("hess-count", ["--q", "2", "--matrix", ""]), ("hess-count", ["--q", "2", "--jordan-type", ""]),
 ])
 def test_cli_omitted_index_is_refused(capsys, verb, options):
     from chromaq.cli import main
@@ -1424,8 +1425,9 @@ def test_cli_omitted_index_is_refused(capsys, verb, options):
     err = capsys.readouterr().err
     assert err.startswith(f"error: compute {verb} needs an index (")
     # an explicit empty index is the path of size 0, as `verify --n 0` is, and
-    # `--matrix ''` its 0 x 0 matrix, which counts the one flag of F_q^0
-    if "--jordan-type" not in options:  # no --jordan-type has size 0
+    # `--matrix ''` its 0 x 0 matrix and `--jordan-type ''` its empty type, each
+    # of which counts the one flag of F_q^0
+    if options[-2:] != ["--jordan-type", "1"]:  # the type (1) has size 1
         assert main(["compute", verb, "", *options]) == 0
         out = capsys.readouterr().out
         if verb == "hess-count":
@@ -1457,7 +1459,7 @@ def test_cli_exit_one_on_a_perturbed_csf(capsys, monkeypatch):
     from chromaq.cli import main
     target = IndiffGraph(2, [(1, 2)])
     bump = SymFunc(2, "M", {(1, 1): T})
-    monkeypatch.setattr(bridge, "csf", lambda g: csf(g) + bump if g == target else csf(g))
+    monkeypatch.setattr(bridge, "csf", lambda g: sym_sum(csf(g), bump) if g == target else csf(g))
     witness = run_check("check_cqs", 2, 2).witness
     assert witness["index"] == str(target)
     assert main(["verify", "check_cqs", "--n", "2", "--q", "2"]) == 1

@@ -29,7 +29,6 @@ from chromaq.fqoracle import (
     UnipClassFn,
     chi_bar,
     chi_super,
-    flag_count,
     hessenberg_count,
     induce_to_GL,
     induction_table,
@@ -52,7 +51,7 @@ from chromaq.fqoracle import (
     require_fibres,
 )
 from chromaq.guards import MAX_SWEEP, SizeGuardError
-from classfn_oracle import delta_bar, inner_product_UT, upset_sum_by_scan
+from classfn_oracle import class_fn, delta_bar, fn_scale, fn_sum, inner_product_UT, upset_sum_by_scan
 import matrix_oracle
 from mobius_oracle import mobius_subgraph
 from matrix_oracle import (
@@ -64,6 +63,7 @@ from matrix_oracle import (
     centralizer_orders,
     column_ranks_by_elimination,
     coset_permutation_character,
+    flag_count,
     flag_reps,
     flag_rows,
     gl_elements,
@@ -512,10 +512,8 @@ def test_chi_super_mobius_roundtrip():
     k6 = IG(6, *[(i, j) for i in range(1, 7) for j in range(i + 1, 7)])  # 15 edges
     for gamma in indifference_graphs(4) + (k6,):
         n = gamma.n
-        total = ClassFnUT.from_dict(n, q, {})
-        for sigma in indifference_graphs(n):
-            if sigma.edges <= gamma.edges:
-                total = total + chi_super(sigma, q)
+        total = fn_sum(*(chi_super(sigma, q) for sigma in indifference_graphs(n)
+                         if sigma.edges <= gamma.edges))
         assert total == chi_bar(gamma, q)
 
 
@@ -648,16 +646,16 @@ def test_inner_product_examples():
     q = 2
     n = 3
     e = IG(n)
-    delta_e = ClassFnUT.from_dict(n, q, {e: 1})
-    assert inner_product_UT(delta_e, ClassFnUT.from_dict(n, q, {IG(n, (1, 2)): 1})) == 0
+    delta_e = class_fn(ClassFnUT, n, q, {e: 1})
+    assert inner_product_UT(delta_e, class_fn(ClassFnUT, n, q, {IG(n, (1, 2)): 1})) == 0
     lhs = inner_product_UT(delta_bar(e, q), delta_e) * ut_order(n, q)
     assert lhs == superclass_sizes(n, q)[e]
 
 
 def test_inner_product_mismatched():
     with pytest.raises(ValueError):
-        inner_product_UT(ClassFnUT.from_dict(2, 2, {IG(2): 1}),
-                         ClassFnUT.from_dict(2, 3, {IG(2): 1}))
+        inner_product_UT(class_fn(ClassFnUT, 2, 2, {IG(2): 1}),
+                         class_fn(ClassFnUT, 2, 3, {IG(2): 1}))
 
 
 # -- pseudosupercharacters ------------------------------------------------------------
@@ -667,7 +665,7 @@ def test_psi_worked_example_signed_sum():
     sigma = SchroderPath("EDESS")
     q = 2
     psi = psi_pseudo(sigma, q)
-    want = chi_bar(IG(3, (1, 2), (2, 3)), q) - chi_bar(IG(3, (2, 3)), q)
+    want = fn_sum(chi_bar(IG(3, (1, 2), (2, 3)), q), fn_scale(chi_bar(IG(3, (2, 3)), q), -1))
     assert psi == want
 
 
@@ -675,7 +673,7 @@ def test_psi_worked_example_supercharacter_sum():
     sigma = SchroderPath("EDESS")
     for q in (2, 3):
         psi = psi_pseudo(sigma, q)
-        want = chi_super(IG(3, (1, 2)), q) + chi_super(IG(3, (1, 2), (2, 3)), q)
+        want = fn_sum(chi_super(IG(3, (1, 2)), q), chi_super(IG(3, (1, 2), (2, 3)), q))
         assert psi == want
 
 
@@ -715,7 +713,7 @@ def test_induce_trivial_small_case():
 
 
 def test_induce_zero():
-    z = ClassFnUT.from_dict(2, 2, {})
+    z = class_fn(ClassFnUT, 2, 2, {})
     assert dict(induce_to_GL(z).items()) == {(2,): 0, (1, 1): 0}
 
 
@@ -723,9 +721,9 @@ def test_induce_linearity():
     q = 2
     f = chi_bar(IG(3, (1, 2)), q)
     g = chi_bar(IG(3, (2, 3)), q)
-    combo = f.scale(Fraction(2, 3)) + g.scale(-5)
+    combo = fn_sum(fn_scale(f, Fraction(2, 3)), fn_scale(g, -5))
     lhs = induce_to_GL(combo)
-    rhs = induce_to_GL(f).scale(Fraction(2, 3)) + induce_to_GL(g).scale(-5)
+    rhs = fn_sum(fn_scale(induce_to_GL(f), Fraction(2, 3)), fn_scale(induce_to_GL(g), -5))
     assert lhs == rhs
 
 
@@ -763,27 +761,26 @@ def test_class_function_values_are_plain_numbers():
             for f in fns:
                 assert all(type(v) is int for v in f.values), f
                 assert all(type(v) in (int, Fraction) for v in induce_to_GL(f).values), f
-    third = induce_to_GL(chi_bar(IG(2), 2).scale(Fraction(1, 3)))
+    third = induce_to_GL(fn_scale(chi_bar(IG(2), 2), Fraction(1, 3)))
     assert third.values == (Fraction(1, 3), 1) and type(third.values[1]) is int
 
 
-def test_class_functions_take_a_tuple_or_from_dict():
+def test_class_functions_take_a_tuple():
     gamma = IG(2, (1, 2))
-    f = ClassFnUT.from_dict(2, 2, {gamma: 5})
+    f = ClassFnUT(2, 2, (5, 0))  # indifference_graphs(2) lists the edge first
     assert f(gamma) == 5 and f(IG(2)) == 0
     assert dict(f.items()) == {IG(2): 0, gamma: 5}
-    with pytest.raises(ValueError, match="from_dict"):
+    one_per_index = "values must be a tuple with one entry per index at n = 2$"
+    with pytest.raises(ValueError, match="ClassFnUT " + one_per_index):
         ClassFnUT(2, 2, {gamma: 5})
-    with pytest.raises(ValueError, match="from_dict"):
+    with pytest.raises(ValueError, match="UnipClassFn " + one_per_index):
         UnipClassFn(2, 2, (1, 2, 3))
-    with pytest.raises(ValueError):
-        UnipClassFn.from_dict(2, 2, {(3,): 1})
 
 
 def test_induce_guard():
     # induction reads the Springer walks, of 1,226,512 flags over F_3^6: past MAX_SWEEP
     with pytest.raises(SizeGuardError, match="the Springer fibres of F_3\\^6 visits 1,226,512"):
-        induce_to_GL(ClassFnUT.from_dict(6, 3, {}))
+        induce_to_GL(class_fn(ClassFnUT, 6, 3, {}))
 
 
 def test_regular_class_size():
@@ -980,6 +977,16 @@ def test_fibre_sizes_count_the_leaves_of_the_walk():
         # at a = 0 the recursion counts every flag
         assert _fibre_size(ones, q) == flag_count(n, q)
         require_fibres(n, q)
+
+
+def test_the_fibre_of_zero_is_every_flag():
+    # a = 0 is tallied with no walk, at |B_(1^n)| from Spaltenstein's recursion:
+    # the [n]_q! of the oracle's product
+    for q in PRIMES:
+        for n in range(8):
+            ones = (1,) * n
+            assert _fibre_size(ones, q) == flag_count(n, q), (n, q)
+            assert _springer_fibre(ones, q) == {(0,) * n: flag_count(n, q)}, (n, q)
 
 
 def test_hook_fibre_sizes_follow_the_recursion():
