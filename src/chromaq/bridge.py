@@ -65,7 +65,7 @@ from .symfunc import (
     SymFunc,
     _change,
     _m_coords,
-    _m_to_p_integral,
+    _peel,
     basis_element,
     eval_t,
     expand_in_basis,
@@ -103,17 +103,16 @@ def _p_one_table(n: int, q: int) -> tuple[int, dict[Partition, dict[Partition, i
     """D and D times p_one of the indicator of each Jordan type lam |- n, in the
     Schur basis, over Z.
 
-    Built once per (n, q): q^N PT_lam(x; q) in M (`_pt_at_q`), to P through
-    n! (m -> p), each p_mu multiplied by L / prod (q^{mu_i} - 1) with L the lcm
+    Built once per (n, q): q^N PT_lam(x; q) in M (`_pt_at_q`), n! times it in P
+    (`_peel`), each p_mu multiplied by L / prod (q^{mu_i} - 1) with L the lcm
     of those products, then omega and the change to S.  So D = n! q^N L.
     """
     N, pt = _pt_at_q(n, q)
     dens = {mu: prod(q ** k - 1 for k in mu) for mu in _partitions(n)}
     L = lcm(*dens.values())
-    to_p = _m_to_p_integral(n)
     out = {}
     for lam, row in pt.items():
-        F = {mu: c * (L // dens[mu]) for mu, c in _change(row, lambda mu: to_p[mu].items()).items()}
+        F = {mu: c * (L // dens[mu]) for mu, c in _peel(row, "P", n).items()}
         S = expand_in_basis(omega(SymFunc(n, "P", F)), "S")
         out[lam] = {nu: ratfunc_to_const(c) for nu, c in S.coeffs.items()}
     return factorial(n) * q ** N * L, out
@@ -270,15 +269,15 @@ def check_cm(n: int) -> CheckReport:
     p_k -> (t^k - 1) p_k are mutually inverse ring maps that leave the
     coefficients alone, so applying the second to both sides gives this
     form, here scaled by n!.  The left side is n! (t-1)^n X in basis M; the
-    right side takes n! G to P through an integer table, multiplies each
-    p_lam by prod (t^{lam_i} - 1) and returns to M.  Nothing is divided:
-    the two sides share no change of basis, and every product stays in Z[t].
+    right side peels n! G into P against the integer p rows, multiplies each
+    p_lam by prod (t^{lam_i} - 1) and returns to M.  Nothing is divided but
+    by the peel's integer pivots, exactly: the two sides share no change of
+    basis, and every product stays in Z[t].
     """
-    paths = gen_dyck(n)  # refused past MAX_PATH_N before the degree-n table is built
+    paths = gen_dyck(n)  # refused past MAX_PATH_N before the degree-n rows are built
 
     def rhs(pi):
-        to_p = _m_to_p_integral(n)
-        G = _change(llt_vertical(pi).coeffs, lambda mu: to_p[mu].items())
+        G = _peel(llt_vertical(pi).coeffs, "P", n)
         return expand_in_basis(plethysm_mul(SymFunc(n, "P", G)), "M")
 
     return _scan("check_cm", n, None, paths,

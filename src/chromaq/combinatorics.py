@@ -339,8 +339,8 @@ class IndiffGraph(Hashed):
         if not isinstance(obj, dict) or not {"n", "edges"} <= obj.keys():
             raise ValueError('graph JSON must be an object with keys "n" and "edges"')
         n, edges = obj["n"], obj["edges"]
-        if not _is_int(n) or n < 1:
-            raise ValueError(f'graph JSON: "n" must be an integer >= 1, got {n!r}')
+        if not _is_int(n) or n < 0:
+            raise ValueError(f'graph JSON: "n" must be an integer >= 0, got {n!r}')
         if not isinstance(edges, list) or not all(
                 isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges):
             raise ValueError(f'graph JSON: "edges" must be a list of integer pairs, got {edges!r}')

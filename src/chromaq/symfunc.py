@@ -21,12 +21,11 @@ of m_nu in p_lam counts the ways to drop the parts of lam into the parts of
 nu.  No basis element is built by multiplying exponent vectors.  Every
 change-of-basis table is unitriangular up to a power of t (M, S, HLP, PT) or
 constant (E, H, P), so the Laurent ring Q[t, 1/t] holds every coefficient and
-no basis change divides by a polynomial.  Every table but H is triangular in
-`gen_partitions` order and one solve over Z[t, 1/t] builds it, refused on its
-p(d)^3 steps past MAX_SWEEP (from degree 11) before any work; for P it builds
-d! times m -> p, which P and `bridge` read with one exact division each.  H
-is omega of E, and omega on m is read off S.  A SymFunc is immutable: the
-caches in chromallt hand one object to every caller.
+no basis change divides by a polynomial.  Every basis but H is triangular in
+`gen_partitions` order, so `_peel` takes a vector out of M against the forward
+rows, refused on their p(d)^2 cells past MAX_SWEEP (from degree 18); into P it
+gives d! times the vector.  H is omega of E, and omega on m is read off S.  A
+SymFunc is immutable: the caches in chromallt hand one object to every caller.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from .combinatorics import (
     nstat,
     transpose,
 )
-from .exactnum import ONE, ZERO, LaurentPoly, _div, ratfunc_to_const
+from .exactnum import ONE, ZERO, LaurentPoly, _all_int, _div, ratfunc_to_const
 from .exactnum import T as _T
 from .guards import require_sweep
 
@@ -265,73 +264,60 @@ def _change(coeffs: Mapping[Partition, V],
 
 
 @lru_cache(maxsize=None)
-def _solve(basis: str, d: int) -> dict[Partition, dict[Partition, Coeff]]:
-    """s times each m_mu, mu a partition of d, in the named basis over Z[t, 1/t],
-    with s = d! for P and 1 otherwise.
+def _peel_rows(basis: str, d: int) -> tuple[tuple[Partition, Partition, Coeff, tuple], ...]:
+    """Each degree-d row b_lam = pivot * m_rho + sum(rest), as (rho, lam, pivot, rest), in peel order.
 
     b_lam leads with m_rho, rho = lam' for E and lam otherwise, and its other
     m_mu come after rho in `gen_partitions` order, before it for P (Macdonald
-    I.6, III.2).  So rho runs from the end, from the start for P, and
-    s m_rho = (s b_lam - sum a_mu s m_mu) / (c t^k) reads only solved rows.  c
-    is 1 but for P, c = prod m_i(lam)!, where d!/z_lam is a class size.  A pivot
-    not c t^k, an m_mu not yet solved or an inexact quotient raises
-    ArithmeticError.  The p(d)^3 steps are refused before any basis element.
+    I.6, III.2), so rho runs from the start, from the end for P.  The pivot is
+    c t^k, with c = 1 but for P, c = prod m_i(lam)!.  A pivot not c t^k or an
+    entry on the peeled side of rho raises ArithmeticError.  The p(d)^2 cells
+    are refused past MAX_SWEEP (from degree 18) before any row is built.
     """
     p = _partition_count(d)
-    require_sweep(f"the {p}^3 steps solving the degree-{d} {basis} table", p ** 3)
-    keys = _partitions(d)
-    scale = factorial(d) if basis == "P" else 1
-    solved: dict[Partition, dict[Partition, Coeff]] = {}
-    for rho in (keys if basis == "P" else reversed(keys)):
+    require_sweep(f"the {p}^2 cells of the degree-{d} {basis} table", p ** 2)
+    keys, peeled, rows = _partitions(d), set(), []
+    for rho in (reversed(keys) if basis == "P" else keys):
         lam = transpose(rho) if basis == "E" else rho
         name = f"{basis.lower()}_{list(lam)}"
         coords = dict(_m_coords(basis, lam))
         pivot = coords.pop(rho, ZERO)
         if len(pivot.coeffs) != 1:
             raise ArithmeticError(f"{name} has the pivot {pivot} at m_{list(rho)}, not c * t^k")
-        late = next((mu for mu in coords if mu not in solved), None)
-        if late is not None:
-            raise ArithmeticError(f"{name} has an m_{list(late)}-coordinate, but m_{list(late)} "
-                                  f"is not solved before m_{list(rho)}")
-        acc = _change({mu: -a for mu, a in coords.items()}, lambda mu: solved[mu].items())
-        acc[lam] = acc.get(lam, ZERO) + scale
-        c, row = pivot.coeffs[0], {}
-        for nu in keys:
-            v = acc.get(nu, ZERO)
-            if v.coeffs:
-                if any(x % c for x in v.coeffs):
-                    raise ArithmeticError(f"{scale} * m_{list(rho)} has the non-integer "
-                                          f"{basis.lower()}_{list(nu)}-coordinate {v}/{pivot}")
-                row[nu] = LaurentPoly([x // c for x in v.coeffs], v.low - pivot.low)
-        solved[rho] = row
-    return {mu: solved[mu] for mu in keys}
+        early = next((mu for mu in coords if mu in peeled), None)
+        if early is not None:
+            raise ArithmeticError(f"{name} has an m_{list(early)}-coordinate, but m_{list(early)} "
+                                  f"is peeled before m_{list(rho)}")
+        peeled.add(rho)
+        rows.append((rho, lam, pivot, tuple(coords.items())))
+    return tuple(rows)
 
 
-@lru_cache(maxsize=None)
-def _m_to_p_integral(d: int) -> dict[Partition, dict[Partition, int]]:
-    """d! times each m_mu, mu a partition of d, in the power-sum basis, over Z:
-    the int view of `_solve("P", d)`."""
-    return {mu: {lam: c[0] for lam, c in row.items()} for mu, row in _solve("P", d).items()}
-
-
-@lru_cache(maxsize=None)
-def _from_monomials(basis: str, d: int) -> dict[Partition, dict[Partition, Coeff]]:
-    """Each m_mu, mu a partition of d, expanded in the named basis.
-
-    P is read off `_m_to_p_integral`, one exact division by d! per entry.  H
-    is the one table that is not triangular: h_lam = omega(e_lam), so m_mu has
-    the E-coordinates of omega(m_mu), sum_nu `_omega_m`[mu][nu] * E[nu]; at
-    every degree the guard admits, its rows come out in `gen_partitions` order
-    with no zero entry.  Every other basis is `_solve`.
+def _peel(coeffs: Mapping[Partition, Coeff], basis: str, d: int) -> dict[Partition, Coeff]:
+    """s F in the named basis, F of degree d given by its m-coordinates, s = d!
+    for P and 1 otherwise: at each rho of `_peel_rows`, the m_rho-coordinate left
+    of s F over the pivot is the b_lam-coordinate, and that multiple of b_lam is
+    subtracted.  s m_mu has integral coordinates in every basis, so when F lies
+    in Z[t, 1/t] an inexact quotient raises ArithmeticError; an F that carries
+    a Fraction is divided through `_div`.
     """
-    if basis == "P":
-        scale = factorial(d)
-        return {mu: {lam: LaurentPoly.const(_div(y, scale)) for lam, y in row.items()}
-                for mu, row in _m_to_p_integral(d).items()}
-    if basis == "H":
-        e = _solve("E", d)
-        return {mu: _change(dict(om), lambda nu: e[nu].items()) for mu, om in _omega_m(d).items()}
-    return _solve(basis, d)
+    s = factorial(d) if basis == "P" else 1
+    rows, left, out = _peel_rows(basis, d), {mu: _coeff(c) for mu, c in coeffs.items()}, {}
+    exact = all(_all_int(c.coeffs) for c in left.values())
+    left = {mu: c * s for mu, c in left.items()} if s != 1 else left
+    for rho, lam, pivot, rest in rows:
+        v, c = left.pop(rho, ZERO), pivot.coeffs[0]
+        if not v.coeffs:
+            continue
+        if exact and c != 1 and any(a % c for a in v.coeffs):
+            raise ArithmeticError(f"{s} * F has the non-integer {basis.lower()}_{list(lam)}"
+                                  f"-coordinate {v}/{pivot}")
+        if c != 1:
+            v = LaurentPoly([a // c if exact else _div(a, c) for a in v.coeffs], v.low)
+        out[lam] = x = v.shift(-pivot.low) if pivot.low else v
+        for mu, a in rest:
+            left[mu] = left[mu] - x * a if mu in left else -(x * a)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -348,28 +334,32 @@ def basis_element(basis: str, lam: Partition) -> SymFunc:
 
 
 def expand_in_basis(F: SymFunc, basis: str) -> SymFunc:
-    """F rewritten in the named basis, through its monomial coordinates."""
+    """F rewritten in the named basis through M: one `_peel`, over d! for P; H is omega(F) in E."""
     if F.basis == basis:
         return F
-    coeffs = F.coeffs
+    d, s, coeffs = F.degree, factorial(F.degree), F.coeffs
     if F.basis != "M":
         coeffs = _change(coeffs, lambda lam: _m_coords(F.basis, lam))
-    if basis != "M":
-        table = _from_monomials(basis, F.degree)
-        coeffs = _change(coeffs, lambda mu: table[mu].items())
-    return SymFunc(F.degree, basis, coeffs)
+    if basis == "H":
+        return SymFunc(d, "H", expand_in_basis(omega(SymFunc(d, "M", coeffs)), "E").coeffs)
+    if basis == "P":
+        coeffs = {lam: LaurentPoly([_div(a, s) for a in c.coeffs], c.low)
+                  for lam, c in _peel(coeffs, "P", d).items()}
+    elif basis != "M":
+        coeffs = _peel(coeffs, basis, d)
+    return SymFunc(d, basis, coeffs)
 
 
 @lru_cache(maxsize=None)
 def _omega_m(d: int) -> dict[Partition, tuple[tuple[Partition, int], ...]]:
     """omega(m_mu) in monomial coordinates, for every partition mu of d.
 
-    Built once per degree over Z with no division (Macdonald I (3.8)): m_mu in
-    S by `_solve("S", d)`, each s_lam to s_lam', and back to m by the Kostka
-    rows of `_kostka(d)`.  An S entry that involves t raises ArithmeticError.
+    Built once per degree over Z with no division (Macdonald I (3.8)): m_mu
+    peeled into S, each s_lam to s_lam', and back to m by the Kostka rows of
+    `_kostka(d)`.  An S coordinate that involves t raises ArithmeticError.
     """
-    to_s, kostka = _solve("S", d), _kostka(d)  # refused past MAX_SWEEP first
-    out = {}
+    to_s = {mu: _peel({mu: ONE}, "S", d) for mu, *_ in _peel_rows("S", d)}  # refused first
+    kostka, out = _kostka(d), {}
     for mu, row in to_s.items():
         flipped = {transpose(lam): ratfunc_to_const(c) for lam, c in row.items()}
         acc = _change(flipped, lambda lam: kostka[lam].items())

@@ -5,9 +5,10 @@ helpers redo the old computations over `RationalFunc`: the Gauss-Jordan
 change of basis over Q(t), the plethysm p_k -> p_k / (t^k - 1), and
 Carlsson-Mellit in its original form (t-1)^n X[x/(t-1)] = G. The tests compare
 them with the Laurent paths that replaced them. `_invert` is the Gauss-Jordan
-inversion over Q[t, 1/t] that built every change-of-basis table before one
-triangular solve replaced it; `inverted_from_monomials` is that build, and
-`gauss_jordan_m_to_p` reads the m -> p table over Q off it.
+inversion over Q[t, 1/t] that built every change-of-basis table before the
+triangular solve against the forward rows (`symfunc._peel`) replaced it;
+`inverted_from_monomials` is that build, and `gauss_jordan_m_to_p` reads the
+m -> p table over Q off it.
 """
 
 from __future__ import annotations

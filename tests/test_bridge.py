@@ -437,13 +437,14 @@ def test_a_passing_verify_run_never_loads_fractions():
     # evaluate returns an int when the value is one
     code = ("import contextlib, io, sys\n"
             "from chromaq.cli import main\n"
-            "for argv in (['verify', 'all', '--json'], ['verify', 'all', '--n', '4', '--q', '3', '--json']):\n"
+            "for argv in (['verify', 'all', '--json'], ['verify', 'all', '--deep', '--json'],\n"
+            "             ['verify', 'all', '--n', '4', '--q', '3', '--json']):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert main(argv) == 0, argv\n"
             "    print(sorted(m for m in ('fractions', 'decimal', 'numbers') if m in sys.modules))\n")
     proc = _fresh_python("-c", code, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[]"]
+    assert proc.stdout.splitlines() == ["[]", "[]", "[]"]
 
 
 def test_only_the_cli_imports_gc_or_atexit():
@@ -570,6 +571,7 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
         ut_order,
     )
     from chromaq.guards import MAX_SWEEP
+    from chromaq.symfunc import _m_coords, _peel_rows
     from matrix_oracle import (
         coset_permutation_character,
         flag_reps,
@@ -627,21 +629,20 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
         (lambda: orientations(g17), "131,072"),
         (lambda: as_expansion(area_inverse(g17.edges, 7)), "131,072"),
         (lambda: as_expansion(staircase), "2,097,152"),
-        # 3^11 color classes, and p(11)^3 solve steps for any change of basis
+        # 3^11 color classes, and p(18)^2 table cells for any change of basis
         (lambda: csf(IndiffGraph(11, [])), "177,147"),
         (lambda: llt_vertical(SchroderPath("ES" * 11)), "177,147"),
-        (lambda: expand_in_basis(SymFunc(11, "M", {(11,): 1}), "S"), "175,616"),
-        (lambda: expand_in_basis(SymFunc(11, "M", {(11,): 1}), "P"), "175,616"),
-        (lambda: omega(SymFunc(11, "M", {(11,): 1})), "175,616"),
+        (lambda: expand_in_basis(SymFunc(18, "M", {(18,): 1}), "S"), "148,225"),
+        (lambda: expand_in_basis(SymFunc(18, "M", {(18,): 1}), "P"), "148,225"),
+        (lambda: omega(SymFunc(18, "M", {(18,): 1})), "148,225"),
     ]
-    tables = [f.cache_info().currsize for f in (chromaq.symfunc._from_monomials, chromaq.symfunc._solve)]
+    tables = [f.cache_info().currsize for f in (_peel_rows, _m_coords)]
     for call, count in refused:
         with pytest.raises(SizeGuardError,
                            match=f"visits {count} elements, past the bound MAX_SWEEP = 117,649"):
             call()
     # no table was kept
-    assert [f.cache_info().currsize
-            for f in (chromaq.symfunc._from_monomials, chromaq.symfunc._solve)] == tables
+    assert [f.cache_info().currsize for f in (_peel_rows, _m_coords)] == tables
     # chi_bar on [16] needs the Cat(16) graphs first, and their enumeration refuses;
     # superclass sizes are read off the graphs on [n]
     for call, n in ((lambda: induce_to_GL(chi_bar(IndiffGraph(16, []), 5)), 16),
@@ -693,15 +694,23 @@ def test_only_check_hess_sweeps_ut_n(monkeypatch):
 
 def test_omega_on_m_and_check_llts_right_side_read_no_power_sum_table(monkeypatch):
     # omega on m is read off the Schur table, and check_llt's right side applies
-    # it on S, so only the left side's p_one reads m -> p
+    # it on S, so only the left side's p_one peels into P
     import chromaq.bridge as bridge
     import chromaq.symfunc as sf
 
     def no_p(*args):
         raise AssertionError(f"the power-sum table was read at {args}")
 
-    for name in ("_m_to_p_integral", "_placements"):
-        monkeypatch.setattr(sf, name, no_p)
+    peeled, peel = [], sf._peel
+
+    def no_p_peel(coeffs, basis, d):
+        if basis == "P":
+            no_p(basis, d)
+        peeled.append(basis)
+        return peel(coeffs, basis, d)
+
+    monkeypatch.setattr(sf, "_placements", no_p)
+    monkeypatch.setattr(sf, "_peel", no_p_peel)
     for obj in vars(sf).values():
         if callable(getattr(obj, "cache_clear", None)):
             obj.cache_clear()
@@ -715,6 +724,7 @@ def test_omega_on_m_and_check_llts_right_side_read_no_power_sum_table(monkeypatc
     right = [rhs(sigma) for sigma in items]
     monkeypatch.undo()
     assert len(items) == 11 and right == [lhs(sigma) for sigma in items]
+    assert set(peeled) == {"S"}
 
 
 def test_the_default_suite_builds_each_pseudosupercharacter_once():
@@ -1050,12 +1060,12 @@ def test_check_as_is_refused_before_any_orientation(monkeypatch):
 
 @pytest.mark.parametrize("n", [9, 12])
 def test_check_cm_is_refused_before_any_table(n):
-    # the Dyck paths are enumerated, and refused past MAX_PATH_N, before the degree-n m -> p table
-    from chromaq.symfunc import _from_monomials, _m_to_p_integral
-    tables = _from_monomials.cache_info().misses, _m_to_p_integral.cache_info().misses
+    # the Dyck paths are enumerated, and refused past MAX_PATH_N, before the degree-n p rows
+    from chromaq.symfunc import _peel_rows
+    rows = _peel_rows.cache_info().misses
     with pytest.raises(SizeGuardError, match=f"gen_dyck: n = {n} exceeds guard 8"):
         check_cm(n)
-    assert (_from_monomials.cache_info().misses, _m_to_p_integral.cache_info().misses) == tables
+    assert _peel_rows.cache_info().misses == rows
 
 
 # -- omega on M coordinates -----------------------------------------------------
@@ -1186,15 +1196,30 @@ def test_cli_bad_path(capsys):
 
 @pytest.mark.parametrize("graph, message", [
     ('{"n": 2}', 'keys "n" and "edges"'),
-    ('{"n": "2", "edges": []}', '"n" must be an integer >= 1'),
+    ('{"n": "2", "edges": []}', '"n" must be an integer >= 0'),
     ('{"n": 3, "edges": 5}', '"edges" must be a list of integer pairs'),
-    ('{"n": -1, "edges": []}', '"n" must be an integer >= 1'),
+    ('{"n": -1, "edges": []}', '"n" must be an integer >= 0'),
     ('{"n": 2, "edges": [[1]]}', '"edges" must be a list of integer pairs'),
 ])
 def test_cli_rejects_malformed_graph_json(capsys, graph, message):
     from chromaq.cli import main
     assert main(["compute", "csf", graph]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb, flags", [("csf", []), ("induce", ["--q", "2"])])
+def test_cli_reads_the_empty_graph_as_json_or_as_the_empty_path(capsys, verb, flags):
+    # superclass-sizes --n 0 prints the graph {"n": 0, "edges": []}, and it reads back
+    # as the graph of the empty path
+    from chromaq.cli import main
+    assert main(["compute", "superclass-sizes", "--n", "0", "--q", "2"]) == 0
+    graph = json.dumps(json.loads(capsys.readouterr().out)["sizes"][0]["graph"])
+    assert graph == '{"n": 0, "edges": []}'
+    printed = []
+    for index in ("", graph):
+        assert main(["compute", verb, index, *flags]) == 0
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1] and printed[0].err == ""
 
 
 @pytest.mark.parametrize("check", ["check_hess", "check_poincare"])

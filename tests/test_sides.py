@@ -77,8 +77,8 @@ _UPSETS = ("both class functions are signed upset sums over the lattice, so the 
 _COLORINGS = ("both sides are colour-class sums, X with differ edges and G with rise "
               "edges; test_color_classes_match_the_vertex_kernel checks the kernel")
 _TABLES = ("symfunc's monomial tables, all read off one Hall-Littlewood tableau build, and "
-           "the changes of basis built from them: the left side's p_one table and the right "
-           "side's change of basis read the same build; test_laurent_tables_equal_the_"
+           "the peel against their rows: the left side's p_one table and the right side's "
+           "change of basis peel against the same rows; test_laurent_tables_equal_the_"
            "gauss_jordan_oracle and test_hl_tableau_build_matches_gram_schmidt check them")
 _PACKED = ("packed row reduction over F_q: the sweep's jordan_type ranks with it and the "
            "Springer walk spans its kernels with it; test_packed_kernel_matches_the_tuple_"
@@ -97,7 +97,7 @@ SHARED = {
                          "left side's p_one table, its transpose on S on the right; "
                          "test_omega_on_hall_littlewood_goes_through_m_and_equals_the_p_route "
                          "checks the sign rule against omega on m, read off the transpose",
-        **dict.fromkeys(["symfunc._change", "symfunc._from_monomials", "symfunc._solve",
+        **dict.fromkeys(["symfunc._peel", "symfunc._peel_rows",
                          "symfunc._hall_littlewood_coords", "symfunc._kostka",
                          "symfunc._m_coords", "symfunc._strips", "symfunc.expand_in_basis"],
                         _TABLES),

@@ -18,14 +18,13 @@ from chromaq.symfunc import (
     expand_in_basis,
     omega,
     plethysm_mul,
-    _from_monomials,
     _hall_littlewood_coords,
     _m_coords,
-    _m_to_p_integral,
     _omega_m,
+    _peel,
+    _peel_rows,
     _placements,
     _require_partition,
-    _solve,
     _strips,
 )
 from orbit_oracle import check_symmetric, coeff, placements, product_coords, zlam
@@ -137,9 +136,10 @@ def test_unknown_basis():
 
 
 def test_nvars_guard():
-    # a change of basis solves a p(d) x p(d) table: p(11)^3 = 175,616 steps, past MAX_SWEEP
-    with pytest.raises(SizeGuardError, match="visits 175,616 elements, past the bound MAX_SWEEP"):
-        expand_in_basis(SymFunc(11, "M", {(11,): RF(1)}), "S")
+    # a change of basis peels against a p(d) x p(d) table: p(18)^2 = 148,225 cells, past MAX_SWEEP
+    with pytest.raises(SizeGuardError, match="sweeping the 385\\^2 cells of the degree-18 S table "
+                                             "visits 148,225 elements, past the bound MAX_SWEEP"):
+        expand_in_basis(SymFunc(18, "M", {(18,): RF(1)}), "S")
     # any basis but M fills a p(d) x p(d) table: p(17)^2 = 88,209 cells run,
     # p(18)^2 = 148,225 are refused before any basis element of degree 18 is built
     assert basis_element("M", (18,)).coeffs == {(18,): RF(1)}
@@ -337,12 +337,22 @@ def test_p2_in_monomials():
 def test_expand_builds_each_change_of_basis_once():
     f = basis_element("H", (2, 1)).scale(T + 1)
     expand_in_basis(f, "S")
-    before = _from_monomials.cache_info()
+    before = _peel_rows.cache_info()
     for _ in range(3):
         assert expand_in_basis(f, "S") == expand_in_basis(f, "S")
-    after = _from_monomials.cache_info()
+    after = _peel_rows.cache_info()
     assert after.misses == before.misses
     assert after.hits == before.hits + 6
+
+
+def test_every_change_of_basis_runs_at_degree_11():
+    # p(11)^2 = 3,136 cells per table: the round trip through each basis returns F;
+    # the values are checked against the oracles up to degree 8
+    keys = gen_partitions(11)
+    F = SymFunc(11, "M", {mu: T - i for i, mu in enumerate(keys)})
+    for b in ("S", "E", "PT", "P", "H"):
+        G = expand_in_basis(F, b)
+        assert G.basis == b and expand_in_basis(G, "M") == F, b
 
 
 def test_expand_in_basis_roundtrip_through_m():
@@ -356,26 +366,37 @@ def test_expand_in_basis_roundtrip_through_m():
     assert expand_in_basis(expand_in_basis(F, "M"), "S") == F
 
 
+def _peel_misses(oracle, b, d, cast=lambda c: c):
+    """The mu |- d whose m_mu, expanded in basis b, differs from the oracle's row."""
+    want = oracle(b, d)
+    return [mu for mu in gen_partitions(d)
+            if {nu: cast(c) for nu, c in expand_in_basis(basis_element("M", mu), b).coeffs.items()}
+            != want[mu]]
+
+
 def test_laurent_tables_equal_the_gauss_jordan_oracle():
-    # the solve over Z[t, 1/t] gives the same table as Gauss-Jordan over Q(t)
-    for d in range(7):
+    # the peel over Z[t, 1/t] gives each row of Gauss-Jordan over Q(t)
+    for d in range(9):
         for b in BASES:
-            want = gauss_jordan_from_monomials(b, d)
-            got = _from_monomials(b, d)
-            assert list(got) == list(want), (b, d)
-            for mu, row in got.items():
-                assert {nu: RationalFunc(c) for nu, c in row.items()} == want[mu], (b, d, mu)
+            assert _peel_misses(gauss_jordan_from_monomials, b, d, RationalFunc) == [], (b, d)
 
 
 def test_solve_equals_the_inverted_table_for_every_basis():
-    # the triangular solve against Gauss-Jordan over Q[t, 1/t], key order included
+    # the peel against Gauss-Jordan over Q[t, 1/t]
     for d in range(9):
         for b in BASES:
-            want = inverted_from_monomials(b, d)
-            got = _from_monomials(b, d)
-            assert list(got) == list(want), (b, d)
-            for mu, row in got.items():
-                assert list(row.items()) == list(want[mu].items()), (b, d, mu)
+            assert _peel_misses(inverted_from_monomials, b, d) == [], (b, d)
+
+
+def test_the_oracle_comparison_fails_on_a_perturbed_forward_row(monkeypatch):
+    # s_(2,1) = m_21 + 2 m_111 made m_21 + 3 m_111 moves the s_(1^3)-coordinates of
+    # m_3 and m_21.  The peel inverts the rows it is given, so only the oracle,
+    # which reads the real rows, sees the change
+    _patched_coords(monkeypatch, "S", (2, 1), lambda c: {**c, (1, 1, 1): RF(3)})
+    monkeypatch.setattr(symfunc, "_peel_rows", _peel_rows.__wrapped__)
+    for oracle, cast in ((gauss_jordan_from_monomials, RationalFunc),
+                         (inverted_from_monomials, lambda c: c)):
+        assert _peel_misses(oracle, "S", 3, cast) == [(3,), (2, 1)], oracle
 
 
 def _patched_coords(monkeypatch, basis, lam, patch):
@@ -393,25 +414,25 @@ def test_solve_refuses_a_pivot_that_is_not_a_unit(monkeypatch):
     _patched_coords(monkeypatch, "S", (2, 1), lambda c: {**c, (2, 1): 1 + T})
     with pytest.raises(ArithmeticError, match=r"s_\[2, 1\] has the pivot t\+1 at m_\[2, 1\], "
                                               r"not c \* t\^k"):
-        _solve.__wrapped__("S", 3)
+        _peel_rows.__wrapped__("S", 3)
 
 
 def test_solve_refuses_an_entry_on_a_row_not_yet_solved(monkeypatch):
-    # m_(3) comes before m_(2,1) in `gen_partitions` order, so it is solved after it
+    # m_(3) comes before m_(2,1) in `gen_partitions` order, so it is peeled before it
     _patched_coords(monkeypatch, "S", (2, 1), lambda c: {**c, (3,): T})
     with pytest.raises(ArithmeticError, match=r"s_\[2, 1\] has an m_\[3\]-coordinate, but m_\[3\] "
-                                              r"is not solved before m_\[2, 1\]"):
-        _solve.__wrapped__("S", 3)
+                                              r"is peeled before m_\[2, 1\]"):
+        _peel_rows.__wrapped__("S", 3)
 
 
 def test_solve_refuses_an_e_table_read_with_lam_leading(monkeypatch):
-    # e_lam leads with m_lam'; read with lam leading, the first row solved,
-    # e_(1^3) = m_3 + 3 m_21 + 6 m_111, has m_(2,1) and m_(3), neither solved
+    # e_lam leads with m_lam'; read with lam leading, the first row peeled,
+    # e_(3) = m_111, has no m_(3)-coordinate to pivot on
     for lam in gen_partitions(3):
         _m_coords("E", lam)  # cached with the real transpose
     monkeypatch.setattr(symfunc, "transpose", lambda lam: lam)
-    with pytest.raises(ArithmeticError, match=r"e_\[1, 1, 1\] has an m_\[2, 1\]-coordinate"):
-        _solve.__wrapped__("E", 3)
+    with pytest.raises(ArithmeticError, match=r"e_\[3\] has the pivot 0 at m_\[3\], not c \* t\^k"):
+        _peel_rows.__wrapped__("E", 3)
 
 
 def test_invert_over_the_laurent_ring():
@@ -438,35 +459,39 @@ def test_invert_raises_on_a_singular_matrix():
 
 
 def test_m_to_p_integral_is_d_factorial_times_the_gauss_jordan_table():
-    # the solve over Z against the inversion over Q[t, 1/t]
+    # the peel into P over Z against the inversion over Q[t, 1/t]
     for d in range(9):
         want = gauss_jordan_m_to_p(d)
-        got = _m_to_p_integral(d)
-        assert list(got) == gen_partitions(d)
-        for mu, row in got.items():
-            assert all(type(v) is int for v in row.values()), (d, mu)
-            assert row == {lam: factorial(d) * v for lam, v in want[mu].items()}, (d, mu)
-        # P reads the same table, one exact division per entry, in the inversion's order
-        table = _from_monomials("P", d)
-        for mu, row in want.items():
-            assert list(table[mu].items()) == [(lam, RF(v)) for lam, v in row.items()], (d, mu)
+        for mu in gen_partitions(d):
+            row = _peel({mu: 1}, "P", d)
+            assert all(c.low == 0 and [type(v) for v in c.coeffs] == [int]
+                       for c in row.values()), (d, mu)
+            assert {lam: c[0] for lam, c in row.items()} == {
+                lam: factorial(d) * v for lam, v in want[mu].items()}, (d, mu)
 
 
 def test_m_to_p_integral_raises_on_a_wrong_pivot(monkeypatch):
-    # R(1^4, 1^4) = 4! made 25 scales the last row by 24/25: its first entry,
-    # 4! times the p_4-coordinate -1/4 of m_(1^4) = e_4, becomes -144/25
+    # R(1^4, 1^4) = 4! made 25: the peel starts at m_(1^4), and 4! m_(1^4) over
+    # the pivot 25 is the p_(1^4)-coordinate 24/25, no integer
     ones = (1, 1, 1, 1)
     _patched_coords(monkeypatch, "P", ones, lambda c: {**c, ones: RF(25)})
-    with pytest.raises(ArithmeticError, match=r"24 \* m_\[1, 1, 1, 1\] has the non-integer "
-                                              r"p_\[4\]-coordinate -144/25"):
-        _solve.__wrapped__("P", 4)
+    monkeypatch.setattr(symfunc, "_peel_rows", _peel_rows.__wrapped__)
+    with pytest.raises(ArithmeticError, match=r"24 \* F has the non-integer "
+                                              r"p_\[1, 1, 1, 1\]-coordinate 24/25"):
+        _peel({ones: 1}, "P", 4)
+    # a vector that already carries a Fraction is divided through _div instead
+    assert _peel({ones: Fraction(1, 2)}, "P", 4)[ones] == RF(Fraction(12, 25))
 
 
 def test_omega_m_raises_on_an_s_entry_that_involves_t(monkeypatch):
     # m_(2,1) = s_(2,1) - 2 s_(1^3); its s_(1^3)-coordinate made t - 2 is no integer
-    table = {mu: dict(row) for mu, row in _solve("S", 3).items()}
-    table[(2, 1)][(1, 1, 1)] += T
-    monkeypatch.setattr(symfunc, "_solve", lambda basis, d: table)
+    def mutant(coeffs, basis, d):
+        out = _peel(coeffs, basis, d)
+        if (basis, dict(coeffs)) == ("S", {(2, 1): RF(1)}):
+            out[(1, 1, 1)] += T
+        return out
+
+    monkeypatch.setattr(symfunc, "_peel", mutant)
     with pytest.raises(ArithmeticError, match=r"t-2 is not a constant"):
         _omega_m.__wrapped__(3)
 
@@ -643,21 +668,15 @@ def test_omega_on_hall_littlewood_goes_through_m_and_equals_the_p_route(monkeypa
                 F = SymFunc(d, b, {lam: T + 2})
                 assert omega(F) == expand_in_basis(omega(expand_in_basis(F, "P")), b), (b, lam)
     asked = []
-    real = symfunc._from_monomials
-    monkeypatch.setattr(symfunc, "_from_monomials", lambda b, d: asked.append(b) or real(b, d))
+    monkeypatch.setattr(symfunc, "_peel", lambda F, b, d: asked.append(b) or _peel(F, b, d))
     omega(SymFunc(4, "HLP", {(2, 1, 1): T}))
     assert asked == ["HLP"]
 
 
 def test_omega_swaps_e_and_h_and_transposes_s_at_the_degree_guard():
-    d = 10  # the last degree the guard admits: p(10)^3 = 74,088 solve steps
-    keys = gen_partitions(d)
-    for b in BASES:
-        table = _from_monomials(b, d)
-        assert list(table) == keys, b
-        for mu, row in table.items():
-            assert list(row) == [k for k in keys if k in row], (b, mu)
-            assert all(c.coeffs for c in row.values()), (b, mu)
+    # omega's table on M peels each of the p(10) = 42 m_mu into S; degree 17, the
+    # last the guard admits, takes seconds per basis (README's guard table)
+    d = 10
     for lam in gen_partitions(d):
         assert omega(basis_element("E", lam)) == basis_element("H", lam), lam
         assert omega(basis_element("S", lam)) == basis_element("S", transpose(lam)), lam
