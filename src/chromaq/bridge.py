@@ -1,17 +1,16 @@
-"""The symmetric-function realization maps and the theorem checkers.
+"""The symmetric-function realization map and the theorem checkers.
 
 p_brace1 sends a unipotently supported class function to the modified
-Hall-Littlewood combination sum phi(J_lam) * PT_lam(x; q); p_one composes
-with the plethystic twist f -> omega f[x/(t-1)]|_{t=q} and lands in the
-Schur basis, recording irreducible unipotent constituents.  p_one is cached
-by the value of its class function, so equal functions share one image.
+Hall-Littlewood combination sum phi(J_lam) * PT_lam(x; q) in basis M: it reads
+q^N PT_lam(x; q) over Z, once per (n, q), and divides each coordinate by q^N,
+exactly, through `exactnum._div`.  On a genuine character the image has
+integer coordinates, so a check that passes builds no Fraction.
 
-Both maps read tables over Z, built once per (n, q), and divide each
-coordinate once, exactly, through `exactnum._div`: p_brace1 by q^N, where
-q^N PT_lam(x; q) clears every power of 1/q, and p_one by n! q^N times the lcm
-of the prod (q^{mu_i} - 1).  On a genuine character the images have integer
-coordinates, so a check that passes builds no Fraction; one that fails still
-reports its exact witness.
+The paper states its GL theorems through p_one = omega (p_brace1(phi))[x/(q-1)].
+omega and p_k -> (q^k - 1) p_k are invertible ring maps for q >= 2, so
+p_one(phi) = (q-1)^k omega F exactly when p_brace1(phi) = (q-1)^k F(x; q)[(q-1)x],
+the form check_llt, check_cor66 and check_gg compare in basis M (`_twist`), as
+check_cm does for Carlsson-Mellit: no check divides by a polynomial in q.
 
 Every check_* verifies one identity exactly (tolerance zero) over every
 index in range and reports the first witness on failure.  A check declares
@@ -26,7 +25,6 @@ and fails on anything else they share.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial, lcm, prod
 from typing import Callable, Iterable
 
 from .chromallt import as_expansion, csf, d_coeffs, llt_vertical, require_orientations
@@ -44,7 +42,7 @@ from .combinatorics import (
     indifference_graphs,
     mesa,
 )
-from .exactnum import ONE, ZERO, LaurentPoly, _div, ratfunc_to_const, t_minus_one_power
+from .exactnum import ONE, ZERO, LaurentPoly, _div, t_minus_one_power
 from .fqoracle import (
     ClassFnUT,
     UnipClassFn,
@@ -65,7 +63,6 @@ from .symfunc import (
     SymFunc,
     _change,
     _m_coords,
-    _peel,
     basis_element,
     eval_t,
     expand_in_basis,
@@ -75,7 +72,7 @@ from .symfunc import (
 
 
 # ---------------------------------------------------------------------------
-# realization maps
+# the realization map
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -99,33 +96,18 @@ def p_brace1(phi: UnipClassFn) -> SymFunc:
 
 
 @lru_cache(maxsize=None)
-def _p_one_table(n: int, q: int) -> tuple[int, dict[Partition, dict[Partition, int]]]:
-    """D and D times p_one of the indicator of each Jordan type lam |- n, in the
-    Schur basis, over Z.
-
-    Built once per (n, q): q^N PT_lam(x; q) in M (`_pt_at_q`), n! times it in P
-    (`_peel`), each p_mu multiplied by L / prod (q^{mu_i} - 1) with L the lcm
-    of those products, then omega and the change to S.  So D = n! q^N L.
-    """
-    N, pt = _pt_at_q(n, q)
-    dens = {mu: prod(q ** k - 1 for k in mu) for mu in _partitions(n)}
-    L = lcm(*dens.values())
-    out = {}
-    for lam, row in pt.items():
-        F = {mu: c * (L // dens[mu]) for mu, c in _peel(row, "P", n).items()}
-        S = expand_in_basis(omega(SymFunc(n, "P", F)), "S")
-        out[lam] = {nu: ratfunc_to_const(c) for nu, c in S.coeffs.items()}
-    return factorial(n) * q ** N * L, out
+def _plethysm_at_q(n: int, q: int) -> dict[Partition, dict[Partition, int]]:
+    """Each m_mu[(q-1)x], mu a partition of n, in monomial coordinates over Z:
+    symfunc's table of m_mu[(t-1)x] over Z[t], evaluated once per (n, q)."""
+    rows = {mu: plethysm_mul(basis_element("M", mu)).coeffs for mu in _partitions(n)}
+    return {mu: {nu: c.evaluate(q) for nu, c in row.items()} for mu, row in rows.items()}
 
 
-@lru_cache(maxsize=None)
-def p_one(phi: UnipClassFn) -> SymFunc:
-    """Unipotent-constituent image: omega (p_brace1(phi))[x/(t-1)]|_{t=q}, in Schur basis,
-    read off the table of Jordan-type indicators of (n, q) with one exact division
-    per coordinate, once per value of phi."""
-    D, table = _p_one_table(phi.n, phi.q)
-    coords = _change({lam: v for lam, v in phi.items() if v}, lambda lam: table[lam].items())
-    return SymFunc(phi.n, "S", {nu: _div(c, D) for nu, c in coords.items()})
+def _twist(F: SymFunc, q: int, k: int) -> SymFunc:
+    """(q-1)^k F(x; q)[(q-1)x] in basis M, for F in basis M with coefficients in Z[t]."""
+    table, scale = _plethysm_at_q(F.degree, q), (q - 1) ** k
+    return SymFunc(F.degree, "M", _change({mu: c.evaluate(q) * scale for mu, c in F.coeffs.items()},
+                                          lambda mu: table[mu].items()))
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +194,12 @@ def check_poincare(n: int, q: int) -> CheckReport:
 
 
 def check_llt(n: int, q: int) -> CheckReport:
-    """Pseudosupercharacters induce to (q-1)^{|Diag|} omega G_sigma(x; q)."""
+    """p_one(Ind psi^sigma) = (q-1)^{|Diag|} omega G_sigma(x; q), compared as
+    p_brace1(Ind psi^sigma) = (q-1)^{|Diag|} G_sigma(x; q)[(q-1)x] in basis M: the
+    two are equivalent since omega and p_k -> (q^k - 1) p_k are invertible."""
     return _scan("check_llt", n, q, gen_tall_schroder(n),
-                 lambda sigma: p_one(induce_to_GL(psi_pseudo(sigma, q))),
-                 lambda sigma: omega(expand_in_basis(eval_t(llt_vertical(sigma), q)
-                                                     .scale((q - 1) ** len(diag(sigma))), "S")))
+                 lambda sigma: p_brace1(induce_to_GL(psi_pseudo(sigma, q))),
+                 lambda sigma: _twist(llt_vertical(sigma), q, len(diag(sigma))))
 
 
 def check_mesa(n: int, q: int) -> CheckReport:
@@ -262,26 +245,16 @@ def check_as(n: int) -> CheckReport:
 
 
 def check_cm(n: int) -> CheckReport:
-    """(t-1)^n X_{Graph(pi)} = G_pi[(t-1)x], symbolically in t.
+    """(t-1)^n X_{Graph(pi)} = G_pi[(t-1)x] in basis M, symbolically in t.
 
     This is Carlsson-Mellit's (t-1)^n X_{Graph(pi)}[x/(t-1)] = G_pi with the
-    plethysm moved to the other side: p_k -> p_k / (t^k - 1) and
-    p_k -> (t^k - 1) p_k are mutually inverse ring maps that leave the
-    coefficients alone, so applying the second to both sides gives this
-    form, here scaled by n!.  The left side is n! (t-1)^n X in basis M; the
-    right side peels n! G into P against the integer p rows, multiplies each
-    p_lam by prod (t^{lam_i} - 1) and returns to M.  Nothing is divided but
-    by the peel's integer pivots, exactly: the two sides share no change of
-    basis, and every product stays in Z[t].
+    plethysm moved to the other side, since p_k -> (t^k - 1) p_k is invertible.
+    The right side reads `plethysm_mul`'s table of m_mu[(t-1)x] over Z[t], so
+    the sides share no change of basis and nothing is divided.
     """
-    paths = gen_dyck(n)  # refused past MAX_PATH_N before the degree-n rows are built
-
-    def rhs(pi):
-        G = _peel(llt_vertical(pi).coeffs, "P", n)
-        return expand_in_basis(plethysm_mul(SymFunc(n, "P", G)), "M")
-
-    return _scan("check_cm", n, None, paths,
-                 lambda pi: csf(graph_of(pi)).scale(t_minus_one_power(n) * factorial(n)), rhs)
+    return _scan("check_cm", n, None, gen_dyck(n),
+                 lambda pi: csf(graph_of(pi)).scale(t_minus_one_power(n)),
+                 lambda pi: plethysm_mul(llt_vertical(pi)))
 
 
 def check_palindromic(n: int) -> CheckReport:
@@ -328,7 +301,9 @@ def check_prop56(n: int) -> CheckReport:
 
 
 def check_gg(n: int, q: int) -> CheckReport:
-    """The normalized staircase induction maps to e_n = s_{1^n} under omega o p_one."""
+    """The staircase induction Gamma_n is a multiple of (q-1)^{n-1}, and omega p_one of
+    the quotient is e_n, compared as p_brace1 of it = m_{1^n}[(q-1)x] in basis M:
+    the two are equivalent since omega and p_k -> (q^k - 1) p_k are invertible."""
     if n < 1:
         raise ValueError(f"check_gg needs n >= 1, got n = {n}")
     denom = (q - 1) ** (n - 1)
@@ -346,10 +321,10 @@ def check_gg(n: int, q: int) -> CheckReport:
         return rep
 
     def normalized(label):
-        return omega(p_one(UnipClassFn(n, q, tuple(v // denom for v in staircase().values))))
+        return p_brace1(UnipClassFn(n, q, tuple(v // denom for v in staircase().values)))
 
-    return _scan("check_gg", n, q, ["omega p_one(Gamma_n)"], normalized,
-                 lambda label: SymFunc(n, "S", {(1,) * n: ONE}))
+    return _scan("check_gg", n, q, ["p_brace1(Gamma_n)"], normalized,
+                 lambda label: _twist(SymFunc(n, "M", {(1,) * n: ONE}), q, 0))
 
 
 def check_st_en(n: int) -> CheckReport:
@@ -362,14 +337,15 @@ def check_st_en(n: int) -> CheckReport:
 def check_cor66(n: int, q: int) -> CheckReport:
     """Induced pseudosupercharacters decompose over orientation types at t = q.
 
-    Verified on symmetric-function images; passes precisely when check_llt
-    and check_as both do (see DEPENDENCIES).
+    omega p_one(Ind psi^sigma) = (q-1)^{|Diag|} AS_sigma(x; q), AS_sigma the orientation
+    e-expansion, compared as p_brace1(Ind psi^sigma) = (q-1)^{|Diag|} AS_sigma(x; q)[(q-1)x]
+    in basis M: the two are equivalent since p_k -> (q^k - 1) p_k is invertible.
+    Passes precisely when check_llt and check_as both do (see DEPENDENCIES).
     """
     return _scan("check_cor66", n, q, gen_tall_schroder(n),
-                 lambda sigma: expand_in_basis(
-                     omega(p_one(induce_to_GL(psi_pseudo(sigma, q)))), "M"),
-                 lambda sigma: expand_in_basis(
-                     eval_t(as_expansion(sigma), q), "M").scale((q - 1) ** len(diag(sigma))))
+                 lambda sigma: p_brace1(induce_to_GL(psi_pseudo(sigma, q))),
+                 lambda sigma: _twist(expand_in_basis(as_expansion(sigma), "M"), q,
+                                      len(diag(sigma))))
 
 
 ALL_CHECKS: dict[str, Callable[..., CheckReport]] = {

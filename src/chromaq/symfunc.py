@@ -389,14 +389,35 @@ def omega(F: SymFunc) -> SymFunc:
 
 
 def plethysm_mul(F: SymFunc) -> SymFunc:
-    """Substitute p_k -> (t^k - 1) p_k, the plethysm F[(t-1)x] on power sums.
+    """The plethysm F[(t-1)x]: p_k -> (t^k - 1) p_k on P, one cached table on M.
 
     It inverts F -> F[x/(t-1)] (p_k -> p_k / (t^k - 1)); both are ring maps
     that leave the coefficients alone, and this one divides by nothing.
     """
-    if F.basis != "P":
-        raise ValueError("plethysm_mul expects the power-sum basis")
-    return SymFunc(F.degree, "P", {lam: c * _plethysm_factor(lam) for lam, c in F.coeffs.items()})
+    if F.basis == "P":
+        return SymFunc(F.degree, "P",
+                       {lam: c * _plethysm_factor(lam) for lam, c in F.coeffs.items()})
+    if F.basis == "M":
+        return SymFunc(F.degree, "M", _change(F.coeffs, _plethysm_m(F.degree).__getitem__))
+    raise ValueError("plethysm_mul expects the monomial or power-sum basis")
+
+
+@lru_cache(maxsize=None)
+def _plethysm_m(d: int) -> dict[Partition, tuple[tuple[Partition, Coeff], ...]]:
+    """Each m_mu[(t-1)x], mu |- d, in monomial coordinates over Z[t] (Macdonald I.8):
+    d! m_mu peeled into P, each p_lam times prod (t^{lam_i} - 1), back to m by the
+    p rows, divided by d! exactly; a remainder raises ArithmeticError."""
+    s, out = factorial(d), {}
+    for mu, *_ in _peel_rows("P", d):  # refused before any row is built
+        F = plethysm_mul(SymFunc(d, "P", _peel({mu: ONE}, "P", d)))
+        row = _change(F.coeffs, lambda lam: _m_coords("P", lam))
+        bad = next((nu for nu, c in row.items() if any(a % s for a in c.coeffs)), None)
+        if bad is not None:
+            raise ArithmeticError(f"m_{list(mu)}[(t-1)x] has the non-integer "
+                                  f"m_{list(bad)}-coordinate ({row[bad]})/{s}")
+        out[mu] = tuple((nu, LaurentPoly([a // s for a in c.coeffs], c.low))
+                        for nu, c in row.items() if c.coeffs)
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -24,7 +24,6 @@ from chromaq.bridge import (
     check_prop56,
     check_psi_decomp,
     check_st_en,
-    p_one,
 )
 from chromaq.chromallt import csf, e_expansion_X, llt_vertical
 from chromaq.combinatorics import (
@@ -52,6 +51,7 @@ from chromaq.fqoracle import (
 from classfn_oracle import fn_scale, fn_sum, inner_product_UT
 from coloring_oracle import asc
 from orientation_oracle import Orientation, hrv, type_of
+from test_bridge import three_step_p_one
 from test_combinatorics import area_inverse
 
 T = LaurentPoly.t()
@@ -200,10 +200,11 @@ def test_criterion_9_property_suites():
     # palindromicity across IG_5
     assert check_palindromic(5).ok
 
-    # observed Schur positivity of induced pseudosupercharacter images
+    # observed Schur positivity of induced pseudosupercharacter images, in the
+    # paper's form omega (p_brace1)[x/(q-1)], through the oracle over Q
     for q in (2, 3):
         for sigma in gen_tall_schroder(3):
-            F = p_one(induce_to_GL(psi_pseudo(sigma, q)))
+            F = three_step_p_one(induce_to_GL(psi_pseudo(sigma, q)))
             for c in F.coeffs.values():
                 v = c.evaluate(0)
                 assert c.low == 0 and len(c.coeffs) == 1 and v.denominator == 1 and v >= 0

@@ -7,7 +7,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial, lcm, prod
+from math import prod
 
 import pytest
 
@@ -15,7 +15,8 @@ from chromaq.bridge import (
     ALL_CHECKS,
     DEPENDENCIES,
     CheckReport,
-    _p_one_table,
+    _plethysm_at_q,
+    _pt_at_q,
     _unicellular_sum,
     check_as,
     check_cm,
@@ -24,7 +25,6 @@ from chromaq.bridge import (
     check_llt,
     check_st_en,
     p_brace1,
-    p_one,
     run_check,
 )
 from chromaq.chromallt import csf, llt_vertical
@@ -93,7 +93,8 @@ def symbolic_p_one(phi):
 
 
 def three_step_p_one(phi):
-    """p_one of one class function over Q, step by step: p_brace1 in P through the
+    """The paper's image omega (p_brace1(phi))[x/(q-1)] in S, p_one, of one class
+    function over Q, step by step: p_brace1 in P through the
     Gauss-Jordan m -> p table, each p_lam divided by prod (q^{lam_i} - 1), then
     omega's sign rule on P and the change to S."""
     q, to_p = phi.q, gauss_jordan_m_to_p(phi.n)
@@ -107,53 +108,94 @@ DEFAULT_GRID = [(n, q) for q in (2, 3) for n in (1, 2, 3)]
 
 
 def test_p_one_and_p_brace1_match_the_symbolic_oracle():
-    # both maps are linear, so the indicator of each Jordan type pins them;
-    # the induced chi_bar add values that are not 0 or 1
+    # p_brace1 is linear, so the indicator of each Jordan type pins it; the
+    # induced chi_bar add values that are not 0 or 1.  The paper's form
+    # omega (p_brace1)[x/(q-1)] has two oracles over Q, which agree
     for n, q in DEFAULT_GRID + [(4, 2)]:
         phis = [class_fn(UnipClassFn, n, q, {lam: 1}) for lam in gen_partitions(n)]
         phis += [induce_to_GL(chi_bar(g, q)) for g in indifference_graphs(n)]
         for phi in phis:
             assert p_brace1(phi) == symbolic_p_brace1(phi), (n, q, phi)
-            assert p_one(phi) == symbolic_p_one(phi), (n, q, phi)
+            assert three_step_p_one(phi) == symbolic_p_one(phi), (n, q, phi)
+
+
+def twisted_at_q(F, q):
+    """F[(q-1)x] in basis M through bridge's int table, F in basis M over Q."""
+    table = _plethysm_at_q(F.degree, q)
+    coords = _change({mu: ratfunc_to_const(c) for mu, c in F.coeffs.items()},
+                     lambda mu: table[mu].items())
+    return SymFunc(F.degree, "M", coords)
 
 
 def test_p_one_table_matches_the_three_steps_row_by_row():
-    # D = n! q^N lcm prod (q^{mu_i} - 1), N the largest power of 1/q in the PT table
+    # the (q-1)x plethysm at t = q undoes the x/(q-1) of the three steps over Q:
+    # each Jordan-type indicator's p_brace1 is the omega of its paper-form image,
+    # taken back through the int table of m_mu[(q-1)x]
     for q in PRIMES:
         for n in range(6):
-            D, table = _p_one_table(n, q)
-            N = max([0] + [-c.low for lam in gen_partitions(n)
-                           for c in basis_element("PT", lam).coeffs.values()])
-            dens = [prod(q ** k - 1 for k in mu) for mu in gen_partitions(n)]
-            assert D == factorial(n) * q ** N * lcm(*dens), (n, q)
+            table = _plethysm_at_q(n, q)
             assert list(table) == gen_partitions(n)
-            for lam, row in table.items():
-                assert all(type(v) is int and v for v in row.values()), (n, q, lam)
+            assert all(type(v) is int and v for row in table.values() for v in row.values())
+            for lam in gen_partitions(n):
                 phi = class_fn(UnipClassFn, n, q, {lam: 1})
                 want = three_step_p_one(phi)
-                assert SymFunc(n, "S", {nu: Fraction(v, D) for nu, v in row.items()}) == want, (n, q, lam)
+                assert twisted_at_q(expand_in_basis(omega(want), "M"), q) == p_brace1(phi), \
+                    (n, q, lam)
                 if n <= 3 and q <= 3:
                     assert want == symbolic_p_one(phi), (n, q, lam)
 
 
-def test_a_wrong_p_one_numerator_fails_check_llt_with_a_non_integral_witness(monkeypatch):
-    # every tall path's induced character is nonzero at the identity, whose row
-    # gets 1 more in one numerator: that coordinate moves by phi(1^3) / D
+def _mutant_fails_the_gl_checks(monkeypatch, name, mutate, witnesses):
+    """With one entry of bridge's table `name` at (3, 2) changed by mutate, check_llt,
+    check_cor66 and check_gg fail at (3, 2) with these witnesses, and pass after undo."""
     import chromaq.bridge as bridge
-    D, table = _p_one_table(3, 2)
+    original = getattr(bridge, name)
+    wrong = mutate(original(3, 2))
+    monkeypatch.setattr(bridge, name, lambda n, q: wrong if (n, q) == (3, 2) else original(n, q))
+    got = {check: run_check(check, 3, 2).witness for check in witnesses}
+    monkeypatch.undo()
+    assert got == witnesses
+    assert all(run_check(check, 3, 2).ok for check in witnesses)
+
+
+def test_one_wrong_entry_of_the_pt_table_fails_every_gl_check_at_its_first_witness(monkeypatch):
+    # q^N PT_(1^3)(x; q) gains 1 at m_(1^3): the image of each induced character
+    # moves there by its value at the identity over q^N = 8, 21/8 for EDDS.  At
+    # q = 2 the staircase EDDS is Gamma_3 itself, so check_gg passes divisibility
     ones = (1, 1, 1)
-    wrong = {lam: dict(row) for lam, row in table.items()}
-    wrong[ones][ones] += 1
-    monkeypatch.setattr(bridge, "_p_one_table",
-                        lambda n, q: (D, wrong) if (n, q) == (3, 2) else _p_one_table(n, q))
-    p_one.cache_clear()
-    try:
-        rep = check_llt(3, 2)
-    finally:
-        p_one.cache_clear()
-    # the first path's character is 21 at the identity: s_(1^3) gains 21/1008
-    assert D == 1008 and not rep.ok
-    assert rep.witness == {"index": "EDDS", "lhs": "(1)*s[3] + (1/48)*s[1, 1, 1]", "rhs": "(1)*s[3]"}
+
+    def mutate(table):
+        N, rows = table
+        rows = {lam: dict(row) for lam, row in rows.items()}
+        rows[ones][ones] += 1
+        return N, rows
+
+    assert _pt_at_q(3, 2)[0] == 3
+    # at q = 2, e_3[(q-1)x] = m_3 - m_21 + m_111 is the image of EDDS on both sides
+    right = "(1)*m[3] + (-1)*m[2, 1] + (1)*m[1, 1, 1]"
+    moved = {"index": "EDDS", "lhs": right.replace("(1)*m[1,", "(29/8)*m[1,"), "rhs": right}
+    _mutant_fails_the_gl_checks(monkeypatch, "_pt_at_q", mutate, {
+        "check_llt": moved, "check_cor66": moved,
+        "check_gg": {**moved, "index": "p_brace1(Gamma_n)"},
+    })
+
+
+def test_one_wrong_entry_of_the_q_table_fails_every_gl_check_at_its_first_witness(monkeypatch):
+    # m_(1^3)[(q-1)x] gains 1 at m_(1^3): every right side moves there by its
+    # m_(1^3)-coordinate, which is nonzero on every tall path
+    ones = (1, 1, 1)
+
+    def mutate(table):
+        rows = {mu: dict(row) for mu, row in table.items()}
+        rows[ones][ones] += 1
+        return rows
+
+    right = "(1)*m[3] + (-1)*m[2, 1] + (1)*m[1, 1, 1]"
+    moved = {"index": "EDDS", "lhs": right, "rhs": right.replace("(1)*m[1,", "(2)*m[1,")}
+    _mutant_fails_the_gl_checks(monkeypatch, "_plethysm_at_q", mutate, {
+        "check_llt": moved, "check_cor66": moved,
+        "check_gg": {**moved, "index": "p_brace1(Gamma_n)"},
+    })
 
 
 # -- p_brace1 -----------------------------------------------------------------
@@ -182,30 +224,33 @@ def test_p_brace1_linear():
     assert lhs == rhs
 
 
-# -- p_one ---------------------------------------------------------------------
+# -- the paper's form, through the three-step oracle ----------------------------
 
 def test_p_one_two_code_paths_agree():
     # omega and the plethystic substitution both act diagonally on power sums,
-    # so applying them in either order must give the same Schur expansion
+    # so the three steps (plethysm, then omega) equal omega first; the (q-1)x
+    # plethysm through bridge's int table takes omega of either back to p_brace1
     q = 2
     for gamma in indifference_graphs(3):
         phi = induce_to_GL(chi_bar(gamma, q))
-        a = p_one(phi)
+        a = three_step_p_one(phi)
         F = expand_in_basis(p_brace1(phi), "P")
         F = omega(F)
         F = eval_plethysm_frac(F, Fraction(q))
         b = expand_in_basis(F, "S")
         assert a == b
+        assert twisted_at_q(expand_in_basis(omega(b), "M"), q) == p_brace1(phi)
 
 
 def test_p_one_linear():
+    # the paper's map is linear over Q: three_step_p_one reads p_brace1
     q = 3
     a = induce_to_GL(chi_bar(IndiffGraph(2, frozenset({(1, 2)})), q))
     b = induce_to_GL(chi_bar(IndiffGraph(2, frozenset()), q))
     combo = fn_sum(fn_scale(a, 2), fn_scale(b, Fraction(1, 7)))
-    lhs = p_one(combo)
+    lhs = three_step_p_one(combo)
     want = {}
-    fa, fb = p_one(a), p_one(b)
+    fa, fb = three_step_p_one(a), three_step_p_one(b)
     for lam in gen_partitions(2):
         want[lam] = coeff(fa, lam) * RF(2) + coeff(fb, lam) * RF(Fraction(1, 7))
     assert {k: v for k, v in want.items() if not v.is_zero} == lhs.coeffs
@@ -215,11 +260,21 @@ def test_p_one_schur_coefficients_are_nonneg_integers():
     # observed: induced pseudosupercharacters have genuine unipotent constituents
     for q in (2, 3):
         for sigma in gen_tall_schroder(3):
-            F = p_one(induce_to_GL(psi_pseudo(sigma, q)))
+            F = three_step_p_one(induce_to_GL(psi_pseudo(sigma, q)))
             for lam, c in F.coeffs.items():
                 assert c.low == 0 and len(c.coeffs) <= 1
                 val = c.evaluate(0)
                 assert val.denominator == 1 and val >= 0
+
+
+def test_the_paper_form_of_check_llt_holds_through_the_three_step_oracle():
+    # p_one(Ind psi^sigma) = (q-1)^{|Diag|} omega G_sigma(x; q) in S, over Q
+    for q in (2, 3):
+        for n in range(5):
+            for sigma in gen_tall_schroder(n):
+                G = eval_t(llt_vertical(sigma), q).scale((q - 1) ** len(diag(sigma)))
+                want = omega(expand_in_basis(G, "S"))
+                assert three_step_p_one(induce_to_GL(psi_pseudo(sigma, q))) == want, (q, sigma)
 
 
 # -- the check family -----------------------------------------------------------
@@ -433,8 +488,10 @@ def test_the_symbolic_compute_verbs_never_load_fractions():
 
 
 def test_a_passing_verify_run_never_loads_fractions():
-    # p_brace1 and p_one read integer tables and divide once, exactly, and
-    # evaluate returns an int when the value is one
+    # p_brace1 reads an integer table and divides once, exactly, by q^N; the
+    # plethysm table on M divides by d! exactly; and evaluate returns an int
+    # when the value is one.  The deep run is also made as the command itself,
+    # every import listed by -X importtime
     code = ("import contextlib, io, sys\n"
             "from chromaq.cli import main\n"
             "for argv in (['verify', 'all', '--json'], ['verify', 'all', '--deep', '--json'],\n"
@@ -445,6 +502,13 @@ def test_a_passing_verify_run_never_loads_fractions():
     proc = _fresh_python("-c", code, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[]", "[]"]
+    proc = _fresh_python("-X", "importtime", "-m", "chromaq.cli", "verify", "all", "--deep",
+                         "--json", timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "chromaq.bridge" in imported and "fractions" not in imported
+    assert {report["status"] for report in json.loads(proc.stdout)} == {"pass"}
 
 
 def test_only_the_cli_imports_gc_or_atexit():
@@ -635,6 +699,7 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
         (lambda: expand_in_basis(SymFunc(18, "M", {(18,): 1}), "S"), "148,225"),
         (lambda: expand_in_basis(SymFunc(18, "M", {(18,): 1}), "P"), "148,225"),
         (lambda: omega(SymFunc(18, "M", {(18,): 1})), "148,225"),
+        (lambda: plethysm_mul(SymFunc(18, "M", {(18,): 1})), "148,225"),
     ]
     tables = [f.cache_info().currsize for f in (_peel_rows, _m_coords)]
     for call, count in refused:
@@ -693,38 +758,55 @@ def test_only_check_hess_sweeps_ut_n(monkeypatch):
 
 
 def test_omega_on_m_and_check_llts_right_side_read_no_power_sum_table(monkeypatch):
-    # omega on m is read off the Schur table, and check_llt's right side applies
-    # it on S, so only the left side's p_one peels into P
+    # omega on m is read off the Schur table, so it never reads the p rows;
+    # check_llt's right side reads them only while the degree's table of
+    # m_mu[(t-1)x] is built, and builds it once for every q
     import chromaq.bridge as bridge
     import chromaq.symfunc as sf
+    building, build, rows, peel, peeled = [], sf._plethysm_m.__wrapped__, sf._m_coords, sf._peel, []
 
-    def no_p(*args):
-        raise AssertionError(f"the power-sum table was read at {args}")
+    @lru_cache(maxsize=None)
+    def table(d):
+        building.append(d)
+        try:
+            return build(d)
+        finally:
+            building.pop()
 
-    peeled, peel = [], sf._peel
+    def p_while_building(basis, at):
+        if basis == "P" and not building:
+            raise AssertionError(f"the power-sum table was read at {at}")
 
-    def no_p_peel(coeffs, basis, d):
-        if basis == "P":
-            no_p(basis, d)
+    def p_rows_while_building(basis, lam):
+        p_while_building(basis, lam)
+        return rows(basis, lam)
+
+    def peel_while_building(coeffs, basis, d):
+        p_while_building(basis, d)
         peeled.append(basis)
         return peel(coeffs, basis, d)
 
-    monkeypatch.setattr(sf, "_placements", no_p)
-    monkeypatch.setattr(sf, "_peel", no_p_peel)
-    for obj in vars(sf).values():
-        if callable(getattr(obj, "cache_clear", None)):
-            obj.cache_clear()
+    monkeypatch.setattr(sf, "_plethysm_m", table)
+    monkeypatch.setattr(sf, "_m_coords", p_rows_while_building)
+    monkeypatch.setattr(sf, "_peel", peel_while_building)
+    for module in (sf, bridge):
+        for obj in vars(module).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
     for d in range(7):
         for mu in gen_partitions(d):
             assert omega(basis_element("M", mu)).basis == "M", mu
+    assert set(peeled) == {"S"}
     scans = []
     monkeypatch.setattr(bridge, "_scan", lambda *args: scans.append(args[3:]))
-    check_llt(3, 2)
-    (items, lhs, rhs), = scans
-    right = [rhs(sigma) for sigma in items]
+    for q in (2, 3):
+        check_llt(3, q)
+    right = [[rhs(sigma) for sigma in items] for items, lhs, rhs in scans]
     monkeypatch.undo()
-    assert len(items) == 11 and right == [lhs(sigma) for sigma in items]
-    assert set(peeled) == {"S"}
+    assert set(peeled) == {"S", "P"}
+    assert table.cache_info().misses == 1 and table.cache_info().hits == 5
+    assert [len(items) for items, *_ in scans] == [11, 11]
+    assert right == [[lhs(sigma) for sigma in items] for items, lhs, rhs in scans]
 
 
 def test_the_default_suite_builds_each_pseudosupercharacter_once():
@@ -737,18 +819,16 @@ def test_the_default_suite_builds_each_pseudosupercharacter_once():
 
 
 def test_the_default_suite_induces_and_maps_each_class_function_once(monkeypatch):
-    # induce_to_GL and p_one are keyed by the class function's value: check_llt,
-    # check_cor66 and check_gg share their images, and so do check_cqs and
-    # check_hess. Without the caches the suite makes 98 and 66 calls
+    # induce_to_GL is keyed by the class function's value: check_llt, check_cor66
+    # and check_gg share its images, and so do check_cqs and check_hess. Without
+    # the cache the suite makes 98 calls
     import chromaq.bridge as bridge
     import chromaq.fqoracle as fq
     from chromaq.cli import _default_suite
     fq.induce_to_GL.cache_clear()
-    bridge.p_one.cache_clear()
     assert all(run_check(name, n, q).status == "pass" for name, n, q in _default_suite(False))
     assert fq.induce_to_GL.cache_info().misses == 30
-    assert bridge.p_one.cache_info().misses == 26
-    # with both caches full, a perturbed class function is a new key, so the
+    # with the cache full, a perturbed class function is a new key, so the
     # perturbed side still fails at its item
     sides = [s for s in _PERTURBED_SIDES if s[0] in ("check_llt", "check_cor66", "check_cqs")]
     assert len(sides) == 6
@@ -903,7 +983,7 @@ def test_unicellular_sum_matches_the_symfunc_by_symfunc_sum():
 
 
 def test_check_cm_divides_by_nothing(monkeypatch):
-    # both sides are scaled by n!, so check_cm never reaches bridge's one division
+    # both sides stay in Z[t]: check_cm never reaches bridge's one division
     import chromaq.bridge as bridge
 
     def no_division(*args):
@@ -996,8 +1076,8 @@ def _bump(f):
 # the other nine checks, each side perturbed at one item of its scan: at (3, 2),
 # except the divisibility of check_gg, which (q - 1)^{n-1} = 1 cannot break at
 # q = 2; _S = EESDS has Diag {2-3}, so part i of check_prop56 never reads it.
-# The p_one side of check_cor66 is perturbed through psi_pseudo: p_one itself
-# sees only the induced function, which EDESS and EESDS share.  The right sides
+# The p_brace1 side of check_cor66 is perturbed through psi_pseudo: p_brace1
+# itself sees only the induced function, which EDESS and EESDS share.  The right sides
 # of check_gg's e_n step and of check_st_en (e_n = m_{1^n}) are constants
 _PERTURBED_SIDES = [
     ("check_cqs", "chi_bar", lambda g, q: g == _G, lambda f: fn_sum(f, _BUMP_G), _G, 2, None),
@@ -1014,7 +1094,7 @@ _PERTURBED_SIDES = [
     ("check_gg", "induce_to_GL", lambda phi: True,
      lambda f: fn_sum(f, class_fn(UnipClassFn, 3, 3, {_L: 1})), _L, 3, None),
     ("check_gg", "induce_to_GL", lambda phi: True,
-     lambda f: fn_sum(f, class_fn(UnipClassFn, 3, 2, {_L: 1})), "omega p_one(Gamma_n)", 2, None),
+     lambda f: fn_sum(f, class_fn(UnipClassFn, 3, 2, {_L: 1})), "p_brace1(Gamma_n)", 2, None),
     ("check_st_en", "basis_element", lambda basis, lam: basis == "PT", _bump, (1, 1, 1), 2, None),
     ("check_cor66", "as_expansion", lambda s: s == _S, _bump, _S, 2, None),
     ("check_cor66", "psi_pseudo", lambda s, q: s == _S, lambda f: fn_sum(f, _BUMP_G), _S, 2, None),

@@ -76,10 +76,16 @@ _UPSETS = ("both class functions are signed upset sums over the lattice, so the 
            "and test_lattice_upsets_match_the_scan check the sums against the scan")
 _COLORINGS = ("both sides are colour-class sums, X with differ edges and G with rise "
               "edges; test_color_classes_match_the_vertex_kernel checks the kernel")
-_TABLES = ("symfunc's monomial tables, all read off one Hall-Littlewood tableau build, and "
-           "the peel against their rows: the left side's p_one table and the right side's "
-           "change of basis peel against the same rows; test_laurent_tables_equal_the_"
-           "gauss_jordan_oracle and test_hl_tableau_build_matches_gram_schmidt check them")
+_TABLES = ("symfunc's monomial tables, all read off one Hall-Littlewood tableau build: "
+           "p_brace1 reads the PT rows on the left, and the right side reads the e rows off "
+           "their Kostka numbers; test_hl_tableau_build_matches_gram_schmidt checks the build")
+_ROWS = ("symfunc's forward rows in monomial coordinates: p_brace1 reads the PT rows on the "
+         "left, and the right side's table of m_mu[(q-1)x] the p rows; "
+         "test_laurent_tables_equal_the_gauss_jordan_oracle checks them")
+_CHANGE = ("the one sparse change of coordinates: p_brace1 sums the PT rows on the left, and "
+           "the right side sums rows of m_mu[(q-1)x]; test_p_one_and_p_brace1_match_the_"
+           "symbolic_oracle checks p_brace1 against sym_sum, and test_plethysm_m_table_is_"
+           "integral_and_equal_to_the_p_route checks the table")
 _PACKED = ("packed row reduction over F_q: the sweep's jordan_type ranks with it and the "
            "Springer walk spans its kernels with it; test_packed_kernel_matches_the_tuple_"
            "oracle and test_eliminate_matches_the_tuple_rank check it")
@@ -91,16 +97,8 @@ SHARED = {
     "check_poincare": {},
     "check_llt": {
         "combinatorics.area": _AREA_BY_LISTING + "; the right side colours it",
-        "combinatorics.transpose": "n(lam) of PT_lam sums over lam's transpose on the left, "
-                                   "and omega on S transposes on the right",
-        "symfunc.omega": "the identity carries omega on both sides: its sign rule on P in the "
-                         "left side's p_one table, its transpose on S on the right; "
-                         "test_omega_on_hall_littlewood_goes_through_m_and_equals_the_p_route "
-                         "checks the sign rule against omega on m, read off the transpose",
-        **dict.fromkeys(["symfunc._peel", "symfunc._peel_rows",
-                         "symfunc._hall_littlewood_coords", "symfunc._kostka",
-                         "symfunc._m_coords", "symfunc._strips", "symfunc.expand_in_basis"],
-                        _TABLES),
+        "symfunc._m_coords": _ROWS,
+        "symfunc._change": _CHANGE,
     },
     "check_mesa": {
         "combinatorics.area": _AREA_BY_LISTING,
@@ -134,15 +132,16 @@ SHARED = {
                         "llt_vertical colours through Area and Diag on both sides; "
                         "test_tall_paths_read_h_and_d_as_the_cell_walk_does checks both"),
     },
-    "check_gg": {},
+    "check_gg": {"symfunc._m_coords": _ROWS, "symfunc._change": _CHANGE},
     "check_st_en": {},
     "check_cor66": {
         "combinatorics.area": _AREA_BY_LISTING + "; the right side orients it",
-        "combinatorics.transpose": "omega on S transposes on the left, and e_lam reads the "
-                                   "Kostka table at lam's transpose on the right",
-        **dict.fromkeys(["symfunc._change", "symfunc._hall_littlewood_coords", "symfunc._kostka",
-                         "symfunc._m_coords", "symfunc._strips", "symfunc.expand_in_basis"],
-                        _TABLES),
+        "combinatorics.transpose": "n(lam) of PT_lam sums over lam's transpose on the left, "
+                                   "and e_lam reads the Kostka table at lam's transpose on "
+                                   "the right",
+        "symfunc._change": _CHANGE,
+        "symfunc._m_coords": _ROWS,
+        **dict.fromkeys(["symfunc._hall_littlewood_coords", "symfunc._strips"], _TABLES),
     },
 }
 

@@ -24,6 +24,7 @@ from chromaq.symfunc import (
     _peel,
     _peel_rows,
     _placements,
+    _plethysm_m,
     _require_partition,
     _strips,
 )
@@ -717,10 +718,47 @@ def test_plethysm_scaled_en_is_laurent():
 
 
 def test_plethysm_requires_p_basis():
+    # the plethysm reads P and M; every other basis is refused
     with pytest.raises(ValueError):
         plethysm_frac(SymFunc(1, "M", {(1,): RF(1)}))
-    with pytest.raises(ValueError):
-        plethysm_mul(SymFunc(1, "M", {(1,): RF(1)}))
+    assert plethysm_mul(SymFunc(1, "M", {(1,): RF(1)})).coeffs == {(1,): T - 1}
+    for basis in BASES:
+        if basis not in ("P", "M"):
+            with pytest.raises(ValueError, match="monomial or power-sum basis"):
+                plethysm_mul(SymFunc(1, basis, {(1,): RF(1)}))
+
+
+def _plethysm_through_p(d, mu):
+    """d! m_mu[(t-1)x] by the per-vector route: d! m_mu peeled into P, each p_lam
+    times prod (t^{lam_i} - 1), back to m."""
+    F = SymFunc(d, "P", _peel({mu: RF(1)}, "P", d))
+    return expand_in_basis(plethysm_mul(F), "M")
+
+
+def test_plethysm_m_table_is_integral_and_equal_to_the_p_route():
+    for d in range(8):
+        for mu in gen_partitions(d):
+            F = plethysm_mul(basis_element("M", mu))
+            assert F.basis == "M"
+            assert all(c.low >= 0 and all(type(a) is int for a in c.coeffs)
+                       for c in F.coeffs.values()), (d, mu)
+            assert F.scale(factorial(d)) == _plethysm_through_p(d, mu), (d, mu)
+            # the x/(t-1) plethysm over Q(t) takes it back to m_mu
+            back = plethysm_frac(expand_in_basis(F, "P"))
+            want = expand_in_basis(basis_element("M", mu), "P").coeffs
+            assert back == {lam: RationalFunc(c) for lam, c in want.items()}, (d, mu)
+
+
+def test_plethysm_m_raises_on_a_remainder_of_d_factorial(monkeypatch):
+    # one more p_(1^3) in each d! m_mu[(t-1)x]: d! e_3 has the p_(1^3)-coordinate
+    # 1, and p_(1^3) has the m_21-coordinate 3, which 3! does not divide
+    factor = symfunc._plethysm_factor
+    monkeypatch.setattr(symfunc, "_plethysm_factor",
+                        lambda lam: factor(lam) + 1 if lam == (1, 1, 1) else factor(lam))
+    with pytest.raises(ArithmeticError,
+                       match=r"m_\[1, 1, 1\]\[\(t-1\)x\] has the non-integer "
+                             r"m_\[2, 1\]-coordinate \(-6\*t\^2\+12\*t-3\)/6$"):
+        _plethysm_m.__wrapped__(3)
 
 
 # -- eval_t ---------------------------------------------------------------------
