@@ -17,7 +17,8 @@ index in range and reports the first witness on failure.  A check declares
 its items and its two sides to `_scan`, which compares lhs(item) == rhs(item);
 each side reaches every table it reads from inside itself, through a cached
 function or a memo that only that side holds, so each side can be run alone.
-Before the scan a check lists its items and runs its guards, nothing else.
+Before the scan a check runs its guards, then lists its items, nothing else:
+a check that induces to GL_n bounds the Springer fibres first.
 tests/test_sides.py declares what the two sides of each check still share,
 and fails on anything else they share.
 """
@@ -160,6 +161,7 @@ def _scan(name: str, n: int, q: int | None, items: Iterable,
 
 def check_cqs(n: int, q: int) -> CheckReport:
     """Induced permutation characters realize (q-1)^n X_gamma(x; q)."""
+    require_fibres(n, q)
     return _scan("check_cqs", n, q, indifference_graphs(n),
                  lambda gamma: p_brace1(induce_to_GL(chi_bar(gamma, q))),
                  lambda gamma: eval_t(csf(gamma), q).scale((q - 1) ** n))
@@ -197,6 +199,7 @@ def check_llt(n: int, q: int) -> CheckReport:
     """p_one(Ind psi^sigma) = (q-1)^{|Diag|} omega G_sigma(x; q), compared as
     p_brace1(Ind psi^sigma) = (q-1)^{|Diag|} G_sigma(x; q)[(q-1)x] in basis M: the
     two are equivalent since omega and p_k -> (q^k - 1) p_k are invertible."""
+    require_fibres(n, q)
     return _scan("check_llt", n, q, gen_tall_schroder(n),
                  lambda sigma: p_brace1(induce_to_GL(psi_pseudo(sigma, q))),
                  lambda sigma: _twist(llt_vertical(sigma), q, len(diag(sigma))))
@@ -306,6 +309,7 @@ def check_gg(n: int, q: int) -> CheckReport:
     the two are equivalent since omega and p_k -> (q^k - 1) p_k are invertible."""
     if n < 1:
         raise ValueError(f"check_gg needs n >= 1, got n = {n}")
+    require_fibres(n, q)
     denom = (q - 1) ** (n - 1)
     multiple = f"multiple of {denom}"
 
@@ -342,6 +346,7 @@ def check_cor66(n: int, q: int) -> CheckReport:
     in basis M: the two are equivalent since p_k -> (q^k - 1) p_k is invertible.
     Passes precisely when check_llt and check_as both do (see DEPENDENCIES).
     """
+    require_fibres(n, q)
     return _scan("check_cor66", n, q, gen_tall_schroder(n),
                  lambda sigma: p_brace1(induce_to_GL(psi_pseudo(sigma, q))),
                  lambda sigma: _twist(expand_in_basis(as_expansion(sigma), "M"), q,

@@ -119,6 +119,7 @@ def _cmd_compute(args: SimpleNamespace) -> int:
         if args.q is None:
             raise ValueError("induce needs --q")
         gamma = _parse_graph(args.index)
+        require_fibres(gamma.n, args.q)  # before the graphs on [n] are listed
         ind = induce_to_GL(chi_bar(gamma, args.q))
         items = [{"partition": list(lam), "value": str(v)} for lam, v in sorted(ind.items())]
         _emit({"n": ind.n, "q": ind.q, "values": items})

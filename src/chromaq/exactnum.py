@@ -573,13 +573,3 @@ def _coerce(x) -> "RationalFunc":
         return RationalFunc.const(x)
     return NotImplemented
 
-
-def ratfunc_to_const(f: LaurentPoly) -> Rat:
-    """The value of f, which must not involve t; raises ArithmeticError otherwise.
-
-    The tripwire for tables specialised from symbolic ones that theory says
-    are free of t.
-    """
-    if f.is_zero or (f.low == 0 and len(f.coeffs) == 1):
-        return f[0]
-    raise ArithmeticError(f"{f} is not a constant")

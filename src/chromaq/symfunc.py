@@ -24,7 +24,9 @@ constant (E, H, P), so the Laurent ring Q[t, 1/t] holds every coefficient and
 no basis change divides by a polynomial.  Every basis but H is triangular in
 `gen_partitions` order, so `_peel` takes a vector out of M against the forward
 rows, refused on their p(d)^2 cells past MAX_SWEEP (from degree 18); into P it
-gives d! times the vector.  H is omega of E, and omega on m is read off S.  A
+gives d! times the vector.  H is omega of E.  omega and the plethysm
+F[(t-1)x] are ring maps diagonal on P, p_lam -> factor(lam) p_lam, so on m both
+read one table per (factor, degree), built through P (`_diagonal_m`).  A
 SymFunc is immutable: the caches in chromallt hand one object to every caller.
 """
 
@@ -44,7 +46,7 @@ from .combinatorics import (
     nstat,
     transpose,
 )
-from .exactnum import ONE, ZERO, LaurentPoly, _all_int, _div, ratfunc_to_const
+from .exactnum import ONE, ZERO, LaurentPoly, _all_int, _div
 from .exactnum import T as _T
 from .guards import require_sweep
 
@@ -350,74 +352,64 @@ def expand_in_basis(F: SymFunc, basis: str) -> SymFunc:
     return SymFunc(d, basis, coeffs)
 
 
-@lru_cache(maxsize=None)
-def _omega_m(d: int) -> dict[Partition, tuple[tuple[Partition, int], ...]]:
-    """omega(m_mu) in monomial coordinates, for every partition mu of d.
+def _diagonal(F: SymFunc, factor: Callable[[Partition], Coeff | int]) -> SymFunc:
+    """F under the ring map p_lam -> factor(lam) p_lam: each coefficient times
+    factor(lam) on P, one cached table of the images of m_mu on M."""
+    if F.basis == "P":
+        return SymFunc(F.degree, "P", {lam: c * factor(lam) for lam, c in F.coeffs.items()})
+    if F.basis == "M":
+        return SymFunc(F.degree, "M", _change(F.coeffs, _diagonal_m(factor, F.degree).__getitem__))
+    raise ValueError(f"a map diagonal on p reads the monomial or power-sum basis, not {F.basis}")
 
-    Built once per degree over Z with no division (Macdonald I (3.8)): m_mu
-    peeled into S, each s_lam to s_lam', and back to m by the Kostka rows of
-    `_kostka(d)`.  An S coordinate that involves t raises ArithmeticError.
-    """
-    to_s = {mu: _peel({mu: ONE}, "S", d) for mu, *_ in _peel_rows("S", d)}  # refused first
-    kostka, out = _kostka(d), {}
-    for mu, row in to_s.items():
-        flipped = {transpose(lam): ratfunc_to_const(c) for lam, c in row.items()}
-        acc = _change(flipped, lambda lam: kostka[lam].items())
-        out[mu] = tuple((nu, acc[nu]) for nu in to_s if acc.get(nu))
+
+@lru_cache(maxsize=None)
+def _diagonal_m(factor: Callable[[Partition], Coeff | int],
+                d: int) -> dict[Partition, tuple[tuple[Partition, Coeff], ...]]:
+    """The image of each m_mu, mu |- d, under p_lam -> factor(lam) p_lam, in monomial
+    coordinates: d! m_mu peeled into P, each p_lam times factor(lam), back to m by
+    the p rows, divided by d! exactly; a remainder raises ArithmeticError."""
+    s, out = factorial(d), {}
+    for mu, *_ in _peel_rows("P", d):  # refused before any row is built
+        F = _diagonal(SymFunc(d, "P", _peel({mu: ONE}, "P", d)), factor)
+        row = _change(F.coeffs, lambda lam: _m_coords("P", lam))
+        bad = next((nu for nu, c in row.items() if any(a % s for a in c.coeffs)), None)
+        if bad is not None:
+            raise ArithmeticError(f"p_lam -> {factor.__name__}(lam) p_lam takes m_{list(mu)} to "
+                                  f"the non-integer m_{list(bad)}-coordinate ({row[bad]})/{s}")
+        out[mu] = tuple((nu, LaurentPoly([a // s for a in c.coeffs], c.low))
+                        for nu, c in row.items() if c.coeffs)
     return out
 
 
+def _omega_sign(lam: Partition) -> int:
+    """(-1)^{|lam| - l(lam)}, the factor of p_lam in omega (Macdonald I (2.13))."""
+    return (-1) ** (sum(lam) - len(lam))
+
+
 def omega(F: SymFunc) -> SymFunc:
-    """The involution omega: sign rule on p, transpose on s, e <-> h swap,
-    one cached integer table on m.
+    """The involution omega: a sign on p and m (`_diagonal`), transpose on s,
+    e <-> h swap.
 
     Any other basis goes through m and back, so no Fraction is built.
     """
-    if F.basis == "P":
-        return SymFunc(F.degree, "P",
-                       {lam: c * ((-1) ** (sum(lam) - len(lam))) for lam, c in F.coeffs.items()})
+    if F.basis in ("P", "M"):
+        return _diagonal(F, _omega_sign)
     if F.basis == "S":
         return SymFunc(F.degree, "S", {transpose(lam): c for lam, c in F.coeffs.items()})
     if F.basis == "E":
         return SymFunc(F.degree, "H", dict(F.coeffs))
     if F.basis == "H":
         return SymFunc(F.degree, "E", dict(F.coeffs))
-    if F.basis == "M":
-        table = _omega_m(F.degree)
-        return SymFunc(F.degree, "M", _change(F.coeffs, table.__getitem__))
     return expand_in_basis(omega(expand_in_basis(F, "M")), F.basis)
 
 
 def plethysm_mul(F: SymFunc) -> SymFunc:
-    """The plethysm F[(t-1)x]: p_k -> (t^k - 1) p_k on P, one cached table on M.
+    """The plethysm F[(t-1)x]: p_k -> (t^k - 1) p_k (`_diagonal`), on P or M.
 
     It inverts F -> F[x/(t-1)] (p_k -> p_k / (t^k - 1)); both are ring maps
     that leave the coefficients alone, and this one divides by nothing.
     """
-    if F.basis == "P":
-        return SymFunc(F.degree, "P",
-                       {lam: c * _plethysm_factor(lam) for lam, c in F.coeffs.items()})
-    if F.basis == "M":
-        return SymFunc(F.degree, "M", _change(F.coeffs, _plethysm_m(F.degree).__getitem__))
-    raise ValueError("plethysm_mul expects the monomial or power-sum basis")
-
-
-@lru_cache(maxsize=None)
-def _plethysm_m(d: int) -> dict[Partition, tuple[tuple[Partition, Coeff], ...]]:
-    """Each m_mu[(t-1)x], mu |- d, in monomial coordinates over Z[t] (Macdonald I.8):
-    d! m_mu peeled into P, each p_lam times prod (t^{lam_i} - 1), back to m by the
-    p rows, divided by d! exactly; a remainder raises ArithmeticError."""
-    s, out = factorial(d), {}
-    for mu, *_ in _peel_rows("P", d):  # refused before any row is built
-        F = plethysm_mul(SymFunc(d, "P", _peel({mu: ONE}, "P", d)))
-        row = _change(F.coeffs, lambda lam: _m_coords("P", lam))
-        bad = next((nu for nu, c in row.items() if any(a % s for a in c.coeffs)), None)
-        if bad is not None:
-            raise ArithmeticError(f"m_{list(mu)}[(t-1)x] has the non-integer "
-                                  f"m_{list(bad)}-coordinate ({row[bad]})/{s}")
-        out[mu] = tuple((nu, LaurentPoly([a // s for a in c.coeffs], c.low))
-                        for nu, c in row.items() if c.coeffs)
-    return out
+    return _diagonal(F, _plethysm_factor)
 
 
 @lru_cache(maxsize=None)

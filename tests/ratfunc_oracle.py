@@ -8,12 +8,14 @@ them with the Laurent paths that replaced them. `_invert` is the Gauss-Jordan
 inversion over Q[t, 1/t] that built every change-of-basis table before the
 triangular solve against the forward rows (`symfunc._peel`) replaced it;
 `inverted_from_monomials` is that build, and `gauss_jordan_m_to_p` reads the
-m -> p table over Q off it.
+m -> p table over Q off it.  `omega_m_through_s` is the table of omega on m
+that the package built through the Schur basis before omega and the plethysm
+became one map diagonal on p (`symfunc._diagonal`).
 """
 
 from __future__ import annotations
 
-from chromaq.combinatorics import Partition, SchroderPath, gen_partitions, graph_of
+from chromaq.combinatorics import Partition, SchroderPath, gen_partitions, graph_of, transpose
 from chromaq.chromallt import csf
 from chromaq.exactnum import (
     ONE,
@@ -23,9 +25,8 @@ from chromaq.exactnum import (
     RationalFunc,
     _div,
     _pdivmod,
-    ratfunc_to_const,
 )
-from chromaq.symfunc import Coeff, SymFunc, _m_coords
+from chromaq.symfunc import Coeff, SymFunc, _change, _kostka, _m_coords, _peel, _peel_rows
 
 T = LaurentPoly.t()
 RF_ZERO = RationalFunc.const(0)
@@ -44,6 +45,31 @@ def ratfunc_to_laurent(r: RationalFunc) -> LaurentPoly:
     raise NonDivisibleError(
         f"{r.den} does not divide {r.num}: remainder {LaurentPoly(rem, low=r.num.low)}"
     )
+
+
+def ratfunc_to_const(f: LaurentPoly) -> Rat:
+    """The value of f, which must not involve t; raises ArithmeticError otherwise.
+
+    The tripwire for tables specialised from symbolic ones that theory says
+    are free of t.
+    """
+    if f.is_zero or (f.low == 0 and len(f.coeffs) == 1):
+        return f[0]
+    raise ArithmeticError(f"{f} is not a constant")
+
+
+def omega_m_through_s(d: int) -> dict[Partition, tuple[tuple[Partition, int], ...]]:
+    """omega(m_mu) in monomial coordinates over Z, for every partition mu of d,
+    with no division (Macdonald I (3.8)): m_mu peeled into S, each s_lam to
+    s_lam', and back to m by the Kostka rows.  An S coordinate that involves t
+    raises ArithmeticError."""
+    to_s = {mu: _peel({mu: ONE}, "S", d) for mu, *_ in _peel_rows("S", d)}
+    kostka, out = _kostka(d), {}
+    for mu, row in to_s.items():
+        flipped = {transpose(lam): ratfunc_to_const(c) for lam, c in row.items()}
+        acc = _change(flipped, lambda lam: kostka[lam].items())
+        out[mu] = tuple((nu, acc[nu]) for nu in to_s if acc.get(nu))
+    return out
 
 
 def gauss_jordan_from_monomials(basis: str, d: int) -> dict[Partition, dict[Partition, RationalFunc]]:

@@ -40,7 +40,7 @@ from chromaq.combinatorics import (
     indifference_graphs,
     mesa,
 )
-from chromaq.exactnum import ZERO, LaurentPoly, ratfunc_to_const
+from chromaq.exactnum import ZERO, LaurentPoly
 from chromaq.fqoracle import (
     PRIMES,
     ClassFnUT,
@@ -62,7 +62,7 @@ from chromaq.symfunc import (
 )
 from classfn_oracle import class_fn, fn_scale, fn_sum
 from orbit_oracle import coeff, sym_sum
-from ratfunc_oracle import cm_lhs, gauss_jordan_m_to_p, plethysm_frac
+from ratfunc_oracle import cm_lhs, gauss_jordan_m_to_p, plethysm_frac, ratfunc_to_const
 from test_combinatorics import area_inverse
 
 RF = LaurentPoly.const
@@ -302,7 +302,7 @@ def test_check_gg_is_refused_before_the_pseudosupercharacter_terms(monkeypatch):
         raise AssertionError("a term was built before the graphs on [n] were bounded")
 
     monkeypatch.setattr(fq, "IndiffGraph", no_term)
-    with pytest.raises(SizeGuardError, match="gen_dyck: n = 21 exceeds guard 8"):
+    with pytest.raises(SizeGuardError, match="the Springer fibres of F_2\\^21 visits at least 3,134,565"):
         check_gg(21, 2)
 
 
@@ -407,25 +407,6 @@ def test_the_size_knobs_are_exactly_these():
             found.update(t.id for t in targets
                          if isinstance(t, ast.Name) and t.id.startswith("MAX_"))
     assert found == {"MAX_SWEEP", "MAX_PATH_N"}
-
-
-def test_every_top_level_name_of_the_package_is_named_in_the_package():
-    # a helper that only the tests call belongs in tests/, beside its oracle:
-    # each top-level function and class is named in the package off its own def line
-    import ast
-    import pathlib
-    import re
-
-    import chromaq
-    words, defs = Counter(), []
-    for path in sorted(pathlib.Path(chromaq.__file__).parent.glob("*.py")):
-        text = path.read_text()
-        words.update(re.findall(r"\w+", text))
-        lines = text.splitlines()
-        defs += [(path.name, node.name, re.findall(r"\w+", lines[node.lineno - 1]).count(node.name))
-                 for node in ast.parse(text, filename=str(path)).body
-                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-    assert [f"{file}:{name}" for file, name, own in defs if words[name] == own] == []
 
 
 def _package_imports():
@@ -587,6 +568,14 @@ def test_a_fresh_process_exits_one_on_a_failing_check_and_two_on_a_refusal():
         (["verify", "check_st_en", "--n", "1000000"], "the partitions of 1000000 visits at least 124,754"),
         (["verify", "check_hess", "--n", "46", "--q", "2"],
          "the Springer fibres of F_2^46 visits at least 3,134,565"),
+        # the inductions bound their walks before the staircase's 2^20 terms or the
+        # graphs on [21] are built, and before a graph on [10^7] is read
+        (["verify", "check_gg", "--n", "21", "--q", "2"],
+         "the Springer fibres of F_2^21 visits at least 3,134,565"),
+        (["compute", "induce", '{"n": 10000000, "edges": []}', "--q", "2"],
+         "the Springer fibres of F_2^10000000 visits at least 3,134,565"),
+        (["compute", "induce", '{"n": 10000000, "edges": [[1, 2]]}', "--q", "2"],
+         "the Springer fibres of F_2^10000000 visits at least 3,134,565"),
     ]:
         start = time.perf_counter()
         proc = _fresh_python("-m", "chromaq.cli", *argv)
@@ -594,19 +583,18 @@ def test_a_fresh_process_exits_one_on_a_failing_check_and_two_on_a_refusal():
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == f"error: sweeping {what} elements, past the bound MAX_SWEEP = 117,649\n"
         assert elapsed < 0.5, (argv, elapsed)
-    # the 2^20 terms of the staircase's pseudosupercharacter wait for the graphs on [21],
-    # a graph on [10^7] waits for them before chi_bar reads its h, and superclass
-    # sizes are read off them
-    for argv, n in [(["verify", "check_gg", "--n", "21", "--q", "2"], 21),
-                    (["compute", "superclass-sizes", "--n", "10000", "--q", "7"], 10000),
-                    (["compute", "induce", '{"n": 10000000, "edges": []}', "--q", "2"], 10000000),
-                    (["compute", "induce", '{"n": 10000000, "edges": [[1, 2]]}', "--q", "2"],
-                     10000000)]:
+    # superclass sizes are read off the graphs on [n], which wait for their guard
+    for argv, n in [(["compute", "superclass-sizes", "--n", "10000", "--q", "7"], 10000)]:
         start = time.perf_counter()
         proc = _fresh_python("-m", "chromaq.cli", *argv)
         elapsed = time.perf_counter() - start
         assert (proc.returncode, proc.stderr) == (2, f"error: gen_dyck: n = {n} exceeds guard 8\n")
         assert elapsed < 0.5, (argv, elapsed)
+    # and a graph on [10^7] waits for them before chi_bar reads its h
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardError, match="^gen_dyck: n = 10000000 exceeds guard 8$"):
+        chi_bar(IndiffGraph.from_json({"n": 10000000, "edges": [[1, 2]]}), 2)
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("check, n", [("check_palindromic", 7), ("check_cm", 6)])
@@ -758,18 +746,20 @@ def test_only_check_hess_sweeps_ut_n(monkeypatch):
 
 
 def test_omega_on_m_and_check_llts_right_side_read_no_power_sum_table(monkeypatch):
-    # omega on m is read off the Schur table, so it never reads the p rows;
-    # check_llt's right side reads them only while the degree's table of
-    # m_mu[(t-1)x] is built, and builds it once for every q
+    # omega on m and check_llt's right side read the p rows only while a table of
+    # a map diagonal on p is built (`_diagonal_m`): omega's once per degree, with
+    # the Schur rows refused, and the plethysm's once for q = 2 and 3 together
     import chromaq.bridge as bridge
     import chromaq.symfunc as sf
-    building, build, rows, peel, peeled = [], sf._plethysm_m.__wrapped__, sf._m_coords, sf._peel, []
+    building, built, peeled = [], [], []
+    build, rows, peel, peel_rows = sf._diagonal_m.__wrapped__, sf._m_coords, sf._peel, sf._peel_rows
 
     @lru_cache(maxsize=None)
-    def table(d):
+    def table(factor, d):
         building.append(d)
+        built.append((factor.__name__, d))
         try:
-            return build(d)
+            return build(factor, d)
         finally:
             building.pop()
 
@@ -786,9 +776,15 @@ def test_omega_on_m_and_check_llts_right_side_read_no_power_sum_table(monkeypatc
         peeled.append(basis)
         return peel(coeffs, basis, d)
 
-    monkeypatch.setattr(sf, "_plethysm_m", table)
+    def no_schur_rows(basis, d):
+        if basis == "S":
+            raise AssertionError(f"the degree-{d} Schur rows were read")
+        return peel_rows(basis, d)
+
+    monkeypatch.setattr(sf, "_diagonal_m", table)
     monkeypatch.setattr(sf, "_m_coords", p_rows_while_building)
     monkeypatch.setattr(sf, "_peel", peel_while_building)
+    monkeypatch.setattr(sf, "_peel_rows", no_schur_rows)
     for module in (sf, bridge):
         for obj in vars(module).values():
             if callable(getattr(obj, "cache_clear", None)):
@@ -796,15 +792,16 @@ def test_omega_on_m_and_check_llts_right_side_read_no_power_sum_table(monkeypatc
     for d in range(7):
         for mu in gen_partitions(d):
             assert omega(basis_element("M", mu)).basis == "M", mu
-    assert set(peeled) == {"S"}
+    assert set(peeled) == {"P"}
+    assert built == [("_omega_sign", d) for d in range(7)]
     scans = []
     monkeypatch.setattr(bridge, "_scan", lambda *args: scans.append(args[3:]))
     for q in (2, 3):
         check_llt(3, q)
     right = [[rhs(sigma) for sigma in items] for items, lhs, rhs in scans]
     monkeypatch.undo()
-    assert set(peeled) == {"S", "P"}
-    assert table.cache_info().misses == 1 and table.cache_info().hits == 5
+    assert built[7:] == [("_plethysm_factor", 3)]
+    assert table.cache_info().hits == 23 + 5
     assert [len(items) for items, *_ in scans] == [11, 11]
     assert right == [[lhs(sigma) for sigma in items] for items, lhs, rhs in scans]
 
@@ -1302,23 +1299,46 @@ def test_cli_reads_the_empty_graph_as_json_or_as_the_empty_path(capsys, verb, fl
     assert printed[0] == printed[1] and printed[0].err == ""
 
 
-@pytest.mark.parametrize("check", ["check_hess", "check_poincare"])
+@pytest.mark.parametrize("check", ["check_hess", "check_poincare", "check_cqs", "check_llt",
+                                   "check_cor66", "check_gg"])
 @pytest.mark.parametrize("n, q, count", [(6, 3, "1,226,512"), (7, 2, "3,605,290")])
 def test_hessenberg_checks_are_refused_before_any_work(monkeypatch, check, n, q, count):
-    # the Springer fibres are bounded before the UT_n sweep or the d coefficients are built
+    # the Springer fibres are bounded before any item is listed, any class function
+    # is built, or the UT_n sweep or the d coefficients are started
     import chromaq.bridge as bridge
+    import chromaq.fqoracle as fq
 
     def kernel(*args):
         raise RuntimeError("a kernel ran")
 
-    monkeypatch.setattr(bridge, "induction_table", kernel)
-    monkeypatch.setattr(bridge, "d_coeffs", kernel)
+    for name in ("induction_table", "d_coeffs", "indifference_graphs", "gen_tall_schroder",
+                 "_partitions", "chi_bar", "psi_pseudo"):
+        monkeypatch.setattr(bridge, name, kernel)
+    monkeypatch.setattr(fq, "_lattice", kernel)
     with pytest.raises(SizeGuardError, match=f"sweeping the Springer fibres of F_{q}\\^{n} visits "
                                              f"{count} elements, past the bound MAX_SWEEP = 117,649"):
         getattr(bridge, check)(n, q)
     # one point below the bound, the scan starts
     with pytest.raises(RuntimeError, match="a kernel ran"):
         getattr(bridge, check)(n - 1, q)
+
+
+@pytest.mark.parametrize("n, q, count, below", [(6, 3, "1,226,512", 5),
+                                                (8, 2, "at least 3,134,565", 6)])
+def test_compute_induce_is_refused_before_any_graph_is_listed(monkeypatch, capsys, n, q, count, below):
+    import chromaq.cli as cli
+    import chromaq.fqoracle as fq
+
+    def kernel(*args):
+        raise RuntimeError("a kernel ran")
+
+    monkeypatch.setattr(cli, "chi_bar", kernel)
+    monkeypatch.setattr(fq, "_lattice", kernel)
+    assert cli.main(["compute", "induce", "E" * n + "S" * n, "--q", str(q)]) == 2
+    assert capsys.readouterr().err == (f"error: sweeping the Springer fibres of F_{q}^{n} visits "
+                                       f"{count} elements, past the bound MAX_SWEEP = 117,649\n")
+    with pytest.raises(RuntimeError, match="a kernel ran"):
+        cli.main(["compute", "induce", "E" * below + "S" * below, "--q", str(q)])
 
 
 def test_a_huge_sweep_count_is_named_by_a_power_of_two():

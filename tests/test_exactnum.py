@@ -13,10 +13,9 @@ from chromaq.exactnum import (
     RationalFunc,
     _pdivmod,
     _poly_gcd,
-    ratfunc_to_const,
     t_minus_one_power,
 )
-from ratfunc_oracle import NonDivisibleError, ratfunc_to_laurent
+from ratfunc_oracle import NonDivisibleError, ratfunc_to_const, ratfunc_to_laurent
 
 T = LaurentPoly.t()
 

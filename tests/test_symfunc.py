@@ -18,13 +18,12 @@ from chromaq.symfunc import (
     expand_in_basis,
     omega,
     plethysm_mul,
+    _diagonal_m,
     _hall_littlewood_coords,
     _m_coords,
-    _omega_m,
     _peel,
     _peel_rows,
     _placements,
-    _plethysm_m,
     _require_partition,
     _strips,
 )
@@ -34,7 +33,9 @@ from ratfunc_oracle import (
     gauss_jordan_from_monomials,
     gauss_jordan_m_to_p,
     inverted_from_monomials,
+    omega_m_through_s,
     plethysm_frac,
+    ratfunc_to_const,
     ratfunc_to_laurent,
 )
 
@@ -484,19 +485,6 @@ def test_m_to_p_integral_raises_on_a_wrong_pivot(monkeypatch):
     assert _peel({ones: Fraction(1, 2)}, "P", 4)[ones] == RF(Fraction(12, 25))
 
 
-def test_omega_m_raises_on_an_s_entry_that_involves_t(monkeypatch):
-    # m_(2,1) = s_(2,1) - 2 s_(1^3); its s_(1^3)-coordinate made t - 2 is no integer
-    def mutant(coeffs, basis, d):
-        out = _peel(coeffs, basis, d)
-        if (basis, dict(coeffs)) == ("S", {(2, 1): RF(1)}):
-            out[(1, 1, 1)] += T
-        return out
-
-    monkeypatch.setattr(symfunc, "_peel", mutant)
-    with pytest.raises(ArithmeticError, match=r"t-2 is not a constant"):
-        _omega_m.__wrapped__(3)
-
-
 def test_expand_in_basis_same_basis_is_identity():
     F = SymFunc(3, "HLP", {(2, 1): T + 1})
     assert expand_in_basis(F, "HLP") is F
@@ -628,7 +616,7 @@ def test_omega_involution_on_schur():
 
 
 def test_omega_monomial_basis_involution_en_to_hn():
-    # omega on an M-basis SymFunc reads its integer table, built through S, and stays in M
+    # omega on an M-basis SymFunc reads its table of signs pulled back from P, and stays in M
     for n in range(1, 6):
         e, h = basis_element("E", (n,)), basis_element("H", (n,))
         assert omega(e) == h and omega(h) == e
@@ -647,15 +635,20 @@ def _omega_m_through_p(d, mu):
 
 
 def test_omega_m_table_is_an_integer_involution_equal_to_the_p_path():
-    for d in range(9):
-        table = _omega_m(d)
-        assert list(table) == gen_partitions(d)
-        for mu, row in table.items():
-            assert all(type(v) is int for _, v in row), (d, mu)
-            assert {nu: RF(v) for nu, v in row} == _omega_m_through_p(d, mu), (d, mu)
+    # the package pulls omega's sign back from P; the oracle reads it off S with
+    # no division, and for d <= 8 the Gauss-Jordan p path agrees too
+    for d in range(11):
+        table = _diagonal_m(symfunc._omega_sign, d)
+        assert sorted(table) == sorted(gen_partitions(d))
+        ints = {mu: {nu: ratfunc_to_const(c) for nu, c in row} for mu, row in table.items()}
+        assert ints == {mu: dict(row) for mu, row in omega_m_through_s(d).items()}, d
+        for mu, row in ints.items():
+            assert all(type(v) is int for v in row.values()), (d, mu)
+            if d < 9:
+                assert {nu: RF(v) for nu, v in row.items()} == _omega_m_through_p(d, mu), (d, mu)
             twice = {}
-            for nu, v in row:
-                for kappa, w in table[nu]:
+            for nu, v in row.items():
+                for kappa, w in ints[nu].items():
                     twice[kappa] = twice.get(kappa, 0) + v * w
             assert {k: v for k, v in twice.items() if v} == {mu: 1}, (d, mu)
 
@@ -675,7 +668,7 @@ def test_omega_on_hall_littlewood_goes_through_m_and_equals_the_p_route(monkeypa
 
 
 def test_omega_swaps_e_and_h_and_transposes_s_at_the_degree_guard():
-    # omega's table on M peels each of the p(10) = 42 m_mu into S; degree 17, the
+    # omega's table on M peels each of the p(10) = 42 m_mu into P; degree 17, the
     # last the guard admits, takes seconds per basis (README's guard table)
     d = 10
     for lam in gen_partitions(d):
@@ -749,16 +742,18 @@ def test_plethysm_m_table_is_integral_and_equal_to_the_p_route():
             assert back == {lam: RationalFunc(c) for lam, c in want.items()}, (d, mu)
 
 
-def test_plethysm_m_raises_on_a_remainder_of_d_factorial(monkeypatch):
-    # one more p_(1^3) in each d! m_mu[(t-1)x]: d! e_3 has the p_(1^3)-coordinate
-    # 1, and p_(1^3) has the m_21-coordinate 3, which 3! does not divide
-    factor = symfunc._plethysm_factor
-    monkeypatch.setattr(symfunc, "_plethysm_factor",
-                        lambda lam: factor(lam) + 1 if lam == (1, 1, 1) else factor(lam))
-    with pytest.raises(ArithmeticError,
-                       match=r"m_\[1, 1, 1\]\[\(t-1\)x\] has the non-integer "
-                             r"m_\[2, 1\]-coordinate \(-6\*t\^2\+12\*t-3\)/6$"):
-        _plethysm_m.__wrapped__(3)
+def test_plethysm_m_raises_on_a_remainder_of_d_factorial():
+    # one more p_(1^3) in each d! m_mu[(t-1)x], or in each d! omega(m_mu): d! e_3 has
+    # the p_(1^3)-coordinate 1, and p_(1^3) has the m_21-coordinate 3, which 3! does not divide
+    for factor, left in ((symfunc._plethysm_factor, r"\(-6\*t\^2\+12\*t-3\)"),
+                         (symfunc._omega_sign, r"\(9\)")):
+        def one_more(lam, factor=factor):
+            return factor(lam) + 1 if lam == (1, 1, 1) else factor(lam)
+
+        with pytest.raises(ArithmeticError,
+                           match=r"p_lam -> one_more\(lam\) p_lam takes m_\[1, 1, 1\] to the "
+                                 rf"non-integer m_\[2, 1\]-coordinate {left}/6$"):
+            _diagonal_m.__wrapped__(one_more, 3)
 
 
 # -- eval_t ---------------------------------------------------------------------
