@@ -34,6 +34,7 @@ from .combinatorics import (
     Partition,
     SchroderPath,
     _between,
+    _partition_count,
     _partitions,
     area,
     diag,
@@ -99,7 +100,7 @@ def p_brace1(phi: UnipClassFn) -> SymFunc:
 @lru_cache(maxsize=None)
 def _plethysm_at_q(n: int, q: int) -> dict[Partition, dict[Partition, int]]:
     """Each m_mu[(q-1)x], mu a partition of n, in monomial coordinates over Z:
-    symfunc's table of m_mu[(t-1)x] over Z[t], evaluated once per (n, q)."""
+    `plethysm_mul` of each m_mu over Z[t], evaluated once per (n, q)."""
     rows = {mu: plethysm_mul(basis_element("M", mu)).coeffs for mu in _partitions(n)}
     return {mu: {nu: c.evaluate(q) for nu, c in row.items()} for mu, row in rows.items()}
 
@@ -252,8 +253,9 @@ def check_cm(n: int) -> CheckReport:
 
     This is Carlsson-Mellit's (t-1)^n X_{Graph(pi)}[x/(t-1)] = G_pi with the
     plethysm moved to the other side, since p_k -> (t^k - 1) p_k is invertible.
-    The right side reads `plethysm_mul`'s table of m_mu[(t-1)x] over Z[t], so
-    the sides share no change of basis and nothing is divided.
+    The right side is `plethysm_mul` of G_pi: n! G_pi peeled into P, each p_lam
+    times prod (t^{lam_i} - 1), back by the p rows and divided by n! exactly, so
+    the sides share no change of basis and no polynomial in t is divided.
     """
     return _scan("check_cm", n, None, gen_dyck(n),
                  lambda pi: csf(graph_of(pi)).scale(t_minus_one_power(n)),
@@ -333,6 +335,7 @@ def check_gg(n: int, q: int) -> CheckReport:
 
 def check_st_en(n: int) -> CheckReport:
     """t^{binom(n,2)} PT_{(1^n)}(x; t) = e_n, symbolically."""
+    _partition_count(n)  # refused on p(n) past MAX_SWEEP, before the item is built
     return _scan("check_st_en", n, None, [tuple([1] * n)],
                  lambda lam: basis_element("PT", lam).scale(LaurentPoly.t(n * (n - 1) // 2)),
                  lambda lam: SymFunc(n, "M", {lam: ONE}))  # e_n = m_{1^n}

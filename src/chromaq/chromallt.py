@@ -78,8 +78,6 @@ def _color_sum(n: int, asc_edges: Iterable[Edge], differ: Iterable[Edge] = (),
     that sum, so the two halves catch different faults).
     """
     require_power(f"the color classes of [{n}]", 3, n)
-    if n == 0:
-        return SymFunc(0, "M", {(): 1})
     up, apart, need = [0] * n, [0] * n, [0] * n
     for i, j in asc_edges:
         up[i - 1] |= 1 << j - 1

@@ -140,7 +140,7 @@ def _partitions(n: int) -> tuple[Partition, ...]:
         for k in range(min(rest, maxpart), 0, -1):
             rec(rest - k, k, prefix + (k,))
 
-    rec(n, n if n else 1, ())
+    rec(n, n, ())
     return tuple(out)
 
 

@@ -26,7 +26,7 @@ no basis change divides by a polynomial.  Every basis but H is triangular in
 rows, refused on their p(d)^2 cells past MAX_SWEEP (from degree 18); into P it
 gives d! times the vector.  H is omega of E.  omega and the plethysm
 F[(t-1)x] are ring maps diagonal on P, p_lam -> factor(lam) p_lam, so on m both
-read one table per (factor, degree), built through P (`_diagonal_m`).  A
+peel d! F into P, scale each p_lam and go back by the p rows (`_diagonal`).  A
 SymFunc is immutable: the caches in chromallt hand one object to every caller.
 """
 
@@ -354,31 +354,24 @@ def expand_in_basis(F: SymFunc, basis: str) -> SymFunc:
 
 def _diagonal(F: SymFunc, factor: Callable[[Partition], Coeff | int]) -> SymFunc:
     """F under the ring map p_lam -> factor(lam) p_lam: each coefficient times
-    factor(lam) on P, one cached table of the images of m_mu on M."""
+    factor(lam) on P.  On M, d! F is peeled into P, each p_lam scaled, taken
+    back by the p rows and divided by d!: exactly when F lies in Z[t, 1/t],
+    where a remainder raises ArithmeticError, and through `_div` otherwise."""
+    d = F.degree
     if F.basis == "P":
-        return SymFunc(F.degree, "P", {lam: c * factor(lam) for lam, c in F.coeffs.items()})
-    if F.basis == "M":
-        return SymFunc(F.degree, "M", _change(F.coeffs, _diagonal_m(factor, F.degree).__getitem__))
-    raise ValueError(f"a map diagonal on p reads the monomial or power-sum basis, not {F.basis}")
-
-
-@lru_cache(maxsize=None)
-def _diagonal_m(factor: Callable[[Partition], Coeff | int],
-                d: int) -> dict[Partition, tuple[tuple[Partition, Coeff], ...]]:
-    """The image of each m_mu, mu |- d, under p_lam -> factor(lam) p_lam, in monomial
-    coordinates: d! m_mu peeled into P, each p_lam times factor(lam), back to m by
-    the p rows, divided by d! exactly; a remainder raises ArithmeticError."""
-    s, out = factorial(d), {}
-    for mu, *_ in _peel_rows("P", d):  # refused before any row is built
-        F = _diagonal(SymFunc(d, "P", _peel({mu: ONE}, "P", d)), factor)
-        row = _change(F.coeffs, lambda lam: _m_coords("P", lam))
+        return SymFunc(d, "P", {lam: c * factor(lam) for lam, c in F.coeffs.items()})
+    if F.basis != "M":
+        raise ValueError(f"a map diagonal on p reads the monomial or power-sum basis, not {F.basis}")
+    s = factorial(d)
+    scaled = {lam: c * factor(lam) for lam, c in _peel(F.coeffs, "P", d).items()}
+    row = _change(scaled, lambda lam: _m_coords("P", lam))
+    if all(_all_int(c.coeffs) for c in F.coeffs.values()):
         bad = next((nu for nu, c in row.items() if any(a % s for a in c.coeffs)), None)
         if bad is not None:
-            raise ArithmeticError(f"p_lam -> {factor.__name__}(lam) p_lam takes m_{list(mu)} to "
-                                  f"the non-integer m_{list(bad)}-coordinate ({row[bad]})/{s}")
-        out[mu] = tuple((nu, LaurentPoly([a // s for a in c.coeffs], c.low))
-                        for nu, c in row.items() if c.coeffs)
-    return out
+            raise ArithmeticError(f"p_lam -> {factor.__name__}(lam) p_lam takes F to the "
+                                  f"non-integer m_{list(bad)}-coordinate ({row[bad]})/{s}")
+    return SymFunc(d, "M", {nu: LaurentPoly([_div(a, s) for a in c.coeffs], c.low)
+                            for nu, c in row.items()})
 
 
 def _omega_sign(lam: Partition) -> int:

@@ -331,6 +331,22 @@ def test_check_st_en_runs_to_the_table_guard(monkeypatch):
         check_st_en(18)
 
 
+def test_check_st_en_is_refused_before_its_item_is_built():
+    # the p(n) guard runs before the item (1^n) is listed, so a refusal at n = 10^6
+    # allocates next to nothing, and a negative n is refused as a size
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match="the partitions of 1000000 visits at least 124,754"):
+            check_st_en(10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    with pytest.raises(ValueError, match="n = -1 must be >= 0"):
+        check_st_en(-1)
+
+
 def test_check_st_en_refuses_on_partition_counts_before_listing_any(monkeypatch):
     # p(46) = 105,558 partitions are admitted, but their table is not: the
     # refusal reads p(d) off the pentagonal recurrence and lists no partition
@@ -393,20 +409,60 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
-def test_the_size_knobs_are_exactly_these():
-    # one bound for every brute-force sweep; a new MAX_* has to be added here on purpose
+def _package_trees():
+    """(module name, syntax tree) of every source file of the package."""
     import ast
     import pathlib
 
     import chromaq
-    found = set()
     for path in sorted(pathlib.Path(chromaq.__file__).parent.glob("*.py")):
-        for node in ast.parse(path.read_text(), filename=str(path)).body:
+        yield path.stem, ast.parse(path.read_text(), filename=str(path))
+
+
+def test_the_size_knobs_are_exactly_these():
+    # one bound for every brute-force sweep; a new MAX_* has to be added here on purpose
+    import ast
+    found = set()
+    for _, tree in _package_trees():
+        for node in tree.body:
             targets = (node.targets if isinstance(node, ast.Assign) else
                        [node.target] if isinstance(node, ast.AnnAssign) else [])
             found.update(t.id for t in targets
                          if isinstance(t, ast.Name) and t.id.startswith("MAX_"))
     assert found == {"MAX_SWEEP", "MAX_PATH_N"}
+
+
+def test_the_caches_are_exactly_these():
+    # every lru_cache of the package, decorated or built as lru_cache(...)(f); a cache
+    # is added or removed here on purpose, with its measured gain in CHANGES.md
+    import ast
+
+    def is_lru(node):
+        f = node.func if isinstance(node, ast.Call) else node
+        return (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "lru_cache"
+
+    found, mentions = [], 0
+    for module, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{module}.{node.name}" for d in node.decorator_list if is_lru(d)]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Call) and is_lru(node.func):
+                found.append(f"{module}.{ast.unparse(node.args[0])}")
+            mentions += isinstance(node, (ast.Name, ast.Attribute)) and is_lru(node)
+    assert mentions == len(found)  # no cache is built in a form the walk does not read
+    assert sorted(found) == [
+        "bridge._plethysm_at_q", "bridge._pt_at_q", "bridge.d_coeffs", "bridge.supers",
+        "chromallt.as_expansion", "chromallt.csf", "chromallt.llt_vertical",
+        "combinatorics._partition_index", "combinatorics._partitions", "combinatorics.gen_dyck",
+        "combinatorics.gen_tall_schroder", "combinatorics.indifference_graphs",
+        "exactnum.t_minus_one_power",
+        "fqoracle._column_ranks", "fqoracle._fibre_size", "fqoracle._field", "fqoracle._graph_index",
+        "fqoracle._lattice", "fqoracle._springer_fibre", "fqoracle.induce_to_GL",
+        "fqoracle.induction_table", "fqoracle.psi_pseudo",
+        "symfunc._hall_littlewood_coords", "symfunc._kostka", "symfunc._m_coords",
+        "symfunc._peel_rows", "symfunc._placements", "symfunc._plethysm_factor",
+        "symfunc._require_partition", "symfunc._strips",
+    ]
 
 
 def _package_imports():
@@ -470,7 +526,7 @@ def test_the_symbolic_compute_verbs_never_load_fractions():
 
 def test_a_passing_verify_run_never_loads_fractions():
     # p_brace1 reads an integer table and divides once, exactly, by q^N; the
-    # plethysm table on M divides by d! exactly; and evaluate returns an int
+    # plethysm on M divides an integral vector by d! exactly; and evaluate returns an int
     # when the value is one.  The deep run is also made as the command itself,
     # every import listed by -X importtime
     code = ("import contextlib, io, sys\n"
@@ -746,20 +802,21 @@ def test_only_check_hess_sweeps_ut_n(monkeypatch):
 
 
 def test_omega_on_m_and_check_llts_right_side_read_no_power_sum_table(monkeypatch):
-    # omega on m and check_llt's right side read the p rows only while a table of
-    # a map diagonal on p is built (`_diagonal_m`): omega's once per degree, with
-    # the Schur rows refused, and the plethysm's once for q = 2 and 3 together
+    # omega on m peels each vector into P once, with the Schur rows refused, and
+    # check_llt's right side reads the p rows only while `_plethysm_at_q` builds
+    # its table, once for each of q = 2 and 3
     import chromaq.bridge as bridge
     import chromaq.symfunc as sf
     building, built, peeled = [], [], []
-    build, rows, peel, peel_rows = sf._diagonal_m.__wrapped__, sf._m_coords, sf._peel, sf._peel_rows
+    build = bridge._plethysm_at_q.__wrapped__
+    rows, peel, peel_rows = sf._m_coords, sf._peel, sf._peel_rows
 
     @lru_cache(maxsize=None)
-    def table(factor, d):
-        building.append(d)
-        built.append((factor.__name__, d))
+    def table(n, q):
+        building.append(n)
+        built.append((n, q))
         try:
-            return build(factor, d)
+            return build(n, q)
         finally:
             building.pop()
 
@@ -773,7 +830,6 @@ def test_omega_on_m_and_check_llts_right_side_read_no_power_sum_table(monkeypatc
 
     def peel_while_building(coeffs, basis, d):
         p_while_building(basis, d)
-        peeled.append(basis)
         return peel(coeffs, basis, d)
 
     def no_schur_rows(basis, d):
@@ -781,27 +837,27 @@ def test_omega_on_m_and_check_llts_right_side_read_no_power_sum_table(monkeypatc
             raise AssertionError(f"the degree-{d} Schur rows were read")
         return peel_rows(basis, d)
 
-    monkeypatch.setattr(sf, "_diagonal_m", table)
-    monkeypatch.setattr(sf, "_m_coords", p_rows_while_building)
-    monkeypatch.setattr(sf, "_peel", peel_while_building)
-    monkeypatch.setattr(sf, "_peel_rows", no_schur_rows)
     for module in (sf, bridge):
         for obj in vars(module).values():
             if callable(getattr(obj, "cache_clear", None)):
                 obj.cache_clear()
-    for d in range(7):
-        for mu in gen_partitions(d):
-            assert omega(basis_element("M", mu)).basis == "M", mu
-    assert set(peeled) == {"P"}
-    assert built == [("_omega_sign", d) for d in range(7)]
+    monkeypatch.setattr(sf, "_peel", lambda coeffs, b, d: peeled.append(b) or peel(coeffs, b, d))
+    monkeypatch.setattr(sf, "_peel_rows", no_schur_rows)
+    units = [mu for d in range(7) for mu in gen_partitions(d)]
+    for mu in units:
+        assert omega(basis_element("M", mu)).basis == "M", mu
+    assert len(units) == 30 and peeled == ["P"] * 30
+    monkeypatch.setattr(bridge, "_plethysm_at_q", table)
+    monkeypatch.setattr(sf, "_m_coords", p_rows_while_building)
+    monkeypatch.setattr(sf, "_peel", peel_while_building)
     scans = []
     monkeypatch.setattr(bridge, "_scan", lambda *args: scans.append(args[3:]))
     for q in (2, 3):
         check_llt(3, q)
     right = [[rhs(sigma) for sigma in items] for items, lhs, rhs in scans]
     monkeypatch.undo()
-    assert built[7:] == [("_plethysm_factor", 3)]
-    assert table.cache_info().hits == 23 + 5
+    assert built == [(3, 2), (3, 3)]
+    assert table.cache_info().hits == 20
     assert [len(items) for items, *_ in scans] == [11, 11]
     assert right == [[lhs(sigma) for sigma in items] for items, lhs, rhs in scans]
 

@@ -18,7 +18,7 @@ from chromaq.symfunc import (
     expand_in_basis,
     omega,
     plethysm_mul,
-    _diagonal_m,
+    _diagonal,
     _hall_littlewood_coords,
     _m_coords,
     _peel,
@@ -616,7 +616,7 @@ def test_omega_involution_on_schur():
 
 
 def test_omega_monomial_basis_involution_en_to_hn():
-    # omega on an M-basis SymFunc reads its table of signs pulled back from P, and stays in M
+    # omega on an M-basis SymFunc pulls its signs back from P, one vector at a time, and stays in M
     for n in range(1, 6):
         e, h = basis_element("E", (n,)), basis_element("H", (n,))
         assert omega(e) == h and omega(h) == e
@@ -635,12 +635,13 @@ def _omega_m_through_p(d, mu):
 
 
 def test_omega_m_table_is_an_integer_involution_equal_to_the_p_path():
-    # the package pulls omega's sign back from P; the oracle reads it off S with
-    # no division, and for d <= 8 the Gauss-Jordan p path agrees too
+    # the package pulls omega's sign back from P, one vector at a time; the oracle
+    # reads it off S with no division, and for d <= 8 the Gauss-Jordan p path agrees too
     for d in range(11):
-        table = _diagonal_m(symfunc._omega_sign, d)
-        assert sorted(table) == sorted(gen_partitions(d))
-        ints = {mu: {nu: ratfunc_to_const(c) for nu, c in row} for mu, row in table.items()}
+        images = {mu: omega(basis_element("M", mu)) for mu in gen_partitions(d)}
+        assert all(F.basis == "M" for F in images.values()), d
+        ints = {mu: {nu: ratfunc_to_const(c) for nu, c in F.coeffs.items()}
+                for mu, F in images.items()}
         assert ints == {mu: dict(row) for mu, row in omega_m_through_s(d).items()}, d
         for mu, row in ints.items():
             assert all(type(v) is int for v in row.values()), (d, mu)
@@ -654,7 +655,7 @@ def test_omega_m_table_is_an_integer_involution_equal_to_the_p_path():
 
 
 def test_omega_on_hall_littlewood_goes_through_m_and_equals_the_p_route(monkeypatch):
-    # the route through m reads omega's integer table; the old one through P
+    # the route through m divides d! out exactly; the old one through P
     # reads entries 1/z_lam, and both give the same values
     for d in range(7):
         for b in ("HLP", "PT"):
@@ -664,12 +665,27 @@ def test_omega_on_hall_littlewood_goes_through_m_and_equals_the_p_route(monkeypa
     asked = []
     monkeypatch.setattr(symfunc, "_peel", lambda F, b, d: asked.append(b) or _peel(F, b, d))
     omega(SymFunc(4, "HLP", {(2, 1, 1): T}))
-    assert asked == ["HLP"]
+    assert asked == ["P", "HLP"]
+
+
+def test_omega_and_the_plethysm_on_m_peel_the_one_vector_into_p(monkeypatch):
+    # a map diagonal on p takes a vector in M into P by one `_peel` of that vector,
+    # never by the images of the unit vectors m_mu
+    F = SymFunc(6, "M", {(3, 2, 1): T + 2, (2, 2, 1, 1): 3 * T ** 2, (1,) * 6: LaurentPoly.t(-1) - 5,
+                         (6,): Fraction(1, 2)})
+    want = {fn: fn(F) for fn in (omega, plethysm_mul)}
+    asked = []
+    monkeypatch.setattr(symfunc, "_peel",
+                        lambda coeffs, b, d: asked.append((dict(coeffs), b, d)) or _peel(coeffs, b, d))
+    for fn in (omega, plethysm_mul):
+        asked.clear()
+        assert fn(F) == want[fn], fn
+        assert asked == [(dict(F.coeffs), "P", 6)], fn
 
 
 def test_omega_swaps_e_and_h_and_transposes_s_at_the_degree_guard():
-    # omega's table on M peels each of the p(10) = 42 m_mu into P; degree 17, the
-    # last the guard admits, takes seconds per basis (README's guard table)
+    # omega on M peels each e_lam and s_lam of degree 10 into P; at degree 17, the
+    # last the guard admits, one full vector takes under a second (README's guard table)
     d = 10
     for lam in gen_partitions(d):
         assert omega(basis_element("E", lam)) == basis_element("H", lam), lam
@@ -743,17 +759,21 @@ def test_plethysm_m_table_is_integral_and_equal_to_the_p_route():
 
 
 def test_plethysm_m_raises_on_a_remainder_of_d_factorial():
-    # one more p_(1^3) in each d! m_mu[(t-1)x], or in each d! omega(m_mu): d! e_3 has
-    # the p_(1^3)-coordinate 1, and p_(1^3) has the m_21-coordinate 3, which 3! does not divide
-    for factor, left in ((symfunc._plethysm_factor, r"\(-6\*t\^2\+12\*t-3\)"),
-                         (symfunc._omega_sign, r"\(9\)")):
+    # one more p_(1^3) in d! m_111[(t-1)x], or in d! omega(m_111): d! e_3 has the
+    # p_(1^3)-coordinate 1, and p_(1^3) has the m_21-coordinate 3, which 3! does not
+    # divide; a vector that carries a Fraction is divided through `_div` instead
+    m111 = basis_element("M", (1, 1, 1))
+    for factor, left, half in ((symfunc._plethysm_factor, r"\(-6\*t\^2\+12\*t-3\)",
+                                (-6 * T ** 2 + 12 * T - 3) * RF(Fraction(1, 12))),
+                               (symfunc._omega_sign, r"\(9\)", RF(Fraction(3, 4)))):
         def one_more(lam, factor=factor):
             return factor(lam) + 1 if lam == (1, 1, 1) else factor(lam)
 
         with pytest.raises(ArithmeticError,
-                           match=r"p_lam -> one_more\(lam\) p_lam takes m_\[1, 1, 1\] to the "
+                           match=r"p_lam -> one_more\(lam\) p_lam takes F to the "
                                  rf"non-integer m_\[2, 1\]-coordinate {left}/6$"):
-            _diagonal_m.__wrapped__(one_more, 3)
+            _diagonal(m111, one_more)
+        assert _diagonal(m111.scale(Fraction(1, 2)), one_more).coeffs[(2, 1)] == half
 
 
 # -- eval_t ---------------------------------------------------------------------
