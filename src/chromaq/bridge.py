@@ -1,10 +1,12 @@
 """The symmetric-function realization map and the theorem checkers.
 
 p_brace1 sends a unipotently supported class function to the modified
-Hall-Littlewood combination sum phi(J_lam) * PT_lam(x; q) in basis M: it reads
-q^N PT_lam(x; q) over Z, once per (n, q), and divides each coordinate by q^N,
-exactly, through `exactnum._div`.  On a genuine character the image has
-integer coordinates, so a check that passes builds no Fraction.
+Hall-Littlewood combination sum phi(J_lam) * PT_lam(x; q) in basis M.  No PT
+coordinate of degree n reaches below t^{-binom(n,2)}, so `scaled_p_brace1`
+reads q^{binom(n,2)} PT_lam(x; q) over Z, once per (n, q), and every GL check
+compares both of its sides times q^{binom(n,2)}, each side taking the power
+itself.  check_hess and check_poincare cross-multiply too: no check divides,
+and a witness holds integers.
 
 The paper states its GL theorems through p_one = omega (p_brace1(phi))[x/(q-1)].
 omega and p_k -> (q^k - 1) p_k are invertible ring maps for q >= 2, so
@@ -44,7 +46,7 @@ from .combinatorics import (
     indifference_graphs,
     mesa,
 )
-from .exactnum import ONE, ZERO, LaurentPoly, _div, t_minus_one_power
+from .exactnum import ONE, ZERO, LaurentPoly, t_minus_one_power
 from .fqoracle import (
     ClassFnUT,
     UnipClassFn,
@@ -78,23 +80,26 @@ from .symfunc import (
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _pt_at_q(d: int, q: int) -> tuple[int, dict[Partition, dict[Partition, int]]]:
-    """N and each q^N PT_lam(x; q), lam a partition of d, in monomial coordinates over Z.
+def _pt_at_q(d: int, q: int) -> dict[Partition, dict[Partition, int]]:
+    """Each q^{binom(d,2)} PT_lam(x; q), lam a partition of d, in monomial coordinates over Z.
 
-    N is the largest -low of the degree-d PT coordinates (0 when none is
-    negative), so q^N clears every power of 1/q.
+    t^{-binom(d,2)} is the lowest power of t in the degree-d PT coordinates,
+    that of PT_(1^d) = t^{-binom(d,2)} e_d; a coordinate below it raises
+    ArithmeticError.
     """
-    rows = {lam: _m_coords("PT", lam) for lam in _partitions(d)}
-    N = max([0] + [-c.low for row in rows.values() for _, c in row])
-    return N, {lam: {mu: c.shift(N).evaluate(q) for mu, c in row} for lam, row in rows.items()}
+    N, rows = d * (d - 1) // 2, {lam: _m_coords("PT", lam) for lam in _partitions(d)}
+    low = next(((lam, mu, c) for lam, row in rows.items() for mu, c in row if c.low < -N), None)
+    if low:
+        lam, mu, c = low
+        raise ArithmeticError(f"PT_{list(lam)} has the m_{list(mu)}-coordinate {c}, below t^-{N}")
+    return {lam: {mu: c.shift(N).evaluate(q) for mu, c in row} for lam, row in rows.items()}
 
 
-def p_brace1(phi: UnipClassFn) -> SymFunc:
-    """sum over lam of phi(J_lam) * PT_lam(x; q), with t specialized at q, in basis M."""
-    N, table = _pt_at_q(phi.n, phi.q)
-    scale = phi.q ** N
-    coords = _change({lam: v for lam, v in phi.items() if v}, lambda lam: table[lam].items())
-    return SymFunc(phi.n, "M", {mu: _div(c, scale) for mu, c in coords.items()})
+def scaled_p_brace1(phi: UnipClassFn) -> SymFunc:
+    """q^{binom(n,2)} times sum over lam of phi(J_lam) * PT_lam(x; q), in basis M over Z."""
+    table = _pt_at_q(phi.n, phi.q)
+    return SymFunc(phi.n, "M", _change({lam: v for lam, v in phi.items() if v},
+                                       lambda lam: table[lam].items()))
 
 
 @lru_cache(maxsize=None)
@@ -106,10 +111,12 @@ def _plethysm_at_q(n: int, q: int) -> dict[Partition, dict[Partition, int]]:
 
 
 def _twist(F: SymFunc, q: int, k: int) -> SymFunc:
-    """(q-1)^k F(x; q)[(q-1)x] in basis M, for F in basis M with coefficients in Z[t]."""
-    table, scale = _plethysm_at_q(F.degree, q), (q - 1) ** k
-    return SymFunc(F.degree, "M", _change({mu: c.evaluate(q) * scale for mu, c in F.coeffs.items()},
-                                          lambda mu: table[mu].items()))
+    """q^{binom(n,2)} (q-1)^k F(x; q)[(q-1)x] in basis M, for F in basis M of
+    degree n with coefficients in Z[t]."""
+    n = F.degree
+    table, scale = _plethysm_at_q(n, q), q ** (n * (n - 1) // 2) * (q - 1) ** k
+    return SymFunc(n, "M", _change({mu: c.evaluate(q) * scale for mu, c in F.coeffs.items()},
+                                   lambda mu: table[mu].items()))
 
 
 # ---------------------------------------------------------------------------
@@ -164,36 +171,35 @@ def check_cqs(n: int, q: int) -> CheckReport:
     """Induced permutation characters realize (q-1)^n X_gamma(x; q)."""
     require_fibres(n, q)
     return _scan("check_cqs", n, q, indifference_graphs(n),
-                 lambda gamma: p_brace1(induce_to_GL(chi_bar(gamma, q))),
-                 lambda gamma: eval_t(csf(gamma), q).scale((q - 1) ** n))
+                 lambda gamma: scaled_p_brace1(induce_to_GL(chi_bar(gamma, q))),
+                 lambda gamma: eval_t(csf(gamma), q).scale((q - 1) ** n * q ** (n * (n - 1) // 2)))
 
 
 def check_hess(n: int, q: int) -> CheckReport:
-    """Induced character values count Hessenberg points: (q-1)^n q^{|E|} |B|.  The left side
-    induces by the UT_n sweep, so it tests the Springer walk that induce_to_GL reads."""
+    """Induced character values count Hessenberg points: (q-1)^n q^{|E|} |B|, both
+    sides times |UT_n|.  The left side induces by the UT_n sweep, so it tests the
+    Springer walk that induce_to_GL reads."""
     require_fibres(n, q)
     items = [(g, lam) for g in indifference_graphs(n) for lam in _partitions(n)]
 
     def lhs(item):  # each u of type lam is J_lam's conjugate by |C_GL(J_lam)| elements
         gamma, lam = item
         dot = sum(c * v for c, v in zip(induction_table(n, q)[lam], chi_bar(gamma, q).values))
-        return _div(_centralizer_order(lam, q) * dot, ut_order(n, q))
+        return _centralizer_order(lam, q) * dot
 
-    return _scan("check_hess", n, q, items, lhs,
-                 lambda item: (q - 1) ** n * q ** len(item[0].edges) * hessenberg_count(*item, q))
+    return _scan("check_hess", n, q, items, lhs, lambda item: ut_order(n, q) * (q - 1) ** n
+                 * q ** len(item[0].edges) * hessenberg_count(*item, q))
 
 
 def check_poincare(n: int, q: int) -> CheckReport:
-    """Hessenberg point counts equal q^{-|E|} d_lam^gamma(q)."""
+    """Hessenberg point counts equal q^{-|E|} d_lam^gamma(q), compared as
+    q^{|E|} |B| = d_lam^gamma(q)."""
     require_fibres(n, q)
     items = [(g, lam) for g in indifference_graphs(n) for lam in _partitions(n)]
     d = lru_cache(maxsize=None)(d_coeffs)  # one expansion per graph, held by the right side
-
-    def rhs(item):
-        gamma, lam = item
-        return _div(d(gamma).get(lam, ZERO).evaluate(q), q ** len(gamma.edges))
-
-    return _scan("check_poincare", n, q, items, lambda item: hessenberg_count(*item, q), rhs)
+    return _scan("check_poincare", n, q, items,
+                 lambda item: q ** len(item[0].edges) * hessenberg_count(*item, q),
+                 lambda item: d(item[0]).get(item[1], ZERO).evaluate(q))
 
 
 def check_llt(n: int, q: int) -> CheckReport:
@@ -202,7 +208,7 @@ def check_llt(n: int, q: int) -> CheckReport:
     two are equivalent since omega and p_k -> (q^k - 1) p_k are invertible."""
     require_fibres(n, q)
     return _scan("check_llt", n, q, gen_tall_schroder(n),
-                 lambda sigma: p_brace1(induce_to_GL(psi_pseudo(sigma, q))),
+                 lambda sigma: scaled_p_brace1(induce_to_GL(psi_pseudo(sigma, q))),
                  lambda sigma: _twist(llt_vertical(sigma), q, len(diag(sigma))))
 
 
@@ -289,11 +295,13 @@ def check_prop56(n: int) -> CheckReport:
     (i)  t^{|Area(pi)|} G_pi(x; 1/t) = omega G_pi(x; t) for Dyck pi;
     (ii) (t-1)^{|Diag|} G_sigma = signed sum of unicellular G over Diag subsets.
     """
+
+    def reflected(pi):  # |Area(pi)| read once per path, not once per coefficient
+        k = len(area(pi))
+        return llt_vertical(pi).map_coeffs(lambda c: c.subs_inv().shift(k))
+
     parts = (
-        ("i", gen_dyck(n),
-         lambda pi: llt_vertical(pi).map_coeffs(
-             lambda c: c.subs_inv().shift(len(area(pi)))),
-         lambda pi: omega(llt_vertical(pi))),
+        ("i", gen_dyck(n), reflected, lambda pi: omega(llt_vertical(pi))),
         ("ii", gen_tall_schroder(n),
          lambda sigma: llt_vertical(sigma).scale(t_minus_one_power(len(diag(sigma)))),
          _unicellular_sum),
@@ -327,7 +335,7 @@ def check_gg(n: int, q: int) -> CheckReport:
         return rep
 
     def normalized(label):
-        return p_brace1(UnipClassFn(n, q, tuple(v // denom for v in staircase().values)))
+        return scaled_p_brace1(UnipClassFn(n, q, tuple(v // denom for v in staircase().values)))
 
     return _scan("check_gg", n, q, ["p_brace1(Gamma_n)"], normalized,
                  lambda label: _twist(SymFunc(n, "M", {(1,) * n: ONE}), q, 0))
@@ -351,7 +359,7 @@ def check_cor66(n: int, q: int) -> CheckReport:
     """
     require_fibres(n, q)
     return _scan("check_cor66", n, q, gen_tall_schroder(n),
-                 lambda sigma: p_brace1(induce_to_GL(psi_pseudo(sigma, q))),
+                 lambda sigma: scaled_p_brace1(induce_to_GL(psi_pseudo(sigma, q))),
                  lambda sigma: _twist(expand_in_basis(as_expansion(sigma), "M"), q,
                                       len(diag(sigma))))
 

@@ -218,10 +218,10 @@ def d_coeffs(gamma: IndiffGraph) -> dict[Partition, LaurentPoly]:
 
 
 def is_nonneg_int_poly(f: LaurentPoly) -> bool:
-    """True iff f lies in Z_{>=0}[t] (no negative exponents, coefficients in Z_{>=0})."""
+    """True iff f, over Z, lies in Z_{>=0}[t]: no negative exponent or coefficient."""
     if f.is_zero:
         return True
-    return f.low >= 0 and all(c.denominator == 1 and c >= 0 for _, c in f.terms())
+    return f.low >= 0 and all(c >= 0 for _, c in f.terms())
 
 
 def e_expansion_X(gamma: IndiffGraph) -> tuple[SymFunc, list[Partition]]:

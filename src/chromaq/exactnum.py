@@ -3,28 +3,28 @@
 Laurent polynomials over Q, the one coefficient type of the package, and
 reduced rational functions over Q, which no other module constructs: the
 tests keep them as the oracle for the old paths that divided by polynomials.
-Nearly every coefficient the package builds lies in Z[t], so a coefficient is
-stored as an ``int`` whenever it is integral and as a ``fractions.Fraction``
-only for a true quotient.  Every division goes through `_div`, which keeps an
-exact int quotient an int and loads `fractions` at the first true quotient.
-`evaluate` returns a value in the same canonical form, an int when it is
-integral, so a `chromaq verify` run that passes loads no `fractions` at all.
-A Fraction is recognised through ``sys.modules``, since none exists before
-its module is loaded.  A ``float`` coefficient raises ``TypeError``: there is
-deliberately no floating-point anywhere.  Everything is immutable and
-canonical, so equality and hashing are structural, and a constant hashes as
-the number it equals.
+Outside this module the package computes over Z[t, 1/t]: a change of basis
+reads int coefficients only, and no check divides.  A coefficient is stored
+as an ``int`` whenever it is integral and as a ``fractions.Fraction`` only
+for a true quotient.  Here every division goes through `_div`, which keeps an
+exact int quotient an int and loads `fractions` at the first true quotient;
+the package reaches it only through `evaluate` at a negative power of t, and
+the test oracles through their rational arithmetic.  So a `chromaq` run that
+passes loads no `fractions` at all.  A Fraction is recognised through
+``sys.modules``, since none exists before its module is loaded.  A ``float``
+coefficient raises ``TypeError``: there is deliberately no floating-point
+anywhere.  Everything is immutable and canonical, so equality and hashing are
+structural, and a constant hashes as the number it equals.
 
 The canonical form of a LaurentPoly: nonzero first and last coefficients,
 each an int when integral; zero is () with low = 0.  The public constructor
 normalises any input to it.  The ring operations rely on it to build their
 results canonical in the first place, through the trusted `_canonical`: a
-product of two canonical polynomials over Q, a nonzero multiple of one, its
+product of two canonical polynomials, a nonzero multiple of one, its
 negative, shift and t -> 1/t all keep nonzero ends, so nothing is trimmed;
 a sum or difference trims only ends that cancel.  Only entries that are not
-ints are normalised, so an integral Fraction still becomes an int.  Equality
-and hashing are structural because of it, and `evaluate` at an int q runs in
-int on every polynomial in Z[t], since its coefficients are stored as ints.
+ints are normalised, so an integral Fraction still becomes an int, and
+`evaluate` at an int q runs in int on every polynomial in Z[t].
 """
 
 from __future__ import annotations

@@ -47,7 +47,6 @@ from .combinatorics import (
     _partitions,
     indifference_graphs,
 )
-from .exactnum import Rat, _frac
 from .guards import require, require_power, require_sweep
 
 PRIMES = (2, 3, 5, 7)
@@ -238,23 +237,25 @@ def _graph_index(n: int) -> dict[IndiffGraph, int]:
 
 
 class _ClassFn(Frozen):
-    """A class function as a tuple of plain numbers, one per key of the
-    subclass's `_index(n)`, in that order; calling it looks a key up.  It is a
-    value, built from its tuple: the checks compare class functions and never
-    add them."""
+    """A class function as a tuple of ints, one per key of the subclass's
+    `_index(n)`, in that order; calling it looks a key up.  It is a value,
+    built from its tuple: the checks compare class functions and never add
+    them."""
 
     __slots__ = _fields = ("n", "q", "values")
     n: int
     q: int
-    values: tuple[Rat, ...]
+    values: tuple[int, ...]
 
-    def __init__(self, n: int, q: int, values: tuple[Rat, ...]):
+    def __init__(self, n: int, q: int, values: tuple[int, ...]):
         if type(values) is not tuple or len(values) != len(self._index(n)):
             raise ValueError(f"{type(self).__name__} values must be a tuple with one entry "
                              f"per index at n = {n}")
+        if not all(type(v) is int for v in values):
+            raise TypeError(f"{type(self).__name__} values must be ints, got {values}")
         self._set(n, q, values)
 
-    def __call__(self, key) -> Rat:
+    def __call__(self, key) -> int:
         return self.values[self._index(self.n)[key]]
 
     def items(self) -> Iterator[tuple]:
@@ -267,7 +268,7 @@ class _ClassFn(Frozen):
 
 class ClassFnUT(_ClassFn):
     """Superclass function of UT_n(F_q): one value per indifference graph, in
-    the order of indifference_graphs(n).  The characters here hold ints."""
+    the order of indifference_graphs(n)."""
 
     __slots__ = ()
     _index = staticmethod(_graph_index)
@@ -377,7 +378,7 @@ def induce_to_GL(phi: ClassFnUT) -> UnipClassFn:
     require_fibres(n, q)
     pos = _lattice(n)[1]
     return UnipClassFn(n, q, tuple(
-        _frac((q - 1) ** n * sum(c * vals[pos[mu]] for mu, c in _springer_fibre(lam, q).items()))
+        (q - 1) ** n * sum(c * vals[pos[mu]] for mu, c in _springer_fibre(lam, q).items())
         for lam in _partitions(n)))
 
 

@@ -1,33 +1,28 @@
 """Symmetric functions of degree n with Laurent-polynomial coefficients.
 
 One type, `SymFunc`, holds the coefficients of a homogeneous symmetric
-function in one named basis.  In basis M they are the orbit-sum coordinates
-of its restriction to n variables, which is faithful in degree n, and every
-change of basis goes through them.  The supported bases are
-
-  M   monomial                     E   elementary
-  H   complete homogeneous         P   power sum
-  S   Schur                        HLP Hall-Littlewood P(x; t)
-  PT  modified Hall-Littlewood t^{-n(lambda)} P(x; 1/t)
-
-Hall-Littlewood P is read off semistandard tableaux, P_lam = sum_T psi_T(t) x^T
-(Macdonald, Symmetric Functions and Hall Polynomials, III (5.11') and (5.8')),
-so its monomial coordinates are built in Z[t] with no division; each
-horizontal strip lam/nu of k boxes, with its psi_{lam/nu}, is built once per
-(nu, k) and shared by every content and degree.  Its constant
-terms are the Kostka numbers, s_lam = sum_mu K_lam,mu m_mu, and the rows of h
-and e are sums of Schur rows weighted by them (Macdonald I.6); the coefficient
-of m_nu in p_lam counts the ways to drop the parts of lam into the parts of
-nu.  No basis element is built by multiplying exponent vectors.  Every
-change-of-basis table is unitriangular up to a power of t (M, S, HLP, PT) or
-constant (E, H, P), so the Laurent ring Q[t, 1/t] holds every coefficient and
-no basis change divides by a polynomial.  Every basis but H is triangular in
-`gen_partitions` order, so `_peel` takes a vector out of M against the forward
-rows, refused on their p(d)^2 cells past MAX_SWEEP (from degree 18); into P it
-gives d! times the vector.  H is omega of E.  omega and the plethysm
-F[(t-1)x] are ring maps diagonal on P, p_lam -> factor(lam) p_lam, so on m both
-peel d! F into P, scale each p_lam and go back by the p rows (`_diagonal`).  A
-SymFunc is immutable: the caches in chromallt hand one object to every caller.
+function in one named basis.  In basis M they are the orbit-sum coordinates of
+its restriction to n variables, which is faithful in degree n, and every
+change of basis goes through them.  The bases are the ones the verbs and
+checks read: M (monomial), E (elementary) and PT, the modified Hall-Littlewood
+t^{-n(lambda)} P(x; 1/t).  Hall-Littlewood P is read off semistandard
+tableaux, P_lam = sum_T psi_T(t) x^T (Macdonald, Symmetric Functions and Hall
+Polynomials, III (5.11') and (5.8')), so its monomial coordinates are built in
+Z[t] with no division; each horizontal strip lam/nu of k boxes, with its
+psi_{lam/nu}, is built once per (nu, k) and shared by every content and
+degree.  Its constant terms are the Kostka numbers, and e_lam = sum_nu
+K_nu,lam s_nu' is read off them (Macdonald I.6); the coefficient of m_nu in
+p_lam counts the ways to drop the parts of lam into the parts of nu.  No basis
+element is built by multiplying exponent vectors.  Each change of basis is
+unitriangular up to a power of t (PT) or constant (E, and P inside
+`_diagonal`), and triangular in `gen_partitions` order, so `_peel` takes a
+vector out of M against the forward rows over Z[t, 1/t], refused on their
+p(d)^2 cells past MAX_SWEEP (from degree 18).  It reads integer coefficients
+only: any other raises TypeError, and an inexact quotient ArithmeticError.
+omega and the plethysm F[(t-1)x] are ring maps diagonal on p, p_lam ->
+factor(lam) p_lam, so on m both peel d! F into P, scale each p_lam and go back
+by the p rows (`_diagonal`); P is no basis of a SymFunc.  A SymFunc is
+immutable: the caches in chromallt hand one object to every caller.
 """
 
 from __future__ import annotations
@@ -46,18 +41,18 @@ from .combinatorics import (
     nstat,
     transpose,
 )
-from .exactnum import ONE, ZERO, LaurentPoly, _all_int, _div
+from .exactnum import ONE, ZERO, LaurentPoly
 from .exactnum import T as _T
 from .guards import require_sweep
 
-BASES = ("M", "E", "H", "P", "S", "HLP", "PT")
+BASES = ("M", "E", "PT")
 
 Coeff = LaurentPoly
 V = TypeVar("V")
 
 
 def _coeff(x) -> LaurentPoly:
-    """x as a coefficient: a LaurentPoly, or an int or Fraction made constant."""
+    """x as a coefficient: a LaurentPoly, or a number made constant."""
     return x if isinstance(x, LaurentPoly) else LaurentPoly.const(x)
 
 
@@ -150,12 +145,12 @@ def _placements(parts: Partition, room: tuple[int, ...]) -> int:
 
 @lru_cache(maxsize=None)
 def _m_coords(basis: str, lam: Partition) -> tuple[tuple[Partition, Coeff], ...]:
-    """Monomial coordinates of the basis element indexed by lam.
+    """Monomial coordinates of the basis element indexed by lam, or of p_lam for
+    basis P, the rows `_diagonal` peels against.
 
-    s, h and e are read off one Kostka table (Macdonald I.6): s_lam is its row,
-    h_lam = sum_nu K_nu,lam s_nu and e_lam = sum_nu K_nu,lam s_nu'.  Any basis
-    but M fills a p(d) x p(d) table, refused on its cells past MAX_SWEEP
-    (from degree 18) before any of it is built.
+    e_lam = sum_nu K_nu,lam s_nu' is read off the Kostka table (Macdonald I.6).
+    Any basis but M fills a p(d) x p(d) table, refused on its cells past
+    MAX_SWEEP (from degree 18) before any of it is built.
     """
     d = sum(lam)
     if basis != "M":
@@ -165,19 +160,12 @@ def _m_coords(basis: str, lam: Partition) -> tuple[tuple[Partition, Coeff], ...]
         coords = {lam: 1}
     elif basis == "P":
         coords = {nu: _placements(lam, nu) for nu in _partitions(d)}
-    elif basis in ("S", "H", "E"):
-        kostka = _kostka(d)
-        if basis == "S":
-            rows = [(1, lam)]
-        else:
-            rows = [(row[lam], transpose(nu) if basis == "E" else nu)
-                    for nu, row in kostka.items() if lam in row]
-        coords = Counter()
-        for k, nu in rows:
-            for mu, v in kostka[nu].items():
-                coords[mu] += k * v
-    elif basis == "HLP":
-        coords = _hall_littlewood_coords(d)[lam]
+    elif basis == "E":
+        kostka, coords = _kostka(d), Counter()
+        for nu, row in kostka.items():
+            if lam in row:
+                for mu, v in kostka[transpose(nu)].items():
+                    coords[mu] += row[lam] * v
     elif basis == "PT":
         shift = -nstat(lam)
         coords = {mu: c.subs_inv().shift(shift) for mu, c in _hall_littlewood_coords(d)[lam].items()}
@@ -296,26 +284,30 @@ def _peel_rows(basis: str, d: int) -> tuple[tuple[Partition, Partition, Coeff, t
 
 
 def _peel(coeffs: Mapping[Partition, Coeff], basis: str, d: int) -> dict[Partition, Coeff]:
-    """s F in the named basis, F of degree d given by its m-coordinates, s = d!
-    for P and 1 otherwise: at each rho of `_peel_rows`, the m_rho-coordinate left
-    of s F over the pivot is the b_lam-coordinate, and that multiple of b_lam is
-    subtracted.  s m_mu has integral coordinates in every basis, so when F lies
-    in Z[t, 1/t] an inexact quotient raises ArithmeticError; an F that carries
-    a Fraction is divided through `_div`.
+    """s F in the named basis, F of degree d given by its m-coordinates over
+    Z[t, 1/t], s = d! for P and 1 otherwise: at each rho of `_peel_rows`, the
+    m_rho-coordinate left of s F over the pivot is the b_lam-coordinate, and
+    that multiple of b_lam is subtracted.  s m_mu has integral coordinates in
+    every basis, so an inexact quotient raises ArithmeticError; a coefficient
+    outside Z[t, 1/t] raises TypeError before any row is read.
     """
+    left = {mu: _coeff(c) for mu, c in coeffs.items()}
+    bad = next((mu for mu, c in left.items() if any(type(a) is not int for a in c.coeffs)), None)
+    if bad is not None:
+        raise TypeError(f"a change of basis reads Z[t, 1/t], not the m_{list(bad)}-coordinate "
+                        f"{left[bad]}")
     s = factorial(d) if basis == "P" else 1
-    rows, left, out = _peel_rows(basis, d), {mu: _coeff(c) for mu, c in coeffs.items()}, {}
-    exact = all(_all_int(c.coeffs) for c in left.values())
     left = {mu: c * s for mu, c in left.items()} if s != 1 else left
-    for rho, lam, pivot, rest in rows:
+    out = {}
+    for rho, lam, pivot, rest in _peel_rows(basis, d):
         v, c = left.pop(rho, ZERO), pivot.coeffs[0]
         if not v.coeffs:
             continue
-        if exact and c != 1 and any(a % c for a in v.coeffs):
-            raise ArithmeticError(f"{s} * F has the non-integer {basis.lower()}_{list(lam)}"
-                                  f"-coordinate {v}/{pivot}")
         if c != 1:
-            v = LaurentPoly([a // c if exact else _div(a, c) for a in v.coeffs], v.low)
+            if any(a % c for a in v.coeffs):
+                raise ArithmeticError(f"{s} * F has the non-integer {basis.lower()}_{list(lam)}"
+                                      f"-coordinate {v}/{pivot}")
+            v = LaurentPoly([a // c for a in v.coeffs], v.low)
         out[lam] = x = v.shift(-pivot.low) if pivot.low else v
         for mu, a in rest:
             left[mu] = left[mu] - x * a if mu in left else -(x * a)
@@ -328,6 +320,8 @@ def _peel(coeffs: Mapping[Partition, Coeff], basis: str, d: int) -> dict[Partiti
 
 def basis_element(basis: str, lam: Partition) -> SymFunc:
     """The named basis element in monomial coordinates."""
+    if basis not in BASES:
+        raise ValueError(f"unknown basis {basis!r}")
     lam = tuple(lam)
     d = sum(lam)
     _partition_count(d)  # refused on p(d) past MAX_SWEEP, before any partition is listed
@@ -336,41 +330,30 @@ def basis_element(basis: str, lam: Partition) -> SymFunc:
 
 
 def expand_in_basis(F: SymFunc, basis: str) -> SymFunc:
-    """F rewritten in the named basis through M: one `_peel`, over d! for P; H is omega(F) in E."""
+    """F rewritten in the named basis through M, by one `_peel`."""
+    if basis not in BASES:
+        raise ValueError(f"unknown basis {basis!r}")
     if F.basis == basis:
         return F
-    d, s, coeffs = F.degree, factorial(F.degree), F.coeffs
-    if F.basis != "M":
-        coeffs = _change(coeffs, lambda lam: _m_coords(F.basis, lam))
-    if basis == "H":
-        return SymFunc(d, "H", expand_in_basis(omega(SymFunc(d, "M", coeffs)), "E").coeffs)
-    if basis == "P":
-        coeffs = {lam: LaurentPoly([_div(a, s) for a in c.coeffs], c.low)
-                  for lam, c in _peel(coeffs, "P", d).items()}
-    elif basis != "M":
-        coeffs = _peel(coeffs, basis, d)
-    return SymFunc(d, basis, coeffs)
+    coeffs = F.coeffs if F.basis == "M" else _change(F.coeffs, lambda lam: _m_coords(F.basis, lam))
+    return SymFunc(F.degree, basis, coeffs if basis == "M" else _peel(coeffs, basis, F.degree))
 
 
 def _diagonal(F: SymFunc, factor: Callable[[Partition], Coeff | int]) -> SymFunc:
-    """F under the ring map p_lam -> factor(lam) p_lam: each coefficient times
-    factor(lam) on P.  On M, d! F is peeled into P, each p_lam scaled, taken
-    back by the p rows and divided by d!: exactly when F lies in Z[t, 1/t],
-    where a remainder raises ArithmeticError, and through `_div` otherwise."""
-    d = F.degree
-    if F.basis == "P":
-        return SymFunc(d, "P", {lam: c * factor(lam) for lam, c in F.coeffs.items()})
+    """F under the ring map p_lam -> factor(lam) p_lam, for F in basis M over
+    Z[t, 1/t]: d! F is peeled into P, each p_lam scaled, taken back by the p
+    rows and divided by d! exactly; a remainder raises ArithmeticError."""
     if F.basis != "M":
-        raise ValueError(f"a map diagonal on p reads the monomial or power-sum basis, not {F.basis}")
+        raise ValueError(f"a map diagonal on p reads the monomial basis, not {F.basis}")
+    d = F.degree
     s = factorial(d)
     scaled = {lam: c * factor(lam) for lam, c in _peel(F.coeffs, "P", d).items()}
     row = _change(scaled, lambda lam: _m_coords("P", lam))
-    if all(_all_int(c.coeffs) for c in F.coeffs.values()):
-        bad = next((nu for nu, c in row.items() if any(a % s for a in c.coeffs)), None)
-        if bad is not None:
-            raise ArithmeticError(f"p_lam -> {factor.__name__}(lam) p_lam takes F to the "
-                                  f"non-integer m_{list(bad)}-coordinate ({row[bad]})/{s}")
-    return SymFunc(d, "M", {nu: LaurentPoly([_div(a, s) for a in c.coeffs], c.low)
+    bad = next((nu for nu, c in row.items() if any(a % s for a in c.coeffs)), None)
+    if bad is not None:
+        raise ArithmeticError(f"p_lam -> {factor.__name__}(lam) p_lam takes F to the "
+                              f"non-integer m_{list(bad)}-coordinate ({row[bad]})/{s}")
+    return SymFunc(d, "M", {nu: LaurentPoly([a // s for a in c.coeffs], c.low)
                             for nu, c in row.items()})
 
 
@@ -380,24 +363,12 @@ def _omega_sign(lam: Partition) -> int:
 
 
 def omega(F: SymFunc) -> SymFunc:
-    """The involution omega: a sign on p and m (`_diagonal`), transpose on s,
-    e <-> h swap.
-
-    Any other basis goes through m and back, so no Fraction is built.
-    """
-    if F.basis in ("P", "M"):
-        return _diagonal(F, _omega_sign)
-    if F.basis == "S":
-        return SymFunc(F.degree, "S", {transpose(lam): c for lam, c in F.coeffs.items()})
-    if F.basis == "E":
-        return SymFunc(F.degree, "H", dict(F.coeffs))
-    if F.basis == "H":
-        return SymFunc(F.degree, "E", dict(F.coeffs))
-    return expand_in_basis(omega(expand_in_basis(F, "M")), F.basis)
+    """The involution omega on M: p_lam -> (-1)^{|lam| - l(lam)} p_lam (`_diagonal`)."""
+    return _diagonal(F, _omega_sign)
 
 
 def plethysm_mul(F: SymFunc) -> SymFunc:
-    """The plethysm F[(t-1)x]: p_k -> (t^k - 1) p_k (`_diagonal`), on P or M.
+    """The plethysm F[(t-1)x] on M: p_k -> (t^k - 1) p_k (`_diagonal`).
 
     It inverts F -> F[x/(t-1)] (p_k -> p_k / (t^k - 1)); both are ring maps
     that leave the coefficients alone, and this one divides by nothing.

@@ -20,6 +20,19 @@ from typing import Iterable, Mapping
 from chromaq.combinatorics import IndiffGraph, indifference_graphs
 from chromaq.fqoracle import ClassFnUT, _check_q, superclass_sizes, ut_order
 
+# every chromaq name this oracle imports, with its reason; a kernel that the
+# package's own path also runs on names, as (reason, test), the test that checks it alone
+CHROMAQ_IMPORTS = {
+    "combinatorics.IndiffGraph": "a value type",
+    "combinatorics.indifference_graphs": "the graphs on [n], a listing",
+    "fqoracle.ClassFnUT": "the value type of a class function",
+    "fqoracle._check_q": "the field-size guard",
+    "fqoracle.superclass_sizes": ("the weights of the inner product; the package's compute "
+                                  "verb reads them too",
+                                  "tests/test_fqoracle.py::test_superclass_sizes_equal_the_tuple_sweep_of_labels"),
+    "fqoracle.ut_order": "|UT_n(F_q)|, a count",
+}
+
 
 def class_fn(cls: type, n: int, q: int, vals: Mapping):
     """The class function of type cls (ClassFnUT or UnipClassFn) with the given

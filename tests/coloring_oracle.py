@@ -20,6 +20,17 @@ from chromaq.exactnum import LaurentPoly
 from chromaq.symfunc import SymFunc
 from orbit_oracle import multiset_perms
 
+# every chromaq name this oracle imports, with its reason; a kernel that the
+# package's own path also runs on names, as (reason, test), the test that checks it alone
+CHROMAQ_IMPORTS = {
+    "combinatorics.Edge": "a type name",
+    "combinatorics.IndiffGraph": "a value type",
+    "combinatorics.Partition": "a type name",
+    "combinatorics.gen_partitions": "the contents mu, a listing",
+    "exactnum.LaurentPoly": "the value type of the coefficients",
+    "symfunc.SymFunc": "the value type of the result",
+}
+
 
 def asc(gamma: IndiffGraph, kappa: tuple[int, ...]) -> int:
     """Number of edges {i,j}, i < j, with kappa(i) < kappa(j)."""

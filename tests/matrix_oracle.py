@@ -51,6 +51,32 @@ from chromaq.fqoracle import (
 )
 from chromaq.guards import require_sweep
 
+# every chromaq name this oracle imports, with its reason; a kernel that the
+# package's own path also runs on names, as (reason, test), the test that checks it alone
+CHROMAQ_IMPORTS = {
+    "combinatorics.IndiffGraph": "a value type",
+    "combinatorics.Partition": "a type name",
+    "combinatorics.gen_partitions": "the Jordan types, a listing",
+    "combinatorics.indifference_graphs": "the graphs on [n], a listing",
+    "fqoracle.ClassFnUT": "the value type of a class function",
+    "fqoracle.UnipClassFn": "the value type of an induced class function",
+    "fqoracle._check_q": "the field-size guard",
+    "fqoracle._field": ("the byte tables mod q of the packed sweeps, which the Springer walk "
+                        "reduces with too",
+                        "tests/test_fqoracle.py::test_packed_kernel_matches_the_tuple_oracle"),
+    "fqoracle._Packed": ("the packed kernel of the conjugation sweeps, whose elimination the "
+                         "Springer walk runs on too",
+                         "tests/test_fqoracle.py::test_eliminate_matches_the_tuple_rank"),
+    "fqoracle.jordan_nilpotent": ("J_lam - 1, the target of the Hessenberg sweep and the start "
+                                  "of the Springer walk",
+                                  "tests/test_fqoracle.py::test_jordan_nilpotency"),
+    "fqoracle.ut_elements": ("the enumeration of UT_n, which the coset sweep and check_hess's "
+                             "sweep both run over",
+                             "tests/test_fqoracle.py::test_ut_enumeration"),
+    "fqoracle.ut_order": "|UT_n(F_q)|, a count",
+    "guards.require_sweep": "the size guard of the oracle's sweeps",
+}
+
 Rows = tuple[tuple[int, ...], ...]
 
 

@@ -15,6 +15,13 @@ from itertools import combinations
 
 from chromaq.combinatorics import IndiffGraph, indifference_graphs
 
+# every chromaq name this oracle imports, with its reason; a kernel that the
+# package's own path also runs on names, as (reason, test), the test that checks it alone
+CHROMAQ_IMPORTS = {
+    "combinatorics.IndiffGraph": "a value type",
+    "combinatorics.indifference_graphs": "the graphs on [n], a listing",
+}
+
 
 def mobius_subgraph(gamma: IndiffGraph) -> dict[IndiffGraph, int]:
     """Moebius function mu(sigma, gamma) at the indifference graphs sigma <= gamma

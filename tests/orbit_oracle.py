@@ -21,6 +21,18 @@ from chromaq.combinatorics import Partition, gen_partitions
 from chromaq.exactnum import LaurentPoly
 from chromaq.symfunc import ONE, ZERO, SymFunc, _coeff
 
+# every chromaq name this oracle imports, with its reason; a kernel that the
+# package's own path also runs on names, as (reason, test), the test that checks it alone
+CHROMAQ_IMPORTS = {
+    "combinatorics.Partition": "a type name",
+    "combinatorics.gen_partitions": "the keys of every table, a listing",
+    "exactnum.LaurentPoly": "the value type of the coefficients",
+    "symfunc.ONE": "a value",
+    "symfunc.ZERO": "a value",
+    "symfunc.SymFunc": "the value type of the sums",
+    "symfunc._coeff": "SymFunc's coefficient coercion, which makes a number a constant",
+}
+
 
 def coeff(F: SymFunc, mu: Partition) -> LaurentPoly:
     """The coefficient of the basis element mu in F (zero when absent)."""

@@ -29,6 +29,26 @@ from chromaq.exactnum import LaurentPoly
 from chromaq.guards import require_sweep
 from chromaq.symfunc import SymFunc
 
+# every chromaq name this oracle imports, with its reason; a kernel that the
+# package's own path also runs on names, as (reason, test), the test that checks it alone
+CHROMAQ_IMPORTS = {
+    "chromallt._h_vector": ("the one-pass h-vector, the inner step of as_expansion, which "
+                            "as_expansion_powers runs on too",
+                            "tests/test_chromallt.py::test_one_pass_hrv_matches_the_graph_search"),
+    "combinatorics.Edge": "a type name",
+    "combinatorics.Frozen": "the immutable base of Orientation",
+    "combinatorics.IndiffGraph": "a value type",
+    "combinatorics.Partition": "a type name",
+    "combinatorics.SchroderPath": "a value type",
+    "combinatorics.area": ("the edges a tall path orients, which as_expansion reads too",
+                           "tests/test_combinatorics.py::test_tall_paths_read_h_and_d_as_the_cell_walk_does"),
+    "combinatorics.diag": ("the edges that point up, which as_expansion reads too",
+                           "tests/test_combinatorics.py::test_tall_paths_read_h_and_d_as_the_cell_walk_does"),
+    "exactnum.LaurentPoly": "the value type of the coefficients",
+    "guards.require_sweep": "the size guard of the oracle's enumeration",
+    "symfunc.SymFunc": "the value type of the result",
+}
+
 
 class Orientation(Frozen):
     __slots__ = _fields = ("base", "arcs")

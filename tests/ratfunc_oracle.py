@@ -1,32 +1,66 @@
-"""Rational-function oracles for the paths that used to divide by polynomials.
+"""Rational oracles for the paths that used to divide, and the bases the package no longer holds.
 
-The package keeps every coefficient in the Laurent ring Q[t, 1/t]. These
-helpers redo the old computations over `RationalFunc`: the Gauss-Jordan
-change of basis over Q(t), the plethysm p_k -> p_k / (t^k - 1), and
-Carlsson-Mellit in its original form (t-1)^n X[x/(t-1)] = G. The tests compare
-them with the Laurent paths that replaced them. `_invert` is the Gauss-Jordan
-inversion over Q[t, 1/t] that built every change-of-basis table before the
-triangular solve against the forward rows (`symfunc._peel`) replaced it;
-`inverted_from_monomials` is that build, and `gauss_jordan_m_to_p` reads the
-m -> p table over Q off it.  `omega_m_through_s` is the table of omega on m
-that the package built through the Schur basis before omega and the plethysm
-became one map diagonal on p (`symfunc._diagonal`).
+The package keeps every coefficient in Z[t, 1/t] and holds the bases M, E and
+PT. These helpers redo the old computations with arithmetic of their own:
+the Gauss-Jordan change of basis over Q(t), over `RationalFunc`, and over the
+Laurent ring Q[t, 1/t] with `Fraction` pivots (`_invert`); the plethysm
+p_k -> p_k / (t^k - 1); and Carlsson-Mellit in its original form
+(t-1)^n X[x/(t-1)] = G. The tests compare them with the Laurent paths that
+replaced them.
+
+`m_coords` gives the monomial coordinates of s, h, e, p, P(x; t) and PT in
+the old seven bases, read off the package's Kostka numbers and its
+Hall-Littlewood tableau build, and p off the unmemoised part placements of
+`orbit_oracle`; the tests read S, H, HLP and P through it. `change` is the
+one sparse change of coordinates of the oracles, in whatever exact arithmetic
+its values carry. `omega_m_through_s` is the table of omega on m that the
+package built through the Schur basis before omega and the plethysm became
+one map diagonal on p (`symfunc._diagonal`).
 """
 
 from __future__ import annotations
 
-from chromaq.combinatorics import Partition, SchroderPath, gen_partitions, graph_of, transpose
+from fractions import Fraction
+from functools import lru_cache
+from typing import Callable, Iterable, Mapping
+
 from chromaq.chromallt import csf
-from chromaq.exactnum import (
-    ONE,
-    ZERO,
-    LaurentPoly,
-    Rat,
-    RationalFunc,
-    _div,
-    _pdivmod,
+from chromaq.combinatorics import (
+    Partition,
+    SchroderPath,
+    gen_partitions,
+    graph_of,
+    nstat,
+    transpose,
 )
-from chromaq.symfunc import Coeff, SymFunc, _change, _kostka, _m_coords, _peel, _peel_rows
+from chromaq.exactnum import ONE, ZERO, LaurentPoly, RationalFunc, _pdivmod
+from chromaq.symfunc import _hall_littlewood_coords, _kostka
+from orbit_oracle import placements
+
+# every chromaq name this oracle imports, with its reason; a kernel that the
+# package's own path also runs on names, as (reason, test), the test that checks it alone
+CHROMAQ_IMPORTS = {
+    "chromallt.csf": ("X_gamma, the input of Carlsson-Mellit's old left side, which the "
+                      "package's check_cm also reads",
+                      "tests/test_chromallt.py::test_color_classes_match_the_vertex_kernel"),
+    "combinatorics.Partition": "a type name",
+    "combinatorics.SchroderPath": "a type name",
+    "combinatorics.gen_partitions": "the keys of every table, a listing",
+    "combinatorics.graph_of": "the graph of a listed Dyck path",
+    "combinatorics.nstat": "n(lam), the power of t that takes P(x; 1/t) to PT",
+    "combinatorics.transpose": "the conjugate partition of the s and e rows",
+    "exactnum.ONE": "a value",
+    "exactnum.ZERO": "a value",
+    "exactnum.LaurentPoly": "the value type of the coefficients",
+    "exactnum.RationalFunc": "the value type of the Gauss-Jordan oracle over Q(t)",
+    "exactnum._pdivmod": ("the long division that names a remainder in NonDivisibleError",
+                          "tests/test_exactnum.py::test_pdivmod_int_divisor_stays_exact"),
+    "symfunc._hall_littlewood_coords": ("the Hall-Littlewood rows, which the package's PT "
+                                        "rows are read off too",
+                                        "tests/test_symfunc.py::test_hl_tableau_build_matches_gram_schmidt"),
+    "symfunc._kostka": ("the Kostka numbers, which the package's e rows are read off too",
+                        "tests/test_symfunc.py::test_schur_matches_ssyt_oracle"),
+}
 
 T = LaurentPoly.t()
 RF_ZERO = RationalFunc.const(0)
@@ -47,7 +81,7 @@ def ratfunc_to_laurent(r: RationalFunc) -> LaurentPoly:
     )
 
 
-def ratfunc_to_const(f: LaurentPoly) -> Rat:
+def ratfunc_to_const(f: LaurentPoly) -> int | Fraction:
     """The value of f, which must not involve t; raises ArithmeticError otherwise.
 
     The tripwire for tables specialised from symbolic ones that theory says
@@ -58,28 +92,52 @@ def ratfunc_to_const(f: LaurentPoly) -> Rat:
     raise ArithmeticError(f"{f} is not a constant")
 
 
-def omega_m_through_s(d: int) -> dict[Partition, tuple[tuple[Partition, int], ...]]:
-    """omega(m_mu) in monomial coordinates over Z, for every partition mu of d,
-    with no division (Macdonald I (3.8)): m_mu peeled into S, each s_lam to
-    s_lam', and back to m by the Kostka rows.  An S coordinate that involves t
-    raises ArithmeticError."""
-    to_s = {mu: _peel({mu: ONE}, "S", d) for mu, *_ in _peel_rows("S", d)}
-    kostka, out = _kostka(d), {}
-    for mu, row in to_s.items():
-        flipped = {transpose(lam): ratfunc_to_const(c) for lam, c in row.items()}
-        acc = _change(flipped, lambda lam: kostka[lam].items())
-        out[mu] = tuple((nu, acc[nu]) for nu in to_s if acc.get(nu))
-    return out
+def change(coeffs: Mapping[Partition, object],
+           rows: Callable[[Partition], Iterable[tuple[Partition, object]]]) -> dict:
+    """sum_lam c_lam * rows(lam), zeros dropped, in the arithmetic of the values given."""
+    out: dict = {}
+    for lam, c in coeffs.items():
+        for mu, v in rows(lam):
+            out[mu] = out.get(mu, 0) + c * v
+    return {mu: c for mu, c in out.items() if not c == 0}
 
 
-def gauss_jordan_from_monomials(basis: str, d: int) -> dict[Partition, dict[Partition, RationalFunc]]:
+@lru_cache(maxsize=None)
+def m_coords(basis: str, lam: Partition) -> dict[Partition, LaurentPoly]:
+    """Monomial coordinates of m, s, h, e, p, P(x; t) or PT indexed by lam
+    (bases M, S, H, E, P, HLP, PT): s_lam is a Kostka row, h_lam and e_lam are
+    sum_nu K_nu,lam s_nu and s_nu' (Macdonald I.6), and p_lam counts the
+    placements of its parts."""
+    d = sum(lam)
+    if basis == "M":
+        return {lam: ONE}
+    if basis == "P":
+        return {nu: LaurentPoly.const(c) for nu in gen_partitions(d) if (c := placements(lam, nu))}
+    if basis in ("HLP", "PT"):
+        row = _hall_littlewood_coords(d)[lam]
+        return dict(row) if basis == "HLP" else {mu: c.subs_inv().shift(-nstat(lam))
+                                                 for mu, c in row.items()}
+    kostka = _kostka(d)
+    schur = {lam: 1} if basis == "S" else {transpose(nu) if basis == "E" else nu: row[lam]
+                                           for nu, row in kostka.items() if lam in row}
+    return change(schur, lambda nu: ((mu, LaurentPoly.const(v)) for mu, v in kostka[nu].items()))
+
+
+def p_to_m(coeffs: Mapping[Partition, object]) -> dict:
+    """sum_lam c_lam p_lam in monomial coordinates, by the part placements."""
+    return change(coeffs, lambda lam: ((nu, placements(lam, nu))
+                                       for nu in gen_partitions(sum(lam))))
+
+
+def gauss_jordan_from_monomials(basis: str,
+                                d: int) -> dict[Partition, dict[Partition, RationalFunc]]:
     """Each m_mu expanded in the named basis, by Gauss-Jordan over Q(t)."""
     keys = gen_partitions(d)
     n = len(keys)
     idx = {k: i for i, k in enumerate(keys)}
     aug = [[RF_ZERO] * n + [RF_ONE if i == k else RF_ZERO for k in range(n)] for i in range(n)]
     for j, lam in enumerate(keys):
-        for mu, c in _m_coords(basis, lam):
+        for mu, c in m_coords(basis, lam).items():
             aug[idx[mu]][j] = RationalFunc(c)
     for col in range(n):
         piv = next(r for r in range(col, n) if not aug[r][col].is_zero)
@@ -94,7 +152,7 @@ def gauss_jordan_from_monomials(basis: str, d: int) -> dict[Partition, dict[Part
             for k in range(n)}
 
 
-def _invert(a: list[list[Coeff]]) -> list[list[Coeff]]:
+def _invert(a: list[list[LaurentPoly]]) -> list[list[LaurentPoly]]:
     """The inverse of a square matrix over the Laurent ring Q[t, 1/t], by Gauss-Jordan.
 
     Each pivot, the first nonzero entry on or below the diagonal, must be a
@@ -110,7 +168,7 @@ def _invert(a: list[list[Coeff]]) -> list[list[Coeff]]:
         p = aug[col][col]
         if len(p.coeffs) != 1:
             raise ArithmeticError(f"pivot {p} is not a unit of Q[t, 1/t]")
-        inv = LaurentPoly([_div(1, p.coeffs[0])], low=-p.low)
+        inv = LaurentPoly([Fraction(1, p.coeffs[0])], low=-p.low)
         aug[col] = [x * inv for x in aug[col]]
         for r in range(n):
             f = aug[r][col]
@@ -127,38 +185,43 @@ def inverted_from_monomials(basis: str, d: int) -> dict[Partition, dict[Partitio
     idx = {k: i for i, k in enumerate(keys)}
     a = [[ZERO] * len(keys) for _ in keys]
     for j, lam in enumerate(keys):
-        for mu, c in _m_coords(basis, lam):
+        for mu, c in m_coords(basis, lam).items():
             a[idx[mu]][j] = c
     inv = _invert(a)
     return {mu: {keys[j]: row[k] for j, row in enumerate(inv) if not row[k].is_zero}
             for k, mu in enumerate(keys)}
 
 
-def gauss_jordan_m_to_p(d: int) -> dict[Partition, dict[Partition, Rat]]:
-    """Each m_mu, mu a partition of d, in the power-sum basis over Q, by `_invert`."""
+@lru_cache(maxsize=None)
+def gauss_jordan_m_to(basis: str, d: int) -> dict[Partition, dict[Partition, int | Fraction]]:
+    """Each m_mu, mu a partition of d, in a basis with constant rows (S, H, E or P) over Q,
+    by `_invert`."""
     return {mu: {lam: ratfunc_to_const(c) for lam, c in row.items()}
-            for mu, row in inverted_from_monomials("P", d).items()}
+            for mu, row in inverted_from_monomials(basis, d).items()}
 
 
-def plethysm_frac(F: SymFunc) -> dict[Partition, RationalFunc]:
-    """Substitute p_k -> p_k / (t^k - 1), i.e. the x/(t-1) plethysm on power sums."""
-    if F.basis != "P":
-        raise ValueError("plethysm_frac expects the power-sum basis")
+def plethysm_frac(coeffs: Mapping[Partition, object]) -> dict[Partition, RationalFunc]:
+    """Substitute p_k -> p_k / (t^k - 1), i.e. the x/(t-1) plethysm, on power-sum coordinates."""
     out = {}
-    for lam, c in F.coeffs.items():
-        den = LaurentPoly.const(1)
+    for lam, c in coeffs.items():
+        den = ONE
         for k in lam:
             den = den * (T ** k - 1)
-        out[lam] = RationalFunc(c) / RationalFunc(den)
+        out[lam] = RF_ONE * c / den
     return out
 
 
-def _change(coeffs, table) -> dict[Partition, RationalFunc]:
-    out: dict[Partition, RationalFunc] = {}
-    for lam, c in coeffs.items():
-        for mu, v in table(lam):
-            out[mu] = out.get(mu, RF_ZERO) + c * v
-    return {mu: c for mu, c in out.items() if not c.is_zero}
+def omega_m_through_s(d: int) -> dict[Partition, tuple[tuple[Partition, int], ...]]:
+    """omega(m_mu) in monomial coordinates over Z, for every partition mu of d
+    (Macdonald I (3.8)): m_mu in S by the Gauss-Jordan inverse of the Kostka
+    matrix, each s_lam to s_lam', and back to m by the Kostka rows.  An S
+    coordinate that involves t raises ArithmeticError."""
+    kostka, out = _kostka(d), {}
+    for mu, row in inverted_from_monomials("S", d).items():
+        flipped = {transpose(lam): ratfunc_to_const(c) for lam, c in row.items()}
+        acc = change(flipped, lambda lam: kostka[lam].items())
+        out[mu] = tuple((nu, acc[nu]) for nu in gen_partitions(d) if nu in acc)
+    return out
 
 
 def cm_lhs(pi: SchroderPath) -> dict[Partition, LaurentPoly]:
@@ -169,9 +232,9 @@ def cm_lhs(pi: SchroderPath) -> dict[Partition, LaurentPoly]:
     """
     n = pi.size
     to_p = gauss_jordan_from_monomials("P", n)
-    F = _change(csf(graph_of(pi)).coeffs, lambda mu: to_p[mu].items())
-    F = plethysm_frac(SymFunc(n, "P", {lam: ratfunc_to_laurent(c) for lam, c in F.items()}))
+    F = change(csf(graph_of(pi)).coeffs, lambda mu: to_p[mu].items())
+    F = plethysm_frac({lam: ratfunc_to_laurent(c) for lam, c in F.items()})
     scale = RationalFunc((T - 1) ** n)
-    F = _change({lam: c * scale for lam, c in F.items()},
-                lambda lam: ((mu, RationalFunc(v)) for mu, v in _m_coords("P", lam)))
+    F = change({lam: c * scale for lam, c in F.items()},
+               lambda lam: ((mu, RationalFunc(v)) for mu, v in m_coords("P", lam).items()))
     return {mu: ratfunc_to_laurent(c) for mu, c in F.items()}

@@ -24,10 +24,10 @@ from chromaq.bridge import (
     check_gg,
     check_llt,
     check_st_en,
-    p_brace1,
     run_check,
+    scaled_p_brace1,
 )
-from chromaq.chromallt import csf, llt_vertical
+from chromaq.chromallt import csf, d_coeffs, llt_vertical
 from chromaq.combinatorics import (
     IndiffGraph,
     SchroderPath,
@@ -39,6 +39,7 @@ from chromaq.combinatorics import (
     graph_of,
     indifference_graphs,
     mesa,
+    transpose,
 )
 from chromaq.exactnum import ZERO, LaurentPoly
 from chromaq.fqoracle import (
@@ -53,7 +54,7 @@ from chromaq.fqoracle import (
 from chromaq.guards import SizeGuardError
 from chromaq.symfunc import (
     SymFunc,
-    _change,
+    _kostka,
     basis_element,
     eval_t,
     expand_in_basis,
@@ -61,47 +62,81 @@ from chromaq.symfunc import (
     plethysm_mul,
 )
 from classfn_oracle import class_fn, fn_scale, fn_sum
-from orbit_oracle import coeff, sym_sum
-from ratfunc_oracle import cm_lhs, gauss_jordan_m_to_p, plethysm_frac, ratfunc_to_const
+from orbit_oracle import sym_sum
+from ratfunc_oracle import (
+    change,
+    cm_lhs,
+    gauss_jordan_from_monomials,
+    gauss_jordan_m_to,
+    m_coords,
+    p_to_m,
+    plethysm_frac,
+    ratfunc_to_const,
+    ratfunc_to_laurent,
+)
 from test_combinatorics import area_inverse
 
 RF = LaurentPoly.const
 T = LaurentPoly.t()
 
 
-def eval_plethysm_frac(F, q):
-    """F[x/(t-1)] at t = q, through the rational-function oracle, in basis P."""
-    return SymFunc(F.degree, "P", {lam: c.evaluate(q) for lam, c in plethysm_frac(F).items()})
-
-
 # -- the symbolic realization maps, kept as the oracle for the path over Q --------
+
+def p_brace1(phi):
+    """p_brace1(phi) over Q: the package's q^{binom(n,2)} p_brace1 divided back."""
+    scale = phi.q ** (phi.n * (phi.n - 1) // 2)
+    return {mu: Fraction(ratfunc_to_const(c), scale)
+            for mu, c in scaled_p_brace1(phi).coeffs.items()}
+
 
 @lru_cache(maxsize=None)
 def symbolic_pt_at_q(lam, q):
-    return eval_t(basis_element("PT", lam), Fraction(q))
+    pt = eval_t(basis_element("PT", lam), Fraction(q))
+    return {mu: ratfunc_to_const(c) for mu, c in pt.coeffs.items()}
 
 
 def symbolic_p_brace1(phi):
-    return sym_sum(SymFunc(phi.n, "M", {}),
-                   *(symbolic_pt_at_q(lam, phi.q).scale(RF(v)) for lam, v in phi.items() if v))
+    return change({lam: v for lam, v in phi.items() if v},
+                  lambda lam: symbolic_pt_at_q(lam, phi.q).items())
 
 
 def symbolic_p_one(phi):
-    F = expand_in_basis(symbolic_p_brace1(phi), "P")
-    F = eval_plethysm_frac(F, Fraction(phi.q))
-    return expand_in_basis(omega(F), "S")
+    """The paper's image omega (p_brace1(phi))[x/(q-1)] in S over Q(t): p_brace1 from
+    PT at t = q, the Gauss-Jordan tables over Q(t) and the plethysm p_k -> p_k / (t^k - 1)."""
+    n, q = phi.n, phi.q
+    to_p, to_s = gauss_jordan_from_monomials("P", n), gauss_jordan_from_monomials("S", n)
+    F = change(symbolic_p_brace1(phi), lambda mu: to_p[mu].items())
+    F = {lam: (-1) ** (n - len(lam)) * c.evaluate(Fraction(q))
+         for lam, c in plethysm_frac(F).items()}
+    return {lam: ratfunc_to_const(ratfunc_to_laurent(c))
+            for lam, c in change(p_to_m(F), lambda mu: to_s[mu].items()).items()}
 
 
 def three_step_p_one(phi):
     """The paper's image omega (p_brace1(phi))[x/(q-1)] in S, p_one, of one class
-    function over Q, step by step: p_brace1 in P through the
-    Gauss-Jordan m -> p table, each p_lam divided by prod (q^{lam_i} - 1), then
-    omega's sign rule on P and the change to S."""
-    q, to_p = phi.q, gauss_jordan_m_to_p(phi.n)
-    coords = {mu: ratfunc_to_const(c) for mu, c in p_brace1(phi).coeffs.items()}
-    F = _change(coords, lambda mu: to_p[mu].items())
-    F = {lam: Fraction(c, prod(q ** k - 1 for k in lam)) for lam, c in F.items()}
-    return expand_in_basis(omega(SymFunc(phi.n, "P", F)), "S")
+    function over Q, step by step: p_brace1 in P through the Gauss-Jordan
+    m -> p table, each p_lam divided by prod (q^{lam_i} - 1), then omega's sign
+    rule on P, back to M by the part placements and into S."""
+    n, q, to_p = phi.n, phi.q, gauss_jordan_m_to("P", phi.n)
+    F = change(p_brace1(phi), lambda mu: to_p[mu].items())
+    F = {lam: Fraction(c * (-1) ** (n - len(lam)), prod(q ** k - 1 for k in lam))
+         for lam, c in F.items()}
+    return change(p_to_m(F), lambda mu: gauss_jordan_m_to("S", n)[mu].items())
+
+
+def omega_in_m(s_coords, n):
+    """omega of a function given in S, in monomial coordinates: s_lam -> s_lam', then
+    the Kostka rows."""
+    kostka = _kostka(n)
+    return change({transpose(lam): c for lam, c in s_coords.items()},
+                  lambda lam: kostka[lam].items())
+
+
+def in_s(F):
+    """A SymFunc in basis M with constant coefficients, in S over Q."""
+    to_s = gauss_jordan_m_to("S", F.degree)
+    return change({mu: ratfunc_to_const(c) for mu, c in F.coeffs.items()},
+                  lambda mu: to_s[mu].items())
 
 
 DEFAULT_GRID = [(n, q) for q in (2, 3) for n in (1, 2, 3)]
@@ -119,12 +154,11 @@ def test_p_one_and_p_brace1_match_the_symbolic_oracle():
             assert three_step_p_one(phi) == symbolic_p_one(phi), (n, q, phi)
 
 
-def twisted_at_q(F, q):
-    """F[(q-1)x] in basis M through bridge's int table, F in basis M over Q."""
-    table = _plethysm_at_q(F.degree, q)
-    coords = _change({mu: ratfunc_to_const(c) for mu, c in F.coeffs.items()},
-                     lambda mu: table[mu].items())
-    return SymFunc(F.degree, "M", coords)
+def twisted_at_q(coords, n, q):
+    """F[(q-1)x] in monomial coordinates through bridge's int table, F of degree n given in
+    basis M over Q."""
+    table = _plethysm_at_q(n, q)
+    return change(coords, lambda mu: table[mu].items())
 
 
 def test_p_one_table_matches_the_three_steps_row_by_row():
@@ -139,8 +173,7 @@ def test_p_one_table_matches_the_three_steps_row_by_row():
             for lam in gen_partitions(n):
                 phi = class_fn(UnipClassFn, n, q, {lam: 1})
                 want = three_step_p_one(phi)
-                assert twisted_at_q(expand_in_basis(omega(want), "M"), q) == p_brace1(phi), \
-                    (n, q, lam)
+                assert twisted_at_q(omega_in_m(want, n), n, q) == p_brace1(phi), (n, q, lam)
                 if n <= 3 and q <= 3:
                     assert want == symbolic_p_one(phi), (n, q, lam)
 
@@ -159,21 +192,19 @@ def _mutant_fails_the_gl_checks(monkeypatch, name, mutate, witnesses):
 
 
 def test_one_wrong_entry_of_the_pt_table_fails_every_gl_check_at_its_first_witness(monkeypatch):
-    # q^N PT_(1^3)(x; q) gains 1 at m_(1^3): the image of each induced character
-    # moves there by its value at the identity over q^N = 8, 21/8 for EDDS.  At
+    # q^3 PT_(1^3)(x; q) gains 1 at m_(1^3): the image of each induced character,
+    # times q^3 = 8, moves there by its value at the identity, 21 for EDDS.  At
     # q = 2 the staircase EDDS is Gamma_3 itself, so check_gg passes divisibility
     ones = (1, 1, 1)
 
     def mutate(table):
-        N, rows = table
-        rows = {lam: dict(row) for lam, row in rows.items()}
+        rows = {lam: dict(row) for lam, row in table.items()}
         rows[ones][ones] += 1
-        return N, rows
+        return rows
 
-    assert _pt_at_q(3, 2)[0] == 3
-    # at q = 2, e_3[(q-1)x] = m_3 - m_21 + m_111 is the image of EDDS on both sides
-    right = "(1)*m[3] + (-1)*m[2, 1] + (1)*m[1, 1, 1]"
-    moved = {"index": "EDDS", "lhs": right.replace("(1)*m[1,", "(29/8)*m[1,"), "rhs": right}
+    # at q = 2, 8 e_3[(q-1)x] = 8 (m_3 - m_21 + m_111) is the image of EDDS on both sides
+    right = "(8)*m[3] + (-8)*m[2, 1] + (8)*m[1, 1, 1]"
+    moved = {"index": "EDDS", "lhs": right.replace("(8)*m[1,", "(29)*m[1,"), "rhs": right}
     _mutant_fails_the_gl_checks(monkeypatch, "_pt_at_q", mutate, {
         "check_llt": moved, "check_cor66": moved,
         "check_gg": {**moved, "index": "p_brace1(Gamma_n)"},
@@ -181,8 +212,8 @@ def test_one_wrong_entry_of_the_pt_table_fails_every_gl_check_at_its_first_witne
 
 
 def test_one_wrong_entry_of_the_q_table_fails_every_gl_check_at_its_first_witness(monkeypatch):
-    # m_(1^3)[(q-1)x] gains 1 at m_(1^3): every right side moves there by its
-    # m_(1^3)-coordinate, which is nonzero on every tall path
+    # m_(1^3)[(q-1)x] gains 1 at m_(1^3): every right side moves there by q^3 = 8
+    # times its m_(1^3)-coordinate, which is nonzero on every tall path
     ones = (1, 1, 1)
 
     def mutate(table):
@@ -190,8 +221,8 @@ def test_one_wrong_entry_of_the_q_table_fails_every_gl_check_at_its_first_witnes
         rows[ones][ones] += 1
         return rows
 
-    right = "(1)*m[3] + (-1)*m[2, 1] + (1)*m[1, 1, 1]"
-    moved = {"index": "EDDS", "lhs": right, "rhs": right.replace("(1)*m[1,", "(2)*m[1,")}
+    right = "(8)*m[3] + (-8)*m[2, 1] + (8)*m[1, 1, 1]"
+    moved = {"index": "EDDS", "lhs": right, "rhs": right.replace("(8)*m[1,", "(16)*m[1,")}
     _mutant_fails_the_gl_checks(monkeypatch, "_plethysm_at_q", mutate, {
         "check_llt": moved, "check_cor66": moved,
         "check_gg": {**moved, "index": "p_brace1(Gamma_n)"},
@@ -201,26 +232,25 @@ def test_one_wrong_entry_of_the_q_table_fails_every_gl_check_at_its_first_witnes
 # -- p_brace1 -----------------------------------------------------------------
 
 def test_p_brace1_column_indicator():
-    # indicator of the identity class maps to q^{-binom(n,2)} e_n
+    # the indicator of the identity class maps to q^{-binom(n,2)} e_n, so the scaled map gives e_n
     for n, q in [(2, 2), (3, 2), (3, 3)]:
-        phi = class_fn(UnipClassFn, n, q, {tuple([1] * n): Fraction(1)})
-        f = p_brace1(phi)
-        want = basis_element("E", (n,)).scale(RF(Fraction(1, q ** (n * (n - 1) // 2))))
-        assert f == want
+        phi = class_fn(UnipClassFn, n, q, {tuple([1] * n): 1})
+        assert scaled_p_brace1(phi) == basis_element("E", (n,))
+        assert p_brace1(phi) == {mu: Fraction(1, q ** (n * (n - 1) // 2)) for mu in [(1,) * n]}
 
 
 def test_p_brace1_zero():
     phi = class_fn(UnipClassFn, 3, 2, {})
-    assert p_brace1(phi).is_zero
+    assert scaled_p_brace1(phi).is_zero
 
 
 def test_p_brace1_linear():
     q = 2
     a = induce_to_GL(chi_bar(IndiffGraph(3, frozenset({(1, 2)})), q))
     b = induce_to_GL(chi_bar(IndiffGraph(3, frozenset()), q))
-    combo = fn_sum(fn_scale(a, Fraction(3, 5)), fn_scale(b, -2))
-    lhs = p_brace1(combo)
-    rhs = sym_sum(p_brace1(a).scale(RF(Fraction(3, 5))), p_brace1(b).scale(RF(-2)))
+    combo = fn_sum(fn_scale(a, 3), fn_scale(b, -2))
+    lhs = scaled_p_brace1(combo)
+    rhs = sym_sum(scaled_p_brace1(a).scale(RF(3)), scaled_p_brace1(b).scale(RF(-2)))
     assert lhs == rhs
 
 
@@ -230,30 +260,27 @@ def test_p_one_two_code_paths_agree():
     # omega and the plethystic substitution both act diagonally on power sums,
     # so the three steps (plethysm, then omega) equal omega first; the (q-1)x
     # plethysm through bridge's int table takes omega of either back to p_brace1
-    q = 2
+    q, to_p = 2, gauss_jordan_m_to("P", 3)
     for gamma in indifference_graphs(3):
         phi = induce_to_GL(chi_bar(gamma, q))
         a = three_step_p_one(phi)
-        F = expand_in_basis(p_brace1(phi), "P")
-        F = omega(F)
-        F = eval_plethysm_frac(F, Fraction(q))
-        b = expand_in_basis(F, "S")
+        F = change(p_brace1(phi), lambda mu: to_p[mu].items())
+        F = {lam: c * (-1) ** (3 - len(lam)) for lam, c in F.items()}
+        F = {lam: c.evaluate(Fraction(q)) for lam, c in plethysm_frac(F).items()}
+        b = change(p_to_m(F), lambda mu: gauss_jordan_m_to("S", 3)[mu].items())
         assert a == b
-        assert twisted_at_q(expand_in_basis(omega(b), "M"), q) == p_brace1(phi)
+        assert twisted_at_q(omega_in_m(b, 3), 3, q) == p_brace1(phi)
 
 
 def test_p_one_linear():
-    # the paper's map is linear over Q: three_step_p_one reads p_brace1
+    # the paper's map is linear: three_step_p_one reads p_brace1
     q = 3
     a = induce_to_GL(chi_bar(IndiffGraph(2, frozenset({(1, 2)})), q))
     b = induce_to_GL(chi_bar(IndiffGraph(2, frozenset()), q))
-    combo = fn_sum(fn_scale(a, 2), fn_scale(b, Fraction(1, 7)))
-    lhs = three_step_p_one(combo)
-    want = {}
+    combo = fn_sum(fn_scale(a, 2), fn_scale(b, -7))
     fa, fb = three_step_p_one(a), three_step_p_one(b)
-    for lam in gen_partitions(2):
-        want[lam] = coeff(fa, lam) * RF(2) + coeff(fb, lam) * RF(Fraction(1, 7))
-    assert {k: v for k, v in want.items() if not v.is_zero} == lhs.coeffs
+    want = {lam: 2 * fa.get(lam, 0) - 7 * fb.get(lam, 0) for lam in gen_partitions(2)}
+    assert {k: v for k, v in want.items() if v} == three_step_p_one(combo)
 
 
 def test_p_one_schur_coefficients_are_nonneg_integers():
@@ -261,10 +288,8 @@ def test_p_one_schur_coefficients_are_nonneg_integers():
     for q in (2, 3):
         for sigma in gen_tall_schroder(3):
             F = three_step_p_one(induce_to_GL(psi_pseudo(sigma, q)))
-            for lam, c in F.coeffs.items():
-                assert c.low == 0 and len(c.coeffs) <= 1
-                val = c.evaluate(0)
-                assert val.denominator == 1 and val >= 0
+            for lam, c in F.items():
+                assert c.denominator == 1 and c >= 0
 
 
 def test_the_paper_form_of_check_llt_holds_through_the_three_step_oracle():
@@ -273,7 +298,7 @@ def test_the_paper_form_of_check_llt_holds_through_the_three_step_oracle():
         for n in range(5):
             for sigma in gen_tall_schroder(n):
                 G = eval_t(llt_vertical(sigma), q).scale((q - 1) ** len(diag(sigma)))
-                want = omega(expand_in_basis(G, "S"))
+                want = {transpose(lam): c for lam, c in in_s(G).items()}
                 assert three_step_p_one(induce_to_GL(psi_pseudo(sigma, q))) == want, (q, sigma)
 
 
@@ -479,6 +504,38 @@ def _package_imports():
                 yield path.name, node.lineno, m.split(".")[0]
 
 
+_RATIONAL = {"Fraction", "fractions", "_div", "_frac", "Rat", "_all_int"}
+
+
+def _rational_names(tree) -> set[str]:
+    """The names of `_RATIONAL` that the code of a syntax tree names, as a Name,
+    an attribute or an import; docstrings and comments are no code."""
+    import ast
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found |= {node.name.split(".")[-1], *node.name.split("."), node.asname}
+        elif isinstance(node, ast.ImportFrom):
+            found |= set((node.module or "").split("."))
+    return found & _RATIONAL
+
+
+def test_only_exactnum_names_a_fraction_or_a_division():
+    # outside exactnum the package computes over Z[t, 1/t]: no other module names a
+    # Fraction, the fractions module or exactnum's division and coercion helpers
+    import ast
+    assert _rational_names(ast.parse(
+        "import fractions.x as y\nfrom .exactnum import Rat\n'Fraction _div'\nz = e._all_int(x)\n"
+    )) == {"fractions", "Rat", "_all_int"}
+    found = {module: sorted(_rational_names(tree)) for module, tree in _package_trees()
+             if module != "exactnum"}
+    assert {module: names for module, names in found.items() if names} == {}
+
+
 def test_the_package_never_imports_dataclasses():
     # `import dataclasses` pulls in inspect, ast, dis and tokenize: ~10 ms of every cold start
     assert [f"{f}:{line}" for f, line, m in _package_imports() if m == "dataclasses"] == []
@@ -498,7 +555,7 @@ def test_cold_import_of_the_cli_loads_neither_dataclasses_nor_inspect():
 
 
 def test_the_symbolic_compute_verbs_never_load_fractions():
-    # Their values lie in Z[t], so `_div` keeps every quotient an int. The
+    # Their values lie in Z[t] and every change of basis reads Z[t, 1/t]. The
     # modules listed first are the ones perfbench/tracer.py reads from
     # sys.modules right after `import chromaq.cli`: deferring any of them
     # would make `perfbench/run.py --trace 1` fail with a KeyError.
@@ -525,8 +582,8 @@ def test_the_symbolic_compute_verbs_never_load_fractions():
 
 
 def test_a_passing_verify_run_never_loads_fractions():
-    # p_brace1 reads an integer table and divides once, exactly, by q^N; the
-    # plethysm on M divides an integral vector by d! exactly; and evaluate returns an int
+    # the GL checks compare q^{binom(n,2)} times each side over Z; the plethysm on
+    # M divides an integral vector by d! exactly; and evaluate returns an int
     # when the value is one.  The deep run is also made as the command itself,
     # every import listed by -X importtime
     code = ("import contextlib, io, sys\n"
@@ -740,8 +797,8 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
         # 3^11 color classes, and p(18)^2 table cells for any change of basis
         (lambda: csf(IndiffGraph(11, [])), "177,147"),
         (lambda: llt_vertical(SchroderPath("ES" * 11)), "177,147"),
-        (lambda: expand_in_basis(SymFunc(18, "M", {(18,): 1}), "S"), "148,225"),
-        (lambda: expand_in_basis(SymFunc(18, "M", {(18,): 1}), "P"), "148,225"),
+        (lambda: expand_in_basis(SymFunc(18, "M", {(18,): 1}), "E"), "148,225"),
+        (lambda: expand_in_basis(SymFunc(18, "M", {(18,): 1}), "PT"), "148,225"),
         (lambda: omega(SymFunc(18, "M", {(18,): 1})), "148,225"),
         (lambda: plethysm_mul(SymFunc(18, "M", {(18,): 1})), "148,225"),
     ]
@@ -802,7 +859,7 @@ def test_only_check_hess_sweeps_ut_n(monkeypatch):
 
 
 def test_omega_on_m_and_check_llts_right_side_read_no_power_sum_table(monkeypatch):
-    # omega on m peels each vector into P once, with the Schur rows refused, and
+    # omega on m peels each vector into P once, with every other table refused, and
     # check_llt's right side reads the p rows only while `_plethysm_at_q` builds
     # its table, once for each of q = 2 and 3
     import chromaq.bridge as bridge
@@ -832,9 +889,9 @@ def test_omega_on_m_and_check_llts_right_side_read_no_power_sum_table(monkeypatc
         p_while_building(basis, d)
         return peel(coeffs, basis, d)
 
-    def no_schur_rows(basis, d):
-        if basis == "S":
-            raise AssertionError(f"the degree-{d} Schur rows were read")
+    def only_p_rows(basis, d):
+        if basis != "P":
+            raise AssertionError(f"the degree-{d} {basis} rows were read")
         return peel_rows(basis, d)
 
     for module in (sf, bridge):
@@ -842,7 +899,7 @@ def test_omega_on_m_and_check_llts_right_side_read_no_power_sum_table(monkeypatc
             if callable(getattr(obj, "cache_clear", None)):
                 obj.cache_clear()
     monkeypatch.setattr(sf, "_peel", lambda coeffs, b, d: peeled.append(b) or peel(coeffs, b, d))
-    monkeypatch.setattr(sf, "_peel_rows", no_schur_rows)
+    monkeypatch.setattr(sf, "_peel_rows", only_p_rows)
     units = [mu for d in range(7) for mu in gen_partitions(d)]
     for mu in units:
         assert omega(basis_element("M", mu)).basis == "M", mu
@@ -1014,8 +1071,7 @@ def test_check_cm_agrees_with_the_old_form_through_plethysm_frac():
         for pi in gen_dyck(n):
             old = cm_lhs(pi)
             assert old == llt_vertical(pi).coeffs, pi
-            back = plethysm_mul(expand_in_basis(SymFunc(n, "M", old), "P"))
-            assert expand_in_basis(back, "M") == csf(graph_of(pi)).scale((T - 1) ** n), pi
+            assert plethysm_mul(SymFunc(n, "M", old)) == csf(graph_of(pi)).scale((T - 1) ** n), pi
 
 
 def _unicellular_sum_by_addition(sigma):
@@ -1036,15 +1092,19 @@ def test_unicellular_sum_matches_the_symfunc_by_symfunc_sum():
 
 
 def test_check_cm_divides_by_nothing(monkeypatch):
-    # both sides stay in Z[t]: check_cm never reaches bridge's one division
+    # both sides stay in Z[t]: no coefficient of either side is a quotient
     import chromaq.bridge as bridge
-
-    def no_division(*args):
-        raise AssertionError("check_cm divided")
-
-    monkeypatch.setattr(bridge, "_div", no_division)
+    sides = []
+    monkeypatch.setattr(bridge, "_scan", lambda *args: sides.append(args[3:]))
     for n in range(6):
-        assert check_cm(n).ok, n
+        check_cm(n)
+    monkeypatch.undo()
+    for items, lhs, rhs in sides:
+        for pi in items:
+            for F in (lhs(pi), rhs(pi)):
+                assert all(c.low >= 0 and all(type(a) is int for a in c.coeffs)
+                           for c in F.coeffs.values()), pi
+    assert all(check_cm(n).ok for n in range(6))
 
 
 def test_check_cm_fails_on_a_perturbed_llt(monkeypatch):
@@ -1160,6 +1220,71 @@ def test_every_check_fails_on_a_perturbed_side(monkeypatch, check, kernel, hit, 
     _fails_at_the_perturbed_item(monkeypatch, check, kernel, hit, change, index, q, part)
 
 
+def _bump_pt_3(table):
+    """q^3 PT_(3)(x; q) one more at m_(1^3), in a copy of bridge's table at n = 3."""
+    rows = {lam: dict(row) for lam, row in table.items()}
+    rows[(3,)][(1, 1, 1)] += 1
+    return rows
+
+
+_EDGELESS = indifference_graphs(3).index(IndiffGraph(3, []))
+
+
+@pytest.mark.parametrize("check, kernel, change", [
+    ("check_cqs", "_pt_at_q", _bump_pt_3),
+    ("check_llt", "_pt_at_q", _bump_pt_3),
+    ("check_cor66", "_pt_at_q", _bump_pt_3),
+    ("check_gg", "_pt_at_q", _bump_pt_3),
+    # one more u of type (3) labeled edgeless: |C_GL(J_(3))| = 4 over |UT_3| = 8
+    ("check_hess", "induction_table",
+     lambda t: {**t, (3,): tuple(v + (i == _EDGELESS) for i, v in enumerate(t[(3,)]))}),
+    ("check_poincare", "d_coeffs", lambda d: {**d, _L: d.get(_L, ZERO) + 1}),
+])
+def test_a_failing_witness_of_a_check_that_used_to_divide_holds_integers(monkeypatch, check,
+                                                                         kernel, change):
+    # these checks divided by q^3, |UT_3| and q^{|E|}, and with these tables their
+    # witnesses printed 49/8, 9/8, 9/8, 9/8, 3/2 and 1/8; cross-multiplied, they
+    # print no quotient
+    import chromaq.bridge as bridge
+    original = getattr(bridge, kernel)
+    monkeypatch.setattr(bridge, kernel, lambda *args: change(original(*args)))
+    rep = run_check(check, 3, 2)
+    assert not rep.ok
+    assert "/" not in rep.witness["lhs"] + rep.witness["rhs"], rep.witness
+
+
+def test_the_lowest_power_of_t_in_the_pt_rows_is_t_to_the_minus_binom_d_2():
+    # the GL checks scale both sides by q^{binom(n,2)}: no PT coordinate of degree d
+    # reaches below t^{-binom(d,2)}, and PT_(1^d) = t^{-binom(d,2)} e_d reaches it
+    for d in range(9):
+        lows = {lam: min(c.low for c in basis_element("PT", lam).coeffs.values())
+                for lam in gen_partitions(d)}
+        assert min(lows.values()) == lows[(1,) * d] == -(d * (d - 1) // 2), d
+
+
+def test_the_pt_table_refuses_a_coordinate_below_its_scale(monkeypatch):
+    import chromaq.bridge as bridge
+    real = bridge._m_coords
+
+    def lowered(basis, lam):
+        rows = real(basis, lam)
+        return tuple((mu, c.shift(-1)) for mu, c in rows) if lam == (1, 1, 1) else rows
+
+    monkeypatch.setattr(bridge, "_m_coords", lowered)
+    with pytest.raises(ArithmeticError,
+                       match=r"^PT_\[1, 1, 1\] has the m_\[1, 1, 1\]-coordinate t\^-4, below t\^-3$"):
+        _pt_at_q.__wrapped__(3, 2)
+
+
+def test_d_coefficients_lie_in_z_t():
+    # check_poincare compares q^{|E|} |B| with d_lam^gamma(q): for n <= 6 every
+    # d coefficient is a polynomial over Z, with no negative power of t
+    for n in range(7):
+        for g in indifference_graphs(n):
+            assert all(c.low >= 0 and all(type(a) is int for a in c.coeffs)
+                       for c in d_coeffs(g).values()), g
+
+
 def test_check_psi_decomp_builds_each_supercharacter_once(monkeypatch):
     import chromaq.bridge as bridge
     calls = Counter()
@@ -1207,7 +1332,7 @@ def test_omega_sympoly_en_hn():
     # omega takes the monomial coordinates of e_n and h_n to each other
     for n in range(1, 5):
         e = basis_element("E", (n,))
-        h = basis_element("H", (n,))
+        h = SymFunc(n, "M", m_coords("H", (n,)))
         assert omega(e) == h
         assert omega(h) == e
 

@@ -22,7 +22,6 @@ from chromaq.combinatorics import (
     graph_of,
     indifference_graphs,
 )
-from chromaq.exactnum import _div
 from chromaq.fqoracle import (
     PRIMES,
     ClassFnUT,
@@ -721,9 +720,9 @@ def test_induce_linearity():
     q = 2
     f = chi_bar(IG(3, (1, 2)), q)
     g = chi_bar(IG(3, (2, 3)), q)
-    combo = fn_sum(fn_scale(f, Fraction(2, 3)), fn_scale(g, -5))
+    combo = fn_sum(fn_scale(f, 2), fn_scale(g, -5))
     lhs = induce_to_GL(combo)
-    rhs = fn_sum(fn_scale(induce_to_GL(f), Fraction(2, 3)), fn_scale(induce_to_GL(g), -5))
+    rhs = fn_sum(fn_scale(induce_to_GL(f), 2), fn_scale(induce_to_GL(g), -5))
     assert lhs == rhs
 
 
@@ -751,8 +750,8 @@ def test_induced_characters_have_integer_values():
 
 def test_class_function_values_are_plain_numbers():
     # chi_bar, chi and psi are integer-valued, so they hold ints (never a
-    # Fraction or a float), and so do their inductions; a Fraction value stays one
-    # only where it is no integer
+    # Fraction or a float), and so do their inductions; a class function refuses
+    # any other value
     for q in (2, 3):
         for n in (1, 2, 3):
             fns = [chi_bar(g, q) for g in indifference_graphs(n)]
@@ -760,9 +759,11 @@ def test_class_function_values_are_plain_numbers():
             fns += [psi_pseudo(s, q) for s in gen_tall_schroder(n)]
             for f in fns:
                 assert all(type(v) is int for v in f.values), f
-                assert all(type(v) in (int, Fraction) for v in induce_to_GL(f).values), f
-    third = induce_to_GL(fn_scale(chi_bar(IG(2), 2), Fraction(1, 3)))
-    assert third.values == (Fraction(1, 3), 1) and type(third.values[1]) is int
+                assert all(type(v) is int for v in induce_to_GL(f).values), f
+    for value in (Fraction(1, 3), Fraction(2, 1), 1.0, True):
+        for cls in (ClassFnUT, UnipClassFn):
+            with pytest.raises(TypeError, match=rf"^{cls.__name__} values must be ints, got "):
+                cls(2, 2, (value, 1))
 
 
 def test_class_functions_take_a_tuple():
@@ -819,13 +820,12 @@ def test_induce_and_superclass_sizes_match_the_tuple_oracle():
         table = matrix_oracle.induction_table(n, q)
 
         def induced(phi):
-            return UnipClassFn(n, q, tuple(
-                Fraction(_centralizer_order(lam, q) * sum(map(mul, row, phi.values)),
-                         ut_order(n, q)) for lam, row in table.items()))
+            return tuple(Fraction(_centralizer_order(lam, q) * sum(map(mul, row, phi.values)),
+                                  ut_order(n, q)) for lam, row in table.items())
 
         for phi in ([chi_bar(g, q) for g in indifference_graphs(n)]
                     + [psi_pseudo(sigma, q) for sigma in gen_tall_schroder(n)]):
-            assert induce_to_GL(phi) == induced(phi), (n, q, phi)
+            assert induce_to_GL(phi).values == induced(phi), (n, q, phi)
         assert superclass_sizes(n, q) == dict(zip(indifference_graphs(n),
                                                   map(sum, zip(*table.values())))), (n, q)
 
@@ -834,11 +834,11 @@ _KERNEL_POINTS = [(n, q) for n in range(1, 4) for q in PRIMES] + [(4, 2), (4, 3)
 
 
 def induced_by_the_sweep(phi):
-    """check_hess's left side: |C_GL(J_lam)| times the sweep's row of lam dotted with phi, over |UT_n|."""
+    """check_hess's left side over |UT_n|: |C_GL(J_lam)| times the sweep's row of lam
+    dotted with phi, divided by |UT_n| over Q."""
     n, q = phi.n, phi.q
-    return UnipClassFn(n, q, tuple(
-        _div(_centralizer_order(lam, q) * sum(map(mul, row, phi.values)), ut_order(n, q))
-        for lam, row in induction_table(n, q).items()))
+    return tuple(Fraction(_centralizer_order(lam, q) * sum(map(mul, row, phi.values)), ut_order(n, q))
+                 for lam, row in induction_table(n, q).items())
 
 
 def test_induction_from_the_walk_equals_the_sweep():
@@ -851,7 +851,7 @@ def test_induction_from_the_walk_equals_the_sweep():
         phis += [psi_pseudo(sigma, q) for sigma in gen_tall_schroder(n)] if n < 6 else []
         for phi in phis:
             got = induce_to_GL(phi)
-            assert got == induced_by_the_sweep(phi), (n, q, phi)
+            assert got.values == induced_by_the_sweep(phi), (n, q, phi)
             assert all(type(v) is int for v in got.values), (n, q, phi)
 
 

@@ -77,15 +77,16 @@ _UPSETS = ("both class functions are signed upset sums over the lattice, so the 
 _COLORINGS = ("both sides are colour-class sums, X with differ edges and G with rise "
               "edges; test_color_classes_match_the_vertex_kernel checks the kernel")
 _TABLES = ("symfunc's monomial tables, all read off one Hall-Littlewood tableau build: "
-           "p_brace1 reads the PT rows on the left, and the right side reads the e rows off "
-           "their Kostka numbers; test_hl_tableau_build_matches_gram_schmidt checks the build")
-_ROWS = ("symfunc's forward rows in monomial coordinates: p_brace1 reads the PT rows on the "
-         "left, and the right side's table of m_mu[(q-1)x] the p rows; "
+           "scaled_p_brace1 reads the PT rows on the left, and the right side reads the e "
+           "rows off their Kostka numbers; test_hl_tableau_build_matches_gram_schmidt checks "
+           "the build")
+_ROWS = ("symfunc's forward rows in monomial coordinates: scaled_p_brace1 reads the PT rows "
+         "on the left, and the right side's table of m_mu[(q-1)x] the p rows; "
          "test_laurent_tables_equal_the_gauss_jordan_oracle checks them")
-_CHANGE = ("the one sparse change of coordinates: p_brace1 sums the PT rows on the left, and "
-           "the right side sums rows of m_mu[(q-1)x]; test_p_one_and_p_brace1_match_the_"
-           "symbolic_oracle checks p_brace1 against sym_sum, and test_plethysm_m_table_is_"
-           "integral_and_equal_to_the_p_route checks the table")
+_CHANGE = ("the one sparse change of coordinates: scaled_p_brace1 sums the PT rows on the left, "
+           "and the right side sums rows of m_mu[(q-1)x]; test_p_one_and_p_brace1_match_the_"
+           "symbolic_oracle checks p_brace1 against the oracles' own change, and "
+           "test_plethysm_m_table_is_integral_and_equal_to_the_p_route checks the table")
 _PACKED = ("packed row reduction over F_q: the sweep's jordan_type ranks with it and the "
            "Springer walk spans its kernels with it; test_packed_kernel_matches_the_tuple_"
            "oracle and test_eliminate_matches_the_tuple_rank check it")

@@ -20,6 +20,7 @@ from chromaq.symfunc import (
     plethysm_mul,
     _diagonal,
     _hall_littlewood_coords,
+    _kostka,
     _m_coords,
     _peel,
     _peel_rows,
@@ -27,13 +28,16 @@ from chromaq.symfunc import (
     _require_partition,
     _strips,
 )
-from orbit_oracle import check_symmetric, coeff, placements, product_coords, zlam
+from orbit_oracle import check_symmetric, placements, product_coords, zlam
 from ratfunc_oracle import (
     _invert,
+    change,
     gauss_jordan_from_monomials,
-    gauss_jordan_m_to_p,
+    gauss_jordan_m_to,
     inverted_from_monomials,
+    m_coords,
     omega_m_through_s,
+    p_to_m,
     plethysm_frac,
     ratfunc_to_const,
     ratfunc_to_laurent,
@@ -91,29 +95,32 @@ def test_e_k_is_monomial_of_ones():
 def test_hlp_column_is_elementary():
     for n in range(1, 8):
         lam = tuple([1] * n)
-        assert basis_element("HLP", lam) == basis_element("E", (n,))
+        assert _hall_littlewood_coords(n)[lam] == basis_element("E", (n,)).coeffs
 
 
 def test_schur_21_monomials():
-    el = basis_element("S", (2, 1))
-    assert el.coeffs == {(2, 1): RF(1), (1, 1, 1): RF(2)}
+    assert _kostka(3)[(2, 1)] == {(2, 1): 1, (1, 1, 1): 2}
 
 
 def _ssyt_coords(lam):
-    return {mu: RF(c) for mu, c in schur_by_ssyt(lam, sum(lam)).items() if c}
+    return {mu: c for mu, c in schur_by_ssyt(lam, sum(lam)).items() if c}
 
 
 def test_schur_matches_ssyt_oracle():
+    # the Kostka numbers, the rows of s read off the tableau build at t = 0
     for n in range(7):
         for lam in gen_partitions(n):
-            assert basis_element("S", lam).coeffs == _ssyt_coords(lam), lam
+            assert _kostka(n)[lam] == _ssyt_coords(lam), lam
 
 
 @pytest.mark.parametrize("basis", ["E", "H", "P"])
 @pytest.mark.parametrize("d", range(7))
 def test_products_match_the_orbit_product_oracle(basis, d):
+    # e from the package's rows, p from the rows `_diagonal` peels against, and h
+    # from the Kostka numbers through the oracle's rows
     for lam in gen_partitions(d):
-        assert dict(_m_coords(basis, lam)) == product_coords(basis, lam), lam
+        rows = m_coords("H", lam) if basis == "H" else dict(_m_coords(basis, lam))
+        assert rows == product_coords(basis, lam), lam
 
 
 def test_memoised_placements_match_the_plain_count():
@@ -125,31 +132,39 @@ def test_memoised_placements_match_the_plain_count():
     assert dict(_m_coords("P", (1,) * 14))[(1,) * 14] == 87_178_291_200  # 14!
 
 
-@pytest.mark.parametrize("basis", BASES)
+@pytest.mark.parametrize("basis", ["M", "E", "H", "P", "S", "HLP", "PT"])
 @pytest.mark.parametrize("lam", [(1, 2), (0,), (2, 0, 1)])
 def test_basis_element_takes_only_partitions(basis, lam):
-    with pytest.raises(ValueError, match=f"is not a partition of {sum(lam)}"):
+    # the bases the package no longer holds are refused by name, before lam is read
+    match = f"is not a partition of {sum(lam)}" if basis in BASES else f"unknown basis '{basis}'"
+    with pytest.raises(ValueError, match=match):
         basis_element(basis, lam)
 
 
 def test_unknown_basis():
-    with pytest.raises(ValueError):
-        basis_element("Q", (1,))
+    assert BASES == ("M", "E", "PT")
+    for basis in ("Q", "H", "P", "S", "HLP"):
+        with pytest.raises(ValueError, match=f"^unknown basis '{basis}'$"):
+            basis_element(basis, (1,))
+        with pytest.raises(ValueError, match=f"^unknown basis '{basis}'$"):
+            expand_in_basis(basis_element("M", (1,)), basis)
+        with pytest.raises(ValueError, match=f"^unknown basis '{basis}'$"):
+            SymFunc(1, basis, {(1,): 1})
 
 
 def test_nvars_guard():
     # a change of basis peels against a p(d) x p(d) table: p(18)^2 = 148,225 cells, past MAX_SWEEP
-    with pytest.raises(SizeGuardError, match="sweeping the 385\\^2 cells of the degree-18 S table "
+    with pytest.raises(SizeGuardError, match="sweeping the 385\\^2 cells of the degree-18 E table "
                                              "visits 148,225 elements, past the bound MAX_SWEEP"):
-        expand_in_basis(SymFunc(18, "M", {(18,): RF(1)}), "S")
-    # any basis but M fills a p(d) x p(d) table: p(17)^2 = 88,209 cells run,
-    # p(18)^2 = 148,225 are refused before any basis element of degree 18 is built
+        expand_in_basis(SymFunc(18, "M", {(18,): RF(1)}), "E")
+    # any basis but M, and the p rows, fill a p(d) x p(d) table: p(17)^2 = 88,209 cells
+    # run, p(18)^2 = 148,225 are refused before any basis element of degree 18 is built
     assert basis_element("M", (18,)).coeffs == {(18,): RF(1)}
     before = _hall_littlewood_coords.cache_info().currsize
-    for basis in ("E", "H", "P", "S", "HLP", "PT"):
+    for basis, build in (("E", basis_element), ("PT", basis_element), ("P", _m_coords)):
         with pytest.raises(SizeGuardError, match=f"sweeping the 385\\^2 cells of the degree-18 {basis} "
                                                  "table visits 148,225 elements, past the bound"):
-            basis_element(basis, (1,) * 18)
+            build(basis, (1,) * 18)
     assert _hall_littlewood_coords.cache_info().currsize == before
     # a basis element is indexed by the partitions of its degree, refused past p(46)
     with pytest.raises(SizeGuardError, match="sweeping the partitions of 47 visits 124,754 elements"):
@@ -158,19 +173,21 @@ def test_nvars_guard():
 
 # -- Hall-Littlewood anchors -----------------------------------------------------
 
+def _hl_at(d, lam, q):
+    """P_lam(x; q) in monomial coordinates, zeros dropped."""
+    return {mu: v for mu, c in _hall_littlewood_coords(d)[lam].items() if (v := c.evaluate(q))}
+
+
 def test_hl_specializes_to_schur_at_zero():
     for n in range(8):
         for lam in gen_partitions(n):
-            hl = eval_t(basis_element("HLP", lam), 0)
-            assert hl.coeffs == _ssyt_coords(lam), lam
+            assert _hl_at(n, lam, 0) == _ssyt_coords(lam), lam
 
 
 def test_hl_specializes_to_monomial_at_one():
     for n in range(8):
         for lam in gen_partitions(n):
-            hl = eval_t(basis_element("HLP", lam), 1)
-            m = basis_element("M", lam)
-            assert hl == m, lam
+            assert _hl_at(n, lam, 1) == {lam: 1}, lam
 
 
 def gram_schmidt_hl(d):
@@ -197,8 +214,9 @@ def gram_schmidt_hl(d):
 
     done = []
     out = {}
+    to_p = gauss_jordan_m_to("P", d)
     for lam in reversed(parts):
-        v = {nu: RationalFunc(c) for nu, c in expand_in_basis(basis_element("M", lam), "P").coeffs.items()}
+        v = {nu: RationalFunc.const(c) for nu, c in to_p[lam].items()}
         for w, nw in done:
             c = inner(v, w) / nw
             for nu, wc in w.items():
@@ -206,8 +224,7 @@ def gram_schmidt_hl(d):
         v = {nu: c for nu, c in v.items() if not c.is_zero}
         done.append((v, inner(v, v)))
         # P_lam has p-coordinates in Q[t], so the oracle's quotients must clear
-        p_coords = {nu: ratfunc_to_laurent(c) for nu, c in v.items()}
-        out[lam] = expand_in_basis(SymFunc(d, "P", p_coords), "M").coeffs
+        out[lam] = p_to_m({nu: ratfunc_to_laurent(c) for nu, c in v.items()})
     return out
 
 
@@ -291,9 +308,7 @@ def test_hl_coefficients_are_integer_polynomials():
 
 def test_hl_two_row():
     # classical: P_(2) = m_2 + (1-t) m_11
-    el = basis_element("HLP", (2,))
-    assert coeff(el, (2,)) == LaurentPoly.const(1)
-    assert coeff(el, (1, 1)) == 1 - T
+    assert _hall_littlewood_coords(2)[(2,)] == {(2,): LaurentPoly.const(1), (1, 1): 1 - T}
 
 
 def test_pt_relation():
@@ -302,10 +317,9 @@ def test_pt_relation():
     for n in range(6):
         for lam in gen_partitions(n):
             pt = basis_element("PT", lam)
-            hl = basis_element("HLP", lam)
             shift = LaurentPoly.t(-nstat(lam))
-            twisted = hl.map_coeffs(lambda c: c.subs_inv() * shift)
-            assert pt == twisted, lam
+            twisted = {mu: c.subs_inv() * shift for mu, c in _hall_littlewood_coords(n)[lam].items()}
+            assert pt.coeffs == twisted, lam
 
 
 def test_pt_coeffs_are_laurent():
@@ -327,34 +341,35 @@ def test_roundtrip_all_bases():
 
 
 def test_schur_in_e_basis():
-    got = expand_in_basis(basis_element("S", (2, 1)), "E")
+    got = expand_in_basis(SymFunc(3, "M", _kostka(3)[(2, 1)]), "E")
     assert got.coeffs == {(2, 1): RF(1), (3,): RF(-1)}
 
 
 def test_p2_in_monomials():
-    got = expand_in_basis(basis_element("P", (2,)), "M")
-    assert got.coeffs == {(2,): RF(1)}
+    assert _m_coords("P", (2,)) == (((2,), RF(1)),)
 
 
 def test_expand_builds_each_change_of_basis_once():
-    f = basis_element("H", (2, 1)).scale(T + 1)
-    expand_in_basis(f, "S")
+    f = SymFunc(3, "M", m_coords("H", (2, 1))).scale(T + 1)
+    expand_in_basis(f, "PT")
     before = _peel_rows.cache_info()
     for _ in range(3):
-        assert expand_in_basis(f, "S") == expand_in_basis(f, "S")
+        assert expand_in_basis(f, "PT") == expand_in_basis(f, "PT")
     after = _peel_rows.cache_info()
     assert after.misses == before.misses
     assert after.hits == before.hits + 6
 
 
 def test_every_change_of_basis_runs_at_degree_11():
-    # p(11)^2 = 3,136 cells per table: the round trip through each basis returns F;
-    # the values are checked against the oracles up to degree 8
+    # p(11)^2 = 3,136 cells per table: the round trip through each basis returns F,
+    # and omega twice, through the p rows; the values are checked against the oracles
+    # up to degree 8
     keys = gen_partitions(11)
     F = SymFunc(11, "M", {mu: T - i for i, mu in enumerate(keys)})
-    for b in ("S", "E", "PT", "P", "H"):
+    for b in ("E", "PT"):
         G = expand_in_basis(F, b)
         assert G.basis == b and expand_in_basis(G, "M") == F, b
+    assert omega(omega(F)) == F
 
 
 def test_expand_in_basis_roundtrip_through_m():
@@ -364,8 +379,8 @@ def test_expand_in_basis_roundtrip_through_m():
             F = basis_element("M", lam)
             for b in BASES:
                 assert expand_in_basis(expand_in_basis(F, b), "M") == F, (b, lam)
-    F = SymFunc(3, "S", {(2, 1): RF(2), (1, 1, 1): RF(-1)})
-    assert expand_in_basis(expand_in_basis(F, "M"), "S") == F
+    F = SymFunc(3, "PT", {(2, 1): RF(2), (1, 1, 1): T - 1})
+    assert expand_in_basis(expand_in_basis(F, "M"), "PT") == F
 
 
 def _peel_misses(oracle, b, d, cast=lambda c: c):
@@ -391,14 +406,14 @@ def test_solve_equals_the_inverted_table_for_every_basis():
 
 
 def test_the_oracle_comparison_fails_on_a_perturbed_forward_row(monkeypatch):
-    # s_(2,1) = m_21 + 2 m_111 made m_21 + 3 m_111 moves the s_(1^3)-coordinates of
-    # m_3 and m_21.  The peel inverts the rows it is given, so only the oracle,
-    # which reads the real rows, sees the change
-    _patched_coords(monkeypatch, "S", (2, 1), lambda c: {**c, (1, 1, 1): RF(3)})
+    # e_(2,1) = m_21 + 3 m_111 made m_21 + 4 m_111 moves the e_(2,1)- and
+    # e_(3)-coordinates of m_3 and m_21.  The peel inverts the rows it is given, so
+    # only the oracle, which reads the real rows off the Kostka numbers, sees the change
+    _patched_coords(monkeypatch, "E", (2, 1), lambda c: {**c, (1, 1, 1): RF(4)})
     monkeypatch.setattr(symfunc, "_peel_rows", _peel_rows.__wrapped__)
     for oracle, cast in ((gauss_jordan_from_monomials, RationalFunc),
                          (inverted_from_monomials, lambda c: c)):
-        assert _peel_misses(oracle, "S", 3, cast) == [(3,), (2, 1)], oracle
+        assert _peel_misses(oracle, "E", 3, cast) == [(3,), (2, 1)], oracle
 
 
 def _patched_coords(monkeypatch, basis, lam, patch):
@@ -413,18 +428,18 @@ def _patched_coords(monkeypatch, basis, lam, patch):
 
 
 def test_solve_refuses_a_pivot_that_is_not_a_unit(monkeypatch):
-    _patched_coords(monkeypatch, "S", (2, 1), lambda c: {**c, (2, 1): 1 + T})
-    with pytest.raises(ArithmeticError, match=r"s_\[2, 1\] has the pivot t\+1 at m_\[2, 1\], "
+    _patched_coords(monkeypatch, "E", (2, 1), lambda c: {**c, (2, 1): 1 + T})
+    with pytest.raises(ArithmeticError, match=r"e_\[2, 1\] has the pivot t\+1 at m_\[2, 1\], "
                                               r"not c \* t\^k"):
-        _peel_rows.__wrapped__("S", 3)
+        _peel_rows.__wrapped__("E", 3)
 
 
 def test_solve_refuses_an_entry_on_a_row_not_yet_solved(monkeypatch):
     # m_(3) comes before m_(2,1) in `gen_partitions` order, so it is peeled before it
-    _patched_coords(monkeypatch, "S", (2, 1), lambda c: {**c, (3,): T})
-    with pytest.raises(ArithmeticError, match=r"s_\[2, 1\] has an m_\[3\]-coordinate, but m_\[3\] "
+    _patched_coords(monkeypatch, "E", (2, 1), lambda c: {**c, (3,): T})
+    with pytest.raises(ArithmeticError, match=r"e_\[2, 1\] has an m_\[3\]-coordinate, but m_\[3\] "
                                               r"is peeled before m_\[2, 1\]"):
-        _peel_rows.__wrapped__("S", 3)
+        _peel_rows.__wrapped__("E", 3)
 
 
 def test_solve_refuses_an_e_table_read_with_lam_leading(monkeypatch):
@@ -463,7 +478,7 @@ def test_invert_raises_on_a_singular_matrix():
 def test_m_to_p_integral_is_d_factorial_times_the_gauss_jordan_table():
     # the peel into P over Z against the inversion over Q[t, 1/t]
     for d in range(9):
-        want = gauss_jordan_m_to_p(d)
+        want = gauss_jordan_m_to("P", d)
         for mu in gen_partitions(d):
             row = _peel({mu: 1}, "P", d)
             assert all(c.low == 0 and [type(v) for v in c.coeffs] == [int]
@@ -481,13 +496,25 @@ def test_m_to_p_integral_raises_on_a_wrong_pivot(monkeypatch):
     with pytest.raises(ArithmeticError, match=r"24 \* F has the non-integer "
                                               r"p_\[1, 1, 1, 1\]-coordinate 24/25"):
         _peel({ones: 1}, "P", 4)
-    # a vector that already carries a Fraction is divided through _div instead
-    assert _peel({ones: Fraction(1, 2)}, "P", 4)[ones] == RF(Fraction(12, 25))
+
+
+def test_peel_and_the_diagonal_maps_refuse_a_rational_coefficient(monkeypatch):
+    # one integral path: a coefficient outside Z[t, 1/t] is refused before any row is read
+    def no_rows(basis, d):
+        raise AssertionError(f"the degree-{d} {basis} rows were read")
+
+    monkeypatch.setattr(symfunc, "_peel_rows", no_rows)
+    half = LaurentPoly([Fraction(1, 2), 1], low=-1)
+    message = r"^a change of basis reads Z\[t, 1/t\], not the m_\[2, 1\]-coordinate 1\+1/2\*t\^-1$"
+    for call in (lambda F: _peel(F.coeffs, "P", 3), lambda F: _peel(F.coeffs, "E", 3),
+                 lambda F: expand_in_basis(F, "PT"), omega, plethysm_mul):
+        with pytest.raises(TypeError, match=message):
+            call(SymFunc(3, "M", {(3,): 2, (2, 1): half}))
 
 
 def test_expand_in_basis_same_basis_is_identity():
-    F = SymFunc(3, "HLP", {(2, 1): T + 1})
-    assert expand_in_basis(F, "HLP") is F
+    F = SymFunc(3, "PT", {(2, 1): T + 1})
+    assert expand_in_basis(F, "PT") is F
 
 
 # -- the SymFunc type -------------------------------------------------------------
@@ -579,46 +606,48 @@ def test_check_symmetric_false():
 
 # -- omega ------------------------------------------------------------------------
 
+def _in_m(basis, lam):
+    """The oracle's basis element of s, h, e, p, HLP or PT as a SymFunc in basis M."""
+    return SymFunc(sum(lam), "M", m_coords(basis, lam))
+
+
 def test_omega_selfconjugate():
-    F = SymFunc(3, "S", {(2, 1): RF(1)})
+    F = _in_m("S", (2, 1))
     assert omega(F) == F
 
 
 def test_omega_e_to_h():
+    # omega on M takes e_lam to h_lam, whose rows the oracle reads off the Kostka
+    # numbers; and so does the sign rule on P through the Gauss-Jordan table over Q
     for n in range(1, 6):
-        F = SymFunc(n, "E", {(n,): RF(1)})
-        w = omega(F)
-        assert w.basis == "H" and w.coeffs == {(n,): RF(1)}
-    # cross-check omega(e_lam) = h_lam through the p-basis sign rule
-    for n in range(1, 6):
+        to_p = gauss_jordan_m_to("P", n)
         for lam in gen_partitions(n):
-            e_in_p = expand_in_basis(basis_element("E", lam), "P")
-            h = expand_in_basis(omega(e_in_p), "M")
-            assert h == basis_element("H", lam), lam
+            h = _in_m("H", lam)
+            assert omega(basis_element("E", lam)) == h, lam
+            e_in_p = change(basis_element("E", lam).coeffs, lambda mu: to_p[mu].items())
+            assert p_to_m({nu: c * (-1) ** (n - len(nu)) for nu, c in e_in_p.items()}) == h.coeffs, lam
 
 
 def test_omega_on_h_gives_e_and_is_an_involution():
-    # the H rule, checked against omega on m: omega(h_lam) = e_lam for |lam| <= 5
+    # omega(h_lam) = e_lam in M for |lam| <= 5, and omega twice is the identity
     for n in range(6):
         for lam in gen_partitions(n):
-            h = SymFunc(n, "H", {lam: RF(1)})
-            w = omega(h)
-            assert w == SymFunc(n, "E", {lam: RF(1)}) and omega(w) == h, lam
-            assert expand_in_basis(w, "M") == omega(basis_element("H", lam)), lam
+            w = omega(_in_m("H", lam))
+            assert w == basis_element("E", lam) and omega(w) == _in_m("H", lam), lam
 
 
 def test_omega_involution_on_schur():
     for n in range(6):
         for lam in gen_partitions(n):
-            F = SymFunc(n, "S", {lam: RF(1)})
+            F = _in_m("S", lam)
             assert omega(omega(F)) == F
-            assert omega(F).coeffs == {transpose(lam): RF(1)}
+            assert omega(F) == _in_m("S", transpose(lam))
 
 
 def test_omega_monomial_basis_involution_en_to_hn():
     # omega on an M-basis SymFunc pulls its signs back from P, one vector at a time, and stays in M
     for n in range(1, 6):
-        e, h = basis_element("E", (n,)), basis_element("H", (n,))
+        e, h = basis_element("E", (n,)), _in_m("H", (n,))
         assert omega(e) == h and omega(h) == e
         for lam in gen_partitions(n):
             F = basis_element("M", lam).scale(T + 2)
@@ -629,9 +658,7 @@ def test_omega_monomial_basis_involution_en_to_hn():
 def _omega_m_through_p(d, mu):
     """The old path for omega on M: m_mu -> P by the Gauss-Jordan table, the sign
     (-1)^{d - l(lam)}, back to M."""
-    F = SymFunc(d, "P", {lam: c * (-1) ** (d - len(lam))
-                         for lam, c in gauss_jordan_m_to_p(d)[mu].items()})
-    return {nu: c for nu, c in expand_in_basis(F, "M").coeffs.items()}
+    return p_to_m({lam: c * (-1) ** (d - len(lam)) for lam, c in gauss_jordan_m_to("P", d)[mu].items()})
 
 
 def test_omega_m_table_is_an_integer_involution_equal_to_the_p_path():
@@ -646,7 +673,7 @@ def test_omega_m_table_is_an_integer_involution_equal_to_the_p_path():
         for mu, row in ints.items():
             assert all(type(v) is int for v in row.values()), (d, mu)
             if d < 9:
-                assert {nu: RF(v) for nu, v in row.items()} == _omega_m_through_p(d, mu), (d, mu)
+                assert row == _omega_m_through_p(d, mu), (d, mu)
             twice = {}
             for nu, v in row.items():
                 for kappa, w in ints[nu].items():
@@ -655,24 +682,27 @@ def test_omega_m_table_is_an_integer_involution_equal_to_the_p_path():
 
 
 def test_omega_on_hall_littlewood_goes_through_m_and_equals_the_p_route(monkeypatch):
-    # the route through m divides d! out exactly; the old one through P
-    # reads entries 1/z_lam, and both give the same values
+    # omega of a Hall-Littlewood element in M divides d! out exactly; the old route
+    # through P reads entries 1/z_lam over Q, and both give the same values
     for d in range(7):
+        to_p = gauss_jordan_m_to("P", d)
         for b in ("HLP", "PT"):
             for lam in gen_partitions(d):
-                F = SymFunc(d, b, {lam: T + 2})
-                assert omega(F) == expand_in_basis(omega(expand_in_basis(F, "P")), b), (b, lam)
+                F = _in_m(b, lam).scale(T + 2)
+                in_p = change(F.coeffs, lambda mu: to_p[mu].items())
+                want = p_to_m({nu: c * (-1) ** (d - len(nu)) for nu, c in in_p.items()})
+                assert omega(F).coeffs == want, (b, lam)
     asked = []
     monkeypatch.setattr(symfunc, "_peel", lambda F, b, d: asked.append(b) or _peel(F, b, d))
-    omega(SymFunc(4, "HLP", {(2, 1, 1): T}))
-    assert asked == ["P", "HLP"]
+    omega(_in_m("HLP", (2, 1, 1)).scale(T))
+    assert asked == ["P"]
 
 
 def test_omega_and_the_plethysm_on_m_peel_the_one_vector_into_p(monkeypatch):
     # a map diagonal on p takes a vector in M into P by one `_peel` of that vector,
     # never by the images of the unit vectors m_mu
     F = SymFunc(6, "M", {(3, 2, 1): T + 2, (2, 2, 1, 1): 3 * T ** 2, (1,) * 6: LaurentPoly.t(-1) - 5,
-                         (6,): Fraction(1, 2)})
+                         (6,): 7})
     want = {fn: fn(F) for fn in (omega, plethysm_mul)}
     asked = []
     monkeypatch.setattr(symfunc, "_peel",
@@ -684,19 +714,22 @@ def test_omega_and_the_plethysm_on_m_peel_the_one_vector_into_p(monkeypatch):
 
 
 def test_omega_swaps_e_and_h_and_transposes_s_at_the_degree_guard():
-    # omega on M peels each e_lam and s_lam of degree 10 into P; at degree 17, the
-    # last the guard admits, one full vector takes under a second (README's guard table)
+    # omega on M peels each e_lam, h_lam and s_lam of degree 10 into P; at degree 17,
+    # the last the guard admits, one full vector takes under a second (README's guard table)
     d = 10
     for lam in gen_partitions(d):
-        assert omega(basis_element("E", lam)) == basis_element("H", lam), lam
-        assert omega(basis_element("S", lam)) == basis_element("S", transpose(lam)), lam
+        assert omega(basis_element("E", lam)) == _in_m("H", lam), lam
+        assert omega(_in_m("S", lam)) == _in_m("S", transpose(lam)), lam
 
 
 def test_omega_unsupported_basis():
-    # every basis in BASES has its own rule or goes through m and back; a basis
-    # outside BASES is still rejected, whether at construction or on the way through m
+    # omega reads the monomial basis only: E and PT are refused on the way in, and a
+    # basis outside BASES at construction or, forced in, on the way in too
     with pytest.raises(ValueError):
         omega(SymFunc(2, "X", {(2,): RF(1)}))
+    for basis in ("E", "PT"):
+        with pytest.raises(ValueError, match=f"reads the monomial basis, not {basis}$"):
+            omega(SymFunc(2, basis, {(2,): RF(1)}))
     F = SymFunc(2, "M", {(2,): RF(1)})
     object.__setattr__(F, "basis", "X")  # SymFunc is frozen; force the bad basis in
     with pytest.raises(ValueError):
@@ -706,9 +739,8 @@ def test_omega_unsupported_basis():
 # -- plethysm ------------------------------------------------------------------------
 
 def test_plethysm_p1():
-    F = SymFunc(1, "P", {(1,): RF(1)})
-    assert plethysm_frac(F) == {(1,): RationalFunc(LaurentPoly.const(1), T - 1)}
-    assert plethysm_mul(F).coeffs == {(1,): T - 1}
+    assert plethysm_frac({(1,): RF(1)}) == {(1,): RationalFunc(LaurentPoly.const(1), T - 1)}
+    assert plethysm_mul(SymFunc(1, "M", {(1,): RF(1)})).coeffs == {(1,): T - 1}
 
 
 def test_plethysm_scaled_en_is_laurent():
@@ -719,53 +751,50 @@ def test_plethysm_scaled_en_is_laurent():
         tfact = LaurentPoly.const(1)
         for i in range(1, n + 1):
             tfact = tfact * LaurentPoly([1] * i)  # 1 + t + ... + t^{i-1}
-        F = expand_in_basis(basis_element("E", (n,)).scale(tfact), "P")
+        F = basis_element("E", (n,)).scale(tfact)
+        in_p = change(F.coeffs, lambda mu: gauss_jordan_m_to("P", n)[mu].items())
         scale = RationalFunc((T - 1) ** n)
-        out = {lam: ratfunc_to_laurent(c * scale) for lam, c in plethysm_frac(F).items()}
-        G = SymFunc(n, "P", out)
-        assert plethysm_mul(G) == F.scale((T - 1) ** n), n
+        G = p_to_m({lam: ratfunc_to_laurent(c * scale) for lam, c in plethysm_frac(in_p).items()})
+        assert plethysm_mul(SymFunc(n, "M", G)) == F.scale((T - 1) ** n), n
 
 
 def test_plethysm_requires_p_basis():
-    # the plethysm reads P and M; every other basis is refused
-    with pytest.raises(ValueError):
-        plethysm_frac(SymFunc(1, "M", {(1,): RF(1)}))
+    # the plethysm reads M, the basis it peels into P from; every other basis is refused
     assert plethysm_mul(SymFunc(1, "M", {(1,): RF(1)})).coeffs == {(1,): T - 1}
     for basis in BASES:
-        if basis not in ("P", "M"):
-            with pytest.raises(ValueError, match="monomial or power-sum basis"):
+        if basis != "M":
+            with pytest.raises(ValueError, match="reads the monomial basis"):
                 plethysm_mul(SymFunc(1, basis, {(1,): RF(1)}))
 
 
 def _plethysm_through_p(d, mu):
     """d! m_mu[(t-1)x] by the per-vector route: d! m_mu peeled into P, each p_lam
-    times prod (t^{lam_i} - 1), back to m."""
-    F = SymFunc(d, "P", _peel({mu: RF(1)}, "P", d))
-    return expand_in_basis(plethysm_mul(F), "M")
+    times prod (t^{lam_i} - 1), back to m by the part placements."""
+    return p_to_m({lam: c * symfunc._plethysm_factor(lam)
+                   for lam, c in _peel({mu: RF(1)}, "P", d).items()})
 
 
 def test_plethysm_m_table_is_integral_and_equal_to_the_p_route():
     for d in range(8):
+        to_p = gauss_jordan_m_to("P", d)
         for mu in gen_partitions(d):
             F = plethysm_mul(basis_element("M", mu))
             assert F.basis == "M"
             assert all(c.low >= 0 and all(type(a) is int for a in c.coeffs)
                        for c in F.coeffs.values()), (d, mu)
-            assert F.scale(factorial(d)) == _plethysm_through_p(d, mu), (d, mu)
+            assert F.scale(factorial(d)).coeffs == _plethysm_through_p(d, mu), (d, mu)
             # the x/(t-1) plethysm over Q(t) takes it back to m_mu
-            back = plethysm_frac(expand_in_basis(F, "P"))
-            want = expand_in_basis(basis_element("M", mu), "P").coeffs
-            assert back == {lam: RationalFunc(c) for lam, c in want.items()}, (d, mu)
+            back = plethysm_frac(change(F.coeffs, lambda nu: to_p[nu].items()))
+            assert back == {lam: RationalFunc.const(c) for lam, c in to_p[mu].items()}, (d, mu)
 
 
 def test_plethysm_m_raises_on_a_remainder_of_d_factorial():
     # one more p_(1^3) in d! m_111[(t-1)x], or in d! omega(m_111): d! e_3 has the
     # p_(1^3)-coordinate 1, and p_(1^3) has the m_21-coordinate 3, which 3! does not
-    # divide; a vector that carries a Fraction is divided through `_div` instead
+    # divide; a vector that carries a Fraction is refused before it is peeled
     m111 = basis_element("M", (1, 1, 1))
-    for factor, left, half in ((symfunc._plethysm_factor, r"\(-6\*t\^2\+12\*t-3\)",
-                                (-6 * T ** 2 + 12 * T - 3) * RF(Fraction(1, 12))),
-                               (symfunc._omega_sign, r"\(9\)", RF(Fraction(3, 4)))):
+    for factor, left in ((symfunc._plethysm_factor, r"\(-6\*t\^2\+12\*t-3\)"),
+                         (symfunc._omega_sign, r"\(9\)")):
         def one_more(lam, factor=factor):
             return factor(lam) + 1 if lam == (1, 1, 1) else factor(lam)
 
@@ -773,7 +802,8 @@ def test_plethysm_m_raises_on_a_remainder_of_d_factorial():
                            match=r"p_lam -> one_more\(lam\) p_lam takes F to the "
                                  rf"non-integer m_\[2, 1\]-coordinate {left}/6$"):
             _diagonal(m111, one_more)
-        assert _diagonal(m111.scale(Fraction(1, 2)), one_more).coeffs[(2, 1)] == half
+        with pytest.raises(TypeError, match=r"reads Z\[t, 1/t\], not the m_\[1, 1, 1\]-coordinate 1/2$"):
+            _diagonal(m111.scale(Fraction(1, 2)), one_more)
 
 
 # -- eval_t ---------------------------------------------------------------------

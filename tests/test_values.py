@@ -22,8 +22,8 @@ CASES = [
      "IndiffGraph(n=2, edges=frozenset({(1, 2)}))"),
     (Orientation, (P2, frozenset({(2, 1)})), (P2, frozenset({(2, 1)})),
      "Orientation(base=IndiffGraph(n=2, edges=frozenset({(1, 2)})), arcs=frozenset({(2, 1)}))"),
-    (SymFunc, (2, "S", {(2,): 1, (1, 1): LaurentPoly([0, 1])}), None,
-     "SymFunc(degree=2, basis='S', coeffs=mappingproxy({(2,): 1, (1, 1): t}))"),
+    (SymFunc, (2, "E", {(2,): 1, (1, 1): LaurentPoly([0, 1])}), None,
+     "SymFunc(degree=2, basis='E', coeffs=mappingproxy({(2,): 1, (1, 1): t}))"),
     (ClassFnUT, (2, 3, (1, 0)), (2, 3, (1, 0)), "ClassFnUT(n=2, q=3, values=(1, 0))"),
     (UnipClassFn, (2, 3, (0, 2)), (2, 3, (0, 2)), "UnipClassFn(n=2, q=3, values=(0, 2))"),
     (CheckReport, ("check_cqs", 2, 3, "pass"), ("check_cqs", 2, 3, "pass", None),
