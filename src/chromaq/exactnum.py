@@ -1,94 +1,51 @@
 """Exact arithmetic in one indeterminate t.
 
-Laurent polynomials over Q, the one coefficient type of the package, and
-reduced rational functions over Q, which no other module constructs: the
-tests keep them as the oracle for the old paths that divided by polynomials.
-Outside this module the package computes over Z[t, 1/t]: a change of basis
-reads int coefficients only, and no check divides.  A coefficient is stored
-as an ``int`` whenever it is integral and as a ``fractions.Fraction`` only
-for a true quotient.  Here every division goes through `_div`, which keeps an
-exact int quotient an int and loads `fractions` at the first true quotient;
-the package reaches it only through `evaluate` at a negative power of t, and
-the test oracles through their rational arithmetic.  So a `chromaq` run that
-passes loads no `fractions` at all.  A Fraction is recognised through
-``sys.modules``, since none exists before its module is loaded.  A ``float``
-coefficient raises ``TypeError``: there is deliberately no floating-point
-anywhere.  Everything is immutable and canonical, so equality and hashing are
-structural, and a constant hashes as the number it equals.
+Laurent polynomials over Z, the one coefficient type of the package, and
+reduced rational functions over Q, kept as a quotient of integer
+polynomials, which no other module constructs: the tests keep them as the
+oracle for the old paths that divided by polynomials.  A LaurentPoly
+coefficient is an int.  A Fraction or a ``float`` raises ``TypeError``, from
+the constructor, `const`, `from_terms` and arithmetic with a number; an int
+subclass is read as an int.  There is deliberately no floating-point
+anywhere.  `fractions` is imported in two places only: `LaurentPoly.evaluate`
+at a negative power of t whose value is no integer, and `RationalFunc`, for
+its values and the hash of a non-integer constant.  So a `chromaq` run that
+passes loads no `fractions` at all.  Everything is immutable and canonical,
+so equality and hashing are structural, and a constant hashes as the number
+it equals.
 
-The canonical form of a LaurentPoly: nonzero first and last coefficients,
-each an int when integral; zero is () with low = 0.  The public constructor
-normalises any input to it.  The ring operations rely on it to build their
-results canonical in the first place, through the trusted `_canonical`: a
-product of two canonical polynomials, a nonzero multiple of one, its
-negative, shift and t -> 1/t all keep nonzero ends, so nothing is trimmed;
-a sum or difference trims only ends that cancel.  Only entries that are not
-ints are normalised, so an integral Fraction still becomes an int, and
-`evaluate` at an int q runs in int on every polynomial in Z[t].
+The canonical form of a LaurentPoly: nonzero first and last coefficients;
+zero is () with low = 0.  The public constructor brings any input to it.
+The ring operations rely on it to build their results canonical in the
+first place, through the trusted `_canonical`: a product of two canonical
+polynomials, a nonzero multiple of one, its negative, shift and t -> 1/t all
+keep nonzero ends, so nothing is trimmed; a sum or difference trims only
+ends that cancel.
 """
 
 from __future__ import annotations
 
-import sys
 from functools import lru_cache
 from math import gcd as _intgcd
-from typing import TYPE_CHECKING, Iterable, Mapping, Union
-
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-Rat = Union[int, "Fraction"]
+from typing import Iterable, Mapping
 
 
 class PoleError(ZeroDivisionError):
     """Evaluation hit a pole (t = 0 with negative exponents, or a root of a denominator)."""
 
 
-def _is_fraction(x) -> bool:
-    """True iff x is a Fraction; no Fraction exists before `fractions` is loaded."""
-    fractions = sys.modules.get("fractions")
-    return fractions is not None and isinstance(x, fractions.Fraction)
-
-
-def _is_number(x) -> bool:
-    """True iff x is an int or a Fraction, the numbers a coefficient can be."""
-    return isinstance(x, int) or _is_fraction(x)
-
-
-def _frac(x: Rat) -> Rat:
-    """x as a canonical coefficient: an int when integral, else a Fraction."""
-    if type(x) is int:
-        return x
-    if _is_fraction(x):
-        return x.numerator if x.denominator == 1 else x
+def _int(x) -> int:
+    """x as a coefficient: an int, an int subclass read as one; anything else raises TypeError."""
     if isinstance(x, int):
         return int(x)
-    raise TypeError(f"coefficient {x!r} is neither an int nor a Fraction")
-
-
-def _div(x: Rat, y: Rat) -> Rat:
-    """The exact quotient x / y as a canonical coefficient.
-
-    An int quotient of ints is taken as one; any other quotient is a Fraction,
-    and the first one a process builds loads `fractions`.
-    """
-    if type(x) is int and type(y) is int and y and not x % y:
-        return x // y
-    from fractions import Fraction
-    return _frac(Fraction(x, y))
+    raise TypeError(f"coefficient {x!r} is not an int")
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers (coefficient tuples, index = exponent, low = 0)
+# dense polynomial helpers (int coefficient tuples, index = exponent, low = 0)
 # ---------------------------------------------------------------------------
 
-def _ptrim(c: list[Rat]) -> list[Rat]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pmul(a: tuple[Rat, ...], b: tuple[Rat, ...]) -> list[Rat]:
+def _pmul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -100,48 +57,31 @@ def _pmul(a: tuple[Rat, ...], b: tuple[Rat, ...]) -> list[Rat]:
     return out
 
 
-def _pdivmod(a: list[Rat], b: list[Rat]) -> tuple[list[Rat], list[Rat]]:
-    """Long division over Q; returns (quotient, remainder)."""
+def _pdiv(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """The quotient a / b, exact over Z; a remainder raises ArithmeticError."""
     a = list(a)
     q = [0] * max(len(a) - len(b) + 1, 0)
-    inv = _div(1, b[-1])
-    while len(a) >= len(b):
-        c = a[-1] * inv
-        d = len(a) - len(b)
-        if c:
-            q[d] = c
-            for i, bi in enumerate(b):
-                a[d + i] -= c * bi
-        a.pop()
-    return q, _ptrim(a)
+    for d in reversed(range(len(q))):
+        c, r = divmod(a[d + len(b) - 1], b[-1])
+        if r:
+            break
+        q[d] = c
+        for i, bi in enumerate(b):
+            a[d + i] -= c * bi
+    if any(a):
+        raise ArithmeticError(f"{list(b)} does not divide {list(a)} over Z")
+    return q
 
 
-def _content(a: list[int]) -> int:
-    g = 0
-    for x in a:
-        g = _intgcd(g, abs(x))
-    return g or 1
+def _poly_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The primitive gcd, with a positive leading coefficient, of two nonzero
+    polynomials over Z, by the primitive pseudo-remainder sequence."""
 
+    def primitive(c: list[int]) -> list[int]:
+        g = _intgcd(*c)
+        return [x // g for x in c] if c[-1] > 0 else [-x // g for x in c]
 
-def _poly_gcd(a: tuple[Rat, ...], b: tuple[Rat, ...]) -> tuple[Rat, ...]:
-    """Monic gcd in Q[t] via the primitive pseudo-remainder sequence over Z."""
-    if not a:
-        return _monic(b)
-    if not b:
-        return _monic(a)
-
-    def to_primitive(c: tuple[Rat, ...]) -> list[int]:
-        den = 1
-        for x in c:
-            den = den * x.denominator // _intgcd(den, x.denominator)
-        ints = [int(x * den) for x in c]
-        g = _content(ints)
-        ints = [x // g for x in ints]
-        if ints[-1] < 0:
-            ints = [-x for x in ints]
-        return ints
-
-    A, B = to_primitive(a), to_primitive(b)
+    A, B = primitive(list(a)), primitive(list(b))
     if len(A) < len(B):
         A, B = B, A
     while B:
@@ -156,21 +96,8 @@ def _poly_gcd(a: tuple[Rat, ...], b: tuple[Rat, ...]) -> tuple[Rat, ...]:
                 R[d + i] -= lr * bi
             while R and R[-1] == 0:
                 R.pop()
-        g = _content(R)
-        R = [x // g for x in R]
-        if R and R[-1] < 0:
-            R = [-x for x in R]
-        A, B = B, R
-    return _monic(tuple(A))
-
-
-def _monic(a: tuple[Rat, ...]) -> tuple[Rat, ...]:
-    if not a:
-        return a
-    lead = a[-1]
-    if lead == 1:
-        return a
-    return tuple(_div(x, lead) for x in a)
+        A, B = B, primitive(R) if R else R
+    return tuple(A)
 
 
 # ---------------------------------------------------------------------------
@@ -178,18 +105,18 @@ def _monic(a: tuple[Rat, ...]) -> tuple[Rat, ...]:
 # ---------------------------------------------------------------------------
 
 class LaurentPoly:
-    """Laurent polynomial in t over Q, stored as (lowest exponent, coefficients).
+    """Laurent polynomial in t over Z, stored as (lowest exponent, coefficients).
 
-    Canonical form: the stored coefficient tuple has nonzero first and last
-    entries, each an int when integral; the zero polynomial is the empty
-    tuple with low = 0.  The constructor brings any input to this form; the
-    ring operations build their results in it (see `_canonical`).
+    Canonical form: the stored coefficient tuple of ints has nonzero first
+    and last entries; the zero polynomial is the empty tuple with low = 0.
+    The constructor brings any input to this form; the ring operations build
+    their results in it (see `_canonical`).
     """
 
     __slots__ = ("low", "coeffs")
 
-    def __init__(self, coeffs: Iterable[Rat] = (), low: int = 0):
-        cs = [c if type(c) is int else _frac(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable[int] = (), low: int = 0):
+        cs = [c if type(c) is int else _int(c) for c in coeffs]
         # trim trailing zeros, then leading zeros (adjusting low)
         while cs and cs[-1] == 0:
             cs.pop()
@@ -203,8 +130,8 @@ class LaurentPoly:
         raise AttributeError("LaurentPoly is immutable")
 
     @staticmethod
-    def const(c: Rat) -> "LaurentPoly":
-        c = _frac(c)
+    def const(c: int) -> "LaurentPoly":
+        c = c if type(c) is int else _int(c)
         return _canonical((c,), 0) if c else ZERO
 
     @staticmethod
@@ -212,7 +139,7 @@ class LaurentPoly:
         return _canonical((1,), k)
 
     @staticmethod
-    def from_terms(terms: Mapping[int, Rat]) -> "LaurentPoly":
+    def from_terms(terms: Mapping[int, int]) -> "LaurentPoly":
         if not terms:
             return ZERO
         lo = min(terms)
@@ -228,13 +155,13 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __getitem__(self, k: int) -> Rat:
+    def __getitem__(self, k: int) -> int:
         i = k - self.low
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return 0
 
-    def terms(self) -> Iterable[tuple[int, Rat]]:
+    def terms(self) -> Iterable[tuple[int, int]]:
         for i, c in enumerate(self.coeffs):
             if c:
                 yield self.low + i, c
@@ -242,9 +169,8 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         if type(other) is LaurentPoly:
             return self.low == other.low and self.coeffs == other.coeffs
-        if _is_number(other):
-            c = _frac(other)
-            return self.coeffs == ((c,) if c else ()) and self.low == 0
+        if isinstance(other, int):
+            return self.coeffs == ((other,) if other else ()) and self.low == 0
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -304,8 +230,8 @@ class LaurentPoly:
     def __rsub__(self, other) -> "LaurentPoly":
         return (-self) + other
 
-    def _scaled(self, c: Rat, k: int) -> "LaurentPoly":
-        """c * t^k * self for a nonzero canonical number c and a nonzero self."""
+    def _scaled(self, c: int, k: int) -> "LaurentPoly":
+        """c * t^k * self for a nonzero int c and a nonzero self."""
         if c == 1:
             return _canonical(self.coeffs, self.low + k) if k else self
         return _canonical([a * c for a in self.coeffs], self.low + k)
@@ -320,8 +246,8 @@ class LaurentPoly:
             if len(a) == 1:
                 return other._scaled(a[0], self.low)
             return _canonical(_pmul(a, b), self.low + other.low)
-        if _is_number(other):
-            c = _frac(other)
+        if isinstance(other, int):
+            c = other if type(other) is int else int(other)
             return self._scaled(c, 0) if c and self.coeffs else ZERO
         return NotImplemented
 
@@ -353,21 +279,25 @@ class LaurentPoly:
             return self
         return _canonical(self.coeffs[::-1], -(self.low + len(self.coeffs) - 1))
 
-    def evaluate(self, q: Rat) -> Rat:
-        """Exact value at t = q as a canonical coefficient: an int when it is
-        integral, else a Fraction; pole when q = 0 meets a negative exponent.
-        One Horner loop in the type of q and the coefficients, then q ** low,
-        or one `_div` by q ** -low for low < 0.  So a polynomial in Z[t, 1/t]
-        at an int q builds a Fraction only when its value is not an integer."""
-        q = _frac(q)
+    def evaluate(self, q: int):
+        """Exact value at an int t = q: an int whenever the value is one, else
+        the exact quotient as a Fraction; a pole when q = 0 meets a negative
+        exponent.  One Horner loop in int, then q ** low, or for low < 0 one
+        division by q ** -low, which loads `fractions` only when it is inexact."""
+        if not isinstance(q, int):
+            raise TypeError(f"evaluation point {q!r} is not an int")
         if q == 0 and self.low < 0:
             raise PoleError("evaluation at t = 0 of a Laurent polynomial with negative exponents")
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * q + c
-        if self.low < 0:
-            return _div(acc, q ** -self.low)
-        return _frac(acc * q ** self.low)
+        if self.low >= 0:
+            return acc * q ** self.low
+        den = q ** -self.low
+        if not acc % den:
+            return acc // den
+        from fractions import Fraction
+        return Fraction(acc, den)
 
     # -- printing -----------------------------------------------------------
 
@@ -393,22 +323,12 @@ class LaurentPoly:
     __repr__ = __str__
 
 
-def _all_int(cs) -> bool:
-    """True iff every entry of cs (ints and Fractions) is an int: a sum of
-    ints is an int, and one Fraction makes the sum a Fraction."""
-    return type(sum(cs)) is int
-
-
 def _canonical(cs, low: int) -> LaurentPoly:
-    """The LaurentPoly t^low * sum_i cs[i] t^i, for cs whose ends are nonzero.
+    """The LaurentPoly t^low * sum_i cs[i] t^i, for ints cs whose ends are nonzero.
 
     The trusted constructor of the ring operations: cs must be empty with
-    low = 0, or have nonzero first and last entries, each an int or a
-    Fraction.  Nothing is trimmed; only entries that are not ints are
-    normalised, so an integral Fraction still becomes an int.
+    low = 0, or have nonzero first and last entries.  Nothing is checked.
     """
-    if not _all_int(cs):
-        cs = [c if type(c) is int else _frac(c) for c in cs]
     f = object.__new__(LaurentPoly)
     object.__setattr__(f, "coeffs", tuple(cs))
     object.__setattr__(f, "low", low)
@@ -416,8 +336,8 @@ def _canonical(cs, low: int) -> LaurentPoly:
 
 
 def _as_poly(x) -> LaurentPoly:
-    """A number x as a constant LaurentPoly; anything else is NotImplemented."""
-    return LaurentPoly.const(x) if _is_number(x) else NotImplemented
+    """An int x as a constant LaurentPoly; anything else is NotImplemented."""
+    return LaurentPoly.const(x) if isinstance(x, int) else NotImplemented
 
 
 ZERO = LaurentPoly()
@@ -436,53 +356,44 @@ def t_minus_one_power(k: int) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 
 class RationalFunc:
-    """Reduced rational function in t over Q.
+    """Reduced rational function in t over Q, kept as a quotient over Z.
 
-    Canonical form: den is a monic honest polynomial (low = 0) with nonzero
-    constant term, gcd(num, den) = 1 after pulling every power of t into the
-    Laurent numerator.  This makes structural equality canonical.
+    Canonical form: num lies in Z[t, 1/t] and den in Z[t] (low = 0), with a
+    nonzero constant term and a positive leading coefficient, and the two
+    have gcd 1 over Z, content included, once every power of t is pulled
+    into num.  The form is unique, so structural equality is equality.  A
+    number argument, an int or a Fraction, is read through its numerator and
+    denominator.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly = ONE):
-        if not isinstance(num, LaurentPoly):
-            num = LaurentPoly.const(num)
-        if not isinstance(den, LaurentPoly):
-            den = LaurentPoly.const(den)
+    def __init__(self, num, den=ONE):
+        num, a = _split(num)
+        den, b = _split(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if den.low == 0 and den.coeffs == (1,):  # already canonical
-            object.__setattr__(self, "num", num)
-            object.__setattr__(self, "den", ONE)
-            return
+        num, den = num * b, den * a
         if num.is_zero:
-            object.__setattr__(self, "num", ZERO)
-            object.__setattr__(self, "den", ONE)
-            return
-        shift = num.low - den.low
-        n, d = num.coeffs, den.coeffs
-        if len(d) > 1:
-            g = _poly_gcd(n, d)
-            if len(g) > 1:
-                qn, rn = _pdivmod(list(n), list(g))
-                qd, rd = _pdivmod(list(d), list(g))
-                if rn or rd:
-                    raise AssertionError("gcd does not divide numerator and denominator")
-                n, d = tuple(qn), tuple(qd)
-        lead = d[-1]
-        if lead != 1:
-            n = tuple(_div(x, lead) for x in n)
-            d = tuple(_div(x, lead) for x in d)
-        object.__setattr__(self, "num", LaurentPoly(n, low=shift))
-        object.__setattr__(self, "den", LaurentPoly(d))
+            num, den = ZERO, ONE
+        elif den != ONE:
+            n, d = num.coeffs, den.coeffs
+            if len(d) > 1:
+                g = _poly_gcd(n, d)
+                if len(g) > 1:
+                    n, d = _pdiv(n, g), _pdiv(d, g)
+            g = _intgcd(*n, *d) if d[-1] > 0 else -_intgcd(*n, *d)
+            num = LaurentPoly([x // g for x in n], num.low - den.low)
+            den = LaurentPoly([x // g for x in d])
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *args):
         raise AttributeError("RationalFunc is immutable")
 
     @staticmethod
-    def const(c: Rat) -> "RationalFunc":
-        return RationalFunc(LaurentPoly.const(c))
+    def const(c) -> "RationalFunc":
+        return RationalFunc(c)
 
     @property
     def is_zero(self) -> bool:
@@ -500,8 +411,13 @@ class RationalFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        # with den 1 it equals num, and so a constant equals its number
-        return hash(self.num) if self.den == ONE else hash((self.num, self.den))
+        # a constant equals its number, so it hashes as one
+        if self.den == ONE:
+            return hash(self.num)
+        if len(self.den.coeffs) == 1 and self.num.low == 0 and len(self.num.coeffs) == 1:
+            from fractions import Fraction
+            return hash(Fraction(self.num.coeffs[0], self.den.coeffs[0]))
+        return hash((self.num, self.den))
 
     def __add__(self, other) -> "RationalFunc":
         other = _coerce(other)
@@ -550,11 +466,19 @@ class RationalFunc:
         """Substitute t -> 1/t."""
         return RationalFunc(self.num.subs_inv(), self.den.subs_inv())
 
-    def evaluate(self, q: Rat) -> Rat:
-        d = self.den.evaluate(q)
-        if d == 0:
+    def evaluate(self, q):
+        """Exact value at t = q, an int or a Fraction: an int when it is integral,
+        else a Fraction; PoleError at a root of den or at q = 0 against a
+        negative power of t."""
+        from fractions import Fraction
+        x = Fraction(*_ratio(q))
+        if not x and self.num.low < 0:
+            raise PoleError(f"pole of {self} at t = 0")
+        num, den = (sum(c * x ** k for k, c in f.terms()) for f in (self.num, self.den))
+        if not den:
             raise PoleError(f"pole of {self} at t = {q}")
-        return _div(self.num.evaluate(q), d)
+        v = Fraction(num, den)
+        return v.numerator if v.denominator == 1 else v
 
     def __str__(self) -> str:
         if self.is_laurent:
@@ -564,12 +488,26 @@ class RationalFunc:
     __repr__ = __str__
 
 
+def _ratio(x) -> tuple[int, int]:
+    """A number x, an int or a Fraction, as (numerator, denominator); anything else raises TypeError."""
+    num, den = getattr(x, "numerator", None), getattr(x, "denominator", None)
+    if not isinstance(num, int) or not isinstance(den, int):
+        raise TypeError(f"{x!r} is not a rational number")
+    return num, den
+
+
+def _split(x) -> tuple[LaurentPoly, int]:
+    """x as num / den, num a LaurentPoly over Z and den a positive int."""
+    if isinstance(x, LaurentPoly):
+        return x, 1
+    num, den = _ratio(x)
+    return LaurentPoly.const(num), den
+
+
 def _coerce(x) -> "RationalFunc":
     if isinstance(x, RationalFunc):
         return x
-    if isinstance(x, LaurentPoly):
+    try:
         return RationalFunc(x)
-    if _is_number(x):
-        return RationalFunc.const(x)
-    return NotImplemented
-
+    except TypeError:
+        return NotImplemented

@@ -1,4 +1,4 @@
-"""Symmetric functions of degree n with Laurent-polynomial coefficients.
+"""Symmetric functions of degree n with coefficients in Z[t, 1/t].
 
 One type, `SymFunc`, holds the coefficients of a homogeneous symmetric
 function in one named basis.  In basis M they are the orbit-sum coordinates of
@@ -17,8 +17,9 @@ element is built by multiplying exponent vectors.  Each change of basis is
 unitriangular up to a power of t (PT) or constant (E, and P inside
 `_diagonal`), and triangular in `gen_partitions` order, so `_peel` takes a
 vector out of M against the forward rows over Z[t, 1/t], refused on their
-p(d)^2 cells past MAX_SWEEP (from degree 18).  It reads integer coefficients
-only: any other raises TypeError, and an inexact quotient ArithmeticError.
+p(d)^2 cells past MAX_SWEEP (from degree 18).  A coefficient is a
+LaurentPoly over Z, which holds ints only, so the peel runs in int and an
+inexact quotient raises ArithmeticError.
 omega and the plethysm F[(t-1)x] are ring maps diagonal on p, p_lam ->
 factor(lam) p_lam, so on m both peel d! F into P, scale each p_lam and go back
 by the p rows (`_diagonal`); P is no basis of a SymFunc.  A SymFunc is
@@ -288,14 +289,11 @@ def _peel(coeffs: Mapping[Partition, Coeff], basis: str, d: int) -> dict[Partiti
     Z[t, 1/t], s = d! for P and 1 otherwise: at each rho of `_peel_rows`, the
     m_rho-coordinate left of s F over the pivot is the b_lam-coordinate, and
     that multiple of b_lam is subtracted.  s m_mu has integral coordinates in
-    every basis, so an inexact quotient raises ArithmeticError; a coefficient
-    outside Z[t, 1/t] raises TypeError before any row is read.
+    every basis, so an inexact quotient raises ArithmeticError.  A number
+    coefficient is made constant, so a Fraction or a float raises TypeError
+    before any row is read.
     """
     left = {mu: _coeff(c) for mu, c in coeffs.items()}
-    bad = next((mu for mu, c in left.items() if any(type(a) is not int for a in c.coeffs)), None)
-    if bad is not None:
-        raise TypeError(f"a change of basis reads Z[t, 1/t], not the m_{list(bad)}-coordinate "
-                        f"{left[bad]}")
     s = factorial(d) if basis == "P" else 1
     left = {mu: c * s for mu, c in left.items()} if s != 1 else left
     out = {}
@@ -383,5 +381,6 @@ def _plethysm_factor(lam: Partition) -> LaurentPoly:
 
 
 def eval_t(F: SymFunc, q) -> SymFunc:
-    """Specialize t = q in every coefficient (PoleError on poles)."""
+    """Specialize t = q, an int, in every coefficient (PoleError on poles, and
+    TypeError on a value that is no integer, which no coefficient holds)."""
     return F.map_coeffs(lambda c: c.evaluate(q))

@@ -2,11 +2,11 @@
 
 The package keeps every coefficient in Z[t, 1/t] and holds the bases M, E and
 PT. These helpers redo the old computations with arithmetic of their own:
-the Gauss-Jordan change of basis over Q(t), over `RationalFunc`, and over the
-Laurent ring Q[t, 1/t] with `Fraction` pivots (`_invert`); the plethysm
-p_k -> p_k / (t^k - 1); and Carlsson-Mellit in its original form
-(t-1)^n X[x/(t-1)] = G. The tests compare them with the Laurent paths that
-replaced them.
+the Gauss-Jordan change of basis over Q(t), both over `RationalFunc`, once
+with any pivot and once with the units of the Laurent ring Q[t, 1/t] only
+(`_invert`); the plethysm p_k -> p_k / (t^k - 1); and Carlsson-Mellit in its
+original form (t-1)^n X[x/(t-1)] = G. The tests compare them with the
+Laurent paths that replaced them.
 
 `m_coords` gives the monomial coordinates of s, h, e, p, P(x; t) and PT in
 the old seven bases, read off the package's Kostka numbers and its
@@ -33,7 +33,7 @@ from chromaq.combinatorics import (
     nstat,
     transpose,
 )
-from chromaq.exactnum import ONE, ZERO, LaurentPoly, RationalFunc, _pdivmod
+from chromaq.exactnum import ONE, ZERO, LaurentPoly, RationalFunc
 from chromaq.symfunc import _hall_littlewood_coords, _kostka
 from orbit_oracle import placements
 
@@ -52,9 +52,7 @@ CHROMAQ_IMPORTS = {
     "exactnum.ONE": "a value",
     "exactnum.ZERO": "a value",
     "exactnum.LaurentPoly": "the value type of the coefficients",
-    "exactnum.RationalFunc": "the value type of the Gauss-Jordan oracle over Q(t)",
-    "exactnum._pdivmod": ("the long division that names a remainder in NonDivisibleError",
-                          "tests/test_exactnum.py::test_pdivmod_int_divisor_stays_exact"),
+    "exactnum.RationalFunc": "the value type of the Gauss-Jordan oracles over Q(t)",
     "symfunc._hall_littlewood_coords": ("the Hall-Littlewood rows, which the package's PT "
                                         "rows are read off too",
                                         "tests/test_symfunc.py::test_hl_tableau_build_matches_gram_schmidt"),
@@ -72,23 +70,32 @@ class NonDivisibleError(ArithmeticError):
 
 
 def ratfunc_to_laurent(r: RationalFunc) -> LaurentPoly:
-    """r as a Laurent polynomial; NonDivisibleError (naming the remainder) if it is not one."""
+    """r as a Laurent polynomial over Z; NonDivisibleError if it is not one,
+    naming the remainder over Q of its numerator by a denominator that involves t."""
     if r.is_laurent:
         return r.num
-    _, rem = _pdivmod(list(r.num.coeffs), list(r.den.coeffs))
-    raise NonDivisibleError(
-        f"{r.den} does not divide {r.num}: remainder {LaurentPoly(rem, low=r.num.low)}"
-    )
+    if len(r.den.coeffs) == 1:
+        raise NonDivisibleError(f"{r} has a coefficient outside Z")
+    rem, den = [Fraction(c) for c in r.num.coeffs], r.den.coeffs
+    while len(rem) >= len(den):
+        c = rem[-1] / den[-1]
+        for i, b in enumerate(den, len(rem) - len(den)):
+            rem[i] -= c * b
+        rem.pop()
+    terms = " + ".join(f"({c})*t^{r.num.low + k}" for k, c in enumerate(rem) if c)
+    raise NonDivisibleError(f"{r.den} does not divide {r.num}: remainder {terms}")
 
 
-def ratfunc_to_const(f: LaurentPoly) -> int | Fraction:
+def ratfunc_to_const(f: LaurentPoly | RationalFunc) -> int | Fraction:
     """The value of f, which must not involve t; raises ArithmeticError otherwise.
 
     The tripwire for tables specialised from symbolic ones that theory says
     are free of t.
     """
-    if f.is_zero or (f.low == 0 and len(f.coeffs) == 1):
-        return f[0]
+    num, den = (f.num, f.den) if isinstance(f, RationalFunc) else (f, ONE)
+    if len(den.coeffs) == 1 and (num.is_zero or (num.low == 0 and len(num.coeffs) == 1)):
+        v = Fraction(num[0], den[0])
+        return v.numerator if v.denominator == 1 else v
     raise ArithmeticError(f"{f} is not a constant")
 
 
@@ -152,23 +159,25 @@ def gauss_jordan_from_monomials(basis: str,
             for k in range(n)}
 
 
-def _invert(a: list[list[LaurentPoly]]) -> list[list[LaurentPoly]]:
-    """The inverse of a square matrix over the Laurent ring Q[t, 1/t], by Gauss-Jordan.
+def _invert(a: list[list[LaurentPoly]]) -> list[list[RationalFunc]]:
+    """The inverse of a square matrix over the Laurent ring Q[t, 1/t], by Gauss-Jordan
+    over `RationalFunc`.
 
     Each pivot, the first nonzero entry on or below the diagonal, must be a
-    unit c * t^k of the ring; any other pivot raises ArithmeticError.
+    unit c * t^k of the ring, c rational; any other pivot raises ArithmeticError.
     """
     n = len(a)
-    aug = [list(row) + [ONE if i == k else ZERO for k in range(n)] for i, row in enumerate(a)]
+    aug = [[RationalFunc(x) for x in row] + [RF_ONE if i == k else RF_ZERO for k in range(n)]
+           for i, row in enumerate(a)]
     for col in range(n):
         piv = next((r for r in range(col, n) if not aug[r][col].is_zero), None)
         if piv is None:
             raise ArithmeticError("singular basis system: not a genuine basis")
         aug[col], aug[piv] = aug[piv], aug[col]
         p = aug[col][col]
-        if len(p.coeffs) != 1:
+        if len(p.num.coeffs) != 1 or len(p.den.coeffs) != 1:
             raise ArithmeticError(f"pivot {p} is not a unit of Q[t, 1/t]")
-        inv = LaurentPoly([Fraction(1, p.coeffs[0])], low=-p.low)
+        inv = RF_ONE / p
         aug[col] = [x * inv for x in aug[col]]
         for r in range(n):
             f = aug[r][col]
@@ -177,7 +186,7 @@ def _invert(a: list[list[LaurentPoly]]) -> list[list[LaurentPoly]]:
     return [row[n:] for row in aug]
 
 
-def inverted_from_monomials(basis: str, d: int) -> dict[Partition, dict[Partition, LaurentPoly]]:
+def inverted_from_monomials(basis: str, d: int) -> dict[Partition, dict[Partition, RationalFunc]]:
     """Each m_mu, mu a partition of d, in the named basis: the columns of the
     inverse, by `_invert`, of the matrix whose columns are the basis elements
     in m-coordinates."""
@@ -198,6 +207,13 @@ def gauss_jordan_m_to(basis: str, d: int) -> dict[Partition, dict[Partition, int
     by `_invert`."""
     return {mu: {lam: ratfunc_to_const(c) for lam, c in row.items()}
             for mu, row in inverted_from_monomials(basis, d).items()}
+
+
+def m_to_p(coeffs: Mapping[Partition, LaurentPoly], d: int) -> dict[Partition, RationalFunc]:
+    """sum_mu c_mu m_mu, of degree d, in power-sum coordinates over Q(t), by the
+    Gauss-Jordan m -> p table."""
+    to_p = gauss_jordan_m_to("P", d)
+    return change({mu: RationalFunc(c) for mu, c in coeffs.items()}, lambda mu: to_p[mu].items())
 
 
 def plethysm_frac(coeffs: Mapping[Partition, object]) -> dict[Partition, RationalFunc]:
@@ -233,7 +249,7 @@ def cm_lhs(pi: SchroderPath) -> dict[Partition, LaurentPoly]:
     n = pi.size
     to_p = gauss_jordan_from_monomials("P", n)
     F = change(csf(graph_of(pi)).coeffs, lambda mu: to_p[mu].items())
-    F = plethysm_frac({lam: ratfunc_to_laurent(c) for lam, c in F.items()})
+    F = plethysm_frac(F)
     scale = RationalFunc((T - 1) ** n)
     F = change({lam: c * scale for lam, c in F.items()},
                lambda lam: ((mu, RationalFunc(v)) for mu, v in m_coords("P", lam).items()))

@@ -72,7 +72,6 @@ from ratfunc_oracle import (
     p_to_m,
     plethysm_frac,
     ratfunc_to_const,
-    ratfunc_to_laurent,
 )
 from test_combinatorics import area_inverse
 
@@ -91,8 +90,8 @@ def p_brace1(phi):
 
 @lru_cache(maxsize=None)
 def symbolic_pt_at_q(lam, q):
-    pt = eval_t(basis_element("PT", lam), Fraction(q))
-    return {mu: ratfunc_to_const(c) for mu, c in pt.coeffs.items()}
+    # PT has negative powers of t, so a value may be a Fraction, which no SymFunc holds
+    return {mu: c.evaluate(q) for mu, c in basis_element("PT", lam).coeffs.items()}
 
 
 def symbolic_p_brace1(phi):
@@ -108,7 +107,7 @@ def symbolic_p_one(phi):
     F = change(symbolic_p_brace1(phi), lambda mu: to_p[mu].items())
     F = {lam: (-1) ** (n - len(lam)) * c.evaluate(Fraction(q))
          for lam, c in plethysm_frac(F).items()}
-    return {lam: ratfunc_to_const(ratfunc_to_laurent(c))
+    return {lam: ratfunc_to_const(c)
             for lam, c in change(p_to_m(F), lambda mu: to_s[mu].items()).items()}
 
 
@@ -507,33 +506,50 @@ def _package_imports():
 _RATIONAL = {"Fraction", "fractions", "_div", "_frac", "Rat", "_all_int"}
 
 
-def _rational_names(tree) -> set[str]:
-    """The names of `_RATIONAL` that the code of a syntax tree names, as a Name,
-    an attribute or an import; docstrings and comments are no code."""
+def _rational_names(tree, scope=()):
+    """(scope, name) for each name of `_RATIONAL` that the code of a syntax tree
+    names, as a Name, an attribute or an import, scope the dotted path of the
+    classes and functions it lies in; docstrings and comments are no code."""
     import ast
-    found = set()
-    for node in ast.walk(tree):
+    for node in ast.iter_child_nodes(tree):
         if isinstance(node, ast.Name):
-            found.add(node.id)
+            found = {node.id}
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+            found = {node.attr}
         elif isinstance(node, ast.alias):
-            found |= {node.name.split(".")[-1], *node.name.split("."), node.asname}
+            found = {node.name.split(".")[-1], *node.name.split("."), node.asname}
         elif isinstance(node, ast.ImportFrom):
-            found |= set((node.module or "").split("."))
-    return found & _RATIONAL
+            found = set((node.module or "").split("."))
+        else:
+            found = set()
+        for name in sorted(found & _RATIONAL):
+            yield ".".join(scope), name
+        named = isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _rational_names(node, scope + (node.name,) if named else scope)
+
+
+def _may_name_a_fraction(module: str, scope: str, name: str) -> bool:
+    """True iff the code at scope may name `name`: only RationalFunc and
+    LaurentPoly.evaluate, in exactnum, name a Fraction or `fractions`."""
+    return (module == "exactnum" and name in ("Fraction", "fractions")
+            and (scope == "LaurentPoly.evaluate" or scope.split(".")[0] == "RationalFunc"))
 
 
 def test_only_exactnum_names_a_fraction_or_a_division():
-    # outside exactnum the package computes over Z[t, 1/t]: no other module names a
-    # Fraction, the fractions module or exactnum's division and coercion helpers
+    # the package computes over Z[t, 1/t]: the old division and coercion helpers are
+    # named nowhere, and a Fraction only where a value can be one, in exactnum's
+    # RationalFunc and in LaurentPoly.evaluate at a negative power of t
     import ast
-    assert _rational_names(ast.parse(
+    assert sorted(_rational_names(ast.parse(
         "import fractions.x as y\nfrom .exactnum import Rat\n'Fraction _div'\nz = e._all_int(x)\n"
-    )) == {"fractions", "Rat", "_all_int"}
-    found = {module: sorted(_rational_names(tree)) for module, tree in _package_trees()
-             if module != "exactnum"}
-    assert {module: names for module, names in found.items() if names} == {}
+        "class C:\n    def f(self):\n        return Fraction(1)\n"
+    ))) == [("", "Rat"), ("", "_all_int"), ("", "fractions"), ("C.f", "Fraction")]
+    found = {(module, scope, name) for module, tree in _package_trees()
+             for scope, name in _rational_names(tree)}
+    assert sorted(f for f in found if not _may_name_a_fraction(*f)) == []
+    # the scan sees the places that do name one
+    assert {("exactnum", "LaurentPoly.evaluate", "Fraction"),
+            ("exactnum", "RationalFunc.evaluate", "Fraction")} <= found
 
 
 def test_the_package_never_imports_dataclasses():

@@ -31,11 +31,11 @@ from chromaq.symfunc import (
 from orbit_oracle import check_symmetric, placements, product_coords, zlam
 from ratfunc_oracle import (
     _invert,
-    change,
     gauss_jordan_from_monomials,
     gauss_jordan_m_to,
     inverted_from_monomials,
     m_coords,
+    m_to_p,
     omega_m_through_s,
     p_to_m,
     plethysm_frac,
@@ -223,8 +223,8 @@ def gram_schmidt_hl(d):
                 v[nu] = v.get(nu, RationalFunc.const(0)) - c * wc
         v = {nu: c for nu, c in v.items() if not c.is_zero}
         done.append((v, inner(v, v)))
-        # P_lam has p-coordinates in Q[t], so the oracle's quotients must clear
-        out[lam] = p_to_m({nu: ratfunc_to_laurent(c) for nu, c in v.items()})
+        # P_lam has p-coordinates in Q[t] and m-coordinates in Z[t], so the oracle's quotients must clear
+        out[lam] = {mu: ratfunc_to_laurent(c) for mu, c in p_to_m(v).items()}
     return out
 
 
@@ -453,7 +453,7 @@ def test_solve_refuses_an_e_table_read_with_lam_leading(monkeypatch):
 
 
 def test_invert_over_the_laurent_ring():
-    assert _invert([[2 * T]]) == [[LaurentPoly([Fraction(1, 2)], low=-1)]]
+    assert _invert([[2 * T]]) == [[RationalFunc(LaurentPoly.t(-1), 2)]]
     a = [[RF(1), T], [RF(0), LaurentPoly.t(-2)]]
     inv = _invert(a)
     prod = [[sum((a[i][k] * inv[k][j] for k in range(2)), LaurentPoly()) for j in range(2)]
@@ -499,17 +499,19 @@ def test_m_to_p_integral_raises_on_a_wrong_pivot(monkeypatch):
 
 
 def test_peel_and_the_diagonal_maps_refuse_a_rational_coefficient(monkeypatch):
-    # one integral path: a coefficient outside Z[t, 1/t] is refused before any row is read
+    # one integral path: a coefficient is a LaurentPoly over Z, so a Fraction is refused
+    # where it would become one, before any row is read; omega, the plethysm and
+    # expand_in_basis read a SymFunc, which cannot hold one
     def no_rows(basis, d):
         raise AssertionError(f"the degree-{d} {basis} rows were read")
 
     monkeypatch.setattr(symfunc, "_peel_rows", no_rows)
-    half = LaurentPoly([Fraction(1, 2), 1], low=-1)
-    message = r"^a change of basis reads Z\[t, 1/t\], not the m_\[2, 1\]-coordinate 1\+1/2\*t\^-1$"
-    for call in (lambda F: _peel(F.coeffs, "P", 3), lambda F: _peel(F.coeffs, "E", 3),
-                 lambda F: expand_in_basis(F, "PT"), omega, plethysm_mul):
-        with pytest.raises(TypeError, match=message):
-            call(SymFunc(3, "M", {(3,): 2, (2, 1): half}))
+    coeffs = {(3,): 2, (2, 1): Fraction(1, 2)}
+    for call in (lambda: _peel(coeffs, "P", 3), lambda: _peel(coeffs, "E", 3),
+                 lambda: SymFunc(3, "M", coeffs),
+                 lambda: basis_element("M", (1, 1, 1)).scale(Fraction(1, 2))):
+        with pytest.raises(TypeError, match=r"^coefficient Fraction\(1, 2\) is not an int$"):
+            call()
 
 
 def test_expand_in_basis_same_basis_is_identity():
@@ -620,11 +622,10 @@ def test_omega_e_to_h():
     # omega on M takes e_lam to h_lam, whose rows the oracle reads off the Kostka
     # numbers; and so does the sign rule on P through the Gauss-Jordan table over Q
     for n in range(1, 6):
-        to_p = gauss_jordan_m_to("P", n)
         for lam in gen_partitions(n):
             h = _in_m("H", lam)
             assert omega(basis_element("E", lam)) == h, lam
-            e_in_p = change(basis_element("E", lam).coeffs, lambda mu: to_p[mu].items())
+            e_in_p = m_to_p(basis_element("E", lam).coeffs, n)
             assert p_to_m({nu: c * (-1) ** (n - len(nu)) for nu, c in e_in_p.items()}) == h.coeffs, lam
 
 
@@ -685,11 +686,10 @@ def test_omega_on_hall_littlewood_goes_through_m_and_equals_the_p_route(monkeypa
     # omega of a Hall-Littlewood element in M divides d! out exactly; the old route
     # through P reads entries 1/z_lam over Q, and both give the same values
     for d in range(7):
-        to_p = gauss_jordan_m_to("P", d)
         for b in ("HLP", "PT"):
             for lam in gen_partitions(d):
                 F = _in_m(b, lam).scale(T + 2)
-                in_p = change(F.coeffs, lambda mu: to_p[mu].items())
+                in_p = m_to_p(F.coeffs, d)
                 want = p_to_m({nu: c * (-1) ** (d - len(nu)) for nu, c in in_p.items()})
                 assert omega(F).coeffs == want, (b, lam)
     asked = []
@@ -752,9 +752,10 @@ def test_plethysm_scaled_en_is_laurent():
         for i in range(1, n + 1):
             tfact = tfact * LaurentPoly([1] * i)  # 1 + t + ... + t^{i-1}
         F = basis_element("E", (n,)).scale(tfact)
-        in_p = change(F.coeffs, lambda mu: gauss_jordan_m_to("P", n)[mu].items())
+        in_p = m_to_p(F.coeffs, n)
         scale = RationalFunc((T - 1) ** n)
-        G = p_to_m({lam: ratfunc_to_laurent(c * scale) for lam, c in plethysm_frac(in_p).items()})
+        G = p_to_m({lam: c * scale for lam, c in plethysm_frac(in_p).items()})
+        G = {mu: ratfunc_to_laurent(c) for mu, c in G.items()}
         assert plethysm_mul(SymFunc(n, "M", G)) == F.scale((T - 1) ** n), n
 
 
@@ -784,14 +785,14 @@ def test_plethysm_m_table_is_integral_and_equal_to_the_p_route():
                        for c in F.coeffs.values()), (d, mu)
             assert F.scale(factorial(d)).coeffs == _plethysm_through_p(d, mu), (d, mu)
             # the x/(t-1) plethysm over Q(t) takes it back to m_mu
-            back = plethysm_frac(change(F.coeffs, lambda nu: to_p[nu].items()))
+            back = plethysm_frac(m_to_p(F.coeffs, d))
             assert back == {lam: RationalFunc.const(c) for lam, c in to_p[mu].items()}, (d, mu)
 
 
 def test_plethysm_m_raises_on_a_remainder_of_d_factorial():
     # one more p_(1^3) in d! m_111[(t-1)x], or in d! omega(m_111): d! e_3 has the
     # p_(1^3)-coordinate 1, and p_(1^3) has the m_21-coordinate 3, which 3! does not
-    # divide; a vector that carries a Fraction is refused before it is peeled
+    # divide
     m111 = basis_element("M", (1, 1, 1))
     for factor, left in ((symfunc._plethysm_factor, r"\(-6\*t\^2\+12\*t-3\)"),
                          (symfunc._omega_sign, r"\(9\)")):
@@ -802,8 +803,6 @@ def test_plethysm_m_raises_on_a_remainder_of_d_factorial():
                            match=r"p_lam -> one_more\(lam\) p_lam takes F to the "
                                  rf"non-integer m_\[2, 1\]-coordinate {left}/6$"):
             _diagonal(m111, one_more)
-        with pytest.raises(TypeError, match=r"reads Z\[t, 1/t\], not the m_\[1, 1, 1\]-coordinate 1/2$"):
-            _diagonal(m111.scale(Fraction(1, 2)), one_more)
 
 
 # -- eval_t ---------------------------------------------------------------------
@@ -814,8 +813,11 @@ def test_eval_t_constant_unchanged():
 
 
 def test_eval_t_pole():
+    # 1/t + 1 is 3/2 at t = 2, which no coefficient over Z holds
     F = SymFunc(1, "M", {(1,): LaurentPoly.t(-1) + 1})
-    assert eval_t(F, 2).coeffs == {(1,): RF(Fraction(3, 2))}
+    assert eval_t(F.scale(2), 2).coeffs == {(1,): RF(3)}
+    with pytest.raises(TypeError, match=r"^coefficient Fraction\(3, 2\) is not an int$"):
+        eval_t(F, 2)
     with pytest.raises(PoleError):
         eval_t(F, 0)
 

@@ -32,10 +32,9 @@ DECLARED = {
     "exactnum.RationalFunc": _TRACER,
     "exactnum._coerce": _TRACER,
     "exactnum._poly_gcd": _TRACER,
-    "exactnum._pdivmod": _TRACER,
-    "exactnum._monic": _TRACER,
-    "exactnum._content": _TRACER,
-    "exactnum._ptrim": _TRACER,
+    "exactnum._pdiv": _TRACER,
+    "exactnum._ratio": _TRACER,
+    "exactnum._split": _TRACER,
 }
 
 _DEF = (ast.FunctionDef, ast.AsyncFunctionDef)
