@@ -66,7 +66,7 @@ from .fqoracle import (
 from .symfunc import (
     SymFunc,
     _change,
-    _m_coords,
+    _rows,
     basis_element,
     eval_t,
     expand_in_basis,
@@ -87,12 +87,12 @@ def _pt_at_q(d: int, q: int) -> dict[Partition, dict[Partition, int]]:
     that of PT_(1^d) = t^{-binom(d,2)} e_d; a coordinate below it raises
     ArithmeticError.
     """
-    N, rows = d * (d - 1) // 2, {lam: _m_coords("PT", lam) for lam in _partitions(d)}
-    low = next(((lam, mu, c) for lam, row in rows.items() for mu, c in row if c.low < -N), None)
+    N, rows = d * (d - 1) // 2, _rows("PT", d)
+    low = next(((lam, mu, c) for lam in rows for mu, c in rows[lam].items() if c.low < -N), None)
     if low:
         lam, mu, c = low
         raise ArithmeticError(f"PT_{list(lam)} has the m_{list(mu)}-coordinate {c}, below t^-{N}")
-    return {lam: {mu: c.shift(N).evaluate(q) for mu, c in row} for lam, row in rows.items()}
+    return {lam: {mu: c.shift(N).evaluate(q) for mu, c in row.items()} for lam, row in rows.items()}
 
 
 def scaled_p_brace1(phi: UnipClassFn) -> SymFunc:
@@ -271,8 +271,7 @@ def check_cm(n: int) -> CheckReport:
 def check_palindromic(n: int) -> CheckReport:
     """t^{|E|} X(x; 1/t) = X(x; t) for every indifference graph."""
     return _scan("check_palindromic", n, None, indifference_graphs(n),
-                 lambda gamma: csf(gamma).map_coeffs(
-                     lambda c: c.subs_inv().shift(len(gamma.edges))),
+                 lambda gamma: csf(gamma).map_coeffs(lambda c: c.subs_inv(len(gamma.edges))),
                  csf)
 
 
@@ -298,7 +297,7 @@ def check_prop56(n: int) -> CheckReport:
 
     def reflected(pi):  # |Area(pi)| read once per path, not once per coefficient
         k = len(area(pi))
-        return llt_vertical(pi).map_coeffs(lambda c: c.subs_inv().shift(k))
+        return llt_vertical(pi).map_coeffs(lambda c: c.subs_inv(k))
 
     parts = (
         ("i", gen_dyck(n), reflected, lambda pi: omega(llt_vertical(pi))),

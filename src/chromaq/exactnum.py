@@ -273,11 +273,11 @@ class LaurentPoly:
             return self
         return _canonical(self.coeffs, self.low + k)
 
-    def subs_inv(self) -> "LaurentPoly":
-        """Substitute t -> 1/t."""
+    def subs_inv(self, k: int = 0) -> "LaurentPoly":
+        """Substitute t -> 1/t, then multiply by t^k."""
         if self.is_zero:
             return self
-        return _canonical(self.coeffs[::-1], -(self.low + len(self.coeffs) - 1))
+        return _canonical(self.coeffs[::-1], k - self.low - len(self.coeffs) + 1)
 
     def evaluate(self, q: int):
         """Exact value at an int t = q: an int whenever the value is one, else

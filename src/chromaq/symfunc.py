@@ -7,23 +7,18 @@ change of basis goes through them.  The bases are the ones the verbs and
 checks read: M (monomial), E (elementary) and PT, the modified Hall-Littlewood
 t^{-n(lambda)} P(x; 1/t).  Hall-Littlewood P is read off semistandard
 tableaux, P_lam = sum_T psi_T(t) x^T (Macdonald, Symmetric Functions and Hall
-Polynomials, III (5.11') and (5.8')), so its monomial coordinates are built in
-Z[t] with no division; each horizontal strip lam/nu of k boxes, with its
-psi_{lam/nu}, is built once per (nu, k) and shared by every content and
-degree.  Its constant terms are the Kostka numbers, and e_lam = sum_nu
-K_nu,lam s_nu' is read off them (Macdonald I.6); the coefficient of m_nu in
-p_lam counts the ways to drop the parts of lam into the parts of nu.  No basis
-element is built by multiplying exponent vectors.  Each change of basis is
-unitriangular up to a power of t (PT) or constant (E, and P inside
-`_diagonal`), and triangular in `gen_partitions` order, so `_peel` takes a
-vector out of M against the forward rows over Z[t, 1/t], refused on their
-p(d)^2 cells past MAX_SWEEP (from degree 18).  A coefficient is a
-LaurentPoly over Z, which holds ints only, so the peel runs in int and an
-inexact quotient raises ArithmeticError.
-omega and the plethysm F[(t-1)x] are ring maps diagonal on p, p_lam ->
-factor(lam) p_lam, so on m both peel d! F into P, scale each p_lam and go back
-by the p rows (`_diagonal`); P is no basis of a SymFunc.  A SymFunc is
-immutable: the caches in chromallt hand one object to every caller.
+Polynomials, III (5.11') and (5.8')), in Z[t] with no division; each
+horizontal strip lam/nu of k boxes, with its psi_{lam/nu}, is built once per
+(nu, k).  Its constant terms are the Kostka numbers, which the e rows are read
+off (Macdonald I.6); m_nu in p_lam counts the ways to drop the parts of lam
+into the parts of nu.  Each (basis, degree) has one table of rows, `_rows`,
+refused on its p(d)^2 cells past MAX_SWEEP (from degree 18): every basis is
+triangular in `gen_partitions` order, so `_peel` takes a vector out of M
+against the rows over Z[t, 1/t], in int, and an inexact quotient raises
+ArithmeticError.  omega and the plethysm F[(t-1)x] are ring maps diagonal on
+p, p_lam -> factor(lam) p_lam, so on m both peel d! F into P, scale each p_lam
+and go back by the p rows (`_diagonal`); P is no basis of a SymFunc.  A
+SymFunc is immutable: the caches in chromallt hand one object to every caller.
 """
 
 from __future__ import annotations
@@ -145,37 +140,6 @@ def _placements(parts: Partition, room: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _m_coords(basis: str, lam: Partition) -> tuple[tuple[Partition, Coeff], ...]:
-    """Monomial coordinates of the basis element indexed by lam, or of p_lam for
-    basis P, the rows `_diagonal` peels against.
-
-    e_lam = sum_nu K_nu,lam s_nu' is read off the Kostka table (Macdonald I.6).
-    Any basis but M fills a p(d) x p(d) table, refused on its cells past
-    MAX_SWEEP (from degree 18) before any of it is built.
-    """
-    d = sum(lam)
-    if basis != "M":
-        p = _partition_count(d)
-        require_sweep(f"the {p}^2 cells of the degree-{d} {basis} table", p ** 2)
-    if basis == "M":
-        coords = {lam: 1}
-    elif basis == "P":
-        coords = {nu: _placements(lam, nu) for nu in _partitions(d)}
-    elif basis == "E":
-        kostka, coords = _kostka(d), Counter()
-        for nu, row in kostka.items():
-            if lam in row:
-                for mu, v in kostka[transpose(nu)].items():
-                    coords[mu] += row[lam] * v
-    elif basis == "PT":
-        shift = -nstat(lam)
-        coords = {mu: c.subs_inv().shift(shift) for mu, c in _hall_littlewood_coords(d)[lam].items()}
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
-    return tuple(sorted((mu, _coeff(c)) for mu, c in coords.items() if c))
-
-
-@lru_cache(maxsize=None)
 def _strips(nu: Partition, k: int) -> tuple[tuple[Partition, tuple[tuple[int, int], ...]], ...]:
     """Each lam with lam/nu a horizontal strip of k boxes (lam_{i+1} <= nu_i <= lam_i),
     with the terms (e, c) of psi_{lam/nu}(t), built once per (nu, k) for every content
@@ -231,17 +195,6 @@ def _hall_littlewood_coords(d: int) -> dict[Partition, dict[Partition, Coeff]]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _kostka(d: int) -> dict[Partition, dict[Partition, int]]:
-    """The Kostka numbers K_lam,mu of degree d, s_lam = sum_mu K_lam,mu m_mu.
-
-    The constant terms of the tableau build, since P_lam(x; 0) = s_lam
-    (Macdonald III.2); each row keeps its nonzero entries.
-    """
-    return {lam: {mu: c[0] for mu, c in row.items() if c[0]}
-            for lam, row in _hall_littlewood_coords(d).items()}
-
-
 def _change(coeffs: Mapping[Partition, V],
             row: Callable[[Partition], Iterable[tuple[Partition, V]]]) -> dict[Partition, V]:
     """sum_lam c_lam * row(lam): one sparse change of coordinates.  Each entry
@@ -255,23 +208,45 @@ def _change(coeffs: Mapping[Partition, V],
 
 
 @lru_cache(maxsize=None)
-def _peel_rows(basis: str, d: int) -> tuple[tuple[Partition, Partition, Coeff, tuple], ...]:
-    """Each degree-d row b_lam = pivot * m_rho + sum(rest), as (rho, lam, pivot, rest), in peel order.
+def _rows(basis: str, d: int) -> Mapping[Partition, Mapping[Partition, Coeff]]:
+    """Each degree-d row b_lam (p_lam for P) as its nonzero monomial coordinates
+    {mu: c}, keyed by lam in peel order: first its pivot rho: c t^k, then the
+    rest in increasing order of mu.
 
-    b_lam leads with m_rho, rho = lam' for E and lam otherwise, and its other
-    m_mu come after rho in `gen_partitions` order, before it for P (Macdonald
-    I.6, III.2), so rho runs from the start, from the end for P.  The pivot is
-    c t^k, with c = 1 but for P, c = prod m_i(lam)!.  A pivot not c t^k or an
+    The one table of a (basis, degree) that every change of basis reads; M has
+    none.  m_nu in p_lam counts the ways to drop the parts of lam into the parts
+    of nu, PT_lam = t^{-n(lam)} P_lam(x; 1/t), and e_lam = sum_nu K_nu,lam s_nu'
+    is read off the Kostka numbers, the constant terms of P_nu(x; 0) = s_nu
+    (Macdonald I.6, III.2).  b_lam leads with m_rho, rho = lam' for E and lam
+    otherwise, and its other m_mu come after rho in `gen_partitions` order,
+    before it for P, so rho runs from the start, from the end for P.  The pivot
+    is c t^k, with c = 1 but for P, c = prod m_i(lam)!.  A pivot not c t^k or an
     entry on the peeled side of rho raises ArithmeticError.  The p(d)^2 cells
     are refused past MAX_SWEEP (from degree 18) before any row is built.
     """
     p = _partition_count(d)
     require_sweep(f"the {p}^2 cells of the degree-{d} {basis} table", p ** 2)
-    keys, peeled, rows = _partitions(d), set(), []
+    keys = _partitions(d)
+    if basis == "P":
+        table = {lam: {nu: _placements(lam, nu) for nu in keys} for lam in keys}
+    elif basis == "PT":
+        table = {lam: {mu: c.subs_inv(k) for mu, c in row.items()}
+                 for lam, row in _hall_littlewood_coords(d).items() for k in [-nstat(lam)]}
+    elif basis == "E":
+        kostka = {nu: {mu: c[0] for mu, c in row.items() if c[0]}
+                  for nu, row in _hall_littlewood_coords(d).items()}
+        table = {lam: Counter() for lam in keys}
+        for nu, row in kostka.items():
+            for lam, c in row.items():
+                for mu, v in kostka[transpose(nu)].items():
+                    table[lam][mu] += c * v
+    else:
+        raise ValueError(f"unknown basis {basis!r}")
+    peeled, out = set(), {}
     for rho in (reversed(keys) if basis == "P" else keys):
         lam = transpose(rho) if basis == "E" else rho
         name = f"{basis.lower()}_{list(lam)}"
-        coords = dict(_m_coords(basis, lam))
+        coords = {mu: _coeff(c) for mu, c in sorted(table[lam].items()) if c}
         pivot = coords.pop(rho, ZERO)
         if len(pivot.coeffs) != 1:
             raise ArithmeticError(f"{name} has the pivot {pivot} at m_{list(rho)}, not c * t^k")
@@ -280,13 +255,13 @@ def _peel_rows(basis: str, d: int) -> tuple[tuple[Partition, Partition, Coeff, t
             raise ArithmeticError(f"{name} has an m_{list(early)}-coordinate, but m_{list(early)} "
                                   f"is peeled before m_{list(rho)}")
         peeled.add(rho)
-        rows.append((rho, lam, pivot, tuple(coords.items())))
-    return tuple(rows)
+        out[lam] = MappingProxyType({rho: pivot, **coords})
+    return MappingProxyType(out)
 
 
 def _peel(coeffs: Mapping[Partition, Coeff], basis: str, d: int) -> dict[Partition, Coeff]:
     """s F in the named basis, F of degree d given by its m-coordinates over
-    Z[t, 1/t], s = d! for P and 1 otherwise: at each rho of `_peel_rows`, the
+    Z[t, 1/t], s = d! for P and 1 otherwise: at each rho of `_rows`, the
     m_rho-coordinate left of s F over the pivot is the b_lam-coordinate, and
     that multiple of b_lam is subtracted.  s m_mu has integral coordinates in
     every basis, so an inexact quotient raises ArithmeticError.  A number
@@ -297,7 +272,9 @@ def _peel(coeffs: Mapping[Partition, Coeff], basis: str, d: int) -> dict[Partiti
     s = factorial(d) if basis == "P" else 1
     left = {mu: c * s for mu, c in left.items()} if s != 1 else left
     out = {}
-    for rho, lam, pivot, rest in _peel_rows(basis, d):
+    for lam, row in _rows(basis, d).items():
+        entries = iter(row.items())
+        rho, pivot = next(entries)
         v, c = left.pop(rho, ZERO), pivot.coeffs[0]
         if not v.coeffs:
             continue
@@ -307,7 +284,7 @@ def _peel(coeffs: Mapping[Partition, Coeff], basis: str, d: int) -> dict[Partiti
                                       f"-coordinate {v}/{pivot}")
             v = LaurentPoly([a // c for a in v.coeffs], v.low)
         out[lam] = x = v.shift(-pivot.low) if pivot.low else v
-        for mu, a in rest:
+        for mu, a in entries:
             left[mu] = left[mu] - x * a if mu in left else -(x * a)
     return out
 
@@ -324,7 +301,7 @@ def basis_element(basis: str, lam: Partition) -> SymFunc:
     d = sum(lam)
     _partition_count(d)  # refused on p(d) past MAX_SWEEP, before any partition is listed
     _require_partition(lam, d)
-    return SymFunc(d, "M", dict(_m_coords(basis, lam)))
+    return SymFunc(d, "M", {lam: 1} if basis == "M" else dict(_rows(basis, d)[lam]))
 
 
 def expand_in_basis(F: SymFunc, basis: str) -> SymFunc:
@@ -333,8 +310,9 @@ def expand_in_basis(F: SymFunc, basis: str) -> SymFunc:
         raise ValueError(f"unknown basis {basis!r}")
     if F.basis == basis:
         return F
-    coeffs = F.coeffs if F.basis == "M" else _change(F.coeffs, lambda lam: _m_coords(F.basis, lam))
-    return SymFunc(F.degree, basis, coeffs if basis == "M" else _peel(coeffs, basis, F.degree))
+    d, b = F.degree, F.basis
+    coeffs = F.coeffs if b == "M" else _change(F.coeffs, lambda lam: _rows(b, d)[lam].items())
+    return SymFunc(d, basis, coeffs if basis == "M" else _peel(coeffs, basis, d))
 
 
 def _diagonal(F: SymFunc, factor: Callable[[Partition], Coeff | int]) -> SymFunc:
@@ -346,7 +324,7 @@ def _diagonal(F: SymFunc, factor: Callable[[Partition], Coeff | int]) -> SymFunc
     d = F.degree
     s = factorial(d)
     scaled = {lam: c * factor(lam) for lam, c in _peel(F.coeffs, "P", d).items()}
-    row = _change(scaled, lambda lam: _m_coords("P", lam))
+    row = _change(scaled, lambda lam: _rows("P", d)[lam].items())
     bad = next((nu for nu, c in row.items() if any(a % s for a in c.coeffs)), None)
     if bad is not None:
         raise ArithmeticError(f"p_lam -> {factor.__name__}(lam) p_lam takes F to the "

@@ -2,20 +2,20 @@
 
 The package keeps every coefficient in Z[t, 1/t] and holds the bases M, E and
 PT. These helpers redo the old computations with arithmetic of their own:
-the Gauss-Jordan change of basis over Q(t), both over `RationalFunc`, once
-with any pivot and once with the units of the Laurent ring Q[t, 1/t] only
-(`_invert`); the plethysm p_k -> p_k / (t^k - 1); and Carlsson-Mellit in its
-original form (t-1)^n X[x/(t-1)] = G. The tests compare them with the
-Laurent paths that replaced them.
+the Gauss-Jordan change of basis over `RationalFunc`, with the units of the
+Laurent ring Q[t, 1/t] as its only pivots (`_invert`); the plethysm
+p_k -> p_k / (t^k - 1); and Carlsson-Mellit in its original form
+(t-1)^n X[x/(t-1)] = G. The tests compare them with the Laurent paths that
+replaced them.
 
 `m_coords` gives the monomial coordinates of s, h, e, p, P(x; t) and PT in
-the old seven bases, read off the package's Kostka numbers and its
-Hall-Littlewood tableau build, and p off the unmemoised part placements of
-`orbit_oracle`; the tests read S, H, HLP and P through it. `change` is the
-one sparse change of coordinates of the oracles, in whatever exact arithmetic
-its values carry. `omega_m_through_s` is the table of omega on m that the
-package built through the Schur basis before omega and the plethysm became
-one map diagonal on p (`symfunc._diagonal`).
+the old seven bases, read off the package's Hall-Littlewood tableau build and
+its constant terms, the Kostka numbers (`kostka`), and p off the unmemoised
+part placements of `orbit_oracle`; the tests read S, H, HLP and P through it.
+`change` is the one sparse change of coordinates of the oracles, in whatever
+exact arithmetic its values carry. `omega_m_through_s` is the table of omega
+on m that the package built through the Schur basis before omega and the
+plethysm became one map diagonal on p (`symfunc._diagonal`).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from chromaq.combinatorics import (
     transpose,
 )
 from chromaq.exactnum import ONE, ZERO, LaurentPoly, RationalFunc
-from chromaq.symfunc import _hall_littlewood_coords, _kostka
+from chromaq.symfunc import _hall_littlewood_coords
 from orbit_oracle import placements
 
 # every chromaq name this oracle imports, with its reason; a kernel that the
@@ -52,12 +52,11 @@ CHROMAQ_IMPORTS = {
     "exactnum.ONE": "a value",
     "exactnum.ZERO": "a value",
     "exactnum.LaurentPoly": "the value type of the coefficients",
-    "exactnum.RationalFunc": "the value type of the Gauss-Jordan oracles over Q(t)",
-    "symfunc._hall_littlewood_coords": ("the Hall-Littlewood rows, which the package's PT "
-                                        "rows are read off too",
+    "exactnum.RationalFunc": "the value type of the Gauss-Jordan oracle",
+    "symfunc._hall_littlewood_coords": ("the Hall-Littlewood rows, and their constant terms, "
+                                        "the Kostka numbers, which the package's PT and e rows "
+                                        "are read off too",
                                         "tests/test_symfunc.py::test_hl_tableau_build_matches_gram_schmidt"),
-    "symfunc._kostka": ("the Kostka numbers, which the package's e rows are read off too",
-                        "tests/test_symfunc.py::test_schur_matches_ssyt_oracle"),
 }
 
 T = LaurentPoly.t()
@@ -110,6 +109,14 @@ def change(coeffs: Mapping[Partition, object],
 
 
 @lru_cache(maxsize=None)
+def kostka(d: int) -> dict[Partition, dict[Partition, int]]:
+    """The Kostka numbers K_lam,mu of degree d, s_lam = sum_mu K_lam,mu m_mu: the
+    constant terms of the tableau build, since P_lam(x; 0) = s_lam (Macdonald III.2)."""
+    return {lam: {mu: c[0] for mu, c in row.items() if c[0]}
+            for lam, row in _hall_littlewood_coords(d).items()}
+
+
+@lru_cache(maxsize=None)
 def m_coords(basis: str, lam: Partition) -> dict[Partition, LaurentPoly]:
     """Monomial coordinates of m, s, h, e, p, P(x; t) or PT indexed by lam
     (bases M, S, H, E, P, HLP, PT): s_lam is a Kostka row, h_lam and e_lam are
@@ -124,39 +131,16 @@ def m_coords(basis: str, lam: Partition) -> dict[Partition, LaurentPoly]:
         row = _hall_littlewood_coords(d)[lam]
         return dict(row) if basis == "HLP" else {mu: c.subs_inv().shift(-nstat(lam))
                                                  for mu, c in row.items()}
-    kostka = _kostka(d)
+    k = kostka(d)
     schur = {lam: 1} if basis == "S" else {transpose(nu) if basis == "E" else nu: row[lam]
-                                           for nu, row in kostka.items() if lam in row}
-    return change(schur, lambda nu: ((mu, LaurentPoly.const(v)) for mu, v in kostka[nu].items()))
+                                           for nu, row in k.items() if lam in row}
+    return change(schur, lambda nu: ((mu, LaurentPoly.const(v)) for mu, v in k[nu].items()))
 
 
 def p_to_m(coeffs: Mapping[Partition, object]) -> dict:
     """sum_lam c_lam p_lam in monomial coordinates, by the part placements."""
     return change(coeffs, lambda lam: ((nu, placements(lam, nu))
                                        for nu in gen_partitions(sum(lam))))
-
-
-def gauss_jordan_from_monomials(basis: str,
-                                d: int) -> dict[Partition, dict[Partition, RationalFunc]]:
-    """Each m_mu expanded in the named basis, by Gauss-Jordan over Q(t)."""
-    keys = gen_partitions(d)
-    n = len(keys)
-    idx = {k: i for i, k in enumerate(keys)}
-    aug = [[RF_ZERO] * n + [RF_ONE if i == k else RF_ZERO for k in range(n)] for i in range(n)]
-    for j, lam in enumerate(keys):
-        for mu, c in m_coords(basis, lam).items():
-            aug[idx[mu]][j] = RationalFunc(c)
-    for col in range(n):
-        piv = next(r for r in range(col, n) if not aug[r][col].is_zero)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = RF_ONE / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return {keys[k]: {keys[j]: aug[j][n + k] for j in range(n) if not aug[j][n + k].is_zero}
-            for k in range(n)}
 
 
 def _invert(a: list[list[LaurentPoly]]) -> list[list[RationalFunc]]:
@@ -232,10 +216,10 @@ def omega_m_through_s(d: int) -> dict[Partition, tuple[tuple[Partition, int], ..
     (Macdonald I (3.8)): m_mu in S by the Gauss-Jordan inverse of the Kostka
     matrix, each s_lam to s_lam', and back to m by the Kostka rows.  An S
     coordinate that involves t raises ArithmeticError."""
-    kostka, out = _kostka(d), {}
+    k, out = kostka(d), {}
     for mu, row in inverted_from_monomials("S", d).items():
         flipped = {transpose(lam): ratfunc_to_const(c) for lam, c in row.items()}
-        acc = change(flipped, lambda lam: kostka[lam].items())
+        acc = change(flipped, lambda lam: k[lam].items())
         out[mu] = tuple((nu, acc[nu]) for nu in gen_partitions(d) if nu in acc)
     return out
 
@@ -243,11 +227,11 @@ def omega_m_through_s(d: int) -> dict[Partition, tuple[tuple[Partition, int], ..
 def cm_lhs(pi: SchroderPath) -> dict[Partition, LaurentPoly]:
     """(t-1)^n X_{Graph(pi)}[x/(t-1)] in basis M, the left side of Carlsson-Mellit.
 
-    X goes to P through the Q(t) Gauss-Jordan table, the plethysm divides,
+    X goes to P through the Gauss-Jordan table, the plethysm divides,
     and the result must clear to Laurent coefficients (NonDivisibleError if not).
     """
     n = pi.size
-    to_p = gauss_jordan_from_monomials("P", n)
+    to_p = inverted_from_monomials("P", n)
     F = change(csf(graph_of(pi)).coeffs, lambda mu: to_p[mu].items())
     F = plethysm_frac(F)
     scale = RationalFunc((T - 1) ** n)

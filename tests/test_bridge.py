@@ -54,7 +54,6 @@ from chromaq.fqoracle import (
 from chromaq.guards import SizeGuardError
 from chromaq.symfunc import (
     SymFunc,
-    _kostka,
     basis_element,
     eval_t,
     expand_in_basis,
@@ -66,8 +65,9 @@ from orbit_oracle import sym_sum
 from ratfunc_oracle import (
     change,
     cm_lhs,
-    gauss_jordan_from_monomials,
     gauss_jordan_m_to,
+    inverted_from_monomials,
+    kostka,
     m_coords,
     p_to_m,
     plethysm_frac,
@@ -101,9 +101,10 @@ def symbolic_p_brace1(phi):
 
 def symbolic_p_one(phi):
     """The paper's image omega (p_brace1(phi))[x/(q-1)] in S over Q(t): p_brace1 from
-    PT at t = q, the Gauss-Jordan tables over Q(t) and the plethysm p_k -> p_k / (t^k - 1)."""
+    PT at t = q, the Gauss-Jordan tables over `RationalFunc` and the plethysm
+    p_k -> p_k / (t^k - 1)."""
     n, q = phi.n, phi.q
-    to_p, to_s = gauss_jordan_from_monomials("P", n), gauss_jordan_from_monomials("S", n)
+    to_p, to_s = inverted_from_monomials("P", n), inverted_from_monomials("S", n)
     F = change(symbolic_p_brace1(phi), lambda mu: to_p[mu].items())
     F = {lam: (-1) ** (n - len(lam)) * c.evaluate(Fraction(q))
          for lam, c in plethysm_frac(F).items()}
@@ -125,10 +126,10 @@ def three_step_p_one(phi):
 
 def omega_in_m(s_coords, n):
     """omega of a function given in S, in monomial coordinates: s_lam -> s_lam', then
-    the Kostka rows."""
-    kostka = _kostka(n)
+    Kostka rows, the constant terms of the Hall-Littlewood tableau build."""
+    rows = kostka(n)
     return change({transpose(lam): c for lam, c in s_coords.items()},
-                  lambda lam: kostka[lam].items())
+                  lambda lam: rows[lam].items())
 
 
 def in_s(F):
@@ -483,9 +484,8 @@ def test_the_caches_are_exactly_these():
         "fqoracle._column_ranks", "fqoracle._fibre_size", "fqoracle._field", "fqoracle._graph_index",
         "fqoracle._lattice", "fqoracle._springer_fibre", "fqoracle.induce_to_GL",
         "fqoracle.induction_table", "fqoracle.psi_pseudo",
-        "symfunc._hall_littlewood_coords", "symfunc._kostka", "symfunc._m_coords",
-        "symfunc._peel_rows", "symfunc._placements", "symfunc._plethysm_factor",
-        "symfunc._require_partition", "symfunc._strips",
+        "symfunc._hall_littlewood_coords", "symfunc._placements", "symfunc._plethysm_factor",
+        "symfunc._require_partition", "symfunc._rows", "symfunc._strips",
     ]
 
 
@@ -752,7 +752,7 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
         ut_order,
     )
     from chromaq.guards import MAX_SWEEP
-    from chromaq.symfunc import _m_coords, _peel_rows
+    from chromaq.symfunc import _rows
     from matrix_oracle import (
         coset_permutation_character,
         flag_reps,
@@ -783,7 +783,8 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
     monkeypatch.setattr(matrix_oracle, "permutations", no_work)
     monkeypatch.setattr(chromaq.chromallt, "_h_vector", no_work)
     monkeypatch.setattr(chromaq.chromallt, "_slot_bits", no_work)
-    monkeypatch.setattr(chromaq.symfunc, "_m_coords", no_work)
+    monkeypatch.setattr(chromaq.symfunc, "_hall_littlewood_coords", no_work)
+    monkeypatch.setattr(chromaq.symfunc, "_placements", no_work)
     monkeypatch.setattr(chromaq.symfunc, "_partitions", no_work)
     monkeypatch.setattr(orientation_oracle, "Orientation", no_work)
     # 17 edges on [7]: every {i, j} with j - i <= 3, and {1, 5}, {2, 6}
@@ -818,13 +819,13 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
         (lambda: omega(SymFunc(18, "M", {(18,): 1})), "148,225"),
         (lambda: plethysm_mul(SymFunc(18, "M", {(18,): 1})), "148,225"),
     ]
-    tables = [f.cache_info().currsize for f in (_peel_rows, _m_coords)]
+    tables = _rows.cache_info().currsize
     for call, count in refused:
         with pytest.raises(SizeGuardError,
                            match=f"visits {count} elements, past the bound MAX_SWEEP = 117,649"):
             call()
     # no table was kept
-    assert [f.cache_info().currsize for f in (_peel_rows, _m_coords)] == tables
+    assert _rows.cache_info().currsize == tables
     # chi_bar on [16] needs the Cat(16) graphs first, and their enumeration refuses;
     # superclass sizes are read off the graphs on [n]
     for call, n in ((lambda: induce_to_GL(chi_bar(IndiffGraph(16, []), 5)), 16),
@@ -882,7 +883,7 @@ def test_omega_on_m_and_check_llts_right_side_read_no_power_sum_table(monkeypatc
     import chromaq.symfunc as sf
     building, built, peeled = [], [], []
     build = bridge._plethysm_at_q.__wrapped__
-    rows, peel, peel_rows = sf._m_coords, sf._peel, sf._peel_rows
+    peel, rows = sf._peel, sf._rows
 
     @lru_cache(maxsize=None)
     def table(n, q):
@@ -897,32 +898,27 @@ def test_omega_on_m_and_check_llts_right_side_read_no_power_sum_table(monkeypatc
         if basis == "P" and not building:
             raise AssertionError(f"the power-sum table was read at {at}")
 
-    def p_rows_while_building(basis, lam):
-        p_while_building(basis, lam)
-        return rows(basis, lam)
-
-    def peel_while_building(coeffs, basis, d):
+    def p_rows_while_building(basis, d):
         p_while_building(basis, d)
-        return peel(coeffs, basis, d)
+        return rows(basis, d)
 
     def only_p_rows(basis, d):
         if basis != "P":
             raise AssertionError(f"the degree-{d} {basis} rows were read")
-        return peel_rows(basis, d)
+        return rows(basis, d)
 
     for module in (sf, bridge):
         for obj in vars(module).values():
             if callable(getattr(obj, "cache_clear", None)):
                 obj.cache_clear()
     monkeypatch.setattr(sf, "_peel", lambda coeffs, b, d: peeled.append(b) or peel(coeffs, b, d))
-    monkeypatch.setattr(sf, "_peel_rows", only_p_rows)
+    monkeypatch.setattr(sf, "_rows", only_p_rows)
     units = [mu for d in range(7) for mu in gen_partitions(d)]
     for mu in units:
         assert omega(basis_element("M", mu)).basis == "M", mu
     assert len(units) == 30 and peeled == ["P"] * 30
     monkeypatch.setattr(bridge, "_plethysm_at_q", table)
-    monkeypatch.setattr(sf, "_m_coords", p_rows_while_building)
-    monkeypatch.setattr(sf, "_peel", peel_while_building)
+    monkeypatch.setattr(sf, "_rows", p_rows_while_building)
     scans = []
     monkeypatch.setattr(bridge, "_scan", lambda *args: scans.append(args[3:]))
     for q in (2, 3):
@@ -1280,13 +1276,13 @@ def test_the_lowest_power_of_t_in_the_pt_rows_is_t_to_the_minus_binom_d_2():
 
 def test_the_pt_table_refuses_a_coordinate_below_its_scale(monkeypatch):
     import chromaq.bridge as bridge
-    real = bridge._m_coords
+    real = bridge._rows
 
-    def lowered(basis, lam):
-        rows = real(basis, lam)
-        return tuple((mu, c.shift(-1)) for mu, c in rows) if lam == (1, 1, 1) else rows
+    def lowered(basis, d):
+        return {lam: {mu: c.shift(-1) for mu, c in row.items()} if lam == (1, 1, 1) else row
+                for lam, row in real(basis, d).items()}
 
-    monkeypatch.setattr(bridge, "_m_coords", lowered)
+    monkeypatch.setattr(bridge, "_rows", lowered)
     with pytest.raises(ArithmeticError,
                        match=r"^PT_\[1, 1, 1\] has the m_\[1, 1, 1\]-coordinate t\^-4, below t\^-3$"):
         _pt_at_q.__wrapped__(3, 2)
@@ -1335,11 +1331,11 @@ def test_check_as_is_refused_before_any_orientation(monkeypatch):
 @pytest.mark.parametrize("n", [9, 12])
 def test_check_cm_is_refused_before_any_table(n):
     # the Dyck paths are enumerated, and refused past MAX_PATH_N, before the degree-n p rows
-    from chromaq.symfunc import _peel_rows
-    rows = _peel_rows.cache_info().misses
+    from chromaq.symfunc import _rows
+    rows = _rows.cache_info().misses
     with pytest.raises(SizeGuardError, match=f"gen_dyck: n = {n} exceeds guard 8"):
         check_cm(n)
-    assert _peel_rows.cache_info().misses == rows
+    assert _rows.cache_info().misses == rows
 
 
 # -- omega on M coordinates -----------------------------------------------------

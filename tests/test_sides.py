@@ -80,9 +80,10 @@ _TABLES = ("symfunc's monomial tables, all read off one Hall-Littlewood tableau 
            "scaled_p_brace1 reads the PT rows on the left, and the right side reads the e "
            "rows off their Kostka numbers; test_hl_tableau_build_matches_gram_schmidt checks "
            "the build")
-_ROWS = ("symfunc's forward rows in monomial coordinates: scaled_p_brace1 reads the PT rows "
-         "on the left, and the right side's table of m_mu[(q-1)x] the p rows; "
-         "test_laurent_tables_equal_the_gauss_jordan_oracle checks them")
+_ROWS = ("symfunc's one table of rows per (basis, degree), in monomial coordinates: "
+         "scaled_p_brace1 reads the PT rows on the left, and the right side's table of "
+         "m_mu[(q-1)x] the p rows; test_solve_equals_the_inverted_table_for_every_basis "
+         "checks them")
 _CHANGE = ("the one sparse change of coordinates: scaled_p_brace1 sums the PT rows on the left, "
            "and the right side sums rows of m_mu[(q-1)x]; test_p_one_and_p_brace1_match_the_"
            "symbolic_oracle checks p_brace1 against the oracles' own change, and "
@@ -98,7 +99,7 @@ SHARED = {
     "check_poincare": {},
     "check_llt": {
         "combinatorics.area": _AREA_BY_LISTING + "; the right side colours it",
-        "symfunc._m_coords": _ROWS,
+        "symfunc._rows": _ROWS,
         "symfunc._change": _CHANGE,
     },
     "check_mesa": {
@@ -133,7 +134,7 @@ SHARED = {
                         "llt_vertical colours through Area and Diag on both sides; "
                         "test_tall_paths_read_h_and_d_as_the_cell_walk_does checks both"),
     },
-    "check_gg": {"symfunc._m_coords": _ROWS, "symfunc._change": _CHANGE},
+    "check_gg": {"symfunc._rows": _ROWS, "symfunc._change": _CHANGE},
     "check_st_en": {},
     "check_cor66": {
         "combinatorics.area": _AREA_BY_LISTING + "; the right side orients it",
@@ -141,7 +142,7 @@ SHARED = {
                                    "and e_lam reads the Kostka table at lam's transpose on "
                                    "the right",
         "symfunc._change": _CHANGE,
-        "symfunc._m_coords": _ROWS,
+        "symfunc._rows": _ROWS,
         **dict.fromkeys(["symfunc._hall_littlewood_coords", "symfunc._strips"], _TABLES),
     },
 }

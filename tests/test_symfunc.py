@@ -20,18 +20,15 @@ from chromaq.symfunc import (
     plethysm_mul,
     _diagonal,
     _hall_littlewood_coords,
-    _kostka,
-    _m_coords,
     _peel,
-    _peel_rows,
     _placements,
     _require_partition,
+    _rows,
     _strips,
 )
 from orbit_oracle import check_symmetric, placements, product_coords, zlam
 from ratfunc_oracle import (
     _invert,
-    gauss_jordan_from_monomials,
     gauss_jordan_m_to,
     inverted_from_monomials,
     m_coords,
@@ -99,7 +96,8 @@ def test_hlp_column_is_elementary():
 
 
 def test_schur_21_monomials():
-    assert _kostka(3)[(2, 1)] == {(2, 1): 1, (1, 1, 1): 2}
+    # the constant terms of P_(2,1) are s_(2,1), the Kostka row the e rows read
+    assert _hl_at(3, (2, 1), 0) == {(2, 1): 1, (1, 1, 1): 2}
 
 
 def _ssyt_coords(lam):
@@ -107,10 +105,16 @@ def _ssyt_coords(lam):
 
 
 def test_schur_matches_ssyt_oracle():
-    # the Kostka numbers, the rows of s read off the tableau build at t = 0
+    # the e rows read off the Kostka numbers of the tableau build at t = 0, against
+    # e_lam = sum_nu K_nu,lam s_nu' with K counted tableau by tableau
     for n in range(7):
+        schur = {nu: _ssyt_coords(nu) for nu in gen_partitions(n)}
         for lam in gen_partitions(n):
-            assert _kostka(n)[lam] == _ssyt_coords(lam), lam
+            want = Counter()
+            for nu, row in schur.items():
+                for mu, v in schur[transpose(nu)].items():
+                    want[mu] += row.get(lam, 0) * v
+            assert basis_element("E", lam).coeffs == {mu: RF(v) for mu, v in want.items() if v}, lam
 
 
 @pytest.mark.parametrize("basis", ["E", "H", "P"])
@@ -119,7 +123,7 @@ def test_products_match_the_orbit_product_oracle(basis, d):
     # e from the package's rows, p from the rows `_diagonal` peels against, and h
     # from the Kostka numbers through the oracle's rows
     for lam in gen_partitions(d):
-        rows = m_coords("H", lam) if basis == "H" else dict(_m_coords(basis, lam))
+        rows = m_coords("H", lam) if basis == "H" else dict(_rows(basis, d)[lam])
         assert rows == product_coords(basis, lam), lam
 
 
@@ -129,7 +133,7 @@ def test_memoised_placements_match_the_plain_count():
             for nu in gen_partitions(d):
                 assert _placements(lam, nu) == placements(lam, nu), (lam, nu)
     # the memo is what keeps p_(1^14) cheap: unmemoised it took about 21 s
-    assert dict(_m_coords("P", (1,) * 14))[(1,) * 14] == 87_178_291_200  # 14!
+    assert _placements((1,) * 14, (1,) * 14) == 87_178_291_200  # 14!
 
 
 @pytest.mark.parametrize("basis", ["M", "E", "H", "P", "S", "HLP", "PT"])
@@ -152,19 +156,32 @@ def test_unknown_basis():
             SymFunc(1, basis, {(1,): 1})
 
 
-def test_nvars_guard():
-    # a change of basis peels against a p(d) x p(d) table: p(18)^2 = 148,225 cells, past MAX_SWEEP
-    with pytest.raises(SizeGuardError, match="sweeping the 385\\^2 cells of the degree-18 E table "
-                                             "visits 148,225 elements, past the bound MAX_SWEEP"):
-        expand_in_basis(SymFunc(18, "M", {(18,): RF(1)}), "E")
+def _refuses_the_degree_18_table(basis, call):
+    with pytest.raises(SizeGuardError, match=f"sweeping the 385\\^2 cells of the degree-18 {basis} "
+                                             "table visits 148,225 elements, past the bound MAX_SWEEP"):
+        call()
+
+
+def test_nvars_guard(monkeypatch):
+    # a change of basis peels against a p(d) x p(d) table: p(18)^2 = 148,225 cells, past
+    # MAX_SWEEP, refused before any strip of the tableau build or placement of p is made
+    def no_work(*args):
+        raise AssertionError("a row of the degree-18 table was built")
+
+    monkeypatch.setattr(symfunc, "_strips", no_work)
+    monkeypatch.setattr(symfunc, "_placements", no_work)
+    F = SymFunc(18, "M", {(18,): RF(1)})
+    for basis, call in (("E", lambda: expand_in_basis(F, "E")), ("PT", lambda: expand_in_basis(F, "PT")),
+                        ("P", lambda: omega(F)), ("P", lambda: plethysm_mul(F))):
+        _refuses_the_degree_18_table(basis, call)
     # any basis but M, and the p rows, fill a p(d) x p(d) table: p(17)^2 = 88,209 cells
     # run, p(18)^2 = 148,225 are refused before any basis element of degree 18 is built
     assert basis_element("M", (18,)).coeffs == {(18,): RF(1)}
     before = _hall_littlewood_coords.cache_info().currsize
-    for basis, build in (("E", basis_element), ("PT", basis_element), ("P", _m_coords)):
-        with pytest.raises(SizeGuardError, match=f"sweeping the 385\\^2 cells of the degree-18 {basis} "
-                                                 "table visits 148,225 elements, past the bound"):
-            build(basis, (1,) * 18)
+    for basis in ("E", "PT"):
+        _refuses_the_degree_18_table(basis, lambda: basis_element(basis, (1,) * 18))
+        _refuses_the_degree_18_table(basis, lambda: expand_in_basis(SymFunc(18, basis, {(18,): 1}), "M"))
+    _refuses_the_degree_18_table("P", lambda: _rows("P", 18))
     assert _hall_littlewood_coords.cache_info().currsize == before
     # a basis element is indexed by the partitions of its degree, refused past p(46)
     with pytest.raises(SizeGuardError, match="sweeping the partitions of 47 visits 124,754 elements"):
@@ -341,23 +358,44 @@ def test_roundtrip_all_bases():
 
 
 def test_schur_in_e_basis():
-    got = expand_in_basis(SymFunc(3, "M", _kostka(3)[(2, 1)]), "E")
+    got = expand_in_basis(SymFunc(3, "M", _ssyt_coords((2, 1))), "E")
     assert got.coeffs == {(2, 1): RF(1), (3,): RF(-1)}
 
 
 def test_p2_in_monomials():
-    assert _m_coords("P", (2,)) == (((2,), RF(1)),)
+    # the p rows in peel order, from the end of `gen_partitions`, each led by its pivot:
+    # p_11 = 2 m_11 + m_2 and p_2 = m_2
+    assert [(lam, list(row.items())) for lam, row in _rows("P", 2).items()] == [
+        ((1, 1), [((1, 1), RF(2)), ((2,), RF(1))]), ((2,), [((2,), RF(1))])]
 
 
 def test_expand_builds_each_change_of_basis_once():
     f = SymFunc(3, "M", m_coords("H", (2, 1))).scale(T + 1)
     expand_in_basis(f, "PT")
-    before = _peel_rows.cache_info()
+    before = _rows.cache_info()
     for _ in range(3):
         assert expand_in_basis(f, "PT") == expand_in_basis(f, "PT")
-    after = _peel_rows.cache_info()
+    after = _rows.cache_info()
     assert after.misses == before.misses
     assert after.hits == before.hits + 6
+
+
+def test_each_table_is_built_once_per_basis_and_degree():
+    # basis elements, the expansion into the basis and back out of it, and omega
+    # through the p rows all read one table per (basis, degree)
+    keys = gen_partitions(5)
+    F = SymFunc(5, "M", {mu: T - i for i, mu in enumerate(keys)})
+    for basis in ("E", "PT", "P"):
+        _rows.cache_clear()
+        if basis == "P":
+            assert omega(omega(F)) == F
+        else:
+            for lam in keys:
+                basis_element(basis, lam)
+            assert expand_in_basis(expand_in_basis(F, basis), "M") == F
+        info = _rows.cache_info()
+        assert (info.misses, info.currsize) == (1, 1), basis
+        assert info.hits > 0, basis
 
 
 def test_every_change_of_basis_runs_at_degree_11():
@@ -383,73 +421,67 @@ def test_expand_in_basis_roundtrip_through_m():
     assert expand_in_basis(expand_in_basis(F, "M"), "PT") == F
 
 
-def _peel_misses(oracle, b, d, cast=lambda c: c):
-    """The mu |- d whose m_mu, expanded in basis b, differs from the oracle's row."""
-    want = oracle(b, d)
+def _peel_misses(b, d):
+    """The mu |- d whose m_mu, expanded in basis b, differs from the Gauss-Jordan oracle's row."""
+    want = inverted_from_monomials(b, d)
     return [mu for mu in gen_partitions(d)
-            if {nu: cast(c) for nu, c in expand_in_basis(basis_element("M", mu), b).coeffs.items()}
-            != want[mu]]
-
-
-def test_laurent_tables_equal_the_gauss_jordan_oracle():
-    # the peel over Z[t, 1/t] gives each row of Gauss-Jordan over Q(t)
-    for d in range(9):
-        for b in BASES:
-            assert _peel_misses(gauss_jordan_from_monomials, b, d, RationalFunc) == [], (b, d)
+            if expand_in_basis(basis_element("M", mu), b).coeffs != want[mu]]
 
 
 def test_solve_equals_the_inverted_table_for_every_basis():
-    # the peel against Gauss-Jordan over Q[t, 1/t]
+    # the peel over Z[t, 1/t] against Gauss-Jordan over Q[t, 1/t]
     for d in range(9):
         for b in BASES:
-            assert _peel_misses(inverted_from_monomials, b, d) == [], (b, d)
+            assert _peel_misses(b, d) == [], (b, d)
+
+
+def _patched(monkeypatch, name, key, patch):
+    """Make symfunc's `name`(*key) return patch(its value), and build every table afresh."""
+    real = getattr(symfunc, name)
+    monkeypatch.setattr(symfunc, name, lambda *args: patch(real(*args)) if args == key else real(*args))
+    monkeypatch.setattr(symfunc, "_rows", _rows.__wrapped__)
+
+
+def _hl_patched(monkeypatch, lam, patch):
+    """Make the degree-3 tableau build give patch(P_lam's m-coordinates) for P_lam."""
+    _patched(monkeypatch, "_hall_littlewood_coords", (3,), lambda hl: {**hl, lam: patch(hl[lam])})
 
 
 def test_the_oracle_comparison_fails_on_a_perturbed_forward_row(monkeypatch):
-    # e_(2,1) = m_21 + 3 m_111 made m_21 + 4 m_111 moves the e_(2,1)- and
-    # e_(3)-coordinates of m_3 and m_21.  The peel inverts the rows it is given, so
-    # only the oracle, which reads the real rows off the Kostka numbers, sees the change
-    _patched_coords(monkeypatch, "E", (2, 1), lambda c: {**c, (1, 1, 1): RF(4)})
-    monkeypatch.setattr(symfunc, "_peel_rows", _peel_rows.__wrapped__)
-    for oracle, cast in ((gauss_jordan_from_monomials, RationalFunc),
-                         (inverted_from_monomials, lambda c: c)):
-        assert _peel_misses(oracle, "E", 3, cast) == [(3,), (2, 1)], oracle
-
-
-def _patched_coords(monkeypatch, basis, lam, patch):
-    """Make `_m_coords(basis, lam)` return patch(its m-coordinates as a dict)."""
-    real = symfunc._m_coords
-
-    def mutant(b, kappa):
-        coords = real(b, kappa)
-        return tuple(sorted(patch(dict(coords)).items())) if (b, kappa) == (basis, lam) else coords
-
-    monkeypatch.setattr(symfunc, "_m_coords", mutant)
+    # the Kostka number K_21,111 = 2 made 3 takes e_(2,1) = m_21 + 3 m_111 to
+    # m_21 + 4 m_111 and e_(1,1,1) = m_3 + 3 m_21 + 6 m_111 to m_3 + 3 m_21 + 8 m_111,
+    # which moves the e-coordinates of m_3 and m_21.  The peel inverts the rows it is
+    # given, so only the oracle, which reads the real tableau build, sees the change
+    _hl_patched(monkeypatch, (2, 1), lambda c: {**c, (1, 1, 1): c[(1, 1, 1)] + 1})
+    assert dict(symfunc._rows("E", 3)[(2, 1)]) == {(2, 1): RF(1), (1, 1, 1): RF(4)}
+    assert _peel_misses("E", 3) == [(3,), (2, 1)]
 
 
 def test_solve_refuses_a_pivot_that_is_not_a_unit(monkeypatch):
-    _patched_coords(monkeypatch, "E", (2, 1), lambda c: {**c, (2, 1): 1 + T})
-    with pytest.raises(ArithmeticError, match=r"e_\[2, 1\] has the pivot t\+1 at m_\[2, 1\], "
-                                              r"not c \* t\^k"):
-        _peel_rows.__wrapped__("E", 3)
+    # P_(2,1) = m_21 + (2 - t - t^2) m_111 with m_21-coordinate 1 + t: PT_(2,1) leads
+    # with t^-1 (1 + 1/t)
+    _hl_patched(monkeypatch, (2, 1), lambda c: {**c, (2, 1): 1 + T})
+    with pytest.raises(ArithmeticError, match=r"pt_\[2, 1\] has the pivot t\^-1\+t\^-2 at "
+                                              r"m_\[2, 1\], not c \* t\^k"):
+        symfunc._rows("PT", 3)
 
 
 def test_solve_refuses_an_entry_on_a_row_not_yet_solved(monkeypatch):
-    # m_(3) comes before m_(2,1) in `gen_partitions` order, so it is peeled before it
-    _patched_coords(monkeypatch, "E", (2, 1), lambda c: {**c, (3,): T})
+    # m_(3) comes before m_(2,1) in `gen_partitions` order, so it is peeled before it:
+    # a Kostka number K_21,3 = 1 puts an m_3 into s_21, and so into e_(2,1)
+    _hl_patched(monkeypatch, (2, 1), lambda c: {**c, (3,): RF(1)})
     with pytest.raises(ArithmeticError, match=r"e_\[2, 1\] has an m_\[3\]-coordinate, but m_\[3\] "
                                               r"is peeled before m_\[2, 1\]"):
-        _peel_rows.__wrapped__("E", 3)
+        symfunc._rows("E", 3)
 
 
 def test_solve_refuses_an_e_table_read_with_lam_leading(monkeypatch):
-    # e_lam leads with m_lam'; read with lam leading, the first row peeled,
-    # e_(3) = m_111, has no m_(3)-coordinate to pivot on
-    for lam in gen_partitions(3):
-        _m_coords("E", lam)  # cached with the real transpose
+    # e_lam leads with m_lam'; with every transpose read as lam itself, the rows are
+    # h_lam = sum_nu K_nu,lam s_nu, led by m_lam, and h_(2,1) has an m_(3)-coordinate
     monkeypatch.setattr(symfunc, "transpose", lambda lam: lam)
-    with pytest.raises(ArithmeticError, match=r"e_\[3\] has the pivot 0 at m_\[3\], not c \* t\^k"):
-        _peel_rows.__wrapped__("E", 3)
+    with pytest.raises(ArithmeticError, match=r"e_\[2, 1\] has an m_\[3\]-coordinate, but m_\[3\] "
+                                              r"is peeled before m_\[2, 1\]"):
+        _rows.__wrapped__("E", 3)
 
 
 def test_invert_over_the_laurent_ring():
@@ -491,8 +523,7 @@ def test_m_to_p_integral_raises_on_a_wrong_pivot(monkeypatch):
     # R(1^4, 1^4) = 4! made 25: the peel starts at m_(1^4), and 4! m_(1^4) over
     # the pivot 25 is the p_(1^4)-coordinate 24/25, no integer
     ones = (1, 1, 1, 1)
-    _patched_coords(monkeypatch, "P", ones, lambda c: {**c, ones: RF(25)})
-    monkeypatch.setattr(symfunc, "_peel_rows", _peel_rows.__wrapped__)
+    _patched(monkeypatch, "_placements", (ones, ones), lambda c: 25)
     with pytest.raises(ArithmeticError, match=r"24 \* F has the non-integer "
                                               r"p_\[1, 1, 1, 1\]-coordinate 24/25"):
         _peel({ones: 1}, "P", 4)
@@ -505,7 +536,7 @@ def test_peel_and_the_diagonal_maps_refuse_a_rational_coefficient(monkeypatch):
     def no_rows(basis, d):
         raise AssertionError(f"the degree-{d} {basis} rows were read")
 
-    monkeypatch.setattr(symfunc, "_peel_rows", no_rows)
+    monkeypatch.setattr(symfunc, "_rows", no_rows)
     coeffs = {(3,): 2, (2, 1): Fraction(1, 2)}
     for call in (lambda: _peel(coeffs, "P", 3), lambda: _peel(coeffs, "E", 3),
                  lambda: SymFunc(3, "M", coeffs),
