@@ -144,12 +144,6 @@ def _partitions(n: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _partition_index(n: int) -> dict[Partition, int]:
-    """Position of each partition of n in the order of gen_partitions(n)."""
-    return {lam: i for i, lam in enumerate(_partitions(n))}
-
-
 def transpose(lam: Partition) -> Partition:
     """Conjugate partition."""
     if not lam:

@@ -43,7 +43,6 @@ from .combinatorics import (
     SchroderPath,
     _between,
     _corners,
-    _partition_index,
     _partitions,
     indifference_graphs,
 )
@@ -230,17 +229,11 @@ def superclass_sizes(n: int, q: int) -> dict[IndiffGraph, int]:
 # class functions
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _graph_index(n: int) -> dict[IndiffGraph, int]:
-    """Position of each indifference graph on [n] in the order of indifference_graphs(n)."""
-    return {g: i for i, g in enumerate(indifference_graphs(n))}
-
-
 class _ClassFn(Frozen):
     """A class function as a tuple of ints, one per key of the subclass's
-    `_index(n)`, in that order; calling it looks a key up.  It is a value,
-    built from its tuple: the checks compare class functions and never add
-    them."""
+    listing `_keys(n)`, in that order; calling it finds the key's position
+    there.  It is a value, built from its tuple: the checks compare class
+    functions and never add them."""
 
     __slots__ = _fields = ("n", "q", "values")
     n: int
@@ -248,7 +241,7 @@ class _ClassFn(Frozen):
     values: tuple[int, ...]
 
     def __init__(self, n: int, q: int, values: tuple[int, ...]):
-        if type(values) is not tuple or len(values) != len(self._index(n)):
+        if type(values) is not tuple or len(values) != len(self._keys(n)):
             raise ValueError(f"{type(self).__name__} values must be a tuple with one entry "
                              f"per index at n = {n}")
         if not all(type(v) is int for v in values):
@@ -256,10 +249,10 @@ class _ClassFn(Frozen):
         self._set(n, q, values)
 
     def __call__(self, key) -> int:
-        return self.values[self._index(self.n)[key]]
+        return self.values[self._keys(self.n).index(key)]
 
     def items(self) -> Iterator[tuple]:
-        return zip(self._index(self.n), self.values)
+        return zip(self._keys(self.n), self.values)
 
     def __str__(self) -> str:
         """The nonzero values, as a dict from each key's text to the value's."""
@@ -271,7 +264,7 @@ class ClassFnUT(_ClassFn):
     the order of indifference_graphs(n)."""
 
     __slots__ = ()
-    _index = staticmethod(_graph_index)
+    _keys = staticmethod(indifference_graphs)
 
 
 class UnipClassFn(_ClassFn):
@@ -279,7 +272,7 @@ class UnipClassFn(_ClassFn):
     type, in the order of gen_partitions(n)."""
 
     __slots__ = ()
-    _index = staticmethod(_partition_index)
+    _keys = staticmethod(_partitions)
 
 
 def _upset_sum(n: int, q: int, terms: Iterable[tuple[tuple[int, ...], int]]) -> ClassFnUT:
@@ -528,6 +521,6 @@ def hessenberg_count(gamma: IndiffGraph, lam: Partition, q: int) -> int:
     those of h^{-1} a h, so every such a reads the walk of J_lam - 1."""
     n = gamma.n
     require_fibres(n, q)  # before any matrix is built
-    if lam not in _partition_index(n):
+    if lam not in _partitions(n):
         raise ValueError(f"Jordan type {lam} is not a partition of n = {n}")
     return sum(c for mu, c in _springer_fibre(lam, q).items() if all(map(le, mu, gamma.h)))

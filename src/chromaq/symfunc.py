@@ -9,9 +9,10 @@ t^{-n(lambda)} P(x; 1/t).  Hall-Littlewood P is read off semistandard
 tableaux, P_lam = sum_T psi_T(t) x^T (Macdonald, Symmetric Functions and Hall
 Polynomials, III (5.11') and (5.8')), in Z[t] with no division; each
 horizontal strip lam/nu of k boxes, with its psi_{lam/nu}, is built once per
-(nu, k).  Its constant terms are the Kostka numbers, which the e rows are read
-off (Macdonald I.6); m_nu in p_lam counts the ways to drop the parts of lam
-into the parts of nu.  Each (basis, degree) has one table of rows, `_rows`,
+(nu, k), and each term is written once, straight into PT.  P's constant terms
+are the Kostka numbers, so the e rows read them as the t^{-n(nu)} coefficients
+of the PT rows (Macdonald I.6); m_nu in p_lam counts the ways to drop the parts
+of lam into the parts of nu.  Each (basis, degree) has one table of rows, `_rows`,
 refused on its p(d)^2 cells past MAX_SWEEP (from degree 18): every basis is
 triangular in `gen_partitions` order, so `_peel` takes a vector out of M
 against the rows over Z[t, 1/t], in int, and an inexact quotient raises
@@ -168,33 +169,6 @@ def _strips(nu: Partition, k: int) -> tuple[tuple[Partition, tuple[tuple[int, in
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _hall_littlewood_coords(d: int) -> dict[Partition, dict[Partition, Coeff]]:
-    """Monomial coordinates of all P_lam(x;t), lam a partition of d.
-
-    Macdonald III (5.11'): P_lam = sum_T psi_T(t) x^T over semistandard tableaux
-    T of shape lam.  The coefficient of m_mu sums over tableaux of content mu,
-    grown one horizontal strip (mu_1 ones, then mu_2 twos, ...) at a time, each
-    step weighted by psi_{lam/nu} (`_strips`); the polynomials stay in Z[t].
-    """
-    out: dict[Partition, dict[Partition, Coeff]] = {lam: {} for lam in _partitions(d)}
-    for mu in _partitions(d):
-        states: dict[Partition, dict[int, int]] = {(): {0: 1}}
-        for k in mu:
-            grown: dict[Partition, dict[int, int]] = {}
-            for nu, poly in states.items():
-                for lam, psi in _strips(nu, k):
-                    acc = grown.setdefault(lam, {})
-                    for f, b in psi:
-                        for e, c in poly.items():
-                            acc[e + f] = acc.get(e + f, 0) + b * c
-            states = grown
-        for lam, poly in states.items():
-            if any(poly.values()):
-                out[lam][mu] = LaurentPoly.from_terms(poly)
-    return out
-
-
 def _change(coeffs: Mapping[Partition, V],
             row: Callable[[Partition], Iterable[tuple[Partition, V]]]) -> dict[Partition, V]:
     """sum_lam c_lam * row(lam): one sparse change of coordinates.  Each entry
@@ -215,8 +189,12 @@ def _rows(basis: str, d: int) -> Mapping[Partition, Mapping[Partition, Coeff]]:
 
     The one table of a (basis, degree) that every change of basis reads; M has
     none.  m_nu in p_lam counts the ways to drop the parts of lam into the parts
-    of nu, PT_lam = t^{-n(lam)} P_lam(x; 1/t), and e_lam = sum_nu K_nu,lam s_nu'
-    is read off the Kostka numbers, the constant terms of P_nu(x; 0) = s_nu
+    of nu.  PT_lam = t^{-n(lam)} P_lam(x; 1/t), and P_lam[m_mu] sums psi_T(t) in
+    Z[t] over the tableaux of shape lam and content mu (Macdonald III (5.11')),
+    grown one horizontal strip (mu_1 ones, then mu_2 twos, ...) at a time
+    (`_strips`); each term c t^e is written once, as PT's c t^{-n(lam)-e}.
+    e_lam = sum_nu K_nu,lam s_nu' is read off the Kostka numbers, the constant
+    terms of P_nu(x; 0) = s_nu and so the t^{-n(nu)} coefficients of the PT rows
     (Macdonald I.6, III.2).  b_lam leads with m_rho, rho = lam' for E and lam
     otherwise, and its other m_mu come after rho in `gen_partitions` order,
     before it for P, so rho runs from the start, from the end for P.  The pivot
@@ -230,11 +208,25 @@ def _rows(basis: str, d: int) -> Mapping[Partition, Mapping[Partition, Coeff]]:
     if basis == "P":
         table = {lam: {nu: _placements(lam, nu) for nu in keys} for lam in keys}
     elif basis == "PT":
-        table = {lam: {mu: c.subs_inv(k) for mu, c in row.items()}
-                 for lam, row in _hall_littlewood_coords(d).items() for k in [-nstat(lam)]}
+        table, top = {lam: {} for lam in keys}, {lam: -nstat(lam) for lam in keys}
+        for mu in keys:
+            states: dict[Partition, dict[int, int]] = {(): {0: 1}}
+            for k in mu:
+                grown: dict[Partition, dict[int, int]] = {}
+                for nu, poly in states.items():
+                    for lam, psi in _strips(nu, k):
+                        acc = grown.setdefault(lam, {})
+                        for f, b in psi:
+                            for e, c in poly.items():
+                                acc[e + f] = acc.get(e + f, 0) + b * c
+                states = grown
+            for lam, poly in states.items():
+                if any(poly.values()):
+                    hi = top[lam]
+                    table[lam][mu] = LaurentPoly.from_terms({hi - e: c for e, c in poly.items()})
     elif basis == "E":
-        kostka = {nu: {mu: c[0] for mu, c in row.items() if c[0]}
-                  for nu, row in _hall_littlewood_coords(d).items()}
+        kostka = {nu: {mu: c[k] for mu, c in row.items() if c[k]}
+                  for nu, row in _rows("PT", d).items() for k in [-nstat(nu)]}
         table = {lam: Counter() for lam in keys}
         for nu, row in kostka.items():
             for lam, c in row.items():

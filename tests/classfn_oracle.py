@@ -37,10 +37,10 @@ CHROMAQ_IMPORTS = {
 def class_fn(cls: type, n: int, q: int, vals: Mapping):
     """The class function of type cls (ClassFnUT or UnipClassFn) with the given
     values, zero on every key not named."""
-    index = cls._index(n)
-    out = [0] * len(index)
+    keys = cls._keys(n)
+    out = [0] * len(keys)
     for key, v in vals.items():
-        out[index[key]] = v
+        out[keys.index(key)] = v
     return cls(n, q, tuple(out))
 
 

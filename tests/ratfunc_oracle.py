@@ -9,9 +9,10 @@ p_k -> p_k / (t^k - 1); and Carlsson-Mellit in its original form
 replaced them.
 
 `m_coords` gives the monomial coordinates of s, h, e, p, P(x; t) and PT in
-the old seven bases, read off the package's Hall-Littlewood tableau build and
-its constant terms, the Kostka numbers (`kostka`), and p off the unmemoised
-part placements of `orbit_oracle`; the tests read S, H, HLP and P through it.
+the old seven bases. P(x; t) is reflected off the package's PT rows
+(`hall_littlewood`), and s, h and e are read off its constant terms, the Kostka
+numbers (`kostka`); p comes from the unmemoised part placements of
+`orbit_oracle`. The tests read S, H, HLP and P through it.
 `change` is the one sparse change of coordinates of the oracles, in whatever
 exact arithmetic its values carry. `omega_m_through_s` is the table of omega
 on m that the package built through the Schur basis before omega and the
@@ -34,7 +35,7 @@ from chromaq.combinatorics import (
     transpose,
 )
 from chromaq.exactnum import ONE, ZERO, LaurentPoly, RationalFunc
-from chromaq.symfunc import _hall_littlewood_coords
+from chromaq.symfunc import _rows
 from orbit_oracle import placements
 
 # every chromaq name this oracle imports, with its reason; a kernel that the
@@ -47,16 +48,15 @@ CHROMAQ_IMPORTS = {
     "combinatorics.SchroderPath": "a type name",
     "combinatorics.gen_partitions": "the keys of every table, a listing",
     "combinatorics.graph_of": "the graph of a listed Dyck path",
-    "combinatorics.nstat": "n(lam), the power of t that takes P(x; 1/t) to PT",
+    "combinatorics.nstat": "n(lam), the power of t between P(x; 1/t) and PT",
     "combinatorics.transpose": "the conjugate partition of the s and e rows",
     "exactnum.ONE": "a value",
     "exactnum.ZERO": "a value",
     "exactnum.LaurentPoly": "the value type of the coefficients",
     "exactnum.RationalFunc": "the value type of the Gauss-Jordan oracle",
-    "symfunc._hall_littlewood_coords": ("the Hall-Littlewood rows, and their constant terms, "
-                                        "the Kostka numbers, which the package's PT and e rows "
-                                        "are read off too",
-                                        "tests/test_symfunc.py::test_hl_tableau_build_matches_gram_schmidt"),
+    "symfunc._rows": ("the PT rows, reflected to P(x; t), whose constant terms are the Kostka "
+                      "numbers that the package's e rows read too",
+                      "tests/test_symfunc.py::test_hl_tableau_build_matches_gram_schmidt"),
 }
 
 T = LaurentPoly.t()
@@ -109,11 +109,20 @@ def change(coeffs: Mapping[Partition, object],
 
 
 @lru_cache(maxsize=None)
+def hall_littlewood(d: int) -> dict[Partition, dict[Partition, LaurentPoly]]:
+    """The monomial coordinates of every P_lam(x; t) of degree d, reflected off the
+    package's PT rows: PT_lam = t^{-n(lam)} P_lam(x; 1/t), so P_lam[m_mu] is
+    t^{-n(lam)} PT_lam[m_mu](1/t)."""
+    return {lam: {mu: c.subs_inv(-nstat(lam)) for mu, c in row.items()}
+            for lam, row in _rows("PT", d).items()}
+
+
+@lru_cache(maxsize=None)
 def kostka(d: int) -> dict[Partition, dict[Partition, int]]:
     """The Kostka numbers K_lam,mu of degree d, s_lam = sum_mu K_lam,mu m_mu: the
-    constant terms of the tableau build, since P_lam(x; 0) = s_lam (Macdonald III.2)."""
+    constant terms of P(x; t), since P_lam(x; 0) = s_lam (Macdonald III.2)."""
     return {lam: {mu: c[0] for mu, c in row.items() if c[0]}
-            for lam, row in _hall_littlewood_coords(d).items()}
+            for lam, row in hall_littlewood(d).items()}
 
 
 @lru_cache(maxsize=None)
@@ -128,8 +137,8 @@ def m_coords(basis: str, lam: Partition) -> dict[Partition, LaurentPoly]:
     if basis == "P":
         return {nu: LaurentPoly.const(c) for nu in gen_partitions(d) if (c := placements(lam, nu))}
     if basis in ("HLP", "PT"):
-        row = _hall_littlewood_coords(d)[lam]
-        return dict(row) if basis == "HLP" else {mu: c.subs_inv().shift(-nstat(lam))
+        row = hall_littlewood(d)[lam]
+        return dict(row) if basis == "HLP" else {mu: c.subs_inv(-nstat(lam))
                                                  for mu, c in row.items()}
     k = kostka(d)
     schur = {lam: 1} if basis == "S" else {transpose(nu) if basis == "E" else nu: row[lam]

@@ -348,10 +348,10 @@ def test_check_st_en_runs_to_the_table_guard(monkeypatch):
     import chromaq.symfunc as symfunc
     assert check_st_en(14).ok
 
-    def no_build(d):
+    def no_build(*args):
         raise AssertionError("the Hall-Littlewood table was built before its guard")
 
-    monkeypatch.setattr(symfunc, "_hall_littlewood_coords", no_build)
+    monkeypatch.setattr(symfunc, "_strips", no_build)
     with pytest.raises(SizeGuardError, match="the 385\\^2 cells of the degree-18 PT table visits 148,225"):
         check_st_en(18)
 
@@ -478,13 +478,13 @@ def test_the_caches_are_exactly_these():
     assert sorted(found) == [
         "bridge._plethysm_at_q", "bridge._pt_at_q", "bridge.d_coeffs", "bridge.supers",
         "chromallt.as_expansion", "chromallt.csf", "chromallt.llt_vertical",
-        "combinatorics._partition_index", "combinatorics._partitions", "combinatorics.gen_dyck",
+        "combinatorics._partitions", "combinatorics.gen_dyck",
         "combinatorics.gen_tall_schroder", "combinatorics.indifference_graphs",
         "exactnum.t_minus_one_power",
-        "fqoracle._column_ranks", "fqoracle._fibre_size", "fqoracle._field", "fqoracle._graph_index",
+        "fqoracle._column_ranks", "fqoracle._fibre_size", "fqoracle._field",
         "fqoracle._lattice", "fqoracle._springer_fibre", "fqoracle.induce_to_GL",
         "fqoracle.induction_table", "fqoracle.psi_pseudo",
-        "symfunc._hall_littlewood_coords", "symfunc._placements", "symfunc._plethysm_factor",
+        "symfunc._placements", "symfunc._plethysm_factor",
         "symfunc._require_partition", "symfunc._rows", "symfunc._strips",
     ]
 
@@ -783,7 +783,7 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
     monkeypatch.setattr(matrix_oracle, "permutations", no_work)
     monkeypatch.setattr(chromaq.chromallt, "_h_vector", no_work)
     monkeypatch.setattr(chromaq.chromallt, "_slot_bits", no_work)
-    monkeypatch.setattr(chromaq.symfunc, "_hall_littlewood_coords", no_work)
+    monkeypatch.setattr(chromaq.symfunc, "_strips", no_work)
     monkeypatch.setattr(chromaq.symfunc, "_placements", no_work)
     monkeypatch.setattr(chromaq.symfunc, "_partitions", no_work)
     monkeypatch.setattr(orientation_oracle, "Orientation", no_work)

@@ -98,13 +98,20 @@ def test_the_oracles_name_the_tests_of_the_kernels_they_share():
         declared = _declared(ast.parse(f.read()))
     assert declared["fqoracle._Packed"][1] == (
         "tests/test_fqoracle.py::test_eliminate_matches_the_tuple_rank")
-    # the rational oracles keep arithmetic of their own: no peel, table of rows or sparse
-    # change; each name is one the package defines, so the check cannot go stale
+    # the rational oracles keep arithmetic of their own: no peel or sparse change, and
+    # the table of rows only for the PT rows they reflect to P(x; t), declared with the
+    # test that checks the tableau build against Gram-Schmidt; each name is one the
+    # package defines, so the check cannot go stale
     kernels = {"symfunc._peel", "symfunc._rows", "symfunc._change"}
     assert kernels <= _package_names()
     with open(os.path.join(_TESTS, "ratfunc_oracle.py"), encoding="utf-8") as f:
-        imported = _imports(ast.parse(f.read()))
-    assert not imported & kernels
+        tree = ast.parse(f.read())
+    assert _imports(tree) & kernels == {"symfunc._rows"}
+    assert _declared(tree)["symfunc._rows"][1] == (
+        "tests/test_symfunc.py::test_hl_tableau_build_matches_gram_schmidt")
+    calls = {ast.unparse(node) for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "_rows"}
+    assert calls == {"_rows('PT', d)"}
 
 
 def test_the_audit_names_an_undeclared_import_a_stale_entry_and_a_missing_test(tmp_path):

@@ -52,7 +52,6 @@ COMMON = {
     "symfunc._coeff": "SymFunc's coefficient coercion",
     "symfunc._require_partition": "SymFunc's key check",
     "fqoracle._ClassFn.": "the value class of the class-function sides",
-    "fqoracle._graph_index": "the key order of a UT_n class function",
     "combinatorics._partition": "partition listing, guard and order: the keys of both sides",
     "combinatorics.gen_dyck": "the Dyck paths, listed once per h: the items and the lattice",
     "combinatorics.indifference_graphs": "the graphs on [n]: the items and the lattice",
@@ -77,9 +76,9 @@ _UPSETS = ("both class functions are signed upset sums over the lattice, so the 
 _COLORINGS = ("both sides are colour-class sums, X with differ edges and G with rise "
               "edges; test_color_classes_match_the_vertex_kernel checks the kernel")
 _TABLES = ("symfunc's monomial tables, all read off one Hall-Littlewood tableau build: "
-           "scaled_p_brace1 reads the PT rows on the left, and the right side reads the e "
-           "rows off their Kostka numbers; test_hl_tableau_build_matches_gram_schmidt checks "
-           "the build")
+           "scaled_p_brace1 reads the PT rows on the left, and the right side's e rows read "
+           "their Kostka numbers off the PT rows; test_hl_tableau_build_matches_gram_schmidt "
+           "checks the build")
 _ROWS = ("symfunc's one table of rows per (basis, degree), in monomial coordinates: "
          "scaled_p_brace1 reads the PT rows on the left, and the right side's table of "
          "m_mu[(q-1)x] the p rows; test_solve_equals_the_inverted_table_for_every_basis "
@@ -143,7 +142,9 @@ SHARED = {
                                    "the right",
         "symfunc._change": _CHANGE,
         "symfunc._rows": _ROWS,
-        **dict.fromkeys(["symfunc._hall_littlewood_coords", "symfunc._strips"], _TABLES),
+        "symfunc._strips": _TABLES,
+        "combinatorics.nstat": _TABLES + "; n(lam) places each PT row, and the e rows read "
+                               "their Kostka numbers at t^-n(nu); test_nstat checks it",
     },
 }
 

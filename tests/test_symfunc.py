@@ -19,7 +19,6 @@ from chromaq.symfunc import (
     omega,
     plethysm_mul,
     _diagonal,
-    _hall_littlewood_coords,
     _peel,
     _placements,
     _require_partition,
@@ -30,6 +29,7 @@ from orbit_oracle import check_symmetric, placements, product_coords, zlam
 from ratfunc_oracle import (
     _invert,
     gauss_jordan_m_to,
+    hall_littlewood,
     inverted_from_monomials,
     m_coords,
     m_to_p,
@@ -92,7 +92,7 @@ def test_e_k_is_monomial_of_ones():
 def test_hlp_column_is_elementary():
     for n in range(1, 8):
         lam = tuple([1] * n)
-        assert _hall_littlewood_coords(n)[lam] == basis_element("E", (n,)).coeffs
+        assert hall_littlewood(n)[lam] == basis_element("E", (n,)).coeffs
 
 
 def test_schur_21_monomials():
@@ -177,12 +177,12 @@ def test_nvars_guard(monkeypatch):
     # any basis but M, and the p rows, fill a p(d) x p(d) table: p(17)^2 = 88,209 cells
     # run, p(18)^2 = 148,225 are refused before any basis element of degree 18 is built
     assert basis_element("M", (18,)).coeffs == {(18,): RF(1)}
-    before = _hall_littlewood_coords.cache_info().currsize
+    before = _rows.cache_info().currsize
     for basis in ("E", "PT"):
         _refuses_the_degree_18_table(basis, lambda: basis_element(basis, (1,) * 18))
         _refuses_the_degree_18_table(basis, lambda: expand_in_basis(SymFunc(18, basis, {(18,): 1}), "M"))
     _refuses_the_degree_18_table("P", lambda: _rows("P", 18))
-    assert _hall_littlewood_coords.cache_info().currsize == before
+    assert _rows.cache_info().currsize == before
     # a basis element is indexed by the partitions of its degree, refused past p(46)
     with pytest.raises(SizeGuardError, match="sweeping the partitions of 47 visits 124,754 elements"):
         basis_element("M", (47,))
@@ -191,8 +191,8 @@ def test_nvars_guard(monkeypatch):
 # -- Hall-Littlewood anchors -----------------------------------------------------
 
 def _hl_at(d, lam, q):
-    """P_lam(x; q) in monomial coordinates, zeros dropped."""
-    return {mu: v for mu, c in _hall_littlewood_coords(d)[lam].items() if (v := c.evaluate(q))}
+    """P_lam(x; q) in monomial coordinates, reflected off the PT rows, zeros dropped."""
+    return {mu: v for mu, c in hall_littlewood(d)[lam].items() if (v := c.evaluate(q))}
 
 
 def test_hl_specializes_to_schur_at_zero():
@@ -246,8 +246,9 @@ def gram_schmidt_hl(d):
 
 
 def test_hl_tableau_build_matches_gram_schmidt():
+    # the PT rows, reflected to P(x; t) by the oracle
     for d in range(7):
-        assert _hall_littlewood_coords(d) == gram_schmidt_hl(d), d
+        assert hall_littlewood(d) == gram_schmidt_hl(d), d
 
 
 def horizontal_strips(nu, k):
@@ -303,10 +304,11 @@ def hl_strip_by_strip(d):
 
 
 def test_hl_cached_strips_match_the_strip_by_strip_build():
-    _hall_littlewood_coords.cache_clear()
-    _strips.cache_clear()
+    # the PT rows, built afresh and reflected to P(x; t) by the oracle
+    for cached in (_rows, _strips, hall_littlewood):
+        cached.cache_clear()
     for d in range(8):
-        assert _hall_littlewood_coords(d) == hl_strip_by_strip(d), d
+        assert hall_littlewood(d) == hl_strip_by_strip(d), d
     # the cache holds the same strips, in the same order, as the enumeration
     for (nu, k) in [((), 3), ((2, 1), 2), ((3, 1, 1), 3), ((2, 2), 4)]:
         assert [lam for lam, _ in _strips(nu, k)] == list(horizontal_strips(nu, k)), (nu, k)
@@ -317,7 +319,7 @@ def test_hl_cached_strips_match_the_strip_by_strip_build():
 
 def test_hl_coefficients_are_integer_polynomials():
     for d in range(8):
-        for lam, coords in _hall_littlewood_coords(d).items():
+        for lam, coords in hall_littlewood(d).items():
             for mu, c in coords.items():
                 assert c.low >= 0, (lam, mu)
                 assert all(type(x) is int for x in c.coeffs), (lam, mu)
@@ -325,17 +327,19 @@ def test_hl_coefficients_are_integer_polynomials():
 
 def test_hl_two_row():
     # classical: P_(2) = m_2 + (1-t) m_11
-    assert _hall_littlewood_coords(2)[(2,)] == {(2,): LaurentPoly.const(1), (1, 1): 1 - T}
+    assert hall_littlewood(2)[(2,)] == {(2,): LaurentPoly.const(1), (1, 1): 1 - T}
 
 
 def test_pt_relation():
-    # PT_lam = t^{-n(lam)} * (HLP_lam with t -> 1/t), coefficientwise
+    # PT_lam = t^{-n(lam)} * (HLP_lam with t -> 1/t), coefficientwise, against the
+    # tableau build with no cache of strips
     from chromaq.combinatorics import nstat
     for n in range(6):
+        hl = hl_strip_by_strip(n)
         for lam in gen_partitions(n):
             pt = basis_element("PT", lam)
             shift = LaurentPoly.t(-nstat(lam))
-            twisted = {mu: c.subs_inv() * shift for mu, c in _hall_littlewood_coords(n)[lam].items()}
+            twisted = {mu: c.subs_inv() * shift for mu, c in hl[lam].items()}
             assert pt.coeffs == twisted, lam
 
 
@@ -382,7 +386,8 @@ def test_expand_builds_each_change_of_basis_once():
 
 def test_each_table_is_built_once_per_basis_and_degree():
     # basis elements, the expansion into the basis and back out of it, and omega
-    # through the p rows all read one table per (basis, degree)
+    # through the p rows all read one table per (basis, degree); the e rows read the
+    # PT rows of their degree, so E holds two entries
     keys = gen_partitions(5)
     F = SymFunc(5, "M", {mu: T - i for i, mu in enumerate(keys)})
     for basis in ("E", "PT", "P"):
@@ -394,8 +399,38 @@ def test_each_table_is_built_once_per_basis_and_degree():
                 basis_element(basis, lam)
             assert expand_in_basis(expand_in_basis(F, basis), "M") == F
         info = _rows.cache_info()
-        assert (info.misses, info.currsize) == (1, 1), basis
+        assert (info.misses, info.currsize) == ((2, 2) if basis == "E" else (1, 1)), basis
         assert info.hits > 0, basis
+    # asking for E first builds the PT table of its degree exactly once, for the e rows
+    # to read their Kostka numbers, and a later ask for PT is served from that entry
+    _rows.cache_clear()
+    _rows("E", 5)
+    info = _rows.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
+    _rows("PT", 5)
+    info = _rows.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
+
+
+def test_the_pt_rows_write_each_coordinate_once(monkeypatch):
+    # the tableau build writes each term c t^e of P_lam[m_mu] straight to PT's
+    # t^{-n(lam)-e}: one from_terms per nonzero coordinate, and no reflection
+    counts = Counter()
+    from_terms, subs_inv = LaurentPoly.from_terms, LaurentPoly.subs_inv
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(LaurentPoly, "from_terms", staticmethod(counted("from_terms", from_terms)))
+    monkeypatch.setattr(LaurentPoly, "subs_inv", counted("subs_inv", subs_inv))
+    for d in range(9):
+        counts.clear()
+        _rows.cache_clear()
+        rows = _rows("PT", d)
+        assert counts == Counter(from_terms=sum(map(len, rows.values()))), d
 
 
 def test_every_change_of_basis_runs_at_degree_11():
@@ -442,25 +477,32 @@ def _patched(monkeypatch, name, key, patch):
     monkeypatch.setattr(symfunc, "_rows", _rows.__wrapped__)
 
 
-def _hl_patched(monkeypatch, lam, patch):
-    """Make the degree-3 tableau build give patch(P_lam's m-coordinates) for P_lam."""
-    _patched(monkeypatch, "_hall_littlewood_coords", (3,), lambda hl: {**hl, lam: patch(hl[lam])})
+def _pt_patched(monkeypatch, lam, patch):
+    """Make the degree-3 PT rows give patch(PT_lam's m-coordinates) for PT_lam, and
+    build every other table afresh, the e rows from these PT rows."""
+    real = _rows("PT", 3)
+    pt = {**real, lam: patch(real[lam])}
+    monkeypatch.setattr(symfunc, "_rows",
+                        lambda b, d: pt if (b, d) == ("PT", 3) else _rows.__wrapped__(b, d))
 
 
 def test_the_oracle_comparison_fails_on_a_perturbed_forward_row(monkeypatch):
     # the Kostka number K_21,111 = 2 made 3 takes e_(2,1) = m_21 + 3 m_111 to
     # m_21 + 4 m_111 and e_(1,1,1) = m_3 + 3 m_21 + 6 m_111 to m_3 + 3 m_21 + 8 m_111,
-    # which moves the e-coordinates of m_3 and m_21.  The peel inverts the rows it is
-    # given, so only the oracle, which reads the real tableau build, sees the change
-    _hl_patched(monkeypatch, (2, 1), lambda c: {**c, (1, 1, 1): c[(1, 1, 1)] + 1})
+    # which moves the e-coordinates of m_3 and m_21.  K_21,111 is the t^-n(21) = t^-1
+    # coefficient of PT_(2,1)[m_111].  The peel inverts the rows it is given, so only
+    # the oracle, which reads the real PT rows, sees the change
+    _pt_patched(monkeypatch, (2, 1), lambda c: {**c, (1, 1, 1): c[(1, 1, 1)] + LaurentPoly.t(-1)})
     assert dict(symfunc._rows("E", 3)[(2, 1)]) == {(2, 1): RF(1), (1, 1, 1): RF(4)}
     assert _peel_misses("E", 3) == [(3,), (2, 1)]
 
 
 def test_solve_refuses_a_pivot_that_is_not_a_unit(monkeypatch):
-    # P_(2,1) = m_21 + (2 - t - t^2) m_111 with m_21-coordinate 1 + t: PT_(2,1) leads
+    # psi_{21/2} = 1 made 1 + t gives P_(2,1) the m_21-coordinate 1 + t: PT_(2,1) leads
     # with t^-1 (1 + 1/t)
-    _hl_patched(monkeypatch, (2, 1), lambda c: {**c, (2, 1): 1 + T})
+    _patched(monkeypatch, "_strips", ((2,), 1),
+             lambda strips: tuple((lam, ((0, 1), (1, 1)) if lam == (2, 1) else psi)
+                                  for lam, psi in strips))
     with pytest.raises(ArithmeticError, match=r"pt_\[2, 1\] has the pivot t\^-1\+t\^-2 at "
                                               r"m_\[2, 1\], not c \* t\^k"):
         symfunc._rows("PT", 3)
@@ -468,8 +510,9 @@ def test_solve_refuses_a_pivot_that_is_not_a_unit(monkeypatch):
 
 def test_solve_refuses_an_entry_on_a_row_not_yet_solved(monkeypatch):
     # m_(3) comes before m_(2,1) in `gen_partitions` order, so it is peeled before it:
-    # a Kostka number K_21,3 = 1 puts an m_3 into s_21, and so into e_(2,1)
-    _hl_patched(monkeypatch, (2, 1), lambda c: {**c, (3,): RF(1)})
+    # a Kostka number K_21,3 = 1, the t^-1 coefficient of PT_(2,1)[m_3], puts an m_3
+    # into s_21, and so into e_(2,1)
+    _pt_patched(monkeypatch, (2, 1), lambda c: {**c, (3,): LaurentPoly.t(-1)})
     with pytest.raises(ArithmeticError, match=r"e_\[2, 1\] has an m_\[3\]-coordinate, but m_\[3\] "
                                               r"is peeled before m_\[2, 1\]"):
         symfunc._rows("E", 3)
