@@ -2,8 +2,7 @@
 
 Run from anywhere, with the test dependencies installed:
 
-    python tests/mutants.py              # every mutant
-    python tests/mutants.py NAME ...     # the named mutants
+    python tests/mutants.py
 
 Each mutant names a file of the package, an old text that must occur in it
 exactly once, its replacement, and the test node ids expected to kill it.  The
@@ -171,9 +170,9 @@ def _run(src: str, tests: tuple[str, ...]) -> tuple[int, int, str]:
     return pytest.returncode, verify.returncode, "\n".join(tail)
 
 
-def baseline(mutants: tuple[Mutant, ...]) -> str | None:
+def baseline() -> str | None:
     """Why the unmutated copy does not pass every named test and the verify, or None."""
-    tests = tuple(dict.fromkeys(t for m in mutants for t in m.tests))
+    tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
     with tempfile.TemporaryDirectory(prefix="chromaq-mutant-") as tmp:
         src = _copy_src(tmp)
         where = subprocess.run([sys.executable, "-c", "import chromaq; print(chromaq.__file__)"],
@@ -201,19 +200,14 @@ def run(mutant: Mutant) -> tuple[str, str]:
     return ("killed", " and ".join(by)) if by else ("survived", tail)
 
 
-def main(argv: list[str]) -> int:
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
-    chosen = tuple(m for m in MUTANTS if not argv or m.name in argv)
+def main() -> int:
     start = time.perf_counter()
-    broken = baseline(chosen)
+    broken = baseline()
     if broken:
         print(f"the unmutated copy does not pass: {broken}", file=sys.stderr)
         return 2
     tally = {"killed": 0, "survived": 0, "stale": 0}
-    for m in chosen:
+    for m in MUTANTS:
         t = time.perf_counter()
         status, detail = run(m)
         tally[status] += 1
@@ -221,9 +215,9 @@ def main(argv: list[str]) -> int:
         print(line + (f"  by {detail}" if status == "killed" else f"  ({m.why})\n{detail}"),
               flush=True)
     print(f"{tally['killed']} killed, {tally['survived']} survived, {tally['stale']} stale "
-          f"of {len(chosen)} in {time.perf_counter() - start:.0f} s")
+          f"of {len(MUTANTS)} in {time.perf_counter() - start:.0f} s")
     return 2 if tally["stale"] else 1 if tally["survived"] else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

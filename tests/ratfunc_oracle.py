@@ -9,7 +9,8 @@ p_k -> p_k / (t^k - 1); and Carlsson-Mellit in its original form
 replaced them.
 
 `m_coords` gives the monomial coordinates of s, h, e, p, P(x; t) and PT in
-the old seven bases. P(x; t) is reflected off the package's PT rows
+the old seven bases. PT is the package's own table, which `test_pt_relation`
+checks against an independent tableau build. P(x; t) is reflected off it
 (`hall_littlewood`), and s, h and e are read off its constant terms, the Kostka
 numbers (`kostka`); p comes from the unmemoised part placements of
 `orbit_oracle`. The tests read S, H, HLP and P through it.
@@ -136,10 +137,10 @@ def m_coords(basis: str, lam: Partition) -> dict[Partition, LaurentPoly]:
         return {lam: ONE}
     if basis == "P":
         return {nu: LaurentPoly.const(c) for nu in gen_partitions(d) if (c := placements(lam, nu))}
-    if basis in ("HLP", "PT"):
-        row = hall_littlewood(d)[lam]
-        return dict(row) if basis == "HLP" else {mu: c.subs_inv(-nstat(lam))
-                                                 for mu, c in row.items()}
+    if basis == "HLP":
+        return dict(hall_littlewood(d)[lam])
+    if basis == "PT":
+        return dict(_rows("PT", d)[lam])
     k = kostka(d)
     schur = {lam: 1} if basis == "S" else {transpose(nu) if basis == "E" else nu: row[lam]
                                            for nu, row in k.items() if lam in row}

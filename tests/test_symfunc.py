@@ -334,7 +334,7 @@ def test_pt_relation():
     # PT_lam = t^{-n(lam)} * (HLP_lam with t -> 1/t), coefficientwise, against the
     # tableau build with no cache of strips
     from chromaq.combinatorics import nstat
-    for n in range(6):
+    for n in range(9):
         hl = hl_strip_by_strip(n)
         for lam in gen_partitions(n):
             pt = basis_element("PT", lam)
