@@ -276,16 +276,13 @@ def check_palindromic(n: int) -> CheckReport:
 
 
 def _unicellular_sum(sigma: SchroderPath) -> SymFunc:
-    """sum over S <= Diag(sigma) of (-1)^{|Diag - S|} G_{Area u S}, added into one dict.
+    """sum over S <= Diag(sigma) of (-1)^{|Diag - S|} G_{Area u S}, one sparse change.
 
     Area u S is h moved up by 1 in the columns of D - S (`_lowered` at q = 1 gives
     the sign), and its Dyck path is read, already built, at its `_lattice` position."""
     dyck, pos = gen_dyck(sigma.size), _lattice(sigma.size)[1]
-    out: dict[Partition, LaurentPoly] = {}
-    for h, sign in _lowered(sigma.h, sigma.D, 1):
-        for mu, c in llt_vertical(dyck[pos[h]]).coeffs.items():
-            out[mu] = out.get(mu, ZERO) + (c if sign > 0 else -c)
-    return SymFunc(sigma.size, "M", out)
+    return SymFunc(sigma.size, "M", _change(dict(_lowered(sigma.h, sigma.D, 1)),
+                                            lambda h: llt_vertical(dyck[pos[h]]).coeffs.items()))
 
 
 def check_prop56(n: int) -> CheckReport:
@@ -314,8 +311,10 @@ def check_prop56(n: int) -> CheckReport:
 
 def check_gg(n: int, q: int) -> CheckReport:
     """The staircase induction Gamma_n is a multiple of (q-1)^{n-1}, and omega p_one of
-    the quotient is e_n, compared as p_brace1 of it = m_{1^n}[(q-1)x] in basis M:
-    the two are equivalent since omega and p_k -> (q^k - 1) p_k are invertible."""
+    the quotient is e_n, compared as p_brace1(Gamma_n) = (q-1)^{n-1} m_{1^n}[(q-1)x]
+    in basis M: the two are equivalent since omega and p_k -> (q^k - 1) p_k are
+    invertible, and p_brace1 is linear.  The scan for a value that is no multiple
+    runs first, and nothing is divided."""
     if n < 1:
         raise ValueError(f"check_gg needs n >= 1, got n = {n}")
     require_fibres(n, q)
@@ -333,11 +332,9 @@ def check_gg(n: int, q: int) -> CheckReport:
     if not rep.ok:
         return rep
 
-    def normalized(label):
-        return scaled_p_brace1(UnipClassFn(n, q, tuple(v // denom for v in staircase().values)))
-
-    return _scan("check_gg", n, q, ["p_brace1(Gamma_n)"], normalized,
-                 lambda label: _twist(SymFunc(n, "M", {(1,) * n: ONE}), q, 0))
+    return _scan("check_gg", n, q, ["p_brace1(Gamma_n)"],
+                 lambda label: scaled_p_brace1(staircase()),
+                 lambda label: _twist(SymFunc(n, "M", {(1,) * n: ONE}), q, n - 1))
 
 
 def check_st_en(n: int) -> CheckReport:

@@ -100,6 +100,9 @@ def _cmd_compute(args: SimpleNamespace) -> int:
         raise ValueError(f"compute {verb} needs an index ({kind})")
     if args.n is not None and args.n < 0:
         raise ValueError(f"--n must be >= 0, got {args.n}")
+    needs = [x for x in ("n", "q") if x in _COMPUTE_INPUTS[verb]]
+    if any(getattr(args, x) is None for x in needs):
+        raise ValueError(f"{verb} needs {' and '.join('--' + x for x in needs)}")
     if verb == "csf":
         _emit(csf(_parse_graph(args.index)).to_json())
     elif verb == "llt":
@@ -116,16 +119,12 @@ def _cmd_compute(args: SimpleNamespace) -> int:
         out["positivity_violations"] = [list(v) for v in violations]
         _emit(out)
     elif verb == "induce":
-        if args.q is None:
-            raise ValueError("induce needs --q")
         gamma = _parse_graph(args.index)
         require_fibres(gamma.n, args.q)  # before the graphs on [n] are listed
         ind = induce_to_GL(chi_bar(gamma, args.q))
         items = [{"partition": list(lam), "value": str(v)} for lam, v in sorted(ind.items())]
         _emit({"n": ind.n, "q": ind.q, "values": items})
     elif verb == "hess-count":
-        if args.q is None:
-            raise ValueError("hess-count needs --q")
         gamma = _parse_graph(args.index)
         if (args.matrix is None) == (args.jordan_type is None):
             raise ValueError("hess-count needs one of --matrix DIGITS or --jordan-type PART,PART,..")
@@ -136,8 +135,6 @@ def _cmd_compute(args: SimpleNamespace) -> int:
             lam = _parse_jordan_type(args.jordan_type)
         _emit({"count": hessenberg_count(gamma, lam, args.q)})
     elif verb == "superclass-sizes":
-        if args.n is None or args.q is None:
-            raise ValueError("superclass-sizes needs --n and --q")
         sizes = superclass_sizes(args.n, args.q)
         items = [{"graph": g.to_json(), "size": c}
                  for g, c in sorted(sizes.items(), key=lambda kv: (len(kv[0].edges), kv[0].sorted_edges()))]

@@ -30,10 +30,12 @@ class Frozen:
     """Immutable value object over the fields named in `_fields`.
 
     Two objects are equal when they have the same exact type and equal fields;
-    the hash is that of the field tuple and the repr is Name(field=value, ...).
-    A subclass names its fields in `__slots__` and `_fields` (which its own
-    subclasses inherit) and sets them once, at the end of `__init__`, with `_set`;
-    `_set` also takes values derived from the fields, for slots outside `_fields`.
+    the hash is that of the field tuple, taken on each call, and the repr is
+    Name(field=value, ...).  A subclass names its fields in `__slots__` and
+    `_fields` (which its own subclasses inherit) and sets them once, at the end of
+    `__init__`, with `_set`.  `_set` also takes values derived from the fields, for
+    slots outside `_fields`, at the end of `__init__` or later, when a derived
+    value is filled on first use; it is the one writer of a slot.
     """
 
     __slots__ = ()
@@ -65,23 +67,6 @@ class Frozen:
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
-
-
-class Hashed(Frozen):
-    """A Frozen whose hash of the field tuple is taken once, when `_set` runs."""
-
-    __slots__ = ("_hash",)
-
-    def _set(self, *values, **derived) -> None:
-        super()._set(*values, _hash=hash(values), **derived)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._hash == other._hash and self._values() == other._values()
-
-    def __hash__(self):
-        return self._hash
 
 
 def _check_size(name: str, n: int, bound: int | None = None) -> None:
@@ -176,15 +161,13 @@ def _walk(steps: str) -> Iterator[tuple[str, int, int]]:
             raise ValueError(f"bad step {s!r}")
 
 
-def _trace(steps: str, dyck: bool = False) -> dict:
+def _trace(steps: str) -> dict:
     """Validate a tall path in one walk and return what the walk reads off it: its
     size and (h, D): the step of column j starts at height -h_j, and D lists the
     columns, from 0, of D steps.  A path with a D step that starts on the diagonal
-    is not tall and is refused; `dyck` refuses every step but E and S."""
+    is not tall and is refused."""
     h, cols = [], []
     for s, x, y in _walk(steps):
-        if dyck and s not in "ES":
-            raise ValueError(f"Dyck path steps must be E/S, got {s!r}")
         if s in "SD" and y - 1 < -x - (s == "D"):
             raise ValueError(f"path {steps!r} goes below the diagonal")
         if s != "S":
@@ -199,10 +182,11 @@ def _trace(steps: str, dyck: bool = False) -> dict:
     return {"size": n, "h": tuple(h), "D": tuple(cols)}
 
 
-class SchroderPath(Hashed):
+class SchroderPath(Frozen):
     """A tall Schroeder path, as its step string; its size and (h, D) are read off
-    once, by the walk that validates it, and are not fields.  A Dyck path is one
-    with no D step, and only it has a graph, built once."""
+    once, by the walk that validates it, and are not fields, so the hash is that
+    of (steps,).  A Dyck path is one with no D step, and only it has a graph,
+    built once by `graph_of`."""
 
     __slots__ = ("steps", "size", "h", "D", "_graph")
     _fields = ("steps",)
@@ -219,10 +203,11 @@ class SchroderPath(Hashed):
 
 
 def DyckPath(steps: str) -> SchroderPath:
-    """The tall path of these steps, walked with the rule that refuses a D step."""
-    pi = object.__new__(SchroderPath)
-    pi._set(steps, **_trace(steps, dyck=True), _graph=None)
-    return pi
+    """The tall path of these steps, once its first step that is not E or S is refused."""
+    bad = next((s for s in steps if s not in "ES"), None)
+    if bad is not None:
+        raise ValueError(f"Dyck path steps must be E/S, got {bad!r}")
+    return SchroderPath(steps)
 
 
 def _between(lo: tuple[int, ...], hi: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -292,7 +277,7 @@ def _closed(es: frozenset[Edge] | set[Edge], n: int) -> bool:
                for i, l in es)
 
 
-class IndiffGraph(Hashed):
+class IndiffGraph(Frozen):
     """Graph on [n] whose edge set is closed under intervals."""
 
     __slots__ = ("n", "edges", "_h")
@@ -315,7 +300,7 @@ class IndiffGraph(Hashed):
         """The Hessenberg function of the edges, recorded by `graph_of` or on first
         use: as an O(n) tuple in __init__ it would hold a huge n back from its guard."""
         if self._h is None:
-            object.__setattr__(self, "_h", _hessenberg_function(self.n, self.edges))
+            self._set(_h=_hessenberg_function(self.n, self.edges))
         return self._h
 
     def sorted_edges(self) -> list[Edge]:
@@ -347,13 +332,14 @@ def _is_int(x) -> bool:
 
 def graph_of(pi: SchroderPath) -> IndiffGraph:
     """The indifference graph on [n] with edge set the area of a Dyck path, built
-    once per path; its h is the path's.  A path with a D step has none."""
+    once per path and kept in its `_graph` slot; the graph's `_h` is the path's h.
+    Both slots are written by `_set`.  A path with a D step has none."""
     if pi._graph is None:
         if pi.D:
             raise ValueError(f"{pi.steps!r} has a D step; only a Dyck path has a graph")
         g = IndiffGraph(pi.size, area(pi))
-        object.__setattr__(g, "_h", pi.h)
-        object.__setattr__(pi, "_graph", g)
+        g._set(_h=pi.h)
+        pi._set(_graph=g)
     return pi._graph
 
 

@@ -5,14 +5,16 @@ Run from anywhere, with the test dependencies installed:
     python tests/mutants.py
 
 Each mutant names a file of the package, an old text that must occur in it
-exactly once, its replacement, and the test node ids expected to kill it.  The
+exactly once, its replacement, and the test node ids expected to kill it; a
+mutant of one side of a check names none, and the verify kills it.  The
 script first runs every named test, and `chromaq verify all --n 4 --q 3
 --json`, on an unmutated copy: they must pass there, and every id must name a
 test.  Then, for each mutant, it copies src/ to a temporary directory, applies
 the edit, and runs the mutant's tests and the same verify against the copy.
 A mutant is killed when a test fails or the verify exits nonzero, and the
-report says which did.  A mutant's old text that no longer occurs exactly once
-is stale and fails the script (exit 2); so does a baseline that does not pass.
+report says which did, with its exit code: 1 is a failing test or check.  A
+mutant's old text that no longer occurs exactly once is stale and fails the
+script (exit 2); so does a baseline that does not pass.
 A survivor exits 1.  Stdlib only; pytest does not collect this file.
 """
 
@@ -42,6 +44,7 @@ class Mutant(NamedTuple):
 
 
 SYMFUNC_TESTS = "tests/test_symfunc.py::"
+COMBINATORICS_TESTS = "tests/test_combinatorics.py::"
 MUTANTS = (
     # the PT rows, the e rows read off them, and the class-function keys
     Mutant("pt-exponent-sign", "symfunc.py",
@@ -136,7 +139,111 @@ MUTANTS = (
            "g = 1 if d[-1] > 0 else -1",
            ("tests/test_exactnum.py::test_ratfunc_canonical_form_over_z",),
            "a RationalFunc keeps the integer content of num and den"),
+    # paths and graphs on one value base, one path constructor; no check divides
+    Mutant("dyck-path-admits-d", "combinatorics.py",
+           "bad = next((s for s in steps if s not in \"ES\"), None)",
+           "bad = next((s for s in steps if s not in \"ESD\"), None)",
+           (COMBINATORICS_TESTS + "test_invalid_paths_rejected",),
+           "DyckPath reads a D step"),
+    Mutant("graph-of-records-a-wrong-h", "combinatorics.py",
+           "g._set(_h=pi.h)",
+           "g._set(_h=tuple(range(pi.size)))",
+           (COMBINATORICS_TESTS + "test_graphs_record_the_hessenberg_function_of_their_edges",),
+           "graph_of records the h of the empty graph"),
+    Mutant("frozen-eq-ignores-the-type", "combinatorics.py",
+           "if type(other) is not type(self):",
+           "if not isinstance(other, Frozen):",
+           ("tests/test_values.py::test_classes_with_equal_fields_stay_apart",
+            "tests/test_values.py::test_another_exact_type_is_never_equal"),
+           "two values of different types with equal fields are equal"),
+    Mutant("check-gg-twists-n-minus-2", "bridge.py",
+           "q, n - 1))",
+           "q, n - 2))",
+           ("tests/test_bridge.py::test_induction_checks_at_n4_q3_and_n3_q5",),
+           "check_gg's right side carries (q-1)^{n-2}"),
+    Mutant("unicellular-sign-flipped", "bridge.py",
+           "_change(dict(_lowered(sigma.h, sigma.D, 1)),",
+           "_change({h: -s for h, s in _lowered(sigma.h, sigma.D, 1)},",
+           ("tests/test_bridge.py::test_unicellular_sum_matches_the_symfunc_by_symfunc_sum",),
+           "check_prop56(ii) sums the unicellular G with the opposite sign"),
 )
+
+
+def _side(check: str, side: str, old: str, new: str, why: str) -> Mutant:
+    """A mutant of one side of a check in bridge.py, which the verify kills."""
+    return Mutant(f"{check}-{side}", "bridge.py", old, new, (), why)
+
+
+# one per side of each check: the verify runs every check at n = 4, q = 3
+CHECK_SIDES = (
+    _side("check_cqs", "lhs", "induce_to_GL(chi_bar(gamma, q))",
+          "induce_to_GL(chi_super(gamma, q))", "the supercharacter induced in place of chi_bar"),
+    _side("check_cqs", "rhs", "eval_t(csf(gamma), q).scale((q - 1) ** n *",
+          "eval_t(csf(gamma), q).scale((q - 1) ** (n - 1) *", "X_gamma times (q-1)^{n-1}"),
+    _side("check_hess", "lhs", "induction_table(n, q)[lam], chi_bar(gamma, q).values",
+          "induction_table(n, q)[lam], chi_super(gamma, q).values",
+          "the sweep dotted with the supercharacter"),
+    _side("check_hess", "rhs", "ut_order(n, q) * (q - 1) ** n",
+          "ut_order(n, q) * (q - 1) ** (n - 1)", "the point count times (q-1)^{n-1}"),
+    _side("check_poincare", "lhs", "lambda item: q ** len(item[0].edges) * hessenberg_count(",
+          "lambda item: hessenberg_count(", "the point count without q^{|E|}"),
+    _side("check_poincare", "rhs", "d(item[0]).get(item[1], ZERO)",
+          "d(item[0]).get(item[1][::-1], ZERO)", "d_lam read at lam's parts reversed"),
+    _side("check_llt", "lhs", "gen_tall_schroder(n),\n                 lambda sigma: "
+          "scaled_p_brace1(induce_to_GL(psi_pseudo(sigma, q))),\n                 lambda sigma: "
+          "_twist(llt", "gen_tall_schroder(n),\n                 lambda sigma: scaled_p_brace1("
+          "induce_to_GL(psi_pseudo(mesa(sigma), q))),\n                 lambda sigma: _twist(llt",
+          "psi of the mesa path induced in place of psi^sigma"),
+    _side("check_llt", "rhs", "_twist(llt_vertical(sigma), q, len(diag(sigma)))",
+          "_twist(llt_vertical(sigma), q, 0)", "G_sigma twisted without (q-1)^{|Diag|}"),
+    _side("check_mesa", "lhs", "lambda pi: psi_pseudo(mesa(pi), q)",
+          "lambda pi: psi_pseudo(pi, q)", "psi of the Dyck path, not of its mesa"),
+    _side("check_mesa", "rhs", "lambda pi: chi_super(graph_of(pi), q)",
+          "lambda pi: chi_bar(graph_of(pi), q)", "chi_bar in place of the supercharacter"),
+    _side("check_psi_decomp", "lhs", "lambda sigma: psi_pseudo(sigma, q), rhs)",
+          "lambda sigma: psi_pseudo(mesa(sigma), q), rhs)", "psi of the mesa path"),
+    _side("check_psi_decomp", "rhs", "return {g.h: chi_super(g, q).values",
+          "return {g.h: chi_bar(g, q).values", "chi_bar summed over the interval"),
+    _side("check_permtoind", "lhs", "lambda gamma: chi_bar(gamma, q),",
+          "lambda gamma: chi_super(gamma, q),", "the supercharacter in place of chi_bar"),
+    _side("check_permtoind", "rhs", "permutation_character_oracle(gamma, q)",
+          "permutation_character_oracle(graph_of(gen_dyck(n)[0]), q)",
+          "the permutation character of the empty graph"),
+    _side("check_as", "lhs", "expand_in_basis(as_expansion(sigma), \"M\"), llt_vertical)",
+          "expand_in_basis(as_expansion(mesa(sigma)), \"M\"), llt_vertical)",
+          "the orientation expansion of the mesa path"),
+    _side("check_as", "rhs", "\"M\"), llt_vertical)",
+          "\"M\"), lambda sigma: omega(llt_vertical(sigma)))", "omega G_sigma in place of G_sigma"),
+    _side("check_cm", "lhs", ".scale(t_minus_one_power(n))",
+          ".scale(t_minus_one_power(n - 1))", "X times (t-1)^{n-1}"),
+    _side("check_cm", "rhs", "lambda pi: plethysm_mul(llt_vertical(pi))",
+          "lambda pi: plethysm_mul(omega(llt_vertical(pi)))", "the plethysm of omega G_pi"),
+    _side("check_palindromic", "lhs", "c.subs_inv(len(gamma.edges))",
+          "c.subs_inv(len(gamma.edges) + 1)", "X(x; 1/t) times t^{|E|+1}"),
+    _side("check_palindromic", "rhs", "\n                 csf)\n",
+          "\n                 lambda gamma: omega(csf(gamma)))\n", "omega X in place of X"),
+    _side("check_prop56", "lhs", "c.subs_inv(k))", "c.subs_inv(k + 1))",
+          "part i: G_pi(x; 1/t) times t^{|Area|+1}"),
+    _side("check_prop56", "rhs", "lambda pi: omega(llt_vertical(pi))",
+          "lambda pi: llt_vertical(pi)", "part i: G_pi in place of omega G_pi"),
+    _side("check_gg", "lhs", "SchroderPath(\"E\" + \"D\" * (n - 1) + \"S\")",
+          "SchroderPath(\"E\" * n + \"S\" * n)", "the complete graph's path for the staircase"),
+    _side("check_gg", "rhs", "SymFunc(n, \"M\", {(1,) * n: ONE})",
+          "SymFunc(n, \"M\", {(n,): ONE})", "m_n in place of e_n = m_{1^n}"),
+    _side("check_st_en", "lhs", "LaurentPoly.t(n * (n - 1) // 2)",
+          "LaurentPoly.t(n * (n + 1) // 2)", "PT_{1^n} times t^{binom(n+1,2)}"),
+    _side("check_st_en", "rhs", "SymFunc(n, \"M\", {lam: ONE})",
+          "SymFunc(n, \"M\", {(n,): ONE})", "m_n in place of e_n = m_{1^n}"),
+    _side("check_cor66", "lhs", "gen_tall_schroder(n),\n                 lambda sigma: "
+          "scaled_p_brace1(induce_to_GL(psi_pseudo(sigma, q))),\n                 lambda sigma: "
+          "_twist(expand", "gen_tall_schroder(n),\n                 lambda sigma: "
+          "scaled_p_brace1(induce_to_GL(psi_pseudo(mesa(sigma), q))),\n                 "
+          "lambda sigma: _twist(expand", "psi of the mesa path induced in place of psi^sigma"),
+    _side("check_cor66", "rhs", "q,\n                                      len(diag(sigma)))",
+          "q,\n                                      len(area(sigma)))",
+          "AS_sigma twisted with (q-1)^{|Area|}"),
+)
+MUTANTS += CHECK_SIDES
 
 
 def _copy_src(tmp: str) -> str:
@@ -159,15 +266,17 @@ def _apply(mutant: Mutant, src: str) -> str | None:
 
 
 def _run(src: str, tests: tuple[str, ...]) -> tuple[int, int, str]:
-    """(pytest's exit code, verify's exit code, the tail of their output) against src."""
+    """(pytest's exit code, verify's exit code, the tail of their output) against src;
+    no named test is no pytest run, exit code 0."""
     env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
     pytest = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                              "-o", "addopts=", *tests],
-                            cwd=ROOT, env=env, capture_output=True, text=True)
+                            cwd=ROOT, env=env, capture_output=True, text=True) if tests else None
     verify = subprocess.run([sys.executable, *VERIFY], cwd=os.path.dirname(src), env=env,
                             capture_output=True, text=True)
-    tail = (pytest.stdout + pytest.stderr).strip().splitlines()[-3:] + verify.stderr.splitlines()[-2:]
-    return pytest.returncode, verify.returncode, "\n".join(tail)
+    out = (pytest.stdout + pytest.stderr).strip().splitlines()[-3:] if pytest else []
+    tail = out + verify.stderr.splitlines()[-2:]
+    return pytest.returncode if pytest else 0, verify.returncode, "\n".join(tail)
 
 
 def baseline() -> str | None:
@@ -196,7 +305,7 @@ def run(mutant: Mutant) -> tuple[str, str]:
         rc_tests, rc_verify, tail = _run(src, mutant.tests)
     if rc_tests not in (0, *PYTEST_KILLED):
         return "stale", f"pytest exit {rc_tests}:\n{tail}"
-    by = [what for what, rc in (("tests", rc_tests), ("verify", rc_verify)) if rc]
+    by = [f"{what} (exit {rc})" for what, rc in (("tests", rc_tests), ("verify", rc_verify)) if rc]
     return ("killed", " and ".join(by)) if by else ("survived", tail)
 
 

@@ -248,8 +248,9 @@ def test_invalid_paths_rejected():
         DyckPath("EESS ")
     with pytest.raises(ValueError):
         SchroderPath("DSS")
-    with pytest.raises(ValueError, match="^Dyck path steps must be E/S, got 'D'$"):
-        DyckPath("EDS")
+    for steps in ("EDS", "SD"):  # named before the walk finds SD below the diagonal
+        with pytest.raises(ValueError, match="^Dyck path steps must be E/S, got 'D'$"):
+            DyckPath(steps)
 
 
 def test_tall_flag():

@@ -47,7 +47,6 @@ COMMON = {
     "combinatorics._check_size": "the size guard of every enumerator",
     "fqoracle._check_q": "the field-size guard",
     "combinatorics.Frozen.": "immutable value objects",
-    "combinatorics.Hashed.": "immutable value objects, hashed once",
     "symfunc.SymFunc.": "the value class of the symmetric-function sides",
     "symfunc._coeff": "SymFunc's coefficient coercion",
     "symfunc._require_partition": "SymFunc's key check",
@@ -57,6 +56,7 @@ COMMON = {
     "combinatorics.indifference_graphs": "the graphs on [n]: the items and the lattice",
     "combinatorics.graph_of": "the graph of each listed Dyck path",
     "combinatorics.DyckPath": "the listed paths",
+    "combinatorics.SchroderPath.__init__": "the listed paths: a Dyck path is read through it too",
     "combinatorics.IndiffGraph.": "the listed graphs and their h",
     "combinatorics._between": "the walk of Hessenberg functions that lists the paths",
     "combinatorics._tall_path": "the step string of each listed h",

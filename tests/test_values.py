@@ -2,7 +2,12 @@
 equality of the exact type over the fields, the hash of the field tuple, the
 dataclass-style repr, and no assignment after construction."""
 
+import ast
+import pathlib
+
 import pytest
+
+import chromaq
 
 from chromaq.bridge import CheckReport
 from chromaq.chromallt import csf, llt_vertical
@@ -95,3 +100,28 @@ def test_a_dyck_path_and_its_tall_path_share_one_llt_cache_entry():
     G = llt_vertical(pi)
     entries = llt_vertical.cache_info().currsize
     assert llt_vertical(sigma) is G and llt_vertical.cache_info().currsize == entries
+
+
+def _object_calls(tree, scope=()):
+    """(scope, attribute) for each `object.__new__` or `object.__setattr__` that the
+    code of a syntax tree names, scope the dotted path of the classes and
+    functions it lies in."""
+    for node in ast.iter_child_nodes(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ("__new__", "__setattr__")
+                and isinstance(node.value, ast.Name) and node.value.id == "object"):
+            yield ".".join(scope), node.attr
+        named = isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _object_calls(node, scope + (node.name,) if named else scope)
+
+
+def test_frozen_set_is_the_one_writer_of_a_slot_outside_exactnum():
+    # every value of the package is built by its own __init__ and written by
+    # Frozen._set, on one base class: no object.__new__, no slot written around _set
+    found, classes = set(), set()
+    for path in sorted(pathlib.Path(chromaq.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        classes |= {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+        if path.stem != "exactnum":
+            found |= {(path.stem, *call) for call in _object_calls(tree)}
+    assert sorted(found) == [("combinatorics", "Frozen._set", "__setattr__")]
+    assert "Frozen" in classes and "Hashed" not in classes
