@@ -42,8 +42,6 @@ from .combinatorics import (
     diag,
     gen_dyck,
     gen_tall_schroder,
-    graph_of,
-    indifference_graphs,
     mesa,
 )
 from .exactnum import ONE, ZERO, LaurentPoly, t_minus_one_power
@@ -170,9 +168,9 @@ def _scan(name: str, n: int, q: int | None, items: Iterable,
 def check_cqs(n: int, q: int) -> CheckReport:
     """Induced permutation characters realize (q-1)^n X_gamma(x; q)."""
     require_fibres(n, q)
-    return _scan("check_cqs", n, q, indifference_graphs(n),
-                 lambda gamma: scaled_p_brace1(induce_to_GL(chi_bar(gamma, q))),
-                 lambda gamma: eval_t(csf(gamma), q).scale((q - 1) ** n * q ** (n * (n - 1) // 2)))
+    return _scan("check_cqs", n, q, gen_dyck(n),
+                 lambda pi: scaled_p_brace1(induce_to_GL(chi_bar(pi, q))),
+                 lambda pi: eval_t(csf(pi), q).scale((q - 1) ** n * q ** (n * (n - 1) // 2)))
 
 
 def check_hess(n: int, q: int) -> CheckReport:
@@ -180,25 +178,25 @@ def check_hess(n: int, q: int) -> CheckReport:
     sides times |UT_n|.  The left side induces by the UT_n sweep, so it tests the
     Springer walk that induce_to_GL reads."""
     require_fibres(n, q)
-    items = [(g, lam) for g in indifference_graphs(n) for lam in _partitions(n)]
+    items = [(pi, lam) for pi in gen_dyck(n) for lam in _partitions(n)]
 
     def lhs(item):  # each u of type lam is J_lam's conjugate by |C_GL(J_lam)| elements
-        gamma, lam = item
-        dot = sum(c * v for c, v in zip(induction_table(n, q)[lam], chi_bar(gamma, q).values))
+        pi, lam = item
+        dot = sum(c * v for c, v in zip(induction_table(n, q)[lam], chi_bar(pi, q).values))
         return _centralizer_order(lam, q) * dot
 
     return _scan("check_hess", n, q, items, lhs, lambda item: ut_order(n, q) * (q - 1) ** n
-                 * q ** len(item[0].edges) * hessenberg_count(*item, q))
+                 * q ** len(area(item[0])) * hessenberg_count(*item, q))
 
 
 def check_poincare(n: int, q: int) -> CheckReport:
     """Hessenberg point counts equal q^{-|E|} d_lam^gamma(q), compared as
     q^{|E|} |B| = d_lam^gamma(q)."""
     require_fibres(n, q)
-    items = [(g, lam) for g in indifference_graphs(n) for lam in _partitions(n)]
+    items = [(pi, lam) for pi in gen_dyck(n) for lam in _partitions(n)]
     d = lru_cache(maxsize=None)(d_coeffs)  # one expansion per graph, held by the right side
     return _scan("check_poincare", n, q, items,
-                 lambda item: q ** len(item[0].edges) * hessenberg_count(*item, q),
+                 lambda item: q ** len(area(item[0])) * hessenberg_count(*item, q),
                  lambda item: d(item[0]).get(item[1], ZERO).evaluate(q))
 
 
@@ -218,7 +216,7 @@ def check_mesa(n: int, q: int) -> CheckReport:
     The two sides share no corner rule: `mesa` finds the tall peaks on its own
     walk of the steps, never through `_corners`, which `chi_super` lifts."""
     return _scan("check_mesa", n, q, gen_dyck(n),
-                 lambda pi: psi_pseudo(mesa(pi), q), lambda pi: chi_super(graph_of(pi), q))
+                 lambda pi: psi_pseudo(mesa(pi), q), lambda pi: chi_super(pi, q))
 
 
 def check_psi_decomp(n: int, q: int) -> CheckReport:
@@ -227,7 +225,7 @@ def check_psi_decomp(n: int, q: int) -> CheckReport:
     @lru_cache(maxsize=None)
     def supers() -> dict[tuple[int, ...], tuple[int, ...]]:
         """Each chi^gamma by its h, built once, on the right side's first call."""
-        return {g.h: chi_super(g, q).values for g in indifference_graphs(n)}
+        return {pi.h: chi_super(pi, q).values for pi in gen_dyck(n)}
 
     def rhs(sigma):
         # h(Area u Diag) <= x <= h(Diag), which is h_j in each Diag column j and j elsewhere
@@ -240,9 +238,9 @@ def check_psi_decomp(n: int, q: int) -> CheckReport:
 
 def check_permtoind(n: int, q: int) -> CheckReport:
     """chi_bar agrees with the directly-counted permutation character."""
-    return _scan("check_permtoind", n, q, indifference_graphs(n),
-                 lambda gamma: chi_bar(gamma, q),
-                 lambda gamma: permutation_character_oracle(gamma, q))
+    return _scan("check_permtoind", n, q, gen_dyck(n),
+                 lambda pi: chi_bar(pi, q),
+                 lambda pi: permutation_character_oracle(pi, q))
 
 
 def check_as(n: int) -> CheckReport:
@@ -264,14 +262,14 @@ def check_cm(n: int) -> CheckReport:
     the sides share no change of basis and no polynomial in t is divided.
     """
     return _scan("check_cm", n, None, gen_dyck(n),
-                 lambda pi: csf(graph_of(pi)).scale(t_minus_one_power(n)),
+                 lambda pi: csf(pi).scale(t_minus_one_power(n)),
                  lambda pi: plethysm_mul(llt_vertical(pi)))
 
 
 def check_palindromic(n: int) -> CheckReport:
-    """t^{|E|} X(x; 1/t) = X(x; t) for every indifference graph."""
-    return _scan("check_palindromic", n, None, indifference_graphs(n),
-                 lambda gamma: csf(gamma).map_coeffs(lambda c: c.subs_inv(len(gamma.edges))),
+    """t^{|E|} X(x; 1/t) = X(x; t) for every indifference graph, E the area of its Dyck path."""
+    return _scan("check_palindromic", n, None, gen_dyck(n),
+                 lambda pi: csf(pi).map_coeffs(lambda c, k=len(area(pi)): c.subs_inv(k)),
                  csf)
 
 

@@ -16,11 +16,13 @@ each color in turn from the vertices not yet colored, and memoises on that
 set and the parts of mu still to place.  That is about 3^n work where a
 walk over the colorings is about n!, and every mu with the same tail of
 parts shares the memo.  The 3^n count is known from n, so it is the
-kernel's guard: `_color_sum` refuses past MAX_SWEEP (n >= 11) on the call.
+kernel's guard, `require_colorings`: `_color_sum` refuses past MAX_SWEEP
+(n >= 11) on the call, and the CLI before it reads a JSON graph.
 
-`csf`, `llt_vertical` and `as_expansion` are built once per process for each
-graph or path (both are immutable and hash by value, so they key an
-`lru_cache`); the cached SymFunc is immutable, so every caller may share it.
+Every function here is indexed by a path: X_gamma by the Dyck path of gamma,
+whose area is gamma's edge set.  `csf`, `llt_vertical` and `as_expansion` are
+built once per process for each path (immutable and hashed by its steps, so it
+keys an `lru_cache`); the cached SymFunc is immutable, so every caller may share it.
 `as_expansion` adds the binomial rows of (t-1)^k into one integer list per
 e-coefficient and wraps each list once.
 """
@@ -32,15 +34,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Iterable
 
-from .combinatorics import (
-    Edge,
-    IndiffGraph,
-    Partition,
-    SchroderPath,
-    _partitions,
-    area,
-    diag,
-)
+from .combinatorics import Edge, Partition, SchroderPath, _partitions, area, diag
 from .exactnum import LaurentPoly, t_minus_one_power
 from .guards import require_power
 from .symfunc import SymFunc, expand_in_basis
@@ -77,7 +71,7 @@ def _color_sum(n: int, asc_edges: Iterable[Edge], differ: Iterable[Edge] = (),
     or if its unpacked coefficients sum past it (a carry would only lower
     that sum, so the two halves catch different faults).
     """
-    require_power(f"the color classes of [{n}]", 3, n)
+    require_colorings(n)
     up, apart, need = [0] * n, [0] * n, [0] * n
     for i, j in asc_edges:
         up[i - 1] |= 1 << j - 1
@@ -145,10 +139,17 @@ def _color_sum(n: int, asc_edges: Iterable[Edge], differ: Iterable[Edge] = (),
     return SymFunc(n, "M", coeffs)
 
 
+def require_colorings(n: int) -> None:
+    """Refuse, before any work, a sweep of the 3^n color classes of [n] past MAX_SWEEP."""
+    require_power(f"the color classes of [{n}]", 3, n)
+
+
 @lru_cache(maxsize=None)
-def csf(gamma: IndiffGraph) -> SymFunc:
-    """Chromatic quasisymmetric function: sum over proper colorings of t^asc x^kappa."""
-    return _color_sum(gamma.n, gamma.edges, differ=gamma.edges)
+def csf(pi: SchroderPath) -> SymFunc:
+    """Chromatic quasisymmetric function of the graph of a Dyck path, its edges the
+    path's area: sum over proper colorings of t^asc x^kappa."""
+    edges = area(pi)
+    return _color_sum(pi.size, edges, differ=edges)
 
 
 @lru_cache(maxsize=None)
@@ -212,9 +213,10 @@ def as_expansion(sigma: SchroderPath) -> SymFunc:
     return SymFunc(n, "E", {ty: LaurentPoly(acc) for ty, acc in coeffs.items()})
 
 
-def d_coeffs(gamma: IndiffGraph) -> dict[Partition, LaurentPoly]:
-    """Expansion of X_gamma in the symbolic modified Hall-Littlewood basis."""
-    return dict(expand_in_basis(csf(gamma), "PT").coeffs)
+def d_coeffs(pi: SchroderPath) -> dict[Partition, LaurentPoly]:
+    """Expansion of X_gamma, gamma the graph of a Dyck path, in the symbolic
+    modified Hall-Littlewood basis."""
+    return dict(expand_in_basis(csf(pi), "PT").coeffs)
 
 
 def is_nonneg_int_poly(f: LaurentPoly) -> bool:
@@ -224,13 +226,14 @@ def is_nonneg_int_poly(f: LaurentPoly) -> bool:
     return f.low >= 0 and all(c >= 0 for _, c in f.terms())
 
 
-def e_expansion_X(gamma: IndiffGraph) -> tuple[SymFunc, list[Partition]]:
-    """e-basis coefficients of X_gamma plus the list of any outside Z_{>=0}[t].
+def e_expansion_X(pi: SchroderPath) -> tuple[SymFunc, list[Partition]]:
+    """e-basis coefficients of X_gamma, gamma the graph of a Dyck path, plus the
+    list of any outside Z_{>=0}[t].
 
     The positivity half is an experiment harness (the statement is an open
     conjecture), so violations are reported, never raised.
     """
-    F = expand_in_basis(csf(gamma), "E")
+    F = expand_in_basis(csf(pi), "E")
     violations = []
     for lam, c in sorted(F.coeffs.items()):
         if not is_nonneg_int_poly(c):

@@ -24,10 +24,11 @@ import json
 import sys
 from itertools import zip_longest
 from types import SimpleNamespace
+from typing import Callable
 
 from .bridge import ALL_CHECKS, DEPENDENCIES, SYMBOLIC_CHECKS, CheckReport, run_check
-from .chromallt import as_expansion, csf, d_coeffs, e_expansion_X, llt_vertical
-from .combinatorics import DyckPath, IndiffGraph, SchroderPath, graph_of
+from .chromallt import as_expansion, csf, d_coeffs, e_expansion_X, llt_vertical, require_colorings
+from .combinatorics import DyckPath, SchroderPath, area, path_of_graph
 from .exactnum import PoleError
 from .fqoracle import (
     chi_bar,
@@ -46,12 +47,25 @@ from .fqoracle import (
 atexit.register(gc.freeze)
 
 
-def _parse_graph(text: str) -> IndiffGraph:
-    """Accept either a Dyck path step string or a JSON graph object."""
+def _parse_graph(text: str, guard: Callable[[int], None]) -> SchroderPath:
+    """The Dyck path of INDEX: a step string, or a JSON graph {"n": n, "edges":
+    [[i, j], ...]}, whose shape is checked, and whose n the verb's guard admits,
+    before its path of 2n steps is built; a step string is as long as its path,
+    and the verb guards its size.  ValueError on any other shape."""
     text = text.strip()
-    if text.startswith("{"):
-        return IndiffGraph.from_json(json.loads(text))
-    return graph_of(DyckPath(text))
+    if not text.startswith("{"):
+        return DyckPath(text)
+    obj = json.loads(text)
+    if not isinstance(obj, dict) or not {"n", "edges"} <= obj.keys():
+        raise ValueError('graph JSON must be an object with keys "n" and "edges"')
+    n, edges = obj["n"], obj["edges"]
+    if type(n) is not int or n < 0:  # JSON's true and false are bools, not ints
+        raise ValueError(f'graph JSON: "n" must be an integer >= 0, got {n!r}')
+    if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e) for e in edges):
+        raise ValueError(f'graph JSON: "edges" must be a list of integer pairs, got {edges!r}')
+    guard(n)
+    return path_of_graph(n, edges)
 
 
 def _emit(obj) -> None:
@@ -104,40 +118,41 @@ def _cmd_compute(args: SimpleNamespace) -> int:
     if any(getattr(args, x) is None for x in needs):
         raise ValueError(f"{verb} needs {' and '.join('--' + x for x in needs)}")
     if verb == "csf":
-        _emit(csf(_parse_graph(args.index)).to_json())
+        _emit(csf(_parse_graph(args.index, require_colorings)).to_json())
     elif verb == "llt":
         _emit(llt_vertical(SchroderPath(args.index.strip())).to_json())
     elif verb == "as-expand":
         _emit(as_expansion(SchroderPath(args.index.strip())).to_json())
     elif verb == "d-coeffs":
-        d = d_coeffs(_parse_graph(args.index))
+        d = d_coeffs(_parse_graph(args.index, require_colorings))
         items = [{"partition": list(lam), "value": str(v)} for lam, v in sorted(d.items())]
         _emit({"basis": "PT", "coeffs": items})
     elif verb == "e-expand":
-        F, violations = e_expansion_X(_parse_graph(args.index))
+        F, violations = e_expansion_X(_parse_graph(args.index, require_colorings))
         out = F.to_json()
         out["positivity_violations"] = [list(v) for v in violations]
         _emit(out)
     elif verb == "induce":
-        gamma = _parse_graph(args.index)
-        require_fibres(gamma.n, args.q)  # before the graphs on [n] are listed
-        ind = induce_to_GL(chi_bar(gamma, args.q))
+        pi = _parse_graph(args.index, lambda n: require_fibres(n, args.q))
+        require_fibres(pi.size, args.q)  # before the graphs on [n] are listed
+        ind = induce_to_GL(chi_bar(pi, args.q))
         items = [{"partition": list(lam), "value": str(v)} for lam, v in sorted(ind.items())]
         _emit({"n": ind.n, "q": ind.q, "values": items})
     elif verb == "hess-count":
-        gamma = _parse_graph(args.index)
+        pi = _parse_graph(args.index, lambda n: require_fibres(n, args.q))
         if (args.matrix is None) == (args.jordan_type is None):
             raise ValueError("hess-count needs one of --matrix DIGITS or --jordan-type PART,PART,..")
-        require_fibres(gamma.n, args.q)  # before any n x n matrix is built
+        require_fibres(pi.size, args.q)  # before any n x n matrix is built
         if args.matrix is not None:
-            lam = nilpotent_type(args.matrix, gamma.n, args.q)
+            lam = nilpotent_type(args.matrix, pi.size, args.q)
         else:
             lam = _parse_jordan_type(args.jordan_type)
-        _emit({"count": hessenberg_count(gamma, lam, args.q)})
+        _emit({"count": hessenberg_count(pi, lam, args.q)})
     elif verb == "superclass-sizes":
         sizes = superclass_sizes(args.n, args.q)
-        items = [{"graph": g.to_json(), "size": c}
-                 for g, c in sorted(sizes.items(), key=lambda kv: (len(kv[0].edges), kv[0].sorted_edges()))]
+        edges = {pi: sorted(area(pi)) for pi in sizes}
+        items = [{"graph": {"n": args.n, "edges": [list(e) for e in edges[pi]]}, "size": sizes[pi]}
+                 for pi in sorted(sizes, key=lambda pi: (len(edges[pi]), edges[pi]))]
         _emit({"n": args.n, "q": args.q, "sizes": items})
     return 0
 

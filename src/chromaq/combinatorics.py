@@ -6,7 +6,10 @@ Conventions:
     E/S/D from (0,0) to (n,-n) weakly above the antidiagonal y = -x, with no D
     step starting on it, refused as it is read if it is not tall; it is also
     (h, D), h the Hessenberg function of Area u Diag and D its Diag columns;
-  * a Dyck path is a path with no D step, and `DyckPath` reads one;
+  * a Dyck path is a path with no D step, and `DyckPath` reads one; it is also
+    the one index of an indifference graph on [n], the graph whose edges are its
+    area, {i, j} with h_j < i < j (Stanley, EC1 3.9), and `path_of_graph` reads
+    one off the edges;
   * the unit square in column j, row i (1 <= i < j <= n) is the square with
     corners (j-1, 1-i) and (j, -i), and doubles as the edge label {i, j}.
 """
@@ -16,6 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, count
 from math import comb
+from operator import gt
 from typing import Iterable, Iterator
 
 from .guards import require, require_sweep
@@ -33,9 +37,8 @@ class Frozen:
     the hash is that of the field tuple, taken on each call, and the repr is
     Name(field=value, ...).  A subclass names its fields in `__slots__` and
     `_fields` (which its own subclasses inherit) and sets them once, at the end of
-    `__init__`, with `_set`.  `_set` also takes values derived from the fields, for
-    slots outside `_fields`, at the end of `__init__` or later, when a derived
-    value is filled on first use; it is the one writer of a slot.
+    `__init__`, with `_set`, which also takes values derived from the fields, for
+    slots outside `_fields`; it is the one writer of a slot.
     """
 
     __slots__ = ()
@@ -185,10 +188,9 @@ def _trace(steps: str) -> dict:
 class SchroderPath(Frozen):
     """A tall Schroeder path, as its step string; its size and (h, D) are read off
     once, by the walk that validates it, and are not fields, so the hash is that
-    of (steps,).  A Dyck path is one with no D step, and only it has a graph,
-    built once by `graph_of`."""
+    of (steps,)."""
 
-    __slots__ = ("steps", "size", "h", "D", "_graph")
+    __slots__ = ("steps", "size", "h", "D")
     _fields = ("steps",)
     steps: str
     size: int
@@ -196,7 +198,7 @@ class SchroderPath(Frozen):
     D: tuple[int, ...]
 
     def __init__(self, steps: str):
-        self._set(steps, **_trace(steps), _graph=None)
+        self._set(steps, **_trace(steps))
 
     def __str__(self) -> str:
         return self.steps
@@ -266,98 +268,23 @@ def diag(sigma: SchroderPath) -> frozenset[Edge]:
     return frozenset((sigma.h[j] + 1, j + 1) for j in sigma.D)
 
 
-# ---------------------------------------------------------------------------
-# indifference graphs
-# ---------------------------------------------------------------------------
-
-def _closed(es: frozenset[Edge] | set[Edge], n: int) -> bool:
-    """Interval closure of sorted edges, checked locally: each {i,l} with
-    l - i >= 2 needs {i+1,l} and {i,l-1}, and by induction every {j,k} inside."""
-    return all(1 <= i < l <= n and (l - i < 2 or (i + 1, l) in es and (i, l - 1) in es)
-               for i, l in es)
-
-
-class IndiffGraph(Frozen):
-    """Graph on [n] whose edge set is closed under intervals."""
-
-    __slots__ = ("n", "edges", "_h")
-    _fields = ("n", "edges")
-    n: int
-    edges: frozenset[Edge]
-
-    def __init__(self, n: int, edges: Iterable[Edge]):
-        edges = frozenset(tuple(sorted(e)) for e in edges)
-        if not _closed(edges, n):  # a loop or an end outside [n] is named before closure
-            bad = min((e for e in edges if not 1 <= e[0] < e[1] <= n), default=None)
-            if bad is None:
-                raise ValueError(f"edge set {sorted(edges)} on [{n}] is not interval-closed")
-            raise ValueError(f"edge {bad} is a loop" if bad[0] == bad[1] else
-                             f"edge {bad} has an end outside [{n}]")
-        self._set(n, edges, _h=None)
-
-    @property
-    def h(self) -> tuple[int, ...]:
-        """The Hessenberg function of the edges, recorded by `graph_of` or on first
-        use: as an O(n) tuple in __init__ it would hold a huge n back from its guard."""
-        if self._h is None:
-            self._set(_h=_hessenberg_function(self.n, self.edges))
-        return self._h
-
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
-
-    def __str__(self) -> str:
-        return f"IG(n={self.n}, edges={self.sorted_edges()})"
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "edges": [list(e) for e in self.sorted_edges()]}
-
-    @staticmethod
-    def from_json(obj) -> "IndiffGraph":
-        """Parse {"n": n, "edges": [[i, j], ...]}; ValueError on any other shape."""
-        if not isinstance(obj, dict) or not {"n", "edges"} <= obj.keys():
-            raise ValueError('graph JSON must be an object with keys "n" and "edges"')
-        n, edges = obj["n"], obj["edges"]
-        if not _is_int(n) or n < 0:
-            raise ValueError(f'graph JSON: "n" must be an integer >= 0, got {n!r}')
-        if not isinstance(edges, list) or not all(
-                isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges):
-            raise ValueError(f'graph JSON: "edges" must be a list of integer pairs, got {edges!r}')
-        return IndiffGraph(n, frozenset(tuple(e) for e in edges))
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def graph_of(pi: SchroderPath) -> IndiffGraph:
-    """The indifference graph on [n] with edge set the area of a Dyck path, built
-    once per path and kept in its `_graph` slot; the graph's `_h` is the path's h.
-    Both slots are written by `_set`.  A path with a D step has none."""
-    if pi._graph is None:
-        if pi.D:
-            raise ValueError(f"{pi.steps!r} has a D step; only a Dyck path has a graph")
-        g = IndiffGraph(pi.size, area(pi))
-        g._set(_h=pi.h)
-        pi._set(_graph=g)
-    return pi._graph
-
-
-def _hessenberg_function(n: int, edges: Iterable[Edge]) -> tuple[int, ...]:
-    """h_j for each column j of [n]: (the least i with {i, j} in E) - 1, or j - 1
-    when column j has no edge.  A matrix of the pattern algebra of gamma, zero
-    on and below the diagonal and at every edge, may be nonzero in column j
-    only in rows 1..h_j.  h is nondecreasing: edges are closed under sub-intervals."""
+def path_of_graph(n: int, edges: Iterable[Edge]) -> SchroderPath:
+    """The Dyck path of the indifference graph on [n] with these edges, each a pair
+    in either order, refused if an edge is a loop or has an end outside [n], and
+    then if the edges are not closed under intervals.  h_j is the least i with
+    {i, j} an edge, less 1, or j - 1 when column j has none: the edges are closed
+    exactly when they fill every column above its h_j and h is nondecreasing."""
+    es = frozenset(tuple(sorted(e)) for e in edges)
+    bad = min((e for e in es if not 1 <= e[0] < e[1] <= n), default=None)
+    if bad is not None:
+        raise ValueError(f"edge {bad} is a loop" if bad[0] == bad[1] else
+                         f"edge {bad} has an end outside [{n}]")
     h = list(range(n))
-    for i, j in edges:
+    for i, j in es:
         h[j - 1] = min(h[j - 1], i - 1)
-    return tuple(h)
-
-
-@lru_cache(maxsize=None)
-def indifference_graphs(n: int) -> tuple[IndiffGraph, ...]:
-    """All indifference graphs on [n], generated through the Dyck path bijection."""
-    return tuple(graph_of(pi) for pi in gen_dyck(n))
+    if len(es) != sum(j - x for j, x in enumerate(h)) or any(map(gt, h, h[1:])):
+        raise ValueError(f"edge set {sorted(es)} on [{n}] is not interval-closed")
+    return DyckPath(_tall_path(tuple(h)))
 
 
 def mesa(pi: SchroderPath) -> SchroderPath:

@@ -8,11 +8,12 @@ bytes.translate reduces the result mod q or reads off its zero pattern.  No
 byte carries while n(q-1)^2 < 256; past that the kernel raises, and nothing
 that the guards admit comes near it.
 
-Superclasses are indifference graphs, each one a Hessenberg function h ({i, l}
-an edge iff h_l < i < l): element labels, fixed cosets and class functions are
-all read off h, the last as signed sums of upsets in one table per n, `_lattice`.
-A graph carries its h, and a tall path its (h, D), h that of Area u Diag and D
-its Diag columns; the class functions read them there and build no edge set.
+Superclasses are indifference graphs, each indexed by its Dyck path and read as
+the path's Hessenberg function h ({i, l} an edge iff h_l < i < l): element
+labels, fixed cosets and class functions are all read off h, the last as signed
+sums of upsets in one table per n, `_lattice`.  A tall path carries (h, D), h
+that of Area u Diag and D its Diag columns, a Dyck path with D empty; the class
+functions read them there and build no edge set.
 
 One kernel counts on GL_n: a depth-first walk of the Springer fibre of J_lam - 1
 per (lam, q), through `_Packed.eliminate`, the one row reduction, tallies the
@@ -38,13 +39,12 @@ from typing import Iterable, Iterator
 
 from .combinatorics import (
     Frozen,
-    IndiffGraph,
     Partition,
     SchroderPath,
     _between,
     _corners,
     _partitions,
-    indifference_graphs,
+    gen_dyck,
 )
 from .guards import require, require_power, require_sweep
 
@@ -194,10 +194,10 @@ def ut_elements(n: int, q: int) -> Iterator[int]:
 
 @lru_cache(maxsize=None)
 def _lattice(n: int) -> tuple[tuple[tuple[int, ...], ...], dict, tuple[tuple[int, ...], ...]]:
-    """The h of each graph on [n] in the order of indifference_graphs(n), the
+    """The h of each Dyck path of size n in the order of gen_dyck(n), the
     position of each h, and the upset of each position: the positions of the
-    graphs that contain it, every nondecreasing x <= h (Stanley, EC1 3.9)."""
-    hs = tuple(g.h for g in indifference_graphs(n))  # refused past MAX_PATH_N
+    graphs that contain its graph, every nondecreasing x <= h (Stanley, EC1 3.9)."""
+    hs = tuple(pi.h for pi in gen_dyck(n))  # refused past MAX_PATH_N
     pos = {h: i for i, h in enumerate(hs)}
     return hs, pos, tuple(tuple(pos[x] for x in _between((0,) * n, h)) for h in hs)
 
@@ -217,12 +217,13 @@ def _label(zeros: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def superclass_sizes(n: int, q: int) -> dict[IndiffGraph, int]:
-    """|UT_gamma^o| for every gamma in IG_n, the u labeled h(gamma): by `_label`'s recurrence,
-    column j is 0 below row h_j, free above it, and nonzero at h_j if h_j > h_{j-1}."""
+def superclass_sizes(n: int, q: int) -> dict[SchroderPath, int]:
+    """|UT_gamma^o| for the graph gamma of every Dyck path of size n, the u labeled h:
+    by `_label`'s recurrence, column j is 0 below row h_j, free above it, and
+    nonzero at h_j if h_j > h_{j-1}."""
     _check_q(q)
-    return {g: prod((q - 1) * q ** (x - 1) if x > y else q ** x for x, y in zip(g.h, (0,) + g.h))
-            for g in indifference_graphs(n)}  # refused past MAX_PATH_N
+    return {pi: prod((q - 1) * q ** (x - 1) if x > y else q ** x for x, y in zip(pi.h, (0,) + pi.h))
+            for pi in gen_dyck(n)}  # refused past MAX_PATH_N
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +261,11 @@ class _ClassFn(Frozen):
 
 
 class ClassFnUT(_ClassFn):
-    """Superclass function of UT_n(F_q): one value per indifference graph, in
-    the order of indifference_graphs(n)."""
+    """Superclass function of UT_n(F_q): one value per indifference graph, keyed by
+    its Dyck path, in the order of gen_dyck(n)."""
 
     __slots__ = ()
-    _keys = staticmethod(indifference_graphs)
+    _keys = staticmethod(gen_dyck)
 
 
 class UnipClassFn(_ClassFn):
@@ -294,23 +295,24 @@ def _lowered(h: tuple[int, ...], cols: Iterable[int], q: int) -> list[tuple[tupl
     return out
 
 
-def chi_bar(gamma: IndiffGraph, q: int) -> ClassFnUT:
-    """Permutation character of UT_n on UT_n/UT_gamma: q^{|E|} times the indicator of UT_gamma."""
+def chi_bar(pi: SchroderPath, q: int) -> ClassFnUT:
+    """Permutation character of UT_n on UT_n/UT_gamma, gamma the graph of a Dyck
+    path: q^{|E|} times the indicator of UT_gamma."""
     _check_q(q)
-    _lattice(gamma.n)  # refused past MAX_PATH_N, before gamma.h is read
-    return _upset_sum(gamma.n, q, _lowered(gamma.h, (), q))
+    _lattice(pi.size)  # refused past MAX_PATH_N, before q^{|E|} is built
+    return _upset_sum(pi.size, q, _lowered(pi.h, (), q))
 
 
-def chi_super(gamma: IndiffGraph, q: int) -> ClassFnUT:
-    """Supercharacter attached to gamma, the Moebius inversion of chi_bar:
-    sum of mu(sigma, gamma) chi_bar(sigma) over sigma <= gamma.
+def chi_super(pi: SchroderPath, q: int) -> ClassFnUT:
+    """Supercharacter attached to the graph gamma of a Dyck path, the Moebius
+    inversion of chi_bar: sum of mu(sigma, gamma) chi_bar(sigma) over sigma <= gamma.
 
     mu(sigma, gamma) = (-1)^{|S|} when sigma is gamma less a set S of its
     corners, and 0 otherwise (Stanley, EC1 3.9), so the sum has
     2^{#corners} <= 2^{n-1} terms, h(gamma) moved up by 1 in the columns of S."""
     _check_q(q)
-    _lattice(gamma.n)  # refused past MAX_PATH_N, before gamma.h is read
-    return _upset_sum(gamma.n, q, _lowered(gamma.h, _corners(gamma.h), q))
+    _lattice(pi.size)  # refused past MAX_PATH_N, before the 2^{#corners} terms are built
+    return _upset_sum(pi.size, q, _lowered(pi.h, _corners(pi.h), q))
 
 
 @lru_cache(maxsize=None)
@@ -382,7 +384,7 @@ def induce_to_GL(phi: ClassFnUT) -> UnipClassFn:
 @lru_cache(maxsize=None)
 def _column_ranks(n: int) -> tuple[tuple[int | None, ...], ...]:
     """For the superclass representative a = u - 1 of each delta, in the order of
-    indifference_graphs(n), and each column j and m < j in turn: the rank of
+    gen_dyck(n), and each column j and m < j in turn: the rank of
     rows m+1..j-1 of the first j-1 columns of a, or None when column j's rows
     m+1..j-1 are not in their span.  a is 1 at every non-edge above the
     diagonal, so column c of a is 1 on rows 1..h_c and 0 below, h the Hessenberg
@@ -395,8 +397,9 @@ def _column_ranks(n: int) -> tuple[tuple[int | None, ...], ...]:
                  for h in _lattice(n)[0])  # refused past MAX_PATH_N
 
 
-def permutation_character_oracle(gamma: IndiffGraph, q: int) -> ClassFnUT:
-    """Character of UT_n acting on UT_n/UT_gamma, counted column by column.
+def permutation_character_oracle(pi: SchroderPath, q: int) -> ClassFnUT:
+    """Character of UT_n acting on UT_n/UT_gamma, gamma the graph of a Dyck path,
+    counted column by column.
 
     Independent of the chi_bar formula; used to verify it.  x UT_gamma is fixed
     by u iff x^{-1} a x lies in the pattern algebra of gamma, a = u - 1, that is
@@ -407,12 +410,12 @@ def permutation_character_oracle(gamma: IndiffGraph, q: int) -> ClassFnUT:
     once per n by _column_ranks.
     """
     _check_q(q)
-    cells = [j * (j + 1) // 2 + m for j, m in enumerate(gamma.h)]
-    edges = len(gamma.edges)
+    cells = [j * (j + 1) // 2 + m for j, m in enumerate(pi.h)]
+    edges = sum(j - m for j, m in enumerate(pi.h))
     # itemgetter returns a tuple from two keys on; n = 0 and n = 1 have fewer
     read = itemgetter(*cells) if len(cells) > 1 else lambda ranks: [ranks[c] for c in cells]
-    return ClassFnUT(gamma.n, q, tuple(0 if None in rs else q ** (edges - sum(rs))
-                                       for rs in map(read, _column_ranks(gamma.n))))
+    return ClassFnUT(pi.size, q, tuple(0 if None in rs else q ** (edges - sum(rs))
+                                       for rs in map(read, _column_ranks(pi.size))))
 
 
 @lru_cache(maxsize=None)
@@ -512,15 +515,16 @@ def nilpotent_type(digits: str, n: int, q: int) -> Partition:
                          f"got {k.unpack(a)}") from None
 
 
-def hessenberg_count(gamma: IndiffGraph, lam: Partition, q: int) -> int:
+def hessenberg_count(pi: SchroderPath, lam: Partition, q: int) -> int:
     """Number of flags gB with g^{-1} a g strictly upper and zero at the edges of
-    gamma, for a nilpotent a over F_q with 1 + a of Jordan type lam.
+    gamma, the graph of a Dyck path, for a nilpotent a over F_q with 1 + a of
+    Jordan type lam.
 
-    That is a V_j in V_{m_j} for every j, m = gamma.h the Hessenberg function: the
+    That is a V_j in V_{m_j} for every j, m = pi.h the Hessenberg function: the
     flags of the Springer fibre with mu <= m.  g -> h g maps the flags of a onto
     those of h^{-1} a h, so every such a reads the walk of J_lam - 1."""
-    n = gamma.n
+    n = pi.size
     require_fibres(n, q)  # before any matrix is built
     if lam not in _partitions(n):
         raise ValueError(f"Jordan type {lam} is not a partition of n = {n}")
-    return sum(c for mu, c in _springer_fibre(lam, q).items() if all(map(le, mu, gamma.h)))
+    return sum(c for mu, c in _springer_fibre(lam, q).items() if all(map(le, mu, pi.h)))

@@ -15,16 +15,20 @@ the perturbed sides need.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping
 
-from chromaq.combinatorics import IndiffGraph, indifference_graphs
+from chromaq.combinatorics import SchroderPath, area, gen_dyck
 from chromaq.fqoracle import ClassFnUT, _check_q, superclass_sizes, ut_order
 
 # every chromaq name this oracle imports, with its reason; a kernel that the
 # package's own path also runs on names, as (reason, test), the test that checks it alone
 CHROMAQ_IMPORTS = {
-    "combinatorics.IndiffGraph": "a value type",
-    "combinatorics.indifference_graphs": "the graphs on [n], a listing",
+    "combinatorics.SchroderPath": "a value type",
+    "combinatorics.area": ("the edges of the graph of a Dyck path, which the package's "
+                           "coloring and Hessenberg sides read too",
+                           "tests/test_combinatorics.py::test_tall_paths_read_h_and_d_as_the_cell_walk_does"),
+    "combinatorics.gen_dyck": "the graphs on [n], a listing of their Dyck paths",
     "fqoracle.ClassFnUT": "the value type of a class function",
     "fqoracle._check_q": "the field-size guard",
     "fqoracle.superclass_sizes": ("the weights of the inner product; the package's compute "
@@ -57,22 +61,28 @@ def fn_scale(f, c):
     return type(f)(f.n, f.q, tuple(v * c for v in f.values))
 
 
-def upset_sum_by_scan(n: int, q: int, terms: Iterable[tuple[IndiffGraph, int]]) -> ClassFnUT:
+@lru_cache(maxsize=None)
+def _edge_sets(n: int) -> tuple[frozenset, ...]:
+    """The edge set of each graph on [n], the area of its Dyck path, in the order of gen_dyck(n)."""
+    return tuple(area(g) for g in gen_dyck(n))
+
+
+def upset_sum_by_scan(n: int, q: int, terms: Iterable[tuple[SchroderPath, int]]) -> ClassFnUT:
     """sum of c * (indicator of the graphs containing gamma) over (gamma, c) in terms."""
-    graphs = indifference_graphs(n)
-    acc = [0] * len(graphs)
+    edges = _edge_sets(n)
+    acc = [0] * len(edges)
     for gamma, c in terms:
-        e = gamma.edges
-        for i, g in enumerate(graphs):
-            if e <= g.edges:
+        e = area(gamma)
+        for i, es in enumerate(edges):
+            if e <= es:
                 acc[i] += c
     return ClassFnUT(n, q, tuple(acc))
 
 
-def delta_bar(gamma: IndiffGraph, q: int) -> ClassFnUT:
+def delta_bar(gamma: SchroderPath, q: int) -> ClassFnUT:
     """Indicator of UT_gamma: 1 on superclasses sigma with E(sigma) >= E(gamma)."""
     _check_q(q)
-    return upset_sum_by_scan(gamma.n, q, [(gamma, 1)])
+    return upset_sum_by_scan(gamma.size, q, [(gamma, 1)])
 
 
 def inner_product_UT(phi: ClassFnUT, psi: ClassFnUT) -> Fraction:

@@ -15,7 +15,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterable
 
-from chromaq.combinatorics import Edge, IndiffGraph, Partition, gen_partitions
+from chromaq.combinatorics import Edge, Partition, SchroderPath, area, gen_partitions
 from chromaq.exactnum import LaurentPoly
 from chromaq.symfunc import SymFunc
 from orbit_oracle import multiset_perms
@@ -24,17 +24,19 @@ from orbit_oracle import multiset_perms
 # package's own path also runs on names, as (reason, test), the test that checks it alone
 CHROMAQ_IMPORTS = {
     "combinatorics.Edge": "a type name",
-    "combinatorics.IndiffGraph": "a value type",
     "combinatorics.Partition": "a type name",
+    "combinatorics.SchroderPath": "a value type",
+    "combinatorics.area": ("the edges of the graph of a Dyck path, which csf colors too",
+                           "tests/test_combinatorics.py::test_tall_paths_read_h_and_d_as_the_cell_walk_does"),
     "combinatorics.gen_partitions": "the contents mu, a listing",
     "exactnum.LaurentPoly": "the value type of the coefficients",
     "symfunc.SymFunc": "the value type of the result",
 }
 
 
-def asc(gamma: IndiffGraph, kappa: tuple[int, ...]) -> int:
+def asc(gamma: SchroderPath, kappa: tuple[int, ...]) -> int:
     """Number of edges {i,j}, i < j, with kappa(i) < kappa(j)."""
-    return sum(1 for i, j in gamma.edges if kappa[i - 1] < kappa[j - 1])
+    return sum(1 for i, j in area(gamma) if kappa[i - 1] < kappa[j - 1])
 
 
 @lru_cache(maxsize=None)

@@ -38,7 +38,14 @@ from functools import lru_cache
 from itertools import chain, permutations, product
 from typing import Callable, Iterable, Iterator
 
-from chromaq.combinatorics import IndiffGraph, Partition, gen_partitions, indifference_graphs
+from chromaq.combinatorics import (
+    Partition,
+    SchroderPath,
+    area,
+    gen_dyck,
+    gen_partitions,
+    path_of_graph,
+)
 from chromaq.fqoracle import (
     ClassFnUT,
     UnipClassFn,
@@ -54,10 +61,15 @@ from chromaq.guards import require_sweep
 # every chromaq name this oracle imports, with its reason; a kernel that the
 # package's own path also runs on names, as (reason, test), the test that checks it alone
 CHROMAQ_IMPORTS = {
-    "combinatorics.IndiffGraph": "a value type",
     "combinatorics.Partition": "a type name",
+    "combinatorics.SchroderPath": "a value type",
+    "combinatorics.area": ("the edges of the graph of a Dyck path, whose pattern algebra "
+                           "the sweeps test; the package's Hessenberg side reads its h",
+                           "tests/test_combinatorics.py::test_tall_paths_read_h_and_d_as_the_cell_walk_does"),
+    "combinatorics.gen_dyck": "the graphs on [n], a listing of their Dyck paths",
     "combinatorics.gen_partitions": "the Jordan types, a listing",
-    "combinatorics.indifference_graphs": "the graphs on [n], a listing",
+    "combinatorics.path_of_graph": ("the Dyck path of a label's edge set, a key of the table",
+                                    "tests/test_combinatorics.py::test_graphs_record_the_hessenberg_function_of_their_edges"),
     "fqoracle.ClassFnUT": "the value type of a class function",
     "fqoracle.UnipClassFn": "the value type of an induced class function",
     "fqoracle._check_q": "the field-size guard",
@@ -350,18 +362,18 @@ def _conjugate_masks(sweep: Callable[[int, int], Iterator[int]], n: int, q: int,
     return out
 
 
-def _pattern_counts(tallies: Iterable[Counter], gamma: IndiffGraph) -> list[int]:
+def _pattern_counts(tallies: Iterable[Counter], gamma: SchroderPath) -> list[int]:
     """For each tally, how many conjugates lie in the pattern algebra of gamma:
     zero on and below the diagonal and at every edge of gamma."""
-    n = gamma.n
+    n = gamma.size
     e = sum(1 << 8 * (i * n + j) for i in range(n) for j in range(i + 1))
-    e |= sum(1 << 8 * ((i - 1) * n + j - 1) for i, j in gamma.edges)
+    e |= sum(1 << 8 * ((i - 1) * n + j - 1) for i, j in area(gamma))
     return [sum(c for mask, c in masks.items() if mask & e == e) for masks in tallies]
 
 
-def _cosets(tallies: Iterable[Counter], gamma: IndiffGraph, q: int) -> tuple[int, ...]:
+def _cosets(tallies: Iterable[Counter], gamma: SchroderPath, q: int) -> tuple[int, ...]:
     """The pattern counts divided by |UT_gamma|: the x counted form UT_gamma cosets."""
-    sub_order = ut_order(gamma.n, q) // q ** len(gamma.edges)
+    sub_order = ut_order(gamma.size, q) // q ** len(area(gamma))
     out = []
     for count in _pattern_counts(tallies, gamma):
         if count % sub_order:
@@ -380,13 +392,13 @@ def _jordan_nilpotents(n: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _superclass_nilpotents(n: int) -> tuple[int, ...]:
     """u - 1 for a canonical u of each superclass, in the order of
-    indifference_graphs(n): a 1 at every non-edge above the diagonal.  The
+    gen_dyck(n): a 1 at every non-edge above the diagonal.  The
     label of u is read back by label_edges; another label raises."""
     one, out = pack(mat_identity(n)), []
-    for g in indifference_graphs(n):
+    for g in gen_dyck(n):
         a = sum(1 << 8 * (i * n + j) for i in range(n) for j in range(i + 1, n)
-                if (i + 1, j + 1) not in g.edges)
-        if label_edges(unpack(one + a, n), n) != g.edges:
+                if (i + 1, j + 1) not in area(g))
+        if label_edges(unpack(one + a, n), n) != area(g):
             raise AssertionError(f"the superclass representative of {g} has another label")
         out.append(a)
     return tuple(out)
@@ -419,34 +431,34 @@ def column_ranks_by_elimination(n: int, q: int) -> tuple[tuple[int | None, ...],
     return tuple(out)
 
 
-def coset_permutation_character(gamma: IndiffGraph, q: int) -> ClassFnUT:
+def coset_permutation_character(gamma: SchroderPath, q: int) -> ClassFnUT:
     """The character of UT_n on UT_n/UT_gamma by direct coset counting: x UT_gamma
     is fixed by u iff x^{-1} (u - 1) x lies in the pattern algebra of gamma.
     Refused past MAX_SWEEP before any representative is built."""
-    n = gamma.n
+    n = gamma.size
     _check_q(q)
     require_sweep(f"UT_{n}(F_{q})", ut_order(n, q))
     tallies = _conjugate_masks(ut_elements, n, q, _superclass_nilpotents(n))
     return ClassFnUT(n, q, _cosets(tallies, gamma, q))
 
 
-def hessenberg_sweep(gamma: IndiffGraph, lam: Partition, q: int) -> int:
+def hessenberg_sweep(gamma: SchroderPath, lam: Partition, q: int) -> int:
     """The Hessenberg count of J_lam - 1 by a sweep of every flag: how many
     flags gB put g^{-1} (J_lam - 1) g in the pattern algebra of gamma."""
-    n = gamma.n
+    n = gamma.size
     require_flags(n, q)
     tallies = _conjugate_masks(flag_reps, n, q, _jordan_nilpotents(n))
     return _pattern_counts([tallies[gen_partitions(n).index(lam)]], gamma)[0]
 
 
-def induce_trivial_from_subgroup(gamma: IndiffGraph, q: int) -> UnipClassFn:
+def induce_trivial_from_subgroup(gamma: SchroderPath, q: int) -> UnipClassFn:
     """One-step induction of the trivial character of UT_gamma straight to GL_n.
 
     Independent oracle for transitivity of induction: sweeps GL_n and counts
     the x with x^{-1} J_lam x in UT_gamma by direct membership tests, with no
     superclass machinery involved.
     """
-    n = gamma.n
+    n = gamma.size
     _check_q(q)
     tallies = _conjugate_masks(gl_elements, n, q, _jordan_nilpotents(n))
     return UnipClassFn(n, q, _cosets(tallies, gamma, q))
@@ -506,9 +518,9 @@ def label_edges(u: Rows, n: int) -> frozenset[tuple[int, int]]:
 
 def induction_table(n: int, q: int) -> dict[Partition, tuple[int, ...]]:
     """The induction table from one sweep of UT_n, through the tuple kernels: for
-    each Jordan type, how many u have it, per graph of indifference_graphs(n)."""
+    each Jordan type, how many u have it, per graph of gen_dyck(n)."""
     raw: dict[Partition, Counter] = {lam: Counter() for lam in gen_partitions(n)}
     for u in ut_rows(n, q):
-        raw[jordan_type(u, q)][IndiffGraph(n, label_edges(u, n))] += 1
-    graphs = indifference_graphs(n)
+        raw[jordan_type(u, q)][path_of_graph(n, label_edges(u, n))] += 1
+    graphs = gen_dyck(n)
     return {lam: tuple(labs[g] for g in graphs) for lam, labs in raw.items()}

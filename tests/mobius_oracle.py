@@ -13,17 +13,22 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from chromaq.combinatorics import IndiffGraph, indifference_graphs
+from chromaq.combinatorics import SchroderPath, area, gen_dyck, path_of_graph
 
 # every chromaq name this oracle imports, with its reason; a kernel that the
 # package's own path also runs on names, as (reason, test), the test that checks it alone
 CHROMAQ_IMPORTS = {
-    "combinatorics.IndiffGraph": "a value type",
-    "combinatorics.indifference_graphs": "the graphs on [n], a listing",
+    "combinatorics.SchroderPath": "a value type",
+    "combinatorics.area": ("the edges of the graph of a Dyck path, which the package's "
+                           "class functions never read",
+                           "tests/test_combinatorics.py::test_tall_paths_read_h_and_d_as_the_cell_walk_does"),
+    "combinatorics.gen_dyck": "the graphs on [n], a listing of their Dyck paths",
+    "combinatorics.path_of_graph": ("the Dyck path of each graph below gamma",
+                                    "tests/test_combinatorics.py::test_graphs_record_the_hessenberg_function_of_their_edges"),
 }
 
 
-def mobius_subgraph(gamma: IndiffGraph) -> dict[IndiffGraph, int]:
+def mobius_subgraph(gamma: SchroderPath) -> dict[SchroderPath, int]:
     """Moebius function mu(sigma, gamma) at the indifference graphs sigma <= gamma
     where it is nonzero.
 
@@ -32,16 +37,17 @@ def mobius_subgraph(gamma: IndiffGraph) -> dict[IndiffGraph, int]:
     when sigma is gamma less a set S of its corners, the edges (i, j) with
     neither (i-1, j) nor (i, j+1) an edge, and 0 otherwise (Stanley, EC1 3.9).
     """
-    e = gamma.edges
+    e = area(gamma)
     corners = [(i, j) for i, j in e if (i - 1, j) not in e and (i, j + 1) not in e]
-    return {IndiffGraph(gamma.n, e.difference(s)): (-1) ** k
+    return {path_of_graph(gamma.size, e.difference(s)): (-1) ** k
             for k in range(len(corners) + 1) for s in combinations(corners, k)}
 
 
-def mobius_dense(gamma: IndiffGraph) -> dict[IndiffGraph, int]:
+def mobius_dense(gamma: SchroderPath) -> dict[SchroderPath, int]:
     """mu(sigma, gamma) for every indifference graph sigma <= gamma."""
-    elems = [g for g in indifference_graphs(gamma.n) if g.edges <= gamma.edges]
-    elems.sort(key=lambda g: (len(g.edges), g.sorted_edges()))
+    edges = {g: area(g) for g in gen_dyck(gamma.size)}
+    elems = [g for g, e in edges.items() if e <= edges[gamma]]
+    elems.sort(key=lambda g: (len(edges[g]), sorted(edges[g])))
     if elems[-1] != gamma:
         raise AssertionError(f"{gamma} is not the top of its interval")
     # zeta[i][k] = 1 iff elems[i] <= elems[k] is unitriangular in this order, so
@@ -49,6 +55,6 @@ def mobius_dense(gamma: IndiffGraph) -> dict[IndiffGraph, int]:
     mu = [0] * len(elems)
     mu[-1] = 1
     for i in range(len(elems) - 2, -1, -1):
-        e = elems[i].edges
-        mu[i] = -sum(mu[k] for k in range(i + 1, len(elems)) if e <= elems[k].edges)
+        e = edges[elems[i]]
+        mu[i] = -sum(mu[k] for k in range(i + 1, len(elems)) if e <= edges[elems[k]])
     return dict(zip(elems, mu))

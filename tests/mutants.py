@@ -139,17 +139,36 @@ MUTANTS = (
            "g = 1 if d[-1] > 0 else -1",
            ("tests/test_exactnum.py::test_ratfunc_canonical_form_over_z",),
            "a RationalFunc keeps the integer content of num and den"),
-    # paths and graphs on one value base, one path constructor; no check divides
+    # a graph is its Dyck path, on one value base with one path constructor; no check divides
     Mutant("dyck-path-admits-d", "combinatorics.py",
            "bad = next((s for s in steps if s not in \"ES\"), None)",
            "bad = next((s for s in steps if s not in \"ESD\"), None)",
            (COMBINATORICS_TESTS + "test_invalid_paths_rejected",),
            "DyckPath reads a D step"),
-    Mutant("graph-of-records-a-wrong-h", "combinatorics.py",
-           "g._set(_h=pi.h)",
-           "g._set(_h=tuple(range(pi.size)))",
+    Mutant("path-of-graph-reads-max-i", "combinatorics.py",
+           "h[j - 1] = min(h[j - 1], i - 1)",
+           "h[j - 1] = i - 1 if h[j - 1] == j - 1 else max(h[j - 1], i - 1)",
            (COMBINATORICS_TESTS + "test_graphs_record_the_hessenberg_function_of_their_edges",),
-           "graph_of records the h of the empty graph"),
+           "path_of_graph reads h_j off the largest i with {i, j} an edge, not the least"),
+    Mutant("json-reader-skips-its-guard", "cli.py",
+           "    guard(n)\n    return path_of_graph(n, edges)",
+           "    return path_of_graph(n, edges)",
+           ("tests/test_bridge.py::test_cli_guards_a_json_graph_before_its_path_is_built",
+            "tests/test_bridge.py::"
+            "test_a_fresh_process_exits_one_on_a_failing_check_and_two_on_a_refusal"),
+           "a JSON graph's path is built before the verb's guard reads its n"),
+    Mutant("csf-drops-differ", "chromallt.py",
+           "return _color_sum(pi.size, edges, differ=edges)",
+           "return _color_sum(pi.size, edges)",
+           ("tests/test_chromallt.py::test_csf_path3_worked_example",
+            "tests/test_chromallt.py::test_color_classes_match_the_vertex_kernel"),
+           "X_gamma sums over every coloring, proper or not"),
+    Mutant("superclass-sort-drops-count", "cli.py",
+           "key=lambda pi: (len(edges[pi]), edges[pi])",
+           "key=lambda pi: edges[pi]",
+           ("tests/test_bridge.py::"
+            "test_cli_superclass_sizes_list_the_graphs_by_edge_count_then_edges",),
+           "compute superclass-sizes lists the graphs by their edges alone"),
     Mutant("frozen-eq-ignores-the-type", "combinatorics.py",
            "if type(other) is not type(self):",
            "if not isinstance(other, Frozen):",
@@ -176,16 +195,16 @@ def _side(check: str, side: str, old: str, new: str, why: str) -> Mutant:
 
 # one per side of each check: the verify runs every check at n = 4, q = 3
 CHECK_SIDES = (
-    _side("check_cqs", "lhs", "induce_to_GL(chi_bar(gamma, q))",
-          "induce_to_GL(chi_super(gamma, q))", "the supercharacter induced in place of chi_bar"),
-    _side("check_cqs", "rhs", "eval_t(csf(gamma), q).scale((q - 1) ** n *",
-          "eval_t(csf(gamma), q).scale((q - 1) ** (n - 1) *", "X_gamma times (q-1)^{n-1}"),
-    _side("check_hess", "lhs", "induction_table(n, q)[lam], chi_bar(gamma, q).values",
-          "induction_table(n, q)[lam], chi_super(gamma, q).values",
+    _side("check_cqs", "lhs", "induce_to_GL(chi_bar(pi, q))",
+          "induce_to_GL(chi_super(pi, q))", "the supercharacter induced in place of chi_bar"),
+    _side("check_cqs", "rhs", "eval_t(csf(pi), q).scale((q - 1) ** n *",
+          "eval_t(csf(pi), q).scale((q - 1) ** (n - 1) *", "X_gamma times (q-1)^{n-1}"),
+    _side("check_hess", "lhs", "induction_table(n, q)[lam], chi_bar(pi, q).values",
+          "induction_table(n, q)[lam], chi_super(pi, q).values",
           "the sweep dotted with the supercharacter"),
     _side("check_hess", "rhs", "ut_order(n, q) * (q - 1) ** n",
           "ut_order(n, q) * (q - 1) ** (n - 1)", "the point count times (q-1)^{n-1}"),
-    _side("check_poincare", "lhs", "lambda item: q ** len(item[0].edges) * hessenberg_count(",
+    _side("check_poincare", "lhs", "lambda item: q ** len(area(item[0])) * hessenberg_count(",
           "lambda item: hessenberg_count(", "the point count without q^{|E|}"),
     _side("check_poincare", "rhs", "d(item[0]).get(item[1], ZERO)",
           "d(item[0]).get(item[1][::-1], ZERO)", "d_lam read at lam's parts reversed"),
@@ -198,16 +217,16 @@ CHECK_SIDES = (
           "_twist(llt_vertical(sigma), q, 0)", "G_sigma twisted without (q-1)^{|Diag|}"),
     _side("check_mesa", "lhs", "lambda pi: psi_pseudo(mesa(pi), q)",
           "lambda pi: psi_pseudo(pi, q)", "psi of the Dyck path, not of its mesa"),
-    _side("check_mesa", "rhs", "lambda pi: chi_super(graph_of(pi), q)",
-          "lambda pi: chi_bar(graph_of(pi), q)", "chi_bar in place of the supercharacter"),
+    _side("check_mesa", "rhs", "lambda pi: chi_super(pi, q)",
+          "lambda pi: chi_bar(pi, q)", "chi_bar in place of the supercharacter"),
     _side("check_psi_decomp", "lhs", "lambda sigma: psi_pseudo(sigma, q), rhs)",
           "lambda sigma: psi_pseudo(mesa(sigma), q), rhs)", "psi of the mesa path"),
-    _side("check_psi_decomp", "rhs", "return {g.h: chi_super(g, q).values",
-          "return {g.h: chi_bar(g, q).values", "chi_bar summed over the interval"),
-    _side("check_permtoind", "lhs", "lambda gamma: chi_bar(gamma, q),",
-          "lambda gamma: chi_super(gamma, q),", "the supercharacter in place of chi_bar"),
-    _side("check_permtoind", "rhs", "permutation_character_oracle(gamma, q)",
-          "permutation_character_oracle(graph_of(gen_dyck(n)[0]), q)",
+    _side("check_psi_decomp", "rhs", "return {pi.h: chi_super(pi, q).values",
+          "return {pi.h: chi_bar(pi, q).values", "chi_bar summed over the interval"),
+    _side("check_permtoind", "lhs", "lambda pi: chi_bar(pi, q),",
+          "lambda pi: chi_super(pi, q),", "the supercharacter in place of chi_bar"),
+    _side("check_permtoind", "rhs", "permutation_character_oracle(pi, q)",
+          "permutation_character_oracle(gen_dyck(n)[0], q)",
           "the permutation character of the empty graph"),
     _side("check_as", "lhs", "expand_in_basis(as_expansion(sigma), \"M\"), llt_vertical)",
           "expand_in_basis(as_expansion(mesa(sigma)), \"M\"), llt_vertical)",
@@ -218,11 +237,11 @@ CHECK_SIDES = (
           ".scale(t_minus_one_power(n - 1))", "X times (t-1)^{n-1}"),
     _side("check_cm", "rhs", "lambda pi: plethysm_mul(llt_vertical(pi))",
           "lambda pi: plethysm_mul(omega(llt_vertical(pi)))", "the plethysm of omega G_pi"),
-    _side("check_palindromic", "lhs", "c.subs_inv(len(gamma.edges))",
-          "c.subs_inv(len(gamma.edges) + 1)", "X(x; 1/t) times t^{|E|+1}"),
+    _side("check_palindromic", "lhs", "k=len(area(pi)): c.subs_inv(k)",
+          "k=len(area(pi)) + 1: c.subs_inv(k)", "X(x; 1/t) times t^{|E|+1}"),
     _side("check_palindromic", "rhs", "\n                 csf)\n",
           "\n                 lambda gamma: omega(csf(gamma)))\n", "omega X in place of X"),
-    _side("check_prop56", "lhs", "c.subs_inv(k))", "c.subs_inv(k + 1))",
+    _side("check_prop56", "lhs", "lambda c: c.subs_inv(k))", "lambda c: c.subs_inv(k + 1))",
           "part i: G_pi(x; 1/t) times t^{|Area|+1}"),
     _side("check_prop56", "rhs", "lambda pi: omega(llt_vertical(pi))",
           "lambda pi: llt_vertical(pi)", "part i: G_pi in place of omega G_pi"),

@@ -19,11 +19,11 @@ from chromaq.chromallt import _h_vector
 from chromaq.combinatorics import (
     Edge,
     Frozen,
-    IndiffGraph,
     Partition,
     SchroderPath,
     area,
     diag,
+    path_of_graph,
 )
 from chromaq.exactnum import LaurentPoly
 from chromaq.guards import require_sweep
@@ -37,7 +37,6 @@ CHROMAQ_IMPORTS = {
                             "tests/test_chromallt.py::test_one_pass_hrv_matches_the_graph_search"),
     "combinatorics.Edge": "a type name",
     "combinatorics.Frozen": "the immutable base of Orientation",
-    "combinatorics.IndiffGraph": "a value type",
     "combinatorics.Partition": "a type name",
     "combinatorics.SchroderPath": "a value type",
     "combinatorics.area": ("the edges a tall path orients, which as_expansion reads too",
@@ -46,26 +45,28 @@ CHROMAQ_IMPORTS = {
                            "tests/test_combinatorics.py::test_tall_paths_read_h_and_d_as_the_cell_walk_does"),
     "exactnum.LaurentPoly": "the value type of the coefficients",
     "guards.require_sweep": "the size guard of the oracle's enumeration",
+    "combinatorics.path_of_graph": ("the Dyck path of Area u Diag, the base of each orientation",
+                                    "tests/test_combinatorics.py::test_graphs_record_the_hessenberg_function_of_their_edges"),
     "symfunc.SymFunc": "the value type of the result",
 }
 
 
 class Orientation(Frozen):
     __slots__ = _fields = ("base", "arcs")
-    base: IndiffGraph
+    base: SchroderPath
     arcs: frozenset[Edge]
 
-    def __init__(self, base: IndiffGraph, arcs: frozenset[Edge]):
-        undirected = frozenset(tuple(sorted(a)) for a in arcs)
-        if undirected != base.edges or len(arcs) != len(base.edges):
+    def __init__(self, base: SchroderPath, arcs: frozenset[Edge]):
+        undirected, edges = frozenset(tuple(sorted(a)) for a in arcs), area(base)
+        if undirected != edges or len(arcs) != len(edges):
             raise ValueError("arcs do not orient the base edge set exactly")
         self._set(base, arcs)
 
 
-def orientations(gamma: IndiffGraph) -> list[Orientation]:
+def orientations(gamma: SchroderPath) -> list[Orientation]:
     """All 2^|E| orientations of gamma."""
-    require_sweep(f"the orientations of {len(gamma.edges)} edges", 2 ** len(gamma.edges))
-    es = gamma.sorted_edges()
+    require_sweep(f"the orientations of {len(area(gamma))} edges", 2 ** len(area(gamma)))
+    es = sorted(area(gamma))
     out = []
     for choice in itertools.product((0, 1), repeat=len(es)):
         arcs = frozenset((i, j) if c == 0 else (j, i) for (i, j), c in zip(es, choice))
@@ -92,7 +93,7 @@ def hrv(theta: Orientation, i: int) -> int:
 
 def type_of(theta: Orientation) -> Partition:
     """Partition of n recording the fiber sizes of the hrv map."""
-    n = theta.base.n
+    n = theta.base.size
     fibers: dict[int, int] = {}
     for i in range(1, n + 1):
         v = hrv(theta, i)
@@ -107,7 +108,7 @@ def as_expansion_walk(sigma: SchroderPath) -> SymFunc:
     d_edges = sorted(diag(sigma))
     require_sweep(f"the orientations of the {len(a_edges)} area edges of {sigma}",
                   2 ** len(a_edges))
-    gamma = IndiffGraph(n, frozenset(a_edges) | frozenset(d_edges))
+    gamma = path_of_graph(n, frozenset(a_edges) | frozenset(d_edges))
     counts: Counter[tuple[Partition, int]] = Counter()
     for choice in itertools.product((0, 1), repeat=len(a_edges)):
         arcs = set(d_edges)

@@ -31,7 +31,6 @@ from chromaq.combinatorics import (
     Partition,
     SchroderPath,
     gen_partitions,
-    graph_of,
     nstat,
     transpose,
 )
@@ -46,9 +45,8 @@ CHROMAQ_IMPORTS = {
                       "package's check_cm also reads",
                       "tests/test_chromallt.py::test_color_classes_match_the_vertex_kernel"),
     "combinatorics.Partition": "a type name",
-    "combinatorics.SchroderPath": "a type name",
+    "combinatorics.SchroderPath": "a type name: a Dyck path indexes X_gamma and G_pi",
     "combinatorics.gen_partitions": "the keys of every table, a listing",
-    "combinatorics.graph_of": "the graph of a listed Dyck path",
     "combinatorics.nstat": "n(lam), the power of t between P(x; 1/t) and PT",
     "combinatorics.transpose": "the conjugate partition of the s and e rows",
     "exactnum.ONE": "a value",
@@ -242,7 +240,7 @@ def cm_lhs(pi: SchroderPath) -> dict[Partition, LaurentPoly]:
     """
     n = pi.size
     to_p = inverted_from_monomials("P", n)
-    F = change(csf(graph_of(pi)).coeffs, lambda mu: to_p[mu].items())
+    F = change(csf(pi).coeffs, lambda mu: to_p[mu].items())
     F = plethysm_frac(F)
     scale = RationalFunc((T - 1) ** n)
     F = change({lam: c * scale for lam, c in F.items()},

@@ -28,15 +28,13 @@ from chromaq.bridge import (
 from chromaq.chromallt import csf, e_expansion_X, llt_vertical
 from chromaq.combinatorics import (
     DyckPath,
-    IndiffGraph,
     SchroderPath,
     area,
     diag,
     gen_dyck,
     gen_tall_schroder,
-    graph_of,
-    indifference_graphs,
     mesa,
+    path_of_graph,
 )
 from chromaq.exactnum import LaurentPoly
 from chromaq.fqoracle import (
@@ -65,7 +63,7 @@ def test_criterion_1_worked_examples():
     """Paper worked examples reproduce verbatim in under a second."""
     t0 = time.time()
 
-    X = csf(IndiffGraph(3, frozenset({(1, 2), (2, 3)})))
+    X = csf(path_of_graph(3, frozenset({(1, 2), (2, 3)})))
     assert X.coeffs == {(2, 1): T, (1, 1, 1): T * T + 4 * T + 1}
 
     G = llt_vertical(SchroderPath("EEDSS"))
@@ -76,7 +74,7 @@ def test_criterion_1_worked_examples():
     assert area(SchroderPath("EEDSS")) == frozenset({(1, 2), (2, 3)})
     assert diag(SchroderPath("EEDSS")) == frozenset({(1, 3)})
 
-    g4 = IndiffGraph(4, frozenset({(1, 2), (2, 3), (1, 3), (3, 4)}))
+    g4 = path_of_graph(4, frozenset({(1, 2), (2, 3), (1, 3), (3, 4)}))
     assert asc(g4, (2, 5, 1, 5)) == 2
 
     theta = Orientation(g4, frozenset({(2, 1), (1, 3), (3, 2), (3, 4)}))
@@ -88,9 +86,9 @@ def test_criterion_1_worked_examples():
     sigma = SchroderPath("EDESS")
     q = 2
     psi = psi_pseudo(sigma, q)
-    path3 = IndiffGraph(3, frozenset({(1, 2), (2, 3)}))
-    edge23 = IndiffGraph(3, frozenset({(2, 3)}))
-    edge12 = IndiffGraph(3, frozenset({(1, 2)}))
+    path3 = path_of_graph(3, frozenset({(1, 2), (2, 3)}))
+    edge23 = path_of_graph(3, frozenset({(2, 3)}))
+    edge12 = path_of_graph(3, frozenset({(1, 2)}))
     assert psi == fn_sum(chi_bar(path3, q), fn_scale(chi_bar(edge23, q), -1))
     assert psi == fn_sum(chi_super(edge12, q), chi_super(path3, q))
 
@@ -175,11 +173,11 @@ def test_criterion_9_property_suites():
     # bijection round trips
     for n in range(6):
         for pi in gen_dyck(n):
-            assert area_inverse(graph_of(pi).edges, n) == pi
+            assert area_inverse(area(pi), n) == pi
 
     # supercharacter orthogonality
     for q in (2, 3):
-        chis = {g: chi_super(g, q) for g in indifference_graphs(3)}
+        chis = {g: chi_super(g, q) for g in gen_dyck(3)}
         for g1, c1 in chis.items():
             for g2, c2 in chis.items():
                 ip = inner_product_UT(c1, c2)
@@ -192,7 +190,7 @@ def test_criterion_9_property_suites():
 
     # symmetry of every X and G coefficient table (construction asserts it)
     for n in range(6):
-        for g in indifference_graphs(n):
+        for g in gen_dyck(n):
             csf(g)
         for sigma in gen_tall_schroder(n):
             llt_vertical(sigma)
@@ -210,7 +208,7 @@ def test_criterion_9_property_suites():
     # e-positivity of X_gamma: open conjecture, observations reported only
     violations = []
     for n in range(1, 6):
-        for g in indifference_graphs(n):
+        for g in gen_dyck(n):
             _, bad = e_expansion_X(g)
             if bad:
                 violations.append((g, bad))

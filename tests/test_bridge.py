@@ -29,16 +29,14 @@ from chromaq.bridge import (
 )
 from chromaq.chromallt import csf, d_coeffs, llt_vertical
 from chromaq.combinatorics import (
-    IndiffGraph,
     SchroderPath,
     area,
     diag,
     gen_dyck,
     gen_partitions,
     gen_tall_schroder,
-    graph_of,
-    indifference_graphs,
     mesa,
+    path_of_graph,
     transpose,
 )
 from chromaq.exactnum import ZERO, LaurentPoly
@@ -50,6 +48,7 @@ from chromaq.fqoracle import (
     chi_super,
     induce_to_GL,
     psi_pseudo,
+    superclass_sizes,
 )
 from chromaq.guards import SizeGuardError
 from chromaq.symfunc import (
@@ -148,7 +147,7 @@ def test_p_one_and_p_brace1_match_the_symbolic_oracle():
     # omega (p_brace1)[x/(q-1)] has two oracles over Q, which agree
     for n, q in DEFAULT_GRID + [(4, 2)]:
         phis = [class_fn(UnipClassFn, n, q, {lam: 1}) for lam in gen_partitions(n)]
-        phis += [induce_to_GL(chi_bar(g, q)) for g in indifference_graphs(n)]
+        phis += [induce_to_GL(chi_bar(g, q)) for g in gen_dyck(n)]
         for phi in phis:
             assert p_brace1(phi) == symbolic_p_brace1(phi), (n, q, phi)
             assert three_step_p_one(phi) == symbolic_p_one(phi), (n, q, phi)
@@ -246,8 +245,8 @@ def test_p_brace1_zero():
 
 def test_p_brace1_linear():
     q = 2
-    a = induce_to_GL(chi_bar(IndiffGraph(3, frozenset({(1, 2)})), q))
-    b = induce_to_GL(chi_bar(IndiffGraph(3, frozenset()), q))
+    a = induce_to_GL(chi_bar(path_of_graph(3, frozenset({(1, 2)})), q))
+    b = induce_to_GL(chi_bar(path_of_graph(3, frozenset()), q))
     combo = fn_sum(fn_scale(a, 3), fn_scale(b, -2))
     lhs = scaled_p_brace1(combo)
     rhs = sym_sum(scaled_p_brace1(a).scale(RF(3)), scaled_p_brace1(b).scale(RF(-2)))
@@ -261,7 +260,7 @@ def test_p_one_two_code_paths_agree():
     # so the three steps (plethysm, then omega) equal omega first; the (q-1)x
     # plethysm through bridge's int table takes omega of either back to p_brace1
     q, to_p = 2, gauss_jordan_m_to("P", 3)
-    for gamma in indifference_graphs(3):
+    for gamma in gen_dyck(3):
         phi = induce_to_GL(chi_bar(gamma, q))
         a = three_step_p_one(phi)
         F = change(p_brace1(phi), lambda mu: to_p[mu].items())
@@ -275,8 +274,8 @@ def test_p_one_two_code_paths_agree():
 def test_p_one_linear():
     # the paper's map is linear: three_step_p_one reads p_brace1
     q = 3
-    a = induce_to_GL(chi_bar(IndiffGraph(2, frozenset({(1, 2)})), q))
-    b = induce_to_GL(chi_bar(IndiffGraph(2, frozenset()), q))
+    a = induce_to_GL(chi_bar(path_of_graph(2, frozenset({(1, 2)})), q))
+    b = induce_to_GL(chi_bar(path_of_graph(2, frozenset()), q))
     combo = fn_sum(fn_scale(a, 2), fn_scale(b, -7))
     fa, fb = three_step_p_one(a), three_step_p_one(b)
     want = {lam: 2 * fa.get(lam, 0) - 7 * fb.get(lam, 0) for lam in gen_partitions(2)}
@@ -320,13 +319,13 @@ def test_check_gg_n2_q3():
 
 
 def test_check_gg_is_refused_before_the_pseudosupercharacter_terms(monkeypatch):
-    # the staircase of size n has n - 1 D steps, 2^{n-1} terms, each an IndiffGraph
+    # the staircase of size n has n - 1 D steps, 2^{n-1} terms, each a Hessenberg function
     import chromaq.fqoracle as fq
 
     def no_term(*args):
         raise AssertionError("a term was built before the graphs on [n] were bounded")
 
-    monkeypatch.setattr(fq, "IndiffGraph", no_term)
+    monkeypatch.setattr(fq, "_lowered", no_term)
     with pytest.raises(SizeGuardError, match="the Springer fibres of F_2\\^21 visits at least 3,134,565"):
         check_gg(21, 2)
 
@@ -479,7 +478,7 @@ def test_the_caches_are_exactly_these():
         "bridge._plethysm_at_q", "bridge._pt_at_q", "bridge.d_coeffs", "bridge.supers",
         "chromallt.as_expansion", "chromallt.csf", "chromallt.llt_vertical",
         "combinatorics._partitions", "combinatorics.gen_dyck",
-        "combinatorics.gen_tall_schroder", "combinatorics.indifference_graphs",
+        "combinatorics.gen_tall_schroder",
         "exactnum.t_minus_one_power",
         "fqoracle._column_ranks", "fqoracle._fibre_size", "fqoracle._field",
         "fqoracle._lattice", "fqoracle._springer_fibre", "fqoracle.induce_to_GL",
@@ -719,11 +718,6 @@ def test_a_fresh_process_exits_one_on_a_failing_check_and_two_on_a_refusal():
         elapsed = time.perf_counter() - start
         assert (proc.returncode, proc.stderr) == (2, f"error: gen_dyck: n = {n} exceeds guard 8\n")
         assert elapsed < 0.5, (argv, elapsed)
-    # and a graph on [10^7] waits for them before chi_bar reads its h
-    start = time.perf_counter()
-    with pytest.raises(SizeGuardError, match="^gen_dyck: n = 10000000 exceeds guard 8$"):
-        chi_bar(IndiffGraph.from_json({"n": 10000000, "edges": [[1, 2]]}), 2)
-    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("check, n", [("check_palindromic", 7), ("check_cm", 6)])
@@ -747,7 +741,6 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
         chi_bar,
         hessenberg_count,
         induce_to_GL,
-        superclass_sizes,
         ut_elements,
         ut_order,
     )
@@ -788,9 +781,9 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
     monkeypatch.setattr(chromaq.symfunc, "_partitions", no_work)
     monkeypatch.setattr(orientation_oracle, "Orientation", no_work)
     # 17 edges on [7]: every {i, j} with j - i <= 3, and {1, 5}, {2, 6}
-    g17 = IndiffGraph(7, frozenset([(i, j) for i in range(1, 8) for j in range(i + 1, min(i + 4, 8))]
+    g17 = path_of_graph(7, frozenset([(i, j) for i in range(1, 8) for j in range(i + 1, min(i + 4, 8))]
                                    + [(1, 5), (2, 6)]))
-    assert len(g17.edges) == 17
+    assert len(area(g17)) == 17
     staircase = SchroderPath("E" * 7 + "S" * 7)
     assert len(area(staircase)) == 21
     # the sweeps and walks of the package and of the oracles refuse on the call,
@@ -801,18 +794,18 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
         (lambda: flag_reps(5, 3), "251,680"),
         (lambda: next(ut_rows(5, 5)), "9,765,625"),
         (lambda: next(flag_rows(5, 3)), "251,680"),
-        (lambda: induce_to_GL(chi_bar(IndiffGraph(6, []), 3)), "1,226,512"),
-        (lambda: coset_permutation_character(IndiffGraph(8, []), 7), f"{ut_order(8, 7):,}"),
-        (lambda: coset_permutation_character(IndiffGraph(16, []), 5), f"{ut_order(16, 5):,}"),
-        (lambda: hessenberg_sweep(IndiffGraph(5, []), (2, 1, 1, 1), 3), "251,680"),
+        (lambda: induce_to_GL(chi_bar(path_of_graph(6, []), 3)), "1,226,512"),
+        (lambda: coset_permutation_character(path_of_graph(8, []), 7), f"{ut_order(8, 7):,}"),
+        (lambda: coset_permutation_character(path_of_graph(16, []), 5), f"{ut_order(16, 5):,}"),
+        (lambda: hessenberg_sweep(path_of_graph(5, []), (2, 1, 1, 1), 3), "251,680"),
         # the Springer fibres of F_3^6 and F_2^7, walked for every lam but 1^6 and 1^7
-        (lambda: hessenberg_count(IndiffGraph(6, []), (2, 1, 1, 1, 1), 3), "1,226,512"),
-        (lambda: hessenberg_count(IndiffGraph(7, []), (7,), 2), "3,605,290"),
+        (lambda: hessenberg_count(path_of_graph(6, []), (2, 1, 1, 1, 1), 3), "1,226,512"),
+        (lambda: hessenberg_count(path_of_graph(7, []), (7,), 2), "3,605,290"),
         (lambda: orientations(g17), "131,072"),
-        (lambda: as_expansion(area_inverse(g17.edges, 7)), "131,072"),
+        (lambda: as_expansion(area_inverse(area(g17), 7)), "131,072"),
         (lambda: as_expansion(staircase), "2,097,152"),
         # 3^11 color classes, and p(18)^2 table cells for any change of basis
-        (lambda: csf(IndiffGraph(11, [])), "177,147"),
+        (lambda: csf(path_of_graph(11, [])), "177,147"),
         (lambda: llt_vertical(SchroderPath("ES" * 11)), "177,147"),
         (lambda: expand_in_basis(SymFunc(18, "M", {(18,): 1}), "E"), "148,225"),
         (lambda: expand_in_basis(SymFunc(18, "M", {(18,): 1}), "PT"), "148,225"),
@@ -828,7 +821,7 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
     assert _rows.cache_info().currsize == tables
     # chi_bar on [16] needs the Cat(16) graphs first, and their enumeration refuses;
     # superclass sizes are read off the graphs on [n]
-    for call, n in ((lambda: induce_to_GL(chi_bar(IndiffGraph(16, []), 5)), 16),
+    for call, n in ((lambda: induce_to_GL(chi_bar(path_of_graph(16, []), 5)), 16),
                     (lambda: superclass_sizes(9, 7), 9), (lambda: superclass_sizes(16, 5), 16)):
         with pytest.raises(SizeGuardError, match=f"gen_dyck: n = {n} exceeds guard"):
             call()
@@ -988,9 +981,9 @@ def test_only_exactnum_mentions_rationalfunc():
 
 def test_cached_csf_and_llt_results_cannot_be_changed():
     # csf and llt_vertical hand the same object to every caller
-    g = IndiffGraph(3, frozenset({(1, 2), (2, 3)}))
+    g = path_of_graph(3, frozenset({(1, 2), (2, 3)}))
     sigma = gen_tall_schroder(3)[1]
-    assert csf(g) is csf(IndiffGraph(3, frozenset({(2, 3), (1, 2)})))
+    assert csf(g) is csf(path_of_graph(3, frozenset({(2, 3), (1, 2)})))
     assert llt_vertical(sigma) is llt_vertical(gen_tall_schroder(3)[1])
     for F in (csf(g), llt_vertical(sigma)):
         before = F.to_json()
@@ -1048,8 +1041,8 @@ def test_scan_renders_only_the_failing_sides():
 
 def test_class_function_text_lists_the_nonzero_values():
     # the witness text of check_mesa and check_psi_decomp
-    empty, edge = IndiffGraph(2, []), IndiffGraph(2, [(1, 2)])
-    assert str(class_fn(ClassFnUT, 2, 2, {empty: 0, edge: -3})) == "{'IG(n=2, edges=[(1, 2)])': '-3'}"
+    empty, edge = path_of_graph(2, []), path_of_graph(2, [(1, 2)])
+    assert str(class_fn(ClassFnUT, 2, 2, {empty: 0, edge: -3})) == "{'EESS': '-3'}"
     assert str(class_fn(ClassFnUT, 2, 2, {})) == "{}"
     assert str(class_fn(UnipClassFn, 2, 3, {(1, 1): 2})) == "{'(1, 1)': '2'}"
 
@@ -1083,7 +1076,7 @@ def test_check_cm_agrees_with_the_old_form_through_plethysm_frac():
         for pi in gen_dyck(n):
             old = cm_lhs(pi)
             assert old == llt_vertical(pi).coeffs, pi
-            assert plethysm_mul(SymFunc(n, "M", old)) == csf(graph_of(pi)).scale((T - 1) ** n), pi
+            assert plethysm_mul(SymFunc(n, "M", old)) == csf(pi).scale((T - 1) ** n), pi
 
 
 def _unicellular_sum_by_addition(sigma):
@@ -1157,17 +1150,15 @@ def _fails_at_the_perturbed_item(monkeypatch, check, kernel, hit, change, index,
 
 
 # each side of the sweep-fed and supercharacter checks, perturbed at one item in
-# the middle of the scan at (3, 2): the graph G = indifference_graphs(3)[2], the
-# type L = (2, 1), the Dyck path P = gen_dyck(3)[2] with graph_of(P) = G, and the
-# tall path S = gen_tall_schroder(3)[5] of 11
-_G = indifference_graphs(3)[2]
+# the middle of the scan at (3, 2): the Dyck path G = gen_dyck(3)[2], the
+# type L = (2, 1), and the tall path S = gen_tall_schroder(3)[5] of 11
+_G = gen_dyck(3)[2]
 _L = gen_partitions(3)[1]
-_P = gen_dyck(3)[2]
 _S = gen_tall_schroder(3)[5]
 _BUMP_G = class_fn(ClassFnUT, 3, 2, {_G: 1})
 # chi^{2-3} enters the right side of check_psi_decomp first at EEESSS (item 4),
 # the first tall path with Diag <= {2-3} <= Area u Diag
-_G23 = IndiffGraph(3, [(2, 3)])
+_G23 = path_of_graph(3, [(2, 3)])
 
 
 @pytest.mark.parametrize("check, kernel, hit, change, index", [
@@ -1183,8 +1174,8 @@ _G23 = IndiffGraph(3, [(2, 3)])
     ("check_permtoind", "chi_bar", lambda g, q: g == _G, lambda f: fn_sum(f, _BUMP_G), _G),
     ("check_permtoind", "permutation_character_oracle", lambda g, q: g == _G,
      lambda f: fn_sum(f, _BUMP_G), _G),
-    ("check_mesa", "psi_pseudo", lambda s, q: s == mesa(_P), lambda f: fn_sum(f, _BUMP_G), _P),
-    ("check_mesa", "chi_super", lambda g, q: g == _G, lambda f: fn_sum(f, _BUMP_G), _P),
+    ("check_mesa", "psi_pseudo", lambda s, q: s == mesa(_G), lambda f: fn_sum(f, _BUMP_G), _G),
+    ("check_mesa", "chi_super", lambda g, q: g == _G, lambda f: fn_sum(f, _BUMP_G), _G),
     ("check_psi_decomp", "psi_pseudo", lambda s, q: s == _S, lambda f: fn_sum(f, _BUMP_G), _S),
     ("check_psi_decomp", "chi_super", lambda g, q: g == _G23, lambda f: fn_sum(f, _BUMP_G),
      SchroderPath("EEESSS")),
@@ -1211,10 +1202,10 @@ _PERTURBED_SIDES = [
     ("check_llt", "llt_vertical", lambda path: path == _S, _bump, _S, 2, None),
     ("check_as", "as_expansion", lambda s: s == _S, _bump, _S, 2, None),
     ("check_as", "llt_vertical", lambda path: path == _S, _bump, _S, 2, None),
-    ("check_cm", "csf", lambda g: g == _G, _bump, _P, 2, None),
+    ("check_cm", "csf", lambda g: g == _G, _bump, _G, 2, None),
     ("check_palindromic", "csf", lambda g: g == _G, _bump, _G, 2, None),
-    ("check_prop56", "llt_vertical", lambda path: path == _P, _bump, _P, 2, "i"),
-    ("check_prop56", "omega", lambda g: g == llt_vertical(_P), _bump, _P, 2, "i"),
+    ("check_prop56", "llt_vertical", lambda path: path == _G, _bump, _G, 2, "i"),
+    ("check_prop56", "omega", lambda g: g == llt_vertical(_G), _bump, _G, 2, "i"),
     ("check_prop56", "llt_vertical", lambda path: path == _S, _bump, _S, 2, "ii"),
     ("check_gg", "induce_to_GL", lambda phi: True,
      lambda f: fn_sum(f, class_fn(UnipClassFn, 3, 3, {_L: 1})), _L, 3, None),
@@ -1239,7 +1230,7 @@ def _bump_pt_3(table):
     return rows
 
 
-_EDGELESS = indifference_graphs(3).index(IndiffGraph(3, []))
+_EDGELESS = gen_dyck(3).index(path_of_graph(3, []))
 
 
 @pytest.mark.parametrize("check, kernel, change", [
@@ -1292,7 +1283,7 @@ def test_d_coefficients_lie_in_z_t():
     # check_poincare compares q^{|E|} |B| with d_lam^gamma(q): for n <= 6 every
     # d coefficient is a polynomial over Z, with no negative power of t
     for n in range(7):
-        for g in indifference_graphs(n):
+        for g in gen_dyck(n):
             assert all(c.low >= 0 and all(type(a) is int for a in c.coeffs)
                        for c in d_coeffs(g).values()), g
 
@@ -1374,10 +1365,10 @@ def test_cli_compute_llt(capsys):
 def test_cli_compute_json_is_to_json(capsys):
     from chromaq.cli import main
     for n in range(1, 5):
-        for verb, fn, items in [("csf", csf, indifference_graphs(n)),
+        for verb, fn, items in [("csf", csf, gen_dyck(n)),
                                 ("llt", llt_vertical, gen_tall_schroder(n))]:
             for x in items:
-                index = json.dumps(x.to_json()) if verb == "csf" else x.steps
+                index = json.dumps({"n": n, "edges": sorted(area(x))}) if verb == "csf" else x.steps
                 assert main(["compute", verb, index]) == 0
                 assert json.loads(capsys.readouterr().out) == fn(x).to_json(), (verb, index)
 
@@ -1391,7 +1382,7 @@ def test_cli_verify_all_point(capsys):
 
 
 def test_cli_verify_check_mesa_past_twelve_edges(capsys):
-    # graph_of(EEEEEESSSSSS) is K_6 with 15 edges, and its supercharacter is built
+    # EEEEEESSSSSS is K_6 with 15 edges, and its supercharacter is built
     from chromaq.cli import main
     assert main(["verify", "check_mesa", "--n", "6", "--q", "2"]) == 0
     assert "pass" in capsys.readouterr().out
@@ -1492,6 +1483,45 @@ def test_cli_reads_the_empty_graph_as_json_or_as_the_empty_path(capsys, verb, fl
     assert printed[0] == printed[1] and printed[0].err == ""
 
 
+@pytest.mark.parametrize("verb, flags, guarded", [
+    ("csf", [], "the color classes of [12] visits 531,441"),
+    ("d-coeffs", [], "the color classes of [12] visits 531,441"),
+    ("e-expand", [], "the color classes of [12] visits 531,441"),
+    ("induce", ["--q", "2"], "the Springer fibres of F_2^12 visits at least 3,134,565"),
+    ("hess-count", ["--q", "2", "--jordan-type", "12"],
+     "the Springer fibres of F_2^12 visits at least 3,134,565"),
+], ids=["csf", "d-coeffs", "e-expand", "induce", "hess-count"])
+def test_cli_guards_a_json_graph_before_its_path_is_built(capsys, monkeypatch, verb, flags, guarded):
+    # the JSON's shape is checked first, then the verb's guard reads n, and only then
+    # are the edges read into a path: so a refused n is named before an edge set that
+    # is not closed, and an n past the guard builds no path
+    import chromaq.cli as cli
+
+    def no_path(*args):
+        raise AssertionError("a path was built before the guard")
+
+    monkeypatch.setattr(cli, "path_of_graph", no_path)
+    for graph, message in [('{"n": 12, "edges": [[1, 3]]}', f"sweeping {guarded} elements"),
+                           ('{"n": 12, "edges": [[1, "a"]]}', 'graph JSON: "edges" must be a list')]:
+        assert cli.main(["compute", verb, graph, *flags]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+    monkeypatch.undo()
+    assert cli.main(["compute", verb, '{"n": 3, "edges": [[1, 3]]}', *flags]) == 2
+    assert capsys.readouterr().err == "error: edge set [(1, 3)] on [3] is not interval-closed\n"
+
+
+def test_cli_superclass_sizes_list_the_graphs_by_edge_count_then_edges(capsys):
+    from chromaq.cli import main
+    for n, q in ((4, 3), (5, 2)):
+        assert main(["compute", "superclass-sizes", "--n", str(n), "--q", str(q)]) == 0
+        sizes = json.loads(capsys.readouterr().out)["sizes"]
+        keys = [(len(s["graph"]["edges"]), s["graph"]["edges"]) for s in sizes]
+        assert keys == sorted(keys) and len(keys) == len(gen_dyck(n))
+        want = superclass_sizes(n, q)
+        assert [s["size"] for s in sizes] == [want[path_of_graph(n, e)] for _, e in keys]
+        assert all(s["graph"]["n"] == n for s in sizes)
+
+
 @pytest.mark.parametrize("check", ["check_hess", "check_poincare", "check_cqs", "check_llt",
                                    "check_cor66", "check_gg"])
 @pytest.mark.parametrize("n, q, count", [(6, 3, "1,226,512"), (7, 2, "3,605,290")])
@@ -1504,7 +1534,7 @@ def test_hessenberg_checks_are_refused_before_any_work(monkeypatch, check, n, q,
     def kernel(*args):
         raise RuntimeError("a kernel ran")
 
-    for name in ("induction_table", "d_coeffs", "indifference_graphs", "gen_tall_schroder",
+    for name in ("induction_table", "d_coeffs", "gen_dyck", "gen_tall_schroder",
                  "_partitions", "chi_bar", "psi_pseudo"):
         monkeypatch.setattr(bridge, name, kernel)
     monkeypatch.setattr(fq, "_lattice", kernel)
@@ -1640,7 +1670,7 @@ def test_hessenberg_count_is_refused_before_any_jordan_matrix(monkeypatch):
 
     monkeypatch.setattr(fq, "jordan_nilpotent", no_work)
     with pytest.raises(SizeGuardError, match="the Springer fibres of F_7\\^12"):
-        hessenberg_count(IndiffGraph(12, []), (1,) * 12, 7)
+        hessenberg_count(path_of_graph(12, []), (1,) * 12, 7)
 
 
 def test_cli_hess_count_rejects_nonpositive_jordan_part(capsys):
@@ -1775,11 +1805,14 @@ def test_cli_exit_one_on_failure(capsys, monkeypatch):
 def test_cli_exit_one_on_a_perturbed_csf(capsys, monkeypatch):
     import chromaq.bridge as bridge
     from chromaq.cli import main
-    target = IndiffGraph(2, [(1, 2)])
+    target = path_of_graph(2, [(1, 2)])
     bump = SymFunc(2, "M", {(1, 1): T})
     monkeypatch.setattr(bridge, "csf", lambda g: sym_sum(csf(g), bump) if g == target else csf(g))
     witness = run_check("check_cqs", 2, 2).witness
-    assert witness["index"] == str(target)
+    assert witness["index"] == str(target) == "EESS"
+    # the witness index is the step string of a Dyck path, which compute reads back
+    assert main(["compute", "csf", witness["index"]]) == 0
+    assert json.loads(capsys.readouterr().out) == csf(target).to_json()
     assert main(["verify", "check_cqs", "--n", "2", "--q", "2"]) == 1
     out = capsys.readouterr().out
     assert "FAIL check_cqs (n=2, q=2)" in out and f"witness: {json.dumps(witness)}" in out

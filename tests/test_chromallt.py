@@ -18,16 +18,14 @@ from chromaq.chromallt import (
 )
 from chromaq.combinatorics import (
     DyckPath,
-    IndiffGraph,
     SchroderPath,
     area,
     diag,
     gen_dyck,
     gen_partitions,
     gen_tall_schroder,
-    graph_of,
-    indifference_graphs,
     mesa,
+    path_of_graph,
 )
 from chromaq.exactnum import LaurentPoly
 from chromaq.guards import SizeGuardError
@@ -41,24 +39,24 @@ RF = LaurentPoly.const
 
 
 def path3():
-    return IndiffGraph(3, frozenset({(1, 2), (2, 3)}))
+    return path_of_graph(3, frozenset({(1, 2), (2, 3)}))
 
 
 # -- ascent statistic -----------------------------------------------------------
 
 def test_asc_worked_example():
-    g = IndiffGraph(4, frozenset({(1, 2), (2, 3), (1, 3), (3, 4)}))
+    g = path_of_graph(4, frozenset({(1, 2), (2, 3), (1, 3), (3, 4)}))
     assert asc(g, (2, 5, 1, 5)) == 2
 
 
 def test_asc_edgeless():
-    g = IndiffGraph(5, frozenset())
+    g = path_of_graph(5, frozenset())
     assert asc(g, (1, 2, 3, 4, 5)) == 0
 
 
 def test_asc_complete_increasing():
     n = 4
-    g = IndiffGraph(n, frozenset((i, j) for i in range(1, n) for j in range(i + 1, n + 1)))
+    g = path_of_graph(n, frozenset((i, j) for i in range(1, n) for j in range(i + 1, n + 1)))
     assert asc(g, tuple(range(1, n + 1))) == n * (n - 1) // 2
 
 
@@ -72,23 +70,23 @@ def test_csf_path3_worked_example():
 
 
 def test_csf_prints_as_the_failure_witness_format():
-    X = csf(graph_of(DyckPath("EESESS")))
+    X = csf(DyckPath("EESESS"))
     assert X.basis == "M"
     assert str(X) == "(t)*m[2, 1] + (t^2+4*t+1)*m[1, 1, 1]"
 
 
 def test_csf_single_vertex():
-    X = csf(IndiffGraph(1, frozenset()))
+    X = csf(path_of_graph(1, frozenset()))
     assert X.coeffs == {(1,): LaurentPoly.const(1)}
 
 
 def test_csf_single_edge():
-    X = csf(IndiffGraph(2, frozenset({(1, 2)})))
+    X = csf(path_of_graph(2, frozenset({(1, 2)})))
     assert X.coeffs == {(1, 1): 1 + T}
 
 
 def test_csf_empty_graph_is_one():
-    X = csf(IndiffGraph(0, frozenset()))
+    X = csf(path_of_graph(0, frozenset()))
     assert X.coeffs == {(): LaurentPoly.const(1)}
 
 
@@ -100,14 +98,14 @@ def test_llt_empty_path_is_one():
 def test_csf_guard():
     # the kernel's 3^n color classes: 3^10 = 59,049 run, 3^11 = 177,147 are past MAX_SWEEP
     with pytest.raises(SizeGuardError, match="the color classes of \\[11\\] visits 177,147 elements"):
-        csf(IndiffGraph(11, frozenset()))
-    assert csf(IndiffGraph(10, frozenset())).degree == 10
+        csf(path_of_graph(11, frozenset()))
+    assert csf(path_of_graph(10, frozenset())).degree == 10
 
 
 def test_csf_complete_graph_is_t_factorial_en_at_the_guard_edge():
     # X_{K_n} = [n]_t! e_n (Shareshian-Wachs), and e_n = m_{1^n}, to the last n the guard admits
     for n in range(11):
-        g = IndiffGraph(n, frozenset(combinations(range(1, n + 1), 2)))
+        g = path_of_graph(n, frozenset(combinations(range(1, n + 1), 2)))
         t_factorial = prod((LaurentPoly.from_terms(dict.fromkeys(range(i), 1))
                             for i in range(1, n + 1)), start=RF(1))
         assert csf(g).coeffs == {(1,) * n: t_factorial}, n
@@ -174,7 +172,7 @@ def test_palindromicity_path3():
 
 def test_palindromicity_edgeless():
     # with |E| = 0 the identity says every coefficient of X is free of t
-    X = csf(IndiffGraph(4, frozenset()))
+    X = csf(path_of_graph(4, frozenset()))
     assert all(c.subs_inv() == c for c in X.coeffs.values())
 
 
@@ -186,22 +184,22 @@ def test_palindromicity_ig4():
 
 def test_d_coeffs_reconstruct():
     for n in (3, 4):
-        for g in indifference_graphs(n):
+        for g in gen_dyck(n):
             d = d_coeffs(g)
             F = SymFunc(n, "PT", d)
             assert expand_in_basis(F, "M") == csf(g)
 
 
 def test_d_coeffs_scaled_positive_ig4():
-    for g in indifference_graphs(4):
-        shift = len(g.edges)
+    for g in gen_dyck(4):
+        shift = len(area(g))
         for lam, c in d_coeffs(g).items():
             assert is_nonneg_int_poly(c.shift(-shift)), (g, lam)
 
 
 def test_d_coeffs_known_values_degree2():
     # edgeless on [2]: X = m_2 + 2 m_11 = PT_(2) + (t+1) PT_(1,1)
-    g = IndiffGraph(2, frozenset())
+    g = path_of_graph(2, frozenset())
     d = d_coeffs(g)
     assert d[(2,)] == LaurentPoly.const(1)
     assert d[(1, 1)] == T + 1
@@ -215,7 +213,7 @@ def test_e_expansion_path3_positive():
 
 
 def test_e_expansion_complete_triangle():
-    g = IndiffGraph(3, frozenset({(1, 2), (2, 3), (1, 3)}))
+    g = path_of_graph(3, frozenset({(1, 2), (2, 3), (1, 3)}))
     F, bad = e_expansion_X(g)
     assert bad == []
     tfact = (1 + T) * (1 + T + T * T)
@@ -223,7 +221,7 @@ def test_e_expansion_complete_triangle():
 
 
 def test_e_expansion_edgeless_constant():
-    g = IndiffGraph(3, frozenset())
+    g = path_of_graph(3, frozenset())
     F, bad = e_expansion_X(g)
     assert bad == []
     for c in F.coeffs.values():
@@ -259,12 +257,12 @@ def test_partition_content_kernel_matches_brute_force_tables():
     # exact because both are symmetric; the full tables must be symmetric and
     # agree with them on every orbit representative
     for n in range(6):
-        for g in indifference_graphs(n):
-            table = brute_force_table(n, g, differ=g.edges)
+        for g in gen_dyck(n):
+            table = brute_force_table(n, g, differ=area(g))
             assert check_symmetric(table, n), g
             assert orbit_representatives(n, table) == csf(g), g
         for sigma in gen_tall_schroder(n):
-            table = brute_force_table(n, IndiffGraph(n, area(sigma)), rise=diag(sigma))
+            table = brute_force_table(n, path_of_graph(n, area(sigma)), rise=diag(sigma))
             assert check_symmetric(table, n), sigma
             assert orbit_representatives(n, table) == llt_vertical(sigma), sigma
 
@@ -280,8 +278,8 @@ def test_cached_words_are_the_partition_content_words():
 def test_coloring_in_place_matches_the_words_kernel():
     # the package colors vertex by vertex; the oracle lists every word of content mu
     for n in range(7):
-        for g in indifference_graphs(n):
-            assert csf(g) == color_sum(n, g.edges, differ=g.edges), g
+        for g in gen_dyck(n):
+            assert csf(g) == color_sum(n, area(g), differ=area(g)), g
     for n in range(6):
         for sigma in gen_tall_schroder(n):
             assert llt_vertical(sigma) == color_sum(n, area(sigma), rise=diag(sigma)), sigma
@@ -290,8 +288,8 @@ def test_coloring_in_place_matches_the_words_kernel():
 def test_color_classes_match_the_vertex_kernel():
     # the package counts by color classes; the oracle walks every coloring vertex by vertex
     for n in range(7):
-        for g in indifference_graphs(n):
-            assert csf(g) == color_by_vertex(n, g.edges, differ=g.edges), g
+        for g in gen_dyck(n):
+            assert csf(g) == color_by_vertex(n, area(g), differ=area(g)), g
     for n in range(6):
         for sigma in gen_tall_schroder(n):
             assert llt_vertical(sigma) == color_by_vertex(n, area(sigma), rise=diag(sigma)), sigma
@@ -304,7 +302,7 @@ def test_edgeless_closed_form_at_the_guard_edge():
     # n = 10: the edgeless graph counts every word of content mu, and (ES)^n has
     # no area and no diag, so its LLT polynomial is the edgeless X (K_n is checked above)
     for n in range(11):
-        edgeless = csf(IndiffGraph(n, frozenset()))
+        edgeless = csf(path_of_graph(n, frozenset()))
         assert edgeless.coeffs == {mu: RF(factorial(n) // prod(map(factorial, mu)))
                                    for mu in gen_partitions(n)}, n
         assert llt_vertical(SchroderPath("ES" * n)) == edgeless, n
@@ -314,7 +312,7 @@ def test_a_slot_overflow_trips_the_tripwire(monkeypatch):
     # 4 bits per power of t hold counts up to 15; the edgeless graph on [4]
     # has 24 colorings of content 1111, so the kernel raises instead of carrying
     import chromaq.chromallt as chromallt
-    assert _color_sum(4, []) == csf(IndiffGraph(4, frozenset()))
+    assert _color_sum(4, []) == csf(path_of_graph(4, frozenset()))
     monkeypatch.setattr(chromallt, "_slot_bits", lambda n: 4)
     with pytest.raises(ArithmeticError, match="content \\(1, 1, 1, 1\\) do not fit 4-bit slots"):
         _color_sum(4, [])
@@ -324,7 +322,7 @@ def orientation_of(sigma, mask):
     # bit k of mask set: the k-th sorted area edge points up; Diag edges always do
     arcs = set(diag(sigma))
     arcs.update((i, j) if mask >> k & 1 else (j, i) for k, (i, j) in enumerate(sorted(area(sigma))))
-    return Orientation(IndiffGraph(sigma.size, area(sigma) | diag(sigma)), frozenset(arcs))
+    return Orientation(path_of_graph(sigma.size, area(sigma) | diag(sigma)), frozenset(arcs))
 
 
 def test_one_pass_hrv_matches_the_graph_search():

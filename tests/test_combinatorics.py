@@ -7,20 +7,16 @@ import pytest
 import chromaq.combinatorics as combinatorics
 from chromaq.combinatorics import (
     DyckPath,
-    IndiffGraph,
     SchroderPath,
-    _closed,
-    _hessenberg_function,
     _tall_path,
     area,
     diag,
     gen_dyck,
     gen_partitions,
     gen_tall_schroder,
-    graph_of,
-    indifference_graphs,
     mesa,
     nstat,
+    path_of_graph,
     transpose,
 )
 from chromaq.guards import SizeGuardError
@@ -99,15 +95,18 @@ def cell_walk_oracle(steps):
 
 
 def area_inverse(edges, n):
-    """The Dyck path of size n whose area is the given edge set: the inverse of
-    graph_of, read off gen_dyck(n).  IndiffGraph refuses an edge set that is no
-    indifference graph on [n]."""
-    return _dyck_by_graph(n)[IndiffGraph(n, edges)]
+    """The Dyck path of size n whose area is the given edge set, each edge a pair
+    in either order: the inverse of area, read off gen_dyck(n) and not off h.
+    ValueError on an edge set that is the area of no Dyck path of size n."""
+    pi = _dyck_by_area(n).get(frozenset(tuple(sorted(e)) for e in edges))
+    if pi is None:
+        raise ValueError(f"{sorted(edges)} is the area of no Dyck path of size {n}")
+    return pi
 
 
 @lru_cache(maxsize=None)
-def _dyck_by_graph(n):
-    return {graph_of(pi): pi for pi in gen_dyck(n)}
+def _dyck_by_area(n):
+    return {area(pi): pi for pi in gen_dyck(n)}
 
 
 def little_schroder_oracle(n):
@@ -261,13 +260,11 @@ def test_tall_flag():
 
 
 def test_a_dyck_path_is_the_tall_path_with_no_d_step():
-    # one path type: DyckPath reads E/S steps into it, and only a path with no
-    # D step has a graph
+    # one path type: DyckPath reads E/S steps into it, and path_of_graph reads
+    # the graph with one edge into the same path
     pi = DyckPath("EESS")
     assert type(pi) is SchroderPath and pi == SchroderPath("EESS") and pi.D == ()
-    assert graph_of(pi) == IndiffGraph(2, {(1, 2)})
-    with pytest.raises(ValueError, match="^'EDS' has a D step; only a Dyck path has a graph$"):
-        graph_of(SchroderPath("EDS"))
+    assert path_of_graph(2, {(1, 2)}) == pi
 
 
 def test_each_path_is_walked_once(monkeypatch):
@@ -281,13 +278,11 @@ def test_each_path_is_walked_once(monkeypatch):
     monkeypatch.setattr(combinatorics, "_walk", counted)
     pi, sigma = DyckPath("EESESS"), SchroderPath("EEEDSSS")
     assert walks == ["EESESS", "EEEDSSS"]
-    g = graph_of(pi)
-    assert g is graph_of(pi)
     for p in (pi, sigma):
         assert area(p) == area(p) and diag(p) == diag(p)
     assert area(sigma) == {(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)} and diag(sigma) == {(1, 4)}
     assert walks == ["EESESS", "EEEDSSS"]
-    assert pi == SchroderPath("EESESS") and g == IndiffGraph(3, {(1, 2), (2, 3)})
+    assert pi == SchroderPath("EESESS")
     assert area(pi) == {(1, 2), (2, 3)} and diag(pi) == frozenset()
 
 
@@ -333,17 +328,20 @@ def test_dyck_paths_have_empty_diag():
 # -- graph bijection -----------------------------------------------------------
 
 def test_graphs_record_the_hessenberg_function_of_their_edges():
-    # a graph of indifference_graphs records its path's h; one built from the
-    # same edges reads h off them on first use
-    for n in range(9):
-        for pi, g in zip(gen_dyck(n), indifference_graphs(n), strict=True):
-            assert g.h is pi.h
-            assert g.h == _hessenberg_function(n, g.edges) == IndiffGraph(n, g.edges).h, g
+    # the area of every Dyck path of size <= 7 is closed under intervals, checked
+    # on every pair, and path_of_graph reads the path, and so its h, back off it,
+    # its edges in either order
+    for n in range(8):
+        for pi in gen_dyck(n):
+            edges = area(pi)
+            assert all_pairs_is_indifference(edges, n), pi
+            assert path_of_graph(n, edges) == pi
+            assert path_of_graph(n, [(j, i) for i, j in edges]) == pi
+    assert path_of_graph(2, [[2, 1]]) == path_of_graph(2, [(1, 2)]) == DyckPath("EESS")
 
 
 def test_graph_of_example():
-    g = graph_of(DyckPath("EESESS"))
-    assert g == IndiffGraph(3, frozenset({(1, 2), (2, 3)}))
+    assert path_of_graph(3, frozenset({(1, 2), (2, 3)})) == DyckPath("EESESS")
 
 
 def test_area_inverse_staircase():
@@ -354,15 +352,13 @@ def test_area_inverse_staircase():
 def test_bijection_roundtrip():
     for n in range(7):
         for p in gen_dyck(n):
-            g = graph_of(p)
-            assert area_inverse(g.edges, n) == p
-    for g in indifference_graphs(4):
-        assert graph_of(area_inverse(g.edges, 4)) == g
+            assert area_inverse(area(p), n) == p
 
 
 def test_area_inverse_rejects_non_indifference():
-    with pytest.raises(ValueError):
-        area_inverse({(1, 2), (1, 4)}, 4)
+    for read in (area_inverse, lambda edges, n: path_of_graph(n, edges)):
+        with pytest.raises(ValueError):
+            read({(1, 2), (1, 4)}, 4)
 
 
 # -- mesa ------------------------------------------------------------------------
@@ -391,16 +387,13 @@ def test_mesa_area_diag_union():
 # -- indifference predicates ------------------------------------------------------
 
 def is_indifference(edges, n):
-    """Interval closure as the package decides it: IndiffGraph construction,
-    and _closed on the sorted edges, which must agree."""
-    closed = _closed({tuple(sorted(e)) for e in edges}, n)
+    """Interval closure as the package decides it: path_of_graph reads the edges,
+    or refuses them."""
     try:
-        IndiffGraph(n, edges)
+        path_of_graph(n, edges)
     except ValueError:
-        assert not closed, (n, edges)
-    else:
-        assert closed, (n, edges)
-    return closed
+        return False
+    return True
 
 
 def test_graph_names_a_loop_or_an_end_outside_n_before_closure():
@@ -410,7 +403,7 @@ def test_graph_names_a_loop_or_an_end_outside_n_before_closure():
                               (3, {(1, 2), (2, 2), (0, 4)}, "edge (0, 4) has an end outside [3]"),
                               (3, {(1, 3)}, "edge set [(1, 3)] on [3] is not interval-closed")]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            IndiffGraph(n, edges)
+            path_of_graph(n, edges)
 
 
 def test_is_indifference_examples():
@@ -433,49 +426,54 @@ def test_local_closure_matches_the_all_pairs_oracle():
 
 
 def test_indifference_graph_count():
-    for n in range(7):
-        assert len(indifference_graphs(n)) == catalan_oracle(n)
+    # the edge sets on [n] that the all-pairs oracle finds closed, among all
+    # 2^binom(n,2) of them, are exactly the areas of the Dyck paths, Catalan many
+    for n in range(6):
+        pairs = list(combinations(range(1, n + 1), 2))
+        closed = {frozenset(s) for k in range(len(pairs) + 1) for s in combinations(pairs, k)
+                  if all_pairs_is_indifference(s, n)}
+        assert closed == {area(pi) for pi in gen_dyck(n)} and len(closed) == catalan_oracle(n)
 
 
 # -- Moebius --------------------------------------------------------------------
 
 def test_mobius_edgeless():
-    g = IndiffGraph(3, frozenset())
+    g = path_of_graph(3, frozenset())
     assert mobius_subgraph(g) == {g: 1}
 
 
 def test_mobius_single_edge():
-    g = IndiffGraph(2, frozenset({(1, 2)}))
-    e = IndiffGraph(2, frozenset())
+    g = path_of_graph(2, frozenset({(1, 2)}))
+    e = path_of_graph(2, frozenset())
     assert mobius_subgraph(g) == {g: 1, e: -1}
 
 
 def test_mobius_defining_identity_ig4():
-    for gamma in indifference_graphs(4):
+    for gamma in gen_dyck(4):
         mob = mobius_subgraph(gamma)
-        subs = [g for g in indifference_graphs(4) if g.edges <= gamma.edges]
+        subs = [g for g in gen_dyck(4) if area(g) <= area(gamma)]
         for sigma in subs:
-            total = sum(mu for tau, mu in mob.items() if sigma.edges <= tau.edges)
+            total = sum(mu for tau, mu in mob.items() if area(sigma) <= area(tau))
             assert total == (1 if sigma == gamma else 0)
 
 
 def test_mobius_defining_identity_to_n6():
     # past the 12 edges that the dense inversion was once bounded by: K_6 has 15
     for n in range(7):
-        graphs = indifference_graphs(n)
-        for gamma in graphs:
+        edges = {g: area(g) for g in gen_dyck(n)}
+        for gamma in edges:
             mob = mobius_subgraph(gamma)
-            assert all(sigma.edges <= gamma.edges for sigma in mob)
-            for sigma in graphs:
-                if sigma.edges <= gamma.edges:
-                    total = sum(mu for tau, mu in mob.items() if sigma.edges <= tau.edges)
+            assert all(edges[sigma] <= edges[gamma] for sigma in mob)
+            for sigma in edges:
+                if edges[sigma] <= edges[gamma]:
+                    total = sum(mu for tau, mu in mob.items() if edges[sigma] <= edges[tau])
                     assert total == (1 if sigma == gamma else 0), (gamma, sigma)
 
 
 def test_mobius_matches_the_dense_inversion():
     # every gamma with n <= 6; the closed form lists exactly the nonzero values
     for n in range(7):
-        for gamma in indifference_graphs(n):
+        for gamma in gen_dyck(n):
             dense = mobius_dense(gamma)
             assert mobius_subgraph(gamma) == {s: mu for s, mu in dense.items() if mu}, gamma
 
@@ -483,14 +481,14 @@ def test_mobius_matches_the_dense_inversion():
 def test_mobius_of_a_complete_graph_has_one_corner():
     # K_n has the single corner {1, n}, whatever its number of edges
     for n in range(2, 9):
-        k = IndiffGraph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
-        assert mobius_subgraph(k) == {k: 1, IndiffGraph(n, k.edges - {(1, n)}): -1}
+        k = path_of_graph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+        assert mobius_subgraph(k) == {k: 1, path_of_graph(n, area(k) - {(1, n)}): -1}
 
 
 # -- orientations ------------------------------------------------------------------
 
 def hrv_example_graph():
-    return IndiffGraph(4, frozenset({(1, 2), (2, 3), (1, 3), (3, 4)}))
+    return path_of_graph(4, frozenset({(1, 2), (2, 3), (1, 3), (3, 4)}))
 
 
 def test_hrv_type_worked_example():
@@ -501,19 +499,19 @@ def test_hrv_type_worked_example():
 
 
 def test_orientations_edgeless():
-    g = IndiffGraph(3, frozenset())
+    g = path_of_graph(3, frozenset())
     os = orientations(g)
     assert len(os) == 1
     assert type_of(os[0]) == (1, 1, 1)
 
 
 def test_orientation_count():
-    for g in indifference_graphs(4):
-        assert len(orientations(g)) == 2 ** len(g.edges)
+    for g in gen_dyck(4):
+        assert len(orientations(g)) == 2 ** len(area(g))
 
 
 def test_orientation_type_is_partition():
-    for g in indifference_graphs(4):
+    for g in gen_dyck(4):
         for theta in orientations(g):
             t = type_of(theta)
             assert sum(t) == 4 and all(a >= b for a, b in zip(t, t[1:]))

@@ -10,17 +10,14 @@ from hypothesis import strategies as st
 
 from chromaq.bridge import check_mesa
 from chromaq.combinatorics import (
-    IndiffGraph,
     SchroderPath,
     _between,
-    _hessenberg_function,
     area,
     diag,
     gen_dyck,
     gen_partitions,
     gen_tall_schroder,
-    graph_of,
-    indifference_graphs,
+    path_of_graph,
 )
 from chromaq.fqoracle import (
     PRIMES,
@@ -84,12 +81,12 @@ from matrix_oracle import (
 
 
 def IG(n, *edges):
-    return IndiffGraph(n, frozenset(edges))
+    return path_of_graph(n, frozenset(edges))
 
 
 def label_graph(zeros, n):
     """The graph on [n] whose Hessenberg function `_label` reads off a zero mask."""
-    return indifference_graphs(n)[_lattice(n)[1][_label(zeros, n)]]
+    return gen_dyck(n)[_lattice(n)[1][_label(zeros, n)]]
 
 
 def digits(rows):
@@ -295,7 +292,7 @@ def test_conjugate_masks_of_targets_that_could_carry():
             want = matrix_oracle.conjugate_masks(rows, 3, q, (a, unpack(targets[1], 3)))
             assert _conjugate_masks(packed, 3, q, targets) == widened(want), (packed.__name__, q, a)
     for q, a in [(7, carry), *sums]:
-        graphs = indifference_graphs(3)
+        graphs = gen_dyck(3)
         got = [hessenberg_count(g, nilpotent_type(digits(a), 3, q), q) for g in graphs]
         assert got == brute_hessenberg_counts(a, q, graphs), (q, a)
 
@@ -362,13 +359,13 @@ def test_label_identity_is_complete():
     u = mat_identity(4)
     complete = frozenset((i, j) for i in range(1, 4) for j in range(i + 1, 5))
     assert _label(_zero_mask(pack(u), 16, 2), 4) == (0, 0, 0, 0)
-    assert label_graph(_zero_mask(pack(u), 16, 2), 4).edges == label_edges(u, 4) == complete
+    assert area(label_graph(_zero_mask(pack(u), 16, 2), 4)) == label_edges(u, 4) == complete
 
 
 def test_label_full_superdiagonal_is_edgeless():
     rows = ((1, 1, 1), (0, 1, 1), (0, 0, 1))
     assert _label(_zero_mask(pack(rows), 9, 2), 3) == (0, 1, 2)
-    assert label_graph(_zero_mask(pack(rows), 9, 2), 3).edges == label_edges(rows, 3) == frozenset()
+    assert area(label_graph(_zero_mask(pack(rows), 9, 2), 3)) == label_edges(rows, 3) == frozenset()
 
 
 def test_label_matches_the_tuple_oracle_on_every_zero_mask():
@@ -380,7 +377,7 @@ def test_label_matches_the_tuple_oracle_on_every_zero_mask():
             for k, (i, j) in enumerate(places):
                 u[i][j] = ones >> k & 1
             u = tuple(map(tuple, u))
-            assert label_graph(_zero_mask(pack(u), n * n, 2), n).edges == label_edges(u, n), u
+            assert area(label_graph(_zero_mask(pack(u), n * n, 2), n)) == label_edges(u, n), u
 
 
 def test_label_rejects_non_unipotent(monkeypatch):
@@ -409,19 +406,19 @@ def test_subgroup_order_from_sizes():
     # |UT_gamma| = sum of |UT_sigma^o| over sigma >= gamma
     for q in (2, 3):
         sizes = superclass_sizes(4, q)
-        for gamma in indifference_graphs(4):
-            total = sum(c for g, c in sizes.items() if gamma.edges <= g.edges)
-            assert total == ut_order(4, q) // q ** len(gamma.edges)
+        for gamma in gen_dyck(4):
+            total = sum(c for g, c in sizes.items() if area(gamma) <= area(g))
+            assert total == ut_order(4, q) // q ** len(area(gamma))
 
 
 def test_superclass_rep_labels():
     # each u - 1 written down is the nilpotent part of a u whose oracle label is
     # its graph, and whose label in the package is the graph's Hessenberg function
     for n in (1, 2, 3, 4):
-        for g, a in zip(indifference_graphs(n), _superclass_nilpotents(n), strict=True):
+        for g, a in zip(gen_dyck(n), _superclass_nilpotents(n), strict=True):
             u = pack(mat_identity(n)) + a
-            assert IndiffGraph(n, label_edges(unpack(u, n), n)) == g
-            assert _label(_zero_mask(u, n * n, 3), n) == _hessenberg_function(n, g.edges)
+            assert path_of_graph(n, label_edges(unpack(u, n), n)) == g
+            assert _label(_zero_mask(u, n * n, 3), n) == g.h
 
 
 # -- class function basics -----------------------------------------------------------
@@ -444,10 +441,10 @@ def test_classfn_evaluation_at_element():
 def test_chi_bar_degree():
     # value at the identity superclass (complete graph) is q^{|E|}
     for q in (2, 3):
-        for gamma in indifference_graphs(3):
+        for gamma in gen_dyck(3):
             f = chi_bar(gamma, q)
             complete = IG(3, (1, 2), (2, 3), (1, 3))
-            assert f(complete) == q ** len(gamma.edges)
+            assert f(complete) == q ** len(area(gamma))
 
 
 def test_permtoind_against_coset_oracle():
@@ -455,7 +452,7 @@ def test_permtoind_against_coset_oracle():
     # UT_4(F_5) would add about 0.6 s
     points = [(n, q) for n in range(4) for q in PRIMES] + [(4, 2), (4, 3), (5, 2)]
     for n, q in points:
-        for gamma in indifference_graphs(n):
+        for gamma in gen_dyck(n):
             assert chi_bar(gamma, q) == permutation_character_oracle(gamma, q) \
                 == coset_permutation_character(gamma, q), (gamma, q)
 
@@ -467,7 +464,7 @@ def test_column_count_reads_its_ranks_once_per_n_q_and_sweeps_nothing(monkeypatc
         raise AssertionError("the column count swept UT_n")
 
     monkeypatch.setattr(fq, "ut_elements", no_sweep)
-    gammas = indifference_graphs(5)
+    gammas = gen_dyck(5)
     _column_ranks.cache_clear()
     for q in PRIMES:
         for gamma in gammas:
@@ -481,7 +478,7 @@ def test_column_count_reads_its_ranks_once_per_n_q_and_sweeps_nothing(monkeypatc
 
 
 def test_coset_oracle_sweeps_ut_once_per_n_q():
-    gammas = indifference_graphs(3)
+    gammas = gen_dyck(3)
     coset_permutation_character(gammas[0], 3)
     before = _conjugate_masks.cache_info()
     for gamma in gammas[1:]:
@@ -509,10 +506,10 @@ def test_coset_oracles_refuse_a_count_that_is_no_union_of_cosets(monkeypatch):
 def test_chi_super_mobius_roundtrip():
     q = 2
     k6 = IG(6, *[(i, j) for i in range(1, 7) for j in range(i + 1, 7)])  # 15 edges
-    for gamma in indifference_graphs(4) + (k6,):
-        n = gamma.n
-        total = fn_sum(*(chi_super(sigma, q) for sigma in indifference_graphs(n)
-                         if sigma.edges <= gamma.edges))
+    for gamma in gen_dyck(4) + (k6,):
+        n = gamma.size
+        total = fn_sum(*(chi_super(sigma, q) for sigma in gen_dyck(n)
+                         if area(sigma) <= area(gamma)))
         assert total == chi_bar(gamma, q)
 
 
@@ -521,21 +518,21 @@ def psi_graph_terms(sigma, q):
     """The terms of psi^sigma as graphs: Area u S for each S in Diag, built from
     frozensets, with (-1)^{|Diag - S|} q^{|Area u S|}."""
     a, d = area(sigma), sorted(diag(sigma))
-    return [(g, (-1) ** (len(d) - k) * q ** len(g.edges)) for k in range(len(d) + 1)
-            for g in (IndiffGraph(sigma.size, a | set(s)) for s in combinations(d, k))]
+    return [(g, (-1) ** (len(d) - k) * q ** len(area(g))) for k in range(len(d) + 1)
+            for g in (path_of_graph(sigma.size, a | set(s)) for s in combinations(d, k))]
 
 
 def graph_term_lists(n, q):
     """(package value, its terms as graphs) for every chi_bar, chi_super and psi_pseudo at n."""
-    for g in indifference_graphs(n):
-        yield chi_bar(g, q), [(g, q ** len(g.edges))]
-        yield chi_super(g, q), [(s, mu * q ** len(s.edges)) for s, mu in mobius_subgraph(g).items()]
+    for g in gen_dyck(n):
+        yield chi_bar(g, q), [(g, q ** len(area(g)))]
+        yield chi_super(g, q), [(s, mu * q ** len(area(s))) for s, mu in mobius_subgraph(g).items()]
     for sigma in gen_tall_schroder(n):
         yield psi_pseudo(sigma, q), psi_graph_terms(sigma, q)
 
 
 def h_terms(terms):
-    return sorted((_hessenberg_function(g.n, g.edges), c) for g, c in terms)
+    return sorted((g.h, c) for g, c in terms)
 
 
 def captured_terms(monkeypatch):
@@ -551,8 +548,8 @@ def test_lattice_upsets_match_the_scan():
     # each upset lists by position exactly the graphs that the frozenset scan finds
     for n in range(8):
         hs, pos, upsets = _lattice(n)
-        graphs = indifference_graphs(n)
-        assert hs == tuple(_hessenberg_function(n, g.edges) for g in graphs)
+        graphs = gen_dyck(n)
+        assert hs == tuple(path_of_graph(n, area(g)).h for g in graphs)
         assert pos == {h: i for i, h in enumerate(hs)}
         for g, up in zip(graphs, upsets, strict=True):
             scan = upset_sum_by_scan(n, 2, [(g, 1)]).values
@@ -576,9 +573,9 @@ def test_upset_sum_matches_the_scan_on_every_term_list():
 def test_chi_super_terms_are_the_mobius_terms(monkeypatch):
     seen = captured_terms(monkeypatch)
     for n in range(7):
-        for gamma in indifference_graphs(n):
+        for gamma in gen_dyck(n):
             chi_super(gamma, 3)
-            mob = [(s, mu * 3 ** len(s.edges)) for s, mu in mobius_subgraph(gamma).items()]
+            mob = [(s, mu * 3 ** len(area(s))) for s, mu in mobius_subgraph(gamma).items()]
             assert seen.pop() == h_terms(mob), gamma
 
 
@@ -630,7 +627,7 @@ def test_check_mesa_fails_when_the_last_corner_is_dropped_everywhere(monkeypatch
 
 def test_supercharacter_orthogonality():
     for q in (2, 3):
-        graphs = indifference_graphs(3)
+        graphs = gen_dyck(3)
         chis = {g: chi_super(g, q) for g in graphs}
         for g1 in graphs:
             for g2 in graphs:
@@ -679,7 +676,7 @@ def test_psi_worked_example_supercharacter_sum():
 def test_psi_of_dyck_path_is_chi_bar():
     for q in (2, 3):
         for pi in gen_dyck(3):
-            assert psi_pseudo(pi, q) == chi_bar(graph_of(pi), q)
+            assert psi_pseudo(pi, q) == chi_bar(pi, q)
 
 
 def test_psi_mesa_all_d3():
@@ -698,9 +695,9 @@ def test_psi_mesa_extremes():
 def test_induce_degree():
     # value at the identity class is |GL_n : UT_gamma|
     q = 2
-    for gamma in indifference_graphs(3):
+    for gamma in gen_dyck(3):
         ind = induce_to_GL(chi_bar(gamma, q))
-        expected = Fraction(gl_order(3, q) * q ** len(gamma.edges), ut_order(3, q))
+        expected = Fraction(gl_order(3, q) * q ** len(area(gamma)), ut_order(3, q))
         assert ind((1, 1, 1)) == expected
 
 
@@ -732,7 +729,7 @@ def test_induce_transitivity_against_one_step_oracle():
     # (n, q) share a single sweep, |GL_3(F_3)| = 11232 elements at (3,3)
     points = [(1, q) for q in PRIMES] + [(2, q) for q in PRIMES] + [(3, 2), (3, 3)]
     for n, q in points:
-        for gamma in indifference_graphs(n):
+        for gamma in gen_dyck(n):
             assert induce_to_GL(chi_bar(gamma, q)) == induce_trivial_from_subgroup(gamma, q)
 
 
@@ -740,7 +737,7 @@ def test_induced_characters_have_integer_values():
     # chi_bar and psi_pseudo are genuine characters, so induction gives
     # algebraic integers; over Q that means plain integers
     for q in (2, 3):
-        for gamma in indifference_graphs(3):
+        for gamma in gen_dyck(3):
             for v in induce_to_GL(chi_bar(gamma, q)).values:
                 assert v.denominator == 1
         for sigma in gen_tall_schroder(3):
@@ -754,8 +751,8 @@ def test_class_function_values_are_plain_numbers():
     # any other value
     for q in (2, 3):
         for n in (1, 2, 3):
-            fns = [chi_bar(g, q) for g in indifference_graphs(n)]
-            fns += [chi_super(g, q) for g in indifference_graphs(n)]
+            fns = [chi_bar(g, q) for g in gen_dyck(n)]
+            fns += [chi_super(g, q) for g in gen_dyck(n)]
             fns += [psi_pseudo(s, q) for s in gen_tall_schroder(n)]
             for f in fns:
                 assert all(type(v) is int for v in f.values), f
@@ -768,7 +765,7 @@ def test_class_function_values_are_plain_numbers():
 
 def test_class_functions_take_a_tuple():
     gamma = IG(2, (1, 2))
-    f = ClassFnUT(2, 2, (5, 0))  # indifference_graphs(2) lists the edge first
+    f = ClassFnUT(2, 2, (5, 0))  # gen_dyck(2) lists the edge first
     assert f(gamma) == 5 and f(IG(2)) == 0
     assert dict(f.items()) == {IG(2): 0, gamma: 5}
     one_per_index = "values must be a tuple with one entry per index at n = 2$"
@@ -801,7 +798,7 @@ def test_centralizer_order_closed_form():
 
 def test_induction_table_total_counts():
     # the identity is the one element of type 1^n, labeled complete
-    complete = indifference_graphs(2).index(IG(2, (1, 2)))
+    complete = gen_dyck(2).index(IG(2, (1, 2)))
     assert induction_table(2, 3)[(1, 1)] == tuple(int(i == complete) for i in range(2))
     # each row sums to the number of elements of UT_n of its type, counted by the
     # tuple kernel, and all rows to |UT_n|
@@ -823,10 +820,10 @@ def test_induce_and_superclass_sizes_match_the_tuple_oracle():
             return tuple(Fraction(_centralizer_order(lam, q) * sum(map(mul, row, phi.values)),
                                   ut_order(n, q)) for lam, row in table.items())
 
-        for phi in ([chi_bar(g, q) for g in indifference_graphs(n)]
+        for phi in ([chi_bar(g, q) for g in gen_dyck(n)]
                     + [psi_pseudo(sigma, q) for sigma in gen_tall_schroder(n)]):
             assert induce_to_GL(phi).values == induced(phi), (n, q, phi)
-        assert superclass_sizes(n, q) == dict(zip(indifference_graphs(n),
+        assert superclass_sizes(n, q) == dict(zip(gen_dyck(n),
                                                   map(sum, zip(*table.values())))), (n, q)
 
 
@@ -847,7 +844,7 @@ def test_induction_from_the_walk_equals_the_sweep():
     # each pins the tally of every lam.  About 2 s, most of it the 2^15 elements
     # of UT_6(F_2)
     for n, q in _KERNEL_POINTS:
-        phis = [chi_bar(g, q) for g in indifference_graphs(n)]
+        phis = [chi_bar(g, q) for g in gen_dyck(n)]
         phis += [psi_pseudo(sigma, q) for sigma in gen_tall_schroder(n)] if n < 6 else []
         for phi in phis:
             got = induce_to_GL(phi)
@@ -858,7 +855,7 @@ def test_induction_from_the_walk_equals_the_sweep():
 def test_superclass_sizes_equal_the_tuple_sweep_of_labels():
     for n, q in _KERNEL_POINTS:
         labels = Counter(label_edges(u, n) for u in ut_rows(n, q))
-        assert superclass_sizes(n, q) == {g: labels[g.edges] for g in indifference_graphs(n)}, (n, q)
+        assert superclass_sizes(n, q) == {g: labels[area(g)] for g in gen_dyck(n)}, (n, q)
 
 
 def test_a_miscounted_tally_fails_every_check_that_reads_the_walk(monkeypatch):
@@ -922,7 +919,7 @@ def brute_hessenberg_counts(a, q, graphs):
         if any(m[i][j] for i in range(n) for j in range(i + 1)):
             continue
         for k, gamma in enumerate(graphs):
-            counts[k] += not any(m[i - 1][j - 1] for i, j in gamma.edges)
+            counts[k] += not any(m[i - 1][j - 1] for i, j in area(gamma))
     return counts
 
 
@@ -935,24 +932,24 @@ def test_hessenberg_sweep_matches_per_flag_oracle():
     # [n]_q! flags are cheap, and against the per-flag tuple oracle on a few
     points = [(0, 2), (1, 2), (2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (3, 7), (4, 5), (5, 2)]
     for n, q in points:
-        for g in indifference_graphs(n):
+        for g in gen_dyck(n):
             for lam in gen_partitions(n):
                 assert hessenberg_count(g, lam, q) == hessenberg_sweep(g, lam, q), (g, lam, q)
     for n in range(1, 4):
         for q in (2, 3):
             for lam in gen_partitions(n):
                 a = mat_minus_identity(jordan(lam), q)
-                for g in indifference_graphs(n):
+                for g in gen_dyck(n):
                     assert hessenberg_count(g, lam, q) == brute_hessenberg_count(g, a, q), (g, lam, q)
     a = mat_minus_identity(jordan((4,)), 2)
-    for g in indifference_graphs(4):
+    for g in gen_dyck(4):
         assert hessenberg_count(g, (4,), 2) == brute_hessenberg_count(g, a, 2), g
 
 
 def test_hessenberg_sweeps_once_per_matrix():
     # one walk per (lam, q) serves every gamma; lam = 1^n, a = 0, is tallied with no walk
     _springer_fibre.cache_clear()
-    for g in indifference_graphs(3):
+    for g in gen_dyck(3):
         for lam in gen_partitions(3):
             hessenberg_count(g, lam, 3)
     assert _springer_fibre.cache_info().misses == 3
@@ -961,7 +958,7 @@ def test_hessenberg_sweeps_once_per_matrix():
     a = mat_minus_identity(jordan((2, 1)), 3)
     at = tuple(zip(*a))
     assert nilpotent_type(digits(at), 3, 3) == (2, 1)
-    for g in indifference_graphs(3):
+    for g in gen_dyck(3):
         assert hessenberg_count(g, nilpotent_type(digits(at), 3, 3), 3) \
             == brute_hessenberg_count(g, at, 3) == brute_hessenberg_count(g, a, 3), g
     assert _springer_fibre.cache_info().misses == 3
@@ -1017,7 +1014,7 @@ def test_hessenberg_count_is_constant_on_a_conjugacy_class():
     rnd = random.Random(19)
     points = [(n, q) for n in range(1, 4) for q in PRIMES] + [(4, 2), (4, 3)]
     for n, q in points:
-        graphs = indifference_graphs(n)
+        graphs = gen_dyck(n)
         misses = _springer_fibre.cache_info().misses
         for lam in gen_partitions(n):
             for _ in range(2 if n < 4 else 1):

@@ -27,6 +27,7 @@ import pytest
 import chromaq
 import chromaq.bridge as bridge
 from chromaq.bridge import ALL_CHECKS, CheckReport, run_check
+from chromaq.combinatorics import area
 from chromaq.fqoracle import chi_bar
 from classfn_oracle import upset_sum_by_scan
 from mobius_oracle import mobius_subgraph
@@ -44,6 +45,7 @@ COMMON = {
     "exactnum.": "exact arithmetic in Z[t, 1/t] and Q, the values both sides hold; "
                  "test_exactnum checks it",
     "guards.": "size guards: they refuse before work and compute nothing",
+    "chromallt.require_colorings": "the coloring guard: it refuses before work and computes nothing",
     "combinatorics._check_size": "the size guard of every enumerator",
     "fqoracle._check_q": "the field-size guard",
     "combinatorics.Frozen.": "immutable value objects",
@@ -53,20 +55,16 @@ COMMON = {
     "fqoracle._ClassFn.": "the value class of the class-function sides",
     "combinatorics._partition": "partition listing, guard and order: the keys of both sides",
     "combinatorics.gen_dyck": "the Dyck paths, listed once per h: the items and the lattice",
-    "combinatorics.indifference_graphs": "the graphs on [n]: the items and the lattice",
-    "combinatorics.graph_of": "the graph of each listed Dyck path",
     "combinatorics.DyckPath": "the listed paths",
     "combinatorics.SchroderPath.__init__": "the listed paths: a Dyck path is read through it too",
-    "combinatorics.IndiffGraph.": "the listed graphs and their h",
     "combinatorics._between": "the walk of Hessenberg functions that lists the paths",
     "combinatorics._tall_path": "the step string of each listed h",
     "combinatorics._walk": "a listed path read back into h",
     "combinatorics._trace": "a listed path's cells",
-    "combinatorics._closed": "a listed graph's interval closure",
 }
 
-_AREA_BY_LISTING = ("the lattice lists its graphs through the area of each Dyck path; "
-                    "test_tall_paths_read_h_and_d_as_the_cell_walk_does checks area")
+_AREA_EDGES = ("the edges of the graph of a Dyck path are its area; "
+               "test_tall_paths_read_h_and_d_as_the_cell_walk_does checks area")
 _AREA_DIAG = ("both sides read the path's Area and Diag: as_expansion orients them and "
               "llt_vertical colours them; test_tall_paths_read_h_and_d_as_the_cell_walk_does "
               "checks both")
@@ -95,33 +93,36 @@ SHARED = {
     "check_cqs": {},
     "check_hess": dict.fromkeys(["fqoracle._Packed.__init__", "fqoracle._Packed.eliminate",
                                  "fqoracle._Packed.reduce", "fqoracle._field"], _PACKED),
-    "check_poincare": {},
+    "check_poincare": {"combinatorics.area": _AREA_EDGES + ": the left side counts them for "
+                                             "q^{|E|}, and the right side's X_gamma colours them"},
     "check_llt": {
-        "combinatorics.area": _AREA_BY_LISTING + "; the right side colours it",
         "symfunc._rows": _ROWS,
         "symfunc._change": _CHANGE,
     },
     "check_mesa": {
-        "combinatorics.area": _AREA_BY_LISTING,
         **dict.fromkeys(["fqoracle._lattice", "fqoracle._lowered", "fqoracle._upset_sum"],
                         _UPSETS + "; mesa finds its D steps without _corners"),
     },
     "check_psi_decomp": {
-        "combinatorics.area": _AREA_BY_LISTING,
         **dict.fromkeys(["fqoracle._lattice", "fqoracle._lowered", "fqoracle._upset_sum"],
                         _UPSETS + "; the right side sums supercharacters over an interval"),
     },
     "check_permtoind": {
-        "combinatorics.area": _AREA_BY_LISTING,
         "fqoracle._lattice": "the left side's upsets and the right side's column ranks are "
                              "both laid out over the lattice's list of h, which orders the "
                              "graphs and computes no value",
     },
     "check_as": dict.fromkeys(["combinatorics.area", "combinatorics.diag"], _AREA_DIAG),
-    "check_cm": dict.fromkeys(["chromallt._color_sum", "chromallt._slot_bits"], _COLORINGS),
+    "check_cm": {
+        "combinatorics.area": _AREA_EDGES + ": X_gamma colours them, and G_pi colours its "
+                              "area as the ascent graph",
+        **dict.fromkeys(["chromallt._color_sum", "chromallt._slot_bits"], _COLORINGS),
+    },
     "check_palindromic": {
         "chromallt.csf": "the identity is a symmetry of X_gamma: both sides are X_gamma, "
                          "one read with t -> 1/t",
+        "combinatorics.area": _AREA_EDGES + ": X_gamma colours them on both sides, and the "
+                              "left side counts them for t^{|E|}",
         **dict.fromkeys(["chromallt._color_sum", "chromallt._slot_bits"], _COLORINGS),
     },
     "check_prop56": {
@@ -136,7 +137,6 @@ SHARED = {
     "check_gg": {"symfunc._rows": _ROWS, "symfunc._change": _CHANGE},
     "check_st_en": {},
     "check_cor66": {
-        "combinatorics.area": _AREA_BY_LISTING + "; the right side orients it",
         "combinatorics.transpose": "n(lam) of PT_lam sums over lam's transpose on the left, "
                                    "and e_lam reads the Kostka table at lam's transpose on "
                                    "the right",
@@ -229,8 +229,8 @@ def test_the_audit_names_a_side_that_reads_the_other_sides_kernel(monkeypatch):
 def test_the_audit_names_a_declared_entry_the_sides_no_longer_share(monkeypatch):
     # chi_super by the Moebius oracle and the scan of upsets: neither reads the lattice
     def chi_super_by_scan(gamma, q):
-        terms = [(s, mu * q ** len(s.edges)) for s, mu in mobius_subgraph(gamma).items()]
-        return upset_sum_by_scan(gamma.n, q, terms)
+        terms = [(s, mu * q ** len(area(s))) for s, mu in mobius_subgraph(gamma).items()]
+        return upset_sum_by_scan(gamma.size, q, terms)
 
     monkeypatch.setattr(bridge, "chi_super", chi_super_by_scan)
     assert bridge.check_mesa(3, 2).ok and bridge.check_psi_decomp(3, 2).ok

@@ -11,22 +11,20 @@ import chromaq
 
 from chromaq.bridge import CheckReport
 from chromaq.chromallt import csf, llt_vertical
-from chromaq.combinatorics import DyckPath, IndiffGraph, SchroderPath
+from chromaq.combinatorics import DyckPath, SchroderPath, path_of_graph
 from chromaq.exactnum import LaurentPoly
 from chromaq.fqoracle import ClassFnUT, UnipClassFn
 from chromaq.symfunc import SymFunc
 from orientation_oracle import Orientation
 
-P2 = IndiffGraph(2, frozenset({(1, 2)}))
+P2 = DyckPath("EESS")  # the graph on [2] with one edge
 
 # (class, constructor arguments, field values as stored, repr)
 CASES = [
     (SchroderPath, ("EESS",), ("EESS",), "SchroderPath(steps='EESS')"),
     (SchroderPath, ("EDS",), ("EDS",), "SchroderPath(steps='EDS')"),
-    (IndiffGraph, (2, [(2, 1)]), (2, frozenset({(1, 2)})),
-     "IndiffGraph(n=2, edges=frozenset({(1, 2)}))"),
     (Orientation, (P2, frozenset({(2, 1)})), (P2, frozenset({(2, 1)})),
-     "Orientation(base=IndiffGraph(n=2, edges=frozenset({(1, 2)})), arcs=frozenset({(2, 1)}))"),
+     "Orientation(base=SchroderPath(steps='EESS'), arcs=frozenset({(2, 1)}))"),
     (SymFunc, (2, "E", {(2,): 1, (1, 1): LaurentPoly([0, 1])}), None,
      "SymFunc(degree=2, basis='E', coeffs=mappingproxy({(2,): 1, (1, 1): t}))"),
     (ClassFnUT, (2, 3, (1, 0)), (2, 3, (1, 0)), "ClassFnUT(n=2, q=3, values=(1, 0))"),
@@ -85,7 +83,8 @@ def test_check_report_witness_defaults_to_none():
 
 
 def test_equal_graphs_share_one_csf_cache_entry():
-    g, h = IndiffGraph(4, frozenset({(1, 2), (3, 4)})), IndiffGraph(4, [(4, 3), (2, 1)])
+    # one graph read from its edges in two orders is one path, one csf cache key
+    g, h = path_of_graph(4, frozenset({(1, 2), (3, 4)})), path_of_graph(4, [(4, 3), (2, 1)])
     assert g is not h
     csf(g)
     before = csf.cache_info()
