@@ -197,22 +197,17 @@ def _cmd_verify(args: SimpleNamespace) -> int:
         raise ValueError(f"--n must be >= 0, got {args.n}")
     if args.deep and (args.target != "all" or args.n is not None):
         raise ValueError("--deep extends the default suite; use it with 'all' and without --n")
-    if args.target == "all":
-        if args.n is not None:
-            q = args.q if args.q is not None else 2
-            jobs = [(name, args.n, None if name in SYMBOLIC_CHECKS else q) for name in ALL_CHECKS]
-        elif args.q is not None:
+    if args.target == "all" and args.n is None:
+        if args.q is not None:
             raise ValueError("--q picks the field for 'all --n N'; the default suite fixes q")
-        else:
-            jobs = _default_suite(args.deep)
-    else:
-        if args.target not in ALL_CHECKS:
-            raise ValueError(f"unknown check {args.target!r}; choose from {sorted(ALL_CHECKS)}")
+        jobs = _default_suite(args.deep)
+    else:  # run_check refuses an unknown name
         if args.target in SYMBOLIC_CHECKS and args.q is not None:
             raise ValueError(f"{args.target} is symbolic in t and takes no --q")
         n = args.n if args.n is not None else 3
-        q = None if args.target in SYMBOLIC_CHECKS else (args.q if args.q is not None else 2)
-        jobs = [(args.target, n, q)]
+        q = args.q if args.q is not None else 2
+        jobs = [(name, n, None if name in SYMBOLIC_CHECKS else q)
+                for name in (ALL_CHECKS if args.target == "all" else [args.target])]
 
     reports = _run_jobs(jobs)
     if args.json:

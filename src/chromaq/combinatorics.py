@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, count
-from math import comb
 from operator import gt
 from typing import Iterable, Iterator
 
@@ -140,8 +139,8 @@ def transpose(lam: Partition) -> Partition:
 
 
 def nstat(lam: Partition) -> int:
-    """n(lambda) = sum of binom(lambda'_i, 2); equals sum (i-1)*lambda_i."""
-    return sum(comb(c, 2) for c in transpose(lam))
+    """n(lambda) = sum (i-1)*lambda_i, which equals the sum of binom(lambda'_i, 2)."""
+    return sum(i * k for i, k in enumerate(lam))
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from .combinatorics import (
     _corners,
     _partitions,
     gen_dyck,
+    nstat,
 )
 from .guards import require, require_power, require_sweep
 
@@ -163,8 +164,6 @@ class _Packed:
 def jordan_nilpotent(lam: Partition) -> int:
     """J_lam - 1, packed: the nilpotent part of the Jordan matrix of type lam,
     1s on the superdiagonal inside each block."""
-    if any(k <= 0 for k in lam):
-        raise ValueError(f"Jordan type {lam} has a part <= 0")
     n, ends = sum(lam), set(accumulate(lam))
     return sum(1 << 8 * (i * n + i + 1) for i in range(n - 1) if i + 1 not in ends)
 
@@ -337,7 +336,7 @@ def psi_pseudo(sigma: SchroderPath, q: int) -> ClassFnUT:
 
 def _centralizer_order(lam: Partition, q: int) -> int:
     """|C_GL(J_lam)| = q^{|lam| + 2n(lam)} prod_i phi_{m_i(lam)}(1/q)."""
-    out = q ** (sum(lam) + 2 * sum(i * k for i, k in enumerate(lam)))
+    out = q ** (sum(lam) + 2 * nstat(lam))
     for m in Counter(lam).values():
         for k in range(1, m + 1):
             out = out * (q ** k - 1) // q ** k

@@ -185,6 +185,29 @@ MUTANTS = (
            "_change({h: -s for h, s in _lowered(sigma.h, sigma.D, 1)},",
            ("tests/test_bridge.py::test_unicellular_sum_matches_the_symfunc_by_symfunc_sum",),
            "check_prop56(ii) sums the unicellular G with the opposite sign"),
+    # one statement per verify fact: the verdict, the registry, the job builder
+    Mutant("report-ok-inverted", "bridge.py",
+           "return self.witness is None",
+           "return self.witness is not None",
+           ("tests/test_bridge.py::test_a_report_fails_exactly_when_it_has_a_witness",),
+           "a report passes exactly when it has a witness"),
+    Mutant("check-cor66-unregistered", "bridge.py",
+           "    check_st_en, check_cor66)}",
+           "    check_st_en)}",
+           ("tests/test_bridge.py::"
+            "test_every_check_function_is_registered_under_its_own_name_in_its_order",),
+           "check_cor66 is written but never verified"),
+    Mutant("verify-fixes-q", "cli.py",
+           "q = args.q if args.q is not None else 2",
+           "q = 2",
+           ("tests/test_bridge.py::"
+            "test_cli_verify_all_at_one_size_runs_the_numeric_checks_at_its_q",),
+           "verify runs every numeric check at q = 2, whatever --q says"),
+    Mutant("nstat-off-by-one", "combinatorics.py",
+           "return sum(i * k for i, k in enumerate(lam))",
+           "return sum(i * k for i, k in enumerate(lam, 1))",
+           (COMBINATORICS_TESTS + "test_nstat",),
+           "n(lam) read as sum i*lam_i, one |lam| too many"),
 )
 
 
@@ -213,7 +236,7 @@ CHECK_SIDES = (
           "_twist(llt", "gen_tall_schroder(n),\n                 lambda sigma: scaled_p_brace1("
           "induce_to_GL(psi_pseudo(mesa(sigma), q))),\n                 lambda sigma: _twist(llt",
           "psi of the mesa path induced in place of psi^sigma"),
-    _side("check_llt", "rhs", "_twist(llt_vertical(sigma), q, len(diag(sigma)))",
+    _side("check_llt", "rhs", "_twist(llt_vertical(sigma), q, len(sigma.D))",
           "_twist(llt_vertical(sigma), q, 0)", "G_sigma twisted without (q-1)^{|Diag|}"),
     _side("check_mesa", "lhs", "lambda pi: psi_pseudo(mesa(pi), q)",
           "lambda pi: psi_pseudo(pi, q)", "psi of the Dyck path, not of its mesa"),
@@ -258,7 +281,7 @@ CHECK_SIDES = (
           "_twist(expand", "gen_tall_schroder(n),\n                 lambda sigma: "
           "scaled_p_brace1(induce_to_GL(psi_pseudo(mesa(sigma), q))),\n                 "
           "lambda sigma: _twist(expand", "psi of the mesa path induced in place of psi^sigma"),
-    _side("check_cor66", "rhs", "q,\n                                      len(diag(sigma)))",
+    _side("check_cor66", "rhs", "q,\n                                      len(sigma.D))",
           "q,\n                                      len(area(sigma)))",
           "AS_sigma twisted with (q-1)^{|Area|}"),
 )

@@ -396,9 +396,13 @@ def test_check_report_shape():
     assert d["status"] == "pass" and d["witness"] is None
 
 
-def test_fail_requires_witness():
-    with pytest.raises(AssertionError):
-        CheckReport("check_x", 1, None, "fail")
+def test_a_report_fails_exactly_when_it_has_a_witness():
+    witness = {"index": "x", "lhs": "0", "rhs": "1"}
+    passing, failing = CheckReport("check_x", 1, None), CheckReport("check_x", 1, None, witness)
+    assert passing.ok and passing.status == "pass" and passing.to_json()["witness"] is None
+    assert not failing.ok and failing.status == "fail" and failing.to_json()["witness"] == witness
+    with pytest.raises(AttributeError):  # the verdict is read off the witness, never set
+        passing.status = "fail"
 
 
 def _fresh_python(*args: str, timeout: int = 60) -> subprocess.CompletedProcess:
@@ -412,11 +416,11 @@ def _fresh_python(*args: str, timeout: int = 60) -> subprocess.CompletedProcess:
 
 def test_tripwire_survives_optimized_mode():
     code = ("assert False, 'python -O strips this'\n"
-            "from chromaq.bridge import CheckReport\n"
-            "CheckReport('check_x', 1, None, 'fail')\n")
+            "from chromaq.fqoracle import ClassFnUT\n"
+            "ClassFnUT(1, 2, (0.5,))\n")
     proc = _fresh_python("-O", "-c", code)
     assert proc.returncode == 1
-    assert "AssertionError: a failing report needs a witness" in proc.stderr
+    assert "TypeError: ClassFnUT values must be ints, got (0.5,)" in proc.stderr
 
 
 def test_no_assert_statements_in_the_package():
@@ -666,7 +670,7 @@ def test_a_fresh_process_exits_one_on_a_failing_check_and_two_on_a_refusal():
             "import chromaq.cli as cli\n"
             "from chromaq.bridge import CheckReport\n"
             "cli.run_check = lambda name, n, q: CheckReport(\n"
-            "    name, n, q, 'fail', {'index': 'x', 'lhs': '0', 'rhs': '1'})\n"
+            "    name, n, q, {'index': 'x', 'lhs': '0', 'rhs': '1'})\n"
             "sys.exit(cli.main(['verify', 'check_cqs', '--n', '2', '--q', '2']))\n")
     proc = _fresh_python("-c", code)
     assert proc.returncode == 1, proc.stderr
@@ -1381,6 +1385,27 @@ def test_cli_verify_all_point(capsys):
     assert all(r["status"] == "pass" for r in out)
 
 
+def test_cli_verify_all_at_one_size_runs_the_numeric_checks_at_its_q(capsys):
+    from chromaq.cli import main
+    assert main(["verify", "all", "--n", "2", "--q", "3", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    symbolic = {"check_as", "check_cm", "check_palindromic", "check_prop56", "check_st_en"}
+    assert sorted((r["check"], r["n"], r["q"]) for r in out) == sorted(
+        (name, 2, None if name in symbolic else 3) for name in ALL_CHECKS)
+    assert sum(r["q"] == 3 for r in out) == 9 and all(r["status"] == "pass" for r in out)
+
+
+def test_every_check_function_is_registered_under_its_own_name_in_its_order():
+    # a check written in bridge and left out of ALL_CHECKS would never be verified
+    import inspect
+
+    import chromaq.bridge as bridge
+    defined = [name for name, obj in vars(bridge).items() if name.startswith("check_")
+               and inspect.isfunction(obj) and obj.__module__ == bridge.__name__]
+    assert defined == list(ALL_CHECKS)
+    assert all(fn.__name__ == name for name, fn in ALL_CHECKS.items())
+
+
 def test_cli_verify_check_mesa_past_twelve_edges(capsys):
     # EEEEEESSSSSS is K_6 with 15 edges, and its supercharacter is built
     from chromaq.cli import main
@@ -1796,7 +1821,7 @@ def test_cli_exit_one_on_failure(capsys, monkeypatch):
     import chromaq.cli as cli
     monkeypatch.setattr(cli, "run_check",
                         lambda name, n, q: CheckReport(
-                            name, n, q, "fail", {"index": "x", "lhs": "0", "rhs": "1"}))
+                            name, n, q, {"index": "x", "lhs": "0", "rhs": "1"}))
     assert cli.main(["verify", "check_cqs", "--n", "2", "--q", "2"]) == 1
     out = capsys.readouterr().out
     assert "FAIL check_cqs" in out and "witness" in out

@@ -29,8 +29,8 @@ CASES = [
      "SymFunc(degree=2, basis='E', coeffs=mappingproxy({(2,): 1, (1, 1): t}))"),
     (ClassFnUT, (2, 3, (1, 0)), (2, 3, (1, 0)), "ClassFnUT(n=2, q=3, values=(1, 0))"),
     (UnipClassFn, (2, 3, (0, 2)), (2, 3, (0, 2)), "UnipClassFn(n=2, q=3, values=(0, 2))"),
-    (CheckReport, ("check_cqs", 2, 3, "pass"), ("check_cqs", 2, 3, "pass", None),
-     "CheckReport(check='check_cqs', n=2, q=3, status='pass', witness=None)"),
+    (CheckReport, ("check_cqs", 2, 3), ("check_cqs", 2, 3, None),
+     "CheckReport(check='check_cqs', n=2, q=3, witness=None)"),
 ]
 # the first case is a Dyck path: the tall path with no D step
 IDS = ["DyckPath"] + [c[0].__name__ for c in CASES[1:]]
@@ -79,7 +79,7 @@ def test_repr_is_the_dataclass_form(cls, args, fields, text):
 
 
 def test_check_report_witness_defaults_to_none():
-    assert CheckReport("check_cqs", 1, 2, "pass").witness is None
+    assert CheckReport("check_cqs", 1, 2).witness is None
 
 
 def test_equal_graphs_share_one_csf_cache_entry():
