@@ -15,8 +15,9 @@ the form check_llt, check_cor66 and check_gg compare in basis M (`_twist`), as
 check_cm does for Carlsson-Mellit: no check divides by a polynomial in q.
 
 Every check_* verifies one identity exactly (tolerance zero) over every
-index in range and reports the first witness on failure.  A check declares
-its items and its two sides to `_scan`, which compares lhs(item) == rhs(item);
+index in range and returns its first witness, or None when it passes; `run_check`
+alone writes the `CheckReport`.  A check hands its items and its two sides to
+`_scan`, which compares lhs(item) == rhs(item) and returns the first witness;
 each side reaches every table it reads from inside itself, through a cached
 function or a memo that only that side holds, so each side can be run alone.
 Before the scan a check runs its guards, then lists its items, nothing else:
@@ -149,30 +150,30 @@ class CheckReport(Frozen):
 DEPENDENCIES = {"check_cor66": ("check_llt", "check_as")}
 
 
-def _scan(name: str, n: int, q: int | None, items: Iterable,
-          lhs: Callable[[object], object], rhs: Callable[[object], object]) -> CheckReport:
-    """The first item whose sides differ is the witness; str renders only its two sides."""
+def _scan(items: Iterable, lhs: Callable[[object], object],
+          rhs: Callable[[object], object]) -> dict | None:
+    """The witness of the first item whose sides differ, or None when every item
+    passes; str renders only the two sides of that item."""
     for item in items:
         left, right = lhs(item), rhs(item)
         if not left == right:
-            witness = {"index": str(item), "lhs": str(left), "rhs": str(right)}
-            return CheckReport(name, n, q, witness)
-    return CheckReport(name, n, q)
+            return {"index": str(item), "lhs": str(left), "rhs": str(right)}
+    return None
 
 
 # ---------------------------------------------------------------------------
 # the checkers
 # ---------------------------------------------------------------------------
 
-def check_cqs(n: int, q: int) -> CheckReport:
+def check_cqs(n: int, q: int) -> dict | None:
     """Induced permutation characters realize (q-1)^n X_gamma(x; q)."""
     require_fibres(n, q)
-    return _scan("check_cqs", n, q, gen_dyck(n),
+    return _scan(gen_dyck(n),
                  lambda pi: scaled_p_brace1(induce_to_GL(chi_bar(pi, q))),
                  lambda pi: eval_t(csf(pi), q).scale((q - 1) ** n * q ** (n * (n - 1) // 2)))
 
 
-def check_hess(n: int, q: int) -> CheckReport:
+def check_hess(n: int, q: int) -> dict | None:
     """Induced character values count Hessenberg points: (q-1)^n q^{|E|} |B|, both
     sides times |UT_n|.  The left side induces by the UT_n sweep, so it tests the
     Springer walk that induce_to_GL reads."""
@@ -184,41 +185,40 @@ def check_hess(n: int, q: int) -> CheckReport:
         dot = sum(c * v for c, v in zip(induction_table(n, q)[lam], chi_bar(pi, q).values))
         return _centralizer_order(lam, q) * dot
 
-    return _scan("check_hess", n, q, items, lhs, lambda item: ut_order(n, q) * (q - 1) ** n
+    return _scan(items, lhs, lambda item: ut_order(n, q) * (q - 1) ** n
                  * q ** len(area(item[0])) * hessenberg_count(*item, q))
 
 
-def check_poincare(n: int, q: int) -> CheckReport:
+def check_poincare(n: int, q: int) -> dict | None:
     """Hessenberg point counts equal q^{-|E|} d_lam^gamma(q), compared as
     q^{|E|} |B| = d_lam^gamma(q)."""
     require_fibres(n, q)
     items = [(pi, lam) for pi in gen_dyck(n) for lam in _partitions(n)]
     d = lru_cache(maxsize=None)(d_coeffs)  # one expansion per graph, held by the right side
-    return _scan("check_poincare", n, q, items,
+    return _scan(items,
                  lambda item: q ** len(area(item[0])) * hessenberg_count(*item, q),
                  lambda item: d(item[0]).get(item[1], ZERO).evaluate(q))
 
 
-def check_llt(n: int, q: int) -> CheckReport:
+def check_llt(n: int, q: int) -> dict | None:
     """p_one(Ind psi^sigma) = (q-1)^{|Diag|} omega G_sigma(x; q), compared as
     p_brace1(Ind psi^sigma) = (q-1)^{|Diag|} G_sigma(x; q)[(q-1)x] in basis M: the
     two are equivalent since omega and p_k -> (q^k - 1) p_k are invertible."""
     require_fibres(n, q)
-    return _scan("check_llt", n, q, gen_tall_schroder(n),
+    return _scan(gen_tall_schroder(n),
                  lambda sigma: scaled_p_brace1(induce_to_GL(psi_pseudo(sigma, q))),
                  lambda sigma: _twist(llt_vertical(sigma), q, len(sigma.D)))
 
 
-def check_mesa(n: int, q: int) -> CheckReport:
+def check_mesa(n: int, q: int) -> dict | None:
     """psi of the mesa path equals the supercharacter of the graph.
 
     The two sides share no corner rule: `mesa` finds the tall peaks on its own
     walk of the steps, never through `_corners`, which `chi_super` lifts."""
-    return _scan("check_mesa", n, q, gen_dyck(n),
-                 lambda pi: psi_pseudo(mesa(pi), q), lambda pi: chi_super(pi, q))
+    return _scan(gen_dyck(n), lambda pi: psi_pseudo(mesa(pi), q), lambda pi: chi_super(pi, q))
 
 
-def check_psi_decomp(n: int, q: int) -> CheckReport:
+def check_psi_decomp(n: int, q: int) -> dict | None:
     """psi^sigma equals the sum of chi^gamma over Diag <= E(gamma) <= Area u Diag."""
 
     @lru_cache(maxsize=None)
@@ -231,27 +231,24 @@ def check_psi_decomp(n: int, q: int) -> CheckReport:
         interval = _between(sigma.h, tuple(x if j in sigma.D else j for j, x in enumerate(sigma.h)))
         return ClassFnUT(n, q, tuple(map(sum, zip(*map(supers().__getitem__, interval)))))
 
-    return _scan("check_psi_decomp", n, q, gen_tall_schroder(n),
-                 lambda sigma: psi_pseudo(sigma, q), rhs)
+    return _scan(gen_tall_schroder(n), lambda sigma: psi_pseudo(sigma, q), rhs)
 
 
-def check_permtoind(n: int, q: int) -> CheckReport:
+def check_permtoind(n: int, q: int) -> dict | None:
     """chi_bar agrees with the directly-counted permutation character."""
-    return _scan("check_permtoind", n, q, gen_dyck(n),
-                 lambda pi: chi_bar(pi, q),
+    return _scan(gen_dyck(n), lambda pi: chi_bar(pi, q),
                  lambda pi: permutation_character_oracle(pi, q))
 
 
-def check_as(n: int) -> CheckReport:
+def check_as(n: int) -> dict | None:
     """Orientation e-expansion equals the coloring LLT polynomial, symbolically."""
     paths = gen_tall_schroder(n)
     require_orientations(f"the tall paths of size {n}",
                          max((len(area(sigma)) for sigma in paths), default=0))
-    return _scan("check_as", n, None, paths,
-                 lambda sigma: expand_in_basis(as_expansion(sigma), "M"), llt_vertical)
+    return _scan(paths, lambda sigma: expand_in_basis(as_expansion(sigma), "M"), llt_vertical)
 
 
-def check_cm(n: int) -> CheckReport:
+def check_cm(n: int) -> dict | None:
     """(t-1)^n X_{Graph(pi)} = G_pi[(t-1)x] in basis M, symbolically in t.
 
     This is Carlsson-Mellit's (t-1)^n X_{Graph(pi)}[x/(t-1)] = G_pi with the
@@ -260,14 +257,13 @@ def check_cm(n: int) -> CheckReport:
     times prod (t^{lam_i} - 1), back by the p rows and divided by n! exactly, so
     the sides share no change of basis and no polynomial in t is divided.
     """
-    return _scan("check_cm", n, None, gen_dyck(n),
-                 lambda pi: csf(pi).scale(t_minus_one_power(n)),
+    return _scan(gen_dyck(n), lambda pi: csf(pi).scale(t_minus_one_power(n)),
                  lambda pi: plethysm_mul(llt_vertical(pi)))
 
 
-def check_palindromic(n: int) -> CheckReport:
+def check_palindromic(n: int) -> dict | None:
     """t^{|E|} X(x; 1/t) = X(x; t) for every indifference graph, E the area of its Dyck path."""
-    return _scan("check_palindromic", n, None, gen_dyck(n),
+    return _scan(gen_dyck(n),
                  lambda pi: csf(pi).map_coeffs(lambda c, k=len(area(pi)): c.subs_inv(k)),
                  csf)
 
@@ -282,7 +278,7 @@ def _unicellular_sum(sigma: SchroderPath) -> SymFunc:
                                             lambda h: llt_vertical(dyck[pos[h]]).coeffs.items()))
 
 
-def check_prop56(n: int) -> CheckReport:
+def check_prop56(n: int) -> dict | None:
     """Both LLT transformation identities, symbolically in t.
 
     (i)  t^{|Area(pi)|} G_pi(x; 1/t) = omega G_pi(x; t) for Dyck pi;
@@ -300,13 +296,13 @@ def check_prop56(n: int) -> CheckReport:
          _unicellular_sum),
     )
     for part, items, lhs, rhs in parts:
-        rep = _scan("check_prop56", n, None, items, lhs, rhs)
-        if not rep.ok:
-            return CheckReport("check_prop56", n, None, {"part": part, **rep.witness})
-    return rep
+        witness = _scan(items, lhs, rhs)
+        if witness:
+            return {"part": part, **witness}
+    return None
 
 
-def check_gg(n: int, q: int) -> CheckReport:
+def check_gg(n: int, q: int) -> dict | None:
     """The staircase induction Gamma_n is a multiple of (q-1)^{n-1}, and omega p_one of
     the quotient is e_n, compared as p_brace1(Gamma_n) = (q-1)^{n-1} m_{1^n}[(q-1)x]
     in basis M: the two are equivalent since omega and p_k -> (q^k - 1) p_k are
@@ -325,24 +321,20 @@ def check_gg(n: int, q: int) -> CheckReport:
         v = staircase()(lam)
         return v if v % denom else multiple
 
-    rep = _scan("check_gg", n, q, _partitions(n), divided, lambda lam: multiple)
-    if not rep.ok:
-        return rep
-
-    return _scan("check_gg", n, q, ["p_brace1(Gamma_n)"],
-                 lambda label: scaled_p_brace1(staircase()),
-                 lambda label: _twist(SymFunc(n, "M", {(1,) * n: ONE}), q, n - 1))
+    return (_scan(_partitions(n), divided, lambda lam: multiple)
+            or _scan(["p_brace1(Gamma_n)"], lambda label: scaled_p_brace1(staircase()),
+                     lambda label: _twist(SymFunc(n, "M", {(1,) * n: ONE}), q, n - 1)))
 
 
-def check_st_en(n: int) -> CheckReport:
+def check_st_en(n: int) -> dict | None:
     """t^{binom(n,2)} PT_{(1^n)}(x; t) = e_n, symbolically."""
     _partition_count(n)  # refused on p(n) past MAX_SWEEP, before the item is built
-    return _scan("check_st_en", n, None, [tuple([1] * n)],
+    return _scan([tuple([1] * n)],
                  lambda lam: basis_element("PT", lam).scale(LaurentPoly.t(n * (n - 1) // 2)),
                  lambda lam: SymFunc(n, "M", {lam: ONE}))  # e_n = m_{1^n}
 
 
-def check_cor66(n: int, q: int) -> CheckReport:
+def check_cor66(n: int, q: int) -> dict | None:
     """Induced pseudosupercharacters decompose over orientation types at t = q.
 
     omega p_one(Ind psi^sigma) = (q-1)^{|Diag|} AS_sigma(x; q), AS_sigma the orientation
@@ -351,13 +343,13 @@ def check_cor66(n: int, q: int) -> CheckReport:
     Passes precisely when check_llt and check_as both do (see DEPENDENCIES).
     """
     require_fibres(n, q)
-    return _scan("check_cor66", n, q, gen_tall_schroder(n),
+    return _scan(gen_tall_schroder(n),
                  lambda sigma: scaled_p_brace1(induce_to_GL(psi_pseudo(sigma, q))),
                  lambda sigma: _twist(expand_in_basis(as_expansion(sigma), "M"), q,
                                       len(sigma.D)))
 
 
-ALL_CHECKS: dict[str, Callable[..., CheckReport]] = {fn.__name__: fn for fn in (
+ALL_CHECKS: dict[str, Callable[..., dict | None]] = {fn.__name__: fn for fn in (
     check_cqs, check_hess, check_poincare, check_llt, check_mesa, check_psi_decomp,
     check_permtoind, check_as, check_cm, check_palindromic, check_prop56, check_gg,
     check_st_en, check_cor66)}
@@ -366,12 +358,12 @@ SYMBOLIC_CHECKS = ("check_as", "check_cm", "check_palindromic", "check_prop56", 
 
 
 def run_check(name: str, n: int, q: int | None) -> CheckReport:
-    """Dispatch a single named check at the given size."""
+    """Run the named check at size n and write its report, the one writer of a
+    `CheckReport`: a symbolic check takes no q, and its report has q = None."""
     if name not in ALL_CHECKS:
         raise ValueError(f"unknown check {name!r}; choose from {sorted(ALL_CHECKS)}")
-    fn = ALL_CHECKS[name]
     if name in SYMBOLIC_CHECKS:
-        return fn(n)
+        return CheckReport(name, n, None, ALL_CHECKS[name](n))
     if q is None:
         raise ValueError(f"{name} needs a field size q")
-    return fn(n, q)
+    return CheckReport(name, n, q, ALL_CHECKS[name](n, q))

@@ -206,8 +206,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
             raise ValueError(f"{args.target} is symbolic in t and takes no --q")
         n = args.n if args.n is not None else 3
         q = args.q if args.q is not None else 2
-        jobs = [(name, n, None if name in SYMBOLIC_CHECKS else q)
-                for name in (ALL_CHECKS if args.target == "all" else [args.target])]
+        jobs = [(name, n, q) for name in (ALL_CHECKS if args.target == "all" else [args.target])]
 
     reports = _run_jobs(jobs)
     if args.json:

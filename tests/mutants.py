@@ -109,6 +109,27 @@ MUTANTS = (
            "for mu, v in kostka[nu].items():",
            (SYMFUNC_TESTS + "test_schur_matches_ssyt_oracle",),
            "e_lam summed over s_nu in place of s_nu'"),
+    # exact division: the diagonal maps, the PT table's scale, the peel and omega's sign
+    Mutant("diagonal-remainder-unchecked", "symfunc.py",
+           "bad = next((nu for nu, c in row.items() if any(a % s for a in c.coeffs)), None)",
+           "bad = None",
+           (SYMFUNC_TESTS + "test_plethysm_m_raises_on_a_remainder_of_d_factorial",),
+           "a diagonal map floors a coordinate that d! does not divide"),
+    Mutant("pt-tripwire-one-loose", "bridge.py",
+           "if c.low < -N), None)",
+           "if c.low < -N - 1), None)",
+           ("tests/test_bridge.py::test_the_pt_table_refuses_a_coordinate_below_its_scale",),
+           "the PT table takes a coordinate at t^{-binom(d,2)-1}"),
+    Mutant("peel-takes-any-number", "symfunc.py",
+           "left = {mu: _coeff(c) for mu, c in coeffs.items()}",
+           "left = dict(coeffs)",
+           (SYMFUNC_TESTS + "test_peel_and_the_diagonal_maps_refuse_a_rational_coefficient",),
+           "_peel takes a coefficient that is no Laurent polynomial over Z"),
+    Mutant("omega-sign-wrong-at-2", "symfunc.py",
+           "return (-1) ** (sum(lam) - len(lam))",
+           "return 1 if lam == (2,) else (-1) ** (sum(lam) - len(lam))",
+           (SYMFUNC_TESTS + "test_omega_m_table_is_an_integer_involution_equal_to_the_p_path",),
+           "omega fixes p_2"),
     # integers and three bases: no Fraction path outside exactnum
     Mutant("fraction-in-laurent-mul", "exactnum.py",
            "        return NotImplemented\n\n    __rmul__ = __mul__\n\n    def __pow__",
@@ -203,6 +224,28 @@ MUTANTS = (
            ("tests/test_bridge.py::"
             "test_cli_verify_all_at_one_size_runs_the_numeric_checks_at_its_q",),
            "verify runs every numeric check at q = 2, whatever --q says"),
+    # a check returns its first witness, and run_check alone writes the report
+    Mutant("run-check-keeps-symbolic-q", "bridge.py",
+           "return CheckReport(name, n, None, ALL_CHECKS[name](n))",
+           "return CheckReport(name, n, q, ALL_CHECKS[name](n))",
+           ("tests/test_bridge.py::"
+            "test_run_check_writes_every_report_and_a_symbolic_one_has_no_q",),
+           "a symbolic check's report keeps the q it was run with"),
+    Mutant("prop56-drops-its-part", "bridge.py",
+           "return {\"part\": part, **witness}",
+           "return witness",
+           ("tests/test_bridge.py::test_every_check_fails_on_a_perturbed_side",),
+           "check_prop56's witness does not say which identity failed"),
+    Mutant("check-gg-skips-divisibility", "bridge.py",
+           "return (_scan(_partitions(n), divided, lambda lam: multiple)\n            or ",
+           "return (",
+           ("tests/test_bridge.py::test_every_check_fails_on_a_perturbed_side",),
+           "check_gg compares the images without the scan for a value that is no multiple"),
+    Mutant("scan-reports-the-last-failure", "bridge.py",
+           "    for item in items:\n",
+           "    for item in reversed(list(items)):\n",
+           ("tests/test_bridge.py::test_scan_reports_first_failure",),
+           "_scan reports the last item whose sides differ"),
     Mutant("nstat-off-by-one", "combinatorics.py",
            "return sum(i * k for i, k in enumerate(lam))",
            "return sum(i * k for i, k in enumerate(lam, 1))",

@@ -14,6 +14,7 @@ import pytest
 from chromaq.bridge import (
     ALL_CHECKS,
     DEPENDENCIES,
+    SYMBOLIC_CHECKS,
     CheckReport,
     _plethysm_at_q,
     _pt_at_q,
@@ -311,11 +312,11 @@ def test_all_checks_pass_n2():
 
 
 def test_check_llt_n3_q3():
-    assert check_llt(3, 3).ok
+    assert check_llt(3, 3) is None
 
 
 def test_check_gg_n2_q3():
-    assert check_gg(2, 3).ok
+    assert check_gg(2, 3) is None
 
 
 def test_check_gg_is_refused_before_the_pseudosupercharacter_terms(monkeypatch):
@@ -332,20 +333,20 @@ def test_check_gg_is_refused_before_the_pseudosupercharacter_terms(monkeypatch):
 
 def test_induction_checks_at_n4_q3_and_n3_q5():
     # one Springer walk per Jordan type: 175 flags for F_3^4 and 12 for F_5^3
-    assert check_cqs(4, 3).ok
-    assert check_cqs(3, 5).ok
-    assert check_gg(4, 3).ok
+    assert check_cqs(4, 3) is None
+    assert check_cqs(3, 5) is None
+    assert check_gg(4, 3) is None
 
 
 def test_check_st_en_n5():
-    assert check_st_en(5).ok
+    assert check_st_en(5) is None
 
 
 def test_check_st_en_runs_to_the_table_guard(monkeypatch):
     # the degree-14 Hall-Littlewood table has p(14)^2 = 18,225 cells; p(18)^2 =
     # 148,225 are past MAX_SWEEP and refused before the tableau build starts
     import chromaq.symfunc as symfunc
-    assert check_st_en(14).ok
+    assert check_st_en(14) is None
 
     def no_build(*args):
         raise AssertionError("the Hall-Littlewood table was built before its guard")
@@ -390,8 +391,7 @@ def test_check_st_en_refuses_on_partition_counts_before_listing_any(monkeypatch)
 
 
 def test_check_report_shape():
-    rep = check_cqs(2, 2)
-    d = rep.to_json()
+    d = run_check("check_cqs", 2, 2).to_json()
     assert set(d) == {"check", "n", "q", "status", "witness"}
     assert d["status"] == "pass" and d["witness"] is None
 
@@ -917,7 +917,7 @@ def test_omega_on_m_and_check_llts_right_side_read_no_power_sum_table(monkeypatc
     monkeypatch.setattr(bridge, "_plethysm_at_q", table)
     monkeypatch.setattr(sf, "_rows", p_rows_while_building)
     scans = []
-    monkeypatch.setattr(bridge, "_scan", lambda *args: scans.append(args[3:]))
+    monkeypatch.setattr(bridge, "_scan", lambda *args: scans.append(args))
     for q in (2, 3):
         check_llt(3, q)
     right = [[rhs(sigma) for sigma in items] for items, lhs, rhs in scans]
@@ -1012,10 +1012,8 @@ def test_cached_csf_and_llt_results_cannot_be_changed():
 def test_scan_reports_first_failure():
     from chromaq.bridge import _scan
     # the sides differ at 2 and at 3; 2 is the witness
-    rep = _scan("check_x", 3, 2, [1, 2, 3], lambda k: k if k < 2 else f"L{k}",
-                lambda k: k if k < 2 else f"R{k}")
-    assert not rep.ok
-    assert rep.witness == {"index": "2", "lhs": "L2", "rhs": "R2"}
+    witness = _scan([1, 2, 3], lambda k: k if k < 2 else f"L{k}", lambda k: k if k < 2 else f"R{k}")
+    assert witness == {"index": "2", "lhs": "L2", "rhs": "R2"}
 
 
 def test_scan_renders_only_the_failing_sides():
@@ -1037,10 +1035,10 @@ def test_scan_renders_only_the_failing_sides():
             rendered.append(self.name)
             return f"{self.name}{self.k}"
 
-    rep = _scan("check_x", 3, 2, [1, 2, 3, 4], lambda k: Side(k, "L"), lambda k: Side(k, "R"))
-    assert rep.witness == {"index": "3", "lhs": "L3", "rhs": "R3"}
+    witness = _scan([1, 2, 3, 4], lambda k: Side(k, "L"), lambda k: Side(k, "R"))
+    assert witness == {"index": "3", "lhs": "L3", "rhs": "R3"}
     assert rendered == ["L", "R"]
-    assert _scan("check_x", 3, 2, [1, 2], lambda k: Side(k, "L"), lambda k: Side(k, "R")).ok
+    assert _scan([1, 2], lambda k: Side(k, "L"), lambda k: Side(k, "R")) is None
 
 
 def test_class_function_text_lists_the_nonzero_values():
@@ -1065,6 +1063,23 @@ def test_run_check_refuses_a_numeric_check_without_q():
         run_check("check_cqs", 2, None)
 
 
+def test_run_check_writes_every_report_and_a_symbolic_one_has_no_q():
+    for name, fn in ALL_CHECKS.items():
+        symbolic = name in SYMBOLIC_CHECKS
+        rep = run_check(name, 2, 3)  # q = 3 is passed to every check, symbolic ones too
+        assert (rep.check, rep.n, rep.q, rep.witness) == (name, 2, None if symbolic else 3, None)
+        assert (fn(2) if symbolic else fn(2, 3)) is None
+
+
+def test_the_check_registries_agree():
+    import inspect
+    arity = {name: len(inspect.signature(fn).parameters) for name, fn in ALL_CHECKS.items()}
+    assert set(arity.values()) == {1, 2}
+    assert set(SYMBOLIC_CHECKS) == {name for name, k in arity.items() if k == 1}
+    assert len(SYMBOLIC_CHECKS) == len(set(SYMBOLIC_CHECKS))
+    assert all(name in ALL_CHECKS for key, deps in DEPENDENCIES.items() for name in (key, *deps))
+
+
 def test_run_check_guard_propagates():
     # induction walks the Springer fibres of F_3^6: 1,226,512 flags, past MAX_SWEEP
     with pytest.raises(SizeGuardError, match="the Springer fibres of F_3\\^6 visits 1,226,512"):
@@ -1076,7 +1091,7 @@ def test_run_check_guard_propagates():
 def test_check_cm_agrees_with_the_old_form_through_plethysm_frac():
     # old: (t-1)^n X[x/(t-1)] = G over Q(t); new: (t-1)^n X = G[(t-1)x] over Q[t, 1/t]
     for n in range(1, 5):
-        assert check_cm(n).ok, n
+        assert check_cm(n) is None, n
         for pi in gen_dyck(n):
             old = cm_lhs(pi)
             assert old == llt_vertical(pi).coeffs, pi
@@ -1104,7 +1119,7 @@ def test_check_cm_divides_by_nothing(monkeypatch):
     # both sides stay in Z[t]: no coefficient of either side is a quotient
     import chromaq.bridge as bridge
     sides = []
-    monkeypatch.setattr(bridge, "_scan", lambda *args: sides.append(args[3:]))
+    monkeypatch.setattr(bridge, "_scan", lambda *args: sides.append(args))
     for n in range(6):
         check_cm(n)
     monkeypatch.undo()
@@ -1113,7 +1128,7 @@ def test_check_cm_divides_by_nothing(monkeypatch):
             for F in (lhs(pi), rhs(pi)):
                 assert all(c.low >= 0 and all(type(a) is int for a in c.coeffs)
                            for c in F.coeffs.values()), pi
-    assert all(check_cm(n).ok for n in range(6))
+    assert all(check_cm(n) is None for n in range(6))
 
 
 def test_check_cm_fails_on_a_perturbed_llt(monkeypatch):
@@ -1127,11 +1142,11 @@ def test_check_cm_fails_on_a_perturbed_llt(monkeypatch):
         return G
 
     monkeypatch.setattr(bridge, "llt_vertical", perturbed)
-    rep = check_cm(3)
-    assert not rep.ok and rep.witness["index"] == str(target)
-    assert rep.witness["lhs"] != rep.witness["rhs"]
+    witness = check_cm(3)
+    assert witness is not None and witness["index"] == str(target)
+    assert witness["lhs"] != witness["rhs"]
     monkeypatch.undo()
-    assert check_cm(3).ok
+    assert check_cm(3) is None
 
 
 def _fails_at_the_perturbed_item(monkeypatch, check, kernel, hit, change, index, q=2, part=None):
@@ -1303,7 +1318,7 @@ def test_check_psi_decomp_builds_each_supercharacter_once(monkeypatch):
     monkeypatch.setattr(bridge, "chi_super", counted)
     for n, graphs in ((3, 5), (4, 14), (5, 42)):
         calls.clear()
-        assert bridge.check_psi_decomp(n, 2).ok
+        assert bridge.check_psi_decomp(n, 2) is None
         assert sum(calls.values()) == len(calls) == graphs, n
 
 

@@ -26,7 +26,7 @@ import pytest
 
 import chromaq
 import chromaq.bridge as bridge
-from chromaq.bridge import ALL_CHECKS, CheckReport, run_check
+from chromaq.bridge import ALL_CHECKS, run_check
 from chromaq.combinatorics import area
 from chromaq.fqoracle import chi_bar
 from classfn_oracle import upset_sum_by_scan
@@ -149,17 +149,13 @@ SHARED = {
 def _scans(monkeypatch) -> list[tuple[str, list, object, object]]:
     """(check, items, lhs, rhs) of every scan of every check at n = 3, q = 2.
 
-    No side runs: each recorded scan reports a pass, so a check's later scans
-    are recorded too, and a memo held by a side is still empty."""
+    No side runs: each recorded scan returns None, a pass, so a check's later
+    scans are recorded too, and a memo held by a side is still empty."""
     scans = []
-
-    def record(name, n, q, items, lhs, rhs):
-        scans.append((name, list(items), lhs, rhs))
-        return CheckReport(name, n, q)
-
     with monkeypatch.context() as m:
-        m.setattr(bridge, "_scan", record)
         for name in ALL_CHECKS:
+            m.setattr(bridge, "_scan", lambda items, lhs, rhs, name=name:
+                      scans.append((name, list(items), lhs, rhs)))
             run_check(name, 3, 2)
     return scans
 
@@ -230,7 +226,7 @@ def test_the_audit_names_a_declared_entry_the_sides_no_longer_share(monkeypatch)
         return upset_sum_by_scan(gamma.size, q, terms)
 
     monkeypatch.setattr(bridge, "chi_super", chi_super_by_scan)
-    assert bridge.check_mesa(3, 2).ok and bridge.check_psi_decomp(3, 2).ok
+    assert bridge.check_mesa(3, 2) is None and bridge.check_psi_decomp(3, 2) is None
     assert _audit(monkeypatch) == [f"{name} declares fqoracle.{f}, which its sides no longer share"
                                    for name in ("check_mesa", "check_psi_decomp")
                                    for f in ("_lattice", "_lowered", "_upset_sum")]
