@@ -51,7 +51,6 @@ from .fqoracle import (
     _centralizer_order,
     _lattice,
     _lowered,
-    chi_bar,
     chi_super,
     hessenberg_count,
     induce_to_GL,
@@ -169,20 +168,20 @@ def check_cqs(n: int, q: int) -> dict | None:
     """Induced permutation characters realize (q-1)^n X_gamma(x; q)."""
     require_fibres(n, q)
     return _scan(gen_dyck(n),
-                 lambda pi: scaled_p_brace1(induce_to_GL(chi_bar(pi, q))),
+                 lambda pi: scaled_p_brace1(induce_to_GL(psi_pseudo(pi, q))),
                  lambda pi: eval_t(csf(pi), q).scale((q - 1) ** n * q ** (n * (n - 1) // 2)))
 
 
 def check_hess(n: int, q: int) -> dict | None:
     """Induced character values count Hessenberg points: (q-1)^n q^{|E|} |B|, both
-    sides times |UT_n|.  The left side induces by the UT_n sweep, so it tests the
-    Springer walk that induce_to_GL reads."""
+    sides times |UT_n|.  The left side induces psi of the Dyck path, chi_bar, by the
+    UT_n sweep, so it tests the Springer walk that induce_to_GL reads."""
     require_fibres(n, q)
     items = [(pi, lam) for pi in gen_dyck(n) for lam in _partitions(n)]
 
     def lhs(item):  # each u of type lam is J_lam's conjugate by |C_GL(J_lam)| elements
         pi, lam = item
-        dot = sum(c * v for c, v in zip(induction_table(n, q)[lam], chi_bar(pi, q).values))
+        dot = sum(c * v for c, v in zip(induction_table(n, q)[lam], psi_pseudo(pi, q).values))
         return _centralizer_order(lam, q) * dot
 
     return _scan(items, lhs, lambda item: ut_order(n, q) * (q - 1) ** n
@@ -235,8 +234,8 @@ def check_psi_decomp(n: int, q: int) -> dict | None:
 
 
 def check_permtoind(n: int, q: int) -> dict | None:
-    """chi_bar agrees with the directly-counted permutation character."""
-    return _scan(gen_dyck(n), lambda pi: chi_bar(pi, q),
+    """psi of a Dyck path, chi_bar, agrees with the directly-counted permutation character."""
+    return _scan(gen_dyck(n), lambda pi: psi_pseudo(pi, q),
                  lambda pi: permutation_character_oracle(pi, q))
 
 

@@ -31,10 +31,10 @@ from .chromallt import as_expansion, csf, d_coeffs, e_expansion_X, llt_vertical,
 from .combinatorics import DyckPath, SchroderPath, area, path_of_graph
 from .exactnum import PoleError
 from .fqoracle import (
-    chi_bar,
     hessenberg_count,
     induce_to_GL,
     nilpotent_type,
+    psi_pseudo,
     require_fibres,
     superclass_sizes,
 )
@@ -48,13 +48,15 @@ atexit.register(gc.freeze)
 
 
 def _parse_graph(text: str, guard: Callable[[int], None]) -> SchroderPath:
-    """The Dyck path of INDEX: a step string, or a JSON graph {"n": n, "edges":
-    [[i, j], ...]}, whose shape is checked, and whose n the verb's guard admits,
-    before its path of 2n steps is built; a step string is as long as its path,
-    and the verb guards its size.  ValueError on any other shape."""
+    """The Dyck path of INDEX, its size admitted by the verb's guard: a step
+    string, guarded once it is read, or a JSON graph {"n": n, "edges": [[i, j],
+    ...]}, whose shape is checked, and whose n is guarded, before its path of 2n
+    steps is built.  ValueError on any other shape."""
     text = text.strip()
     if not text.startswith("{"):
-        return DyckPath(text)
+        pi = DyckPath(text)
+        guard(pi.size)
+        return pi
     obj = json.loads(text)
     if not isinstance(obj, dict) or not {"n", "edges"} <= obj.keys():
         raise ValueError('graph JSON must be an object with keys "n" and "edges"')
@@ -134,15 +136,13 @@ def _cmd_compute(args: SimpleNamespace) -> int:
         _emit(out)
     elif verb == "induce":
         pi = _parse_graph(args.index, lambda n: require_fibres(n, args.q))
-        require_fibres(pi.size, args.q)  # before the graphs on [n] are listed
-        ind = induce_to_GL(chi_bar(pi, args.q))
+        ind = induce_to_GL(psi_pseudo(pi, args.q))
         items = [{"partition": list(lam), "value": str(v)} for lam, v in sorted(ind.items())]
         _emit({"n": ind.n, "q": ind.q, "values": items})
     elif verb == "hess-count":
         pi = _parse_graph(args.index, lambda n: require_fibres(n, args.q))
         if (args.matrix is None) == (args.jordan_type is None):
             raise ValueError("hess-count needs one of --matrix DIGITS or --jordan-type PART,PART,..")
-        require_fibres(pi.size, args.q)  # before any n x n matrix is built
         if args.matrix is not None:
             lam = nilpotent_type(args.matrix, pi.size, args.q)
         else:

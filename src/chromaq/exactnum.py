@@ -129,6 +129,8 @@ class LaurentPoly:
     def __setattr__(self, *args):  # immutable
         raise AttributeError("LaurentPoly is immutable")
 
+    __delattr__ = __setattr__
+
     @staticmethod
     def const(c: int) -> "LaurentPoly":
         c = c if type(c) is int else _int(c)
@@ -390,6 +392,8 @@ class RationalFunc:
 
     def __setattr__(self, *args):
         raise AttributeError("RationalFunc is immutable")
+
+    __delattr__ = __setattr__
 
     @staticmethod
     def const(c) -> "RationalFunc":

@@ -294,14 +294,6 @@ def _lowered(h: tuple[int, ...], cols: Iterable[int], q: int) -> list[tuple[tupl
     return out
 
 
-def chi_bar(pi: SchroderPath, q: int) -> ClassFnUT:
-    """Permutation character of UT_n on UT_n/UT_gamma, gamma the graph of a Dyck
-    path: q^{|E|} times the indicator of UT_gamma."""
-    _check_q(q)
-    _lattice(pi.size)  # refused past MAX_PATH_N, before q^{|E|} is built
-    return _upset_sum(pi.size, q, _lowered(pi.h, (), q))
-
-
 def chi_super(pi: SchroderPath, q: int) -> ClassFnUT:
     """Supercharacter attached to the graph gamma of a Dyck path, the Moebius
     inversion of chi_bar: sum of mu(sigma, gamma) chi_bar(sigma) over sigma <= gamma.
@@ -314,13 +306,13 @@ def chi_super(pi: SchroderPath, q: int) -> ClassFnUT:
     return _upset_sum(pi.size, q, _lowered(pi.h, _corners(pi.h), q))
 
 
-@lru_cache(maxsize=None)
 def psi_pseudo(sigma: SchroderPath, q: int) -> ClassFnUT:
     """Pseudosupercharacter: signed inclusion-exclusion of chi_bar over Diag subsets.
 
     A tall path (h, D) has at most one Diag cell per column, its top cell in
-    Area u Diag, so Area u S is h moved up by 1 in the columns of D - S.  Built
-    once per (sigma, q): four checks read the same paths at the same q."""
+    Area u Diag, so Area u S is h moved up by 1 in the columns of D - S.  At
+    D empty, a Dyck path of the graph gamma, it is chi_bar^gamma, the permutation
+    character of UT_n on UT_n/UT_gamma: q^{|E|} times the indicator of UT_gamma."""
     n = sigma.size
     _check_q(q)
     pos = _lattice(n)[1]  # refused past MAX_PATH_N, before the 2^|Diag| terms are built
@@ -400,7 +392,7 @@ def permutation_character_oracle(pi: SchroderPath, q: int) -> ClassFnUT:
     """Character of UT_n acting on UT_n/UT_gamma, gamma the graph of a Dyck path,
     counted column by column.
 
-    Independent of the chi_bar formula; used to verify it.  x UT_gamma is fixed
+    Independent of psi_pseudo's upset sum; used to verify it.  x UT_gamma is fixed
     by u iff x^{-1} a x lies in the pattern algebra of gamma, a = u - 1, that is
     iff a x_j lies in <e_1..e_{m_j}> for each column x_j of x.  Column j of x is
     e_j plus any w in <e_1..e_{j-1}>, and a strictly upper a makes that a linear

@@ -251,6 +251,36 @@ MUTANTS = (
            "return sum(i * k for i, k in enumerate(lam, 1))",
            (COMBINATORICS_TESTS + "test_nstat",),
            "n(lam) read as sum i*lam_i, one |lam| too many"),
+    # a value refuses del, and every index is guarded once
+    Mutant("laurent-del-allowed", "exactnum.py",
+           "raise AttributeError(\"LaurentPoly is immutable\")\n\n    __delattr__ = __setattr__\n",
+           "raise AttributeError(\"LaurentPoly is immutable\")\n",
+           ("tests/test_exactnum.py::test_del_is_refused_and_the_value_stays_whole",),
+           "del on a LaurentPoly's field succeeds, and the value no longer prints"),
+    Mutant("step-string-skips-its-guard", "cli.py",
+           "        pi = DyckPath(text)\n        guard(pi.size)\n        return pi\n",
+           "        return DyckPath(text)\n",
+           ("tests/test_bridge.py::"
+            "test_cli_guards_a_step_string_as_it_guards_the_same_graph_in_json",),
+           "a step string reaches the verb unguarded, so hess-count names its flags first"),
+    # the Hessenberg walk, the area of a tall path, and the Springer tally of 1^n
+    Mutant("between-excludes-hi", "combinatorics.py",
+           "for v in range(max(x[-1:] + (a,)), b + 1)]",
+           "for v in range(max(x[-1:] + (a,)), b)]",
+           (COMBINATORICS_TESTS + "test_dyck_counts",
+            COMBINATORICS_TESTS + "test_tall_schroder_counts"),
+           "the walk of Hessenberg functions stops one below hi in each column"),
+    Mutant("area-ignores-diag", "combinatorics.py",
+           "for i in range(x + 1 + (j in sigma.D), j + 1))",
+           "for i in range(x + 1, j + 1))",
+           (COMBINATORICS_TESTS + "test_area_diag_worked_examples",
+            COMBINATORICS_TESTS + "test_tall_paths_read_h_and_d_as_the_cell_walk_does"),
+           "the area of a tall path keeps the square under each Diag step"),
+    Mutant("ones-tally-one-flag", "fqoracle.py",
+           "return Counter({(0,) * n: _fibre_size(lam, q)})",
+           "return Counter({(0,) * n: 1})",
+           ("tests/test_fqoracle.py::test_the_fibre_of_zero_is_every_flag",),
+           "the Springer tally of 1^n counts one flag, not all [n]_q! of them"),
 )
 
 
@@ -261,11 +291,11 @@ def _side(check: str, side: str, old: str, new: str, why: str) -> Mutant:
 
 # one per side of each check: the verify runs every check at n = 4, q = 3
 CHECK_SIDES = (
-    _side("check_cqs", "lhs", "induce_to_GL(chi_bar(pi, q))",
+    _side("check_cqs", "lhs", "induce_to_GL(psi_pseudo(pi, q))",
           "induce_to_GL(chi_super(pi, q))", "the supercharacter induced in place of chi_bar"),
     _side("check_cqs", "rhs", "eval_t(csf(pi), q).scale((q - 1) ** n *",
           "eval_t(csf(pi), q).scale((q - 1) ** (n - 1) *", "X_gamma times (q-1)^{n-1}"),
-    _side("check_hess", "lhs", "induction_table(n, q)[lam], chi_bar(pi, q).values",
+    _side("check_hess", "lhs", "induction_table(n, q)[lam], psi_pseudo(pi, q).values",
           "induction_table(n, q)[lam], chi_super(pi, q).values",
           "the sweep dotted with the supercharacter"),
     _side("check_hess", "rhs", "ut_order(n, q) * (q - 1) ** n",
@@ -284,12 +314,12 @@ CHECK_SIDES = (
     _side("check_mesa", "lhs", "lambda pi: psi_pseudo(mesa(pi), q)",
           "lambda pi: psi_pseudo(pi, q)", "psi of the Dyck path, not of its mesa"),
     _side("check_mesa", "rhs", "lambda pi: chi_super(pi, q)",
-          "lambda pi: chi_bar(pi, q)", "chi_bar in place of the supercharacter"),
+          "lambda pi: psi_pseudo(pi, q)", "chi_bar in place of the supercharacter"),
     _side("check_psi_decomp", "lhs", "lambda sigma: psi_pseudo(sigma, q), rhs)",
           "lambda sigma: psi_pseudo(mesa(sigma), q), rhs)", "psi of the mesa path"),
     _side("check_psi_decomp", "rhs", "return {pi.h: chi_super(pi, q).values",
-          "return {pi.h: chi_bar(pi, q).values", "chi_bar summed over the interval"),
-    _side("check_permtoind", "lhs", "lambda pi: chi_bar(pi, q),",
+          "return {pi.h: psi_pseudo(pi, q).values", "chi_bar summed over the interval"),
+    _side("check_permtoind", "lhs", "lambda pi: psi_pseudo(pi, q),",
           "lambda pi: chi_super(pi, q),", "the supercharacter in place of chi_bar"),
     _side("check_permtoind", "rhs", "permutation_character_oracle(pi, q)",
           "permutation_character_oracle(gen_dyck(n)[0], q)",

@@ -38,9 +38,7 @@ from chromaq.combinatorics import (
 )
 from chromaq.exactnum import LaurentPoly
 from chromaq.fqoracle import (
-    chi_bar,
     chi_super,
-    chi_bar as _chi_bar,
     induce_to_GL,
     psi_pseudo,
     superclass_sizes,
@@ -89,7 +87,7 @@ def test_criterion_1_worked_examples():
     path3 = path_of_graph(3, frozenset({(1, 2), (2, 3)}))
     edge23 = path_of_graph(3, frozenset({(2, 3)}))
     edge12 = path_of_graph(3, frozenset({(1, 2)}))
-    assert psi == fn_sum(chi_bar(path3, q), fn_scale(chi_bar(edge23, q), -1))
+    assert psi == fn_sum(psi_pseudo(path3, q), fn_scale(psi_pseudo(edge23, q), -1))
     assert psi == fn_sum(chi_super(edge12, q), chi_super(path3, q))
 
     elapsed = time.time() - t0

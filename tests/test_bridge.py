@@ -45,7 +45,6 @@ from chromaq.fqoracle import (
     PRIMES,
     ClassFnUT,
     UnipClassFn,
-    chi_bar,
     chi_super,
     induce_to_GL,
     psi_pseudo,
@@ -148,7 +147,7 @@ def test_p_one_and_p_brace1_match_the_symbolic_oracle():
     # omega (p_brace1)[x/(q-1)] has two oracles over Q, which agree
     for n, q in DEFAULT_GRID + [(4, 2)]:
         phis = [class_fn(UnipClassFn, n, q, {lam: 1}) for lam in gen_partitions(n)]
-        phis += [induce_to_GL(chi_bar(g, q)) for g in gen_dyck(n)]
+        phis += [induce_to_GL(psi_pseudo(g, q)) for g in gen_dyck(n)]
         for phi in phis:
             assert p_brace1(phi) == symbolic_p_brace1(phi), (n, q, phi)
             assert three_step_p_one(phi) == symbolic_p_one(phi), (n, q, phi)
@@ -246,8 +245,8 @@ def test_p_brace1_zero():
 
 def test_p_brace1_linear():
     q = 2
-    a = induce_to_GL(chi_bar(path_of_graph(3, frozenset({(1, 2)})), q))
-    b = induce_to_GL(chi_bar(path_of_graph(3, frozenset()), q))
+    a = induce_to_GL(psi_pseudo(path_of_graph(3, frozenset({(1, 2)})), q))
+    b = induce_to_GL(psi_pseudo(path_of_graph(3, frozenset()), q))
     combo = fn_sum(fn_scale(a, 3), fn_scale(b, -2))
     lhs = scaled_p_brace1(combo)
     rhs = sym_sum(scaled_p_brace1(a).scale(RF(3)), scaled_p_brace1(b).scale(RF(-2)))
@@ -262,7 +261,7 @@ def test_p_one_two_code_paths_agree():
     # plethysm through bridge's int table takes omega of either back to p_brace1
     q, to_p = 2, gauss_jordan_m_to("P", 3)
     for gamma in gen_dyck(3):
-        phi = induce_to_GL(chi_bar(gamma, q))
+        phi = induce_to_GL(psi_pseudo(gamma, q))
         a = three_step_p_one(phi)
         F = change(p_brace1(phi), lambda mu: to_p[mu].items())
         F = {lam: c * (-1) ** (3 - len(lam)) for lam, c in F.items()}
@@ -275,8 +274,8 @@ def test_p_one_two_code_paths_agree():
 def test_p_one_linear():
     # the paper's map is linear: three_step_p_one reads p_brace1
     q = 3
-    a = induce_to_GL(chi_bar(path_of_graph(2, frozenset({(1, 2)})), q))
-    b = induce_to_GL(chi_bar(path_of_graph(2, frozenset()), q))
+    a = induce_to_GL(psi_pseudo(path_of_graph(2, frozenset({(1, 2)})), q))
+    b = induce_to_GL(psi_pseudo(path_of_graph(2, frozenset()), q))
     combo = fn_sum(fn_scale(a, 2), fn_scale(b, -7))
     fa, fb = three_step_p_one(a), three_step_p_one(b)
     want = {lam: 2 * fa.get(lam, 0) - 7 * fb.get(lam, 0) for lam in gen_partitions(2)}
@@ -460,9 +459,55 @@ def test_the_size_knobs_are_exactly_these():
     assert found == {"MAX_SWEEP", "MAX_PATH_N"}
 
 
+# every lru_cache of the package, with its reason: a gain measured with and without
+# it (each cache removed alone against verify all and --deep, or at a reach point),
+# or the structure that reads one value many times
+CACHES = {
+    "bridge._plethysm_at_q": "the m_mu[(q-1)x] rows at q for every item of check_llt, check_cor66 "
+                             "and check_gg: verify all 1.23x, --deep 1.10x slower without it",
+    "bridge._pt_at_q": "the PT rows at q for every induced item: check_llt(6,2) 0.43-0.45 s with "
+                       "it, 0.47-0.48 s without",
+    "bridge.d_coeffs": "check_poincare's right side reads one graph's expansion at each of its "
+                       "p(n) Jordan types; the side's own memo, for one check",
+    "bridge.supers": "check_psi_decomp's right side reads each supercharacter in every interval "
+                     "that holds it; the side's own memo, for one check",
+    "chromallt.as_expansion": "check_as and check_cor66 expand the same tall paths: verify all "
+                              "builds 60 for 90 calls",
+    "chromallt.csf": "check_cqs, check_poincare, check_cm and check_palindromic colour the same "
+                     "graphs: verify all builds 22 for 98 calls",
+    "chromallt.llt_vertical": "check_llt, check_as, check_cm and check_prop56 colour the same "
+                              "paths: verify all builds 60 for 340 calls, and check_prop56(7) "
+                              "takes 4.6 s with it, 29 s without",
+    "combinatorics._partitions": "the keys of UnipClassFn: a value is found by its position in "
+                                 "this one tuple per n",
+    "combinatorics.gen_dyck": "the keys of ClassFnUT and the lattice's paths: a value is found by "
+                              "its position in this one tuple per n",
+    "combinatorics.gen_tall_schroder": "the items of the five tall-path checks, one tuple per n",
+    "exactnum.t_minus_one_power": "(t-1)^k for every item of check_cm and check_prop56: verify "
+                                  "all 1.05x, --deep 1.15x slower without it",
+    "fqoracle._column_ranks": "the column ranks once per n for every q: check_permtoind(7,3) "
+                              "0.06 s with it, 1.44-1.51 s without",
+    "fqoracle._fibre_size": "Spaltenstein's recursion reads each shorter partition again; "
+                            "require_fibres and the 1^n tally read the same sizes",
+    "fqoracle._field": "the byte tables of F_q once per q: verify all 1.09x slower without it",
+    "fqoracle._lattice": "the one table of upsets per n that every class function sums over",
+    "fqoracle._springer_fibre": "one walk per (lam, q) that every gamma of a point reads: "
+                                "test_the_default_suite_makes_twelve_sweeps",
+    "fqoracle.induce_to_GL": "keyed by the class function's value, so check_llt, check_cor66 "
+                             "and check_gg share their images: verify all makes 30 inductions",
+    "fqoracle.induction_table": "one UT_n sweep per (n, q), read by every item of check_hess",
+    "symfunc._placements": "_rows(\"P\", 16) takes 0.09 s with it and 150 s without",
+    "symfunc._plethysm_factor": "verify all 1.08x, --deep 1.09x slower without it",
+    "symfunc._require_partition": "verify all 1.05x, --deep 1.12x slower without it",
+    "symfunc._rows": "one table of rows per (basis, degree), behind one p(d)^2 guard: "
+                     "test_each_table_is_built_once_per_basis_and_degree",
+    "symfunc._strips": "verify all 1.06x, --deep 1.10x slower without it",
+}
+
+
 def test_the_caches_are_exactly_these():
     # every lru_cache of the package, decorated or built as lru_cache(...)(f); a cache
-    # is added or removed here on purpose, with its measured gain in CHANGES.md
+    # is added or removed here on purpose, with its reason in CACHES
     import ast
 
     def is_lru(node):
@@ -478,18 +523,8 @@ def test_the_caches_are_exactly_these():
                 found.append(f"{module}.{ast.unparse(node.args[0])}")
             mentions += isinstance(node, (ast.Name, ast.Attribute)) and is_lru(node)
     assert mentions == len(found)  # no cache is built in a form the walk does not read
-    assert sorted(found) == [
-        "bridge._plethysm_at_q", "bridge._pt_at_q", "bridge.d_coeffs", "bridge.supers",
-        "chromallt.as_expansion", "chromallt.csf", "chromallt.llt_vertical",
-        "combinatorics._partitions", "combinatorics.gen_dyck",
-        "combinatorics.gen_tall_schroder",
-        "exactnum.t_minus_one_power",
-        "fqoracle._column_ranks", "fqoracle._fibre_size", "fqoracle._field",
-        "fqoracle._lattice", "fqoracle._springer_fibre", "fqoracle.induce_to_GL",
-        "fqoracle.induction_table", "fqoracle.psi_pseudo",
-        "symfunc._placements", "symfunc._plethysm_factor",
-        "symfunc._require_partition", "symfunc._rows", "symfunc._strips",
-    ]
+    assert sorted(found) == sorted(CACHES) and len(CACHES) == 23
+    assert all(CACHES.values())
 
 
 def _package_imports():
@@ -742,9 +777,9 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
     from chromaq.chromallt import as_expansion
     from chromaq.fqoracle import (
         _Packed,
-        chi_bar,
         hessenberg_count,
         induce_to_GL,
+        psi_pseudo,
         ut_elements,
         ut_order,
     )
@@ -798,7 +833,7 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
         (lambda: flag_reps(5, 3), "251,680"),
         (lambda: next(ut_rows(5, 5)), "9,765,625"),
         (lambda: next(flag_rows(5, 3)), "251,680"),
-        (lambda: induce_to_GL(chi_bar(path_of_graph(6, []), 3)), "1,226,512"),
+        (lambda: induce_to_GL(psi_pseudo(path_of_graph(6, []), 3)), "1,226,512"),
         (lambda: coset_permutation_character(path_of_graph(8, []), 7), f"{ut_order(8, 7):,}"),
         (lambda: coset_permutation_character(path_of_graph(16, []), 5), f"{ut_order(16, 5):,}"),
         (lambda: hessenberg_sweep(path_of_graph(5, []), (2, 1, 1, 1), 3), "251,680"),
@@ -823,9 +858,9 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
             call()
     # no table was kept
     assert _rows.cache_info().currsize == tables
-    # chi_bar on [16] needs the Cat(16) graphs first, and their enumeration refuses;
+    # psi of a Dyck path on [16] needs the Cat(16) graphs first, and their enumeration refuses;
     # superclass sizes are read off the graphs on [n]
-    for call, n in ((lambda: induce_to_GL(chi_bar(path_of_graph(16, []), 5)), 16),
+    for call, n in ((lambda: induce_to_GL(psi_pseudo(path_of_graph(16, []), 5)), 16),
                     (lambda: superclass_sizes(9, 7), 9), (lambda: superclass_sizes(16, 5), 16)):
         with pytest.raises(SizeGuardError, match=f"gen_dyck: n = {n} exceeds guard"):
             call()
@@ -928,19 +963,10 @@ def test_omega_on_m_and_check_llts_right_side_read_no_power_sum_table(monkeypatc
     assert right == [[lhs(sigma) for sigma in items] for items, lhs, rhs in scans]
 
 
-def test_the_default_suite_builds_each_pseudosupercharacter_once():
-    # check_llt, check_psi_decomp, check_cor66 and check_gg read 30 distinct (sigma, q)
-    import chromaq.fqoracle as fq
-    from chromaq.cli import _default_suite
-    fq.psi_pseudo.cache_clear()
-    assert all(run_check(name, n, q).status == "pass" for name, n, q in _default_suite(False))
-    assert fq.psi_pseudo.cache_info().misses == 30
-
-
 def test_the_default_suite_induces_and_maps_each_class_function_once(monkeypatch):
     # induce_to_GL is keyed by the class function's value: check_llt, check_cor66
     # and check_gg share its images, and so do check_cqs and check_hess. Without
-    # the cache the suite makes 98 calls
+    # the cache the suite makes 94 calls
     import chromaq.bridge as bridge
     import chromaq.fqoracle as fq
     from chromaq.cli import _default_suite
@@ -1181,7 +1207,7 @@ _G23 = path_of_graph(3, [(2, 3)])
 
 
 @pytest.mark.parametrize("check, kernel, hit, change, index", [
-    # the sweep's count of type L labeled G, which chi_bar(gamma) reads first at gamma = G
+    # the sweep's count of type L labeled G, which psi_pseudo(gamma) reads first at gamma = G
     ("check_hess", "induction_table", lambda n, q: True,
      lambda t: {**t, _L: fn_sum(ClassFnUT(3, 2, t[_L]), _BUMP_G).values}, (_G, _L)),
     ("check_hess", "hessenberg_count", lambda g, lam, q: (g, lam) == (_G, _L),
@@ -1190,7 +1216,7 @@ _G23 = path_of_graph(3, [(2, 3)])
      lambda c: c + 1, (_G, _L)),
     ("check_poincare", "d_coeffs", lambda g: g == _G,
      lambda d: {**d, _L: d.get(_L, ZERO) + 1}, (_G, _L)),
-    ("check_permtoind", "chi_bar", lambda g, q: g == _G, lambda f: fn_sum(f, _BUMP_G), _G),
+    ("check_permtoind", "psi_pseudo", lambda g, q: g == _G, lambda f: fn_sum(f, _BUMP_G), _G),
     ("check_permtoind", "permutation_character_oracle", lambda g, q: g == _G,
      lambda f: fn_sum(f, _BUMP_G), _G),
     ("check_mesa", "psi_pseudo", lambda s, q: s == mesa(_G), lambda f: fn_sum(f, _BUMP_G), _G),
@@ -1215,7 +1241,7 @@ def _bump(f):
 # itself sees only the induced function, which EDESS and EESDS share.  The right sides
 # of check_gg's e_n step and of check_st_en (e_n = m_{1^n}) are constants
 _PERTURBED_SIDES = [
-    ("check_cqs", "chi_bar", lambda g, q: g == _G, lambda f: fn_sum(f, _BUMP_G), _G, 2, None),
+    ("check_cqs", "psi_pseudo", lambda g, q: g == _G, lambda f: fn_sum(f, _BUMP_G), _G, 2, None),
     ("check_cqs", "csf", lambda g: g == _G, _bump, _G, 2, None),
     ("check_llt", "psi_pseudo", lambda s, q: s == _S, lambda f: fn_sum(f, _BUMP_G), _S, 2, None),
     ("check_llt", "llt_vertical", lambda path: path == _S, _bump, _S, 2, None),
@@ -1550,6 +1576,23 @@ def test_cli_guards_a_json_graph_before_its_path_is_built(capsys, monkeypatch, v
     assert capsys.readouterr().err == "error: edge set [(1, 3)] on [3] is not interval-closed\n"
 
 
+
+@pytest.mark.parametrize("verb, flags", [
+    ("csf", []), ("d-coeffs", []), ("e-expand", []), ("induce", ["--q", "2"]),
+    ("hess-count", ["--q", "2", "--jordan-type", "12"]), ("hess-count", ["--q", "2"]),
+], ids=["csf", "d-coeffs", "e-expand", "induce", "hess-count", "hess-count-unflagged"])
+def test_cli_guards_a_step_string_as_it_guards_the_same_graph_in_json(capsys, verb, flags):
+    # K_12 as steps and as edges: the verb's guard refuses both forms alike, before any
+    # other input is read, so hess-count names the fibres, not its missing flag
+    from chromaq.cli import main
+    edges = [[i, j] for i in range(1, 13) for j in range(i + 1, 13)]
+    printed = []
+    for index in ("E" * 12 + "S" * 12, json.dumps({"n": 12, "edges": edges})):
+        assert main(["compute", verb, index, *flags]) == 2
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1] and printed[0].out == ""
+    assert printed[0].err.startswith("error: sweeping the ")
+
 def test_cli_superclass_sizes_list_the_graphs_by_edge_count_then_edges(capsys):
     from chromaq.cli import main
     for n, q in ((4, 3), (5, 2)):
@@ -1575,7 +1618,7 @@ def test_hessenberg_checks_are_refused_before_any_work(monkeypatch, check, n, q,
         raise RuntimeError("a kernel ran")
 
     for name in ("induction_table", "d_coeffs", "gen_dyck", "gen_tall_schroder",
-                 "_partitions", "chi_bar", "psi_pseudo"):
+                 "_partitions", "psi_pseudo"):
         monkeypatch.setattr(bridge, name, kernel)
     monkeypatch.setattr(fq, "_lattice", kernel)
     with pytest.raises(SizeGuardError, match=f"sweeping the Springer fibres of F_{q}\\^{n} visits "
@@ -1595,7 +1638,7 @@ def test_compute_induce_is_refused_before_any_graph_is_listed(monkeypatch, capsy
     def kernel(*args):
         raise RuntimeError("a kernel ran")
 
-    monkeypatch.setattr(cli, "chi_bar", kernel)
+    monkeypatch.setattr(cli, "psi_pseudo", kernel)
     monkeypatch.setattr(fq, "_lattice", kernel)
     assert cli.main(["compute", "induce", "E" * n + "S" * n, "--q", str(q)]) == 2
     assert capsys.readouterr().err == (f"error: sweeping the Springer fibres of F_{q}^{n} visits "

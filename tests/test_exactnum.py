@@ -97,6 +97,18 @@ def test_zero_is_empty():
     assert z.is_zero and z.low == 0 and z.coeffs == ()
 
 
+
+def test_del_is_refused_and_the_value_stays_whole():
+    # as on every Frozen value: no field of the module constants T and ONE, of a
+    # fresh poly or of a RationalFunc can be deleted, and the value still prints
+    for value, field, text in [(exactnum.T, "low", "t"), (ONE, "coeffs", "1"),
+                               (2 * T + 1, "low", "2*t+1"),
+                               (RationalFunc(T, T + 1), "num", "(t)/(t+1)")]:
+        for name in (field, "other"):
+            with pytest.raises(AttributeError, match="is immutable"):
+                delattr(value, name)
+        assert repr(value) == text
+
 def test_ratfunc_reduction_is_canonical():
     a = RationalFunc((T - 1) * (T + 2), (T - 1) * (T + 3))
     b = RationalFunc(T + 2, T + 3)

@@ -23,7 +23,6 @@ from chromaq.fqoracle import (
     PRIMES,
     ClassFnUT,
     UnipClassFn,
-    chi_bar,
     chi_super,
     hessenberg_count,
     induce_to_GL,
@@ -442,7 +441,7 @@ def test_chi_bar_degree():
     # value at the identity superclass (complete graph) is q^{|E|}
     for q in (2, 3):
         for gamma in gen_dyck(3):
-            f = chi_bar(gamma, q)
+            f = psi_pseudo(gamma, q)
             complete = IG(3, (1, 2), (2, 3), (1, 3))
             assert f(complete) == q ** len(area(gamma))
 
@@ -453,7 +452,7 @@ def test_permtoind_against_coset_oracle():
     points = [(n, q) for n in range(4) for q in PRIMES] + [(4, 2), (4, 3), (5, 2)]
     for n, q in points:
         for gamma in gen_dyck(n):
-            assert chi_bar(gamma, q) == permutation_character_oracle(gamma, q) \
+            assert psi_pseudo(gamma, q) == permutation_character_oracle(gamma, q) \
                 == coset_permutation_character(gamma, q), (gamma, q)
 
 
@@ -469,7 +468,7 @@ def test_column_count_reads_its_ranks_once_per_n_q_and_sweeps_nothing(monkeypatc
     for q in PRIMES:
         for gamma in gammas:
             # |UT_5(F_3)| = 59,049: the sweep would conjugate each of 42 representatives by each
-            assert permutation_character_oracle(gamma, q) == chi_bar(gamma, q), (gamma, q)
+            assert permutation_character_oracle(gamma, q) == psi_pseudo(gamma, q), (gamma, q)
     # one table at n = 5 serves all four q
     info = _column_ranks.cache_info()
     assert (info.misses, info.hits) == (1, len(PRIMES) * len(gammas) - 1)
@@ -510,7 +509,7 @@ def test_chi_super_mobius_roundtrip():
         n = gamma.size
         total = fn_sum(*(chi_super(sigma, q) for sigma in gen_dyck(n)
                          if area(sigma) <= area(gamma)))
-        assert total == chi_bar(gamma, q)
+        assert total == psi_pseudo(gamma, q)
 
 
 
@@ -523,9 +522,9 @@ def psi_graph_terms(sigma, q):
 
 
 def graph_term_lists(n, q):
-    """(package value, its terms as graphs) for every chi_bar, chi_super and psi_pseudo at n."""
+    """(package value, its terms as graphs) for every chi_super and psi_pseudo at n: psi
+    of a Dyck path is chi_bar, its one term the graph."""
     for g in gen_dyck(n):
-        yield chi_bar(g, q), [(g, q ** len(area(g)))]
         yield chi_super(g, q), [(s, mu * q ** len(area(s))) for s, mu in mobius_subgraph(g).items()]
     for sigma in gen_tall_schroder(n):
         yield psi_pseudo(sigma, q), psi_graph_terms(sigma, q)
@@ -583,7 +582,7 @@ def test_psi_pseudo_terms_are_the_frozenset_terms(monkeypatch):
     seen = captured_terms(monkeypatch)
     for n in range(7):
         for sigma in gen_tall_schroder(n):
-            psi_pseudo.__wrapped__(sigma, 3)  # past the cache
+            psi_pseudo(sigma, 3)
             assert seen.pop() == h_terms(psi_graph_terms(sigma, 3)), sigma
 
 
@@ -593,7 +592,7 @@ def test_psi_pseudo_refuses_a_term_outside_the_lattice():
     sigma = object.__new__(SchroderPath)
     sigma._set("EDESS", size=3, h=(0, 1, 0), D=(2,))
     with pytest.raises(AssertionError, match="interval closure for EDESS"):
-        psi_pseudo.__wrapped__(sigma, 2)
+        psi_pseudo(sigma, 2)
 
 
 def test_a_wrong_corner_rule_is_caught(monkeypatch):
@@ -661,7 +660,8 @@ def test_psi_worked_example_signed_sum():
     sigma = SchroderPath("EDESS")
     q = 2
     psi = psi_pseudo(sigma, q)
-    want = fn_sum(chi_bar(IG(3, (1, 2), (2, 3)), q), fn_scale(chi_bar(IG(3, (2, 3)), q), -1))
+    want = fn_sum(psi_pseudo(IG(3, (1, 2), (2, 3)), q),
+                  fn_scale(psi_pseudo(IG(3, (2, 3)), q), -1))
     assert psi == want
 
 
@@ -671,12 +671,6 @@ def test_psi_worked_example_supercharacter_sum():
         psi = psi_pseudo(sigma, q)
         want = fn_sum(chi_super(IG(3, (1, 2)), q), chi_super(IG(3, (1, 2), (2, 3)), q))
         assert psi == want
-
-
-def test_psi_of_dyck_path_is_chi_bar():
-    for q in (2, 3):
-        for pi in gen_dyck(3):
-            assert psi_pseudo(pi, q) == chi_bar(pi, q)
 
 
 def test_psi_mesa_all_d3():
@@ -696,14 +690,14 @@ def test_induce_degree():
     # value at the identity class is |GL_n : UT_gamma|
     q = 2
     for gamma in gen_dyck(3):
-        ind = induce_to_GL(chi_bar(gamma, q))
+        ind = induce_to_GL(psi_pseudo(gamma, q))
         expected = Fraction(gl_order(3, q) * q ** len(area(gamma)), ut_order(3, q))
         assert ind((1, 1, 1)) == expected
 
 
 def test_induce_trivial_small_case():
     # n = 2, q = 2, edgeless gamma: J_(2) has 2 conjugators into UT_2, |UT_2| = 2
-    ind = induce_to_GL(chi_bar(IG(2), 2))
+    ind = induce_to_GL(psi_pseudo(IG(2), 2))
     assert ind((2,)) == 1
     assert ind((1, 1)) == Fraction(gl_order(2, 2), ut_order(2, 2)) == 3
 
@@ -715,8 +709,8 @@ def test_induce_zero():
 
 def test_induce_linearity():
     q = 2
-    f = chi_bar(IG(3, (1, 2)), q)
-    g = chi_bar(IG(3, (2, 3)), q)
+    f = psi_pseudo(IG(3, (1, 2)), q)
+    g = psi_pseudo(IG(3, (2, 3)), q)
     combo = fn_sum(fn_scale(f, 2), fn_scale(g, -5))
     lhs = induce_to_GL(combo)
     rhs = fn_sum(fn_scale(induce_to_GL(f), 2), fn_scale(induce_to_GL(g), -5))
@@ -730,7 +724,7 @@ def test_induce_transitivity_against_one_step_oracle():
     points = [(1, q) for q in PRIMES] + [(2, q) for q in PRIMES] + [(3, 2), (3, 3)]
     for n, q in points:
         for gamma in gen_dyck(n):
-            assert induce_to_GL(chi_bar(gamma, q)) == induce_trivial_from_subgroup(gamma, q)
+            assert induce_to_GL(psi_pseudo(gamma, q)) == induce_trivial_from_subgroup(gamma, q)
 
 
 def test_induced_characters_have_integer_values():
@@ -738,7 +732,7 @@ def test_induced_characters_have_integer_values():
     # algebraic integers; over Q that means plain integers
     for q in (2, 3):
         for gamma in gen_dyck(3):
-            for v in induce_to_GL(chi_bar(gamma, q)).values:
+            for v in induce_to_GL(psi_pseudo(gamma, q)).values:
                 assert v.denominator == 1
         for sigma in gen_tall_schroder(3):
             for v in induce_to_GL(psi_pseudo(sigma, q)).values:
@@ -751,7 +745,7 @@ def test_class_function_values_are_plain_numbers():
     # any other value
     for q in (2, 3):
         for n in (1, 2, 3):
-            fns = [chi_bar(g, q) for g in gen_dyck(n)]
+            fns = [psi_pseudo(g, q) for g in gen_dyck(n)]
             fns += [chi_super(g, q) for g in gen_dyck(n)]
             fns += [psi_pseudo(s, q) for s in gen_tall_schroder(n)]
             for f in fns:
@@ -820,7 +814,7 @@ def test_induce_and_superclass_sizes_match_the_tuple_oracle():
             return tuple(Fraction(_centralizer_order(lam, q) * sum(map(mul, row, phi.values)),
                                   ut_order(n, q)) for lam, row in table.items())
 
-        for phi in ([chi_bar(g, q) for g in gen_dyck(n)]
+        for phi in ([psi_pseudo(g, q) for g in gen_dyck(n)]
                     + [psi_pseudo(sigma, q) for sigma in gen_tall_schroder(n)]):
             assert induce_to_GL(phi).values == induced(phi), (n, q, phi)
         assert superclass_sizes(n, q) == dict(zip(gen_dyck(n),
@@ -844,7 +838,7 @@ def test_induction_from_the_walk_equals_the_sweep():
     # each pins the tally of every lam.  About 2 s, most of it the 2^15 elements
     # of UT_6(F_2)
     for n, q in _KERNEL_POINTS:
-        phis = [chi_bar(g, q) for g in gen_dyck(n)]
+        phis = [psi_pseudo(g, q) for g in gen_dyck(n)]
         phis += [psi_pseudo(sigma, q) for sigma in gen_tall_schroder(n)] if n < 6 else []
         for phi in phis:
             got = induce_to_GL(phi)

@@ -28,7 +28,7 @@ import chromaq
 import chromaq.bridge as bridge
 from chromaq.bridge import ALL_CHECKS, run_check
 from chromaq.combinatorics import area
-from chromaq.fqoracle import chi_bar
+from chromaq.fqoracle import psi_pseudo
 from classfn_oracle import upset_sum_by_scan
 from mobius_oracle import mobius_subgraph
 
@@ -214,9 +214,9 @@ def test_every_check_declares_what_its_two_sides_share(monkeypatch):
 
 def test_the_audit_names_a_side_that_reads_the_other_sides_kernel(monkeypatch):
     # the count of check_permtoind replaced by the formula it checks
-    monkeypatch.setattr(bridge, "permutation_character_oracle", lambda gamma, q: chi_bar(gamma, q))
+    monkeypatch.setattr(bridge, "permutation_character_oracle", psi_pseudo)
     assert _audit(monkeypatch) == [f"check_permtoind shares undeclared fqoracle.{f}"
-                                   for f in ("_lowered", "_upset_sum", "chi_bar")]
+                                   for f in ("_lowered", "_upset_sum", "psi_pseudo")]
 
 
 def test_the_audit_names_a_declared_entry_the_sides_no_longer_share(monkeypatch):
