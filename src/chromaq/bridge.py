@@ -21,7 +21,7 @@ alone writes the `CheckReport`.  A check hands its items and its two sides to
 each side reaches every table it reads from inside itself, through a cached
 function or a memo that only that side holds, so each side can be run alone.
 Before the scan a check runs its guards, then lists its items, nothing else:
-a check that induces to GL_n bounds the Springer fibres first.
+a check that induces to GL_n bounds the recursion of its Hessenberg counts first.
 tests/test_sides.py declares what the two sides of each check still share,
 and fails on anything else they share.
 """
@@ -57,7 +57,7 @@ from .fqoracle import (
     induction_table,
     permutation_character_oracle,
     psi_pseudo,
-    require_fibres,
+    require_restrictions,
     ut_order,
 )
 from .symfunc import (
@@ -166,7 +166,7 @@ def _scan(items: Iterable, lhs: Callable[[object], object],
 
 def check_cqs(n: int, q: int) -> dict | None:
     """Induced permutation characters realize (q-1)^n X_gamma(x; q)."""
-    require_fibres(n, q)
+    require_restrictions(n, q)
     return _scan(gen_dyck(n),
                  lambda pi: scaled_p_brace1(induce_to_GL(psi_pseudo(pi, q))),
                  lambda pi: eval_t(csf(pi), q).scale((q - 1) ** n * q ** (n * (n - 1) // 2)))
@@ -175,8 +175,8 @@ def check_cqs(n: int, q: int) -> dict | None:
 def check_hess(n: int, q: int) -> dict | None:
     """Induced character values count Hessenberg points: (q-1)^n q^{|E|} |B|, both
     sides times |UT_n|.  The left side induces psi of the Dyck path, chi_bar, by the
-    UT_n sweep, so it tests the Springer walk that induce_to_GL reads."""
-    require_fibres(n, q)
+    UT_n sweep, so it tests the recursion of the Hessenberg counts."""
+    require_restrictions(n, q)
     items = [(pi, lam) for pi in gen_dyck(n) for lam in _partitions(n)]
 
     def lhs(item):  # each u of type lam is J_lam's conjugate by |C_GL(J_lam)| elements
@@ -191,7 +191,7 @@ def check_hess(n: int, q: int) -> dict | None:
 def check_poincare(n: int, q: int) -> dict | None:
     """Hessenberg point counts equal q^{-|E|} d_lam^gamma(q), compared as
     q^{|E|} |B| = d_lam^gamma(q)."""
-    require_fibres(n, q)
+    require_restrictions(n, q)
     items = [(pi, lam) for pi in gen_dyck(n) for lam in _partitions(n)]
     d = lru_cache(maxsize=None)(d_coeffs)  # one expansion per graph, held by the right side
     return _scan(items,
@@ -203,7 +203,7 @@ def check_llt(n: int, q: int) -> dict | None:
     """p_one(Ind psi^sigma) = (q-1)^{|Diag|} omega G_sigma(x; q), compared as
     p_brace1(Ind psi^sigma) = (q-1)^{|Diag|} G_sigma(x; q)[(q-1)x] in basis M: the
     two are equivalent since omega and p_k -> (q^k - 1) p_k are invertible."""
-    require_fibres(n, q)
+    require_restrictions(n, q)
     return _scan(gen_tall_schroder(n),
                  lambda sigma: scaled_p_brace1(induce_to_GL(psi_pseudo(sigma, q))),
                  lambda sigma: _twist(llt_vertical(sigma), q, len(sigma.D)))
@@ -242,8 +242,7 @@ def check_permtoind(n: int, q: int) -> dict | None:
 def check_as(n: int) -> dict | None:
     """Orientation e-expansion equals the coloring LLT polynomial, symbolically."""
     paths = gen_tall_schroder(n)
-    require_orientations(f"the tall paths of size {n}",
-                         max((len(area(sigma)) for sigma in paths), default=0))
+    require_orientations(f"the tall paths of size {n}", n * (n - 1) // 2)  # the Area of h = 0
     return _scan(paths, lambda sigma: expand_in_basis(as_expansion(sigma), "M"), llt_vertical)
 
 
@@ -309,7 +308,7 @@ def check_gg(n: int, q: int) -> dict | None:
     runs first, and nothing is divided."""
     if n < 1:
         raise ValueError(f"check_gg needs n >= 1, got n = {n}")
-    require_fibres(n, q)
+    require_restrictions(n, q)
     denom = (q - 1) ** (n - 1)
     multiple = f"multiple of {denom}"
 
@@ -341,7 +340,8 @@ def check_cor66(n: int, q: int) -> dict | None:
     in basis M: the two are equivalent since p_k -> (q^k - 1) p_k is invertible.
     Passes precisely when check_llt and check_as both do (see DEPENDENCIES).
     """
-    require_fibres(n, q)
+    require_restrictions(n, q)
+    require_orientations(f"the tall paths of size {n}", n * (n - 1) // 2)  # the Area of h = 0
     return _scan(gen_tall_schroder(n),
                  lambda sigma: scaled_p_brace1(induce_to_GL(psi_pseudo(sigma, q))),
                  lambda sigma: _twist(expand_in_basis(as_expansion(sigma), "M"), q,

@@ -35,7 +35,7 @@ from .fqoracle import (
     induce_to_GL,
     nilpotent_type,
     psi_pseudo,
-    require_fibres,
+    require_restrictions,
     superclass_sizes,
 )
 
@@ -135,12 +135,12 @@ def _cmd_compute(args: SimpleNamespace) -> int:
         out["positivity_violations"] = [list(v) for v in violations]
         _emit(out)
     elif verb == "induce":
-        pi = _parse_graph(args.index, lambda n: require_fibres(n, args.q))
+        pi = _parse_graph(args.index, lambda n: require_restrictions(n, args.q))
         ind = induce_to_GL(psi_pseudo(pi, args.q))
         items = [{"partition": list(lam), "value": str(v)} for lam, v in sorted(ind.items())]
         _emit({"n": ind.n, "q": ind.q, "values": items})
     elif verb == "hess-count":
-        pi = _parse_graph(args.index, lambda n: require_fibres(n, args.q))
+        pi = _parse_graph(args.index, lambda n: require_restrictions(n, args.q))
         if (args.matrix is None) == (args.jordan_type is None):
             raise ValueError("hess-count needs one of --matrix DIGITS or --jordan-type PART,PART,..")
         if args.matrix is not None:

@@ -15,26 +15,29 @@ sums of upsets in one table per n, `_lattice`.  A tall path carries (h, D), h
 that of Area u Diag and D its Diag columns, a Dyck path with D empty; the class
 functions read them there and build no edge set.
 
-One kernel counts on GL_n: a depth-first walk of the Springer fibre of J_lam - 1
-per (lam, q), through `_Packed.eliminate`, the one row reduction, tallies the
-flags by Hessenberg function, refused past guards.MAX_SWEEP flags.  A Hessenberg
-count sums the tally below h, for the Jordan type of its nilpotent.  Induction to
-GL_n, cached by the value of its class function, is (q-1)^n times the tally
-dotted with it.  The one brute-force sweep, `induction_table`, the elements of
-UT_n by Jordan type and label, is check_hess's left side.  The cosets of UT_gamma
-fixed by a superclass are a product over columns of q to the corank of a system
-whose columns are prefixes of the rows, so its ranks are counts of distinct h_c,
-once per n for every q.  The sweeps and eliminations that these counts replaced
-are the oracles of the tests.
+One kernel counts on GL_n, and builds no flag: `_hessenberg_counts` solves for
+the Hessenberg counts of every Dyck path of size n from those at smaller sizes,
+a triangular system by Harish-Chandra restriction, refused past
+guards.MAX_SWEEP restricted pairs (h, S).  Their Moebius inversion over h
+tallies each Springer fibre by exact label: a Hessenberg count sums it below h,
+and induction to GL_n, cached by the value of its class function, is (q-1)^n
+times it dotted with the class function.
+`induction_table`, the elements of UT_n by Jordan type and label, is the one
+brute-force sweep, check_hess's left side.  The cosets of UT_gamma fixed by a
+superclass are a product over columns of q to the corank of a system whose
+columns are prefixes of the rows, so its ranks are counts of distinct h_c,
+once per n for every q.  The sweeps, eliminations and the Springer walk that
+these counts replaced are the oracles of the tests.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
-from itertools import accumulate, product
-from math import prod
-from operator import itemgetter, le
+from itertools import accumulate, combinations, product, zip_longest
+from math import comb, prod
+from operator import itemgetter, mul
 from typing import Iterable, Iterator
 
 from .combinatorics import (
@@ -46,6 +49,7 @@ from .combinatorics import (
     _partitions,
     gen_dyck,
     nstat,
+    transpose,
 )
 from .guards import require, require_power, require_sweep
 
@@ -114,11 +118,10 @@ class _Packed:
                            n * n)
 
     def eliminate(self, rows: Iterable[int], size: int) -> list[tuple[int | None, int]]:
-        """The one row reduction, on bytes 0..n-1 and the last row first, read by
-        `rank` and the Springer walk.  Each row gives a step: the shift of its
-        pivot, its lowest nonzero byte (None when bytes 0..n-1 are 0), and the row
-        reduced by the pivots before it, mod q on `size` bytes, so bytes n and up
-        carry a tag (the walk's e_f).  k steps reduce the last k rows."""
+        """The one row reduction, on bytes 0..n-1 and the last row first.  Each row
+        gives a step: the shift of its pivot, its lowest nonzero byte (None when
+        bytes 0..n-1 are 0), and the row reduced by the pivots before it, mod q on
+        `size` bytes, so bytes n and up may carry a tag.  k steps reduce the last k rows."""
         q, inv, mod, row = self.q, self.inv, self.mod, self.row
         rows, steps = list(rows), []
         while rows:
@@ -159,13 +162,6 @@ class _Packed:
             raise ValueError(f"{self.unpack(u)} is not unipotent over F_{q}: "
                              f"ranks of (u-1)^k are {ranks}")
         return tuple(sum(1 for c in conj if c >= i) for i in range(1, conj[0] + 1)) if conj else ()
-
-
-def jordan_nilpotent(lam: Partition) -> int:
-    """J_lam - 1, packed: the nilpotent part of the Jordan matrix of type lam,
-    1s on the superdiagonal inside each block."""
-    n, ends = sum(lam), set(accumulate(lam))
-    return sum(1 << 8 * (i * n + i + 1) for i in range(n - 1) if i + 1 not in ends)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +346,102 @@ def induction_table(n: int, q: int) -> dict[Partition, tuple[int, ...]]:
     return {lam: tuple(row) for lam, row in rows.items()}
 
 
+def _q_factorial(k: int, q: int) -> int:
+    """[k]_q!, the number of complete flags of F_q^k."""
+    return prod((q ** i - 1) // (q - 1) for i in range(1, k + 1))
+
+
+def require_restrictions(n: int, q: int) -> None:
+    """Refuse, before any work, the Hessenberg counts of size n past MAX_SWEEP
+    pairs (h, S), h of size k <= n and S in [k], which their recursion restricts:
+    sum over k <= n of Cat(k) 2^k, read upward as _partition_count reads p."""
+    _check_q(q)
+    for k, total in enumerate(accumulate(comb(2 * j, j) // (j + 1) << j for j in range(n + 1))):
+        require_sweep(f"the restricted pairs (h, S) of sizes up to {n}", total, at_least=k < n)
+
+
+def _strip_counts(n: int, q: int) -> list[tuple[Partition, Partition, dict[Partition, int]]]:
+    """For each lam != 1^n, in increasing dominance: mu, lam less the last box of
+    its m rows of length lam_1, and how many X in M_{a x m}(F_q), a = n - m, give
+    [[J_mu, X], [0, 1_m]] each type nu: q^{am} g^nu_{mu (1^m)}(q) |C(J_mu)| |GL_m|
+    / |C(J_nu)|.  The Hall polynomial is 0 unless nu/mu is a vertical strip, and
+    then q^{n(nu) - n(mu) - n(1^m)} prod_i [k_i, b_i]_q at 1/q, k_i = nu'_i -
+    nu'_{i+1} and b_i = nu'_i - mu'_i (Macdonald, II (4.6)): lam is the top nu."""
+    out = []
+    for lam in reversed(_partitions(n)[:-1]):
+        m = lam.count(lam[0])
+        mu = (lam[0] - 1,) * m + lam[m:]
+        orders, counts = _centralizer_order(mu, q) * _centralizer_order((1,) * m, q), {}
+        for nu in _partitions(n):
+            if all(0 <= x - y <= 1 for x, y in zip_longest(nu, mu, fillvalue=0)):
+                conj = transpose(nu) + (0,)
+                kb = [(x - y, x - z) for x, y, z in zip(conj, conj[1:], transpose(mu) + (0,) * n)]
+                power = ((n - m) * m + nstat(nu) - nstat(mu) - m * (m - 1) // 2
+                         - sum(b * (k - b) for k, b in kb))
+                counts[nu] = q ** power * orders * prod(_q_factorial(k, q) // _q_factorial(b, q)
+                                                        // _q_factorial(k - b, q) for k, b in kb)
+                counts[nu] //= _centralizer_order(nu, q)
+        out.append((lam, mu, counts))
+    return out
+
+
+def _hessenberg_counts(n: int, q: int) -> list[dict[tuple[int, ...], dict[Partition, int]]]:
+    """|Hess(J_lam - 1, h)| for each h of each size k <= n and lam |- k, solved
+    from the sizes below.  Ind chi_bar^h (J_lam) is (q-1)^k q^{|E|} times it; its
+    Harish-Chandra restriction to GL_a x GL_m at (J_mu, 1_m), the coproduct under
+    Green's map (Zelevinsky, LNM 869), over (q-1)^k q^{|E|}, reads: the sum over
+    nu of N_nu |Hess(J_nu - 1, h)| (`_strip_counts`) is [m]_q! times the sum over
+    the a-subsets S of [k] of q^{am - desc(S)} |Hess(J_mu - 1, h|S)|, h|S the
+    graph on S in order, desc(S) its edges u < v with u not in S, v in S.  Each
+    lam is its equation's top nu: solve upward from |Hess(0, h)| = [k]_q!."""
+    sizes = []
+    for k in range(n + 1):
+        strips, table = _strip_counts(k, q), {}
+        for pi in gen_dyck(k):
+            h, weights, row = pi.h, {}, {(1,) * k: _q_factorial(k, q)}
+            for lam, mu, counts in strips:
+                a = sum(mu)
+                if a not in weights:  # h|S and am - desc(S) for each a-subset S
+                    weights[a] = [(tuple(bisect_left(S, h[v]) for v in S), a * (k - a)
+                                   - sum(u not in S for v in S for u in range(h[v], v)))
+                                  for S in combinations(range(k), a)]
+                rhs = _q_factorial(k - a, q) * sum(q ** e * sizes[a][x][mu] for x, e in weights[a])
+                rhs -= sum(c * row[nu] for nu, c in counts.items() if nu != lam)
+                row[lam] = rhs // counts[lam]
+            table[h] = row
+        sizes.append(table)
+    return sizes
+
+
+@lru_cache(maxsize=None)
+def _springer_tally(n: int, q: int) -> dict[Partition, tuple[int, ...]]:
+    """The flags of the Springer fibre of J_lam - 1 by exact label, for each
+    lam: one count per position of _lattice(n).  |Hess(J_lam - 1, h)| sums them
+    below h, so they are its Moebius inversion, x lifted by 1 in each set T of
+    its corners with sign (-1)^{|T|} (`_lowered` at q = 1), as chi_super sums."""
+    (hs, pos, _), counts = _lattice(n), _hessenberg_counts(n, q)[n]
+    rows = {lam: [0] * len(hs) for lam in _partitions(n)}
+    for x in hs:
+        for y, sign in _lowered(x, _corners(x), 1):
+            for lam, row in rows.items():
+                row[pos[y]] += sign * counts[x][lam]
+    return {lam: tuple(row) for lam, row in rows.items()}
+
+
+def hessenberg_count(pi: SchroderPath, lam: Partition, q: int) -> int:
+    """Number of flags gB with g^{-1} a g strictly upper and zero at the edges of
+    gamma, the graph of a Dyck path, for a nilpotent a over F_q with 1 + a of
+    Jordan type lam: a V_j in V_{h_j} for every j, h = pi.h, the Springer tally
+    summed below h.  g -> x g maps the flags of a onto those of x^{-1} a x, so
+    every such a reads the tally of J_lam - 1."""
+    n = pi.size
+    require_restrictions(n, q)  # before any matrix is built
+    if lam not in _partitions(n):
+        raise ValueError(f"Jordan type {lam} is not a partition of n = {n}")
+    (_, pos, upsets), tally = _lattice(n), _springer_tally(n, q)[lam]
+    return sum(tally[i] for i in upsets[pos[pi.h]])
+
+
 @lru_cache(maxsize=None)
 def induce_to_GL(phi: ClassFnUT) -> UnipClassFn:
     """Induction from UT_n to GL_n, recorded on unipotent classes only:
@@ -358,18 +450,16 @@ def induce_to_GL(phi: ClassFnUT) -> UnipClassFn:
     The pairs (a, F), a in the class of J_lam - 1 and F a flag with mu(a, F) = h,
     number [n]_q! times the u of type lam labeled h, and |O_lam| times the
     Springer tally at h; as |GL_n| = (q-1)^n [n]_q! |UT_n|, the value is (q-1)^n
-    times the tally of lam dotted with phi.
-    """
+    times the tally of lam dotted with phi."""
     n, q, vals = phi.n, phi.q, phi.values
-    require_fibres(n, q)
-    pos = _lattice(n)[1]
-    return UnipClassFn(n, q, tuple(
-        (q - 1) ** n * sum(c * vals[pos[mu]] for mu, c in _springer_fibre(lam, q).items())
-        for lam in _partitions(n)))
+    require_restrictions(n, q)
+    tally = _springer_tally(n, q)
+    return UnipClassFn(n, q, tuple((q - 1) ** n * sum(map(mul, tally[lam], vals))
+                                   for lam in _partitions(n)))
 
 
 # ---------------------------------------------------------------------------
-# counts by linear algebra: UT_gamma cosets and Hessenberg points
+# UT_gamma cosets by linear algebra, and a matrix's Jordan type
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -409,84 +499,6 @@ def permutation_character_oracle(pi: SchroderPath, q: int) -> ClassFnUT:
                                        for rs in map(read, _column_ranks(pi.size))))
 
 
-@lru_cache(maxsize=None)
-def _fibre_size(lam: Partition, q: int) -> int:
-    """|B_lam(F_q)|, the flags V with a V_j in V_{j-1} for every j, a = J_lam - 1,
-    by Spaltenstein's recursion: V_1 is a line of ker a, and the lines of ker a
-    that shorten the last part k of lam number q^{#parts > k} [m_k(lam)]_q."""
-    if not lam:
-        return 1
-    out = 0
-    for i, k in enumerate(lam):
-        if i + 1 < len(lam) and lam[i + 1] == k:
-            continue
-        first = lam.index(k)
-        shorter = lam[:i] + ((k - 1,) if k > 1 else ()) + lam[i + 1:]
-        out += q ** first * (q ** (i + 1 - first) - 1) // (q - 1) * _fibre_size(shorter, q)
-    return out
-
-
-def require_fibres(n: int, q: int) -> None:
-    """Refuse, before any work, the walks of the Springer fibres of F_q^n past
-    MAX_SWEEP: sum over lam != 1^n of |B_lam(F_q)| flags, from _fibre_size.
-
-    |B_(2,1^m)| grows with m and is one term of the sum at n = m + 2, so for
-    m < n - 2 it bounds the sum from below: read upward first, it refuses a
-    large n after a few terms, before any partition of n is listed."""
-    _check_q(q)
-    what = f"the Springer fibres of F_{q}^{n}"
-    for m in range(n - 2):
-        require_sweep(what, _fibre_size((2,) + (1,) * m, q), at_least=True)
-    ones = (1,) * n
-    require_sweep(what, sum(_fibre_size(lam, q) for lam in _partitions(n) if lam != ones))
-
-
-@lru_cache(maxsize=None)
-def _springer_fibre(lam: Partition, q: int) -> Counter:
-    """The flags V of F_q^n with V_j a in V_{j-1} for every j, a = J_lam - 1 acting
-    on row vectors, tallied by mu: mu_j = min{m : V_j a in V_m}.  Rows under a
-    are columns under a^T, which is conjugate to a, so the tally is that of the
-    column flags of a.
-
-    Depth first: the children of V_d are the lines of F^n/V_d that a kills
-    there.  Each basis vector g_t is 1 at its pivot, its last nonzero byte, and
-    0 at the pivots before it, so F^n/V_d is spanned by the free coordinates f.
-    For each f the walk carries e_f a reduced modulo V_d, in bytes 0..n-1, and
-    the multiple of each g_t that the reduction took off, in bytes n..2n-1.
-    Both are linear in e_f, so the None steps of `_Packed.eliminate` on these
-    rows, tagged with e_f, span the kernel: a v in it has v a = sum c_t g_t, and
-    mu_{d+1} = max(mu_d, the bytes of c).  No sum here passes q(q-1) in a byte.
-    """
-    n = sum(lam)
-    if lam == (1,) * n:  # a = 0: every flag, with mu = 0
-        return Counter({(0,) * n: _fibre_size(lam, q)})
-    a, k = jordan_nilpotent(lam), _Packed(n, q)
-    size, tally = 3 * n, Counter()
-
-    def walk(d: int, images: dict[int, int], mu: tuple[int, ...]) -> None:
-        span = [0]  # the kernel, with e_f in byte 2n + f
-        for sh, p in k.eliminate([x | 1 << 8 * (2 * n + f) for f, x in images.items()], size):
-            if sh is None:
-                b = p >> 8 * n  # c in bytes 0..n-1, v in bytes n..2n-1
-                span = [k.reduce(s + c * b, size) for c in range(q) for s in span]
-        for b in span[1:]:
-            sh = b.bit_length() - 1 & ~7
-            if b >> sh != 1:  # one vector per line: its last nonzero entry is 1
-                continue
-            m = max(mu[-1] if mu else 0, (b & k.row).bit_length() + 7 >> 3)
-            v, p = b >> 8 * n, (sh >> 3) - n
-            rest = {f: k.reduce(x + (q - c) * v + (c << 8 * (n + d)), size)
-                    if (c := x >> 8 * p & 255) else x for f, x in images.items() if f != p}
-            if d + 2 < n:
-                walk(d + 1, rest, mu + (m,))
-            else:  # V_{n-1} leaves one free coordinate, whose e_f closes the flag
-                (x,) = rest.values()
-                tally[mu + (m, max(m, (x >> 8 * n).bit_length() + 7 >> 3))] += 1
-
-    walk(0, {f: a >> 8 * f * n & k.row for f in range(n)}, ())
-    return tally
-
-
 def nilpotent_type(digits: str, n: int, q: int) -> Partition:
     """The Jordan type of 1 + a, for the n x n matrix a over F_q whose entries,
     row by row, are the ASCII digits of `digits` (the CLI's --matrix).
@@ -505,17 +517,3 @@ def nilpotent_type(digits: str, n: int, q: int) -> Partition:
         raise ValueError(f"hessenberg_count expects a nilpotent matrix, "
                          f"got {k.unpack(a)}") from None
 
-
-def hessenberg_count(pi: SchroderPath, lam: Partition, q: int) -> int:
-    """Number of flags gB with g^{-1} a g strictly upper and zero at the edges of
-    gamma, the graph of a Dyck path, for a nilpotent a over F_q with 1 + a of
-    Jordan type lam.
-
-    That is a V_j in V_{m_j} for every j, m = pi.h the Hessenberg function: the
-    flags of the Springer fibre with mu <= m.  g -> h g maps the flags of a onto
-    those of h^{-1} a h, so every such a reads the walk of J_lam - 1."""
-    n = pi.size
-    require_fibres(n, q)  # before any matrix is built
-    if lam not in _partitions(n):
-        raise ValueError(f"Jordan type {lam} is not a partition of n = {n}")
-    return sum(c for mu, c in _springer_fibre(lam, q).items() if all(map(le, mu, pi.h)))

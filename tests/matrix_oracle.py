@@ -17,13 +17,19 @@ x^-1 a x for every target a. Over `ut_elements` and the superclass
 representatives it counts the cosets of UT_gamma fixed by each superclass
 (`coset_permutation_character`), the oracle of the package's count by column
 ranks; over the flag representatives `flag_reps` and each J_lam - 1 it counts
-Hessenberg points (`hessenberg_sweep`), the oracle of the package's walk of
-the Springer fibre; over GL_n it induces the trivial character of UT_gamma
-in one step (`induce_trivial_from_subgroup`). The enumerations of UT_n and of
-the flags as row tuples are independent of the packed sweeps, and
-`pack`/`unpack` move between the two layouts. The package never sweeps GL_n
-or the flags, and never counts them by the product [n]_q! (`flag_count`),
-which bounds the flag sweeps here and checks its count of the fibre of 0.
+Hessenberg points (`hessenberg_sweep`), the oracle of the Springer walk; over
+GL_n it induces the trivial character of UT_gamma in one step
+(`induce_trivial_from_subgroup`). The enumerations of UT_n and of the flags as
+row tuples are independent of the packed sweeps, and `pack`/`unpack` move
+between the two layouts. The package never sweeps GL_n or the flags; the
+product [n]_q! (`flag_count`) bounds the flag sweeps here.
+
+The Springer walk that the package's recursion of Hessenberg counts replaced
+lives here too: `springer_fibre` walks the fibre of J_lam - 1 depth first,
+through `_Packed.eliminate`, and tallies its flags by exact label;
+`fibre_size` sizes it by Spaltenstein's recursion, and `require_fibres`
+bounds the walks.  `springer_tally` lays the walks out as the package's
+`_springer_tally` does, which the tests compare with it.
 
 The superclass representatives, which the coset sweep conjugates, live here
 too, and so does the packed elimination of their column systems
@@ -35,7 +41,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import chain, permutations, product
+from itertools import accumulate, chain, permutations, product
 from typing import Callable, Iterable, Iterator
 
 from chromaq.combinatorics import (
@@ -52,7 +58,6 @@ from chromaq.fqoracle import (
     _check_q,
     _field,
     _Packed,
-    jordan_nilpotent,
     ut_elements,
     ut_order,
 )
@@ -76,12 +81,9 @@ CHROMAQ_IMPORTS = {
     "fqoracle._field": ("the byte tables mod q of the packed sweeps, which the Springer walk "
                         "reduces with too",
                         "tests/test_fqoracle.py::test_packed_kernel_matches_the_tuple_oracle"),
-    "fqoracle._Packed": ("the packed kernel of the conjugation sweeps, whose elimination the "
-                         "Springer walk runs on too",
+    "fqoracle._Packed": ("the packed kernel of the conjugation sweeps and of the Springer walk, "
+                         "whose Jordan types check_hess's sweep reads too",
                          "tests/test_fqoracle.py::test_eliminate_matches_the_tuple_rank"),
-    "fqoracle.jordan_nilpotent": ("J_lam - 1, the target of the Hessenberg sweep and the start "
-                                  "of the Springer walk",
-                                  "tests/test_fqoracle.py::test_jordan_nilpotency"),
     "fqoracle.ut_elements": ("the enumeration of UT_n, which the coset sweep and check_hess's "
                              "sweep both run over",
                              "tests/test_fqoracle.py::test_ut_enumeration"),
@@ -120,7 +122,7 @@ def ut_rows(n: int, q: int) -> Iterator[Rows]:
 
 def flag_count(n: int, q: int) -> int:
     """Number of complete flags of F_q^n: the q-factorial [n]_q!, a product, the
-    oracle of the package's |B_(1^n)| by Spaltenstein's recursion."""
+    oracle of |B_(1^n)| by Spaltenstein's recursion."""
     out = 1
     for i in range(1, n + 1):
         out *= (q ** i - 1) // (q - 1)
@@ -524,3 +526,107 @@ def induction_table(n: int, q: int) -> dict[Partition, tuple[int, ...]]:
         raw[jordan_type(u, q)][path_of_graph(n, label_edges(u, n))] += 1
     graphs = gen_dyck(n)
     return {lam: tuple(labs[g] for g in graphs) for lam, labs in raw.items()}
+
+
+# ---------------------------------------------------------------------------
+# the Springer walk
+# ---------------------------------------------------------------------------
+
+def jordan_nilpotent(lam: Partition) -> int:
+    """J_lam - 1, packed: the nilpotent part of the Jordan matrix of type lam,
+    1s on the superdiagonal inside each block."""
+    n, ends = sum(lam), set(accumulate(lam))
+    return sum(1 << 8 * (i * n + i + 1) for i in range(n - 1) if i + 1 not in ends)
+
+
+@lru_cache(maxsize=None)
+def fibre_size(lam: Partition, q: int) -> int:
+    """|B_lam(F_q)|, the flags V with a V_j in V_{j-1} for every j, a = J_lam - 1,
+    by Spaltenstein's recursion: V_1 is a line of ker a, and the lines of ker a
+    that shorten the last part k of lam number q^{#parts > k} [m_k(lam)]_q."""
+    if not lam:
+        return 1
+    out = 0
+    for i, k in enumerate(lam):
+        if i + 1 < len(lam) and lam[i + 1] == k:
+            continue
+        first = lam.index(k)
+        shorter = lam[:i] + ((k - 1,) if k > 1 else ()) + lam[i + 1:]
+        out += q ** first * (q ** (i + 1 - first) - 1) // (q - 1) * fibre_size(shorter, q)
+    return out
+
+
+def require_fibres(n: int, q: int) -> None:
+    """Refuse, before any work, the walks of the Springer fibres of F_q^n past
+    MAX_SWEEP: sum over lam != 1^n of |B_lam(F_q)| flags, from fibre_size.
+
+    |B_(2,1^m)| grows with m and is one term of the sum at n = m + 2, so for
+    m < n - 2 it bounds the sum from below: read upward first, it refuses a
+    large n after a few terms, before any partition of n is listed."""
+    _check_q(q)
+    what = f"the Springer fibres of F_{q}^{n}"
+    for m in range(n - 2):
+        require_sweep(what, fibre_size((2,) + (1,) * m, q), at_least=True)
+    ones = (1,) * n
+    require_sweep(what, sum(fibre_size(lam, q) for lam in gen_partitions(n) if lam != ones))
+
+
+@lru_cache(maxsize=None)
+def springer_fibre(lam: Partition, q: int) -> Counter:
+    """The flags V of F_q^n with V_j a in V_{j-1} for every j, a = J_lam - 1 acting
+    on row vectors, tallied by mu: mu_j = min{m : V_j a in V_m}.  Rows under a
+    are columns under a^T, which is conjugate to a, so the tally is that of the
+    column flags of a.
+
+    Depth first: the children of V_d are the lines of F^n/V_d that a kills
+    there.  Each basis vector g_t is 1 at its pivot, its last nonzero byte, and
+    0 at the pivots before it, so F^n/V_d is spanned by the free coordinates f.
+    For each f the walk carries e_f a reduced modulo V_d, in bytes 0..n-1, and
+    the multiple of each g_t that the reduction took off, in bytes n..2n-1.
+    Both are linear in e_f, so the None steps of `_Packed.eliminate` on these
+    rows, tagged with e_f, span the kernel: a v in it has v a = sum c_t g_t, and
+    mu_{d+1} = max(mu_d, the bytes of c).  No sum here passes q(q-1) in a byte.
+    """
+    n = sum(lam)
+    if lam == (1,) * n:  # a = 0: every flag, with mu = 0
+        return Counter({(0,) * n: fibre_size(lam, q)})
+    a, k = jordan_nilpotent(lam), _Packed(n, q)
+    size, tally = 3 * n, Counter()
+
+    def walk(d: int, images: dict[int, int], mu: tuple[int, ...]) -> None:
+        span = [0]  # the kernel, with e_f in byte 2n + f
+        for sh, p in k.eliminate([x | 1 << 8 * (2 * n + f) for f, x in images.items()], size):
+            if sh is None:
+                b = p >> 8 * n  # c in bytes 0..n-1, v in bytes n..2n-1
+                span = [k.reduce(s + c * b, size) for c in range(q) for s in span]
+        for b in span[1:]:
+            sh = b.bit_length() - 1 & ~7
+            if b >> sh != 1:  # one vector per line: its last nonzero entry is 1
+                continue
+            m = max(mu[-1] if mu else 0, (b & k.row).bit_length() + 7 >> 3)
+            v, p = b >> 8 * n, (sh >> 3) - n
+            rest = {f: k.reduce(x + (q - c) * v + (c << 8 * (n + d)), size)
+                    if (c := x >> 8 * p & 255) else x for f, x in images.items() if f != p}
+            if d + 2 < n:
+                walk(d + 1, rest, mu + (m,))
+            else:  # V_{n-1} leaves one free coordinate, whose e_f closes the flag
+                (x,) = rest.values()
+                tally[mu + (m, max(m, (x >> 8 * n).bit_length() + 7 >> 3))] += 1
+
+    walk(0, {f: a >> 8 * f * n & k.row for f in range(n)}, ())
+    return tally
+
+
+def springer_tally(n: int, q: int) -> dict[Partition, tuple[int, ...]]:
+    """The walk's tally of each lam |- n, one count per graph of gen_dyck(n), as
+    the package lays out its Moebius inversion of the Hessenberg counts.
+    Refused past MAX_SWEEP flags before any walk."""
+    require_fibres(n, q)
+    pos = {pi.h: i for i, pi in enumerate(gen_dyck(n))}
+    out = {}
+    for lam in gen_partitions(n):
+        row = [0] * len(pos)
+        for mu, c in springer_fibre(lam, q).items():
+            row[pos[mu]] += c
+        out[lam] = tuple(row)
+    return out

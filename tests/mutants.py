@@ -263,7 +263,9 @@ MUTANTS = (
            ("tests/test_bridge.py::"
             "test_cli_guards_a_step_string_as_it_guards_the_same_graph_in_json",),
            "a step string reaches the verb unguarded, so hess-count names its flags first"),
-    # the Hessenberg walk, the area of a tall path, and the Springer tally of 1^n
+    # the walk of Hessenberg functions, the area of a tall path, and the recursion of
+    # the Hessenberg counts: its start at 1^n, its restriction, its strip counts and
+    # the Moebius inversion of its counts into the Springer tally
     Mutant("between-excludes-hi", "combinatorics.py",
            "for v in range(max(x[-1:] + (a,)), b + 1)]",
            "for v in range(max(x[-1:] + (a,)), b)]",
@@ -276,11 +278,36 @@ MUTANTS = (
            (COMBINATORICS_TESTS + "test_area_diag_worked_examples",
             COMBINATORICS_TESTS + "test_tall_paths_read_h_and_d_as_the_cell_walk_does"),
            "the area of a tall path keeps the square under each Diag step"),
-    Mutant("ones-tally-one-flag", "fqoracle.py",
-           "return Counter({(0,) * n: _fibre_size(lam, q)})",
-           "return Counter({(0,) * n: 1})",
+    Mutant("ones-count-one-flag", "fqoracle.py",
+           "row = pi.h, {}, {(1,) * k: _q_factorial(k, q)}",
+           "row = pi.h, {}, {(1,) * k: 1}",
            ("tests/test_fqoracle.py::test_the_fibre_of_zero_is_every_flag",),
-           "the Springer tally of 1^n counts one flag, not all [n]_q! of them"),
+           "the recursion starts 1^k at one flag, not all [k]_q! of them"),
+    Mutant("restriction-power-plus-one", "fqoracle.py",
+           "for v in S), a * (k - a)\n",
+           "for v in S), a * (k - a) + 1\n",
+           ("tests/test_fqoracle.py::test_the_recursion_equals_the_walk",
+            "tests/test_fqoracle.py::test_the_regular_class_counts_one_flag_at_the_edgeless_graph"),
+           "each restricted count weighted by q^{am - desc(S) + 1}: q^{asc + 1} over the "
+           "induced characters"),
+    Mutant("strip-m-fixed-at-one", "fqoracle.py",
+           "m = lam.count(lam[0])",
+           "m = 1",
+           ("tests/test_fqoracle.py::test_strip_counts_match_a_sweep_of_the_blocks",
+            "tests/test_fqoracle.py::test_the_recursion_equals_the_walk"),
+           "every lam solved from the strip of its first row alone"),
+    Mutant("strip-count-one-power-high", "fqoracle.py",
+           "power = ((n - m) * m + nstat(nu)",
+           "power = ((n - m) * m + 1 + nstat(nu)",
+           ("tests/test_fqoracle.py::test_strip_counts_match_a_sweep_of_the_blocks",
+            "tests/test_fqoracle.py::test_the_recursion_equals_the_walk"),
+           "each strip count q times too large"),
+    Mutant("tally-drops-the-moebius-sign", "fqoracle.py",
+           "row[pos[y]] += sign * counts[x][lam]",
+           "row[pos[y]] += counts[x][lam]",
+           ("tests/test_fqoracle.py::test_the_recursion_equals_the_walk",
+            "tests/test_fqoracle.py::test_hessenberg_sweep_matches_per_flag_oracle"),
+           "the tally sums the counts over the corner terms with no sign"),
 )
 
 

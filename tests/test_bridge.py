@@ -318,6 +318,23 @@ def test_check_gg_n2_q3():
     assert check_gg(2, 3) is None
 
 
+def test_check_cor66_bounds_its_orientations_before_it_induces(monkeypatch):
+    # as check_as does: at n = 7 the recursion is admitted, and the 2^21 orientations
+    # of K_7's path are refused before any class function is induced
+    import chromaq.bridge as bridge
+
+    def no_induction(phi):
+        raise AssertionError("an induction ran before the orientation guard")
+
+    monkeypatch.setattr(bridge, "induce_to_GL", no_induction)
+    for q in (2, 7):
+        start = time.perf_counter()
+        with pytest.raises(SizeGuardError, match="the orientations of the tall paths of size 7 "
+                                                 "visits 2,097,152 elements"):
+            bridge.check_cor66(7, q)
+        assert time.perf_counter() - start < 0.5, q
+
+
 def test_check_gg_is_refused_before_the_pseudosupercharacter_terms(monkeypatch):
     # the staircase of size n has n - 1 D steps, 2^{n-1} terms, each a Hessenberg function
     import chromaq.fqoracle as fq
@@ -326,12 +343,13 @@ def test_check_gg_is_refused_before_the_pseudosupercharacter_terms(monkeypatch):
         raise AssertionError("a term was built before the graphs on [n] were bounded")
 
     monkeypatch.setattr(fq, "_lowered", no_term)
-    with pytest.raises(SizeGuardError, match="the Springer fibres of F_2\\^21 visits at least 3,134,565"):
+    with pytest.raises(SizeGuardError, match="the restricted pairs \\(h, S\\) of sizes up to 21 "
+                                             "visits at least 431,059"):
         check_gg(21, 2)
 
 
 def test_induction_checks_at_n4_q3_and_n3_q5():
-    # one Springer walk per Jordan type: 175 flags for F_3^4 and 12 for F_5^3
+    # one Springer tally per point, from the recursion of its Hessenberg counts
     assert check_cqs(4, 3) is None
     assert check_cqs(3, 5) is None
     assert check_gg(4, 3) is None
@@ -487,12 +505,11 @@ CACHES = {
                                   "all 1.05x, --deep 1.15x slower without it",
     "fqoracle._column_ranks": "the column ranks once per n for every q: check_permtoind(7,3) "
                               "0.06 s with it, 1.44-1.51 s without",
-    "fqoracle._fibre_size": "Spaltenstein's recursion reads each shorter partition again; "
-                            "require_fibres and the 1^n tally read the same sizes",
     "fqoracle._field": "the byte tables of F_q once per q: verify all 1.09x slower without it",
     "fqoracle._lattice": "the one table of upsets per n that every class function sums over",
-    "fqoracle._springer_fibre": "one walk per (lam, q) that every gamma of a point reads: "
-                                "test_the_default_suite_makes_twelve_sweeps",
+    "fqoracle._springer_tally": "one recursion and Moebius inversion per (n, q), which every "
+                                "class function of a point is induced through: check_llt(6,2) "
+                                "takes 0.4 s with it, 24 s without",
     "fqoracle.induce_to_GL": "keyed by the class function's value, so check_llt, check_cor66 "
                              "and check_gg share their images: verify all makes 30 inductions",
     "fqoracle.induction_table": "one UT_n sweep per (n, q), read by every item of check_hess",
@@ -523,7 +540,7 @@ def test_the_caches_are_exactly_these():
                 found.append(f"{module}.{ast.unparse(node.args[0])}")
             mentions += isinstance(node, (ast.Name, ast.Attribute)) and is_lru(node)
     assert mentions == len(found)  # no cache is built in a form the walk does not read
-    assert sorted(found) == sorted(CACHES) and len(CACHES) == 23
+    assert sorted(found) == sorted(CACHES) and len(CACHES) == 22
     assert all(CACHES.values())
 
 
@@ -715,17 +732,18 @@ def test_a_fresh_process_exits_one_on_a_failing_check_and_two_on_a_refusal():
     assert proc.stderr == ("error: sweeping the orientations of the tall paths of size 8 "
                            "visits 268,435,456 elements, past the bound MAX_SWEEP = 117,649\n")
     # refused on the call: 3^11 = 177,147 color classes, which the kernel would take
-    # about 0.3 s over, and the Springer fibres of F_3^6, before any walk, for a
-    # Hessenberg count and for induction; a power
-    # count is refused on its exponent, a partition count and a fibre sum after a
-    # few terms of a sequence that bounds them from below
+    # about 0.3 s over, and the restricted pairs of sizes up to 8, before any is
+    # built, for a Hessenberg count and for induction; a power count is refused on
+    # its exponent, a partition count and a sum of restricted pairs after a few
+    # terms of a sequence that bounds them from below
     for argv, what in [
         (["compute", "csf", '{"n": 11, "edges": []}'], "the color classes of [11] visits 177,147"),
-        (["compute", "hess-count", "EEEEEESSSSSS", "--q", "3", "--jordan-type", "2,1,1,1,1"],
-         "the Springer fibres of F_3^6 visits 1,226,512"),
+        (["compute", "hess-count", "EEEEEEEESSSSSSSS", "--q", "3", "--jordan-type", "2,1,1,1,1,1,1"],
+         "the restricted pairs (h, S) of sizes up to 8 visits 431,059"),
         (["compute", "csf", '{"n": 10000000, "edges": []}'],
          "the color classes of [10000000] visits at least 2^10,000,000"),
-        (["verify", "check_cqs", "--n", "6", "--q", "3"], "the Springer fibres of F_3^6 visits 1,226,512"),
+        (["verify", "check_cqs", "--n", "8", "--q", "3"],
+         "the restricted pairs (h, S) of sizes up to 8 visits 431,059"),
         (["verify", "check_st_en", "--n", "18"],
          "the 385^2 cells of the degree-18 PT table visits 148,225"),
         (["verify", "check_st_en", "--n", "40"],
@@ -734,15 +752,18 @@ def test_a_fresh_process_exits_one_on_a_failing_check_and_two_on_a_refusal():
          "the 105558^2 cells of the degree-46 PT table visits 11,142,491,364"),
         (["verify", "check_st_en", "--n", "1000000"], "the partitions of 1000000 visits at least 124,754"),
         (["verify", "check_hess", "--n", "46", "--q", "2"],
-         "the Springer fibres of F_2^46 visits at least 3,134,565"),
-        # the inductions bound their walks before the staircase's 2^20 terms or the
-        # graphs on [21] are built, and before a graph on [10^7] is read
+         "the restricted pairs (h, S) of sizes up to 46 visits at least 431,059"),
+        # the inductions bound their recursion before the staircase's 2^20 terms or
+        # the graphs on [21] are built, and before a graph on [10^7] is read
         (["verify", "check_gg", "--n", "21", "--q", "2"],
-         "the Springer fibres of F_2^21 visits at least 3,134,565"),
+         "the restricted pairs (h, S) of sizes up to 21 visits at least 431,059"),
         (["compute", "induce", '{"n": 10000000, "edges": []}', "--q", "2"],
-         "the Springer fibres of F_2^10000000 visits at least 3,134,565"),
+         "the restricted pairs (h, S) of sizes up to 10000000 visits at least 431,059"),
         (["compute", "induce", '{"n": 10000000, "edges": [[1, 2]]}', "--q", "2"],
-         "the Springer fibres of F_2^10000000 visits at least 3,134,565"),
+         "the restricted pairs (h, S) of sizes up to 10000000 visits at least 431,059"),
+        # check_cor66 bounds the orientations of its tall paths before it induces any
+        (["verify", "check_cor66", "--n", "7", "--q", "2"],
+         "the orientations of the tall paths of size 7 visits 2,097,152"),
     ]:
         start = time.perf_counter()
         proc = _fresh_python("-m", "chromaq.cli", *argv)
@@ -792,6 +813,7 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
         gl_matrices,
         hessenberg_sweep,
         pack,
+        springer_tally,
         ut_rows,
     )
     from orientation_oracle import orientations
@@ -810,7 +832,8 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
 
     # each enumerator builds its elements through these names
     monkeypatch.setattr(chromaq.fqoracle, "product", no_work)
-    monkeypatch.setattr(chromaq.fqoracle, "jordan_nilpotent", no_work)
+    monkeypatch.setattr(chromaq.fqoracle, "combinations", no_work)
+    monkeypatch.setattr(matrix_oracle, "jordan_nilpotent", no_work)
     monkeypatch.setattr(matrix_oracle, "product", no_work)
     monkeypatch.setattr(matrix_oracle, "permutations", no_work)
     monkeypatch.setattr(chromaq.chromallt, "_h_vector", no_work)
@@ -833,13 +856,16 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
         (lambda: flag_reps(5, 3), "251,680"),
         (lambda: next(ut_rows(5, 5)), "9,765,625"),
         (lambda: next(flag_rows(5, 3)), "251,680"),
-        (lambda: induce_to_GL(psi_pseudo(path_of_graph(6, []), 3)), "1,226,512"),
+        (lambda: induce_to_GL(psi_pseudo(path_of_graph(8, []), 3)), "431,059"),
         (lambda: coset_permutation_character(path_of_graph(8, []), 7), f"{ut_order(8, 7):,}"),
         (lambda: coset_permutation_character(path_of_graph(16, []), 5), f"{ut_order(16, 5):,}"),
         (lambda: hessenberg_sweep(path_of_graph(5, []), (2, 1, 1, 1), 3), "251,680"),
-        # the Springer fibres of F_3^6 and F_2^7, walked for every lam but 1^6 and 1^7
-        (lambda: hessenberg_count(path_of_graph(6, []), (2, 1, 1, 1, 1), 3), "1,226,512"),
-        (lambda: hessenberg_count(path_of_graph(7, []), (7,), 2), "3,605,290"),
+        # the restricted pairs of the recursion at n = 8 and 9
+        (lambda: hessenberg_count(path_of_graph(8, []), (2, 1, 1, 1, 1, 1, 1), 3), "431,059"),
+        (lambda: hessenberg_count(path_of_graph(9, []), (9,), 2), "at least 431,059"),
+        # the oracle's Springer fibres of F_3^6 and F_2^7, for every lam but 1^6 and 1^7
+        (lambda: springer_tally(6, 3), "1,226,512"),
+        (lambda: springer_tally(7, 2), "3,605,290"),
         (lambda: orientations(g17), "131,072"),
         (lambda: as_expansion(area_inverse(area(g17), 7)), "131,072"),
         (lambda: as_expansion(staircase), "2,097,152"),
@@ -867,10 +893,9 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
 
 
 def test_the_default_suite_makes_twelve_sweeps(monkeypatch):
-    # one UT_n sweep for check_hess and one Springer-fibre walk per Jordan type
-    # lam != 1^n per (n, q) of the default grid, n in {1, 2, 3} and q in {2, 3}:
-    # all gamma of a point share them, and check_permtoind sweeps nothing.  The
-    # tally of 1^n, read off [n]_q! with no walk, is cached beside the walks
+    # one UT_n sweep for check_hess and one Springer tally per (n, q) of the
+    # default grid, n in {1, 2, 3} and q in {2, 3}: twelve in all, which every
+    # gamma of a point shares, and check_permtoind sweeps nothing
     import chromaq.fqoracle as fq
     from chromaq.cli import _default_suite
     sweep, swept = fq.ut_elements, []
@@ -880,12 +905,11 @@ def test_the_default_suite_makes_twelve_sweeps(monkeypatch):
         return sweep(n, q)
 
     monkeypatch.setattr(fq, "ut_elements", recording)
-    for cached in (fq.induce_to_GL, fq.induction_table, fq._springer_fibre):
+    for cached in (fq.induce_to_GL, fq.induction_table, fq._springer_tally):
         cached.cache_clear()
     assert all(run_check(name, n, q).status == "pass" for name, n, q in _default_suite(False))
     assert sorted(swept) == sorted(DEFAULT_GRID)
-    assert fq._springer_fibre.cache_info().misses == 12
-    assert fq._springer_fibre.cache_info().currsize == 12
+    assert fq._springer_tally.cache_info().misses == fq._springer_tally.cache_info().currsize == 6
 
 
 def test_only_check_hess_sweeps_ut_n(monkeypatch):
@@ -1107,9 +1131,10 @@ def test_the_check_registries_agree():
 
 
 def test_run_check_guard_propagates():
-    # induction walks the Springer fibres of F_3^6: 1,226,512 flags, past MAX_SWEEP
-    with pytest.raises(SizeGuardError, match="the Springer fibres of F_3\\^6 visits 1,226,512"):
-        run_check("check_cqs", 6, 3)
+    # induction at n = 8 restricts 431,059 pairs (h, S), past MAX_SWEEP
+    with pytest.raises(SizeGuardError, match="the restricted pairs \\(h, S\\) of sizes up to 8 "
+                                             "visits 431,059"):
+        run_check("check_cqs", 8, 3)
 
 
 # -- check_cm against its original form -------------------------------------------
@@ -1482,9 +1507,9 @@ def test_cli_verify_rejects_degenerate_n(capsys, argv, message):
 def test_cli_verify_guard_exit_code(capsys):
     from chromaq.cli import main
     # the refusal names the count and the bound, in verify and in compute: the
-    # Springer fibres of F_3^6 for induction, the graphs on [9] for superclass sizes
-    for argv, what in ((["verify", "check_cqs", "--n", "6", "--q", "3"],
-                        "1,226,512 elements, past the bound MAX_SWEEP = 117,649"),
+    # restricted pairs for induction, the graphs on [9] for superclass sizes
+    for argv, what in ((["verify", "check_cqs", "--n", "8", "--q", "3"],
+                        "431,059 elements, past the bound MAX_SWEEP = 117,649"),
                        (["compute", "superclass-sizes", "--n", "9", "--q", "5"],
                         "gen_dyck: n = 9 exceeds guard 8")):
         assert main(argv) == 2
@@ -1553,9 +1578,9 @@ def test_cli_reads_the_empty_graph_as_json_or_as_the_empty_path(capsys, verb, fl
     ("csf", [], "the color classes of [12] visits 531,441"),
     ("d-coeffs", [], "the color classes of [12] visits 531,441"),
     ("e-expand", [], "the color classes of [12] visits 531,441"),
-    ("induce", ["--q", "2"], "the Springer fibres of F_2^12 visits at least 3,134,565"),
+    ("induce", ["--q", "2"], "the restricted pairs (h, S) of sizes up to 12 visits at least 431,059"),
     ("hess-count", ["--q", "2", "--jordan-type", "12"],
-     "the Springer fibres of F_2^12 visits at least 3,134,565"),
+     "the restricted pairs (h, S) of sizes up to 12 visits at least 431,059"),
 ], ids=["csf", "d-coeffs", "e-expand", "induce", "hess-count"])
 def test_cli_guards_a_json_graph_before_its_path_is_built(capsys, monkeypatch, verb, flags, guarded):
     # the JSON's shape is checked first, then the verb's guard reads n, and only then
@@ -1583,7 +1608,7 @@ def test_cli_guards_a_json_graph_before_its_path_is_built(capsys, monkeypatch, v
 ], ids=["csf", "d-coeffs", "e-expand", "induce", "hess-count", "hess-count-unflagged"])
 def test_cli_guards_a_step_string_as_it_guards_the_same_graph_in_json(capsys, verb, flags):
     # K_12 as steps and as edges: the verb's guard refuses both forms alike, before any
-    # other input is read, so hess-count names the fibres, not its missing flag
+    # other input is read, so hess-count names its recursion, not its missing flag
     from chromaq.cli import main
     edges = [[i, j] for i in range(1, 13) for j in range(i + 1, 13)]
     printed = []
@@ -1607,10 +1632,10 @@ def test_cli_superclass_sizes_list_the_graphs_by_edge_count_then_edges(capsys):
 
 @pytest.mark.parametrize("check", ["check_hess", "check_poincare", "check_cqs", "check_llt",
                                    "check_cor66", "check_gg"])
-@pytest.mark.parametrize("n, q, count", [(6, 3, "1,226,512"), (7, 2, "3,605,290")])
+@pytest.mark.parametrize("n, q, count", [(8, 3, "431,059"), (9, 2, "at least 431,059")])
 def test_hessenberg_checks_are_refused_before_any_work(monkeypatch, check, n, q, count):
-    # the Springer fibres are bounded before any item is listed, any class function
-    # is built, or the UT_n sweep or the d coefficients are started
+    # the recursion is bounded before any item is listed, any class function is
+    # built, or the UT_n sweep, the d coefficients or the orientations are started
     import chromaq.bridge as bridge
     import chromaq.fqoracle as fq
 
@@ -1621,16 +1646,21 @@ def test_hessenberg_checks_are_refused_before_any_work(monkeypatch, check, n, q,
                  "_partitions", "psi_pseudo"):
         monkeypatch.setattr(bridge, name, kernel)
     monkeypatch.setattr(fq, "_lattice", kernel)
-    with pytest.raises(SizeGuardError, match=f"sweeping the Springer fibres of F_{q}\\^{n} visits "
-                                             f"{count} elements, past the bound MAX_SWEEP = 117,649"):
+    with pytest.raises(SizeGuardError, match=f"sweeping the restricted pairs \\(h, S\\) of sizes up "
+                                             f"to {n} visits {count} elements, past the bound "
+                                             f"MAX_SWEEP = 117,649"):
         getattr(bridge, check)(n, q)
-    # one point below the bound, the scan starts
-    with pytest.raises(RuntimeError, match="a kernel ran"):
-        getattr(bridge, check)(n - 1, q)
+    # at n = 7 the scan starts, but check_cor66's orientations are refused first
+    if check == "check_cor66":
+        with pytest.raises(SizeGuardError, match="the orientations of the tall paths of size 7"):
+            getattr(bridge, check)(7, q)
+    else:
+        with pytest.raises(RuntimeError, match="a kernel ran"):
+            getattr(bridge, check)(7, q)
 
 
-@pytest.mark.parametrize("n, q, count, below", [(6, 3, "1,226,512", 5),
-                                                (8, 2, "at least 3,134,565", 6)])
+@pytest.mark.parametrize("n, q, count, below", [(8, 3, "431,059", 7),
+                                                (9, 2, "at least 431,059", 7)])
 def test_compute_induce_is_refused_before_any_graph_is_listed(monkeypatch, capsys, n, q, count, below):
     import chromaq.cli as cli
     import chromaq.fqoracle as fq
@@ -1641,8 +1671,9 @@ def test_compute_induce_is_refused_before_any_graph_is_listed(monkeypatch, capsy
     monkeypatch.setattr(cli, "psi_pseudo", kernel)
     monkeypatch.setattr(fq, "_lattice", kernel)
     assert cli.main(["compute", "induce", "E" * n + "S" * n, "--q", str(q)]) == 2
-    assert capsys.readouterr().err == (f"error: sweeping the Springer fibres of F_{q}^{n} visits "
-                                       f"{count} elements, past the bound MAX_SWEEP = 117,649\n")
+    assert capsys.readouterr().err == (f"error: sweeping the restricted pairs (h, S) of sizes up to "
+                                       f"{n} visits {count} elements, past the bound "
+                                       f"MAX_SWEEP = 117,649\n")
     with pytest.raises(RuntimeError, match="a kernel ran"):
         cli.main(["compute", "induce", "E" * below + "S" * below, "--q", str(q)])
 
@@ -1684,24 +1715,25 @@ def test_a_power_count_is_refused_on_its_exponent():
 
 
 def test_cli_hess_count_of_a_huge_sweep_names_it_before_any_matrix(capsys, monkeypatch):
-    # the fibre of type (2, 1^5) over F_2 alone is past the bound, so the guard
-    # names it as a lower bound before it lists a Jordan type of n or builds an
+    # the restricted pairs of sizes up to 8 alone are past the bound, so the guard
+    # names them as a lower bound before it lists a Jordan type of n or builds an
     # n x n matrix
     import chromaq.cli as cli
     import chromaq.fqoracle as fq
 
     def no_work(*args):
-        raise AssertionError("the fibre guard listed a partition or built an n x n matrix")
+        raise AssertionError("the guard listed a partition or built an n x n matrix")
 
-    monkeypatch.setattr(fq, "jordan_nilpotent", no_work)
+    monkeypatch.setattr(fq, "_hessenberg_counts", no_work)
     monkeypatch.setattr(fq, "_partitions", no_work)
     monkeypatch.setattr(cli, "nilpotent_type", no_work)
     for n in (13, 300):
         graph = f'{{"n": {n}, "edges": []}}'
         for given in (["--jordan-type", str(n)], ["--matrix", "0" * n * n]):
             assert cli.main(["compute", "hess-count", graph, "--q", "2", *given]) == 2
-            assert capsys.readouterr().err == (f"error: sweeping the Springer fibres of F_2^{n} visits at "
-                                               "least 3,134,565 elements, past the bound MAX_SWEEP = 117,649\n")
+            assert capsys.readouterr().err == (f"error: sweeping the restricted pairs (h, S) of sizes up to "
+                                               f"{n} visits at least 431,059 elements, past the bound "
+                                               "MAX_SWEEP = 117,649\n")
 
 
 def test_cli_hess_count_reads_a_matrix_by_its_jordan_type(capsys):
@@ -1740,7 +1772,7 @@ def test_cli_hess_count_past_the_packed_bound_is_refused_by_the_guards(capsys, n
     from chromaq.cli import main
     assert main(["compute", "hess-count", "E" * n + "S" * n, "--q", str(q), "--matrix", digits]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: sweeping the Springer fibres of F_{q}^{n} visits at least ")
+    assert err.startswith(f"error: sweeping the restricted pairs (h, S) of sizes up to {n} visits ")
     assert err.endswith(" elements, past the bound MAX_SWEEP = 117,649\n")
 
 
@@ -1748,11 +1780,11 @@ def test_hessenberg_count_is_refused_before_any_jordan_matrix(monkeypatch):
     import chromaq.fqoracle as fq
     from chromaq.fqoracle import hessenberg_count
 
-    def no_work(lam):
-        raise AssertionError("a J_lam - 1 was built before the fibre guard")
+    def no_work(n, q):
+        raise AssertionError("a Hessenberg count was solved before the guard")
 
-    monkeypatch.setattr(fq, "jordan_nilpotent", no_work)
-    with pytest.raises(SizeGuardError, match="the Springer fibres of F_7\\^12"):
+    monkeypatch.setattr(fq, "_hessenberg_counts", no_work)
+    with pytest.raises(SizeGuardError, match="the restricted pairs \\(h, S\\) of sizes up to 12"):
         hessenberg_count(path_of_graph(12, []), (1,) * 12, 7)
 
 

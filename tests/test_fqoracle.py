@@ -1,6 +1,6 @@
 import re
 from collections import Counter
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from operator import mul
 from fractions import Fraction
 
@@ -27,7 +27,6 @@ from chromaq.fqoracle import (
     hessenberg_count,
     induce_to_GL,
     induction_table,
-    jordan_nilpotent,
     nilpotent_type,
     permutation_character_oracle,
     psi_pseudo,
@@ -36,14 +35,15 @@ from chromaq.fqoracle import (
     ut_order,
     _centralizer_order,
     _column_ranks,
-    _fibre_size,
+    _hessenberg_counts,
     _label,
     _lattice,
     _Packed,
-    _springer_fibre,
+    _springer_tally,
+    _strip_counts,
     _upset_sum,
     _zero_mask,
-    require_fibres,
+    require_restrictions,
 )
 from chromaq.guards import MAX_SWEEP, SizeGuardError
 from classfn_oracle import class_fn, delta_bar, fn_scale, fn_sum, inner_product_UT, upset_sum_by_scan
@@ -58,6 +58,7 @@ from matrix_oracle import (
     centralizer_orders,
     column_ranks_by_elimination,
     coset_permutation_character,
+    fibre_size,
     flag_count,
     flag_reps,
     flag_rows,
@@ -68,12 +69,17 @@ from matrix_oracle import (
     induce_trivial_from_subgroup,
     inverse_columns,
     jordan,
+    jordan_nilpotent,
+    jordan_type,
     label_edges,
     mat_identity,
     mat_inv,
     mat_minus_identity,
     mat_mul,
     pack,
+    require_fibres,
+    springer_fibre,
+    springer_tally,
     unpack,
     ut_rows,
 )
@@ -770,9 +776,11 @@ def test_class_functions_take_a_tuple():
 
 
 def test_induce_guard():
-    # induction reads the Springer walks, of 1,226,512 flags over F_3^6: past MAX_SWEEP
-    with pytest.raises(SizeGuardError, match="the Springer fibres of F_3\\^6 visits 1,226,512"):
-        induce_to_GL(class_fn(ClassFnUT, 6, 3, {}))
+    # induction reads the Hessenberg counts, whose recursion restricts 431,059
+    # pairs (h, S) of sizes up to 8: past MAX_SWEEP
+    with pytest.raises(SizeGuardError, match="the restricted pairs \\(h, S\\) of sizes up to 8 "
+                                             "visits 431,059 elements"):
+        induce_to_GL(class_fn(ClassFnUT, 8, 3, {}))
 
 
 def test_regular_class_size():
@@ -834,9 +842,9 @@ def induced_by_the_sweep(phi):
 
 def test_induction_from_the_walk_equals_the_sweep():
     # the pairs (a, F) counted with F fixed (the UT_n sweep) and with a fixed (the
-    # Springer walk); the chi_bar span every superclass function, so agreeing on
-    # each pins the tally of every lam.  About 2 s, most of it the 2^15 elements
-    # of UT_6(F_2)
+    # Springer tally, which the recursion builds where the walk did); the chi_bar
+    # span every superclass function, so agreeing on each pins the tally of every
+    # lam.  About 2 s, most of it the 2^15 elements of UT_6(F_2)
     for n, q in _KERNEL_POINTS:
         phis = [psi_pseudo(g, q) for g in gen_dyck(n)]
         phis += [psi_pseudo(sigma, q) for sigma in gen_tall_schroder(n)] if n < 6 else []
@@ -853,19 +861,17 @@ def test_superclass_sizes_equal_the_tuple_sweep_of_labels():
 
 
 def test_a_miscounted_tally_fails_every_check_that_reads_the_walk(monkeypatch):
-    # one more flag in the last bin of the walk of (2, 1, 1) over F_3^4: the
-    # inductions of check_cqs and check_llt and the counts of check_hess and
-    # check_poincare read it
+    # one more flag in the last bin of the tally of (2, 1, 1) over F_3^4, which the
+    # walk built and the recursion builds now: the inductions of check_cqs and
+    # check_llt and the counts of check_hess and check_poincare read it
     import chromaq.fqoracle as fq
     from chromaq.bridge import run_check
-    original, hook, last = fq._springer_fibre, (2, 1, 1), _lattice(4)[0][-1]
+    original, hook = fq._springer_tally, (2, 1, 1)
 
-    def miscounted(lam, q):
-        tally = Counter(original(lam, q))
-        tally[last] += lam == hook
-        return tally
+    def miscounted(n, q):
+        return {lam: row[:-1] + (row[-1] + (lam == hook),) for lam, row in original(n, q).items()}
 
-    monkeypatch.setattr(fq, "_springer_fibre", miscounted)
+    monkeypatch.setattr(fq, "_springer_tally", miscounted)
     induce_to_GL.cache_clear()
     try:
         for name in ("check_cqs", "check_hess", "check_llt", "check_poincare"):
@@ -922,7 +928,7 @@ def brute_hessenberg_count(gamma, a, q):
 
 
 def test_hessenberg_sweep_matches_per_flag_oracle():
-    # the walk against the packed flag sweep for every (gamma, lam) wherever the
+    # the recursion against the packed flag sweep for every (gamma, lam) wherever the
     # [n]_q! flags are cheap, and against the per-flag tuple oracle on a few
     points = [(0, 2), (1, 2), (2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (3, 7), (4, 5), (5, 2)]
     for n, q in points:
@@ -941,43 +947,47 @@ def test_hessenberg_sweep_matches_per_flag_oracle():
 
 
 def test_hessenberg_sweeps_once_per_matrix():
-    # one walk per (lam, q) serves every gamma; lam = 1^n, a = 0, is tallied with no walk
-    _springer_fibre.cache_clear()
+    # one tally per (n, q) serves every gamma and lam; lam = 1^n, a = 0, counts
+    # every flag at every size of the recursion
+    _springer_tally.cache_clear()
     for g in gen_dyck(3):
         for lam in gen_partitions(3):
             hessenberg_count(g, lam, 3)
-    assert _springer_fibre.cache_info().misses == 3
-    assert _springer_fibre((1, 1, 1), 3) == {(0, 0, 0): flag_count(3, 3)}
-    # a nilpotent that is no Jordan matrix reads the same walk, at its Jordan type
+    assert _springer_tally.cache_info().misses == 1
+    for k, table in enumerate(_hessenberg_counts(3, 3)):
+        assert {row[(1,) * k] for row in table.values()} == {flag_count(k, 3)}
+    # a nilpotent that is no Jordan matrix reads the same counts, at its Jordan type
     a = mat_minus_identity(jordan((2, 1)), 3)
     at = tuple(zip(*a))
     assert nilpotent_type(digits(at), 3, 3) == (2, 1)
     for g in gen_dyck(3):
         assert hessenberg_count(g, nilpotent_type(digits(at), 3, 3), 3) \
             == brute_hessenberg_count(g, at, 3) == brute_hessenberg_count(g, a, 3), g
-    assert _springer_fibre.cache_info().misses == 3
+    assert _springer_tally.cache_info().misses == 1
 
 
 def test_fibre_sizes_count_the_leaves_of_the_walk():
-    # Spaltenstein's recursion, the guard's count, against the walk that it bounds
+    # Spaltenstein's recursion, the walk's guard, against the walk that it bounds
     for n, q, total in [(3, 7, 16), (4, 7, 1_439), (5, 3, 8_508), (6, 2, 50_908)]:
         ones = (1,) * n
-        leaves = {lam: sum(_springer_fibre(lam, q).values()) for lam in gen_partitions(n) if lam != ones}
-        assert leaves == {lam: _fibre_size(lam, q) for lam in leaves}
+        leaves = {lam: sum(springer_fibre(lam, q).values()) for lam in gen_partitions(n) if lam != ones}
+        assert leaves == {lam: fibre_size(lam, q) for lam in leaves}
         assert sum(leaves.values()) == total
         # at a = 0 the recursion counts every flag
-        assert _fibre_size(ones, q) == flag_count(n, q)
+        assert fibre_size(ones, q) == flag_count(n, q)
         require_fibres(n, q)
 
 
 def test_the_fibre_of_zero_is_every_flag():
-    # a = 0 is tallied with no walk, at |B_(1^n)| from Spaltenstein's recursion:
-    # the [n]_q! of the oracle's product
+    # a = 0 is every flag: [n]_q!, the oracle's product, in the walk's tally, in
+    # Spaltenstein's recursion, and at 1^n in the Hessenberg counts of every h
     for q in PRIMES:
         for n in range(8):
             ones = (1,) * n
-            assert _fibre_size(ones, q) == flag_count(n, q), (n, q)
-            assert _springer_fibre(ones, q) == {(0,) * n: flag_count(n, q)}, (n, q)
+            assert fibre_size(ones, q) == flag_count(n, q), (n, q)
+            assert springer_fibre(ones, q) == {(0,) * n: flag_count(n, q)}, (n, q)
+        for n, table in enumerate(_hessenberg_counts(6, q)):
+            assert {row[(1,) * n] for row in table.values()} == {flag_count(n, q)}, (n, q)
 
 
 def test_hook_fibre_sizes_follow_the_recursion():
@@ -987,11 +997,49 @@ def test_hook_fibre_sizes_follow_the_recursion():
         f = [1]
         for m in range(1, 12):
             f.append(flag_count(m + 1, q) + q * (q ** m - 1) // (q - 1) * f[-1])
-        assert f == [_fibre_size((2,) + (1,) * m, q) for m in range(12)], q
+        assert f == [fibre_size((2,) + (1,) * m, q) for m in range(12)], q
         assert f == sorted(f)
     # f(5) = 3,134,565 over F_2 is past the bound for every n >= 8
     with pytest.raises(SizeGuardError, match="the Springer fibres of F_2\\^8 visits at least 3,134,565"):
         require_fibres(8, 2)
+
+
+def test_the_recursion_equals_the_walk(monkeypatch):
+    # the Moebius inversion of the recursion's counts against the walk's tally, for
+    # every lam: each n <= 5 at every q, and (6, 2).  (5, 7) walks 718,584 flags,
+    # past the walk's guard, in about 9 s; tests/slow_oracles.py walks (6, 3) and (7, 2)
+    monkeypatch.setattr("chromaq.guards.MAX_SWEEP", 1_000_000)
+    for n, q in [(n, q) for n in range(6) for q in PRIMES] + [(6, 2)]:
+        assert _springer_tally(n, q) == springer_tally(n, q), (n, q)
+
+
+def test_strip_counts_match_a_sweep_of_the_blocks():
+    # how many X make [[J_mu, X], [0, 1_m]] each Jordan type, by the tuple kernel,
+    # against the Hall polynomial count, zeros included: every lam != 1^n of each
+    # n <= 5 over F_2 and F_3, and n = 6 over F_2
+    for n, q in [(n, q) for n in range(1, 6) for q in (2, 3)] + [(6, 2)]:
+        for lam, mu, counts in _strip_counts(n, q):
+            a = sum(mu)
+            m = n - a
+            assert lam == max(counts) and m == lam.count(lam[0]), (n, q, lam)
+            block = [list(r) + [0] * m for r in jordan(mu)] + [
+                [0] * a + [int(i == j) for j in range(m)] for i in range(m)]
+            types = Counter()
+            for xs in product(range(q), repeat=a * m):
+                for k, x in enumerate(xs):
+                    block[k // m][a + k % m] = x
+                types[jordan_type(tuple(map(tuple, block)), q)] += 1
+            assert types == {nu: c for nu, c in counts.items() if c}, (n, q, lam)
+
+
+def test_the_regular_class_counts_one_flag_at_the_edgeless_graph():
+    # J_(n) - 1 fixes one flag, of label (0, 1, ..., n - 1), the edgeless graph: the
+    # count that the recursion solves last, from the most equations, is 1 there
+    # and 0 at every other h
+    for n in range(1, 8):
+        for q in (2, 3):
+            for pi in gen_dyck(n):
+                assert hessenberg_count(pi, (n,), q) == (pi.h == tuple(range(n))), (pi, q)
 
 
 def random_gl(rnd, n, q):
@@ -1003,20 +1051,20 @@ def random_gl(rnd, n, q):
 
 def test_hessenberg_count_is_constant_on_a_conjugacy_class():
     # h^{-1} (J_lam - 1) h for random h: every count equals the brute count,
-    # and all the matrices of one (n, q) share one walk per Jordan type
+    # and all the matrices of one (n, q) share one tally
     import random
     rnd = random.Random(19)
     points = [(n, q) for n in range(1, 4) for q in PRIMES] + [(4, 2), (4, 3)]
     for n, q in points:
         graphs = gen_dyck(n)
-        misses = _springer_fibre.cache_info().misses
+        misses = _springer_tally.cache_info().misses
         for lam in gen_partitions(n):
             for _ in range(2 if n < 4 else 1):
                 h = random_gl(rnd, n, q)
                 a = mat_mul(mat_mul(mat_inv(h, q), mat_minus_identity(jordan(lam), q), q), h, q)
                 got = [hessenberg_count(g, nilpotent_type(digits(a), n, q), q) for g in graphs]
                 assert got == brute_hessenberg_counts(a, q, graphs), (n, q, lam, a)
-        assert _springer_fibre.cache_info().misses <= misses + len(gen_partitions(n)), (n, q)
+        assert _springer_tally.cache_info().misses <= misses + 1, (n, q)
 
 
 def test_hessenberg_zero_matrix_counts_all_flags():
@@ -1045,8 +1093,9 @@ def test_hessenberg_count_takes_a_partition_of_n():
 
 
 def test_hessenberg_guard():
-    # the walks of F_3^6 visit 1,226,512 flags, past MAX_SWEEP; those of F_3^5
-    # 8,508, though [5]_3! = 251,680 flags count at a = 0
-    with pytest.raises(SizeGuardError, match="the Springer fibres of F_3\\^6 visits 1,226,512"):
-        hessenberg_count(IG(6), (1,) * 6, 3)
-    assert hessenberg_count(IG(5), (1,) * 5, 3) == flag_count(5, 3) == 251_680
+    # the recursion at n = 8 restricts 431,059 pairs (h, S), past MAX_SWEEP; at
+    # n = 7 it restricts 64,979, though [7]_7! flags count at a = 0
+    with pytest.raises(SizeGuardError, match="the restricted pairs \\(h, S\\) of sizes up to 8 "
+                                             "visits 431,059 elements"):
+        hessenberg_count(IG(8), (1,) * 8, 2)
+    assert hessenberg_count(IG(7), (1,) * 7, 7) == flag_count(7, 7) == 1_375_009_641_495_014_400

@@ -85,16 +85,31 @@ _CHANGE = ("the one sparse change of coordinates: scaled_p_brace1 sums the PT ro
            "and the right side sums rows of m_mu[(q-1)x]; test_p_one_and_p_brace1_match_the_"
            "symbolic_oracle checks p_brace1 against the oracles' own change, and "
            "test_plethysm_m_table_is_integral_and_equal_to_the_p_route checks the table")
-_PACKED = ("packed row reduction over F_q: the sweep's jordan_type ranks with it and the "
-           "Springer walk spans its kernels with it; test_packed_kernel_matches_the_tuple_"
-           "oracle and test_eliminate_matches_the_tuple_rank check it")
+_HALL = ("the strip counts of the Hessenberg recursion, Macdonald's vertical-strip Hall "
+         "polynomials, read n(lam) and lam'")
+_NSTAT = "; test_nstat checks it"
 
 SHARED = {
     "check_cqs": {},
-    "check_hess": dict.fromkeys(["fqoracle._Packed.__init__", "fqoracle._Packed.eliminate",
-                                 "fqoracle._Packed.reduce", "fqoracle._field"], _PACKED),
-    "check_poincare": {"combinatorics.area": _AREA_EDGES + ": the left side counts them for "
-                                             "q^{|E|}, and the right side's X_gamma colours them"},
+    "check_hess": {
+        "fqoracle._centralizer_order": "the left side weights the sweep by |C_GL(J_lam)|, and the "
+                                       "strip counts of the right side's recursion are written "
+                                       "with it; test_centralizer_order_closed_form checks it "
+                                       "against an enumeration of GL_n",
+        "combinatorics.nstat": _HALL + ", and the left side's |C_GL(J_lam)|" + _NSTAT,
+        "fqoracle._lattice": "the left side's chi_bar is an upset of the lattice, and the right "
+                             "side sums the Springer tally over the same upset; "
+                             "test_lattice_upsets_match_the_scan checks the upsets",
+        "fqoracle._lowered": "the left side's chi_bar is _lowered's one term of h, and the right "
+                             "side's tally inverts the counts over _lowered's corner terms; "
+                             "test_chi_super_terms_are_the_mobius_terms checks them against "
+                             "the Moebius oracle",
+    },
+    "check_poincare": {
+        "combinatorics.area": _AREA_EDGES + ": the left side counts them for q^{|E|}, and the "
+                              "right side's X_gamma colours them",
+        "combinatorics.nstat": _HALL + ", and the right side's PT rows t^{-n(lam)}" + _NSTAT,
+    },
     "check_llt": {
         "symfunc._rows": _ROWS,
         "symfunc._change": _CHANGE,
@@ -142,6 +157,8 @@ SHARED = {
         "symfunc._strips": _TABLES,
         "combinatorics.nstat": _TABLES + "; n(lam) places each PT row, and the e rows read "
                                "their Kostka numbers at t^-n(nu); test_nstat checks it",
+        "combinatorics.transpose": _HALL + ", and the right side's e rows read the Kostka "
+                                   "numbers of lam'; test_transpose checks it",
     },
 }
 
