@@ -22,6 +22,8 @@ each side reaches every table it reads from inside itself, through a cached
 function or a memo that only that side holds, so each side can be run alone.
 Before the scan a check runs its guards, then lists its items, nothing else:
 a check that induces to GL_n bounds the recursion of its Hessenberg counts first.
+It induces psi^sigma of its path through those counts, `induce_to_GL(path, q)`,
+and builds no class function of UT_n to induce.
 tests/test_sides.py declares what the two sides of each check still share,
 and fails on anything else they share.
 """
@@ -168,14 +170,15 @@ def check_cqs(n: int, q: int) -> dict | None:
     """Induced permutation characters realize (q-1)^n X_gamma(x; q)."""
     require_restrictions(n, q)
     return _scan(gen_dyck(n),
-                 lambda pi: scaled_p_brace1(induce_to_GL(psi_pseudo(pi, q))),
+                 lambda pi: scaled_p_brace1(induce_to_GL(pi, q)),
                  lambda pi: eval_t(csf(pi), q).scale((q - 1) ** n * q ** (n * (n - 1) // 2)))
 
 
 def check_hess(n: int, q: int) -> dict | None:
     """Induced character values count Hessenberg points: (q-1)^n q^{|E|} |B|, both
     sides times |UT_n|.  The left side induces psi of the Dyck path, chi_bar, by the
-    UT_n sweep, so it tests the recursion of the Hessenberg counts."""
+    UT_n sweep, and the right side reads the recursion's count, so it tests the
+    recursion of the Hessenberg counts; the sides share no lattice."""
     require_restrictions(n, q)
     items = [(pi, lam) for pi in gen_dyck(n) for lam in _partitions(n)]
 
@@ -205,7 +208,7 @@ def check_llt(n: int, q: int) -> dict | None:
     two are equivalent since omega and p_k -> (q^k - 1) p_k are invertible."""
     require_restrictions(n, q)
     return _scan(gen_tall_schroder(n),
-                 lambda sigma: scaled_p_brace1(induce_to_GL(psi_pseudo(sigma, q))),
+                 lambda sigma: scaled_p_brace1(induce_to_GL(sigma, q)),
                  lambda sigma: _twist(llt_vertical(sigma), q, len(sigma.D)))
 
 
@@ -313,7 +316,7 @@ def check_gg(n: int, q: int) -> dict | None:
     multiple = f"multiple of {denom}"
 
     def staircase() -> UnipClassFn:
-        return induce_to_GL(psi_pseudo(SchroderPath("E" + "D" * (n - 1) + "S"), q))
+        return induce_to_GL(SchroderPath("E" + "D" * (n - 1) + "S"), q)
 
     def divided(lam):  # the value itself is the witness when it is no multiple
         v = staircase()(lam)
@@ -343,7 +346,7 @@ def check_cor66(n: int, q: int) -> dict | None:
     require_restrictions(n, q)
     require_orientations(f"the tall paths of size {n}", n * (n - 1) // 2)  # the Area of h = 0
     return _scan(gen_tall_schroder(n),
-                 lambda sigma: scaled_p_brace1(induce_to_GL(psi_pseudo(sigma, q))),
+                 lambda sigma: scaled_p_brace1(induce_to_GL(sigma, q)),
                  lambda sigma: _twist(expand_in_basis(as_expansion(sigma), "M"), q,
                                       len(sigma.D)))
 

@@ -34,7 +34,6 @@ from .fqoracle import (
     hessenberg_count,
     induce_to_GL,
     nilpotent_type,
-    psi_pseudo,
     require_restrictions,
     superclass_sizes,
 )
@@ -136,7 +135,7 @@ def _cmd_compute(args: SimpleNamespace) -> int:
         _emit(out)
     elif verb == "induce":
         pi = _parse_graph(args.index, lambda n: require_restrictions(n, args.q))
-        ind = induce_to_GL(psi_pseudo(pi, args.q))
+        ind = induce_to_GL(pi, args.q)
         items = [{"partition": list(lam), "value": str(v)} for lam, v in sorted(ind.items())]
         _emit({"n": ind.n, "q": ind.q, "values": items})
     elif verb == "hess-count":

@@ -17,17 +17,18 @@ functions read them there and build no edge set.
 
 One kernel counts on GL_n, and builds no flag: `_hessenberg_counts` solves for
 the Hessenberg counts of every Dyck path of size n from those at smaller sizes,
-a triangular system by Harish-Chandra restriction, refused past
-guards.MAX_SWEEP restricted pairs (h, S).  Their Moebius inversion over h
-tallies each Springer fibre by exact label: a Hessenberg count sums it below h,
-and induction to GL_n, cached by the value of its class function, is (q-1)^n
-times it dotted with the class function.
+a triangular system by Harish-Chandra restriction, once per (n, q), refused past
+guards.MAX_SWEEP restricted pairs (h, S).  A Hessenberg count is one entry of
+that table.  psi^sigma is a signed sum of 2^|D| indicators of pattern groups
+UT_h, and its induction to GL_n is (q-1)^n times the same sum of the counts at
+h: no class function of UT_n is built for it.
 `induction_table`, the elements of UT_n by Jordan type and label, is the one
 brute-force sweep, check_hess's left side.  The cosets of UT_gamma fixed by a
 superclass are a product over columns of q to the corank of a system whose
 columns are prefixes of the rows, so its ranks are counts of distinct h_c,
 once per n for every q.  The sweeps, eliminations and the Springer walk that
-these counts replaced are the oracles of the tests.
+these counts replaced are the oracles of the tests, and so is the induction of
+any class function, the walk's tally dotted with it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, combinations, product, zip_longest
 from math import comb, prod
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .combinatorics import (
@@ -117,27 +118,21 @@ class _Packed:
         return self.reduce(sum((a >> 8 * k & col) * (b >> 8 * k * n & row) for k in range(n)),
                            n * n)
 
-    def eliminate(self, rows: Iterable[int], size: int) -> list[tuple[int | None, int]]:
-        """The one row reduction, on bytes 0..n-1 and the last row first.  Each row
-        gives a step: the shift of its pivot, its lowest nonzero byte (None when
-        bytes 0..n-1 are 0), and the row reduced by the pivots before it, mod q on
-        `size` bytes, so bytes n and up may carry a tag.  k steps reduce the last k rows."""
-        q, inv, mod, row = self.q, self.inv, self.mod, self.row
-        rows, steps = list(rows), []
+    def rank(self, m: int) -> int:
+        """Rank of m: the pivots of its row reduction, the last row first.  Each
+        nonzero row pivots on its lowest nonzero byte and clears that byte from
+        the rows before it."""
+        q, inv, mod, n = self.q, self.inv, self.mod, self.n
+        rows, rank = [r for k in range(n) if (r := m >> 8 * k * n & self.row)], 0
         while rows:
             p = rows.pop()
-            sh = (p & -p).bit_length() - 1 & ~7 if p & row else None
-            if sh is not None:
+            if p:
+                sh = (p & -p).bit_length() - 1 & ~7
                 f = q - inv[p >> sh & 255]
-                rows = [int.from_bytes((r + (v * f % q) * p).to_bytes(size, "little").translate(mod),
+                rows = [int.from_bytes((r + (v * f % q) * p).to_bytes(n, "little").translate(mod),
                                        "little") if (v := r >> sh & 255) else r for r in rows]
-            steps.append((sh, p))
-        return steps
-
-    def rank(self, m: int) -> int:
-        """Rank of m: the pivots of its elimination."""
-        rows = [r for k in range(self.n) if (r := m >> 8 * k * self.n & self.row)]
-        return len(rows) - [sh for sh, _ in self.eliminate(rows, self.n)].count(None)
+                rank += 1
+        return rank
 
     def jordan_type(self, u: int) -> Partition:
         """Jordan type of a unipotent u: rank (u-1)^{k-1} - rank (u-1)^k parts have size >= k.
@@ -385,6 +380,7 @@ def _strip_counts(n: int, q: int) -> list[tuple[Partition, Partition, dict[Parti
     return out
 
 
+@lru_cache(maxsize=None)
 def _hessenberg_counts(n: int, q: int) -> list[dict[tuple[int, ...], dict[Partition, int]]]:
     """|Hess(J_lam - 1, h)| for each h of each size k <= n and lam |- k, solved
     from the sizes below.  Ind chi_bar^h (J_lam) is (q-1)^k q^{|E|} times it; its
@@ -413,48 +409,31 @@ def _hessenberg_counts(n: int, q: int) -> list[dict[tuple[int, ...], dict[Partit
     return sizes
 
 
-@lru_cache(maxsize=None)
-def _springer_tally(n: int, q: int) -> dict[Partition, tuple[int, ...]]:
-    """The flags of the Springer fibre of J_lam - 1 by exact label, for each
-    lam: one count per position of _lattice(n).  |Hess(J_lam - 1, h)| sums them
-    below h, so they are its Moebius inversion, x lifted by 1 in each set T of
-    its corners with sign (-1)^{|T|} (`_lowered` at q = 1), as chi_super sums."""
-    (hs, pos, _), counts = _lattice(n), _hessenberg_counts(n, q)[n]
-    rows = {lam: [0] * len(hs) for lam in _partitions(n)}
-    for x in hs:
-        for y, sign in _lowered(x, _corners(x), 1):
-            for lam, row in rows.items():
-                row[pos[y]] += sign * counts[x][lam]
-    return {lam: tuple(row) for lam, row in rows.items()}
-
-
 def hessenberg_count(pi: SchroderPath, lam: Partition, q: int) -> int:
     """Number of flags gB with g^{-1} a g strictly upper and zero at the edges of
     gamma, the graph of a Dyck path, for a nilpotent a over F_q with 1 + a of
-    Jordan type lam: a V_j in V_{h_j} for every j, h = pi.h, the Springer tally
-    summed below h.  g -> x g maps the flags of a onto those of x^{-1} a x, so
-    every such a reads the tally of J_lam - 1."""
+    Jordan type lam: a V_j in V_{h_j} for every j, h = pi.h.  g -> x g maps the
+    flags of a onto those of x^{-1} a x, so every such a reads the count of
+    J_lam - 1."""
     n = pi.size
     require_restrictions(n, q)  # before any matrix is built
     if lam not in _partitions(n):
         raise ValueError(f"Jordan type {lam} is not a partition of n = {n}")
-    (_, pos, upsets), tally = _lattice(n), _springer_tally(n, q)[lam]
-    return sum(tally[i] for i in upsets[pos[pi.h]])
+    return _hessenberg_counts(n, q)[n][pi.h][lam]
 
 
-@lru_cache(maxsize=None)
-def induce_to_GL(phi: ClassFnUT) -> UnipClassFn:
-    """Induction from UT_n to GL_n, recorded on unipotent classes only:
+def induce_to_GL(sigma: SchroderPath, q: int) -> UnipClassFn:
+    """Induction of psi^sigma from UT_n to GL_n, recorded on unipotent classes only:
     value at J_lam is (1/|UT_n|) sum over x in GL_n with x^{-1} J_lam x in UT_n
-    of phi at the superclass of the conjugate; built once per value of phi.
-    The pairs (a, F), a in the class of J_lam - 1 and F a flag with mu(a, F) = h,
-    number [n]_q! times the u of type lam labeled h, and |O_lam| times the
-    Springer tally at h; as |GL_n| = (q-1)^n [n]_q! |UT_n|, the value is (q-1)^n
-    times the tally of lam dotted with phi."""
-    n, q, vals = phi.n, phi.q, phi.values
-    require_restrictions(n, q)
-    tally = _springer_tally(n, q)
-    return UnipClassFn(n, q, tuple((q - 1) ** n * sum(map(mul, tally[lam], vals))
+    of psi^sigma at the superclass of the conjugate.  psi^sigma sums c times the
+    indicator of UT_h over `_lowered`'s terms (h, c), c carrying q^{|E(h)|}, and
+    the x with x^{-1} J_lam x in UT_h are the |B_n| = (q-1)^n |UT_n| elements of
+    each flag xB_n in Hess(J_lam - 1, h): each term induces to c (q-1)^n times
+    the Hessenberg count."""
+    n = sigma.size
+    require_restrictions(n, q)  # before the 2^|D| terms are built
+    counts, terms = _hessenberg_counts(n, q)[n], _lowered(sigma.h, sigma.D, q)
+    return UnipClassFn(n, q, tuple((q - 1) ** n * sum(c * counts[h][lam] for h, c in terms)
                                    for lam in _partitions(n)))
 
 

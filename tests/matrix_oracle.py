@@ -26,10 +26,12 @@ product [n]_q! (`flag_count`) bounds the flag sweeps here.
 
 The Springer walk that the package's recursion of Hessenberg counts replaced
 lives here too: `springer_fibre` walks the fibre of J_lam - 1 depth first,
-through `_Packed.eliminate`, and tallies its flags by exact label;
-`fibre_size` sizes it by Spaltenstein's recursion, and `require_fibres`
-bounds the walks.  `springer_tally` lays the walks out as the package's
-`_springer_tally` does, which the tests compare with it.
+through the tagged row reduction `eliminate`, and tallies its flags by exact
+label; `fibre_size` sizes it by Spaltenstein's recursion, and `require_fibres`
+bounds the walks.  `springer_tally` lays the walks out by graph: summed below h
+it is the package's Hessenberg count at h, and dotted with a class function,
+times (q-1)^n, it is that function's induction to GL_n (`induce_by_the_walk`),
+the general map that the package's induction of psi^sigma specialises.
 
 The superclass representatives, which the coset sweep conjugates, live here
 too, and so does the packed elimination of their column systems
@@ -42,6 +44,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, chain, permutations, product
+from operator import mul
 from typing import Callable, Iterable, Iterator
 
 from chromaq.combinatorics import (
@@ -82,8 +85,8 @@ CHROMAQ_IMPORTS = {
                         "reduces with too",
                         "tests/test_fqoracle.py::test_packed_kernel_matches_the_tuple_oracle"),
     "fqoracle._Packed": ("the packed kernel of the conjugation sweeps and of the Springer walk, "
-                         "whose Jordan types check_hess's sweep reads too",
-                         "tests/test_fqoracle.py::test_eliminate_matches_the_tuple_rank"),
+                         "whose products, ranks and Jordan types check_hess's sweep reads too",
+                         "tests/test_fqoracle.py::test_packed_kernel_matches_the_tuple_oracle"),
     "fqoracle.ut_elements": ("the enumeration of UT_n, which the coset sweep and check_hess's "
                              "sweep both run over",
                              "tests/test_fqoracle.py::test_ut_enumeration"),
@@ -406,6 +409,25 @@ def _superclass_nilpotents(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def eliminate(k: _Packed, rows: Iterable[int], size: int) -> list[tuple[int | None, int]]:
+    """The tagged row reduction of the kernel k, on bytes 0..n-1 and the last row
+    first.  Each row gives a step: the shift of its pivot, its lowest nonzero byte
+    (None when bytes 0..n-1 are 0), and the row reduced by the pivots before it,
+    mod q on `size` bytes, so bytes n and up may carry a tag.  k steps reduce the
+    last k rows.  The package's `_Packed.rank` counts the pivots alone."""
+    q, inv, mod, row = k.q, k.inv, k.mod, k.row
+    rows, steps = list(rows), []
+    while rows:
+        p = rows.pop()
+        sh = (p & -p).bit_length() - 1 & ~7 if p & row else None
+        if sh is not None:
+            f = q - inv[p >> sh & 255]
+            rows = [int.from_bytes((r + (v * f % q) * p).to_bytes(size, "little").translate(mod),
+                                   "little") if (v := r >> sh & 255) else r for r in rows]
+        steps.append((sh, p))
+    return steps
+
+
 def column_ranks_by_elimination(n: int, q: int) -> tuple[tuple[int | None, ...], ...]:
     """The package's column ranks by row reduction over F_q: for each superclass
     representative a and each column j and m < j in turn, the rank of rows
@@ -424,7 +446,7 @@ def column_ranks_by_elimination(n: int, q: int) -> tuple[tuple[int | None, ...],
         for j in range(1, n + 1):
             # block column c is column c + 2 of a: column j is c = j - 2, the right-hand side
             rank, run = 0, [0]
-            for sh, _ in k.eliminate([r & (1 << 8 * (j - 1)) - 1 for r in rows[:j - 1]], w):
+            for sh, _ in eliminate(k, [r & (1 << 8 * (j - 1)) - 1 for r in rows[:j - 1]], w):
                 if rank is not None and sh is not None:
                     rank = None if sh == 8 * (j - 2) else rank + 1
                 run.append(rank)
@@ -583,7 +605,7 @@ def springer_fibre(lam: Partition, q: int) -> Counter:
     0 at the pivots before it, so F^n/V_d is spanned by the free coordinates f.
     For each f the walk carries e_f a reduced modulo V_d, in bytes 0..n-1, and
     the multiple of each g_t that the reduction took off, in bytes n..2n-1.
-    Both are linear in e_f, so the None steps of `_Packed.eliminate` on these
+    Both are linear in e_f, so the None steps of `eliminate` on these
     rows, tagged with e_f, span the kernel: a v in it has v a = sum c_t g_t, and
     mu_{d+1} = max(mu_d, the bytes of c).  No sum here passes q(q-1) in a byte.
     """
@@ -595,7 +617,7 @@ def springer_fibre(lam: Partition, q: int) -> Counter:
 
     def walk(d: int, images: dict[int, int], mu: tuple[int, ...]) -> None:
         span = [0]  # the kernel, with e_f in byte 2n + f
-        for sh, p in k.eliminate([x | 1 << 8 * (2 * n + f) for f, x in images.items()], size):
+        for sh, p in eliminate(k, [x | 1 << 8 * (2 * n + f) for f, x in images.items()], size):
             if sh is None:
                 b = p >> 8 * n  # c in bytes 0..n-1, v in bytes n..2n-1
                 span = [k.reduce(s + c * b, size) for c in range(q) for s in span]
@@ -618,9 +640,8 @@ def springer_fibre(lam: Partition, q: int) -> Counter:
 
 
 def springer_tally(n: int, q: int) -> dict[Partition, tuple[int, ...]]:
-    """The walk's tally of each lam |- n, one count per graph of gen_dyck(n), as
-    the package lays out its Moebius inversion of the Hessenberg counts.
-    Refused past MAX_SWEEP flags before any walk."""
+    """The walk's tally of each lam |- n, one count per graph of gen_dyck(n), in
+    the order of gen_partitions(n).  Refused past MAX_SWEEP flags before any walk."""
     require_fibres(n, q)
     pos = {pi.h: i for i, pi in enumerate(gen_dyck(n))}
     out = {}
@@ -630,3 +651,16 @@ def springer_tally(n: int, q: int) -> dict[Partition, tuple[int, ...]]:
             row[pos[mu]] += c
         out[lam] = tuple(row)
     return out
+
+
+def induce_by_the_walk(phi: ClassFnUT) -> UnipClassFn:
+    """Induction of any superclass function phi from UT_n to GL_n, on unipotent
+    classes: (q-1)^n times the walk's tally of each lam dotted with phi.  The pairs
+    (a, F), a in the class of J_lam - 1 and F a flag with mu(a, F) = h, number
+    [n]_q! times the u of type lam labeled h, and |O_lam| times the tally at h;
+    as |GL_n| = (q-1)^n [n]_q! |UT_n|, the value at J_lam is (q-1)^n times the
+    tally of lam dotted with phi."""
+    n, q = phi.n, phi.q
+    tally = springer_tally(n, q)
+    return UnipClassFn(n, q, tuple((q - 1) ** n * sum(map(mul, row, phi.values))
+                                   for row in tally.values()))

@@ -264,8 +264,8 @@ MUTANTS = (
             "test_cli_guards_a_step_string_as_it_guards_the_same_graph_in_json",),
            "a step string reaches the verb unguarded, so hess-count names its flags first"),
     # the walk of Hessenberg functions, the area of a tall path, and the recursion of
-    # the Hessenberg counts: its start at 1^n, its restriction, its strip counts and
-    # the Moebius inversion of its counts into the Springer tally
+    # the Hessenberg counts: its start at 1^n, its restriction and its strip counts;
+    # then the two readers of the counts, induction and hessenberg_count
     Mutant("between-excludes-hi", "combinatorics.py",
            "for v in range(max(x[-1:] + (a,)), b + 1)]",
            "for v in range(max(x[-1:] + (a,)), b)]",
@@ -302,12 +302,23 @@ MUTANTS = (
            ("tests/test_fqoracle.py::test_strip_counts_match_a_sweep_of_the_blocks",
             "tests/test_fqoracle.py::test_the_recursion_equals_the_walk"),
            "each strip count q times too large"),
-    Mutant("tally-drops-the-moebius-sign", "fqoracle.py",
-           "row[pos[y]] += sign * counts[x][lam]",
-           "row[pos[y]] += counts[x][lam]",
+    Mutant("induce-drops-the-term-sign", "fqoracle.py",
+           "sum(c * counts[h][lam] for h, c in terms)",
+           "sum(abs(c) * counts[h][lam] for h, c in terms)",
            ("tests/test_fqoracle.py::test_the_recursion_equals_the_walk",
-            "tests/test_fqoracle.py::test_hessenberg_sweep_matches_per_flag_oracle"),
-           "the tally sums the counts over the corner terms with no sign"),
+            "tests/test_fqoracle.py::test_induction_from_the_walk_equals_the_sweep"),
+           "psi^sigma induced from its lowered terms with no sign"),
+    Mutant("hess-count-reads-lam-prime", "fqoracle.py",
+           "return _hessenberg_counts(n, q)[n][pi.h][lam]",
+           "return _hessenberg_counts(n, q)[n][pi.h][transpose(lam)]",
+           ("tests/test_fqoracle.py::test_hessenberg_sweep_matches_per_flag_oracle",),
+           "a Hessenberg count read at the Jordan type lam'"),
+    # partitions refuse on their own count, read upward
+    Mutant("partition-guard-exact-count", "combinatorics.py",
+           "require_sweep(f\"the partitions of {n}\", p, at_least=k < n)",
+           "require_sweep(f\"the partitions of {n}\", p, at_least=False)",
+           (COMBINATORICS_TESTS + "test_partitions_guard",),
+           "a huge n is refused on the first p(k) past the bound, named as though it were p(n)"),
 )
 
 
@@ -318,8 +329,8 @@ def _side(check: str, side: str, old: str, new: str, why: str) -> Mutant:
 
 # one per side of each check: the verify runs every check at n = 4, q = 3
 CHECK_SIDES = (
-    _side("check_cqs", "lhs", "induce_to_GL(psi_pseudo(pi, q))",
-          "induce_to_GL(chi_super(pi, q))", "the supercharacter induced in place of chi_bar"),
+    _side("check_cqs", "lhs", "induce_to_GL(pi, q)",
+          "induce_to_GL(mesa(pi), q)", "the supercharacter induced in place of chi_bar"),
     _side("check_cqs", "rhs", "eval_t(csf(pi), q).scale((q - 1) ** n *",
           "eval_t(csf(pi), q).scale((q - 1) ** (n - 1) *", "X_gamma times (q-1)^{n-1}"),
     _side("check_hess", "lhs", "induction_table(n, q)[lam], psi_pseudo(pi, q).values",
@@ -332,9 +343,9 @@ CHECK_SIDES = (
     _side("check_poincare", "rhs", "d(item[0]).get(item[1], ZERO)",
           "d(item[0]).get(item[1][::-1], ZERO)", "d_lam read at lam's parts reversed"),
     _side("check_llt", "lhs", "gen_tall_schroder(n),\n                 lambda sigma: "
-          "scaled_p_brace1(induce_to_GL(psi_pseudo(sigma, q))),\n                 lambda sigma: "
+          "scaled_p_brace1(induce_to_GL(sigma, q)),\n                 lambda sigma: "
           "_twist(llt", "gen_tall_schroder(n),\n                 lambda sigma: scaled_p_brace1("
-          "induce_to_GL(psi_pseudo(mesa(sigma), q))),\n                 lambda sigma: _twist(llt",
+          "induce_to_GL(mesa(sigma), q)),\n                 lambda sigma: _twist(llt",
           "psi of the mesa path induced in place of psi^sigma"),
     _side("check_llt", "rhs", "_twist(llt_vertical(sigma), q, len(sigma.D))",
           "_twist(llt_vertical(sigma), q, 0)", "G_sigma twisted without (q-1)^{|Diag|}"),
@@ -377,9 +388,9 @@ CHECK_SIDES = (
     _side("check_st_en", "rhs", "SymFunc(n, \"M\", {lam: ONE})",
           "SymFunc(n, \"M\", {(n,): ONE})", "m_n in place of e_n = m_{1^n}"),
     _side("check_cor66", "lhs", "gen_tall_schroder(n),\n                 lambda sigma: "
-          "scaled_p_brace1(induce_to_GL(psi_pseudo(sigma, q))),\n                 lambda sigma: "
+          "scaled_p_brace1(induce_to_GL(sigma, q)),\n                 lambda sigma: "
           "_twist(expand", "gen_tall_schroder(n),\n                 lambda sigma: "
-          "scaled_p_brace1(induce_to_GL(psi_pseudo(mesa(sigma), q))),\n                 "
+          "scaled_p_brace1(induce_to_GL(mesa(sigma), q)),\n                 "
           "lambda sigma: _twist(expand", "psi of the mesa path induced in place of psi^sigma"),
     _side("check_cor66", "rhs", "q,\n                                      len(sigma.D))",
           "q,\n                                      len(area(sigma)))",

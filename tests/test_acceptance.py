@@ -196,7 +196,7 @@ def test_criterion_9_property_suites():
     # paper's form omega (p_brace1)[x/(q-1)], through the oracle over Q
     for q in (2, 3):
         for sigma in gen_tall_schroder(3):
-            F = three_step_p_one(induce_to_GL(psi_pseudo(sigma, q)))
+            F = three_step_p_one(induce_to_GL(sigma, q))
             assert all(c.denominator == 1 and c >= 0 for c in F.values())
 
     # e-positivity of X_gamma: open conjecture, observations reported only

@@ -147,7 +147,7 @@ def test_p_one_and_p_brace1_match_the_symbolic_oracle():
     # omega (p_brace1)[x/(q-1)] has two oracles over Q, which agree
     for n, q in DEFAULT_GRID + [(4, 2)]:
         phis = [class_fn(UnipClassFn, n, q, {lam: 1}) for lam in gen_partitions(n)]
-        phis += [induce_to_GL(psi_pseudo(g, q)) for g in gen_dyck(n)]
+        phis += [induce_to_GL(g, q) for g in gen_dyck(n)]
         for phi in phis:
             assert p_brace1(phi) == symbolic_p_brace1(phi), (n, q, phi)
             assert three_step_p_one(phi) == symbolic_p_one(phi), (n, q, phi)
@@ -244,9 +244,8 @@ def test_p_brace1_zero():
 
 
 def test_p_brace1_linear():
-    q = 2
-    a = induce_to_GL(psi_pseudo(path_of_graph(3, frozenset({(1, 2)})), q))
-    b = induce_to_GL(psi_pseudo(path_of_graph(3, frozenset()), q))
+    a = class_fn(UnipClassFn, 3, 2, {(3,): 4, (2, 1): -1, (1, 1, 1): 21})
+    b = class_fn(UnipClassFn, 3, 2, {(2, 1): 3, (1, 1, 1): -5})
     combo = fn_sum(fn_scale(a, 3), fn_scale(b, -2))
     lhs = scaled_p_brace1(combo)
     rhs = sym_sum(scaled_p_brace1(a).scale(RF(3)), scaled_p_brace1(b).scale(RF(-2)))
@@ -261,7 +260,7 @@ def test_p_one_two_code_paths_agree():
     # plethysm through bridge's int table takes omega of either back to p_brace1
     q, to_p = 2, gauss_jordan_m_to("P", 3)
     for gamma in gen_dyck(3):
-        phi = induce_to_GL(psi_pseudo(gamma, q))
+        phi = induce_to_GL(gamma, q)
         a = three_step_p_one(phi)
         F = change(p_brace1(phi), lambda mu: to_p[mu].items())
         F = {lam: c * (-1) ** (3 - len(lam)) for lam, c in F.items()}
@@ -273,9 +272,8 @@ def test_p_one_two_code_paths_agree():
 
 def test_p_one_linear():
     # the paper's map is linear: three_step_p_one reads p_brace1
-    q = 3
-    a = induce_to_GL(psi_pseudo(path_of_graph(2, frozenset({(1, 2)})), q))
-    b = induce_to_GL(psi_pseudo(path_of_graph(2, frozenset()), q))
+    a = class_fn(UnipClassFn, 2, 3, {(2,): 6, (1, 1): 8})
+    b = class_fn(UnipClassFn, 2, 3, {(2,): -2, (1, 1): 3})
     combo = fn_sum(fn_scale(a, 2), fn_scale(b, -7))
     fa, fb = three_step_p_one(a), three_step_p_one(b)
     want = {lam: 2 * fa.get(lam, 0) - 7 * fb.get(lam, 0) for lam in gen_partitions(2)}
@@ -286,7 +284,7 @@ def test_p_one_schur_coefficients_are_nonneg_integers():
     # observed: induced pseudosupercharacters have genuine unipotent constituents
     for q in (2, 3):
         for sigma in gen_tall_schroder(3):
-            F = three_step_p_one(induce_to_GL(psi_pseudo(sigma, q)))
+            F = three_step_p_one(induce_to_GL(sigma, q))
             for lam, c in F.items():
                 assert c.denominator == 1 and c >= 0
 
@@ -298,7 +296,7 @@ def test_the_paper_form_of_check_llt_holds_through_the_three_step_oracle():
             for sigma in gen_tall_schroder(n):
                 G = eval_t(llt_vertical(sigma), q).scale((q - 1) ** len(diag(sigma)))
                 want = {transpose(lam): c for lam, c in in_s(G).items()}
-                assert three_step_p_one(induce_to_GL(psi_pseudo(sigma, q))) == want, (q, sigma)
+                assert three_step_p_one(induce_to_GL(sigma, q)) == want, (q, sigma)
 
 
 # -- the check family -----------------------------------------------------------
@@ -323,7 +321,7 @@ def test_check_cor66_bounds_its_orientations_before_it_induces(monkeypatch):
     # of K_7's path are refused before any class function is induced
     import chromaq.bridge as bridge
 
-    def no_induction(phi):
+    def no_induction(*args):
         raise AssertionError("an induction ran before the orientation guard")
 
     monkeypatch.setattr(bridge, "induce_to_GL", no_induction)
@@ -507,11 +505,9 @@ CACHES = {
                               "0.06 s with it, 1.44-1.51 s without",
     "fqoracle._field": "the byte tables of F_q once per q: verify all 1.09x slower without it",
     "fqoracle._lattice": "the one table of upsets per n that every class function sums over",
-    "fqoracle._springer_tally": "one recursion and Moebius inversion per (n, q), which every "
-                                "class function of a point is induced through: check_llt(6,2) "
-                                "takes 0.4 s with it, 24 s without",
-    "fqoracle.induce_to_GL": "keyed by the class function's value, so check_llt, check_cor66 "
-                             "and check_gg share their images: verify all makes 30 inductions",
+    "fqoracle._hessenberg_counts": "one table of counts per (n, q), read by every induction and "
+                                   "Hessenberg count of a point: check_llt(6,2) 0.31-0.35 s with "
+                                   "it, 21-26 s without",
     "fqoracle.induction_table": "one UT_n sweep per (n, q), read by every item of check_hess",
     "symfunc._placements": "_rows(\"P\", 16) takes 0.09 s with it and 150 s without",
     "symfunc._plethysm_factor": "verify all 1.08x, --deep 1.09x slower without it",
@@ -540,7 +536,7 @@ def test_the_caches_are_exactly_these():
                 found.append(f"{module}.{ast.unparse(node.args[0])}")
             mentions += isinstance(node, (ast.Name, ast.Attribute)) and is_lru(node)
     assert mentions == len(found)  # no cache is built in a form the walk does not read
-    assert sorted(found) == sorted(CACHES) and len(CACHES) == 22
+    assert sorted(found) == sorted(CACHES) and len(CACHES) == 21
     assert all(CACHES.values())
 
 
@@ -856,7 +852,7 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
         (lambda: flag_reps(5, 3), "251,680"),
         (lambda: next(ut_rows(5, 5)), "9,765,625"),
         (lambda: next(flag_rows(5, 3)), "251,680"),
-        (lambda: induce_to_GL(psi_pseudo(path_of_graph(8, []), 3)), "431,059"),
+        (lambda: induce_to_GL(path_of_graph(8, []), 3), "431,059"),
         (lambda: coset_permutation_character(path_of_graph(8, []), 7), f"{ut_order(8, 7):,}"),
         (lambda: coset_permutation_character(path_of_graph(16, []), 5), f"{ut_order(16, 5):,}"),
         (lambda: hessenberg_sweep(path_of_graph(5, []), (2, 1, 1, 1), 3), "251,680"),
@@ -886,16 +882,16 @@ def test_every_sweep_is_refused_past_the_bound_before_any_work(monkeypatch):
     assert _rows.cache_info().currsize == tables
     # psi of a Dyck path on [16] needs the Cat(16) graphs first, and their enumeration refuses;
     # superclass sizes are read off the graphs on [n]
-    for call, n in ((lambda: induce_to_GL(psi_pseudo(path_of_graph(16, []), 5)), 16),
+    for call, n in ((lambda: psi_pseudo(path_of_graph(16, []), 5), 16),
                     (lambda: superclass_sizes(9, 7), 9), (lambda: superclass_sizes(16, 5), 16)):
         with pytest.raises(SizeGuardError, match=f"gen_dyck: n = {n} exceeds guard"):
             call()
 
 
 def test_the_default_suite_makes_twelve_sweeps(monkeypatch):
-    # one UT_n sweep for check_hess and one Springer tally per (n, q) of the
-    # default grid, n in {1, 2, 3} and q in {2, 3}: twelve in all, which every
-    # gamma of a point shares, and check_permtoind sweeps nothing
+    # one UT_n sweep for check_hess and one table of Hessenberg counts per (n, q)
+    # of the default grid, n in {1, 2, 3} and q in {2, 3}: twelve in all, which
+    # every gamma of a point shares, and check_permtoind sweeps nothing
     import chromaq.fqoracle as fq
     from chromaq.cli import _default_suite
     sweep, swept = fq.ut_elements, []
@@ -905,11 +901,12 @@ def test_the_default_suite_makes_twelve_sweeps(monkeypatch):
         return sweep(n, q)
 
     monkeypatch.setattr(fq, "ut_elements", recording)
-    for cached in (fq.induce_to_GL, fq.induction_table, fq._springer_tally):
+    for cached in (fq.induction_table, fq._hessenberg_counts):
         cached.cache_clear()
     assert all(run_check(name, n, q).status == "pass" for name, n, q in _default_suite(False))
     assert sorted(swept) == sorted(DEFAULT_GRID)
-    assert fq._springer_tally.cache_info().misses == fq._springer_tally.cache_info().currsize == 6
+    counts = fq._hessenberg_counts.cache_info()
+    assert counts.misses == counts.currsize == 6
 
 
 def test_only_check_hess_sweeps_ut_n(monkeypatch):
@@ -922,8 +919,7 @@ def test_only_check_hess_sweeps_ut_n(monkeypatch):
         raise AssertionError(f"UT_{n}(F_{q}) was swept")
 
     monkeypatch.setattr(fq, "ut_elements", no_sweep)
-    for cached in (fq.induce_to_GL, fq.induction_table):
-        cached.cache_clear()
+    fq.induction_table.cache_clear()
     jobs = [job for job in _default_suite(False) if job[0] != "check_hess"]
     assert len(jobs) == 70 and all(run_check(*job).ok for job in jobs)
     assert sum(fq.superclass_sizes(4, 3).values()) == 729
@@ -987,18 +983,24 @@ def test_omega_on_m_and_check_llts_right_side_read_no_power_sum_table(monkeypatc
     assert right == [[lhs(sigma) for sigma in items] for items, lhs, rhs in scans]
 
 
-def test_the_default_suite_induces_and_maps_each_class_function_once(monkeypatch):
-    # induce_to_GL is keyed by the class function's value: check_llt, check_cor66
-    # and check_gg share its images, and so do check_cqs and check_hess. Without
-    # the cache the suite makes 94 calls
+def test_the_default_suite_solves_the_counts_of_each_point_once(monkeypatch):
+    # the 94 inductions and 80 Hessenberg counts of the default suite read six
+    # tables of counts, one per (n, q): every call after a point's first is a hit
     import chromaq.bridge as bridge
     import chromaq.fqoracle as fq
     from chromaq.cli import _default_suite
-    fq.induce_to_GL.cache_clear()
+    calls = Counter()
+    for name in ("induce_to_GL", "hessenberg_count"):
+        kernel = getattr(bridge, name)
+        monkeypatch.setattr(bridge, name, lambda *args, name=name, kernel=kernel:
+                            calls.update([name]) or kernel(*args))
+    fq._hessenberg_counts.cache_clear()
     assert all(run_check(name, n, q).status == "pass" for name, n, q in _default_suite(False))
-    assert fq.induce_to_GL.cache_info().misses == 30
-    # with the cache full, a perturbed class function is a new key, so the
-    # perturbed side still fails at its item
+    monkeypatch.undo()
+    info = fq._hessenberg_counts.cache_info()
+    assert calls == {"induce_to_GL": 94, "hessenberg_count": 80}
+    assert info.misses == 6 and info.hits + info.misses == 94 + 80
+    # with the cache full, the perturbed side still fails at its item
     sides = [s for s in _PERTURBED_SIDES if s[0] in ("check_llt", "check_cor66", "check_cqs")]
     assert len(sides) == 6
     for side in sides:
@@ -1226,6 +1228,7 @@ _G = gen_dyck(3)[2]
 _L = gen_partitions(3)[1]
 _S = gen_tall_schroder(3)[5]
 _BUMP_G = class_fn(ClassFnUT, 3, 2, {_G: 1})
+_BUMP_L = class_fn(UnipClassFn, 3, 2, {_L: 1})
 # chi^{2-3} enters the right side of check_psi_decomp first at EEESSS (item 4),
 # the first tall path with Diag <= {2-3} <= Area u Diag
 _G23 = path_of_graph(3, [(2, 3)])
@@ -1262,13 +1265,14 @@ def _bump(f):
 # the other nine checks, each side perturbed at one item of its scan: at (3, 2),
 # except the divisibility of check_gg, which (q - 1)^{n-1} = 1 cannot break at
 # q = 2; _S = EESDS has Diag {2-3}, so part i of check_prop56 never reads it.
-# The p_brace1 side of check_cor66 is perturbed through psi_pseudo: p_brace1
-# itself sees only the induced function, which EDESS and EESDS share.  The right sides
-# of check_gg's e_n step and of check_st_en (e_n = m_{1^n}) are constants
+# The induced sides of check_cqs, check_llt and check_cor66 are perturbed through
+# induce_to_GL at their path: p_brace1 itself sees only the induced function,
+# which EDESS and EESDS share.  The right sides of check_gg's e_n step and of
+# check_st_en (e_n = m_{1^n}) are constants
 _PERTURBED_SIDES = [
-    ("check_cqs", "psi_pseudo", lambda g, q: g == _G, lambda f: fn_sum(f, _BUMP_G), _G, 2, None),
+    ("check_cqs", "induce_to_GL", lambda g, q: g == _G, lambda f: fn_sum(f, _BUMP_L), _G, 2, None),
     ("check_cqs", "csf", lambda g: g == _G, _bump, _G, 2, None),
-    ("check_llt", "psi_pseudo", lambda s, q: s == _S, lambda f: fn_sum(f, _BUMP_G), _S, 2, None),
+    ("check_llt", "induce_to_GL", lambda s, q: s == _S, lambda f: fn_sum(f, _BUMP_L), _S, 2, None),
     ("check_llt", "llt_vertical", lambda path: path == _S, _bump, _S, 2, None),
     ("check_as", "as_expansion", lambda s: s == _S, _bump, _S, 2, None),
     ("check_as", "llt_vertical", lambda path: path == _S, _bump, _S, 2, None),
@@ -1277,13 +1281,14 @@ _PERTURBED_SIDES = [
     ("check_prop56", "llt_vertical", lambda path: path == _G, _bump, _G, 2, "i"),
     ("check_prop56", "omega", lambda g: g == llt_vertical(_G), _bump, _G, 2, "i"),
     ("check_prop56", "llt_vertical", lambda path: path == _S, _bump, _S, 2, "ii"),
-    ("check_gg", "induce_to_GL", lambda phi: True,
+    ("check_gg", "induce_to_GL", lambda sigma, q: True,
      lambda f: fn_sum(f, class_fn(UnipClassFn, 3, 3, {_L: 1})), _L, 3, None),
-    ("check_gg", "induce_to_GL", lambda phi: True,
+    ("check_gg", "induce_to_GL", lambda sigma, q: True,
      lambda f: fn_sum(f, class_fn(UnipClassFn, 3, 2, {_L: 1})), "p_brace1(Gamma_n)", 2, None),
     ("check_st_en", "basis_element", lambda basis, lam: basis == "PT", _bump, (1, 1, 1), 2, None),
     ("check_cor66", "as_expansion", lambda s: s == _S, _bump, _S, 2, None),
-    ("check_cor66", "psi_pseudo", lambda s, q: s == _S, lambda f: fn_sum(f, _BUMP_G), _S, 2, None),
+    ("check_cor66", "induce_to_GL", lambda s, q: s == _S, lambda f: fn_sum(f, _BUMP_L), _S, 2,
+     None),
 ]
 
 
@@ -1668,7 +1673,7 @@ def test_compute_induce_is_refused_before_any_graph_is_listed(monkeypatch, capsy
     def kernel(*args):
         raise RuntimeError("a kernel ran")
 
-    monkeypatch.setattr(cli, "psi_pseudo", kernel)
+    monkeypatch.setattr(fq, "_hessenberg_counts", kernel)
     monkeypatch.setattr(fq, "_lattice", kernel)
     assert cli.main(["compute", "induce", "E" * n + "S" * n, "--q", str(q)]) == 2
     assert capsys.readouterr().err == (f"error: sweeping the restricted pairs (h, S) of sizes up to "

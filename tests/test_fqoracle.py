@@ -39,7 +39,6 @@ from chromaq.fqoracle import (
     _label,
     _lattice,
     _Packed,
-    _springer_tally,
     _strip_counts,
     _upset_sum,
     _zero_mask,
@@ -58,6 +57,7 @@ from matrix_oracle import (
     centralizer_orders,
     column_ranks_by_elimination,
     coset_permutation_character,
+    eliminate,
     fibre_size,
     flag_count,
     flag_reps,
@@ -66,6 +66,7 @@ from matrix_oracle import (
     gl_matrices,
     gl_order,
     hessenberg_sweep,
+    induce_by_the_walk,
     induce_trivial_from_subgroup,
     inverse_columns,
     jordan,
@@ -194,12 +195,13 @@ def test_no_carry_bound_is_exact_and_no_admitted_sweep_reaches_it():
 
 
 def eliminate_against_the_oracle(a, q):
-    """Reduce the rows of a, row i tagged with e_i in byte n + i, and check the
-    steps against the tuple rank: the pivots count the rank, the first k steps
-    are the rank of the last k rows, and each None step's tag v has v.a = 0."""
+    """Reduce the rows of a by the walk's tagged elimination, row i tagged with e_i
+    in byte n + i, and check the steps against the tuple rank and the package's
+    pivots-only rank: the pivots count the rank, the first k steps are the rank
+    of the last k rows, and each None step's tag v has v.a = 0."""
     n = len(a)
     k = _Packed(n, q)
-    steps = k.eliminate([pack((r,)) | 1 << 8 * (n + i) for i, r in enumerate(a)], 2 * n)
+    steps = eliminate(k, [pack((r,)) | 1 << 8 * (n + i) for i, r in enumerate(a)], 2 * n)
     pivots = [sh is not None for sh, _ in steps]
     assert sum(pivots) == k.rank(pack(a)), a
     for length in range(n + 1):  # the whole of a at length n
@@ -696,30 +698,33 @@ def test_induce_degree():
     # value at the identity class is |GL_n : UT_gamma|
     q = 2
     for gamma in gen_dyck(3):
-        ind = induce_to_GL(psi_pseudo(gamma, q))
+        ind = induce_to_GL(gamma, q)
         expected = Fraction(gl_order(3, q) * q ** len(area(gamma)), ut_order(3, q))
         assert ind((1, 1, 1)) == expected
 
 
 def test_induce_trivial_small_case():
     # n = 2, q = 2, edgeless gamma: J_(2) has 2 conjugators into UT_2, |UT_2| = 2
-    ind = induce_to_GL(psi_pseudo(IG(2), 2))
+    ind = induce_to_GL(IG(2), 2)
     assert ind((2,)) == 1
     assert ind((1, 1)) == Fraction(gl_order(2, 2), ut_order(2, 2)) == 3
 
 
 def test_induce_zero():
+    # the general map of the oracle, which the package specialises to psi^sigma
     z = class_fn(ClassFnUT, 2, 2, {})
-    assert dict(induce_to_GL(z).items()) == {(2,): 0, (1, 1): 0}
+    assert dict(induce_by_the_walk(z).items()) == {(2,): 0, (1, 1): 0}
 
 
 def test_induce_linearity():
+    # the oracle's general map is linear, and agrees with the package on each psi
     q = 2
     f = psi_pseudo(IG(3, (1, 2)), q)
     g = psi_pseudo(IG(3, (2, 3)), q)
     combo = fn_sum(fn_scale(f, 2), fn_scale(g, -5))
-    lhs = induce_to_GL(combo)
-    rhs = fn_sum(fn_scale(induce_to_GL(f), 2), fn_scale(induce_to_GL(g), -5))
+    lhs = induce_by_the_walk(combo)
+    rhs = fn_sum(fn_scale(induce_to_GL(IG(3, (1, 2)), q), 2),
+                 fn_scale(induce_to_GL(IG(3, (2, 3)), q), -5))
     assert lhs == rhs
 
 
@@ -730,7 +735,7 @@ def test_induce_transitivity_against_one_step_oracle():
     points = [(1, q) for q in PRIMES] + [(2, q) for q in PRIMES] + [(3, 2), (3, 3)]
     for n, q in points:
         for gamma in gen_dyck(n):
-            assert induce_to_GL(psi_pseudo(gamma, q)) == induce_trivial_from_subgroup(gamma, q)
+            assert induce_to_GL(gamma, q) == induce_trivial_from_subgroup(gamma, q)
 
 
 def test_induced_characters_have_integer_values():
@@ -738,25 +743,25 @@ def test_induced_characters_have_integer_values():
     # algebraic integers; over Q that means plain integers
     for q in (2, 3):
         for gamma in gen_dyck(3):
-            for v in induce_to_GL(psi_pseudo(gamma, q)).values:
+            for v in induce_to_GL(gamma, q).values:
                 assert v.denominator == 1
         for sigma in gen_tall_schroder(3):
-            for v in induce_to_GL(psi_pseudo(sigma, q)).values:
+            for v in induce_to_GL(sigma, q).values:
                 assert v.denominator == 1
 
 
 def test_class_function_values_are_plain_numbers():
     # chi_bar, chi and psi are integer-valued, so they hold ints (never a
-    # Fraction or a float), and so do their inductions; a class function refuses
-    # any other value
+    # Fraction or a float), and so do their inductions, the package's of each psi
+    # and the oracle's of each chi; a class function refuses any other value
     for q in (2, 3):
         for n in (1, 2, 3):
-            fns = [psi_pseudo(g, q) for g in gen_dyck(n)]
-            fns += [chi_super(g, q) for g in gen_dyck(n)]
-            fns += [psi_pseudo(s, q) for s in gen_tall_schroder(n)]
-            for f in fns:
+            for f in [chi_super(g, q) for g in gen_dyck(n)]:
                 assert all(type(v) is int for v in f.values), f
-                assert all(type(v) is int for v in induce_to_GL(f).values), f
+                assert all(type(v) is int for v in induce_by_the_walk(f).values), f
+            for path in gen_dyck(n) + gen_tall_schroder(n):
+                assert all(type(v) is int for v in psi_pseudo(path, q).values), path
+                assert all(type(v) is int for v in induce_to_GL(path, q).values), path
     for value in (Fraction(1, 3), Fraction(2, 1), 1.0, True):
         for cls in (ClassFnUT, UnipClassFn):
             with pytest.raises(TypeError, match=rf"^{cls.__name__} values must be ints, got "):
@@ -780,7 +785,7 @@ def test_induce_guard():
     # pairs (h, S) of sizes up to 8: past MAX_SWEEP
     with pytest.raises(SizeGuardError, match="the restricted pairs \\(h, S\\) of sizes up to 8 "
                                              "visits 431,059 elements"):
-        induce_to_GL(class_fn(ClassFnUT, 8, 3, {}))
+        induce_to_GL(IG(8), 3)
 
 
 def test_regular_class_size():
@@ -822,9 +827,8 @@ def test_induce_and_superclass_sizes_match_the_tuple_oracle():
             return tuple(Fraction(_centralizer_order(lam, q) * sum(map(mul, row, phi.values)),
                                   ut_order(n, q)) for lam, row in table.items())
 
-        for phi in ([psi_pseudo(g, q) for g in gen_dyck(n)]
-                    + [psi_pseudo(sigma, q) for sigma in gen_tall_schroder(n)]):
-            assert induce_to_GL(phi).values == induced(phi), (n, q, phi)
+        for path in gen_dyck(n) + gen_tall_schroder(n):
+            assert induce_to_GL(path, q).values == induced(psi_pseudo(path, q)), (n, q, path)
         assert superclass_sizes(n, q) == dict(zip(gen_dyck(n),
                                                   map(sum, zip(*table.values())))), (n, q)
 
@@ -842,16 +846,14 @@ def induced_by_the_sweep(phi):
 
 def test_induction_from_the_walk_equals_the_sweep():
     # the pairs (a, F) counted with F fixed (the UT_n sweep) and with a fixed (the
-    # Springer tally, which the recursion builds where the walk did); the chi_bar
-    # span every superclass function, so agreeing on each pins the tally of every
-    # lam.  About 2 s, most of it the 2^15 elements of UT_6(F_2)
+    # Hessenberg counts, which the recursion builds where the walk did); the chi_bar
+    # span every superclass function, so agreeing on each pins the count of every
+    # (h, lam).  About 2 s, most of it the 2^15 elements of UT_6(F_2)
     for n, q in _KERNEL_POINTS:
-        phis = [psi_pseudo(g, q) for g in gen_dyck(n)]
-        phis += [psi_pseudo(sigma, q) for sigma in gen_tall_schroder(n)] if n < 6 else []
-        for phi in phis:
-            got = induce_to_GL(phi)
-            assert got.values == induced_by_the_sweep(phi), (n, q, phi)
-            assert all(type(v) is int for v in got.values), (n, q, phi)
+        for path in gen_dyck(n) + (gen_tall_schroder(n) if n < 6 else ()):
+            got = induce_to_GL(path, q)
+            assert got.values == induced_by_the_sweep(psi_pseudo(path, q)), (n, q, path)
+            assert all(type(v) is int for v in got.values), (n, q, path)
 
 
 def test_superclass_sizes_equal_the_tuple_sweep_of_labels():
@@ -861,23 +863,22 @@ def test_superclass_sizes_equal_the_tuple_sweep_of_labels():
 
 
 def test_a_miscounted_tally_fails_every_check_that_reads_the_walk(monkeypatch):
-    # one more flag in the last bin of the tally of (2, 1, 1) over F_3^4, which the
-    # walk built and the recursion builds now: the inductions of check_cqs and
-    # check_llt and the counts of check_hess and check_poincare read it
+    # one more flag in the count of (2, 1, 1) over F_3^4 at the complete graph,
+    # which the walk tallied and the recursion solves now: the inductions of
+    # check_cqs and check_llt and the counts of check_hess and check_poincare read
+    # it.  The cached table is copied, not changed
     import chromaq.fqoracle as fq
     from chromaq.bridge import run_check
-    original, hook = fq._springer_tally, (2, 1, 1)
+    original, hook, complete = fq._hessenberg_counts, (2, 1, 1), (0, 0, 0, 0)
 
     def miscounted(n, q):
-        return {lam: row[:-1] + (row[-1] + (lam == hook),) for lam, row in original(n, q).items()}
+        sizes = list(original(n, q))
+        sizes[n] = {h: {**row, hook: row[hook] + (h == complete)} for h, row in sizes[n].items()}
+        return sizes
 
-    monkeypatch.setattr(fq, "_springer_tally", miscounted)
-    induce_to_GL.cache_clear()
-    try:
-        for name in ("check_cqs", "check_hess", "check_llt", "check_poincare"):
-            assert run_check(name, 4, 3).status == "fail", name
-    finally:
-        induce_to_GL.cache_clear()  # drop the values built from the miscounted tally
+    monkeypatch.setattr(fq, "_hessenberg_counts", miscounted)
+    for name in ("check_cqs", "check_hess", "check_llt", "check_poincare"):
+        assert run_check(name, 4, 3).status == "fail", name
     monkeypatch.undo()
     assert all(run_check(name, 4, 3).ok for name in ("check_cqs", "check_hess", "check_llt"))
 
@@ -947,13 +948,13 @@ def test_hessenberg_sweep_matches_per_flag_oracle():
 
 
 def test_hessenberg_sweeps_once_per_matrix():
-    # one tally per (n, q) serves every gamma and lam; lam = 1^n, a = 0, counts
-    # every flag at every size of the recursion
-    _springer_tally.cache_clear()
+    # one table of counts per (n, q) serves every gamma and lam; lam = 1^n, a = 0,
+    # counts every flag at every size of the recursion
+    _hessenberg_counts.cache_clear()
     for g in gen_dyck(3):
         for lam in gen_partitions(3):
             hessenberg_count(g, lam, 3)
-    assert _springer_tally.cache_info().misses == 1
+    assert _hessenberg_counts.cache_info().misses == 1
     for k, table in enumerate(_hessenberg_counts(3, 3)):
         assert {row[(1,) * k] for row in table.values()} == {flag_count(k, 3)}
     # a nilpotent that is no Jordan matrix reads the same counts, at its Jordan type
@@ -963,7 +964,7 @@ def test_hessenberg_sweeps_once_per_matrix():
     for g in gen_dyck(3):
         assert hessenberg_count(g, nilpotent_type(digits(at), 3, 3), 3) \
             == brute_hessenberg_count(g, at, 3) == brute_hessenberg_count(g, a, 3), g
-    assert _springer_tally.cache_info().misses == 1
+    assert _hessenberg_counts.cache_info().misses == 1
 
 
 def test_fibre_sizes_count_the_leaves_of_the_walk():
@@ -1004,13 +1005,24 @@ def test_hook_fibre_sizes_follow_the_recursion():
         require_fibres(8, 2)
 
 
+def walk_agrees(n, q):
+    """The recursion's counts against the walk's tally summed below h, for every h
+    and lam, and the induction of every tall path against the walk's tally dotted
+    with its psi; tests/slow_oracles.py runs it past the walk's guard."""
+    tally, pos = springer_tally(n, q), {pi.h: i for i, pi in enumerate(gen_dyck(n))}
+    below = {h: {lam: sum(row[pos[x]] for x in _between((0,) * n, h)) for lam, row in tally.items()}
+             for h in pos}
+    assert _hessenberg_counts(n, q)[n] == below, (n, q)
+    for sigma in gen_tall_schroder(n):
+        assert induce_to_GL(sigma, q) == induce_by_the_walk(psi_pseudo(sigma, q)), (n, q, sigma)
+
+
 def test_the_recursion_equals_the_walk(monkeypatch):
-    # the Moebius inversion of the recursion's counts against the walk's tally, for
-    # every lam: each n <= 5 at every q, and (6, 2).  (5, 7) walks 718,584 flags,
-    # past the walk's guard, in about 9 s; tests/slow_oracles.py walks (6, 3) and (7, 2)
+    # each n <= 5 at every q, and (6, 2).  (5, 7) walks 718,584 flags, past the
+    # walk's guard, in about 9 s; tests/slow_oracles.py walks (6, 3) and (7, 2)
     monkeypatch.setattr("chromaq.guards.MAX_SWEEP", 1_000_000)
     for n, q in [(n, q) for n in range(6) for q in PRIMES] + [(6, 2)]:
-        assert _springer_tally(n, q) == springer_tally(n, q), (n, q)
+        walk_agrees(n, q)
 
 
 def test_strip_counts_match_a_sweep_of_the_blocks():
@@ -1057,14 +1069,14 @@ def test_hessenberg_count_is_constant_on_a_conjugacy_class():
     points = [(n, q) for n in range(1, 4) for q in PRIMES] + [(4, 2), (4, 3)]
     for n, q in points:
         graphs = gen_dyck(n)
-        misses = _springer_tally.cache_info().misses
+        misses = _hessenberg_counts.cache_info().misses
         for lam in gen_partitions(n):
             for _ in range(2 if n < 4 else 1):
                 h = random_gl(rnd, n, q)
                 a = mat_mul(mat_mul(mat_inv(h, q), mat_minus_identity(jordan(lam), q), q), h, q)
                 got = [hessenberg_count(g, nilpotent_type(digits(a), n, q), q) for g in graphs]
                 assert got == brute_hessenberg_counts(a, q, graphs), (n, q, lam, a)
-        assert _springer_tally.cache_info().misses <= misses + 1, (n, q)
+        assert _hessenberg_counts.cache_info().misses <= misses + 1, (n, q)
 
 
 def test_hessenberg_zero_matrix_counts_all_flags():

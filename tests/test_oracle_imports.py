@@ -97,7 +97,7 @@ def test_the_oracles_name_the_tests_of_the_kernels_they_share():
     with open(os.path.join(_TESTS, "matrix_oracle.py"), encoding="utf-8") as f:
         declared = _declared(ast.parse(f.read()))
     assert declared["fqoracle._Packed"][1] == (
-        "tests/test_fqoracle.py::test_eliminate_matches_the_tuple_rank")
+        "tests/test_fqoracle.py::test_packed_kernel_matches_the_tuple_oracle")
     # the rational oracles keep arithmetic of their own: no peel or sparse change, and
     # the table of rows only for the PT rows they reflect to P(x; t), declared with the
     # test that checks the tableau build against Gram-Schmidt; each name is one the

@@ -97,13 +97,6 @@ SHARED = {
                                        "with it; test_centralizer_order_closed_form checks it "
                                        "against an enumeration of GL_n",
         "combinatorics.nstat": _HALL + ", and the left side's |C_GL(J_lam)|" + _NSTAT,
-        "fqoracle._lattice": "the left side's chi_bar is an upset of the lattice, and the right "
-                             "side sums the Springer tally over the same upset; "
-                             "test_lattice_upsets_match_the_scan checks the upsets",
-        "fqoracle._lowered": "the left side's chi_bar is _lowered's one term of h, and the right "
-                             "side's tally inverts the counts over _lowered's corner terms; "
-                             "test_chi_super_terms_are_the_mobius_terms checks them against "
-                             "the Moebius oracle",
     },
     "check_poincare": {
         "combinatorics.area": _AREA_EDGES + ": the left side counts them for q^{|E|}, and the "
